@@ -34,7 +34,7 @@ func main() {
 	srv.RegisterServer(fs)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
 	saveModel := fs.String("save-model", "", "write the final model state to this file")
-	roundTimeout := fs.Duration("round-timeout", 0, "max wait per reply frame within a round (0 = wait forever); stalled parties are evicted in chunked mode")
+	roundTimeout := fs.Duration("round-timeout", 0, "max wait per reply frame within a round (0 = wait forever); stalled parties are suspected and dropped from the round")
 	rejoinGrace := fs.Duration("rejoin-grace", 0, "how long a round's broadcast waits for a just-departed party to rejoin before dropping it (0 = never wait)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		log.Fatal(err)

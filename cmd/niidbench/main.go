@@ -191,11 +191,10 @@ func cmdRun(args []string) error {
 	saveModel := fs.String("save-model", "", "write the final global model state to this file")
 	loadModel := fs.String("load-model", "", "initialize the global model from this checkpoint")
 	dtypeName := fs.String("dtype", "float64", "local-training compute precision: float64 or float32 (SIMD fast path)")
-	chunk := fs.Int("chunk", 65536, "stream broadcasts and updates in chunks of this many float64 elements (0 = whole messages); bit-identical either way")
-	chunkWindow := fs.Int("chunk-window", 4, "decoded chunk frames the server buffers per connection before backpressure")
+	chunk := fs.Int("chunk", 65536, "move broadcasts and updates in frames of this many float64 elements (0 = one frame per vector); bit-identical either way")
 	asyncBuffer := fs.Int("async-buffer", 0, "buffered-async aggregation: fold updates as they arrive and publish a new global every M folds (0 = synchronous rounds)")
 	staleness := fs.Float64("staleness", 0, "async staleness-discount exponent a in 1/(1+tau)^a (0 = default 0.5)")
-	foldAhead := fs.Int("fold-ahead", 0, "sync chunked mode: parties past the fold cursor allowed to stage decoded updates (0 = default 4, 1 = serial drain)")
+	foldAhead := fs.Int("fold-ahead", 0, "sync mode: parties past the fold cursor allowed to stage decoded updates (0 = default 4, 1 = serial drain)")
 	codec := fs.String("codec", "", "wire chunk codec over transports: f64 (raw, default), f32, int8, int4; negotiated per party at the hello")
 	fairShare := fs.Int("fair-share", 0, "async mode: max folds one party may contribute per buffer window (0 = default 1)")
 	if err := fs.Parse(args); err != nil {
@@ -244,7 +243,6 @@ func cmdRun(args []string) error {
 		CompressTopK:      *topK,
 		DType:             dtype,
 		ChunkSize:         *chunk,
-		ChunkWindow:       *chunkWindow,
 		AsyncBuffer:       *asyncBuffer,
 		StalenessExponent: *staleness,
 		FoldAhead:         *foldAhead,

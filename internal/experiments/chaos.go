@@ -67,7 +67,7 @@ func runChaos(h *Harness) error {
 			Mu:          0.01,
 			Seed:        h.opt.Seed,
 			EvalEvery:   h.p.evalEvery,
-			ChunkSize:   1024, // eviction and rejoin exist only in chunked mode
+			ChunkSize:   1024, // several frames per stream, so a mid-stream kill is the common case
 		}
 		base, err := runChaosCell(cfg, spec, locals, test, simnet.FaultPlan{}, false)
 		if err != nil {

@@ -23,8 +23,8 @@ func init() {
 // schedule — runs over loopback TCP once per wire codec, and the table
 // reports what each lossy wire costs in final accuracy against what it
 // saves in measured bytes. CommBytes is counted from the actual frames on
-// the wire (quantized parties serialize for real, no interning shortcut),
-// so the reduction column is the on-wire truth, not an analytic estimate.
+// the wire, so the reduction column is the on-wire truth, not an analytic
+// estimate.
 // The paper's Table IV reports communication size per algorithm at f64;
 // this sweep adds the codec axis its Section V leaves open.
 func runCodec(h *Harness) error {

@@ -35,14 +35,11 @@ type Shared struct {
 	TrainN    int
 	TestN     int
 	Seed      uint64
-	// Chunk is the streaming chunk size in float64 elements for both the
-	// round broadcast and the update replies (0 = whole-message frames).
-	// The server's value is authoritative: it rides each round's
-	// broadcast, so parties follow it even if their own flag differs.
+	// Chunk is the frame size in float64 elements for both the round
+	// broadcast and the update replies (0 = one frame per vector). The
+	// server's value is authoritative: it rides each round's broadcast,
+	// so parties follow it even if their own flag differs.
 	Chunk int
-	// ChunkWindow bounds the decoded-but-unfolded chunk frames the server
-	// buffers per connection (backpressure depth); 0 means the default 4.
-	ChunkWindow int
 	// Token is the optional shared handshake secret. The server rejects
 	// (only) the connections that fail to present it.
 	Token string
@@ -51,8 +48,8 @@ type Shared struct {
 	// live party suffices).
 	MinParties int
 	// Rejoin makes a party survive transport loss by redialing with
-	// backoff and re-helloing under its old ID (chunked mode; the server
-	// answers with a resync).
+	// backoff and re-helloing under its old ID (the server answers with a
+	// resync).
 	Rejoin bool
 	// HelloTimeout bounds how long a party waits for the server's first
 	// frame after its hello (0 = forever) — the party-side mirror of the
@@ -105,8 +102,7 @@ func (s *Shared) Register(fs *flag.FlagSet) {
 	fs.IntVar(&s.TrainN, "train", 0, "training samples (0 = family default)")
 	fs.IntVar(&s.TestN, "test", 0, "test samples (0 = family default)")
 	fs.Uint64Var(&s.Seed, "seed", 1, "shared seed; all processes must use the same value")
-	fs.IntVar(&s.Chunk, "chunk", 65536, "streaming chunk size in float64 elements for broadcasts and update replies (0 = whole-message frames); the server's value wins")
-	fs.IntVar(&s.ChunkWindow, "chunk-window", 4, "decoded chunk frames the server buffers per connection before backpressure")
+	fs.IntVar(&s.Chunk, "chunk", 65536, "frame size in float64 elements for broadcasts and update replies (0 = one frame per vector); the server's value wins")
 	fs.StringVar(&s.Token, "token", "", "shared handshake secret; when the server sets one, parties must present it")
 	fs.IntVar(&s.MinParties, "min-parties", 0, "server round quorum: rounds with fewer live parties are skipped and retried (0 = any)")
 	fs.BoolVar(&s.Rejoin, "rejoin", false, "party: redial with backoff after transport loss and rejoin under the old ID")
@@ -117,8 +113,8 @@ func (s *Shared) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&s.Jitter, "jitter", 0, "party: extra uniform delay per sent frame on top of -latency")
 	fs.IntVar(&s.AsyncBuffer, "async-buffer", 0, "buffered-async aggregation: fold updates as they arrive and publish a new global every M folds (0 = synchronous rounds); the server's value decides the mode")
 	fs.Float64Var(&s.Staleness, "staleness", 0, "async staleness-discount exponent a in 1/(1+tau)^a (0 = default 0.5)")
-	fs.IntVar(&s.FoldAhead, "fold-ahead", 0, "sync chunked mode: parties past the fold cursor allowed to stage decoded updates (0 = default 4, 1 = serial drain)")
-	fs.StringVar(&s.Codec, "codec", "", "wire chunk codec: f64 (raw, default), f32, int8, int4; negotiated per party, old peers fall back to f64")
+	fs.IntVar(&s.FoldAhead, "fold-ahead", 0, "sync mode: parties past the fold cursor allowed to stage decoded updates (0 = default 4, 1 = serial drain)")
+	fs.StringVar(&s.Codec, "codec", "", "wire chunk codec: f64 (raw, default), f32, int8, int4; one scale per frame; negotiated per party, peers without it fall back to f64")
 	fs.IntVar(&s.FairShare, "fair-share", 0, "async mode: max folds one party may contribute per buffer window (0 = default 1)")
 }
 
@@ -209,7 +205,6 @@ func (s *Shared) Build() (fl.Config, nn.ModelSpec, []*data.Dataset, *data.Datase
 		Mu:                s.Mu,
 		Seed:              s.Seed,
 		ChunkSize:         s.Chunk,
-		ChunkWindow:       s.ChunkWindow,
 		MinParties:        s.MinParties,
 		AsyncBuffer:       s.AsyncBuffer,
 		StalenessExponent: s.Staleness,

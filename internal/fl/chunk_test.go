@@ -254,22 +254,3 @@ func TestSimulationChunkedBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestChunkWindowNormalize pins the ChunkWindow config contract: zero
-// takes the default, explicit widths survive, negatives are rejected.
-func TestChunkWindowNormalize(t *testing.T) {
-	c, err := Config{}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ChunkWindow != 4 {
-		t.Fatalf("default chunk window %d, want 4", c.ChunkWindow)
-	}
-	c, err = Config{ChunkWindow: 9}.Normalize()
-	if err != nil || c.ChunkWindow != 9 {
-		t.Fatalf("explicit chunk window: %d, %v", c.ChunkWindow, err)
-	}
-	if _, err := (Config{ChunkWindow: -1}).Normalize(); err == nil {
-		t.Fatal("negative chunk window should be rejected")
-	}
-}

@@ -52,8 +52,8 @@ func ExtendedAlgorithms() []Algorithm {
 
 // Codec selects the wire encoding of chunk-frame payloads on the simnet
 // transports. The server's configured codec is negotiated per party at
-// the hello: a peer that does not advertise it (an older build) falls
-// back to raw float64, so mixed fleets keep federating. Quantization is
+// the hello: a peer that does not advertise it falls back to raw float64,
+// so mixed fleets keep federating. Quantization is
 // transport-only — the server accumulator, snapshots and every reported
 // metric stay float64 — but lossy: int8/int4 runs trade accuracy for
 // bytes and are not bitwise comparable to f64 runs.
@@ -164,26 +164,19 @@ type Config struct {
 	// magnitude parameter-delta entries per upload (top-k gradient
 	// compression). 0 disables compression.
 	CompressTopK float64
-	// ChunkSize, when positive, streams model state in frames of at most
-	// this many float64 elements instead of as one state-length vector —
-	// in both directions over the simnet transports: client updates into
-	// the server's accumulator, and the server's round broadcast down to
-	// the parties. The arithmetic is bit-identical either way; what
-	// changes is peak memory: the server holds O(state +
-	// clients*ChunkSize) instead of O(clients*state) with many updates in
-	// flight, and a party reassembles the broadcast into one reused
-	// buffer instead of holding a transient serialized copy. 0 keeps
-	// whole-message delivery. Over the simnet transports the server's
-	// value is authoritative — it rides each round's broadcast, so
-	// parties follow the server's setting.
+	// ChunkSize is the frame size: model state moves in frames of at most
+	// this many float64 elements — in both directions over the simnet
+	// transports (client updates up, the server's round broadcast down)
+	// and from client to accumulator in the in-process simulation. 0
+	// means one frame per vector. It picks a size, never a code path: the
+	// arithmetic is bit-identical at every value, and over simnet every
+	// value gets the same eviction, rejoin and drop-and-renormalise
+	// handling. What a smaller frame buys is memory and pacing: a frame
+	// is the unit a sender serializes, a receiver bounds (SetRecvLimit)
+	// and a quantized codec scales. Over the simnet transports the
+	// server's value is authoritative — it rides each round's broadcast,
+	// so parties follow the server's setting.
 	ChunkSize int
-	// ChunkWindow bounds how many decoded-but-unfolded chunk frames the
-	// simnet server buffers per connection before backpressure stops
-	// reading that conn: higher windows smooth bursty links at
-	// O(sampled*ChunkWindow*ChunkSize) extra transient memory, window 1
-	// folds in lockstep with arrival. 0 means the default of 4; negative
-	// values are rejected. Ignored when ChunkSize is 0.
-	ChunkWindow int
 	// AsyncBuffer, when positive, switches the simnet transports from
 	// lockstep rounds to buffered-asynchronous aggregation: the server
 	// folds updates the moment they arrive — each weighted by a staleness
@@ -198,10 +191,10 @@ type Config struct {
 	// every live party trains continuously.
 	AsyncBuffer int
 	// Codec selects the chunk-frame payload encoding on the simnet
-	// transports (default CodecF64, the raw lossless wire). Quantized
-	// codecs require ChunkSize > 0 — the chunk frame is the compression
-	// unit — and are negotiated per party at the hello with raw float64
-	// as the fallback toward older peers. See the Codec type.
+	// transports (default CodecF64, the raw lossless wire). The frame is
+	// the quantization unit — one scale per frame, so ChunkSize also sets
+	// the quantization granularity — and the codec is negotiated per party
+	// at the hello with raw float64 as the fallback. See the Codec type.
 	Codec Codec
 	// AsyncFairShare caps how many of one generation's AsyncBuffer folds
 	// a single party may contribute (default 1), so a fast party's
@@ -219,12 +212,13 @@ type Config struct {
 	// suppress stale updates harder. Ignored when AsyncBuffer is 0.
 	StalenessExponent float64
 	// FoldAhead bounds how many completed reply streams the synchronous
-	// chunked fold may stage ahead of the in-order fold cursor. The fold
+	// fold may stage ahead of the in-order fold cursor. The fold
 	// order (and therefore the result) is unchanged — bitwise identical
 	// for any value — but parties within the horizon drain their streams
 	// concurrently instead of serially behind a straggler, at
-	// O(FoldAhead x state) extra transient memory from the shared pool.
-	// 0 means the default 4; 1 reproduces the legacy serial drain.
+	// O(FoldAhead x state) extra transient memory from the shared pool —
+	// the whole of the server's transient receive memory.
+	// 0 means the default 4; 1 drains serially.
 	FoldAhead int
 	// MinParties is the round quorum under elastic membership: a round
 	// attempt whose live party set (alive + rejoined, excluding suspects
@@ -344,12 +338,6 @@ func (c Config) Normalize() (Config, error) {
 	if c.ChunkSize < 0 {
 		return c, fmt.Errorf("fl: negative chunk size %d", c.ChunkSize)
 	}
-	if c.ChunkWindow < 0 {
-		return c, fmt.Errorf("fl: negative chunk window %d", c.ChunkWindow)
-	}
-	if c.ChunkWindow == 0 {
-		c.ChunkWindow = 4
-	}
 	if c.MinParties < 0 {
 		return c, fmt.Errorf("fl: negative quorum %d", c.MinParties)
 	}
@@ -372,9 +360,6 @@ func (c Config) Normalize() (Config, error) {
 	case CodecF64, CodecF32, CodecInt8, CodecInt4:
 	default:
 		return c, fmt.Errorf("fl: unknown codec %q", c.Codec)
-	}
-	if c.Codec != CodecF64 && c.ChunkSize == 0 {
-		return c, fmt.Errorf("fl: codec %q requires chunked framing (set ChunkSize > 0): the chunk frame is the quantization unit", c.Codec)
 	}
 	if (c.Codec == CodecInt8 || c.Codec == CodecInt4) && c.CompressTopK > 0 {
 		// Top-k uploads keep only the largest-magnitude entries, so the

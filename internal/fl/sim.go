@@ -123,10 +123,12 @@ func (s *Simulation) PartyMeta(id int) UpdateMeta {
 }
 
 // TrainRound implements Transport: it fans the sampled parties out across
-// up to Cfg.Parallelism goroutines and streams their updates to deliver in
-// sampled order, folding each as soon as its slot is the next in line —
-// so at most ~Parallelism update vectors are in flight instead of the
-// whole round's.
+// up to Cfg.Parallelism goroutines and folds their updates in sampled
+// order, each as soon as its slot is the next in line. Every party
+// delivers its delta as a stream of views into its pooled workspace —
+// frames of Cfg.ChunkSize elements, one per vector at 0 — so no
+// per-update delta allocation escapes the round, and the arithmetic is
+// bit-identical at every frame size.
 //
 // Each sampled client's kernels run under a budget of Parallelism/conc
 // workers, so clients x kernel goroutines never exceeds this run's core
@@ -142,41 +144,6 @@ func (s *Simulation) TrainRound(round int, sampled []int, global, control []floa
 	// several runs in one process (experiment grid cells) stay within
 	// their slices.
 	budget := tensor.Compute{Workers: s.Cfg.Parallelism}.Split(conc)
-	if s.Cfg.ChunkSize > 0 {
-		return s.trainRoundChunked(sampled, global, control, sink, budget)
-	}
-	slots := make([]chan Update, len(sampled))
-	for j := range slots {
-		slots[j] = make(chan Update, 1)
-	}
-	sem := make(chan struct{}, s.Cfg.Parallelism)
-	for j, id := range sampled {
-		go func(j, id int) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cl := s.Clients[id]
-			cl.SetComputeBudget(budget)
-			slots[j] <- cl.LocalTrain(global, control, s.Cfg)
-		}(j, id)
-	}
-	// Fold the prefix as it completes; slots are buffered so stragglers
-	// never block even if the fold fails early.
-	for j := range slots {
-		if err := sink.Deliver(<-slots[j]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// trainRoundChunked is TrainRound with chunked delivery: parties train
-// concurrently exactly as in the whole-update path, but each delivers its
-// delta as a stream of views into its pooled workspace instead of a fresh
-// state-length copy, and the sink folds the stream in sampled order. The
-// arithmetic — and therefore the result — is bit-identical to whole-update
-// delivery; what changes is that no per-update delta allocation escapes
-// the round.
-func (s *Simulation) trainRoundChunked(sampled []int, global, control []float64, sink *RoundSink, budget tensor.Compute) error {
 	slots := make([]chan *PendingUpdate, len(sampled))
 	for j := range slots {
 		slots[j] = make(chan *PendingUpdate, 1)

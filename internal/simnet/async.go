@@ -25,13 +25,10 @@ import (
 //   - the main loop owns membership: it installs queued rejoins, keeps
 //     the resync round stamp current, and watches liveness.
 //
-// The wire protocol is untouched: generations ride the existing Round
-// fields of GlobalMsg/GlobalChunkMsg/UpdateMsg/UpdateChunkMsg, so a
-// ProtoVersion-2 party federates in async mode unchanged. Unlike the
-// synchronous path, broadcast frames are always serialized — the pipes'
-// GlobalRefMsg interning slot is single-generation and lockstep, which
-// async is not — and the encode happens once per generation, shared by
-// every sender (the encode-once cache the sync broadcast uses).
+// The wire protocol is the synchronous one: generations ride the Round
+// fields of GlobalChunkMsg/UpdateChunkMsg, each generation's broadcast is
+// encoded once and shared by every sender (the encode-once cache the sync
+// broadcast uses), and update streams come off the same updateReader.
 
 // asyncHub publishes the newest generation's encode-once frame cache to
 // the sender goroutines. Senders wait for a generation newer than the
@@ -92,15 +89,6 @@ func (h *asyncHub) waitNewer(sent int) (gen int, bf *globalFrames, ok bool) {
 		return 0, nil, false
 	}
 	return h.gen, h.bf, true
-}
-
-// newGlobalGen wraps one generation's broadcast in its shared
-// encode-once frame cache. state and control must be snapshots the
-// aggregation will not mutate (fl.AsyncCoordinator.GlobalSnapshot
-// copies); the frame sets encode lazily, per codec, on first use.
-func newGlobalGen(gen int, state, control []float64, budget, chunk int) *globalFrames {
-	gm := GlobalMsg{Round: gen, State: state, Control: control, Budget: budget, Chunk: chunk}
-	return &globalFrames{gm: gm, chunk: chunk}
 }
 
 // evictConn is the asynchronous eviction path. Unlike evict (round loop
@@ -190,63 +178,71 @@ func (f *Federation) asyncSend(id int, c *CountingConn, hub *asyncHub, poke func
 		if !ok {
 			return
 		}
-		frames, err := bf.frames(codec)
-		if err != nil {
-			// An encode failure (a non-finite value the quantizer refused)
-			// poisons this codec's frame set for the generation; the party
-			// is cut loose as transport loss and may rejoin once a clean
-			// generation is minted.
-			if !hub.isDone() && f.evictConn(id, c, false, fmt.Errorf("simnet: encode for party %d: %w", id, err)) {
+		if err := bf.send(c, codec); err != nil {
+			// Transport loss toward this party — or an encode failure (a
+			// non-finite value the quantizer refused) poisoning this codec's
+			// frame set for the generation; either way the party is cut
+			// loose and may rejoin once a clean generation is minted.
+			if !hub.isDone() && f.evictConn(id, c, false, fmt.Errorf("simnet: send to party %d: %w", id, err)) {
 				poke()
 			}
 			return
-		}
-		for _, fr := range frames {
-			if err := c.Send(fr); err != nil {
-				if !hub.isDone() && f.evictConn(id, c, false, fmt.Errorf("simnet: send to party %d: %w", id, err)) {
-					poke()
-				}
-				return
-			}
 		}
 		sent = gen
 	}
 }
 
-// asyncRecv reads one party's update streams for the conn's lifetime,
-// folding each complete stream into the coordinator. It exits on conn
-// loss, protocol violation, or coordinator rejection — never on run
-// completion alone: after Done the party may still have one reply in
-// flight, and draining it (the fold is then a no-op) is what keeps the
-// party from blocking on a full pipe before it can read the ShutdownMsg.
-// The conn's EOF — every party closes its end when its session ends — is
-// the receiver's own termination.
+// asyncRecv is the asynchronous scheduler: it reads one party's update
+// streams for the conn's lifetime, folding each complete stream into the
+// coordinator in arrival order, tagged with the generation it trained
+// against. It exits on conn loss, protocol violation, or coordinator
+// rejection — never on run completion alone: after Done the party may
+// still have one reply in flight, and draining it (the fold is then a
+// no-op) is what keeps the party from blocking on a full pipe before it
+// can read the ShutdownMsg. The conn's EOF — every party closes its end
+// when its session ends — is the receiver's own termination.
 func (f *Federation) asyncRecv(id int, c *CountingConn, hub *asyncHub, coord *fl.AsyncCoordinator, dedup *asyncDedup, poke func(), total, stateLen int) {
 	f.memMu.Lock()
 	meta := f.metas[id]
 	f.memMu.Unlock()
+	r := f.newUpdateReader(id, c, meta, total)
+	r.idleStart = true
 	budget := f.asyncBudget()
 	for {
-		u, trainedGen, buf, err, fatal := f.recvAsyncUpdate(c, id, total, stateLen, meta)
-		if err != nil {
-			if !hub.isDone() && f.evictConn(id, c, fatal, err) {
+		// The generation the party reports training against is adopted from
+		// the stream; the coordinator bounds it.
+		st := r.read(-1)
+		if st.err != nil {
+			// This conn's receive side is over whatever happens next; closing
+			// it also frees its sender if that is still blocked toward a peer
+			// that stopped reading — after Done nothing else would.
+			_ = c.Close()
+			if !hub.isDone() && f.evictConn(id, c, st.fatal, st.err) {
 				poke()
 			}
 			return
 		}
-		if !dedup.admit(id, trainedGen) {
+		if !dedup.admit(id, st.round) {
 			// A rejoin replayed the contribution this server already
 			// folded (the party cannot know that); drop it silently.
-			if buf != nil {
-				tensor.Shared.Put(buf)
-			}
+			f.release(st)
 			continue
 		}
-		flushed, done, ferr := coord.Fold(id, u, trainedGen)
+		data := st.buf.Data()[:total]
+		u := st.trailer
+		u.Delta = data[:stateLen]
+		if stateLen < total {
+			u.DeltaC = data[stateLen:]
+		}
+		flushed, done, ferr := coord.Fold(id, u, st.round)
+		if ferr == nil {
+			// Keep the tracked SCAFFOLD c_i mirroring the party's own
+			// bookkeeping: the party advanced its c_i when it trained,
+			// whether or not the fold still counted.
+			f.applyControlDelta(id, u.DeltaC)
+		}
+		f.release(st)
 		if ferr != nil {
-			if buf != nil {
-				tensor.Shared.Put(buf)
-			}
 			// done distinguishes a poisoned run (not the party's fault)
 			// from a rejected update (aggregation contract violation).
 			if !done && !hub.isDone() {
@@ -255,16 +251,9 @@ func (f *Federation) asyncRecv(id int, c *CountingConn, hub *asyncHub, coord *fl
 			poke()
 			return
 		}
-		// Keep the tracked SCAFFOLD c_i mirroring the party's own
-		// bookkeeping: the party advanced its c_i when it trained, whether
-		// or not the fold still counted.
-		f.applyControlDelta(id, u.DeltaC)
-		if buf != nil {
-			tensor.Shared.Put(buf)
-		}
 		if flushed && !done {
 			gen, state, control := coord.GlobalSnapshot()
-			hub.publish(gen, newGlobalGen(gen, state, control, budget, f.Cfg.ChunkSize))
+			hub.publish(gen, newGlobalFrames(gen, state, control, budget, f.Cfg.ChunkSize))
 		}
 		if flushed || done {
 			poke()
@@ -282,104 +271,6 @@ func (f *Federation) asyncBudget() int {
 	return tensor.Compute{Workers: f.Cfg.Parallelism}.Split(len(f.byParty)).Workers
 }
 
-// recvAsyncUpdate reads and validates one complete update stream from a
-// party: a single UpdateMsg frame in monolithic mode, a reassembled
-// UpdateChunkMsg stream (with the synchronous stager's exact validation)
-// in chunked mode. The returned buf, when non-nil, backs u's vectors and
-// must be returned to the shared pool once u is consumed. trainedGen is
-// the generation the party reports training against; the coordinator
-// bounds it. fatal classifies an error the way the sync path does:
-// protocol violations are permanent, transport loss is not.
-func (f *Federation) recvAsyncUpdate(c *CountingConn, id, total, stateLen int, meta fl.UpdateMeta) (u fl.Update, trainedGen int, buf *tensor.Tensor, err error, fatal bool) {
-	// No deadline while waiting for a stream to begin: an async party
-	// legitimately idles between generations for as long as the flush
-	// schedule takes (its training time is someone else's fold), so
-	// RoundTimeout bounds only the gaps inside a stream. A crashed party
-	// is still detected promptly through its conn.
-	if f.Cfg.ChunkSize <= 0 {
-		_ = c.SetReadDeadline(time.Time{})
-		raw, rerr := c.Recv()
-		if rerr != nil {
-			return fl.Update{}, 0, nil, fmt.Errorf("simnet: recv from party %d: %w", id, rerr), false
-		}
-		decoded, derr := Unmarshal(raw)
-		if derr != nil {
-			return fl.Update{}, 0, nil, derr, true
-		}
-		um, ok := decoded.(UpdateMsg)
-		if !ok {
-			return fl.Update{}, 0, nil, fmt.Errorf("simnet: unexpected reply %T from party %d", decoded, id), true
-		}
-		return fl.Update{
-			Delta: um.Delta, Tau: um.Tau, N: um.N,
-			DeltaC: um.DeltaC, TrainLoss: um.TrainLoss,
-		}, um.Round, nil, nil, false
-	}
-	t := tensor.Shared.GetRaw(tensor.Float64, total)
-	data := t.Data()[:total]
-	done := 0
-	round := 0
-	streamCodec := byte(0)
-	first := true
-	fail := func(err error, fatal bool) (fl.Update, int, *tensor.Tensor, error, bool) {
-		tensor.Shared.Put(t)
-		return fl.Update{}, 0, nil, err, fatal
-	}
-	for {
-		if first {
-			_ = c.SetReadDeadline(time.Time{})
-		} else if f.RoundTimeout > 0 {
-			_ = c.SetReadDeadline(time.Now().Add(f.RoundTimeout))
-		}
-		raw, rerr := c.Recv()
-		if rerr != nil {
-			return fail(fmt.Errorf("simnet: recv from party %d: %w", id, rerr), false)
-		}
-		m, codec, derr := decodeUpdateFrameInto(raw, data[done:done:total])
-		if derr != nil {
-			return fail(fmt.Errorf("simnet: bad frame from party %d: %w", id, derr), true)
-		}
-		if first {
-			round, streamCodec, first = m.Round, codec, false
-		}
-		var verr error
-		switch {
-		case codec != streamCodec:
-			verr = fmt.Errorf("simnet: party %d switched wire codec %s -> %s mid-stream",
-				id, codecName(streamCodec), codecName(codec))
-		case m.Round != round:
-			verr = fmt.Errorf("simnet: party %d changed generation %d to %d mid-stream", id, round, m.Round)
-		case m.Total != total:
-			verr = fmt.Errorf("simnet: party %d declared stream length %d, expected %d", id, m.Total, total)
-		case m.N != meta.N || m.Tau != meta.Tau:
-			verr = fmt.Errorf("simnet: party %d frame meta (n=%d tau=%d) does not match expected (n=%d tau=%d)",
-				id, m.N, m.Tau, meta.N, meta.Tau)
-		case len(m.Chunk) > f.Cfg.ChunkSize:
-			verr = fmt.Errorf("simnet: party %d sent a %d-element frame, chunk size is %d", id, len(m.Chunk), f.Cfg.ChunkSize)
-		case m.Offset != done:
-			verr = fmt.Errorf("simnet: party %d sent frame offset %d, expected %d", id, m.Offset, done)
-		case m.Offset+len(m.Chunk) > total:
-			verr = fmt.Errorf("simnet: party %d frame [%d,%d) overflows stream length %d", id, m.Offset, m.Offset+len(m.Chunk), total)
-		case m.Last != (m.Offset+len(m.Chunk) == total):
-			verr = fmt.Errorf("simnet: party %d frame [%d,%d) of %d has inconsistent last marker", id, m.Offset, m.Offset+len(m.Chunk), total)
-		case len(m.Chunk) == 0 && !m.Last:
-			verr = fmt.Errorf("simnet: party %d sent an empty non-final frame at offset %d", id, m.Offset)
-		}
-		if verr != nil {
-			return fail(verr, true)
-		}
-		copy(data[done:], m.Chunk) // no-op when the frame decoded in place
-		done += len(m.Chunk)
-		if m.Last {
-			u = fl.Update{Delta: data[:stateLen], N: m.N, Tau: m.Tau, TrainLoss: m.TrainLoss}
-			if stateLen < total {
-				u.DeltaC = data[stateLen:total]
-			}
-			return u, round, t, nil, false
-		}
-	}
-}
-
 // RunAsync implements fl.AsyncTransport: it drives the buffered-async
 // protocol over the federation's conns until the coordinator completes,
 // the run is poisoned, or every party is lost past the rejoin grace.
@@ -387,7 +278,7 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 	gen, state, control := coord.GlobalSnapshot()
 	total := len(state) + len(control)
 	stateLen := len(state)
-	limit := recvLimitFor(f.Cfg.ChunkSize, stateLen, len(control))
+	limit := recvLimitFor(frameCap(f.Cfg.ChunkSize, total))
 	budget := f.asyncBudget()
 
 	hub := newAsyncHub()
@@ -416,7 +307,7 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 
 	var runErr error
 	if !coord.Done() {
-		bf := newGlobalGen(gen, state, control, budget, f.Cfg.ChunkSize)
+		bf := newGlobalFrames(gen, state, control, budget, f.Cfg.ChunkSize)
 		// Encode the configured codec eagerly so an unencodable initial
 		// state fails the run up front, as the old eager encode did,
 		// instead of surfacing as per-party evictions.

@@ -67,10 +67,10 @@ func TestAsyncRunLocalAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestAsyncMonolithicRunLocal covers the whole-frame async reply path
-// (ChunkSize 0): updates arrive as single UpdateMsg frames and broadcasts
-// as single serialized GlobalMsg frames — never the pipes' interning
-// shortcut, which is lockstep-only. The federation must still learn.
+// TestAsyncMonolithicRunLocal is the async ChunkSize 0 run: every update
+// and every broadcast travels as one frame per vector through the same
+// reader and frame cache as any other size. The federation must still
+// learn.
 func TestAsyncMonolithicRunLocal(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	cfg.Rounds = 4
@@ -231,7 +231,7 @@ func TestPipelinedDownlinkBitwiseAllAlgorithms(t *testing.T) {
 		t.Run(string(alg), func(t *testing.T) {
 			cfg := fl.Config{
 				Algorithm: alg, Rounds: 2, LocalEpochs: 1, BatchSize: 32,
-				LR: 0.05, Mu: 0.01, Seed: 5, ChunkSize: 256, ChunkWindow: 64,
+				LR: 0.05, Mu: 0.01, Seed: 5, ChunkSize: 256,
 			}
 			ref, err := RunLocal(cfg, spec, locals, test)
 			if err != nil {
@@ -291,9 +291,9 @@ func TestPipelinedDownlinkBitwiseAllAlgorithms(t *testing.T) {
 // the fold by only its own stream. Three scripted parties stream chunked
 // replies over pipes whose buffers hold far fewer frames than a stream;
 // the first sampled party withholds its entire reply while the other two
-// must be able to push their complete streams through — under the old
-// serial drain their sends would block behind the straggler once the
-// receive window and pipe buffers filled.
+// must be able to push their complete streams through — under a serial
+// drain their sends would block behind the straggler once the pipe
+// buffers filled.
 func TestFoldAheadStragglerIndependence(t *testing.T) {
 	_, test, err := data.Load("adult", data.Config{TrainN: 60, TestN: 60, Seed: 21})
 	if err != nil {
@@ -301,7 +301,7 @@ func TestFoldAheadStragglerIndependence(t *testing.T) {
 	}
 	cfg := fl.Config{
 		Algorithm: fl.FedAvg, Rounds: 1, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Seed: 5, ChunkSize: 64, ChunkWindow: 2, FoldAhead: 4,
+		LR: 0.05, Seed: 5, ChunkSize: 64, FoldAhead: 4,
 	}
 	cfg, err = cfg.Normalize()
 	if err != nil {
@@ -331,70 +331,17 @@ func TestFoldAheadStragglerIndependence(t *testing.T) {
 				t.Errorf("party %d hello: %v", i, err)
 				return
 			}
-			// Read the round broadcast far enough to learn the round and
-			// the stream geometry. Pipes intern the broadcast into a
-			// single GlobalRefMsg descriptor; chunked frames are handled
-			// too so the script is transport-agnostic.
-			var round, total int
-			for {
-				raw, err := conn.Recv()
-				if err != nil {
-					t.Errorf("party %d downlink: %v", i, err)
-					return
-				}
-				if len(raw) > 0 && raw[0] == msgGlobalChunk {
-					m, err := UnmarshalGlobalChunkInto(raw, nil)
-					if err != nil {
-						t.Errorf("party %d downlink frame: %v", i, err)
-						return
-					}
-					round, total = m.Round, m.Total
-					if m.Last {
-						break
-					}
-					continue
-				}
-				msg, err := Unmarshal(raw)
-				if err != nil {
-					t.Errorf("party %d downlink decode: %v", i, err)
-					return
-				}
-				ref, ok := msg.(GlobalRefMsg)
-				if !ok {
-					t.Errorf("party %d: unexpected downlink message %T", i, msg)
-					return
-				}
-				g, err := takeGlobalRef(conn, ref)
-				if err != nil {
-					t.Errorf("party %d ref: %v", i, err)
-					return
-				}
-				round, total = g.Round, len(g.State)+len(g.Control)
-				break
+			g, ok := recvBroadcast(conn)
+			if !ok {
+				t.Errorf("party %d: no broadcast", i)
+				return
 			}
 			if i == 0 {
 				<-release // the straggler: withhold the entire reply
 			}
-			zero := make([]float64, cfg.ChunkSize)
-			for off := 0; off < total; off += cfg.ChunkSize {
-				chunk := zero
-				if off+len(chunk) > total {
-					chunk = zero[:total-off]
-				}
-				b, err := Marshal(UpdateChunkMsg{
-					Round: round, Offset: off, Total: total,
-					N: partyN, Tau: tau,
-					Last:  off+len(chunk) == total,
-					Chunk: chunk,
-				})
-				if err != nil {
-					t.Errorf("party %d frame marshal: %v", i, err)
-					return
-				}
-				if err := conn.Send(b); err != nil {
-					t.Errorf("party %d uplink: %v", i, err)
-					return
-				}
+			if err := sendFrames(conn, updateFrames(g, partyN, tau, 0)); err != nil {
+				t.Errorf("party %d uplink: %v", i, err)
+				return
 			}
 			sent <- i
 			// Drain until the server's shutdown/close so the teardown

@@ -59,7 +59,7 @@ func BenchmarkBroadcastEncode(b *testing.B) {
 		b.Run("codec="+codecName(codec), func(b *testing.B) {
 			b.SetBytes(int64(len(state) * 8))
 			for i := 0; i < b.N; i++ {
-				bf := newGlobalGen(1, state, nil, 1, 65536)
+				bf := newGlobalFrames(1, state, nil, 1, 65536)
 				if _, err := bf.frames(codec); err != nil {
 					b.Fatal(err)
 				}

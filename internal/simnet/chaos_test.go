@@ -190,8 +190,9 @@ func TestCodecRoundTripRejoinHello(t *testing.T) {
 // rstConn lets a party complete one round reply and then hard-kills the
 // connection with an RST (SO_LINGER 0) — the deterministic stand-in for a
 // party process dying between rounds. The kill waits a beat after the
-// reply's Last frame so the server's (wide-window) receiver has drained
-// the reply before the RST discards anything still buffered; the RST
+// reply's Last frame so the server's reader (every party is inside the
+// fold-ahead window here) has drained the reply before the RST discards
+// anything still buffered; the RST
 // itself makes the server's next write toward the party fail fast instead
 // of vanishing into a half-closed socket's buffer.
 type rstConn struct {
@@ -266,7 +267,7 @@ func (l *laggardConn) Send(b []byte) error {
 	return l.Conn.Send(b)
 }
 
-// runRejoinTCP runs a chunked TCP federation where party `dropIdx` dies
+// runRejoinTCP runs a TCP federation where party `dropIdx` dies
 // after round 0 and rejoins; the other parties serve normally.
 func runRejoinTCP(t *testing.T, cfg fl.Config, locals []*data.Dataset, test *data.Dataset, dropIdx int) *fl.Result {
 	t.Helper()
@@ -345,9 +346,6 @@ func TestRejoinBitwiseAllAlgorithms(t *testing.T) {
 			cfg := fl.Config{
 				Algorithm: algo, Rounds: 3, LocalEpochs: 1, BatchSize: 32,
 				LR: 0.05, Mu: 0.01, Seed: 5, ChunkSize: 256,
-				// Wide receive window: the dropout's round-0 reply must be
-				// fully drained off the wire before its RST fires.
-				ChunkWindow: 64,
 				// Quorum at full strength: if the heal window somehow
 				// misses, the round must wait for the rejoin rather than
 				// thin the aggregation.
@@ -379,6 +377,130 @@ func TestRejoinBitwiseAllAlgorithms(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestChunkZeroTCPDropAndRejoin pins what ChunkSize 0 gained when it
+// stopped being a separate protocol: over real TCP with one frame per
+// vector, a party whose conn dies mid-stream or who frames garbage costs
+// the round only its own update — it lands in RoundMetrics.Dropped and the
+// run completes, where whole-message mode used to abort — and a party
+// that dies between rounds and rejoins heals bitwise, exactly as it does
+// at any bounded frame size.
+func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
+	train, test, err := data.Load("adult", data.Config{TrainN: 300, TestN: 120, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, locals, err := partition.Strategy{Kind: partition.Homogeneous}.Split(train, 3, rng.New(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := data.Model("adult")
+	cfg := fl.Config{
+		Algorithm: fl.Scaffold, Rounds: 3, LocalEpochs: 1, BatchSize: 32,
+		LR: 0.05, Seed: 5, ChunkSize: 0,
+	}
+
+	// runWithOffender serves two honest TCP parties and one scripted peer
+	// (ID 2) that answers its first broadcast with misbehave.
+	runWithOffender := func(t *testing.T, misbehave func(conn Conn, g GlobalMsg) error) (*fl.Result, []*EvictionError) {
+		ln, err := Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		var mu sync.Mutex
+		var evictions []*EvictionError
+		ln.OnEvict = func(e *EvictionError) {
+			mu.Lock()
+			evictions = append(evictions, e)
+			mu.Unlock()
+		}
+		resCh := make(chan *fl.Result, 1)
+		errCh := make(chan error, 1)
+		go func() {
+			res, err := ln.AcceptAndRun(3, cfg, spec, test)
+			resCh <- res
+			errCh <- err
+		}()
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if err := DialParty(ln.Addr(), i, locals[i], spec, cfg, cfg.Seed+uint64(i), ""); err != nil {
+					t.Errorf("party %d: %v", i, err)
+				}
+			}(i)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := net.Dial("tcp", ln.Addr())
+			if err != nil {
+				t.Errorf("offender dial: %v", err)
+				return
+			}
+			defer c.Close()
+			conn := NewTCPConn(c)
+			rawParty(t, conn, HelloMsg{ID: 2, N: 80, LabelDist: []float64{0.5, 0.5}},
+				func(g GlobalMsg) error { return misbehave(conn, g) })
+		}()
+		res, serveErr := <-resCh, <-errCh
+		wg.Wait()
+		if serveErr != nil {
+			t.Fatalf("ChunkSize 0 federation aborted: %v", serveErr)
+		}
+		if len(res.Curve) != cfg.Rounds {
+			t.Fatalf("completed %d/%d rounds", len(res.Curve), cfg.Rounds)
+		}
+		assertEvictedAt(t, res.Curve, 2, 0)
+		return res, evictions
+	}
+
+	t.Run("conn dies mid-stream", func(t *testing.T) {
+		_, evictions := runWithOffender(t, func(conn Conn, g GlobalMsg) error {
+			// SCAFFOLD's stream at ChunkSize 0 is two frames: send the
+			// delta vector, then die before the control delta.
+			total := len(g.State) + len(g.Control)
+			b, err := Marshal(UpdateChunkMsg{Round: g.Round, Total: total, N: 80,
+				Tau: fl.PredictTau(cfg, 80), Chunk: make([]float64, len(g.State))})
+			if err != nil {
+				return err
+			}
+			if err := conn.Send(b); err != nil {
+				return err
+			}
+			return conn.Close()
+		})
+		if len(evictions) != 1 || evictions[0].Party != 2 || evictions[0].Permanent {
+			t.Fatalf("want one suspect (rejoinable) departure of party 2, got %v", evictions)
+		}
+	})
+	t.Run("garbage frame", func(t *testing.T) {
+		_, evictions := runWithOffender(t, func(conn Conn, g GlobalMsg) error {
+			return conn.Send([]byte{0xde, 0xad, 0xbe, 0xef})
+		})
+		if len(evictions) != 1 || evictions[0].Party != 2 || !evictions[0].Permanent {
+			t.Fatalf("want one permanent eviction of party 2, got %v", evictions)
+		}
+	})
+	t.Run("rejoin heals bitwise", func(t *testing.T) {
+		c := cfg
+		c.MinParties, c.QuorumRetries, c.QuorumRetryWait = 3, 300, 10*time.Millisecond
+		ref := runChunkedTCP(t, c, locals, test)
+		got := runRejoinTCP(t, c, locals, test, 1)
+		for _, m := range got.Curve {
+			if len(m.Dropped) != 0 || len(m.Sampled) != 3 {
+				t.Fatalf("round %d sampled %v dropped %v despite rejoin", m.Round, m.Sampled, m.Dropped)
+			}
+		}
+		for i := range ref.FinalState {
+			if got.FinalState[i] != ref.FinalState[i] {
+				t.Fatalf("final state diverged at [%d]: %v vs %v", i, got.FinalState[i], ref.FinalState[i])
+			}
+		}
+	})
 }
 
 // TestEmptyFaultPlanBitwise pins the fault machinery's zero cost: dialing
@@ -506,18 +628,7 @@ func TestChaosSoakDropRejoin(t *testing.T) {
 // goroutine has terminated — an evicted party's receiver must die with
 // its conn, not linger blocked on a read.
 func TestEvictionLeavesNoGoroutines(t *testing.T) {
-	settle := func(target int) int {
-		var n int
-		for i := 0; i < 100; i++ {
-			n = runtime.NumGoroutine()
-			if n <= target {
-				return n
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		return n
-	}
-	before := settle(0) // current count once the rest of the suite quiesces
+	before := settleGoroutines(0) // current count once the rest of the suite quiesces
 	train, test, err := data.Load("adult", data.Config{TrainN: 120, TestN: 60, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +679,7 @@ func TestEvictionLeavesNoGoroutines(t *testing.T) {
 	}
 	// Everything launched for the run must be gone; allow a little slack
 	// for runtime housekeeping goroutines.
-	if after := settle(before + 2); after > before+2 {
+	if after := settleGoroutines(before + 2); after > before+2 {
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)
 		t.Fatalf("goroutine leak: %d before, %d after\n%s", before, after, buf[:n])

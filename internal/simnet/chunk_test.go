@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -29,20 +30,24 @@ func TestCodecRoundTripUpdateChunk(t *testing.T) {
 		got.Tau != 4 || !got.Last || got.TrainLoss != 0.75 || len(got.Chunk) != 3 || got.Chunk[1] != -2 {
 		t.Fatalf("round trip: %+v", got)
 	}
-	// The pooled-decode path must land in the caller's buffer.
-	buf := make([]float64, 8)
-	got2, err := UnmarshalChunkInto(b, buf)
+	// The in-place path parses the header alone and decodes the payload
+	// wherever the caller points it.
+	hdr, p, err := parseUpdateChunk(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got2.Chunk[0] != &buf[0] {
-		t.Fatal("UnmarshalChunkInto did not reuse the caller's buffer")
+	if hdr.Chunk != nil || hdr.Offset != 128 || p.count != 3 {
+		t.Fatalf("header-only parse: %+v count %d", hdr, p.count)
 	}
-	if got2.Chunk[2] != 3 {
-		t.Fatalf("pooled decode: %+v", got2)
+	buf := make([]float64, 8)
+	if err := p.decodeInto(buf[2:5]); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := UnmarshalChunkInto([]byte{msgGlobal, 0}, buf); err == nil {
-		t.Fatal("UnmarshalChunkInto should reject non-chunk messages")
+	if buf[2] != 1.5 || buf[4] != 3 || buf[5] != 0 {
+		t.Fatalf("in-place decode: %v", buf)
+	}
+	if _, _, err := parseUpdateChunk([]byte{msgGlobalChunk, 0}); err == nil {
+		t.Fatal("parseUpdateChunk should reject non-update frames")
 	}
 }
 
@@ -164,9 +169,9 @@ func TestChunkedTCPOutOfOrderMatchesPipes(t *testing.T) {
 	}
 }
 
-// TestChunkedMatchesWholeOverPipes pins end-to-end bit-identity of the
-// wire chunking itself: the same federation with whole-update frames and
-// with chunked frames must produce identical state trajectories.
+// TestChunkedMatchesWholeOverPipes pins that ChunkSize picks a frame size
+// and nothing else: the same federation at ChunkSize 0 (one frame per
+// vector) and at ChunkSize N must produce bitwise-identical states.
 func TestChunkedMatchesWholeOverPipes(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	cfg.Rounds = 3
@@ -188,134 +193,6 @@ func TestChunkedMatchesWholeOverPipes(t *testing.T) {
 	if chunked.TotalCommBytes <= whole.TotalCommBytes {
 		t.Fatalf("chunked framing should cost slightly more wire bytes: %d vs %d",
 			chunked.TotalCommBytes, whole.TotalCommBytes)
-	}
-}
-
-// rawParty connects a scripted protocol peer: hello, then a custom reply
-// per round — used to inject malformed traffic.
-func rawParty(t *testing.T, conn Conn, hello HelloMsg, reply func(round int, g GlobalMsg) error) {
-	t.Helper()
-	b, err := Marshal(hello)
-	if err != nil {
-		t.Errorf("rawParty marshal: %v", err)
-		return
-	}
-	if err := conn.Send(b); err != nil {
-		t.Errorf("rawParty hello: %v", err)
-		return
-	}
-	for {
-		raw, err := conn.Recv()
-		if err != nil {
-			return // server closed us (or shut down)
-		}
-		msg, err := Unmarshal(raw)
-		if err != nil {
-			return
-		}
-		var g GlobalMsg
-		switch m := msg.(type) {
-		case GlobalMsg:
-			g = m
-		case GlobalRefMsg:
-			// Interned pipe broadcast: resolve the shared buffer like a
-			// real party would.
-			if g, err = takeGlobalRef(conn, m); err != nil {
-				t.Errorf("rawParty ref: %v", err)
-				return
-			}
-		default:
-			return // shutdown
-		}
-		if err := reply(g.Round, g); err != nil {
-			return
-		}
-	}
-}
-
-// TestMalformedChunkStreamDropsParty wires two honest parties and one
-// that streams overlapping chunk offsets every round. The malformed
-// stream must cost only that party: every round completes from the
-// survivors, reports the rogue in Dropped, and the final state is finite.
-func TestMalformedChunkStreamDropsParty(t *testing.T) {
-	train, test, err := data.Load("adult", data.Config{TrainN: 600, TestN: 200, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, locals, err := partition.Strategy{Kind: partition.Homogeneous}.Split(train, 2, rng.New(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := data.Model("adult")
-	cfg := fl.Config{Algorithm: fl.FedAvg, Rounds: 3, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Seed: 5, ChunkSize: 64}
-	cfg, err = cfg.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const parties = 3
-	const rogue = 2
-	conns := make([]*CountingConn, parties)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			if err := ServeParty(conn, i, locals[i], spec, cfg, cfg.Seed+uint64(i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, partySide)
-	}
-	serverSide, rogueSide := Pipe()
-	conns[rogue] = NewCountingConn(serverSide)
-	rogueN := 100
-	rogueTau := fl.PredictTau(cfg, rogueN)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rawParty(t, rogueSide, HelloMsg{ID: rogue, N: rogueN, LabelDist: []float64{0.5, 0.5}},
-			func(round int, g GlobalMsg) error {
-				total := len(g.State)
-				junk := make([]float64, 64)
-				frames := []UpdateChunkMsg{
-					{Round: round, Offset: 0, Total: total, N: rogueN, Tau: rogueTau, Chunk: junk},
-					// Overlapping offset: must be rejected and the party dropped.
-					{Round: round, Offset: 32, Total: total, N: rogueN, Tau: rogueTau, Chunk: junk, Last: 96 == total},
-					{Round: round, Offset: total - 64, Total: total, N: rogueN, Tau: rogueTau, Chunk: junk, Last: true},
-				}
-				for _, f := range frames {
-					b, err := Marshal(f)
-					if err != nil {
-						return err
-					}
-					if err := rogueSide.Send(b); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-	}()
-
-	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}
-	res, err := fed.serve(parties)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("federation should survive a malformed stream: %v", err)
-	}
-	if len(res.Curve) != cfg.Rounds {
-		t.Fatalf("rounds: %d", len(res.Curve))
-	}
-	assertEvictedAt(t, res.Curve, rogue, 0)
-	for i, v := range res.FinalState {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("state[%d] = %v after dropped rounds", i, v)
-		}
-	}
-	if res.FinalAccuracy < 0.55 {
-		t.Fatalf("survivor-only federation should still learn: accuracy %v", res.FinalAccuracy)
 	}
 }
 
@@ -464,66 +341,6 @@ func TestRecvLimitRejectsBeforeRead(t *testing.T) {
 	}
 }
 
-// TestOversizedChunkFrameDropsParty sends the whole update as one giant
-// frame despite a small negotiated chunk size. The memory contract must
-// hold: the frame is rejected and the party dropped, not buffered.
-func TestOversizedChunkFrameDropsParty(t *testing.T) {
-	train, test, err := data.Load("adult", data.Config{TrainN: 400, TestN: 150, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, locals, err := partition.Strategy{Kind: partition.Homogeneous}.Split(train, 2, rng.New(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := data.Model("adult")
-	cfg, err := fl.Config{Algorithm: fl.FedAvg, Rounds: 2, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Seed: 5, ChunkSize: 64}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const parties = 3
-	const rogue = 2
-	conns := make([]*CountingConn, parties)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			if err := ServeParty(conn, i, locals[i], spec, cfg, cfg.Seed+uint64(i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, partySide)
-	}
-	serverSide, rogueSide := Pipe()
-	conns[rogue] = NewCountingConn(serverSide)
-	rogueN := 50
-	rogueTau := fl.PredictTau(cfg, rogueN)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rawParty(t, rogueSide, HelloMsg{ID: rogue, N: rogueN, LabelDist: []float64{0.5, 0.5}},
-			func(round int, g GlobalMsg) error {
-				total := len(g.State)
-				b, err := Marshal(UpdateChunkMsg{Round: round, Offset: 0, Total: total,
-					N: rogueN, Tau: rogueTau, Last: true, Chunk: make([]float64, total)})
-				if err != nil {
-					return err
-				}
-				return rogueSide.Send(b)
-			})
-	}()
-	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}
-	res, err := fed.serve(parties)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("federation should survive an oversized frame: %v", err)
-	}
-	assertEvictedAt(t, res.Curve, rogue, 0)
-}
-
 // TestRoundTimeoutEvictsSilentParty admits a party that hellos correctly
 // and then never replies to any round. With RoundTimeout set, the server
 // must evict it instead of wedging the round forever.
@@ -596,9 +413,9 @@ func TestRoundTimeoutEvictsSilentParty(t *testing.T) {
 }
 
 // TestDeadPartyEvictedNotFatal kills one party after its first-round
-// reply. In chunked mode the federation must evict it — no broadcast to
-// the dead conn, no second receiver, no abort — and complete every
-// remaining round from the survivors.
+// reply. The federation must suspect it — no broadcast to the dead conn,
+// no second reader, no abort — and complete every remaining round from
+// the survivors, at a bounded frame size and at one frame per vector.
 func TestDeadPartyEvictedNotFatal(t *testing.T) {
 	train, test, err := data.Load("adult", data.Config{TrainN: 600, TestN: 200, Seed: 21})
 	if err != nil {
@@ -609,76 +426,38 @@ func TestDeadPartyEvictedNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec, _ := data.Model("adult")
-	cfg, err := fl.Config{Algorithm: fl.FedAvg, Rounds: 4, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Seed: 5, ChunkSize: 64}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const parties = 3
-	const mortal = 2
-	conns := make([]*CountingConn, parties)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			if err := ServeParty(conn, i, locals[i], spec, cfg, cfg.Seed+uint64(i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
+	for _, chunk := range []int{64, 0} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			cfg, err := fl.Config{Algorithm: fl.FedAvg, Rounds: 4, LocalEpochs: 1, BatchSize: 32,
+				LR: 0.05, Seed: 5, ChunkSize: chunk}.Normalize()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(i, partySide)
-	}
-	serverSide, mortalSide := Pipe()
-	conns[mortal] = NewCountingConn(serverSide)
-	mortalN := 80
-	mortalTau := fl.PredictTau(cfg, mortalN)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rawParty(t, mortalSide, HelloMsg{ID: mortal, N: mortalN, LabelDist: []float64{0.5, 0.5}},
-			func(round int, g GlobalMsg) error {
-				if round > 0 {
-					return mortalSide.Close() // die after round 0
-				}
-				// A fully valid zero-delta stream for round 0.
-				total := len(g.State)
-				buf := make([]float64, g.Chunk)
-				for off := 0; off < total; off += g.Chunk {
-					end := off + g.Chunk
-					if end > total {
-						end = total
+			const mortalN = 80
+			mortalTau := fl.PredictTau(cfg, mortalN)
+			res, _, evictions, err := serveWithScripted(t, cfg, spec, locals, test, mortalN, false,
+				func(conn Conn, g GlobalMsg) error {
+					if g.Round > 0 {
+						return conn.Close() // die after round 0
 					}
-					b, err := Marshal(UpdateChunkMsg{Round: round, Offset: off, Total: total,
-						N: mortalN, Tau: mortalTau, TrainLoss: 0.5,
-						Last: end == total, Chunk: buf[:end-off]})
-					if err != nil {
-						return err
-					}
-					if err := mortalSide.Send(b); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-	}()
-
-	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}
-	res, err := fed.serve(parties)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("federation should survive a party death: %v", err)
+					// A fully valid zero-delta stream for round 0.
+					return sendFrames(conn, updateFrames(g, mortalN, mortalTau, 0))
+				})
+			if err != nil {
+				t.Fatalf("federation should survive a party death: %v", err)
+			}
+			if len(res.Curve) != cfg.Rounds {
+				t.Fatalf("rounds: %d", len(res.Curve))
+			}
+			if len(res.Curve[0].Dropped) != 0 {
+				t.Fatalf("round 0 dropped %v; the mortal party was still alive", res.Curve[0].Dropped)
+			}
+			assertEvictedAt(t, res.Curve, scriptedID, 1)
+			if len(evictions) != 1 || evictions[0].Party != scriptedID || evictions[0].Permanent {
+				t.Fatalf("want one suspect (rejoinable) departure of party %d, got %v", scriptedID, evictions)
+			}
+		})
 	}
-	if len(res.Curve) != cfg.Rounds {
-		t.Fatalf("rounds: %d", len(res.Curve))
-	}
-	for _, m := range res.Curve[0].Dropped {
-		if m == mortal {
-			t.Fatal("round 0 should not drop the still-alive party")
-		}
-	}
-	assertEvictedAt(t, res.Curve, mortal, 1)
 }
 
 // TestSilentHelloTimesOut connects a client that never sends its hello:

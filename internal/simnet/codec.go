@@ -13,54 +13,45 @@ import (
 	"math"
 )
 
-// Message type tags.
+// Message type tags. Tags 1, 2, 7, 9 and 10 belonged to message types
+// retired at ProtoVersion 5 (whole-message GlobalMsg/UpdateMsg, the pipe
+// interning descriptor and the separate quantized chunk frames); they are
+// never reassigned and decode as unknown tags.
 const (
-	msgGlobal       byte = 1
-	msgUpdate       byte = 2
-	msgShutdown     byte = 3
-	msgHello        byte = 4
-	msgUpdateChunk  byte = 5
-	msgGlobalChunk  byte = 6
-	msgGlobalRef    byte = 7
-	msgResync       byte = 8
-	msgUpdateChunkQ byte = 9
-	msgGlobalChunkQ byte = 10
+	msgShutdown    byte = 3
+	msgHello       byte = 4
+	msgUpdateChunk byte = 5
+	msgGlobalChunk byte = 6
+	msgResync      byte = 8
 )
 
-// The hello opens with a fixed magic byte and a protocol version, so a
-// peer from a different build generation is turned away with a clean
+// The hello opens with a fixed magic byte and a protocol version range,
+// so a peer from a different build generation is turned away with a clean
 // reason at admission instead of producing a misaligned decode deeper in
 // the round. The magic distinguishes "not this protocol at all" (a stray
-// client, a pre-versioning build whose hello began with its ID) from
-// version skew; the version gates every message layout after the hello,
-// so any PR that changes a frame must bump ProtoVersion.
+// client) from version skew; the version gates every message layout after
+// the hello, so any PR that changes a frame must bump ProtoVersion.
 const (
 	protoMagic byte = 0xF7
 	// ProtoVersion is the newest wire protocol generation this build
-	// speaks. Version 1 covers the versioned hello itself plus the
-	// chunked downlink frames (GlobalChunkMsg/GlobalRefMsg); version 2
-	// adds the hello's rejoin flag and the ResyncMsg rejoin handshake;
-	// version 3 adds the hello's min-version byte for range negotiation;
-	// version 4 adds the hello's codec-support mask and the quantized
-	// chunk frames (UpdateChunkQMsg/GlobalChunkQMsg).
-	ProtoVersion byte = 4
+	// speaks. Version 5 is the one-frame wire: a single chunk frame per
+	// direction whose flags byte carries the payload codec, with
+	// whole-message mode being one frame per vector.
+	ProtoVersion byte = 5
 	// MinProtoVersion is the oldest generation this build still admits.
-	// A version-3+ hello carries the peer's own [min,max] range; the
-	// server admits when the ranges overlap and records the negotiated
-	// version (the lower of the two maxima), so adjacent generations
-	// interoperate during rolling upgrades instead of reject-only
-	// admission. Versions 2 through 4 share every raw post-hello frame
-	// layout — the quantized frames are new in v4 but only negotiated
-	// toward peers whose hello advertises them, with raw float64 the
-	// fallback — which is what makes admitting a v2 or v3 party sound.
-	MinProtoVersion byte = 2
+	// A hello carries the peer's own [min,max] range and the server admits
+	// when the ranges overlap, so a future generation that still speaks 5
+	// federates with this build; generations 1-4 framed whole messages and
+	// quantized chunks differently and are turned away.
+	MinProtoVersion byte = 5
 )
 
 // VersionError reports a hello whose supported protocol range has no
 // overlap with this build's. Admission surfaces it through
 // ServerListener.OnReject so the operator sees exactly which side is
-// stale. GotMin equals Got for pre-range (v2 and older) peers, which
-// speak exactly one generation.
+// stale. For a peer older than MinProtoVersion GotMin equals Got: the
+// hello is refused on its version byte alone, without parsing a layout
+// this build no longer knows.
 type VersionError struct {
 	Got    byte // the peer's newest supported version
 	GotMin byte // the peer's oldest supported version
@@ -71,21 +62,14 @@ func (e *VersionError) Error() string {
 		e.GotMin, e.Got, MinProtoVersion, ProtoVersion)
 }
 
-// NegotiatedVersion returns the protocol generation the server should
-// record for an admitted peer: the newest generation both sides speak.
-func NegotiatedVersion(peerMax byte) byte {
-	if peerMax < ProtoVersion {
-		return peerMax
-	}
-	return ProtoVersion
-}
-
 // maxTokenLen bounds the handshake token on the wire so a hostile hello
 // cannot demand an arbitrary allocation.
 const maxTokenLen = 4096
 
-// GlobalMsg is the server-to-party payload at the start of a round: the
-// global model state and, for SCAFFOLD, the server control variate.
+// GlobalMsg describes one round broadcast before it is framed: the global
+// model state and, for SCAFFOLD, the server control variate, plus the
+// round metadata every GlobalChunkMsg frame repeats. It is not a wire
+// message — the broadcast travels as GlobalChunkMsg frames.
 type GlobalMsg struct {
 	Round   int
 	State   []float64
@@ -95,31 +79,27 @@ type GlobalMsg struct {
 	// sets it when parties share its process, so K concurrently-training
 	// parties split the machine instead of oversubscribing it.
 	Budget int
-	// Chunk is the update streaming chunk size in float64 elements the
-	// server wants replies framed with; 0 asks for one whole UpdateMsg.
-	// The server's value is authoritative — parties follow it, so both
-	// sides of a deployment never need matching flags.
+	// Chunk is the frame size in float64 elements the server wants replies
+	// framed with; 0 asks for one frame per vector. The server's value is
+	// authoritative — parties follow it, so both sides of a deployment
+	// never need matching flags.
 	Chunk int
 }
 
 // HelloMsg is the party-to-server handshake sent once at connect: the
 // party's identity, an optional shared-secret token, and what the server
 // needs for weighting (dataset size) and stratified sampling (label
-// distribution). On the wire it opens with the protocol magic, the
-// newest version the party speaks and — from version 3 on — the oldest
-// version it still speaks, so both sides can negotiate across a rolling
-// upgrade. Marshal stamps the build's ProtoVersion/MinProtoVersion when
-// the fields are zero, so ordinary callers never set them (tests craft
-// skewed hellos by setting them explicitly).
+// distribution). On the wire it opens with the protocol magic and the
+// [MinVersion, Version] range the party speaks. Marshal stamps the build's
+// ProtoVersion/MinProtoVersion when the fields are zero, so ordinary
+// callers never set them (tests craft skewed hellos by setting them
+// explicitly).
 type HelloMsg struct {
-	ID        int
-	N         int
-	Token     string
-	LabelDist []float64
-	Version   byte
-	// MinVersion is the oldest protocol generation the party still
-	// speaks; zero means "same as Version" for pre-range layouts and is
-	// stamped with MinProtoVersion when Marshal emits a v3+ hello.
+	ID         int
+	N          int
+	Token      string
+	LabelDist  []float64
+	Version    byte
 	MinVersion byte
 	// Rejoin marks a re-hello from a party that was admitted earlier and
 	// lost its connection: the server re-admits it under its old ID (unless
@@ -127,10 +107,9 @@ type HelloMsg struct {
 	// before the next round broadcast.
 	Rejoin bool
 	// Codecs is the bitmask of wire chunk codecs the sender can decode
-	// (bit c set ⇔ wire codec c; see the quant.go identifiers), carried
-	// by version-4+ hellos. Marshal stamps the build's full support mask
-	// when the field is zero; pre-v4 peers never send one and are
-	// treated as raw-f64-only by negotiation.
+	// (bit c set ⇔ wire codec c; see the quant.go identifiers). Marshal
+	// stamps the build's full support mask when the field is zero; a peer
+	// whose mask lacks the server's configured codec rides raw float64.
 	Codecs byte
 }
 
@@ -152,17 +131,7 @@ type ResyncMsg struct {
 	Control   []float64
 }
 
-// UpdateMsg is the party-to-server payload at the end of local training.
-type UpdateMsg struct {
-	Round     int
-	N         int
-	Tau       int
-	TrainLoss float64
-	Delta     []float64
-	DeltaC    []float64 // nil unless SCAFFOLD
-}
-
-// UpdateChunkMsg carries one frame of a party's chunked round reply: a
+// UpdateChunkMsg carries one frame of a party's round reply: a
 // consecutive slice of the flattened update stream (the state-length
 // delta followed, for SCAFFOLD, by the parameter-length control delta).
 // Offset indexes the combined stream, Total is its full length, and Last
@@ -170,6 +139,15 @@ type UpdateMsg struct {
 // metadata on every frame (16 bytes — negligible against the payload) so
 // the server validates a stream against its expected meta on the first
 // frame, refusing a mismatched update before any of it is staged.
+//
+// Codec is the wire encoding of Chunk and rides the frame's flags byte
+// (bit 0 = Last, bits 1-3 = codec): raw float64 (codec 0) frames are
+// byte-identical to every earlier protocol generation; a quantized frame
+// carries its element count, the frame's dequantization scale and the
+// packed payload. Chunk always holds float64 values — Marshal quantizes
+// them, Unmarshal dequantizes — and the frame is the quantization unit:
+// each is encoded independently with its own scale. Frames of one stream
+// must all use one codec.
 type UpdateChunkMsg struct {
 	Round     int
 	Offset    int
@@ -177,19 +155,21 @@ type UpdateChunkMsg struct {
 	N         int
 	Tau       int
 	Last      bool
+	Codec     byte
 	TrainLoss float64
 	Chunk     []float64
 }
 
-// GlobalChunkMsg carries one frame of the server's chunked round
-// broadcast: a consecutive slice of the flattened downlink stream (the
-// state vector followed, for SCAFFOLD, by the server control variate),
-// symmetric to the uplink's UpdateChunkMsg. Offset indexes the combined
-// stream, Total is its full length and CtrlLen the control suffix, so the
-// party can split the reassembled buffer without a separate header frame.
-// Budget and Chunk repeat the GlobalMsg round metadata on every frame
-// (8 bytes — negligible against the payload) so the party validates the
-// stream's shape on its first frame.
+// GlobalChunkMsg carries one frame of the server's round broadcast: a
+// consecutive slice of the flattened downlink stream (the state vector
+// followed, for SCAFFOLD, by the server control variate), symmetric to
+// the uplink's UpdateChunkMsg — including the Codec in the flags byte.
+// Offset indexes the combined stream, Total is its full length and
+// CtrlLen the control suffix, so the party can split the reassembled
+// buffer without a separate header frame. Budget and Chunk repeat the
+// GlobalMsg round metadata on every frame (8 bytes — negligible against
+// the payload) so the party validates the stream's shape on its first
+// frame.
 type GlobalChunkMsg struct {
 	Round   int
 	Offset  int
@@ -198,97 +178,12 @@ type GlobalChunkMsg struct {
 	Budget  int
 	Chunk   int
 	Last    bool
-	Payload []float64
-}
-
-// UpdateChunkQMsg is the quantized variant of UpdateChunkMsg: the same
-// stream header (offsets and Total count float64 elements of the logical
-// stream, so reassembly and validation are framing-independent) with the
-// payload carried as Codec-encoded bytes plus the chunk's dequantization
-// scale. Count is the payload's element count — explicit because int4
-// packs two elements per byte, so the byte length alone is ambiguous for
-// odd counts. Frames of one stream must all use one codec.
-type UpdateChunkQMsg struct {
-	Round     int
-	Offset    int
-	Total     int
-	N         int
-	Tau       int
-	Last      bool
-	TrainLoss float64
-	Codec     byte
-	Count     int
-	Scale     float64
-	Payload   []byte
-}
-
-// GlobalChunkQMsg is the quantized variant of GlobalChunkMsg, with the
-// same header semantics and the payload carried as Codec-encoded bytes
-// plus the chunk's dequantization scale (see UpdateChunkQMsg for why
-// Count is explicit).
-type GlobalChunkQMsg struct {
-	Round   int
-	Offset  int
-	Total   int
-	CtrlLen int
-	Budget  int
-	Chunk   int
-	Last    bool
 	Codec   byte
-	Count   int
-	Scale   float64
-	Payload []byte
-}
-
-// validateQuantPayload checks the invariants every quantized frame must
-// satisfy on both encode and decode: a genuinely quantized codec (raw
-// float64 streams use the raw frame types — one encoding per stream, so
-// a mid-stream format change is an error, not a surprise) and a payload
-// of exactly the codec's size for Count elements.
-func validateQuantPayload(codec byte, count int, payload []byte) error {
-	switch codec {
-	case wireCodecF32, wireCodecInt8, wireCodecInt4:
-	default:
-		return fmt.Errorf("simnet: quantized frame with non-quantized codec %s", codecName(codec))
-	}
-	want, err := quantizedLen(codec, count)
-	if err != nil {
-		return err
-	}
-	if len(payload) != want {
-		return fmt.Errorf("simnet: quantized payload of %d bytes for %d %s elements, want %d",
-			len(payload), count, codecName(codec), want)
-	}
-	return nil
-}
-
-// GlobalRefMsg is the interned form of a round broadcast used between the
-// ends of an in-process pipe: the round's state and control vectors are
-// published by reference through the pipe's shared slot (see
-// Pipe/SendGlobalRef) and only this small descriptor crosses the channel,
-// so K co-resident parties read one shared copy of the global state
-// instead of decoding K private ones. StateLen/CtrlLen let the receiver
-// cross-check the slot against the frame.
-type GlobalRefMsg struct {
-	Round    int
-	StateLen int
-	CtrlLen  int
-	Budget   int
-	Chunk    int
+	Payload []float64
 }
 
 // ShutdownMsg tells a party the run is over.
 type ShutdownMsg struct{}
-
-// globalWireSize is the serialized size of a monolithic GlobalMsg with the
-// given vector lengths: tag + round/budget/chunk + two length-prefixed
-// float vectors. Interned pipe broadcasts (SendGlobalRef) account this
-// equivalent size so measured CommBytes keeps reporting the protocol's
-// logical traffic — what a real deployment would move — rather than the
-// in-process shortcut's.
-func globalWireSize(stateLen, ctrlLen int) int64 {
-	return 1 + 3*4 + (4 + 8*int64(stateLen)) + (4 + 8*int64(ctrlLen))
-}
 
 func appendUint32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
@@ -307,29 +202,6 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendBytes(b []byte, p []byte) []byte {
-	b = appendUint32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
-// readBytes decodes a length-prefixed byte payload as a view into b —
-// zero-copy, bounded by the frame itself (the length is checked against
-// the remaining bytes before anything is touched, so a hostile prefix
-// cannot demand an allocation).
-func readBytes(b []byte) ([]byte, []byte, error) {
-	n, b, err := readUint32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	if len(b) < int(n) {
-		return nil, nil, fmt.Errorf("simnet: truncated byte payload (%d of %d bytes)", len(b), n)
-	}
-	return b[:n:n], b[n:], nil
-}
-
 func readUint32(b []byte) (uint32, []byte, error) {
 	if len(b) < 4 {
 		return 0, nil, fmt.Errorf("simnet: truncated uint32")
@@ -337,14 +209,20 @@ func readUint32(b []byte) (uint32, []byte, error) {
 	return binary.LittleEndian.Uint32(b), b[4:], nil
 }
 
-func readFloats(b []byte) ([]float64, []byte, error) {
-	return readFloatsInto(nil, b)
+// readInts decodes consecutive uint32 header fields into dst.
+func readInts(b []byte, dst ...*int) ([]byte, error) {
+	for _, f := range dst {
+		v, rest, err := readUint32(b)
+		if err != nil {
+			return nil, err
+		}
+		*f = int(v)
+		b = rest
+	}
+	return b, nil
 }
 
-// readFloatsInto decodes a length-prefixed float vector, reusing buf's
-// backing array when it has the capacity (the pooled-chunk fast path) and
-// allocating otherwise.
-func readFloatsInto(buf []float64, b []byte) ([]float64, []byte, error) {
+func readFloats(b []byte) ([]float64, []byte, error) {
 	n, b, err := readUint32(b)
 	if err != nil {
 		return nil, nil, err
@@ -355,11 +233,7 @@ func readFloatsInto(buf []float64, b []byte) ([]float64, []byte, error) {
 	if len(b) < int(n)*8 {
 		return nil, nil, fmt.Errorf("simnet: truncated float vector (%d of %d bytes)", len(b), n*8)
 	}
-	out := buf
-	if cap(out) < int(n) {
-		out = make([]float64, n)
-	}
-	out = out[:n]
+	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
@@ -380,9 +254,108 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// Marshal encodes a message. Supported types: GlobalMsg, HelloMsg,
-// UpdateMsg, UpdateChunkMsg, GlobalChunkMsg, UpdateChunkQMsg,
-// GlobalChunkQMsg, GlobalRefMsg, ResyncMsg, ShutdownMsg.
+// chunkFlags packs a chunk frame's last marker and codec into its flags
+// byte.
+func chunkFlags(last bool, codec byte) byte {
+	f := codec << 1
+	if last {
+		f |= 1
+	}
+	return f
+}
+
+// appendChunkPayload encodes a chunk frame's tail: the element count, then
+// the raw float64 values, or — for a quantized codec — the frame's scale
+// and packed payload, quantized straight into b.
+func appendChunkPayload(b []byte, codec byte, v []float64) ([]byte, error) {
+	if codec == wireCodecF64 {
+		return appendFloats(b, v), nil
+	}
+	b = appendUint32(b, uint32(len(v)))
+	at := len(b)
+	b = append(b, make([]byte, 8)...) // scale slot, known only after the pass over v
+	b, scale, err := quantizeChunk(b, codec, v)
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint64(b[at:], math.Float64bits(scale))
+	return b, nil
+}
+
+// chunkPayload is a chunk frame's still-encoded tail: a view into the
+// received frame, validated for size, that decodes into a caller-chosen
+// destination — the assembly buffer at the frame's offset, so no frame is
+// ever decoded twice or copied after decoding.
+type chunkPayload struct {
+	codec byte
+	count int     // float64 elements the payload decodes to
+	scale float64 // dequantization scale (quantized codecs only)
+	raw   []byte
+}
+
+// readChunkPayload parses the tail of a chunk frame whose flags byte was
+// flags. The byte length must match the codec and count exactly, so a
+// truncated or padded frame is an error before anything is decoded.
+func readChunkPayload(flags byte, b []byte) (last bool, p chunkPayload, err error) {
+	if flags>>4 != 0 {
+		return false, p, fmt.Errorf("simnet: chunk frame flags 0x%02x use reserved bits", flags)
+	}
+	last, p.codec = flags&1 != 0, flags>>1
+	n, b, err := readUint32(b)
+	if err != nil {
+		return false, p, err
+	}
+	p.count = int(n)
+	want := p.count * 8
+	if p.codec != wireCodecF64 {
+		if want, err = quantizedLen(p.codec, p.count); err != nil {
+			return false, p, err
+		}
+		if len(b) < 8 {
+			return false, p, fmt.Errorf("simnet: truncated quantization scale")
+		}
+		p.scale = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+	if len(b) != want {
+		return false, p, fmt.Errorf("simnet: %s payload of %d bytes for %d elements, want %d",
+			codecName(p.codec), len(b), p.count, want)
+	}
+	p.raw = b
+	return last, p, nil
+}
+
+// decodeInto decodes the payload into dst, which must be count long.
+func (p chunkPayload) decodeInto(dst []float64) error {
+	if p.codec != wireCodecF64 {
+		return dequantizeChunk(dst, p.codec, p.raw, p.scale)
+	}
+	raw := p.raw
+	if len(raw) != 8*len(dst) {
+		return fmt.Errorf("simnet: f64 payload of %d bytes decoded into %d elements", len(raw), len(dst))
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+	}
+	return nil
+}
+
+// decode decodes the payload into a fresh slice (nil when empty). The
+// allocation is bounded: count was validated against the frame's actual
+// byte length, which the transport's receive limit already capped.
+func (p chunkPayload) decode() ([]float64, error) {
+	if p.count == 0 {
+		return nil, nil
+	}
+	out := make([]float64, p.count)
+	if err := p.decodeInto(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Marshal encodes a message. Supported types: HelloMsg, ResyncMsg,
+// UpdateChunkMsg, GlobalChunkMsg, ShutdownMsg.
 func Marshal(msg any) ([]byte, error) {
 	return AppendMarshal(nil, msg)
 }
@@ -392,49 +365,25 @@ func Marshal(msg any) ([]byte, error) {
 // framing, where the caller recycles one buffer across frames.
 func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
-	case GlobalMsg:
-		b := append(dst, msgGlobal)
-		b = appendUint32(b, uint32(m.Round))
-		b = appendUint32(b, uint32(m.Budget))
-		b = appendUint32(b, uint32(m.Chunk))
-		b = appendFloats(b, m.State)
-		b = appendFloats(b, m.Control)
-		return b, nil
 	case HelloMsg:
 		if len(m.Token) > maxTokenLen {
 			return nil, fmt.Errorf("simnet: token of %d bytes exceeds limit", len(m.Token))
 		}
-		v := m.Version
+		v, minv, codecs := m.Version, m.MinVersion, m.Codecs
 		if v == 0 {
 			v = ProtoVersion
+		}
+		if minv == 0 {
+			minv = MinProtoVersion
+		}
+		if codecs == 0 {
+			codecs = codecSupportMask
 		}
 		rejoin := byte(0)
 		if m.Rejoin {
 			rejoin = 1
 		}
-		var b []byte
-		if v >= 3 {
-			minv := m.MinVersion
-			if minv == 0 {
-				minv = MinProtoVersion
-			}
-			if v >= 4 {
-				codecs := m.Codecs
-				if codecs == 0 {
-					codecs = codecSupportMask
-				}
-				b = append(dst, msgHello, protoMagic, v, minv, codecs, rejoin)
-			} else {
-				// v3 layout: the range bytes without the codec mask,
-				// exactly what a v3 build emits.
-				b = append(dst, msgHello, protoMagic, v, minv, rejoin)
-			}
-		} else {
-			// Pre-range layout: exactly the bytes a v2 build emits, so
-			// tests (and a hypothetical downgrade path) can speak to old
-			// peers.
-			b = append(dst, msgHello, protoMagic, v, rejoin)
-		}
+		b := append(dst, msgHello, protoMagic, v, minv, codecs, rejoin)
 		b = appendUint32(b, uint32(m.ID))
 		b = appendUint32(b, uint32(m.N))
 		b = appendString(b, m.Token)
@@ -446,15 +395,6 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 		b = appendUint32(b, uint32(m.ExpectTau))
 		b = appendFloats(b, m.Control)
 		return b, nil
-	case UpdateMsg:
-		b := append(dst, msgUpdate)
-		b = appendUint32(b, uint32(m.Round))
-		b = appendUint32(b, uint32(m.N))
-		b = appendUint32(b, uint32(m.Tau))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.TrainLoss))
-		b = appendFloats(b, m.Delta)
-		b = appendFloats(b, m.DeltaC)
-		return b, nil
 	case UpdateChunkMsg:
 		b := append(dst, msgUpdateChunk)
 		b = appendUint32(b, uint32(m.Round))
@@ -462,14 +402,9 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 		b = appendUint32(b, uint32(m.Total))
 		b = appendUint32(b, uint32(m.N))
 		b = appendUint32(b, uint32(m.Tau))
-		last := byte(0)
-		if m.Last {
-			last = 1
-		}
-		b = append(b, last)
+		b = append(b, chunkFlags(m.Last, m.Codec))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.TrainLoss))
-		b = appendFloats(b, m.Chunk)
-		return b, nil
+		return appendChunkPayload(b, m.Codec, m.Chunk)
 	case GlobalChunkMsg:
 		b := append(dst, msgGlobalChunk)
 		b = appendUint32(b, uint32(m.Round))
@@ -478,63 +413,8 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 		b = appendUint32(b, uint32(m.CtrlLen))
 		b = appendUint32(b, uint32(m.Budget))
 		b = appendUint32(b, uint32(m.Chunk))
-		last := byte(0)
-		if m.Last {
-			last = 1
-		}
-		b = append(b, last)
-		b = appendFloats(b, m.Payload)
-		return b, nil
-	case UpdateChunkQMsg:
-		if err := validateQuantPayload(m.Codec, m.Count, m.Payload); err != nil {
-			return nil, err
-		}
-		b := append(dst, msgUpdateChunkQ)
-		b = appendUint32(b, uint32(m.Round))
-		b = appendUint32(b, uint32(m.Offset))
-		b = appendUint32(b, uint32(m.Total))
-		b = appendUint32(b, uint32(m.N))
-		b = appendUint32(b, uint32(m.Tau))
-		last := byte(0)
-		if m.Last {
-			last = 1
-		}
-		b = append(b, last)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.TrainLoss))
-		b = append(b, m.Codec)
-		b = appendUint32(b, uint32(m.Count))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Scale))
-		b = appendBytes(b, m.Payload)
-		return b, nil
-	case GlobalChunkQMsg:
-		if err := validateQuantPayload(m.Codec, m.Count, m.Payload); err != nil {
-			return nil, err
-		}
-		b := append(dst, msgGlobalChunkQ)
-		b = appendUint32(b, uint32(m.Round))
-		b = appendUint32(b, uint32(m.Offset))
-		b = appendUint32(b, uint32(m.Total))
-		b = appendUint32(b, uint32(m.CtrlLen))
-		b = appendUint32(b, uint32(m.Budget))
-		b = appendUint32(b, uint32(m.Chunk))
-		last := byte(0)
-		if m.Last {
-			last = 1
-		}
-		b = append(b, last)
-		b = append(b, m.Codec)
-		b = appendUint32(b, uint32(m.Count))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Scale))
-		b = appendBytes(b, m.Payload)
-		return b, nil
-	case GlobalRefMsg:
-		b := append(dst, msgGlobalRef)
-		b = appendUint32(b, uint32(m.Round))
-		b = appendUint32(b, uint32(m.StateLen))
-		b = appendUint32(b, uint32(m.CtrlLen))
-		b = appendUint32(b, uint32(m.Budget))
-		b = appendUint32(b, uint32(m.Chunk))
-		return b, nil
+		b = append(b, chunkFlags(m.Last, m.Codec))
+		return appendChunkPayload(b, m.Codec, m.Payload)
 	case ShutdownMsg:
 		return append(dst, msgShutdown), nil
 	default:
@@ -547,166 +427,33 @@ func Unmarshal(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("simnet: empty message")
 	}
-	tag, b := b[0], b[1:]
-	switch tag {
-	case msgGlobal:
-		var m GlobalMsg
-		r, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Round = int(r)
-		bg, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Budget = int(bg)
-		ck, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Chunk = int(ck)
-		if m.State, b, err = readFloats(b); err != nil {
-			return nil, err
-		}
-		if m.Control, _, err = readFloats(b); err != nil {
-			return nil, err
-		}
-		return m, nil
+	switch b[0] {
 	case msgHello:
-		var m HelloMsg
-		if len(b) < 2 {
-			return nil, fmt.Errorf("simnet: truncated hello preamble")
-		}
-		if b[0] != protoMagic {
-			return nil, fmt.Errorf("simnet: hello magic 0x%02x, want 0x%02x (not a niidbench hello, or a pre-versioning peer)", b[0], protoMagic)
-		}
-		v := b[1]
-		minv := v // pre-range peers speak exactly one generation
-		b = b[2:]
-		if v >= 3 {
-			if len(b) < 1 {
-				return nil, fmt.Errorf("simnet: truncated hello version range")
-			}
-			minv = b[0]
-			b = b[1:]
-		}
-		// Admit on range overlap: the peer must still speak something we
-		// do ([minv, v] ∩ [MinProtoVersion, ProtoVersion] non-empty; an
-		// inverted peer range is skew too). Checked before the v4 codec
-		// mask, so a skewed peer always gets the typed version error even
-		// off a short preamble.
-		if v < MinProtoVersion || minv > ProtoVersion || minv > v {
-			return nil, &VersionError{Got: v, GotMin: minv}
-		}
-		if v >= 4 {
-			if len(b) < 1 {
-				return nil, fmt.Errorf("simnet: truncated hello codec mask")
-			}
-			m.Codecs = b[0]
-			b = b[1:]
-		}
-		m.Version = v
-		m.MinVersion = minv
-		if len(b) < 1 {
-			return nil, fmt.Errorf("simnet: truncated hello rejoin flag")
-		}
-		m.Rejoin = b[0] != 0
-		b = b[1:]
-		id, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.ID = int(id)
-		n, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.N = int(n)
-		if m.Token, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if m.LabelDist, _, err = readFloats(b); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case msgUpdate:
-		var m UpdateMsg
-		r, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Round = int(r)
-		n, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.N = int(n)
-		tau, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Tau = int(tau)
-		if len(b) < 8 {
-			return nil, fmt.Errorf("simnet: truncated loss")
-		}
-		m.TrainLoss = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		if m.Delta, b, err = readFloats(b); err != nil {
-			return nil, err
-		}
-		if m.DeltaC, _, err = readFloats(b); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return unmarshalHello(b[1:])
 	case msgUpdateChunk:
-		m, err := unmarshalChunk(b, nil)
+		m, p, err := parseUpdateChunk(b)
 		if err != nil {
+			return nil, err
+		}
+		if m.Chunk, err = p.decode(); err != nil {
 			return nil, err
 		}
 		return m, nil
 	case msgGlobalChunk:
-		m, err := unmarshalGlobalChunk(b, nil)
+		m, p, err := parseGlobalChunk(b)
 		if err != nil {
 			return nil, err
 		}
-		return m, nil
-	case msgUpdateChunkQ:
-		m, err := unmarshalChunkQ(b)
-		if err != nil {
+		if m.Payload, err = p.decode(); err != nil {
 			return nil, err
-		}
-		return m, nil
-	case msgGlobalChunkQ:
-		m, err := unmarshalGlobalChunkQ(b)
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	case msgGlobalRef:
-		var m GlobalRefMsg
-		fields := [5]*int{&m.Round, &m.StateLen, &m.CtrlLen, &m.Budget, &m.Chunk}
-		for _, f := range fields {
-			v, rest, err := readUint32(b)
-			if err != nil {
-				return nil, err
-			}
-			*f = int(v)
-			b = rest
 		}
 		return m, nil
 	case msgResync:
 		var m ResyncMsg
-		r, b, err := readUint32(b)
+		b, err := readInts(b[1:], &m.Round, &m.ExpectTau)
 		if err != nil {
 			return nil, err
 		}
-		m.Round = int(r)
-		tau, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.ExpectTau = int(tau)
 		if m.Control, _, err = readFloats(b); err != nil {
 			return nil, err
 		}
@@ -714,251 +461,104 @@ func Unmarshal(b []byte) (any, error) {
 	case msgShutdown:
 		return ShutdownMsg{}, nil
 	default:
-		return nil, fmt.Errorf("simnet: unknown message tag %d", tag)
+		return nil, fmt.Errorf("simnet: unknown message tag %d", b[0])
 	}
 }
 
-// UnmarshalChunkInto decodes an UpdateChunkMsg, reusing buf's backing
-// array for the payload when it has the capacity. It rejects any other
-// message type, so the server's per-conn chunk receivers never allocate
-// for well-behaved peers.
-func UnmarshalChunkInto(b []byte, buf []float64) (UpdateChunkMsg, error) {
-	if len(b) == 0 {
-		return UpdateChunkMsg{}, fmt.Errorf("simnet: empty message")
+// unmarshalHello decodes the body (everything after the tag byte) of a
+// HelloMsg.
+func unmarshalHello(b []byte) (HelloMsg, error) {
+	var m HelloMsg
+	if len(b) < 2 {
+		return m, fmt.Errorf("simnet: truncated hello preamble")
 	}
-	if b[0] != msgUpdateChunk {
-		return UpdateChunkMsg{}, fmt.Errorf("simnet: expected update chunk, got message tag %d", b[0])
+	if b[0] != protoMagic {
+		return m, fmt.Errorf("simnet: hello magic 0x%02x, want 0x%02x (not a niidbench hello)", b[0], protoMagic)
 	}
-	return unmarshalChunk(b[1:], buf)
-}
-
-// UnmarshalGlobalChunkInto decodes a GlobalChunkMsg, reusing buf's backing
-// array for the payload when it has the capacity — the party-side fast
-// path, where buf is a view of the round's assembly buffer at the expected
-// offset so an in-order frame decodes straight into place. It rejects any
-// other message type.
-func UnmarshalGlobalChunkInto(b []byte, buf []float64) (GlobalChunkMsg, error) {
-	if len(b) == 0 {
-		return GlobalChunkMsg{}, fmt.Errorf("simnet: empty message")
+	m.Version = b[1]
+	if m.Version < MinProtoVersion {
+		// Older generations laid the preamble out differently; the version
+		// byte's position is the one thing every generation shares, so the
+		// peer is refused on it alone.
+		return m, &VersionError{Got: m.Version, GotMin: m.Version}
 	}
-	if b[0] != msgGlobalChunk {
-		return GlobalChunkMsg{}, fmt.Errorf("simnet: expected global chunk, got message tag %d", b[0])
+	if len(b) < 3 {
+		return m, fmt.Errorf("simnet: truncated hello version range")
 	}
-	return unmarshalGlobalChunk(b[1:], buf)
-}
-
-// unmarshalGlobalChunk decodes the body (everything after the tag byte) of
-// a GlobalChunkMsg, decoding the payload into buf when it fits.
-func unmarshalGlobalChunk(b []byte, buf []float64) (GlobalChunkMsg, error) {
-	var m GlobalChunkMsg
-	fields := [6]*int{&m.Round, &m.Offset, &m.Total, &m.CtrlLen, &m.Budget, &m.Chunk}
-	for _, f := range fields {
-		v, rest, err := readUint32(b)
-		if err != nil {
-			return m, err
-		}
-		*f = int(v)
-		b = rest
+	m.MinVersion = b[2]
+	// Admit on range overlap: the peer must still speak something we do
+	// ([MinVersion, Version] ∩ [MinProtoVersion, ProtoVersion] non-empty; an
+	// inverted peer range is skew too). Checked before the rest of the
+	// preamble, so a skewed peer gets the typed error even off a short one.
+	if m.MinVersion > ProtoVersion || m.MinVersion > m.Version {
+		return m, &VersionError{Got: m.Version, GotMin: m.MinVersion}
 	}
-	if len(b) < 1 {
-		return m, fmt.Errorf("simnet: truncated last marker")
+	if len(b) < 5 {
+		return m, fmt.Errorf("simnet: truncated hello codec mask or rejoin flag")
 	}
-	m.Last = b[0] != 0
-	b = b[1:]
-	var err error
-	if m.Payload, _, err = readFloatsInto(buf, b); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-// readQuantTrailer decodes the codec/count/scale/payload tail shared by
-// both quantized frame types and validates it.
-func readQuantTrailer(b []byte) (codec byte, count int, scale float64, payload []byte, err error) {
-	if len(b) < 1 {
-		return 0, 0, 0, nil, fmt.Errorf("simnet: truncated codec byte")
-	}
-	codec, b = b[0], b[1:]
-	n, b, err := readUint32(b)
+	m.Codecs, m.Rejoin = b[3], b[4] != 0
+	b, err := readInts(b[5:], &m.ID, &m.N)
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return m, err
 	}
-	count = int(n)
-	if len(b) < 8 {
-		return 0, 0, 0, nil, fmt.Errorf("simnet: truncated quantization scale")
+	if m.Token, b, err = readString(b); err != nil {
+		return m, err
 	}
-	scale = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	b = b[8:]
-	if payload, _, err = readBytes(b); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	if err := validateQuantPayload(codec, count, payload); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	return codec, count, scale, payload, nil
-}
-
-// unmarshalChunkQ decodes the body of an UpdateChunkQMsg. The payload is
-// a zero-copy view into b.
-func unmarshalChunkQ(b []byte) (UpdateChunkQMsg, error) {
-	var m UpdateChunkQMsg
-	fields := [5]*int{&m.Round, &m.Offset, &m.Total, &m.N, &m.Tau}
-	for _, f := range fields {
-		v, rest, err := readUint32(b)
-		if err != nil {
-			return m, err
-		}
-		*f = int(v)
-		b = rest
-	}
-	if len(b) < 1 {
-		return m, fmt.Errorf("simnet: truncated last marker")
-	}
-	m.Last = b[0] != 0
-	b = b[1:]
-	if len(b) < 8 {
-		return m, fmt.Errorf("simnet: truncated loss")
-	}
-	m.TrainLoss = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	b = b[8:]
-	var err error
-	if m.Codec, m.Count, m.Scale, m.Payload, err = readQuantTrailer(b); err != nil {
+	if m.LabelDist, _, err = readFloats(b); err != nil {
 		return m, err
 	}
 	return m, nil
 }
 
-// unmarshalGlobalChunkQ decodes the body of a GlobalChunkQMsg. The
-// payload is a zero-copy view into b.
-func unmarshalGlobalChunkQ(b []byte) (GlobalChunkQMsg, error) {
-	var m GlobalChunkQMsg
-	fields := [6]*int{&m.Round, &m.Offset, &m.Total, &m.CtrlLen, &m.Budget, &m.Chunk}
-	for _, f := range fields {
-		v, rest, err := readUint32(b)
-		if err != nil {
-			return m, err
-		}
-		*f = int(v)
-		b = rest
-	}
-	if len(b) < 1 {
-		return m, fmt.Errorf("simnet: truncated last marker")
-	}
-	m.Last = b[0] != 0
-	b = b[1:]
-	var err error
-	if m.Codec, m.Count, m.Scale, m.Payload, err = readQuantTrailer(b); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-// dequantInto dequantizes a validated quantized payload into buf (reused
-// when it has the capacity, like readFloatsInto). The allocation is
-// bounded: count was validated against the payload's actual byte length,
-// which the transport's receive limit already capped.
-func dequantInto(buf []float64, codec byte, count int, scale float64, payload []byte) ([]float64, error) {
-	if count == 0 {
-		return nil, nil
-	}
-	out := buf
-	if cap(out) < count {
-		out = make([]float64, count)
-	}
-	out = out[:count]
-	if err := dequantizeChunk(out, codec, payload, scale); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeUpdateFrameInto decodes one uplink chunk frame — raw
-// (UpdateChunkMsg) or quantized (UpdateChunkQMsg, dequantized into buf)
-// — into the raw form every downstream consumer handles, plus the wire
-// codec the frame used so stream assembly can enforce codec constancy.
-func decodeUpdateFrameInto(raw []byte, buf []float64) (UpdateChunkMsg, byte, error) {
-	if len(raw) == 0 {
-		return UpdateChunkMsg{}, 0, fmt.Errorf("simnet: empty message")
-	}
-	switch raw[0] {
-	case msgUpdateChunk:
-		m, err := unmarshalChunk(raw[1:], buf)
-		return m, wireCodecF64, err
-	case msgUpdateChunkQ:
-		q, err := unmarshalChunkQ(raw[1:])
-		if err != nil {
-			return UpdateChunkMsg{}, 0, err
-		}
-		chunk, err := dequantInto(buf, q.Codec, q.Count, q.Scale, q.Payload)
-		if err != nil {
-			return UpdateChunkMsg{}, 0, err
-		}
-		return UpdateChunkMsg{
-			Round: q.Round, Offset: q.Offset, Total: q.Total,
-			N: q.N, Tau: q.Tau, Last: q.Last, TrainLoss: q.TrainLoss,
-			Chunk: chunk,
-		}, q.Codec, nil
-	default:
-		return UpdateChunkMsg{}, 0, fmt.Errorf("simnet: expected update chunk, got message tag %d", raw[0])
-	}
-}
-
-/// decodeGlobalFrameInto is decodeUpdateFrameInto's downlink twin: one
-// broadcast chunk frame, raw or quantized, decoded into the raw form
-// (dequantizing into buf) plus the frame's wire codec.
-func decodeGlobalFrameInto(raw []byte, buf []float64) (GlobalChunkMsg, byte, error) {
-	if len(raw) == 0 {
-		return GlobalChunkMsg{}, 0, fmt.Errorf("simnet: empty message")
-	}
-	switch raw[0] {
-	case msgGlobalChunk:
-		m, err := unmarshalGlobalChunk(raw[1:], buf)
-		return m, wireCodecF64, err
-	case msgGlobalChunkQ:
-		q, err := unmarshalGlobalChunkQ(raw[1:])
-		if err != nil {
-			return GlobalChunkMsg{}, 0, err
-		}
-		payload, err := dequantInto(buf, q.Codec, q.Count, q.Scale, q.Payload)
-		if err != nil {
-			return GlobalChunkMsg{}, 0, err
-		}
-		return GlobalChunkMsg{
-			Round: q.Round, Offset: q.Offset, Total: q.Total,
-			CtrlLen: q.CtrlLen, Budget: q.Budget, Chunk: q.Chunk,
-			Last: q.Last, Payload: payload,
-		}, q.Codec, nil
-	default:
-		return GlobalChunkMsg{}, 0, fmt.Errorf("simnet: expected global chunk, got message tag %d", raw[0])
-	}
-}
-
-// unmarshalChunk decodes the body (everything after the tag byte) of an
-// UpdateChunkMsg, decoding the payload into buf when it fits.
-func unmarshalChunk(b []byte, buf []float64) (UpdateChunkMsg, error) {
+// parseUpdateChunk decodes an UpdateChunkMsg frame's header, leaving the
+// payload encoded so the caller can validate the header first and then
+// decode straight into place. It rejects any other message type.
+func parseUpdateChunk(b []byte) (UpdateChunkMsg, chunkPayload, error) {
 	var m UpdateChunkMsg
-	fields := [5]*int{&m.Round, &m.Offset, &m.Total, &m.N, &m.Tau}
-	for _, f := range fields {
-		v, rest, err := readUint32(b)
-		if err != nil {
-			return m, err
-		}
-		*f = int(v)
-		b = rest
+	if len(b) == 0 || b[0] != msgUpdateChunk {
+		return m, chunkPayload{}, fmt.Errorf("simnet: expected update chunk, got %s", describeTag(b))
+	}
+	b, err := readInts(b[1:], &m.Round, &m.Offset, &m.Total, &m.N, &m.Tau)
+	if err != nil {
+		return m, chunkPayload{}, err
+	}
+	if len(b) < 9 {
+		return m, chunkPayload{}, fmt.Errorf("simnet: truncated chunk flags or loss")
+	}
+	m.TrainLoss = math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))
+	var p chunkPayload
+	if m.Last, p, err = readChunkPayload(b[0], b[9:]); err != nil {
+		return m, chunkPayload{}, err
+	}
+	m.Codec = p.codec
+	return m, p, nil
+}
+
+// parseGlobalChunk is parseUpdateChunk's downlink twin.
+func parseGlobalChunk(b []byte) (GlobalChunkMsg, chunkPayload, error) {
+	var m GlobalChunkMsg
+	if len(b) == 0 || b[0] != msgGlobalChunk {
+		return m, chunkPayload{}, fmt.Errorf("simnet: expected global chunk, got %s", describeTag(b))
+	}
+	b, err := readInts(b[1:], &m.Round, &m.Offset, &m.Total, &m.CtrlLen, &m.Budget, &m.Chunk)
+	if err != nil {
+		return m, chunkPayload{}, err
 	}
 	if len(b) < 1 {
-		return m, fmt.Errorf("simnet: truncated last marker")
+		return m, chunkPayload{}, fmt.Errorf("simnet: truncated chunk flags")
 	}
-	m.Last = b[0] != 0
-	b = b[1:]
-	if len(b) < 8 {
-		return m, fmt.Errorf("simnet: truncated loss")
+	var p chunkPayload
+	if m.Last, p, err = readChunkPayload(b[0], b[1:]); err != nil {
+		return m, chunkPayload{}, err
 	}
-	m.TrainLoss = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	b = b[8:]
-	var err error
-	if m.Chunk, _, err = readFloatsInto(buf, b); err != nil {
-		return m, err
+	m.Codec = p.codec
+	return m, p, nil
+}
+
+// describeTag names a frame's tag for "expected X, got Y" errors.
+func describeTag(b []byte) string {
+	if len(b) == 0 {
+		return "an empty message"
 	}
-	return m, nil
+	return fmt.Sprintf("message tag %d", b[0])
 }

@@ -12,23 +12,21 @@ import (
 // not a reviewer catch.
 func allMsgFixtures() []any {
 	return []any{
-		GlobalMsg{Round: 7, State: []float64{1.5, -2, 0}, Control: []float64{0.25}, Budget: 3, Chunk: 4096},
 		HelloMsg{ID: 4, N: 321, Token: "secret", LabelDist: []float64{0.5, 0.25, 0.25},
 			Version: ProtoVersion, MinVersion: MinProtoVersion, Rejoin: true,
 			Codecs: codecSupportMask},
 		ResyncMsg{Round: 9, ExpectTau: 5, Control: []float64{-0.5, 2}},
-		UpdateMsg{Round: 2, N: 64, Tau: 8, TrainLoss: 0.75, Delta: []float64{3, -4}, DeltaC: []float64{1}},
 		UpdateChunkMsg{Round: 3, Offset: 37, Total: 74, N: 10, Tau: 4, Last: true,
 			TrainLoss: 0.125, Chunk: []float64{9, 8, 7}},
 		GlobalChunkMsg{Round: 5, Offset: 11, Total: 42, CtrlLen: 6, Budget: 2,
 			Chunk: 16, Last: false, Payload: []float64{-1, 1}},
-		GlobalRefMsg{Round: 6, StateLen: 100, CtrlLen: 10, Budget: 1, Chunk: 64},
-		UpdateChunkQMsg{Round: 3, Offset: 37, Total: 74, N: 10, Tau: 4, Last: true,
-			TrainLoss: 0.125, Codec: wireCodecInt8, Count: 3, Scale: 0.5,
-			Payload: []byte{0x01, 0xFF, 0x7F}},
-		GlobalChunkQMsg{Round: 5, Offset: 11, Total: 42, CtrlLen: 6, Budget: 2,
-			Chunk: 16, Last: false, Codec: wireCodecInt4, Count: 3, Scale: 0.25,
-			Payload: []byte{0x9A, 0x0B}},
+		// Quantized frames round-trip exactly when every value is a whole
+		// number of quantization steps: scale 63.5/127 = 0.5 and 1.75/7 =
+		// 0.25 here.
+		UpdateChunkMsg{Round: 3, Offset: 37, Total: 74, N: 10, Tau: 4, Last: true,
+			TrainLoss: 0.125, Codec: wireCodecInt8, Chunk: []float64{0.5, -0.5, 63.5}},
+		GlobalChunkMsg{Round: 5, Offset: 11, Total: 42, CtrlLen: 6, Budget: 2,
+			Chunk: 16, Last: false, Codec: wireCodecInt4, Payload: []float64{-0.25, 0.5, 1.75}},
 		ShutdownMsg{},
 	}
 }

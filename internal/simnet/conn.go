@@ -17,28 +17,11 @@ type readDeadliner interface {
 }
 
 // recvLimiter is implemented by conns whose Recv can be bounded in size.
-// The protocol sets the limit per phase (hello, chunked round, monolithic
-// round) so a hostile length prefix is rejected before anything is
-// allocated or read, not after.
+// The protocol sets the limit per phase (hello, then the round's largest
+// legitimate frame) so a hostile length prefix is rejected before anything
+// is allocated or read, not after.
 type recvLimiter interface {
 	SetRecvLimit(n uint32)
-}
-
-// globalRefSender is implemented by conns that can publish a round's
-// global vectors by reference instead of serializing them — the two ends
-// of an in-process Pipe, which share a process and therefore a read-only
-// view of the same memory. The receiver collects the reference with
-// TakeGlobalRef (globalRefReceiver) after decoding the GlobalRefMsg
-// descriptor frame.
-type globalRefSender interface {
-	SendGlobalRef(m GlobalMsg) error
-}
-
-// globalRefReceiver is the receiving half of pipe interning: it returns
-// the state and control vectors the peer published for the given round.
-// The returned slices are shared and strictly read-only.
-type globalRefReceiver interface {
-	TakeGlobalRef(round int) (state, control []float64, err error)
 }
 
 // Conn is a reliable, message-oriented duplex link between the server and
@@ -47,20 +30,6 @@ type Conn interface {
 	Send(b []byte) error
 	Recv() ([]byte, error)
 	Close() error
-}
-
-// globalSlot is the shared mailbox both ends of a Pipe use to intern a
-// round's global vectors: the sender parks the slices here and ships only
-// a small GlobalRefMsg descriptor through the channel; the receiver picks
-// them up by round. One slot per pipe suffices because the protocol is
-// lockstep per connection — a new broadcast never overtakes the previous
-// round's pickup.
-type globalSlot struct {
-	mu      sync.Mutex
-	round   int
-	state   []float64
-	control []float64
-	ok      bool
 }
 
 // chanConn is an in-memory Conn built from a pair of buffered channels.
@@ -72,55 +41,19 @@ type chanConn struct {
 	// a party closing its session while the server tears the pipe down)
 	// may Close, and exactly one of them closes the shared channel.
 	closeOnce *sync.Once
-	slot      *globalSlot // shared with the peer end for broadcast interning
 }
 
-// Pipe returns two connected in-memory Conns. Because both ends live in
-// one process, a round broadcast over a Pipe is interned: the sender
-// publishes the global vectors by reference (SendGlobalRef) and the
-// parties read one shared copy instead of each decoding their own.
+// Pipe returns two connected in-memory Conns. Every frame is copied
+// through the pipe exactly as TCP would move it, so a pipe federation
+// serializes, counts and decodes the same bytes a socket one does.
 func Pipe() (Conn, Conn) {
 	ab := make(chan []byte, 4)
 	ba := make(chan []byte, 4)
 	closed := make(chan struct{})
 	once := new(sync.Once)
-	slot := &globalSlot{}
-	a := &chanConn{send: ab, recv: ba, closed: closed, closeOnce: once, slot: slot}
-	b := &chanConn{send: ba, recv: ab, closed: closed, closeOnce: once, slot: slot}
+	a := &chanConn{send: ab, recv: ba, closed: closed, closeOnce: once}
+	b := &chanConn{send: ba, recv: ab, closed: closed, closeOnce: once}
 	return a, b
-}
-
-// SendGlobalRef publishes m's state and control vectors through the pipe's
-// shared slot and sends the small GlobalRefMsg descriptor in-band
-// (implements globalRefSender). The receiver must treat the vectors as
-// read-only; they stay valid until the sender's next SendGlobalRef on this
-// conn.
-func (c *chanConn) SendGlobalRef(m GlobalMsg) error {
-	c.slot.mu.Lock()
-	c.slot.round = m.Round
-	c.slot.state = m.State
-	c.slot.control = m.Control
-	c.slot.ok = true
-	c.slot.mu.Unlock()
-	b, err := Marshal(GlobalRefMsg{
-		Round: m.Round, StateLen: len(m.State), CtrlLen: len(m.Control),
-		Budget: m.Budget, Chunk: m.Chunk,
-	})
-	if err != nil {
-		return err
-	}
-	return c.Send(b)
-}
-
-// TakeGlobalRef returns the vectors published for round (implements
-// globalRefReceiver).
-func (c *chanConn) TakeGlobalRef(round int) ([]float64, []float64, error) {
-	c.slot.mu.Lock()
-	defer c.slot.mu.Unlock()
-	if !c.slot.ok || c.slot.round != round {
-		return nil, nil, fmt.Errorf("simnet: no interned global for round %d", round)
-	}
-	return c.slot.state, c.slot.control, nil
 }
 
 func (c *chanConn) Send(b []byte) error {
@@ -278,24 +211,6 @@ func (c *CountingConn) SetRecvLimit(n uint32) {
 	if l, ok := c.Inner.(recvLimiter); ok {
 		l.SetRecvLimit(n)
 	}
-}
-
-// SendGlobalRef publishes the round's global vectors by reference when the
-// inner conn supports interning (in-process pipes) and reports handled
-// false otherwise so the caller falls back to serialized framing. A
-// handled send is accounted at the monolithic GlobalMsg's equivalent
-// serialized size: measured CommBytes reports the protocol's logical
-// traffic, which the interning shortcut does not change.
-func (c *CountingConn) SendGlobalRef(m GlobalMsg) (handled bool, err error) {
-	rs, ok := c.Inner.(globalRefSender)
-	if !ok {
-		return false, nil
-	}
-	if err := rs.SendGlobalRef(m); err != nil {
-		return true, err
-	}
-	c.sentBytes.Add(globalWireSize(len(m.State), len(m.Control)))
-	return true, nil
 }
 
 // Sent returns the total payload bytes sent.

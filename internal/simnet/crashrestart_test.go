@@ -36,7 +36,7 @@ const (
 func crashCfg(alg fl.Algorithm) fl.Config {
 	return fl.Config{
 		Algorithm: alg, Rounds: 4, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Mu: 0.01, Seed: 5, ChunkSize: 256, ChunkWindow: 64,
+		LR: 0.05, Mu: 0.01, Seed: 5, ChunkSize: 256,
 		MinParties: 3, QuorumRetries: 2000, QuorumRetryWait: 10 * time.Millisecond,
 	}
 }

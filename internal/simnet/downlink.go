@@ -10,10 +10,9 @@ import (
 // reader goroutine owns the connection's Recv and hands the training
 // loop incomingGlobal handles through a small buffered queue, so the
 // next round's broadcast is received (and reassembled) while the current
-// round still trains — and, for chunked broadcasts, the handle is
-// published after the FIRST frame, so training can start on the in-order
-// state prefix while later chunks are still in flight (see
-// fl.StreamedGlobal / Client.TrainStreamPrefixed).
+// round still trains — and the handle is published after the FIRST frame,
+// so training can start on the in-order state prefix while later chunks
+// are still in flight (see fl.StreamedGlobal / Client.TrainStreamPrefixed).
 //
 // In synchronous mode the server never sends round N+1 before round N's
 // reply, so the queue never holds more than one item and the observable
@@ -34,8 +33,7 @@ type incomingGlobal struct {
 	budget int
 	chunk  int
 	// codec is the wire codec the broadcast arrived in; the reply streams
-	// back in the same codec. Zero (raw f64) for monolithic and interned
-	// broadcasts.
+	// back in the same codec.
 	codec byte
 
 	mu   sync.Mutex
@@ -43,7 +41,7 @@ type incomingGlobal struct {
 
 	state   []float64
 	control []float64
-	buf     []float64 // pooled backing for state+control; nil when borrowed (interned / monolithic decode)
+	buf     []float64 // backing for state+control, returned to free on Release
 	free    chan []float64
 
 	total    int
@@ -52,8 +50,17 @@ type incomingGlobal struct {
 	released bool
 }
 
-func newIncomingGlobal(round, budget, chunk int) *incomingGlobal {
-	g := &incomingGlobal{round: round, budget: budget, chunk: chunk}
+// newIncomingGlobal wraps the assembly buffer for the broadcast whose
+// first frame is m; buf is m.Total long.
+func newIncomingGlobal(m GlobalChunkMsg, buf []float64, free chan []float64) *incomingGlobal {
+	g := &incomingGlobal{
+		round: m.Round, budget: m.Budget, chunk: m.Chunk, codec: m.Codec,
+		buf: buf, free: free, total: m.Total,
+		state: buf[:m.Total-m.CtrlLen],
+	}
+	if m.CtrlLen > 0 {
+		g.control = buf[m.Total-m.CtrlLen:]
+	}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -118,11 +125,9 @@ func (g *incomingGlobal) Release() {
 		g.cond.Wait()
 	}
 	g.mu.Unlock()
-	if g.buf != nil {
-		select {
-		case g.free <- g.buf:
-		default: // list full; let the buffer go
-		}
+	select {
+	case g.free <- g.buf:
+	default: // list full; let the buffer go
 	}
 }
 
@@ -237,8 +242,8 @@ func (r *downlinkReader) loop() {
 				r.clearDeadline()
 			}
 		}
-		if len(raw) > 0 && (raw[0] == msgGlobalChunk || raw[0] == msgGlobalChunkQ) {
-			if !r.recvChunkedGlobal(raw) {
+		if len(raw) > 0 && raw[0] == msgGlobalChunk {
+			if !r.recvBroadcast(raw) {
 				return
 			}
 			continue
@@ -248,130 +253,84 @@ func (r *downlinkReader) loop() {
 			r.push(dlItem{err: err, got: true})
 			return
 		}
-		switch m := msg.(type) {
-		case ShutdownMsg:
-			r.push(dlItem{shutdown: true, got: true})
-			return
-		case GlobalMsg:
-			if !r.pushComplete(m) {
-				return
-			}
-		case GlobalRefMsg:
-			g, err := takeGlobalRef(r.conn, m)
-			if err != nil {
-				r.push(dlItem{err: err, got: true})
-				return
-			}
-			if !r.pushComplete(g) {
-				return
-			}
-		default:
+		if _, ok := msg.(ShutdownMsg); !ok {
 			r.push(dlItem{err: fmt.Errorf("unexpected message %T", msg), got: true})
 			return
 		}
+		r.push(dlItem{shutdown: true, got: true})
+		return
 	}
 }
 
-// pushComplete publishes a monolithic (or interned) broadcast as an
-// already-complete handle.
-func (r *downlinkReader) pushComplete(m GlobalMsg) bool {
-	ig := newIncomingGlobal(m.Round, m.Budget, m.Chunk)
-	ig.state, ig.control = m.State, m.Control
-	ig.total = len(m.State) + len(m.Control)
-	ig.done = ig.total
-	return r.push(dlItem{g: ig})
-}
-
-// recvChunkedGlobal reassembles one chunked broadcast, publishing the
-// handle right after the validated first frame so training can begin on
-// the state prefix. Validation mirrors the lockstep reassembly exactly:
-// constant header, in-order gap-free offsets, consistent last marker, no
-// empty non-final frames, declared length within the model's bound.
-// Returns false when the reader must exit (terminal pushed or stopped).
-func (r *downlinkReader) recvChunkedGlobal(raw []byte) bool {
-	buf := r.takeBuf()
-	first, codec, err := decodeGlobalFrameInto(raw, buf[:0])
+// recvBroadcast reassembles one round broadcast starting from its first
+// frame, publishing the handle right after that frame validates so
+// training can begin on the state prefix. Frames on one conn must arrive
+// in order without gaps or overlaps, with a constant header and codec and
+// a correct last marker, and the declared length must fit the model's
+// bound — checked before the assembly buffer is sized from it, so a
+// hostile header cannot demand an arbitrary allocation. Each frame
+// decodes straight into the buffer at its offset. Returns false when the
+// reader must exit (terminal pushed or stopped).
+func (r *downlinkReader) recvBroadcast(raw []byte) bool {
+	first, p, err := parseGlobalChunk(raw)
 	if err != nil {
 		r.push(dlItem{err: err, got: true})
 		return false
 	}
 	total, ctrl := first.Total, first.CtrlLen
-	fatal := func(err error) bool {
+	switch {
+	case ctrl > total:
+		err = fmt.Errorf("downlink stream of %d elements with control suffix %d", total, ctrl)
+	case total > r.max:
+		err = fmt.Errorf("downlink stream of %d elements exceeds this model's bound %d", total, r.max)
+	}
+	if err != nil {
 		r.push(dlItem{err: err, got: true})
 		return false
 	}
-	if total < 0 || ctrl < 0 || ctrl > total {
-		return fatal(fmt.Errorf("downlink stream of %d elements with control suffix %d", total, ctrl))
-	}
-	if total > r.max {
-		return fatal(fmt.Errorf("downlink stream of %d elements exceeds this model's bound %d", total, r.max))
-	}
-	switch {
-	case first.Offset != 0 || len(first.Payload) > total:
-		return fatal(fmt.Errorf("downlink frame [%d,%d) of %d, expected offset 0",
-			first.Offset, first.Offset+len(first.Payload), total))
-	case first.Last != (len(first.Payload) == total):
-		return fatal(fmt.Errorf("downlink frame [0,%d) of %d has inconsistent last marker", len(first.Payload), total))
-	case len(first.Payload) == 0 && !first.Last:
-		return fatal(fmt.Errorf("empty non-final downlink frame at offset 0"))
-	}
+	buf := r.takeBuf()
 	if cap(buf) < total {
 		buf = make([]float64, total)
 	}
-	buf = buf[:total]
-	copy(buf, first.Payload) // no-op when the frame decoded in place
-
-	ig := newIncomingGlobal(first.Round, first.Budget, first.Chunk)
-	ig.codec = codec
-	ig.buf, ig.free = buf, r.free
-	ig.total = total
-	ig.state = buf[:total-ctrl]
-	if ctrl > 0 {
-		ig.control = buf[total-ctrl:]
-	}
-	ig.done = len(first.Payload)
-	if !r.push(dlItem{g: ig}) {
+	ig := newIncomingGlobal(first, buf[:total], r.free)
+	fail := func(err error) bool {
+		ig.fail(err)
+		r.push(dlItem{err: err, got: true})
 		return false
 	}
-	ig.advance(len(first.Payload))
-
-	done := len(first.Payload)
-	m := first
-	for !m.Last {
-		raw, err := r.conn.Recv()
-		if err != nil {
-			err = fmt.Errorf("downlink recv: %w", err)
-			ig.fail(err)
-			r.push(dlItem{err: err, got: true})
-			return false
-		}
-		var c byte
-		if m, c, err = decodeGlobalFrameInto(raw, buf[done:done:total]); err != nil {
-			ig.fail(err)
-			r.push(dlItem{err: err, got: true})
-			return false
-		}
+	for m, done := first, 0; ; {
 		switch {
 		case m.Round != first.Round || m.Total != total || m.CtrlLen != ctrl ||
-			m.Budget != first.Budget || m.Chunk != first.Chunk || c != codec:
-			err = fmt.Errorf("downlink frame header changed mid-stream")
-		case m.Offset != done || done+len(m.Payload) > total:
-			err = fmt.Errorf("downlink frame [%d,%d) of %d, expected offset %d",
-				m.Offset, m.Offset+len(m.Payload), total, done)
-		case m.Last != (done+len(m.Payload) == total):
-			err = fmt.Errorf("downlink frame [%d,%d) of %d has inconsistent last marker",
-				m.Offset, m.Offset+len(m.Payload), total)
-		case len(m.Payload) == 0 && !m.Last:
-			err = fmt.Errorf("empty non-final downlink frame at offset %d", done)
+			m.Budget != first.Budget || m.Chunk != first.Chunk || m.Codec != first.Codec:
+			return fail(fmt.Errorf("downlink frame header changed mid-stream"))
+		case m.Offset != done || done+p.count > total:
+			return fail(fmt.Errorf("downlink frame [%d,%d) of %d, expected offset %d",
+				m.Offset, m.Offset+p.count, total, done))
+		case m.Last != (done+p.count == total):
+			return fail(fmt.Errorf("downlink frame [%d,%d) of %d has inconsistent last marker",
+				m.Offset, m.Offset+p.count, total))
+		case p.count == 0 && !m.Last:
+			// ChunkStream never emits an empty non-final frame; accepting
+			// one would let a peer spin this loop forever without progress.
+			return fail(fmt.Errorf("empty non-final downlink frame at offset %d", done))
 		}
-		if err != nil {
-			ig.fail(err)
-			r.push(dlItem{err: err, got: true})
+		if err := p.decodeInto(ig.buf[done : done+p.count]); err != nil {
+			return fail(err)
+		}
+		if done == 0 && !r.push(dlItem{g: ig}) {
 			return false
 		}
-		copy(buf[done:], m.Payload) // no-op when the frame decoded in place
-		done += len(m.Payload)
+		done += p.count
 		ig.advance(done)
+		if m.Last {
+			return true
+		}
+		raw, err := r.conn.Recv()
+		if err != nil {
+			return fail(fmt.Errorf("downlink recv: %w", err))
+		}
+		if m, p, err = parseGlobalChunk(raw); err != nil {
+			return fail(err)
+		}
 	}
-	return true
 }

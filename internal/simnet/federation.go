@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/niid-bench/niidbench/internal/data"
@@ -14,24 +15,6 @@ import (
 	"github.com/niid-bench/niidbench/internal/rng"
 	"github.com/niid-bench/niidbench/internal/tensor"
 )
-
-// window returns the per-connection frame window — how many
-// decoded-but-unfolded chunk frames the server holds per connection. Each
-// sampled party's receiver goroutine parks once this many frames await
-// the fold, which stops reading the conn and lets the transport's own
-// flow control (channel capacity for pipes, the kernel's socket buffers
-// for TCP) push back on the sender. Server-side transient buffering in a
-// chunked round is therefore O(sampled x window x chunk) on top of the
-// O(state) accumulator — never a full state vector per in-flight client.
-// The width comes from Config.ChunkWindow (CLI -chunk-window) so
-// deployments can trade smoothing against memory for their RTT; the
-// guard covers Federations constructed without Normalize.
-func (f *Federation) window() int {
-	if w := f.Cfg.ChunkWindow; w > 0 {
-		return w
-	}
-	return 4
-}
 
 // Federation runs the federated protocol over explicit connections: the
 // server goroutine owns aggregation, each party goroutine owns its local
@@ -51,13 +34,13 @@ type Federation struct {
 	// each reply frame within a round (the clock restarts on every
 	// received frame, so the first gap must cover the party's local
 	// training). A party that stalls past it is treated like a dead conn:
-	// evicted in chunked mode, fatal in monolithic mode. Zero waits
-	// forever — the right default when honest parties may train for
+	// suspected and dropped from the round, at every chunk size. Zero
+	// waits forever — the right default when honest parties may train for
 	// arbitrarily long. Only effective on conns with deadline support
 	// (TCP); in-memory pipes are trusted in-process peers.
 	RoundTimeout time.Duration
-	// RejoinGrace, when positive, is the broadcast heal window: a chunked
-	// round whose broadcast fails toward some party waits up to this long
+	// RejoinGrace, when positive, is the broadcast heal window: a round
+	// whose broadcast fails toward some party waits up to this long
 	// for that party's rejoin before proceeding without it. A death
 	// discovered at the broadcast — before the party trained or any update
 	// was folded — is the one failure that can be repaired mid-round
@@ -105,20 +88,18 @@ type Federation struct {
 	// applied only after the stream's FinishUpdate succeeds, so corrupted
 	// or dropped streams never diverge the tracked value.
 	resyncC [][]float64
-	ctrlLen int // this round's control-vector length (0 outside SCAFFOLD)
 
 	roundsDone int   // completed rounds, for the ResyncMsg round stamp
 	prevBytes  int64 // byte watermark for per-round accounting
+	// streamsOut counts pooled update-stream buffers currently held by
+	// readers, staged for the fold or folding — at most FoldAhead in a
+	// synchronous round, and zero whenever no round or receiver runs.
+	streamsOut atomic.Int64
 
-	// versions records each admitted party's negotiated protocol
-	// generation (min of the peer's newest and ours), written at
-	// registration and on every rejoin under memMu.
-	versions []byte
 	// codecs records the wire chunk codec negotiated with each party:
 	// the configured Cfg.Codec when the peer's hello advertised support
-	// for it (v4+ hellos carry the mask), raw float64 otherwise — the
-	// range-negotiation fallback that keeps older peers admitted.
-	// Written at registration and on every rejoin under memMu.
+	// for it, raw float64 otherwise. Written at registration and on every
+	// rejoin under memMu.
 	codecs []byte
 
 	// Resume, when non-nil, is the durable snapshot this federation
@@ -182,10 +163,10 @@ type rejoinReq struct {
 // introduces itself with a HelloMsg (identity, optional shared-secret
 // token, dataset size, label distribution) so the server can authenticate
 // it, weight its updates and sample stratified without ever seeing the raw
-// data. Round replies follow the framing the server asked for in its
-// GlobalMsg: one whole UpdateMsg, or a stream of UpdateChunkMsg frames.
-// For rejoin-capable parties over TCP, see DialPartyOpts, which keeps the
-// session's model and buffers across reconnects.
+// data. Round replies are UpdateChunkMsg streams framed at the size the
+// server's broadcast asked for. For rejoin-capable parties over TCP, see
+// DialPartyOpts, which keeps the session's model and buffers across
+// reconnects.
 func ServeParty(conn Conn, id int, local *data.Dataset, spec nn.ModelSpec, cfg fl.Config, seed uint64, token string) error {
 	s, err := newPartySession(id, local, spec, cfg, seed)
 	if err != nil {
@@ -204,8 +185,7 @@ type partySession struct {
 	cfg    fl.Config
 	client *fl.Client
 	frame  []byte // reused chunk-frame encode buffer
-	qbuf   []byte // reused quantized-payload scratch (quantized codecs only)
-	// dlFree recycles chunked-downlink assembly buffers across rounds and
+	// dlFree recycles downlink assembly buffers across rounds and
 	// reconnects; the downlink reader draws from it and Release returns
 	// to it, so a steady synchronous session holds one state-length
 	// buffer, and a pipelined one at most the few in flight.
@@ -280,12 +260,13 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 		return fmt.Errorf("simnet: party %d hello: %w", s.id, err)
 	}
 	// Bound every server frame before it is read: the largest legitimate
-	// downlink is one monolithic GlobalMsg for this party's model; chunk
-	// frames, resyncs and shutdowns are strictly smaller. The party side
-	// of the memory contract — a hostile (or buggy) server cannot make a
-	// party allocate an arbitrary frame.
+	// downlink is one frame carrying this party's whole stream; resyncs
+	// and shutdowns are strictly smaller. The party side of the memory
+	// contract — a hostile (or buggy) server cannot make a party allocate
+	// an arbitrary frame.
+	streamMax := s.client.StateCount() + s.client.ParamCount()
 	if rl, ok := conn.(recvLimiter); ok {
-		rl.SetRecvLimit(downlinkLimit(s.client.StateCount(), s.client.ParamCount()))
+		rl.SetRecvLimit(recvLimitFor(streamMax))
 	}
 	dl, hasDeadline := conn.(readDeadliner)
 	if helloTimeout > 0 && hasDeadline {
@@ -335,7 +316,7 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 	if s.dlFree == nil {
 		s.dlFree = make(chan []float64, 4)
 	}
-	r := newDownlinkReader(conn, s.client.StateCount()+s.client.ParamCount(), s.dlFree, clear)
+	r := newDownlinkReader(conn, streamMax, s.dlFree, clear)
 	go r.loop()
 	defer r.stop()
 	for {
@@ -357,10 +338,12 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 	}
 }
 
-// handleGlobal answers one round broadcast: replay, chunked prefix
-// training, or the monolithic reply. The handle is always released —
-// returning its assembly buffer to the session's free list — whatever
-// the outcome.
+// handleGlobal answers one round broadcast: a replay of the cached reply,
+// or a fresh training pass — beginning on the broadcast's in-order state
+// prefix while later downlink chunks are still in flight
+// (fl.Client.TrainStreamPrefixed). The handle is always released —
+// returning its assembly buffer to the session's free list — whatever the
+// outcome.
 func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
 	defer ig.Release()
 	s.client.SetComputeBudget(tensor.Compute{Workers: ig.budget})
@@ -370,222 +353,52 @@ func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
 		// landed, or our uplink died mid-send. Replay the cached reply
 		// verbatim; retraining would advance the client's RNG and
 		// per-algorithm state a second time and fork the run.
-		if err := s.replayReply(conn, GlobalMsg{Round: ig.round, Chunk: ig.chunk}, ig.codec); err != nil {
+		// Quantization is deterministic, so re-encoding the cached float64
+		// update produces bytes identical to the original reply.
+		c := &s.cache
+		u := fl.Update{N: c.n, Tau: c.tau, TrainLoss: c.loss, Delta: c.delta, DeltaC: c.deltaC}
+		if err := s.sendUpdate(conn, ig, u); err != nil {
 			return fmt.Errorf("simnet: party %d replay: %w", s.id, err)
 		}
 		return nil
 	}
-	var cache *replyCache
-	if s.cacheOn {
-		cache = &s.cache
-	}
-	if ig.chunk > 0 {
-		if err := partyTrainChunked(conn, s.client, ig, s.cfg, &s.frame, &s.qbuf, cache); err != nil {
-			return fmt.Errorf("simnet: party %d: %w", s.id, err)
-		}
-		return nil
-	}
-	// Monolithic handles are published complete; the wait is a no-op
-	// guard.
-	if !ig.WaitAll() {
-		return fmt.Errorf("simnet: party %d recv: %w", s.id, ig.Err())
-	}
-	up := s.client.LocalTrain(ig.state, ig.control, s.cfg)
-	if cache != nil {
-		cache.store(ig.round, up)
-	}
-	reply, err := Marshal(UpdateMsg{
-		Round: ig.round, N: up.N, Tau: up.Tau,
-		TrainLoss: up.TrainLoss, Delta: up.Delta, DeltaC: up.DeltaC,
-	})
+	p, err := s.client.TrainStreamPrefixed(ig, s.cfg)
 	if err != nil {
-		return err
+		return fmt.Errorf("simnet: party %d: %w", s.id, err)
 	}
-	if err := conn.Send(reply); err != nil {
-		return fmt.Errorf("simnet: party %d send: %w", s.id, err)
+	defer p.Release()
+	if s.cacheOn {
+		// Capture before streaming: even a reply that dies mid-send was
+		// trained, and must be replayed (not retrained) when the round is
+		// re-asked.
+		s.cache.store(ig.round, p.Update())
+	}
+	if err := s.sendUpdate(conn, ig, p.Update()); err != nil {
+		return fmt.Errorf("simnet: party %d: %w", s.id, err)
 	}
 	return nil
 }
 
-// replayReply re-sends the cached uplink for g.Round in whichever framing
-// and wire codec the server asked for. Quantization is deterministic, so
-// a replay re-quantizing the cached float64 update produces bytes
-// identical to the original reply.
-func (s *partySession) replayReply(conn Conn, g GlobalMsg, codec byte) error {
-	c := &s.cache
-	if g.Chunk > 0 {
-		total := len(c.delta) + len(c.deltaC)
-		return fl.ChunkStream(c.delta, c.deltaC, g.Chunk, func(offset int, chunk []float64) error {
-			b, err := appendUpdateFrame(s.frame[:0], &s.qbuf, codec, UpdateChunkMsg{
-				Round: g.Round, Offset: offset, Total: total,
-				N: c.n, Tau: c.tau, TrainLoss: c.loss,
-				Last:  offset+len(chunk) == total,
-				Chunk: chunk,
-			})
-			if err != nil {
-				return err
-			}
-			s.frame = b
-			return conn.Send(b)
-		})
-	}
-	reply, err := Marshal(UpdateMsg{
-		Round: g.Round, N: c.n, Tau: c.tau,
-		TrainLoss: c.loss, Delta: c.delta, DeltaC: c.deltaC,
-	})
-	if err != nil {
-		return err
-	}
-	return conn.Send(reply)
-}
-
-// downlinkLimit bounds the frames a party accepts from the server: the
-// serialized size of one monolithic GlobalMsg carrying the party's full
-// state and a parameter-length control vector, plus header slack.
-func downlinkLimit(stateLen, paramLen int) uint32 {
-	sz := globalWireSize(stateLen, paramLen) + 64
-	if sz > maxMsg {
-		return maxMsg
-	}
-	return uint32(sz)
-}
-
-// takeGlobalRef resolves an interned broadcast descriptor against the
-// pipe's shared slot and cross-checks the published vectors' shape.
-func takeGlobalRef(conn Conn, m GlobalRefMsg) (GlobalMsg, error) {
-	rr, ok := conn.(globalRefReceiver)
-	if !ok {
-		return GlobalMsg{}, fmt.Errorf("simnet: interned broadcast on a conn without a shared slot")
-	}
-	state, control, err := rr.TakeGlobalRef(m.Round)
-	if err != nil {
-		return GlobalMsg{}, err
-	}
-	if len(state) != m.StateLen || len(control) != m.CtrlLen {
-		return GlobalMsg{}, fmt.Errorf("simnet: interned global (%d,%d) does not match descriptor (%d,%d)",
-			len(state), len(control), m.StateLen, m.CtrlLen)
-	}
-	return GlobalMsg{Round: m.Round, State: state, Control: control, Budget: m.Budget, Chunk: m.Chunk}, nil
-}
-
-// recvGlobalChunked reassembles one round's chunked broadcast, starting
-// from its already-decoded first frame. Frames on one conn must arrive in
-// order without gaps or overlaps, with a consistent header and a correct
-// last marker; each subsequent frame decodes straight into the assembly
-// buffer at its expected offset, so an in-order stream costs zero copies
-// beyond the buffer itself — which persists across rounds, keeping the
-// party's downlink at one state-length allocation total. max bounds the
-// declared stream length (the party's state plus a parameter-length
-// control vector): the assembly buffer is sized from the wire-supplied
-// Total, so the bound is checked before anything is allocated — a hostile
-// header cannot demand an arbitrary allocation any more than a hostile
-// frame can.
-func recvGlobalChunked(conn Conn, first GlobalChunkMsg, buf *[]float64, max int) (GlobalMsg, error) {
-	total, ctrl := first.Total, first.CtrlLen
-	if total < 0 || ctrl < 0 || ctrl > total {
-		return GlobalMsg{}, fmt.Errorf("simnet: downlink stream of %d elements with control suffix %d", total, ctrl)
-	}
-	if total > max {
-		return GlobalMsg{}, fmt.Errorf("simnet: downlink stream of %d elements exceeds this model's bound %d", total, max)
-	}
-	if cap(*buf) < total {
-		*buf = make([]float64, total)
-	}
-	*buf = (*buf)[:total]
-	m := first
-	done := 0
-	for {
-		switch {
-		case m.Round != first.Round || m.Total != total || m.CtrlLen != ctrl ||
-			m.Budget != first.Budget || m.Chunk != first.Chunk:
-			return GlobalMsg{}, fmt.Errorf("simnet: downlink frame header changed mid-stream")
-		case m.Offset != done || done+len(m.Payload) > total:
-			return GlobalMsg{}, fmt.Errorf("simnet: downlink frame [%d,%d) of %d, expected offset %d",
-				m.Offset, m.Offset+len(m.Payload), total, done)
-		case m.Last != (done+len(m.Payload) == total):
-			return GlobalMsg{}, fmt.Errorf("simnet: downlink frame [%d,%d) of %d has inconsistent last marker",
-				m.Offset, m.Offset+len(m.Payload), total)
-		case len(m.Payload) == 0 && !m.Last:
-			// ChunkStream never emits an empty non-final frame; accepting
-			// one would let a peer spin this loop forever without
-			// progress.
-			return GlobalMsg{}, fmt.Errorf("simnet: empty non-final downlink frame at offset %d", done)
-		}
-		copy((*buf)[done:], m.Payload) // no-op when the frame decoded in place
-		done += len(m.Payload)
-		if m.Last {
-			break
-		}
-		raw, err := conn.Recv()
-		if err != nil {
-			return GlobalMsg{}, fmt.Errorf("simnet: downlink recv: %w", err)
-		}
-		if m, err = UnmarshalGlobalChunkInto(raw, (*buf)[done:done:total]); err != nil {
-			return GlobalMsg{}, err
-		}
-	}
-	g := GlobalMsg{Round: first.Round, Budget: first.Budget, Chunk: first.Chunk, State: (*buf)[:total-ctrl]}
-	if ctrl > 0 {
-		g.Control = (*buf)[total-ctrl : total]
-	}
-	return g, nil
-}
-
-// partyTrainChunked trains one round — beginning on the broadcast's
-// in-order state prefix while later downlink chunks are still in flight
-// (fl.Client.TrainStreamPrefixed) — and streams the update back as chunk
-// frames of the server-requested size, in the same wire codec the
-// broadcast arrived in (the negotiated codec; a v3 server never sends
-// quantized frames, so an old server keeps getting raw replies). Each
-// frame serializes a view into the client's pooled workspace through one
-// reused encode buffer, so the party never materializes a second
-// state-length vector for the reply.
-func partyTrainChunked(conn Conn, client *fl.Client, ig *incomingGlobal, cfg fl.Config, frame, qbuf *[]byte, cache *replyCache) error {
-	p, err := client.TrainStreamPrefixed(ig, cfg)
-	if err != nil {
-		return err
-	}
-	defer p.Release()
-	if cache != nil {
-		// Capture before streaming: even a reply that dies mid-send was
-		// trained, and must be replayed (not retrained) when the round is
-		// re-asked.
-		cache.store(ig.round, p.Update())
-	}
-	u := p.Trailer()
-	total := p.StreamLen()
-	return p.Chunks(ig.chunk, func(offset int, chunk []float64) error {
-		b, err := appendUpdateFrame((*frame)[:0], qbuf, ig.codec, UpdateChunkMsg{
+// sendUpdate streams one update back as chunk frames of the
+// server-requested size, in the wire codec the broadcast arrived in (the
+// negotiated codec). Each frame serializes a view of u's vectors — for a
+// fresh update, the client's pooled workspace — through one reused encode
+// buffer, so the party never materializes a second state-length vector
+// for the reply.
+func (s *partySession) sendUpdate(conn Conn, ig *incomingGlobal, u fl.Update) error {
+	total := len(u.Delta) + len(u.DeltaC)
+	return fl.ChunkStream(u.Delta, u.DeltaC, ig.chunk, func(offset int, chunk []float64) error {
+		b, err := AppendMarshal(s.frame[:0], UpdateChunkMsg{
 			Round: ig.round, Offset: offset, Total: total,
 			N: u.N, Tau: u.Tau, TrainLoss: u.TrainLoss,
 			Last:  offset+len(chunk) == total,
-			Chunk: chunk,
+			Codec: ig.codec, Chunk: chunk,
 		})
 		if err != nil {
 			return err
 		}
-		*frame = b
+		s.frame = b
 		return conn.Send(b)
-	})
-}
-
-// appendUpdateFrame encodes one uplink chunk frame into dst in the given
-// wire codec: the raw UpdateChunkMsg for f64, or its quantized twin with
-// the payload built in *qbuf (grown once, then reused frame after frame;
-// Marshal copies the payload, so the scratch never escapes).
-func appendUpdateFrame(dst []byte, qbuf *[]byte, codec byte, m UpdateChunkMsg) ([]byte, error) {
-	if codec == wireCodecF64 {
-		return AppendMarshal(dst, m)
-	}
-	payload, scale, err := quantizeChunk((*qbuf)[:0], codec, m.Chunk)
-	if err != nil {
-		return nil, err
-	}
-	*qbuf = payload
-	return AppendMarshal(dst, UpdateChunkQMsg{
-		Round: m.Round, Offset: m.Offset, Total: m.Total,
-		N: m.N, Tau: m.Tau, Last: m.Last, TrainLoss: m.TrainLoss,
-		Codec: codec, Count: len(m.Chunk), Scale: scale, Payload: payload,
 	})
 }
 
@@ -1022,38 +835,18 @@ func (f *Federation) initParties(numParties int) {
 	f.dists = make([][]float64, numParties)
 	f.state = make([]partyState, numParties)
 	f.resyncC = make([][]float64, numParties)
-	f.versions = make([]byte, numParties)
 	f.codecs = make([]byte, numParties)
 }
 
-// NegotiatedVersion returns the protocol generation negotiated with
-// party id at its latest (re)admission, or 0 if it never registered.
-func (f *Federation) NegotiatedVersion(id int) byte {
-	f.memMu.Lock()
-	defer f.memMu.Unlock()
-	if id < 0 || id >= len(f.versions) {
-		return 0
-	}
-	return f.versions[id]
-}
-
 // negotiatedCodec resolves the wire chunk codec for a party from its
-// hello: the configured codec when the peer both speaks version 4 (the
-// generation whose hello carries the support mask) and advertises the
-// bit, raw float64 otherwise. The fallback mirrors the version-range
-// negotiation — an old peer is admitted, it just rides the raw wire.
+// hello: the configured codec when the peer's support mask advertises it,
+// raw float64 otherwise — a peer that cannot decode the configured codec
+// is still admitted, it just rides the raw wire.
 func (f *Federation) negotiatedCodec(h HelloMsg) byte {
-	want := wireCodec(f.Cfg.Codec)
-	if want == wireCodecF64 {
-		return wireCodecF64
+	if want := wireCodec(f.Cfg.Codec); h.Codecs&(1<<want) != 0 {
+		return want
 	}
-	if NegotiatedVersion(h.Version) < 4 {
-		return wireCodecF64
-	}
-	if h.Codecs&(1<<want) == 0 {
-		return wireCodecF64
-	}
-	return want
+	return wireCodecF64
 }
 
 // codecForParty returns the wire chunk codec negotiated with party id at
@@ -1073,11 +866,11 @@ func (f *Federation) codecForParty(id int) byte {
 func (f *Federation) down(id int) bool { return f.state[id] != partyAlive }
 
 // evict removes a party from the federation: its conn is closed (ending
-// any receiver goroutine still reading it, and any lingering party-side
-// send) and later rounds drop it without contact. permanent=true marks a
-// protocol violation — the party lands in partyEvicted and a rejoin is
-// refused; permanent=false marks transport loss — partySuspect, restored
-// by a rejoin hello. Called only from the round loop goroutine.
+// any lingering party-side send) and later rounds drop it without
+// contact. permanent=true marks a protocol violation — the party lands in
+// partyEvicted and a rejoin is refused; permanent=false marks transport
+// loss — partySuspect, restored by a rejoin hello. Called only from the
+// round loop goroutine.
 func (f *Federation) evict(id int, permanent bool, cause error) {
 	f.memMu.Lock()
 	if f.state[id] == partyAlive || (permanent && f.state[id] == partySuspect) {
@@ -1181,7 +974,6 @@ func (f *Federation) installQueuedRejoins() []int {
 		f.metas[id] = fl.UpdateMeta{N: r.h.N, Tau: fl.PredictTau(f.Cfg, r.h.N)}
 		f.dists[id] = sanitizeDist(r.h.LabelDist)
 		f.state[id] = partyAlive
-		f.versions[id] = NegotiatedVersion(r.h.Version)
 		f.codecs[id] = f.negotiatedCodec(r.h)
 		f.conns = append(f.conns, r.conn)
 		f.memMu.Unlock()
@@ -1249,7 +1041,6 @@ func (f *Federation) register(c *CountingConn, h HelloMsg, numParties int) error
 	f.byParty[h.ID] = c
 	f.metas[h.ID] = fl.UpdateMeta{N: h.N, Tau: fl.PredictTau(f.Cfg, h.N)}
 	f.dists[h.ID] = sanitizeDist(h.LabelDist)
-	f.versions[h.ID] = NegotiatedVersion(h.Version)
 	f.codecs[h.ID] = f.negotiatedCodec(h)
 	f.memMu.Unlock()
 	return nil
@@ -1306,21 +1097,6 @@ const helloFrameLimit = 1 << 20
 // arrive; the rest queue in the kernel's listen backlog.
 const maxConcurrentHellos = 64
 
-// recvLimitFor returns the per-frame receive bound for one round: the
-// largest legitimate reply payload (one chunk, or one whole update with
-// its control delta) plus header slack.
-func recvLimitFor(chunk, stateLen, ctrlLen int) uint32 {
-	payload := uint64(stateLen+ctrlLen) * 8
-	if chunk > 0 {
-		payload = uint64(chunk) * 8
-	}
-	const slack = 64
-	if payload+slack > maxMsg {
-		return maxMsg
-	}
-	return uint32(payload + slack)
-}
-
 // sanitizeDist clamps a wire-supplied label distribution to finite,
 // non-negative mass so a single party can never poison the stratified
 // sampler's k-means with NaN or infinite coordinates. An empty dataset's
@@ -1354,14 +1130,12 @@ func (f *Federation) handshake(numParties int) error {
 func (f *Federation) PartyMeta(id int) fl.UpdateMeta { return f.metas[id] }
 
 // TrainRound implements fl.Transport: it broadcasts the round's global
-// state to the sampled parties, then receives their replies concurrently —
-// tolerating arrival in any order — and folds each into the aggregation
-// the moment the next-in-sample-order update is available, so the server
-// never buffers the whole round. With Cfg.ChunkSize > 0 both directions
-// are chunked: the broadcast streams GlobalChunkMsg frames (interned by
-// reference over in-process pipes, so K co-resident parties share one
-// state buffer), and the reply fold holds at most a bounded window of
-// frames per connection on top of the accumulator.
+// state to the sampled parties as GlobalChunkMsg frames, then receives
+// their reply streams concurrently — tolerating arrival in any order — and
+// folds each into the aggregation the moment the next-in-sample-order
+// stream is complete, so the server never buffers the whole round.
+// Cfg.ChunkSize only sets the frame size (0 is one frame per vector):
+// eviction, rejoin and drop-and-renormalise apply at every size.
 func (f *Federation) TrainRound(round int, sampled []int, global, control []float64, sink *fl.RoundSink) error {
 	budget := 0
 	if f.local && len(sampled) > 0 {
@@ -1372,96 +1146,30 @@ func (f *Federation) TrainRound(round int, sampled []int, global, control []floa
 		// any process-global knob.
 		budget = tensor.Compute{Workers: f.Cfg.Parallelism}.Split(len(sampled)).Workers
 	}
-	gm := GlobalMsg{Round: round, State: global, Control: control, Budget: budget, Chunk: f.Cfg.ChunkSize}
-	// Bound the replies to the largest legitimate frame for this round's
-	// framing mode, so a hostile length prefix is refused before the
-	// frame is read into memory — the memory contract holds even against
-	// admitted-but-malicious parties.
-	limit := recvLimitFor(f.Cfg.ChunkSize, len(global), len(control))
-	f.ctrlLen = len(control)
-	if f.Cfg.ChunkSize > 0 {
-		bf := &globalFrames{gm: gm, chunk: f.Cfg.ChunkSize}
-		failed := f.broadcastChunked(gm, bf, sampled, limit)
-		if len(failed) > 0 && f.RejoinGrace > 0 {
-			f.healBroadcast(gm, bf, failed, limit)
-		}
-		if err := f.recvChunked(round, sampled, sink); err != nil {
-			return err
-		}
-		f.roundsDone = round + 1
-		return nil
+	bf := newGlobalFrames(round, global, control, budget, f.Cfg.ChunkSize)
+	// Bound the replies to the largest legitimate frame, so a hostile
+	// length prefix is refused before the frame is read into memory — the
+	// memory contract holds even against admitted-but-malicious parties.
+	limit := recvLimitFor(frameCap(f.Cfg.ChunkSize, sink.StreamLen()))
+	failed := f.broadcast(bf, sampled, limit)
+	if len(failed) > 0 && f.RejoinGrace > 0 {
+		f.healBroadcast(bf, failed, limit)
 	}
-	var enc []byte // lazily marshaled; only conns without interning need it
-	for _, id := range sampled {
-		c := f.byParty[id]
-		c.SetRecvLimit(limit)
-		handled, err := c.SendGlobalRef(gm)
-		if handled && err == nil {
-			continue
-		}
-		if !handled {
-			if enc == nil {
-				if enc, err = Marshal(gm); err != nil {
-					return err
-				}
-			}
-			err = c.Send(enc)
-		}
-		if err != nil {
-			// Monolithic rounds keep the legacy fail-fast semantics
-			// (eviction exists only in chunked mode).
-			return fmt.Errorf("simnet: send to party %d: %w", id, err)
-		}
-	}
-	type reply struct {
-		u   fl.Update
-		err error
-	}
-	// One receiver goroutine per sampled party: replies land whenever each
-	// party finishes, in any order across parties. Slots are buffered so
-	// no receiver ever blocks, even if the fold loop bails early.
-	slots := make([]chan reply, len(sampled))
-	for j := range slots {
-		slots[j] = make(chan reply, 1)
-	}
-	// Eviction exists only in chunked mode (the monolithic path keeps its
-	// legacy fail-fast semantics), so no dead-party handling is needed
-	// here: every party is alive when this branch runs.
-	for j, id := range sampled {
-		go func(j, id int) {
-			u, err := f.recvUpdate(id, round)
-			slots[j] <- reply{u: u, err: err}
-		}(j, id)
-	}
-	// Fold the longest available prefix in sampled order so the
-	// aggregation's floating-point order is deterministic for a given
-	// sample, whatever the wire order was.
-	for j := range slots {
-		r := <-slots[j]
-		if r.err != nil {
-			return r.err
-		}
-		if err := sink.Deliver(r.u); err != nil {
-			return err
-		}
-		// Accepted monolithic update: advance the party's tracked c_i the
-		// same way the chunked fold does, keeping resync state coherent in
-		// either framing mode.
-		f.applyControlDelta(sampled[j], r.u.DeltaC)
+	if err := f.recvRound(round, sampled, len(global), sink); err != nil {
+		return err
 	}
 	f.roundsDone = round + 1
 	return nil
 }
 
-// broadcastChunked streams the round's global vectors to every live
-// sampled party concurrently — one sender goroutine per connection, so a
-// slow consumer delays only its own stream, never the whole broadcast.
-// A party whose stream cannot be delivered is evicted (chunked rounds
-// tolerate party loss; its receiver will surface the closed conn and the
-// fold drops it). Evictions are applied only after every sender has
-// finished, so the fold's upfront dead-party reads never race a sender.
-// The IDs whose broadcast failed are returned for the heal window.
-func (f *Federation) broadcastChunked(gm GlobalMsg, bf *globalFrames, sampled []int, limit uint32) []int {
+// broadcast streams the round's global vectors to every live sampled
+// party concurrently — one sender goroutine per connection, so a slow
+// consumer delays only its own stream, never the whole broadcast. A party
+// whose stream cannot be delivered is suspected (its slot is dropped by
+// the fold). Evictions are applied only after every sender has finished,
+// so the fold's upfront dead-party reads never race a sender. The IDs
+// whose broadcast failed are returned for the heal window.
+func (f *Federation) broadcast(bf *globalFrames, sampled []int, limit uint32) []int {
 	var wg sync.WaitGroup
 	errs := make([]error, len(sampled))
 	for j, id := range sampled {
@@ -1473,7 +1181,7 @@ func (f *Federation) broadcastChunked(gm GlobalMsg, bf *globalFrames, sampled []
 		wg.Add(1)
 		go func(j, id int, c *CountingConn) {
 			defer wg.Done()
-			errs[j] = f.sendGlobal(c, gm, bf, f.codecForParty(id))
+			errs[j] = bf.send(c, f.codecForParty(id))
 		}(j, id, c)
 	}
 	wg.Wait()
@@ -1497,7 +1205,7 @@ func (f *Federation) broadcastChunked(gm GlobalMsg, bf *globalFrames, sampled []
 // the aggregation is bitwise what it would have been without the fault.
 // Parties that do not come back in time stay suspect and are dropped by
 // the fold as usual. Round loop goroutine only.
-func (f *Federation) healBroadcast(gm GlobalMsg, bf *globalFrames, failed []int, limit uint32) {
+func (f *Federation) healBroadcast(bf *globalFrames, failed []int, limit uint32) {
 	deadline := time.Now().Add(f.RejoinGrace)
 	poll := f.RejoinGrace / 50
 	if poll < time.Millisecond {
@@ -1515,7 +1223,7 @@ func (f *Federation) healBroadcast(gm GlobalMsg, bf *globalFrames, failed []int,
 			}
 			c := f.byParty[id]
 			c.SetRecvLimit(limit)
-			if err := f.sendGlobal(c, gm, bf, f.codecForParty(id)); err != nil {
+			if err := bf.send(c, f.codecForParty(id)); err != nil {
 				f.evict(id, false, err)
 				continue
 			}
@@ -1525,20 +1233,26 @@ func (f *Federation) healBroadcast(gm GlobalMsg, bf *globalFrames, failed []int,
 }
 
 // globalFrames is a round broadcast's encode-once frame cache: the first
-// serializing sender for each negotiated wire codec marshals that
-// codec's frame set exactly once, and all later senders of the same
-// codec (the per-party broadcast goroutines, the heal window's resends,
-// the async hub's per-party senders) ship the same immutable byte
-// slices. Server encode CPU stays flat in K — a serialized round
-// broadcast costs one encode pass per distinct codec in the federation,
-// no matter how many TCP parties receive it — mirroring the pipe-side
-// GlobalRefMsg interning one layer down. Safe for concurrent use; the
-// slices must never be mutated after publication (tcpConn writes them
-// out, chanConn copies them).
+// sender for each negotiated wire codec marshals that codec's frame set
+// exactly once, and all later senders of the same codec (the per-party
+// broadcast goroutines, the heal window's resends, the async hub's
+// per-party senders) ship the same immutable byte slices. Server encode
+// CPU stays flat in K — a round broadcast costs one encode pass per
+// distinct codec in the federation, no matter how many parties, over
+// pipes or TCP, receive it. Safe for concurrent use; the slices must
+// never be mutated after publication (tcpConn writes them out, chanConn
+// copies them).
 type globalFrames struct {
-	gm    GlobalMsg
-	chunk int
-	sets  [4]codecFrames // indexed by wire codec
+	gm   GlobalMsg
+	sets [4]codecFrames // indexed by wire codec
+}
+
+// newGlobalFrames wraps one round's (or async generation's) broadcast in
+// its frame cache. state and control must not be mutated while the cache
+// is in use — the frame sets encode lazily, per codec, on first use — so
+// async callers pass snapshots (fl.AsyncCoordinator.GlobalSnapshot copies).
+func newGlobalFrames(round int, state, control []float64, budget, chunk int) *globalFrames {
+	return &globalFrames{gm: GlobalMsg{Round: round, State: state, Control: control, Budget: budget, Chunk: chunk}}
 }
 
 // codecFrames is one codec's lazily encoded frame set within a
@@ -1550,88 +1264,37 @@ type codecFrames struct {
 }
 
 // frames returns the shared serialized broadcast for one wire codec,
-// encoding it on first use so rounds whose conns all intern (all-pipe
-// f64 federations) never pay for a serialization nobody reads.
+// encoding it on first use: state first, then SCAFFOLD's control, frames
+// never crossing the seam, each frame quantized independently with its
+// own scale (the frame is the quantization unit).
 func (b *globalFrames) frames(codec byte) ([][]byte, error) {
 	if int(codec) >= len(b.sets) {
 		return nil, fmt.Errorf("simnet: unknown wire codec %d", codec)
 	}
 	s := &b.sets[codec]
-	s.once.Do(func() { s.fr, s.err = encodeGlobalFrames(b.gm, b.chunk, codec) })
+	s.once.Do(func() {
+		gm := b.gm
+		total := len(gm.State) + len(gm.Control)
+		s.err = fl.ChunkStream(gm.State, gm.Control, gm.Chunk, func(off int, c []float64) error {
+			enc, err := Marshal(GlobalChunkMsg{
+				Round: gm.Round, Offset: off, Total: total, CtrlLen: len(gm.Control),
+				Budget: gm.Budget, Chunk: gm.Chunk, Last: off+len(c) == total,
+				Codec: codec, Payload: c,
+			})
+			if err != nil {
+				return err
+			}
+			s.fr = append(s.fr, enc)
+			return nil
+		})
+	})
 	return s.fr, s.err
 }
 
-// encodeGlobalFrames serializes one round broadcast — state first, then
-// SCAFFOLD's control, frames never crossing the seam — in the given wire
-// codec. Quantized codecs encode each chunk independently with its own
-// scale (the chunk frame is the quantization unit); chunk <= 0 is the
-// monolithic framing mode, which only the raw codec supports
-// (fl.Config.Normalize enforces this pairing, so the error here is a
-// backstop, not a reachable configuration).
-func encodeGlobalFrames(gm GlobalMsg, chunk int, codec byte) ([][]byte, error) {
-	if chunk <= 0 {
-		if codec != wireCodecF64 {
-			return nil, fmt.Errorf("simnet: %s codec requires chunked framing", codecName(codec))
-		}
-		enc, err := Marshal(gm)
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{enc}, nil
-	}
-	total := len(gm.State) + len(gm.Control)
-	var fr [][]byte
-	var scratch []byte
-	err := fl.ChunkStream(gm.State, gm.Control, chunk, func(off int, c []float64) error {
-		last := off+len(c) == total
-		var enc []byte
-		var err error
-		if codec == wireCodecF64 {
-			enc, err = Marshal(GlobalChunkMsg{
-				Round: gm.Round, Offset: off, Total: total, CtrlLen: len(gm.Control),
-				Budget: gm.Budget, Chunk: gm.Chunk, Last: last,
-				Payload: c,
-			})
-		} else {
-			var payload []byte
-			var scale float64
-			payload, scale, err = quantizeChunk(scratch[:0], codec, c)
-			if err == nil {
-				scratch = payload // Marshal copies the payload; reuse the scratch
-				enc, err = Marshal(GlobalChunkQMsg{
-					Round: gm.Round, Offset: off, Total: total, CtrlLen: len(gm.Control),
-					Budget: gm.Budget, Chunk: gm.Chunk, Last: last,
-					Codec: codec, Count: len(c), Scale: scale, Payload: payload,
-				})
-			}
-		}
-		if err != nil {
-			return err
-		}
-		fr = append(fr, enc)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fr, nil
-}
-
-// sendGlobal ships one round broadcast to one party: published by
-// reference when the conn supports interning AND the party negotiated
-// the raw codec (in-process pipes — the party then reads the server's
-// buffer directly, so K parties hold one copy), and otherwise as the
-// round's shared encode-once frame set for the party's codec. Quantized
-// pipes deliberately serialize for real: the measured CommBytes then
-// reflects the quantized wire, and the quantization error a party sees
-// is identical across transports.
-func (f *Federation) sendGlobal(c *CountingConn, gm GlobalMsg, bf *globalFrames, codec byte) error {
-	if codec == wireCodecF64 {
-		if handled, err := c.SendGlobalRef(gm); handled {
-			return err
-		}
-	}
-	frames, err := bf.frames(codec)
+// send ships the broadcast to one party as the shared frame set for its
+// negotiated codec.
+func (b *globalFrames) send(c *CountingConn, codec byte) error {
+	frames, err := b.frames(codec)
 	if err != nil {
 		return err
 	}
@@ -1641,291 +1304,6 @@ func (f *Federation) sendGlobal(c *CountingConn, gm GlobalMsg, bf *globalFrames,
 		}
 	}
 	return nil
-}
-
-// chunkFrame is one decoded reply frame in flight between a connection's
-// receiver goroutine and the fold loop. buf is the pooled tensor backing
-// msg.Chunk; whoever discards the frame returns it to the shared pool.
-type chunkFrame struct {
-	msg UpdateChunkMsg
-	// codec is the wire codec the frame arrived in; the stager enforces
-	// that it never changes mid-stream. msg.Chunk is always float64 —
-	// quantized payloads were dequantized into buf at decode.
-	codec byte
-	buf   *tensor.Tensor
-	err   error
-	// fatal classifies err: true for a decode failure (the party framed
-	// garbage — a protocol violation, permanent eviction), false for
-	// transport loss (conn death or a RoundTimeout expiry — the party may
-	// rejoin).
-	fatal bool
-}
-
-// foldGate bounds how far past the fold cursor the staging goroutines
-// may run: stager j may assemble its stream only once j < cursor +
-// ahead, so at most `ahead` complete streams are staged beyond the one
-// being folded — O(FoldAhead x stream) transient pool memory, no matter
-// how out-of-order the arrivals are. advance moves the cursor one slot
-// (folded, dropped, or dead — every slot counts); abort releases every
-// waiter when the round dies.
-type foldGate struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	cursor  int
-	ahead   int
-	aborted bool
-}
-
-func newFoldGate(ahead int) *foldGate {
-	g := &foldGate{ahead: ahead}
-	if g.ahead < 1 {
-		g.ahead = 1
-	}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// waitTurn blocks until slot j is within the staging window (always
-// immediate for the cursor slot itself) and reports false when the round
-// aborted instead.
-func (g *foldGate) waitTurn(j int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for j >= g.cursor+g.ahead && !g.aborted {
-		g.cond.Wait()
-	}
-	return !g.aborted
-}
-
-func (g *foldGate) advance() {
-	g.mu.Lock()
-	g.cursor++
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-func (g *foldGate) abort() {
-	g.mu.Lock()
-	g.aborted = true
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// stagedStream is one party's fully assembled (or failed) reply stream,
-// handed from its staging goroutine to the fold loop. buf holds the
-// complete stream values [0, total); whoever discards it returns it to
-// the shared pool.
-type stagedStream struct {
-	buf     *tensor.Tensor
-	trailer fl.Update
-	err     error
-	fatal   bool
-}
-
-var errRoundAborted = fmt.Errorf("simnet: round aborted")
-
-// recvChunked receives the sampled parties' chunk streams concurrently —
-// each connection feeding a bounded frame window into a per-party
-// staging goroutine — and folds the assembled streams in sampled order.
-// Staging is what fixes the serial straggler drain: every party's stream
-// is validated and assembled the moment its frames arrive (subject to
-// the fold-ahead window), so one slow party delays the fold by only its
-// own stream, never by holding the sample-order cursor while faster
-// later-slot parties sit buffered. The fold itself stays in sampled
-// order over whole assembled streams, so the aggregation's
-// floating-point sequence is bitwise what the serial drain produced. A
-// party whose stream arrives malformed (or whose conn dies mid-stream)
-// is dropped from the round, not fatal to it.
-func (f *Federation) recvChunked(round int, sampled []int, sink *fl.RoundSink) error {
-	frames := make([]chan chunkFrame, len(sampled))
-	staged := make([]chan stagedStream, len(sampled))
-	window := f.window()
-	gate := newFoldGate(f.Cfg.FoldAhead)
-	total := sink.StreamLen()
-	stateLen := total - f.ctrlLen
-	for j, id := range sampled {
-		if f.down(id) {
-			continue // no receiver; the fold drops this slot upfront
-		}
-		frames[j] = make(chan chunkFrame, window)
-		staged[j] = make(chan stagedStream, 1)
-		go func(j, id int) {
-			defer close(frames[j])
-			conn := f.byParty[id]
-			for {
-				if f.RoundTimeout > 0 {
-					_ = conn.SetReadDeadline(time.Now().Add(f.RoundTimeout))
-				}
-				raw, err := conn.Recv()
-				if err != nil {
-					frames[j] <- chunkFrame{err: fmt.Errorf("simnet: recv from party %d: %w", id, err)}
-					return
-				}
-				buf := tensor.Shared.GetRaw(tensor.Float64, f.Cfg.ChunkSize)
-				m, codec, err := decodeUpdateFrameInto(raw, buf.Data())
-				if err != nil {
-					tensor.Shared.Put(buf)
-					frames[j] <- chunkFrame{err: fmt.Errorf("simnet: bad frame from party %d: %w", id, err), fatal: true}
-					return
-				}
-				frames[j] <- chunkFrame{msg: m, codec: codec, buf: buf}
-				if m.Last {
-					return
-				}
-			}
-		}(j, id)
-		go f.stageChunkStream(j, id, round, total, sink.Meta(j), frames[j], staged[j], gate)
-	}
-	// fatal aborts the round: release every stager still waiting on the
-	// gate and recycle whatever the in-flight ones deliver, so no
-	// goroutine or pooled buffer outlives the round.
-	fatal := func(from int, err error) error {
-		gate.abort()
-		for _, ch := range staged[from:] {
-			if ch == nil {
-				continue
-			}
-			go func(ch chan stagedStream) {
-				if st := <-ch; st.buf != nil {
-					tensor.Shared.Put(st.buf)
-				}
-			}(ch)
-		}
-		return err
-	}
-	for j, id := range sampled {
-		if f.down(id) {
-			if err := sink.Drop(j, fmt.Errorf("simnet: party %d left the federation in an earlier round", id)); err != nil {
-				return fatal(j+1, err)
-			}
-			gate.advance()
-			continue
-		}
-		st := <-staged[j]
-		if st.err != nil {
-			// The stager classified the failure: fatal for the party's own
-			// framing (protocol violation, permanent), non-fatal for
-			// transport loss. Eviction stays on the round loop goroutine.
-			f.evict(id, st.fatal, st.err)
-			if err := sink.Drop(j, st.err); err != nil {
-				return fatal(j+1, err)
-			}
-			gate.advance()
-			continue
-		}
-		data := st.buf.Data()[:total]
-		err := sink.AddChunk(j, 0, data)
-		if err == nil {
-			err = sink.FinishUpdate(j, st.trailer)
-		}
-		if err != nil {
-			tensor.Shared.Put(st.buf)
-			f.evict(id, true, err)
-			if derr := sink.Drop(j, err); derr != nil {
-				return fatal(j+1, derr)
-			}
-			gate.advance()
-			continue
-		}
-		f.applyControlDelta(id, data[stateLen:])
-		tensor.Shared.Put(st.buf)
-		gate.advance()
-	}
-	return nil
-}
-
-// stageChunkStream assembles one party's frame stream into a pooled
-// buffer, validating every frame — wrong round, bad total, mismatched
-// trailer meta, oversized chunk, out-of-order or overflowing offset,
-// inconsistent last marker — as it lands, and hands the fold loop either
-// the complete stream or the classified failure. It always sends exactly
-// one stagedStream on out, then drains (and recycles) any frames its
-// receiver still forwards; the receiver stops at the Last marker or —
-// forced by the eviction's conn close at the latest — on conn error, so
-// a re-sampled conn can never end up with two concurrent readers.
-func (f *Federation) stageChunkStream(j, id, round, total int, meta fl.UpdateMeta, frames chan chunkFrame, out chan stagedStream, gate *foldGate) {
-	finish := func(st stagedStream) {
-		out <- st
-		for fr := range frames {
-			if fr.buf != nil {
-				tensor.Shared.Put(fr.buf)
-			}
-		}
-	}
-	if !gate.waitTurn(j) {
-		finish(stagedStream{err: errRoundAborted})
-		return
-	}
-	buf := tensor.Shared.GetRaw(tensor.Float64, total)
-	data := buf.Data()
-	done := 0
-	streamCodec, sawFrame := byte(0), false
-	fail := func(err error, fatal bool) {
-		tensor.Shared.Put(buf)
-		finish(stagedStream{err: err, fatal: fatal})
-	}
-	for fr := range frames {
-		if fr.err != nil {
-			fail(fr.err, fr.fatal)
-			return
-		}
-		m := fr.msg
-		var err error
-		switch {
-		case sawFrame && fr.codec != streamCodec:
-			// The wire codec is a stream-level property: a party that
-			// switches encodings mid-stream is framing garbage, exactly like
-			// a mid-stream header change.
-			err = fmt.Errorf("simnet: party %d switched wire codec %s -> %s mid-stream",
-				id, codecName(streamCodec), codecName(fr.codec))
-		case m.Round != round:
-			err = fmt.Errorf("simnet: party %d sent a frame for round %d during round %d", id, m.Round, round)
-		case m.Total != total:
-			err = fmt.Errorf("simnet: party %d declared stream length %d, expected %d", id, m.Total, total)
-		case m.N != meta.N || m.Tau != meta.Tau:
-			// Checked on every frame — this is why the trailer metadata
-			// repeats — so a mismatched update is refused on its first
-			// frame, not after its whole stream was staged.
-			err = fmt.Errorf("simnet: party %d frame meta (n=%d tau=%d) does not match expected (n=%d tau=%d)",
-				id, m.N, m.Tau, meta.N, meta.Tau)
-		case len(m.Chunk) > f.Cfg.ChunkSize:
-			// The negotiated chunk size is the memory contract: a frame
-			// above it (up to one whole state vector) would reintroduce
-			// the O(conns x state) buffering this mode exists to bound.
-			err = fmt.Errorf("simnet: party %d sent a %d-element frame, chunk size is %d", id, len(m.Chunk), f.Cfg.ChunkSize)
-		case m.Offset != done:
-			err = fmt.Errorf("simnet: party %d sent frame offset %d, expected %d", id, m.Offset, done)
-		case m.Offset+len(m.Chunk) > total:
-			err = fmt.Errorf("simnet: party %d frame [%d,%d) overflows stream length %d", id, m.Offset, m.Offset+len(m.Chunk), total)
-		case m.Last != (m.Offset+len(m.Chunk) == total):
-			err = fmt.Errorf("simnet: party %d frame [%d,%d) of %d has inconsistent last marker", id, m.Offset, m.Offset+len(m.Chunk), total)
-		case len(m.Chunk) == 0 && !m.Last:
-			// An honest stream never frames zero elements mid-stream;
-			// accepting one would let a party occupy its round slot
-			// forever without progressing its offset.
-			err = fmt.Errorf("simnet: party %d sent an empty non-final frame at offset %d", id, m.Offset)
-		}
-		if err != nil {
-			tensor.Shared.Put(fr.buf)
-			// Every branch above is the party's own framing at fault:
-			// protocol violation, permanent.
-			fail(err, true)
-			return
-		}
-		streamCodec, sawFrame = fr.codec, true
-		copy(data[done:], m.Chunk)
-		done += len(m.Chunk)
-		last := m.Last
-		trailer := fl.Update{N: m.N, Tau: m.Tau, TrainLoss: m.TrainLoss}
-		tensor.Shared.Put(fr.buf)
-		if last {
-			finish(stagedStream{buf: buf, trailer: trailer})
-			return
-		}
-	}
-	// The receiver closed the channel without a Last marker or an error
-	// frame — it cannot, but fail safe rather than hang the round open.
-	fail(fmt.Errorf("simnet: party %d chunk stream ended early", id), false)
 }
 
 // applyControlDelta advances the party's tracked SCAFFOLD control variate
@@ -1946,32 +1324,6 @@ func (f *Federation) applyControlDelta(id int, delta []float64) {
 		c[k] += d
 	}
 	f.memMu.Unlock()
-}
-
-// recvUpdate reads and validates one round reply from a party.
-func (f *Federation) recvUpdate(id, round int) (fl.Update, error) {
-	if f.RoundTimeout > 0 {
-		_ = f.byParty[id].SetReadDeadline(time.Now().Add(f.RoundTimeout))
-	}
-	raw, err := f.byParty[id].Recv()
-	if err != nil {
-		return fl.Update{}, fmt.Errorf("simnet: recv from party %d: %w", id, err)
-	}
-	decoded, err := Unmarshal(raw)
-	if err != nil {
-		return fl.Update{}, err
-	}
-	um, ok := decoded.(UpdateMsg)
-	if !ok {
-		return fl.Update{}, fmt.Errorf("simnet: unexpected reply %T from party %d", decoded, id)
-	}
-	if um.Round != round {
-		return fl.Update{}, fmt.Errorf("simnet: party %d replied for round %d during round %d", id, um.Round, round)
-	}
-	return fl.Update{
-		Delta: um.Delta, Tau: um.Tau, N: um.N,
-		DeltaC: um.DeltaC, TrainLoss: um.TrainLoss,
-	}, nil
 }
 
 // RoundBytes reports the bytes moved since the previous call, so the

@@ -7,8 +7,8 @@ import (
 // FuzzDecodeMsg throws arbitrary byte soup at the wire decoders: any
 // input must produce a message or an error — never a panic or an
 // out-of-bounds read — and anything that decodes must re-encode. The
-// pooled chunk decoder is fuzzed alongside with a deliberately undersized
-// buffer so the grow path is covered too.
+// header-only chunk parsers the readers use are fuzzed alongside, with
+// their in-place decode.
 func FuzzDecodeMsg(f *testing.F) {
 	seed := func(msg any) {
 		b, err := Marshal(msg)
@@ -17,26 +17,19 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	seed(GlobalMsg{Round: 3, State: []float64{1, -2, 0.5}, Control: []float64{4}, Budget: 2, Chunk: 64})
 	seed(HelloMsg{ID: 1, N: 100, Token: "tok", LabelDist: []float64{0.5, 0.5}})
-	seed(UpdateMsg{Round: 1, N: 10, Tau: 3, TrainLoss: 0.25, Delta: []float64{1, 2}, DeltaC: []float64{3}})
 	seed(UpdateChunkMsg{Round: 2, Offset: 37, Total: 74, N: 10, Tau: 3, Last: true,
 		TrainLoss: 0.5, Chunk: []float64{1, 2, 3}})
 	seed(GlobalChunkMsg{Round: 2, Offset: 5, Total: 12, CtrlLen: 4, Budget: 1,
 		Chunk: 5, Last: true, Payload: []float64{1, -2}})
-	seed(GlobalRefMsg{Round: 3, StateLen: 8, CtrlLen: 4, Budget: 1, Chunk: 64})
 	seed(ShutdownMsg{})
-	// Quantized chunk frames: one per codec, plus corrupted trailers — a
-	// codec byte the decoder does not know, a count that disagrees with
-	// the payload length, and a non-finite scale.
-	seed(UpdateChunkQMsg{Round: 2, Offset: 37, Total: 74, N: 10, Tau: 3, Last: true,
-		TrainLoss: 0.5, Codec: wireCodecInt8, Count: 3, Scale: 0.5, Payload: []byte{1, 0xFF, 0x7F}})
-	seed(UpdateChunkQMsg{Round: 1, Offset: 0, Total: 4, N: 5, Tau: 2, Last: true,
-		TrainLoss: 0.25, Codec: wireCodecInt4, Count: 4, Scale: 0.125, Payload: []byte{0x9A, 0xB8}})
-	seed(GlobalChunkQMsg{Round: 2, Offset: 5, Total: 12, CtrlLen: 4, Budget: 1,
-		Chunk: 5, Last: true, Codec: wireCodecF32, Count: 2, Scale: 0, Payload: []byte{0, 0, 0x80, 0x3F, 0, 0, 0, 0xC0}})
-	f.Add([]byte{msgUpdateChunkQ, 0, 1, 2})
-	f.Add([]byte{msgGlobalChunkQ, 0, 1, 2})
+	// Quantized chunk frames, one per codec across the two directions.
+	seed(UpdateChunkMsg{Round: 2, Offset: 37, Total: 74, N: 10, Tau: 3, Last: true,
+		TrainLoss: 0.5, Codec: wireCodecInt8, Chunk: []float64{0.5, -0.5, 63.5}})
+	seed(UpdateChunkMsg{Round: 1, Offset: 0, Total: 4, N: 5, Tau: 2, Last: true,
+		TrainLoss: 0.25, Codec: wireCodecInt4, Chunk: []float64{0.25, -0.5, 1.75, 0}})
+	seed(GlobalChunkMsg{Round: 2, Offset: 5, Total: 12, CtrlLen: 4, Budget: 1,
+		Chunk: 5, Last: true, Codec: wireCodecF32, Payload: []float64{1, -2}})
 	// Elastic-membership frames: a rejoin hello and both resync shapes
 	// (with and without a SCAFFOLD control vector).
 	seed(HelloMsg{ID: 2, N: 50, Token: "t", Rejoin: true, LabelDist: []float64{0.25, 0.75}})
@@ -45,22 +38,29 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add([]byte{msgResync})
 	f.Add([]byte{msgResync, 0xFF, 0xFF, 0xFF, 0xFF})
 	// Hello version-preamble soup: a future version still offering an
-	// overlapping range (admitted), a disjoint range (decodes to a
-	// VersionError, never a misaligned field read), a wrong magic, and
-	// preambles truncated at every byte — including inside the v3 range.
+	// overlapping range (admitted), a disjoint range and a pre-v5 peer
+	// (both decode to a VersionError, never a misaligned field read), a
+	// wrong magic, and preambles truncated at every byte.
 	seed(HelloMsg{ID: 1, N: 100, Version: 99})
 	seed(HelloMsg{ID: 3, N: 7, Version: ProtoVersion, MinVersion: MinProtoVersion, LabelDist: []float64{1}})
 	f.Add([]byte{msgHello, protoMagic, ProtoVersion + 2, ProtoVersion + 1, 0})
+	f.Add([]byte{msgHello, protoMagic, 4, 2, 0x0F, 0})
 	f.Add([]byte{msgHello})
 	f.Add([]byte{msgHello, protoMagic})
 	f.Add([]byte{msgHello, protoMagic, ProtoVersion})
 	f.Add([]byte{msgHello, protoMagic, ProtoVersion, MinProtoVersion})
+	f.Add([]byte{msgHello, protoMagic, ProtoVersion, MinProtoVersion, 0x0F})
 	f.Add([]byte{msgHello, 0x00, ProtoVersion, 1, 2, 3, 4})
 	f.Add([]byte{})
 	f.Add([]byte{msgUpdateChunk, 0, 1, 2})
 	f.Add([]byte{msgGlobalChunk, 0, 1, 2})
-	f.Add([]byte{msgGlobalRef, 9})
 	f.Add([]byte{99, 255, 255, 255, 255})
+	// The tags retired with the pre-v5 wire, each over a plausible body
+	// (including a hostile ~1G-element length word): rejected with an
+	// error, never a panic, never an allocation.
+	for _, tag := range []byte{1, 2, 7, 9, 10} {
+		f.Add([]byte{tag, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x3F})
+	}
 	// Structured truncations: valid encodings cut at the tag, inside a
 	// length prefix, at a field boundary, and one byte short of complete —
 	// the exact offsets where a decoder is most likely to over-read.
@@ -75,21 +75,15 @@ func FuzzDecodeMsg(f *testing.F) {
 			}
 		}
 	}
-	seedTruncations(GlobalMsg{Round: 9, State: []float64{1, 2, 3, 4}, Control: []float64{-1}, Budget: 1, Chunk: 32})
-	seedTruncations(UpdateMsg{Round: 2, N: 5, Tau: 2, TrainLoss: 1.5, Delta: []float64{9, 8, 7}, DeltaC: []float64{6}})
 	seedTruncations(GlobalChunkMsg{Round: 1, Offset: 0, Total: 3, CtrlLen: 1, Budget: 1, Chunk: 2, Payload: []float64{5}})
-	seedTruncations(UpdateChunkQMsg{Round: 1, Offset: 0, Total: 3, N: 5, Tau: 2, Last: true,
-		TrainLoss: 0.5, Codec: wireCodecInt8, Count: 3, Scale: 0.5, Payload: []byte{1, 2, 3}})
-	seedTruncations(GlobalChunkQMsg{Round: 1, Offset: 0, Total: 3, CtrlLen: 1, Budget: 1,
-		Chunk: 2, Last: true, Codec: wireCodecInt4, Count: 3, Scale: 0.25, Payload: []byte{0x12, 0x03}})
-	// A v4 hello truncated right before its codec mask must surface as a
-	// version/truncation error, never a misaligned read of later fields.
-	f.Add([]byte{msgHello, protoMagic, ProtoVersion, MinProtoVersion, 0x0F})
-	// Hostile length prefixes: a GlobalMsg header whose state-length word
-	// claims ~1G elements with no payload behind it, and the same for the
-	// control vector. The decoder must refuse these before allocating.
-	f.Add([]byte{msgGlobal, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x3F})
-	f.Add([]byte{msgGlobal, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x3F, 0xF0, 0xFF, 0xFF, 0xFF, 0x3F})
+	seedTruncations(UpdateChunkMsg{Round: 1, Offset: 0, Total: 3, N: 5, Tau: 2, Last: true,
+		TrainLoss: 0.5, Codec: wireCodecInt8, Chunk: []float64{1, 2, 3}})
+	seedTruncations(GlobalChunkMsg{Round: 1, Offset: 0, Total: 3, CtrlLen: 1, Budget: 1,
+		Chunk: 2, Last: true, Codec: wireCodecInt4, Payload: []float64{1, 2, 3}})
+	// A hostile length prefix: a raw chunk frame whose count word claims
+	// ~1G elements with no payload behind it must be refused before
+	// anything is allocated.
+	f.Add(append(append([]byte{msgGlobalChunk}, make([]byte, 6*4)...), 1, 0xFF, 0xFF, 0xFF, 0x3F))
 	// Trailing garbage after a complete frame must not decode silently.
 	if b, err := Marshal(ShutdownMsg{}); err == nil {
 		f.Add(append(b, 0xDE, 0xAD))
@@ -102,28 +96,20 @@ func FuzzDecodeMsg(f *testing.F) {
 				t.Fatalf("decoded %T failed to re-encode: %v", msg, err)
 			}
 		}
-		var small [2]float64
-		if m, err := UnmarshalChunkInto(raw, small[:]); err == nil {
-			if m.Chunk != nil && len(m.Chunk) <= len(small) && &m.Chunk[0] != &small[0] {
-				t.Fatal("small payload did not land in the caller's buffer")
+		if len(raw) > 0 && err == nil {
+			switch raw[0] {
+			case 1, 2, 7, 9, 10:
+				t.Fatalf("retired tag %d decoded as %T", raw[0], msg)
 			}
 		}
-		if m, err := UnmarshalGlobalChunkInto(raw, small[:]); err == nil {
-			if m.Payload != nil && len(m.Payload) <= len(small) && &m.Payload[0] != &small[0] {
-				t.Fatal("small downlink payload did not land in the caller's buffer")
-			}
+		// The readers' path: header first, then the payload decoded in
+		// place into a buffer exactly count long.
+		var small [4]float64
+		if _, p, err := parseUpdateChunk(raw); err == nil && p.count <= len(small) {
+			_ = p.decodeInto(small[:p.count])
 		}
-		// The codec-dispatching decoders must uphold the same invariants
-		// over both raw and quantized frames.
-		if m, _, err := decodeUpdateFrameInto(raw, small[:]); err == nil {
-			if m.Chunk != nil && len(m.Chunk) <= len(small) && &m.Chunk[0] != &small[0] {
-				t.Fatal("small decoded chunk did not land in the caller's buffer")
-			}
-		}
-		if m, _, err := decodeGlobalFrameInto(raw, small[:]); err == nil {
-			if m.Payload != nil && len(m.Payload) <= len(small) && &m.Payload[0] != &small[0] {
-				t.Fatal("small decoded downlink payload did not land in the caller's buffer")
-			}
+		if _, p, err := parseGlobalChunk(raw); err == nil && p.count <= len(small) {
+			_ = p.decodeInto(small[:p.count])
 		}
 	})
 }

@@ -1,0 +1,169 @@
+package simnet
+
+import (
+	"sync"
+	"testing"
+
+	"github.com/niid-bench/niidbench/internal/data"
+	"github.com/niid-bench/niidbench/internal/fl"
+	"github.com/niid-bench/niidbench/internal/nn"
+)
+
+// recvBroadcast reads one round broadcast off a scripted party's conn and
+// reassembles it, trusting the server's framing. ok is false when the
+// server sent its shutdown or the conn ended instead.
+func recvBroadcast(conn Conn) (g GlobalMsg, ok bool) {
+	var buf []float64
+	for {
+		raw, err := conn.Recv()
+		if err != nil {
+			return g, false
+		}
+		msg, err := Unmarshal(raw)
+		if err != nil {
+			return g, false
+		}
+		m, isChunk := msg.(GlobalChunkMsg)
+		if !isChunk {
+			return g, false
+		}
+		buf = append(buf, m.Payload...)
+		if m.Last {
+			g = GlobalMsg{Round: m.Round, Budget: m.Budget, Chunk: m.Chunk, State: buf[:m.Total-m.CtrlLen]}
+			if m.CtrlLen > 0 {
+				g.Control = buf[m.Total-m.CtrlLen:]
+			}
+			return g, true
+		}
+	}
+}
+
+// updateFrames frames a constant-valued, state-only update exactly as an
+// honest party would answer g: chunks of the server-requested size, the
+// trailer meta on every frame, Last on the final one.
+func updateFrames(g GlobalMsg, n, tau int, val float64) []UpdateChunkMsg {
+	total := len(g.State)
+	delta := make([]float64, total)
+	for i := range delta {
+		delta[i] = val
+	}
+	var frames []UpdateChunkMsg
+	_ = fl.ChunkStream(delta, nil, g.Chunk, func(off int, chunk []float64) error {
+		frames = append(frames, UpdateChunkMsg{
+			Round: g.Round, Offset: off, Total: total, N: n, Tau: tau, TrainLoss: 0.5,
+			Last: off+len(chunk) == total, Chunk: chunk,
+		})
+		return nil
+	})
+	return frames
+}
+
+// sendFrames marshals and sends frames in order, stopping at the first
+// send the server refuses (it closes a violator's conn mid-script).
+func sendFrames(conn Conn, frames []UpdateChunkMsg) error {
+	for _, f := range frames {
+		b, err := Marshal(f)
+		if err != nil {
+			return err
+		}
+		if err := conn.Send(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rawParty connects a scripted protocol peer: hello, then a custom reply
+// per broadcast — used to inject malformed traffic. It returns when the
+// server shuts the party down or closes its conn, or reply fails.
+func rawParty(t *testing.T, conn Conn, hello HelloMsg, reply func(g GlobalMsg) error) {
+	t.Helper()
+	b, err := Marshal(hello)
+	if err != nil {
+		t.Errorf("rawParty marshal: %v", err)
+		return
+	}
+	if err := conn.Send(b); err != nil {
+		t.Errorf("rawParty hello: %v", err)
+		return
+	}
+	for {
+		g, ok := recvBroadcast(conn)
+		if !ok {
+			return
+		}
+		if err := reply(g); err != nil {
+			return
+		}
+	}
+}
+
+// heldConn parks a party's uplink: no update frame leaves until release
+// is closed.
+type heldConn struct {
+	Conn
+	release <-chan struct{}
+}
+
+func (h *heldConn) Send(b []byte) error {
+	if len(b) > 0 && b[0] == msgUpdateChunk {
+		<-h.release
+	}
+	return h.Conn.Send(b)
+}
+
+// scriptedID is the party ID serveWithScripted gives its scripted peer.
+const scriptedID = 2
+
+// serveWithScripted runs a three-party pipe federation: parties 0 and 1
+// are honest ServeParty sessions on locals[0] and locals[1], party 2 is a
+// rawParty reporting n samples and answering each broadcast with reply.
+// With holdHonest the honest parties' uploads wait for the run's first
+// eviction — under the async scheduler nothing else orders the scripted
+// party's stream before the honest folds that could complete the run.
+// It returns the server's result together with the federation (for its
+// gauges) and every eviction the run reported.
+func serveWithScripted(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset,
+	n int, holdHonest bool, reply func(conn Conn, g GlobalMsg) error) (*fl.Result, *Federation, []*EvictionError, error) {
+	t.Helper()
+	conns := make([]*CountingConn, scriptedID+1)
+	firstEviction := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < scriptedID; i++ {
+		serverSide, partySide := Pipe()
+		conns[i] = NewCountingConn(serverSide)
+		if holdHonest {
+			partySide = &heldConn{Conn: partySide, release: firstEviction}
+		}
+		wg.Add(1)
+		go func(i int, conn Conn) {
+			defer wg.Done()
+			if err := ServeParty(conn, i, locals[i], spec, cfg, cfg.Seed+uint64(i), ""); err != nil {
+				t.Errorf("party %d: %v", i, err)
+			}
+			_ = conn.Close() // the async receivers drain each conn until EOF
+		}(i, partySide)
+	}
+	serverSide, scripted := Pipe()
+	conns[scriptedID] = NewCountingConn(serverSide)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rawParty(t, scripted, HelloMsg{ID: scriptedID, N: n, LabelDist: []float64{0.5, 0.5}},
+			func(g GlobalMsg) error { return reply(scripted, g) })
+		_ = scripted.Close()
+	}()
+	var mu sync.Mutex
+	var evictions []*EvictionError
+	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true,
+		OnEvict: func(e *EvictionError) {
+			mu.Lock()
+			if evictions = append(evictions, e); len(evictions) == 1 {
+				close(firstEviction)
+			}
+			mu.Unlock()
+		}}
+	res, err := fed.serve(len(conns))
+	wg.Wait()
+	return res, fed, evictions, err
+}

@@ -32,9 +32,7 @@ func TestCodecVersionedHello(t *testing.T) {
 		t.Fatalf("round trip: %+v", h)
 	}
 
-	// A wrong magic byte must be a descriptive error — a pre-versioning
-	// hello began with the party ID, whose low byte is a small integer,
-	// so it can never alias the magic.
+	// A wrong magic byte must be a descriptive error.
 	bad := append([]byte{}, b...)
 	bad[1] = 0x03
 	if _, err := Unmarshal(bad); err == nil || !strings.Contains(err.Error(), "magic") {
@@ -65,53 +63,116 @@ func TestCodecVersionedHello(t *testing.T) {
 	}
 }
 
-// TestCodecVersionRangeMatrix sweeps hello version ranges across the
-// admission boundary: overlap admits (recording the negotiated version),
-// no overlap rejects with a typed VersionError naming the peer's range.
-func TestCodecVersionRangeMatrix(t *testing.T) {
-	cases := []struct {
-		name       string
-		v, minv    byte
-		admit      bool
-		negotiated byte
-	}{
-		{"same generation", ProtoVersion, MinProtoVersion, true, ProtoVersion},
-		{"one generation behind (pre-range layout)", ProtoVersion - 1, ProtoVersion - 1, true, ProtoVersion - 1},
-		{"future peer still speaking ours", ProtoVersion + 2, MinProtoVersion, true, ProtoVersion},
-		{"future peer, overlap at our max", ProtoVersion + 5, ProtoVersion, true, ProtoVersion},
-		{"future peer, no overlap", ProtoVersion + 2, ProtoVersion + 1, false, 0},
-		{"ancient peer", MinProtoVersion - 1, MinProtoVersion - 1, false, 0},
-		{"inverted range", ProtoVersion, ProtoVersion + 7, false, 0},
+// TestVersionSkew is the one skew test of the v5 wire. Range negotiation
+// survives: a future peer whose range still reaches 5 is admitted. The
+// historical layouts do not: hand-built hellos exactly as a v4 and a v2
+// build emit them are turned away at admission with a typed *VersionError
+// naming the peer's generation — never a misaligned decode. And codec
+// negotiation falls back: on an int8 server, a party whose support mask
+// lacks the int8 bit is admitted and served raw float64 frames while its
+// peer gets int8 ones.
+func TestVersionSkew(t *testing.T) {
+	admit := func(fed *Federation, hello []byte) error {
+		serverSide, partySide := Pipe()
+		if err := partySide.Send(hello); err != nil {
+			t.Fatal(err)
+		}
+		return fed.admit(NewCountingConn(serverSide), 4)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b, err := Marshal(HelloMsg{ID: 1, N: 10, Version: tc.v, MinVersion: tc.minv, LabelDist: []float64{1}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := Unmarshal(b)
-			if !tc.admit {
-				var ve *VersionError
-				if !errors.As(err, &ve) {
-					t.Fatalf("range [%d,%d] decoded as: %v", tc.minv, tc.v, err)
-				}
-				if ve.Got != tc.v {
-					t.Fatalf("rejection carries max %d, want %d", ve.Got, tc.v)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("range [%d,%d] rejected: %v", tc.minv, tc.v, err)
-			}
-			h := out.(HelloMsg)
-			if h.Version != tc.v {
-				t.Fatalf("decoded version %d, want %d", h.Version, tc.v)
-			}
-			if got := NegotiatedVersion(h.Version); got != tc.negotiated {
-				t.Fatalf("negotiated %d, want %d", got, tc.negotiated)
-			}
-		})
+	fed := &Federation{Cfg: fl.Config{LocalEpochs: 1, BatchSize: 32, Codec: fl.CodecInt8}}
+	fed.initParties(4)
+	// tag, magic, version 4, min-version 2, codec mask, rejoin, ID, N,
+	// empty token, empty label distribution: the v4 layout.
+	v4 := []byte{msgHello, protoMagic, 4, 2, 0x0F, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	// tag, magic, version 2, rejoin, ID, N, token, distribution: the
+	// pre-range v2 layout.
+	v2 := []byte{msgHello, protoMagic, 2, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	for want, hello := range map[byte][]byte{4: v4, 2: v2} {
+		var ve *VersionError
+		if err := admit(fed, hello); !errors.As(err, &ve) || ve.Got != want {
+			t.Fatalf("v%d hello at admission: %v, want a *VersionError for generation %d", want, err, want)
+		}
 	}
+	future, err := Marshal(HelloMsg{ID: 0, N: 10, Version: ProtoVersion + 2, MinVersion: ProtoVersion, LabelDist: []float64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := admit(fed, future); err != nil {
+		t.Fatalf("future peer still speaking %d rejected: %v", ProtoVersion, err)
+	}
+	if got := fed.codecForParty(0); got != wireCodecInt8 {
+		t.Fatalf("full-mask peer negotiated %s, want int8", codecName(got))
+	}
+	disjoint, err := Marshal(HelloMsg{ID: 1, N: 10, Version: ProtoVersion + 2, MinVersion: ProtoVersion + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ve *VersionError
+	if err := admit(fed, disjoint); !errors.As(err, &ve) || ve.GotMin != ProtoVersion+1 {
+		t.Fatalf("disjoint future range: %v", err)
+	}
+
+	// The mask fallback, end to end over pipes: two scripted parties on an
+	// int8 server, party 1 advertising only f64 and f32.
+	_, test, err := data.Load("adult", data.Config{TrainN: 60, TestN: 60, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := fl.Config{Algorithm: fl.FedAvg, Rounds: 1, LocalEpochs: 1, BatchSize: 32,
+		LR: 0.05, Seed: 5, ChunkSize: 64, Codec: fl.CodecInt8}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := data.Model("adult")
+	const partyN = 100
+	tau := fl.PredictTau(cfg, partyN)
+	conns := make([]*CountingConn, 2)
+	saw := make([]byte, 2) // the codec each party's broadcast arrived in
+	var wg sync.WaitGroup
+	for i := range conns {
+		serverSide, partySide := Pipe()
+		conns[i] = NewCountingConn(serverSide)
+		hello := HelloMsg{ID: i, N: partyN, LabelDist: []float64{0.5, 0.5}}
+		if i == 1 {
+			hello.Codecs = 1<<wireCodecF64 | 1<<wireCodecF32
+		}
+		wg.Add(1)
+		go func(i int, conn Conn) {
+			defer wg.Done()
+			rawParty(t, &codecSpy{Conn: conn, saw: &saw[i]}, hello, func(g GlobalMsg) error {
+				// The server accepts either encoding on the uplink.
+				return sendFrames(conn, updateFrames(g, partyN, tau, 0))
+			})
+		}(i, partySide)
+	}
+	res, err := (&Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}).serve(2)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Curve) != cfg.Rounds || len(res.Curve[0].Dropped) != 0 {
+		t.Fatalf("mixed-codec round: %+v", res.Curve)
+	}
+	if saw[0] != wireCodecInt8 || saw[1] != wireCodecF64 {
+		t.Fatalf("broadcast codecs: full-mask party %s, f64/f32-only party %s; want int8 and the f64 fallback",
+			codecName(saw[0]), codecName(saw[1]))
+	}
+}
+
+// codecSpy records the wire codec of the last broadcast frame received.
+type codecSpy struct {
+	Conn
+	saw *byte
+}
+
+func (c *codecSpy) Recv() ([]byte, error) {
+	raw, err := c.Conn.Recv()
+	if err == nil && len(raw) > 0 && raw[0] == msgGlobalChunk {
+		if m, _, perr := parseGlobalChunk(raw); perr == nil {
+			*c.saw = m.Codec
+		}
+	}
+	return raw, err
 }
 
 func TestCodecRoundTripGlobalChunk(t *testing.T) {
@@ -136,40 +197,20 @@ func TestCodecRoundTripGlobalChunk(t *testing.T) {
 			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(b))
 		}
 	}
-	// The pooled/in-place decode path must land in the caller's buffer.
+	// The in-place path decodes the payload wherever the caller points it.
+	_, p, err := parseGlobalChunk(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]float64, 8)
-	got2, err := UnmarshalGlobalChunkInto(b, buf)
-	if err != nil {
+	if err := p.decodeInto(buf[1:4]); err != nil {
 		t.Fatal(err)
 	}
-	if &got2.Payload[0] != &buf[0] {
-		t.Fatal("UnmarshalGlobalChunkInto did not reuse the caller's buffer")
+	if buf[1] != 1.5 || buf[3] != 3 || buf[4] != 0 {
+		t.Fatalf("in-place decode: %v", buf)
 	}
-	if got2.Payload[2] != 3 {
-		t.Fatalf("pooled decode: %+v", got2)
-	}
-	if _, err := UnmarshalGlobalChunkInto([]byte{msgGlobal, 0}, buf); err == nil {
-		t.Fatal("UnmarshalGlobalChunkInto should reject non-chunk messages")
-	}
-}
-
-func TestCodecRoundTripGlobalRef(t *testing.T) {
-	in := GlobalRefMsg{Round: 7, StateLen: 1000, CtrlLen: 40, Budget: 2, Chunk: 64}
-	b, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.(GlobalRefMsg); got != in {
-		t.Fatalf("round trip: %+v", got)
-	}
-	for cut := 0; cut < len(b); cut++ {
-		if _, err := Unmarshal(b[:cut]); err == nil {
-			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(b))
-		}
+	if _, _, err := parseGlobalChunk([]byte{msgUpdateChunk, 0}); err == nil {
+		t.Fatal("parseGlobalChunk should reject non-broadcast frames")
 	}
 }
 
@@ -491,28 +532,60 @@ func TestChunkedDownlinkParityAcrossChunkSizes(t *testing.T) {
 	}
 }
 
+// downlinkFrom feeds frames to a fresh downlinkReader over a pipe and
+// returns the reader's first event plus its free list, so tests can see
+// what the party side made of a server's framing.
+func downlinkFrom(t *testing.T, max int, frames ...GlobalChunkMsg) (dlItem, chan []float64) {
+	t.Helper()
+	serverSide, partySide := Pipe()
+	free := make(chan []float64, 4)
+	r := newDownlinkReader(partySide, max, free, nil)
+	go r.loop()
+	t.Cleanup(func() {
+		r.stop()
+		_ = serverSide.Close()
+	})
+	for _, f := range frames {
+		b, err := Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := serverSide.Send(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r.next(), free
+}
+
 // TestDownlinkTotalBounded pins the party side of the memory contract:
 // the assembly buffer is sized from the wire-supplied Total, so a header
 // declaring an absurd stream length must be rejected before anything is
 // allocated — the model's own state+param length is the bound.
 func TestDownlinkTotalBounded(t *testing.T) {
-	conn, _ := Pipe()
-	var buf []float64
-	_, err := recvGlobalChunked(conn, GlobalChunkMsg{Total: 1 << 30, Chunk: 8}, &buf, 100)
-	if err == nil {
-		t.Fatal("oversized downlink Total declaration was accepted")
+	it, _ := downlinkFrom(t, 100, GlobalChunkMsg{Total: 1 << 30, Chunk: 8})
+	if it.err == nil || !strings.Contains(it.err.Error(), "exceeds this model's bound") {
+		t.Fatalf("oversized downlink Total declaration: %+v", it)
 	}
-	if cap(buf) != 0 {
-		t.Fatalf("assembly buffer allocated %d elements for a rejected declaration", cap(buf))
+	if it.g != nil {
+		t.Fatal("a handle (and its assembly buffer) was published for a rejected declaration")
 	}
-	// A declaration at the bound still assembles normally.
-	g, err := recvGlobalChunked(conn, GlobalChunkMsg{Total: 3, Chunk: 8, Last: true,
-		Payload: []float64{1, 2, 3}}, &buf, 3)
-	if err != nil {
-		t.Fatal(err)
+	// A declaration at the bound assembles normally, in order, across the
+	// state/control seam, into a buffer the free list gets back.
+	it, free := downlinkFrom(t, 3,
+		GlobalChunkMsg{Round: 4, Total: 3, CtrlLen: 1, Chunk: 2, Payload: []float64{1, 2}},
+		GlobalChunkMsg{Round: 4, Offset: 2, Total: 3, CtrlLen: 1, Chunk: 2, Last: true, Payload: []float64{3}})
+	if it.err != nil || it.g == nil {
+		t.Fatalf("in-bound stream: %+v", it)
 	}
-	if len(g.State) != 3 || g.State[2] != 3 {
-		t.Fatalf("in-bound stream: %+v", g)
+	if !it.g.WaitAll() {
+		t.Fatal(it.g.Err())
+	}
+	if st, c := it.g.State(), it.g.Control(); it.g.round != 4 || len(st) != 2 || st[1] != 2 || len(c) != 1 || c[0] != 3 {
+		t.Fatalf("reassembled round %d state %v control %v", it.g.round, st, c)
+	}
+	it.g.Release()
+	if len(free) != 1 {
+		t.Fatalf("released handle returned %d buffers to the free list, want 1", len(free))
 	}
 }
 
@@ -520,96 +593,8 @@ func TestDownlinkTotalBounded(t *testing.T) {
 // side: an empty frame that is not the stream's last makes no progress
 // and must be rejected, not looped on.
 func TestDownlinkEmptyFrameRejected(t *testing.T) {
-	conn, _ := Pipe()
-	var buf []float64
-	_, err := recvGlobalChunked(conn, GlobalChunkMsg{Total: 4, Chunk: 2}, &buf, 10)
-	if err == nil || !strings.Contains(err.Error(), "empty non-final") {
-		t.Fatalf("empty non-final downlink frame: %v", err)
-	}
-}
-
-// TestEmptyUplinkFrameDropsParty is the server-side twin: a party whose
-// stream stalls on empty non-final frames must be dropped from the round
-// (and evicted), not allowed to occupy its fold slot forever.
-func TestEmptyUplinkFrameDropsParty(t *testing.T) {
-	train, test, err := data.Load("adult", data.Config{TrainN: 400, TestN: 150, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, locals, err := partition.Strategy{Kind: partition.Homogeneous}.Split(train, 2, rng.New(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := data.Model("adult")
-	cfg, err := fl.Config{Algorithm: fl.FedAvg, Rounds: 2, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Seed: 5, ChunkSize: 64}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const parties = 3
-	const rogue = 2
-	conns := make([]*CountingConn, parties)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			if err := ServeParty(conn, i, locals[i], spec, cfg, cfg.Seed+uint64(i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, partySide)
-	}
-	serverSide, rogueSide := Pipe()
-	conns[rogue] = NewCountingConn(serverSide)
-	rogueN := 50
-	rogueTau := fl.PredictTau(cfg, rogueN)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rawParty(t, rogueSide, HelloMsg{ID: rogue, N: rogueN, LabelDist: []float64{0.5, 0.5}},
-			func(round int, g GlobalMsg) error {
-				b, err := Marshal(UpdateChunkMsg{Round: round, Offset: 0, Total: len(g.State),
-					N: rogueN, Tau: rogueTau, Last: false, Chunk: nil})
-				if err != nil {
-					return err
-				}
-				return rogueSide.Send(b)
-			})
-	}()
-	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}
-	res, err := fed.serve(parties)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("federation should survive an empty-frame stall: %v", err)
-	}
-	assertEvictedAt(t, res.Curve, rogue, 0)
-}
-
-// TestChunkWindowFederation runs the same chunked federation under a
-// lockstep window (1), the default, and a window far wider than the
-// stream has frames. The window only shapes buffering, so all three must
-// produce bitwise-identical states.
-func TestChunkWindowFederation(t *testing.T) {
-	cfg, locals, test := smallFederation(t)
-	cfg.Rounds = 2
-	cfg.ChunkSize = 64
-	spec, _ := data.Model("adult")
-	ref, err := RunLocal(cfg, spec, locals, test) // default window (4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 1 << 10} {
-		cfg.ChunkWindow = w
-		got, err := RunLocal(cfg, spec, locals, test)
-		if err != nil {
-			t.Fatalf("window %d: %v", w, err)
-		}
-		for i := range ref.FinalState {
-			if got.FinalState[i] != ref.FinalState[i] {
-				t.Fatalf("window %d: state[%d] %v vs %v", w, i, got.FinalState[i], ref.FinalState[i])
-			}
-		}
+	it, _ := downlinkFrom(t, 10, GlobalChunkMsg{Total: 4, Chunk: 2})
+	if it.err == nil || !strings.Contains(it.err.Error(), "empty non-final") {
+		t.Fatalf("empty non-final downlink frame: %+v", it)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"github.com/niid-bench/niidbench/internal/fl"
 )
 
-// This file is the quantized half of the chunk codec: the per-chunk
+// This file is the quantized half of the chunk codec: the per-frame
 // payload encodings that shrink UpdateChunkMsg/GlobalChunkMsg traffic
 // while the server accumulator and every snapshot stay float64. The
 // chunk frame is the compression unit — each frame's payload is encoded
@@ -16,12 +16,11 @@ import (
 // exactly like the raw framing does, and the dtype seam from the f32
 // compute backend stays confined to the wire.
 //
-// Codec identifiers on the wire (the hello's support mask is bit-indexed
-// by these values):
+// Codec identifiers on the wire (bits 1-3 of a chunk frame's flags byte;
+// the hello's support mask is bit-indexed by these values):
 //
-//	f64  — raw frames (UpdateChunkMsg/GlobalChunkMsg), byte-identical to
-//	       the pre-quantization wire; always supported, the negotiation
-//	       fallback.
+//	f64  — raw float64 payload, byte-identical to the pre-quantization
+//	       wire; always supported, the negotiation fallback.
 //	f32  — IEEE-754 narrowing, 4 bytes/element (~2x), relative error
 //	       ≤ 2^-24 per element.
 //	int8 — linear per-chunk scale s = maxAbs/127, q = round(v/s) in
@@ -37,7 +36,7 @@ const (
 )
 
 // codecSupportMask is the bitmask of wire codecs this build can decode,
-// carried in the version-4 hello (bit c set ⇔ wire codec c decodable).
+// carried in the hello (bit c set ⇔ wire codec c decodable).
 // f64 is always implied — it is the pre-quantization wire — but the bit
 // is set anyway so the mask reads as the complete truth.
 const codecSupportMask byte = 1<<wireCodecF64 | 1<<wireCodecF32 | 1<<wireCodecInt8 | 1<<wireCodecInt4
@@ -167,7 +166,10 @@ func dequantizeChunk(dst []float64, codec byte, payload []byte, scale float64) e
 		return fmt.Errorf("simnet: %s payload of %d bytes for %d elements, want %d",
 			codecName(codec), len(payload), len(dst), want)
 	}
-	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
+	// scale*128 bounds every level's magnitude: a scale that decodes the
+	// extreme level to ±Inf is as invalid as an infinite one — the decoded
+	// frame could not be re-encoded.
+	if math.IsNaN(scale) || scale < 0 || math.IsInf(scale*128, 0) {
 		return fmt.Errorf("simnet: invalid quantization scale %v", scale)
 	}
 	switch codec {

@@ -1,9 +1,9 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sync"
 	"testing"
 
 	"github.com/niid-bench/niidbench/internal/data"
@@ -109,30 +109,36 @@ func TestQuantizeRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestQuantizedDecodeRejectsCorruptTrailers: a decoded quantized frame
-// whose trailer lies — unknown codec byte, payload length disagreeing
-// with the element count, or a non-finite scale — must error, never
-// reconstruct garbage.
-func TestQuantizedDecodeRejectsCorruptTrailers(t *testing.T) {
-	base := UpdateChunkQMsg{Round: 1, Offset: 0, Total: 4, N: 5, Tau: 2, Last: true,
-		TrainLoss: 0.5, Codec: wireCodecInt8, Count: 4, Scale: 0.5, Payload: []byte{1, 2, 3, 4}}
+// TestQuantizedDecodeRejectsCorruptFrames: a quantized frame whose bytes
+// lie — an unknown codec or reserved bits in the flags byte, a payload
+// length disagreeing with the element count, or a scale that is not a
+// finite non-negative step — must error, never reconstruct garbage.
+func TestQuantizedDecodeRejectsCorruptFrames(t *testing.T) {
+	good, err := Marshal(UpdateChunkMsg{Round: 1, Offset: 0, Total: 4, N: 5, Tau: 2, Last: true,
+		TrainLoss: 0.5, Codec: wireCodecInt8, Chunk: []float64{0.5, -0.5, 1, 63.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(good); err != nil {
+		t.Fatalf("uncorrupted frame: %v", err)
+	}
+	const flagsAt, scaleAt = 21, 34 // tag + 5 header words; + flags + loss + count
+	putScale := func(b []byte, v float64) { binary.LittleEndian.PutUint64(b[scaleAt:], math.Float64bits(v)) }
 	cases := []struct {
 		name string
-		mut  func(m UpdateChunkQMsg) UpdateChunkQMsg
+		mut  func(b []byte) []byte
 	}{
-		{"unknown codec", func(m UpdateChunkQMsg) UpdateChunkQMsg { m.Codec = 7; return m }},
-		{"short payload", func(m UpdateChunkQMsg) UpdateChunkQMsg { m.Payload = m.Payload[:2]; return m }},
-		{"long payload", func(m UpdateChunkQMsg) UpdateChunkQMsg { m.Payload = append(m.Payload, 9); return m }},
-		{"nan scale", func(m UpdateChunkQMsg) UpdateChunkQMsg { m.Scale = math.NaN(); return m }},
-		{"inf scale", func(m UpdateChunkQMsg) UpdateChunkQMsg { m.Scale = math.Inf(1); return m }},
+		{"unknown codec", func(b []byte) []byte { b[flagsAt] = 5<<1 | 1; return b }},
+		{"reserved flag bits", func(b []byte) []byte { b[flagsAt] |= 0x40; return b }},
+		{"short payload", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"long payload", func(b []byte) []byte { return append(b, 9) }},
+		{"nan scale", func(b []byte) []byte { putScale(b, math.NaN()); return b }},
+		{"inf scale", func(b []byte) []byte { putScale(b, math.Inf(1)); return b }},
+		{"negative scale", func(b []byte) []byte { putScale(b, -0.5); return b }},
+		{"overflowing scale", func(b []byte) []byte { putScale(b, math.MaxFloat64); return b }},
 	}
 	for _, tc := range cases {
-		b, err := Marshal(tc.mut(base))
-		if err != nil {
-			// Rejected at encode is equally safe.
-			continue
-		}
-		if _, _, err := decodeUpdateFrameInto(b, nil); err == nil {
+		if _, err := Unmarshal(tc.mut(append([]byte{}, good...))); err == nil {
 			t.Fatalf("%s: corrupt quantized frame decoded without error", tc.name)
 		}
 	}
@@ -140,50 +146,54 @@ func TestQuantizedDecodeRejectsCorruptTrailers(t *testing.T) {
 
 // TestQuantizedFrameRoundTripAllCodecs drives the production encode and
 // decode paths end to end for both wire directions: uplink frames through
-// appendUpdateFrame -> decodeUpdateFrameInto, downlink frames through the
-// encode-once broadcast cache -> decodeGlobalFrameInto. The reconstructed
-// vectors must respect the per-codec error bounds and the reported codec
-// byte must match what was negotiated.
+// AppendMarshal -> the in-place parse/decode the updateReader uses,
+// downlink frames through the encode-once broadcast cache -> Unmarshal.
+// The reconstructed vectors must respect the per-codec error bounds and
+// the frame's codec must match what was negotiated.
 func TestQuantizedFrameRoundTripAllCodecs(t *testing.T) {
 	const n = 50
 	v := quantTestVector(n)
 	for _, codec := range []byte{wireCodecF64, wireCodecF32, wireCodecInt8, wireCodecInt4} {
 		// Uplink: one update chunk frame.
-		var qbuf []byte
-		frame, err := appendUpdateFrame(nil, &qbuf, codec, UpdateChunkMsg{
-			Round: 2, Offset: 0, Total: n, N: 9, Tau: 3, Last: true, TrainLoss: 0.25, Chunk: v,
+		frame, err := AppendMarshal(nil, UpdateChunkMsg{
+			Round: 2, Offset: 0, Total: n, N: 9, Tau: 3, Last: true, TrainLoss: 0.25, Codec: codec, Chunk: v,
 		})
 		if err != nil {
 			t.Fatalf("%s: encode uplink: %v", codecName(codec), err)
 		}
-		m, gotCodec, err := decodeUpdateFrameInto(frame, make([]float64, 0, n))
+		m, p, err := parseUpdateChunk(frame)
 		if err != nil {
-			t.Fatalf("%s: decode uplink: %v", codecName(codec), err)
+			t.Fatalf("%s: parse uplink: %v", codecName(codec), err)
 		}
-		if gotCodec != codec {
-			t.Fatalf("uplink codec %s, want %s", codecName(gotCodec), codecName(codec))
+		if m.Codec != codec {
+			t.Fatalf("uplink codec %s, want %s", codecName(m.Codec), codecName(codec))
 		}
-		if m.Round != 2 || m.N != 9 || m.Tau != 3 || !m.Last || m.TrainLoss != 0.25 || m.Total != n {
+		if m.Round != 2 || m.N != 9 || m.Tau != 3 || !m.Last || m.TrainLoss != 0.25 || m.Total != n || p.count != n {
 			t.Fatalf("%s: uplink header mangled: %+v", codecName(codec), m)
 		}
-		assertQuantClose(t, codecName(codec)+" uplink", v, m.Chunk, codec)
+		up := make([]float64, n)
+		if err := p.decodeInto(up); err != nil {
+			t.Fatalf("%s: decode uplink: %v", codecName(codec), err)
+		}
+		assertQuantClose(t, codecName(codec)+" uplink", v, up, codec)
 
 		// Downlink: the encode-once cache serializes the generation into
-		// chunked frames for this codec; a scripted receiver reassembles.
+		// frames for this codec; a scripted receiver reassembles.
 		state, control := v[:n-10], v[n-10:]
-		bf := newGlobalGen(4, state, control, 1, 16)
+		bf := newGlobalFrames(4, state, control, 1, 16)
 		frames, err := bf.frames(codec)
 		if err != nil {
 			t.Fatalf("%s: encode downlink: %v", codecName(codec), err)
 		}
 		got := make([]float64, 0, n)
 		for i, raw := range frames {
-			gm, c, err := decodeGlobalFrameInto(raw, nil)
+			msg, err := Unmarshal(raw)
 			if err != nil {
 				t.Fatalf("%s: decode downlink frame %d: %v", codecName(codec), i, err)
 			}
-			if c != codec {
-				t.Fatalf("downlink frame %d codec %s, want %s", i, codecName(c), codecName(codec))
+			gm := msg.(GlobalChunkMsg)
+			if gm.Codec != codec {
+				t.Fatalf("downlink frame %d codec %s, want %s", i, codecName(gm.Codec), codecName(codec))
 			}
 			if gm.Round != 4 || gm.Total != n || gm.CtrlLen != 10 {
 				t.Fatalf("%s: downlink header mangled: %+v", codecName(codec), gm)
@@ -243,10 +253,12 @@ func assertQuantClose(t *testing.T, label string, want, got []float64, codec byt
 	}
 }
 
-// TestRawWireBitwisePin freezes the exact byte encodings of the raw f64
-// frames against hex literals captured before the quantized codec landed:
-// codec=f64 must stay byte-identical to the pre-codec wire, so a mixed
-// fleet of old and new builds interoperates frame for frame.
+// TestRawWireBitwisePin freezes the exact byte encodings of the v5 chunk
+// frames. The two f64 literals were captured before the quantized codec
+// landed and have never changed: codec=f64 is byte-identical to every
+// earlier generation's chunk frame. The int8 literals pin the quantized
+// layout — codec in the flags byte, then count, scale and payload with no
+// length prefix.
 func TestRawWireBitwisePin(t *testing.T) {
 	cases := []struct {
 		msg  any
@@ -258,10 +270,12 @@ func TestRawWireBitwisePin(t *testing.T) {
 		{GlobalChunkMsg{Round: 7, Offset: 0, Total: 3, CtrlLen: 1, Budget: 2,
 			Chunk: 4, Last: true, Payload: []float64{0.5, -1, 8}},
 			"060700000000000000030000000100000002000000040000000103000000000000000000e03f000000000000f0bf0000000000002040"},
-		{GlobalMsg{Round: 1, State: []float64{1, -0.5}, Control: []float64{2}, Budget: 1, Chunk: 0},
-			"0101000000010000000000000002000000000000000000f03f000000000000e0bf010000000000000000000040"},
-		{UpdateMsg{Round: 2, N: 6, Tau: 3, TrainLoss: 0.75, Delta: []float64{-4, 0.125}, DeltaC: []float64{1}},
-			"02020000000600000003000000000000000000e83f0200000000000000000010c0000000000000c03f01000000000000000000f03f"},
+		{UpdateChunkMsg{Round: 3, Offset: 2, Total: 5, N: 10, Tau: 4, Last: true,
+			TrainLoss: 0.125, Codec: wireCodecInt8, Chunk: []float64{0.5, -63.5, 0.25}},
+			"050300000002000000050000000a0000000400000005000000000000c03f03000000000000000000e03f018101"},
+		{GlobalChunkMsg{Round: 7, Offset: 0, Total: 3, CtrlLen: 1, Budget: 2,
+			Chunk: 4, Codec: wireCodecInt8, Payload: []float64{127, -1, 8}},
+			"060700000000000000030000000100000002000000040000000403000000000000000000f03f7fff08"},
 	}
 	for _, tc := range cases {
 		b, err := Marshal(tc.msg)
@@ -272,43 +286,47 @@ func TestRawWireBitwisePin(t *testing.T) {
 			t.Fatalf("%T wire encoding drifted:\n got %s\nwant %s", tc.msg, got, tc.want)
 		}
 	}
-	// The raw uplink encode path must route through the same pinned
-	// encoding when the negotiated codec is f64.
-	var qbuf []byte
-	frame, err := appendUpdateFrame(nil, &qbuf, wireCodecF64, cases[0].msg.(UpdateChunkMsg))
+}
+
+// TestQuantizedWholeVectorFrames pins that a quantized codec needs no
+// minimum chunk size: at ChunkSize 0 each vector travels as one frame
+// carrying one scale, and the federation runs, learns and saves bytes
+// like any other int8 run.
+func TestQuantizedWholeVectorFrames(t *testing.T) {
+	v := quantTestVector(50)
+	frames, err := newGlobalFrames(1, v[:40], v[40:], 0, 0).frames(wireCodecInt8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hex.EncodeToString(frame) != cases[0].want {
-		t.Fatal("appendUpdateFrame(f64) diverged from the pinned raw encoding")
+	if len(frames) != 2 {
+		t.Fatalf("state+control at ChunkSize 0 framed as %d frames, want one per vector", len(frames))
 	}
-}
-
-// TestNegotiatedCodecVersionSkew pins the hello negotiation table: the
-// configured codec applies only when the peer speaks v4+ AND advertises
-// the codec bit; everything else — v2/v3 peers, masks missing the bit, or
-// an f64 configuration — rides the raw float64 wire.
-func TestNegotiatedCodecVersionSkew(t *testing.T) {
-	fed := func(c fl.Codec) *Federation { return &Federation{Cfg: fl.Config{Codec: c}} }
-	cases := []struct {
-		name  string
-		cfg   fl.Codec
-		hello HelloMsg
-		want  byte
-	}{
-		{"f64 config ignores mask", fl.CodecF64, HelloMsg{Version: ProtoVersion, Codecs: codecSupportMask}, wireCodecF64},
-		{"empty config is f64", "", HelloMsg{Version: ProtoVersion, Codecs: codecSupportMask}, wireCodecF64},
-		{"v4 peer with bit", fl.CodecInt8, HelloMsg{Version: ProtoVersion, Codecs: codecSupportMask}, wireCodecInt8},
-		{"v3 peer falls back", fl.CodecInt8, HelloMsg{Version: 3}, wireCodecF64},
-		{"v2 peer falls back", fl.CodecInt4, HelloMsg{Version: 2}, wireCodecF64},
-		{"future peer with bit", fl.CodecF32, HelloMsg{Version: ProtoVersion + 3, Codecs: codecSupportMask}, wireCodecF32},
-		{"v4 peer missing bit", fl.CodecInt4, HelloMsg{Version: ProtoVersion, Codecs: 1 << wireCodecInt8}, wireCodecF64},
-		{"v4 peer f64-only mask", fl.CodecF32, HelloMsg{Version: ProtoVersion, Codecs: 1 << wireCodecF64}, wireCodecF64},
-	}
-	for _, tc := range cases {
-		if got := fed(tc.cfg).negotiatedCodec(tc.hello); got != tc.want {
-			t.Fatalf("%s: negotiated %s, want %s", tc.name, codecName(got), codecName(tc.want))
+	for i, raw := range frames {
+		m, p, err := parseGlobalChunk(raw)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if want := []int{40, 10}[i]; m.Codec != wireCodecInt8 || p.count != want {
+			t.Fatalf("frame %d: %s x %d, want int8 x %d", i, codecName(m.Codec), p.count, want)
+		}
+	}
+
+	cfg, locals, test := smallFederation(t)
+	spec, _ := data.Model("adult")
+	base, err := RunLocal(cfg, spec, locals, test) // f64, ChunkSize 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Codec = fl.CodecInt8
+	res, err := RunLocal(cfg, spec, locals, test)
+	if err != nil {
+		t.Fatalf("codec int8 at ChunkSize 0: %v", err)
+	}
+	if res.FinalAccuracy < base.FinalAccuracy-0.03 {
+		t.Fatalf("accuracy %v at int8/chunk 0 vs %v at f64", res.FinalAccuracy, base.FinalAccuracy)
+	}
+	if frac := float64(res.TotalCommBytes) / float64(base.TotalCommBytes); frac > 0.2 {
+		t.Fatalf("int8 whole-vector frames moved %.2fx the f64 bytes, want <= 0.2x", frac)
 	}
 }
 
@@ -353,145 +371,5 @@ func TestRunLocalQuantizedCodecs(t *testing.T) {
 					tc.codec, res.TotalCommBytes, base.TotalCommBytes, frac, tc.maxBytesFrac)
 			}
 		})
-	}
-}
-
-// TestVersionSkewPartyRidesRawWire is the mixed-fleet integration check:
-// a server configured for int8 serves one v4 party and one v3 party over
-// pipes. The v4 party must receive quantized downlink frames; the v3
-// party — which cannot advertise a codec mask — must be admitted anyway
-// and served the raw float64 wire (here the pipes' interned descriptor,
-// which only f64-negotiated parties are eligible for).
-func TestVersionSkewPartyRidesRawWire(t *testing.T) {
-	_, test, err := data.Load("adult", data.Config{TrainN: 60, TestN: 60, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fl.Config{
-		Algorithm: fl.FedAvg, Rounds: 1, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Seed: 5, ChunkSize: 64, Codec: fl.CodecInt8,
-	}
-	cfg, err = cfg.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := data.Model("adult")
-
-	const parties = 2
-	const partyN = 100
-	tau := fl.PredictTau(cfg, partyN)
-	conns := make([]*CountingConn, parties)
-	sawQ := make([]bool, parties)
-	sawRaw := make([]bool, parties)
-	var wg sync.WaitGroup
-	for i := 0; i < parties; i++ {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
-		hello := HelloMsg{ID: i, N: partyN, LabelDist: []float64{0.5, 0.5}}
-		if i == 1 {
-			// Party 1 impersonates an old build: v3 hello, no codec mask.
-			hello.Version = 3
-			hello.MinVersion = 2
-		}
-		wg.Add(1)
-		go func(i int, conn Conn, hello HelloMsg) {
-			defer wg.Done()
-			hb, err := Marshal(hello)
-			if err != nil {
-				t.Errorf("party %d hello marshal: %v", i, err)
-				return
-			}
-			if err := conn.Send(hb); err != nil {
-				t.Errorf("party %d hello: %v", i, err)
-				return
-			}
-			var round, total int
-			for {
-				raw, err := conn.Recv()
-				if err != nil {
-					t.Errorf("party %d downlink: %v", i, err)
-					return
-				}
-				if len(raw) > 0 && (raw[0] == msgGlobalChunk || raw[0] == msgGlobalChunkQ) {
-					if raw[0] == msgGlobalChunkQ {
-						sawQ[i] = true
-					} else {
-						sawRaw[i] = true
-					}
-					m, _, err := decodeGlobalFrameInto(raw, nil)
-					if err != nil {
-						t.Errorf("party %d downlink frame: %v", i, err)
-						return
-					}
-					round, total = m.Round, m.Total
-					if m.Last {
-						break
-					}
-					continue
-				}
-				msg, err := Unmarshal(raw)
-				if err != nil {
-					t.Errorf("party %d downlink decode: %v", i, err)
-					return
-				}
-				ref, ok := msg.(GlobalRefMsg)
-				if !ok {
-					t.Errorf("party %d: unexpected downlink message %T", i, msg)
-					return
-				}
-				sawRaw[i] = true
-				g, err := takeGlobalRef(conn, ref)
-				if err != nil {
-					t.Errorf("party %d ref: %v", i, err)
-					return
-				}
-				round, total = g.Round, len(g.State)+len(g.Control)
-				break
-			}
-			// Reply with zero deltas on the raw wire — the server accepts
-			// either encoding on the uplink regardless of negotiation.
-			zero := make([]float64, cfg.ChunkSize)
-			for off := 0; off < total; off += cfg.ChunkSize {
-				chunk := zero
-				if off+len(chunk) > total {
-					chunk = zero[:total-off]
-				}
-				b, err := Marshal(UpdateChunkMsg{
-					Round: round, Offset: off, Total: total,
-					N: partyN, Tau: tau,
-					Last:  off+len(chunk) == total,
-					Chunk: chunk,
-				})
-				if err != nil {
-					t.Errorf("party %d frame marshal: %v", i, err)
-					return
-				}
-				if err := conn.Send(b); err != nil {
-					t.Errorf("party %d uplink: %v", i, err)
-					return
-				}
-			}
-			for {
-				if _, err := conn.Recv(); err != nil {
-					return
-				}
-			}
-		}(i, partySide, hello)
-	}
-
-	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}
-	res, serveErr := fed.serve(parties)
-	wg.Wait()
-	if serveErr != nil {
-		t.Fatal(serveErr)
-	}
-	if len(res.Curve) != cfg.Rounds {
-		t.Fatalf("completed %d/%d rounds", len(res.Curve), cfg.Rounds)
-	}
-	if !sawQ[0] || sawRaw[0] {
-		t.Fatalf("v4 party: quantized=%v raw=%v, want the int8 wire", sawQ[0], sawRaw[0])
-	}
-	if sawQ[1] || !sawRaw[1] {
-		t.Fatalf("v3 party: quantized=%v raw=%v, want the raw f64 fallback", sawQ[1], sawRaw[1])
 	}
 }

@@ -12,38 +12,6 @@ import (
 	"github.com/niid-bench/niidbench/internal/rng"
 )
 
-func TestCodecRoundTripGlobal(t *testing.T) {
-	in := GlobalMsg{Round: 7, State: []float64{1.5, -2, 0}, Control: []float64{3}}
-	b, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.(GlobalMsg)
-	if got.Round != 7 || len(got.State) != 3 || got.State[1] != -2 || got.Control[0] != 3 {
-		t.Fatalf("round trip: %+v", got)
-	}
-}
-
-func TestCodecRoundTripUpdate(t *testing.T) {
-	in := UpdateMsg{Round: 3, N: 100, Tau: 17, TrainLoss: 0.25, Delta: []float64{1, 2}, DeltaC: nil}
-	b, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.(UpdateMsg)
-	if got.N != 100 || got.Tau != 17 || got.TrainLoss != 0.25 || len(got.Delta) != 2 || got.DeltaC != nil {
-		t.Fatalf("round trip: %+v", got)
-	}
-}
-
 func TestCodecShutdown(t *testing.T) {
 	b, err := Marshal(ShutdownMsg{})
 	if err != nil {
@@ -59,8 +27,9 @@ func TestCodecShutdown(t *testing.T) {
 }
 
 func TestCodecPropertyRoundTrip(t *testing.T) {
-	err := quick.Check(func(round uint16, state []float64, ctrl []float64) bool {
-		in := GlobalMsg{Round: int(round), State: state, Control: ctrl}
+	err := quick.Check(func(round, offset uint16, last bool, payload []float64) bool {
+		in := GlobalChunkMsg{Round: int(round), Offset: int(offset), Total: int(offset) + len(payload),
+			Last: last, Payload: payload}
 		b, err := Marshal(in)
 		if err != nil {
 			return false
@@ -69,12 +38,12 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := out.(GlobalMsg)
-		if got.Round != int(round) || len(got.State) != len(state) || len(got.Control) != len(ctrl) {
+		got := out.(GlobalChunkMsg)
+		if got.Round != int(round) || got.Offset != int(offset) || got.Last != last || len(got.Payload) != len(payload) {
 			return false
 		}
-		for i := range state {
-			if state[i] != got.State[i] && !(math.IsNaN(state[i]) && math.IsNaN(got.State[i])) {
+		for i := range payload {
+			if payload[i] != got.Payload[i] && !(math.IsNaN(payload[i]) && math.IsNaN(got.Payload[i])) {
 				return false
 			}
 		}
@@ -92,8 +61,15 @@ func TestCodecErrors(t *testing.T) {
 	if _, err := Unmarshal([]byte{99}); err == nil {
 		t.Fatal("expected error for unknown tag")
 	}
-	if _, err := Unmarshal([]byte{msgGlobal, 1, 2}); err == nil {
+	if _, err := Unmarshal([]byte{msgGlobalChunk, 1, 2}); err == nil {
 		t.Fatal("expected error for truncation")
+	}
+	// Tags retired with the pre-v5 wire (whole-message GlobalMsg/UpdateMsg,
+	// GlobalRefMsg, the quantized chunk twins) are unknown, not panics.
+	for _, tag := range []byte{1, 2, 7, 9, 10} {
+		if _, err := Unmarshal([]byte{tag, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+			t.Fatalf("retired tag %d decoded", tag)
+		}
 	}
 	if _, err := Marshal(42); err == nil {
 		t.Fatal("expected error for unsupported type")
@@ -305,19 +281,6 @@ func TestUnmarshalNeverPanicsOnGarbage(t *testing.T) {
 	}
 }
 
-func TestUnmarshalTruncationsOfValidMessage(t *testing.T) {
-	msg, err := Marshal(UpdateMsg{Round: 1, N: 5, Tau: 3, TrainLoss: 0.5,
-		Delta: []float64{1, 2, 3}, DeltaC: []float64{4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(msg); cut++ {
-		if _, err := Unmarshal(msg[:cut]); err == nil {
-			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(msg))
-		}
-	}
-}
-
 func TestStratifiedSamplingOverTransport(t *testing.T) {
 	// Four single-label parties (two per class) and SampleFraction 0.5:
 	// the stratified sampler clusters parties by label distribution and
@@ -367,8 +330,8 @@ func TestStratifiedSamplingOverTransport(t *testing.T) {
 }
 
 func TestTransportUpdatesToleratesSlowParty(t *testing.T) {
-	// With per-party receiver goroutines the server folds whatever prefix
-	// of the sampled order is ready; a straggling first party must not
+	// With per-party readers the server folds whatever prefix of the
+	// sampled order is ready; a straggling first party must not
 	// deadlock nor corrupt the fold. The pipes deliver replies in whatever
 	// order parties finish, which under concurrent training is already
 	// out of order — this just pins the round completing correctly.

@@ -1,0 +1,305 @@
+package simnet
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"github.com/niid-bench/niidbench/internal/fl"
+	"github.com/niid-bench/niidbench/internal/tensor"
+)
+
+// This file is the server's receive side: one updateReader per party conn
+// turns chunk frames into complete, validated update streams, and the
+// synchronous scheduler (recvRound) folds them in sampled order. The
+// asynchronous scheduler in async.go consumes the same reader in arrival
+// order.
+
+// frameCap resolves the configured chunk size against a stream of total
+// elements: the largest payload, in elements, one legitimate frame may
+// carry. A zero chunk size asks for one frame per vector, which the
+// stream length bounds.
+func frameCap(chunk, total int) int {
+	if chunk == 0 || chunk > total {
+		return total
+	}
+	return chunk
+}
+
+// recvLimitFor returns the per-frame receive bound for frames of at most
+// elems raw float64 elements (quantized payloads are smaller), plus header
+// slack.
+func recvLimitFor(elems int) uint32 {
+	const slack = 64
+	if sz := uint64(elems)*8 + slack; sz < maxMsg {
+		return uint32(sz)
+	}
+	return maxMsg
+}
+
+// stagedUpdate is what an updateReader makes of one party's stream: the
+// complete, validated update, or the classified failure. On success buf
+// is a pooled tensor holding the stream values [0, total); whoever
+// consumes the update returns it to the shared pool (Federation.release).
+type stagedUpdate struct {
+	// round is the round (sync) or generation (async) every frame of the
+	// stream carried.
+	round   int
+	buf     *tensor.Tensor
+	trailer fl.Update
+	// err is why the stream failed; fatal classifies it for the membership
+	// machine: true marks the party's own framing at fault (a protocol
+	// violation — permanent eviction), false is transport loss (conn death
+	// or a RoundTimeout expiry — the party may rejoin).
+	err   error
+	fatal bool
+}
+
+// updateReader reads one party's update streams off its conn. Every
+// frame is decoded in place into one pooled stream-length buffer — no
+// per-frame buffer, no copy — after its header passed the stream
+// contract, so server-side transient memory is one stream per reader that
+// is actually reading.
+type updateReader struct {
+	f        *Federation
+	id       int
+	conn     *CountingConn
+	meta     fl.UpdateMeta // the N/Tau every frame must repeat
+	total    int           // stream length in elements
+	maxFrame int           // largest legitimate frame payload in elements
+	// idleStart lifts RoundTimeout from a stream's first frame: an async
+	// party legitimately idles between generations for as long as the
+	// flush schedule takes, so only the gaps inside a stream are bounded.
+	// A synchronous round bounds the first gap too (it must cover the
+	// party's local training).
+	idleStart bool
+}
+
+func (f *Federation) newUpdateReader(id int, conn *CountingConn, meta fl.UpdateMeta, total int) *updateReader {
+	return &updateReader{
+		f: f, id: id, conn: conn, meta: meta, total: total,
+		maxFrame: frameCap(f.Cfg.ChunkSize, total),
+	}
+}
+
+// release returns a consumed update's stream buffer to the shared pool.
+func (f *Federation) release(st stagedUpdate) {
+	tensor.Shared.Put(st.buf)
+	f.streamsOut.Add(-1)
+}
+
+// read receives one complete stream. round pins the round every frame
+// must carry; a negative round adopts the first frame's (the async
+// generation tag). On success the caller owns the update's pooled buffer
+// and must release it; on failure (err set) it is already recycled.
+func (r *updateReader) read(round int) stagedUpdate {
+	buf := tensor.Shared.GetRaw(tensor.Float64, r.total)
+	r.f.streamsOut.Add(1)
+	data := buf.Data()[:r.total]
+	fail := func(fatal bool, err error) stagedUpdate {
+		tensor.Shared.Put(buf)
+		r.f.streamsOut.Add(-1)
+		return stagedUpdate{err: err, fatal: fatal}
+	}
+	var codec byte
+	for done := 0; ; {
+		if timeout := r.f.RoundTimeout; timeout > 0 {
+			var deadline time.Time
+			if done > 0 || !r.idleStart {
+				deadline = time.Now().Add(timeout)
+			}
+			_ = r.conn.SetReadDeadline(deadline)
+		}
+		raw, err := r.conn.Recv()
+		if err != nil {
+			return fail(false, fmt.Errorf("simnet: recv from party %d: %w", r.id, err))
+		}
+		m, p, err := parseUpdateChunk(raw)
+		if err != nil {
+			return fail(true, fmt.Errorf("simnet: bad frame from party %d: %w", r.id, err))
+		}
+		if done == 0 {
+			codec = m.Codec
+			if round < 0 {
+				round = m.Round
+			}
+		}
+		end := m.Offset + p.count
+		switch {
+		case m.Codec != codec:
+			// The wire codec is a stream-level property: a party that
+			// switches encodings mid-stream is framing garbage, exactly like
+			// a mid-stream header change.
+			err = fmt.Errorf("switched wire codec %s -> %s mid-stream", codecName(codec), codecName(m.Codec))
+		case m.Round != round:
+			err = fmt.Errorf("sent a frame for round %d in a stream for round %d", m.Round, round)
+		case m.Total != r.total:
+			err = fmt.Errorf("declared stream length %d, expected %d", m.Total, r.total)
+		case m.N != r.meta.N || m.Tau != r.meta.Tau:
+			// Checked on every frame — this is why the trailer metadata
+			// repeats — so a mismatched update is refused on its first
+			// frame, not after its whole stream was staged.
+			err = fmt.Errorf("frame meta (n=%d tau=%d) does not match expected (n=%d tau=%d)",
+				m.N, m.Tau, r.meta.N, r.meta.Tau)
+		case p.count > r.maxFrame:
+			// The negotiated frame size is the flow-control contract: the
+			// receive limit and the sender's pacing both assume it.
+			err = fmt.Errorf("sent a %d-element frame, frame size is %d", p.count, r.maxFrame)
+		case m.Offset != done:
+			err = fmt.Errorf("sent frame offset %d, expected %d", m.Offset, done)
+		case end > r.total:
+			err = fmt.Errorf("frame [%d,%d) overflows stream length %d", m.Offset, end, r.total)
+		case m.Last != (end == r.total):
+			err = fmt.Errorf("frame [%d,%d) of %d has inconsistent last marker", m.Offset, end, r.total)
+		case p.count == 0 && !m.Last:
+			// An honest stream never frames zero elements mid-stream;
+			// accepting one would let a party occupy its slot forever
+			// without progressing its offset.
+			err = fmt.Errorf("sent an empty non-final frame at offset %d", m.Offset)
+		}
+		if err == nil {
+			err = p.decodeInto(data[done:end])
+		}
+		if err != nil {
+			return fail(true, fmt.Errorf("simnet: party %d %w", r.id, err))
+		}
+		if done = end; m.Last {
+			return stagedUpdate{
+				round: round, buf: buf,
+				trailer: fl.Update{N: m.N, Tau: m.Tau, TrainLoss: m.TrainLoss},
+			}
+		}
+	}
+}
+
+// foldGate bounds how far past the fold cursor the synchronous readers
+// may run: reader j may receive its stream only once j < cursor + ahead,
+// so at most `ahead` complete streams are staged beyond the one being
+// folded — O(FoldAhead x stream) transient pool memory, no matter how
+// out-of-order the arrivals are. advance moves the cursor one slot
+// (folded, dropped, or dead — every slot counts); abort releases every
+// waiter when the round dies.
+type foldGate struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	cursor  int
+	ahead   int
+	aborted bool
+}
+
+func newFoldGate(ahead int) *foldGate {
+	g := &foldGate{ahead: ahead}
+	if g.ahead < 1 {
+		g.ahead = 1
+	}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+// waitTurn blocks until slot j is within the staging window (always
+// immediate for the cursor slot itself) and reports false when the round
+// aborted instead.
+func (g *foldGate) waitTurn(j int) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for j >= g.cursor+g.ahead && !g.aborted {
+		g.cond.Wait()
+	}
+	return !g.aborted
+}
+
+func (g *foldGate) advance() {
+	g.mu.Lock()
+	g.cursor++
+	g.mu.Unlock()
+	g.cond.Broadcast()
+}
+
+func (g *foldGate) abort() {
+	g.mu.Lock()
+	g.aborted = true
+	g.mu.Unlock()
+	g.cond.Broadcast()
+}
+
+var errRoundAborted = fmt.Errorf("simnet: round aborted")
+
+// recvRound is the synchronous scheduler: it receives the sampled
+// parties' update streams concurrently — each on its own updateReader,
+// admitted by the fold gate — and folds the complete streams in sampled
+// order. Every party's stream is validated and assembled the moment its
+// frames arrive (subject to the fold-ahead window), so one slow party
+// delays the fold by only its own stream; the fold itself stays in
+// sampled order over whole streams, so the aggregation's floating-point
+// sequence is deterministic for a given sample whatever the wire order
+// was. A party whose stream arrives malformed (or whose conn dies
+// mid-stream) is evicted and dropped from the round, not fatal to it.
+func (f *Federation) recvRound(round int, sampled []int, stateLen int, sink *fl.RoundSink) error {
+	staged := make([]chan stagedUpdate, len(sampled))
+	gate := newFoldGate(f.Cfg.FoldAhead)
+	total := sink.StreamLen()
+	for j, id := range sampled {
+		if f.down(id) {
+			continue // no reader; the fold drops this slot upfront
+		}
+		staged[j] = make(chan stagedUpdate, 1)
+		r := f.newUpdateReader(id, f.byParty[id], sink.Meta(j), total)
+		go func(j int) {
+			if !gate.waitTurn(j) {
+				staged[j] <- stagedUpdate{err: errRoundAborted}
+				return
+			}
+			staged[j] <- r.read(round)
+		}(j)
+	}
+	// fatal aborts the round: release every reader still waiting on the
+	// gate and recycle whatever the in-flight ones deliver, so no pooled
+	// buffer outlives the round. (A reader mid-Recv ends when serve's
+	// teardown closes its conn.)
+	fatal := func(from int, err error) error {
+		gate.abort()
+		for _, ch := range staged[from:] {
+			if ch == nil {
+				continue
+			}
+			go func() {
+				if st := <-ch; st.err == nil {
+					f.release(st)
+				}
+			}()
+		}
+		return err
+	}
+	for j, id := range sampled {
+		var st stagedUpdate
+		if f.down(id) {
+			st.err = fmt.Errorf("simnet: party %d left the federation in an earlier round", id)
+		} else if st = <-staged[j]; st.err != nil {
+			// The reader classified the failure; eviction stays on the round
+			// loop goroutine.
+			f.evict(id, st.fatal, st.err)
+		} else {
+			data := st.buf.Data()[:total]
+			err := sink.AddChunk(j, 0, data)
+			if err == nil {
+				err = sink.FinishUpdate(j, st.trailer)
+			}
+			if err == nil {
+				f.applyControlDelta(id, data[stateLen:])
+			}
+			f.release(st)
+			if st.err = err; err != nil {
+				// The aggregation refused a well-framed update: the party's
+				// fault, permanently.
+				f.evict(id, true, err)
+			}
+		}
+		if st.err != nil {
+			if err := sink.Drop(j, st.err); err != nil {
+				return fatal(j+1, err)
+			}
+		}
+		gate.advance()
+	}
+	return nil
+}

@@ -33,9 +33,9 @@ go test -run '^$' \
 go test -run '^$' \
   -bench 'BenchmarkRoundCheckpoint' \
   -benchtime "${ROUNDBENCHTIME:-1s}" ./internal/fl/ | tee -a "$TMP"
-# Peak-memory scaling of the wire protocol: whole-message vs chunked
-# framing as in-flight parties grow, swept over chunk-size x frame-window
-# (reports peak-live-B, including the downlink broadcast's share).
+# Peak-memory scaling of the wire protocol as in-flight parties grow,
+# swept over the frame size (whole = one frame per vector; reports
+# peak-live-B, including the downlink broadcast's share).
 go test -run '^$' \
   -bench 'BenchmarkRoundPeakMemory' \
   -benchtime "${ROUNDBENCHTIME:-1s}" ./internal/simnet/ | tee -a "$TMP"
