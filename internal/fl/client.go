@@ -388,7 +388,7 @@ func (c *Client) trainStream(global []float64, serverC []float64, wait func(int)
 			logits := c.model.Forward(c.Spec.ShapeBatch(x), true)
 			var l float64
 			l, c.lossGrad = loss.LossInto(c.lossGrad, logits, c.yBuf)
-			c.model.Backward(c.lossGrad)
+			c.model.BackwardParams(c.lossGrad)
 			if cfg.DPClip > 0 {
 				dpSanitize(c.model, cfg.DPClip, cfg.DPNoise, end-start, c.r)
 			}
@@ -473,7 +473,7 @@ func (c *Client) updateControlVariate(global, state, serverC []float64, tau int,
 			c.model.ZeroGrads()
 			logits := c.model.Forward(c.Spec.ShapeBatch(x), true)
 			_, c.lossGrad = loss.LossInto(c.lossGrad, logits, c.yBuf)
-			c.model.Backward(c.lossGrad)
+			c.model.BackwardParams(c.lossGrad)
 			c.model.GetGrads(tmp)
 			w := float64(end-start) / float64(n)
 			for i := range gsum {

@@ -49,7 +49,7 @@ func (c *Client) localTrainMoon(global []float64, cfg Config, opt *optim.SGD, ws
 	var lastEpochLoss float64
 	loss := nn.SoftmaxCrossEntropy{}
 	head := c.model.Layers[len(c.model.Layers)-1]
-	body := c.model.Layers[:len(c.model.Layers)-1]
+	body := nn.NewSequential(c.model.Layers[:len(c.model.Layers)-1]...)
 	bs := cfg.BatchSize
 	if bs > n {
 		bs = n
@@ -72,11 +72,7 @@ func (c *Client) localTrainMoon(global []float64, cfg Config, opt *optim.SGD, ws
 
 			c.model.ZeroGrads()
 			// Forward through the body to the representation, then the head.
-			h := shaped
-			for _, l := range body {
-				h = l.Forward(h, true)
-			}
-			z := h
+			z := body.Forward(shaped, true)
 			logits := head.Forward(z, true)
 			var ceLoss float64
 			ceLoss, c.lossGrad = loss.LossInto(c.lossGrad, logits, c.yBuf)
@@ -93,10 +89,7 @@ func (c *Client) localTrainMoon(global []float64, cfg Config, opt *optim.SGD, ws
 			gz := head.Backward(c.lossGrad)
 			scale := cfg.MoonMu / float64(end-start)
 			gz.AddScaled(scale, dz)
-			g := gz
-			for i := len(body) - 1; i >= 0; i-- {
-				g = body[i].Backward(g)
-			}
+			body.BackwardParams(gz)
 			if cfg.DPClip > 0 {
 				dpSanitize(c.model, cfg.DPClip, cfg.DPNoise, end-start, c.r)
 			}

@@ -14,7 +14,8 @@ import (
 // matrix. All intermediates live in per-layer scratch buffers that are
 // reused across Forward/Backward calls, so steady-state training does not
 // allocate. The layer's dtype (chosen at construction) selects the kernel
-// set: Float32 runs the packed-panel SGEMM and the float32 im2col/col2im.
+// set: the packed-panel GEMM driver's float32 or float64 microkernels and
+// the matching im2col/col2im.
 type Conv2D struct {
 	InC, OutC     int
 	KH, KW        int
@@ -80,6 +81,17 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward accumulates weight/bias gradients and returns the input
 // gradient (layer-owned scratch, valid until the next Backward call).
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	c.backwardParams(grad)
+	// dcols = gcols @ Wᵀ, then scatter back to image shape.
+	c.dcols = tensor.EnsureOf(c.dt, c.dcols, c.gcols.Dim(0), c.W.Data.Dim(0))
+	c.cmp.MatMulTransBInto(c.dcols, c.gcols, c.W.Data)
+	c.dx = tensor.EnsureOf(c.dt, c.dx, c.inB, c.InC, c.inH, c.inW)
+	return c.cmp.Col2ImInto(c.dx, c.dcols, c.KH, c.KW, c.Stride, c.Pad)
+}
+
+// backwardParams is the parameter half of Backward: dW and db only. It
+// leaves the output gradient in rows layout in c.gcols for the input half.
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	rows := c.inB * c.outH * c.outW
 	c.gcols = tensor.EnsureOf(c.dt, c.gcols, rows, c.OutC) // (B*oh*ow, outC)
 	nchwToRowsInto(c.gcols, grad)
@@ -89,11 +101,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.AddInto(c.W.Grad, c.W.Grad, c.dw)
 	// db += column sums
 	c.gcols.ColSumsInto(c.B.Grad)
-	// dcols = gcols @ Wᵀ, then scatter back to image shape.
-	c.dcols = tensor.EnsureOf(c.dt, c.dcols, rows, c.W.Data.Dim(0))
-	c.cmp.MatMulTransBInto(c.dcols, c.gcols, c.W.Data)
-	c.dx = tensor.EnsureOf(c.dt, c.dx, c.inB, c.InC, c.inH, c.inW)
-	return c.cmp.Col2ImInto(c.dx, c.dcols, c.KH, c.KW, c.Stride, c.Pad)
 }
 
 // Params returns the kernel and bias.

@@ -64,16 +64,21 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates dW, db and returns dx.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(grad)
+	// dx = g Wᵀ
+	d.dx = tensor.EnsureOf(d.dt, d.dx, grad.Dim(0), d.W.Data.Dim(0))
+	d.cmp.MatMulTransBInto(d.dx, grad, d.W.Data)
+	return d.dx
+}
+
+// backwardParams is the parameter half of Backward: dW and db only.
+func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	// dW += xᵀ g
 	d.dw = tensor.EnsureOf(d.dt, d.dw, d.W.Data.Dim(0), d.W.Data.Dim(1))
 	d.cmp.MatMulTransAInto(d.dw, d.in, grad)
 	tensor.AddInto(d.W.Grad, d.W.Grad, d.dw)
 	// db += column sums of g
 	grad.ColSumsInto(d.B.Grad)
-	// dx = g Wᵀ
-	d.dx = tensor.EnsureOf(d.dt, d.dx, grad.Dim(0), d.W.Data.Dim(0))
-	d.cmp.MatMulTransBInto(d.dx, grad, d.W.Data)
-	return d.dx
 }
 
 // Params returns the weight and bias.

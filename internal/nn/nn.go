@@ -279,6 +279,33 @@ func (m *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// paramBackwarder is implemented by layers (Dense, Conv2D) whose Backward
+// splits into "accumulate dW, db" and "form dx": backwardParams is the
+// first half alone, with parameter gradients bitwise those of Backward.
+type paramBackwarder interface {
+	backwardParams(grad *tensor.Tensor)
+}
+
+// BackwardParams is Backward for callers that discard the returned input
+// gradient — every training loop, since nothing sits below the first
+// layer. It accumulates exactly the parameter gradients Backward would,
+// but never forms the first layer's input gradient (a GEMM against Wᵀ
+// plus, for a convolution, a col2im) nor allocates its scratch. A first
+// layer that cannot split falls back to Backward.
+func (m *Sequential) BackwardParams(grad *tensor.Tensor) {
+	if len(m.Layers) == 0 {
+		return
+	}
+	for i := len(m.Layers) - 1; i >= 1; i-- {
+		grad = m.Layers[i].Backward(grad)
+	}
+	if pb, ok := m.Layers[0].(paramBackwarder); ok {
+		pb.backwardParams(grad)
+	} else {
+		m.Layers[0].Backward(grad)
+	}
+}
+
 // Params returns every learnable parameter in layer order. The returned
 // slice is cached and must not be modified.
 func (m *Sequential) Params() []*Param {

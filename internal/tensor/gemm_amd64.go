@@ -1,15 +1,36 @@
 package tensor
 
 // x86HasAVX2FMA reports whether the CPU and OS support the AVX2+FMA
-// microkernel. Implemented in gemm_amd64.s.
+// microkernels. Implemented in gemm_amd64.s.
 func x86HasAVX2FMA() bool
 
-// fmaTile4x4 accumulates a 4x4 dst tile over the shared GEMM dimension;
-// see gemm_amd64.s for the exact contract. All strides are in elements.
-//
-//go:noescape
-func fmaTile4x4(d *float64, ldd uintptr, a0, a1, a2, a3 *float64, sa uintptr, b *float64, ldb uintptr, k uintptr)
+// The microkernels, instantiated in gemm_amd64.s from the one body in
+// gemm_kernels_amd64.h: full tile (accumulate), full tile (store) and
+// narrow tile for each dtype. kb must be >= 1; sa and ldd are in elements.
 
-// useFMA gates the assembly microkernel. Tests flip it to exercise both
-// code paths on the same machine.
+//go:noescape
+func sgemm4x16s(a0, a1, a2, a3 *float32, sa uintptr, b *float32, kb uintptr, d *float32, ldd uintptr)
+
+//go:noescape
+func sgemm4x16st(a0, a1, a2, a3 *float32, sa uintptr, b *float32, kb uintptr, d *float32, ldd uintptr)
+
+//go:noescape
+func sgemm4x8s(a0, a1, a2, a3 *float32, sa uintptr, b *float32, kb uintptr, d *float32, ldd uintptr)
+
+//go:noescape
+func dgemm4x8s(a0, a1, a2, a3 *float64, sa uintptr, b *float64, kb uintptr, d *float64, ldd uintptr)
+
+//go:noescape
+func dgemm4x8st(a0, a1, a2, a3 *float64, sa uintptr, b *float64, kb uintptr, d *float64, ldd uintptr)
+
+//go:noescape
+func dgemm4x4s(a0, a1, a2, a3 *float64, sa uintptr, b *float64, kb uintptr, d *float64, ldd uintptr)
+
+// useFMA gates the assembly microkernels of both dtypes. Tests flip it to
+// exercise both kernel paths on the same machine.
 var useFMA = x86HasAVX2FMA()
+
+var (
+	asmKernels32 = [3]asmTile[float32]{tileFull: sgemm4x16s, tileStore: sgemm4x16st, tileNarrow: sgemm4x8s}
+	asmKernels64 = [3]asmTile[float64]{tileFull: dgemm4x8s, tileStore: dgemm4x8st, tileNarrow: dgemm4x4s}
+)

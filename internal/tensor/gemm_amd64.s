@@ -1,6 +1,8 @@
-// AVX2+FMA microkernel for the GEMM hot loops. Only used when the CPU
-// reports AVX2, FMA and OS ymm-state support (see x86HasAVX2FMA); the
-// pure-Go tile kernels in matmul.go remain the portable fallback.
+// AVX2+FMA microkernels of the packed-panel GEMM driver (gemm.go). Only
+// used when the CPU reports AVX2, FMA and OS ymm-state support (see
+// x86HasAVX2FMA); the pure-Go tile kernel in gemm.go is the portable
+// fallback. The kernel bodies live once in gemm_kernels_amd64.h and are
+// instantiated below for each element type.
 
 #include "textflag.h"
 
@@ -44,114 +46,36 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func fmaTile4x4(d *float64, ldd uintptr, a0, a1, a2, a3 *float64, sa uintptr, b *float64, ldb uintptr, k uintptr)
-//
-// Computes, for r in 0..3 and c in 0..3:
-//
-//	d[r*ldd + c] += sum over p of a_r[p*sa] * b[p*ldb + c]
-//
-// i.e. a 4x4 dst tile accumulating over the shared dimension, with the
-// four a streams read at stride sa (1 for plain GEMM rows, m for the
-// transposed-A weight-gradient kernel) and b rows read as 4-wide vectors
-// at stride ldb. p is unrolled by two with separate accumulator sets so
-// the FMA latency chains overlap.
-TEXT ·fmaTile4x4(SB), NOSPLIT, $0-80
-	MOVQ d+0(FP), DI
-	MOVQ ldd+8(FP), DX
-	MOVQ a0+16(FP), R8
-	MOVQ a1+24(FP), R9
-	MOVQ a2+32(FP), R10
-	MOVQ a3+40(FP), R11
-	MOVQ sa+48(FP), R13
-	MOVQ b+56(FP), R12
-	MOVQ ldb+64(FP), R14
-	MOVQ k+72(FP), CX
-	SHLQ $3, DX  // row strides in bytes
-	SHLQ $3, R13
-	SHLQ $3, R14
+// float32: 8 lanes per ymm, so the full tile is 4x16 and the narrow 4x8.
+#define ESHIFT  2
+#define VMOVU   VMOVUPS
+#define VBCAST  VBROADCASTSS
+#define VFMA    VFMADD231PS
+#define VADD    VADDPS
+#define VXOR    VXORPS
+#define KFULL   ·sgemm4x16s
+#define KSTORE  ·sgemm4x16st
+#define KNARROW ·sgemm4x8s
+#include "gemm_kernels_amd64.h"
 
-	VXORPD Y0, Y0, Y0 // even-p accumulators
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y6, Y6, Y6 // odd-p accumulators
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
+#undef ESHIFT
+#undef VMOVU
+#undef VBCAST
+#undef VFMA
+#undef VADD
+#undef VXOR
+#undef KFULL
+#undef KSTORE
+#undef KNARROW
 
-	CMPQ CX, $2
-	JLT  tail
-
-pair:
-	// even p
-	VMOVUPD     (R12), Y5
-	VBROADCASTSD (R8), Y4
-	VFMADD231PD Y5, Y4, Y0
-	VBROADCASTSD (R9), Y4
-	VFMADD231PD Y5, Y4, Y1
-	VBROADCASTSD (R10), Y4
-	VFMADD231PD Y5, Y4, Y2
-	VBROADCASTSD (R11), Y4
-	VFMADD231PD Y5, Y4, Y3
-	ADDQ R14, R12
-	ADDQ R13, R8
-	ADDQ R13, R9
-	ADDQ R13, R10
-	ADDQ R13, R11
-
-	// odd p
-	VMOVUPD     (R12), Y5
-	VBROADCASTSD (R8), Y4
-	VFMADD231PD Y5, Y4, Y6
-	VBROADCASTSD (R9), Y4
-	VFMADD231PD Y5, Y4, Y7
-	VBROADCASTSD (R10), Y4
-	VFMADD231PD Y5, Y4, Y8
-	VBROADCASTSD (R11), Y4
-	VFMADD231PD Y5, Y4, Y9
-	ADDQ R14, R12
-	ADDQ R13, R8
-	ADDQ R13, R9
-	ADDQ R13, R10
-	ADDQ R13, R11
-
-	SUBQ $2, CX
-	CMPQ CX, $2
-	JGE  pair
-
-tail:
-	TESTQ CX, CX
-	JZ    done
-	VMOVUPD     (R12), Y5
-	VBROADCASTSD (R8), Y4
-	VFMADD231PD Y5, Y4, Y0
-	VBROADCASTSD (R9), Y4
-	VFMADD231PD Y5, Y4, Y1
-	VBROADCASTSD (R10), Y4
-	VFMADD231PD Y5, Y4, Y2
-	VBROADCASTSD (R11), Y4
-	VFMADD231PD Y5, Y4, Y3
-
-done:
-	// fold odd into even and accumulate into dst
-	VADDPD  Y6, Y0, Y0
-	VADDPD  Y7, Y1, Y1
-	VADDPD  Y8, Y2, Y2
-	VADDPD  Y9, Y3, Y3
-	VMOVUPD (DI), Y5
-	VADDPD  Y5, Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    DX, DI
-	VMOVUPD (DI), Y5
-	VADDPD  Y5, Y1, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ    DX, DI
-	VMOVUPD (DI), Y5
-	VADDPD  Y5, Y2, Y2
-	VMOVUPD Y2, (DI)
-	ADDQ    DX, DI
-	VMOVUPD (DI), Y5
-	VADDPD  Y5, Y3, Y3
-	VMOVUPD Y3, (DI)
-	VZEROUPPER
-	RET
+// float64: 4 lanes per ymm, so the full tile is 4x8 and the narrow 4x4.
+#define ESHIFT  3
+#define VMOVU   VMOVUPD
+#define VBCAST  VBROADCASTSD
+#define VFMA    VFMADD231PD
+#define VADD    VADDPD
+#define VXOR    VXORPD
+#define KFULL   ·dgemm4x8s
+#define KSTORE  ·dgemm4x8st
+#define KNARROW ·dgemm4x4s
+#include "gemm_kernels_amd64.h"

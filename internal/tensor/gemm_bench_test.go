@@ -6,116 +6,58 @@ import (
 )
 
 // benchFill writes a deterministic non-trivial pattern so the kernels see
-// realistic (dense, non-zero) operands.
+// realistic (dense, non-zero) operands, whatever the dtype.
 func benchFill(t *Tensor, seed int) {
-	d := t.Data()
-	for i := range d {
-		d[i] = float64((i*7+seed*13)%23)/11 - 1
+	for i := 0; i < t.Len(); i++ {
+		v := float64((i*7+seed*13)%23)/11 - 1
+		if t.dt == Float32 {
+			t.data32[i] = float32(v)
+		} else {
+			t.data[i] = v
+		}
 	}
 }
 
+// gemmSizes are products dst(m,n) = op(a)(m,k) @ op(b)(k,n). Besides the
+// square sizes they hold the shapes the zoo models actually run, which
+// are all edge tiles: n=6 leaves a third of an f64 panel empty, and 13
+// rows leave one row over the 4-row tile.
 var gemmSizes = []struct{ m, k, n int }{
 	{64, 64, 64},
-	{256, 64, 150}, // conv-shaped: (B*oh*ow, inC*kh*kw) @ (inC*kh*kw, outC)
+	{256, 64, 150},
 	{256, 256, 256},
+	{4608, 75, 6},  // CNN conv-1: (B*oh*ow, inC*kh*kw) @ (inC*kh*kw, outC), batch 32
+	{128, 150, 16}, // CNN conv-2
+	{12, 8192, 32}, // wide MLP first layer, 12-row batch
+	{13, 8192, 32}, // ... and one row past the tile height
 }
 
-func BenchmarkMatMul(b *testing.B) {
+// benchGEMM times one GEMM variant over gemmSizes: ta/tb select which
+// operand is stored transposed.
+func benchGEMM(b *testing.B, dt DType, ta, tb bool, run func(dst, a, bb *Tensor)) {
 	for _, s := range gemmSizes {
 		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
-			a, bb, dst := New(s.m, s.k), New(s.k, s.n), New(s.m, s.n)
+			a, bb, dst := NewOf(dt, s.m, s.k), NewOf(dt, s.k, s.n), NewOf(dt, s.m, s.n)
+			if ta {
+				a = NewOf(dt, s.k, s.m)
+			}
+			if tb {
+				bb = NewOf(dt, s.n, s.k)
+			}
 			benchFill(a, 1)
 			benchFill(bb, 2)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulInto(dst, a, bb)
+				run(dst, a, bb)
 			}
 		})
 	}
 }
 
-func BenchmarkMatMulTransA(b *testing.B) {
-	for _, s := range gemmSizes {
-		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
-			// a is (k,m) so dst = aT @ b is (m,n).
-			a, bb, dst := New(s.k, s.m), New(s.k, s.n), New(s.m, s.n)
-			benchFill(a, 3)
-			benchFill(bb, 4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulTransAInto(dst, a, bb)
-			}
-		})
-	}
-}
-
-// benchFill32 is benchFill for the float32 backend.
-func benchFill32(t *Tensor, seed int) {
-	d := t.Data32()
-	for i := range d {
-		d[i] = float32((i*7+seed*13)%23)/11 - 1
-	}
-}
-
-func BenchmarkMatMul32(b *testing.B) {
-	for _, s := range gemmSizes {
-		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
-			a, bb, dst := NewOf(Float32, s.m, s.k), NewOf(Float32, s.k, s.n), NewOf(Float32, s.m, s.n)
-			benchFill32(a, 1)
-			benchFill32(bb, 2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulInto(dst, a, bb)
-			}
-		})
-	}
-}
-
-func BenchmarkMatMulTransA32(b *testing.B) {
-	for _, s := range gemmSizes {
-		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
-			a, bb, dst := NewOf(Float32, s.k, s.m), NewOf(Float32, s.k, s.n), NewOf(Float32, s.m, s.n)
-			benchFill32(a, 3)
-			benchFill32(bb, 4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulTransAInto(dst, a, bb)
-			}
-		})
-	}
-}
-
-func BenchmarkMatMulTransB32(b *testing.B) {
-	for _, s := range gemmSizes {
-		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
-			a, bb, dst := NewOf(Float32, s.m, s.k), NewOf(Float32, s.n, s.k), NewOf(Float32, s.m, s.n)
-			benchFill32(a, 5)
-			benchFill32(bb, 6)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulTransBInto(dst, a, bb)
-			}
-		})
-	}
-}
-
-func BenchmarkMatMulTransB(b *testing.B) {
-	for _, s := range gemmSizes {
-		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
-			// b is (n,k) so dst = a @ bT is (m,n).
-			a, bb, dst := New(s.m, s.k), New(s.n, s.k), New(s.m, s.n)
-			benchFill(a, 5)
-			benchFill(bb, 6)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulTransBInto(dst, a, bb)
-			}
-		})
-	}
-}
+func BenchmarkMatMul(b *testing.B)         { benchGEMM(b, Float64, false, false, MatMulInto) }
+func BenchmarkMatMulTransA(b *testing.B)   { benchGEMM(b, Float64, true, false, MatMulTransAInto) }
+func BenchmarkMatMulTransB(b *testing.B)   { benchGEMM(b, Float64, false, true, MatMulTransBInto) }
+func BenchmarkMatMul32(b *testing.B)       { benchGEMM(b, Float32, false, false, MatMulInto) }
+func BenchmarkMatMulTransA32(b *testing.B) { benchGEMM(b, Float32, true, false, MatMulTransAInto) }
+func BenchmarkMatMulTransB32(b *testing.B) { benchGEMM(b, Float32, false, true, MatMulTransBInto) }

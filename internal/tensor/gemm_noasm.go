@@ -2,12 +2,13 @@
 
 package tensor
 
-// useFMA is always false without the amd64 microkernel; the pure-Go tile
-// kernels in matmul.go handle everything. (A var, not a const, so shared
-// test code that saves/restores it compiles on every architecture.)
+// useFMA is always false without the amd64 microkernels: the pure-Go tile
+// kernel in gemm.go handles everything and the assembly slots stay nil.
+// (A var, not a const, so shared test code that saves/restores it compiles
+// on every architecture.)
 var useFMA = false
 
-// fmaTile4x4 is never called when useFMA is false.
-func fmaTile4x4(d *float64, ldd uintptr, a0, a1, a2, a3 *float64, sa uintptr, b *float64, ldb uintptr, k uintptr) {
-	panic("tensor: fmaTile4x4 without assembly support")
-}
+var (
+	asmKernels32 [3]asmTile[float32]
+	asmKernels64 [3]asmTile[float64]
+)

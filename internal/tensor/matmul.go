@@ -1,13 +1,44 @@
 package tensor
 
-import (
-	"fmt"
-)
+import "fmt"
 
-// parallelThreshold is the number of output elements above which the GEMM
-// kernels and the im2col/col2im transforms fan out across goroutines.
-// Small problems are faster single-threaded.
-const parallelThreshold = 64 * 1024
+// The three GEMM entry points are shape checks plus one call into the
+// packed-panel driver (gemm.go) with the strides that describe op(A) and
+// op(B); the dtype picks the kernelSet.
+
+// gemmDims validates a rank-2 product dst(m,n) = op(a)(m,k) @ op(b)(k,n)
+// and returns (m, n, k). ta/tb say which operands are stored transposed.
+func gemmDims(op string, dst, a, b *Tensor, ta, tb bool) (m, n, k int) {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
+		panic("tensor: " + op + " requires 2-D tensors")
+	}
+	m, k = a.shape[0], a.shape[1]
+	if ta {
+		m, k = k, m
+	}
+	k2, n := b.shape[0], b.shape[1]
+	if tb {
+		k2, n = n, k2
+	}
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: %s inner dims %d vs %d", op, k, k2))
+	}
+	if dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: %s dst shape %v, want [%d %d]", op, dst.shape, m, n))
+	}
+	assertSameDType(op, a, b)
+	assertSameDType(op, a, dst)
+	return m, n, k
+}
+
+// matmul runs the driver on the operands' dtype.
+func (c Compute) matmul(dst, a, b *Tensor, m, n, k, ars, acs, brs, bcs int) {
+	if a.dt == Float32 {
+		gemm(&kernels32, c.workers(), dst.data32, a.data32, b.data32, m, n, k, ars, acs, brs, bcs)
+		return
+	}
+	gemm(&kernels64, c.workers(), dst.data, a.data, b.data, m, n, k, ars, acs, brs, bcs)
+}
 
 // MatMulInto computes dst = a @ b for 2-D tensors under the deprecated
 // global parallelism knob; prefer the Compute method.
@@ -17,173 +48,8 @@ func MatMulInto(dst, a, b *Tensor) { legacyCompute().MatMulInto(dst, a, b) }
 // dst must be (m,n) and must not alias a or b. The goroutine fan-out is
 // bounded by the receiver's budget.
 func (c Compute) MatMulInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: MatMul requires 2-D tensors")
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMul dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	assertSameDType("matmul", a, b)
-	assertSameDType("matmul", a, dst)
-	if a.dt == Float32 {
-		c.matMul32Into(dst, a, b)
-		return
-	}
-	dst.Zero()
-	if w := c.workers(); m*n >= parallelThreshold && m > 4 && w > 1 {
-		parallelRows(w, m, func(r0, r1 int) { matMulRows(dst, a, b, r0, r1, k, n) })
-		return
-	}
-	matMulRows(dst, a, b, 0, m, k, n)
-}
-
-// fmaBlockM is the dst-row cache block of the assembly GEMM driver: a
-// block of a rows stays L2-resident while the b panels stream through L1.
-const fmaBlockM = 64
-
-// gemmFMARows computes dst rows [r0, r1) += op(a) @ b using the AVX2+FMA
-// 4x4 tile microkernel, where op(a)'s row i element p lives at
-// ad[i*rowStride + p*sa] — (rowStride=k, sa=1) for plain a, (rowStride=1,
-// sa=m) for transposed a. Loops are cache-blocked over k (blockK) and dst
-// rows (fmaBlockM); remainder rows/columns use scalar full-k loops.
-func gemmFMARows(dd, ad, bd []float64, r0, r1, k, n, rowStride, sa int) {
-	n4 := n &^ 3
-	i4 := r0 + (r1-r0)&^3
-	for p0 := 0; p0 < k; p0 += blockK {
-		kb := blockK
-		if p0+kb > k {
-			kb = k - p0
-		}
-		for ib := r0; ib < i4; ib += fmaBlockM {
-			ie := ib + fmaBlockM
-			if ie > i4 {
-				ie = i4
-			}
-			for j := 0; j < n4; j += 4 {
-				bp := &bd[p0*n+j]
-				for i := ib; i+3 < ie; i += 4 {
-					base := i*rowStride + p0*sa
-					fmaTile4x4(&dd[i*n+j], uintptr(n),
-						&ad[base], &ad[base+rowStride], &ad[base+2*rowStride], &ad[base+3*rowStride],
-						uintptr(sa), bp, uintptr(n), uintptr(kb))
-				}
-			}
-		}
-	}
-	if n4 < n {
-		for i := r0; i < i4; i++ {
-			for j := n4; j < n; j++ {
-				var s float64
-				ap, bp := i*rowStride, j
-				for p := 0; p < k; p++ {
-					s += ad[ap] * bd[bp]
-					ap += sa
-					bp += n
-				}
-				dd[i*n+j] += s
-			}
-		}
-	}
-	for i := i4; i < r1; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			ap, bp := i*rowStride, j
-			for p := 0; p < k; p++ {
-				s += ad[ap] * bd[bp]
-				ap += sa
-				bp += n
-			}
-			dd[i*n+j] += s
-		}
-	}
-}
-
-// matMulRows computes rows [r0, r1) of dst with a 4x2 register tile: four
-// rows of a against two columns of b accumulate into eight scalars, so dst
-// is touched once per tile and the eight independent chains keep the FPU
-// pipeline full. Remainder rows/columns fall back to scalar loops. When
-// the CPU supports it, the AVX2+FMA microkernel takes over instead.
-func matMulRows(dst, a, b *Tensor, r0, r1, k, n int) {
-	ad, bd, dd := a.data, b.data, dst.data
-	if useFMA && n >= 4 {
-		gemmFMARows(dd, ad, bd, r0, r1, k, n, k, 1)
-		return
-	}
-	i := r0
-	for ; i+3 < r1; i += 4 {
-		a0 := ad[i*k : (i+1)*k]
-		a1 := ad[(i+1)*k : (i+2)*k]
-		a2 := ad[(i+2)*k : (i+3)*k]
-		a3 := ad[(i+3)*k : (i+4)*k]
-		a1 = a1[:len(a0)]
-		a2 = a2[:len(a0)]
-		a3 = a3[:len(a0)]
-		d0 := dd[i*n : (i+1)*n]
-		d1 := dd[(i+1)*n : (i+2)*n]
-		d2 := dd[(i+2)*n : (i+3)*n]
-		d3 := dd[(i+3)*n : (i+4)*n]
-		j := 0
-		for ; j+1 < n; j += 2 {
-			var s00, s01, s10, s11, s20, s21, s30, s31 float64
-			pn := j
-			for p, v0 := range a0 {
-				b0, b1 := bd[pn], bd[pn+1]
-				pn += n
-				v1, v2, v3 := a1[p], a2[p], a3[p]
-				s00 += v0 * b0
-				s01 += v0 * b1
-				s10 += v1 * b0
-				s11 += v1 * b1
-				s20 += v2 * b0
-				s21 += v2 * b1
-				s30 += v3 * b0
-				s31 += v3 * b1
-			}
-			d0[j] += s00
-			d0[j+1] += s01
-			d1[j] += s10
-			d1[j+1] += s11
-			d2[j] += s20
-			d2[j+1] += s21
-			d3[j] += s30
-			d3[j+1] += s31
-		}
-		if j < n {
-			var s0, s1, s2, s3 float64
-			pn := j
-			for p, v0 := range a0 {
-				bv := bd[pn]
-				pn += n
-				s0 += v0 * bv
-				s1 += a1[p] * bv
-				s2 += a2[p] * bv
-				s3 += a3[p] * bv
-			}
-			d0[j] += s0
-			d1[j] += s1
-			d2[j] += s2
-			d3[j] += s3
-		}
-	}
-	for ; i < r1; i++ {
-		ai := ad[i*k : (i+1)*k]
-		di := dd[i*n : (i+1)*n]
-		for p, v := range ai {
-			if v == 0 {
-				continue
-			}
-			bp := bd[p*n : (p+1)*n]
-			bp = bp[:len(di)]
-			for j, bv := range bp {
-				di[j] += v * bv
-			}
-		}
-	}
+	m, n, k := gemmDims("MatMul", dst, a, b, false, false)
+	c.matmul(dst, a, b, m, n, k, k, 1, n, 1)
 }
 
 // MatMul returns a @ b for 2-D tensors (same dtype as a).
@@ -200,83 +66,8 @@ func MatMulTransAInto(dst, a, b *Tensor) { legacyCompute().MatMulTransAInto(dst,
 // MatMulTransAInto computes dst = aᵀ @ b where a is (k,m), b is (k,n) and
 // dst is (m,n). Used for weight gradients without materializing aᵀ.
 func (c Compute) MatMulTransAInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: MatMulTransA requires 2-D tensors")
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dims %d vs %d", k, k2))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransA dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	assertSameDType("matmultransa", a, b)
-	assertSameDType("matmultransa", a, dst)
-	if a.dt == Float32 {
-		c.matMulTransA32Into(dst, a, b)
-		return
-	}
-	dst.Zero()
-	if w := c.workers(); m*n >= parallelThreshold && m > 1 && w > 1 {
-		parallelRows(w, m, func(r0, r1 int) { matMulTransARows(dst, a, b, r0, r1, k, m, n) })
-		return
-	}
-	matMulTransARows(dst, a, b, 0, m, k, m, n)
-}
-
-// blockK is the k-dimension tile for the transposed-A kernel: panels of
-// blockK rows of b are reused across all dst rows while cache-hot.
-const blockK = 256
-
-// matMulTransARows computes dst rows [i0, i1), i.e. columns i0..i1 of a.
-// It is k-blocked and accumulates 4 rank-1 updates per pass over a dst
-// row, so each dst row is read and written once per 4 b rows and the b
-// panel stays cache-resident across the i loop.
-func matMulTransARows(dst, a, b *Tensor, i0, i1, k, m, n int) {
-	ad, bd, dd := a.data, b.data, dst.data
-	if useFMA && n >= 4 {
-		gemmFMARows(dd, ad, bd, i0, i1, k, n, 1, m)
-		return
-	}
-	for p0 := 0; p0 < k; p0 += blockK {
-		p1 := p0 + blockK
-		if p1 > k {
-			p1 = k
-		}
-		for i := i0; i < i1; i++ {
-			di := dd[i*n : (i+1)*n]
-			p := p0
-			for ; p+3 < p1; p += 4 {
-				v0 := ad[p*m+i]
-				v1 := ad[(p+1)*m+i]
-				v2 := ad[(p+2)*m+i]
-				v3 := ad[(p+3)*m+i]
-				b0 := bd[p*n : (p+1)*n]
-				b1 := bd[(p+1)*n : (p+2)*n]
-				b2 := bd[(p+2)*n : (p+3)*n]
-				b3 := bd[(p+3)*n : (p+4)*n]
-				b0 = b0[:len(di)]
-				b1 = b1[:len(di)]
-				b2 = b2[:len(di)]
-				b3 = b3[:len(di)]
-				for j := range di {
-					di[j] += v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
-				}
-			}
-			for ; p < p1; p++ {
-				v := ad[p*m+i]
-				if v == 0 {
-					continue
-				}
-				bp := bd[p*n : (p+1)*n]
-				bp = bp[:len(di)]
-				for j, bv := range bp {
-					di[j] += v * bv
-				}
-			}
-		}
-	}
+	m, n, k := gemmDims("MatMulTransA", dst, a, b, true, false)
+	c.matmul(dst, a, b, m, n, k, 1, m, n, 1)
 }
 
 // MatMulTransBInto computes dst = a @ bᵀ under the deprecated global
@@ -286,77 +77,8 @@ func MatMulTransBInto(dst, a, b *Tensor) { legacyCompute().MatMulTransBInto(dst,
 // MatMulTransBInto computes dst = a @ bᵀ where a is (m,k), b is (n,k) and
 // dst is (m,n). Used for input gradients without materializing bᵀ.
 func (c Compute) MatMulTransBInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: MatMulTransB requires 2-D tensors")
-	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d vs %d", k, k2))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransB dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	assertSameDType("matmultransb", a, b)
-	assertSameDType("matmultransb", a, dst)
-	if a.dt == Float32 {
-		c.matMulTransB32Into(dst, a, b)
-		return
-	}
-	if useFMA && n >= 4 && m >= 8 {
-		// Materializing bᵀ through the shared pool costs k*n copies —
-		// negligible against the m*k*n multiply — and unlocks the 4x4
-		// FMA tile, which needs unit-stride b rows.
-		bt := Shared.getNoZero(Float64, k, n)
-		TransposeInto(bt, b)
-		c.MatMulInto(dst, a, bt)
-		Shared.Put(bt)
-		return
-	}
-	if w := c.workers(); m*n >= parallelThreshold && m > 1 && w > 1 {
-		parallelRows(w, m, func(r0, r1 int) { matMulTransBRows(dst, a, b, r0, r1, k, n) })
-		return
-	}
-	matMulTransBRows(dst, a, b, 0, m, k, n)
-}
-
-// matMulTransBRows computes dst rows [r0, r1) as dot products, 4 rows of b
-// at a time so each row of a is streamed once per 4 outputs and the 4
-// accumulators stay in registers.
-func matMulTransBRows(dst, a, b *Tensor, r0, r1, k, n int) {
-	ad, bd, dd := a.data, b.data, dst.data
-	for i := r0; i < r1; i++ {
-		ai := ad[i*k : (i+1)*k]
-		di := dd[i*n : (i+1)*n]
-		j := 0
-		for ; j+3 < n; j += 4 {
-			b0 := bd[j*k : (j+1)*k]
-			b1 := bd[(j+1)*k : (j+2)*k]
-			b2 := bd[(j+2)*k : (j+3)*k]
-			b3 := bd[(j+3)*k : (j+4)*k]
-			b0 = b0[:len(ai)]
-			b1 = b1[:len(ai)]
-			b2 = b2[:len(ai)]
-			b3 = b3[:len(ai)]
-			var s0, s1, s2, s3 float64
-			for p, av := range ai {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			bj := bd[j*k : (j+1)*k]
-			bj = bj[:len(ai)]
-			var s float64
-			for p, av := range ai {
-				s += av * bj[p]
-			}
-			di[j] = s
-		}
-	}
+	m, n, k := gemmDims("MatMulTransB", dst, a, b, false, true)
+	c.matmul(dst, a, b, m, n, k, k, 1, 1, k)
 }
 
 // TransposeInto writes the transpose of the 2-D tensor a into dst, which

@@ -3,33 +3,19 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-// Float32 parity tests: the packed-panel kernels must match a float64
-// reference within float32 accumulation error, across odd shapes that
-// exercise every edge path (partial row panels, partial column panels,
-// the 8-wide remainder kernel, k-blocking), in both the assembly and
-// pure-Go paths.
+// Float32 parity helpers and tests: the float32 kernels must match a
+// float64 reference within float32 accumulation error. The GEMM grid
+// itself is TestGEMMParity (parity_test.go), one table for both dtypes.
 
 // parityEq32 allows float32 rounding accumulated over k products.
 func parityEq32(got, want float64, k int) bool {
 	tol := 1e-5 * float64(k+1) * (1 + math.Abs(want))
 	return math.Abs(got-want) <= tol
-}
-
-// withBothKernelPaths32 runs f with the float32 FMA microkernel disabled
-// and, when the CPU supports it, enabled as well.
-func withBothKernelPaths32(t *testing.T, f func(t *testing.T)) {
-	saved := useFMA32
-	defer func() { useFMA32 = saved }()
-	useFMA32 = false
-	t.Run("generic", f)
-	if saved {
-		useFMA32 = true
-		t.Run("fma", f)
-	}
 }
 
 func fillDet32(x *Tensor, seed int) {
@@ -54,43 +40,6 @@ func checkTensorParity32(t *testing.T, name string, got, want *Tensor, k int) {
 			t.Fatalf("%s: elem %d got %v want %v", name, i, gd[i], wd[i])
 		}
 	}
-}
-
-// parity32Sizes hits interior tiles (mr32/nr32 multiples), sub-tile edges,
-// the 8-wide column remainder, and sizes past one k block (kc32 = 256).
-var parity32Sizes = []int{1, 3, 5, 8, 17, 33, 64, 300}
-
-func TestGEMM32Parity(t *testing.T) {
-	withBothKernelPaths32(t, func(t *testing.T) {
-		for _, m := range parity32Sizes {
-			for _, k := range parity32Sizes {
-				for _, n := range parity32Sizes {
-					if m*k*n > 3_000_000 {
-						continue // keep the grid fast; 300x300 covers blocking
-					}
-					a, b := NewOf(Float32, m, k), NewOf(Float32, k, n)
-					fillDet32(a, m+2*k+3*n)
-					fillDet32(b, n+5*k)
-					got := NewOf(Float32, m, n)
-					MatMulInto(got, a, b)
-					want := naiveMatMul(toF64(a), toF64(b))
-					checkTensorParity32(t, fmt.Sprintf("MatMul32 %dx%dx%d", m, k, n), got, want, k)
-
-					at := NewOf(Float32, k, m) // aᵀ operand
-					fillDet32(at, 7*m+k)
-					MatMulTransAInto(got, at, b)
-					checkTensorParity32(t, fmt.Sprintf("TransA32 %dx%dx%d", m, k, n), got,
-						naiveMatMul(Transpose(toF64(at)), toF64(b)), k)
-
-					bt := NewOf(Float32, n, k) // bᵀ operand
-					fillDet32(bt, 11*n+k)
-					MatMulTransBInto(got, a, bt)
-					checkTensorParity32(t, fmt.Sprintf("TransB32 %dx%dx%d", m, k, n), got,
-						naiveMatMul(toF64(a), Transpose(toF64(bt))), k)
-				}
-			}
-		}
-	})
 }
 
 func TestIm2ColCol2Im32Parity(t *testing.T) {
@@ -240,34 +189,62 @@ func TestSetKernelParallelism(t *testing.T) {
 
 // TestComputeBudgetParity checks that an explicit Compute budget changes
 // only scheduling, never results: every worker count produces bitwise the
-// same output as the serial path, for both dtypes.
+// same output as the serial path, for all three GEMM variants of both
+// dtypes, on a shape above parallelThreshold with several mc row blocks
+// (the unit of fan-out), several kc k-blocks (store then accumulate) and
+// edge tiles on both axes. The transport-parity pins of fl and simnet rest
+// on this: a party's update may not depend on the budget it trained under.
 func TestComputeBudgetParity(t *testing.T) {
-	a64, b64 := New(70, 40), New(40, 30)
-	a32, b32 := NewOf(Float32, 70, 40), NewOf(Float32, 40, 30)
-	fillDet(a64, 3)
-	fillDet(b64, 5)
-	fillDet32(a32, 3)
-	fillDet32(b32, 5)
-	ref64 := New(70, 30)
-	ref32 := NewOf(Float32, 70, 30)
-	tensorCmp := Compute{Workers: 1}
-	tensorCmp.MatMulInto(ref64, a64, b64)
-	tensorCmp.MatMulInto(ref32, a32, b32)
-	for _, w := range []int{0, 2, 3, 7} {
-		cmp := Compute{Workers: w}
-		got64 := New(70, 30)
-		cmp.MatMulInto(got64, a64, b64)
-		for i, v := range got64.Data() {
-			if v != ref64.Data()[i] {
-				t.Fatalf("workers=%d f64 elem %d: %v vs %v", w, i, v, ref64.Data()[i])
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	m, k, n := 4*mc+9, 2*kc+88, 130
+	if m*n < parallelThreshold {
+		t.Fatalf("shape %dx%d is below parallelThreshold", m, n)
+	}
+	variants := []struct {
+		name   string
+		ta, tb bool
+		run    func(Compute, *Tensor, *Tensor, *Tensor)
+	}{
+		{"MatMul", false, false, Compute.MatMulInto},
+		{"TransA", true, false, Compute.MatMulTransAInto},
+		{"TransB", false, true, Compute.MatMulTransBInto},
+	}
+	for _, dt := range []DType{Float64, Float32} {
+		for _, v := range variants {
+			a, b := NewOf(dt, m, k), NewOf(dt, k, n)
+			if v.ta {
+				a = NewOf(dt, k, m)
 			}
-		}
-		got32 := NewOf(Float32, 70, 30)
-		cmp.MatMulInto(got32, a32, b32)
-		for i, v := range got32.Data32() {
-			if v != ref32.Data32()[i] {
-				t.Fatalf("workers=%d f32 elem %d: %v vs %v", w, i, v, ref32.Data32()[i])
+			if v.tb {
+				b = NewOf(dt, n, k)
+			}
+			fillDetOf(a, 3)
+			fillDetOf(b, 5)
+			ref := NewOf(dt, m, n)
+			v.run(Compute{Workers: 1}, ref, a, b)
+			for _, w := range []int{0, 2, 3, 4, 7} {
+				got := NewOf(dt, m, n)
+				v.run(Compute{Workers: w}, got, a, b)
+				if i := firstDiff(got, ref); i >= 0 {
+					t.Fatalf("%v %s workers=%d: elem %d differs from the serial result", dt, v.name, w, i)
+				}
 			}
 		}
 	}
+}
+
+// firstDiff returns the index of the first element at which two tensors of
+// one dtype and shape differ, or -1 when they are bitwise equal.
+func firstDiff(a, b *Tensor) int {
+	for i := range a.data32 {
+		if a.data32[i] != b.data32[i] {
+			return i
+		}
+	}
+	for i := range a.data {
+		if a.data[i] != b.data[i] {
+			return i
+		}
+	}
+	return -1
 }

@@ -9,15 +9,14 @@ import (
 
 // Parity tests: the blocked/parallel/FMA kernels must match obviously
 // correct reference implementations across awkward shapes, in both the
-// assembly and pure-Go paths. Tolerance is 1e-12 relative — FMA contracts
-// one rounding per multiply-add, everything else is order changes.
+// assembly and pure-Go paths.
 
 func parityEq(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-12*(1+math.Abs(want))
 }
 
-// withBothKernelPaths runs f with the FMA microkernel disabled and, when
-// the CPU supports it, enabled as well.
+// withBothKernelPaths runs f with the FMA microkernels (both dtypes share
+// the gate) disabled and, when the CPU supports them, enabled as well.
 func withBothKernelPaths(t *testing.T, f func(t *testing.T)) {
 	saved := useFMA
 	defer func() { useFMA = saved }()
@@ -36,42 +35,103 @@ func fillDet(x *Tensor, seed int) {
 	}
 }
 
-func naiveTransA(a, b *Tensor) *Tensor {
-	return naiveMatMul(Transpose(a), b)
+// gemmShape is one product dst(m,n) = op(a)(m,k) @ op(b)(k,n).
+type gemmShape struct{ m, k, n int }
+
+// parityShapes crosses every edge the packed-panel driver has, for both
+// dtypes: m across the 4-row tile and the 128-row block; n across the
+// narrow and full tile of each dtype (4/8 for float64, 8/16 for float32)
+// and one past a panel; and k across the 256-step k-block.
+func parityShapes() []gemmShape {
+	var out []gemmShape
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 127, 128, 129} {
+		for _, n := range []int{1, 6, 8, 9, 17} {
+			for _, k := range []int{1, 75, 257} {
+				out = append(out, gemmShape{m, k, n})
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33} {
+		for _, m := range []int{1, 4, 13} {
+			for _, k := range []int{1, 257} {
+				out = append(out, gemmShape{m, k, n})
+			}
+		}
+	}
+	for _, k := range []int{1, 255, 256, 257, 513} {
+		out = append(out, gemmShape{5, k, 7}, gemmShape{13, k, 17}, gemmShape{129, k, 33})
+	}
+	return out
 }
 
-func naiveTransB(a, b *Tensor) *Tensor {
-	return naiveMatMul(a, Transpose(b))
+// fillDetOf is fillDet for either dtype.
+func fillDetOf(x *Tensor, seed int) {
+	if x.dt == Float32 {
+		fillDet32(x, seed)
+		return
+	}
+	fillDet(x, seed)
 }
 
-var paritySizes = []int{1, 3, 17, 64}
+// checkGEMMParity compares got against the naive float64 product of the
+// (widened) operands: 1e-12 relative for float64 — FMA contracts one
+// rounding per multiply-add and the packed driver reorders the sum, which
+// is also why the two kernel paths agree only to the last place — and
+// float32 rounding accumulated over k products for float32.
+func checkGEMMParity(t *testing.T, name string, got, a, b *Tensor, k int) {
+	t.Helper()
+	if got.dt == Float32 {
+		checkTensorParity32(t, name, got, naiveMatMul(toF64(a), toF64(b)), k)
+		return
+	}
+	checkTensorParity(t, name, got, naiveMatMul(a, b))
+}
 
+// TestGEMMParity drives all three GEMM variants of both dtypes through
+// parityShapes on both kernel paths. dst starts as garbage: store mode must
+// overwrite it without a pre-zero.
 func TestGEMMParity(t *testing.T) {
 	withBothKernelPaths(t, func(t *testing.T) {
-		for _, m := range paritySizes {
-			for _, k := range paritySizes {
-				for _, n := range paritySizes {
-					a, b := New(m, k), New(k, n)
-					fillDet(a, m+2*k+3*n)
-					fillDet(b, n+5*k)
-					got := New(m, n)
-					MatMulInto(got, a, b)
-					want := naiveMatMul(a, b)
-					checkTensorParity(t, fmt.Sprintf("MatMul %dx%dx%d", m, k, n), got, want)
+		for _, dt := range []DType{Float64, Float32} {
+			for _, s := range parityShapes() {
+				m, k, n := s.m, s.k, s.n
+				a, b := NewOf(dt, m, k), NewOf(dt, k, n)
+				fillDetOf(a, m+2*k+3*n)
+				fillDetOf(b, n+5*k)
+				got := NewOf(dt, m, n)
+				got.Fill(7)
+				MatMulInto(got, a, b)
+				checkGEMMParity(t, fmt.Sprintf("%v MatMul %dx%dx%d", dt, m, k, n), got, a, b, k)
 
-					at := New(k, m) // aᵀ operand
-					fillDet(at, 7*m+k)
-					MatMulTransAInto(got, at, b)
-					checkTensorParity(t, fmt.Sprintf("TransA %dx%dx%d", m, k, n), got, naiveTransA(at, b))
+				at := NewOf(dt, k, m) // aᵀ operand
+				fillDetOf(at, 7*m+k)
+				got.Fill(7)
+				MatMulTransAInto(got, at, b)
+				checkGEMMParity(t, fmt.Sprintf("%v TransA %dx%dx%d", dt, m, k, n), got, Transpose(at), b, k)
 
-					bt := New(n, k) // bᵀ operand
-					fillDet(bt, 11*n+k)
-					MatMulTransBInto(got, a, bt)
-					checkTensorParity(t, fmt.Sprintf("TransB %dx%dx%d", m, k, n), got, naiveTransB(a, bt))
-				}
+				bt := NewOf(dt, n, k) // bᵀ operand
+				fillDetOf(bt, 11*n+k)
+				got.Fill(7)
+				MatMulTransBInto(got, a, bt)
+				checkGEMMParity(t, fmt.Sprintf("%v TransB %dx%dx%d", dt, m, k, n), got, a, Transpose(bt), k)
 			}
 		}
 	})
+}
+
+// TestGEMMZeroK pins the driver's k = 0 contract: an empty sum is zero,
+// written over whatever dst held. Tensors cannot have a zero dimension, so
+// this calls the driver directly.
+func TestGEMMZeroK(t *testing.T) {
+	d64 := []float64{1, 2, 3, 4, 5, 6}
+	gemm(&kernels64, 1, d64, nil, nil, 2, 3, 0, 0, 1, 3, 1)
+	d32 := []float32{1, 2, 3, 4, 5, 6}
+	gemm(&kernels32, 1, d32, nil, nil, 2, 3, 0, 0, 1, 3, 1)
+	for i := range d64 {
+		if d64[i] != 0 || d32[i] != 0 {
+			t.Fatalf("k=0 product left dst[%d] = %v / %v", i, d64[i], d32[i])
+		}
+	}
 }
 
 func checkTensorParity(t *testing.T, name string, got, want *Tensor) {

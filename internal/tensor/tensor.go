@@ -21,12 +21,15 @@
 //
 // # Performance
 //
-// The float64 GEMM kernels (MatMulInto, MatMulTransAInto, MatMulTransBInto)
-// are cache-blocked and register-tiled, fan out across goroutines above
-// parallelThreshold, and on amd64 CPUs with AVX2+FMA dispatch to an
-// assembly 4x4 microkernel (gemm_amd64.s). The float32 kernels pack both
-// operands into tile-major panels and run an 8-lane-ymm 4x16 AVX2+FMA
-// microkernel over them (gemm32_amd64.s, see matmul32.go).
+// The GEMM kernels (MatMulInto, MatMulTransAInto, MatMulTransBInto) of both
+// dtypes run through one packed-panel driver, generic over the element
+// type (gemm.go): B is packed into tile-major panels, k and the dst rows
+// are cache-blocked, the first k-block stores instead of accumulating so
+// dst is never pre-zeroed, and row blocks fan out across goroutines above
+// parallelThreshold. The dtype only selects a microkernel set — 4x16 and
+// 4x8 tiles for float32, 4x8 and 4x4 for float64 — implemented once in
+// AVX2+FMA assembly (gemm_kernels_amd64.h, instantiated per dtype by
+// gemm_amd64.s, CPUID-gated by useFMA) with one portable Go twin.
 // Im2Col/Col2Im parallelize over the batch dimension. Everything has an
 // Into variant writing into caller-provided storage. The goroutine fan-out
 // of every kernel is bounded by an explicit Compute budget — call kernels
@@ -245,13 +248,14 @@ func (t *Tensor) Fill(v float64) {
 	fillSlice(t.data, v)
 }
 
-// Zero sets every element to 0.
+// Zero sets every element to 0. clear lowers to memclr, which fillSlice's
+// value-parameterised loop cannot.
 func (t *Tensor) Zero() {
 	if t.dt == Float32 {
-		fillSlice(t.data32, 0)
+		clear(t.data32)
 		return
 	}
-	fillSlice(t.data, 0)
+	clear(t.data)
 }
 
 // CopyToF64 converts the tensor's elements into dst (length Len), widening

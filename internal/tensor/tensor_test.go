@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -202,13 +203,14 @@ func TestMatMulDimMismatch(t *testing.T) {
 func naiveMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
 	out := New(m, n)
+	ad, bd := a.Data(), b.Data() // flat row-major; At's index checks dominate the parity grid
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var s float64
 			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s += ad[i*k+p] * bd[p*n+j]
 			}
-			out.Set(s, i, j)
+			out.Data()[i*n+j] = s
 		}
 	}
 	return out
@@ -243,7 +245,9 @@ func TestMatMulAgainstNaiveProperty(t *testing.T) {
 }
 
 func TestMatMulParallelMatchesSerial(t *testing.T) {
-	// Large enough to trip the parallel path.
+	// Large enough to trip the parallel path (three mc blocks), with the
+	// cores to fan out across even on a one-CPU box.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	m, k, n := 300, 64, 400
 	a, b := New(m, k), New(k, n)
 	for i := range a.Data() {
@@ -252,7 +256,8 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	for i := range b.Data() {
 		b.Data()[i] = float64(i%7) - 3
 	}
-	got := MatMul(a, b)
+	got := New(m, n)
+	Compute{Workers: 4}.MatMulInto(got, a, b)
 	// Serial reference on a few spot rows to keep the test fast.
 	for _, i := range []int{0, m / 2, m - 1} {
 		for _, j := range []int{0, n / 2, n - 1} {

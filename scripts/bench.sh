@@ -13,6 +13,11 @@ OUT="${OUT:-BENCH_tensor.json}"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
+# The GEMM benchmarks match by parent name, so every size in gemmSizes
+# (internal/tensor/gemm_bench_test.go) runs: the square sizes plus the
+# shapes the models run — conv-1 4608x75x6, conv-2 128x150x16 and the wide
+# first layer at 12 and 13 rows (x8192x32) — for all three variants and
+# both dtypes.
 go test -run '^$' \
   -bench 'BenchmarkMatMul$|BenchmarkMatMulTransA$|BenchmarkMatMulTransB$|BenchmarkIm2Col$|BenchmarkMatMul32$|BenchmarkMatMulTransA32$|BenchmarkMatMulTransB32$|BenchmarkIm2Col32$' \
   -benchtime "$BENCHTIME" ./internal/tensor/ | tee -a "$TMP"
