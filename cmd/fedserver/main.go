@@ -78,11 +78,11 @@ func main() {
 		ln.CheckpointEvery = srv.CheckpointEvery
 	}
 	if srv.LoadModel != "" && ln.Resume == nil {
-		state, err := fl.LoadStateFile(srv.LoadModel)
+		snap, err := fl.LoadSnapshotFile(srv.LoadModel)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ln.InitialState = state
+		ln.InitialState = snap.State
 		fmt.Printf("fedserver: seeded initial model from %s\n", srv.LoadModel)
 	}
 
@@ -108,7 +108,7 @@ func main() {
 			res.Async.Folds, len(res.Curve), res.Async.MeanStaleness, res.Async.MaxStaleness)
 	}
 	if *saveModel != "" {
-		if err := fl.SaveStateFile(*saveModel, res.FinalState); err != nil {
+		if err := fl.WriteSnapshotFile(*saveModel, &fl.FederationSnapshot{State: res.FinalState}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("model saved to %s\n", *saveModel)

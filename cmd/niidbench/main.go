@@ -270,11 +270,11 @@ func cmdRun(args []string) error {
 			return err
 		}
 		if *loadModel != "" {
-			state, err := fl.LoadStateFile(*loadModel)
+			snap, err := fl.LoadSnapshotFile(*loadModel)
 			if err != nil {
 				return err
 			}
-			if err := sim.SetInitialState(state); err != nil {
+			if err := sim.SetInitialState(snap.State); err != nil {
 				return err
 			}
 			fmt.Printf("resumed from %s\n", *loadModel)
@@ -286,7 +286,7 @@ func cmdRun(args []string) error {
 	}
 	printResult(*dataset, strat, res)
 	if *saveModel != "" {
-		if err := fl.SaveStateFile(*saveModel, res.FinalState); err != nil {
+		if err := fl.WriteSnapshotFile(*saveModel, &fl.FederationSnapshot{State: res.FinalState}); err != nil {
 			return err
 		}
 		fmt.Printf("model state saved to %s\n", *saveModel)

@@ -1,12 +1,11 @@
-// Command niidlint is the repo's multichecker: it runs the five
-// internal/analysis passes (codeccheck, poolcheck, computecheck,
-// detercheck, leakcheck) over the named packages and prints every
+// Command niidlint is the repo's multichecker: it runs the four
+// internal/analysis passes (codeccheck, poolcheck, detercheck,
+// leakcheck) over the named packages and prints every
 // finding as file:line:col: [check] message, exiting non-zero when any
 // finding survives //lint:allow suppression. CI runs it via
 // scripts/lint.sh next to go vet; the passes mechanize invariants vet
 // cannot see — wire-codec symmetry and coverage, pooled-buffer
-// ownership, per-model kernel budgets, map-iteration determinism, and
-// goroutine exit paths.
+// ownership, map-iteration determinism, and goroutine exit paths.
 //
 // Usage:
 //

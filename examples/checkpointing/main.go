@@ -51,14 +51,14 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "global.niidb")
-	if err := fl.SaveStateFile(path, res.FinalState); err != nil {
+	if err := fl.WriteSnapshotFile(path, &fl.FederationSnapshot{State: res.FinalState}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("phase 1: accuracy %.3f after %d rounds; checkpointed %d values to %s\n",
 		res.FinalAccuracy, cfg.Rounds, len(res.FinalState), path)
 
 	// Phase 2: a brand new federation resumes from the checkpoint.
-	state, err := fl.LoadStateFile(path)
+	snap, err := fl.LoadSnapshotFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sim2.SetInitialState(state); err != nil {
+	if err := sim2.SetInitialState(snap.State); err != nil {
 		log.Fatal(err)
 	}
 	res2, err := sim2.Run()

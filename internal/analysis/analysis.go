@@ -1,9 +1,9 @@
-// Package analysis is niidbench's in-tree static-analysis suite: five
+// Package analysis is niidbench's in-tree static-analysis suite: four
 // checkers that mechanize the invariants the codebase otherwise enforces
 // only through tests and review vigilance — codec/test symmetry and
 // bounded wire reads (codeccheck), pool buffer pairing (poolcheck),
-// per-context compute budgets (computecheck), deterministic fold order
-// (detercheck), and provable goroutine exits (leakcheck).
+// deterministic fold order (detercheck), and provable goroutine exits
+// (leakcheck).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf, want-comment fixtures) but is built on the
@@ -190,7 +190,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		CodecCheck,
 		PoolCheck,
-		ComputeCheck,
 		DeterCheck,
 		LeakCheck,
 	}

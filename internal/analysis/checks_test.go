@@ -15,10 +15,6 @@ func TestPoolCheckFixture(t *testing.T) {
 	runFixture(t, PoolCheck, "poolcheck", "consumer")
 }
 
-func TestComputeCheckFixture(t *testing.T) {
-	runFixture(t, ComputeCheck, "computecheck", "engine")
-}
-
 func TestDeterCheckFixture(t *testing.T) {
 	runFixture(t, DeterCheck, "detercheck", "fl")
 }

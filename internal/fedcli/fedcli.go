@@ -130,8 +130,9 @@ type Server struct {
 	// bitwise-invisible; coarser cadences trade fsync cost for replaying
 	// more rounds after a crash).
 	CheckpointEvery int
-	// LoadModel, when non-empty, seeds round 0's global model from a bare
-	// state-vector checkpoint file (ignored when a snapshot is restored).
+	// LoadModel, when non-empty, seeds round 0's global model from the
+	// State of a model file or of any federation snapshot (ignored when a
+	// snapshot is restored from CheckpointDir).
 	LoadModel string
 }
 

@@ -52,12 +52,13 @@ type AsyncStats struct {
 
 // AsyncCoordinator serializes the buffered-async aggregation: transports
 // call Fold from their receiver goroutines as updates complete, and the
-// coordinator owns the flush schedule, staleness weighting, metrics,
-// evaluation cadence and checkpointing. All methods are safe for
-// concurrent use.
+// coordinator owns the flush schedule and staleness weighting. The fold
+// and apply arithmetic is the Server's, the generation's books the
+// engine's ledger. All methods are safe for concurrent use.
 type AsyncCoordinator struct {
-	e  *Engine
-	mu sync.Mutex
+	e   *Engine
+	led *ledger
+	mu  sync.Mutex
 
 	gen    int  // completed flushes == current global generation
 	done   bool // gen reached Config.Rounds
@@ -81,35 +82,22 @@ type AsyncCoordinator struct {
 	// depleted federation could never flush. Starts at the full population.
 	live int
 
-	// Run accumulators.
-	curve   []RoundMetrics
-	best    float64
-	bytes   int64
-	compute time.Duration
-	stats   AsyncStats
-	meter   byteMeter
+	stats AsyncStats
+	meter byteMeter
 }
 
 func newAsyncCoordinator(e *Engine, tr AsyncTransport) *AsyncCoordinator {
-	c := &AsyncCoordinator{e: e, gen: e.startRound, lastAt: time.Now()}
+	c := &AsyncCoordinator{e: e, led: e.newLedger(), gen: e.startRound, lastAt: time.Now()}
 	if bm, ok := tr.(byteMeter); ok {
 		c.meter = bm
 	}
-	if e.restored != nil {
-		c.curve = append(c.curve, e.restored.Curve...)
-		c.best = e.restored.BestAccuracy
-		c.bytes = e.restored.TotalCommBytes
-		c.compute = e.restored.ComputeTime
-	}
 	c.done = c.gen >= e.cfg.Rounds
 	c.buffer = e.cfg.AsyncBuffer
-	if n := e.server.numParties; n > 0 && c.buffer > n {
+	if n := e.numParties; n > 0 && c.buffer > n {
 		c.buffer = n
 	}
-	c.live = e.server.numParties
-	if s := e.server; s.agg == nil {
-		s.agg = make([]float64, len(s.state))
-	}
+	c.live = e.numParties
+	e.server.resetAccumulator()
 	return c
 }
 
@@ -215,11 +203,9 @@ func (c *AsyncCoordinator) Fold(id int, u Update, trainedGen int) (flushed, done
 		return false, true, c.failed
 	}
 	s := c.e.server
-	if len(u.Delta) != len(s.state) {
-		return false, false, fmt.Errorf("fl: async update length %d, state %d", len(u.Delta), len(s.state))
-	}
-	if s.cfg.Algorithm == Scaffold && len(u.DeltaC) != s.paramLen {
-		return false, false, fmt.Errorf("fl: async SCAFFOLD update control length %d, want %d", len(u.DeltaC), s.paramLen)
+	if len(u.Delta) != len(s.State()) || len(u.Delta)+len(u.DeltaC) != s.StreamLen() {
+		return false, false, fmt.Errorf("fl: async update lengths %d+%d, want state %d of a %d-element stream",
+			len(u.Delta), len(u.DeltaC), len(s.State()), s.StreamLen())
 	}
 	if !validTau(u.N, u.Tau) {
 		return false, false, fmt.Errorf("fl: async update with non-positive tau %d", u.Tau)
@@ -239,19 +225,14 @@ func (c *AsyncCoordinator) Fold(id int, u Update, trainedGen int) (flushed, done
 	tau := c.gen - trainedGen
 	disc := c.staleness(tau)
 
-	// Base weight mirrors the synchronous rules — n_i (weighted), 1
-	// (unweighted and FedDyn's unweighted participant mean), n_i/tau_i
-	// scaled by the buffer's effective step count for FedNova — except the
+	// The weight is the synchronous rule's base weight, discounted; the
 	// normalizer is the flush buffer's discounted weight sum instead of a
 	// round's sample, so the update magnitude stays scale-stable under any
-	// mix of stalenesses.
-	base := float64(u.N)
-	if s.cfg.Unweighted || s.cfg.Algorithm == FedDyn {
-		base = 1
-	}
-	w := base * disc
+	// mix of stalenesses. FedNova folds w/tau_i and scales by the buffer's
+	// effective step count at the flush.
+	w := s.baseWeight(u.N) * disc
 	fold := w
-	if s.cfg.Algorithm == FedNova {
+	if c.e.cfg.Algorithm == FedNova {
 		if u.Tau == 0 {
 			fold = 0
 		} else {
@@ -259,19 +240,7 @@ func (c *AsyncCoordinator) Fold(id int, u Update, trainedGen int) (flushed, done
 		}
 		c.tauNum += w * float64(u.Tau)
 	}
-	for i, d := range u.Delta {
-		s.agg[i] += fold * d
-	}
-	if s.cfg.Algorithm == FedDyn {
-		for i := 0; i < s.paramLen; i++ {
-			s.dynH[i] += disc * s.cfg.Alpha * u.Delta[i] / float64(s.numParties)
-		}
-	}
-	if s.cfg.Algorithm == Scaffold {
-		for i, d := range u.DeltaC {
-			s.control[i] += disc * d / float64(s.numParties)
-		}
-	}
+	s.accumulate(fold, disc, u.Delta, u.DeltaC)
 	c.sumW += w
 	c.buffered++
 	c.loss += u.TrainLoss
@@ -291,37 +260,24 @@ func (c *AsyncCoordinator) Fold(id int, u Update, trainedGen int) (flushed, done
 	return true, c.done, nil
 }
 
-// flush closes the buffer: normalizes the accumulator by the discounted
-// weight sum, applies it through the server optimizer, records the
-// generation's metrics, evaluates on cadence and checkpoints. Called with
-// mu held.
+// flush closes the buffer: applies the accumulator, normalized by the
+// discounted weight sum, and closes the generation in the ledger. Called
+// with mu held.
 func (c *AsyncCoordinator) flush() error {
 	s := c.e.server
-	scale := 0.0
 	if c.sumW > 0 {
-		if s.cfg.Algorithm == FedNova {
+		scale := 1 / c.sumW
+		if c.e.cfg.Algorithm == FedNova {
 			// agg holds sum(w_i/tau_i * delta_i); the effective step count
 			// over the buffer is tauNum/sumW, and each weight normalizes by
 			// sumW, so the net scalar is tauNum/sumW^2.
 			scale = c.tauNum / (c.sumW * c.sumW)
-		} else {
-			scale = 1 / c.sumW
+		}
+		if scale != 0 {
+			s.apply(scale)
 		}
 	}
-	if scale != 0 {
-		for i := range s.agg {
-			s.agg[i] *= scale
-		}
-		s.applyUpdate(s.agg)
-		if s.cfg.Algorithm == FedDyn {
-			for i := 0; i < s.paramLen; i++ {
-				s.state[i] -= s.dynH[i] / s.cfg.Alpha
-			}
-		}
-	}
-	for i := range s.agg {
-		s.agg[i] = 0
-	}
+	s.resetAccumulator()
 
 	g := c.gen
 	c.gen++
@@ -338,49 +294,18 @@ func (c *AsyncCoordinator) flush() error {
 	if c.meter != nil {
 		m.CommBytes = c.meter.RoundBytes()
 	}
-	c.compute += m.Duration
-	if (g+1)%c.e.cfg.EvalEvery == 0 || g == c.e.cfg.Rounds-1 {
-		if c.e.eval != nil {
-			m.TestAccuracy = c.e.eval.Accuracy(s.State())
-			if m.TestAccuracy > c.best {
-				c.best = m.TestAccuracy
-			}
-		}
-	}
-	c.curve = append(c.curve, m)
-	c.bytes += m.CommBytes
 	c.buffered = 0
 	c.sumW = 0
 	c.tauNum = 0
 	c.loss = 0
 	c.ids = c.ids[:0]
-	return c.checkpoint(g)
-}
-
-// checkpoint fires the engine's Checkpoint hook on the configured cadence,
-// treating one generation as one round. Called with mu held.
-func (c *AsyncCoordinator) checkpoint(g int) error {
-	e := c.e
-	if e.Checkpoint == nil {
-		return nil
-	}
-	every := e.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	if (g+1)%every != 0 && g != e.cfg.Rounds-1 {
-		return nil
-	}
-	if err := e.Checkpoint(e.Snapshot(g+1, c.curve, c.best, c.bytes, c.compute)); err != nil {
-		return fmt.Errorf("fl: generation %d checkpoint: %w", g, err)
-	}
-	return nil
+	return c.led.close(g, m)
 }
 
 // RunAsync executes a buffered-async federation over the transport and
 // assembles the Result. The transport owns delivery and broadcast; the
-// coordinator owns aggregation, staleness weighting, metrics and
-// durability. Requires Config.AsyncBuffer > 0.
+// coordinator owns the flush schedule and staleness weighting. Requires
+// Config.AsyncBuffer > 0.
 func (e *Engine) RunAsync(tr AsyncTransport) (*Result, error) {
 	if e.cfg.AsyncBuffer <= 0 {
 		return nil, fmt.Errorf("fl: RunAsync needs AsyncBuffer > 0")
@@ -397,24 +322,11 @@ func (e *Engine) RunAsync(tr AsyncTransport) (*Result, error) {
 	if !c.done {
 		return nil, fmt.Errorf("fl: async transport stopped at generation %d of %d", c.gen, e.cfg.Rounds)
 	}
-	res := &Result{
-		Config:         e.cfg,
-		ParamCount:     e.server.paramLen,
-		StateCount:     len(e.server.State()),
-		Curve:          c.curve,
-		BestAccuracy:   c.best,
-		TotalCommBytes: c.bytes,
-		ComputeTime:    c.compute,
-		FinalState:     append([]float64{}, e.server.State()...),
-	}
+	res := c.led.result()
 	stats := c.stats
 	if stats.Folds > 0 {
 		stats.MeanStaleness /= float64(stats.Folds)
 	}
 	res.Async = &stats
-	if len(res.Curve) > 0 {
-		res.CommBytesPerRound = float64(res.TotalCommBytes) / float64(len(res.Curve))
-		res.FinalAccuracy = res.Curve[len(res.Curve)-1].TestAccuracy
-	}
 	return res, nil
 }

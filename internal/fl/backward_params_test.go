@@ -55,7 +55,7 @@ func TestTrainStreamMatchesFullBackward(t *testing.T) {
 					}
 					var ups []Update
 					for round := 0; round < 2; round++ {
-						u := c.LocalTrain(global, serverC, cfg)
+						u := localTrain(c, global, serverC, cfg)
 						for i := range global {
 							global[i] -= u.Delta[i]
 						}
@@ -83,4 +83,17 @@ func TestTrainStreamMatchesFullBackward(t *testing.T) {
 			})
 		}
 	}
+}
+
+// localTrain trains one round and copies the update out of the client's
+// pooled workspace, for tests that hold updates across rounds.
+func localTrain(c *Client, global, serverC []float64, cfg Config) Update {
+	p := c.TrainStream(global, serverC, cfg)
+	u := p.Update()
+	u.Delta = append([]float64{}, u.Delta...)
+	if u.DeltaC != nil {
+		u.DeltaC = append([]float64{}, u.DeltaC...)
+	}
+	p.Release()
+	return u
 }

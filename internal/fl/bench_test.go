@@ -34,7 +34,7 @@ func benchDataset(n int) *data.Dataset {
 	return ds
 }
 
-// BenchmarkLocalTrainStep measures one client's LocalTrain call: a full
+// BenchmarkLocalTrainStep measures one client's TrainStream call: a full
 // local epoch of mini-batch SGD on the paper's CNN (128 samples, batch 32,
 // so 4 optimizer steps per op). This is the end-to-end hot path every
 // federated round multiplies by parties*epochs.
@@ -58,7 +58,7 @@ func benchLocalTrainStep(b *testing.B, dt tensor.DType) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		client.LocalTrain(global, nil, cfg)
+		client.TrainStream(global, nil, cfg).Release()
 	}
 }
 

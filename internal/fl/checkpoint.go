@@ -1,12 +1,10 @@
 package fl
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,21 +13,13 @@ import (
 	"github.com/niid-bench/niidbench/internal/rng"
 )
 
-// checkpointMagic identifies a NIID-Bench model state file.
-var checkpointMagic = [8]byte{'N', 'I', 'I', 'D', 'B', 'v', '0', '1'}
-
-// crcTable is the Castagnoli polynomial used by every checkpoint trailer;
+// crcTable is the Castagnoli polynomial used by the snapshot trailer;
 // it has hardware support on amd64/arm64, so the integrity check is
 // effectively free next to the fsync.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// maxState caps declared vector lengths: 256M scalars is far beyond any
-// model here, and the cap keeps a hostile header from forcing a giant
-// allocation before the payload is even read.
-const maxState = 1 << 28
-
-// CorruptSnapshotError reports a checkpoint or snapshot file that failed
-// its integrity checks — torn write, bit flip, truncation, or a file that
+// CorruptSnapshotError reports a snapshot file that failed its integrity
+// checks — torn write, bit flip, truncation, or a file that
 // was never a snapshot at all. It is a typed error so operators (and the
 // fedserver CLI) can distinguish "refuse to resume from garbage" from
 // "no snapshot yet".
@@ -50,78 +40,6 @@ type SnapshotMismatchError struct {
 
 func (e *SnapshotMismatchError) Error() string {
 	return fmt.Sprintf("fl: snapshot config fingerprint %016x does not match run config %016x; refusing to resume a different experiment", e.Got, e.Want)
-}
-
-// SaveState writes a model state vector to w with a small self-describing
-// header and a CRC-32C trailer, so global models can be checkpointed
-// between rounds or shipped to other processes and corruption is caught
-// on load instead of silently training from a bit-flipped model.
-func SaveState(w io.Writer, state []float64) error {
-	bw := bufio.NewWriter(w)
-	crc := crc32.New(crcTable)
-	mw := io.MultiWriter(bw, crc)
-	if _, err := mw.Write(checkpointMagic[:]); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(state)))
-	if _, err := mw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [8]byte
-	for _, v := range state {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		if _, err := mw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-	if _, err := bw.Write(trailer[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// LoadState reads a model state vector written by SaveState, verifying
-// the CRC trailer. A corrupted or truncated file yields a
-// *CorruptSnapshotError.
-func LoadState(r io.Reader) ([]float64, error) {
-	crc := crc32.New(crcTable)
-	br := bufio.NewReader(r)
-	tr := io.TeeReader(br, crc)
-	var magic [8]byte
-	if _, err := io.ReadFull(tr, magic[:]); err != nil {
-		return nil, fmt.Errorf("fl: reading checkpoint magic: %w", err)
-	}
-	if magic != checkpointMagic {
-		return nil, fmt.Errorf("fl: not a NIID-Bench checkpoint (magic %q)", magic)
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(tr, hdr[:]); err != nil {
-		return nil, fmt.Errorf("fl: reading checkpoint length: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(hdr[:])
-	if n > maxState {
-		return nil, fmt.Errorf("fl: checkpoint declares %d values, refusing", n)
-	}
-	state := make([]float64, n)
-	var buf [8]byte
-	for i := range state {
-		if _, err := io.ReadFull(tr, buf[:]); err != nil {
-			return nil, fmt.Errorf("fl: truncated checkpoint at value %d: %w", i, err)
-		}
-		state[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-	}
-	sum := crc.Sum32()
-	var trailer [4]byte
-	if _, err := io.ReadFull(br, trailer[:]); err != nil {
-		return nil, &CorruptSnapshotError{Reason: fmt.Sprintf("missing CRC trailer (truncated or pre-durability file): %v", err)}
-	}
-	if got := binary.LittleEndian.Uint32(trailer[:]); got != sum {
-		return nil, &CorruptSnapshotError{Reason: fmt.Sprintf("checkpoint CRC mismatch (stored %08x, computed %08x)", got, sum)}
-	}
-	return state, nil
 }
 
 // atomicWriteFile writes data to path crash-safely: the bytes land in a
@@ -164,29 +82,8 @@ func atomicWriteFile(path string, data []byte) error {
 	return nil
 }
 
-// SaveStateFile checkpoints a state vector to path crash-safely
-// (tmp + fsync + atomic rename).
-func SaveStateFile(path string, state []float64) error {
-	var buf bytes.Buffer
-	buf.Grow(len(state)*8 + 24)
-	if err := SaveState(&buf, state); err != nil {
-		return err
-	}
-	return atomicWriteFile(path, buf.Bytes())
-}
-
-// LoadStateFile reads a checkpoint from path.
-func LoadStateFile(path string) ([]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadState(f)
-}
-
 // SetInitialState overrides the server's global state before training
-// starts (resuming from a checkpoint). The length must match.
+// starts (seeding from a model file). The length must match.
 func (s *Simulation) SetInitialState(state []float64) error {
 	return s.engine.SetInitialState(state)
 }
@@ -195,8 +92,7 @@ func (s *Simulation) SetInitialState(state []float64) error {
 // written under inside a checkpoint directory.
 const SnapshotFileName = "federation.snap"
 
-// snapshotMagic identifies a full federation snapshot file (as opposed to
-// the bare state-vector checkpoint above).
+// snapshotMagic identifies a federation snapshot file.
 var snapshotMagic = [8]byte{'N', 'I', 'I', 'D', 'B', 'F', 'S', '1'}
 
 // snapshotVersion is the encoding version stamped into every snapshot.
@@ -209,6 +105,13 @@ const snapshotVersion = 1
 // history, and — for transports with rejoin — the per-party control sums
 // used to resync redialing parties. Round counts *completed* rounds:
 // a snapshot with Round == r resumes training at round r.
+//
+// It is also the one on-disk format: a model file (-save-model,
+// niidbench.SaveModel) is a snapshot carrying only State. Its zero
+// ConfigFingerprint makes Engine.Restore refuse it with a
+// *SnapshotMismatchError — a bare model cannot resume a run, it can only
+// seed one (SetInitialState) — while any full snapshot can seed a run from
+// its State.
 type FederationSnapshot struct {
 	// ConfigFingerprint hashes the math-relevant config fields; resume
 	// refuses a snapshot whose fingerprint differs from the run's.
@@ -249,8 +152,8 @@ type FederationSnapshot struct {
 // ConfigFingerprint hashes the math-relevant fields of a config (FNV-1a
 // over the normalized values), so a resume against a config that would
 // change the arithmetic — different algorithm, LR, seed, sampling — is
-// refused, while transport-only knobs (chunk size, windows, quorum
-// waits, parallelism) stay free to change across restarts.
+// refused, while transport-only knobs (chunk size, quorum waits,
+// parallelism) stay free to change across restarts.
 func ConfigFingerprint(cfg Config) uint64 {
 	if n, err := cfg.Normalize(); err == nil {
 		cfg = n
@@ -481,6 +384,9 @@ func (r *snapReader) u64() uint64 {
 
 func (r *snapReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// vec bounds every declared length by the payload bytes actually present
+// before allocating, so a hostile header cannot force an allocation larger
+// than the file that carries it.
 func (r *snapReader) vec() []float64 {
 	if r.u8() == 0 {
 		return nil
@@ -489,7 +395,7 @@ func (r *snapReader) vec() []float64 {
 	if r.err != nil {
 		return nil
 	}
-	if n > maxState || int(n)*8 > len(r.b)-r.off {
+	if n > uint64(len(r.b)-r.off)/8 {
 		r.fail(fmt.Sprintf("vector of %d values exceeds remaining payload", n))
 		return nil
 	}

@@ -9,8 +9,7 @@ import (
 
 // TestChunkStateMachine exercises the chunked accumulator's misuse
 // errors: wrong update index, out-of-order/overlapping/oversized offsets,
-// finishing an incomplete stream, trailer mismatches, and mixing a whole
-// AddUpdate into an open chunk stream.
+// finishing an incomplete stream and trailer mismatches.
 func TestChunkStateMachine(t *testing.T) {
 	cfg, _ := Config{}.Normalize()
 	s := NewServer(cfg, []float64{0, 0, 0, 0}, 4, 2)
@@ -45,9 +44,6 @@ func TestChunkStateMachine(t *testing.T) {
 	if err := s.FinishUpdate(Update{N: 10, Tau: 2}); err == nil {
 		t.Fatal("FinishUpdate with an incomplete stream should fail")
 	}
-	if err := s.AddUpdate(Update{Delta: []float64{1, 1, 1, 1}, N: 10, Tau: 2}); err == nil {
-		t.Fatal("AddUpdate during an open chunk stream should fail")
-	}
 	if err := s.AddUpdateChunk(0, 2, []float64{3, 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +56,7 @@ func TestChunkStateMachine(t *testing.T) {
 	if err := s.FinishUpdate(Update{N: 10, Tau: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddUpdate(Update{Delta: []float64{1, 1, 1, 1}, N: 20, Tau: 2}); err != nil {
+	if err := feedChunked(s, 1, Update{Delta: []float64{1, 1, 1, 1}, N: 20, Tau: 2}, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.FinishRound(); err != nil {
@@ -111,7 +107,7 @@ func TestDropReweightsSurvivors(t *testing.T) {
 					}
 					continue
 				}
-				if err := dropping.AddUpdate(u); err != nil {
+				if err := feedChunked(dropping, j, u, dropping.StreamLen()); err != nil {
 					t.Fatalf("%s: %v", alg, err)
 				}
 			}
@@ -191,7 +187,7 @@ func TestEmptyPartyWeightingNoNaN(t *testing.T) {
 
 			// Mixed round: one live and one empty party.
 			s := NewServer(cfg, initial, paramLen, 2)
-			if err := s.Aggregate([]Update{live, emptyUpdate}); err != nil {
+			if err := aggregate(s, []Update{live, emptyUpdate}); err != nil {
 				t.Fatalf("%s mixed: %v", alg, err)
 			}
 			for i, v := range s.State() {
@@ -204,7 +200,7 @@ func TestEmptyPartyWeightingNoNaN(t *testing.T) {
 			s = NewServer(cfg, initial, paramLen, 2)
 			e2 := emptyUpdate
 			e2.Delta = append([]float64{}, zero...)
-			if err := s.Aggregate([]Update{emptyUpdate, e2}); err != nil {
+			if err := aggregate(s, []Update{emptyUpdate, e2}); err != nil {
 				t.Fatalf("%s all-empty: %v", alg, err)
 			}
 			for i, v := range s.State() {

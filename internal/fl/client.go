@@ -151,7 +151,7 @@ func (c *Client) indices(n int) []int {
 
 // PendingUpdate is a trained-but-undelivered update whose delta vectors
 // live in the owning client's pooled round workspace: transports stream
-// it chunk-at-a-time (Chunks) or read it whole (Update), then give the
+// it chunk-at-a-time (Chunks) and finish with its Trailer, then give the
 // memory back with Release. A client must not train again until its
 // pending update is released.
 type PendingUpdate struct {
@@ -216,25 +216,13 @@ func ChunkStream(a, b []float64, size int, emit func(offset int, chunk []float64
 // vectors (and any chunk views of them) must not be used afterwards.
 func (p *PendingUpdate) Release() { p.ws.Release() }
 
-// LocalTrain runs E local epochs of mini-batch SGD from the given global
-// state and returns the update. serverC is SCAFFOLD's server control
-// variate (nil otherwise). The config must be normalized.
-func (c *Client) LocalTrain(global []float64, serverC []float64, cfg Config) Update {
-	p := c.TrainStream(global, serverC, cfg)
-	u := p.u
-	u.Delta = append([]float64{}, p.u.Delta...)
-	if p.u.DeltaC != nil {
-		u.DeltaC = append([]float64{}, p.u.DeltaC...)
-	}
-	p.Release()
-	return u
-}
-
-// TrainStream is LocalTrain without the final copy-out: the returned
-// update's vectors stay in the client's pooled workspace, so transports
-// can stream them chunk-at-a-time (or serialize them frame by frame)
-// without a second state-length allocation per update. The caller owns
-// the pending update and must Release it before this client trains again.
+// TrainStream runs E local epochs of mini-batch SGD from the given global
+// state. serverC is SCAFFOLD's server control variate (nil otherwise); the
+// config must be normalized. The returned update's vectors stay in the
+// client's pooled workspace, so transports can stream them chunk-at-a-time
+// (or serialize them frame by frame) without a second state-length
+// allocation per update. The caller owns the pending update and must
+// Release it before this client trains again.
 func (c *Client) TrainStream(global []float64, serverC []float64, cfg Config) *PendingUpdate {
 	return c.trainStream(global, serverC, nil, cfg)
 }

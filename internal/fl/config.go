@@ -8,6 +8,12 @@
 // round's global model and returns the model delta (and, for SCAFFOLD, a
 // control-variate delta); the server aggregates deltas weighted by local
 // dataset size (FedNova additionally normalizes by the local step count).
+//
+// Updates reach the server one way, under every transport and both
+// schedulers' shared fold rule: Server.BeginRound, then per update
+// AddUpdateChunk frames closed by FinishUpdate (or abandoned by
+// DropUpdate), then FinishRound. A run persists in one format, the
+// FederationSnapshot; a model file is a snapshot carrying only its State.
 package fl
 
 import (

@@ -133,9 +133,9 @@ func TestEvaluatorParallelMatchesSerial(t *testing.T) {
 }
 
 // TestOversubscriptionGuard checks that a parallel round hands every
-// sampled client a per-model kernel budget of GOMAXPROCS/conc workers —
-// and never touches the deprecated process-global knob, which is what
-// makes concurrent Simulations in one process safe.
+// sampled client a per-model kernel budget of GOMAXPROCS/conc workers;
+// budgets being per-model state is what makes concurrent Simulations in
+// one process safe.
 func TestOversubscriptionGuard(t *testing.T) {
 	cfg := quickCfg(FedAvg)
 	cfg.Rounds = 1
@@ -143,10 +143,6 @@ func TestOversubscriptionGuard(t *testing.T) {
 	sim, _ := testFederation(t, partition.Strategy{Kind: partition.Homogeneous}, 4, cfg)
 	if _, err := sim.RunRound(0); err != nil {
 		t.Fatal(err)
-	}
-	//lint:allow computecheck this test exists to assert the engine leaves the deprecated global knob untouched
-	if got := tensor.KernelParallelism(); got != 0 {
-		t.Fatalf("round touched the deprecated global kernel-parallelism knob: %d", got)
 	}
 	// With conc = min(Parallelism, sampled) = 4 concurrent clients on a
 	// machine with G procs, each client's model must carry a budget of

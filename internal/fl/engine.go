@@ -54,9 +54,9 @@ type Transport interface {
 	PartyMeta(id int) UpdateMeta
 	// TrainRound trains the sampled parties from the given global state
 	// (and SCAFFOLD control variate; nil otherwise) and delivers each
-	// update through the sink in sampled order — whole via Deliver, or
-	// chunk-at-a-time via AddChunk/FinishUpdate, with Drop removing a
-	// party whose stream went bad. Parties may train — and their updates
+	// update through the sink in sampled order, chunk-at-a-time via
+	// AddChunk then FinishUpdate, with Drop removing a party whose stream
+	// went bad. Parties may train — and their updates
 	// may arrive — in any order; the transport reorders so the fold is
 	// deterministic for a given sample. The sink does not retain any
 	// delivered slices.
@@ -64,8 +64,9 @@ type Transport interface {
 }
 
 // RoundSink is the engine's receiving end of one round: the transport
-// pushes updates into it and the sink folds them into the server's
-// streaming accumulator while keeping the round's loss/byte accounting.
+// pushes each update's chunk stream into it and the sink folds it into the
+// server's streaming accumulator while keeping the round's loss/byte
+// accounting.
 // It is not safe for concurrent use — the transport must serialize calls,
 // because the delivery order defines the aggregation's floating-point
 // fold order.
@@ -87,22 +88,6 @@ func (k *RoundSink) Meta(idx int) UpdateMeta { return k.metas[idx] }
 // next returns the index of the update the sink expects to progress next.
 func (k *RoundSink) next() int { return k.delivered + len(k.dropped) }
 
-// account records a completed update's metrics.
-func (k *RoundSink) account(u Update) {
-	k.loss += u.TrainLoss
-	k.bytes += k.e.commBytesForUpdate(u)
-	k.delivered++
-}
-
-// Deliver folds one whole update into the round.
-func (k *RoundSink) Deliver(u Update) error {
-	if err := k.e.server.AddUpdate(u); err != nil {
-		return err
-	}
-	k.account(u)
-	return nil
-}
-
 // AddChunk stages one chunk of update idx's flattened stream (see
 // Server.AddUpdateChunk). The chunk is copied; the caller may recycle its
 // buffer immediately.
@@ -119,7 +104,9 @@ func (k *RoundSink) FinishUpdate(idx int, u Update) error {
 	if err := k.e.server.FinishUpdate(u); err != nil {
 		return err
 	}
-	k.account(u)
+	k.loss += u.TrainLoss
+	k.bytes += k.e.commBytesForUpdate(u)
+	k.delivered++
 	return nil
 }
 
@@ -376,19 +363,63 @@ func (e *Engine) Restore(snap *FederationSnapshot) error {
 	return nil
 }
 
-// checkpointAt fires the Checkpoint hook if round t+1 is on the cadence.
-func (e *Engine) checkpointAt(t int, res *Result, compute time.Duration) error {
-	if e.Checkpoint == nil {
+// ledger is the run's one set of books, under both schedulers: seeded from
+// a Restore, it closes each synchronous round or async generation —
+// evaluation cadence, best accuracy, curve, byte and compute totals,
+// checkpoint cadence — and assembles the Result.
+type ledger struct {
+	e   *Engine
+	res *Result
+}
+
+func (e *Engine) newLedger() *ledger {
+	res := &Result{
+		Config:     e.cfg,
+		ParamCount: e.server.paramLen,
+		StateCount: len(e.server.State()),
+	}
+	if r := e.restored; r != nil {
+		res.Curve = append(res.Curve, r.Curve...)
+		res.BestAccuracy = r.BestAccuracy
+		res.TotalCommBytes = r.TotalCommBytes
+		res.ComputeTime = r.ComputeTime
+	}
+	return &ledger{e: e, res: res}
+}
+
+// close books round (or generation) t from its metrics. A run without an
+// evaluator leaves every TestAccuracy at -1.
+func (l *ledger) close(t int, m RoundMetrics) error {
+	e, res := l.e, l.res
+	last := t == e.cfg.Rounds-1
+	res.ComputeTime += m.Duration
+	if e.eval != nil && ((t+1)%e.cfg.EvalEvery == 0 || last) {
+		m.TestAccuracy = e.eval.Accuracy(e.server.State())
+		if m.TestAccuracy > res.BestAccuracy {
+			res.BestAccuracy = m.TestAccuracy
+		}
+	}
+	res.Curve = append(res.Curve, m)
+	res.TotalCommBytes += m.CommBytes
+	if e.Checkpoint == nil || ((t+1)%max(e.CheckpointEvery, 1) != 0 && !last) {
 		return nil
 	}
-	every := e.CheckpointEvery
-	if every <= 0 {
-		every = 1
+	snap := e.Snapshot(t+1, res.Curve, res.BestAccuracy, res.TotalCommBytes, res.ComputeTime)
+	if err := e.Checkpoint(snap); err != nil {
+		return fmt.Errorf("fl: round %d checkpoint: %w", t, err)
 	}
-	if (t+1)%every != 0 && t != e.cfg.Rounds-1 {
-		return nil
+	return nil
+}
+
+// result completes the Result from the server's final state.
+func (l *ledger) result() *Result {
+	res := l.res
+	res.FinalState = append([]float64{}, l.e.server.State()...)
+	if len(res.Curve) > 0 {
+		res.CommBytesPerRound = float64(res.TotalCommBytes) / float64(len(res.Curve))
+		res.FinalAccuracy = res.Curve[len(res.Curve)-1].TestAccuracy
 	}
-	return e.Checkpoint(e.Snapshot(t+1, res.Curve, res.BestAccuracy, res.TotalCommBytes, compute))
+	return res
 }
 
 // Run executes the configured number of rounds over the transport and
@@ -396,18 +427,7 @@ func (e *Engine) checkpointAt(t int, res *Result, compute time.Duration) error {
 // accounting and the final global state. After Restore, Run picks up at
 // the snapshot's round with the snapshot's accumulated history.
 func (e *Engine) Run(tr Transport) (*Result, error) {
-	res := &Result{
-		Config:     e.cfg,
-		ParamCount: e.server.paramLen,
-		StateCount: len(e.server.State()),
-	}
-	var compute time.Duration
-	if e.restored != nil {
-		res.Curve = append(res.Curve, e.restored.Curve...)
-		res.BestAccuracy = e.restored.BestAccuracy
-		res.TotalCommBytes = e.restored.TotalCommBytes
-		compute = e.restored.ComputeTime
-	}
+	led := e.newLedger()
 	for t := e.startRound; t < e.cfg.Rounds; t++ {
 		m, err := e.RunRound(tr, t)
 		// A round below quorum is skipped and retried — parties may be
@@ -433,24 +453,9 @@ func (e *Engine) Run(tr Transport) (*Result, error) {
 			return nil, err
 		}
 		m.Quorum = quorum
-		compute += m.Duration
-		if (t+1)%e.cfg.EvalEvery == 0 || t == e.cfg.Rounds-1 {
-			m.TestAccuracy = e.eval.Accuracy(e.server.State())
-			if m.TestAccuracy > res.BestAccuracy {
-				res.BestAccuracy = m.TestAccuracy
-			}
-		}
-		res.Curve = append(res.Curve, m)
-		res.TotalCommBytes += m.CommBytes
-		if err := e.checkpointAt(t, res, compute); err != nil {
-			return nil, fmt.Errorf("fl: round %d checkpoint: %w", t, err)
+		if err := led.close(t, m); err != nil {
+			return nil, err
 		}
 	}
-	res.ComputeTime = compute
-	res.FinalState = append([]float64{}, e.server.State()...)
-	if len(res.Curve) > 0 {
-		res.CommBytesPerRound = float64(res.TotalCommBytes) / float64(len(res.Curve))
-		res.FinalAccuracy = res.Curve[len(res.Curve)-1].TestAccuracy
-	}
-	return res, nil
+	return led.result(), nil
 }

@@ -182,12 +182,12 @@ func TestServerMomentumAccumulates(t *testing.T) {
 	cfg, _ := Config{Algorithm: FedAvg, ServerOptimizer: ServerMomentum, ServerMomentumBeta: 0.9}.Normalize()
 	s := NewServer(cfg, []float64{0}, 1, 1)
 	u := []Update{{Delta: []float64{1}, Tau: 1, N: 1}}
-	if err := s.Aggregate(u); err != nil {
+	if err := aggregate(s, u); err != nil {
 		t.Fatal(err)
 	}
 	first := -s.State()[0] // step size of first round
 	before := s.State()[0]
-	if err := s.Aggregate(u); err != nil {
+	if err := aggregate(s, u); err != nil {
 		t.Fatal(err)
 	}
 	second := before - s.State()[0]
@@ -200,7 +200,7 @@ func TestServerAdamBoundedStep(t *testing.T) {
 	cfg, _ := Config{Algorithm: FedAvg, ServerOptimizer: ServerAdam, ServerLR: 0.1}.Normalize()
 	s := NewServer(cfg, []float64{0}, 1, 1)
 	// Huge pseudo-gradient: Adam's normalized step stays ~lr.
-	if err := s.Aggregate([]Update{{Delta: []float64{1e6}, Tau: 1, N: 1}}); err != nil {
+	if err := aggregate(s, []Update{{Delta: []float64{1e6}, Tau: 1, N: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	step := -s.State()[0]
@@ -213,7 +213,7 @@ func TestFedDynServerCorrection(t *testing.T) {
 	cfg, _ := Config{Algorithm: FedDyn, Alpha: 0.1}.Normalize()
 	s := NewServer(cfg, []float64{0, 0}, 2, 2)
 	u := []Update{{Delta: []float64{1, 1}, Tau: 1, N: 1}}
-	if err := s.Aggregate(u); err != nil {
+	if err := aggregate(s, u); err != nil {
 		t.Fatal(err)
 	}
 	// meanDelta = 1 -> state -1; h = alpha*1/N = 0.05; state -= h/alpha = 0.5

@@ -236,10 +236,10 @@ func TestFedNovaNormalizesUnequalSteps(t *testing.T) {
 		{Delta: []float64{1, 1, 1}, Tau: 1, N: 100},
 	}
 	sAvg, sNova := mk(FedAvg), mk(FedNova)
-	if err := sAvg.Aggregate(updates); err != nil {
+	if err := aggregate(sAvg, updates); err != nil {
 		t.Fatal(err)
 	}
-	if err := sNova.Aggregate(updates); err != nil {
+	if err := aggregate(sNova, updates); err != nil {
 		t.Fatal(err)
 	}
 	// FedAvg: -(0.5*10 + 0.5*1) = -5.5.
@@ -254,10 +254,10 @@ func TestFedNovaNormalizesUnequalSteps(t *testing.T) {
 		{Delta: []float64{5, 5, 5}, Tau: 1, N: 100},
 	}
 	sAvg2, sNova2 := mk(FedAvg), mk(FedNova)
-	if err := sAvg2.Aggregate(updates2); err != nil {
+	if err := aggregate(sAvg2, updates2); err != nil {
 		t.Fatal(err)
 	}
-	if err := sNova2.Aggregate(updates2); err != nil {
+	if err := aggregate(sNova2, updates2); err != nil {
 		t.Fatal(err)
 	}
 	// FedAvg: -7.5. FedNova: tau_eff=5.5, sum w*delta/tau = 0.5*1+0.5*5=3
@@ -277,7 +277,7 @@ func TestAggregateWeighting(t *testing.T) {
 		{Delta: []float64{1}, Tau: 1, N: 300},
 		{Delta: []float64{-1}, Tau: 1, N: 100},
 	}
-	if err := s.Aggregate(updates); err != nil {
+	if err := aggregate(s, updates); err != nil {
 		t.Fatal(err)
 	}
 	// -(0.75*1 + 0.25*(-1)) = -0.5.
@@ -287,7 +287,7 @@ func TestAggregateWeighting(t *testing.T) {
 
 	cfgU, _ := Config{Algorithm: FedAvg, Unweighted: true}.Normalize()
 	su := NewServer(cfgU, []float64{0}, 1, 2)
-	if err := su.Aggregate(updates); err != nil {
+	if err := aggregate(su, updates); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(su.State()[0]) > 1e-9 {
@@ -298,18 +298,18 @@ func TestAggregateWeighting(t *testing.T) {
 func TestAggregateErrors(t *testing.T) {
 	cfg, _ := Config{Algorithm: FedAvg}.Normalize()
 	s := NewServer(cfg, []float64{0, 0}, 2, 2)
-	if err := s.Aggregate(nil); err == nil {
+	if err := aggregate(s, nil); err == nil {
 		t.Fatal("expected error for empty updates")
 	}
-	if err := s.Aggregate([]Update{{Delta: []float64{1}, Tau: 1, N: 1}}); err == nil {
+	if err := aggregate(s, []Update{{Delta: []float64{1}, Tau: 1, N: 1}}); err == nil {
 		t.Fatal("expected error for length mismatch")
 	}
-	if err := s.Aggregate([]Update{{Delta: []float64{1, 1}, Tau: 0, N: 1}}); err == nil {
+	if err := aggregate(s, []Update{{Delta: []float64{1, 1}, Tau: 0, N: 1}}); err == nil {
 		t.Fatal("expected error for tau=0")
 	}
 	cfgS, _ := Config{Algorithm: Scaffold}.Normalize()
 	ss := NewServer(cfgS, []float64{0, 0}, 2, 2)
-	if err := ss.Aggregate([]Update{{Delta: []float64{1, 1}, Tau: 1, N: 1}}); err == nil {
+	if err := aggregate(ss, []Update{{Delta: []float64{1, 1}, Tau: 1, N: 1}}); err == nil {
 		t.Fatal("expected error for missing DeltaC")
 	}
 }
@@ -370,26 +370,6 @@ func TestEvaluatorMajorityBaseline(t *testing.T) {
 	acc := ev.Accuracy(m.State())
 	if acc < 0.05 || acc > 0.95 {
 		t.Fatalf("suspicious untrained accuracy %v", acc)
-	}
-}
-
-func TestEvalEvery(t *testing.T) {
-	cfg := quickCfg(FedAvg)
-	cfg.Rounds = 4
-	cfg.EvalEvery = 2
-	sim, _ := testFederation(t, partition.Strategy{Kind: partition.Homogeneous}, 3, cfg)
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	evaluated := 0
-	for _, m := range res.Curve {
-		if m.TestAccuracy >= 0 {
-			evaluated++
-		}
-	}
-	if evaluated != 2 {
-		t.Fatalf("evaluated %d rounds, want 2", evaluated)
 	}
 }
 

@@ -29,15 +29,15 @@ type UpdateMeta struct {
 // validTau reports whether a (dataset size, step count) pair is an
 // acceptable update meta: positive steps, or the empty-party case of zero
 // samples and zero steps (which aggregates with weight zero). The one
-// predicate is shared by the batched, streaming and chunked validation
-// paths so they can never diverge.
+// predicate is shared by the synchronous and async validation paths so
+// they can never diverge.
 func validTau(n, tau int) bool {
 	return tau > 0 || (tau == 0 && n == 0)
 }
 
 // PredictTau returns the number of local SGD steps a party with n samples
 // performs under cfg: LocalEpochs passes of ceil(n/BatchSize) mini-batches.
-// It mirrors the batching loop in Client.LocalTrain exactly; the streaming
+// It mirrors the batching loop in Client.TrainStream exactly; the streaming
 // aggregator validates arriving updates against it.
 func PredictTau(cfg Config, n int) int {
 	return cfg.LocalEpochs * ((n + cfg.BatchSize - 1) / cfg.BatchSize)
@@ -46,11 +46,17 @@ func PredictTau(cfg Config, n int) int {
 // Server holds the global model state and implements the aggregation rules
 // of the four algorithms (Algorithm 1 lines 9-10, Algorithm 2 lines 9-10)
 // plus the FedDyn/MOON extensions, as a streaming accumulator: the round
-// opens with BeginRound, each update folds in with AddUpdate as it
-// arrives — or chunk-at-a-time through AddUpdateChunk/FinishUpdate, with
-// DropUpdate removing a party whose stream went bad — and FinishRound
-// applies the accumulated pseudo-gradient. The batched Aggregate remains
-// as a convenience wrapper.
+// opens with BeginRound, each update arrives chunk-at-a-time through
+// AddUpdateChunk and folds in at FinishUpdate — DropUpdate removing a
+// party whose stream went bad — and FinishRound applies the accumulated
+// pseudo-gradient. The buffered-async coordinator folds through the same
+// accumulate/apply pair, so the rule is written once for both schedulers.
+// With n the round's total sample count and N the federation size:
+//
+//	FedAvg/FedProx/SCAFFOLD: w <- w - serverLR * sum_i (n_i/n) Delta_i
+//	FedNova:                 w <- w - serverLR * tau_eff * sum_i (n_i/n) Delta_i / tau_i
+//	                          with tau_eff = sum_i (n_i/n) tau_i
+//	SCAFFOLD additionally:   c <- c + (1/N) sum_i DeltaC_i
 type Server struct {
 	cfg      Config
 	state    []float64 // global model state (params then buffers)
@@ -72,7 +78,7 @@ type Server struct {
 	// per round beyond the metas slice.
 	agg     []float64
 	metas   []UpdateMeta
-	totalN  int
+	norm    float64 // sum of the metas' base weights, fixed at BeginRound
 	tauEff  float64 // FedNova's effective step count, fixed at BeginRound
 	added   int
 	inRound bool
@@ -130,44 +136,50 @@ func (s *Server) StreamLen() int {
 // either folded or dropped.
 func (s *Server) cursor() int { return s.added + s.dropped }
 
-// weightFor returns the aggregation weight of an update with local size n,
-// given the round's totals. It reproduces the paper's weighted rule
-// (n_i/n) and the unweighted ablation (1/K) with the exact arithmetic of
-// the batched reference, so streaming and batched aggregation are
-// bit-identical. A round whose every sampled party reported an empty
-// dataset falls back to the unweighted rule: 0/0 would otherwise poison
-// the accumulator with NaN (all such deltas are zero, so the value only
-// needs to be finite).
+// baseWeight is an update's un-normalized aggregation weight: the party's
+// sample count under the paper's weighted rule (n_i/n), 1 under the
+// unweighted ablation and under FedDyn, which averages participating
+// models unweighted (Acar et al.). Both schedulers weight by it — the
+// synchronous round divides by the sample's sum up front (weightFor), the
+// async buffer by its discounted sum at the flush.
+func (s *Server) baseWeight(n int) float64 {
+	if s.cfg.Unweighted || s.cfg.Algorithm == FedDyn {
+		return 1
+	}
+	return float64(n)
+}
+
+// weightFor returns the round-normalized weight of an update with local
+// size n, with the exact arithmetic of the batched reference, so streaming
+// and batched aggregation are bit-identical. A round whose every sampled
+// party reported an empty dataset falls back to the unweighted rule: 0/0
+// would otherwise poison the accumulator with NaN (all such deltas are
+// zero, so the value only needs to be finite).
 func (s *Server) weightFor(n int) float64 {
-	if s.cfg.Unweighted || s.totalN == 0 {
+	if s.norm == 0 {
 		return 1 / float64(len(s.metas))
 	}
-	return float64(n) / float64(s.totalN)
+	return s.baseWeight(n) / s.norm
 }
 
 // updateWeight returns the fold weight of the update matching meta m under
 // the configured algorithm. An empty party (zero samples, zero steps) gets
-// weight zero: its delta is identically zero, and FedNova's tau division
-// would otherwise produce 0*tauEff/0 = NaN.
+// weight zero under FedNova: its delta is identically zero, and the tau
+// division would otherwise produce 0*tauEff/0 = NaN.
 func (s *Server) updateWeight(m UpdateMeta) float64 {
-	switch s.cfg.Algorithm {
-	case FedNova:
-		if m.Tau == 0 {
-			return 0
-		}
-		return s.weightFor(m.N) * s.tauEff / float64(m.Tau)
-	case FedDyn:
-		// FedDyn averages participating models unweighted (Acar et al.).
-		return 1 / float64(len(s.metas))
-	default:
+	if s.cfg.Algorithm != FedNova {
 		return s.weightFor(m.N)
 	}
+	if m.Tau == 0 {
+		return 0
+	}
+	return s.weightFor(m.N) * s.tauEff / float64(m.Tau)
 }
 
 // BeginRound opens a streaming aggregation round. metas lists the sampled
-// parties' dataset sizes and step counts in dispatch order; AddUpdate must
-// then be called once per meta, in the same order, so the floating-point
-// fold order is deterministic for a given sample.
+// parties' dataset sizes and step counts in dispatch order; each must then
+// be finished (FinishUpdate) or dropped (DropUpdate) in the same order, so
+// the floating-point fold order is deterministic for a given sample.
 func (s *Server) BeginRound(metas []UpdateMeta) error {
 	if s.inRound {
 		return fmt.Errorf("fl: BeginRound during an open round")
@@ -175,15 +187,14 @@ func (s *Server) BeginRound(metas []UpdateMeta) error {
 	if len(metas) == 0 {
 		return fmt.Errorf("fl: no updates to aggregate")
 	}
-	totalN := 0
+	s.norm = 0
 	for _, m := range metas {
 		if !validTau(m.N, m.Tau) {
 			return fmt.Errorf("fl: update with non-positive tau %d", m.Tau)
 		}
-		totalN += m.N
+		s.norm += s.baseWeight(m.N)
 	}
 	s.metas = append(s.metas[:0], metas...)
-	s.totalN = totalN
 	s.added = 0
 	s.tauEff = 0
 	s.curOff = 0
@@ -195,12 +206,7 @@ func (s *Server) BeginRound(metas []UpdateMeta) error {
 	for i := range s.dropMask {
 		s.dropMask[i] = false
 	}
-	if s.agg == nil {
-		s.agg = make([]float64, len(s.state))
-	}
-	for i := range s.agg {
-		s.agg[i] = 0
-	}
+	s.resetAccumulator()
 	if s.cfg.Algorithm == FedNova {
 		for _, m := range metas {
 			s.tauEff += s.weightFor(m.N) * float64(m.Tau)
@@ -208,6 +214,17 @@ func (s *Server) BeginRound(metas []UpdateMeta) error {
 	}
 	s.inRound = true
 	return nil
+}
+
+// resetAccumulator zeroes the pseudo-gradient accumulator, allocating it
+// on first use.
+func (s *Server) resetAccumulator() {
+	if s.agg == nil {
+		s.agg = make([]float64, len(s.state))
+	}
+	for i := range s.agg {
+		s.agg[i] = 0
+	}
 }
 
 // validateTrailer checks an update's aggregation metadata against the next
@@ -225,55 +242,29 @@ func (s *Server) validateTrailer(u Update) (UpdateMeta, error) {
 	return meta, nil
 }
 
-// foldUpdate accumulates one complete update (delta, and SCAFFOLD's deltaC)
-// with the weight fixed for meta m. This is the single fold used by both
-// the whole-update and the chunked path, which is what makes the two
-// bit-identical: chunking changes only where the delta was staged, never
-// the order or the operands of these accumulations.
-func (s *Server) foldUpdate(m UpdateMeta, delta, deltaC []float64) {
-	w := s.updateWeight(m)
+// accumulate is the one fold kernel, shared by the synchronous round
+// (FinishUpdate) and the buffered-async coordinator: it adds w x delta to
+// the pseudo-gradient accumulator and advances FedDyn's h and SCAFFOLD's
+// c, both of which normalize by the federation size N rather than by the
+// round. disc is the staleness discount on those two — exactly 1 on the
+// synchronous path, where multiplying by it changes no bit. Chunking only
+// decides where delta was staged, never the order or the operands of
+// these accumulations, which is what keeps every frame size bit-identical.
+func (s *Server) accumulate(w, disc float64, delta, deltaC []float64) {
 	for i, d := range delta {
 		s.agg[i] += w * d
 	}
 	if s.cfg.Algorithm == FedDyn {
 		// h <- h + (alpha/N) * sum_i Delta_i (params only).
 		for i := 0; i < s.paramLen; i++ {
-			s.dynH[i] += s.cfg.Alpha * delta[i] / float64(s.numParties)
+			s.dynH[i] += disc * s.cfg.Alpha * delta[i] / float64(s.numParties)
 		}
 	}
 	if s.cfg.Algorithm == Scaffold {
 		for i, d := range deltaC {
-			s.control[i] += d / float64(s.numParties)
+			s.control[i] += disc * d / float64(s.numParties)
 		}
 	}
-	s.added++
-}
-
-// AddUpdate folds one arriving update into the open round. The update must
-// match the next unconsumed meta (same N and Tau). The update's Delta is
-// not retained — callers may recycle it as soon as AddUpdate returns.
-func (s *Server) AddUpdate(u Update) error {
-	if !s.inRound {
-		return fmt.Errorf("fl: AddUpdate outside a round")
-	}
-	if s.cursor() >= len(s.metas) {
-		return fmt.Errorf("fl: more updates than sampled parties (%d)", len(s.metas))
-	}
-	if s.curOff != 0 {
-		return fmt.Errorf("fl: AddUpdate during an open chunk stream (%d elements staged)", s.curOff)
-	}
-	if len(u.Delta) != len(s.state) {
-		return fmt.Errorf("fl: update length %d, state %d", len(u.Delta), len(s.state))
-	}
-	if s.cfg.Algorithm == Scaffold && u.DeltaC == nil {
-		return fmt.Errorf("fl: SCAFFOLD update missing DeltaC")
-	}
-	meta, err := s.validateTrailer(u)
-	if err != nil {
-		return err
-	}
-	s.foldUpdate(meta, u.Delta, u.DeltaC)
-	return nil
 }
 
 // AddUpdateChunk stages one chunk of the current update's flattened
@@ -314,11 +305,10 @@ func (s *Server) AddUpdateChunk(idx, offset int, chunk []float64) error {
 	return nil
 }
 
-// FinishUpdate completes the current chunked update: u carries only the
-// trailer metadata (N, Tau, TrainLoss — Delta and DeltaC must be nil; the
-// vectors are the staged chunk stream). The staged delta folds into the
-// round exactly as AddUpdate would fold it, so chunked and whole-update
-// delivery are bit-identical.
+// FinishUpdate completes the current update: u carries only the trailer
+// metadata (N, Tau, TrainLoss — Delta and DeltaC must be nil; the vectors
+// are the staged chunk stream), which must match the next unconsumed meta,
+// and the staged delta folds into the round.
 func (s *Server) FinishUpdate(u Update) error {
 	if !s.inRound {
 		return fmt.Errorf("fl: FinishUpdate outside a round")
@@ -342,7 +332,8 @@ func (s *Server) FinishUpdate(u Update) error {
 		deltaC = s.cur[len(s.state):s.StreamLen()]
 	}
 	s.curOff = 0
-	s.foldUpdate(meta, delta, deltaC)
+	s.accumulate(s.updateWeight(meta), 1, delta, deltaC)
+	s.added++
 	return nil
 }
 
@@ -384,8 +375,22 @@ func (s *Server) FinishRound() error {
 		return ErrAllDropped
 	}
 	s.inRound = false
+	scale := 1.0
 	if s.dropped > 0 {
-		s.rescaleForDrops()
+		scale = s.dropScale()
+	}
+	s.apply(scale)
+	return nil
+}
+
+// apply is the one apply step, shared by FinishRound and the async flush:
+// it scales the accumulator (a no-op at exactly 1), moves the global state
+// by it through the server optimizer and applies FedDyn's correction.
+func (s *Server) apply(scale float64) {
+	if scale != 1 {
+		for i := range s.agg {
+			s.agg[i] *= scale
+		}
 	}
 	s.applyUpdate(s.agg)
 	if s.cfg.Algorithm == FedDyn {
@@ -394,15 +399,14 @@ func (s *Server) FinishRound() error {
 			s.state[i] -= s.dynH[i] / s.cfg.Alpha
 		}
 	}
-	return nil
 }
 
-// rescaleForDrops renormalizes the round accumulator after mid-round
-// drops. Every folded update used the weights fixed at BeginRound, which
-// still counted the dropped parties; for all six algorithms the exact
-// correction is one uniform scalar, because the per-update weights all
-// share the same normalizer (total sample count, or the participant
-// count, times FedNova's effective step count):
+// dropScale returns the scalar that renormalizes the round accumulator
+// after mid-round drops. Every folded update used the weights fixed at
+// BeginRound, which still counted the dropped parties; for all six
+// algorithms the exact correction is one uniform scalar, because the
+// per-update weights all share the same normalizer (the base-weight sum,
+// times FedNova's effective step count):
 //
 //	weighted:   n_j/totalN      -> n_j/survN       ratio totalN/survN
 //	unweighted: 1/K             -> 1/K'            ratio K/K'
@@ -411,20 +415,20 @@ func (s *Server) FinishRound() error {
 //
 // SCAFFOLD's control variate and FedDyn's h normalize by the federation
 // size N (not the round), so drops leave them untouched.
-func (s *Server) rescaleForDrops() {
-	survN, survK := 0, 0
+func (s *Server) dropScale() float64 {
+	survNorm, survK := 0.0, 0
 	for j, m := range s.metas {
-		if s.dropMask[j] {
-			continue
+		if !s.dropMask[j] {
+			survNorm += s.baseWeight(m.N)
+			survK++
 		}
-		survN += m.N
-		survK++
 	}
-	var r float64
-	if s.cfg.Unweighted || s.cfg.Algorithm == FedDyn || s.totalN == 0 || survN == 0 {
+	// An all-empty sample or survivor set weighs its parties uniformly
+	// (see weightFor).
+	uniform := s.norm == 0 || survNorm == 0
+	r := s.norm / survNorm
+	if uniform {
 		r = float64(len(s.metas)) / float64(survK)
-	} else {
-		r = float64(s.totalN) / float64(survN)
 	}
 	if s.cfg.Algorithm == FedNova {
 		var tauEffNew float64
@@ -432,11 +436,9 @@ func (s *Server) rescaleForDrops() {
 			if s.dropMask[j] {
 				continue
 			}
-			var w float64
-			if s.cfg.Unweighted || survN == 0 {
+			w := s.baseWeight(m.N) / survNorm
+			if uniform {
 				w = 1 / float64(survK)
-			} else {
-				w = float64(m.N) / float64(survN)
 			}
 			tauEffNew += w * float64(m.Tau)
 		}
@@ -444,133 +446,14 @@ func (s *Server) rescaleForDrops() {
 			r *= tauEffNew / s.tauEff
 		}
 	}
-	for i := range s.agg {
-		s.agg[i] *= r
-	}
+	return r
 }
 
 // AbortRound abandons an open round (e.g. a transport failure mid-round).
 // Contributions already folded into SCAFFOLD's control variate or FedDyn's
-// h are not rolled back — matching the batched implementation, which also
-// mutated them before detecting a bad update — so a server whose round
-// aborted should not be trusted for further rounds.
+// h are not rolled back, so a server whose round aborted should not be
+// trusted for further rounds.
 func (s *Server) AbortRound() { s.inRound = false }
-
-// Aggregate folds a complete round of updates into the global state. It
-// implements the paper's weighted rules:
-//
-//	FedAvg/FedProx/SCAFFOLD: w <- w - serverLR * sum_i (n_i/n) Delta_i
-//	FedNova:                 w <- w - serverLR * tau_eff * sum_i (n_i/n) Delta_i / tau_i
-//	                          with tau_eff = sum_i (n_i/n) tau_i
-//	SCAFFOLD additionally:   c <- c + (1/N) sum_i DeltaC_i
-//
-// It is a convenience wrapper over the streaming BeginRound/AddUpdate/
-// FinishRound accumulator and produces bit-identical results.
-func (s *Server) Aggregate(updates []Update) error {
-	if len(updates) == 0 {
-		return fmt.Errorf("fl: no updates to aggregate")
-	}
-	metas := make([]UpdateMeta, len(updates))
-	for j, u := range updates {
-		if len(u.Delta) != len(s.state) {
-			return fmt.Errorf("fl: update length %d, state %d", len(u.Delta), len(s.state))
-		}
-		if !validTau(u.N, u.Tau) {
-			return fmt.Errorf("fl: update with non-positive tau %d", u.Tau)
-		}
-		metas[j] = UpdateMeta{N: u.N, Tau: u.Tau}
-	}
-	if err := s.BeginRound(metas); err != nil {
-		return err
-	}
-	for _, u := range updates {
-		if err := s.AddUpdate(u); err != nil {
-			s.AbortRound()
-			return err
-		}
-	}
-	return s.FinishRound()
-}
-
-// aggregateBatched is the original non-streaming aggregation, retained
-// verbatim as the reference implementation for the streaming-equivalence
-// tests: it buffers the whole round and folds it in one pass.
-func (s *Server) aggregateBatched(updates []Update) error {
-	if len(updates) == 0 {
-		return fmt.Errorf("fl: no updates to aggregate")
-	}
-	totalN := 0
-	for _, u := range updates {
-		if len(u.Delta) != len(s.state) {
-			return fmt.Errorf("fl: update length %d, state %d", len(u.Delta), len(s.state))
-		}
-		if u.Tau <= 0 {
-			return fmt.Errorf("fl: update with non-positive tau %d", u.Tau)
-		}
-		totalN += u.N
-	}
-	weight := func(u Update) float64 {
-		if s.cfg.Unweighted {
-			return 1 / float64(len(updates))
-		}
-		return float64(u.N) / float64(totalN)
-	}
-
-	agg := make([]float64, len(s.state))
-	switch s.cfg.Algorithm {
-	case FedNova:
-		var tauEff float64
-		for _, u := range updates {
-			tauEff += weight(u) * float64(u.Tau)
-		}
-		for _, u := range updates {
-			w := weight(u) * tauEff / float64(u.Tau)
-			for i, d := range u.Delta {
-				agg[i] += w * d
-			}
-		}
-	case FedDyn:
-		// FedDyn averages participating models unweighted (Acar et al.).
-		for _, u := range updates {
-			w := 1 / float64(len(updates))
-			for i, d := range u.Delta {
-				agg[i] += w * d
-			}
-		}
-	default:
-		for _, u := range updates {
-			w := weight(u)
-			for i, d := range u.Delta {
-				agg[i] += w * d
-			}
-		}
-	}
-	s.applyUpdate(agg)
-
-	if s.cfg.Algorithm == FedDyn {
-		// h <- h + (alpha/N) * sum_i Delta_i, then w <- mean(w_i) - h/alpha.
-		for _, u := range updates {
-			for i := 0; i < s.paramLen; i++ {
-				s.dynH[i] += s.cfg.Alpha * u.Delta[i] / float64(s.numParties)
-			}
-		}
-		for i := 0; i < s.paramLen; i++ {
-			s.state[i] -= s.dynH[i] / s.cfg.Alpha
-		}
-	}
-
-	if s.cfg.Algorithm == Scaffold {
-		for _, u := range updates {
-			if u.DeltaC == nil {
-				return fmt.Errorf("fl: SCAFFOLD update missing DeltaC")
-			}
-			for i, d := range u.DeltaC {
-				s.control[i] += d / float64(s.numParties)
-			}
-		}
-	}
-	return nil
-}
 
 // applyUpdate moves the global state by the aggregated delta through the
 // configured server optimizer. agg is a pseudo-gradient: plain SGD is the

@@ -45,7 +45,8 @@ type Result struct {
 	// aggregation (excludes evaluation).
 	ComputeTime time.Duration
 	// FinalState is the final global model state (parameters then
-	// buffers), suitable for SaveStateFile.
+	// buffers); a FederationSnapshot carrying it as its State is a model
+	// file.
 	FinalState []float64
 	// Async summarizes the buffered-async run (nil for synchronous
 	// rounds): fold count and staleness distribution.

@@ -37,31 +37,14 @@ func synthUpdates(r *rng.RNG, k, stateLen, paramLen int, scaffold bool) []Update
 	return ups
 }
 
-// feedChunked pushes u into s as a chunk stream of the given size: the
-// delta followed by SCAFFOLD's control delta as one flattened stream,
-// chunk boundaries anywhere (including across the delta/control seam).
-func feedChunked(s *Server, idx int, u Update, chunk int) error {
-	stream := append(append([]float64{}, u.Delta...), u.DeltaC...)
-	for off := 0; off < len(stream); off += chunk {
-		end := off + chunk
-		if end > len(stream) {
-			end = len(stream)
-		}
-		if err := s.AddUpdateChunk(idx, off, stream[off:end]); err != nil {
-			return err
-		}
-	}
-	return s.FinishUpdate(Update{N: u.N, Tau: u.Tau, TrainLoss: u.TrainLoss, Kept: u.Kept})
-}
-
 // TestStreamingMatchesBatchedAggregation drives many rounds of synthetic
-// updates through three servers built from the same initial state — one
-// folding each update as it arrives (BeginRound/AddUpdate/FinishRound),
-// one folding chunk-at-a-time (AddUpdateChunk/FinishUpdate) with varying
-// chunk sizes, and one using the retained batched reference — and demands
-// bit-identical state trajectories ("curves") for every algorithm, both
-// weighting modes and every server optimizer. Any drift here would make
-// streaming, chunked and batched runs scientifically incomparable.
+// updates through two servers built from the same initial state — one
+// folding chunk-at-a-time through the ingest (AddUpdateChunk/FinishUpdate)
+// with frame sizes from one element to the whole stream, and one using the
+// batched oracle — and demands bit-identical state trajectories ("curves")
+// for every algorithm, both weighting modes and every server optimizer.
+// Any drift here would make streamed and batched runs scientifically
+// incomparable.
 func TestStreamingMatchesBatchedAggregation(t *testing.T) {
 	const (
 		paramLen = 37
@@ -86,7 +69,6 @@ func TestStreamingMatchesBatchedAggregation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				streaming := NewServer(cfg, initial, paramLen, parties)
 				chunked := NewServer(cfg, initial, paramLen, parties)
 				batched := NewServer(cfg, initial, paramLen, parties)
 				r := rng.New(7)
@@ -96,19 +78,8 @@ func TestStreamingMatchesBatchedAggregation(t *testing.T) {
 					for j, u := range ups {
 						metas[j] = UpdateMeta{N: u.N, Tau: u.Tau}
 					}
-					if err := streaming.BeginRound(metas); err != nil {
-						t.Fatalf("%s/%v/%s round %d: %v", alg, unweighted, opt, round, err)
-					}
-					for _, u := range ups {
-						if err := streaming.AddUpdate(u); err != nil {
-							t.Fatalf("%s/%v/%s round %d: %v", alg, unweighted, opt, round, err)
-						}
-					}
-					if err := streaming.FinishRound(); err != nil {
-						t.Fatalf("%s/%v/%s round %d: %v", alg, unweighted, opt, round, err)
-					}
 					if err := chunked.BeginRound(metas); err != nil {
-						t.Fatalf("%s/%v/%s round %d (chunked): %v", alg, unweighted, opt, round, err)
+						t.Fatalf("%s/%v/%s round %d: %v", alg, unweighted, opt, round, err)
 					}
 					for j, u := range ups {
 						size := chunkSizes[(round+j)%len(chunkSizes)]
@@ -117,27 +88,19 @@ func TestStreamingMatchesBatchedAggregation(t *testing.T) {
 						}
 					}
 					if err := chunked.FinishRound(); err != nil {
-						t.Fatalf("%s/%v/%s round %d (chunked): %v", alg, unweighted, opt, round, err)
+						t.Fatalf("%s/%v/%s round %d: %v", alg, unweighted, opt, round, err)
 					}
 					if err := batched.aggregateBatched(ups); err != nil {
 						t.Fatalf("%s/%v/%s round %d (batched): %v", alg, unweighted, opt, round, err)
 					}
-					for i := range streaming.State() {
-						if streaming.State()[i] != batched.State()[i] {
-							t.Fatalf("%s unweighted=%v opt=%s round %d: state[%d] streaming %v vs batched %v",
-								alg, unweighted, opt, round, i, streaming.State()[i], batched.State()[i])
-						}
+					for i := range chunked.State() {
 						if chunked.State()[i] != batched.State()[i] {
 							t.Fatalf("%s unweighted=%v opt=%s round %d: state[%d] chunked %v vs batched %v",
 								alg, unweighted, opt, round, i, chunked.State()[i], batched.State()[i])
 						}
 					}
 					if alg == Scaffold {
-						for i := range streaming.Control() {
-							if streaming.Control()[i] != batched.Control()[i] {
-								t.Fatalf("%s round %d: control[%d] streaming %v vs batched %v",
-									alg, round, i, streaming.Control()[i], batched.Control()[i])
-							}
+						for i := range chunked.Control() {
 							if chunked.Control()[i] != batched.Control()[i] {
 								t.Fatalf("%s round %d: control[%d] chunked %v vs batched %v",
 									alg, round, i, chunked.Control()[i], batched.Control()[i])
@@ -150,44 +113,17 @@ func TestStreamingMatchesBatchedAggregation(t *testing.T) {
 	}
 }
 
-// TestAggregateWrapperMatchesBatched checks the public batched entry point
-// (now a wrapper over the streaming accumulator) against the reference.
-func TestAggregateWrapperMatchesBatched(t *testing.T) {
-	const paramLen, stateLen, parties = 11, 14, 4
-	initial := make([]float64, stateLen)
-	for _, alg := range ExtendedAlgorithms() {
-		cfg, err := Config{Algorithm: alg}.Normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := NewServer(cfg, initial, paramLen, parties)
-		b := NewServer(cfg, initial, paramLen, parties)
-		r := rng.New(13)
-		for round := 0; round < 3; round++ {
-			ups := synthUpdates(r, parties, stateLen, paramLen, alg == Scaffold)
-			if err := a.Aggregate(ups); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.aggregateBatched(ups); err != nil {
-				t.Fatal(err)
-			}
-			for i := range a.State() {
-				if a.State()[i] != b.State()[i] {
-					t.Fatalf("%s round %d: state[%d] %v vs %v", alg, round, i, a.State()[i], b.State()[i])
-				}
-			}
-		}
-	}
-}
-
 // TestStreamingRoundStateMachine exercises the accumulator's misuse
-// errors: adds outside rounds, meta mismatches, incomplete rounds.
+// errors: folds outside rounds, meta mismatches, incomplete rounds.
 func TestStreamingRoundStateMachine(t *testing.T) {
 	cfg, _ := Config{}.Normalize()
 	s := NewServer(cfg, []float64{0, 0}, 2, 2)
 	u := Update{Delta: []float64{1, 1}, Tau: 2, N: 10}
-	if err := s.AddUpdate(u); err == nil {
-		t.Fatal("AddUpdate outside a round should fail")
+	if err := feedChunked(s, 0, u, 2); err == nil {
+		t.Fatal("an update outside a round should fail")
+	}
+	if err := s.FinishUpdate(Update{Tau: 2, N: 10}); err == nil {
+		t.Fatal("FinishUpdate outside a round should fail")
 	}
 	if err := s.FinishRound(); err == nil {
 		t.Fatal("FinishRound outside a round should fail")
@@ -204,13 +140,15 @@ func TestStreamingRoundStateMachine(t *testing.T) {
 	if err := s.FinishRound(); err == nil {
 		t.Fatal("FinishRound before all updates arrived should fail")
 	}
-	if err := s.AddUpdate(Update{Delta: []float64{1, 1}, Tau: 3, N: 10}); err == nil {
+	// A refused trailer leaves the staged stream in place, so the right
+	// trailer can still finish it.
+	if err := feedChunked(s, 0, Update{Delta: []float64{1, 1}, Tau: 3, N: 10}, 2); err == nil {
 		t.Fatal("tau mismatch against meta should fail")
 	}
-	if err := s.AddUpdate(u); err != nil {
+	if err := s.FinishUpdate(Update{Tau: 2, N: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddUpdate(u); err == nil {
+	if err := feedChunked(s, 1, u, 2); err == nil {
 		t.Fatal("more updates than metas should fail")
 	}
 	if err := s.FinishRound(); err != nil {

@@ -103,7 +103,7 @@ func TestCrashServerProcessHelper(t *testing.T) {
 	if err != nil {
 		t.Fatalf("helper serve: %v", err)
 	}
-	if err := fl.SaveStateFile(filepath.Join(dir, "final.model"), res.FinalState); err != nil {
+	if err := fl.WriteSnapshotFile(filepath.Join(dir, "final.model"), &fl.FederationSnapshot{State: res.FinalState}); err != nil {
 		t.Fatalf("helper: writing final state: %v", err)
 	}
 }
@@ -227,11 +227,11 @@ func crashRestartRun(t *testing.T, alg fl.Algorithm, faults *FaultPlan) []float6
 			}
 		}
 	}
-	final, err := fl.LoadStateFile(filepath.Join(dir, "final.model"))
+	final, err := fl.LoadSnapshotFile(filepath.Join(dir, "final.model"))
 	if err != nil {
 		t.Fatalf("restarted server left no final model: %v", err)
 	}
-	return final
+	return final.State
 }
 
 // referenceRun produces the uninterrupted oracle over real TCP with the
@@ -408,14 +408,14 @@ func TestAsyncCrashRestartCompletes(t *testing.T) {
 			t.Fatalf("party %d: %v", i, err)
 		}
 	}
-	final, err := fl.LoadStateFile(filepath.Join(dir, "final.model"))
+	final, err := fl.LoadSnapshotFile(filepath.Join(dir, "final.model"))
 	if err != nil {
 		t.Fatalf("restarted async server left no final model: %v", err)
 	}
-	if len(final) == 0 {
+	if len(final.State) == 0 {
 		t.Fatal("empty final model after async crash restart")
 	}
-	for i, v := range final {
+	for i, v := range final.State {
 		if v != v { // NaN
 			t.Fatalf("final model has NaN at [%d]", i)
 		}

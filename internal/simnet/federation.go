@@ -115,8 +115,8 @@ type Federation struct {
 	// the run.
 	Checkpoint      func(*fl.FederationSnapshot) error
 	CheckpointEvery int
-	// InitialState, when non-nil, seeds the global model from a bare
-	// state-vector checkpoint before round 0 (the TCP mirror of
+	// InitialState, when non-nil, seeds the global model from a model
+	// file's state before round 0 (the TCP mirror of
 	// Simulation.SetInitialState). Ignored when Resume is set — a full
 	// snapshot already carries the state.
 	InitialState []float64

@@ -6,10 +6,10 @@ import (
 )
 
 // Compute is an explicit kernel compute budget: the maximum goroutine
-// fan-out any single kernel call may use. It replaces the old process-wide
-// SetKernelParallelism knob so independent consumers — per-client model
-// replicas, evaluator shards, concurrent simulations in one process — each
-// carry their own budget instead of clobbering a global.
+// fan-out any single kernel call may use. Independent consumers —
+// per-client model replicas, evaluator shards, concurrent simulations in
+// one process — each carry their own budget; there is no process-wide
+// knob to clobber.
 //
 // The zero value means "use GOMAXPROCS at call time", which is the right
 // default for a model that has the machine to itself. A federation running
@@ -21,10 +21,6 @@ import (
 //
 //	cmp := tensor.Compute{Workers: 2}
 //	cmp.MatMulInto(dst, a, b)
-//
-// The package-level kernel functions (MatMulInto, Im2ColInto, ...) remain
-// as wrappers that consult the deprecated global knob for backward
-// compatibility; new code should thread a Compute instead.
 type Compute struct {
 	// Workers caps the goroutine fan-out of a kernel call; <= 0 means
 	// GOMAXPROCS at call time.

@@ -55,9 +55,17 @@ func benchGEMM(b *testing.B, dt DType, ta, tb bool, run func(dst, a, bb *Tensor)
 	}
 }
 
-func BenchmarkMatMul(b *testing.B)         { benchGEMM(b, Float64, false, false, MatMulInto) }
-func BenchmarkMatMulTransA(b *testing.B)   { benchGEMM(b, Float64, true, false, MatMulTransAInto) }
-func BenchmarkMatMulTransB(b *testing.B)   { benchGEMM(b, Float64, false, true, MatMulTransBInto) }
-func BenchmarkMatMul32(b *testing.B)       { benchGEMM(b, Float32, false, false, MatMulInto) }
-func BenchmarkMatMulTransA32(b *testing.B) { benchGEMM(b, Float32, true, false, MatMulTransAInto) }
-func BenchmarkMatMulTransB32(b *testing.B) { benchGEMM(b, Float32, false, true, MatMulTransBInto) }
+func BenchmarkMatMul(b *testing.B) { benchGEMM(b, Float64, false, false, Compute{}.MatMulInto) }
+func BenchmarkMatMulTransA(b *testing.B) {
+	benchGEMM(b, Float64, true, false, Compute{}.MatMulTransAInto)
+}
+func BenchmarkMatMulTransB(b *testing.B) {
+	benchGEMM(b, Float64, false, true, Compute{}.MatMulTransBInto)
+}
+func BenchmarkMatMul32(b *testing.B) { benchGEMM(b, Float32, false, false, Compute{}.MatMulInto) }
+func BenchmarkMatMulTransA32(b *testing.B) {
+	benchGEMM(b, Float32, true, false, Compute{}.MatMulTransAInto)
+}
+func BenchmarkMatMulTransB32(b *testing.B) {
+	benchGEMM(b, Float32, false, true, Compute{}.MatMulTransBInto)
+}

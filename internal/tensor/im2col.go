@@ -92,12 +92,6 @@ func im2colRange[T Elem](xd, cd []T, b0, b1, c, h, w, outH, outW, kh, kw, stride
 	}
 }
 
-// Im2ColInto expands image patches under the deprecated global
-// parallelism knob; prefer the Compute method.
-func Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) *Tensor {
-	return legacyCompute().Im2ColInto(dst, x, kh, kw, stride, pad)
-}
-
 // Im2ColInto expands image patches of x (batch, channels, height, width)
 // into rows of dst, which must have shape (batch*outH*outW,
 // channels*kh*kw) and x's dtype. Every element of dst is written. Returns
@@ -143,12 +137,6 @@ func im2colDispatch[T Elem](workers int, xd, cd []T, b, c, h, w, outH, outW, kh,
 // backing array comes from the shared pool — callers that drop it on the
 // floor lose nothing, and hot loops may hand it back with Shared.Put to
 // run allocation-free.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	return legacyCompute().Im2Col(x, kh, kw, stride, pad)
-}
-
-// Im2Col is the allocating variant under an explicit compute budget; the
-// result's backing array comes from the shared pool.
 func (c Compute) Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col requires a 4-D tensor, got shape %v", x.shape))
@@ -204,12 +192,6 @@ func col2imRange[T Elem](xd, cd []T, b0, b1, c, h, w, outH, outW, kh, kw, stride
 	}
 }
 
-// Col2ImInto scatters column gradients under the deprecated global
-// parallelism knob; prefer the Compute method.
-func Col2ImInto(img, cols *Tensor, kh, kw, stride, pad int) *Tensor {
-	return legacyCompute().Col2ImInto(img, cols, kh, kw, stride, pad)
-}
-
 // Col2ImInto is the adjoint of Im2Col: it scatters column gradients back
 // into img (batch, channels, height, width), accumulating overlapping
 // contributions. img is zeroed first; cols must have shape
@@ -249,11 +231,6 @@ func col2imDispatch[T Elem](workers int, xd, cd []T, b, c, h, w, outH, outW, kh,
 // Col2Im scatters column gradients back into a fresh image-shaped gradient
 // of shape (batch, channels, height, width), cols' dtype. Like Im2Col, the
 // result is pool-backed.
-func Col2Im(cols *Tensor, b, c, h, w, kh, kw, stride, pad int) *Tensor {
-	return legacyCompute().Col2Im(cols, b, c, h, w, kh, kw, stride, pad)
-}
-
-// Col2Im is the allocating variant under an explicit compute budget.
 func (c Compute) Col2Im(cols *Tensor, b, ch, h, w, kh, kw, stride, pad int) *Tensor {
 	// Col2ImInto zeroes img before scattering, so skip the pool's clear.
 	return c.Col2ImInto(Shared.getNoZero(cols.dt, b, ch, h, w), cols, kh, kw, stride, pad)

@@ -40,10 +40,6 @@ func (c Compute) matmul(dst, a, b *Tensor, m, n, k, ars, acs, brs, bcs int) {
 	gemm(&kernels64, c.workers(), dst.data, a.data, b.data, m, n, k, ars, acs, brs, bcs)
 }
 
-// MatMulInto computes dst = a @ b for 2-D tensors under the deprecated
-// global parallelism knob; prefer the Compute method.
-func MatMulInto(dst, a, b *Tensor) { legacyCompute().MatMulInto(dst, a, b) }
-
 // MatMulInto computes dst = a @ b for 2-D tensors. a is (m,k), b is (k,n),
 // dst must be (m,n) and must not alias a or b. The goroutine fan-out is
 // bounded by the receiver's budget.
@@ -52,27 +48,12 @@ func (c Compute) MatMulInto(dst, a, b *Tensor) {
 	c.matmul(dst, a, b, m, n, k, k, 1, n, 1)
 }
 
-// MatMul returns a @ b for 2-D tensors (same dtype as a).
-func MatMul(a, b *Tensor) *Tensor {
-	out := NewOf(a.dt, a.shape[0], b.shape[1])
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulTransAInto computes dst = aᵀ @ b under the deprecated global
-// parallelism knob; prefer the Compute method.
-func MatMulTransAInto(dst, a, b *Tensor) { legacyCompute().MatMulTransAInto(dst, a, b) }
-
 // MatMulTransAInto computes dst = aᵀ @ b where a is (k,m), b is (k,n) and
 // dst is (m,n). Used for weight gradients without materializing aᵀ.
 func (c Compute) MatMulTransAInto(dst, a, b *Tensor) {
 	m, n, k := gemmDims("MatMulTransA", dst, a, b, true, false)
 	c.matmul(dst, a, b, m, n, k, 1, m, n, 1)
 }
-
-// MatMulTransBInto computes dst = a @ bᵀ under the deprecated global
-// parallelism knob; prefer the Compute method.
-func MatMulTransBInto(dst, a, b *Tensor) { legacyCompute().MatMulTransBInto(dst, a, b) }
 
 // MatMulTransBInto computes dst = a @ bᵀ where a is (m,k), b is (n,k) and
 // dst is (m,n). Used for input gradients without materializing bᵀ.

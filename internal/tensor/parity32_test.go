@@ -55,7 +55,7 @@ func TestIm2ColCol2Im32Parity(t *testing.T) {
 		name := fmt.Sprintf("b%d_c%d_%dx%d_k%dx%d_s%d_p%d", tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
 		x := NewOf(Float32, tc.b, tc.c, tc.h, tc.w)
 		fillDet32(x, tc.b+tc.c+tc.h)
-		cols := Im2Col(x, tc.kh, tc.kw, tc.stride, tc.pad)
+		cols := Compute{}.Im2Col(x, tc.kh, tc.kw, tc.stride, tc.pad)
 		if cols.DType() != Float32 {
 			t.Fatalf("Im2Col32 %s: dtype %v", name, cols.DType())
 		}
@@ -64,7 +64,7 @@ func TestIm2ColCol2Im32Parity(t *testing.T) {
 
 		g := NewOf(Float32, cols.Dim(0), cols.Dim(1))
 		fillDet32(g, 3*tc.kh+tc.kw)
-		img := Col2Im(g, tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
+		img := Compute{}.Col2Im(g, tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
 		wantImg := naiveCol2Im(toF64(g), tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
 		checkTensorParity32(t, "Col2Im32 "+name, img, wantImg, tc.kh*tc.kw)
 	}
@@ -168,23 +168,6 @@ func TestPool32ConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-}
-
-func TestSetKernelParallelism(t *testing.T) {
-	defer SetKernelParallelism(0)
-	SetKernelParallelism(1)
-	if w := legacyCompute().workers(); w != 1 {
-		t.Fatalf("legacy workers under cap 1: %d", w)
-	}
-	// The capped path must still be correct.
-	a, b := NewOf(Float32, 65, 33), NewOf(Float32, 33, 17)
-	fillDet32(a, 1)
-	fillDet32(b, 2)
-	got := NewOf(Float32, 65, 17)
-	MatMulInto(got, a, b)
-	SetKernelParallelism(0)
-	want := naiveMatMul(toF64(a), toF64(b))
-	checkTensorParity32(t, "capped MatMul32", got, want, 33)
 }
 
 // TestComputeBudgetParity checks that an explicit Compute budget changes

@@ -100,19 +100,19 @@ func TestGEMMParity(t *testing.T) {
 				fillDetOf(b, n+5*k)
 				got := NewOf(dt, m, n)
 				got.Fill(7)
-				MatMulInto(got, a, b)
+				Compute{}.MatMulInto(got, a, b)
 				checkGEMMParity(t, fmt.Sprintf("%v MatMul %dx%dx%d", dt, m, k, n), got, a, b, k)
 
 				at := NewOf(dt, k, m) // aᵀ operand
 				fillDetOf(at, 7*m+k)
 				got.Fill(7)
-				MatMulTransAInto(got, at, b)
+				Compute{}.MatMulTransAInto(got, at, b)
 				checkGEMMParity(t, fmt.Sprintf("%v TransA %dx%dx%d", dt, m, k, n), got, Transpose(at), b, k)
 
 				bt := NewOf(dt, n, k) // bᵀ operand
 				fillDetOf(bt, 11*n+k)
 				got.Fill(7)
-				MatMulTransBInto(got, a, bt)
+				Compute{}.MatMulTransBInto(got, a, bt)
 				checkGEMMParity(t, fmt.Sprintf("%v TransB %dx%dx%d", dt, m, k, n), got, a, Transpose(bt), k)
 			}
 		}
@@ -220,13 +220,13 @@ func TestIm2ColCol2ImParity(t *testing.T) {
 		outW := ConvOutSize(tc.w, tc.kw, tc.stride, tc.pad)
 
 		cols := New(tc.b*outH*outW, tc.c*tc.kh*tc.kw)
-		Im2ColInto(cols, x, tc.kh, tc.kw, tc.stride, tc.pad)
+		Compute{}.Im2ColInto(cols, x, tc.kh, tc.kw, tc.stride, tc.pad)
 		checkTensorParity(t, "Im2ColInto "+name, cols, naiveIm2Col(x, tc.kh, tc.kw, tc.stride, tc.pad))
 
 		g := New(cols.Dim(0), cols.Dim(1))
 		fillDet(g, 3*tc.kh+tc.kw)
 		img := New(tc.b, tc.c, tc.h, tc.w)
-		Col2ImInto(img, g, tc.kh, tc.kw, tc.stride, tc.pad)
+		Compute{}.Col2ImInto(img, g, tc.kh, tc.kw, tc.stride, tc.pad)
 		checkTensorParity(t, "Col2ImInto "+name, img, naiveCol2Im(g, tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad))
 	}
 }

@@ -36,8 +36,7 @@
 // as methods on a Compute value (Compute{Workers: n}.MatMulInto(...)) —
 // so independent consumers in one process (per-client model replicas,
 // concurrent simulations) each cap their own fan-out without any shared
-// global knob. The package-level kernel functions remain as wrappers that
-// honor the deprecated SetKernelParallelism global.
+// global knob.
 //
 // # Workspaces and the no-alloc rule
 //

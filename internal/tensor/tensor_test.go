@@ -163,7 +163,7 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if !almostEq(c.Data()[i], w) {
@@ -182,7 +182,7 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := range a.Data() {
 		a.Data()[i] = float64(i)
 	}
-	c := MatMul(a, id)
+	c := matMul(a, id)
 	for i := range a.Data() {
 		if !almostEq(c.Data()[i], a.Data()[i]) {
 			t.Fatal("A @ I != A")
@@ -196,10 +196,17 @@ func TestMatMulDimMismatch(t *testing.T) {
 			t.Fatal("expected panic for inner dim mismatch")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	matMul(New(2, 3), New(4, 2))
 }
 
 // naiveMatMul is an obviously-correct reference implementation.
+// matMul returns a @ b under the default compute budget.
+func matMul(a, b *Tensor) *Tensor {
+	out := NewOf(a.dt, a.shape[0], b.shape[1])
+	Compute{}.MatMulInto(out, a, b)
+	return out
+}
+
 func naiveMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
 	out := New(m, n)
@@ -231,7 +238,7 @@ func TestMatMulAgainstNaiveProperty(t *testing.T) {
 		for i := range b.Data() {
 			b.Data()[i] = next()
 		}
-		got, want := MatMul(a, b), naiveMatMul(a, b)
+		got, want := matMul(a, b), naiveMatMul(a, b)
 		for i := range got.Data() {
 			if math.Abs(got.Data()[i]-want.Data()[i]) > 1e-9 {
 				return false
@@ -276,8 +283,8 @@ func TestMatMulTransA(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2) // aT is 2x3
 	b := FromSlice([]float64{1, 0, 0, 1, 1, 1}, 3, 2)
 	got := New(2, 2)
-	MatMulTransAInto(got, a, b)
-	want := MatMul(Transpose(a), b)
+	Compute{}.MatMulTransAInto(got, a, b)
+	want := matMul(Transpose(a), b)
 	for i := range got.Data() {
 		if !almostEq(got.Data()[i], want.Data()[i]) {
 			t.Fatalf("MatMulTransA: got %v want %v", got.Data(), want.Data())
@@ -289,8 +296,8 @@ func TestMatMulTransB(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{1, 1, 0, 0, 2, 1, 3, 0, 1, 1, 1, 1}, 4, 3) // bT is 3x4
 	got := New(2, 4)
-	MatMulTransBInto(got, a, b)
-	want := MatMul(a, Transpose(b))
+	Compute{}.MatMulTransBInto(got, a, b)
+	want := matMul(a, Transpose(b))
 	for i := range got.Data() {
 		if !almostEq(got.Data()[i], want.Data()[i]) {
 			t.Fatalf("MatMulTransB: got %v want %v", got.Data(), want.Data())
@@ -328,7 +335,7 @@ func TestIm2ColSingle(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 1, 3, 3)
-	cols := Im2Col(x, 2, 2, 1, 0)
+	cols := Compute{}.Im2Col(x, 2, 2, 1, 0)
 	if cols.Dim(0) != 4 || cols.Dim(1) != 4 {
 		t.Fatalf("cols shape %v", cols.Shape())
 	}
@@ -348,7 +355,7 @@ func TestIm2ColSingle(t *testing.T) {
 
 func TestIm2ColPadding(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	cols := Im2Col(x, 3, 3, 1, 1) // same-pad: 4 output positions
+	cols := Compute{}.Im2Col(x, 3, 3, 1, 1) // same-pad: 4 output positions
 	if cols.Dim(0) != 4 || cols.Dim(1) != 9 {
 		t.Fatalf("cols shape %v", cols.Shape())
 	}
@@ -366,7 +373,7 @@ func TestIm2ColMultiChannelBatch(t *testing.T) {
 	for i := range x.Data() {
 		x.Data()[i] = float64(i)
 	}
-	cols := Im2Col(x, 2, 2, 2, 0)
+	cols := Compute{}.Im2Col(x, 2, 2, 2, 0)
 	if cols.Dim(0) != 2*2*2 || cols.Dim(1) != 3*2*2 {
 		t.Fatalf("cols shape %v", cols.Shape())
 	}
@@ -377,19 +384,19 @@ func TestIm2ColMultiChannelBatch(t *testing.T) {
 }
 
 func TestCol2ImAdjoint(t *testing.T) {
-	// <Im2Col(x), y> == <x, Col2Im(y)> must hold for the adjoint pair.
+	// <Compute{}.Im2Col(x), y> == <x, Compute{}.Col2Im(y)> must hold for the adjoint pair.
 	b, c, h, w, kh, kw, stride, pad := 2, 2, 5, 5, 3, 3, 1, 1
 	x := New(b, c, h, w)
 	for i := range x.Data() {
 		x.Data()[i] = float64((i*7)%11) - 5
 	}
-	cols := Im2Col(x, kh, kw, stride, pad)
+	cols := Compute{}.Im2Col(x, kh, kw, stride, pad)
 	y := New(cols.Dim(0), cols.Dim(1))
 	for i := range y.Data() {
 		y.Data()[i] = float64((i*3)%5) - 2
 	}
 	lhs := Dot(cols, y)
-	back := Col2Im(y, b, c, h, w, kh, kw, stride, pad)
+	back := Compute{}.Col2Im(y, b, c, h, w, kh, kw, stride, pad)
 	rhs := Dot(x, back)
 	if math.Abs(lhs-rhs) > 1e-6 {
 		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
@@ -402,7 +409,7 @@ func TestCol2ImShapePanic(t *testing.T) {
 			t.Fatal("expected panic for wrong cols shape")
 		}
 	}()
-	Col2Im(New(3, 3), 1, 1, 4, 4, 2, 2, 1, 0)
+	Compute{}.Col2Im(New(3, 3), 1, 1, 4, 4, 2, 2, 1, 0)
 }
 
 func BenchmarkMatMul64(b *testing.B) {
@@ -411,7 +418,7 @@ func BenchmarkMatMul64(b *testing.B) {
 	out := New(64, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(out, a, c)
+		Compute{}.MatMulInto(out, a, c)
 	}
 }
 
@@ -421,7 +428,7 @@ func BenchmarkMatMul256(b *testing.B) {
 	out := New(256, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(out, a, c)
+		Compute{}.MatMulInto(out, a, c)
 	}
 }
 
@@ -431,7 +438,7 @@ func BenchmarkIm2Col(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Im2Col draws its output from the shared pool; returning it keeps
 		// the loop allocation-free like the other kernels.
-		Shared.Put(Im2Col(x, 5, 5, 1, 0))
+		Shared.Put(Compute{}.Im2Col(x, 5, 5, 1, 0))
 	}
 }
 
@@ -439,6 +446,6 @@ func BenchmarkIm2Col32(b *testing.B) {
 	x := NewOf(Float32, 16, 3, 16, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Shared.Put(Im2Col(x, 5, 5, 1, 0))
+		Shared.Put(Compute{}.Im2Col(x, 5, 5, 1, 0))
 	}
 }

@@ -213,13 +213,20 @@ func ExperimentIDs() []string {
 	return out
 }
 
-// SaveModel checkpoints a trained global model state to path. Obtain the
-// state from a Result's simulation or build one with DefaultModel.
+// SaveModel checkpoints a trained global model state to path, crash-safely,
+// as a federation snapshot carrying only the state. Obtain the state from
+// a Result's simulation or build one with DefaultModel.
 func SaveModel(path string, state []float64) error {
-	return fl.SaveStateFile(path, state)
+	return fl.WriteSnapshotFile(path, &fl.FederationSnapshot{State: state})
 }
 
-// LoadModel reads a checkpoint written by SaveModel.
+// LoadModel reads the model state of a file written by SaveModel — or of
+// any federation snapshot (a fedserver's federation.snap). A damaged file
+// is refused with a *fl.CorruptSnapshotError.
 func LoadModel(path string) ([]float64, error) {
-	return fl.LoadStateFile(path)
+	snap, err := fl.LoadSnapshotFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return snap.State, nil
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo lint gate: go vet plus the niidlint analysis suite
-# (codeccheck, poolcheck, computecheck, detercheck, leakcheck).
+# (codeccheck, poolcheck, detercheck, leakcheck).
 # CI runs this on every push; run it locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
