@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -192,11 +193,8 @@ func cmdRun(args []string) error {
 	loadModel := fs.String("load-model", "", "initialize the global model from this checkpoint")
 	dtypeName := fs.String("dtype", "float64", "local-training compute precision: float64 or float32 (SIMD fast path)")
 	chunk := fs.Int("chunk", 65536, "move broadcasts and updates in frames of this many float64 elements (0 = one frame per vector); bit-identical either way")
-	asyncBuffer := fs.Int("async-buffer", 0, "buffered-async aggregation: fold updates as they arrive and publish a new global every M folds (0 = synchronous rounds)")
-	staleness := fs.Float64("staleness", 0, "async staleness-discount exponent a in 1/(1+tau)^a (0 = default 0.5)")
-	foldAhead := fs.Int("fold-ahead", 0, "sync mode: parties past the fold cursor allowed to stage decoded updates (0 = default 4, 1 = serial drain)")
+	asyncBuffer := fs.Int("async-buffer", 0, "buffered-async aggregation over loopback TCP: fold updates as they arrive and publish a new global every M folds (0 = synchronous rounds)")
 	codec := fs.String("codec", "", "wire chunk codec over transports: f64 (raw, default), f32, int8, int4; negotiated per party at the hello")
-	fairShare := fs.Int("fair-share", 0, "async mode: max folds one party may contribute per buffer window (0 = default 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -225,59 +223,53 @@ func cmdRun(args []string) error {
 		return err
 	}
 	cfg := fl.Config{
-		Algorithm:         fl.Algorithm(*algo),
-		Rounds:            *rounds,
-		LocalEpochs:       *epochs,
-		BatchSize:         *batch,
-		LR:                *lr,
-		Momentum:          0.9,
-		Mu:                *mu,
-		Alpha:             *alpha,
-		MoonMu:            *moonMu,
-		SampleFraction:    *fraction,
-		Seed:              *seed,
-		ServerOptimizer:   fl.ServerOpt(*serverOpt),
-		Sampling:          fl.PartySampling(*sampling),
-		DPClip:            *dpClip,
-		DPNoise:           *dpNoise,
-		CompressTopK:      *topK,
-		DType:             dtype,
-		ChunkSize:         *chunk,
-		AsyncBuffer:       *asyncBuffer,
-		StalenessExponent: *staleness,
-		FoldAhead:         *foldAhead,
-		Codec:             fl.Codec(*codec),
-		AsyncFairShare:    *fairShare,
+		Algorithm:       fl.Algorithm(*algo),
+		Rounds:          *rounds,
+		LocalEpochs:     *epochs,
+		BatchSize:       *batch,
+		LR:              *lr,
+		Momentum:        0.9,
+		Mu:              *mu,
+		Alpha:           *alpha,
+		MoonMu:          *moonMu,
+		SampleFraction:  *fraction,
+		Seed:            *seed,
+		ServerOptimizer: fl.ServerOpt(*serverOpt),
+		Sampling:        fl.PartySampling(*sampling),
+		DPClip:          *dpClip,
+		DPNoise:         *dpNoise,
+		CompressTopK:    *topK,
+		DType:           dtype,
+		ChunkSize:       *chunk,
+		AsyncBuffer:     *asyncBuffer,
+		Codec:           fl.Codec(*codec),
 	}
-	var res *fl.Result
-	if *useTCP {
-		if *loadModel != "" {
-			return fmt.Errorf("-load-model is not supported with -tcp")
-		}
-		res, err = runOverTCP(cfg, spec, locals, test)
-	} else if *asyncBuffer > 0 {
-		// Buffered-async aggregation is a transport-level protocol; the
-		// in-process lockstep Simulation has no notion of it, so run the
-		// federation over in-memory pipes instead.
-		if *loadModel != "" {
-			return fmt.Errorf("-load-model is not supported with -async-buffer")
-		}
-		res, err = simnet.RunLocal(cfg, spec, locals, test)
-	} else {
-		var sim *fl.Simulation
-		sim, err = fl.NewSimulation(cfg, spec, locals, test)
+	var initial []float64
+	if *loadModel != "" {
+		snap, err := fl.LoadSnapshotFile(*loadModel)
 		if err != nil {
 			return err
 		}
-		if *loadModel != "" {
-			snap, err := fl.LoadSnapshotFile(*loadModel)
-			if err != nil {
+		initial = snap.State
+		fmt.Printf("resumed from %s\n", *loadModel)
+	}
+	var res *fl.Result
+	if *useTCP || *asyncBuffer > 0 {
+		// Buffered-async aggregation is a transport-level protocol; the
+		// in-process lockstep Simulation has no notion of it, so it runs
+		// over the sockets too.
+		var partyErrs []error
+		res, partyErrs, err = simnet.RunLoopback(cfg, spec, locals, test, simnet.ServerOptions{InitialState: initial}, nil)
+		err = errors.Join(err, errors.Join(partyErrs...))
+	} else {
+		var sim *fl.Simulation
+		if sim, err = fl.NewSimulation(cfg, spec, locals, test); err != nil {
+			return err
+		}
+		if initial != nil {
+			if err = sim.SetInitialState(initial); err != nil {
 				return err
 			}
-			if err := sim.SetInitialState(snap.State); err != nil {
-				return err
-			}
-			fmt.Printf("resumed from %s\n", *loadModel)
 		}
 		res, err = sim.Run()
 	}

@@ -2,8 +2,8 @@
 // server accepts one connection per data silo and every model exchange is
 // serialized onto the wire, so the communication numbers are measured
 // bytes, not estimates. This is the deployment shape for actual cross-silo
-// setups (run each party in its own process and point DialParty at the
-// server's address).
+// setups (run each party in its own process and point DialPartyOpts at
+// the server's address).
 //
 //	go run ./examples/distributed
 package main
@@ -62,7 +62,7 @@ func main() {
 		wg.Add(1)
 		go func(i int, ds *data.Dataset) {
 			defer wg.Done()
-			if err := simnet.DialParty(ln.Addr(), i, ds, spec, cfg, uint64(1000+i), ""); err != nil {
+			if err := simnet.DialPartyOpts(ln.Addr(), i, ds, spec, cfg, simnet.PartySeed(cfg.Seed, i), simnet.PartyOptions{}); err != nil {
 				log.Printf("party %d: %v", i, err)
 			}
 		}(i, ds)

@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/niid-bench/niidbench/internal/data"
@@ -106,42 +106,26 @@ func runAsync(h *Harness) error {
 
 // runAsyncCell runs one federation over loopback TCP with the first
 // `stragglers` parties dialing through a +3ms/frame latency plan, and
-// returns the wall-clock of the whole schedule. Latency-only plans never
-// kill connections, so party errors are infrastructure failures here, not
-// part of the experiment.
+// returns the wall-clock of the whole schedule.
 func runAsyncCell(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset, stragglers int, seed uint64) (time.Duration, *fl.Result, error) {
-	ln, err := simnet.Listen("127.0.0.1:0")
-	if err != nil {
-		return 0, nil, err
-	}
-	defer ln.Close()
-	ln.RoundTimeout = 30 * time.Second
-	addr := ln.Addr()
-	var wg sync.WaitGroup
-	partyErrs := make([]error, len(locals))
-	start := time.Now()
-	for i, dsl := range locals {
-		wg.Add(1)
-		go func(i int, dsl *data.Dataset) {
-			defer wg.Done()
-			opts := simnet.PartyOptions{}
-			if i < stragglers {
-				opts.Faults = &simnet.FaultPlan{Seed: seed + uint64(i), Latency: 3 * time.Millisecond, Jitter: time.Millisecond}
-			}
-			partyErrs[i] = simnet.DialPartyOpts(addr, i, dsl, spec, cfg, cfg.Seed+uint64(i)*7919+13, opts)
-		}(i, dsl)
-	}
-	res, serveErr := ln.AcceptAndRun(len(locals), cfg, spec, test)
-	wall := time.Since(start)
-	_ = ln.Close()
-	wg.Wait()
-	if serveErr != nil {
-		return 0, nil, serveErr
-	}
-	for i, err := range partyErrs {
-		if err != nil {
-			return 0, nil, fmt.Errorf("party %d: %w", i, err)
+	return runTimedCell(cfg, spec, locals, test, func(i int) simnet.PartyOptions {
+		if i >= stragglers {
+			return simnet.PartyOptions{}
 		}
+		return simnet.PartyOptions{Faults: &simnet.FaultPlan{Seed: seed + uint64(i), Latency: 3 * time.Millisecond, Jitter: time.Millisecond}}
+	})
+}
+
+// runTimedCell federates once over loopback TCP and returns the
+// wall-clock of the whole schedule. The cells that use it inject at most
+// latency, which never kills a connection, so a party error is an
+// infrastructure failure here, not part of the experiment.
+func runTimedCell(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset, party func(int) simnet.PartyOptions) (time.Duration, *fl.Result, error) {
+	start := time.Now()
+	res, partyErrs, err := simnet.RunLoopback(cfg, spec, locals, test, simnet.ServerOptions{RoundTimeout: 30 * time.Second}, party)
+	wall := time.Since(start)
+	if err = errors.Join(err, errors.Join(partyErrs...)); err != nil {
+		return 0, nil, err
 	}
 	return wall, res, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -110,20 +109,17 @@ type chaosCell struct {
 // infrastructure failures are returned as errors, with a quorum abort
 // folded into the completion count instead.
 func runChaosCell(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset, plan simnet.FaultPlan, rejoin bool) (chaosCell, error) {
-	ln, err := simnet.Listen("127.0.0.1:0")
-	if err != nil {
-		return chaosCell{}, err
+	var evictions atomic.Int32
+	opts := simnet.ServerOptions{
+		OnEvict:      func(*simnet.EvictionError) { evictions.Add(1) },
+		RoundTimeout: 20 * time.Second,
 	}
-	defer ln.Close()
-	var evictions int32
-	ln.OnEvict = func(*simnet.EvictionError) { atomic.AddInt32(&evictions, 1) }
-	ln.RoundTimeout = 20 * time.Second
 	if rejoin {
 		// Give departed parties a window to come back before the round is
 		// re-attempted, and require half the federation to proceed. The
 		// broadcast heal window lets a party whose conn died between rounds
 		// catch this round's broadcast on its fresh conn.
-		ln.RejoinGrace = 2 * time.Second
+		opts.RejoinGrace = 2 * time.Second
 		cfg.MinParties = (len(locals) + 1) / 2
 		cfg.QuorumRetries = 100
 		cfg.QuorumRetryWait = 50 * time.Millisecond
@@ -133,28 +129,18 @@ func runChaosCell(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test
 		cfg.QuorumRetries = 4
 		cfg.QuorumRetryWait = 50 * time.Millisecond
 	}
-	addr := ln.Addr()
-	var wg sync.WaitGroup
-	for i, dsl := range locals {
-		wg.Add(1)
-		go func(i int, dsl *data.Dataset) {
-			defer wg.Done()
-			// Errors are expected here: no-rejoin parties die with their
-			// conns, and rejoining parties fail their final redials once
-			// the server is gone.
-			_ = simnet.DialPartyOpts(addr, i, dsl, spec, cfg, cfg.Seed+uint64(i)*7919+13, simnet.PartyOptions{
-				Rejoin:           rejoin,
-				RejoinBackoff:    10 * time.Millisecond,
-				RejoinBackoffMax: 100 * time.Millisecond,
-				RejoinAttempts:   8,
-				Faults:           &plan,
-			})
-		}(i, dsl)
-	}
-	res, serveErr := ln.AcceptAndRun(len(locals), cfg, spec, test)
-	_ = ln.Close()
-	wg.Wait()
-	cell := chaosCell{evictions: int(atomic.LoadInt32(&evictions))}
+	// Party errors are dropped: no-rejoin parties die with their conns, and
+	// rejoining parties fail their final redials once the server is gone.
+	res, _, serveErr := simnet.RunLoopback(cfg, spec, locals, test, opts, func(int) simnet.PartyOptions {
+		return simnet.PartyOptions{
+			Rejoin:           rejoin,
+			RejoinBackoff:    10 * time.Millisecond,
+			RejoinBackoffMax: 100 * time.Millisecond,
+			RejoinAttempts:   8,
+			Faults:           &plan,
+		}
+	})
+	cell := chaosCell{evictions: int(evictions.Load())}
 	if serveErr != nil {
 		var qe *fl.QuorumError
 		if errors.As(serveErr, &qe) {

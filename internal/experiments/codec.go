@@ -2,16 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
-	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/report"
 	"github.com/niid-bench/niidbench/internal/rng"
-	"github.com/niid-bench/niidbench/internal/simnet"
 )
 
 func init() {
@@ -66,7 +63,9 @@ func runCodec(h *Harness) error {
 	for i, codec := range codecs {
 		c := cfg
 		c.Codec = codec
-		wall, res, err := runCodecCell(c, spec, locals, test)
+		// Every party dials clean; the measured CommBytes is the cell's
+		// payload metric, wall-clock is reported for context only.
+		wall, res, err := runTimedCell(c, spec, locals, test, nil)
 		if err != nil {
 			return fmt.Errorf("codec %s: %w", codec, err)
 		}
@@ -84,40 +83,4 @@ func runCodec(h *Harness) error {
 	tbl.Render(h.Out)
 	fmt.Fprintln(h.Out, "\nexpected shape: f32 halves the bytes at no visible accuracy cost; int8 cuts them ~7x within a point of f64; int4 is the aggressive end — ~13x fewer bytes, worth it only when the link, not the math, is the bottleneck")
 	return nil
-}
-
-// runCodecCell federates once over loopback TCP with every party dialing
-// clean; the measured CommBytes is the cell's payload metric, wall-clock
-// is reported for context only.
-func runCodecCell(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset) (time.Duration, *fl.Result, error) {
-	ln, err := simnet.Listen("127.0.0.1:0")
-	if err != nil {
-		return 0, nil, err
-	}
-	defer ln.Close()
-	ln.RoundTimeout = 30 * time.Second
-	addr := ln.Addr()
-	var wg sync.WaitGroup
-	partyErrs := make([]error, len(locals))
-	start := time.Now()
-	for i, dsl := range locals {
-		wg.Add(1)
-		go func(i int, dsl *data.Dataset) {
-			defer wg.Done()
-			partyErrs[i] = simnet.DialPartyOpts(addr, i, dsl, spec, cfg, cfg.Seed+uint64(i)*7919+13, simnet.PartyOptions{})
-		}(i, dsl)
-	}
-	res, serveErr := ln.AcceptAndRun(len(locals), cfg, spec, test)
-	wall := time.Since(start)
-	_ = ln.Close()
-	wg.Wait()
-	if serveErr != nil {
-		return 0, nil, serveErr
-	}
-	for i, err := range partyErrs {
-		if err != nil {
-			return 0, nil, fmt.Errorf("party %d: %w", i, err)
-		}
-	}
-	return wall, res, nil
 }

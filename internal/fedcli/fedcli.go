@@ -67,22 +67,11 @@ type Shared struct {
 	// (0 = synchronous). The server's value decides the mode; parties
 	// follow whichever protocol the server speaks.
 	AsyncBuffer int
-	// Staleness is the async staleness-discount exponent a in
-	// s(tau) = 1/(1+tau)^a (0 = the default 0.5).
-	Staleness float64
-	// FoldAhead bounds how many parties past the synchronous fold cursor
-	// may stage fully-decoded updates while they wait their turn
-	// (0 = the default 4; 1 reproduces the legacy serial drain).
-	FoldAhead int
 	// Codec selects the wire chunk codec for broadcasts and update
 	// replies: f64 (raw, the default), f32, int8 or int4. The server's
 	// value is negotiated per party at the hello; parties that do not
 	// support it ride the raw wire.
 	Codec string
-	// FairShare caps how many folds one party may contribute to a single
-	// async buffer window (0 = the default 1); the effective cap is never
-	// below ceil(buffer/live) so a depleted federation still flushes.
-	FairShare int
 }
 
 // Register wires the shared flags into fs.
@@ -112,10 +101,7 @@ func (s *Shared) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&s.Latency, "latency", 0, "party: injected delay per sent frame (fault injection)")
 	fs.DurationVar(&s.Jitter, "jitter", 0, "party: extra uniform delay per sent frame on top of -latency")
 	fs.IntVar(&s.AsyncBuffer, "async-buffer", 0, "buffered-async aggregation: fold updates as they arrive and publish a new global every M folds (0 = synchronous rounds); the server's value decides the mode")
-	fs.Float64Var(&s.Staleness, "staleness", 0, "async staleness-discount exponent a in 1/(1+tau)^a (0 = default 0.5)")
-	fs.IntVar(&s.FoldAhead, "fold-ahead", 0, "sync mode: parties past the fold cursor allowed to stage decoded updates (0 = default 4, 1 = serial drain)")
 	fs.StringVar(&s.Codec, "codec", "", "wire chunk codec: f64 (raw, default), f32, int8, int4; one scale per frame; negotiated per party, peers without it fall back to f64")
-	fs.IntVar(&s.FairShare, "fair-share", 0, "async mode: max folds one party may contribute per buffer window (0 = default 1)")
 }
 
 // Server carries the server-only durability flags: where (and how often)
@@ -197,21 +183,18 @@ func (s *Shared) Build() (fl.Config, nn.ModelSpec, []*data.Dataset, *data.Datase
 		return fl.Config{}, nn.ModelSpec{}, nil, nil, err
 	}
 	cfg := fl.Config{
-		Algorithm:         fl.Algorithm(s.Algo),
-		Rounds:            s.Rounds,
-		LocalEpochs:       s.Epochs,
-		BatchSize:         s.Batch,
-		LR:                s.LR,
-		Momentum:          0.9,
-		Mu:                s.Mu,
-		Seed:              s.Seed,
-		ChunkSize:         s.Chunk,
-		MinParties:        s.MinParties,
-		AsyncBuffer:       s.AsyncBuffer,
-		StalenessExponent: s.Staleness,
-		FoldAhead:         s.FoldAhead,
-		Codec:             fl.Codec(s.Codec),
-		AsyncFairShare:    s.FairShare,
+		Algorithm:   fl.Algorithm(s.Algo),
+		Rounds:      s.Rounds,
+		LocalEpochs: s.Epochs,
+		BatchSize:   s.Batch,
+		LR:          s.LR,
+		Momentum:    0.9,
+		Mu:          s.Mu,
+		Seed:        s.Seed,
+		ChunkSize:   s.Chunk,
+		MinParties:  s.MinParties,
+		AsyncBuffer: s.AsyncBuffer,
+		Codec:       fl.Codec(s.Codec),
 	}
 	if _, err := cfg.Normalize(); err != nil {
 		return fl.Config{}, nn.ModelSpec{}, nil, nil, err
@@ -221,7 +204,7 @@ func (s *Shared) Build() (fl.Config, nn.ModelSpec, []*data.Dataset, *data.Datase
 
 // PartySeed returns the deterministic training seed for party index i.
 func (s *Shared) PartySeed(i int) uint64 {
-	return s.Seed + uint64(i)*7919 + 13
+	return simnet.PartySeed(s.Seed, i)
 }
 
 // Validate checks the party index against the federation size.

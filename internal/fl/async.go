@@ -10,7 +10,7 @@ import (
 // This file implements buffered-asynchronous aggregation (Config.AsyncBuffer):
 // the FedBuff-style relaxation of the synchronous round. The server folds
 // updates the moment they arrive, each weighted by a staleness discount
-// s(tau) = 1/(1+tau)^StalenessExponent where tau is how many global
+// s(tau) = 1/(1+tau)^stalenessExponent where tau is how many global
 // generations behind the update's base model is, and mints a new global
 // generation every AsyncBuffer folds instead of barriering on the sampled
 // set. A generation plays the role a round plays in the synchronous engine:
@@ -44,7 +44,7 @@ type AsyncStats struct {
 	MeanStaleness float64
 	MaxStaleness  int
 	// FairnessDropped counts updates discarded by the per-party fairness
-	// cap (Config.AsyncFairShare): a fast party that already contributed
+	// cap (asyncFairShare): a fast party that already contributed
 	// its share of the open buffer window has its surplus folds dropped so
 	// one party cannot dominate a generation.
 	FairnessDropped int
@@ -138,9 +138,14 @@ func (c *AsyncCoordinator) GlobalSnapshot() (gen int, state, control []float64) 
 	return c.gen, state, control
 }
 
+// stalenessExponent is a in the staleness discount s(tau) = 1/(1+tau)^a:
+// square-root decay, the common FedBuff setting. ConfigFingerprint mixes
+// it, so changing it invalidates every existing snapshot.
+const stalenessExponent = 0.5
+
 // staleness returns the discount s(tau) = 1/(1+tau)^a.
 func (c *AsyncCoordinator) staleness(tau int) float64 {
-	return 1 / math.Pow(1+float64(tau), c.e.cfg.StalenessExponent)
+	return 1 / math.Pow(1+float64(tau), stalenessExponent)
 }
 
 // SetLive informs the coordinator of the transport's current live party
@@ -156,16 +161,20 @@ func (c *AsyncCoordinator) SetLive(n int) {
 	c.mu.Unlock()
 }
 
+// asyncFairShare caps how many of one generation's AsyncBuffer folds a
+// single party may contribute, so a fast party's discounted updates
+// cannot dominate the global between broadcasts. Over-cap arrivals are
+// dropped, not queued: the party retrains against the next generation it
+// receives, which is fresher anyway. Mixed by ConfigFingerprint.
+const asyncFairShare = 1
+
 // fairShareCap is the per-party fold limit within the open buffer window:
-// Config.AsyncFairShare, floored by ceil(buffer/live) so the surviving
-// parties can always fill a window between them — the cap slows a fast
-// party down relative to the window, it never deadlocks the flush
-// schedule. Called with mu held.
+// asyncFairShare, floored by ceil(buffer/live) so the surviving parties
+// can always fill a window between them — the cap slows a fast party down
+// relative to the window, it never deadlocks the flush schedule. Called
+// with mu held.
 func (c *AsyncCoordinator) fairShareCap() int {
-	limit := c.e.cfg.AsyncFairShare
-	if limit < 1 {
-		limit = 1
-	}
+	limit := asyncFairShare
 	if c.live > 0 {
 		if floor := (c.buffer + c.live - 1) / c.live; floor > limit {
 			limit = floor

@@ -211,12 +211,12 @@ func ConfigFingerprint(cfg Config) uint64 {
 	mixF(cfg.CompressTopK)
 	mix(uint64(cfg.DType))
 	mix(uint64(cfg.AsyncBuffer))
-	mixF(cfg.StalenessExponent)
+	mixF(stalenessExponent)
 	// The wire codec is math-relevant — quantization is lossy, so a run
 	// resumed under a different codec would diverge — and the async fair
 	// share changes which folds count.
 	mixStr(string(cfg.Codec))
-	mix(uint64(cfg.AsyncFairShare))
+	mix(asyncFairShare)
 	return h
 }
 

@@ -202,30 +202,6 @@ type Config struct {
 	// the quantization granularity — and the codec is negotiated per party
 	// at the hello with raw float64 as the fallback. See the Codec type.
 	Codec Codec
-	// AsyncFairShare caps how many of one generation's AsyncBuffer folds
-	// a single party may contribute (default 1), so a fast party's
-	// discounted updates cannot dominate the global between broadcasts.
-	// The effective cap is never below ceil(AsyncBuffer/live parties) —
-	// a buffer wider than the population must still be fillable — and
-	// over-cap arrivals are dropped, not queued (the party retrains
-	// against the next generation it receives, which is fresher anyway).
-	// Ignored when AsyncBuffer is 0.
-	AsyncFairShare int
-	// StalenessExponent shapes the async staleness discount
-	// s(tau) = 1/(1+tau)^a, where tau is how many generations behind the
-	// current global an update's base model was. 0 means the default 0.5
-	// (square-root decay, the common FedBuff setting); larger values
-	// suppress stale updates harder. Ignored when AsyncBuffer is 0.
-	StalenessExponent float64
-	// FoldAhead bounds how many completed reply streams the synchronous
-	// fold may stage ahead of the in-order fold cursor. The fold
-	// order (and therefore the result) is unchanged — bitwise identical
-	// for any value — but parties within the horizon drain their streams
-	// concurrently instead of serially behind a straggler, at
-	// O(FoldAhead x state) extra transient memory from the shared pool —
-	// the whole of the server's transient receive memory.
-	// 0 means the default 4; 1 drains serially.
-	FoldAhead int
 	// MinParties is the round quorum under elastic membership: a round
 	// attempt whose live party set (alive + rejoined, excluding suspects
 	// and evicted parties) is smaller than this is skipped and retried
@@ -353,12 +329,6 @@ func (c Config) Normalize() (Config, error) {
 	if c.AsyncBuffer < 0 {
 		return c, fmt.Errorf("fl: negative async buffer %d", c.AsyncBuffer)
 	}
-	if c.AsyncFairShare < 0 {
-		return c, fmt.Errorf("fl: negative async fair share %d", c.AsyncFairShare)
-	}
-	if c.AsyncFairShare == 0 {
-		c.AsyncFairShare = 1
-	}
 	if c.Codec == "" {
 		c.Codec = CodecF64
 	}
@@ -374,18 +344,6 @@ func (c Config) Normalize() (Config, error) {
 		// decodes as garbage. Fail at validation instead of mid-run.
 		return c, fmt.Errorf("fl: codec %q cannot be combined with CompressTopK %v: integer quantization's per-chunk scale destroys top-k's surviving small entries; use codec f32 with top-k, or %s alone",
 			c.Codec, c.CompressTopK, c.Codec)
-	}
-	if c.StalenessExponent < 0 {
-		return c, fmt.Errorf("fl: negative staleness exponent %v", c.StalenessExponent)
-	}
-	if c.StalenessExponent == 0 {
-		c.StalenessExponent = 0.5
-	}
-	if c.FoldAhead < 0 {
-		return c, fmt.Errorf("fl: negative fold-ahead %d", c.FoldAhead)
-	}
-	if c.FoldAhead == 0 {
-		c.FoldAhead = 4
 	}
 	if c.QuorumRetries < 0 {
 		return c, fmt.Errorf("fl: negative quorum retry budget %d", c.QuorumRetries)

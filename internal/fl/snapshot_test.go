@@ -257,6 +257,20 @@ func TestConfigFingerprint(t *testing.T) {
 			t.Fatalf("transport knob %q changed the fingerprint", name)
 		}
 	}
+	// The staleness exponent and the async fair share were Config fields
+	// once and are constants now; the hash still mixes their values in the
+	// same positions, so snapshots written before that still resume.
+	for _, pin := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		{Config{}, 0x3a32cae8dadd59d},
+		{Config{Algorithm: Scaffold, AsyncBuffer: 2, Codec: CodecInt8, ChunkSize: 4096, Seed: 7}, 0xecda8c0fe33ab8ff},
+	} {
+		if got := ConfigFingerprint(pin.cfg); got != pin.want {
+			t.Fatalf("ConfigFingerprint(%+v) = %#x, want %#x", pin.cfg, got, pin.want)
+		}
+	}
 }
 
 // TestRestoreRefusesMismatch covers the refusal paths: wrong fingerprint

@@ -1,0 +1,392 @@
+package simnet
+
+import (
+	"crypto/subtle"
+	"fmt"
+	"math"
+	"net"
+	"sync"
+	"time"
+
+	"github.com/niid-bench/niidbench/internal/data"
+	"github.com/niid-bench/niidbench/internal/fl"
+	"github.com/niid-bench/niidbench/internal/nn"
+)
+
+// This file is how a party gets into the federation: the server's options,
+// the TCP listener whose accept loop reads hellos, and the one admission
+// rule (Federation.admit) that the accept loop and the serial pipe
+// handshake (Federation.greet) both apply to every decoded hello.
+
+// ServerOptions configures the server side of a federation beyond the
+// training Config. The zero value is an open, patient, memoryless server:
+// no token, the default hello timeout, no round timeout, no heal window,
+// no callbacks, no snapshot to resume from or to write.
+type ServerOptions struct {
+	// Token, when non-empty, is the shared secret every hello must
+	// present; a mismatch costs the offending connection only.
+	Token string
+	// HelloTimeout bounds how long an accepted connection may take to
+	// present its complete hello; a connection that stalls past it is
+	// rejected like any other bad hello. Zero means the 10s default. A
+	// timed-out legitimate party can simply redial. Hellos are read
+	// concurrently in bounded batches of maxConcurrentHellos, so k silent
+	// or byte-trickling connections delay admission by at most ceil(k/64)
+	// timeouts — one, for any realistic k.
+	HelloTimeout time.Duration
+	// RoundTimeout, when positive, bounds how long the server waits for
+	// each reply frame within a round (the clock restarts on every
+	// received frame, so the first gap must cover the party's local
+	// training). A party that stalls past it is treated like a dead conn:
+	// suspected and dropped from the round, at every chunk size. Zero
+	// waits forever — the right default when honest parties may train for
+	// arbitrarily long. Only effective on conns with deadline support
+	// (TCP); in-memory pipes are trusted in-process peers.
+	RoundTimeout time.Duration
+	// RejoinGrace, when positive, is the broadcast heal window: a round
+	// whose broadcast fails toward some party waits up to this long
+	// for that party's rejoin before proceeding without it. A death
+	// discovered at the broadcast — before the party trained or any update
+	// was folded — is the one failure that can be repaired mid-round
+	// without touching the math: the rejoined conn just gets the same
+	// broadcast again. Healing here is what makes a between-rounds conn
+	// loss bitwise-invisible to the aggregation; zero (the default) skips
+	// the wait and lets the round drop the party as usual.
+	RejoinGrace time.Duration
+	// OnReject, when set, is called with the reason each invalid
+	// connection (bad hello, wrong protocol version or magic, out-of-range
+	// or duplicate ID, token mismatch) was turned away. Rejections never
+	// tear down the federation — the server keeps waiting for the
+	// legitimate parties. Hellos are read concurrently, so OnReject may be
+	// called from multiple goroutines at once, but never after
+	// AcceptAndRun returns (conns still mid-hello when admission completes
+	// are expired and their rejections delivered first; conns accepted
+	// after that are closed silently). Version skew surfaces as a wrapped
+	// *VersionError.
+	OnReject func(error)
+	// OnEvict, when set, is called with every party departure — suspect
+	// (transport loss, may rejoin) or evicted (protocol violation,
+	// permanent) — from the round loop goroutine, before the next round
+	// samples; in async mode from the sender or receiver goroutine that
+	// noticed.
+	OnEvict func(*EvictionError)
+	// Resume, when non-nil, is the durable snapshot this federation
+	// continues from instead of starting at round 0: the engine restores
+	// the server and sampler state, and admission treats rejoin hellos
+	// from parties this process never seated as first contacts (seat +
+	// immediate ResyncMsg), because the restarted server has no live
+	// sessions for the parties that survived it. The snapshot's party
+	// count must match the federation's.
+	Resume *fl.FederationSnapshot
+	// Checkpoint, when set, is invoked at round boundaries (every
+	// CheckpointEvery rounds; <=0 means every round) with a complete
+	// snapshot — server state, sampler position, metrics history and the
+	// per-party resync controls — for durable storage. An error aborts
+	// the run.
+	Checkpoint      func(*fl.FederationSnapshot) error
+	CheckpointEvery int
+	// InitialState, when non-nil, seeds the global model from a model
+	// file's state before round 0 (the transport mirror of
+	// Simulation.SetInitialState). Ignored when Resume is set — a full
+	// snapshot already carries the state.
+	InitialState []float64
+}
+
+// ServerListener is a bound TCP endpoint for a federation server. Create
+// it with Listen, set the embedded ServerOptions, hand Addr() to the
+// parties, then call AcceptAndRun.
+type ServerListener struct {
+	l net.Listener
+	ServerOptions
+}
+
+// Listen binds a TCP address for the federation server. Use "127.0.0.1:0"
+// for an ephemeral local port.
+func Listen(addr string) (*ServerListener, error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return &ServerListener{l: l}, nil
+}
+
+// Addr returns the bound address parties should dial.
+func (s *ServerListener) Addr() string { return s.l.Addr().String() }
+
+// Close releases the listener.
+func (s *ServerListener) Close() error { return s.l.Close() }
+
+// AcceptAndRun accepts connections until numParties distinct parties have
+// presented a valid hello, then executes the federated protocol to
+// completion. Hellos are read concurrently — in bounded batches of
+// maxConcurrentHellos — so a batch of silent connections stalls
+// admission by at most one HelloTimeout in aggregate instead of one
+// each, while pre-admission buffer memory stays capped. A connection
+// whose hello is malformed, speaks the wrong protocol version, is out of
+// range, a duplicate, or carries the wrong token is closed on its own —
+// surfaced through OnReject, always before this function returns —
+// without disturbing the parties already admitted. The accept loop stops
+// when the caller closes the listener (connections arriving after the
+// federation fills are closed without a callback until then); if that
+// happens before the federation fills, the parties already admitted are
+// hung up on and the accept error is returned. Parties connect with
+// DialPartyOpts.
+func (s *ServerListener) AcceptAndRun(numParties int, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset) (*fl.Result, error) {
+	fed, err := newFederation(cfg, spec, test, numParties, s.ServerOptions)
+	if err != nil {
+		return nil, err
+	}
+	stopAdmission, acceptErr := s.acceptHellos(fed)
+	// On every way out: first no handler is left that could seat or park a
+	// conn, only then is every conn the table holds hung up on — so none
+	// can be admitted that nobody will close.
+	defer func() {
+		stopAdmission()
+		fed.table.shutdown()
+	}()
+	select {
+	case <-fed.table.full:
+		// Late hellos are rejected as "federation already has N parties"
+		// and never touch the table again. Acceptance continues — rejoin
+		// hellos land in the queue until the run finishes.
+	case err := <-acceptErr:
+		return nil, err
+	}
+	return fed.run()
+}
+
+// acceptHellos starts the accept loop: every accepted connection's hello
+// is read on its own goroutine and put to fed.admit. Filling the
+// federation does NOT stop acceptance — the listener keeps reading hellos
+// for the whole run, because a suspect party's rejoin arrives as a fresh
+// connection (Rejoin=true hello, queued for the next round boundary). A
+// failed Accept (the caller closed the listener) ends the loop and is
+// reported on acceptErr. stop expires every still-reading hello and joins
+// the handler goroutines: all rejections (including "still silent when the
+// run ended") are delivered before it returns, in microseconds — nothing
+// waits out a timeout — and conns accepted after it are closed without a
+// callback.
+func (s *ServerListener) acceptHellos(fed *Federation) (stop func(), acceptErr <-chan error) {
+	helloTimeout := s.HelloTimeout
+	if helloTimeout <= 0 {
+		helloTimeout = 10 * time.Second
+	}
+	var (
+		failed = make(chan error, 1)
+		// Hello reads are concurrent but bounded: each in-flight read may
+		// hold up to a helloFrameLimit buffer plus an fd and a goroutine,
+		// so an unbounded fan-out would let an attacker pin O(conns) of
+		// all three by opening sockets and trickling bytes — the serial
+		// loop's implicit one-at-a-time bound, kept, just widened. The
+		// slot is acquired BEFORE Accept: conns beyond the bound are
+		// never accepted and wait in the kernel's listen backlog (exactly
+		// where the serial loop left them), holding no fd, goroutine or
+		// buffer in this process. k bad conns now stall admission by
+		// ceil(k/maxConcurrentHellos) timeouts instead of k, and a hello
+		// deadline starts only once its conn is accepted.
+		sem = make(chan struct{}, maxConcurrentHellos)
+		// pending tracks conns whose hello is still being read, so the
+		// moment the run completes the remaining readers can be cut loose
+		// (deadline-now) and joined — OnReject never fires after
+		// AcceptAndRun returns, and no hello goroutine outlives the call.
+		handlers sync.WaitGroup
+		pendMu   sync.Mutex
+		pending  = make(map[net.Conn]struct{})
+		closed   bool // set by stop
+	)
+	go func() {
+		for {
+			sem <- struct{}{}
+			c, err := s.l.Accept()
+			if err != nil {
+				failed <- err
+				return
+			}
+			pendMu.Lock()
+			if closed {
+				// The run is over: close stray conns without a callback
+				// (OnReject's contract is that it never fires after
+				// AcceptAndRun returns).
+				pendMu.Unlock()
+				_ = c.Close()
+				<-sem
+				continue
+			}
+			pending[c] = struct{}{}
+			handlers.Add(1)
+			pendMu.Unlock()
+			go func(c net.Conn) {
+				defer handlers.Done()
+				defer func() { <-sem }()
+				_ = c.SetReadDeadline(time.Now().Add(helloTimeout))
+				cc := NewCountingConn(NewTCPConn(c))
+				// Nothing about a hello justifies a big frame: reject
+				// hostile length prefixes before the token check can run.
+				cc.SetRecvLimit(helloFrameLimit)
+				// The read happens outside any lock: a silent conn burns
+				// its own timeout without queueing anyone behind it.
+				h, err := readHello(cc)
+				// No longer reading: leave pending before admission, so
+				// the end-of-run sweep can never touch an admitted party's
+				// deadline.
+				pendMu.Lock()
+				delete(pending, c)
+				pendMu.Unlock()
+				if err == nil {
+					// Clear the hello deadline BEFORE admitting: the
+					// instant the last party is seated, the round engine
+					// may start using this conn — including setting
+					// RoundTimeout deadlines from its receiver goroutine —
+					// and a late clear from here would erase them. A
+					// parked rejoin's conn belongs to the round loop the
+					// same way.
+					_ = c.SetReadDeadline(time.Time{})
+					err = fed.admit(cc, h)
+				}
+				if err != nil {
+					_ = cc.Close()
+					if s.OnReject != nil {
+						s.OnReject(err)
+					}
+				}
+			}(c)
+		}
+	}()
+	return func() {
+		pendMu.Lock()
+		closed = true
+		//lint:allow detercheck expiring pending hello deadlines is order-independent: every conn gets the same instant and none feeds a fold
+		for c := range pending {
+			_ = c.SetReadDeadline(time.Now())
+		}
+		pendMu.Unlock()
+		handlers.Wait()
+	}, failed
+}
+
+// greet reads c's hello and puts it to the admission rule: one step of the
+// rule's serial driver — the trusted-pipe path (RunLocal), where every conn
+// is a party this process launched, so any invalid hello is a programming
+// error that fails the federation.
+func (f *Federation) greet(c *CountingConn) error {
+	h, err := readHello(c)
+	if err != nil {
+		return err
+	}
+	return f.admit(c, h)
+}
+
+// readHello reads and decodes one hello frame from c. Version skew and a
+// bad magic byte surface here, from the codec, as descriptive errors —
+// never as a misaligned decode of the fields behind the version byte.
+func readHello(c *CountingConn) (HelloMsg, error) {
+	raw, err := c.Recv()
+	if err != nil {
+		return HelloMsg{}, fmt.Errorf("simnet: hello recv: %w", err)
+	}
+	decoded, err := Unmarshal(raw)
+	if err != nil {
+		return HelloMsg{}, fmt.Errorf("simnet: hello decode: %w", err)
+	}
+	h, ok := decoded.(HelloMsg)
+	if !ok {
+		return HelloMsg{}, fmt.Errorf("simnet: expected hello, got %T", decoded)
+	}
+	return h, nil
+}
+
+// admit is the admission rule: it judges one decoded hello, arriving on c,
+// against the table, and either seats the party, parks the conn as a
+// rejoin, or returns why the hello is refused (the caller closes c).
+//
+//	hello    party ID's seat                  outcome
+//	fresh    empty                            seated
+//	fresh    taken                            refused: duplicate
+//	fresh    taken, as are all the others     refused: already has N parties
+//	rejoin   taken, alive or suspect          parked for the round boundary
+//	                                          (replacing an older parked rejoin)
+//	rejoin   taken, evicted                   refused: *EvictionError
+//	rejoin   empty, server has a Resume       resynced, then seated
+//	rejoin   empty, no Resume                 refused: no session to rejoin
+//
+// A rejoin hello from a party this process never seated is a first
+// contact when the server was restored from a snapshot: the survivors of
+// the previous incarnation redial with Rejoin=true, but this process has
+// no session for them.
+func (f *Federation) admit(c *CountingConn, h HelloMsg) error {
+	n := len(f.table.members)
+	rejoin := h.Rejoin && (f.Resume == nil || f.table.get(h.ID).conn != nil)
+	who, whoID := "party", "party ID"
+	if rejoin {
+		who, whoID = "rejoining party", "rejoin from party ID"
+	}
+	switch {
+	case h.ID < 0 || h.ID >= n:
+		return fmt.Errorf("simnet: %s %d out of range [0,%d)", whoID, h.ID, n)
+	case f.Token != "" && subtle.ConstantTimeCompare([]byte(h.Token), []byte(f.Token)) != 1:
+		return fmt.Errorf("simnet: %s %d presented a bad token", who, h.ID)
+	case h.N < 0:
+		return fmt.Errorf("simnet: %s %d reported negative dataset size %d", who, h.ID, h.N)
+	}
+	// What the party becomes once seated. A peer that cannot decode the
+	// configured codec is still admitted, it just rides the raw wire.
+	m := member{id: h.ID, conn: c, meta: fl.UpdateMeta{N: h.N, Tau: fl.PredictTau(f.Cfg, h.N)},
+		dist: sanitizeDist(h.LabelDist), codec: wireCodec(f.Cfg.Codec)}
+	if h.Codecs&(1<<m.codec) == 0 {
+		m.codec = wireCodecF64
+	}
+	if rejoin {
+		return f.table.queueRejoin(m)
+	}
+	return f.seat(m, h.Rejoin, true)
+}
+
+// seat puts m's party on m.conn. After a rejoin hello (resync) the
+// ResyncMsg the party is waiting for goes out first — round stamp, and the
+// party's tracked SCAFFOLD c_i (see the ResyncMsg contract) — so the
+// party's next frame is the round broadcast it now has the state to
+// handle, and only then does the table point at the conn. A failed send
+// therefore leaves the table as it was: the party stays suspect (or
+// unseated) and may dial again. claim marks a first contact, which must
+// find its seat empty.
+func (f *Federation) seat(m member, resync, claim bool) error {
+	if resync {
+		rm := ResyncMsg{ExpectTau: m.meta.Tau}
+		rm.Round, rm.Control = f.table.resync(m.id)
+		enc, err := Marshal(rm)
+		if err == nil {
+			err = m.conn.Send(enc)
+		}
+		if err != nil {
+			// Surfaced (through OnReject) only on a restored server's first
+			// contacts; a failed boundary install just leaves the party out.
+			return fmt.Errorf("simnet: restored-server resync to party %d: %w", m.id, err)
+		}
+	}
+	return f.table.install(m, claim)
+}
+
+// helloFrameLimit bounds a hello frame: ID + size + a maxTokenLen token +
+// a label distribution of up to ~128k classes fit comfortably in 1 MiB.
+const helloFrameLimit = 1 << 20
+
+// maxConcurrentHellos bounds how many accepted-but-unadmitted connections
+// exist at once — and with them the in-flight hello reads — capping
+// pre-admission fds, goroutines and buffer memory (at most 64 x
+// helloFrameLimit = 64 MiB of the latter) no matter how many connections
+// arrive; the rest queue in the kernel's listen backlog.
+const maxConcurrentHellos = 64
+
+// sanitizeDist clamps a wire-supplied label distribution to finite,
+// non-negative mass so a single party can never poison the stratified
+// sampler's k-means with NaN or infinite coordinates. An empty dataset's
+// (all-zero or empty) distribution passes through unchanged — the
+// stratifier zero-pads dimensions.
+func sanitizeDist(d []float64) []float64 {
+	for i, v := range d {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			d[i] = 0
+		}
+	}
+	return d
+}

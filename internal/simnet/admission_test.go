@@ -1,0 +1,584 @@
+package simnet
+
+import (
+	"errors"
+	"math"
+	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/niid-bench/niidbench/internal/data"
+	"github.com/niid-bench/niidbench/internal/fl"
+	"github.com/niid-bench/niidbench/internal/nn"
+)
+
+// admissionDriver puts hellos to one federation's admission rule the way
+// one transport does.
+type admissionDriver interface {
+	// hello delivers h on a fresh conn — one the server cannot send on,
+	// when dead — and returns the party end plus the rule's verdict.
+	// settled reports, for an accepted hello, that the table shows it (the
+	// TCP loop admits on a handler goroutine).
+	hello(h HelloMsg, dead bool, settled func() bool) (Conn, error)
+	close()
+}
+
+// pipeDriver is the serial pipe handshake.
+type pipeDriver struct {
+	t   *testing.T
+	fed *Federation
+}
+
+func (d *pipeDriver) hello(h HelloMsg, dead bool, _ func() bool) (Conn, error) {
+	serverSide, partySide := Pipe()
+	b, err := Marshal(h)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if err := partySide.Send(b); err != nil {
+		d.t.Fatal(err)
+	}
+	if dead {
+		serverSide = deafConn{serverSide}
+	}
+	return partySide, d.fed.greet(NewCountingConn(serverSide))
+}
+
+// deafConn is a conn whose peer is gone as far as sending goes.
+type deafConn struct{ Conn }
+
+func (deafConn) Send([]byte) error { return errors.New("deafConn: peer is gone") }
+
+func (d *pipeDriver) close() { d.fed.table.shutdown() }
+
+// tcpDriver is the TCP accept loop: a verdict is an OnReject callback, or
+// the table settling without one.
+type tcpDriver struct {
+	t        *testing.T
+	fed      *Federation
+	ln       *ServerListener
+	stop     func()
+	rejected chan error
+}
+
+func newTCPDriver(t *testing.T, fed *Federation) *tcpDriver {
+	d := &tcpDriver{t: t, fed: fed, ln: mustListen(t), rejected: make(chan error, 16)}
+	d.ln.ServerOptions = fed.ServerOptions
+	d.ln.OnReject = func(err error) { d.rejected <- err }
+	d.stop, _ = d.ln.acceptHellos(fed)
+	return d
+}
+
+func (d *tcpDriver) hello(h HelloMsg, dead bool, settled func() bool) (Conn, error) {
+	c, err := net.Dial("tcp", d.ln.Addr())
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	conn := NewTCPConn(c)
+	b, err := Marshal(h)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if err := conn.Send(b); err != nil {
+		d.t.Fatal(err)
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case err := <-d.rejected:
+			return conn, err
+		case <-deadline:
+			d.t.Fatalf("hello %+v: neither rejected nor settled", h)
+		case <-time.After(time.Millisecond):
+			if settled() {
+				return conn, nil
+			}
+		}
+	}
+}
+
+func (d *tcpDriver) close() {
+	_ = d.ln.Close()
+	d.stop()
+	d.fed.table.shutdown()
+}
+
+// TestAdmissionTable is the admission rule as a table — hello kind x what
+// the table holds for that party → outcome, error type and resulting table
+// state — run through both of the rule's drivers: the serial pipe
+// handshake and the TCP accept loop. Each row plays its hellos, in order,
+// against a fresh three-party federation with a token.
+func TestAdmissionTable(t *testing.T) {
+	const token = "s3cret"
+	type hello struct {
+		h HelloMsg
+		// before runs against the federation ahead of the hello (evicting a
+		// party, say).
+		before func(f *Federation)
+		// dead makes the server's sends on the conn fail, as toward a peer
+		// that died right after its hello. Pipes only: the accept loop
+		// makes its own conns, and a TCP peer's death is not reliably
+		// observable on the first write.
+		dead bool
+		// direct hands the decoded hello to the rule without a wire: only a
+		// 32-bit host can decode a negative size.
+		direct bool
+		// wantErr is a substring of the refusal ("" = accepted); check
+		// inspects the error's type.
+		wantErr string
+		check   func(t *testing.T, err error)
+		// settled is the table state an accepted hello must produce.
+		settled func(f *Federation) bool
+	}
+	fresh := func(id int) HelloMsg { return HelloMsg{ID: id, N: 10, Token: token, LabelDist: []float64{1}} }
+	rejoin := func(id int) HelloMsg { h := fresh(id); h.Rejoin = true; return h }
+	seated := func(id int) func(*Federation) bool {
+		return func(f *Federation) bool { return f.table.get(id).conn != nil }
+	}
+	queued := func(n int) func(*Federation) bool {
+		return func(f *Federation) bool {
+			f.table.mu.Lock()
+			defer f.table.mu.Unlock()
+			return len(f.table.rejoins) == n
+		}
+	}
+	seat := func(id int) hello { return hello{h: fresh(id), settled: seated(id)} }
+	evict := func(id int, permanent bool) func(*Federation) {
+		return func(f *Federation) { f.evict(id, nil, permanent, errors.New("test")) }
+	}
+	isEviction := func(t *testing.T, err error) {
+		var ev *EvictionError
+		if !errors.As(err, &ev) || !ev.Permanent || ev.Party != 0 {
+			t.Fatalf("want a permanent *EvictionError for party 0, got %v", err)
+		}
+	}
+	snapshot := &fl.FederationSnapshot{NumParties: 3, Round: 7, PartyControl: [][]float64{{1, 2}, nil, nil}}
+
+	rows := []struct {
+		name     string
+		opts     ServerOptions
+		hellos   []hello
+		pipeOnly bool
+		// after inspects the table once every hello has played.
+		after func(t *testing.T, f *Federation, partyEnds []Conn)
+	}{
+		{name: "fresh", hellos: []hello{seat(0)},
+			after: func(t *testing.T, f *Federation, _ []Conn) {
+				m := f.table.get(0)
+				if !m.alive() || m.codec != wireCodecF64 || m.meta.N != 10 || m.meta.Tau != fl.PredictTau(f.Cfg, 10) {
+					t.Fatalf("seated party: %+v", m)
+				}
+			}},
+		{name: "duplicate", hellos: []hello{seat(0), {h: fresh(0), wantErr: "duplicate hello from party 0"}}},
+		{name: "out of range", hellos: []hello{{h: fresh(3), wantErr: "party ID 3 out of range [0,3)"}}},
+		// The wire carries IDs and sizes as uint32, so a negative one arrives
+		// huge on a 64-bit host.
+		{name: "negative ID", hellos: []hello{{h: fresh(-1), wantErr: "out of range [0,3)"}}},
+		{name: "bad token", hellos: []hello{{h: HelloMsg{ID: 0, N: 10, Token: "wrong"}, wantErr: "party 0 presented a bad token"}}},
+		{name: "negative N", hellos: []hello{{h: HelloMsg{ID: 0, N: -4, Token: token}, direct: true, wantErr: "party 0 reported negative dataset size -4"}}},
+		{name: "unsanitised label dist",
+			hellos: []hello{{h: HelloMsg{ID: 1, N: 10, Token: token, LabelDist: []float64{math.NaN(), math.Inf(1), -3, 0.5}}, settled: seated(1)}},
+			after: func(t *testing.T, f *Federation, _ []Conn) {
+				if d := f.table.get(1).dist; len(d) != 4 || d[0] != 0 || d[1] != 0 || d[2] != 0 || d[3] != 0.5 {
+					t.Fatalf("admitted label distribution not sanitized: %v", d)
+				}
+			}},
+		{name: "rejoin of alive party", hellos: []hello{seat(0), {h: rejoin(0), settled: queued(1)}},
+			after: func(t *testing.T, f *Federation, _ []Conn) {
+				if !f.table.get(0).alive() {
+					t.Fatal("a parked rejoin must not touch the seated conn before the round boundary")
+				}
+			}},
+		{name: "rejoin of suspect party", hellos: []hello{seat(0), {h: rejoin(0), before: evict(0, false), settled: queued(1)}},
+			after: func(t *testing.T, f *Federation, ends []Conn) {
+				if got := f.installQueuedRejoins(); len(got) != 1 || got[0].id != 0 {
+					t.Fatalf("boundary install restored %v", got)
+				}
+				if !f.table.get(0).alive() {
+					t.Fatal("installed rejoin left the party suspect")
+				}
+				// The rejoined conn got its ResyncMsg first.
+				raw, err := recvWithin(t, ends[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m, err := Unmarshal(raw); err != nil || m.(ResyncMsg).ExpectTau != fl.PredictTau(f.Cfg, 10) {
+					t.Fatalf("resync: %v %v", m, err)
+				}
+			}},
+		{name: "rejoin of evicted party",
+			hellos: []hello{seat(0), {h: rejoin(0), before: evict(0, true), wantErr: "rejoin refused", check: isEviction}}},
+		{name: "rejoin of never-seen party", hellos: []hello{{h: rejoin(0), wantErr: "party 0 has no session to rejoin"}}},
+		{name: "rejoin with a bad token", hellos: []hello{seat(0), {h: HelloMsg{ID: 0, N: 10, Rejoin: true}, wantErr: "rejoining party 0 presented a bad token"}}},
+		{name: "rejoin superseding a queued rejoin",
+			hellos: []hello{seat(0), {h: rejoin(0), settled: queued(1)}, {h: rejoin(0), settled: queued(1)}},
+			after: func(t *testing.T, f *Federation, ends []Conn) {
+				// The superseded conn was hung up on (which also says the
+				// second rejoin has been judged); the newer one is the one
+				// that gets installed.
+				if _, err := recvWithin(t, ends[1]); err == nil {
+					t.Fatal("superseded rejoin conn still open")
+				}
+				if got := f.installQueuedRejoins(); len(got) != 1 || !queued(0)(f) {
+					t.Fatalf("installed %v", got)
+				}
+				if _, err := recvWithin(t, ends[2]); err != nil {
+					t.Fatalf("newest rejoin conn got no resync: %v", err)
+				}
+			}},
+		{name: "restored-server rejoin", opts: ServerOptions{Resume: snapshot},
+			hellos: []hello{{h: rejoin(0), settled: seated(0)}},
+			after: func(t *testing.T, f *Federation, ends []Conn) {
+				raw, err := recvWithin(t, ends[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := Unmarshal(raw)
+				if rm, ok := m.(ResyncMsg); err != nil || !ok || rm.Round != 7 || len(rm.Control) != 2 || rm.Control[1] != 2 {
+					t.Fatalf("restored-server resync: %+v %v", m, err)
+				}
+			}},
+		{name: "restored-server rejoin, resync send fails", opts: ServerOptions{Resume: snapshot}, pipeOnly: true,
+			hellos: []hello{
+				{h: rejoin(0), dead: true, wantErr: "restored-server resync to party 0"},
+				// The seat was never taken, so the redial gets it.
+				{h: rejoin(0), settled: seated(0)},
+			}},
+		{name: "hello after the federation filled",
+			hellos: []hello{seat(0), seat(1), seat(2),
+				{h: fresh(1), wantErr: "federation already has 3 parties"},
+				{h: fresh(9), wantErr: "party ID 9 out of range [0,3)"},
+				{h: rejoin(1), settled: queued(1)}},
+			after: func(t *testing.T, f *Federation, _ []Conn) {
+				select {
+				case <-f.table.full:
+				default:
+					t.Fatal("full federation never signalled its start")
+				}
+			}},
+	}
+	drivers := map[string]func(t *testing.T, f *Federation) admissionDriver{
+		"pipes": func(t *testing.T, f *Federation) admissionDriver { return &pipeDriver{t, f} },
+		"tcp":   func(t *testing.T, f *Federation) admissionDriver { return newTCPDriver(t, f) },
+	}
+	for dname, mk := range drivers {
+		for _, row := range rows {
+			if row.pipeOnly && dname != "pipes" {
+				continue
+			}
+			t.Run(dname+"/"+row.name, func(t *testing.T) {
+				opts := row.opts
+				opts.Token = token
+				fed, err := newFederation(fl.Config{LocalEpochs: 1, BatchSize: 32}, nn.ModelSpec{}, nil, 3, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := mk(t, fed)
+				defer d.close()
+				// held is what a refused hello must leave exactly as it was.
+				held := func() [2]int {
+					fed.table.mu.Lock()
+					defer fed.table.mu.Unlock()
+					return [2]int{fed.table.seats, len(fed.table.rejoins)}
+				}
+				var ends []Conn
+				for i, h := range row.hellos {
+					if h.before != nil {
+						h.before(fed)
+					}
+					was := held()
+					settled := func() bool { return h.settled == nil || h.settled(fed) }
+					var end Conn
+					var err error
+					if h.direct {
+						var serverSide Conn
+						serverSide, end = Pipe()
+						err = fed.admit(NewCountingConn(serverSide), h.h)
+					} else {
+						end, err = d.hello(h.h, h.dead, settled)
+					}
+					ends = append(ends, end)
+					switch {
+					case h.wantErr == "" && err != nil:
+						t.Fatalf("hello %d refused: %v", i, err)
+					case h.wantErr == "" && !settled():
+						t.Fatalf("hello %d accepted but the table does not show it", i)
+					case h.wantErr != "" && (err == nil || !strings.Contains(err.Error(), h.wantErr)):
+						t.Fatalf("hello %d: got %v, want an error containing %q", i, err, h.wantErr)
+					case h.wantErr != "" && held() != was:
+						t.Fatalf("refused hello %d changed the table: seats/parked %v -> %v", i, was, held())
+					}
+					if h.check != nil {
+						h.check(t, err)
+					}
+				}
+				if row.after != nil {
+					row.after(t, fed, ends)
+				}
+			})
+		}
+	}
+}
+
+// recvWithin is conn.Recv with a deadline no conn type has to support.
+func recvWithin(t *testing.T, conn Conn) ([]byte, error) {
+	t.Helper()
+	type got struct {
+		b   []byte
+		err error
+	}
+	ch := make(chan got, 1)
+	go func() {
+		b, err := conn.Recv()
+		ch <- got{b, err}
+	}()
+	select {
+	case g := <-ch:
+		return g.b, g.err
+	case <-time.After(10 * time.Second):
+		t.Fatal("nothing arrived and the conn stayed open")
+		return nil, nil
+	}
+}
+
+// TestAcceptFailureHangsUpOnAdmitted is the regression test for the
+// orphaned-conn bug: when Accept fails before the federation fills — the
+// operator closed the listener early — AcceptAndRun must hang up on the
+// parties it already admitted instead of returning with their sockets
+// open and unowned. A real party and a scripted one both hello as party 0
+// of 2: the rule seats one and refuses the other as a duplicate, which is
+// the test's signal that a seat is taken; then the listener closes, and
+// both — in particular a dial with no HelloTimeout — must return promptly.
+func TestAcceptFailureHangsUpOnAdmitted(t *testing.T) {
+	cfg, locals, test := smallFederation(t)
+	spec, _ := data.Model("adult")
+	ln := mustListen(t)
+	seatTaken := make(chan struct{})
+	var once sync.Once
+	ln.OnReject = func(err error) {
+		if strings.Contains(err.Error(), "duplicate hello") {
+			once.Do(func() { close(seatTaken) })
+		}
+	}
+	serveErr := make(chan error, 1)
+	go func() {
+		_, err := ln.AcceptAndRun(2, cfg, spec, test)
+		serveErr <- err
+	}()
+	returned := make(chan string, 2)
+	go func() {
+		_ = DialPartyOpts(ln.Addr(), 0, locals[0], spec, cfg, PartySeed(cfg.Seed, 0), PartyOptions{})
+		returned <- "dialed party"
+	}()
+	go func() {
+		c, err := net.Dial("tcp", ln.Addr())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer c.Close()
+		conn := NewTCPConn(c)
+		b, _ := Marshal(HelloMsg{ID: 0, N: 10, LabelDist: []float64{1}})
+		_ = conn.Send(b)
+		for {
+			if raw, err := conn.Recv(); err != nil || raw[0] == msgShutdown {
+				returned <- "scripted party"
+				return
+			}
+		}
+	}()
+	select {
+	case <-seatTaken:
+	case <-time.After(10 * time.Second):
+		t.Fatal("neither hello was refused as a duplicate")
+	}
+	_ = ln.Close()
+	select {
+	case err := <-serveErr:
+		if err == nil {
+			t.Fatal("AcceptAndRun returned no error after the listener closed under it")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AcceptAndRun did not return after the listener closed")
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-returned:
+		case <-time.After(time.Second):
+			t.Fatal("an admitted party is still blocked on a socket the server no longer owns")
+		}
+	}
+}
+
+// meterConn sits under a server-side CountingConn and tallies, into a
+// counter shared by every conn of the run, the traffic the server's byte
+// accounting is meant to cover: everything but first-contact hellos
+// (setup, before round 0), the ShutdownMsg (after the last round) and a
+// rejoin hello that was never answered (its conn was never installed).
+type meterConn struct {
+	Conn
+	total *atomic.Int64
+	held  int64 // a rejoin hello, uncounted until the server answers it
+}
+
+func (m *meterConn) Recv() ([]byte, error) {
+	b, err := m.Conn.Recv()
+	if err != nil {
+		return b, err
+	}
+	if len(b) > 0 && b[0] == msgHello {
+		if h, err := Unmarshal(b); err == nil && h.(HelloMsg).Rejoin {
+			m.held = int64(len(b))
+		}
+		return b, nil
+	}
+	m.total.Add(int64(len(b)))
+	return b, nil
+}
+
+func (m *meterConn) Send(b []byte) error {
+	err := m.Conn.Send(b)
+	if err == nil && b[0] != msgShutdown {
+		m.total.Add(int64(len(b)) + m.held)
+		m.held = 0
+	}
+	return err
+}
+
+// flapConn kills its own conn the moment it has sent an update's last
+// frame: the party completes every round and loses its conn after each.
+type flapConn struct{ Conn }
+
+func (f *flapConn) Send(b []byte) error {
+	if err := f.Conn.Send(b); err != nil {
+		return err
+	}
+	if b[0] == msgUpdateChunk {
+		if m, err := Unmarshal(b); err == nil && m.(UpdateChunkMsg).Last {
+			_ = f.Conn.Close()
+		}
+	}
+	return nil
+}
+
+// TestFlappingPartyHoldsOneConn is the regression test for the conn leak:
+// a party that loses its conn after every round and rejoins (flapping
+// forever is fine as long as rounds keep landing) used to leave one dead
+// conn per rejoin in the server's tables, each walked by every byte count
+// and written a ShutdownMsg at teardown. The table holds one conn per
+// party however often one flaps, the replaced conns' traffic is retired
+// into a scalar, and the measured bytes still equal what the parties
+// counted on their own ends.
+func TestFlappingPartyHoldsOneConn(t *testing.T) {
+	cfg, locals, test := smallFederation(t)
+	cfg.Rounds = 10
+	cfg.ChunkSize = 64
+	spec, _ := data.Model("adult")
+	fed := pipeFed(t, cfg, spec, test, len(locals), ServerOptions{RejoinGrace: 2 * time.Second})
+	cfg = fed.Cfg
+
+	var counted atomic.Int64
+	pipe := func() (*CountingConn, Conn) {
+		s, p := Pipe()
+		return NewCountingConn(&meterConn{Conn: s, total: &counted}), p
+	}
+	conns := make([]*CountingConn, len(locals))
+	partySide := make([]Conn, len(locals))
+	for i := range locals {
+		conns[i], partySide[i] = pipe()
+	}
+	// redial puts a flapped party's fresh conn to the admission rule the
+	// way an accept-loop handler would — until the run is over, after
+	// which, like a closed listener, it refuses.
+	var (
+		mu      sync.Mutex
+		over    bool
+		rejoins int
+	)
+	redial := func(serverEnd *CountingConn) {
+		mu.Lock()
+		defer mu.Unlock()
+		if over {
+			_ = serverEnd.Close()
+			return
+		}
+		if err := fed.greet(serverEnd); err != nil {
+			t.Errorf("rejoin refused: %v", err)
+		}
+		rejoins++
+	}
+	const flapper = 2
+	res, partyErrs, err := runInProcess(len(locals),
+		func() (*fl.Result, error) {
+			// AcceptAndRun's order: admission stops, then the teardown.
+			defer fed.table.shutdown()
+			defer func() {
+				mu.Lock()
+				over = true
+				mu.Unlock()
+			}()
+			for _, c := range conns {
+				if err := fed.greet(c); err != nil {
+					return nil, err
+				}
+			}
+			return fed.run()
+		},
+		func(i int) error {
+			if i != flapper {
+				defer partySide[i].Close()
+				return ServeParty(partySide[i], i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), "")
+			}
+			s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+			if err != nil {
+				return err
+			}
+			conn := partySide[i]
+			for rejoining := false; ; rejoining = true {
+				err := s.run(&flapConn{conn}, "", rejoining, 0)
+				_ = conn.Close()
+				mu.Lock()
+				done := over
+				mu.Unlock()
+				if err == nil || done {
+					return nil
+				}
+				var serverEnd *CountingConn
+				serverEnd, conn = pipe()
+				go redial(serverEnd)
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportErrs(t, partyErrs)
+	mu.Lock()
+	defer mu.Unlock()
+	if rejoins < 8 {
+		t.Fatalf("only %d rejoins", rejoins)
+	}
+	for _, m := range res.Curve {
+		if len(m.Dropped) != 0 {
+			t.Fatalf("round %d dropped %v: the heal window should re-deliver the broadcast", m.Round, m.Dropped)
+		}
+	}
+	held := 0
+	for _, m := range fed.table.members {
+		if m.conn != nil {
+			held++
+		}
+	}
+	if held != len(locals) || fed.table.retired == 0 {
+		t.Fatalf("table holds %d conns for %d parties (retired bytes %d)", held, len(locals), fed.table.retired)
+	}
+	var sum int64
+	for _, m := range res.Curve {
+		sum += m.CommBytes
+	}
+	if sum != res.TotalCommBytes || sum != counted.Load() {
+		t.Fatalf("round bytes sum to %d, TotalCommBytes %d, the conns carried %d", sum, res.TotalCommBytes, counted.Load())
+	}
+}

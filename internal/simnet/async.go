@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/niid-bench/niidbench/internal/fl"
-	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
 // This file is the transport half of buffered-async aggregation
@@ -91,99 +90,25 @@ func (h *asyncHub) waitNewer(sent int) (gen int, bf *globalFrames, ok bool) {
 	return h.gen, h.bf, true
 }
 
-// evictConn is the asynchronous eviction path. Unlike evict (round loop
-// only), it may be called from any sender or receiver goroutine, so it is
-// guarded two ways under memMu: the conn captured by the reporting
-// goroutine must still be the party's installed conn (a goroutine of an
-// already-replaced conn reports stale news), and the party must still be
-// alive (the first of a conn's two goroutines to notice wins; the second
-// is a duplicate). In async mode OnEvict may therefore fire from these
-// worker goroutines, not the main loop.
-func (f *Federation) evictConn(id int, c *CountingConn, permanent bool, cause error) bool {
-	f.memMu.Lock()
-	if f.byParty[id] != c || f.state[id] != partyAlive {
-		f.memMu.Unlock()
-		return false
-	}
-	if permanent {
-		f.state[id] = partyEvicted
-	} else {
-		f.state[id] = partySuspect
-	}
-	f.memMu.Unlock()
-	_ = c.Close()
-	if f.OnEvict != nil {
-		f.OnEvict(&EvictionError{Party: id, Permanent: permanent, Cause: cause})
-	}
-	return true
-}
-
-// asyncDedup remembers the last generation each party's update was
-// accepted against, so a rejoining party replaying its cached reply for
-// the current generation — the right behavior toward a restarted server,
-// which lost that fold — is not double-counted by a server that already
-// folded it. Guarded: the fresh conn's receiver can race a stale
-// receiver finishing its final stream.
-type asyncDedup struct {
-	mu   sync.Mutex
-	last []int
-}
-
-func newAsyncDedup(n int) *asyncDedup {
-	d := &asyncDedup{last: make([]int, n)}
-	for i := range d.last {
-		d.last[i] = -1
-	}
-	return d
-}
-
-// admit records and reports whether an update from id trained against gen
-// is the first one: false means the identical contribution was already
-// folded and the stream should be discarded.
-func (d *asyncDedup) admit(id, gen int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.last[id] == gen {
-		return false
-	}
-	d.last[id] = gen
-	return true
-}
-
-// liveParties counts parties currently alive, under memMu (async worker
-// goroutines move parties out concurrently).
-func (f *Federation) liveParties() int {
-	f.memMu.Lock()
-	defer f.memMu.Unlock()
-	n := 0
-	for _, st := range f.state {
-		if st == partyAlive {
-			n++
-		}
-	}
-	return n
-}
-
 // asyncSend pushes every newly minted generation to one party, always as
 // serialized frames in the party's negotiated wire codec (resolved once:
 // the codec is fixed for the conn's lifetime, renegotiated only by a
 // rejoin, which starts a fresh sender). A send failure is transport loss
 // toward that party only; after the run completes the conn may already
 // be torn down, so late failures are not reported.
-func (f *Federation) asyncSend(id int, c *CountingConn, hub *asyncHub, poke func()) {
-	codec := f.codecForParty(id)
+func (f *Federation) asyncSend(p member, hub *asyncHub, poke func()) {
 	sent := -1
 	for {
 		gen, bf, ok := hub.waitNewer(sent)
 		if !ok {
 			return
 		}
-		if err := bf.send(c, codec); err != nil {
+		if err := bf.send(p.conn, p.codec); err != nil {
 			// Transport loss toward this party — or an encode failure (a
 			// non-finite value the quantizer refused) poisoning this codec's
 			// frame set for the generation; either way the party is cut
 			// loose and may rejoin once a clean generation is minted.
-			if !hub.isDone() && f.evictConn(id, c, false, fmt.Errorf("simnet: send to party %d: %w", id, err)) {
+			if !hub.isDone() && f.evict(p.id, p.conn, false, fmt.Errorf("simnet: send to party %d: %w", p.id, err)) {
 				poke()
 			}
 			return
@@ -201,13 +126,11 @@ func (f *Federation) asyncSend(id int, c *CountingConn, hub *asyncHub, poke func
 // no-op) is what keeps the party from blocking on a full pipe before it
 // can read the ShutdownMsg. The conn's EOF — every party closes its end
 // when its session ends — is the receiver's own termination.
-func (f *Federation) asyncRecv(id int, c *CountingConn, hub *asyncHub, coord *fl.AsyncCoordinator, dedup *asyncDedup, poke func(), total, stateLen int) {
-	f.memMu.Lock()
-	meta := f.metas[id]
-	f.memMu.Unlock()
-	r := f.newUpdateReader(id, c, meta, total)
+func (f *Federation) asyncRecv(p member, hub *asyncHub, coord *fl.AsyncCoordinator, poke func(), total, stateLen int) {
+	id, c := p.id, p.conn
+	r := f.newUpdateReader(id, c, p.meta, total)
 	r.idleStart = true
-	budget := f.asyncBudget()
+	budget := f.budget(len(f.table.members))
 	for {
 		// The generation the party reports training against is adopted from
 		// the stream; the coordinator bounds it.
@@ -217,12 +140,12 @@ func (f *Federation) asyncRecv(id int, c *CountingConn, hub *asyncHub, coord *fl
 			// it also frees its sender if that is still blocked toward a peer
 			// that stopped reading — after Done nothing else would.
 			_ = c.Close()
-			if !hub.isDone() && f.evictConn(id, c, st.fatal, st.err) {
+			if !hub.isDone() && f.evict(id, c, st.fatal, st.err) {
 				poke()
 			}
 			return
 		}
-		if !dedup.admit(id, st.round) {
+		if !f.table.firstFold(id, st.round) {
 			// A rejoin replayed the contribution this server already
 			// folded (the party cannot know that); drop it silently.
 			f.release(st)
@@ -239,14 +162,14 @@ func (f *Federation) asyncRecv(id int, c *CountingConn, hub *asyncHub, coord *fl
 			// Keep the tracked SCAFFOLD c_i mirroring the party's own
 			// bookkeeping: the party advanced its c_i when it trained,
 			// whether or not the fold still counted.
-			f.applyControlDelta(id, u.DeltaC)
+			f.table.addControl(id, u.DeltaC)
 		}
 		f.release(st)
 		if ferr != nil {
 			// done distinguishes a poisoned run (not the party's fault)
 			// from a rejected update (aggregation contract violation).
 			if !done && !hub.isDone() {
-				f.evictConn(id, c, true, ferr)
+				f.evict(id, c, true, ferr)
 			}
 			poke()
 			return
@@ -261,16 +184,6 @@ func (f *Federation) asyncRecv(id int, c *CountingConn, hub *asyncHub, coord *fl
 	}
 }
 
-// asyncBudget returns the per-party kernel compute budget for async mode:
-// all parties train concurrently all the time, so local federations split
-// the configured cores across every party, not just a round's sample.
-func (f *Federation) asyncBudget() int {
-	if !f.local || len(f.byParty) == 0 {
-		return 0
-	}
-	return tensor.Compute{Workers: f.Cfg.Parallelism}.Split(len(f.byParty)).Workers
-}
-
 // RunAsync implements fl.AsyncTransport: it drives the buffered-async
 // protocol over the federation's conns until the coordinator completes,
 // the run is poisoned, or every party is lost past the rejoin grace.
@@ -279,10 +192,11 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 	total := len(state) + len(control)
 	stateLen := len(state)
 	limit := recvLimitFor(frameCap(f.Cfg.ChunkSize, total))
-	budget := f.asyncBudget()
+	// All parties train concurrently all the time, so a local federation
+	// splits its cores across every party, not just a round's sample.
+	budget := f.budget(len(f.table.members))
 
 	hub := newAsyncHub()
-	dedup := newAsyncDedup(len(f.byParty))
 	poke := make(chan struct{}, 1)
 	pokeFn := func() {
 		select {
@@ -291,17 +205,17 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 		}
 	}
 	var sendWg, recvWg sync.WaitGroup
-	start := func(id int, c *CountingConn) {
-		c.SetRecvLimit(limit)
+	start := func(p member) {
+		p.conn.SetRecvLimit(limit)
 		sendWg.Add(1)
 		recvWg.Add(1)
 		go func() {
 			defer sendWg.Done()
-			f.asyncSend(id, c, hub, pokeFn)
+			f.asyncSend(p, hub, pokeFn)
 		}()
 		go func() {
 			defer recvWg.Done()
-			f.asyncRecv(id, c, hub, coord, dedup, pokeFn, total, stateLen)
+			f.asyncRecv(p, hub, coord, pokeFn, total, stateLen)
 		}()
 	}
 
@@ -315,20 +229,8 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 			return err
 		}
 		hub.publish(gen, bf)
-		f.memMu.Lock()
-		type partyConn struct {
-			id int
-			c  *CountingConn
-		}
-		var boot []partyConn
-		for id, c := range f.byParty {
-			if c != nil && f.state[id] == partyAlive {
-				boot = append(boot, partyConn{id, c})
-			}
-		}
-		f.memMu.Unlock()
-		for _, p := range boot {
-			start(p.id, p.c)
+		for _, p := range f.table.alive() {
+			start(p)
 		}
 
 		var allDeadSince, belowQuorumSince time.Time
@@ -343,11 +245,11 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 			}
 			// Keep the resync stamp current so a rejoin handshake reports
 			// the generation the party is about to receive.
-			f.roundsDone = coord.Generation()
-			for _, id := range f.installQueuedRejoins() {
-				start(id, f.byParty[id])
+			f.table.setRound(coord.Generation())
+			for _, p := range f.installQueuedRejoins() {
+				start(p)
 			}
-			live := f.liveParties()
+			live := len(f.table.alive())
 			coord.SetLive(live)
 			if live > 0 {
 				allDeadSince = time.Time{}
@@ -364,10 +266,7 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 				if belowQuorumSince.IsZero() {
 					belowQuorumSince = time.Now()
 				}
-				f.memMu.Lock()
-				queued := len(f.rejoins) > 0
-				f.memMu.Unlock()
-				if waited := time.Since(belowQuorumSince); !queued && waited >= quorumBudget {
+				if waited := time.Since(belowQuorumSince); !f.table.rejoinQueued() && waited >= quorumBudget {
 					runErr = &fl.QuorumError{
 						Round: coord.Generation(), Live: live, Min: f.Cfg.MinParties,
 						Attempts: f.Cfg.QuorumRetries,
@@ -379,10 +278,7 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 			if allDeadSince.IsZero() {
 				allDeadSince = time.Now()
 			}
-			f.memMu.Lock()
-			queued := len(f.rejoins) > 0
-			f.memMu.Unlock()
-			if !queued && time.Since(allDeadSince) >= f.RejoinGrace {
+			if !f.table.rejoinQueued() && time.Since(allDeadSince) >= f.RejoinGrace {
 				runErr = fmt.Errorf("simnet: async federation lost every party at generation %d", coord.Generation())
 				break
 			}
@@ -397,19 +293,10 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 	hub.setDone()
 	sendWg.Wait()
 	if enc, err := Marshal(ShutdownMsg{}); err == nil {
-		f.memMu.Lock()
-		var live []*CountingConn
-		for id, c := range f.byParty {
-			if c != nil && f.state[id] == partyAlive {
-				live = append(live, c)
-			}
-		}
-		f.memMu.Unlock()
-		for _, c := range live {
-			_ = c.Send(enc)
+		for _, p := range f.table.alive() {
+			_ = p.conn.Send(enc)
 		}
 	}
 	recvWg.Wait()
-	f.roundsDone = coord.Generation()
 	return runErr
 }

@@ -94,41 +94,18 @@ func TestAsyncMonolithicRunLocal(t *testing.T) {
 func runAsyncTCP(t *testing.T, cfg fl.Config, locals []*data.Dataset, test *data.Dataset, planFor func(i int) *FaultPlan) (*fl.Result, []error) {
 	t.Helper()
 	spec, _ := data.Model("adult")
-	ln, err := Listen("127.0.0.1:0")
+	opts := ServerOptions{RoundTimeout: 20 * time.Second, RejoinGrace: 300 * time.Millisecond}
+	res, partyErrs, err := RunLoopback(cfg, spec, locals, test, opts, func(i int) PartyOptions {
+		return PartyOptions{
+			Rejoin:           true,
+			RejoinBackoff:    5 * time.Millisecond,
+			RejoinBackoffMax: 50 * time.Millisecond,
+			RejoinAttempts:   40,
+			Faults:           planFor(i),
+		}
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	ln.RoundTimeout = 20 * time.Second
-	ln.RejoinGrace = 300 * time.Millisecond
-	addr := ln.Addr()
-	resCh := make(chan *fl.Result, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- res
-		errCh <- err
-	}()
-	partyErrs := make([]error, len(locals))
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			partyErrs[i] = DialPartyOpts(addr, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, PartyOptions{
-				Rejoin:           true,
-				RejoinBackoff:    5 * time.Millisecond,
-				RejoinBackoffMax: 50 * time.Millisecond,
-				RejoinAttempts:   40,
-				Faults:           planFor(i),
-			})
-		}(i, ds)
-	}
-	res, serveErr := <-resCh, <-errCh
-	_ = ln.Close()
-	wg.Wait()
-	if serveErr != nil {
-		t.Fatalf("async federation aborted: %v", serveErr)
+		t.Fatalf("async federation aborted: %v", err)
 	}
 	return res, partyErrs
 }
@@ -238,37 +215,8 @@ func TestPipelinedDownlinkBitwiseAllAlgorithms(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ln, err := Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			ln.RoundTimeout = 20 * time.Second
-			addr := ln.Addr()
-			resCh := make(chan *fl.Result, 1)
-			errCh := make(chan error, 1)
-			go func() {
-				res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-				resCh <- res
-				errCh <- err
-			}()
-			var wg sync.WaitGroup
-			for i, ds := range locals {
-				wg.Add(1)
-				go func(i int, ds *data.Dataset) {
-					defer wg.Done()
-					if err := DialPartyOpts(addr, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, PartyOptions{
-						Faults: plan,
-					}); err != nil {
-						t.Errorf("party %d: %v", i, err)
-					}
-				}(i, ds)
-			}
-			res, serveErr := <-resCh, <-errCh
-			wg.Wait()
-			if serveErr != nil {
-				t.Fatal(serveErr)
-			}
+			res := mustLoopback(t, cfg, spec, locals, test, ServerOptions{RoundTimeout: 20 * time.Second},
+				func(int) PartyOptions { return PartyOptions{Faults: plan} })
 			if len(res.FinalState) != len(ref.FinalState) {
 				t.Fatalf("state length %d, want %d", len(res.FinalState), len(ref.FinalState))
 			}
@@ -301,7 +249,7 @@ func TestFoldAheadStragglerIndependence(t *testing.T) {
 	}
 	cfg := fl.Config{
 		Algorithm: fl.FedAvg, Rounds: 1, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Seed: 5, ChunkSize: 64, FoldAhead: 4,
+		LR: 0.05, Seed: 5, ChunkSize: 64,
 	}
 	cfg, err = cfg.Normalize()
 	if err != nil {
@@ -354,14 +302,14 @@ func TestFoldAheadStragglerIndependence(t *testing.T) {
 		}(i, partySide)
 	}
 
-	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}
+	fed := pipeFed(t, cfg, spec, test, parties, ServerOptions{})
 	type serveResult struct {
 		res *fl.Result
 		err error
 	}
 	resCh := make(chan serveResult, 1)
 	go func() {
-		res, err := fed.serve(parties)
+		res, err := fed.servePipes(conns)
 		resCh <- serveResult{res, err}
 	}()
 
@@ -456,8 +404,8 @@ func TestAsyncQuorumErrorBelowMinParties(t *testing.T) {
 		}(i, partySide)
 	}
 
-	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}
-	_, serveErr := fed.serve(parties)
+	fed := pipeFed(t, cfg, spec, test, parties, ServerOptions{})
+	_, serveErr := fed.servePipes(conns)
 	wg.Wait()
 	if serveErr == nil {
 		t.Fatal("half-dead federation below MinParties completed without error")

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -41,27 +40,12 @@ func BenchmarkRoundAsync(b *testing.B) {
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			ln, err := Listen("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			ln.RoundTimeout = 30 * time.Second
-			addr := ln.Addr()
-			var wg sync.WaitGroup
-			for p, ds := range locals {
-				wg.Add(1)
-				go func(p int, ds *data.Dataset) {
-					defer wg.Done()
-					opts := PartyOptions{}
-					if p < parties/4 {
-						opts.Faults = &FaultPlan{Seed: uint64(101 + i + p), Latency: 5 * time.Millisecond}
-					}
-					_ = DialPartyOpts(addr, p, ds, spec, cfg, cfg.Seed+uint64(p)*7919+13, opts)
-				}(p, ds)
-			}
-			res, serveErr := ln.AcceptAndRun(parties, cfg, spec, test)
-			_ = ln.Close()
-			wg.Wait()
+			res, _, serveErr := RunLoopback(cfg, spec, locals, test, ServerOptions{RoundTimeout: 30 * time.Second}, func(p int) PartyOptions {
+				if p >= parties/4 {
+					return PartyOptions{}
+				}
+				return PartyOptions{Faults: &FaultPlan{Seed: uint64(101 + i + p), Latency: 5 * time.Millisecond}}
+			})
 			if serveErr != nil {
 				b.Fatalf("M=%d: %v", buffer, serveErr)
 			}

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -40,33 +39,19 @@ func BenchmarkRoundChurn(b *testing.B) {
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				ln, err := Listen("127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				ln.RoundTimeout = 30 * time.Second
-				ln.RejoinGrace = 100 * time.Millisecond
-				addr := ln.Addr()
 				// A fresh seed per iteration keeps fault schedules varied
 				// while staying deterministic for a fixed b.N.
 				plan := FaultPlan{Seed: uint64(101 + i), DropProb: drop, Grace: 1}
-				var wg sync.WaitGroup
-				for p, ds := range locals {
-					wg.Add(1)
-					go func(p int, ds *data.Dataset) {
-						defer wg.Done()
-						_ = DialPartyOpts(addr, p, ds, spec, cfg, cfg.Seed+uint64(p)*7919+13, PartyOptions{
-							Rejoin:           true,
-							RejoinBackoff:    2 * time.Millisecond,
-							RejoinBackoffMax: 20 * time.Millisecond,
-							RejoinAttempts:   50,
-							Faults:           &plan,
-						})
-					}(p, ds)
-				}
-				res, serveErr := ln.AcceptAndRun(parties, cfg, spec, test)
-				_ = ln.Close()
-				wg.Wait()
+				opts := ServerOptions{RoundTimeout: 30 * time.Second, RejoinGrace: 100 * time.Millisecond}
+				res, _, serveErr := RunLoopback(cfg, spec, locals, test, opts, func(int) PartyOptions {
+					return PartyOptions{
+						Rejoin:           true,
+						RejoinBackoff:    2 * time.Millisecond,
+						RejoinBackoffMax: 20 * time.Millisecond,
+						RejoinAttempts:   50,
+						Faults:           &plan,
+					}
+				})
 				if serveErr != nil {
 					b.Fatalf("drop=%g: %v", drop, serveErr)
 				}

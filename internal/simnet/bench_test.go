@@ -78,7 +78,7 @@ func serveFakeParty(conn Conn, id, n, stateLen int, cfg fl.Config) error {
 // over the frame size (whole = ChunkSize 0, one frame per vector). A
 // sampler goroutine forces GCs and tracks the high-water HeapAlloc,
 // reported as peak-live-B. The server holds the O(state) accumulator plus
-// at most FoldAhead pooled stream buffers at every frame size; what the
+// at most foldAhead pooled stream buffers at every frame size; what the
 // frame size changes is the serialized frames in flight — one whole state
 // vector per party and direction at size 0, a few small frames per pipe
 // otherwise.
@@ -143,8 +143,7 @@ func BenchmarkRoundPeakMemory(b *testing.B) {
 							}
 						}(p, partySide)
 					}
-					fed := &Federation{Cfg: cfg, Spec: spec, conns: conns}
-					if _, err := fed.serve(parties); err != nil {
+					if _, err := pipeFed(b, cfg, spec, nil, parties, ServerOptions{}).servePipes(conns); err != nil {
 						b.Fatal(err)
 					}
 					wg.Wait()

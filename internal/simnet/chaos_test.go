@@ -226,7 +226,7 @@ func (k *rstConn) Send(b []byte) error {
 // the rest of the federation on the same in-process session.
 func dropoutParty(t *testing.T, addr string, id int, ds *data.Dataset, spec nn.ModelSpec, cfg fl.Config) {
 	t.Helper()
-	s, err := newPartySession(id, ds, spec, cfg, cfg.Seed+uint64(id)*7919+13)
+	s, err := newPartySession(id, ds, spec, cfg, PartySeed(cfg.Seed, id))
 	if err != nil {
 		t.Errorf("dropout party %d: %v", id, err)
 		return
@@ -272,56 +272,29 @@ func (l *laggardConn) Send(b []byte) error {
 func runRejoinTCP(t *testing.T, cfg fl.Config, locals []*data.Dataset, test *data.Dataset, dropIdx int) *fl.Result {
 	t.Helper()
 	spec, _ := data.Model("adult")
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	ln := mustListen(t)
 	// The heal window is what lets the round re-deliver its broadcast to
 	// the rejoined conn instead of dropping the party.
 	ln.RejoinGrace = 5 * time.Second
-	addr := ln.Addr()
-	type serveResult struct {
-		res *fl.Result
-		err error
-	}
-	resCh := make(chan serveResult, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- serveResult{res, err}
-	}()
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			if i == dropIdx {
-				dropoutParty(t, addr, i, ds, spec, cfg)
-				return
-			}
-			c, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Errorf("party %d dial: %v", i, err)
-				return
-			}
-			defer c.Close()
-			conn := Conn(NewTCPConn(c))
+	res, partyErrs, err := federateTCP(ln, len(locals), cfg, spec, test, len(locals), func(i int) error {
+		if i == dropIdx {
+			dropoutParty(t, ln.Addr(), i, locals[i], spec, cfg)
+			return nil
+		}
+		return servePartyTCP(ln.Addr(), i, locals[i], spec, cfg, func(conn Conn) Conn {
 			if i == 0 {
 				// Hold round 0's fold open so the dropout's rejoin hello is
 				// queued before the server starts round 1.
-				conn = &laggardConn{Conn: conn}
+				return &laggardConn{Conn: conn}
 			}
-			if err := ServeParty(conn, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, ds)
+			return conn
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sr := <-resCh
-	wg.Wait()
-	if sr.err != nil {
-		t.Fatal(sr.err)
-	}
-	return sr.res
+	reportErrs(t, partyErrs)
+	return res
 }
 
 // TestRejoinBitwiseAllAlgorithms is the elastic-membership acceptance
@@ -404,11 +377,7 @@ func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
 	// runWithOffender serves two honest TCP parties and one scripted peer
 	// (ID 2) that answers its first broadcast with misbehave.
 	runWithOffender := func(t *testing.T, misbehave func(conn Conn, g GlobalMsg) error) (*fl.Result, []*EvictionError) {
-		ln, err := Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
+		ln := mustListen(t)
 		var mu sync.Mutex
 		var evictions []*EvictionError
 		ln.OnEvict = func(e *EvictionError) {
@@ -416,41 +385,24 @@ func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
 			evictions = append(evictions, e)
 			mu.Unlock()
 		}
-		resCh := make(chan *fl.Result, 1)
-		errCh := make(chan error, 1)
-		go func() {
-			res, err := ln.AcceptAndRun(3, cfg, spec, test)
-			resCh <- res
-			errCh <- err
-		}()
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if err := DialParty(ln.Addr(), i, locals[i], spec, cfg, cfg.Seed+uint64(i), ""); err != nil {
-					t.Errorf("party %d: %v", i, err)
-				}
-			}(i)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		res, partyErrs, serveErr := federateTCP(ln, 3, cfg, spec, test, 3, func(i int) error {
+			if i < 2 {
+				return DialPartyOpts(ln.Addr(), i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{})
+			}
 			c, err := net.Dial("tcp", ln.Addr())
 			if err != nil {
-				t.Errorf("offender dial: %v", err)
-				return
+				return err
 			}
 			defer c.Close()
 			conn := NewTCPConn(c)
 			rawParty(t, conn, HelloMsg{ID: 2, N: 80, LabelDist: []float64{0.5, 0.5}},
 				func(g GlobalMsg) error { return misbehave(conn, g) })
-		}()
-		res, serveErr := <-resCh, <-errCh
-		wg.Wait()
+			return nil
+		})
 		if serveErr != nil {
 			t.Fatalf("ChunkSize 0 federation aborted: %v", serveErr)
 		}
+		reportErrs(t, partyErrs)
 		if len(res.Curve) != cfg.Rounds {
 			t.Fatalf("completed %d/%d rounds", len(res.Curve), cfg.Rounds)
 		}
@@ -512,37 +464,8 @@ func TestEmptyFaultPlanBitwise(t *testing.T) {
 	spec, _ := data.Model("adult")
 	ref := runChunkedTCP(t, cfg, locals, test)
 
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr()
-	resCh := make(chan *fl.Result, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- res
-		errCh <- err
-	}()
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			err := DialPartyOpts(addr, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, PartyOptions{
-				Rejoin: true, Faults: &FaultPlan{},
-			})
-			if err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, ds)
-	}
-	res, err := <-resCh, <-errCh
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustLoopback(t, cfg, spec, locals, test, ServerOptions{},
+		func(int) PartyOptions { return PartyOptions{Rejoin: true, Faults: &FaultPlan{}} })
 	for i := range ref.FinalState {
 		if res.FinalState[i] != ref.FinalState[i] {
 			t.Fatalf("empty fault plan diverged at [%d]", i)
@@ -575,43 +498,24 @@ func TestChaosSoakDropRejoin(t *testing.T) {
 		MinParties: parties / 2, QuorumRetries: 400, QuorumRetryWait: 10 * time.Millisecond,
 	}
 	spec, _ := data.Model("adult")
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	ln.RoundTimeout = 20 * time.Second
-	ln.RejoinGrace = 300 * time.Millisecond
 	var evictions int32
-	ln.OnEvict = func(*EvictionError) { atomic.AddInt32(&evictions, 1) }
-	addr := ln.Addr()
-	plan := FaultPlan{Seed: 99, DropProb: 0.01, Grace: 1}
-	resCh := make(chan *fl.Result, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(parties, cfg, spec, test)
-		resCh <- res
-		errCh <- err
-	}()
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			// Party errors are part of the chaos (final redials against a
-			// finished server fail); the server-side result is the oracle.
-			_ = DialPartyOpts(addr, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, PartyOptions{
-				Rejoin:           true,
-				RejoinBackoff:    5 * time.Millisecond,
-				RejoinBackoffMax: 50 * time.Millisecond,
-				RejoinAttempts:   40,
-				Faults:           &plan,
-			})
-		}(i, ds)
+	opts := ServerOptions{
+		RoundTimeout: 20 * time.Second,
+		RejoinGrace:  300 * time.Millisecond,
+		OnEvict:      func(*EvictionError) { atomic.AddInt32(&evictions, 1) },
 	}
-	res, err := <-resCh, <-errCh
-	_ = ln.Close()
-	wg.Wait()
+	plan := FaultPlan{Seed: 99, DropProb: 0.01, Grace: 1}
+	// Party errors are part of the chaos (final redials against a
+	// finished server fail); the server-side result is the oracle.
+	res, _, err := RunLoopback(cfg, spec, locals, test, opts, func(int) PartyOptions {
+		return PartyOptions{
+			Rejoin:           true,
+			RejoinBackoff:    5 * time.Millisecond,
+			RejoinBackoffMax: 50 * time.Millisecond,
+			RejoinAttempts:   40,
+			Faults:           &plan,
+		}
+	})
 	if err != nil {
 		t.Fatalf("soak aborted (evictions %d): %v", atomic.LoadInt32(&evictions), err)
 	}
@@ -643,36 +547,17 @@ func TestEvictionLeavesNoGoroutines(t *testing.T) {
 		MinParties: 3, QuorumRetries: 100, QuorumRetryWait: 10 * time.Millisecond,
 	}
 	spec, _ := data.Model("adult")
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln.RoundTimeout = 10 * time.Second
-	ln.RejoinGrace = 200 * time.Millisecond
-	addr := ln.Addr()
 	plan := FaultPlan{Seed: 5, DropProb: 0.05, Grace: 1}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		errCh <- err
-	}()
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			_ = DialPartyOpts(addr, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, PartyOptions{
-				Rejoin:           true,
-				RejoinBackoff:    5 * time.Millisecond,
-				RejoinBackoffMax: 50 * time.Millisecond,
-				RejoinAttempts:   20,
-				Faults:           &plan,
-			})
-		}(i, ds)
-	}
-	serveErr := <-errCh
-	_ = ln.Close()
-	wg.Wait()
+	opts := ServerOptions{RoundTimeout: 10 * time.Second, RejoinGrace: 200 * time.Millisecond}
+	_, _, serveErr := RunLoopback(cfg, spec, locals, test, opts, func(int) PartyOptions {
+		return PartyOptions{
+			Rejoin:           true,
+			RejoinBackoff:    5 * time.Millisecond,
+			RejoinBackoffMax: 50 * time.Millisecond,
+			RejoinAttempts:   20,
+			Faults:           &plan,
+		}
+	})
 	var qe *fl.QuorumError
 	if serveErr != nil && !errors.As(serveErr, &qe) {
 		t.Fatal(serveErr)

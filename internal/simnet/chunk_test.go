@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -115,56 +116,18 @@ func TestChunkedTCPOutOfOrderMatchesPipes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr()
-	type serveResult struct {
-		res *fl.Result
-		err error
-	}
-	resCh := make(chan serveResult, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- serveResult{res, err}
-	}()
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			c, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Errorf("party %d dial: %v", i, err)
-				return
-			}
-			defer c.Close()
-			conn := &jitterConn{Conn: NewTCPConn(c), r: rng.New(uint64(900 + i))}
-			// Same party seeds as RunLocal, so the trained updates are
-			// bitwise identical and only the transport differs.
-			if err := ServeParty(conn, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, ds)
-	}
-	sr := <-resCh
-	wg.Wait()
-	if sr.err != nil {
-		t.Fatal(sr.err)
-	}
-	if len(sr.res.FinalState) != len(viaPipes.FinalState) {
-		t.Fatalf("state length %d vs %d", len(sr.res.FinalState), len(viaPipes.FinalState))
+	res := runChunkedTCP(t, cfg, locals, test)
+	if len(res.FinalState) != len(viaPipes.FinalState) {
+		t.Fatalf("state length %d vs %d", len(res.FinalState), len(viaPipes.FinalState))
 	}
 	for i := range viaPipes.FinalState {
-		if sr.res.FinalState[i] != viaPipes.FinalState[i] {
-			t.Fatalf("state[%d]: tcp %v vs pipes %v", i, sr.res.FinalState[i], viaPipes.FinalState[i])
+		if res.FinalState[i] != viaPipes.FinalState[i] {
+			t.Fatalf("state[%d]: tcp %v vs pipes %v", i, res.FinalState[i], viaPipes.FinalState[i])
 		}
 	}
 	for r := range viaPipes.Curve {
-		if sr.res.Curve[r].TrainLoss != viaPipes.Curve[r].TrainLoss {
-			t.Fatalf("round %d: loss tcp %v vs pipes %v", r, sr.res.Curve[r].TrainLoss, viaPipes.Curve[r].TrainLoss)
+		if res.Curve[r].TrainLoss != viaPipes.Curve[r].TrainLoss {
+			t.Fatalf("round %d: loss tcp %v vs pipes %v", r, res.Curve[r].TrainLoss, viaPipes.Curve[r].TrainLoss)
 		}
 	}
 }
@@ -228,11 +191,7 @@ func TestHandshakeHardening(t *testing.T) {
 	spec, _ := data.Model("adult")
 	const token = "hunter2"
 
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	ln := mustListen(t)
 	ln.Token = token
 	var mu sync.Mutex
 	var rejections []error
@@ -242,54 +201,22 @@ func TestHandshakeHardening(t *testing.T) {
 		mu.Unlock()
 	}
 	addr := ln.Addr()
-	type serveResult struct {
-		res *fl.Result
-		err error
-	}
-	resCh := make(chan serveResult, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- serveResult{res, err}
-	}()
-
-	dialRaw := func(payload []byte) {
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Errorf("rogue dial: %v", err)
-			return
-		}
-		conn := NewTCPConn(c)
-		_ = conn.Send(payload)
-		// The server must close us; wait for it so the rejection is
-		// registered before the test asserts.
-		_, _ = conn.Recv()
-		_ = conn.Close()
-	}
 	garbage := []byte{0xde, 0xad, 0xbe, 0xef}
 	outOfRange, _ := Marshal(HelloMsg{ID: 99, N: 10, Token: token, LabelDist: []float64{1}})
 	badToken, _ := Marshal(HelloMsg{ID: 0, N: 10, Token: "wrong", LabelDist: []float64{1}})
 
-	dialRaw(garbage)
-	dialRaw(outOfRange)
-	dialRaw(badToken)
-
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			if err := DialParty(addr, i, ds, spec, cfg, uint64(300+i), token); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, ds)
+	res, peerErrs, err := federateTCP(ln, len(locals), cfg, spec, test, len(locals)+1, func(i int) error {
+		if i == len(locals) {
+			return errors.Join(dialRaw(addr, garbage), dialRaw(addr, outOfRange), dialRaw(addr, badToken))
+		}
+		return DialPartyOpts(addr, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{Token: token})
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sr := <-resCh
-	wg.Wait()
-	if sr.err != nil {
-		t.Fatal(sr.err)
-	}
-	if sr.res.FinalAccuracy < 0.55 {
-		t.Fatalf("federation accuracy %v", sr.res.FinalAccuracy)
+	reportErrs(t, peerErrs)
+	if res.FinalAccuracy < 0.55 {
+		t.Fatalf("federation accuracy %v", res.FinalAccuracy)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -349,66 +276,40 @@ func TestRoundTimeoutEvictsSilentParty(t *testing.T) {
 	cfg.Rounds = 2
 	cfg.ChunkSize = 128
 	spec, _ := data.Model("adult")
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	ln := mustListen(t)
 	// Generous against race-detector slowdowns: honest parties train in
 	// tens of milliseconds; only the mute one should ever hit this.
 	ln.RoundTimeout = 1500 * time.Millisecond
 	addr := ln.Addr()
 	const parties = 4 // 3 honest + 1 mute
-	type serveResult struct {
-		res *fl.Result
-		err error
-	}
-	resCh := make(chan serveResult, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(parties, cfg, spec, test)
-		resCh <- serveResult{res, err}
-	}()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	res, peerErrs, err := federateTCP(ln, parties, cfg, spec, test, parties, func(i int) error {
+		if i < len(locals) {
+			return DialPartyOpts(addr, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{})
+		}
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
-			t.Errorf("mute dial: %v", err)
-			return
+			return err
 		}
 		defer c.Close()
 		conn := NewTCPConn(c)
 		b, _ := Marshal(HelloMsg{ID: 3, N: 40, LabelDist: []float64{0.5, 0.5}})
 		if err := conn.Send(b); err != nil {
-			t.Errorf("mute hello: %v", err)
-			return
+			return err
 		}
 		// Read broadcasts but never reply; stop when the server closes us.
 		for {
 			if _, err := conn.Recv(); err != nil {
-				return
+				return nil
 			}
 		}
-	}()
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			if err := DialParty(addr, i, ds, spec, cfg, uint64(500+i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, ds)
+	})
+	if err != nil {
+		t.Fatalf("federation should survive a mute party: %v", err)
 	}
-	sr := <-resCh
-	wg.Wait()
-	if sr.err != nil {
-		t.Fatalf("federation should survive a mute party: %v", sr.err)
-	}
-	assertEvictedAt(t, sr.res.Curve, 3, 0)
-	if sr.res.FinalAccuracy < 0.55 {
-		t.Fatalf("accuracy %v", sr.res.FinalAccuracy)
+	reportErrs(t, peerErrs)
+	assertEvictedAt(t, res.Curve, 3, 0)
+	if res.FinalAccuracy < 0.55 {
+		t.Fatalf("accuracy %v", res.FinalAccuracy)
 	}
 }
 
@@ -467,11 +368,7 @@ func TestSilentHelloTimesOut(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	cfg.Rounds = 2
 	spec, _ := data.Model("adult")
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	ln := mustListen(t)
 	ln.HelloTimeout = 150 * time.Millisecond
 	var mu sync.Mutex
 	var rejections []error
@@ -481,42 +378,22 @@ func TestSilentHelloTimesOut(t *testing.T) {
 		mu.Unlock()
 	}
 	addr := ln.Addr()
-	type serveResult struct {
-		res *fl.Result
-		err error
-	}
-	resCh := make(chan serveResult, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- serveResult{res, err}
-	}()
-
+	// The silent conn is dialed first, so the accept loop picks it up
+	// before any party (loopback accepts are FIFO).
 	silent, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer silent.Close()
-	// Give the accept loop time to pick up the silent conn first, so the
-	// rejection is deterministic (loopback accepts are FIFO).
-	time.Sleep(50 * time.Millisecond)
-
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			if err := DialParty(addr, i, ds, spec, cfg, uint64(400+i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, ds)
+	res, partyErrs, err := federateTCP(ln, len(locals), cfg, spec, test, len(locals), func(i int) error {
+		return DialPartyOpts(addr, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{})
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sr := <-resCh
-	wg.Wait()
-	if sr.err != nil {
-		t.Fatal(sr.err)
-	}
-	if sr.res.FinalAccuracy < 0.55 {
-		t.Fatalf("accuracy %v", sr.res.FinalAccuracy)
+	reportErrs(t, partyErrs)
+	if res.FinalAccuracy < 0.55 {
+		t.Fatalf("accuracy %v", res.FinalAccuracy)
 	}
 	// Hellos are read concurrently, so admission no longer waits out the
 	// silent conn's timeout — that head-of-line freedom is the point. The
@@ -526,45 +403,6 @@ func TestSilentHelloTimesOut(t *testing.T) {
 	defer mu.Unlock()
 	if len(rejections) == 0 {
 		t.Fatal("the silent connection was never rejected")
-	}
-}
-
-// TestAdmitRejectsDuplicateAndRange drives the admission check directly:
-// a second hello claiming an already-admitted ID, and IDs outside
-// [0, NumParties), must each cost only their own connection.
-func TestAdmitRejectsDuplicateAndRange(t *testing.T) {
-	fed := &Federation{Cfg: fl.Config{LocalEpochs: 1, BatchSize: 32}}
-	fed.initParties(2)
-	sendHello := func(h HelloMsg) *CountingConn {
-		serverSide, partySide := Pipe()
-		b, err := Marshal(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := partySide.Send(b); err != nil {
-			t.Fatal(err)
-		}
-		return NewCountingConn(serverSide)
-	}
-	if err := fed.admit(sendHello(HelloMsg{ID: 0, N: 10, LabelDist: []float64{1}}), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.admit(sendHello(HelloMsg{ID: 0, N: 10, LabelDist: []float64{1}}), 2); err == nil {
-		t.Fatal("duplicate ID should be rejected")
-	}
-	if err := fed.admit(sendHello(HelloMsg{ID: 2, N: 10, LabelDist: []float64{1}}), 2); err == nil {
-		t.Fatal("out-of-range ID should be rejected")
-	}
-	if err := fed.admit(sendHello(HelloMsg{ID: -1, N: 10, LabelDist: []float64{1}}), 2); err == nil {
-		t.Fatal("negative ID should be rejected")
-	}
-	if err := fed.admit(sendHello(HelloMsg{ID: 1, N: 10, LabelDist: []float64{math.NaN(), math.Inf(1), -3}}), 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range fed.dists[1] {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			t.Fatalf("admitted label distribution not sanitized: %v", fed.dists[1])
-		}
 	}
 }
 

@@ -177,7 +177,7 @@ func crashRestartRun(t *testing.T, alg fl.Algorithm, faults *FaultPlan) []float6
 		wg.Add(1)
 		go func(i int, ds *data.Dataset) {
 			defer wg.Done()
-			partyErrs[i] = DialPartyOpts(addr, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, PartyOptions{
+			partyErrs[i] = DialPartyOpts(addr, i, ds, spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{
 				Rejoin:           true,
 				RejoinBackoff:    10 * time.Millisecond,
 				RejoinBackoffMax: 200 * time.Millisecond,
@@ -239,43 +239,16 @@ func crashRestartRun(t *testing.T, alg fl.Algorithm, faults *FaultPlan) []float6
 func referenceRun(t *testing.T, alg fl.Algorithm, faults *FaultPlan) *fl.Result {
 	cfg := crashCfg(alg)
 	locals, test, spec := crashData(t)
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	ln.RoundTimeout = 20 * time.Second
-	ln.RejoinGrace = 300 * time.Millisecond
-	addr := ln.Addr()
-	resCh := make(chan *fl.Result, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- res
-		errCh <- err
-	}()
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			if err := DialPartyOpts(addr, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, PartyOptions{
-				Rejoin:           true,
-				RejoinBackoff:    10 * time.Millisecond,
-				RejoinBackoffMax: 200 * time.Millisecond,
-				RejoinAttempts:   100,
-				Faults:           faults,
-			}); err != nil {
-				t.Errorf("reference party %d: %v", i, err)
-			}
-		}(i, ds)
-	}
-	res, err := <-resCh, <-errCh
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	return res
+	opts := ServerOptions{RoundTimeout: 20 * time.Second, RejoinGrace: 300 * time.Millisecond}
+	return mustLoopback(t, cfg, spec, locals, test, opts, func(int) PartyOptions {
+		return PartyOptions{
+			Rejoin:           true,
+			RejoinBackoff:    10 * time.Millisecond,
+			RejoinBackoffMax: 200 * time.Millisecond,
+			RejoinAttempts:   100,
+			Faults:           faults,
+		}
+	})
 }
 
 // TestCrashRestartBitwiseAllAlgorithms is the headline durability proof:
@@ -371,7 +344,7 @@ func TestAsyncCrashRestartCompletes(t *testing.T) {
 		wg.Add(1)
 		go func(i int, ds *data.Dataset) {
 			defer wg.Done()
-			partyErrs[i] = DialPartyOpts(addr, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, PartyOptions{
+			partyErrs[i] = DialPartyOpts(addr, i, ds, spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{
 				Rejoin:           true,
 				RejoinBackoff:    10 * time.Millisecond,
 				RejoinBackoffMax: 200 * time.Millisecond,

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"net"
 	"sync"
 	"testing"
 
@@ -155,15 +156,103 @@ func serveWithScripted(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []
 	}()
 	var mu sync.Mutex
 	var evictions []*EvictionError
-	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true,
+	fed := pipeFed(t, cfg, spec, test, len(conns), ServerOptions{
 		OnEvict: func(e *EvictionError) {
 			mu.Lock()
 			if evictions = append(evictions, e); len(evictions) == 1 {
 				close(firstEviction)
 			}
 			mu.Unlock()
-		}}
-	res, err := fed.serve(len(conns))
+		}})
+	res, err := fed.servePipes(conns)
 	wg.Wait()
 	return res, fed, evictions, err
+}
+
+// pipeFed is the server side of a pipe federation whose peers the test
+// scripts itself; fed.servePipes(conns) runs it.
+func pipeFed(t testing.TB, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset, parties int, opts ServerOptions) *Federation {
+	t.Helper()
+	fed, err := newFederation(cfg, spec, test, parties, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed.local = true
+	return fed
+}
+
+// mustLoopback is RunLoopback for tests in which nothing may fail: the
+// server's error is fatal and every party error is reported.
+func mustLoopback(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset,
+	opts ServerOptions, party func(i int) PartyOptions) *fl.Result {
+	t.Helper()
+	res, partyErrs, err := RunLoopback(cfg, spec, locals, test, opts, party)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportErrs(t, partyErrs)
+	return res
+}
+
+// federateTCP runs ln.AcceptAndRun for numParties on the calling goroutine
+// beside `peers` goroutines — the honest parties and whatever else the
+// test scripts against ln.Addr() — then closes the listener and waits for
+// every peer. It is the shared runner with the party side left to the
+// test.
+func federateTCP(ln *ServerListener, numParties int, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset,
+	peers int, peer func(i int) error) (*fl.Result, []error, error) {
+	return runInProcess(peers,
+		func() (*fl.Result, error) {
+			defer ln.Close()
+			return ln.AcceptAndRun(numParties, cfg, spec, test)
+		}, peer)
+}
+
+// mustListen binds an ephemeral loopback listener.
+func mustListen(t testing.TB) *ServerListener {
+	t.Helper()
+	ln, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// reportErrs reports every non-nil peer error.
+func reportErrs(t testing.TB, errs []error) {
+	t.Helper()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("party %d: %v", i, err)
+		}
+	}
+}
+
+// servePartyTCP is a plain party on a dialed socket the test may wrap
+// (jitter, kills, holds): ServeParty with the federation's party seed.
+func servePartyTCP(addr string, i int, ds *data.Dataset, spec nn.ModelSpec, cfg fl.Config, wrap func(Conn) Conn) error {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	conn := NewTCPConn(c)
+	if wrap != nil {
+		conn = wrap(conn)
+	}
+	return ServeParty(conn, i, ds, spec, cfg, PartySeed(cfg.Seed, i), "")
+}
+
+// dialRaw sends one raw frame to a listener as a fresh connection and
+// waits for the server to hang up, so the rejection is registered before
+// the caller asserts on it.
+func dialRaw(addr string, payload []byte) error {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	conn := NewTCPConn(c)
+	_ = conn.Send(payload)
+	_, _ = conn.Recv()
+	return conn.Close()
 }

@@ -11,6 +11,7 @@ import (
 
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
+	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/rng"
 )
@@ -77,10 +78,9 @@ func TestVersionSkew(t *testing.T) {
 		if err := partySide.Send(hello); err != nil {
 			t.Fatal(err)
 		}
-		return fed.admit(NewCountingConn(serverSide), 4)
+		return fed.greet(NewCountingConn(serverSide))
 	}
-	fed := &Federation{Cfg: fl.Config{LocalEpochs: 1, BatchSize: 32, Codec: fl.CodecInt8}}
-	fed.initParties(4)
+	fed := pipeFed(t, fl.Config{LocalEpochs: 1, BatchSize: 32, Codec: fl.CodecInt8}, nn.ModelSpec{}, nil, 4, ServerOptions{})
 	// tag, magic, version 4, min-version 2, codec mask, rejoin, ID, N,
 	// empty token, empty label distribution: the v4 layout.
 	v4 := []byte{msgHello, protoMagic, 4, 2, 0x0F, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
@@ -100,7 +100,7 @@ func TestVersionSkew(t *testing.T) {
 	if err := admit(fed, future); err != nil {
 		t.Fatalf("future peer still speaking %d rejected: %v", ProtoVersion, err)
 	}
-	if got := fed.codecForParty(0); got != wireCodecInt8 {
+	if got := fed.table.get(0).codec; got != wireCodecInt8 {
 		t.Fatalf("full-mask peer negotiated %s, want int8", codecName(got))
 	}
 	disjoint, err := Marshal(HelloMsg{ID: 1, N: 10, Version: ProtoVersion + 2, MinVersion: ProtoVersion + 1})
@@ -145,7 +145,7 @@ func TestVersionSkew(t *testing.T) {
 			})
 		}(i, partySide)
 	}
-	res, err := (&Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}).serve(2)
+	res, err := pipeFed(t, cfg, spec, test, 2, ServerOptions{}).servePipes(conns)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -224,11 +224,7 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 	cfg.Rounds = 2
 	spec, _ := data.Model("adult")
 
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	ln := mustListen(t)
 	var mu sync.Mutex
 	var rejections []error
 	ln.OnReject = func(err error) {
@@ -237,29 +233,6 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 		mu.Unlock()
 	}
 	addr := ln.Addr()
-	type serveResult struct {
-		res *fl.Result
-		err error
-	}
-	resCh := make(chan serveResult, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- serveResult{res, err}
-	}()
-
-	dialRaw := func(payload []byte) {
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Errorf("skewed dial: %v", err)
-			return
-		}
-		conn := NewTCPConn(c)
-		_ = conn.Send(payload)
-		// The server must close us; wait for it so the rejection is
-		// registered before the test asserts.
-		_, _ = conn.Recv()
-		_ = conn.Close()
-	}
 	stale, err := Marshal(HelloMsg{ID: 0, N: 10, LabelDist: []float64{1}, Version: ProtoVersion + 41, MinVersion: ProtoVersion + 41})
 	if err != nil {
 		t.Fatal(err)
@@ -272,27 +245,18 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 	badMagic[1] = 0x00
 	truncated := good[:2] // tag + magic, version byte missing
 
-	dialRaw(stale)
-	dialRaw(badMagic)
-	dialRaw(truncated)
-
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			if err := DialParty(addr, i, ds, spec, cfg, uint64(700+i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, ds)
+	res, peerErrs, err := federateTCP(ln, len(locals), cfg, spec, test, len(locals)+1, func(i int) error {
+		if i == len(locals) {
+			return errors.Join(dialRaw(addr, stale), dialRaw(addr, badMagic), dialRaw(addr, truncated))
+		}
+		return DialPartyOpts(addr, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{})
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sr := <-resCh
-	wg.Wait()
-	if sr.err != nil {
-		t.Fatal(sr.err)
-	}
-	if sr.res.FinalAccuracy < 0.55 {
-		t.Fatalf("federation accuracy %v", sr.res.FinalAccuracy)
+	reportErrs(t, peerErrs)
+	if res.FinalAccuracy < 0.55 {
+		t.Fatalf("federation accuracy %v", res.FinalAccuracy)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -342,11 +306,7 @@ func TestConcurrentAdmissionBoundedStall(t *testing.T) {
 
 	const helloTimeout = 750 * time.Millisecond
 	const silent = 4
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	ln := mustListen(t)
 	ln.HelloTimeout = helloTimeout
 	var mu sync.Mutex
 	rejected := 0
@@ -357,71 +317,30 @@ func TestConcurrentAdmissionBoundedStall(t *testing.T) {
 	}
 	addr := ln.Addr()
 
-	start := time.Now()
-	type serveResult struct {
-		res *fl.Result
-		err error
-	}
-	resCh := make(chan serveResult, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- serveResult{res, err}
-	}()
-
-	// The lurkers connect first and say nothing: each must burn its own
-	// timeout without queueing anyone behind it.
-	var lurkers []net.Conn
-	defer func() {
-		for _, c := range lurkers {
-			_ = c.Close()
-		}
-	}()
+	// The lurkers connect first — before the accept loop even runs, so the
+	// legitimate parties genuinely arrive behind them — and say nothing:
+	// each must burn its own timeout without queueing anyone behind it.
 	for i := 0; i < silent; i++ {
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lurkers = append(lurkers, c)
+		defer c.Close()
 	}
-	var rogueWG sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		rogueWG.Add(1)
-		go func() {
-			defer rogueWG.Done()
-			c, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Errorf("garbage dial: %v", err)
-				return
-			}
-			conn := NewTCPConn(c)
-			_ = conn.Send([]byte{0xde, 0xad, 0xbe, 0xef})
-			_, _ = conn.Recv() // wait for the server to close us
-			_ = conn.Close()
-		}()
-	}
-	// Let the accept loop pick the lurkers up first, so the legitimate
-	// parties genuinely arrive behind them.
-	time.Sleep(50 * time.Millisecond)
-
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			if err := DialParty(addr, i, ds, spec, cfg, uint64(600+i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, ds)
-	}
-	sr := <-resCh
+	start := time.Now()
+	res, peerErrs, err := federateTCP(ln, len(locals), cfg, spec, test, len(locals)+2, func(i int) error {
+		if i < len(locals) {
+			return DialPartyOpts(addr, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{})
+		}
+		return dialRaw(addr, []byte{0xde, 0xad, 0xbe, 0xef})
+	})
 	elapsed := time.Since(start)
-	wg.Wait()
-	rogueWG.Wait()
-	if sr.err != nil {
-		t.Fatal(sr.err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sr.res.FinalAccuracy < 0.55 {
-		t.Fatalf("accuracy %v", sr.res.FinalAccuracy)
+	reportErrs(t, peerErrs)
+	if res.FinalAccuracy < 0.55 {
+		t.Fatalf("accuracy %v", res.FinalAccuracy)
 	}
 	// Serial hello reads would stall admission for silent*helloTimeout =
 	// 3s before the first legitimate hello; concurrent reads bound the
@@ -448,46 +367,19 @@ func TestConcurrentAdmissionBoundedStall(t *testing.T) {
 func runChunkedTCP(t *testing.T, cfg fl.Config, locals []*data.Dataset, test *data.Dataset) *fl.Result {
 	t.Helper()
 	spec, _ := data.Model("adult")
-	ln, err := Listen("127.0.0.1:0")
+	ln := mustListen(t)
+	// Same party seeds as RunLocal, so the trained updates are bitwise
+	// identical and only the transport differs.
+	res, partyErrs, err := federateTCP(ln, len(locals), cfg, spec, test, len(locals), func(i int) error {
+		return servePartyTCP(ln.Addr(), i, locals[i], spec, cfg, func(conn Conn) Conn {
+			return &jitterConn{Conn: conn, r: rng.New(uint64(2000 + i))}
+		})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	addr := ln.Addr()
-	type serveResult struct {
-		res *fl.Result
-		err error
-	}
-	resCh := make(chan serveResult, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- serveResult{res, err}
-	}()
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			c, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Errorf("party %d dial: %v", i, err)
-				return
-			}
-			defer c.Close()
-			conn := &jitterConn{Conn: NewTCPConn(c), r: rng.New(uint64(2000 + i))}
-			// Same party seeds as RunLocal, so the trained updates are
-			// bitwise identical and only the transport differs.
-			if err := ServeParty(conn, i, ds, spec, cfg, cfg.Seed+uint64(i)*7919+13, ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, ds)
-	}
-	sr := <-resCh
-	wg.Wait()
-	if sr.err != nil {
-		t.Fatal(sr.err)
-	}
-	return sr.res
+	reportErrs(t, partyErrs)
+	return res
 }
 
 // TestChunkedDownlinkParityAcrossChunkSizes pins the chunked broadcast

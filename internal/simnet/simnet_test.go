@@ -226,40 +226,11 @@ func TestTCPFederation(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	spec, _ := data.Model("adult")
 
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	res := mustLoopback(t, cfg, spec, locals, test, ServerOptions{}, nil)
+	if res.FinalAccuracy < 0.60 {
+		t.Fatalf("tcp federation accuracy %v", res.FinalAccuracy)
 	}
-	defer ln.Close()
-	addr := ln.Addr()
-	type serveResult struct {
-		res *fl.Result
-		err error
-	}
-	resCh := make(chan serveResult, 1)
-	go func() {
-		res, err := ln.AcceptAndRun(len(locals), cfg, spec, test)
-		resCh <- serveResult{res, err}
-	}()
-	var wg sync.WaitGroup
-	for i, ds := range locals {
-		wg.Add(1)
-		go func(i int, ds *data.Dataset) {
-			defer wg.Done()
-			if err := DialParty(addr, i, ds, spec, cfg, uint64(100+i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-		}(i, ds)
-	}
-	sr := <-resCh
-	wg.Wait()
-	if sr.err != nil {
-		t.Fatal(sr.err)
-	}
-	if sr.res.FinalAccuracy < 0.60 {
-		t.Fatalf("tcp federation accuracy %v", sr.res.FinalAccuracy)
-	}
-	if sr.res.TotalCommBytes == 0 {
+	if res.TotalCommBytes == 0 {
 		t.Fatal("no tcp bytes counted")
 	}
 }

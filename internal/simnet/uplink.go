@@ -172,26 +172,28 @@ func (r *updateReader) read(round int) stagedUpdate {
 	}
 }
 
+// foldAhead is how many complete reply streams the synchronous fold may
+// stage past its in-order cursor. The fold order — and so the result — is
+// the same, bit for bit, at every value; what 4 buys is that parties
+// within the horizon drain their streams concurrently instead of serially
+// behind a straggler, at O(foldAhead x stream) transient pool memory, the
+// whole of the server's transient receive memory.
+const foldAhead = 4
+
 // foldGate bounds how far past the fold cursor the synchronous readers
-// may run: reader j may receive its stream only once j < cursor + ahead,
-// so at most `ahead` complete streams are staged beyond the one being
-// folded — O(FoldAhead x stream) transient pool memory, no matter how
-// out-of-order the arrivals are. advance moves the cursor one slot
-// (folded, dropped, or dead — every slot counts); abort releases every
-// waiter when the round dies.
+// may run: reader j may receive its stream only once j < cursor +
+// foldAhead, no matter how out-of-order the arrivals are. advance moves
+// the cursor one slot (folded, dropped, or dead — every slot counts);
+// abort releases every waiter when the round dies.
 type foldGate struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	cursor  int
-	ahead   int
 	aborted bool
 }
 
-func newFoldGate(ahead int) *foldGate {
-	g := &foldGate{ahead: ahead}
-	if g.ahead < 1 {
-		g.ahead = 1
-	}
+func newFoldGate() *foldGate {
+	g := &foldGate{}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -202,7 +204,7 @@ func newFoldGate(ahead int) *foldGate {
 func (g *foldGate) waitTurn(j int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for j >= g.cursor+g.ahead && !g.aborted {
+	for j >= g.cursor+foldAhead && !g.aborted {
 		g.cond.Wait()
 	}
 	return !g.aborted
@@ -236,14 +238,15 @@ var errRoundAborted = fmt.Errorf("simnet: round aborted")
 // mid-stream) is evicted and dropped from the round, not fatal to it.
 func (f *Federation) recvRound(round int, sampled []int, stateLen int, sink *fl.RoundSink) error {
 	staged := make([]chan stagedUpdate, len(sampled))
-	gate := newFoldGate(f.Cfg.FoldAhead)
+	gate := newFoldGate()
 	total := sink.StreamLen()
 	for j, id := range sampled {
-		if f.down(id) {
+		m := f.table.get(id)
+		if !m.alive() {
 			continue // no reader; the fold drops this slot upfront
 		}
 		staged[j] = make(chan stagedUpdate, 1)
-		r := f.newUpdateReader(id, f.byParty[id], sink.Meta(j), total)
+		r := f.newUpdateReader(id, m.conn, sink.Meta(j), total)
 		go func(j int) {
 			if !gate.waitTurn(j) {
 				staged[j] <- stagedUpdate{err: errRoundAborted}
@@ -272,12 +275,12 @@ func (f *Federation) recvRound(round int, sampled []int, stateLen int, sink *fl.
 	}
 	for j, id := range sampled {
 		var st stagedUpdate
-		if f.down(id) {
+		if staged[j] == nil {
 			st.err = fmt.Errorf("simnet: party %d left the federation in an earlier round", id)
 		} else if st = <-staged[j]; st.err != nil {
 			// The reader classified the failure; eviction stays on the round
 			// loop goroutine.
-			f.evict(id, st.fatal, st.err)
+			f.evict(id, nil, st.fatal, st.err)
 		} else {
 			data := st.buf.Data()[:total]
 			err := sink.AddChunk(j, 0, data)
@@ -285,13 +288,15 @@ func (f *Federation) recvRound(round int, sampled []int, stateLen int, sink *fl.
 				err = sink.FinishUpdate(j, st.trailer)
 			}
 			if err == nil {
-				f.applyControlDelta(id, data[stateLen:])
+				// Only after FinishUpdate accepted the stream, so the tracked
+				// c_i follows exactly the uploads the aggregation counted.
+				f.table.addControl(id, data[stateLen:])
 			}
 			f.release(st)
 			if st.err = err; err != nil {
 				// The aggregation refused a well-framed update: the party's
 				// fault, permanently.
-				f.evict(id, true, err)
+				f.evict(id, nil, true, err)
 			}
 		}
 		if st.err != nil {

@@ -158,7 +158,7 @@ func StatsOf(p Partition, labels []int, classes int) PartitionStats {
 // Setting RunConfig.AsyncBuffer > 0 switches the run to buffered-async
 // aggregation: parties train and stream continuously, the server folds
 // each update the moment it arrives (discounted by staleness,
-// s(tau) = 1/(1+tau)^StalenessExponent) and publishes a new global model
+// s(tau) = 1/(1+tau)^0.5) and publishes a new global model
 // every AsyncBuffer folds. The Result then carries one Curve entry per
 // model generation plus AsyncStats, and the run executes over in-process
 // transport pipes rather than the lockstep simulation.
