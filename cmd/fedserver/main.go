@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"github.com/niid-bench/niidbench/internal/fedcli"
 	"github.com/niid-bench/niidbench/internal/fl"
@@ -27,6 +28,16 @@ import (
 )
 
 func main() {
+	fs, serve := command()
+	if err := fs.Parse(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+	serve()
+}
+
+// command declares fedserver's flags and returns them with the server run
+// that reads them once parsed.
+func command() (*flag.FlagSet, func()) {
 	fs := flag.NewFlagSet("fedserver", flag.ExitOnError)
 	var shared fedcli.Shared
 	var srv fedcli.Server
@@ -36,22 +47,23 @@ func main() {
 	saveModel := fs.String("save-model", "", "write the final model state to this file")
 	roundTimeout := fs.Duration("round-timeout", 0, "max wait per reply frame within a round (0 = wait forever); stalled parties are suspected and dropped from the round")
 	rejoinGrace := fs.Duration("rejoin-grace", 0, "how long a round's broadcast waits for a just-departed party to rejoin before dropping it (0 = never wait)")
-	if err := fs.Parse(os.Args[1:]); err != nil {
-		log.Fatal(err)
-	}
+	return fs, func() { serve(&shared, &srv, *addr, *saveModel, *roundTimeout, *rejoinGrace) }
+}
+
+func serve(shared *fedcli.Shared, srv *fedcli.Server, addr, saveModel string, roundTimeout, rejoinGrace time.Duration) {
 
 	cfg, spec, _, test, err := shared.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	ln, err := simnet.Listen(*addr)
+	ln, err := simnet.Listen(addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ln.Close()
 	ln.Token = shared.Token
-	ln.RoundTimeout = *roundTimeout
-	ln.RejoinGrace = *rejoinGrace
+	ln.RoundTimeout = roundTimeout
+	ln.RejoinGrace = rejoinGrace
 	ln.OnReject = func(err error) { log.Printf("fedserver: rejected connection: %v", err) }
 	ln.OnEvict = func(ev *simnet.EvictionError) { log.Printf("fedserver: %v", ev) }
 
@@ -107,10 +119,10 @@ func main() {
 		fmt.Printf("async: %d folds over %d generations, staleness mean %.2f max %d\n",
 			res.Async.Folds, len(res.Curve), res.Async.MeanStaleness, res.Async.MaxStaleness)
 	}
-	if *saveModel != "" {
-		if err := fl.WriteSnapshotFile(*saveModel, &fl.FederationSnapshot{State: res.FinalState}); err != nil {
+	if saveModel != "" {
+		if err := fl.WriteSnapshotFile(saveModel, &fl.FederationSnapshot{State: res.FinalState}); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("model saved to %s\n", *saveModel)
+		fmt.Printf("model saved to %s\n", saveModel)
 	}
 }

@@ -98,31 +98,40 @@ func cmdList() error {
 
 // expFlags parses the shared experiment flags.
 func expFlags(name string, args []string) (experiments.Options, error) {
+	fs, options := expCommand(name)
+	if err := fs.Parse(args); err != nil {
+		return experiments.Options{}, err
+	}
+	return options()
+}
+
+// expCommand declares the artifact commands' flags and returns them with
+// the options they describe once parsed.
+func expCommand(name string) (*flag.FlagSet, func() (experiments.Options, error)) {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	scale := fs.String("scale", "quick", "experiment scale: smoke, quick, paper")
 	seed := fs.Uint64("seed", 1, "master seed")
 	trials := fs.Int("trials", 0, "trials per setting (0 = scale default)")
 	datasets := fs.String("datasets", "", "comma-separated dataset filter")
 	conc := fs.Int("conc", 1, "concurrent grid cells (trials) per experiment")
-	if err := fs.Parse(args); err != nil {
-		return experiments.Options{}, err
+	return fs, func() (experiments.Options, error) {
+		opt := experiments.Options{
+			Scale:       experiments.Scale(*scale),
+			Seed:        *seed,
+			Trials:      *trials,
+			Out:         os.Stdout,
+			Concurrency: *conc,
+		}
+		if *datasets != "" {
+			opt.Datasets = strings.Split(*datasets, ",")
+		}
+		switch opt.Scale {
+		case experiments.Smoke, experiments.Quick, experiments.Paper:
+		default:
+			return opt, fmt.Errorf("unknown scale %q", *scale)
+		}
+		return opt, nil
 	}
-	opt := experiments.Options{
-		Scale:       experiments.Scale(*scale),
-		Seed:        *seed,
-		Trials:      *trials,
-		Out:         os.Stdout,
-		Concurrency: *conc,
-	}
-	if *datasets != "" {
-		opt.Datasets = strings.Split(*datasets, ",")
-	}
-	switch opt.Scale {
-	case experiments.Smoke, experiments.Quick, experiments.Paper:
-	default:
-		return opt, fmt.Errorf("unknown scale %q", *scale)
-	}
-	return opt, nil
 }
 
 func cmdExperiment(id string, args []string) error {
@@ -163,6 +172,16 @@ func parseStrategy(kind string, k int, beta, sigma float64) (partition.Strategy,
 }
 
 func cmdRun(args []string) error {
+	fs, body := runCommand()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return body()
+}
+
+// runCommand declares `run`'s flags and returns them with the run that
+// reads them once parsed.
+func runCommand() (*flag.FlagSet, func() error) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	dataset := fs.String("dataset", "cifar10", "dataset family")
 	partKind := fs.String("partition", "iid", "partition kind")
@@ -195,95 +214,94 @@ func cmdRun(args []string) error {
 	chunk := fs.Int("chunk", 65536, "move broadcasts and updates in frames of this many float64 elements (0 = one frame per vector); bit-identical either way")
 	asyncBuffer := fs.Int("async-buffer", 0, "buffered-async aggregation over loopback TCP: fold updates as they arrive and publish a new global every M folds (0 = synchronous rounds)")
 	codec := fs.String("codec", "", "wire chunk codec over transports: f64 (raw, default), f32, int8, int4; negotiated per party at the hello")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	dtype, ok := tensor.ParseDType(*dtypeName)
-	if !ok {
-		return fmt.Errorf("unknown -dtype %q (float64, float32)", *dtypeName)
-	}
+	return fs, func() error {
+		dtype, ok := tensor.ParseDType(*dtypeName)
+		if !ok {
+			return fmt.Errorf("unknown -dtype %q (float64, float32)", *dtypeName)
+		}
 
-	strat, err := parseStrategy(*partKind, *k, *beta, *sigma)
-	if err != nil {
-		return err
-	}
-	if *mix && strat.Kind != partition.FeatureNoise {
-		strat.NoiseSigma = *sigma
-	}
-	train, test, err := data.Load(*dataset, data.Config{TrainN: *trainN, TestN: *testN, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	spec, err := data.Model(*dataset)
-	if err != nil {
-		return err
-	}
-	_, locals, err := strat.Split(train, *parties, rng.New(*seed+17))
-	if err != nil {
-		return err
-	}
-	cfg := fl.Config{
-		Algorithm:       fl.Algorithm(*algo),
-		Rounds:          *rounds,
-		LocalEpochs:     *epochs,
-		BatchSize:       *batch,
-		LR:              *lr,
-		Momentum:        0.9,
-		Mu:              *mu,
-		Alpha:           *alpha,
-		MoonMu:          *moonMu,
-		SampleFraction:  *fraction,
-		Seed:            *seed,
-		ServerOptimizer: fl.ServerOpt(*serverOpt),
-		Sampling:        fl.PartySampling(*sampling),
-		DPClip:          *dpClip,
-		DPNoise:         *dpNoise,
-		CompressTopK:    *topK,
-		DType:           dtype,
-		ChunkSize:       *chunk,
-		AsyncBuffer:     *asyncBuffer,
-		Codec:           fl.Codec(*codec),
-	}
-	var initial []float64
-	if *loadModel != "" {
-		snap, err := fl.LoadSnapshotFile(*loadModel)
+		strat, err := parseStrategy(*partKind, *k, *beta, *sigma)
 		if err != nil {
 			return err
 		}
-		initial = snap.State
-		fmt.Printf("resumed from %s\n", *loadModel)
-	}
-	var res *fl.Result
-	if *useTCP || *asyncBuffer > 0 {
-		// Buffered-async aggregation is a transport-level protocol; the
-		// in-process lockstep Simulation has no notion of it, so it runs
-		// over the sockets too.
-		var partyErrs []error
-		res, partyErrs, err = simnet.RunLoopback(cfg, spec, locals, test, simnet.ServerOptions{InitialState: initial}, nil)
-		err = errors.Join(err, errors.Join(partyErrs...))
-	} else {
-		var sim *fl.Simulation
-		if sim, err = fl.NewSimulation(cfg, spec, locals, test); err != nil {
+		if *mix && strat.Kind != partition.FeatureNoise {
+			strat.NoiseSigma = *sigma
+		}
+		train, test, err := data.Load(*dataset, data.Config{TrainN: *trainN, TestN: *testN, Seed: *seed})
+		if err != nil {
 			return err
 		}
-		if initial != nil {
-			if err = sim.SetInitialState(initial); err != nil {
+		spec, err := data.Model(*dataset)
+		if err != nil {
+			return err
+		}
+		_, locals, err := strat.Split(train, *parties, rng.New(*seed+17))
+		if err != nil {
+			return err
+		}
+		cfg := fl.Config{
+			Algorithm:       fl.Algorithm(*algo),
+			Rounds:          *rounds,
+			LocalEpochs:     *epochs,
+			BatchSize:       *batch,
+			LR:              *lr,
+			Momentum:        0.9,
+			Mu:              *mu,
+			Alpha:           *alpha,
+			MoonMu:          *moonMu,
+			SampleFraction:  *fraction,
+			Seed:            *seed,
+			ServerOptimizer: fl.ServerOpt(*serverOpt),
+			Sampling:        fl.PartySampling(*sampling),
+			DPClip:          *dpClip,
+			DPNoise:         *dpNoise,
+			CompressTopK:    *topK,
+			DType:           dtype,
+			ChunkSize:       *chunk,
+			AsyncBuffer:     *asyncBuffer,
+			Codec:           fl.Codec(*codec),
+		}
+		var initial []float64
+		if *loadModel != "" {
+			snap, err := fl.LoadSnapshotFile(*loadModel)
+			if err != nil {
 				return err
 			}
+			initial = snap.State
+			fmt.Printf("resumed from %s\n", *loadModel)
 		}
-		res, err = sim.Run()
-	}
-	if err != nil {
-		return err
-	}
-	printResult(*dataset, strat, res)
-	if *saveModel != "" {
-		if err := fl.WriteSnapshotFile(*saveModel, &fl.FederationSnapshot{State: res.FinalState}); err != nil {
+		var res *fl.Result
+		if *useTCP || *asyncBuffer > 0 {
+			// Buffered-async aggregation is a transport-level protocol; the
+			// in-process lockstep Simulation has no notion of it, so it runs
+			// over the sockets too.
+			var partyErrs []error
+			res, partyErrs, err = simnet.RunLoopback(cfg, spec, locals, test, simnet.ServerOptions{InitialState: initial}, nil)
+			err = errors.Join(err, errors.Join(partyErrs...))
+		} else {
+			var sim *fl.Simulation
+			if sim, err = fl.NewSimulation(cfg, spec, locals, test); err != nil {
+				return err
+			}
+			if initial != nil {
+				if err = sim.SetInitialState(initial); err != nil {
+					return err
+				}
+			}
+			res, err = sim.Run()
+		}
+		if err != nil {
 			return err
 		}
-		fmt.Printf("model state saved to %s\n", *saveModel)
+		printResult(*dataset, strat, res)
+		if *saveModel != "" {
+			if err := fl.WriteSnapshotFile(*saveModel, &fl.FederationSnapshot{State: res.FinalState}); err != nil {
+				return err
+			}
+			fmt.Printf("model state saved to %s\n", *saveModel)
+		}
+		return nil
 	}
-	return nil
 }
 
 func printResult(dataset string, strat partition.Strategy, res *fl.Result) {
@@ -304,6 +322,14 @@ func printResult(dataset string, strat partition.Strategy, res *fl.Result) {
 }
 
 func cmdPartitionStats(args []string) error {
+	fs, body := partitionStatsCommand()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return body()
+}
+
+func partitionStatsCommand() (*flag.FlagSet, func() error) {
 	fs := flag.NewFlagSet("partition-stats", flag.ContinueOnError)
 	dataset := fs.String("dataset", "mnist", "dataset family")
 	partKind := fs.String("partition", "label-dirichlet", "partition kind")
@@ -313,28 +339,27 @@ func cmdPartitionStats(args []string) error {
 	parties := fs.Int("parties", 10, "number of parties")
 	trainN := fs.Int("train", 0, "training samples")
 	seed := fs.Uint64("seed", 1, "seed")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return fs, func() error {
+		strat, err := parseStrategy(*partKind, *k, *beta, *sigma)
+		if err != nil {
+			return err
+		}
+		train, _, err := data.Load(*dataset, data.Config{TrainN: *trainN, Seed: *seed})
+		if err != nil {
+			return err
+		}
+		if strat.Kind == partition.FeatureSynthetic {
+			*parties = 4
+		}
+		part, err := strat.Assign(train, *parties, rng.New(*seed+17))
+		if err != nil {
+			return err
+		}
+		st := partition.ComputeStats(part, train.Y, train.NumClasses)
+		fmt.Printf("%s, %s, %d parties\n\n", *dataset, strat, *parties)
+		fmt.Print(st.Heatmap())
+		fmt.Printf("\nlabel imbalance (mean JS divergence): %.4f\n", st.LabelImbalance)
+		fmt.Printf("quantity imbalance (CV of sizes):     %.4f\n", st.QuantityImbalance)
+		return nil
 	}
-	strat, err := parseStrategy(*partKind, *k, *beta, *sigma)
-	if err != nil {
-		return err
-	}
-	train, _, err := data.Load(*dataset, data.Config{TrainN: *trainN, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	if strat.Kind == partition.FeatureSynthetic {
-		*parties = 4
-	}
-	part, err := strat.Assign(train, *parties, rng.New(*seed+17))
-	if err != nil {
-		return err
-	}
-	st := partition.ComputeStats(part, train.Y, train.NumClasses)
-	fmt.Printf("%s, %s, %d parties\n\n", *dataset, strat, *parties)
-	fmt.Print(st.Heatmap())
-	fmt.Printf("\nlabel imbalance (mean JS divergence): %.4f\n", st.LabelImbalance)
-	fmt.Printf("quantity imbalance (CV of sizes):     %.4f\n", st.QuantityImbalance)
-	return nil
 }

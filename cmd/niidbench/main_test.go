@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/niid-bench/niidbench/internal/fedcli/flagtest"
 	"github.com/niid-bench/niidbench/internal/fl"
 )
 
@@ -50,4 +51,14 @@ func TestRunLoadModelEveryPath(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFlagsGolden pins every niidbench command's flag names and defaults.
+func TestFlagsGolden(t *testing.T) {
+	run, _ := runCommand()
+	flagtest.Golden(t, "run", run)
+	stats, _ := partitionStatsCommand()
+	flagtest.Golden(t, "partition-stats", stats)
+	artifact, _ := expCommand("table3")
+	flagtest.Golden(t, "artifact", artifact)
 }
