@@ -19,11 +19,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"github.com/niid-bench/niidbench/internal/fedcli"
 	"github.com/niid-bench/niidbench/internal/fl"
-	"github.com/niid-bench/niidbench/internal/report"
 	"github.com/niid-bench/niidbench/internal/simnet"
 )
 
@@ -39,64 +37,68 @@ func main() {
 // that reads them once parsed.
 func command() (*flag.FlagSet, func()) {
 	fs := flag.NewFlagSet("fedserver", flag.ExitOnError)
-	var shared fedcli.Shared
-	var srv fedcli.Server
+	var (
+		shared fedcli.Shared
+		srv    fedcli.Server
+		models fedcli.ModelFiles
+		opts   simnet.ServerOptions
+	)
 	shared.Register(fs)
 	srv.RegisterServer(fs)
+	models.Register(fs)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
-	saveModel := fs.String("save-model", "", "write the final model state to this file")
-	roundTimeout := fs.Duration("round-timeout", 0, "max wait per reply frame within a round (0 = wait forever); stalled parties are suspected and dropped from the round")
-	rejoinGrace := fs.Duration("rejoin-grace", 0, "how long a round's broadcast waits for a just-departed party to rejoin before dropping it (0 = never wait)")
-	return fs, func() { serve(&shared, &srv, *addr, *saveModel, *roundTimeout, *rejoinGrace) }
+	fs.DurationVar(&opts.RoundTimeout, "round-timeout", 0, "max wait per reply frame within a round (0 = wait forever); stalled parties are suspected and dropped from the round")
+	fs.DurationVar(&opts.RejoinGrace, "rejoin-grace", 0, "how long a round's broadcast waits for a just-departed party to rejoin before dropping it (0 = never wait)")
+	return fs, func() {
+		if err := serve(&shared, &srv, &models, *addr, opts); err != nil {
+			log.Fatal(err)
+		}
+	}
 }
 
-func serve(shared *fedcli.Shared, srv *fedcli.Server, addr, saveModel string, roundTimeout, rejoinGrace time.Duration) {
-
+func serve(shared *fedcli.Shared, srv *fedcli.Server, models *fedcli.ModelFiles, addr string, opts simnet.ServerOptions) error {
 	cfg, spec, _, test, err := shared.Build()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	ln, err := simnet.Listen(addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ln.Close()
-	ln.Token = shared.Token
-	ln.RoundTimeout = roundTimeout
-	ln.RejoinGrace = rejoinGrace
-	ln.OnReject = func(err error) { log.Printf("fedserver: rejected connection: %v", err) }
-	ln.OnEvict = func(ev *simnet.EvictionError) { log.Printf("fedserver: %v", ev) }
-
+	opts.Token = shared.Token
+	opts.OnReject = func(err error) { log.Printf("fedserver: rejected connection: %v", err) }
+	opts.OnEvict = func(ev *simnet.EvictionError) { log.Printf("fedserver: %v", ev) }
 	if snapPath := srv.SnapshotPath(); snapPath != "" {
 		if err := os.MkdirAll(srv.CheckpointDir, 0o755); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if snap, err := fl.LoadSnapshotFile(snapPath); err == nil {
 			// Refuse a snapshot from a different experiment before any
 			// party is admitted: resuming would silently change the math.
 			if got, want := snap.ConfigFingerprint, fl.ConfigFingerprint(cfg); got != want {
-				log.Fatal(&fl.SnapshotMismatchError{Want: want, Got: got})
+				return &fl.SnapshotMismatchError{Want: want, Got: got}
 			}
-			ln.Resume = snap
+			opts.Resume = snap
 			fmt.Printf("fedserver: restored snapshot at round %d/%d from %s\n", snap.Round, cfg.Rounds, snapPath)
 		} else if !errors.Is(err, os.ErrNotExist) {
 			// A snapshot that exists but fails its integrity checks is a
 			// hard stop: training from garbage is worse than not resuming.
-			log.Fatal(err)
+			return err
 		}
-		ln.Checkpoint = func(snap *fl.FederationSnapshot) error {
+		opts.Checkpoint = func(snap *fl.FederationSnapshot) error {
 			return fl.WriteSnapshotFile(snapPath, snap)
 		}
-		ln.CheckpointEvery = srv.CheckpointEvery
+		opts.CheckpointEvery = srv.CheckpointEvery
 	}
-	if srv.LoadModel != "" && ln.Resume == nil {
-		snap, err := fl.LoadSnapshotFile(srv.LoadModel)
-		if err != nil {
-			log.Fatal(err)
+	if opts.Resume == nil {
+		// A restored snapshot carries the state; -load-model only seeds a
+		// fresh run.
+		if opts.InitialState, err = models.Initial(os.Stdout); err != nil {
+			return err
 		}
-		ln.InitialState = snap.State
-		fmt.Printf("fedserver: seeded initial model from %s\n", srv.LoadModel)
 	}
+	ln, err := simnet.Listen(addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	ln.ServerOptions = opts
 
 	mode := "synchronous rounds"
 	if cfg.AsyncBuffer > 0 {
@@ -106,23 +108,8 @@ func serve(shared *fedcli.Shared, srv *fedcli.Server, addr, saveModel string, ro
 		ln.Addr(), shared.Parties, cfg.Algorithm, shared.Dataset, shared.Partition, mode, simnet.ProtoVersion, simnet.MinProtoVersion)
 	res, err := ln.AcceptAndRun(shared.Parties, cfg, spec, test)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	var accs []float64
-	for _, m := range res.Curve {
-		accs = append(accs, m.TestAccuracy)
-	}
-	fmt.Println(report.Curve("test accuracy", accs))
-	fmt.Printf("final accuracy %s, %s per round on the wire\n",
-		report.Percent(res.FinalAccuracy), report.Bytes(res.CommBytesPerRound))
-	if res.Async != nil {
-		fmt.Printf("async: %d folds over %d generations, staleness mean %.2f max %d\n",
-			res.Async.Folds, len(res.Curve), res.Async.MeanStaleness, res.Async.MaxStaleness)
-	}
-	if saveModel != "" {
-		if err := fl.WriteSnapshotFile(saveModel, &fl.FederationSnapshot{State: res.FinalState}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("model saved to %s\n", saveModel)
-	}
+	shared.PrintResult(os.Stdout, res)
+	return models.Write(os.Stdout, res)
 }

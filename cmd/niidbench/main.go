@@ -23,12 +23,11 @@ import (
 	"os"
 	"strings"
 
-	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/experiments"
+	"github.com/niid-bench/niidbench/internal/fedcli"
 	"github.com/niid-bench/niidbench/internal/fl"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/report"
-	"github.com/niid-bench/niidbench/internal/rng"
 	"github.com/niid-bench/niidbench/internal/simnet"
 	"github.com/niid-bench/niidbench/internal/tensor"
 )
@@ -55,14 +54,14 @@ func run(args []string) error {
 	case "datasets":
 		return experiments.Run("table2", experiments.Options{Scale: experiments.Quick, Out: os.Stdout})
 	case "all":
-		return cmdAll(rest)
+		return execute(rest, artifactCommand())
 	case "run":
-		return cmdRun(rest)
+		return execute(rest, runCommand)
 	case "partition-stats":
-		return cmdPartitionStats(rest)
+		return execute(rest, partitionStatsCommand)
 	default:
 		if _, err := experiments.Get(cmd); err == nil {
-			return cmdExperiment(cmd, rest)
+			return execute(rest, artifactCommand(cmd))
 		}
 		return fmt.Errorf("unknown command %q (try `niidbench list`)", cmd)
 	}
@@ -96,267 +95,142 @@ func cmdList() error {
 	return nil
 }
 
-// expFlags parses the shared experiment flags.
-func expFlags(name string, args []string) (experiments.Options, error) {
-	fs, options := expCommand(name)
-	if err := fs.Parse(args); err != nil {
-		return experiments.Options{}, err
-	}
-	return options()
-}
-
-// expCommand declares the artifact commands' flags and returns them with
-// the options they describe once parsed.
-func expCommand(name string) (*flag.FlagSet, func() (experiments.Options, error)) {
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	scale := fs.String("scale", "quick", "experiment scale: smoke, quick, paper")
-	seed := fs.Uint64("seed", 1, "master seed")
-	trials := fs.Int("trials", 0, "trials per setting (0 = scale default)")
-	datasets := fs.String("datasets", "", "comma-separated dataset filter")
-	conc := fs.Int("conc", 1, "concurrent grid cells (trials) per experiment")
-	return fs, func() (experiments.Options, error) {
-		opt := experiments.Options{
-			Scale:       experiments.Scale(*scale),
-			Seed:        *seed,
-			Trials:      *trials,
-			Out:         os.Stdout,
-			Concurrency: *conc,
-		}
-		if *datasets != "" {
-			opt.Datasets = strings.Split(*datasets, ",")
-		}
-		switch opt.Scale {
-		case experiments.Smoke, experiments.Quick, experiments.Paper:
-		default:
-			return opt, fmt.Errorf("unknown scale %q", *scale)
-		}
-		return opt, nil
-	}
-}
-
-func cmdExperiment(id string, args []string) error {
-	opt, err := expFlags(id, args)
-	if err != nil {
-		return err
-	}
-	return experiments.Run(id, opt)
-}
-
-func cmdAll(args []string) error {
-	opt, err := expFlags("all", args)
-	if err != nil {
-		return err
-	}
-	for _, e := range experiments.All() {
-		if err := experiments.Run(e.ID, opt); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-// parseStrategy builds a partition.Strategy from flag values.
-func parseStrategy(kind string, k int, beta, sigma float64) (partition.Strategy, error) {
-	s := partition.Strategy{Kind: partition.Kind(kind), K: k, Beta: beta}
-	if s.Kind == partition.FeatureNoise {
-		s.NoiseSigma = sigma
-	}
-	switch s.Kind {
-	case partition.Homogeneous, partition.LabelQuantity, partition.LabelDirichlet,
-		partition.FeatureNoise, partition.FeatureSynthetic, partition.FeatureRealWorld,
-		partition.Quantity:
-		return s, nil
-	}
-	return s, fmt.Errorf("unknown partition kind %q (iid, label-quantity, label-dirichlet, feature-noise, feature-synthetic, feature-realworld, quantity)", kind)
-}
-
-func cmdRun(args []string) error {
-	fs, body := runCommand()
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return body()
-}
-
-// runCommand declares `run`'s flags and returns them with the run that
-// reads them once parsed.
-func runCommand() (*flag.FlagSet, func() error) {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	dataset := fs.String("dataset", "cifar10", "dataset family")
-	partKind := fs.String("partition", "iid", "partition kind")
-	k := fs.Int("k", 2, "classes per party for label-quantity")
-	beta := fs.Float64("beta", 0.5, "Dirichlet concentration")
-	sigma := fs.Float64("sigma", 0.1, "noise level for feature-noise (also mixes with other kinds when >0 and -mix is set)")
-	mix := fs.Bool("mix", false, "add feature noise on top of the chosen partition (mixed skew)")
-	algo := fs.String("algo", "fedavg", "fedavg, fedprox, scaffold, fednova, feddyn, moon")
-	parties := fs.Int("parties", 10, "number of parties")
-	rounds := fs.Int("rounds", 10, "communication rounds")
-	epochs := fs.Int("epochs", 3, "local epochs")
-	batch := fs.Int("batch", 32, "batch size")
-	lr := fs.Float64("lr", 0.01, "learning rate")
-	mu := fs.Float64("mu", 0.01, "FedProx mu")
-	fraction := fs.Float64("fraction", 1, "party sample fraction")
-	trainN := fs.Int("train", 0, "training samples (0 = family default)")
-	testN := fs.Int("test", 0, "test samples (0 = family default)")
-	seed := fs.Uint64("seed", 1, "seed")
-	useTCP := fs.Bool("tcp", false, "run the federation over local TCP sockets instead of in-process")
-	alpha := fs.Float64("alpha", 0.01, "FedDyn alpha")
-	moonMu := fs.Float64("moon-mu", 1, "MOON contrastive weight")
-	serverOpt := fs.String("server-opt", "sgd", "server optimizer: sgd, momentum, adam")
-	sampling := fs.String("sampling", "random", "party sampling under partial participation: random, stratified")
-	dpClip := fs.Float64("dp-clip", 0, "DP gradient clipping bound (0 = off)")
-	dpNoise := fs.Float64("dp-noise", 0, "DP noise multiplier (std = noise*clip/batch)")
-	topK := fs.Float64("compress", 0, "top-k update compression: fraction of delta entries kept (0 = off)")
-	saveModel := fs.String("save-model", "", "write the final global model state to this file")
-	loadModel := fs.String("load-model", "", "initialize the global model from this checkpoint")
-	dtypeName := fs.String("dtype", "float64", "local-training compute precision: float64 or float32 (SIMD fast path)")
-	chunk := fs.Int("chunk", 65536, "move broadcasts and updates in frames of this many float64 elements (0 = one frame per vector); bit-identical either way")
-	asyncBuffer := fs.Int("async-buffer", 0, "buffered-async aggregation over loopback TCP: fold updates as they arrive and publish a new global every M folds (0 = synchronous rounds)")
-	codec := fs.String("codec", "", "wire chunk codec over transports: f64 (raw, default), f32, int8, int4; negotiated per party at the hello")
-	return fs, func() error {
-		dtype, ok := tensor.ParseDType(*dtypeName)
-		if !ok {
-			return fmt.Errorf("unknown -dtype %q (float64, float32)", *dtypeName)
-		}
-
-		strat, err := parseStrategy(*partKind, *k, *beta, *sigma)
-		if err != nil {
-			return err
-		}
-		if *mix && strat.Kind != partition.FeatureNoise {
-			strat.NoiseSigma = *sigma
-		}
-		train, test, err := data.Load(*dataset, data.Config{TrainN: *trainN, TestN: *testN, Seed: *seed})
-		if err != nil {
-			return err
-		}
-		spec, err := data.Model(*dataset)
-		if err != nil {
-			return err
-		}
-		_, locals, err := strat.Split(train, *parties, rng.New(*seed+17))
-		if err != nil {
-			return err
-		}
-		cfg := fl.Config{
-			Algorithm:       fl.Algorithm(*algo),
-			Rounds:          *rounds,
-			LocalEpochs:     *epochs,
-			BatchSize:       *batch,
-			LR:              *lr,
-			Momentum:        0.9,
-			Mu:              *mu,
-			Alpha:           *alpha,
-			MoonMu:          *moonMu,
-			SampleFraction:  *fraction,
-			Seed:            *seed,
-			ServerOptimizer: fl.ServerOpt(*serverOpt),
-			Sampling:        fl.PartySampling(*sampling),
-			DPClip:          *dpClip,
-			DPNoise:         *dpNoise,
-			CompressTopK:    *topK,
-			DType:           dtype,
-			ChunkSize:       *chunk,
-			AsyncBuffer:     *asyncBuffer,
-			Codec:           fl.Codec(*codec),
-		}
-		var initial []float64
-		if *loadModel != "" {
-			snap, err := fl.LoadSnapshotFile(*loadModel)
-			if err != nil {
-				return err
+// artifactCommand declares the artifact commands' flags and returns them
+// with the regeneration of the given artifacts — every registered one when
+// none is given — in order.
+func artifactCommand(ids ...string) func() (*flag.FlagSet, func() error) {
+	return func() (*flag.FlagSet, func() error) {
+		fs := flag.NewFlagSet("artifact", flag.ContinueOnError)
+		opt := experiments.Options{Out: os.Stdout}
+		fs.StringVar((*string)(&opt.Scale), "scale", "quick", "experiment scale: smoke, quick, paper")
+		fs.Uint64Var(&opt.Seed, "seed", 1, "master seed")
+		fs.IntVar(&opt.Trials, "trials", 0, "trials per setting (0 = scale default)")
+		datasets := fs.String("datasets", "", "comma-separated dataset filter")
+		fs.IntVar(&opt.Concurrency, "conc", 1, "concurrent grid cells (trials) per experiment")
+		return fs, func() error {
+			if *datasets != "" {
+				opt.Datasets = strings.Split(*datasets, ",")
 			}
-			initial = snap.State
-			fmt.Printf("resumed from %s\n", *loadModel)
-		}
-		var res *fl.Result
-		if *useTCP || *asyncBuffer > 0 {
-			// Buffered-async aggregation is a transport-level protocol; the
-			// in-process lockstep Simulation has no notion of it, so it runs
-			// over the sockets too.
-			var partyErrs []error
-			res, partyErrs, err = simnet.RunLoopback(cfg, spec, locals, test, simnet.ServerOptions{InitialState: initial}, nil)
-			err = errors.Join(err, errors.Join(partyErrs...))
-		} else {
-			var sim *fl.Simulation
-			if sim, err = fl.NewSimulation(cfg, spec, locals, test); err != nil {
-				return err
+			switch opt.Scale {
+			case experiments.Smoke, experiments.Quick, experiments.Paper:
+			default:
+				return fmt.Errorf("unknown scale %q", opt.Scale)
 			}
-			if initial != nil {
-				if err = sim.SetInitialState(initial); err != nil {
-					return err
+			if len(ids) == 0 {
+				for _, e := range experiments.All() {
+					ids = append(ids, e.ID)
 				}
 			}
-			res, err = sim.Run()
-		}
-		if err != nil {
-			return err
-		}
-		printResult(*dataset, strat, res)
-		if *saveModel != "" {
-			if err := fl.WriteSnapshotFile(*saveModel, &fl.FederationSnapshot{State: res.FinalState}); err != nil {
-				return err
+			for i, id := range ids {
+				if i > 0 {
+					fmt.Println()
+				}
+				if err := experiments.Run(id, opt); err != nil {
+					return fmt.Errorf("%s: %w", id, err)
+				}
 			}
-			fmt.Printf("model state saved to %s\n", *saveModel)
+			return nil
 		}
-		return nil
 	}
 }
 
-func printResult(dataset string, strat partition.Strategy, res *fl.Result) {
-	fmt.Printf("dataset=%s partition=%s algorithm=%s\n", dataset, strat, res.Config.Algorithm)
-	fmt.Printf("parameters=%d state=%d\n", res.ParamCount, res.StateCount)
-	var accs []float64
-	for _, m := range res.Curve {
-		accs = append(accs, m.TestAccuracy)
-	}
-	fmt.Println(report.Curve("test accuracy", accs))
-	fmt.Printf("final accuracy: %s (best %s)\n", report.Percent(res.FinalAccuracy), report.Percent(res.BestAccuracy))
-	fmt.Printf("communication: %s/round, %s total\n", report.Bytes(res.CommBytesPerRound), report.Bytes(float64(res.TotalCommBytes)))
-	fmt.Printf("computation: %v total\n", res.ComputeTime)
-	if res.Async != nil {
-		fmt.Printf("async: %d folds over %d generations, staleness mean %.2f max %d\n",
-			res.Async.Folds, len(res.Curve), res.Async.MeanStaleness, res.Async.MaxStaleness)
-	}
-}
-
-func cmdPartitionStats(args []string) error {
-	fs, body := partitionStatsCommand()
+// execute parses args into a command's flags and runs its body.
+func execute(args []string, command func() (*flag.FlagSet, func() error)) error {
+	fs, body := command()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	return body()
 }
 
+// runCommand declares `run`'s flags — the shared job table with run's own
+// defaults, the model files, and the fl.Config extensions only this
+// command exposes — and returns them with the run that reads them once
+// parsed.
+func runCommand() (*flag.FlagSet, func() error) {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	job := fedcli.Shared{Dataset: "cifar10", Partition: "iid", Parties: 10}
+	var models fedcli.ModelFiles
+	job.Register(fs, fedcli.Data, fedcli.Training)
+	models.Register(fs)
+	cfg := &job.Config
+	fs.BoolVar(&job.Mix, "mix", false, "add -sigma feature noise on top of the chosen partition (mixed skew)")
+	fs.Float64Var(&cfg.SampleFraction, "fraction", 1, "party sample fraction")
+	fs.Float64Var(&cfg.Alpha, "alpha", 0.01, "FedDyn alpha")
+	fs.Float64Var(&cfg.MoonMu, "moon-mu", 1, "MOON contrastive weight")
+	fs.StringVar((*string)(&cfg.ServerOptimizer), "server-opt", "sgd", "server optimizer: sgd, momentum, adam")
+	fs.StringVar((*string)(&cfg.Sampling), "sampling", "random", "party sampling under partial participation: random, stratified")
+	fs.Float64Var(&cfg.DPClip, "dp-clip", 0, "DP gradient clipping bound (0 = off)")
+	fs.Float64Var(&cfg.DPNoise, "dp-noise", 0, "DP noise multiplier (std = noise*clip/batch)")
+	fs.Float64Var(&cfg.CompressTopK, "compress", 0, "top-k update compression: fraction of delta entries kept (0 = off)")
+	dtypeName := fs.String("dtype", "float64", "local-training compute precision: float64 or float32 (SIMD fast path)")
+	useTCP := fs.Bool("tcp", false, "federate over loopback TCP sockets instead of in-process (-async-buffer and any -codec but f64 do so by themselves)")
+	return fs, func() error {
+		var ok bool
+		if cfg.DType, ok = tensor.ParseDType(*dtypeName); !ok {
+			return fmt.Errorf("unknown -dtype %q (float64, float32)", *dtypeName)
+		}
+		res, err := federate(&job, &models, *useTCP)
+		if err != nil {
+			return err
+		}
+		job.PrintResult(os.Stdout, res)
+		return models.Write(os.Stdout, res)
+	}
+}
+
+// federate assembles the job and runs it on the runner it calls for: a
+// wire (loopback TCP) when asked for or when the config needs one, the
+// in-process simulation otherwise.
+func federate(job *fedcli.Shared, models *fedcli.ModelFiles, useTCP bool) (*fl.Result, error) {
+	cfg, spec, locals, test, err := job.Build()
+	if err != nil {
+		return nil, err
+	}
+	initial, err := models.Initial(os.Stdout)
+	if err != nil {
+		return nil, err
+	}
+	if useTCP || cfg.NeedsWire() {
+		res, partyErrs, err := simnet.RunLoopback(cfg, spec, locals, test, simnet.ServerOptions{InitialState: initial}, nil)
+		return res, errors.Join(err, errors.Join(partyErrs...))
+	}
+	sim, err := fl.NewSimulation(cfg, spec, locals, test)
+	if err != nil {
+		return nil, err
+	}
+	if initial != nil {
+		if err := sim.SetInitialState(initial); err != nil {
+			return nil, err
+		}
+	}
+	return sim.Run()
+}
+
+// partitionStatsCommand declares the data slice of the job table with
+// partition-stats' defaults and returns it with the report over the shards
+// the job would train on.
 func partitionStatsCommand() (*flag.FlagSet, func() error) {
 	fs := flag.NewFlagSet("partition-stats", flag.ContinueOnError)
-	dataset := fs.String("dataset", "mnist", "dataset family")
-	partKind := fs.String("partition", "label-dirichlet", "partition kind")
-	k := fs.Int("k", 2, "classes per party for label-quantity")
-	beta := fs.Float64("beta", 0.5, "Dirichlet concentration")
-	sigma := fs.Float64("sigma", 0.1, "noise level")
-	parties := fs.Int("parties", 10, "number of parties")
-	trainN := fs.Int("train", 0, "training samples")
-	seed := fs.Uint64("seed", 1, "seed")
+	job := fedcli.Shared{Dataset: "mnist", Partition: "label-dirichlet", Parties: 10}
+	job.Register(fs, fedcli.Data)
 	return fs, func() error {
-		strat, err := parseStrategy(*partKind, *k, *beta, *sigma)
+		_, _, locals, _, err := job.Build()
 		if err != nil {
 			return err
 		}
-		train, _, err := data.Load(*dataset, data.Config{TrainN: *trainN, Seed: *seed})
-		if err != nil {
-			return err
+		// Lay the shards end to end: party p owns the next len(shard)
+		// indices of the concatenated labels.
+		var labels []int
+		part := make(partition.Partition, len(locals))
+		for p, shard := range locals {
+			for _, y := range shard.Y {
+				part[p] = append(part[p], len(labels))
+				labels = append(labels, y)
+			}
 		}
-		if strat.Kind == partition.FeatureSynthetic {
-			*parties = 4
-		}
-		part, err := strat.Assign(train, *parties, rng.New(*seed+17))
-		if err != nil {
-			return err
-		}
-		st := partition.ComputeStats(part, train.Y, train.NumClasses)
-		fmt.Printf("%s, %s, %d parties\n\n", *dataset, strat, *parties)
+		st := partition.ComputeStats(part, labels, locals[0].NumClasses)
+		fmt.Printf("%s, %s, %d parties\n\n", job.Dataset, job.Strategy(), len(locals))
 		fmt.Print(st.Heatmap())
 		fmt.Printf("\nlabel imbalance (mean JS divergence): %.4f\n", st.LabelImbalance)
 		fmt.Printf("quantity imbalance (CV of sizes):     %.4f\n", st.QuantityImbalance)

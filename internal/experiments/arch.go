@@ -37,7 +37,9 @@ func runFig23(h *Harness) error {
 	for _, algo := range fl.Algorithms() {
 		fmt.Fprintf(h.Out, "\n%s on %s under %s:\n", algo, ds, strat)
 		for _, bs := range h.batchGrid() {
-			res, err := h.RunSetting(Setting{Dataset: ds, Strategy: strat, Algo: algo, Batch: bs})
+			s := gridCell(ds, strat, algo)
+			s.BatchSize = bs
+			res, err := h.RunSetting(s)
 			if err != nil {
 				return fmt.Errorf("%s bs=%d: %w", algo, bs, err)
 			}
@@ -62,7 +64,9 @@ func runFig24(h *Harness) error {
 		for _, strat := range strats {
 			fmt.Fprintf(h.Out, "\n%s on %s under %s:\n", model, ds, strat)
 			for _, algo := range fl.Algorithms() {
-				res, err := h.RunSetting(Setting{Dataset: ds, Strategy: strat, Algo: algo, Model: model})
+				s := gridCell(ds, strat, algo)
+				s.Model = model
+				res, err := h.RunSetting(s)
 				if err != nil {
 					return fmt.Errorf("%s/%s/%s: %w", model, strat, algo, err)
 				}
@@ -92,7 +96,9 @@ func runAblations(h *Harness) error {
 		name string
 		v    fl.ScaffoldVariant
 	}{{"(i) gradient at global model", fl.ScaffoldGradient}, {"(ii) reuse accumulated update", fl.ScaffoldReuse}} {
-		res, err := h.RunSetting(Setting{Dataset: ds, Strategy: labelSkew, Algo: fl.Scaffold, Variant: v.v, EvalEvery: h.p.rounds})
+		s := gridCell(ds, labelSkew, fl.Scaffold)
+		s.Variant, s.EvalEvery = v.v, h.p.rounds
+		res, err := h.RunSetting(s)
 		if err != nil {
 			return err
 		}
@@ -107,8 +113,9 @@ func runAblations(h *Harness) error {
 		name  string
 		local bool
 	}{{"average BN stats (paper)", false}, {"keep BN stats local (FedBN-style)", true}} {
-		res, err := h.RunSetting(Setting{Dataset: ds, Strategy: labelSkew, Algo: fl.FedAvg,
-			Model: nn.KindVGG, KeepBNLocal: v.local, EvalEvery: h.p.rounds})
+		s := gridCell(ds, labelSkew, fl.FedAvg)
+		s.Model, s.KeepBNStatsLocal, s.EvalEvery = nn.KindVGG, v.local, h.p.rounds
+		res, err := h.RunSetting(s)
 		if err != nil {
 			return err
 		}
@@ -123,8 +130,9 @@ func runAblations(h *Harness) error {
 		name       string
 		unweighted bool
 	}{{"weighted by |D_i| (paper)", false}, {"unweighted mean", true}} {
-		res, err := h.RunSetting(Setting{Dataset: ds, Strategy: qSkew, Algo: fl.FedAvg,
-			Unweighted: v.unweighted, EvalEvery: h.p.rounds})
+		s := gridCell(ds, qSkew, fl.FedAvg)
+		s.Unweighted, s.EvalEvery = v.unweighted, h.p.rounds
+		res, err := h.RunSetting(s)
 		if err != nil {
 			return err
 		}

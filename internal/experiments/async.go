@@ -10,7 +10,6 @@ import (
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/report"
-	"github.com/niid-bench/niidbench/internal/rng"
 	"github.com/niid-bench/niidbench/internal/simnet"
 )
 
@@ -32,20 +31,8 @@ func runAsync(h *Harness) error {
 	if len(h.opt.Datasets) == 1 {
 		ds = h.opt.Datasets[0]
 	}
-	train, test, err := h.Dataset(ds)
-	if err != nil {
-		return err
-	}
-	spec, err := data.Model(ds)
-	if err != nil {
-		return err
-	}
 	strat := partition.Strategy{Kind: partition.LabelDirichlet, Beta: 0.5}
 	parties := h.p.parties
-	_, locals, err := strat.Split(train, parties, rng.New(h.opt.Seed+17))
-	if err != nil {
-		return err
-	}
 	algos := []fl.Algorithm{fl.FedAvg, fl.Scaffold}
 	if h.opt.Scale == Smoke {
 		algos = []fl.Algorithm{fl.FedAvg}
@@ -66,17 +53,11 @@ func runAsync(h *Harness) error {
 	fmt.Fprintf(h.Out, "%s, %s, %d parties (%d stragglers at +3ms/frame), %d sync rounds over loopback TCP, equal total folds per cell\n",
 		ds, strat, parties, stragglers, h.p.rounds)
 	for _, algo := range algos {
-		cfg := fl.Config{
-			Algorithm:   algo,
-			Rounds:      h.p.rounds,
-			LocalEpochs: h.p.epochs,
-			BatchSize:   h.p.batch,
-			LR:          lrFor(ds),
-			Momentum:    0.9,
-			Mu:          0.01,
-			Seed:        h.opt.Seed,
-			EvalEvery:   h.p.evalEvery,
-			ChunkSize:   512, // several frames per update, so straggler latency bites
+		s := gridCell(ds, strat, algo)
+		s.ChunkSize = 512 // several frames per update, so straggler latency bites
+		cfg, spec, locals, test, err := h.job(s)
+		if err != nil {
+			return err
 		}
 		syncWall, syncRes, err := runAsyncCell(cfg, spec, locals, test, stragglers, h.opt.Seed)
 		if err != nil {

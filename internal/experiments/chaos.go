@@ -11,7 +11,6 @@ import (
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/report"
-	"github.com/niid-bench/niidbench/internal/rng"
 	"github.com/niid-bench/niidbench/internal/simnet"
 )
 
@@ -31,20 +30,7 @@ func runChaos(h *Harness) error {
 	if len(h.opt.Datasets) == 1 {
 		ds = h.opt.Datasets[0]
 	}
-	train, test, err := h.Dataset(ds)
-	if err != nil {
-		return err
-	}
-	spec, err := data.Model(ds)
-	if err != nil {
-		return err
-	}
 	strat := partition.Strategy{Kind: partition.LabelDirichlet, Beta: 0.5}
-	parties := h.p.parties
-	_, locals, err := strat.Split(train, parties, rng.New(h.opt.Seed+17))
-	if err != nil {
-		return err
-	}
 	algos := fl.Algorithms()
 	if h.opt.Scale == Smoke {
 		algos = []fl.Algorithm{fl.FedAvg, fl.Scaffold}
@@ -54,19 +40,13 @@ func runChaos(h *Harness) error {
 		drops = []float64{0.2}
 	}
 	fmt.Fprintf(h.Out, "%s, %s, %d parties, %d rounds over loopback TCP, fault seed %d\n",
-		ds, strat, parties, h.p.rounds, h.opt.Seed)
+		ds, strat, h.p.parties, h.p.rounds, h.opt.Seed)
 	for _, algo := range algos {
-		cfg := fl.Config{
-			Algorithm:   algo,
-			Rounds:      h.p.rounds,
-			LocalEpochs: h.p.epochs,
-			BatchSize:   h.p.batch,
-			LR:          lrFor(ds),
-			Momentum:    0.9,
-			Mu:          0.01,
-			Seed:        h.opt.Seed,
-			EvalEvery:   h.p.evalEvery,
-			ChunkSize:   1024, // several frames per stream, so a mid-stream kill is the common case
+		s := gridCell(ds, strat, algo)
+		s.ChunkSize = 1024 // several frames per stream, so a mid-stream kill is the common case
+		cfg, spec, locals, test, err := h.job(s)
+		if err != nil {
+			return err
 		}
 		base, err := runChaosCell(cfg, spec, locals, test, simnet.FaultPlan{}, false)
 		if err != nil {

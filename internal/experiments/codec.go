@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/report"
-	"github.com/niid-bench/niidbench/internal/rng"
 )
 
 func init() {
@@ -29,34 +27,15 @@ func runCodec(h *Harness) error {
 	if len(h.opt.Datasets) == 1 {
 		ds = h.opt.Datasets[0]
 	}
-	train, test, err := h.Dataset(ds)
-	if err != nil {
-		return err
-	}
-	spec, err := data.Model(ds)
-	if err != nil {
-		return err
-	}
-	strat := partition.Strategy{Kind: partition.LabelDirichlet, Beta: 0.5}
-	parties := h.p.parties
-	_, locals, err := strat.Split(train, parties, rng.New(h.opt.Seed+17))
+	s := gridCell(ds, partition.Strategy{Kind: partition.LabelDirichlet, Beta: 0.5}, fl.FedAvg)
+	s.ChunkSize = 512 // the chunk frame is the quantization unit
+	cfg, spec, locals, test, err := h.job(s)
 	if err != nil {
 		return err
 	}
 	codecs := []fl.Codec{fl.CodecF64, fl.CodecF32, fl.CodecInt8, fl.CodecInt4}
 	fmt.Fprintf(h.Out, "%s, %s, %d parties, %d rounds over loopback TCP, codec negotiated at the hello\n\n",
-		ds, strat, parties, h.p.rounds)
-	cfg := fl.Config{
-		Algorithm:   fl.FedAvg,
-		Rounds:      h.p.rounds,
-		LocalEpochs: h.p.epochs,
-		BatchSize:   h.p.batch,
-		LR:          lrFor(ds),
-		Momentum:    0.9,
-		Seed:        h.opt.Seed,
-		EvalEvery:   h.p.evalEvery,
-		ChunkSize:   512, // the chunk frame is the quantization unit
-	}
+		ds, s.Strategy, len(locals), cfg.Rounds)
 	tbl := report.NewTable("accuracy vs bytes", "codec", "acc", "Δacc vs f64", "total bytes", "bytes/round", "reduction", "wall")
 	var baseAcc float64
 	var baseBytes int64

@@ -19,14 +19,10 @@ func init() {
 
 // plotCurves runs the four algorithms under one (dataset, strategy)
 // setting and prints their accuracy-versus-round curves.
-func plotCurves(h *Harness, ds string, strat partition.Strategy, overrides Setting) error {
+func plotCurves(h *Harness, ds string, strat partition.Strategy) error {
 	fmt.Fprintf(h.Out, "\n%s under %s:\n", ds, strat)
 	for _, algo := range fl.Algorithms() {
-		s := overrides
-		s.Dataset = ds
-		s.Strategy = strat
-		s.Algo = algo
-		res, err := h.RunSetting(s)
+		res, err := h.RunSetting(gridCell(ds, strat, algo))
 		if err != nil {
 			return fmt.Errorf("%s/%s/%s: %w", ds, strat, algo, err)
 		}
@@ -44,7 +40,7 @@ func runFig8(h *Harness) error {
 		{Kind: partition.LabelDirichlet, Beta: 0.5},
 		{Kind: partition.FeatureNoise, NoiseSigma: 0.1},
 	} {
-		if err := plotCurves(h, "cifar10", strat, Setting{}); err != nil {
+		if err := plotCurves(h, "cifar10", strat); err != nil {
 			return err
 		}
 	}
@@ -71,7 +67,7 @@ func appendixPartitions(ds string) []partition.Strategy {
 func curveRunner(ds string, strats []partition.Strategy) func(*Harness) error {
 	return func(h *Harness) error {
 		for _, strat := range strats {
-			if err := plotCurves(h, ds, strat, Setting{}); err != nil {
+			if err := plotCurves(h, ds, strat); err != nil {
 				return err
 			}
 		}
@@ -80,8 +76,8 @@ func curveRunner(ds string, strats []partition.Strategy) func(*Harness) error {
 }
 
 func runFig16(h *Harness) error {
-	if err := plotCurves(h, "fcube", partition.Strategy{Kind: partition.FeatureSynthetic}, Setting{}); err != nil {
+	if err := plotCurves(h, "fcube", partition.Strategy{Kind: partition.FeatureSynthetic}); err != nil {
 		return err
 	}
-	return plotCurves(h, "femnist", partition.Strategy{Kind: partition.FeatureRealWorld}, Setting{})
+	return plotCurves(h, "femnist", partition.Strategy{Kind: partition.FeatureRealWorld})
 }

@@ -51,8 +51,9 @@ func sweepEpochs(h *Harness, ds string, strat partition.Strategy) error {
 	for _, algo := range fl.Algorithms() {
 		cells := []string{string(algo)}
 		for _, e := range grid {
-			res, err := h.RunSetting(Setting{Dataset: ds, Strategy: strat, Algo: algo, Epochs: e,
-				EvalEvery: h.p.rounds})
+			s := gridCell(ds, strat, algo)
+			s.LocalEpochs, s.EvalEvery = e, h.p.rounds
+			res, err := h.RunSetting(s)
 			if err != nil {
 				return fmt.Errorf("%s/%s/%s E=%d: %w", ds, strat, algo, e, err)
 			}

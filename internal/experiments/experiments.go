@@ -13,6 +13,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
@@ -24,6 +25,7 @@ import (
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/rng"
+	"github.com/niid-bench/niidbench/internal/simnet"
 )
 
 // Scale selects an experiment-size profile.
@@ -45,13 +47,12 @@ type profile struct {
 	batch             int
 	parties           int
 	trials            int
-	evalEvery         int
 }
 
 var profiles = map[Scale]profile{
-	Smoke: {imgTrain: 300, imgTest: 120, tabTrain: 400, tabTest: 200, rounds: 2, epochs: 1, batch: 32, parties: 4, trials: 1, evalEvery: 1},
-	Quick: {imgTrain: 1000, imgTest: 300, tabTrain: 1500, tabTest: 500, rounds: 10, epochs: 3, batch: 32, parties: 10, trials: 1, evalEvery: 1},
-	Paper: {imgTrain: 2000, imgTest: 600, tabTrain: 3000, tabTest: 1000, rounds: 50, epochs: 10, batch: 64, parties: 10, trials: 3, evalEvery: 1},
+	Smoke: {imgTrain: 300, imgTest: 120, tabTrain: 400, tabTest: 200, rounds: 2, epochs: 1, batch: 32, parties: 4, trials: 1},
+	Quick: {imgTrain: 1000, imgTest: 300, tabTrain: 1500, tabTest: 500, rounds: 10, epochs: 3, batch: 32, parties: 10, trials: 1},
+	Paper: {imgTrain: 2000, imgTest: 600, tabTrain: 3000, tabTest: 1000, rounds: 50, epochs: 10, batch: 64, parties: 10, trials: 3},
 }
 
 // Options configures a harness run.
@@ -170,11 +171,6 @@ func NewHarness(opt Options) *Harness {
 	return &Harness{Out: out, opt: opt, p: profiles[opt.Scale], cache: map[string][2]*data.Dataset{}}
 }
 
-// Profile exposes the active scale profile (for tests).
-func (h *Harness) Profile() (rounds, epochs, batch, parties, trials int) {
-	return h.p.rounds, h.p.epochs, h.p.batch, h.p.parties, h.p.trials
-}
-
 // Dataset loads (and caches) the named dataset at the harness scale.
 func (h *Harness) Dataset(name string) (train, test *data.Dataset, err error) {
 	h.mu.Lock()
@@ -182,10 +178,12 @@ func (h *Harness) Dataset(name string) (train, test *data.Dataset, err error) {
 	if pair, ok := h.cache[name]; ok {
 		return pair[0], pair[1], nil
 	}
-	cfg := data.Config{Seed: h.opt.Seed}
-	if isImage(name) {
-		cfg.TrainN, cfg.TestN = h.p.imgTrain, h.p.imgTest
-	} else {
+	spec, err := data.Model(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := data.Config{TrainN: h.p.imgTrain, TestN: h.p.imgTest, Seed: h.opt.Seed}
+	if spec.Kind == nn.KindMLP {
 		cfg.TrainN, cfg.TestN = h.p.tabTrain, h.p.tabTest
 	}
 	if name == "fcube" {
@@ -202,14 +200,6 @@ func (h *Harness) Dataset(name string) (train, test *data.Dataset, err error) {
 	return train, test, nil
 }
 
-func isImage(name string) bool {
-	switch name {
-	case "mnist", "fmnist", "cifar10", "svhn", "femnist":
-		return true
-	}
-	return false
-}
-
 // lrFor mirrors the paper's tuning: 0.1 for rcv1, 0.01 otherwise.
 func lrFor(dataset string) float64 {
 	if dataset == "rcv1" {
@@ -218,102 +208,75 @@ func lrFor(dataset string) float64 {
 	return 0.01
 }
 
-// Setting is one fully specified federated run.
+// Setting names one federated run: the dataset, how it is partitioned,
+// and overrides. Zero fields — Parties, Model and every field of the
+// embedded fl.Config — take the profile's and the paper's defaults.
 type Setting struct {
 	Dataset  string
 	Strategy partition.Strategy
-	Algo     fl.Algorithm
-	// Overrides; zero values take the profile/paper defaults.
-	Parties        int
-	Rounds         int
-	Epochs         int
-	Batch          int
-	LR             float64
-	Mu             float64
-	SampleFraction float64
-	Model          nn.ModelKind
-	Seed           uint64
-	EvalEvery      int
-	KeepBNLocal    bool
-	Unweighted     bool
-	Variant        fl.ScaffoldVariant
+	Parties  int
+	Model    nn.ModelKind
+	fl.Config
 }
 
-// applyDefaults resolves a Setting against the harness profile.
-func (h *Harness) applyDefaults(s Setting) Setting {
-	if s.Parties == 0 {
-		s.Parties = h.p.parties
-	}
-	if s.Dataset == "fcube" && s.Strategy.Kind == partition.FeatureSynthetic {
-		s.Parties = 4 // the paper fixes FCUBE at 4 parties
-	}
-	if s.Rounds == 0 {
-		s.Rounds = h.p.rounds
-	}
-	if s.Epochs == 0 {
-		s.Epochs = h.p.epochs
-	}
-	if s.Batch == 0 {
-		s.Batch = h.p.batch
-	}
-	if s.LR == 0 {
-		s.LR = lrFor(s.Dataset)
-	}
-	if s.Mu == 0 {
-		s.Mu = 0.01
-	}
-	if s.SampleFraction == 0 {
-		s.SampleFraction = 1
-	}
-	if s.Seed == 0 {
-		s.Seed = h.opt.Seed
-	}
-	if s.EvalEvery == 0 {
-		s.EvalEvery = h.p.evalEvery
-	}
+// gridCell is the Setting of one (dataset, strategy, algorithm) grid cell.
+func gridCell(dataset string, strat partition.Strategy, algo fl.Algorithm) Setting {
+	s := Setting{Dataset: dataset, Strategy: strat}
+	s.Algorithm = algo
 	return s
 }
 
-// RunSetting executes one federated run and returns its result.
-func (h *Harness) RunSetting(s Setting) (*fl.Result, error) {
-	s = h.applyDefaults(s)
-	train, test, err := h.Dataset(s.Dataset)
-	if err != nil {
-		return nil, err
+// job resolves a Setting against the harness profile into what every
+// runner takes: the training config, the model spec, the per-party shards
+// and the test set. It is the only place the harness loads, splits and
+// configures; experiments that federate over a transport call it and hand
+// the result to simnet, the rest go through RunSetting.
+func (h *Harness) job(s Setting) (fl.Config, nn.ModelSpec, []*data.Dataset, *data.Dataset, error) {
+	fail := func(err error) (fl.Config, nn.ModelSpec, []*data.Dataset, *data.Dataset, error) {
+		return fl.Config{}, nn.ModelSpec{}, nil, nil, err
 	}
-	_, locals, err := s.Strategy.Split(train, s.Parties, rng.New(s.Seed*2654435761+uint64(len(s.Dataset))))
-	if err != nil {
-		return nil, err
-	}
-	spec, err := data.Model(s.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	if s.Model != "" {
-		spec.Kind = s.Model
-	}
-	cfg := fl.Config{
-		Algorithm:        s.Algo,
-		Rounds:           s.Rounds,
-		LocalEpochs:      s.Epochs,
-		BatchSize:        s.Batch,
-		LR:               s.LR,
-		Momentum:         0.9,
-		Mu:               s.Mu,
-		SampleFraction:   s.SampleFraction,
-		Seed:             s.Seed,
-		EvalEvery:        s.EvalEvery,
-		KeepBNStatsLocal: s.KeepBNLocal,
-		Unweighted:       s.Unweighted,
-		Variant:          s.Variant,
-	}
+	cfg := s.Config
+	cfg.Rounds = cmp.Or(cfg.Rounds, h.p.rounds)
+	cfg.LocalEpochs = cmp.Or(cfg.LocalEpochs, h.p.epochs)
+	cfg.BatchSize = cmp.Or(cfg.BatchSize, h.p.batch)
+	cfg.LR = cmp.Or(cfg.LR, lrFor(s.Dataset))
+	cfg.Mu = cmp.Or(cfg.Mu, 0.01)
+	cfg.Seed = cmp.Or(cfg.Seed, h.opt.Seed)
 	if c := h.opt.Concurrency; c > 1 {
 		// Concurrent grid cells split the machine: each cell trains its
 		// round's clients under 1/c of the cores; the per-model compute
 		// budgets inside fl keep the kernels within that share.
-		if cfg.Parallelism = runtime.GOMAXPROCS(0) / c; cfg.Parallelism < 1 {
-			cfg.Parallelism = 1
-		}
+		cfg.Parallelism = max(runtime.GOMAXPROCS(0)/c, 1)
+	}
+	train, test, err := h.Dataset(s.Dataset)
+	if err != nil {
+		return fail(err)
+	}
+	spec, err := data.Model(s.Dataset)
+	if err != nil {
+		return fail(err)
+	}
+	spec.Kind = cmp.Or(s.Model, spec.Kind)
+	parties := s.Strategy.Parties(cmp.Or(s.Parties, h.p.parties))
+	// The harness partition-seed rule, kept so the README's quick-scale
+	// tables stay reproducible.
+	_, locals, err := s.Strategy.Split(train, parties, rng.New(cfg.Seed*2654435761+uint64(len(s.Dataset))))
+	if err != nil {
+		return fail(err)
+	}
+	return cfg, spec, locals, test, nil
+}
+
+// RunSetting executes one federated run in process and returns its
+// result: over transport pipes when the config needs a wire, as the
+// lockstep simulation otherwise.
+func (h *Harness) RunSetting(s Setting) (*fl.Result, error) {
+	cfg, spec, locals, test, err := h.job(s)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.NeedsWire() {
+		return simnet.RunLocal(cfg, spec, locals, test)
 	}
 	sim, err := fl.NewSimulation(cfg, spec, locals, test)
 	if err != nil {
@@ -331,7 +294,7 @@ var MuGrid = []float64{0.001, 0.01, 0.1, 1}
 // MuGrid and the best-by-mean grid point is reported — the paper's Table
 // III protocol.
 func (h *Harness) RunTrials(s Setting) ([]float64, error) {
-	if h.opt.TuneMu && s.Algo == fl.FedProx {
+	if h.opt.TuneMu && s.Algorithm == fl.FedProx {
 		var best []float64
 		bestMean := -1.0
 		for _, mu := range MuGrid {

@@ -66,31 +66,53 @@ func TestHarnessDatasetCaching(t *testing.T) {
 	}
 }
 
-func TestRunSettingDefaults(t *testing.T) {
+func TestJobDefaults(t *testing.T) {
 	var out strings.Builder
 	h := smokeHarness(&out)
-	s := h.applyDefaults(Setting{Dataset: "adult"})
-	if s.Parties != profiles[Smoke].parties || s.Rounds != profiles[Smoke].rounds ||
-		s.LR != 0.01 || s.Mu != 0.01 || s.SampleFraction != 1 {
-		t.Fatalf("defaults: %+v", s)
+	iid := partition.Strategy{Kind: partition.Homogeneous}
+	cfg, _, locals, _, err := h.job(Setting{Dataset: "adult", Strategy: iid})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h.applyDefaults(Setting{Dataset: "rcv1"}).LR != 0.1 {
-		t.Fatal("rcv1 must default to lr 0.1 per the paper")
+	if len(locals) != profiles[Smoke].parties || cfg.Rounds != profiles[Smoke].rounds ||
+		cfg.LocalEpochs != profiles[Smoke].epochs || cfg.BatchSize != profiles[Smoke].batch ||
+		cfg.LR != 0.01 || cfg.Mu != 0.01 || cfg.Seed != h.opt.Seed {
+		t.Fatalf("defaults: %d parties, %+v", len(locals), cfg)
 	}
-	fc := h.applyDefaults(Setting{Dataset: "fcube", Strategy: partition.Strategy{Kind: partition.FeatureSynthetic}})
-	if fc.Parties != 4 {
-		t.Fatal("fcube must force 4 parties")
+	if cfg, _, _, _, err = h.job(Setting{Dataset: "rcv1", Strategy: iid}); err != nil || cfg.LR != 0.1 {
+		t.Fatalf("rcv1 must default to lr 0.1 per the paper: %v, %v", cfg.LR, err)
+	}
+	_, _, locals, _, err = h.job(Setting{Dataset: "fcube", Strategy: partition.Strategy{Kind: partition.FeatureSynthetic}})
+	if err != nil || len(locals) != 4 {
+		t.Fatalf("fcube must run with 4 parties: %d, %v", len(locals), err)
+	}
+}
+
+// TestRunSettingPicksAWire: a Setting whose config needs a wire runs over
+// the pipes, where the codec really shrinks the frames, instead of being
+// refused by (or silently ignored in) the lockstep simulation.
+func TestRunSettingPicksAWire(t *testing.T) {
+	var out strings.Builder
+	h := smokeHarness(&out)
+	s := gridCell("adult", partition.Strategy{Kind: partition.Homogeneous}, fl.FedAvg)
+	raw, err := h.RunSetting(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Codec = fl.CodecInt8
+	quant, err := h.RunSetting(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quant.CommBytesPerRound*4 >= raw.CommBytesPerRound {
+		t.Fatalf("int8 moved %.0f B/round against f64's %.0f", quant.CommBytesPerRound, raw.CommBytesPerRound)
 	}
 }
 
 func TestRunSettingExecutes(t *testing.T) {
 	var out strings.Builder
 	h := smokeHarness(&out)
-	res, err := h.RunSetting(Setting{
-		Dataset:  "adult",
-		Strategy: partition.Strategy{Kind: partition.Homogeneous},
-		Algo:     fl.FedAvg,
-	})
+	res, err := h.RunSetting(gridCell("adult", partition.Strategy{Kind: partition.Homogeneous}, fl.FedAvg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +124,7 @@ func TestRunSettingExecutes(t *testing.T) {
 func TestRunTrialsDistinctSeeds(t *testing.T) {
 	var out strings.Builder
 	h := NewHarness(Options{Scale: Smoke, Out: &out, Seed: 3, Trials: 2})
-	accs, err := h.RunTrials(Setting{
-		Dataset:  "adult",
-		Strategy: partition.Strategy{Kind: partition.Homogeneous},
-		Algo:     fl.FedAvg,
-	})
+	accs, err := h.RunTrials(gridCell("adult", partition.Strategy{Kind: partition.Homogeneous}, fl.FedAvg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +311,7 @@ func TestSamplingExtSmoke(t *testing.T) {
 func TestTuneMu(t *testing.T) {
 	var out strings.Builder
 	h := NewHarness(Options{Scale: Smoke, Out: &out, Seed: 3, Trials: 1, TuneMu: true})
-	accs, err := h.RunTrials(Setting{
-		Dataset:  "adult",
-		Strategy: partition.Strategy{Kind: partition.Homogeneous},
-		Algo:     fl.FedProx,
-	})
+	accs, err := h.RunTrials(gridCell("adult", partition.Strategy{Kind: partition.Homogeneous}, fl.FedProx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +337,7 @@ func TestConcurrentTrialsMatchSequential(t *testing.T) {
 	// exactly: trial seeds are fixed up front, and concurrent Simulations
 	// are bitwise deterministic (per-model compute budgets change
 	// scheduling, never arithmetic).
-	setting := Setting{
-		Dataset:  "adult",
-		Strategy: partition.Strategy{Kind: partition.Homogeneous},
-		Algo:     fl.FedAvg,
-	}
+	setting := gridCell("adult", partition.Strategy{Kind: partition.Homogeneous}, fl.FedAvg)
 	seq, err := NewHarness(Options{Scale: Smoke, Seed: 3, Trials: 2}).RunTrials(setting)
 	if err != nil {
 		t.Fatal(err)

@@ -54,8 +54,9 @@ func runLeaderboard(h *Harness) error {
 		}
 		var cells []cell
 		for _, algo := range algos {
-			res, err := h.RunSetting(Setting{Dataset: s.dataset, Strategy: s.strat, Algo: algo,
-				EvalEvery: h.p.rounds})
+			run := gridCell(s.dataset, s.strat, algo)
+			run.EvalEvery = h.p.rounds
+			res, err := h.RunSetting(run)
 			if err != nil {
 				return fmt.Errorf("%s/%s/%s: %w", s.dataset, s.strat, algo, err)
 			}
@@ -104,7 +105,7 @@ func runExtensions(h *Harness) error {
 	} {
 		fmt.Fprintf(h.Out, "\n%s under %s:\n", ds, strat)
 		for _, algo := range fl.ExtendedAlgorithms() {
-			res, err := h.RunSetting(Setting{Dataset: ds, Strategy: strat, Algo: algo})
+			res, err := h.RunSetting(gridCell(ds, strat, algo))
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", strat, algo, err)
 			}

@@ -46,10 +46,9 @@ func runSampling(h *Harness, strats []partition.Strategy) error {
 		}
 		fmt.Fprintf(h.Out, "\nunder %s:\n", strat)
 		for _, algo := range fl.Algorithms() {
-			res, err := h.RunSetting(Setting{
-				Dataset: ds, Strategy: strat, Algo: algo,
-				Parties: parties, SampleFraction: fraction, Rounds: rounds,
-			})
+			s := gridCell(ds, strat, algo)
+			s.Parties, s.SampleFraction, s.Rounds = parties, fraction, rounds
+			res, err := h.RunSetting(s)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", strat, algo, err)
 			}
@@ -106,8 +105,9 @@ func runFig11(h *Harness) error {
 		for _, algo := range fl.Algorithms() {
 			cells := []string{string(algo)}
 			for _, p := range grid {
-				res, err := h.RunSetting(Setting{Dataset: ds, Strategy: strat, Algo: algo,
-					Parties: p, EvalEvery: h.p.rounds})
+				s := gridCell(ds, strat, algo)
+				s.Parties, s.EvalEvery = p, h.p.rounds
+				res, err := h.RunSetting(s)
 				if err != nil {
 					return fmt.Errorf("%s/%s N=%d: %w", strat, algo, p, err)
 				}

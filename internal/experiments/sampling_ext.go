@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/report"
-	"github.com/niid-bench/niidbench/internal/rng"
 )
 
 func init() {
@@ -24,42 +22,12 @@ func runSamplingExt(h *Harness) error {
 		ds = h.opt.Datasets[0]
 	}
 	parties, fraction, rounds := h.samplingGeometry()
-	train, test, err := h.Dataset(ds)
-	if err != nil {
-		return err
-	}
-	spec, err := data.Model(ds)
-	if err != nil {
-		return err
-	}
-	strat := partition.Strategy{Kind: partition.LabelQuantity, K: 1}
-	if train.NumClasses < parties {
-		// Every class must fit; #C=1 with 10 classes over 20+ parties still
-		// works (classes shared), this is just documentation of intent.
-		_ = parties
-	}
-	_, locals, err := strat.Split(train, parties, rng.New(h.opt.Seed+99))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(h.Out, "%s, %s, %d parties, fraction %g, FedAvg\n\n", ds, strat, parties, fraction)
+	s := gridCell(ds, partition.Strategy{Kind: partition.LabelQuantity, K: 1}, fl.FedAvg)
+	s.Parties, s.SampleFraction, s.Rounds = parties, fraction, rounds
+	fmt.Fprintf(h.Out, "%s, %s, %d parties, fraction %g, FedAvg\n\n", ds, s.Strategy, parties, fraction)
 	for _, sampling := range []fl.PartySampling{fl.SampleRandom, fl.SampleStratified} {
-		cfg := fl.Config{
-			Algorithm:      fl.FedAvg,
-			Rounds:         rounds,
-			LocalEpochs:    h.p.epochs,
-			BatchSize:      h.p.batch,
-			LR:             lrFor(ds),
-			Momentum:       0.9,
-			SampleFraction: fraction,
-			Sampling:       sampling,
-			Seed:           h.opt.Seed,
-		}
-		sim, err := fl.NewSimulation(cfg, spec, locals, test)
-		if err != nil {
-			return err
-		}
-		res, err := sim.Run()
+		s.Sampling = sampling
+		res, err := h.RunSetting(s)
 		if err != nil {
 			return err
 		}

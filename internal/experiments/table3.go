@@ -70,7 +70,7 @@ func runTable3(h *Harness) error {
 		var best fl.Algorithm
 		bestAcc := -1.0
 		for _, algo := range algos {
-			accs, err := h.RunTrials(Setting{Dataset: row.dataset, Strategy: row.strategy, Algo: algo})
+			accs, err := h.RunTrials(gridCell(row.dataset, row.strategy, algo))
 			if err != nil {
 				return fmt.Errorf("%s/%s/%s: %w", row.dataset, row.strategy, algo, err)
 			}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/report"
-	"github.com/niid-bench/niidbench/internal/rng"
 	"github.com/niid-bench/niidbench/internal/simnet"
 )
 
@@ -38,32 +36,14 @@ func runTable4(h *Harness) error {
 		if !h.opt.wantDataset(ds) {
 			continue
 		}
-		train, test, err := h.Dataset(ds)
-		if err != nil {
-			return err
-		}
-		spec, err := data.Model(ds)
-		if err != nil {
-			return err
-		}
-		parties := h.p.parties
-		_, locals, err := partition.Strategy{Kind: partition.Homogeneous}.Split(train, parties, rng.New(h.opt.Seed))
-		if err != nil {
-			return err
-		}
 		timeCells := []string{ds}
 		commCells := []string{ds}
 		for _, algo := range fl.Algorithms() {
-			cfg := fl.Config{
-				Algorithm:   algo,
-				Rounds:      rounds,
-				LocalEpochs: h.p.epochs,
-				BatchSize:   h.p.batch,
-				LR:          lrFor(ds),
-				Momentum:    0.9,
-				Mu:          0.01,
-				Seed:        h.opt.Seed,
-				EvalEvery:   rounds,
+			s := gridCell(ds, partition.Strategy{Kind: partition.Homogeneous}, algo)
+			s.Rounds, s.EvalEvery = rounds, rounds
+			cfg, spec, locals, test, err := h.job(s)
+			if err != nil {
+				return err
 			}
 			res, err := simnet.RunLocal(cfg, spec, locals, test)
 			if err != nil {

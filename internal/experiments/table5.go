@@ -56,7 +56,7 @@ func runTable5(h *Harness) error {
 		for _, row := range c.rows {
 			cells := []string{row.label}
 			for _, algo := range fl.Algorithms() {
-				accs, err := h.RunTrials(Setting{Dataset: ds, Strategy: row.strategy, Algo: algo})
+				accs, err := h.RunTrials(gridCell(ds, row.strategy, algo))
 				if err != nil {
 					return fmt.Errorf("%s/%s: %w", row.label, algo, err)
 				}

@@ -2,7 +2,12 @@ package fedcli
 
 import (
 	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
+
+	"github.com/niid-bench/niidbench/internal/fl"
 )
 
 func parse(t *testing.T, args ...string) *Shared {
@@ -118,5 +123,95 @@ func TestFCubeForcesFourParties(t *testing.T) {
 	}
 	if len(locals) != 4 {
 		t.Fatalf("fcube parties: %d", len(locals))
+	}
+}
+
+// TestBuildMatchesParentOnBenchmarkFlags: the benchmark builds every
+// workload's fl.Config through these flag strings (benchmark/workloads.go,
+// plus the suffix benchmark/config.go appends), so Build must keep
+// returning, field for field, the config it returned before the flags
+// bound straight into it. The literals were cut at the commit before that
+// change.
+func TestBuildMatchesParentOnBenchmarkFlags(t *testing.T) {
+	const (
+		cnn  = "-parties 4 -epochs 2 -batch 32 -lr 0.0007 -partition label-dirichlet -beta 0.5 -chunk 65536 -codec f64"
+		wide = "-parties 8 -epochs 1 -batch 32 -lr 0.0003 -partition label-dirichlet -beta 0.5 -chunk 4096"
+	)
+	cnnCfg := fl.Config{Algorithm: "fedavg", Rounds: 44, LocalEpochs: 2, BatchSize: 32, LR: 0.0007, Momentum: 0.9, Mu: 0.01, Seed: 1, ChunkSize: 65536, Codec: "f64"}
+	wideCfg := fl.Config{Algorithm: "fedavg", Rounds: 200, LocalEpochs: 1, BatchSize: 32, LR: 0.0003, Momentum: 0.9, Mu: 0.01, Seed: 1, ChunkSize: 4096, Codec: "f64"}
+	int8Cfg, asyncCfg := wideCfg, wideCfg
+	int8Cfg.Codec = "int8"
+	asyncCfg.Rounds, asyncCfg.AsyncBuffer = 220, 2
+	for _, w := range []struct {
+		name, flags, rounds string
+		parties             int
+		want                fl.Config
+	}{
+		{"cnn-f64-sync", cnn, "44", 4, cnnCfg},
+		{"cnn-f32-sync", cnn, "44", 4, cnnCfg},
+		{"wide-f64-sync", wide + " -codec f64", "200", 8, wideCfg},
+		{"wide-int8-sync", wide + " -codec int8", "200", 8, int8Cfg},
+		{"wide-f64-async", wide + " -codec f64 -async-buffer 2", "220", 8, asyncCfg},
+	} {
+		s := parse(t, append(strings.Fields(w.flags), "-rounds", w.rounds, "-dataset", "fcube", "-train", "64", "-test", "8")...)
+		got, _, locals, _, err := s.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if got != w.want || len(locals) != w.parties || s.Parties != w.parties {
+			t.Errorf("%s: %d parties\n got %+v\nwant %+v", w.name, len(locals), got, w.want)
+		}
+	}
+}
+
+// TestRegisterGroupsAndDefaults: the groups partition the table (no flag
+// in two, none left out), and a pre-filled field is its flag's default
+// while an untouched one keeps the table's.
+func TestRegisterGroupsAndDefaults(t *testing.T) {
+	count := func(groups ...Group) int {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		new(Shared).Register(fs, groups...) // a name in two groups would panic here
+		n := 0
+		fs.VisitAll(func(*flag.Flag) { n++ })
+		return n
+	}
+	if d, tr, dep, all := count(Data), count(Training), count(Deployment), count(); d != 8 || tr != 10 || dep != 8 || all != 26 || count(Data, Training, Deployment) != all {
+		t.Fatalf("flags per group: data %d, training %d, deployment %d, all %d", d, tr, dep, all)
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	s := Shared{Dataset: "cifar10", Parties: 10}
+	s.Register(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if s.Dataset != "cifar10" || s.Parties != 10 || s.Partition != "label-dirichlet" || s.Config.Rounds != 10 {
+		t.Fatalf("defaults after a pre-fill: %+v", s)
+	}
+}
+
+// TestReadmeFlagReference keeps README's "Command-line reference" the
+// flag table: one row per flag, generated from the registered names,
+// defaults and usage strings.
+func TestReadmeFlagReference(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		group Group
+		cmds  string
+	}{
+		{Data, "`fedserver` `fedparty` `run` `partition-stats`"},
+		{Training, "`fedserver` `fedparty` `run`"},
+		{Deployment, "`fedserver` `fedparty`"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		new(Shared).Register(fs, g.group)
+		fs.VisitAll(func(f *flag.Flag) {
+			row := fmt.Sprintf("| `-%s` | `%s` | %s | %s |", f.Name, f.DefValue, f.Usage, g.cmds)
+			if !strings.Contains(string(readme), row) {
+				t.Errorf("README.md lacks the flag-table row:\n%s", row)
+			}
+		})
 	}
 }

@@ -152,8 +152,8 @@ type FederationSnapshot struct {
 // ConfigFingerprint hashes the math-relevant fields of a config (FNV-1a
 // over the normalized values), so a resume against a config that would
 // change the arithmetic — different algorithm, LR, seed, sampling — is
-// refused, while transport-only knobs (chunk size, quorum waits,
-// parallelism) stay free to change across restarts.
+// refused, while transport-only knobs (quorum waits, parallelism, and the
+// chunk size under a lossless codec) stay free to change across restarts.
 func ConfigFingerprint(cfg Config) uint64 {
 	if n, err := cfg.Normalize(); err == nil {
 		cfg = n
@@ -202,9 +202,9 @@ func ConfigFingerprint(cfg Config) uint64 {
 	mixB(cfg.Unweighted)
 	mixF(cfg.Alpha)
 	mixF(cfg.MoonMu)
-	mixF(cfg.MoonTemp)
+	mixF(moonTemp)
 	mixStr(string(cfg.ServerOptimizer))
-	mixF(cfg.ServerMomentumBeta)
+	mixF(serverMomentumBeta)
 	mixStr(string(cfg.Sampling))
 	mixF(cfg.DPClip)
 	mixF(cfg.DPNoise)
@@ -217,6 +217,11 @@ func ConfigFingerprint(cfg Config) uint64 {
 	// share changes which folds count.
 	mixStr(string(cfg.Codec))
 	mix(asyncFairShare)
+	if cfg.Codec == CodecInt8 || cfg.Codec == CodecInt4 {
+		// One scale per frame: under an integer codec the frame size is
+		// the quantization granularity, so it changes the arithmetic.
+		mix(uint64(cfg.ChunkSize))
+	}
 	return h
 }
 

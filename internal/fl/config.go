@@ -147,15 +147,12 @@ type Config struct {
 	// Alpha is FedDyn's regularization weight; ignored by other
 	// algorithms.
 	Alpha float64
-	// MoonMu weighs MOON's model-contrastive loss; MoonTemp is its
-	// softmax temperature. Ignored by other algorithms.
-	MoonMu   float64
-	MoonTemp float64
+	// MoonMu weighs MOON's model-contrastive loss; ignored by other
+	// algorithms.
+	MoonMu float64
 	// ServerOptimizer selects how the server applies the aggregated
 	// pseudo-gradient (default plain SGD, the paper's setup).
 	ServerOptimizer ServerOpt
-	// ServerMomentumBeta is the momentum coefficient for ServerMomentum.
-	ServerMomentumBeta float64
 	// Sampling selects the party-sampling strategy under partial
 	// participation (default uniform random, the paper's setting;
 	// stratified is the Section VI-A future-direction extension).
@@ -287,9 +284,6 @@ func (c Config) Normalize() (Config, error) {
 	if c.MoonMu == 0 {
 		c.MoonMu = 1
 	}
-	if c.MoonTemp == 0 {
-		c.MoonTemp = 0.5
-	}
 	if c.ServerOptimizer == "" {
 		c.ServerOptimizer = ServerSGD
 	}
@@ -297,9 +291,6 @@ func (c Config) Normalize() (Config, error) {
 	case ServerSGD, ServerMomentum, ServerAdam:
 	default:
 		return c, fmt.Errorf("fl: unknown server optimizer %q", c.ServerOptimizer)
-	}
-	if c.ServerMomentumBeta == 0 {
-		c.ServerMomentumBeta = 0.9
 	}
 	if c.Sampling == "" {
 		c.Sampling = SampleRandom
@@ -363,6 +354,15 @@ func (c Config) Normalize() (Config, error) {
 		return c, fmt.Errorf("fl: unknown dtype %v", c.DType)
 	}
 	return c, nil
+}
+
+// NeedsWire reports whether the config asks for something only the simnet
+// transports implement: buffered-async aggregation is a message protocol
+// and a codec other than f64 encodes frames on a wire. Every entry point
+// that picks a runner asks here; the in-process Simulation refuses such a
+// config rather than silently running it as lockstep f64.
+func (c Config) NeedsWire() bool {
+	return c.AsyncBuffer > 0 || (c.Codec != "" && c.Codec != CodecF64)
 }
 
 // ResolveSpec applies the config's compute dtype to the model spec. Every

@@ -86,9 +86,6 @@ func TestConfigDTypePlumbsToSpec(t *testing.T) {
 			}
 		}
 	}
-	if _, err := (Config{DType: tensor.DType(7)}).Normalize(); err == nil {
-		t.Fatal("expected error for unknown dtype")
-	}
 }
 
 // TestEvaluatorParallelMatchesSerial pins the sharded evaluator to the

@@ -15,29 +15,6 @@ func TestExtendedAlgorithmsList(t *testing.T) {
 	}
 }
 
-func TestConfigNormalizeExtensions(t *testing.T) {
-	cfg, err := Config{Algorithm: FedDyn}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Alpha != 0.01 {
-		t.Fatalf("alpha default: %v", cfg.Alpha)
-	}
-	cfg, err = Config{Algorithm: Moon}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.MoonMu != 1 || cfg.MoonTemp != 0.5 {
-		t.Fatalf("moon defaults: %+v", cfg)
-	}
-	if _, err := (Config{Alpha: -1}).Normalize(); err == nil {
-		t.Fatal("expected error for negative alpha")
-	}
-	if _, err := (Config{ServerOptimizer: "bogus"}).Normalize(); err == nil {
-		t.Fatal("expected error for unknown server optimizer")
-	}
-}
-
 func TestFedDynRunsAndLearns(t *testing.T) {
 	cfg := quickCfg(FedDyn)
 	cfg.Alpha = 0.01
@@ -179,7 +156,7 @@ func TestContrastiveColdStartZeroGrad(t *testing.T) {
 }
 
 func TestServerMomentumAccumulates(t *testing.T) {
-	cfg, _ := Config{Algorithm: FedAvg, ServerOptimizer: ServerMomentum, ServerMomentumBeta: 0.9}.Normalize()
+	cfg, _ := Config{Algorithm: FedAvg, ServerOptimizer: ServerMomentum}.Normalize()
 	s := NewServer(cfg, []float64{0}, 1, 1)
 	u := []Update{{Delta: []float64{1}, Tau: 1, N: 1}}
 	if err := aggregate(s, u); err != nil {
@@ -269,4 +246,16 @@ func TestScaffoldStableUnderMomentum(t *testing.T) {
 			t.Fatalf("control variate exploded: %v", v)
 		}
 	}
+}
+
+// contrastiveGrad is contrastiveGradInto on throwaway scratch.
+func contrastiveGrad(z, zg, zp *tensor.Tensor, temp float64) (float64, *tensor.Tensor) {
+	var s moonScratch
+	return contrastiveGradInto(&s, z, zg, zp, temp)
+}
+
+// cosineWithGrad returns cos(a, b) and d cos/d a.
+func cosineWithGrad(a, b []float64) (float64, []float64) {
+	grad := make([]float64, len(a))
+	return cosineWithGradOf(a, b, grad), grad
 }

@@ -45,30 +45,6 @@ func quickCfg(alg Algorithm) Config {
 	}
 }
 
-func TestConfigNormalizeDefaults(t *testing.T) {
-	cfg, err := Config{}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Algorithm != FedAvg || cfg.Rounds != 50 || cfg.LocalEpochs != 10 ||
-		cfg.BatchSize != 64 || cfg.LR != 0.01 || cfg.Momentum != 0.9 ||
-		cfg.SampleFraction != 1 || cfg.Variant != ScaffoldReuse || cfg.ServerLR != 1 {
-		t.Fatalf("defaults wrong: %+v", cfg)
-	}
-}
-
-func TestConfigNormalizeErrors(t *testing.T) {
-	if _, err := (Config{Algorithm: "bogus"}).Normalize(); err == nil {
-		t.Fatal("expected error for unknown algorithm")
-	}
-	if _, err := (Config{SampleFraction: 1.5}).Normalize(); err == nil {
-		t.Fatal("expected error for fraction > 1")
-	}
-	if _, err := (Config{Mu: -1}).Normalize(); err == nil {
-		t.Fatal("expected error for negative mu")
-	}
-}
-
 func TestAllAlgorithmsRunAndLearn(t *testing.T) {
 	for _, alg := range Algorithms() {
 		sim, _ := testFederation(t, partition.Strategy{Kind: partition.Homogeneous}, 4, quickCfg(alg))

@@ -8,6 +8,10 @@ import (
 	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
+// moonTemp is the softmax temperature of MOON's contrastive loss (the
+// MOON paper's default). ConfigFingerprint mixes it.
+const moonTemp = 0.5
+
 // moonScratch holds MOON's reusable per-batch buffers: the contrastive
 // gradient and the two per-sample cosine-gradient vectors.
 type moonScratch struct {
@@ -82,7 +86,7 @@ func (c *Client) localTrainMoon(global []float64, cfg Config, opt *optim.SGD, ws
 			zg := forwardBody(c.auxGlobal, shaped)
 			zp := forwardBody(c.auxPrev, shaped)
 
-			conLoss, dz := contrastiveGradInto(&c.moon, z, zg, zp, cfg.MoonTemp)
+			conLoss, dz := contrastiveGradInto(&c.moon, z, zg, zp, moonTemp)
 
 			// Backward: head first, then inject the contrastive gradient at
 			// the representation, then the body.
@@ -126,15 +130,9 @@ func forwardBody(m *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
 	return h
 }
 
-// contrastiveGrad computes MOON's mean contrastive loss over the batch and
-// the gradient of the *sum* of per-sample losses with respect to z (the
-// caller scales by mu/batch). z, zg, zp are (batch, dim) tensors.
-func contrastiveGrad(z, zg, zp *tensor.Tensor, temp float64) (float64, *tensor.Tensor) {
-	var s moonScratch
-	return contrastiveGradInto(&s, z, zg, zp, temp)
-}
-
-// contrastiveGradInto is contrastiveGrad with caller-held scratch; the
+// contrastiveGradInto computes MOON's mean contrastive loss over the batch
+// and the gradient of the *sum* of per-sample losses with respect to z
+// (the caller scales by mu/batch). z, zg, zp are (batch, dim) tensors; the
 // returned gradient tensor is owned by s, matches z's dtype and is valid
 // until the next call.
 func contrastiveGradInto(s *moonScratch, z, zg, zp *tensor.Tensor, temp float64) (float64, *tensor.Tensor) {
@@ -180,22 +178,10 @@ func contrastiveRows[T tensor.Elem](zd, zgd, zpd, dzd []T, dsg, dsp []float64, b
 	return total
 }
 
-// cosineWithGrad returns cos(a, b) and d cos/d a. Degenerate (near-zero)
-// norms yield zero similarity and gradient.
-func cosineWithGrad(a, b []float64) (float64, []float64) {
-	grad := make([]float64, len(a))
-	return cosineWithGradInto(a, b, grad), grad
-}
-
-// cosineWithGradInto writes d cos/d a into grad (fully overwritten) and
-// returns cos(a, b).
-func cosineWithGradInto(a, b, grad []float64) float64 {
-	return cosineWithGradOf(a, b, grad)
-}
-
-// cosineWithGradOf is the dtype-generic cosine-with-gradient: the
-// accumulation and the gradient stay float64 whatever the input element
-// type.
+// cosineWithGradOf writes d cos/d a into grad (fully overwritten) and
+// returns cos(a, b); degenerate (near-zero) norms yield zero similarity
+// and gradient. The accumulation and the gradient stay float64 whatever
+// the input element type.
 func cosineWithGradOf[T tensor.Elem](a, b []T, grad []float64) float64 {
 	var dot, na, nb float64
 	for j := range a {

@@ -204,15 +204,3 @@ func TestCompressedTrainingStillLearns(t *testing.T) {
 		t.Fatalf("top-25%% compression should still learn: %v", res.FinalAccuracy)
 	}
 }
-
-func TestDPCompressConfigValidation(t *testing.T) {
-	if _, err := (Config{DPClip: -1}).Normalize(); err == nil {
-		t.Fatal("expected error for negative DPClip")
-	}
-	if _, err := (Config{CompressTopK: 1.5}).Normalize(); err == nil {
-		t.Fatal("expected error for CompressTopK >= 1")
-	}
-	if _, err := (Config{CompressTopK: -0.1}).Normalize(); err == nil {
-		t.Fatal("expected error for negative CompressTopK")
-	}
-}

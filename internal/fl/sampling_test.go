@@ -105,7 +105,7 @@ func TestStratifiedSamplingBalancesLabels(t *testing.T) {
 		var total float64
 		const draws = 60
 		for d := 0; d < draws; d++ {
-			ids := sim.sampleParties()
+			ids := sim.engine.sampleParties(nil)
 			mix := make([]float64, train.NumClasses)
 			var n float64
 			for _, id := range ids {
@@ -143,18 +143,5 @@ func TestStratifiedSamplingRuns(t *testing.T) {
 		if len(m.Sampled) < 1 || len(m.Sampled) > 4 {
 			t.Fatalf("sampled %d parties", len(m.Sampled))
 		}
-	}
-}
-
-func TestSamplingConfigValidation(t *testing.T) {
-	if _, err := (Config{Sampling: "bogus"}).Normalize(); err == nil {
-		t.Fatal("expected error for unknown sampling strategy")
-	}
-	cfg, err := Config{}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Sampling != SampleRandom {
-		t.Fatalf("default sampling: %q", cfg.Sampling)
 	}
 }

@@ -455,6 +455,10 @@ func (s *Server) dropScale() float64 {
 // trusted for further rounds.
 func (s *Server) AbortRound() { s.inRound = false }
 
+// serverMomentumBeta is ServerMomentum's coefficient (FedAvgM's usual
+// value). ConfigFingerprint mixes it.
+const serverMomentumBeta = 0.9
+
 // applyUpdate moves the global state by the aggregated delta through the
 // configured server optimizer. agg is a pseudo-gradient: plain SGD is the
 // paper's setup; momentum and Adam are the FedOpt extensions.
@@ -464,9 +468,8 @@ func (s *Server) applyUpdate(agg []float64) {
 		if s.velocity == nil {
 			s.velocity = make([]float64, len(s.state))
 		}
-		beta := s.cfg.ServerMomentumBeta
 		for i := range s.state {
-			s.velocity[i] = beta*s.velocity[i] + agg[i]
+			s.velocity[i] = serverMomentumBeta*s.velocity[i] + agg[i]
 			s.state[i] -= s.cfg.ServerLR * s.velocity[i]
 		}
 	case ServerAdam:

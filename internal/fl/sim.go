@@ -114,9 +114,6 @@ func NewSimulation(cfg Config, spec nn.ModelSpec, locals []*data.Dataset, test *
 	return sim, nil
 }
 
-// sampleParties selects a round's participants (exposed for tests).
-func (s *Simulation) sampleParties() []int { return s.engine.sampleParties(nil) }
-
 // PartyMeta implements Transport.
 func (s *Simulation) PartyMeta(id int) UpdateMeta {
 	n := s.Clients[id].Data.Len()
@@ -185,8 +182,13 @@ func (s *Simulation) RunRound(round int) (RoundMetrics, error) {
 	return s.engine.RunRound(s, round)
 }
 
-// Run executes the configured number of rounds and returns the result.
+// Run executes the configured number of rounds and returns the result. A
+// config that needs a wire is refused: lockstep function calls would run
+// it as synchronous f64 and report numbers for a job nobody asked for.
 func (s *Simulation) Run() (*Result, error) {
+	if s.Cfg.NeedsWire() {
+		return nil, fmt.Errorf("fl: async buffer %d / codec %q need a simnet transport; the in-process simulation runs lockstep f64 only", s.Cfg.AsyncBuffer, s.Cfg.Codec)
+	}
 	return s.engine.Run(s)
 }
 

@@ -257,18 +257,52 @@ func TestConfigFingerprint(t *testing.T) {
 			t.Fatalf("transport knob %q changed the fingerprint", name)
 		}
 	}
-	// The staleness exponent and the async fair share were Config fields
-	// once and are constants now; the hash still mixes their values in the
-	// same positions, so snapshots written before that still resume.
+	// The frame is the quantization unit under the integer codecs (one
+	// scale per frame), so there — and only there — the chunk size is
+	// math: f32 narrows per element and f64 is exact at any frame size.
+	for codec, chunkIsMath := range map[Codec]bool{CodecF64: false, CodecF32: false, CodecInt8: true, CodecInt4: true} {
+		a, b := base, base
+		a.Codec, b.Codec = codec, codec
+		a.ChunkSize, b.ChunkSize = 4096, 512
+		if moved := ConfigFingerprint(a) != ConfigFingerprint(b); moved != chunkIsMath {
+			t.Fatalf("codec %s: a chunk-size change moved the fingerprint = %v, want %v", codec, moved, chunkIsMath)
+		}
+	}
+	// The staleness exponent, the async fair share, MOON's temperature and
+	// the server momentum coefficient were Config fields once and are
+	// constants now; the hash still mixes their values in the same
+	// positions, so f64/f32 snapshots written before that still resume. The
+	// int8 literal moved once, deliberately, when ChunkSize joined the hash
+	// under the integer codecs.
 	for _, pin := range []struct {
 		cfg  Config
 		want uint64
 	}{
 		{Config{}, 0x3a32cae8dadd59d},
-		{Config{Algorithm: Scaffold, AsyncBuffer: 2, Codec: CodecInt8, ChunkSize: 4096, Seed: 7}, 0xecda8c0fe33ab8ff},
+		{Config{Algorithm: Scaffold, AsyncBuffer: 2, Codec: CodecInt8, ChunkSize: 4096, Seed: 7}, 0x996a87640d59bc8f},
 	} {
 		if got := ConfigFingerprint(pin.cfg); got != pin.want {
 			t.Fatalf("ConfigFingerprint(%+v) = %#x, want %#x", pin.cfg, got, pin.want)
+		}
+	}
+}
+
+// TestResumeAcrossChunkSize: a restart may change -chunk freely under the
+// lossless and per-element codecs, but under int8/int4 — where the frame
+// is the quantization unit — a different chunk size is a different
+// experiment and the snapshot is refused.
+func TestResumeAcrossChunkSize(t *testing.T) {
+	for codec, refused := range map[Codec]bool{CodecF64: false, CodecF32: false, CodecInt8: true, CodecInt4: true} {
+		cfg := quickCfg(FedAvg)
+		cfg.Codec, cfg.ChunkSize = codec, 4096
+		before, _ := testFederation(t, partition.Strategy{Kind: partition.Homogeneous}, 3, cfg)
+		snap := before.engine.Snapshot(1, nil, 0, 0, 0)
+		cfg.ChunkSize = 512
+		after, _ := testFederation(t, partition.Strategy{Kind: partition.Homogeneous}, 3, cfg)
+		err := after.engine.Restore(snap)
+		var me *SnapshotMismatchError
+		if refused != errors.As(err, &me) || (!refused && err != nil) {
+			t.Fatalf("codec %s, chunk 4096 -> 512: Restore = %v, want refused = %v", codec, err, refused)
 		}
 	}
 }

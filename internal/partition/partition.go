@@ -249,21 +249,15 @@ func QuantitySkew(n, parties int, beta float64, r *rng.RNG) Partition {
 // samples) are divided randomly and equally among the parties, as the
 // paper does for FEMNIST.
 func ByWriter(writers []int, parties int, r *rng.RNG) Partition {
-	maxW := -1
-	for _, w := range writers {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	if maxW < 0 {
+	n := numWriters(writers)
+	if n == 0 {
 		panic("partition: ByWriter requires writer annotations")
 	}
-	numWriters := maxW + 1
-	if numWriters < parties {
-		panic(fmt.Sprintf("partition: %d writers for %d parties", numWriters, parties))
+	if n < parties {
+		panic(fmt.Sprintf("partition: %d writers for %d parties", n, parties))
 	}
-	writerParty := make([]int, numWriters)
-	perm := r.Perm(numWriters)
+	writerParty := make([]int, n)
+	perm := r.Perm(n)
 	for i, w := range perm {
 		writerParty[w] = i % parties
 	}
@@ -273,6 +267,17 @@ func ByWriter(writers []int, parties int, r *rng.RNG) Partition {
 		out[p] = append(out[p], i)
 	}
 	return out
+}
+
+// numWriters is one past the largest writer ID; 0 without annotations.
+func numWriters(writers []int) int {
+	n := 0
+	for _, w := range writers {
+		if w >= n {
+			n = w + 1
+		}
+	}
+	return n
 }
 
 // FCube implements the synthetic feature-skew partition: the 8 octants of

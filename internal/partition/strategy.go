@@ -69,15 +69,30 @@ func (s Strategy) String() string {
 	return base
 }
 
-// Assign computes the index-level partition for the strategy.
+// Parties returns how many parties the strategy runs with when the caller
+// asks for requested: FCUBE's octant allocation is defined for exactly 4
+// (the paper fixes it), every other kind takes what it is asked for.
+func (s Strategy) Parties(requested int) int {
+	if s.Kind == FeatureSynthetic {
+		return 4
+	}
+	return requested
+}
+
+// Assign computes the index-level partition for the strategy. A strategy
+// whose precondition the dataset or the party count cannot meet is an
+// error here, so no caller-supplied value reaches the helpers' panics.
 func (s Strategy) Assign(train *data.Dataset, parties int, r *rng.RNG) (Partition, error) {
+	if parties < 1 || train.Len() < parties {
+		return nil, fmt.Errorf("partition: cannot split %d samples into %d parties", train.Len(), parties)
+	}
 	switch s.Kind {
 	case Homogeneous, FeatureNoise:
 		// Noise-based feature skew starts from an equal random split.
 		return IID(train.Len(), parties, r), nil
 	case LabelQuantity:
-		if s.K < 1 {
-			return nil, fmt.Errorf("partition: %s requires K >= 1", s.Kind)
+		if s.K < 1 || s.K > train.NumClasses {
+			return nil, fmt.Errorf("partition: %s requires K in [1,%d] on %s, got %d", s.Kind, train.NumClasses, train.Name, s.K)
 		}
 		return QuantityLabel(train.Y, train.NumClasses, parties, s.K, r), nil
 	case LabelDirichlet:
@@ -91,8 +106,14 @@ func (s Strategy) Assign(train *data.Dataset, parties int, r *rng.RNG) (Partitio
 		}
 		return QuantitySkew(train.Len(), parties, s.Beta, r), nil
 	case FeatureRealWorld:
+		if n := numWriters(train.Writers); n < parties {
+			return nil, fmt.Errorf("partition: %s splits by writer and needs at least one per party; %s has %d writers for %d parties", s.Kind, train.Name, n, parties)
+		}
 		return ByWriter(train.Writers, parties, r), nil
 	case FeatureSynthetic:
+		if parties != 4 || train.FeatLen < 3 {
+			return nil, fmt.Errorf("partition: %s pairs the octants of 3 features over exactly 4 parties (see Strategy.Parties); got %d parties, %d features on %s", s.Kind, parties, train.FeatLen, train.Name)
+		}
 		return FCube(train, parties), nil
 	default:
 		return nil, fmt.Errorf("partition: unknown strategy kind %q", s.Kind)

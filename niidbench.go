@@ -28,6 +28,14 @@
 //		Algorithm: niidbench.FedAvg, Rounds: 20, DType: niidbench.Float32,
 //	}, "cifar10", strat, 10, train, test)
 //
+// # Which runner
+//
+// RunFederated picks the runner from the config: one that needs a wire
+// (RunConfig.NeedsWire — AsyncBuffer > 0, or a Codec other than f64)
+// federates over in-process transport pipes, where frames are really
+// encoded and counted; every other config is the lockstep simulation. The
+// niidbench CLI and the experiment harness apply the same predicate.
+//
 // The heavy lifting lives in the internal packages; this package re-exports
 // the stable surface a downstream user needs.
 package niidbench
@@ -152,18 +160,13 @@ func StatsOf(p Partition, labels []int, classes int) PartitionStats {
 	return partition.ComputeStats(p, labels, classes)
 }
 
-// RunFederated partitions train with the strategy and runs the configured
-// federated algorithm, evaluating on test each round.
-//
-// Setting RunConfig.AsyncBuffer > 0 switches the run to buffered-async
-// aggregation: parties train and stream continuously, the server folds
-// each update the moment it arrives (discounted by staleness,
-// s(tau) = 1/(1+tau)^0.5) and publishes a new global model
-// every AsyncBuffer folds. The Result then carries one Curve entry per
-// model generation plus AsyncStats, and the run executes over in-process
-// transport pipes rather than the lockstep simulation.
+// RunFederated partitions train with the strategy — over the party count
+// the strategy runs with, which is 4 for FeatureSynthetic whatever is
+// asked — and runs the configured federated algorithm, evaluating on test
+// each round. This is the public API's partition-seed rule; the CLI
+// binaries and the experiment harness each have their own (see README).
 func RunFederated(cfg RunConfig, dataset string, strat Strategy, parties int, train, test *Dataset) (*Result, error) {
-	_, locals, err := strat.Split(train, parties, rng.New(cfg.Seed+0x9e37))
+	_, locals, err := strat.Split(train, strat.Parties(parties), rng.New(cfg.Seed+0x9e37))
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +179,17 @@ func RunFederated(cfg RunConfig, dataset string, strat Strategy, parties int, tr
 
 // RunFederatedWithSpec is RunFederated for custom models and pre-split
 // local datasets.
+//
+// A config that needs a wire (RunConfig.NeedsWire: AsyncBuffer > 0, or a
+// Codec other than f64) runs over in-process transport pipes, where frames
+// are really encoded and counted; every other config runs the lockstep
+// in-process simulation. Under AsyncBuffer > 0 parties train and stream
+// continuously, the server folds each update the moment it arrives
+// (discounted by staleness, s(tau) = 1/(1+tau)^0.5) and publishes a new
+// global model every AsyncBuffer folds; the Result then carries one Curve
+// entry per model generation plus AsyncStats.
 func RunFederatedWithSpec(cfg RunConfig, spec ModelSpec, locals []*Dataset, test *Dataset) (*Result, error) {
-	if cfg.AsyncBuffer > 0 {
+	if cfg.NeedsWire() {
 		return simnet.RunLocal(cfg, spec, locals, test)
 	}
 	sim, err := fl.NewSimulation(cfg, spec, locals, test)
