@@ -320,7 +320,7 @@ func (c *Client) trainStream(global []float64, serverC []float64, wait func(int)
 	if cfg.KeepBNStatsLocal && c.localBN != nil {
 		// FedBN-style ablation: take the global parameters but keep this
 		// party's own batch-norm statistics.
-		full := ws.Get(len(global)).Data()
+		full := ws.GetRaw(tensor.Float64, len(global)).Data()
 		copy(full, global)
 		copy(full[paramLen:], c.localBN)
 		c.model.SetState(full)
@@ -359,7 +359,7 @@ func (c *Client) trainStream(global []float64, serverC []float64, wait func(int)
 	if bs > n {
 		bs = n
 	}
-	xBuf := ws.GetOf(c.Spec.DType, bs, c.Data.FeatLen)
+	xBuf := ws.GetRaw(c.Spec.DType, bs, c.Data.FeatLen)
 	for epoch := 0; epoch < cfg.LocalEpochs; epoch++ {
 		c.r.Shuffle(idx)
 		var epochLoss float64
@@ -394,19 +394,27 @@ func (c *Client) trainStream(global []float64, serverC []float64, wait func(int)
 	// complete the install (and the underlying wait) so the delta below
 	// reads a fully valid global. No-op on the classic path.
 	c.model.FinishStreaming()
-	state := ws.Get(c.model.StateCount()).Data()
-	c.model.GetState(state)
-	delta := ws.Get(len(state)).Data()
-	for i := range delta {
-		delta[i] = global[i] - state[i]
+	// The trained state lands in the delta buffer and is subtracted from
+	// the global in place: the update is the party's one state-length
+	// round vector. Only SCAFFOLD's control update reads the trained state
+	// again and so keeps a copy.
+	delta := ws.GetRaw(tensor.Float64, c.model.StateCount()).Data()
+	c.model.GetState(delta)
+	var state []float64
+	if cfg.Algorithm == Scaffold {
+		state = ws.GetRaw(tensor.Float64, len(delta)).Data()
+		copy(state, delta)
 	}
 	if cfg.KeepBNStatsLocal {
-		// Remember local BN stats and report no buffer delta so the server
-		// keeps its own statistics untouched.
-		c.localBN = append(c.localBN[:0], state[paramLen:]...)
-		for i := paramLen; i < len(delta); i++ {
-			delta[i] = 0
-		}
+		// Remember local BN stats and (below) report no buffer delta so the
+		// server keeps its own statistics untouched.
+		c.localBN = append(c.localBN[:0], delta[paramLen:]...)
+	}
+	for i := range delta {
+		delta[i] = global[i] - delta[i]
+	}
+	if cfg.KeepBNStatsLocal {
+		clear(delta[paramLen:])
 	}
 
 	up := Update{Delta: delta, Tau: tau, N: n, TrainLoss: lastEpochLoss, Kept: paramLen}
@@ -429,7 +437,7 @@ func (c *Client) trainStream(global []float64, serverC []float64, wait func(int)
 // Delta c = c_i* - c_i, persisting c_i* as the new local control variate.
 func (c *Client) updateControlVariate(global, state, serverC []float64, tau int, cfg Config, ws *tensor.Workspace) []float64 {
 	paramLen := c.model.ParamCount()
-	cStar := ws.Get(paramLen).Data()
+	cStar := ws.GetRaw(tensor.Float64, paramLen).Data()
 	switch cfg.Variant {
 	case ScaffoldGradient:
 		// Option (i): gradient of the local data at the *global* model.
@@ -440,12 +448,12 @@ func (c *Client) updateControlVariate(global, state, serverC []float64, tau int,
 		n := c.Data.Len()
 		// Full pass in batches; gradients of the mean loss per batch are
 		// combined weighted by batch size.
-		tmp := ws.Get(paramLen).Data()
+		tmp := ws.GetRaw(tensor.Float64, paramLen).Data()
 		bs := cfg.BatchSize
 		if bs > n {
 			bs = n
 		}
-		xBuf := ws.GetOf(c.Spec.DType, bs, c.Data.FeatLen)
+		xBuf := ws.GetRaw(c.Spec.DType, bs, c.Data.FeatLen)
 		for start := 0; start < n; start += cfg.BatchSize {
 			end := start + cfg.BatchSize
 			if end > n {
@@ -483,7 +491,7 @@ func (c *Client) updateControlVariate(global, state, serverC []float64, tau int,
 			cStar[i] = c.scaffoldC[i] - serverC[i] + (global[i]-state[i])*inv
 		}
 	}
-	deltaC := ws.Get(paramLen).Data()
+	deltaC := ws.GetRaw(tensor.Float64, paramLen).Data()
 	for i := range deltaC {
 		deltaC[i] = cStar[i] - c.scaffoldC[i]
 	}

@@ -59,7 +59,8 @@ type Transport interface {
 	// went bad. Parties may train — and their updates
 	// may arrive — in any order; the transport reorders so the fold is
 	// deterministic for a given sample. The sink does not retain any
-	// delivered slices.
+	// delivered slices, and the transport must not retain global or
+	// control past its return: the engine reuses both next round.
 	TrainRound(round int, sampled []int, global, control []float64, sink *RoundSink) error
 }
 
@@ -157,6 +158,11 @@ type Engine struct {
 	// persisting.
 	Checkpoint      func(*FederationSnapshot) error
 	CheckpointEvery int
+
+	// global and serverC are the round-start snapshot RunRound hands the
+	// transport, reused across rounds: a transport reads them only until
+	// its TrainRound returns.
+	global, serverC []float64
 
 	// startRound/restored carry a Restore across into Run.
 	startRound int
@@ -262,10 +268,12 @@ func (e *Engine) RunRound(tr Transport, round int) (RoundMetrics, error) {
 	// SCAFFOLD's control variate while later parties are still training,
 	// so they must read the round-start copy, exactly as the batched
 	// aggregation semantics had it.
-	global := append([]float64{}, e.server.State()...)
+	e.global = append(e.global[:0], e.server.State()...)
+	global := e.global
 	var serverC []float64
 	if c := e.server.Control(); c != nil {
-		serverC = append([]float64{}, c...)
+		e.serverC = append(e.serverC[:0], c...)
+		serverC = e.serverC
 	}
 
 	metas := make([]UpdateMeta, len(sampled))

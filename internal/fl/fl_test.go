@@ -1,13 +1,17 @@
 package fl
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/rng"
+	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
 // testFederation builds a small adult-like federation for fast tests.
@@ -346,6 +350,150 @@ func TestEvaluatorMajorityBaseline(t *testing.T) {
 	acc := ev.Accuracy(m.State())
 	if acc < 0.05 || acc > 0.95 {
 		t.Fatalf("suspicious untrained accuracy %v", acc)
+	}
+}
+
+// TestDeltaIsGlobalMinusTrainedState pins what the in-place delta must
+// equal for every algorithm and for the paths that read the trained state
+// again: delta[i] is exactly global[i] - w_i[i] (the model the party ended
+// the round with), the FedBN ablation zeroes the buffer tail and keeps the
+// trained statistics, and MOON's history is the trained state.
+func TestDeltaIsGlobalMinusTrainedState(t *testing.T) {
+	cases := map[string]func(*Config){
+		"scaffold-gradient": func(c *Config) { c.Algorithm, c.Variant = Scaffold, ScaffoldGradient },
+		"keep-bn":           func(c *Config) { c.KeepBNStatsLocal = true },
+	}
+	for _, alg := range ExtendedAlgorithms() {
+		cases[string(alg)] = func(c *Config) { c.Algorithm = alg }
+	}
+	train, _, err := data.Load("mnist", data.Config{TrainN: 96, TestN: 10, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := nn.ModelSpec{Kind: nn.KindVGG, Channels: 1, Height: 16, Width: 16, Classes: 10}
+	for name, mod := range cases {
+		cfg := quickCfg(FedAvg)
+		mod(&cfg)
+		cfg, err := cfg.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := NewClient(0, train, spec, rng.New(5))
+		global := nn.Build(spec, rng.New(6)).State()
+		paramLen := cl.ParamCount()
+		var serverC []float64
+		if cfg.Algorithm == Scaffold {
+			serverC = make([]float64, paramLen)
+		}
+		for round := 0; round < 2; round++ { // round 1 exercises localBN / prevState / c_i carried over
+			p := cl.TrainStream(global, serverC, cfg)
+			trained := cl.model.State()
+			delta := p.Update().Delta
+			for i := range delta {
+				want := global[i] - trained[i]
+				if cfg.KeepBNStatsLocal && i >= paramLen {
+					want = 0
+				}
+				if delta[i] != want {
+					t.Fatalf("%s round %d: delta[%d] = %v, want %v", name, round, i, delta[i], want)
+				}
+			}
+			if cfg.KeepBNStatsLocal && !slices.Equal(cl.localBN, trained[paramLen:]) {
+				t.Fatalf("%s round %d: localBN is not the trained batch-norm statistics", name, round)
+			}
+			if cfg.Algorithm == Moon && !slices.Equal(cl.prevState, trained) {
+				t.Fatalf("%s round %d: MOON's previous model is not the trained state", name, round)
+			}
+			p.Release()
+		}
+	}
+}
+
+// gatherAccuracy is evaluation the way the Evaluator did it before it
+// scored test rows in place: a replica from nn.Build (random init,
+// gradient tensors and all) and every batch gathered through BatchInto.
+// It is the reference TestEvaluatorViewsMatchGather compares against.
+func gatherAccuracy(spec nn.ModelSpec, test *data.Dataset, state []float64) float64 {
+	m := nn.Build(spec, rng.New(0xe7a1))
+	m.SetState(state)
+	x := tensor.EnsureOf(spec.DType, nil, 1, test.FeatLen)
+	var y, pred, idx []int
+	correct := 0
+	for start := 0; start < test.Len(); start += evalBatch {
+		idx = idx[:0]
+		for i := start; i < min(start+evalBatch, test.Len()); i++ {
+			idx = append(idx, i)
+		}
+		x, y = test.BatchInto(x, y, idx)
+		pred = nn.PredictInto(pred, m.Forward(spec.ShapeBatch(x), false))
+		for i := range pred {
+			if pred[i] == y[i] {
+				correct++
+			}
+		}
+	}
+	return float64(correct) / float64(test.Len())
+}
+
+// TestEvaluatorViewsMatchGather pins the zero-copy evaluation: on Float64
+// the Evaluator scores views of test.X through gradient-free replicas and
+// must agree with the gather path bit for bit — sharded or not, dense, conv
+// and batch-norm models alike — without ever writing the dataset it
+// borrows; Float32 still gathers (it has to narrow) and is unchanged.
+func TestEvaluatorViewsMatchGather(t *testing.T) {
+	hash := func(v []float64) uint64 {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, f := range v {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+			h.Write(b[:])
+		}
+		return h.Sum64()
+	}
+	for _, tc := range []struct {
+		dataset string
+		kind    nn.ModelKind
+	}{{"adult", nn.KindMLP}, {"mnist", nn.KindCNN}, {"mnist", nn.KindVGG}} {
+		// 700 rows: two full batches and a ragged third, so two shards
+		// split unevenly.
+		_, test, err := data.Load(tc.dataset, data.Config{TrainN: 50, TestN: 700, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := data.Model(tc.dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Kind = tc.kind
+		for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+			spec.DType = dt
+			state := nn.Build(spec, rng.New(123)).State()
+			want := gatherAccuracy(spec, test, state)
+			before := hash(test.X)
+			for _, workers := range []int{1, 2} {
+				ev := NewEvaluator(spec, test)
+				ev.SetCompute(tensor.Compute{Workers: workers})
+				for pass := 0; pass < 2; pass++ { // second pass reuses the shard scratch
+					if got := ev.Accuracy(state); got != want {
+						t.Fatalf("%s/%s/%v workers=%d pass %d: accuracy %v, gather path %v",
+							tc.dataset, tc.kind, dt, workers, pass, got, want)
+					}
+				}
+				for _, sh := range ev.shards {
+					for _, p := range sh.model.Params() {
+						if p.Grad != nil {
+							t.Fatalf("%s/%s/%v: eval replica carries a gradient tensor for %s", tc.dataset, tc.kind, dt, p.Name)
+						}
+					}
+					if dt == tensor.Float64 && (sh.yBuf != nil || sh.idx != nil) {
+						t.Fatalf("%s/%s: the Float64 path gathered a batch", tc.dataset, tc.kind)
+					}
+				}
+			}
+			if hash(test.X) != before {
+				t.Fatalf("%s/%s/%v: evaluation wrote to the test set", tc.dataset, tc.kind, dt)
+			}
+		}
 	}
 }
 

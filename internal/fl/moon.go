@@ -58,7 +58,7 @@ func (c *Client) localTrainMoon(global []float64, cfg Config, opt *optim.SGD, ws
 	if bs > n {
 		bs = n
 	}
-	xBuf := ws.GetOf(c.Spec.DType, bs, c.Data.FeatLen)
+	xBuf := ws.GetRaw(c.Spec.DType, bs, c.Data.FeatLen)
 
 	for epoch := 0; epoch < cfg.LocalEpochs; epoch++ {
 		c.r.Shuffle(idx)
@@ -107,13 +107,14 @@ func (c *Client) localTrainMoon(global []float64, cfg Config, opt *optim.SGD, ws
 		}
 	}
 
-	state := ws.Get(c.model.StateCount()).Data()
-	c.model.GetState(state)
-	delta := ws.Get(len(state)).Data()
+	// prevState is the one place the trained state must survive the round,
+	// so it receives it; the delta is then formed in its own buffer.
+	delta := ws.GetRaw(tensor.Float64, c.model.StateCount()).Data()
+	c.model.GetState(delta)
+	c.prevState = append(c.prevState[:0], delta...)
 	for i := range delta {
-		delta[i] = global[i] - state[i]
+		delta[i] = global[i] - delta[i]
 	}
-	c.prevState = append(c.prevState[:0], state...)
 	up := Update{Delta: delta, Tau: tau, N: n, TrainLoss: lastEpochLoss, Kept: c.model.ParamCount()}
 	if cfg.CompressTopK > 0 {
 		up.Kept = compressTopK(delta, c.model.ParamCount(), cfg.CompressTopK)

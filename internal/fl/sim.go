@@ -200,41 +200,31 @@ func (s *Simulation) GlobalState() []float64 { return s.server.State() }
 const evalBatch = 256
 
 // evalShard is one evaluation worker: layers cache per-call state inside
-// Forward, so concurrent evaluation needs a model replica (plus batch
-// scratch) per goroutine — that replica is what makes eval-mode Forward
-// reentrant across shards. All scratch is reused across rounds.
+// Forward, so concurrent evaluation needs a model replica per goroutine —
+// that replica is what makes eval-mode Forward reentrant across shards. A
+// Float64 model scores the test rows in place (x is a view of the
+// dataset, re-pointed per batch; eval-mode Forward never writes its
+// input); a Float32 model needs them narrowed, so x is batch scratch it
+// gathers into, with yBuf and idx beside it. All of it is reused across
+// rounds.
 type evalShard struct {
 	model *nn.Sequential
-	xBuf  *tensor.Tensor
-	yBuf  []int
+	x     *tensor.Tensor
 	pred  []int
-	idx   []int
+	yBuf  []int // Float32 only
+	idx   []int // Float32 only
 }
 
 // accuracyRange counts correct predictions on test samples [lo, hi).
 func (s *evalShard) accuracyRange(spec nn.ModelSpec, test *data.Dataset, state []float64, lo, hi int) int {
 	s.model.SetState(state)
-	if s.xBuf == nil {
-		// Pre-size to the model's dtype so BatchInto narrows for float32.
-		s.xBuf = tensor.EnsureOf(spec.DType, nil, min(evalBatch, hi-lo), test.FeatLen)
-	}
 	correct := 0
 	for start := lo; start < hi; start += evalBatch {
-		end := start + evalBatch
-		if end > hi {
-			end = hi
-		}
-		if cap(s.idx) < end-start {
-			s.idx = make([]int, 0, evalBatch)
-		}
-		s.idx = s.idx[:0]
-		for i := start; i < end; i++ {
-			s.idx = append(s.idx, i)
-		}
-		s.xBuf, s.yBuf = test.BatchInto(s.xBuf, s.yBuf, s.idx)
-		s.pred = nn.PredictInto(s.pred, s.model.Forward(spec.ShapeBatch(s.xBuf), false))
+		end := min(start+evalBatch, hi)
+		x, y := s.batch(spec.DType, test, start, end)
+		s.pred = nn.PredictInto(s.pred, s.model.Forward(spec.ShapeBatch(x), false))
 		for i := range s.pred {
-			if s.pred[i] == s.yBuf[i] {
+			if s.pred[i] == y[i] {
 				correct++
 			}
 		}
@@ -242,11 +232,32 @@ func (s *evalShard) accuracyRange(spec nn.ModelSpec, test *data.Dataset, state [
 	return correct
 }
 
+// batch returns test rows [start, end) as a model input plus their labels.
+// The rows are contiguous, so Float64 gets zero-copy views of the dataset
+// (one view tensor, re-pointed per batch, because ShapeBatch reshapes it
+// in place); Float32 keeps BatchInto's narrowing copy.
+func (s *evalShard) batch(dt tensor.DType, test *data.Dataset, start, end int) (*tensor.Tensor, []int) {
+	if dt == tensor.Float64 {
+		s.x = tensor.ViewInto(s.x, test.X[start*test.FeatLen:end*test.FeatLen], end-start, test.FeatLen)
+		return s.x, test.Y[start:end]
+	}
+	if s.x == nil {
+		// Sized to the model's dtype so BatchInto narrows into it.
+		s.x = tensor.EnsureOf(dt, nil, end-start, test.FeatLen)
+	}
+	s.idx = s.idx[:0]
+	for i := start; i < end; i++ {
+		s.idx = append(s.idx, i)
+	}
+	s.x, s.yBuf = test.BatchInto(s.x, s.yBuf, s.idx)
+	return s.x, s.yBuf
+}
+
 // Evaluator measures test accuracy of a model state. The test set is
 // sharded across the evaluator's compute budget (all cores by default)
-// between rounds, each shard owning a model replica and its batch scratch
-// (reused across calls), so evaluation uses its core share while staying
-// essentially allocation-free.
+// between rounds, each shard owning an inference-only model replica (one
+// state vector: no gradients, see nn.BuildInference), so evaluation uses
+// its core share while staying essentially allocation-free.
 type Evaluator struct {
 	spec   nn.ModelSpec
 	test   *data.Dataset
@@ -265,12 +276,10 @@ func NewEvaluator(spec nn.ModelSpec, test *data.Dataset) *Evaluator {
 // concurrent runs in one process evaluate within their core shares.
 func (e *Evaluator) SetCompute(c tensor.Compute) { e.cmp = c }
 
-// shard returns the i-th worker, growing the replica list on demand. The
-// replica weights are overwritten by SetState every call, so the init RNG
-// seed does not matter.
+// shard returns the i-th worker, growing the replica list on demand.
 func (e *Evaluator) shard(i int) *evalShard {
 	for len(e.shards) <= i {
-		e.shards = append(e.shards, &evalShard{model: nn.Build(e.spec, rng.New(0xe7a1))})
+		e.shards = append(e.shards, &evalShard{model: nn.BuildInference(e.spec)})
 	}
 	return e.shards[i]
 }

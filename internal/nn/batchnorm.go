@@ -42,12 +42,18 @@ func NewBatchNorm(features int) *BatchNorm {
 
 // NewBatchNormOf is NewBatchNorm with an explicit compute dtype.
 func NewBatchNormOf(dt tensor.DType, features int) *BatchNorm {
+	return newBatchNorm(dt, features, true)
+}
+
+// newBatchNorm is NewBatchNormOf with the gradient accumulators optional
+// (see newParam).
+func newBatchNorm(dt tensor.DType, features int, grad bool) *BatchNorm {
 	bn := &BatchNorm{
 		Features: features,
 		Momentum: 0.1,
 		Eps:      1e-5,
-		Gamma:    newParam(dt, "bn.gamma", features),
-		Beta:     newParam(dt, "bn.beta", features),
+		Gamma:    newParam(dt, grad, "bn.gamma", features),
+		Beta:     newParam(dt, grad, "bn.beta", features),
 		RunMean:  &Buffer{Name: "bn.runMean", Data: tensor.NewOf(dt, features)},
 		RunVar:   &Buffer{Name: "bn.runVar", Data: tensor.NewOf(dt, features)},
 		dt:       dt,

@@ -45,8 +45,8 @@ func NewConv2D(inC, outC, kh, kw, stride, pad int, r *rng.RNG) *Conv2D {
 func NewConv2DOf(dt tensor.DType, inC, outC, kh, kw, stride, pad int, r *rng.RNG) *Conv2D {
 	c := &Conv2D{
 		InC: inC, OutC: outC, KH: kh, KW: kw, Stride: stride, Pad: pad,
-		W:  newParam(dt, "conv.W", inC*kh*kw, outC),
-		B:  newParam(dt, "conv.b", outC),
+		W:  newParam(dt, r != nil, "conv.W", inC*kh*kw, outC),
+		B:  newParam(dt, r != nil, "conv.b", outC),
 		dt: dt,
 	}
 	initHeUniform(c.W.Data, inC*kh*kw, r)

@@ -8,8 +8,12 @@ import (
 )
 
 // initHeUniform fills a parameter tensor with He-uniform values drawn
-// from r, whatever the tensor's dtype.
+// from r, whatever the tensor's dtype. A nil r marks an inference replica
+// (BuildInference): its weights stay zero for SetState to fill.
 func initHeUniform(t *tensor.Tensor, fanIn int, r *rng.RNG) {
+	if r == nil {
+		return
+	}
 	bound := math.Sqrt(6.0 / float64(fanIn))
 	if t.DType() == tensor.Float32 {
 		w := t.Data32()
@@ -47,7 +51,7 @@ func NewDense(in, out int, r *rng.RNG) *Dense {
 // NewDenseOf is NewDense with an explicit compute dtype for the
 // parameters, gradients and layer scratch.
 func NewDenseOf(dt tensor.DType, in, out int, r *rng.RNG) *Dense {
-	d := &Dense{W: newParam(dt, "dense.W", in, out), B: newParam(dt, "dense.b", out), dt: dt}
+	d := &Dense{W: newParam(dt, r != nil, "dense.W", in, out), B: newParam(dt, r != nil, "dense.b", out), dt: dt}
 	initHeUniform(d.W.Data, in, r)
 	return d
 }

@@ -41,8 +41,15 @@ type Param struct {
 	Grad *tensor.Tensor
 }
 
-func newParam(dt tensor.DType, name string, shape ...int) *Param {
-	return &Param{Name: name, Data: tensor.NewOf(dt, shape...), Grad: tensor.NewOf(dt, shape...)}
+// newParam allocates a parameter; grad is false only on an inference
+// replica (BuildInference, which hands the constructors a nil RNG): it
+// never runs backward and so carries no gradient accumulator.
+func newParam(dt tensor.DType, grad bool, name string, shape ...int) *Param {
+	p := &Param{Name: name, Data: tensor.NewOf(dt, shape...)}
+	if grad {
+		p.Grad = tensor.NewOf(dt, shape...)
+	}
+	return p
 }
 
 // Buffer is non-learnable model state (e.g. batch-norm running mean) that

@@ -35,15 +35,15 @@ func NewResidual(inC, outC int, r *rng.RNG) *Residual {
 func NewResidualOf(dt tensor.DType, inC, outC int, r *rng.RNG) *Residual {
 	blk := &Residual{
 		conv1:   NewConv2DOf(dt, inC, outC, 3, 3, 1, 1, r),
-		bn1:     NewBatchNormOf(dt, outC),
+		bn1:     newBatchNorm(dt, outC, r != nil),
 		relu1:   NewReLU(),
 		conv2:   NewConv2DOf(dt, outC, outC, 3, 3, 1, 1, r),
-		bn2:     NewBatchNormOf(dt, outC),
+		bn2:     newBatchNorm(dt, outC, r != nil),
 		reluOut: NewReLU(),
 	}
 	if inC != outC {
 		blk.proj = NewConv2DOf(dt, inC, outC, 1, 1, 1, 0, r)
-		blk.projBN = NewBatchNormOf(dt, outC)
+		blk.projBN = newBatchNorm(dt, outC, r != nil)
 	}
 	return blk
 }

@@ -61,8 +61,14 @@ func (s ModelSpec) ShapeBatch(x *tensor.Tensor) *tensor.Tensor {
 	return x.ReshapeInPlace(x.Dim(0), s.Channels, s.Height, s.Width)
 }
 
+// BuildInference constructs the model for evaluation only: weights start
+// at zero for the caller's SetState to fill, and no parameter carries a
+// gradient tensor, so a replica costs one state vector. Backward and
+// ZeroGrads must not be called on it.
+func BuildInference(s ModelSpec) *Sequential { return Build(s, nil) }
+
 // Build constructs the model described by the spec, drawing initial
-// weights from r.
+// weights from r (nil is BuildInference).
 func Build(s ModelSpec, r *rng.RNG) *Sequential {
 	switch s.Kind {
 	case KindCNN:
@@ -126,14 +132,14 @@ func buildVGG(s ModelSpec, r *rng.RNG) *Sequential {
 	h, w := s.Height/2/2, s.Width/2/2
 	return NewSequential(
 		NewConv2DOf(s.DType, s.Channels, 16, 3, 3, 1, 1, r),
-		NewBatchNormOf(s.DType, 16),
+		newBatchNorm(s.DType, 16, r != nil),
 		NewReLU(),
 		NewConv2DOf(s.DType, 16, 16, 3, 3, 1, 1, r),
-		NewBatchNormOf(s.DType, 16),
+		newBatchNorm(s.DType, 16, r != nil),
 		NewReLU(),
 		NewMaxPool2D(2, 2),
 		NewConv2DOf(s.DType, 16, 32, 3, 3, 1, 1, r),
-		NewBatchNormOf(s.DType, 32),
+		newBatchNorm(s.DType, 32, r != nil),
 		NewReLU(),
 		NewMaxPool2D(2, 2),
 		NewFlatten(),
@@ -147,7 +153,7 @@ func buildResNet(s ModelSpec, r *rng.RNG) *Sequential {
 	h, w := s.Height/2/2, s.Width/2/2
 	return NewSequential(
 		NewConv2DOf(s.DType, s.Channels, 8, 3, 3, 1, 1, r),
-		NewBatchNormOf(s.DType, 8),
+		newBatchNorm(s.DType, 8, r != nil),
 		NewReLU(),
 		NewResidualOf(s.DType, 8, 16, r),
 		NewMaxPool2D(2, 2),

@@ -1,0 +1,255 @@
+package simnet
+
+import (
+	"net"
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/niid-bench/niidbench/internal/data"
+	"github.com/niid-bench/niidbench/internal/fl"
+	"github.com/niid-bench/niidbench/internal/nn"
+)
+
+// scribbleConn makes Conn.Recv's lending rule bite: the moment the next
+// Recv is called it overwrites the slice the previous one returned, as a
+// conn that reads every frame into one buffer would. A receiver that
+// still holds undecoded bytes of an earlier frame reads all-ones: absurd
+// header fields and NaN payloads, which no run survives unnoticed.
+type scribbleConn struct {
+	Conn
+	lent []byte
+}
+
+func scribbled(c Conn) Conn { return &scribbleConn{Conn: c} }
+
+func (s *scribbleConn) Recv() ([]byte, error) {
+	for i := range s.lent {
+		s.lent[i] = 0xFF
+	}
+	b, err := s.Conn.Recv()
+	s.lent = b
+	return b, err
+}
+
+func (s *scribbleConn) SetReadDeadline(t time.Time) error {
+	if d, ok := s.Conn.(readDeadliner); ok {
+		return d.SetReadDeadline(t)
+	}
+	return nil
+}
+
+func (s *scribbleConn) SetRecvLimit(n uint32) {
+	if l, ok := s.Conn.(recvLimiter); ok {
+		l.SetRecvLimit(n)
+	}
+}
+
+// runScribbledTCP federates over loopback TCP with a scribbleConn around
+// both ends of every socket. AcceptAndRun has no seam for wrapping the
+// server's side, so the server here accepts its parties itself and runs
+// the serial handshake (greet) on the wrapped conns — the same readHello,
+// admission rule, schedulers and readers, without the rejoin listener.
+func runScribbledTCP(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset) *fl.Result {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	fed, err := newFederation(cfg, spec, test, len(locals), ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, partyErrs, err := runInProcess(len(locals),
+		func() (*fl.Result, error) {
+			conns := make([]*CountingConn, len(locals))
+			for i := range conns {
+				c, err := l.Accept()
+				if err != nil {
+					return nil, err
+				}
+				conns[i] = NewCountingConn(scribbled(NewTCPConn(c)))
+			}
+			return fed.servePipes(conns)
+		},
+		func(i int) error {
+			return servePartyTCP(l.Addr().String(), i, locals[i], spec, fed.Cfg, scribbled)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportErrs(t, partyErrs)
+	return res
+}
+
+// TestRecvBorrowContract runs whole federations with every received frame
+// destroyed the moment its receiver asks for the next one. Nothing may
+// change: every Recv call site — the server's hello and update readers,
+// the party's downlink reader and resync read — decodes a frame before it
+// reads again, which is what lets tcpConn reuse one receive buffer.
+func TestRecvBorrowContract(t *testing.T) {
+	cfg, locals, test := smallFederation(t)
+	spec, _ := data.Model("adult")
+	cfg.Rounds, cfg.ChunkSize, cfg.Mu = 3, 256, 0.01
+	// sameBytes is false for the run that heals a conn loss: the resync and
+	// the re-sent broadcast are extra traffic by design.
+	same := func(t *testing.T, got, ref *fl.Result, sameBytes bool) {
+		t.Helper()
+		if !slices.Equal(got.FinalState, ref.FinalState) || got.FinalAccuracy != ref.FinalAccuracy {
+			t.Fatalf("a borrowed frame was read after its conn's next Recv: final state or accuracy (%v vs %v) differs from the unwrapped run",
+				got.FinalAccuracy, ref.FinalAccuracy)
+		}
+		if sameBytes && got.TotalCommBytes != ref.TotalCommBytes {
+			t.Fatalf("moved %d bytes, unwrapped run %d", got.TotalCommBytes, ref.TotalCommBytes)
+		}
+	}
+	for _, algo := range fl.ExtendedAlgorithms() {
+		t.Run("sync/"+string(algo), func(t *testing.T) {
+			c := cfg
+			c.Algorithm = algo
+			same(t, runScribbledTCP(t, c, spec, locals, test), mustLoopback(t, c, spec, locals, test, ServerOptions{}, nil), true)
+		})
+	}
+	t.Run("sync/chunk=0", func(t *testing.T) {
+		// One frame per vector: the frames that outgrow the buffer a
+		// tcpConn keeps.
+		c := cfg
+		c.Algorithm, c.ChunkSize = fl.Scaffold, 0
+		same(t, runScribbledTCP(t, c, spec, locals, test), mustLoopback(t, c, spec, locals, test, ServerOptions{}, nil), true)
+	})
+	t.Run("async", func(t *testing.T) {
+		c := cfg
+		c.Algorithm, c.AsyncBuffer, c.Rounds = fl.Scaffold, 2, 8
+		res := runScribbledTCP(t, c, spec, locals, test)
+		norm, err := c.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Arrival order is not reproducible, so there is no reference run:
+		// the schedule must complete with every fold counted, no eviction
+		// (reportErrs) and a finite model.
+		assertAsyncInvariants(t, res, norm, len(locals))
+	})
+	t.Run("rejoin", func(t *testing.T) {
+		// A party dies after round 0 and rejoins: its second conn opens
+		// with the ResyncMsg (SCAFFOLD's c_i rides it), read through the
+		// same lending rule. The party side is wrapped; the server is the
+		// real AcceptAndRun, whose listener the rejoin needs.
+		c := cfg
+		c.Algorithm = fl.Scaffold
+		c.MinParties, c.QuorumRetries, c.QuorumRetryWait = 3, 300, 10*time.Millisecond
+		same(t, runRejoinTCP(t, c, locals, test, 1, scribbled), mustLoopback(t, c, spec, locals, test, ServerOptions{}, nil), false)
+	})
+}
+
+// TestTCPConnReceiveBuffer pins what tcpConn keeps: frames up to recvKeep
+// land in one buffer the conn owns (so steady-state receiving allocates
+// nothing), a larger frame — whole-vector framing — gets a one-off buffer
+// that is not retained, and in both cases the bytes are the sender's.
+func TestTCPConnReceiveBuffer(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sizes := []int{100, 4096, 100, recvKeep, recvKeep + 1, 7}
+	sent := make(chan error, 1)
+	go func() {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			sent <- err
+			return
+		}
+		defer c.Close()
+		conn := NewTCPConn(c)
+		for i, n := range sizes {
+			b := make([]byte, n)
+			for j := range b {
+				b[j] = byte(i + j)
+			}
+			if err := conn.Send(b); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	c, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn := NewTCPConn(c).(*tcpConn)
+	for i, n := range sizes {
+		b, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != n {
+			t.Fatalf("frame %d: %d bytes, want %d", i, len(b), n)
+		}
+		for j := range b {
+			if b[j] != byte(i+j) {
+				t.Fatalf("frame %d byte %d: %d, want %d", i, j, b[j], byte(i+j))
+			}
+		}
+		owned := n > 0 && cap(conn.rbuf) > 0 && &b[0] == &conn.rbuf[:1][0]
+		if want := n <= recvKeep; owned != want {
+			t.Fatalf("frame %d (%d bytes): read into the conn's own buffer = %v, want %v", i, n, owned, want)
+		}
+		if cap(conn.rbuf) > recvKeep {
+			t.Fatalf("frame %d: the conn retains %d bytes, cap is %d", i, cap(conn.rbuf), recvKeep)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGlobalFramesExactlySized pins the encode-once cache's footprint: a
+// codec's frame set is one allocation of exactly its wire bytes, each
+// frame a full-capacity window of it holding what Marshal would have
+// produced.
+func TestGlobalFramesExactlySized(t *testing.T) {
+	state := make([]float64, 1001)
+	for i := range state {
+		state[i] = float64(i%17) - 8
+	}
+	control := state[:333]
+	for _, chunk := range []int{0, 1, 7, 250, 5000} {
+		for codec := byte(0); codec < 4; codec++ {
+			frames, err := newGlobalFrames(3, state, control, 2, chunk).frames(codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, fr := range frames {
+				if len(fr) != cap(fr) {
+					t.Fatalf("chunk %d %s frame %d: len %d cap %d", chunk, codecName(codec), i, len(fr), cap(fr))
+				}
+				m, p, err := parseGlobalChunk(fr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Marshal(GlobalChunkMsg{Round: 3, Offset: m.Offset, Total: len(state) + len(control), CtrlLen: len(control),
+					Budget: 2, Chunk: chunk, Last: m.Last, Codec: codec, Payload: append(state[:len(state):len(state)], control...)[m.Offset : m.Offset+p.count]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(fr, want) {
+					t.Fatalf("chunk %d %s frame %d differs from Marshal's encoding", chunk, codecName(codec), i)
+				}
+				if n, err := globalChunkLen(codec, p.count); err != nil || n != len(fr) {
+					t.Fatalf("chunk %d %s: globalChunkLen(%d) = %d, %v; the frame is %d bytes", chunk, codecName(codec), p.count, n, err, len(fr))
+				}
+			}
+			// One arena and one slice of windows, however many frames; what
+			// is left per frame is AppendMarshal boxing its message.
+			if allocs := testing.AllocsPerRun(1, func() {
+				_, _ = newGlobalFrames(3, state, control, 2, chunk).frames(codec)
+			}); allocs > float64(len(frames)+8) {
+				t.Fatalf("chunk %d %s: encoding %d frames took %v allocations", chunk, codecName(codec), len(frames), allocs)
+			}
+		}
+	}
+}

@@ -223,8 +223,12 @@ func (k *rstConn) Send(b []byte) error {
 
 // dropoutParty runs one party that completes round 0, kills its own
 // connection with an RST, then immediately redials as a rejoin and serves
-// the rest of the federation on the same in-process session.
-func dropoutParty(t *testing.T, addr string, id int, ds *data.Dataset, spec nn.ModelSpec, cfg fl.Config) {
+// the rest of the federation on the same in-process session. wrap, when
+// non-nil, goes around both of its sockets.
+func dropoutParty(t *testing.T, addr string, id int, ds *data.Dataset, spec nn.ModelSpec, cfg fl.Config, wrap func(Conn) Conn) {
+	if wrap == nil {
+		wrap = func(c Conn) Conn { return c }
+	}
 	t.Helper()
 	s, err := newPartySession(id, ds, spec, cfg, PartySeed(cfg.Seed, id))
 	if err != nil {
@@ -236,7 +240,7 @@ func dropoutParty(t *testing.T, addr string, id int, ds *data.Dataset, spec nn.M
 		t.Errorf("dropout party %d dial: %v", id, err)
 		return
 	}
-	kc := &rstConn{Conn: NewTCPConn(c), tcp: c.(*net.TCPConn)}
+	kc := &rstConn{Conn: wrap(NewTCPConn(c)), tcp: c.(*net.TCPConn)}
 	if err := s.run(kc, "", false, 0); err == nil {
 		t.Errorf("dropout party %d finished cleanly before its kill fired", id)
 		return
@@ -247,7 +251,7 @@ func dropoutParty(t *testing.T, addr string, id int, ds *data.Dataset, spec nn.M
 		return
 	}
 	defer c2.Close()
-	if err := s.run(NewTCPConn(c2), "", true, 0); err != nil {
+	if err := s.run(wrap(NewTCPConn(c2)), "", true, 0); err != nil {
 		t.Errorf("rejoined party %d: %v", id, err)
 	}
 }
@@ -268,8 +272,9 @@ func (l *laggardConn) Send(b []byte) error {
 }
 
 // runRejoinTCP runs a TCP federation where party `dropIdx` dies
-// after round 0 and rejoins; the other parties serve normally.
-func runRejoinTCP(t *testing.T, cfg fl.Config, locals []*data.Dataset, test *data.Dataset, dropIdx int) *fl.Result {
+// after round 0 and rejoins; the other parties serve normally. wrap, when
+// non-nil, goes around every party-side socket.
+func runRejoinTCP(t *testing.T, cfg fl.Config, locals []*data.Dataset, test *data.Dataset, dropIdx int, wrap func(Conn) Conn) *fl.Result {
 	t.Helper()
 	spec, _ := data.Model("adult")
 	ln := mustListen(t)
@@ -278,10 +283,13 @@ func runRejoinTCP(t *testing.T, cfg fl.Config, locals []*data.Dataset, test *dat
 	ln.RejoinGrace = 5 * time.Second
 	res, partyErrs, err := federateTCP(ln, len(locals), cfg, spec, test, len(locals), func(i int) error {
 		if i == dropIdx {
-			dropoutParty(t, ln.Addr(), i, locals[i], spec, cfg)
+			dropoutParty(t, ln.Addr(), i, locals[i], spec, cfg, wrap)
 			return nil
 		}
 		return servePartyTCP(ln.Addr(), i, locals[i], spec, cfg, func(conn Conn) Conn {
+			if wrap != nil {
+				conn = wrap(conn)
+			}
 			if i == 0 {
 				// Hold round 0's fold open so the dropout's rejoin hello is
 				// queued before the server starts round 1.
@@ -325,7 +333,7 @@ func TestRejoinBitwiseAllAlgorithms(t *testing.T) {
 				MinParties: 3, QuorumRetries: 300, QuorumRetryWait: 10 * time.Millisecond,
 			}
 			ref := runChunkedTCP(t, cfg, locals, test)
-			got := runRejoinTCP(t, cfg, locals, test, 1)
+			got := runRejoinTCP(t, cfg, locals, test, 1, nil)
 			if len(got.Curve) != cfg.Rounds {
 				t.Fatalf("completed %d/%d rounds", len(got.Curve), cfg.Rounds)
 			}
@@ -441,7 +449,7 @@ func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
 		c := cfg
 		c.MinParties, c.QuorumRetries, c.QuorumRetryWait = 3, 300, 10*time.Millisecond
 		ref := runChunkedTCP(t, c, locals, test)
-		got := runRejoinTCP(t, c, locals, test, 1)
+		got := runRejoinTCP(t, c, locals, test, 1, nil)
 		for _, m := range got.Curve {
 			if len(m.Dropped) != 0 || len(m.Sampled) != 3 {
 				t.Fatalf("round %d sampled %v dropped %v despite rejoin", m.Round, m.Sampled, m.Dropped)

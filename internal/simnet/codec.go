@@ -282,6 +282,18 @@ func appendChunkPayload(b []byte, codec byte, v []float64) ([]byte, error) {
 	return b, nil
 }
 
+// globalChunkLen is the encoded size of a GlobalChunkMsg frame carrying n
+// elements in the given codec, so a frame set can be sized before it is
+// encoded.
+func globalChunkLen(codec byte, n int) (int, error) {
+	const header = 1 + 6*4 + 1 // tag, six uint32 fields, flags
+	if codec == wireCodecF64 {
+		return header + 4 + 8*n, nil
+	}
+	q, err := quantizedLen(codec, n)
+	return header + 4 + 8 + q, err // count, scale, packed payload
+}
+
 // chunkPayload is a chunk frame's still-encoded tail: a view into the
 // received frame, validated for size, that decodes into a caller-chosen
 // destination — the assembly buffer at the frame's offset, so no frame is

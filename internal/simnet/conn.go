@@ -25,9 +25,13 @@ type recvLimiter interface {
 }
 
 // Conn is a reliable, message-oriented duplex link between the server and
-// one party.
+// one party. A conn has at most one sender and one receiver at a time.
 type Conn interface {
 	Send(b []byte) error
+	// Recv returns the next message. The slice is borrowed: it is valid
+	// only until the next Recv on the same Conn, because an implementation
+	// may read every message into one buffer it owns (tcpConn does).
+	// Receivers decode, or copy, before they read again.
 	Recv() ([]byte, error)
 	Close() error
 }
@@ -110,7 +114,16 @@ type tcpConn struct {
 	// max bounds accepted frame sizes (see SetRecvLimit); atomic so the
 	// round loop can tighten it while a receiver goroutine reads.
 	max atomic.Uint32
+	// rbuf is the buffer Recv lends out (see Conn.Recv); it grows to the
+	// largest frame seen, up to recvKeep.
+	rbuf []byte
 }
+
+// recvKeep caps the receive buffer a tcpConn retains: enough for a frame
+// at the default -chunk 65536 (512 KiB of payload plus its header).
+// Larger frames — whole-vector framing at -chunk 0 — are read into a
+// one-off allocation, so K conns never pin K state-length buffers.
+const recvKeep = 1 << 20
 
 // NewTCPConn wraps a net.Conn in length-prefixed message framing.
 func NewTCPConn(c net.Conn) Conn {
@@ -136,10 +149,10 @@ func (t *tcpConn) SetRecvLimit(n uint32) {
 func (t *tcpConn) Send(b []byte) error {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := t.c.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := t.c.Write(b)
+	// One writev for prefix and body: with TCP_NODELAY two Writes are two
+	// syscalls and a 4-byte segment that wakes the peer for nothing.
+	v := net.Buffers{hdr[:], b}
+	_, err := v.WriteTo(t.c)
 	return err
 }
 
@@ -152,7 +165,14 @@ func (t *tcpConn) Recv() ([]byte, error) {
 	if max := t.max.Load(); n > max {
 		return nil, fmt.Errorf("simnet: message of %d bytes exceeds limit %d", n, max)
 	}
-	b := make([]byte, n)
+	b := t.rbuf
+	if int(n) > cap(b) {
+		b = make([]byte, n)
+		if n <= recvKeep {
+			t.rbuf = b
+		}
+	}
+	b = b[:n]
 	if _, err := io.ReadFull(t.c, b); err != nil {
 		return nil, err
 	}

@@ -8,18 +8,29 @@ import (
 
 // This file is the party side of the pipelined downlink: a dedicated
 // reader goroutine owns the connection's Recv and hands the training
-// loop incomingGlobal handles through a small buffered queue, so the
-// next round's broadcast is received (and reassembled) while the current
-// round still trains — and the handle is published after the FIRST frame,
-// so training can start on the in-order state prefix while later chunks
-// are still in flight (see fl.StreamedGlobal / Client.TrainStreamPrefixed).
+// loop incomingGlobal handles through a one-item, latest-wins slot, so
+// the next round's broadcast is received (and reassembled) while the
+// current round still trains — and the handle is published after the
+// FIRST frame, so training can start on the in-order state prefix while
+// later chunks are still in flight (see fl.StreamedGlobal /
+// Client.TrainStreamPrefixed).
 //
 // In synchronous mode the server never sends round N+1 before round N's
-// reply, so the queue never holds more than one item and the observable
-// behavior — computation, bytes, errors — is exactly the lockstep
-// loop's. The buffering only pays off when the server runs ahead:
-// buffered-async mode, where the trainer conflates the queue down to the
-// newest generation.
+// reply, so the slot is never overwritten and the observable behavior —
+// computation, bytes, errors — is exactly the lockstep loop's. The slot
+// only pays off when the server runs ahead: buffered-async mode, where a
+// broadcast the trainer has not picked up yet is superseded by the next
+// one, so the party always trains on the newest generation that reached
+// it and the reader never stalls the socket.
+//
+// A session therefore holds at most maxDownlinkBufs assembly buffers
+// however fast generations arrive: the one being trained on, the one
+// waiting in the slot, and the one the reader is filling (which takes the
+// slot over as soon as its first frame validates).
+
+// maxDownlinkBufs is the most state-length downlink assembly buffers one
+// party session ever holds, and the capacity of its free list.
+const maxDownlinkBufs = 3
 
 // incomingGlobal is one round broadcast being (or already) received. It
 // implements fl.StreamedGlobal: state fills front-to-back as chunks
@@ -146,29 +157,36 @@ type dlItem struct {
 // downlinkReader owns one connection's receive direction for the
 // session's lifetime on that conn.
 type downlinkReader struct {
-	conn  Conn
-	max   int // bound for a declared stream length (state + param control)
-	ready chan dlItem
-	free  chan []float64
-	quit  chan struct{}
+	conn Conn
+	max  int // bound for a declared stream length (state + param control)
+	free chan []float64
+	quit chan struct{}
 	// clearDeadline, when non-nil, is called after the first received
 	// frame to lift the hello deadline — the server answered; round gaps
 	// are its RoundTimeout's business.
 	clearDeadline func()
+
+	// slot is the one event waiting for the training loop; a newer event
+	// overwrites it (see push). wake has room for one token and holds one
+	// whenever the slot was filled since next last looked.
+	mu   sync.Mutex
+	slot dlItem
+	full bool
+	wake chan struct{}
 }
 
 func newDownlinkReader(conn Conn, max int, free chan []float64, clearDeadline func()) *downlinkReader {
 	return &downlinkReader{
 		conn: conn, max: max, free: free,
-		ready:         make(chan dlItem, 4),
 		quit:          make(chan struct{}),
+		wake:          make(chan struct{}, 1),
 		clearDeadline: clearDeadline,
 	}
 }
 
-// stop ends the reader: wakes a parked push and best-effort unblocks an
-// in-flight Recv. The conn close that follows every session teardown is
-// the hard guarantee.
+// stop ends the reader: later pushes are refused and an in-flight Recv is
+// best-effort unblocked. The conn close that follows every session
+// teardown is the hard guarantee.
 func (r *downlinkReader) stop() {
 	close(r.quit)
 	if dl, ok := r.conn.(readDeadliner); ok {
@@ -176,47 +194,50 @@ func (r *downlinkReader) stop() {
 	}
 }
 
-// push delivers an item unless the session is tearing down. Reports
-// whether the item was delivered.
+// push publishes an item unless the session is tearing down, and reports
+// whether it did. It never blocks: a broadcast still waiting in the slot
+// is superseded — by a newer generation or by the terminal event, which
+// takes precedence over a stale broadcast — and released. The reader
+// finishes one stream before it starts the next, so a superseded
+// broadcast is always complete (or failed) and releasing it never waits.
+// In sync mode the slot is empty whenever a broadcast arrives.
 func (r *downlinkReader) push(it dlItem) bool {
 	select {
-	case r.ready <- it:
-		return true
 	case <-r.quit:
 		return false
+	default:
 	}
+	r.mu.Lock()
+	old := r.slot
+	r.slot, r.full = it, true
+	r.mu.Unlock()
+	if old.g != nil {
+		old.g.Release()
+	}
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+	return true
 }
 
-// next returns the next event, conflating a backlog down to the newest
-// complete broadcast (releasing the ones superseded). Only the last
-// queued broadcast can be incomplete — the reader finishes one stream
-// before starting the next — so releasing earlier ones never blocks. A
-// queued terminal event takes precedence over a stale broadcast. In sync
-// mode the queue never holds two broadcasts, so conflation never fires.
+// next returns the newest event, blocking until there is one.
 func (r *downlinkReader) next() dlItem {
-	it := <-r.ready
 	for {
-		select {
-		case n := <-r.ready:
-			if n.err != nil || n.shutdown {
-				if it.g != nil {
-					it.g.Release()
-				}
-				return n
-			}
-			if it.g != nil {
-				it.g.Release()
-			}
-			it = n
-		default:
+		r.mu.Lock()
+		it, ok := r.slot, r.full
+		r.slot, r.full = dlItem{}, false
+		r.mu.Unlock()
+		if ok {
 			return it
 		}
+		<-r.wake
 	}
 }
 
-// takeBuf returns a free assembly buffer, growing a fresh one when the
-// list is empty (a buffer was lost to an aborted session — the list
-// self-heals instead of starving).
+// takeBuf returns a free assembly buffer, or nil when the list is empty
+// and the caller must grow a fresh one (a session's first rounds, or a
+// buffer lost to an aborted session — the list self-heals).
 func (r *downlinkReader) takeBuf() []float64 {
 	select {
 	case b := <-r.free:

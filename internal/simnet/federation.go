@@ -258,8 +258,21 @@ func (b *globalFrames) frames(codec byte) ([][]byte, error) {
 	s.once.Do(func() {
 		gm := b.gm
 		total := len(gm.State) + len(gm.Control)
+		// The whole set is encoded into one exactly sized allocation, the
+		// frames being consecutive windows of it: a codec's broadcast costs
+		// its wire bytes, not a grown-by-append buffer per frame.
+		size, count := 0, 0
+		s.err = fl.ChunkStream(gm.State, gm.Control, gm.Chunk, func(_ int, c []float64) error {
+			n, err := globalChunkLen(codec, len(c))
+			size, count = size+n, count+1
+			return err
+		})
+		if s.err != nil {
+			return
+		}
+		arena, fr := make([]byte, 0, size), make([][]byte, 0, count)
 		s.err = fl.ChunkStream(gm.State, gm.Control, gm.Chunk, func(off int, c []float64) error {
-			enc, err := Marshal(GlobalChunkMsg{
+			enc, err := AppendMarshal(arena, GlobalChunkMsg{
 				Round: gm.Round, Offset: off, Total: total, CtrlLen: len(gm.Control),
 				Budget: gm.Budget, Chunk: gm.Chunk, Last: off+len(c) == total,
 				Codec: codec, Payload: c,
@@ -267,9 +280,11 @@ func (b *globalFrames) frames(codec byte) ([][]byte, error) {
 			if err != nil {
 				return err
 			}
-			s.fr = append(s.fr, enc)
+			fr = append(fr, enc[len(arena):len(enc):len(enc)])
+			arena = enc
 			return nil
 		})
+		s.fr = fr
 	})
 	return s.fr, s.err
 }

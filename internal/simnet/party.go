@@ -51,8 +51,9 @@ type partySession struct {
 	frame  []byte // reused chunk-frame encode buffer
 	// dlFree recycles downlink assembly buffers across rounds and
 	// reconnects; the downlink reader draws from it and Release returns
-	// to it, so a steady synchronous session holds one state-length
-	// buffer, and a pipelined one at most the few in flight.
+	// to it. A synchronous session holds at most two state-length
+	// buffers (the next round's first frame can land before this round's
+	// is released), an async one at most maxDownlinkBufs.
 	dlFree chan []float64
 	hello  HelloMsg // identity fields; Rejoin varies per attempt
 	// progressed flips once a session receives its first round broadcast —
@@ -165,8 +166,8 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 		s.progressed = true // the server honored the rejoin
 	}
 	// The downlink reader owns Recv for the rest of this connection's
-	// life: broadcasts assemble (and queue) while the loop below trains,
-	// so downlink latency hides behind compute. Sends — replies and
+	// life: broadcasts assemble, the newest one waiting, while the loop
+	// below trains, so downlink latency hides behind compute. Sends — replies and
 	// replays — stay on this goroutine: a conn has exactly one sender and
 	// one receiver at all times.
 	var clear func()
@@ -178,7 +179,7 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 		}
 	}
 	if s.dlFree == nil {
-		s.dlFree = make(chan []float64, 4)
+		s.dlFree = make(chan []float64, maxDownlinkBufs)
 	}
 	r := newDownlinkReader(conn, streamMax, s.dlFree, clear)
 	go r.loop()

@@ -280,6 +280,67 @@ func TestPoolGetZeroedAndBucketed(t *testing.T) {
 	}
 }
 
+// TestPoolSizeClasses pins the pool's footprint contract for both dtypes:
+// a pooled array never exceeds its request by more than a quarter once
+// past the fine-class threshold (an eighth, with the classes as built),
+// never exceeds the next power of two anywhere, Put→Get of the same size
+// hands the same array back, and Put still classifies by capacity alone —
+// a New tensor of a non-class size is dropped, never resliced.
+func TestPoolSizeClasses(t *testing.T) {
+	capOf := func(x *Tensor) int {
+		if x.DType() == Float32 {
+			return cap(x.data32)
+		}
+		return cap(x.data)
+	}
+	sizes := []int{1, 2, 3, 1000, 1 << poolFineLog, 1<<poolFineLog + 1, 100000, 262144, 262145, 262858,
+		294912, 294913, 1<<20 - 1, 1 << 20, 1<<20 + 1, 3_000_001}
+	for _, dt := range []DType{Float64, Float32} {
+		p := &Pool{}
+		for _, n := range sizes {
+			x := p.GetRaw(dt, n)
+			c := capOf(x)
+			if x.Len() != n || c < n {
+				t.Fatalf("%v n=%d: len %d cap %d", dt, n, x.Len(), c)
+			}
+			if n > 1 && c >= 2*n {
+				t.Fatalf("%v n=%d: cap %d is a whole octave above the request", dt, n, c)
+			}
+			if n > 1<<poolFineLog && 4*c > 5*n {
+				t.Fatalf("%v n=%d: cap %d exceeds 1.25x the request", dt, n, c)
+			}
+			if idx, size := classFor(c); size != c || idx < 0 {
+				t.Fatalf("%v n=%d: cap %d is not its own class (%d, %d)", dt, n, c, idx, size)
+			}
+			// sync.Pool may drop an item (always possible, and deliberate
+			// under -race), so reuse is demanded of some attempt, not each.
+			reused := false
+			for try := 0; try < 64 && !reused; try++ {
+				p.Put(x)
+				y := p.GetRaw(dt, n)
+				reused = y == x
+				x = y
+			}
+			if !reused {
+				t.Fatalf("%v n=%d: Put then Get never reused the array", dt, n)
+			}
+		}
+		// 262858 is no class capacity, so this New tensor must be dropped:
+		// a Get of its size class may not come back resliced from it.
+		fresh := NewOf(dt, 262858)
+		p.Put(fresh)
+		if got := p.GetRaw(dt, 262858); got == fresh || capOf(got) == 262858 {
+			t.Fatalf("%v: Put accepted a New tensor of capacity 262858", dt)
+		}
+	}
+	if idx, _ := classFor(1<<maxPoolLog + 1); idx != -1 {
+		t.Fatalf("a request above 2^%d was pooled (class %d)", maxPoolLog, idx)
+	}
+	if idx, size := classFor(1 << maxPoolLog); idx != poolClasses-1 || size != 1<<maxPoolLog {
+		t.Fatalf("largest class is (%d, %d), want (%d, %d)", idx, size, poolClasses-1, 1<<maxPoolLog)
+	}
+}
+
 func TestWorkspaceRelease(t *testing.T) {
 	ws := NewWorkspace(nil)
 	x := ws.Get(64)

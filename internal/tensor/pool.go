@@ -84,34 +84,51 @@ func EnsureOf(dt DType, t *Tensor, shape ...int) *Tensor {
 	return t
 }
 
-// maxPoolBucket caps pooled backing arrays at 2^maxPoolBucket elements
-// (512 MiB of float64, 256 MiB of float32); larger requests bypass the
-// pool.
-const maxPoolBucket = 26
+// Pool size classes. Up to 2^poolFineLog elements a class is a power of
+// two; above it every octave splits into 1<<poolSubBits equal steps, so a
+// pooled state-length vector pins at most 1/8 more than was asked for
+// (a 262 858-element stream holds 294 912 elements, where whole octaves
+// held 524 288). Arrays above 2^maxPoolLog elements (512 MiB of float64,
+// 256 MiB of float32) bypass the pool.
+const (
+	poolFineLog = 16
+	poolSubBits = 3
+	maxPoolLog  = 26
+	poolClasses = poolFineLog + 1 + (maxPoolLog-poolFineLog)<<poolSubBits
+)
 
-// Pool recycles tensors through size-bucketed sync.Pools, one bucket set
+// Pool recycles tensors through size-classed sync.Pools, one class set
 // per dtype. Get and Put are goroutine-safe; the same Pool may serve many
 // concurrently-training clients. Tensors returned by Get/GetOf are zeroed.
 type Pool struct {
-	buckets   [maxPoolBucket + 1]sync.Pool // float64 backing arrays
-	buckets32 [maxPoolBucket + 1]sync.Pool // float32 backing arrays
+	buckets   [poolClasses]sync.Pool // float64 backing arrays
+	buckets32 [poolClasses]sync.Pool // float32 backing arrays
 }
 
 // Shared is the process-wide default pool, used by Workspaces constructed
 // with a nil pool.
 var Shared = &Pool{}
 
-// bucketFor returns the bucket index whose capacity (1<<idx) holds n
-// elements, or -1 when n is too large to pool.
-func bucketFor(n int) int {
+// classFor returns the index and capacity of the smallest size class that
+// holds n elements, or (-1, n) when n is too large to pool. It serves Put
+// as well: a capacity belongs to the pool exactly when it is its own
+// class's capacity.
+func classFor(n int) (idx, size int) {
 	if n <= 1 {
-		return 0
+		return 0, 1
 	}
-	b := bits.Len(uint(n - 1)) // ceil(log2 n)
-	if b > maxPoolBucket {
-		return -1
+	k := bits.Len(uint(n - 1)) // ceil(log2 n)
+	if k > maxPoolLog {
+		return -1, n
 	}
-	return b
+	if k <= poolFineLog {
+		return k, 1 << k
+	}
+	// 2^(k-1) < n <= 2^k: round up to a multiple of the octave's step.
+	k--
+	shift := k - poolSubBits
+	sub := (n - 1<<k + 1<<shift - 1) >> shift
+	return poolFineLog + (k-poolFineLog)<<poolSubBits + sub, 1<<k + sub<<shift
 }
 
 // Get returns a zeroed Float64 tensor with the given shape, reusing a
@@ -138,12 +155,11 @@ func (p *Pool) GetRaw(dt DType, shape ...int) *Tensor {
 // fully overwrite the tensor. The contents are unspecified.
 func (p *Pool) getNoZero(dt DType, shape ...int) *Tensor {
 	n := shapeLen(shape)
-	b := bucketFor(n)
+	b, size := classFor(n)
 	set := &p.buckets
 	if dt == Float32 {
 		set = &p.buckets32
 	}
-	size := n
 	if b >= 0 {
 		if v := set[b].Get(); v != nil {
 			t := v.(*Tensor)
@@ -155,7 +171,6 @@ func (p *Pool) getNoZero(dt DType, shape ...int) *Tensor {
 			t.shape = append(t.shape[:0], shape...)
 			return t
 		}
-		size = 1 << b
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
@@ -171,8 +186,8 @@ func (p *Pool) getNoZero(dt DType, shape ...int) *Tensor {
 }
 
 // Put returns t's backing array to the pool. t must not be used afterwards.
-// Tensors whose capacity is not an exact power-of-two bucket (e.g. created
-// by New rather than Get) are silently dropped.
+// Tensors whose capacity is not exactly a size class's (e.g. created by New
+// rather than Get) are silently dropped.
 func (p *Pool) Put(t *Tensor) {
 	if t == nil {
 		return
@@ -183,11 +198,8 @@ func (p *Pool) Put(t *Tensor) {
 		c = cap(t.data32)
 		set = &p.buckets32
 	}
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	b := bits.Len(uint(c)) - 1
-	if b > maxPoolBucket {
+	b, size := classFor(c)
+	if b < 0 || size != c {
 		return
 	}
 	if t.dt == Float32 {
@@ -231,6 +243,14 @@ func (w *Workspace) Get(shape ...int) *Tensor {
 // GetOf is Get with an explicit dtype.
 func (w *Workspace) GetOf(dt DType, shape ...int) *Tensor {
 	t := w.pool.GetOf(dt, shape...)
+	w.taken = append(w.taken, t)
+	return t
+}
+
+// GetRaw is GetOf without the zeroing pass, for scratch the caller fully
+// overwrites before reading. The contents are unspecified.
+func (w *Workspace) GetRaw(dt DType, shape ...int) *Tensor {
+	t := w.pool.GetRaw(dt, shape...)
 	w.taken = append(w.taken, t)
 	return t
 }

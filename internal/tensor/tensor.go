@@ -98,6 +98,21 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return &Tensor{shape: s, data: data}
 }
 
+// ViewInto is FromSlice for callers that walk a large array window by
+// window: it re-points t (allocated when nil) at data with the given
+// shape, without copying and — once t exists — without allocating.
+func ViewInto(t *Tensor, data []float64, shape ...int) *Tensor {
+	if n := shapeLen(shape); n != len(data) {
+		panicReshapeLen(n, len(data))
+	}
+	if t == nil {
+		t = &Tensor{}
+	}
+	t.shape = append(t.shape[:0], shape...)
+	t.data, t.data32, t.dt = data, nil, Float64
+	return t
+}
+
 // FromSlice32 wraps data in a Float32 tensor with the given shape. The
 // slice is used directly (not copied).
 func FromSlice32(data []float32, shape ...int) *Tensor {
