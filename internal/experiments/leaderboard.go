@@ -75,15 +75,17 @@ func runLeaderboard(h *Harness) error {
 	if len(accs) == 0 {
 		return fmt.Errorf("experiments: leaderboard had no settings after filtering")
 	}
+	// Scores are built in algorithm order and sorted stably, so tied mean
+	// ranks print in that order rather than in map-iteration order.
 	var scores []score
-	for algo, ranks := range accs {
+	for _, algo := range algos {
 		var sum float64
-		for _, r := range ranks {
+		for _, r := range accs[algo] {
 			sum += r
 		}
-		scores = append(scores, score{algo: algo, meanRank: sum / float64(len(ranks))})
+		scores = append(scores, score{algo: algo, meanRank: sum / float64(len(accs[algo]))})
 	}
-	sort.Slice(scores, func(i, j int) bool { return scores[i].meanRank < scores[j].meanRank })
+	sort.SliceStable(scores, func(i, j int) bool { return scores[i].meanRank < scores[j].meanRank })
 	tb := report.NewTable("\nLeaderboard (lower mean rank is better)", "place", "algorithm", "mean rank")
 	for i, s := range scores {
 		tb.AddRow(fmt.Sprint(i+1), string(s.algo), fmt.Sprintf("%.2f", s.meanRank))
