@@ -14,71 +14,31 @@ import (
 	"github.com/niid-bench/niidbench/internal/partition"
 )
 
-// benchExperiment runs one registered paper artifact per iteration.
-func benchExperiment(b *testing.B, id string, datasets ...string) {
-	b.Helper()
-	opt := experiments.Options{
-		Scale:    experiments.Smoke,
-		Out:      io.Discard,
-		Seed:     1,
-		Datasets: datasets,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Run(id, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
+// benchDatasets restricts the artifacts whose default datasets are slow at
+// bench time; the CLI regenerates them in full.
+var benchDatasets = map[string][]string{
+	"table3": {"adult"}, "table4": {"adult", "rcv1"}, "table5": {"adult"},
+	"fig10": {"adult"}, "fig11": {"adult"}, "fig22": {"adult"}, "fig23": {"adult"},
+	"fig24": {"mnist"}, "ablations": {"mnist"},
+	"leaderboard": {"adult"}, "extensions": {"adult"}, "sampling": {"adult"},
+	"codec": {"adult"}, "chaos": {"adult"}, "async": {"adult"},
 }
 
-// Table II: dataset inventory.
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-
-// Table III: the headline accuracy comparison. Restricted to one tabular
-// and one image dataset at bench time; the CLI regenerates the full table.
-func BenchmarkTable3Tabular(b *testing.B) { benchExperiment(b, "table3", "adult") }
-func BenchmarkTable3Image(b *testing.B)   { benchExperiment(b, "table3", "mnist") }
-
-// Table IV: computation/communication per round over the real transport.
-func BenchmarkTable4(b *testing.B) { benchExperiment(b, "table4", "adult", "rcv1") }
-
-// Table V: mixed skews.
-func BenchmarkTable5(b *testing.B) { benchExperiment(b, "table5", "adult") }
-
-// Figures 4-7: partition statistics and the decision tree.
-func BenchmarkFig4(b *testing.B) { benchExperiment(b, "fig4") }
-func BenchmarkFig5(b *testing.B) { benchExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B) { benchExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B) { benchExperiment(b, "fig7") }
-
-// Figure 8 and appendix A (figs 12-16): training curves.
-func BenchmarkFig8(b *testing.B)  { benchExperiment(b, "fig8") }
-func BenchmarkFig12(b *testing.B) { benchExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B) { benchExperiment(b, "fig13") }
-func BenchmarkFig14(b *testing.B) { benchExperiment(b, "fig14") }
-func BenchmarkFig15(b *testing.B) { benchExperiment(b, "fig15") }
-func BenchmarkFig16(b *testing.B) { benchExperiment(b, "fig16") }
-
-// Figure 9 and appendix B (figs 17-21): local-epoch sweeps.
-func BenchmarkFig9(b *testing.B)  { benchExperiment(b, "fig9") }
-func BenchmarkFig17(b *testing.B) { benchExperiment(b, "fig17") }
-func BenchmarkFig18(b *testing.B) { benchExperiment(b, "fig18") }
-func BenchmarkFig19(b *testing.B) { benchExperiment(b, "fig19") }
-func BenchmarkFig20(b *testing.B) { benchExperiment(b, "fig20") }
-func BenchmarkFig21(b *testing.B) { benchExperiment(b, "fig21") }
-
-// Figures 10/22: party sampling; figure 11: scalability.
-func BenchmarkFig10(b *testing.B) { benchExperiment(b, "fig10", "adult") }
-func BenchmarkFig22(b *testing.B) { benchExperiment(b, "fig22", "adult") }
-func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11", "adult") }
-
-// Appendix D (fig 23): batch size; appendix E (fig 24): BN architectures.
-func BenchmarkFig23(b *testing.B) { benchExperiment(b, "fig23", "adult") }
-func BenchmarkFig24(b *testing.B) { benchExperiment(b, "fig24", "mnist") }
-
-// Design ablations called out in DESIGN.md.
-func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations", "mnist") }
+// BenchmarkExperiments regenerates every registered paper artifact at smoke
+// scale, one sub-benchmark per artifact ID.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			opt := experiments.Options{Scale: experiments.Smoke, Out: io.Discard, Seed: 1, Datasets: benchDatasets[e.ID]}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := experiments.Run(e.ID, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkRound measures the cost of a single communication round per
 // algorithm on the paper CNN — the unit of work every experiment repeats.

@@ -81,9 +81,10 @@ commands:
 common flags (artifact commands):
   -scale smoke|quick|paper   experiment scale (default quick)
   -seed N                    master seed
-  -trials N                  trials per cell (default: scale's)
-  -datasets a,b,c            restrict to these datasets
-  -conc N                    concurrent grid cells (default 1)`)
+  -trials N                  seeds per cell of table3/table5 (default: scale's)
+  -datasets a,b,c            filter a multi-dataset artifact; one value replaces
+                             a single-dataset artifact's dataset
+  -conc N                    concurrent cells per artifact (default 1)`)
 }
 
 func cmdList() error {
@@ -104,9 +105,9 @@ func artifactCommand(ids ...string) func() (*flag.FlagSet, func() error) {
 		opt := experiments.Options{Out: os.Stdout}
 		fs.StringVar((*string)(&opt.Scale), "scale", "quick", "experiment scale: smoke, quick, paper")
 		fs.Uint64Var(&opt.Seed, "seed", 1, "master seed")
-		fs.IntVar(&opt.Trials, "trials", 0, "trials per setting (0 = scale default)")
+		fs.IntVar(&opt.Trials, "trials", 0, "seeds averaged per cell of the mean±std tables, table3 and table5 (0 = scale default); figures are single runs")
 		datasets := fs.String("datasets", "", "comma-separated dataset filter")
-		fs.IntVar(&opt.Concurrency, "conc", 1, "concurrent grid cells (trials) per experiment")
+		fs.IntVar(&opt.Concurrency, "conc", 1, "concurrent cells per artifact")
 		return fs, func() error {
 			if *datasets != "" {
 				opt.Datasets = strings.Split(*datasets, ",")

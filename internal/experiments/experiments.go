@@ -2,6 +2,8 @@
 // evaluation section. Each experiment is registered under the paper's
 // artifact name (table3, fig8, ...) and prints output in the same layout
 // as the paper, so paper-vs-measured comparison is a side-by-side read.
+// The sweeps (grid.go, grids.go) are declarative specs run by one cell
+// runner; the data reports and the transport experiments are functions.
 //
 // Experiments run at one of three scales:
 //
@@ -17,7 +19,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"github.com/niid-bench/niidbench/internal/data"
@@ -25,7 +28,6 @@ import (
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/rng"
-	"github.com/niid-bench/niidbench/internal/simnet"
 )
 
 // Scale selects an experiment-size profile.
@@ -38,106 +40,118 @@ const (
 	Paper Scale = "paper"
 )
 
-// profile fixes the sizes a scale uses.
+// profile fixes the sizes a scale uses. The sweep grids keep the paper's
+// span at every scale: epochs {10..80} shrink to 8x, batch sizes 16..256,
+// parties 10..40; partial participation is the paper's 100 parties at
+// fraction 0.1 over 500 rounds.
 type profile struct {
-	imgTrain, imgTest int
-	tabTrain, tabTest int
-	rounds            int
-	epochs            int
-	batch             int
-	parties           int
-	trials            int
+	imgTrain, imgTest, tabTrain, tabTest   int
+	rounds, epochs, batch, parties, trials int
+
+	epochGrid, batchGrid, partyGrid []int
+	sampleParties, sampleRounds     int
+	sampleFraction                  float64
+	// muGrid is the FedProx μ the mean±std tables tune over (Table III's
+	// protocol: best μ by mean); empty runs the default μ = 0.01.
+	muGrid []float64
 }
 
 var profiles = map[Scale]profile{
-	Smoke: {imgTrain: 300, imgTest: 120, tabTrain: 400, tabTest: 200, rounds: 2, epochs: 1, batch: 32, parties: 4, trials: 1},
-	Quick: {imgTrain: 1000, imgTest: 300, tabTrain: 1500, tabTest: 500, rounds: 10, epochs: 3, batch: 32, parties: 10, trials: 1},
-	Paper: {imgTrain: 2000, imgTest: 600, tabTrain: 3000, tabTest: 1000, rounds: 50, epochs: 10, batch: 64, parties: 10, trials: 3},
+	Smoke: {imgTrain: 300, imgTest: 120, tabTrain: 400, tabTest: 200, rounds: 2, epochs: 1, batch: 32, parties: 4, trials: 1,
+		epochGrid: []int{1, 2}, batchGrid: []int{16, 64}, partyGrid: []int{4, 8},
+		sampleParties: 8, sampleFraction: 0.25, sampleRounds: 2},
+	Quick: {imgTrain: 1000, imgTest: 300, tabTrain: 1500, tabTest: 500, rounds: 10, epochs: 3, batch: 32, parties: 10, trials: 1,
+		epochGrid: []int{2, 4, 8, 16}, batchGrid: []int{16, 32, 64, 128}, partyGrid: []int{5, 10, 20, 40},
+		sampleParties: 20, sampleFraction: 0.2, sampleRounds: 15},
+	Paper: {imgTrain: 2000, imgTest: 600, tabTrain: 3000, tabTest: 1000, rounds: 50, epochs: 10, batch: 64, parties: 10, trials: 3,
+		epochGrid: []int{10, 20, 40, 80}, batchGrid: []int{16, 32, 64, 128, 256}, partyGrid: []int{10, 20, 30, 40},
+		sampleParties: 100, sampleFraction: 0.1, sampleRounds: 500,
+		muGrid: []float64{0.001, 0.01, 0.1, 1}},
 }
 
 // Options configures a harness run.
 type Options struct {
-	Scale  Scale
-	Out    io.Writer
-	Seed   uint64
-	Trials int // 0 = the scale's default
-	// Datasets restricts multi-dataset experiments to a subset; nil runs
-	// every dataset the experiment covers.
+	Scale Scale
+	Out   io.Writer
+	Seed  uint64
+	// Trials is how many seeds each cell of a mean±std table (table3,
+	// table5) averages; 0 = the scale's default. Figures are single runs.
+	Trials int
+	// Datasets restricts an artifact that spans several datasets to these;
+	// a single value replaces the dataset of a single-dataset artifact.
 	Datasets []string
-	// TuneMu makes FedProx runs sweep mu over the paper's grid
-	// {0.001, 0.01, 0.1, 1} and report the best, as Table III does.
-	TuneMu bool
-	// Concurrency bounds how many grid cells (trials) run at once
-	// (default 1, sequential). Concurrent cells are safe because every
+	// Concurrency bounds how many of an artifact's runs train at once
+	// (default 1, sequential). Concurrent runs are safe because every
 	// simulation's kernel fan-out comes from per-model compute budgets —
 	// there is no process-global parallelism state to clobber — and each
-	// cell's within-round client parallelism is scaled down to its share
+	// run's within-round client parallelism is scaled down to its share
 	// of the machine.
 	Concurrency int
 }
 
 func (o Options) normalize() Options {
-	if o.Scale == "" {
-		o.Scale = Quick
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Trials == 0 {
-		o.Trials = profiles[o.Scale].trials
-	}
-	if o.Concurrency < 1 {
-		o.Concurrency = 1
-	}
+	o.Scale = cmp.Or(o.Scale, Quick)
+	o.Seed = cmp.Or(o.Seed, 1)
+	o.Trials = cmp.Or(o.Trials, profiles[o.Scale].trials)
+	o.Concurrency = max(o.Concurrency, 1)
 	return o
 }
 
+// wantDataset is the dataset rule for an artifact spanning several
+// datasets: -datasets filters them.
 func (o Options) wantDataset(name string) bool {
-	if len(o.Datasets) == 0 {
-		return true
+	return len(o.Datasets) == 0 || slices.Contains(o.Datasets, name)
+}
+
+// dataset is the dataset rule for a single-dataset artifact: one
+// -datasets value replaces its default.
+func (o Options) dataset(def string) string {
+	if len(o.Datasets) == 1 {
+		return o.Datasets[0]
 	}
-	for _, d := range o.Datasets {
-		if d == name {
-			return true
-		}
-	}
-	return false
+	return def
 }
 
 // Experiment is one registered paper artifact.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(h *Harness) error
+	run   func(h *harness) error
 }
 
-var registry = map[string]Experiment{}
+// artifacts is every registered artifact, sorted by ID: the data reports
+// and transport experiments listed here, then the grids (grids.go).
+var artifacts = []Experiment{
+	{"table2", "Dataset statistics (Table II)", runTable2},
+	{"table4", "Computation time and communication size per round (Table IV)", runTable4},
+	{"fig3", "Non-IID properties of real data: Criteo label/quantity skew, Digits feature skew (Figure 3)", runFig3},
+	{"fig4", "Distribution-based label imbalance heat map (Figure 4)", runFig4},
+	{"fig5", "Noise-based feature imbalance example (Figure 5)", runFig5},
+	{"fig6", "FCUBE partition visualization (Figure 6)", runFig6},
+	{"fig7", "Decision tree for algorithm selection (Figure 7)", runFig7},
+	{"codec", "Quantized wire codecs: accuracy vs communication bytes at equal rounds", runCodec},
+	{"async", "Buffered-async aggregation: wall-clock and accuracy vs synchronous rounds under stragglers", runAsync},
+	{"chaos", "Fault injection and elastic membership: completion, dropped updates and accuracy under drop x rejoin", runChaos},
+}
 
-func register(e Experiment) {
-	if _, dup := registry[e.ID]; dup {
-		panic("experiments: duplicate id " + e.ID)
+func init() {
+	for _, g := range grids {
+		artifacts = append(artifacts, Experiment{g.id, g.title, g.run})
 	}
-	registry[e.ID] = e
+	slices.SortFunc(artifacts, func(a, b Experiment) int { return strings.Compare(a.ID, b.ID) })
 }
 
 // Get returns the experiment registered under id.
 func Get(id string) (Experiment, error) {
-	e, ok := registry[id]
-	if !ok {
+	i := slices.IndexFunc(artifacts, func(e Experiment) bool { return e.ID == id })
+	if i < 0 {
 		return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (run `niidbench list`)", id)
 	}
-	return e, nil
+	return artifacts[i], nil
 }
 
 // All returns every registered experiment sorted by ID.
-func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func All() []Experiment { return slices.Clone(artifacts) }
 
 // Run executes the experiment with the given id.
 func Run(id string, opt Options) error {
@@ -145,15 +159,15 @@ func Run(id string, opt Options) error {
 	if err != nil {
 		return err
 	}
-	h := NewHarness(opt)
-	fmt.Fprintf(h.Out, "== %s: %s (scale=%s) ==\n", e.ID, e.Title, h.opt.Scale)
-	return e.Run(h)
+	h := newHarness(opt)
+	fmt.Fprintf(h.out, "== %s: %s (scale=%s) ==\n", e.ID, e.Title, h.opt.Scale)
+	return e.run(h)
 }
 
-// Harness carries shared state across an experiment run: options, the
+// harness carries shared state across an experiment run: options, the
 // active profile and a dataset cache.
-type Harness struct {
-	Out io.Writer
+type harness struct {
+	out io.Writer
 	opt Options
 	p   profile
 
@@ -161,18 +175,13 @@ type Harness struct {
 	cache map[string][2]*data.Dataset
 }
 
-// NewHarness builds a harness for the given options.
-func NewHarness(opt Options) *Harness {
+func newHarness(opt Options) *harness {
 	opt = opt.normalize()
-	out := opt.Out
-	if out == nil {
-		out = io.Discard
-	}
-	return &Harness{Out: out, opt: opt, p: profiles[opt.Scale], cache: map[string][2]*data.Dataset{}}
+	return &harness{out: cmp.Or(opt.Out, io.Discard), opt: opt, p: profiles[opt.Scale], cache: map[string][2]*data.Dataset{}}
 }
 
-// Dataset loads (and caches) the named dataset at the harness scale.
-func (h *Harness) Dataset(name string) (train, test *data.Dataset, err error) {
+// load loads (and caches) the named dataset at the harness scale.
+func (h *harness) load(name string) (train, test *data.Dataset, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if pair, ok := h.cache[name]; ok {
@@ -200,18 +209,13 @@ func (h *Harness) Dataset(name string) (train, test *data.Dataset, err error) {
 	return train, test, nil
 }
 
-// lrFor mirrors the paper's tuning: 0.1 for rcv1, 0.01 otherwise.
-func lrFor(dataset string) float64 {
-	if dataset == "rcv1" {
-		return 0.1
-	}
-	return 0.01
-}
+// paperLR is the paper's learning-rate tuning where it is not 0.01.
+var paperLR = map[string]float64{"rcv1": 0.1}
 
-// Setting names one federated run: the dataset, how it is partitioned,
+// setting names one federated run: the dataset, how it is partitioned,
 // and overrides. Zero fields — Parties, Model and every field of the
 // embedded fl.Config — take the profile's and the paper's defaults.
-type Setting struct {
+type setting struct {
 	Dataset  string
 	Strategy partition.Strategy
 	Parties  int
@@ -219,19 +223,12 @@ type Setting struct {
 	fl.Config
 }
 
-// gridCell is the Setting of one (dataset, strategy, algorithm) grid cell.
-func gridCell(dataset string, strat partition.Strategy, algo fl.Algorithm) Setting {
-	s := Setting{Dataset: dataset, Strategy: strat}
-	s.Algorithm = algo
-	return s
-}
-
-// job resolves a Setting against the harness profile into what every
+// job resolves a setting against the harness profile into what every
 // runner takes: the training config, the model spec, the per-party shards
 // and the test set. It is the only place the harness loads, splits and
-// configures; experiments that federate over a transport call it and hand
-// the result to simnet, the rest go through RunSetting.
-func (h *Harness) job(s Setting) (fl.Config, nn.ModelSpec, []*data.Dataset, *data.Dataset, error) {
+// configures; the transport experiments hand its result to simnet, the
+// sweeps to the cell runner.
+func (h *harness) job(s setting) (fl.Config, nn.ModelSpec, []*data.Dataset, *data.Dataset, error) {
 	fail := func(err error) (fl.Config, nn.ModelSpec, []*data.Dataset, *data.Dataset, error) {
 		return fl.Config{}, nn.ModelSpec{}, nil, nil, err
 	}
@@ -239,16 +236,16 @@ func (h *Harness) job(s Setting) (fl.Config, nn.ModelSpec, []*data.Dataset, *dat
 	cfg.Rounds = cmp.Or(cfg.Rounds, h.p.rounds)
 	cfg.LocalEpochs = cmp.Or(cfg.LocalEpochs, h.p.epochs)
 	cfg.BatchSize = cmp.Or(cfg.BatchSize, h.p.batch)
-	cfg.LR = cmp.Or(cfg.LR, lrFor(s.Dataset))
+	cfg.LR = cmp.Or(cfg.LR, paperLR[s.Dataset], 0.01)
 	cfg.Mu = cmp.Or(cfg.Mu, 0.01)
 	cfg.Seed = cmp.Or(cfg.Seed, h.opt.Seed)
 	if c := h.opt.Concurrency; c > 1 {
-		// Concurrent grid cells split the machine: each cell trains its
-		// round's clients under 1/c of the cores; the per-model compute
-		// budgets inside fl keep the kernels within that share.
+		// Concurrent runs split the machine: each trains its round's
+		// clients under 1/c of the cores; the per-model compute budgets
+		// inside fl keep the kernels within that share.
 		cfg.Parallelism = max(runtime.GOMAXPROCS(0)/c, 1)
 	}
-	train, test, err := h.Dataset(s.Dataset)
+	train, test, err := h.load(s.Dataset)
 	if err != nil {
 		return fail(err)
 	}
@@ -265,96 +262,4 @@ func (h *Harness) job(s Setting) (fl.Config, nn.ModelSpec, []*data.Dataset, *dat
 		return fail(err)
 	}
 	return cfg, spec, locals, test, nil
-}
-
-// RunSetting executes one federated run in process and returns its
-// result: over transport pipes when the config needs a wire, as the
-// lockstep simulation otherwise.
-func (h *Harness) RunSetting(s Setting) (*fl.Result, error) {
-	cfg, spec, locals, test, err := h.job(s)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.NeedsWire() {
-		return simnet.RunLocal(cfg, spec, locals, test)
-	}
-	sim, err := fl.NewSimulation(cfg, spec, locals, test)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run()
-}
-
-// MuGrid is the paper's FedProx tuning grid.
-var MuGrid = []float64{0.001, 0.01, 0.1, 1}
-
-// RunTrials executes the setting h.opt.Trials times with distinct seeds
-// and returns each trial's final accuracy. When TuneMu is set and the
-// setting runs FedProx, the whole trial set is repeated for each mu in
-// MuGrid and the best-by-mean grid point is reported — the paper's Table
-// III protocol.
-func (h *Harness) RunTrials(s Setting) ([]float64, error) {
-	if h.opt.TuneMu && s.Algorithm == fl.FedProx {
-		var best []float64
-		bestMean := -1.0
-		for _, mu := range MuGrid {
-			s.Mu = mu
-			accs, err := h.runTrialsOnce(s)
-			if err != nil {
-				return nil, err
-			}
-			var sum float64
-			for _, a := range accs {
-				sum += a
-			}
-			if mean := sum / float64(len(accs)); mean > bestMean {
-				bestMean, best = mean, accs
-			}
-		}
-		return best, nil
-	}
-	return h.runTrialsOnce(s)
-}
-
-// runTrialsOnce executes the setting's trials, up to opt.Concurrency at a
-// time. Trial seeds are fixed up front, so the result set is identical
-// whatever the concurrency — concurrent Simulations are deterministic and
-// fully isolated (per-model compute budgets, no shared mutable state).
-func (h *Harness) runTrialsOnce(s Setting) ([]float64, error) {
-	accs := make([]float64, h.opt.Trials)
-	errs := make([]error, h.opt.Trials)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, h.opt.Concurrency)
-	for trial := 0; trial < h.opt.Trials; trial++ {
-		st := s
-		st.Seed = h.opt.Seed + uint64(trial)*1000003
-		wg.Add(1)
-		go func(trial int, st Setting) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := h.RunSetting(st)
-			if err != nil {
-				errs[trial] = err
-				return
-			}
-			accs[trial] = res.FinalAccuracy
-		}(trial, st)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return accs, nil
-}
-
-// AccuracyCurve extracts the evaluated accuracy series from a result.
-func AccuracyCurve(res *fl.Result) []float64 {
-	out := make([]float64, 0, len(res.Curve))
-	for _, m := range res.Curve {
-		out = append(out, m.TestAccuracy)
-	}
-	return out
 }

@@ -1,33 +1,15 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/niid-bench/niidbench/internal/fl"
-	"github.com/niid-bench/niidbench/internal/partition"
 )
 
-func smokeHarness(out *strings.Builder, datasets ...string) *Harness {
-	return NewHarness(Options{Scale: Smoke, Out: out, Seed: 3, Datasets: datasets})
-}
-
-func TestRegistryComplete(t *testing.T) {
-	want := []string{
-		"table2", "table3", "table4", "table5",
-		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "ablations",
-		"chaos", "async",
-	}
-	for _, id := range want {
-		if _, err := Get(id); err != nil {
-			t.Fatalf("missing experiment %s: %v", id, err)
-		}
-	}
-	if len(All()) < len(want) {
-		t.Fatalf("registry has %d experiments, want >= %d", len(All()), len(want))
-	}
+func smokeHarness(datasets ...string) *harness {
+	return newHarness(Options{Scale: Smoke, Seed: 3, Datasets: datasets})
 }
 
 func TestGetUnknown(t *testing.T) {
@@ -36,28 +18,33 @@ func TestGetUnknown(t *testing.T) {
 	}
 }
 
+// TestOptionsNormalize checks the defaults and the one dataset rule: an
+// artifact spanning several datasets filters them by Datasets, a
+// single-dataset artifact takes a single value as its override.
 func TestOptionsNormalize(t *testing.T) {
 	o := Options{}.normalize()
-	if o.Scale != Quick || o.Seed != 1 || o.Trials != profiles[Quick].trials {
+	if o.Scale != Quick || o.Seed != 1 || o.Trials != profiles[Quick].trials || o.Concurrency != 1 {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if !o.wantDataset("anything") {
-		t.Fatal("empty filter must accept everything")
+	if !o.wantDataset("anything") || o.dataset("cifar10") != "cifar10" {
+		t.Fatal("no filter must keep every dataset and every default")
 	}
-	o2 := Options{Datasets: []string{"adult"}}.normalize()
-	if o2.wantDataset("mnist") || !o2.wantDataset("adult") {
-		t.Fatal("dataset filter broken")
+	one := Options{Datasets: []string{"adult"}}
+	if one.wantDataset("mnist") || !one.wantDataset("adult") || one.dataset("cifar10") != "adult" {
+		t.Fatal("one value must filter and override")
+	}
+	if two := (Options{Datasets: []string{"adult", "mnist"}}); two.dataset("cifar10") != "cifar10" {
+		t.Fatal("several values must not override a single-dataset artifact")
 	}
 }
 
 func TestHarnessDatasetCaching(t *testing.T) {
-	var out strings.Builder
-	h := smokeHarness(&out)
-	a1, _, err := h.Dataset("adult")
+	h := smokeHarness()
+	a1, _, err := h.load("adult")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := h.Dataset("adult")
+	a2, _, err := h.load("adult")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +54,8 @@ func TestHarnessDatasetCaching(t *testing.T) {
 }
 
 func TestJobDefaults(t *testing.T) {
-	var out strings.Builder
-	h := smokeHarness(&out)
-	iid := partition.Strategy{Kind: partition.Homogeneous}
-	cfg, _, locals, _, err := h.job(Setting{Dataset: "adult", Strategy: iid})
+	h := smokeHarness()
+	cfg, _, locals, _, err := h.job(at("adult", iid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,28 +64,27 @@ func TestJobDefaults(t *testing.T) {
 		cfg.LR != 0.01 || cfg.Mu != 0.01 || cfg.Seed != h.opt.Seed {
 		t.Fatalf("defaults: %d parties, %+v", len(locals), cfg)
 	}
-	if cfg, _, _, _, err = h.job(Setting{Dataset: "rcv1", Strategy: iid}); err != nil || cfg.LR != 0.1 {
+	if cfg, _, _, _, err = h.job(at("rcv1", iid)); err != nil || cfg.LR != 0.1 {
 		t.Fatalf("rcv1 must default to lr 0.1 per the paper: %v, %v", cfg.LR, err)
 	}
-	_, _, locals, _, err = h.job(Setting{Dataset: "fcube", Strategy: partition.Strategy{Kind: partition.FeatureSynthetic}})
+	_, _, locals, _, err = h.job(at("fcube", cube))
 	if err != nil || len(locals) != 4 {
 		t.Fatalf("fcube must run with 4 parties: %d, %v", len(locals), err)
 	}
 }
 
-// TestRunSettingPicksAWire: a Setting whose config needs a wire runs over
-// the pipes, where the codec really shrinks the frames, instead of being
+// TestRunSettingPicksAWire: a cell whose config needs a wire runs over the
+// pipes, where the codec really shrinks the frames, instead of being
 // refused by (or silently ignored in) the lockstep simulation.
 func TestRunSettingPicksAWire(t *testing.T) {
-	var out strings.Builder
-	h := smokeHarness(&out)
-	s := gridCell("adult", partition.Strategy{Kind: partition.Homogeneous}, fl.FedAvg)
-	raw, err := h.RunSetting(s)
+	h := smokeHarness()
+	s := at("adult", iid)
+	raw, err := h.execute(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Codec = fl.CodecInt8
-	quant, err := h.RunSetting(s)
+	quant, err := h.execute(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +93,9 @@ func TestRunSettingPicksAWire(t *testing.T) {
 	}
 }
 
+// TestRunSettingExecutes: the runner trains a cell for the profile's rounds.
 func TestRunSettingExecutes(t *testing.T) {
-	var out strings.Builder
-	h := smokeHarness(&out)
-	res, err := h.RunSetting(gridCell("adult", partition.Strategy{Kind: partition.Homogeneous}, fl.FedAvg))
+	res, err := smokeHarness().execute(at("adult", iid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,253 +104,155 @@ func TestRunSettingExecutes(t *testing.T) {
 	}
 }
 
-func TestRunTrialsDistinctSeeds(t *testing.T) {
-	var out strings.Builder
-	h := NewHarness(Options{Scale: Smoke, Out: &out, Seed: 3, Trials: 2})
-	accs, err := h.RunTrials(gridCell("adult", partition.Strategy{Kind: partition.Homogeneous}, fl.FedAvg))
-	if err != nil {
-		t.Fatal(err)
+// laidOut expands artifact id for o without training anything.
+func laidOut(t *testing.T, id string, o Options) *sweep {
+	t.Helper()
+	for _, g := range grids {
+		if g.id == id {
+			return g.expand(o)
+		}
 	}
-	if len(accs) != 2 {
-		t.Fatalf("trials: %d", len(accs))
+	t.Fatalf("%s is not a grid", id)
+	return nil
+}
+
+// TestRunTrialsDistinctSeeds: the trials of a mean±std cell run at
+// distinct seeds, the first at the master seed.
+func TestRunTrialsDistinctSeeds(t *testing.T) {
+	sw := laidOut(t, "table5", Options{Scale: Smoke, Seed: 3, Trials: 2})
+	c := sw.panels[0].cells[0][0]
+	if c.trials != 2 || len(c.runs) != 2 || c.runs[0].Seed != 3 || c.runs[1].Seed == c.runs[0].Seed {
+		t.Fatalf("trials %d, runs %d", c.trials, len(c.runs))
 	}
 }
 
-// TestExperimentsSmoke runs the fast experiments end to end at smoke scale
-// and checks they produce non-trivial output.
+// TestExpandCells checks the pure expansion of artifacts into cells and
+// runs: the per-scale grids, μ tuning only in the mean±std tables at paper
+// scale, the K > classes skip and the dataset rule.
+func TestExpandCells(t *testing.T) {
+	for _, row := range []struct {
+		id          string
+		scale       Scale
+		datasets    []string
+		cells, runs int
+		skips       []string
+		onlyOn      string // every cell's dataset, when set
+	}{
+		{id: "table3", scale: Smoke, cells: 176, runs: 176},
+		{id: "table3", scale: Paper, cells: 176, runs: 132*3 + 44*4*3}, // FedProx: trials × μ grid
+		{id: "table3", scale: Smoke, datasets: []string{"adult"}, cells: 16, runs: 16, onlyOn: "adult"},
+		{id: "table3", scale: Smoke, datasets: []string{"adult", "mnist"}, cells: 44, runs: 44},
+		{id: "table5", scale: Quick, cells: 24, runs: 24, onlyOn: "cifar10"},
+		{id: "table5", scale: Paper, cells: 24, runs: 18*3 + 6*4*3},
+		{id: "table5", scale: Smoke, datasets: []string{"adult"}, cells: 24, runs: 24, onlyOn: "adult"},
+		{id: "table5", scale: Smoke, datasets: []string{"adult", "mnist"}, cells: 24, runs: 24, onlyOn: "cifar10"},
+		{id: "fig8", scale: Paper, cells: 8, runs: 8},
+		{id: "fig9", scale: Smoke, cells: 16, runs: 16},
+		{id: "fig9", scale: Paper, cells: 32, runs: 32}, // figures are single runs, μ untuned
+		{id: "fig13", scale: Smoke, cells: 24, runs: 24},
+		{id: "fig13", scale: Smoke, datasets: []string{"adult"}, cells: 20, runs: 20,
+			skips: []string{"\nskipping #C=3: dataset has only 2 classes\n"}, onlyOn: "adult"},
+		{id: "fig16", scale: Smoke, datasets: []string{"fcube"}, cells: 4, runs: 4, onlyOn: "fcube"},
+		{id: "fig18", scale: Quick, cells: 96, runs: 96},
+		{id: "fig21", scale: Paper, cells: 32, runs: 32},
+		{id: "fig10", scale: Paper, cells: 8, runs: 8},
+		{id: "fig22", scale: Smoke, cells: 16, runs: 16},
+		{id: "fig22", scale: Smoke, datasets: []string{"adult"}, cells: 12, runs: 12,
+			skips: []string{"\nskipping #C=3: dataset has only 2 classes\n"}},
+		{id: "fig11", scale: Quick, cells: 32, runs: 32},
+		{id: "fig23", scale: Smoke, cells: 8, runs: 8},
+		{id: "fig23", scale: Paper, cells: 20, runs: 20},
+		{id: "fig24", scale: Quick, cells: 24, runs: 24},
+		{id: "ablations", scale: Paper, cells: 6, runs: 6},
+		{id: "leaderboard", scale: Quick, cells: 30, runs: 30},
+		{id: "leaderboard", scale: Smoke, datasets: []string{"adult"}, cells: 12, runs: 12, onlyOn: "adult"},
+		{id: "extensions", scale: Paper, cells: 12, runs: 12},
+		{id: "sampling", scale: Paper, cells: 2, runs: 2},
+	} {
+		sw := laidOut(t, row.id, Options{Scale: row.scale, Datasets: row.datasets})
+		var cells, runs int
+		var skips []string
+		for _, pn := range sw.panels {
+			if pn.skip != "" {
+				skips = append(skips, pn.skip)
+			}
+			for _, line := range pn.cells {
+				for _, c := range line {
+					cells++
+					runs += len(c.runs)
+					for _, r := range c.runs {
+						if row.onlyOn != "" && r.Dataset != row.onlyOn {
+							t.Errorf("%s %s %v: a cell runs on %s", row.id, row.scale, row.datasets, r.Dataset)
+						}
+						if r.Mu != 0 && !(strings.HasPrefix(row.id, "table") && row.scale == Paper && r.Algorithm == fl.FedProx) {
+							t.Errorf("%s %s: μ %g tuned outside a paper-scale mean±std table", row.id, row.scale, r.Mu)
+						}
+					}
+				}
+			}
+		}
+		if cells != row.cells || runs != row.runs || !slices.Equal(skips, row.skips) {
+			t.Errorf("%s %s %v: %d cells, %d runs, skips %q; want %d, %d, %q",
+				row.id, row.scale, row.datasets, cells, runs, skips, row.cells, row.runs, row.skips)
+		}
+	}
+}
+
+// TestExperimentsSmoke: the data reports' goldens.
 func TestExperimentsSmoke(t *testing.T) {
-	fast := []string{"table2", "fig4", "fig5", "fig6", "fig7"}
-	for _, id := range fast {
-		var out strings.Builder
-		if err := Run(id, Options{Scale: Smoke, Out: &out, Seed: 3}); err != nil {
+	for _, id := range []string{"table2", "fig4", "fig5", "fig6", "fig7"} {
+		golden(t, id)
+	}
+}
+
+func TestTable3SmokeSingleDataset(t *testing.T)            { golden(t, "table3") }
+func TestTable4Smoke(t *testing.T)                         { golden(t, "table4") }
+func TestTable5Smoke(t *testing.T)                         { golden(t, "table5") }
+func TestFig3Smoke(t *testing.T)                           { golden(t, "fig3") }
+func TestFig8CurvesSmoke(t *testing.T)                     { golden(t, "fig8") }
+func TestFig9EpochSweepSmoke(t *testing.T)                 { golden(t, "fig9") }
+func TestFig10SamplingSmoke(t *testing.T)                  { golden(t, "fig10") }
+func TestFig11ScalabilitySmoke(t *testing.T)               { golden(t, "fig11") }
+func TestFig22SkipsInvalidKForBinaryDatasets(t *testing.T) { golden(t, "fig22") }
+func TestFig23BatchSmoke(t *testing.T)                     { golden(t, "fig23") }
+func TestAblationsSmoke(t *testing.T)                      { golden(t, "ablations") }
+func TestLeaderboardSmoke(t *testing.T)                    { golden(t, "leaderboard") }
+func TestExtensionsSmoke(t *testing.T)                     { golden(t, "extensions") }
+func TestSamplingExtSmoke(t *testing.T)                    { golden(t, "sampling") }
+func TestCodecSweepSmoke(t *testing.T)                     { golden(t, "codec") }
+
+// TestConcurrentTrialsMatchSequential: runs training in parallel must
+// reproduce the sequential output byte for byte — seeds are fixed at
+// expansion, concurrent simulations are bitwise deterministic (per-model
+// compute budgets change scheduling, never arithmetic) and cells render in
+// layout order.
+func TestConcurrentTrialsMatchSequential(t *testing.T) {
+	for _, id := range []string{"fig9", "fig11", "table5", "leaderboard"} {
+		out, err := runArtifact(id, 2)
+		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if len(out.String()) < 50 {
-			t.Fatalf("%s produced almost no output: %q", id, out.String())
+		checkGolden(t, id, out)
+	}
+}
+
+// smoke runs an artifact whose output is timing-dependent and checks it
+// printed its parts.
+func smoke(t *testing.T, id string, want ...string) {
+	t.Helper()
+	var out strings.Builder
+	if err := Run(id, Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range want {
+		if !strings.Contains(out.String(), w) {
+			t.Fatalf("%s output missing %q:\n%s", id, w, out.String())
 		}
 	}
 }
 
-func TestAsyncSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("async", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"sync", "async M=1", "staleness", "folds"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("async output missing %q:\n%s", want, s)
-		}
-	}
-}
+func TestAsyncSmoke(t *testing.T) { smoke(t, "async", "sync", "async M=1", "staleness", "folds") }
 
-func TestTable4Smoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("table4", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "adult") || !strings.Contains(s, "Communication size") {
-		t.Fatalf("table4 output missing parts:\n%s", s)
-	}
-}
-
-func TestTable3SmokeSingleDataset(t *testing.T) {
-	var out strings.Builder
-	if err := Run("table3", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"adult", "p_k~Dir(0.5)", "#C=1", "q~Dir(0.5)", "IID", "times best"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("table3 output missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestTable5Smoke(t *testing.T) {
-	var out strings.Builder
-	// Use the tabular dataset for speed; the mixed-skew machinery is the
-	// same as for cifar10.
-	if err := Run("table5", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "label + feature") || !strings.Contains(s, "feature + quantity") {
-		t.Fatalf("table5 output missing mixed rows:\n%s", s)
-	}
-}
-
-func TestFig8CurvesSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("fig8", Options{Scale: Smoke, Out: &out, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, algo := range fl.Algorithms() {
-		if !strings.Contains(s, string(algo)) {
-			t.Fatalf("fig8 missing %s:\n%s", algo, s)
-		}
-	}
-}
-
-func TestFig9EpochSweepSmoke(t *testing.T) {
-	var out strings.Builder
-	h := NewHarness(Options{Scale: Smoke, Out: &out, Seed: 3})
-	if err := sweepEpochs(h, "adult", partition.Strategy{Kind: partition.Homogeneous}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "E=1") {
-		t.Fatalf("epoch sweep output:\n%s", out.String())
-	}
-}
-
-func TestFig10SamplingSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("fig10", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "sample fraction") {
-		t.Fatalf("fig10 output:\n%s", out.String())
-	}
-}
-
-func TestFig11ScalabilitySmoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("fig11", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "N=4") {
-		t.Fatalf("fig11 output:\n%s", out.String())
-	}
-}
-
-func TestFig23BatchSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("fig23", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "batch=16") {
-		t.Fatalf("fig23 output:\n%s", out.String())
-	}
-}
-
-func TestAblationsSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("ablations", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"mnist"}}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"SCAFFOLD control-variate", "Batch-norm", "weighting"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("ablations missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestFig3Smoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("fig3", Options{Scale: Smoke, Out: &out, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "Criteo") || !strings.Contains(s, "centroid") {
-		t.Fatalf("fig3 output:\n%s", s)
-	}
-}
-
-func TestLeaderboardSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("leaderboard", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "Leaderboard") || !strings.Contains(s, "feddyn") {
-		t.Fatalf("leaderboard output:\n%s", s)
-	}
-}
-
-func TestExtensionsSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("extensions", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "moon") {
-		t.Fatalf("extensions output:\n%s", out.String())
-	}
-}
-
-func TestSamplingExtSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("sampling", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "random") || !strings.Contains(s, "stratified") {
-		t.Fatalf("sampling output:\n%s", s)
-	}
-}
-
-func TestTuneMu(t *testing.T) {
-	var out strings.Builder
-	h := NewHarness(Options{Scale: Smoke, Out: &out, Seed: 3, Trials: 1, TuneMu: true})
-	accs, err := h.RunTrials(gridCell("adult", partition.Strategy{Kind: partition.Homogeneous}, fl.FedProx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accs) != 1 {
-		t.Fatalf("tuned trials: %d", len(accs))
-	}
-}
-
-func TestFig22SkipsInvalidKForBinaryDatasets(t *testing.T) {
-	// fig22 sweeps #C up to 3; on a 2-class dataset those strategies must
-	// be skipped, not panic (regression for the bench suite).
-	var out strings.Builder
-	if err := Run("fig22", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "skipping") {
-		t.Fatalf("expected skip notice:\n%s", out.String())
-	}
-}
-
-func TestConcurrentTrialsMatchSequential(t *testing.T) {
-	// Grid cells running in parallel must reproduce the sequential results
-	// exactly: trial seeds are fixed up front, and concurrent Simulations
-	// are bitwise deterministic (per-model compute budgets change
-	// scheduling, never arithmetic).
-	setting := gridCell("adult", partition.Strategy{Kind: partition.Homogeneous}, fl.FedAvg)
-	seq, err := NewHarness(Options{Scale: Smoke, Seed: 3, Trials: 2}).RunTrials(setting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewHarness(Options{Scale: Smoke, Seed: 3, Trials: 2, Concurrency: 2}).RunTrials(setting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("trial counts: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("trial %d: sequential %v vs concurrent %v", i, seq[i], par[i])
-		}
-	}
-}
-
-// TestCodecSweepSmoke runs the accuracy-vs-bytes codec sweep at smoke
-// scale: all four codecs must complete over real TCP and the f64 row must
-// anchor the reduction column at 1.00x.
-func TestCodecSweepSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := Run("codec", Options{Scale: Smoke, Out: &out, Seed: 3, Datasets: []string{"adult"}}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"f64", "f32", "int8", "int4", "1.00x", "reduction"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("codec output missing %q:\n%s", want, s)
-		}
-	}
+func TestChaosSmoke(t *testing.T) {
+	smoke(t, "chaos", "fedavg (baseline", "scaffold (baseline", "drop=0.20 rejoin=off", "drop=0.20 rejoin=on", "evictions")
 }
