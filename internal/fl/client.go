@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"fmt"
-
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/optim"
@@ -224,83 +222,6 @@ func (p *PendingUpdate) Release() { p.ws.Release() }
 // allocation per update. The caller owns the pending update and must
 // Release it before this client trains again.
 func (c *Client) TrainStream(global []float64, serverC []float64, cfg Config) *PendingUpdate {
-	return c.trainStream(global, serverC, nil, cfg)
-}
-
-// StreamedGlobal is a round's global model still arriving from the wire:
-// State returns the full-length buffer that fills front-to-back as
-// downlink chunks land, WaitState blocks until a prefix is valid, and
-// WaitAll blocks for the complete stream (state and, for SCAFFOLD, the
-// control vector). A false wait means the stream died; Err then reports
-// why. Transports implement it to let training overlap the downlink.
-type StreamedGlobal interface {
-	// State returns the state-length buffer. Elements [0, n) are valid
-	// once WaitState(n) has returned true.
-	State() []float64
-	// Control returns the server control vector (nil when the run has
-	// none); valid only after WaitAll.
-	Control() []float64
-	// WaitState blocks until the first n state elements are valid, or
-	// returns false if the stream failed first.
-	WaitState(n int) bool
-	// WaitAll blocks until the whole stream landed, or returns false if
-	// it failed first.
-	WaitAll() bool
-	// Err returns the stream's terminal error (nil while healthy).
-	Err() error
-}
-
-// TrainStreamPrefixed is TrainStream on a still-arriving global: training
-// begins on the in-order state prefix while later downlink chunks are in
-// flight, hiding downlink latency behind the first forward pass. The
-// local computation is bitwise identical to TrainStream on the completed
-// vector — the streaming install performs the same whole-tensor copies in
-// the same order, merely interleaved with compute — so sync-mode results
-// are unchanged. Algorithms whose training reads the full vector before
-// the first step (SCAFFOLD's server control rides the stream tail, MOON
-// and the KeepBNStatsLocal ablation pre-mix the state) simply wait for
-// the complete stream first. If the stream dies mid-train, the client is
-// rolled back — RNG stream, workspace — as if the round never reached
-// it, and the stream's terminal error is returned.
-func (c *Client) TrainStreamPrefixed(sg StreamedGlobal, cfg Config) (p *PendingUpdate, err error) {
-	full := cfg.Algorithm == Scaffold || cfg.Algorithm == Moon || cfg.KeepBNStatsLocal
-	if full || c.Data.Len() == 0 {
-		if !sg.WaitAll() {
-			return nil, sg.Err()
-		}
-		return c.TrainStream(sg.State(), sg.Control(), cfg), nil
-	}
-	rs := c.r.State()
-	ws := c.workspace()
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(nn.StreamAborted); !ok {
-				panic(r)
-			}
-			// Mid-stream death: unwind so the party can retrain this round
-			// from scratch after a rejoin — the RNG rewinds to its
-			// pre-round position (prefix batches already consumed shuffle
-			// draws), the workspace returns its round memory, and the model
-			// is left for the next round's SetState. Persistent per-round
-			// state (scaffoldC, dynH, localBN, MOON history) is only
-			// mutated after training completes, so it needs no rollback.
-			c.model.AbortStreaming()
-			c.r.SetState(rs)
-			ws.Release()
-			p = nil
-			if err = sg.Err(); err == nil {
-				err = fmt.Errorf("fl: global stream aborted")
-			}
-		}
-	}()
-	return c.trainStream(sg.State(), sg.Control(), sg.WaitState, cfg), nil
-}
-
-// trainStream is the one local-training implementation. A nil wait means
-// the global vector is complete (the classic path); a non-nil wait gates
-// each layer's state install on the downlink watermark via the model's
-// streaming install.
-func (c *Client) trainStream(global []float64, serverC []float64, wait func(int) bool, cfg Config) *PendingUpdate {
 	paramLen := c.model.ParamCount()
 	ws := c.workspace()
 	if c.Data.Len() == 0 {
@@ -324,8 +245,6 @@ func (c *Client) trainStream(global []float64, serverC []float64, wait func(int)
 		copy(full, global)
 		copy(full[paramLen:], c.localBN)
 		c.model.SetState(full)
-	} else if wait != nil {
-		c.model.SetStateStreaming(global, wait)
 	} else {
 		c.model.SetState(global)
 	}
@@ -390,10 +309,6 @@ func (c *Client) trainStream(global []float64, serverC []float64, wait func(int)
 		}
 	}
 
-	// Zero-batch edge or a stream that outpaced every install point:
-	// complete the install (and the underlying wait) so the delta below
-	// reads a fully valid global. No-op on the classic path.
-	c.model.FinishStreaming()
 	// The trained state lands in the delta buffer and is subtracted from
 	// the global in place: the update is the party's one state-length
 	// round vector. Only SCAFFOLD's control update reads the trained state

@@ -9,11 +9,14 @@
 // control-variate delta); the server aggregates deltas weighted by local
 // dataset size (FedNova additionally normalizes by the local step count).
 //
-// Updates reach the server one way, under every transport and both
-// schedulers' shared fold rule: Server.BeginRound, then per update
-// AddUpdateChunk frames closed by FinishUpdate (or abandoned by
-// DropUpdate), then FinishRound. A run persists in one format, the
-// FederationSnapshot; a model file is a snapshot carrying only its State.
+// The server aggregates with one fold kernel and one apply step, shared
+// by both schedulers, each with its own ingest. A synchronous round is
+// Server.BeginRound, then per update AddUpdateChunk frames closed by
+// FinishUpdate (or abandoned by DropUpdate), then FinishRound. The
+// buffered-async scheduler folds each whole update through
+// AsyncCoordinator.Fold and applies every AsyncBuffer folds. A run
+// persists in one format, the FederationSnapshot; a model file is a
+// snapshot carrying only its State.
 package fl
 
 import (

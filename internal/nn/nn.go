@@ -91,30 +91,7 @@ type Sequential struct {
 	params  []*Param
 	buffers []*Buffer
 	cached  bool
-	// layerNeed[i] is the state-vector watermark layer i's Forward needs
-	// installed: through the layer's own parameters, or — for buffered
-	// layers — through its buffers too (which sit after all parameters in
-	// the flat layout). Watermarks land on whole-tensor boundaries, so a
-	// streaming install only ever copies complete tensors.
-	layerNeed []int
-	stream    *streamInstall
 }
-
-// streamInstall tracks a state vector being installed incrementally
-// during a streaming Forward: src is the (possibly still-filling) flat
-// state, wait blocks until at least n elements of src are valid (false
-// means the stream died), installed is the high-water mark already
-// copied into the layers.
-type streamInstall struct {
-	src       []float64
-	wait      func(n int) bool
-	installed int
-}
-
-// StreamAborted is the panic value a streaming Forward raises when its
-// wait callback reports the stream dead mid-install. Callers that train
-// on streamed state recover it and unwind; any other panic propagates.
-type StreamAborted struct{}
 
 // SetCompute installs the kernel compute budget every layer of the model
 // runs under. Each model instance owns its budget, so per-client replicas
@@ -133,148 +110,24 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// buildCaches flattens the parameter and buffer lists once, and derives
-// each layer's streaming-install watermark from the flat layout.
+// buildCaches flattens the parameter and buffer lists once.
 func (m *Sequential) buildCaches() {
-	paramEnd := make([]int, len(m.Layers))
-	bufEnd := make([]int, len(m.Layers))
-	pTot, bTot := 0, 0
-	for i, l := range m.Layers {
-		ps := l.Params()
-		m.params = append(m.params, ps...)
-		for _, p := range ps {
-			pTot += p.Data.Len()
-		}
-		paramEnd[i] = pTot
+	for _, l := range m.Layers {
+		m.params = append(m.params, l.Params()...)
 		if bl, ok := l.(Buffered); ok {
-			bs := bl.Buffers()
-			m.buffers = append(m.buffers, bs...)
-			for _, b := range bs {
-				bTot += b.Data.Len()
-			}
+			m.buffers = append(m.buffers, bl.Buffers()...)
 		}
-		bufEnd[i] = bTot
-	}
-	m.layerNeed = make([]int, len(m.Layers))
-	for i := range m.Layers {
-		need := paramEnd[i]
-		if buffered := i == 0 && bufEnd[i] > 0 || i > 0 && bufEnd[i] > bufEnd[i-1]; buffered {
-			// Buffers live after every parameter in the flat vector, so a
-			// buffered layer's watermark covers all parameters plus its own
-			// buffers' end.
-			need = pTot + bufEnd[i]
-		}
-		m.layerNeed[i] = need
 	}
 	m.cached = true
 }
 
 // Forward runs the layers in order. train selects training-mode behaviour
-// (batch statistics in batch norm, active dropout). While a streaming
-// install is in progress (SetStateStreaming), each layer's state is
-// installed just before the layer first runs, so compute overlaps with
-// whatever is still filling the source vector.
+// (batch statistics in batch norm, active dropout).
 func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if m.stream != nil {
-		return m.forwardStreaming(x, train)
-	}
 	for _, l := range m.Layers {
 		x = l.Forward(x, train)
 	}
 	return x
-}
-
-// SetStateStreaming arms a streaming install: the model's state will be
-// copied in from src incrementally, layer by layer, as the first Forward
-// walks the network — so forward compute on early layers overlaps the
-// arrival of later layers' state. src must have length StateCount and
-// must fill in order; wait(n) must block until src[:n] is valid and
-// report false if it never will be (the streaming Forward then panics
-// StreamAborted). A nil wait treats src as fully valid immediately. The
-// install completes during the first full Forward (or FinishStreaming),
-// after which the model behaves exactly as if SetState(src) had run:
-// the same whole-tensor copies happen in the same order, only
-// interleaved with compute.
-func (m *Sequential) SetStateStreaming(src []float64, wait func(n int) bool) {
-	if !m.cached {
-		m.buildCaches()
-	}
-	if want := m.StateCount(); len(src) != want {
-		panic(fmt.Sprintf("nn: SetStateStreaming src length %d, want %d", len(src), want))
-	}
-	m.stream = &streamInstall{src: src, wait: wait}
-}
-
-// FinishStreaming completes an in-progress streaming install — blocking
-// until the full state is available — and returns the model to plain
-// mode. No-op when no install is in progress.
-func (m *Sequential) FinishStreaming() {
-	if m.stream == nil {
-		return
-	}
-	m.installTo(m.StateCount())
-	m.stream = nil
-}
-
-// AbortStreaming drops an in-progress streaming install, leaving the
-// model partially installed. The caller must SetState before reusing the
-// model.
-func (m *Sequential) AbortStreaming() { m.stream = nil }
-
-func (m *Sequential) forwardStreaming(x *tensor.Tensor, train bool) *tensor.Tensor {
-	st := m.stream
-	for i, l := range m.Layers {
-		if need := m.layerNeed[i]; need > st.installed {
-			m.installTo(need)
-		}
-		x = l.Forward(x, train)
-	}
-	// The last layers' watermarks cover the whole vector, so the install
-	// is complete; drop back to the plain path for every later batch.
-	m.FinishStreaming()
-	return x
-}
-
-// installTo waits for src[:need] and copies the not-yet-installed tensors
-// inside [installed, need) into the model.
-func (m *Sequential) installTo(need int) {
-	st := m.stream
-	if need <= st.installed {
-		return
-	}
-	if st.wait != nil && !st.wait(need) {
-		panic(StreamAborted{})
-	}
-	m.installRange(st.src, st.installed, need)
-	st.installed = need
-}
-
-// installRange copies every tensor lying fully inside src[from:to) into
-// the model, params then buffers — the same per-tensor copies SetState
-// performs, restricted to the window. from and to always land on tensor
-// boundaries (they are layerNeed watermarks or StateCount).
-func (m *Sequential) installRange(src []float64, from, to int) {
-	off := 0
-	for _, p := range m.params {
-		n := p.Data.Len()
-		if off >= from && off+n <= to {
-			p.Data.CopyFromF64(src[off:])
-		}
-		off += n
-		if off >= to {
-			return
-		}
-	}
-	for _, b := range m.buffers {
-		n := b.Data.Len()
-		if off >= from && off+n <= to {
-			b.Data.CopyFromF64(src[off:])
-		}
-		off += n
-		if off >= to {
-			return
-		}
-	}
 }
 
 // Backward propagates the output gradient through the layers in reverse,

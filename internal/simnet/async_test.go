@@ -187,8 +187,9 @@ func TestAsyncSoakDropRejoin(t *testing.T) {
 }
 
 // TestPipelinedDownlinkBitwiseAllAlgorithms pins the party-side pipeline
-// — double-buffered downlink reception and prefix training on streamed
-// chunks — bitwise against the in-process reference for every algorithm:
+// — double-buffered downlink reception, the reader assembling the next
+// broadcast while the trainer works on the last complete one — bitwise
+// against the in-process reference for every algorithm:
 // the same federation over real TCP, every frame in both directions
 // delayed by a per-party latency/jitter fault stream, must produce the
 // identical final state and per-round losses. Timing faults reorder

@@ -157,11 +157,13 @@ func TestStateCopyBudget(t *testing.T) {
 	}
 }
 
-// gatedConn scripts a party's end of a pipe for TestDownlinkBufferBound:
+// gatedConn scripts a party's end of a pipe for TestDownlinkBufferBound
+// (TestDownlinkCutStreamUnpublished uses only its Recv announcements):
 // every Recv call is announced (the reader asks for frame n+1 only after
-// frame n is decoded and published, so the n+1-th call means n frames are
-// fully consumed), and the first frame of every reply is parked until the
-// test lets it go, which holds the trainer on its current generation.
+// frame n is decoded and, if it was a broadcast's last, the broadcast
+// published, so the n+1-th call means n frames are fully consumed), and
+// the first frame of every reply is parked until the test lets it go,
+// which holds the trainer on its current generation.
 type gatedConn struct {
 	Conn
 	recvs   chan struct{}
@@ -185,10 +187,11 @@ func (g *gatedConn) Send(b []byte) error {
 // TestDownlinkBufferBound drives one party session from a server that
 // mints ten generations for every one the party trains. Counted, not
 // timed: whatever the generation rate the session allocates exactly
-// maxDownlinkBufs assembly buffers (one under the trainer, one waiting,
-// one filling), every reply trains on the newest generation that had
-// arrived when the trainer came back for more, and a clean shutdown leaves
-// every buffer in the session's free list.
+// maxDownlinkBufs assembly buffers (one under the trainer, one complete
+// and waiting, one filling that supersedes it once complete), every reply
+// trains on the newest complete generation that had arrived when the
+// trainer came back for more, and a clean shutdown leaves every buffer in
+// the session's free list.
 func TestDownlinkBufferBound(t *testing.T) {
 	cfg, locals, _ := smallFederation(t)
 	spec, _ := data.Model("adult")

@@ -7,137 +7,44 @@ import (
 )
 
 // This file is the party side of the pipelined downlink: a dedicated
-// reader goroutine owns the connection's Recv and hands the training
-// loop incomingGlobal handles through a one-item, latest-wins slot, so
-// the next round's broadcast is received (and reassembled) while the
-// current round still trains — and the handle is published after the
-// FIRST frame, so training can start on the in-order state prefix while
-// later chunks are still in flight (see fl.StreamedGlobal /
-// Client.TrainStreamPrefixed).
+// reader goroutine owns the connection's Recv, reassembles each round
+// broadcast, and hands the complete broadcast to the training loop
+// through a one-item, latest-wins slot, so the next round's broadcast is
+// received (and reassembled) while the current round still trains.
 //
 // In synchronous mode the server never sends round N+1 before round N's
 // reply, so the slot is never overwritten and the observable behavior —
 // computation, bytes, errors — is exactly the lockstep loop's. The slot
 // only pays off when the server runs ahead: buffered-async mode, where a
 // broadcast the trainer has not picked up yet is superseded by the next
-// one, so the party always trains on the newest generation that reached
-// it and the reader never stalls the socket.
+// one, so the party always trains on the newest complete generation that
+// reached it and the reader never stalls the socket.
 //
 // A session therefore holds at most maxDownlinkBufs assembly buffers
 // however fast generations arrive: the one being trained on, the one
 // waiting in the slot, and the one the reader is filling (which takes the
-// slot over as soon as its first frame validates).
+// slot over once it is complete).
 
 // maxDownlinkBufs is the most state-length downlink assembly buffers one
 // party session ever holds, and the capacity of its free list.
 const maxDownlinkBufs = 3
 
-// incomingGlobal is one round broadcast being (or already) received. It
-// implements fl.StreamedGlobal: state fills front-to-back as chunks
-// land, done is the valid watermark over the combined state+control
-// stream, and a terminal err means the stream died mid-way. The reader
-// goroutine advances it; the training goroutine waits on it and must
-// Release it when finished (returning the assembly buffer to the
-// session's free list).
+// incomingGlobal is one complete round broadcast: its GlobalMsg, whose
+// State and Control view buf, and the wire codec it arrived in (the reply
+// streams back in the same codec). Whoever holds it last — the trainer,
+// or the reader when a newer broadcast supersedes it — releases buf to
+// the session's free list.
 type incomingGlobal struct {
-	round  int
-	budget int
-	chunk  int
-	// codec is the wire codec the broadcast arrived in; the reply streams
-	// back in the same codec.
+	GlobalMsg
 	codec byte
-
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	state   []float64
-	control []float64
-	buf     []float64 // backing for state+control, returned to free on Release
-	free    chan []float64
-
-	total    int
-	done     int
-	err      error
-	released bool
+	buf   []float64
 }
 
-// newIncomingGlobal wraps the assembly buffer for the broadcast whose
-// first frame is m; buf is m.Total long.
-func newIncomingGlobal(m GlobalChunkMsg, buf []float64, free chan []float64) *incomingGlobal {
-	g := &incomingGlobal{
-		round: m.Round, budget: m.Budget, chunk: m.Chunk, codec: m.Codec,
-		buf: buf, free: free, total: m.Total,
-		state: buf[:m.Total-m.CtrlLen],
-	}
-	if m.CtrlLen > 0 {
-		g.control = buf[m.Total-m.CtrlLen:]
-	}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// State implements fl.StreamedGlobal.
-func (g *incomingGlobal) State() []float64 { return g.state }
-
-// Control implements fl.StreamedGlobal.
-func (g *incomingGlobal) Control() []float64 { return g.control }
-
-// WaitState blocks until the first n state elements are valid (the
-// stream fills state first, then control, so a state watermark is a
-// stream watermark) or the stream fails.
-func (g *incomingGlobal) WaitState(n int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.done < n && g.err == nil {
-		g.cond.Wait()
-	}
-	return g.done >= n
-}
-
-// WaitAll blocks until the complete stream landed or failed.
-func (g *incomingGlobal) WaitAll() bool { return g.WaitState(g.total) }
-
-// Err returns the stream's terminal error.
-func (g *incomingGlobal) Err() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
-}
-
-// advance publishes a new watermark (reader side).
-func (g *incomingGlobal) advance(n int) {
-	g.mu.Lock()
-	g.done = n
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// fail marks the stream dead (reader side); waiters unblock and report
-// false.
-func (g *incomingGlobal) fail(err error) {
-	g.mu.Lock()
-	if g.err == nil {
-		g.err = err
-	}
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// Release waits until the reader is done with the buffer (stream
-// complete or failed — the reader never touches it after either) and
-// returns it to the free list. Idempotent.
-func (g *incomingGlobal) Release() {
-	if g.released {
-		return
-	}
-	g.released = true
-	g.mu.Lock()
-	for g.done < g.total && g.err == nil {
-		g.cond.Wait()
-	}
-	g.mu.Unlock()
+// release returns the assembly buffer to free; g must not be used
+// afterwards.
+func (g *incomingGlobal) release(free chan []float64) {
 	select {
-	case g.free <- g.buf:
+	case free <- g.buf:
 	default: // list full; let the buffer go
 	}
 }
@@ -158,9 +65,12 @@ type dlItem struct {
 // session's lifetime on that conn.
 type downlinkReader struct {
 	conn Conn
-	max  int // bound for a declared stream length (state + param control)
-	free chan []float64
-	quit chan struct{}
+	// stateLen and ctrlLen are the exact broadcast shape this party's model
+	// takes: its state length, and the server control suffix (the parameter
+	// count under SCAFFOLD, 0 otherwise).
+	stateLen, ctrlLen int
+	free              chan []float64
+	quit              chan struct{}
 	// clearDeadline, when non-nil, is called after the first received
 	// frame to lift the hello deadline — the server answered; round gaps
 	// are its RoundTimeout's business.
@@ -175,9 +85,9 @@ type downlinkReader struct {
 	wake chan struct{}
 }
 
-func newDownlinkReader(conn Conn, max int, free chan []float64, clearDeadline func()) *downlinkReader {
+func newDownlinkReader(conn Conn, stateLen, ctrlLen int, free chan []float64, clearDeadline func()) *downlinkReader {
 	return &downlinkReader{
-		conn: conn, max: max, free: free,
+		conn: conn, stateLen: stateLen, ctrlLen: ctrlLen, free: free,
 		quit:          make(chan struct{}),
 		wake:          make(chan struct{}, 1),
 		clearDeadline: clearDeadline,
@@ -197,10 +107,8 @@ func (r *downlinkReader) stop() {
 // push publishes an item unless the session is tearing down, and reports
 // whether it did. It never blocks: a broadcast still waiting in the slot
 // is superseded — by a newer generation or by the terminal event, which
-// takes precedence over a stale broadcast — and released. The reader
-// finishes one stream before it starts the next, so a superseded
-// broadcast is always complete (or failed) and releasing it never waits.
-// In sync mode the slot is empty whenever a broadcast arrives.
+// takes precedence over a stale broadcast — and released. In sync mode
+// the slot is empty whenever a broadcast arrives.
 func (r *downlinkReader) push(it dlItem) bool {
 	select {
 	case <-r.quit:
@@ -212,7 +120,7 @@ func (r *downlinkReader) push(it dlItem) bool {
 	r.slot, r.full = it, true
 	r.mu.Unlock()
 	if old.g != nil {
-		old.g.Release()
+		old.g.release(r.free)
 	}
 	select {
 	case r.wake <- struct{}{}:
@@ -284,14 +192,16 @@ func (r *downlinkReader) loop() {
 }
 
 // recvBroadcast reassembles one round broadcast starting from its first
-// frame, publishing the handle right after that frame validates so
-// training can begin on the state prefix. Frames on one conn must arrive
-// in order without gaps or overlaps, with a constant header and codec and
-// a correct last marker, and the declared length must fit the model's
-// bound — checked before the assembly buffer is sized from it, so a
-// hostile header cannot demand an arbitrary allocation. Each frame
-// decodes straight into the buffer at its offset. Returns false when the
-// reader must exit (terminal pushed or stopped).
+// frame and publishes it once the frame marked Last has decoded. The
+// first frame must declare exactly this party's stream shape — checked
+// before the assembly buffer is sized from it, so a hostile header cannot
+// demand an arbitrary allocation, and a server of another model or
+// algorithm is refused instead of crashing the trainer. Frames on one
+// conn must arrive in order without gaps or overlaps, with a constant
+// header and codec and a correct last marker. Each frame decodes straight
+// into the buffer at its offset; a stream that fails part-way puts the
+// buffer back on the free list, so the trainer never sees it. Returns
+// false when the reader must exit (terminal pushed or stopped).
 func (r *downlinkReader) recvBroadcast(raw []byte) bool {
 	first, p, err := parseGlobalChunk(raw)
 	if err != nil {
@@ -300,10 +210,10 @@ func (r *downlinkReader) recvBroadcast(raw []byte) bool {
 	}
 	total, ctrl := first.Total, first.CtrlLen
 	switch {
-	case ctrl > total:
-		err = fmt.Errorf("downlink stream of %d elements with control suffix %d", total, ctrl)
-	case total > r.max:
-		err = fmt.Errorf("downlink stream of %d elements exceeds this model's bound %d", total, r.max)
+	case ctrl != r.ctrlLen:
+		err = fmt.Errorf("downlink control suffix of %d elements, this party takes %d", ctrl, r.ctrlLen)
+	case total-ctrl != r.stateLen:
+		err = fmt.Errorf("downlink state of %d elements, this party's model has %d", total-ctrl, r.stateLen)
 	}
 	if err != nil {
 		r.push(dlItem{err: err, got: true})
@@ -313,9 +223,16 @@ func (r *downlinkReader) recvBroadcast(raw []byte) bool {
 	if cap(buf) < total {
 		buf = make([]float64, total)
 	}
-	ig := newIncomingGlobal(first, buf[:total], r.free)
+	g := &incomingGlobal{
+		GlobalMsg: GlobalMsg{Round: first.Round, Budget: first.Budget, Chunk: first.Chunk, State: buf[:r.stateLen]},
+		codec:     first.Codec,
+		buf:       buf[:total],
+	}
+	if ctrl > 0 {
+		g.Control = g.buf[r.stateLen:]
+	}
 	fail := func(err error) bool {
-		ig.fail(err)
+		g.release(r.free)
 		r.push(dlItem{err: err, got: true})
 		return false
 	}
@@ -335,17 +252,17 @@ func (r *downlinkReader) recvBroadcast(raw []byte) bool {
 			// one would let a peer spin this loop forever without progress.
 			return fail(fmt.Errorf("empty non-final downlink frame at offset %d", done))
 		}
-		if err := p.decodeInto(ig.buf[done : done+p.count]); err != nil {
+		if err := p.decodeInto(g.buf[done : done+p.count]); err != nil {
 			return fail(err)
 		}
-		if done == 0 && !r.push(dlItem{g: ig}) {
-			return false
-		}
-		done += p.count
-		ig.advance(done)
 		if m.Last {
+			if !r.push(dlItem{g: g}) {
+				g.release(r.free)
+				return false
+			}
 			return true
 		}
+		done += p.count
 		raw, err := r.conn.Recv()
 		if err != nil {
 			return fail(fmt.Errorf("downlink recv: %w", err))

@@ -50,10 +50,11 @@ type partySession struct {
 	client *fl.Client
 	frame  []byte // reused chunk-frame encode buffer
 	// dlFree recycles downlink assembly buffers across rounds and
-	// reconnects; the downlink reader draws from it and Release returns
-	// to it. A synchronous session holds at most two state-length
-	// buffers (the next round's first frame can land before this round's
-	// is released), an async one at most maxDownlinkBufs.
+	// reconnects; the downlink reader draws from it and every broadcast's
+	// release returns to it. A synchronous session holds at most two
+	// state-length buffers (the reader can start assembling the next
+	// round before this round's is released), an async one at most
+	// maxDownlinkBufs.
 	dlFree chan []float64
 	hello  HelloMsg // identity fields; Rejoin varies per attempt
 	// progressed flips once a session receives its first round broadcast —
@@ -125,13 +126,16 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 		return fmt.Errorf("simnet: party %d hello: %w", s.id, err)
 	}
 	// Bound every server frame before it is read: the largest legitimate
-	// downlink is one frame carrying this party's whole stream; resyncs
-	// and shutdowns are strictly smaller. The party side of the memory
-	// contract — a hostile (or buggy) server cannot make a party allocate
-	// an arbitrary frame.
-	streamMax := s.client.StateCount() + s.client.ParamCount()
+	// downlink is one frame carrying this party's whole stream — its state
+	// plus, under SCAFFOLD, the server control; resyncs and shutdowns are
+	// strictly smaller. The party side of the memory contract — a hostile
+	// (or buggy) server cannot make a party allocate an arbitrary frame.
+	stateLen, ctrlLen := s.client.StateCount(), 0
+	if s.cfg.Algorithm == fl.Scaffold {
+		ctrlLen = s.client.ParamCount()
+	}
 	if rl, ok := conn.(recvLimiter); ok {
-		rl.SetRecvLimit(recvLimitFor(streamMax))
+		rl.SetRecvLimit(recvLimitFor(stateLen + ctrlLen))
 	}
 	dl, hasDeadline := conn.(readDeadliner)
 	if helloTimeout > 0 && hasDeadline {
@@ -181,7 +185,7 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 	if s.dlFree == nil {
 		s.dlFree = make(chan []float64, maxDownlinkBufs)
 	}
-	r := newDownlinkReader(conn, streamMax, s.dlFree, clear)
+	r := newDownlinkReader(conn, stateLen, ctrlLen, s.dlFree, clear)
 	go r.loop()
 	defer r.stop()
 	for {
@@ -203,16 +207,14 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 	}
 }
 
-// handleGlobal answers one round broadcast: a replay of the cached reply,
-// or a fresh training pass — beginning on the broadcast's in-order state
-// prefix while later downlink chunks are still in flight
-// (fl.Client.TrainStreamPrefixed). The handle is always released —
-// returning its assembly buffer to the session's free list — whatever the
-// outcome.
+// handleGlobal answers one complete round broadcast: a replay of the
+// cached reply, or a fresh training pass. The broadcast is always
+// released — returning its assembly buffer to the session's free list —
+// whatever the outcome.
 func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
-	defer ig.Release()
-	s.client.SetComputeBudget(tensor.Compute{Workers: ig.budget})
-	if s.cacheOn && s.cache.valid && ig.round == s.cache.round {
+	defer ig.release(s.dlFree)
+	s.client.SetComputeBudget(tensor.Compute{Workers: ig.Budget})
+	if s.cacheOn && s.cache.valid && ig.Round == s.cache.round {
 		// The server re-asked for a round this session already trained
 		// — it restored from a checkpoint taken before our reply
 		// landed, or our uplink died mid-send. Replay the cached reply
@@ -227,16 +229,13 @@ func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
 		}
 		return nil
 	}
-	p, err := s.client.TrainStreamPrefixed(ig, s.cfg)
-	if err != nil {
-		return fmt.Errorf("simnet: party %d: %w", s.id, err)
-	}
+	p := s.client.TrainStream(ig.State, ig.Control, s.cfg)
 	defer p.Release()
 	if s.cacheOn {
 		// Capture before streaming: even a reply that dies mid-send was
 		// trained, and must be replayed (not retrained) when the round is
 		// re-asked.
-		s.cache.store(ig.round, p.Update())
+		s.cache.store(ig.Round, p.Update())
 	}
 	if err := s.sendUpdate(conn, ig, p.Update()); err != nil {
 		return fmt.Errorf("simnet: party %d: %w", s.id, err)
@@ -252,9 +251,9 @@ func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
 // for the reply.
 func (s *partySession) sendUpdate(conn Conn, ig *incomingGlobal, u fl.Update) error {
 	total := len(u.Delta) + len(u.DeltaC)
-	return fl.ChunkStream(u.Delta, u.DeltaC, ig.chunk, func(offset int, chunk []float64) error {
+	return fl.ChunkStream(u.Delta, u.DeltaC, ig.Chunk, func(offset int, chunk []float64) error {
 		b, err := AppendMarshal(s.frame[:0], UpdateChunkMsg{
-			Round: ig.round, Offset: offset, Total: total,
+			Round: ig.Round, Offset: offset, Total: total,
 			N: u.N, Tau: u.Tau, TrainLoss: u.TrainLoss,
 			Last:  offset+len(chunk) == total,
 			Codec: ig.codec, Chunk: chunk,

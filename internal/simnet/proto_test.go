@@ -424,60 +424,87 @@ func TestChunkedDownlinkParityAcrossChunkSizes(t *testing.T) {
 	}
 }
 
-// downlinkFrom feeds frames to a fresh downlinkReader over a pipe and
-// returns the reader's first event plus its free list, so tests can see
-// what the party side made of a server's framing.
-func downlinkFrom(t *testing.T, max int, frames ...GlobalChunkMsg) (dlItem, chan []float64) {
+// sendGlobal marshals and sends broadcast frames in order.
+func sendGlobal(t *testing.T, conn Conn, frames ...GlobalChunkMsg) {
 	t.Helper()
-	serverSide, partySide := Pipe()
-	free := make(chan []float64, 4)
-	r := newDownlinkReader(partySide, max, free, nil)
-	go r.loop()
-	t.Cleanup(func() {
-		r.stop()
-		_ = serverSide.Close()
-	})
 	for _, f := range frames {
 		b, err := Marshal(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := serverSide.Send(b); err != nil {
+		if err := conn.Send(b); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// downlinkFrom feeds frames to a fresh downlinkReader, for a party whose
+// model takes stateLen state and ctrlLen control elements, over a pipe and
+// returns the reader's first event plus its free list, so tests can see
+// what the party side made of a server's framing.
+func downlinkFrom(t *testing.T, stateLen, ctrlLen int, frames ...GlobalChunkMsg) (dlItem, chan []float64) {
+	t.Helper()
+	serverSide, partySide := Pipe()
+	free := make(chan []float64, 4)
+	r := newDownlinkReader(partySide, stateLen, ctrlLen, free, nil)
+	go r.loop()
+	t.Cleanup(func() {
+		r.stop()
+		_ = serverSide.Close()
+	})
+	sendGlobal(t, serverSide, frames...)
 	return r.next(), free
 }
 
-// TestDownlinkTotalBounded pins the party side of the memory contract:
-// the assembly buffer is sized from the wire-supplied Total, so a header
-// declaring an absurd stream length must be rejected before anything is
-// allocated — the model's own state+param length is the bound.
+// TestDownlinkTotalBounded pins the party side of the memory contract and
+// of the model's shape: the assembly buffer is sized from the
+// wire-supplied Total, so the first frame must declare exactly this
+// party's state length and control suffix (the parameter count under
+// SCAFFOLD, none otherwise). Any other declaration — an absurd length, a
+// smaller model, a FedAvg server feeding a SCAFFOLD party or the reverse —
+// is an error naming both lengths, refused before anything is allocated
+// or published.
 func TestDownlinkTotalBounded(t *testing.T) {
-	it, _ := downlinkFrom(t, 100, GlobalChunkMsg{Total: 1 << 30, Chunk: 8})
-	if it.err == nil || !strings.Contains(it.err.Error(), "exceeds this model's bound") {
-		t.Fatalf("oversized downlink Total declaration: %+v", it)
+	for _, tc := range []struct {
+		name              string
+		stateLen, ctrlLen int
+		frame             GlobalChunkMsg
+		want              string
+	}{
+		{"oversized", 100, 0, GlobalChunkMsg{Total: 1 << 30, Chunk: 8}, "state of 1073741824 elements, this party's model has 100"},
+		{"state one short", 100, 0, GlobalChunkMsg{Total: 99, Chunk: 8}, "state of 99 elements, this party's model has 100"},
+		{"control missing", 2, 1, GlobalChunkMsg{Total: 2, Chunk: 8}, "control suffix of 0 elements, this party takes 1"},
+		{"control unexpected", 2, 0, GlobalChunkMsg{Total: 3, CtrlLen: 1, Chunk: 8}, "control suffix of 1 elements, this party takes 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			it, free := downlinkFrom(t, tc.stateLen, tc.ctrlLen, tc.frame)
+			if it.err == nil || !strings.Contains(it.err.Error(), tc.want) {
+				t.Fatalf("got %+v, want an error containing %q", it, tc.want)
+			}
+			if it.g != nil {
+				t.Fatal("a broadcast was published for a rejected declaration")
+			}
+			// A stream that fails after its buffer was taken returns it
+			// before reporting, so an empty list means none was allocated.
+			if len(free) != 0 {
+				t.Fatalf("the reader allocated %d assembly buffers for a rejected declaration", len(free))
+			}
+		})
 	}
-	if it.g != nil {
-		t.Fatal("a handle (and its assembly buffer) was published for a rejected declaration")
-	}
-	// A declaration at the bound assembles normally, in order, across the
+	// The party's exact shape assembles normally, in order, across the
 	// state/control seam, into a buffer the free list gets back.
-	it, free := downlinkFrom(t, 3,
+	it, free := downlinkFrom(t, 2, 1,
 		GlobalChunkMsg{Round: 4, Total: 3, CtrlLen: 1, Chunk: 2, Payload: []float64{1, 2}},
 		GlobalChunkMsg{Round: 4, Offset: 2, Total: 3, CtrlLen: 1, Chunk: 2, Last: true, Payload: []float64{3}})
 	if it.err != nil || it.g == nil {
-		t.Fatalf("in-bound stream: %+v", it)
+		t.Fatalf("in-shape stream: %+v", it)
 	}
-	if !it.g.WaitAll() {
-		t.Fatal(it.g.Err())
+	if g := it.g; g.Round != 4 || len(g.State) != 2 || g.State[1] != 2 || len(g.Control) != 1 || g.Control[0] != 3 {
+		t.Fatalf("reassembled round %d state %v control %v", g.Round, g.State, g.Control)
 	}
-	if st, c := it.g.State(), it.g.Control(); it.g.round != 4 || len(st) != 2 || st[1] != 2 || len(c) != 1 || c[0] != 3 {
-		t.Fatalf("reassembled round %d state %v control %v", it.g.round, st, c)
-	}
-	it.g.Release()
+	it.g.release(free)
 	if len(free) != 1 {
-		t.Fatalf("released handle returned %d buffers to the free list, want 1", len(free))
+		t.Fatalf("released broadcast returned %d buffers to the free list, want 1", len(free))
 	}
 }
 
@@ -485,8 +512,158 @@ func TestDownlinkTotalBounded(t *testing.T) {
 // side: an empty frame that is not the stream's last makes no progress
 // and must be rejected, not looped on.
 func TestDownlinkEmptyFrameRejected(t *testing.T) {
-	it, _ := downlinkFrom(t, 10, GlobalChunkMsg{Total: 4, Chunk: 2})
+	it, _ := downlinkFrom(t, 4, 0, GlobalChunkMsg{Total: 4, Chunk: 2})
 	if it.err == nil || !strings.Contains(it.err.Error(), "empty non-final") {
 		t.Fatalf("empty non-final downlink frame: %+v", it)
+	}
+}
+
+// TestDownlinkCutStreamUnpublished pins that a broadcast is published
+// only whole: the server sends the first of two frames and hangs up.
+// Nothing reaches the slot while the reader waits for the second frame,
+// the hang-up yields one error item carrying no broadcast, and the partly
+// filled buffer is back on the free list.
+func TestDownlinkCutStreamUnpublished(t *testing.T) {
+	serverSide, partySide := Pipe()
+	party := &gatedConn{Conn: partySide, recvs: make(chan struct{}, 4)}
+	free := make(chan []float64, 4)
+	r := newDownlinkReader(party, 3, 0, free, nil)
+	go r.loop()
+	defer r.stop()
+	sendGlobal(t, serverSide, GlobalChunkMsg{Round: 1, Total: 3, Chunk: 2, Payload: []float64{1, 2}})
+	<-party.recvs
+	<-party.recvs // the reader asks for frame two: frame one is decoded
+	r.mu.Lock()
+	published := r.full
+	r.mu.Unlock()
+	if published {
+		t.Fatal("the reader published a broadcast before its last frame")
+	}
+	_ = serverSide.Close()
+	it := r.next()
+	if it.err == nil || it.g != nil || it.shutdown {
+		t.Fatalf("cut stream: %+v, want one error item without a broadcast", it)
+	}
+	if len(free) != 1 {
+		t.Fatalf("the free list holds %d buffers after a cut stream, want the partly filled one back", len(free))
+	}
+	if b := <-free; cap(b) < 3 || b[0] != 1 || b[1] != 2 {
+		t.Fatalf("the free list got back %v (cap %d), not the partly filled assembly buffer", b, cap(b))
+	}
+}
+
+// TestCutBroadcastRejoinBitwise is the session-level guarantee a cut
+// broadcast buys: training never starts on a partial global, so nothing
+// needs rolling back. A scripted server sends round 0 and reads the
+// reply, sends half of round 1 and hangs up; the same session rejoins on
+// a new pipe, is resynced to round 1, and receives round 1 whole. Its
+// round-1 reply must be byte-identical to an uncut session's.
+func TestCutBroadcastRejoinBitwise(t *testing.T) {
+	cfg, locals, _ := smallFederation(t)
+	spec, _ := data.Model("adult")
+	cfg.ChunkSize = 100
+	session := func() *partySession {
+		s, err := newPartySession(0, locals[0], spec, cfg, PartySeed(cfg.Seed, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	state := make([]float64, session().client.StateCount())
+	for i := range state {
+		state[i] = float64(i%7-3) * 0.01
+	}
+	frames := func(round int) [][]byte {
+		fr, err := newGlobalFrames(round, state, nil, 0, cfg.ChunkSize).frames(wireCodecF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fr
+	}
+	if len(frames(1)) < 2 {
+		t.Fatal("the broadcast must span several frames to be cut")
+	}
+	send := func(conn Conn, msgs ...[]byte) {
+		t.Helper()
+		for _, b := range msgs {
+			if err := conn.Send(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reply := func(conn Conn) []byte { // one reply's frames, concatenated
+		t.Helper()
+		var out []byte
+		for {
+			raw, err := conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, raw...)
+			if m, _, err := parseUpdateChunk(raw); err != nil {
+				t.Fatal(err)
+			} else if m.Last {
+				return out
+			}
+		}
+	}
+	bye, err := Marshal(ShutdownMsg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// serve runs s on a fresh pipe while script plays the server after the
+	// hello, then hangs up and returns the session's error.
+	serve := func(s *partySession, rejoin bool, script func(server Conn)) error {
+		t.Helper()
+		server, party := Pipe()
+		done := make(chan error, 1)
+		go func() { done <- s.run(party, "", rejoin, 0) }()
+		if _, err := server.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		script(server)
+		_ = server.Close()
+		return <-done
+	}
+
+	var want0, want1 []byte
+	if err := serve(session(), false, func(server Conn) {
+		send(server, frames(0)...)
+		want0 = reply(server)
+		send(server, frames(1)...)
+		want1 = reply(server)
+		send(server, bye)
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	s := session()
+	var got0 []byte
+	if err := serve(s, false, func(server Conn) {
+		send(server, frames(0)...)
+		got0 = reply(server)
+		fr := frames(1)
+		send(server, fr[:len(fr)/2]...)
+	}); err == nil {
+		t.Fatal("the session ended cleanly on a cut broadcast")
+	}
+	resync, err := Marshal(ResyncMsg{Round: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got1 []byte
+	if err := serve(s, true, func(server Conn) {
+		send(server, resync)
+		send(server, frames(1)...)
+		got1 = reply(server)
+		send(server, bye)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if string(got0) != string(want0) {
+		t.Fatal("round-0 replies differ before the cut")
+	}
+	if string(got1) != string(want1) {
+		t.Fatal("the round-1 reply after a cut broadcast and a rejoin differs from the uncut session's")
 	}
 }
