@@ -18,10 +18,11 @@ type opaqueLayer struct{ nn.Layer }
 // TestTrainStreamMatchesFullBackward trains two identical clients for two
 // rounds — one as shipped, one with its first layer made opaque so every
 // step forms the first layer's input gradient through Backward — and
-// requires bitwise-equal updates, for the three training loops that call
-// BackwardParams: the plain loop (FedAvg), SCAFFOLD's option-(i) gradient
-// pass and MOON's body. Afterwards the shipped client's first layer must
-// hold no input-gradient scratch.
+// requires bitwise-equal updates, for the three kinds of pass through the
+// one gradient step (which ends in the body's BackwardParams): plain SGD
+// (FedAvg), SCAFFOLD's option-(i) gradient pass and MOON's contrastive
+// step. Afterwards the shipped client's first layer must hold no
+// input-gradient scratch.
 func TestTrainStreamMatchesFullBackward(t *testing.T) {
 	ds := benchDataset(64)
 	specs := []nn.ModelSpec{

@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"iter"
+
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/optim"
@@ -169,11 +171,6 @@ func (p *PendingUpdate) Trailer() Update {
 	return t
 }
 
-// StreamLen returns the update's total chunk-stream length: the
-// state-length delta plus, for SCAFFOLD, the parameter-length control
-// delta.
-func (p *PendingUpdate) StreamLen() int { return len(p.u.Delta) + len(p.u.DeltaC) }
-
 // Chunks emits the update's flattened stream — delta first, then
 // SCAFFOLD's control delta — as consecutive views of at most size
 // elements, with offsets indexing the combined stream. The views alias
@@ -250,69 +247,102 @@ func (c *Client) TrainStream(global []float64, serverC []float64, cfg Config) *P
 	}
 
 	opt := c.optimizer(cfg)
-	if cfg.Algorithm == FedProx && cfg.Mu > 0 {
-		opt.AddCorrector(&optim.Proximal{Mu: cfg.Mu, Global: global[:paramLen]})
-	}
-	if cfg.Algorithm == Scaffold {
+	switch cfg.Algorithm {
+	case FedProx:
+		if cfg.Mu > 0 {
+			opt.AddCorrector(&optim.Proximal{Mu: cfg.Mu, Global: global[:paramLen]})
+		}
+	case Scaffold:
 		if c.scaffoldC == nil {
 			c.scaffoldC = make([]float64, paramLen)
 		}
 		opt.AddCorrector(&optim.Scaffold{Local: c.scaffoldC, Server: serverC})
-	}
-	if cfg.Algorithm == FedDyn {
+	case FedDyn:
 		if c.dynH == nil {
 			c.dynH = make([]float64, paramLen)
 		}
 		opt.AddCorrector(&optim.Dyn{Alpha: cfg.Alpha, Global: global[:paramLen], H: c.dynH})
-	}
-	if cfg.Algorithm == Moon {
-		return &PendingUpdate{u: c.localTrainMoon(global, cfg, opt, ws), ws: ws}
+	case Moon:
+		c.readyMoon(global)
 	}
 
 	n := c.Data.Len()
 	idx := c.indices(n)
+	xBuf := ws.GetRaw(c.Spec.DType, min(cfg.BatchSize, n), c.Data.FeatLen)
 	tau := 0
 	var lastEpochLoss float64
-	loss := nn.SoftmaxCrossEntropy{}
-	bs := cfg.BatchSize
-	if bs > n {
-		bs = n
-	}
-	xBuf := ws.GetRaw(c.Spec.DType, bs, c.Data.FeatLen)
 	for epoch := 0; epoch < cfg.LocalEpochs; epoch++ {
 		c.r.Shuffle(idx)
 		var epochLoss float64
 		batches := 0
-		for start := 0; start < n; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			var x *tensor.Tensor
-			x, c.yBuf = c.Data.BatchInto(xBuf, c.yBuf, idx[start:end])
-			xBuf = x
-			c.model.ZeroGrads()
-			logits := c.model.Forward(c.Spec.ShapeBatch(x), true)
-			var l float64
-			l, c.lossGrad = loss.LossInto(c.lossGrad, logits, c.yBuf)
-			c.model.BackwardParams(c.lossGrad)
+		for x, y := range c.batches(idx, cfg.BatchSize, xBuf) {
+			epochLoss += c.gradient(x, y, cfg)
 			if cfg.DPClip > 0 {
-				dpSanitize(c.model, cfg.DPClip, cfg.DPNoise, end-start, c.r)
+				dpSanitize(c.model, cfg.DPClip, cfg.DPNoise, len(y), c.r)
 			}
 			opt.Step(c.model)
-			epochLoss += l
 			batches++
-			tau++
 		}
-		if batches > 0 {
-			lastEpochLoss = epochLoss / float64(batches)
+		tau += batches
+		lastEpochLoss = epochLoss / float64(batches)
+	}
+	return &PendingUpdate{u: c.finish(global, serverC, tau, lastEpochLoss, cfg, ws), ws: ws}
+}
+
+// batches walks idx in mini-batches of at most bs samples — the one
+// batching loop, which PredictTau mirrors — gathering each batch into x (a
+// tensor with room for bs samples) and yielding it shaped for the model
+// with its labels. Both are overwritten by the next batch.
+func (c *Client) batches(idx []int, bs int, x *tensor.Tensor) iter.Seq2[*tensor.Tensor, []int] {
+	return func(yield func(*tensor.Tensor, []int) bool) {
+		for start := 0; start < len(idx); start += bs {
+			x, c.yBuf = c.Data.BatchInto(x, c.yBuf, idx[start:min(start+bs, len(idx))])
+			if !yield(c.Spec.ShapeBatch(x), c.yBuf) {
+				return
+			}
 		}
 	}
+}
 
-	// The trained state lands in the delta buffer and is subtracted from
-	// the global in place: the update is the party's one state-length
-	// round vector. Only SCAFFOLD's control update reads the trained state
-	// again and so keeps a copy.
+// gradient leaves the batch's loss gradient in the model's parameter
+// gradients and returns the loss. Every algorithm takes the same path:
+// forward through the body (every layer but the last) to the
+// representation z, then the head; cross-entropy; back through the head;
+// MOON adds its contrastive gradient at z; back through the body. That is
+// the sequence of layer calls Sequential.Forward and BackwardParams make,
+// and the body is read from the model's layers on every call.
+func (c *Client) gradient(x *tensor.Tensor, y []int, cfg Config) float64 {
+	body, head := split(c.model)
+	c.model.ZeroGrads()
+	z := body.Forward(x, true)
+	var l float64
+	l, c.lossGrad = nn.SoftmaxCrossEntropy{}.LossInto(c.lossGrad, head.Forward(z, true), y)
+	g := head.Backward(c.lossGrad)
+	if cfg.Algorithm == Moon {
+		l += cfg.MoonMu * c.addContrastive(x, z, g, cfg.MoonMu/float64(len(y)))
+	}
+	body.BackwardParams(g)
+	return l
+}
+
+// split returns m's body — every layer but the last, viewed in place — and
+// its head, the final classifier layer, whose input is the representation
+// MOON contrasts.
+func split(m *nn.Sequential) (nn.Sequential, nn.Layer) {
+	last := len(m.Layers) - 1
+	return nn.Sequential{Layers: m.Layers[:last]}, m.Layers[last]
+}
+
+// finish turns the trained model into the round's update, the same way for
+// every algorithm. The trained state lands in the delta buffer and is
+// subtracted from the global in place, so the update is the party's one
+// state-length round vector; what must outlive the round is taken from
+// the trained state first (the FedBN ablation's local statistics, MOON's
+// previous model, a copy for SCAFFOLD's control update). Then the FedBN
+// ablation reports no buffer delta, top-k sparsifies, SCAFFOLD updates c_i
+// and FedDyn h_i.
+func (c *Client) finish(global, serverC []float64, tau int, loss float64, cfg Config, ws *tensor.Workspace) Update {
+	paramLen := c.model.ParamCount()
 	delta := ws.GetRaw(tensor.Float64, c.model.StateCount()).Data()
 	c.model.GetState(delta)
 	var state []float64
@@ -321,18 +351,20 @@ func (c *Client) TrainStream(global []float64, serverC []float64, cfg Config) *P
 		copy(state, delta)
 	}
 	if cfg.KeepBNStatsLocal {
-		// Remember local BN stats and (below) report no buffer delta so the
-		// server keeps its own statistics untouched.
 		c.localBN = append(c.localBN[:0], delta[paramLen:]...)
+	}
+	if cfg.Algorithm == Moon {
+		c.prevState = append(c.prevState[:0], delta...)
 	}
 	for i := range delta {
 		delta[i] = global[i] - delta[i]
 	}
 	if cfg.KeepBNStatsLocal {
+		// The server keeps its own statistics untouched.
 		clear(delta[paramLen:])
 	}
 
-	up := Update{Delta: delta, Tau: tau, N: n, TrainLoss: lastEpochLoss, Kept: paramLen}
+	up := Update{Delta: delta, Tau: tau, N: c.Data.Len(), TrainLoss: loss, Kept: paramLen}
 	if cfg.CompressTopK > 0 {
 		up.Kept = compressTopK(delta, paramLen, cfg.CompressTopK)
 	}
@@ -345,7 +377,7 @@ func (c *Client) TrainStream(global []float64, serverC []float64, cfg Config) *P
 			c.dynH[i] += cfg.Alpha * delta[i]
 		}
 	}
-	return &PendingUpdate{u: up, ws: ws}
+	return up
 }
 
 // updateControlVariate implements Algorithm 2 lines 23-25 and returns
@@ -355,43 +387,22 @@ func (c *Client) updateControlVariate(global, state, serverC []float64, tau int,
 	cStar := ws.GetRaw(tensor.Float64, paramLen).Data()
 	switch cfg.Variant {
 	case ScaffoldGradient:
-		// Option (i): gradient of the local data at the *global* model.
+		// Option (i): gradient of the local data at the *global* model, one
+		// pass in index order, each batch's mean-loss gradient weighted by
+		// its share of the data.
 		c.model.SetState(global)
-		c.model.ZeroGrads()
-		gsum := ws.Get(paramLen).Data()
-		loss := nn.SoftmaxCrossEntropy{}
 		n := c.Data.Len()
-		// Full pass in batches; gradients of the mean loss per batch are
-		// combined weighted by batch size.
-		tmp := ws.GetRaw(tensor.Float64, paramLen).Data()
-		bs := cfg.BatchSize
-		if bs > n {
-			bs = n
-		}
-		xBuf := ws.GetRaw(c.Spec.DType, bs, c.Data.FeatLen)
-		for start := 0; start < n; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			idx := c.idx[:end-start]
-			for i := range idx {
-				idx[i] = start + i
-			}
-			var x *tensor.Tensor
-			x, c.yBuf = c.Data.BatchInto(xBuf, c.yBuf, idx)
-			xBuf = x
-			c.model.ZeroGrads()
-			logits := c.model.Forward(c.Spec.ShapeBatch(x), true)
-			_, c.lossGrad = loss.LossInto(c.lossGrad, logits, c.yBuf)
-			c.model.BackwardParams(c.lossGrad)
-			c.model.GetGrads(tmp)
-			w := float64(end-start) / float64(n)
-			for i := range gsum {
-				gsum[i] += w * tmp[i]
+		clear(cStar)
+		grad := ws.GetRaw(tensor.Float64, paramLen).Data()
+		xBuf := ws.GetRaw(c.Spec.DType, min(cfg.BatchSize, n), c.Data.FeatLen)
+		for x, y := range c.batches(c.indices(n), cfg.BatchSize, xBuf) {
+			c.gradient(x, y, cfg)
+			c.model.GetGrads(grad)
+			w := float64(len(y)) / float64(n)
+			for i := range cStar {
+				cStar[i] += w * grad[i]
 			}
 		}
-		copy(cStar, gsum)
 		// Restore the trained state: the delta was already computed.
 		c.model.SetState(state)
 	default: // ScaffoldReuse, option (ii)

@@ -9,6 +9,15 @@
 // control-variate delta); the server aggregates deltas weighted by local
 // dataset size (FedNova additionally normalizes by the local step count).
 //
+// A party's local update lives in one place, Client.TrainStream, for all
+// six algorithms: E epochs over one batch iterator, each step forward,
+// cross-entropy, BackwardParams, DP sanitization and the optimizer step,
+// then one finish that forms the in-place delta and the per-algorithm
+// state. FedProx, SCAFFOLD and FedDyn plug in as optim correctors on the
+// step; MOON adds its contrastive gradient at the representation before
+// the body's backward pass; FedNova trains like FedAvg. KeepBNStatsLocal
+// applies to every algorithm, MOON included.
+//
 // The server aggregates with one fold kernel and one apply step, shared
 // by both schedulers, each with its own ingest. A synchronous round is
 // Server.BeginRound, then per update AddUpdateChunk frames closed by

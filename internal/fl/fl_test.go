@@ -362,6 +362,7 @@ func TestDeltaIsGlobalMinusTrainedState(t *testing.T) {
 	cases := map[string]func(*Config){
 		"scaffold-gradient": func(c *Config) { c.Algorithm, c.Variant = Scaffold, ScaffoldGradient },
 		"keep-bn":           func(c *Config) { c.KeepBNStatsLocal = true },
+		"moon+keep-bn":      func(c *Config) { c.Algorithm, c.KeepBNStatsLocal = Moon, true },
 	}
 	for _, alg := range ExtendedAlgorithms() {
 		cases[string(alg)] = func(c *Config) { c.Algorithm = alg }

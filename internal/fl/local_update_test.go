@@ -32,6 +32,7 @@ var localUpdatePins = map[string]string{
 	"moon/mlp/f64":              "31d965b36114ea14",
 	"scaffold-gradient/vgg/f64": "81608999bd98f8a5",
 	"fedavg+keep-bn/vgg/f64":    "2ec74e0832c95abf",
+	"moon+keep-bn/vgg/f64":      "317ef98f5516bd4a",
 	"dp/vgg/f64":                "0e6a5a03d3cf5b2c",
 	"topk/vgg/f64":              "da0c907a2a165570",
 
@@ -49,15 +50,16 @@ var localUpdatePins = map[string]string{
 	"moon/mlp/f32":              "5a10e16dd948e89a",
 	"scaffold-gradient/vgg/f32": "bf54a7f112387742",
 	"fedavg+keep-bn/vgg/f32":    "e5e4a2f66a636a3d",
+	"moon+keep-bn/vgg/f32":      "0e2202a5d4173b64",
 	"dp/vgg/f32":                "9749f9c65cefeb81",
 	"topk/vgg/f32":              "599a5fc648a633f5",
 }
 
 // TestLocalUpdatePin freezes Client.TrainStream bit for bit: for every
 // algorithm in both dtypes on a batch-norm model (the small VGG) and on the
-// MLP, plus SCAFFOLD's option (i), the FedBN-style ablation, DP
-// sanitization and top-k compression, it hashes each round's (Delta,
-// DeltaC, Tau, TrainLoss, Kept) over two rounds — the global state (and
+// MLP, plus SCAFFOLD's option (i), the FedBN-style ablation under FedAvg
+// and MOON, DP sanitization and top-k compression, it hashes each round's
+// (Delta, DeltaC, Tau, TrainLoss, Kept) over two rounds — the global state (and
 // SCAFFOLD's server control) moved between them, so the second round reads
 // everything the first one left on the client.
 func TestLocalUpdatePin(t *testing.T) {
@@ -87,6 +89,7 @@ func TestLocalUpdatePin(t *testing.T) {
 		for name, mod := range map[string]func(*Config){
 			"scaffold-gradient": func(c *Config) { c.Algorithm, c.Variant = Scaffold, ScaffoldGradient },
 			"fedavg+keep-bn":    func(c *Config) { c.KeepBNStatsLocal = true },
+			"moon+keep-bn":      func(c *Config) { c.Algorithm, c.KeepBNStatsLocal = Moon, true },
 			"dp":                func(c *Config) { c.DPClip, c.DPNoise = 1, 0.5 },
 			"topk":              func(c *Config) { c.CompressTopK = 0.1 },
 		} {
@@ -175,7 +178,7 @@ func poolDropsPuts() bool {
 // vectors come back from the pool, so a round allocates one object, the
 // PendingUpdate it returns. AllocsPerRun runs at GOMAXPROCS=1, where the
 // kernels fan out to no worker goroutines; BenchmarkLocalTrainStep{,32}
-// on two cores also counts those spawns (26/25 allocs/op). A per-batch
+// on two cores also counts those spawns (25–26 allocs/op). A per-batch
 // allocation in the training loop shows up here as four per round.
 func TestTrainStreamAllocs(t *testing.T) {
 	if poolDropsPuts() {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/niid-bench/niidbench/internal/nn"
-	"github.com/niid-bench/niidbench/internal/optim"
 	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
@@ -19,8 +18,9 @@ type moonScratch struct {
 	dsg, dsp []float64
 }
 
-// localTrainMoon implements MOON's model-contrastive local training (Li,
-// He, Song — CVPR 2021, reference [40] of the paper). The local loss is
+// MOON's model-contrastive local training (Li, He, Song — CVPR 2021,
+// reference [40] of the paper) runs through Client.TrainStream like every
+// other algorithm; its local loss adds one term,
 //
 //	CE(w; x, y) + mu * L_con
 //	L_con = -log( exp(sim(z, z_glob)/T) / (exp(sim(z, z_glob)/T) + exp(sim(z, z_prev)/T)) )
@@ -30,7 +30,10 @@ type moonScratch struct {
 // z_prev that of the party's previous local model. The contrastive term
 // pulls the local representation toward the global model's and pushes it
 // away from the stale local one, countering drift.
-func (c *Client) localTrainMoon(global []float64, cfg Config, opt *optim.SGD, ws *tensor.Workspace) Update {
+
+// readyMoon loads the round's frozen models into MOON's replicas: the
+// global one and the party's previous local one.
+func (c *Client) readyMoon(global []float64) {
 	if c.auxGlobal == nil {
 		// Frozen replicas for representation extraction. Their weights are
 		// overwritten every round, so the init RNG does not matter.
@@ -46,89 +49,18 @@ func (c *Client) localTrainMoon(global []float64, cfg Config, opt *optim.SGD, ws
 	}
 	c.auxGlobal.SetState(global)
 	c.auxPrev.SetState(c.prevState)
-
-	n := c.Data.Len()
-	idx := c.indices(n)
-	tau := 0
-	var lastEpochLoss float64
-	loss := nn.SoftmaxCrossEntropy{}
-	head := c.model.Layers[len(c.model.Layers)-1]
-	body := nn.NewSequential(c.model.Layers[:len(c.model.Layers)-1]...)
-	bs := cfg.BatchSize
-	if bs > n {
-		bs = n
-	}
-	xBuf := ws.GetRaw(c.Spec.DType, bs, c.Data.FeatLen)
-
-	for epoch := 0; epoch < cfg.LocalEpochs; epoch++ {
-		c.r.Shuffle(idx)
-		var epochLoss float64
-		batches := 0
-		for start := 0; start < n; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			var x *tensor.Tensor
-			x, c.yBuf = c.Data.BatchInto(xBuf, c.yBuf, idx[start:end])
-			xBuf = x
-			shaped := c.Spec.ShapeBatch(x)
-
-			c.model.ZeroGrads()
-			// Forward through the body to the representation, then the head.
-			z := body.Forward(shaped, true)
-			logits := head.Forward(z, true)
-			var ceLoss float64
-			ceLoss, c.lossGrad = loss.LossInto(c.lossGrad, logits, c.yBuf)
-
-			// Representations under the frozen global and previous models
-			// (eval mode so their BN statistics stay untouched).
-			zg := forwardBody(c.auxGlobal, shaped)
-			zp := forwardBody(c.auxPrev, shaped)
-
-			conLoss, dz := contrastiveGradInto(&c.moon, z, zg, zp, moonTemp)
-
-			// Backward: head first, then inject the contrastive gradient at
-			// the representation, then the body.
-			gz := head.Backward(c.lossGrad)
-			scale := cfg.MoonMu / float64(end-start)
-			gz.AddScaled(scale, dz)
-			body.BackwardParams(gz)
-			if cfg.DPClip > 0 {
-				dpSanitize(c.model, cfg.DPClip, cfg.DPNoise, end-start, c.r)
-			}
-			opt.Step(c.model)
-			epochLoss += ceLoss + cfg.MoonMu*conLoss
-			batches++
-			tau++
-		}
-		if batches > 0 {
-			lastEpochLoss = epochLoss / float64(batches)
-		}
-	}
-
-	// prevState is the one place the trained state must survive the round,
-	// so it receives it; the delta is then formed in its own buffer.
-	delta := ws.GetRaw(tensor.Float64, c.model.StateCount()).Data()
-	c.model.GetState(delta)
-	c.prevState = append(c.prevState[:0], delta...)
-	for i := range delta {
-		delta[i] = global[i] - delta[i]
-	}
-	up := Update{Delta: delta, Tau: tau, N: n, TrainLoss: lastEpochLoss, Kept: c.model.ParamCount()}
-	if cfg.CompressTopK > 0 {
-		up.Kept = compressTopK(delta, c.model.ParamCount(), cfg.CompressTopK)
-	}
-	return up
 }
 
-// forwardBody runs all but the final layer of m in eval mode.
-func forwardBody(m *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
-	h := x
-	for _, l := range m.Layers[:len(m.Layers)-1] {
-		h = l.Forward(h, false)
-	}
-	return h
+// addContrastive adds mu/B · ∂L_con/∂z — scale is mu/B — to g, the
+// cross-entropy gradient at the representation z of the batch x, and
+// returns the batch's mean contrastive loss. The replicas run in eval mode
+// so their BN statistics stay untouched.
+func (c *Client) addContrastive(x, z, g *tensor.Tensor, scale float64) float64 {
+	global, _ := split(c.auxGlobal)
+	prev, _ := split(c.auxPrev)
+	conLoss, dz := contrastiveGradInto(&c.moon, z, global.Forward(x, false), prev.Forward(x, false), moonTemp)
+	g.AddScaled(scale, dz)
+	return conLoss
 }
 
 // contrastiveGradInto computes MOON's mean contrastive loss over the batch
