@@ -8,8 +8,10 @@
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf, want-comment fixtures) but is built on the
 // standard library alone: this repository vendors nothing and builds in
-// a network-free environment, so analyzers type-check the module and its
-// standard-library dependency closure from source (see load.go).
+// a network-free environment. One `go list` names the module packages,
+// which the loader type-checks from source; the standard library is
+// type-checked from source by go/importer's "source" importer, with cgo
+// off (see load.go).
 //
 // Findings are suppressed one line at a time with
 //
@@ -205,8 +207,8 @@ func walk(n ast.Node, fn func(ast.Node)) {
 	})
 }
 
-// funcName returns the name of the object a call expression resolves to,
-// along with its package, or "" when it is not a named function or method.
+// calleeObj returns the function or method a call expression resolves to,
+// or nil when it is not a call of a named function or method.
 func calleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {

@@ -426,12 +426,10 @@ func checkRawReadsInFunc(pass *Pass, fd *ast.FuncDecl) {
 func fixedArrayAtLeast(pass *Pass, expr ast.Expr, width int) bool {
 	target := expr
 	if se, ok := expr.(*ast.SliceExpr); ok {
-		if se.Low != nil || se.High != nil {
-			// A bounded slice hdr[:4] of a fixed array still panics only
-			// if the array is too short, which the type checker would
-			// reject; treat any slice of a fixed array as covered when the
-			// array length suffices.
-		}
+		// A bounded slice hdr[:4] of a fixed array still panics only if
+		// the array is too short, which the type checker would reject;
+		// treat any slice of a fixed array as covered when the array
+		// length suffices.
 		target = se.X
 	}
 	tv, ok := pass.TypesInfo.Types[target]

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -12,30 +14,33 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 )
 
 // This file is the package loader behind the analyzers: a small,
-// offline-capable replacement for golang.org/x/tools/go/packages. Package
-// metadata comes from `go list -json`; syntax from go/parser; types from
-// go/types with an importer that type-checks every dependency — including
-// the standard library, for which no export data is installed in this
-// toolchain — from source, once, in a shared cache. CGO is disabled so
-// the pure-Go variants of net and friends are selected, keeping the whole
-// closure type-checkable without a C compiler.
+// offline-capable stand-in for golang.org/x/tools/go/packages with two
+// sources of packages.
 //
-// Two loading modes:
+//   - Module packages: one `go list -deps -test -json` per LoadPackages
+//     call names every package in the patterns' closure with its files.
+//     The loader parses each one and type-checks its import view (no test
+//     files, no function bodies) once, in a cache. Targets, the packages
+//     the patterns name, are checked again WITH their in-package _test.go
+//     files so analyzers can demand test coverage.
+//   - The standard library: go/importer's "source" importer, which picks
+//     files by build constraint, maps GOROOT vendor/ paths and caches each
+//     package it checks. No export data is installed in this toolchain, so
+//     the standard library is type-checked from source as well. Cgo is
+//     off, so the pure-Go variants of net and friends are selected and no
+//     C compiler is needed.
 //
-//   - module packages (LoadPackages): resolved through `go list` against
-//     the enclosing module; target packages are parsed WITH their
-//     in-package _test.go files so analyzers can demand test coverage.
-//   - fixture packages (LoadFixture): GOPATH-style trees under an
-//     analyzer's testdata root (testdata/<check>/src/<path>), the
-//     analysistest convention; fixture imports resolve first against the
-//     fixture tree, then against the real module/stdlib.
+// LoadFixture loads GOPATH-style trees under an analyzer's testdata root
+// (testdata/<check>/src/<path>), the analysistest convention; fixture
+// imports resolve first against the fixture tree, then against the module
+// packages listed so far and the standard library.
 
 // A Package is one loaded, type-checked package ready for analysis.
 type Package struct {
@@ -47,17 +52,15 @@ type Package struct {
 	Info   *types.Info
 }
 
-// listMeta is the subset of `go list -json` output the loader needs.
-type listMeta struct {
+// listed is the subset of `go list -json` output the loader needs.
+type listed struct {
 	ImportPath  string
 	Dir         string
-	Name        string
 	Standard    bool
+	DepOnly     bool
 	ForTest     string
 	GoFiles     []string
 	TestGoFiles []string
-	Imports     []string
-	TestImports []string
 }
 
 // Loader loads and caches type-checked packages. It is safe for use from
@@ -68,22 +71,31 @@ type Loader struct {
 	// directory inside it). Empty means the current directory.
 	Dir string
 
-	mu    sync.Mutex
-	metas map[string]*listMeta
-	// deps caches import-view packages (no test files) by import path.
+	mu sync.Mutex
+	// std is the source importer every standard-library import goes to.
+	std types.Importer
+	// module holds the non-standard packages go list has named, by import
+	// path.
+	module map[string]*listed
+	// deps caches import views (no test files): module and standard
+	// packages by import path, fixture packages by root and path.
 	deps map[string]*types.Package
-	// loading guards against import cycles while recursing.
-	loading map[string]bool
 }
 
 // NewLoader creates a loader rooted at dir.
 func NewLoader(dir string) *Loader {
+	// The source importer selects standard-library files through
+	// build.Default. With cgo on it would run the cgo tool, which needs a
+	// C compiler, on net and os/user; with cgo off it takes their pure-Go
+	// files, the same set `go list` picks under CGO_ENABLED=0.
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
 	return &Loader{
-		Fset:    token.NewFileSet(),
-		Dir:     dir,
-		metas:   make(map[string]*listMeta),
-		deps:    make(map[string]*types.Package),
-		loading: make(map[string]bool),
+		Fset:   fset,
+		Dir:    dir,
+		std:    importer.ForCompiler(fset, "source", nil),
+		module: make(map[string]*listed),
+		deps:   make(map[string]*types.Package),
 	}
 }
 
@@ -100,80 +112,11 @@ func SharedLoader() *Loader {
 	return sharedLoader
 }
 
-// goList runs `go list -e -json -deps -test args...` and indexes the
-// result. Test variants ("pkg [pkg.test]", "pkg.test") are skipped: the
-// plain entry already names TestGoFiles/TestImports, which is all the
-// loader needs; -test is passed so test-only dependencies (testing,
-// testing/quick, ...) enter the metadata universe.
-func (l *Loader) goList(args ...string) error {
-	cmd := exec.Command("go", append([]string{"list", "-e", "-json", "-deps", "-test"}, args...)...)
-	cmd.Dir = l.Dir
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	dec := json.NewDecoder(out)
-	for {
-		var m listMeta
-		if err := dec.Decode(&m); err != nil {
-			if err == io.EOF {
-				break
-			}
-			_ = cmd.Wait()
-			return fmt.Errorf("analysis: decoding go list output: %w", err)
-		}
-		if m.ForTest != "" || strings.HasSuffix(m.ImportPath, ".test") || strings.Contains(m.ImportPath, " [") {
-			continue
-		}
-		if _, ok := l.metas[m.ImportPath]; !ok {
-			l.metas[m.ImportPath] = &m
-		}
-	}
-	if err := cmd.Wait(); err != nil {
-		return fmt.Errorf("analysis: go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
-	}
-	return nil
-}
-
-// meta returns the metadata for path, invoking go list lazily on a miss.
-// Imports from inside the standard library may resolve to GOROOT-vendored
-// packages, whose canonical import path carries a "vendor/" prefix (net →
-// vendor/golang.org/x/net/dns/dnsmessage); those entries enter the
-// universe when their importer's dependency closure is listed, so the
-// vendored form is tried before asking go list for an unknown path.
-func (l *Loader) meta(path string) (*listMeta, error) {
-	lookup := func() *listMeta {
-		if m, ok := l.metas[path]; ok && len(m.GoFiles) > 0 {
-			return m
-		}
-		if m, ok := l.metas["vendor/"+path]; ok && len(m.GoFiles) > 0 {
-			return m
-		}
-		return nil
-	}
-	if m := lookup(); m != nil {
-		return m, nil
-	}
-	if err := l.goList(path); err != nil {
-		return nil, err
-	}
-	if m := lookup(); m != nil {
-		return m, nil
-	}
-	return nil, fmt.Errorf("analysis: go list produced no metadata for %q", path)
-}
-
 // parseFiles parses the named files from dir.
 func (l *Loader) parseFiles(dir string, names []string, mode parser.Mode) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, mode)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, mode|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +125,7 @@ func (l *Loader) parseFiles(dir string, names []string, mode parser.Mode) ([]*as
 	return files, nil
 }
 
-// importerFor adapts the loader (plus an optional fixture root) to the
+// loaderImporter adapts the loader (plus an optional fixture root) to the
 // go/types Importer interface.
 type loaderImporter struct {
 	l           *Loader
@@ -190,74 +133,76 @@ type loaderImporter struct {
 }
 
 func (li loaderImporter) Import(path string) (*types.Package, error) {
+	l := li.l
 	if li.fixtureRoot != "" {
 		dir := filepath.Join(li.fixtureRoot, filepath.FromSlash(path))
 		if st, err := os.Stat(dir); err == nil && st.IsDir() {
-			pkg, err := li.l.loadFixtureDep(li.fixtureRoot, path)
+			names, err := fixtureFiles(dir, false)
 			if err != nil {
 				return nil, err
 			}
-			return pkg, nil
+			return l.dep("fixture:"+li.fixtureRoot+"\x00"+path, path, dir, names, li)
 		}
 	}
-	return li.l.depPackage(path)
-}
-
-// depPackage type-checks path for import purposes (no test files),
-// recursing through its own imports. The standard library is handled the
-// same way as module packages: parsed and checked from source.
-func (l *Loader) depPackage(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
+	if m, ok := l.module[path]; ok {
+		return l.dep(path, path, m.Dir, m.GoFiles, loaderImporter{l: l})
 	}
+	// The source importer rescans a package's directory on every call,
+	// even for a package it has already checked, so its results are
+	// cached here as well.
 	if pkg, ok := l.deps[path]; ok {
 		return pkg, nil
 	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("analysis: import cycle through %q", path)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-
-	m, err := l.meta(path)
+	pkg, err := l.std.Import(path)
 	if err != nil {
 		return nil, err
-	}
-	files, err := l.parseFiles(m.Dir, m.GoFiles, parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	cfg := l.typesConfig(loaderImporter{l: l}, nil)
-	pkg, err := cfg.Check(path, l.Fset, files, nil)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking dependency %s: %w", path, err)
 	}
 	l.deps[path] = pkg
 	return pkg, nil
 }
 
-// typesConfig builds the go/types configuration shared by every check.
-// softErrs, when non-nil, collects type errors instead of failing fast.
-func (l *Loader) typesConfig(imp types.Importer, softErrs *[]error) *types.Config {
-	cfg := &types.Config{
-		Importer:    imp,
-		FakeImportC: true,
-		Sizes:       types.SizesFor("gc", runtime.GOARCH),
+// dep type-checks the import view of path from dir's named files once,
+// caching it under key.
+func (l *Loader) dep(key, path, dir string, names []string, imp types.Importer) (*types.Package, error) {
+	if pkg, ok := l.deps[key]; ok {
+		return pkg, nil
 	}
-	if softErrs != nil {
-		cfg.Error = func(err error) { *softErrs = append(*softErrs, err) }
+	files, err := l.parseFiles(dir, names, 0)
+	if err != nil {
+		return nil, err
 	}
-	return cfg
+	// An importer sees only the package's declarations, so function
+	// bodies are skipped here, as the source importer skips them.
+	cfg := typesConfig(imp)
+	cfg.IgnoreFuncBodies = true
+	pkg, err := cfg.Check(path, l.Fset, files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-checking dependency %s: %w", path, err)
+	}
+	l.deps[key] = pkg
+	return pkg, nil
 }
 
-func newInfo() *types.Info {
-	return &types.Info{
+// typesConfig builds the go/types configuration shared by every check.
+func typesConfig(imp types.Importer) *types.Config {
+	return &types.Config{Importer: imp, Sizes: types.SizesFor("gc", build.Default.GOARCH)}
+}
+
+// check type-checks files as the analysis target path, recording full
+// type information.
+func (l *Loader) check(path string, files []*ast.File, imp types.Importer) (*Package, error) {
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
+	tpkg, err := typesConfig(imp).Check(path, l.Fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
+	}
+	return &Package{Path: path, Name: tpkg.Name(), Fset: l.Fset, Syntax: files, Types: tpkg, Info: info}, nil
 }
 
 // LoadPackages loads the packages matched by patterns as analysis
@@ -266,29 +211,8 @@ func newInfo() *types.Info {
 func (l *Loader) LoadPackages(patterns ...string) ([]*Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.goList(patterns...); err != nil {
-		return nil, err
-	}
-	// go list -deps lists dependencies too; re-list without -deps to know
-	// which packages the patterns themselves name.
-	targets, err := l.listTargets(patterns)
-	if err != nil {
-		return nil, err
-	}
-	pkgs := make([]*Package, 0, len(targets))
-	for _, path := range targets {
-		p, err := l.loadTarget(path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// listTargets resolves patterns to the import paths they directly name.
-func (l *Loader) listTargets(patterns []string) ([]string, error) {
-	cmd := exec.Command("go", append([]string{"list", "-e"}, patterns...)...)
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-test",
+		"-json=ImportPath,Dir,Standard,DepOnly,ForTest,GoFiles,TestGoFiles"}, patterns...)...)
 	cmd.Dir = l.Dir
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var stderr bytes.Buffer
@@ -297,121 +221,82 @@ func (l *Loader) listTargets(patterns []string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
-	var targets []string
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			targets = append(targets, line)
+	// The whole listing is decoded before anything is checked: -deps names
+	// a test-only dependency after the target whose tests import it, and a
+	// module package not yet in l.module would go to the source importer,
+	// which builds a second copy of every module package it imports.
+	var targets []*listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		m := new(listed)
+		if err := dec.Decode(m); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("analysis: decoding go list output: %w", err)
+		}
+		// Test variants ("pkg [pkg.test]", "pkg.test") are skipped: the
+		// plain entry already names TestGoFiles.
+		if m.ForTest != "" || strings.HasSuffix(m.ImportPath, ".test") {
+			continue
+		}
+		if !m.Standard {
+			l.module[m.ImportPath] = m
+		}
+		if !m.DepOnly {
+			targets = append(targets, m)
 		}
 	}
-	sort.Strings(targets)
-	return targets, nil
+	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
+	pkgs := make([]*Package, 0, len(targets))
+	for _, m := range targets {
+		files, err := l.parseFiles(m.Dir, slices.Concat(m.GoFiles, m.TestGoFiles), parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		p, err := l.check(m.ImportPath, files, loaderImporter{l: l})
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
 }
 
-// loadTarget type-checks one target package with its in-package tests.
-func (l *Loader) loadTarget(path string) (*Package, error) {
-	m, err := l.meta(path)
-	if err != nil {
-		return nil, err
-	}
-	names := append(append([]string{}, m.GoFiles...), m.TestGoFiles...)
-	files, err := l.parseFiles(m.Dir, names, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	info := newInfo()
-	cfg := l.typesConfig(loaderImporter{l: l}, nil)
-	tpkg, err := cfg.Check(path, l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
-	}
-	return &Package{
-		Path:   path,
-		Name:   m.Name,
-		Fset:   l.Fset,
-		Syntax: files,
-		Types:  tpkg,
-		Info:   info,
-	}, nil
-}
-
-// fixtureFiles lists the .go files of a fixture package directory.
-func fixtureFiles(dir string) ([]string, error) {
+// fixtureFiles lists the .go files of a fixture package directory, its
+// _test.go files only when tests is set.
+func fixtureFiles(dir string, tests bool) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
+		name := e.Name()
+		if !e.IsDir() && strings.HasSuffix(name, ".go") && (tests || !strings.HasSuffix(name, "_test.go")) {
+			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
 	if len(names) == 0 {
 		return nil, fmt.Errorf("analysis: fixture %s has no .go files", dir)
 	}
 	return names, nil
 }
 
-// loadFixtureDep type-checks a fixture package for import purposes.
-func (l *Loader) loadFixtureDep(root, path string) (*types.Package, error) {
-	key := "fixture:" + root + "\x00" + path
-	if pkg, ok := l.deps[key]; ok {
-		return pkg, nil
-	}
-	dir := filepath.Join(root, filepath.FromSlash(path))
-	names, err := fixtureFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	var deps []string
-	for _, n := range names {
-		if !strings.HasSuffix(n, "_test.go") {
-			deps = append(deps, n)
-		}
-	}
-	files, err := l.parseFiles(dir, deps, parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	cfg := l.typesConfig(loaderImporter{l: l, fixtureRoot: root}, nil)
-	pkg, err := cfg.Check(path, l.Fset, files, nil)
-	if err != nil {
-		return nil, err
-	}
-	l.deps[key] = pkg
-	return pkg, nil
-}
-
 // LoadFixture loads root/src/<path> as an analysis target, the
 // analysistest layout: all of the directory's .go files (tests included)
-// form the package, and imports resolve against root/src first, the real
-// module second.
+// form the package, and imports resolve against root/src first, then
+// against the module packages listed so far and the standard library.
 func (l *Loader) LoadFixture(root, path string) (*Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	src := filepath.Join(root, "src")
 	dir := filepath.Join(src, filepath.FromSlash(path))
-	names, err := fixtureFiles(dir)
+	names, err := fixtureFiles(dir, true)
 	if err != nil {
 		return nil, err
 	}
-	files, err := l.parseFiles(dir, names, parser.ParseComments|parser.SkipObjectResolution)
+	files, err := l.parseFiles(dir, names, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
-	info := newInfo()
-	cfg := l.typesConfig(loaderImporter{l: l, fixtureRoot: src}, nil)
-	tpkg, err := cfg.Check(path, l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking fixture %s: %w", path, err)
-	}
-	return &Package{
-		Path:   path,
-		Name:   tpkg.Name(),
-		Fset:   l.Fset,
-		Syntax: files,
-		Types:  tpkg,
-		Info:   info,
-	}, nil
+	return l.check(path, files, loaderImporter{l: l, fixtureRoot: src})
 }

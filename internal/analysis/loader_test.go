@@ -1,39 +1,60 @@
 package analysis
 
-import "testing"
+import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"testing"
+)
 
-// TestLoadRealPackageCleanUnderSuite loads the wire-codec package from
-// the real module — test files included, whole stdlib closure
+// TestLoadRealPackageCleanUnderSuite loads the whole module — every
+// target with its in-package test files, the standard-library closure
 // type-checked from source — and runs the full analyzer suite over it.
 // The merged tree must stay niidlint-clean, so any finding here is a
-// regression in either the package or an analyzer.
+// regression in either a package or an analyzer. Loading the whole tree
+// also covers test-only dependencies (internal/fl's tests import
+// internal/partition), which must resolve to the same package the rest of
+// the closure sees.
 func TestLoadRealPackageCleanUnderSuite(t *testing.T) {
-	pkgs, err := SharedLoader().LoadPackages("github.com/niid-bench/niidbench/internal/simnet")
+	pkgs, err := SharedLoader().LoadPackages("github.com/niid-bench/niidbench/...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
-	}
-	pkg := pkgs[0]
-	if pkg.Name != "simnet" {
-		t.Fatalf("package name %q, want simnet", pkg.Name)
-	}
-	hasTestFile := false
-	for _, f := range pkg.Syntax {
-		name := pkg.Fset.Position(f.Pos()).Filename
-		if len(name) > 8 && name[len(name)-8:] == "_test.go" {
-			hasTestFile = true
+	seen := make(map[string]bool)
+	for _, pkg := range pkgs {
+		seen[pkg.Path] = true
+		loaded := make(map[string]bool)
+		for _, f := range pkg.Syntax {
+			loaded[pkg.Fset.Position(f.Pos()).Filename] = true
+		}
+		// Every _test.go file of the package itself (not its _test
+		// package) must be in the syntax: codeccheck's coverage rules
+		// read them.
+		dir := filepath.Dir(pkg.Fset.Position(pkg.Syntax[0].Pos()).Filename)
+		tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range tests {
+			f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.PackageClauseOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Name.Name == pkg.Name && !loaded[name] {
+				t.Errorf("%s loaded without its test file %s", pkg.Path, filepath.Base(name))
+			}
+		}
+		diags, err := RunAnalyzers(pkg, All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			t.Errorf("unexpected finding on the real tree: %s", d)
 		}
 	}
-	if !hasTestFile {
-		t.Fatal("target package loaded without its in-package test files; codeccheck's coverage rules need them")
-	}
-	diags, err := RunAnalyzers(pkg, All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("unexpected finding on the real tree: %s", d)
+	for _, want := range []string{"internal/fl", "internal/simnet", "internal/partition", "cmd/niidlint"} {
+		if !seen["github.com/niid-bench/niidbench/"+want] {
+			t.Errorf("%s is not among the %d loaded targets", want, len(pkgs))
+		}
 	}
 }

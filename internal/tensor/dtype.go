@@ -28,14 +28,6 @@ func (dt DType) String() string {
 	}
 }
 
-// Size returns the element size in bytes.
-func (dt DType) Size() int {
-	if dt == Float32 {
-		return 4
-	}
-	return 8
-}
-
 // ParseDType maps the user-facing names ("float64"/"f64", "float32"/"f32",
 // "") to a DType; ok is false for anything else. The empty string selects
 // the Float64 default.

@@ -113,15 +113,6 @@ func ViewInto(t *Tensor, data []float64, shape ...int) *Tensor {
 	return t
 }
 
-// FromSlice32 wraps data in a Float32 tensor with the given shape. The
-// slice is used directly (not copied).
-func FromSlice32(data []float32, shape ...int) *Tensor {
-	checkSliceShape(len(data), shape)
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data32: data, dt: Float32}
-}
-
 func checkSliceShape(have int, shape []int) {
 	n := 1
 	for _, d := range shape {
