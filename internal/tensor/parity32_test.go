@@ -50,6 +50,11 @@ func TestIm2ColCol2Im32Parity(t *testing.T) {
 		{2, 3, 7, 5, 3, 3, 2, 1},
 		{3, 2, 9, 9, 5, 5, 1, 2},
 		{2, 2, 5, 7, 1, 3, 2, 1},
+		// Every window-row width branch, as in TestIm2ColCol2ImParity.
+		{2, 3, 16, 16, 5, 5, 1, 0},
+		{2, 6, 6, 6, 5, 5, 1, 0},
+		{2, 2, 7, 9, 3, 3, 2, 0},
+		{2, 3, 9, 8, 4, 4, 1, 1},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("b%d_c%d_%dx%d_k%dx%d_s%d_p%d", tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)

@@ -211,6 +211,13 @@ func TestIm2ColCol2ImParity(t *testing.T) {
 		{1, 4, 8, 8, 2, 2, 2, 0},
 		{4, 1, 6, 6, 3, 1, 1, 0},
 		{2, 2, 5, 7, 1, 3, 2, 1},
+		// The CNN's two convolutions (kw = 5, no padding: every window row
+		// takes the constant-width move), a kw = 3 unpadded case, and kw =
+		// 4, which takes the copy fallback.
+		{2, 3, 16, 16, 5, 5, 1, 0},
+		{2, 6, 6, 6, 5, 5, 1, 0},
+		{2, 2, 7, 9, 3, 3, 2, 0},
+		{2, 3, 9, 8, 4, 4, 1, 1},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("b%d_c%d_%dx%d_k%dx%d_s%d_p%d", tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
