@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/niid-bench/niidbench/internal/rng"
+	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
 // BenchmarkConvForwardBackward measures one forward+backward pass through a
@@ -25,6 +26,45 @@ func BenchmarkConvForwardBackward(b *testing.B) {
 		conv.B.Grad.Zero()
 	}
 }
+
+// benchActivation returns the CNN's first conv output shape (a batch of
+// 32, 6×12×12) filled with seeded normal values, in dtype dt.
+func benchActivation(dt tensor.DType) *tensor.Tensor {
+	x := randInput(rng.New(3), 32, 6, 12, 12)
+	if dt == tensor.Float64 {
+		return x
+	}
+	x32 := tensor.NewOf(dt, x.Shape()...)
+	x32.CopyFromF64(x.Data())
+	return x32
+}
+
+// benchLayerPasses times a parameter-free layer's forward and backward
+// passes, in both dtypes, on the activation the CNN's first convolution
+// emits. The layers it serves are serial kernels: they take no Compute
+// budget, so they run on one worker.
+func benchLayerPasses(b *testing.B, newLayer func() Layer) {
+	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+		x, l := benchActivation(dt), newLayer()
+		g := l.Forward(x, true).Clone()
+		l.Backward(g) // grow the backward scratch outside the timed loops
+		b.Run(dt.String()+"/forward", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.Forward(x, true)
+			}
+		})
+		b.Run(dt.String()+"/backward", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.Backward(g)
+			}
+		})
+	}
+}
+
+func BenchmarkReLU(b *testing.B)    { benchLayerPasses(b, func() Layer { return NewReLU() }) }
+func BenchmarkMaxPool(b *testing.B) { benchLayerPasses(b, func() Layer { return NewMaxPool2D(2, 2) }) }
 
 // BenchmarkCNNForwardBackward measures a full forward+backward+loss pass
 // through the paper's CNN, i.e. one mini-batch of local training minus the

@@ -159,6 +159,7 @@ func nchwToRowsInto(out, x *tensor.Tensor) {
 type MaxPool2D struct {
 	K, Stride  int
 	argmax     []int
+	offs       []int // window offsets from the window's origin, in scan order
 	inShape    [4]int
 	outH, outW int
 	out        *tensor.Tensor // forward scratch
@@ -170,37 +171,58 @@ func NewMaxPool2D(k, stride int) *MaxPool2D {
 	return &MaxPool2D{K: k, Stride: stride}
 }
 
-func maxPoolForward[T tensor.Elem](xd, od []T, argmax []int, b, c, h, w, outH, outW, k, stride int) {
-	neg := T(math.Inf(-1))
-	oi := 0
-	for bi := 0; bi < b; bi++ {
-		for ci := 0; ci < c; ci++ {
-			base := (bi*c + ci) * h * w
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					best := neg
-					bestIdx := -1
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky
-						if iy >= h {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx
-							if ix >= w {
-								continue
-							}
-							idx := base + iy*w + ix
-							if xd[idx] > best {
-								best = xd[idx]
-								bestIdx = idx
-							}
-						}
-					}
-					od[oi] = best
-					argmax[oi] = bestIdx
-					oi++
-				}
+// The max-pool kernels handle every K and stride with no data-dependent
+// branch. They visit the outputs in order, moving the window's origin top
+// along with them, and scan each window through offs. The running best is
+// held as bits and the argmax as an index, both updated by conditional
+// moves (as in the ReLU kernels, Go emits those only for integer-shaped
+// values). The (ky, kx) scan order and the strict > keep the first of
+// tied elements, NaN never wins, and a window with nothing above -Inf
+// yields (-Inf, -1). Forward guarantees every window is inside its plane.
+
+func maxPoolForward64(xd, od []float64, argmax, offs []int, h, w, outH, outW, stride int) {
+	argmax = argmax[:len(od)]
+	top, ox, oy := 0, 0, 0
+	for oi := range od {
+		best, arg := math.Float64bits(math.Inf(-1)), -1
+		for _, off := range offs {
+			at := top + off
+			v := xd[at]
+			bits := math.Float64bits(v)
+			if v > math.Float64frombits(best) {
+				best, arg = bits, at
+			}
+		}
+		od[oi], argmax[oi] = math.Float64frombits(best), arg
+		top += stride
+		if ox++; ox == outW { // next output row, and past the last row the next plane
+			ox, top = 0, top-outW*stride+stride*w
+			if oy++; oy == outH {
+				oy, top = 0, top-outH*stride*w+h*w
+			}
+		}
+	}
+}
+
+func maxPoolForward32(xd, od []float32, argmax, offs []int, h, w, outH, outW, stride int) {
+	argmax = argmax[:len(od)]
+	top, ox, oy := 0, 0, 0
+	for oi := range od {
+		best, arg := math.Float32bits(float32(math.Inf(-1))), -1
+		for _, off := range offs {
+			at := top + off
+			v := xd[at]
+			bits := math.Float32bits(v)
+			if v > math.Float32frombits(best) {
+				best, arg = bits, at
+			}
+		}
+		od[oi], argmax[oi] = math.Float32frombits(best), arg
+		top += stride
+		if ox++; ox == outW {
+			ox, top = 0, top-outW*stride+stride*w
+			if oy++; oy == outH {
+				oy, top = 0, top-outH*stride*w+h*w
 			}
 		}
 	}
@@ -213,6 +235,11 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: MaxPool2D input shape %v, want 4-D", x.Shape()))
 	}
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	if p.K > h || p.K > w {
+		// ConvOutSize truncates toward zero, so it would report one
+		// partial window rather than none.
+		panic(fmt.Sprintf("nn: MaxPool2D kernel %dx%d too large for input %dx%d", p.K, p.K, h, w))
+	}
 	p.inShape = [4]int{b, c, h, w}
 	p.outH = tensor.ConvOutSize(h, p.K, p.Stride, 0)
 	p.outW = tensor.ConvOutSize(w, p.K, p.Stride, 0)
@@ -222,10 +249,16 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		p.argmax = make([]int, out.Len())
 	}
 	p.argmax = p.argmax[:out.Len()]
+	p.offs = p.offs[:0]
+	for ky := 0; ky < p.K; ky++ {
+		for kx := 0; kx < p.K; kx++ {
+			p.offs = append(p.offs, ky*w+kx)
+		}
+	}
 	if x.DType() == tensor.Float32 {
-		maxPoolForward(x.Data32(), out.Data32(), p.argmax, b, c, h, w, p.outH, p.outW, p.K, p.Stride)
+		maxPoolForward32(x.Data32(), out.Data32(), p.argmax, p.offs, h, w, p.outH, p.outW, p.Stride)
 	} else {
-		maxPoolForward(x.Data(), out.Data(), p.argmax, b, c, h, w, p.outH, p.outW, p.K, p.Stride)
+		maxPoolForward64(x.Data(), out.Data(), p.argmax, p.offs, h, w, p.outH, p.outW, p.Stride)
 	}
 	return out
 }

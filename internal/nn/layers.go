@@ -99,29 +99,60 @@ type ReLU struct {
 // NewReLU creates a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-func reluForward[T tensor.Elem](xd, od []T, mask []bool) {
+// The ReLU kernels select through the bits: v & k with k all ones or all
+// zeros. The `if` that sets the integer k compiles to a conditional move;
+// Go emits those only for integer-shaped values, so an `if` that assigned
+// the float itself would stay a branch, one the predictor cannot guess on
+// activations whose sign is noise. NaN and -0 give +0 with mask false, and
+// +Inf passes.
+
+func reluForward64(xd, od []float64, mask []bool) {
 	od = od[:len(xd)]
 	mask = mask[:len(xd)]
 	for i, v := range xd {
+		var k uint64
 		if v > 0 {
-			mask[i] = true
-			od[i] = v
-		} else {
-			mask[i] = false
-			od[i] = 0
+			k = ^k
 		}
+		od[i] = math.Float64frombits(math.Float64bits(v) & k)
+		mask[i] = v > 0
 	}
 }
 
-func reluBackward[T tensor.Elem](gd, od []T, mask []bool) {
+func reluForward32(xd, od []float32, mask []bool) {
+	od = od[:len(xd)]
+	mask = mask[:len(xd)]
+	for i, v := range xd {
+		var k uint32
+		if v > 0 {
+			k = ^k
+		}
+		od[i] = math.Float32frombits(math.Float32bits(v) & k)
+		mask[i] = v > 0
+	}
+}
+
+func reluBackward64(gd, od []float64, mask []bool) {
 	od = od[:len(gd)]
 	mask = mask[:len(gd)]
 	for i, g := range gd {
+		var k uint64
 		if mask[i] {
-			od[i] = g
-		} else {
-			od[i] = 0
+			k = ^k
 		}
+		od[i] = math.Float64frombits(math.Float64bits(g) & k)
+	}
+}
+
+func reluBackward32(gd, od []float32, mask []bool) {
+	od = od[:len(gd)]
+	mask = mask[:len(gd)]
+	for i, g := range gd {
+		var k uint32
+		if mask[i] {
+			k = ^k
+		}
+		od[i] = math.Float32frombits(math.Float32bits(g) & k)
 	}
 }
 
@@ -133,9 +164,9 @@ func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	l.mask = l.mask[:x.Len()]
 	if x.DType() == tensor.Float32 {
-		reluForward(x.Data32(), l.out.Data32(), l.mask)
+		reluForward32(x.Data32(), l.out.Data32(), l.mask)
 	} else {
-		reluForward(x.Data(), l.out.Data(), l.mask)
+		reluForward64(x.Data(), l.out.Data(), l.mask)
 	}
 	return l.out
 }
@@ -144,9 +175,9 @@ func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	l.dx = tensor.EnsureOf(grad.DType(), l.dx, grad.Shape()...)
 	if grad.DType() == tensor.Float32 {
-		reluBackward(grad.Data32(), l.dx.Data32(), l.mask)
+		reluBackward32(grad.Data32(), l.dx.Data32(), l.mask)
 	} else {
-		reluBackward(grad.Data(), l.dx.Data(), l.mask)
+		reluBackward64(grad.Data(), l.dx.Data(), l.mask)
 	}
 	return l.dx
 }

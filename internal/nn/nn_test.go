@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -72,6 +73,23 @@ func TestMaxPoolKnown(t *testing.T) {
 	}
 	if g.Sum() != 100 {
 		t.Fatalf("maxpool backward should conserve gradient mass, sum=%v", g.Sum())
+	}
+}
+
+// TestMaxPoolRejectsOversizedWindow: a window larger than the input on
+// either axis panics, as Im2ColInto does, instead of pooling one partial
+// window (ConvOutSize(1, 2, 2, 0) truncates to 1).
+func TestMaxPoolRejectsOversizedWindow(t *testing.T) {
+	for _, hw := range [][2]int{{1, 4}, {4, 1}, {1, 1}} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("nn: MaxPool2D kernel 2x2 too large for input %dx%d", hw[0], hw[1])
+				if got := recover(); got != want {
+					t.Fatalf("%dx%d input: recovered %v, want panic %q", hw[0], hw[1], got, want)
+				}
+			}()
+			NewMaxPool2D(2, 2).Forward(tensor.New(1, 1, hw[0], hw[1]), true)
+		}()
 	}
 }
 

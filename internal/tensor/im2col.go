@@ -46,8 +46,11 @@ func batchParallelism(workers, b, totalElems int) bool {
 // im2colRange expands the patches of batch images [b0, b1). The loops are
 // ordered (ci, ky) outer / (ox, kx) inner so the row-validity check runs
 // once per kernel row, and each in-bounds kx run becomes one contiguous
-// kw-element copy — the padding-free interior (the common case) executes
-// no per-element bounds logic at all.
+// kw-element move — the padding-free interior (the common case) executes
+// no per-element bounds logic at all. For the CNN's width 5 the move is a
+// parallel assignment over constant-width slices, which compiles to plain
+// loads and stores; a copy call per 5-element row cost as much as the
+// moves themselves. Other widths keep copy.
 func im2colRange[T Elem](xd, cd []T, b0, b1, c, h, w, outH, outW, kh, kw, stride, pad, rowLen int) {
 	for bi := b0; bi < b1; bi++ {
 		rowBase := bi * outH * outW
@@ -73,7 +76,13 @@ func im2colRange[T Elem](xd, cd []T, b0, b1, c, h, w, outH, outW, kh, kw, stride
 						ix0 := ox*stride - pad
 						d := rowY + ox*rowLen + rowOff
 						if ix0 >= 0 && ix0+kw <= w {
-							copy(cd[d:d+kw], xd[src+ix0:src+ix0+kw])
+							s := src + ix0
+							if kw == 5 {
+								o, in := cd[d:d+5:d+5], xd[s:s+5:s+5]
+								o[0], o[1], o[2], o[3], o[4] = in[0], in[1], in[2], in[3], in[4]
+							} else {
+								copy(cd[d:d+kw], xd[s:s+kw])
+							}
 							continue
 						}
 						dst := cd[d : d+kw]

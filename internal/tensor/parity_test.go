@@ -212,8 +212,8 @@ func TestIm2ColCol2ImParity(t *testing.T) {
 		{4, 1, 6, 6, 3, 1, 1, 0},
 		{2, 2, 5, 7, 1, 3, 2, 1},
 		// The CNN's two convolutions (kw = 5, no padding: every window row
-		// takes the constant-width move), a kw = 3 unpadded case, and kw =
-		// 4, which takes the copy fallback.
+		// takes the constant-width move), and unpadded kw = 3 and padded
+		// kw = 4 cases, which take the copy fallback.
 		{2, 3, 16, 16, 5, 5, 1, 0},
 		{2, 6, 6, 6, 5, 5, 1, 0},
 		{2, 2, 7, 9, 3, 3, 2, 0},

@@ -432,20 +432,19 @@ func BenchmarkMatMul256(b *testing.B) {
 	}
 }
 
-func BenchmarkIm2Col(b *testing.B) {
-	x := New(16, 3, 16, 16)
+// benchIm2Col times the CNN's first convolution's im2col (a batch of 32
+// 3×16×16 images, 5×5 kernel, no padding) on one worker, so it times the
+// kernel rather than the fan-out.
+func benchIm2Col(b *testing.B, dt DType) {
+	x := NewOf(dt, 32, 3, 16, 16)
+	fillDetOf(x, 1)
+	dst := NewOf(dt, 32*12*12, 3*5*5)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Im2Col draws its output from the shared pool; returning it keeps
-		// the loop allocation-free like the other kernels.
-		Shared.Put(Compute{}.Im2Col(x, 5, 5, 1, 0))
+		Compute{Workers: 1}.Im2ColInto(dst, x, 5, 5, 1, 0)
 	}
 }
 
-func BenchmarkIm2Col32(b *testing.B) {
-	x := NewOf(Float32, 16, 3, 16, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Shared.Put(Compute{}.Im2Col(x, 5, 5, 1, 0))
-	}
-}
+func BenchmarkIm2Col(b *testing.B)   { benchIm2Col(b, Float64) }
+func BenchmarkIm2Col32(b *testing.B) { benchIm2Col(b, Float32) }
