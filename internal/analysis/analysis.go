@@ -1,7 +1,8 @@
 // Package analysis is niidbench's in-tree static-analysis suite: four
 // checkers that mechanize the invariants the codebase otherwise enforces
-// only through tests and review vigilance — codec/test symmetry and
-// bounded wire reads (codeccheck), pool buffer pairing (poolcheck),
+// only through tests and review vigilance — codec/test symmetry and one
+// byte layer, internal/le, for every wire and snapshot byte (codeccheck),
+// pool buffer pairing (poolcheck),
 // deterministic fold order (detercheck), and provable goroutine exits
 // (leakcheck).
 //

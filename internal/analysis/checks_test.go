@@ -8,7 +8,7 @@ import "testing"
 // flipping either a want comment or the analyzer's behaviour fails.
 
 func TestCodecCheckFixture(t *testing.T) {
-	runFixture(t, CodecCheck, "codeccheck", "simnet")
+	runFixture(t, CodecCheck, "codeccheck", "simnet", "le")
 }
 
 func TestPoolCheckFixture(t *testing.T) {

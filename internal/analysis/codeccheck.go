@@ -19,13 +19,12 @@ import (
 //     Unmarshal (round-trip), (b) a test that decodes truncations of an
 //     encoded message in a loop (truncation sweep), and (c) a Fuzz
 //     function (corpus seed for FuzzDecodeMsg).
-//  3. Bounded length reads — a raw binary.LittleEndian/BigEndian
-//     Uint16/32/64 read must be provably in range: reading from a slice of
-//     a fixed-size array that is long enough, or guarded by an earlier
-//     if statement in the same function that mentions the buffer (length
-//     check) or the decoded value (receive-limit check). Unguarded raw
-//     reads are how a hostile length prefix turns into an out-of-bounds
-//     panic or an unbounded allocation before SetRecvLimit can refuse it.
+//  3. One byte layer — no non-test file outside internal/le imports
+//     encoding/binary. Every byte-level encode and decode goes through
+//     le's appenders and its bounded, sticky-error Reader, which checks a
+//     declared count against the bytes actually present before it
+//     allocates; a raw read elsewhere is how a hostile length prefix turns
+//     into an out-of-bounds panic or an unbounded allocation.
 //  4. Version gating — every file that defines a Marshal*/Unmarshal*
 //     function must reference ProtoVersion, so a new codec file cannot
 //     ship without being tied into the version negotiation that gates
@@ -33,19 +32,16 @@ import (
 //
 // Rules 1, 2 and 4 run only in the package that defines the codec (a
 // package named simnet with an AppendMarshal function); rule 3 runs in
-// the wire/persistence packages (simnet and fl).
+// every package.
 var CodecCheck = &Analyzer{
 	Name: "codeccheck",
-	Doc:  "wire codec symmetry, per-message test coverage, bounded length reads, and version gating",
+	Doc:  "wire codec symmetry, per-message test coverage, one byte layer, and version gating",
 	Run:  runCodecCheck,
 }
 
 func runCodecCheck(pass *Pass) error {
-	inSimnet := PkgIs(pass.Pkg, "simnet")
-	if inSimnet || PkgIs(pass.Pkg, "fl") {
-		checkRawLengthReads(pass)
-	}
-	if !inSimnet {
+	checkBinaryImports(pass)
+	if !PkgIs(pass.Pkg, "simnet") {
 		return nil
 	}
 	marshalTypes, marshalPos := marshalSwitchTypes(pass)
@@ -306,166 +302,20 @@ func checkVersionGating(pass *Pass) {
 	}
 }
 
-// endianReadWidth maps the raw read functions to the byte width they
-// dereference.
-var endianReadWidth = map[string]int{
-	"Uint16": 2,
-	"Uint32": 4,
-	"Uint64": 8,
-}
-
-// checkRawLengthReads enforces rule 3: every raw endian read in non-test
-// files must be statically in range or guarded.
-func checkRawLengthReads(pass *Pass) {
+// checkBinaryImports enforces rule 3: no non-test file outside the byte
+// layer imports encoding/binary.
+func checkBinaryImports(pass *Pass) {
+	if PkgIs(pass.Pkg, "le") {
+		return
+	}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/binary"` {
+				pass.Reportf(imp.Pos(), "encoding/binary imported outside internal/le: encode with le's appenders and decode with its bounded le.Reader")
 			}
-			checkRawReadsInFunc(pass, fd)
-		}
-	}
-}
-
-func checkRawReadsInFunc(pass *Pass, fd *ast.FuncDecl) {
-	type guard struct {
-		pos   token.Pos
-		conds []ast.Expr
-	}
-	var guards []guard
-	// derivedFrom records, for each variable, the root of the expression
-	// it was assigned from (trailer := b[len(b)-4:] derives trailer from
-	// b), so a bounds guard on the source buffer also covers views of it.
-	derivedFrom := make(map[types.Object]types.Object)
-	walk(fd.Body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.IfStmt:
-			guards = append(guards, guard{pos: n.Pos(), conds: []ast.Expr{n.Cond}})
-		case *ast.ForStmt:
-			if n.Cond != nil {
-				guards = append(guards, guard{pos: n.Pos(), conds: []ast.Expr{n.Cond}})
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return
-			}
-			for i, lhs := range n.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				dst := pass.TypesInfo.ObjectOf(id)
-				src := rootIdentObj(pass, n.Rhs[i])
-				if dst != nil && src != nil && dst != src {
-					derivedFrom[dst] = src
-				}
-			}
-		}
-	})
-	walk(fd.Body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		width, ok := endianReadWidth[sel.Sel.Name]
-		if !ok || len(call.Args) == 0 {
-			return
-		}
-		// Only binary.LittleEndian.* / binary.BigEndian.* selections.
-		inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		pkgID, ok := ast.Unparen(inner.X).(*ast.Ident)
-		if !ok {
-			return
-		}
-		if pkg, ok := pass.TypesInfo.Uses[pkgID].(*types.PkgName); !ok || pkg.Imported().Path() != "encoding/binary" {
-			return
-		}
-		arg := ast.Unparen(call.Args[0])
-		if fixedArrayAtLeast(pass, arg, width) {
-			return
-		}
-		guarded := false
-		root := rootIdentObj(pass, arg)
-		for hops := 0; root != nil && hops < 4 && !guarded; hops++ {
-			for _, g := range guards {
-				if g.pos >= call.Pos() {
-					continue
-				}
-				for _, cond := range g.conds {
-					if containsIdentOf(pass.TypesInfo, cond, root) {
-						guarded = true
-					}
-				}
-			}
-			root = derivedFrom[root]
-		}
-		// A read whose result is immediately range-checked (receive-limit
-		// pattern: n := ...Uint32(hdr); if n > max { ... }) is also safe,
-		// but that shape reads from fixed arrays in practice and is
-		// already admitted above.
-		if !guarded {
-			pass.Reportf(call.Pos(), "raw %s length read is not preceded by a bounds guard on its buffer (SetRecvLimit/len check); a hostile length prefix must be refused before it is dereferenced", sel.Sel.Name)
-		}
-	})
-}
-
-// fixedArrayAtLeast reports whether expr is a full or prefix slice of a
-// fixed-size array (hdr[:], buf[:8]) whose length covers width bytes, or
-// the array itself.
-func fixedArrayAtLeast(pass *Pass, expr ast.Expr, width int) bool {
-	target := expr
-	if se, ok := expr.(*ast.SliceExpr); ok {
-		// A bounded slice hdr[:4] of a fixed array still panics only if
-		// the array is too short, which the type checker would reject;
-		// treat any slice of a fixed array as covered when the array
-		// length suffices.
-		target = se.X
-	}
-	tv, ok := pass.TypesInfo.Types[target]
-	if !ok {
-		return false
-	}
-	t := tv.Type.Underlying()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem().Underlying()
-	}
-	arr, ok := t.(*types.Array)
-	return ok && arr.Len() >= int64(width)
-}
-
-// rootIdentObj returns the object of the base identifier under an
-// expression like b, b[4:], buf[i*8:], *p.
-func rootIdentObj(pass *Pass, expr ast.Expr) types.Object {
-	for {
-		switch e := ast.Unparen(expr).(type) {
-		case *ast.Ident:
-			return pass.TypesInfo.ObjectOf(e)
-		case *ast.SliceExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.SelectorExpr:
-			return pass.TypesInfo.ObjectOf(e.Sel)
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.CallExpr:
-			// Result of a helper call (r.take(4)): guard detection keys on
-			// the variable the result was assigned to, which the caller
-			// resolves through the assignment; here there is no root.
-			return nil
-		default:
-			return nil
 		}
 	}
 }

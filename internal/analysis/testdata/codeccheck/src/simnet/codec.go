@@ -1,7 +1,7 @@
 package simnet
 
 import (
-	"encoding/binary"
+	"encoding/binary" // want `encoding/binary imported outside internal/le`
 	"errors"
 )
 

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -10,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/niid-bench/niidbench/internal/le"
 	"github.com/niid-bench/niidbench/internal/rng"
 )
 
@@ -227,42 +227,44 @@ func ConfigFingerprint(cfg Config) uint64 {
 
 // --- snapshot encoding ---
 
-func snapU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func snapU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func snapF64(dst []byte, v float64) []byte {
-	return snapU64(dst, math.Float64bits(v))
-}
-
 // snapVec encodes a float vector with a presence byte, so nil (no such
 // state) and empty-but-present round-trip distinctly.
 func snapVec(dst []byte, v []float64) []byte {
 	if v == nil {
 		return append(dst, 0)
 	}
-	dst = append(dst, 1)
-	dst = snapU64(dst, uint64(len(v)))
-	for _, f := range v {
-		dst = snapF64(dst, f)
+	return le.AppendF64s(le.AppendU64(append(dst, 1), uint64(len(v))), v)
+}
+
+// readVec decodes what snapVec encodes.
+func readVec(r *le.Reader) []float64 {
+	if r.U8() == 0 {
+		return nil
+	}
+	return r.F64s(r.U64())
+}
+
+func snapInts(dst []byte, v []int) []byte {
+	dst = le.AppendU32(dst, uint32(len(v)))
+	for _, x := range v {
+		dst = le.AppendU32(dst, uint32(x))
 	}
 	return dst
 }
 
-func snapInts(dst []byte, v []int) []byte {
-	dst = snapU32(dst, uint32(len(v)))
-	for _, x := range v {
-		dst = snapU32(dst, uint32(x))
+// readInts decodes what snapInts encodes. Empty decodes as nil, matching
+// the engine's "nil on clean rounds" convention so snapshots round-trip
+// DeepEqual.
+func readInts(r *le.Reader) []int {
+	n := r.Count(uint64(r.U32()), 4)
+	if n == 0 {
+		return nil
 	}
-	return dst
+	v := make([]int, n)
+	for i := range v {
+		v[i] = int(r.U32())
+	}
+	return v
 }
 
 // EncodeSnapshot serializes a snapshot: versioned header, config
@@ -271,23 +273,23 @@ func EncodeSnapshot(snap *FederationSnapshot) []byte {
 	b := make([]byte, 0, snapshotSizeHint(snap))
 	b = append(b, snapshotMagic[:]...)
 	b = append(b, snapshotVersion)
-	b = snapU64(b, snap.ConfigFingerprint)
-	b = snapU32(b, uint32(snap.Round))
-	b = snapU32(b, uint32(snap.NumParties))
-	b = snapU32(b, uint32(snap.ParamLen))
-	b = snapU32(b, uint32(snap.AdamT))
+	b = le.AppendU64(b, snap.ConfigFingerprint)
+	b = le.AppendU32(b, uint32(snap.Round))
+	b = le.AppendU32(b, uint32(snap.NumParties))
+	b = le.AppendU32(b, uint32(snap.ParamLen))
+	b = le.AppendU32(b, uint32(snap.AdamT))
 	for _, s := range snap.Sampler.S {
-		b = snapU64(b, s)
+		b = le.AppendU64(b, s)
 	}
 	if snap.Sampler.HasSpare {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	b = snapF64(b, snap.Sampler.Spare)
-	b = snapF64(b, snap.BestAccuracy)
-	b = snapU64(b, uint64(snap.TotalCommBytes))
-	b = snapU64(b, uint64(snap.ComputeTime))
+	b = le.AppendF64(b, snap.Sampler.Spare)
+	b = le.AppendF64(b, snap.BestAccuracy)
+	b = le.AppendU64(b, uint64(snap.TotalCommBytes))
+	b = le.AppendU64(b, uint64(snap.ComputeTime))
 	b = snapVec(b, snap.State)
 	b = snapVec(b, snap.Control)
 	b = snapVec(b, snap.DynH)
@@ -298,32 +300,32 @@ func EncodeSnapshot(snap *FederationSnapshot) []byte {
 		b = append(b, 0)
 	} else {
 		b = append(b, 1)
-		b = snapU32(b, uint32(len(snap.PartyControl)))
+		b = le.AppendU32(b, uint32(len(snap.PartyControl)))
 		for _, c := range snap.PartyControl {
 			b = snapVec(b, c)
 		}
 	}
-	b = snapU32(b, uint32(len(snap.Curve)))
+	b = le.AppendU32(b, uint32(len(snap.Curve)))
 	for i := range snap.Curve {
 		m := &snap.Curve[i]
-		b = snapU32(b, uint32(m.Round))
-		b = snapF64(b, m.TestAccuracy)
-		b = snapF64(b, m.TrainLoss)
-		b = snapU64(b, uint64(m.CommBytes))
-		b = snapU64(b, uint64(m.Duration))
+		b = le.AppendU32(b, uint32(m.Round))
+		b = le.AppendF64(b, m.TestAccuracy)
+		b = le.AppendF64(b, m.TrainLoss)
+		b = le.AppendU64(b, uint64(m.CommBytes))
+		b = le.AppendU64(b, uint64(m.Duration))
 		b = snapInts(b, m.Sampled)
 		b = snapInts(b, m.Dropped)
 		if m.Quorum == nil {
 			b = append(b, 0)
 		} else {
 			b = append(b, 1)
-			b = snapU32(b, uint32(m.Quorum.Round))
-			b = snapU32(b, uint32(m.Quorum.Live))
-			b = snapU32(b, uint32(m.Quorum.Min))
-			b = snapU32(b, uint32(m.Quorum.Attempts))
+			b = le.AppendU32(b, uint32(m.Quorum.Round))
+			b = le.AppendU32(b, uint32(m.Quorum.Live))
+			b = le.AppendU32(b, uint32(m.Quorum.Min))
+			b = le.AppendU32(b, uint32(m.Quorum.Attempts))
 		}
 	}
-	return snapU32(b, crc32.Checksum(b, crcTable))
+	return le.AppendU32(b, crc32.Checksum(b, crcTable))
 }
 
 func snapshotSizeHint(snap *FederationSnapshot) int {
@@ -334,99 +336,6 @@ func snapshotSizeHint(snap *FederationSnapshot) int {
 	}
 	n += len(snap.Curve) * 96
 	return n
-}
-
-// snapReader walks an already-CRC-verified snapshot payload, turning any
-// truncation or over-length declaration into a CorruptSnapshotError.
-type snapReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *snapReader) fail(reason string) {
-	if r.err == nil {
-		r.err = &CorruptSnapshotError{Reason: reason}
-	}
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b)-r.off < n {
-		r.fail(fmt.Sprintf("truncated at offset %d (need %d bytes)", r.off, n))
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *snapReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *snapReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *snapReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *snapReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// vec bounds every declared length by the payload bytes actually present
-// before allocating, so a hostile header cannot force an allocation larger
-// than the file that carries it.
-func (r *snapReader) vec() []float64 {
-	if r.u8() == 0 {
-		return nil
-	}
-	n := r.u64()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)-r.off)/8 {
-		r.fail(fmt.Sprintf("vector of %d values exceeds remaining payload", n))
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = r.f64()
-	}
-	return v
-}
-
-func (r *snapReader) ints() []int {
-	n := r.u32()
-	if r.err != nil || n == 0 {
-		// Empty decodes as nil, matching the engine's "nil on clean
-		// rounds" convention so snapshots round-trip DeepEqual.
-		return nil
-	}
-	if int(n)*4 > len(r.b)-r.off {
-		r.fail(fmt.Sprintf("int list of %d values exceeds remaining payload", n))
-		return nil
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = int(r.u32())
-	}
-	return v
 }
 
 // DecodeSnapshot parses and verifies a snapshot encoded by
@@ -441,82 +350,70 @@ func DecodeSnapshot(b []byte) (*FederationSnapshot, error) {
 		return nil, &CorruptSnapshotError{Reason: "bad magic (not a federation snapshot)"}
 	}
 	payload, trailer := b[:len(b)-4], b[len(b)-4:]
-	if got, want := binary.LittleEndian.Uint32(trailer), crc32.Checksum(payload, crcTable); got != want {
+	if got, want := le.NewReader(trailer).U32(), crc32.Checksum(payload, crcTable); got != want {
 		return nil, &CorruptSnapshotError{Reason: fmt.Sprintf("CRC mismatch (stored %08x, computed %08x): torn or corrupted file", got, want)}
 	}
-	r := &snapReader{b: payload, off: len(snapshotMagic)}
-	if v := r.u8(); v != snapshotVersion {
+	r := le.NewReader(payload)
+	r.Bytes(len(snapshotMagic)) // checked above
+	if v := r.U8(); v != snapshotVersion {
 		return nil, &CorruptSnapshotError{Reason: fmt.Sprintf("unsupported snapshot version %d (this build reads v%d)", v, snapshotVersion)}
 	}
 	snap := &FederationSnapshot{}
-	snap.ConfigFingerprint = r.u64()
-	snap.Round = int(r.u32())
-	snap.NumParties = int(r.u32())
-	snap.ParamLen = int(r.u32())
-	snap.AdamT = int(r.u32())
+	snap.ConfigFingerprint = r.U64()
+	snap.Round = int(r.U32())
+	snap.NumParties = int(r.U32())
+	snap.ParamLen = int(r.U32())
+	snap.AdamT = int(r.U32())
 	for i := range snap.Sampler.S {
-		snap.Sampler.S[i] = r.u64()
+		snap.Sampler.S[i] = r.U64()
 	}
-	snap.Sampler.HasSpare = r.u8() != 0
-	snap.Sampler.Spare = r.f64()
-	snap.BestAccuracy = r.f64()
-	snap.TotalCommBytes = int64(r.u64())
-	snap.ComputeTime = time.Duration(r.u64())
-	snap.State = r.vec()
-	snap.Control = r.vec()
-	snap.DynH = r.vec()
-	snap.Velocity = r.vec()
-	snap.AdamM = r.vec()
-	snap.AdamV = r.vec()
-	if r.u8() != 0 {
-		n := r.u32()
-		if r.err == nil && int(n) > len(r.b)-r.off {
-			r.fail(fmt.Sprintf("party-control table of %d entries exceeds remaining payload", n))
-		}
-		if r.err == nil {
+	snap.Sampler.HasSpare = r.U8() != 0
+	snap.Sampler.Spare = r.F64()
+	snap.BestAccuracy = r.F64()
+	snap.TotalCommBytes = int64(r.U64())
+	snap.ComputeTime = time.Duration(r.U64())
+	snap.State = readVec(r)
+	snap.Control = readVec(r)
+	snap.DynH = readVec(r)
+	snap.Velocity = readVec(r)
+	snap.AdamM = readVec(r)
+	snap.AdamV = readVec(r)
+	if r.U8() != 0 {
+		// Every entry takes at least its presence byte.
+		if n := r.Count(uint64(r.U32()), 1); r.Err() == nil {
 			snap.PartyControl = make([][]float64, n)
 			for i := range snap.PartyControl {
-				snap.PartyControl[i] = r.vec()
-				if r.err != nil {
-					break
-				}
+				snap.PartyControl[i] = readVec(r)
 			}
 		}
 	}
-	nCurve := r.u32()
-	if r.err == nil && int(nCurve)*42 > len(r.b)-r.off {
-		// 42 bytes is the minimum encoded RoundMetrics.
-		r.fail(fmt.Sprintf("curve of %d rounds exceeds remaining payload", nCurve))
-	}
-	if r.err == nil && nCurve > 0 {
-		snap.Curve = make([]RoundMetrics, nCurve)
+	// 42 bytes is the minimum encoded RoundMetrics.
+	if n := r.Count(uint64(r.U32()), 42); n > 0 {
+		snap.Curve = make([]RoundMetrics, n)
 		for i := range snap.Curve {
 			m := &snap.Curve[i]
-			m.Round = int(r.u32())
-			m.TestAccuracy = r.f64()
-			m.TrainLoss = r.f64()
-			m.CommBytes = int64(r.u64())
-			m.Duration = time.Duration(r.u64())
-			m.Sampled = r.ints()
-			m.Dropped = r.ints()
-			if r.u8() != 0 {
+			m.Round = int(r.U32())
+			m.TestAccuracy = r.F64()
+			m.TrainLoss = r.F64()
+			m.CommBytes = int64(r.U64())
+			m.Duration = time.Duration(r.U64())
+			m.Sampled = readInts(r)
+			m.Dropped = readInts(r)
+			if r.U8() != 0 {
 				m.Quorum = &QuorumError{
-					Round:    int(r.u32()),
-					Live:     int(r.u32()),
-					Min:      int(r.u32()),
-					Attempts: int(r.u32()),
+					Round:    int(r.U32()),
+					Live:     int(r.U32()),
+					Min:      int(r.U32()),
+					Attempts: int(r.U32()),
 				}
-			}
-			if r.err != nil {
-				break
 			}
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, &CorruptSnapshotError{Reason: err.Error()}
 	}
-	if r.off != len(r.b) {
-		return nil, &CorruptSnapshotError{Reason: fmt.Sprintf("%d trailing bytes after payload", len(r.b)-r.off)}
+	if r.Len() != 0 {
+		return nil, &CorruptSnapshotError{Reason: fmt.Sprintf("%d trailing bytes after payload", r.Len())}
 	}
 	if snap.Round < 0 || snap.NumParties < 0 || snap.ParamLen < 0 {
 		return nil, &CorruptSnapshotError{Reason: "negative shape field"}

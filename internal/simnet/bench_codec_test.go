@@ -67,3 +67,32 @@ func BenchmarkBroadcastEncode(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkChunkDecode is BenchmarkBroadcastEncode's receive-side twin:
+// the downlink reader's per-frame work — parseGlobalChunk, then decodeInto
+// at the frame's offset — over the same 256k-element state, framed once
+// per codec outside the timer.
+func BenchmarkChunkDecode(b *testing.B) {
+	state := quantTestVector(1 << 18)
+	dst := make([]float64, len(state))
+	for _, codec := range []byte{wireCodecF64, wireCodecF32, wireCodecInt8} {
+		frames, err := newGlobalFrames(1, state, nil, 1, 65536).frames(codec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("codec="+codecName(codec), func(b *testing.B) {
+			b.SetBytes(int64(len(state) * 8))
+			for i := 0; i < b.N; i++ {
+				for _, raw := range frames {
+					m, p, err := parseGlobalChunk(raw)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := p.decodeInto(dst[m.Offset : m.Offset+p.count]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

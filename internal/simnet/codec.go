@@ -8,9 +8,9 @@
 package simnet
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"github.com/niid-bench/niidbench/internal/le"
 )
 
 // Message type tags. Tags 1, 2, 7, 9 and 10 belonged to message types
@@ -93,7 +93,9 @@ type GlobalMsg struct {
 // [MinVersion, Version] range the party speaks. Marshal stamps the build's
 // ProtoVersion/MinProtoVersion when the fields are zero, so ordinary
 // callers never set them (tests craft skewed hellos by setting them
-// explicitly).
+// explicitly). The hello is the one frame read before the peers agree on a
+// version, so it is the one frame whose decoder ignores trailing bytes: a
+// newer generation that still speaks 5 can extend it only at the tail.
 type HelloMsg struct {
 	ID         int
 	N          int
@@ -185,73 +187,32 @@ type GlobalChunkMsg struct {
 // ShutdownMsg tells a party the run is over.
 type ShutdownMsg struct{}
 
-func appendUint32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendFloats(b []byte, v []float64) []byte {
-	b = appendUint32(b, uint32(len(v)))
-	for _, f := range v {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+// appendU32s encodes header fields, each as a uint32.
+func appendU32s(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = le.AppendU32(b, uint32(v))
 	}
 	return b
 }
 
-func appendString(b []byte, s string) []byte {
-	b = appendUint32(b, uint32(len(s)))
-	return append(b, s...)
+// readU32s decodes what appendU32s encodes.
+func readU32s(r *le.Reader, dst ...*int) {
+	for _, p := range dst {
+		*p = int(r.U32())
+	}
 }
 
-func readUint32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("simnet: truncated uint32")
-	}
-	return binary.LittleEndian.Uint32(b), b[4:], nil
+// appendFloats encodes a vector as its uint32 count and the values.
+func appendFloats(b []byte, v []float64) []byte {
+	return le.AppendF64s(le.AppendU32(b, uint32(len(v))), v)
 }
 
-// readInts decodes consecutive uint32 header fields into dst.
-func readInts(b []byte, dst ...*int) ([]byte, error) {
-	for _, f := range dst {
-		v, rest, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		*f = int(v)
-		b = rest
+// readFloats decodes what appendFloats encodes; empty decodes as nil.
+func readFloats(r *le.Reader) []float64 {
+	if v := r.F64s(uint64(r.U32())); len(v) > 0 {
+		return v
 	}
-	return b, nil
-}
-
-func readFloats(b []byte) ([]float64, []byte, error) {
-	n, b, err := readUint32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	if len(b) < int(n)*8 {
-		return nil, nil, fmt.Errorf("simnet: truncated float vector (%d of %d bytes)", len(b), n*8)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out, b[int(n)*8:], nil
-}
-
-func readString(b []byte) (string, []byte, error) {
-	n, b, err := readUint32(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > maxTokenLen {
-		return "", nil, fmt.Errorf("simnet: string of %d bytes exceeds limit", n)
-	}
-	if len(b) < int(n) {
-		return "", nil, fmt.Errorf("simnet: truncated string (%d of %d bytes)", len(b), n)
-	}
-	return string(b[:n]), b[n:], nil
+	return nil
 }
 
 // chunkFlags packs a chunk frame's last marker and codec into its flags
@@ -268,17 +229,18 @@ func chunkFlags(last bool, codec byte) byte {
 // the raw float64 values, or — for a quantized codec — the frame's scale
 // and packed payload, quantized straight into b.
 func appendChunkPayload(b []byte, codec byte, v []float64) ([]byte, error) {
+	b = le.AppendU32(b, uint32(len(v)))
 	if codec == wireCodecF64 {
-		return appendFloats(b, v), nil
+		return le.AppendF64s(b, v), nil
 	}
-	b = appendUint32(b, uint32(len(v)))
 	at := len(b)
-	b = append(b, make([]byte, 8)...) // scale slot, known only after the pass over v
-	b, scale, err := quantizeChunk(b, codec, v)
+	// The scale is known only after the pass over v: reserve its slot, then
+	// rewrite it in place (b[:at] has the capacity, so nothing moves).
+	b, scale, err := quantizeChunk(le.AppendF64(b, 0), codec, v)
 	if err != nil {
 		return nil, err
 	}
-	binary.LittleEndian.PutUint64(b[at:], math.Float64bits(scale))
+	le.AppendF64(b[:at], scale)
 	return b, nil
 }
 
@@ -286,12 +248,12 @@ func appendChunkPayload(b []byte, codec byte, v []float64) ([]byte, error) {
 // elements in the given codec, so a frame set can be sized before it is
 // encoded.
 func globalChunkLen(codec byte, n int) (int, error) {
-	const header = 1 + 6*4 + 1 // tag, six uint32 fields, flags
-	if codec == wireCodecF64 {
-		return header + 4 + 8*n, nil
+	const header = 1 + 6*4 + 1 + 4 // tag, six uint32 fields, flags, count
+	q, err := payloadLen(codec, uint64(n))
+	if codec != wireCodecF64 {
+		q += 8 // scale
 	}
-	q, err := quantizedLen(codec, n)
-	return header + 4 + 8 + q, err // count, scale, packed payload
+	return header + int(q), err
 }
 
 // chunkPayload is a chunk frame's still-encoded tail: a view into the
@@ -306,50 +268,36 @@ type chunkPayload struct {
 }
 
 // readChunkPayload parses the tail of a chunk frame whose flags byte was
-// flags. The byte length must match the codec and count exactly, so a
-// truncated or padded frame is an error before anything is decoded.
-func readChunkPayload(flags byte, b []byte) (last bool, p chunkPayload, err error) {
+// flags, and reports any earlier failed read of r. The byte length must
+// match the codec and count exactly, so a truncated or padded frame is an
+// error before anything is decoded.
+func readChunkPayload(flags byte, r *le.Reader) (last bool, p chunkPayload, err error) {
 	if flags>>4 != 0 {
 		return false, p, fmt.Errorf("simnet: chunk frame flags 0x%02x use reserved bits", flags)
 	}
 	last, p.codec = flags&1 != 0, flags>>1
-	n, b, err := readUint32(b)
+	n := r.U32()
+	want, err := payloadLen(p.codec, uint64(n)) // a uint32 count cannot overflow it
 	if err != nil {
 		return false, p, err
 	}
-	p.count = int(n)
-	want := p.count * 8
 	if p.codec != wireCodecF64 {
-		if want, err = quantizedLen(p.codec, p.count); err != nil {
-			return false, p, err
-		}
-		if len(b) < 8 {
-			return false, p, fmt.Errorf("simnet: truncated quantization scale")
-		}
-		p.scale = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
+		p.scale = r.F64()
 	}
-	if len(b) != want {
+	if err := r.Err(); err != nil {
+		return false, p, fmt.Errorf("simnet: malformed chunk frame: %w", err)
+	}
+	if uint64(r.Len()) != want {
 		return false, p, fmt.Errorf("simnet: %s payload of %d bytes for %d elements, want %d",
-			codecName(p.codec), len(b), p.count, want)
+			codecName(p.codec), r.Len(), n, want)
 	}
-	p.raw = b
+	p.count, p.raw = int(n), r.Bytes(r.Len())
 	return last, p, nil
 }
 
 // decodeInto decodes the payload into dst, which must be count long.
 func (p chunkPayload) decodeInto(dst []float64) error {
-	if p.codec != wireCodecF64 {
-		return dequantizeChunk(dst, p.codec, p.raw, p.scale)
-	}
-	raw := p.raw
-	if len(raw) != 8*len(dst) {
-		return fmt.Errorf("simnet: f64 payload of %d bytes decoded into %d elements", len(raw), len(dst))
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return nil
+	return dequantizeChunk(dst, p.codec, p.raw, p.scale)
 }
 
 // decode decodes the payload into a fresh slice (nil when empty). The
@@ -396,35 +344,18 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 			rejoin = 1
 		}
 		b := append(dst, msgHello, protoMagic, v, minv, codecs, rejoin)
-		b = appendUint32(b, uint32(m.ID))
-		b = appendUint32(b, uint32(m.N))
-		b = appendString(b, m.Token)
-		b = appendFloats(b, m.LabelDist)
-		return b, nil
+		b = appendU32s(b, m.ID, m.N, len(m.Token))
+		b = append(b, m.Token...)
+		return appendFloats(b, m.LabelDist), nil
 	case ResyncMsg:
-		b := append(dst, msgResync)
-		b = appendUint32(b, uint32(m.Round))
-		b = appendUint32(b, uint32(m.ExpectTau))
-		b = appendFloats(b, m.Control)
-		return b, nil
+		b := appendU32s(append(dst, msgResync), m.Round, m.ExpectTau)
+		return appendFloats(b, m.Control), nil
 	case UpdateChunkMsg:
-		b := append(dst, msgUpdateChunk)
-		b = appendUint32(b, uint32(m.Round))
-		b = appendUint32(b, uint32(m.Offset))
-		b = appendUint32(b, uint32(m.Total))
-		b = appendUint32(b, uint32(m.N))
-		b = appendUint32(b, uint32(m.Tau))
-		b = append(b, chunkFlags(m.Last, m.Codec))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.TrainLoss))
+		b := appendU32s(append(dst, msgUpdateChunk), m.Round, m.Offset, m.Total, m.N, m.Tau)
+		b = le.AppendF64(append(b, chunkFlags(m.Last, m.Codec)), m.TrainLoss)
 		return appendChunkPayload(b, m.Codec, m.Chunk)
 	case GlobalChunkMsg:
-		b := append(dst, msgGlobalChunk)
-		b = appendUint32(b, uint32(m.Round))
-		b = appendUint32(b, uint32(m.Offset))
-		b = appendUint32(b, uint32(m.Total))
-		b = appendUint32(b, uint32(m.CtrlLen))
-		b = appendUint32(b, uint32(m.Budget))
-		b = appendUint32(b, uint32(m.Chunk))
+		b := appendU32s(append(dst, msgGlobalChunk), m.Round, m.Offset, m.Total, m.CtrlLen, m.Budget, m.Chunk)
 		b = append(b, chunkFlags(m.Last, m.Codec))
 		return appendChunkPayload(b, m.Codec, m.Payload)
 	case ShutdownMsg:
@@ -434,7 +365,8 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 	}
 }
 
-// Unmarshal decodes a message produced by Marshal.
+// Unmarshal decodes a message produced by Marshal. Every frame but the
+// hello must be exactly as long as its layout: trailing bytes are an error.
 func Unmarshal(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("simnet: empty message")
@@ -462,15 +394,20 @@ func Unmarshal(b []byte) (any, error) {
 		return m, nil
 	case msgResync:
 		var m ResyncMsg
-		b, err := readInts(b[1:], &m.Round, &m.ExpectTau)
-		if err != nil {
-			return nil, err
+		r := le.NewReader(b[1:])
+		readU32s(r, &m.Round, &m.ExpectTau)
+		m.Control = readFloats(r)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("simnet: malformed resync: %w", err)
 		}
-		if m.Control, _, err = readFloats(b); err != nil {
-			return nil, err
+		if r.Len() != 0 {
+			return nil, fmt.Errorf("simnet: %d trailing bytes after resync", r.Len())
 		}
 		return m, nil
 	case msgShutdown:
+		if len(b) != 1 {
+			return nil, fmt.Errorf("simnet: %d trailing bytes after shutdown", len(b)-1)
+		}
 		return ShutdownMsg{}, nil
 	default:
 		return nil, fmt.Errorf("simnet: unknown message tag %d", b[0])
@@ -509,17 +446,18 @@ func unmarshalHello(b []byte) (HelloMsg, error) {
 		return m, fmt.Errorf("simnet: truncated hello codec mask or rejoin flag")
 	}
 	m.Codecs, m.Rejoin = b[3], b[4] != 0
-	b, err := readInts(b[5:], &m.ID, &m.N)
-	if err != nil {
-		return m, err
+	r := le.NewReader(b[5:])
+	readU32s(r, &m.ID, &m.N)
+	n := r.U32()
+	if n > maxTokenLen {
+		return m, fmt.Errorf("simnet: token of %d bytes exceeds limit", n)
 	}
-	if m.Token, b, err = readString(b); err != nil {
-		return m, err
+	m.Token = string(r.Bytes(int(n)))
+	m.LabelDist = readFloats(r)
+	if err := r.Err(); err != nil {
+		return m, fmt.Errorf("simnet: malformed hello: %w", err)
 	}
-	if m.LabelDist, _, err = readFloats(b); err != nil {
-		return m, err
-	}
-	return m, nil
+	return m, nil // bytes past LabelDist are a newer generation's (see HelloMsg)
 }
 
 // parseUpdateChunk decodes an UpdateChunkMsg frame's header, leaving the
@@ -530,19 +468,15 @@ func parseUpdateChunk(b []byte) (UpdateChunkMsg, chunkPayload, error) {
 	if len(b) == 0 || b[0] != msgUpdateChunk {
 		return m, chunkPayload{}, fmt.Errorf("simnet: expected update chunk, got %s", describeTag(b))
 	}
-	b, err := readInts(b[1:], &m.Round, &m.Offset, &m.Total, &m.N, &m.Tau)
+	r := le.NewReader(b[1:])
+	readU32s(r, &m.Round, &m.Offset, &m.Total, &m.N, &m.Tau)
+	flags := r.U8()
+	m.TrainLoss = r.F64()
+	last, p, err := readChunkPayload(flags, r)
 	if err != nil {
 		return m, chunkPayload{}, err
 	}
-	if len(b) < 9 {
-		return m, chunkPayload{}, fmt.Errorf("simnet: truncated chunk flags or loss")
-	}
-	m.TrainLoss = math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))
-	var p chunkPayload
-	if m.Last, p, err = readChunkPayload(b[0], b[9:]); err != nil {
-		return m, chunkPayload{}, err
-	}
-	m.Codec = p.codec
+	m.Last, m.Codec = last, p.codec
 	return m, p, nil
 }
 
@@ -552,18 +486,13 @@ func parseGlobalChunk(b []byte) (GlobalChunkMsg, chunkPayload, error) {
 	if len(b) == 0 || b[0] != msgGlobalChunk {
 		return m, chunkPayload{}, fmt.Errorf("simnet: expected global chunk, got %s", describeTag(b))
 	}
-	b, err := readInts(b[1:], &m.Round, &m.Offset, &m.Total, &m.CtrlLen, &m.Budget, &m.Chunk)
+	r := le.NewReader(b[1:])
+	readU32s(r, &m.Round, &m.Offset, &m.Total, &m.CtrlLen, &m.Budget, &m.Chunk)
+	last, p, err := readChunkPayload(r.U8(), r)
 	if err != nil {
 		return m, chunkPayload{}, err
 	}
-	if len(b) < 1 {
-		return m, chunkPayload{}, fmt.Errorf("simnet: truncated chunk flags")
-	}
-	var p chunkPayload
-	if m.Last, p, err = readChunkPayload(b[0], b[1:]); err != nil {
-		return m, chunkPayload{}, err
-	}
-	m.Codec = p.codec
+	m.Last, m.Codec = last, p.codec
 	return m, p, nil
 }
 

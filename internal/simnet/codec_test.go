@@ -3,6 +3,8 @@ package simnet
 import (
 	"reflect"
 	"testing"
+
+	"github.com/niid-bench/niidbench/internal/le"
 )
 
 // allMsgFixtures is one representative, fully-populated value per wire
@@ -64,6 +66,46 @@ func TestCodecTruncationSweepAllMessages(t *testing.T) {
 			if _, err := Unmarshal(b[:cut]); err == nil {
 				t.Fatalf("%T: truncation at %d/%d decoded successfully", msg, cut, len(b))
 			}
+		}
+	}
+}
+
+// TestDecodeRefusesHostileVectorCount: a resync's control vector and a
+// hello's label distribution — the latter read before the token is
+// checked — declare a count of 0x20000001 float64 values with 8 bytes
+// behind it. On a 32-bit host count*8 wraps to exactly those 8 bytes, so a
+// product-form bound passes and the decoder panics in make; the bound must
+// hold on every word size (CI runs this test under GOARCH=386 too).
+func TestDecodeRefusesHostileVectorCount(t *testing.T) {
+	hostile := append(le.AppendU32(nil, 0x20000001), make([]byte, 8)...)
+	for _, msg := range []any{ResyncMsg{Round: 1, ExpectTau: 2}, HelloMsg{ID: 1, N: 2, Token: "t"}} {
+		b, err := Marshal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(b[:len(b)-4], hostile...) // replace the empty vector's count
+		if got, err := Unmarshal(b); err == nil {
+			t.Fatalf("%T with a hostile vector count decoded: %+v", msg, got)
+		}
+	}
+}
+
+// TestDecodeRefusesTrailingBytes: every frame but the hello is exactly as
+// long as its layout. The hello, sent before the peers agree on a version,
+// is the one frame a newer generation may extend at the tail.
+func TestDecodeRefusesTrailingBytes(t *testing.T) {
+	for _, msg := range allMsgFixtures() {
+		b, err := Marshal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Unmarshal(append(b, 0))
+		if _, isHello := msg.(HelloMsg); isHello {
+			if err != nil || !reflect.DeepEqual(got, msg) {
+				t.Fatalf("hello with a tail extension: %+v, %v", got, err)
+			}
+		} else if err == nil {
+			t.Fatalf("%T with a trailing byte decoded", msg)
 		}
 	}
 }

@@ -1,13 +1,14 @@
 package simnet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/niid-bench/niidbench/internal/le"
 )
 
 // readDeadliner is implemented by conns whose Recv can be bounded in time
@@ -148,10 +149,9 @@ func (t *tcpConn) SetRecvLimit(n uint32) {
 
 func (t *tcpConn) Send(b []byte) error {
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
 	// One writev for prefix and body: with TCP_NODELAY two Writes are two
 	// syscalls and a 4-byte segment that wakes the peer for nothing.
-	v := net.Buffers{hdr[:], b}
+	v := net.Buffers{le.AppendU32(hdr[:0], uint32(len(b))), b}
 	_, err := v.WriteTo(t.c)
 	return err
 }
@@ -161,7 +161,7 @@ func (t *tcpConn) Recv() ([]byte, error) {
 	if _, err := io.ReadFull(t.c, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := le.NewReader(hdr[:]).U32()
 	if max := t.max.Load(); n > max {
 		return nil, fmt.Errorf("simnet: message of %d bytes exceeds limit %d", n, max)
 	}

@@ -85,15 +85,22 @@ func FuzzDecodeMsg(f *testing.F) {
 	// anything is allocated.
 	f.Add(append(append([]byte{msgGlobalChunk}, make([]byte, 6*4)...), 1, 0xFF, 0xFF, 0xFF, 0x3F))
 	// Trailing garbage after a complete frame must not decode silently.
-	if b, err := Marshal(ShutdownMsg{}); err == nil {
-		f.Add(append(b, 0xDE, 0xAD))
+	for _, msg := range []any{ShutdownMsg{}, ResyncMsg{Round: 1, ExpectTau: 3}} {
+		if b, err := Marshal(msg); err == nil {
+			f.Add(append(b, 0xDE, 0xAD))
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		msg, err := Unmarshal(raw)
 		if err == nil {
-			if _, err := Marshal(msg); err != nil {
+			b, err := Marshal(msg)
+			if err != nil {
 				t.Fatalf("decoded %T failed to re-encode: %v", msg, err)
+			}
+			// Only the hello may carry bytes past its layout (see HelloMsg).
+			if raw[0] != msgHello && len(b) != len(raw) {
+				t.Fatalf("%T decoded from %d bytes re-encodes to %d: trailing bytes were accepted", msg, len(raw), len(b))
 			}
 		}
 		if len(raw) > 0 && err == nil {

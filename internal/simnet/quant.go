@@ -1,11 +1,11 @@
 package simnet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"github.com/niid-bench/niidbench/internal/fl"
+	"github.com/niid-bench/niidbench/internal/le"
 )
 
 // This file is the quantized half of the chunk codec: the per-frame
@@ -71,21 +71,21 @@ func codecName(c byte) string {
 	}
 }
 
-// quantizedLen returns the payload byte length of count quantized
-// elements under the given codec.
-func quantizedLen(codec byte, count int) (int, error) {
-	if count < 0 {
-		return 0, fmt.Errorf("simnet: negative quantized element count %d", count)
-	}
+// payloadLen returns the payload byte length of n elements under the
+// given codec. It counts in uint64, where a uint32 element count cannot
+// overflow on any word size.
+func payloadLen(codec byte, n uint64) (uint64, error) {
 	switch codec {
+	case wireCodecF64:
+		return 8 * n, nil
 	case wireCodecF32:
-		return count * 4, nil
+		return 4 * n, nil
 	case wireCodecInt8:
-		return count, nil
+		return n, nil
 	case wireCodecInt4:
-		return (count + 1) / 2, nil
+		return (n + 1) / 2, nil
 	default:
-		return 0, fmt.Errorf("simnet: %s is not a quantized codec", codecName(codec))
+		return 0, fmt.Errorf("simnet: unknown chunk codec %s", codecName(codec))
 	}
 }
 
@@ -98,10 +98,7 @@ func quantizedLen(codec byte, count int) (int, error) {
 func quantizeChunk(dst []byte, codec byte, v []float64) ([]byte, float64, error) {
 	switch codec {
 	case wireCodecF32:
-		for _, f := range v {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(f)))
-		}
-		return dst, 0, nil
+		return le.AppendF32s(dst, v), 0, nil
 	case wireCodecInt8, wireCodecInt4:
 		maxAbs := 0.0
 		for _, f := range v {
@@ -154,15 +151,16 @@ func quantizeChunk(dst []byte, codec byte, v []float64) ([]byte, float64, error)
 }
 
 // dequantizeChunk decodes count elements of payload into dst (which must
-// be count long), inverting quantizeChunk. The payload length is
-// validated against the codec's exact size so a short or padded frame is
-// an error, never a partial decode.
+// be count long), inverting quantizeChunk; an f64 payload is the raw
+// values, scale 0. The payload length is validated against the codec's
+// exact size so a short or padded frame is an error, never a partial
+// decode.
 func dequantizeChunk(dst []float64, codec byte, payload []byte, scale float64) error {
-	want, err := quantizedLen(codec, len(dst))
+	want, err := payloadLen(codec, uint64(len(dst)))
 	if err != nil {
 		return err
 	}
-	if len(payload) != want {
+	if uint64(len(payload)) != want {
 		return fmt.Errorf("simnet: %s payload of %d bytes for %d elements, want %d",
 			codecName(codec), len(payload), len(dst), want)
 	}
@@ -173,10 +171,10 @@ func dequantizeChunk(dst []float64, codec byte, payload []byte, scale float64) e
 		return fmt.Errorf("simnet: invalid quantization scale %v", scale)
 	}
 	switch codec {
+	case wireCodecF64:
+		le.NewReader(payload).F64sInto(dst)
 	case wireCodecF32:
-		for i := range dst {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:])))
-		}
+		le.NewReader(payload).F32sInto(dst)
 	case wireCodecInt8:
 		for i := range dst {
 			dst[i] = scale * float64(int8(payload[i]))

@@ -43,7 +43,7 @@ func TestQuantizeDequantizeErrorBounds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d %s: quantize: %v", n, codecName(codec), err)
 			}
-			if want, err := quantizedLen(codec, n); err != nil || len(payload) != want {
+			if want, err := payloadLen(codec, uint64(n)); err != nil || uint64(len(payload)) != want {
 				t.Fatalf("n=%d %s: payload %d bytes, want %d (err %v)", n, codecName(codec), len(payload), want, err)
 			}
 			got := make([]float64, n)
