@@ -1,13 +1,16 @@
 package simnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
+	"github.com/niid-bench/niidbench/internal/le"
 )
 
 // quantTestVector builds a deterministic chunk with mixed signs and
@@ -372,4 +375,196 @@ func TestRunLocalQuantizedCodecs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// refQuantize is quantizeChunk's integer arm exactly as the scalar codec
+// wrote it — the scan, the scale rule and the round/clamp loops copied
+// verbatim — kept as the oracle the production encoder must match byte for
+// byte, scale bit for bit and error text for error text.
+func refQuantize(dst []byte, codec byte, v []float64) ([]byte, float64, error) {
+	maxAbs := 0.0
+	for _, f := range v {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, 0, fmt.Errorf("simnet: non-finite value %v in %s chunk", f, codecName(codec))
+		}
+		if a := math.Abs(f); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	levels := 127.0
+	if codec == wireCodecInt4 {
+		levels = 7
+	}
+	scale := 0.0
+	if maxAbs > 0 {
+		scale = maxAbs / levels
+	}
+	quant := func(f float64) int {
+		if scale == 0 {
+			return 0
+		}
+		q := int(math.Round(f / scale))
+		if q > int(levels) {
+			q = int(levels)
+		}
+		if q < -int(levels) {
+			q = -int(levels)
+		}
+		return q
+	}
+	if codec == wireCodecInt8 {
+		for _, f := range v {
+			dst = append(dst, byte(int8(quant(f))))
+		}
+		return dst, scale, nil
+	}
+	for i := 0; i < len(v); i += 2 {
+		lo := byte(quant(v[i])+8) & 0x0F
+		hi := byte(0)
+		if i+1 < len(v) {
+			hi = byte(quant(v[i+1])+8) & 0x0F
+		}
+		dst = append(dst, lo|hi<<4)
+	}
+	return dst, scale, nil
+}
+
+// refDequantizeInt8 is dequantizeChunk's int8 loop, verbatim.
+func refDequantizeInt8(dst []float64, payload []byte, scale float64) {
+	for i := range dst {
+		dst[i] = scale * float64(int8(payload[i]))
+	}
+}
+
+// quantPinInputs are the chunks the int8 codec is pinned on: every length
+// across the vector width and its tails, magnitudes from 1e-300 to 1e300,
+// exact ties k+0.5 with their 1-ulp neighbours, signed and all-zero chunks,
+// subnormal maxima (one whose levels overflow ±127 and must clamp, one whose
+// scale underflows to 0), and NaN/±Inf at the first, middle, last and tail
+// positions.
+func quantPinInputs() [][]float64 {
+	var out [][]float64
+	for n := 0; n <= 35; n++ {
+		out = append(out, quantTestVector(n))
+	}
+	for n := 4095; n <= 4097; n++ {
+		out = append(out, quantTestVector(n))
+	}
+	for e := -300; e <= 300; e += 25 {
+		v := quantTestVector(37)
+		for i := range v {
+			v[i] *= math.Pow(10, float64(e))
+		}
+		out = append(out, v)
+	}
+	ties := []float64{127}
+	for k := -127; k < 127; k++ {
+		x := float64(k) + 0.5
+		ties = append(ties, x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, math.Inf(-1)))
+	}
+	half := make([]float64, len(ties)) // scale 0.5: the same ties, still exact after division
+	for i, x := range ties {
+		half[i] = x / 2
+	}
+	out = append(out, ties, half)
+	negZero := math.Copysign(0, -1)
+	out = append(out, []float64{0, negZero, 0, negZero}, make([]float64, 40),
+		[]float64{negZero, 1, -1, negZero, 0.5, -0.5, 0.25, -0.75, 3, -3, 0, 0, 0, 0, 0, 0, -0.5, 0.5})
+	const s = math.SmallestNonzeroFloat64
+	out = append(out,
+		[]float64{190 * s, -190 * s, 150 * s, -100 * s, 3 * s, negZero, s, 0, 160 * s, -189 * s, 128 * s, -127 * s, 126 * s, 2 * s, -s, 190 * s, 17 * s},
+		[]float64{s, -s, 2 * s, 0})
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, n := range []int{32, 35} {
+			for _, at := range []int{0, n / 2, n - 2, n - 1} {
+				v := quantTestVector(n)
+				v[at] = bad
+				out = append(out, v)
+			}
+		}
+	}
+	two := quantTestVector(35) // the first non-finite value is the one named
+	two[5], two[20] = math.Inf(-1), math.NaN()
+	return append(out, two)
+}
+
+// checkQuantMatchesRef encodes v under both integer codecs with the
+// production encoder and the oracle, after a one-byte prefix so append
+// semantics are covered, and compares payload bytes, scale bits and error
+// text; an int8 payload is then decoded both ways and compared bit for bit.
+func checkQuantMatchesRef(t testing.TB, v []float64) {
+	t.Helper()
+	for _, codec := range []byte{wireCodecInt8, wireCodecInt4} {
+		got, gotScale, gotErr := quantizeChunk([]byte{0xA5}, codec, v)
+		want, wantScale, wantErr := refQuantize([]byte{0xA5}, codec, v)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s n=%d: error %v, want %v", codecName(codec), len(v), gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		if math.Float64bits(gotScale) != math.Float64bits(wantScale) || !bytes.Equal(got, want) {
+			t.Fatalf("%s n=%d: scale %v payload %x, want scale %v payload %x",
+				codecName(codec), len(v), gotScale, got, wantScale, want)
+		}
+		if codec != wireCodecInt8 {
+			continue
+		}
+		dec, ref := make([]float64, len(v)), make([]float64, len(v))
+		if err := dequantizeChunk(dec, codec, got[1:], gotScale); err != nil {
+			continue // a scale past MaxFloat64/128 is refused before any element is decoded
+		}
+		refDequantizeInt8(ref, got[1:], gotScale)
+		for i := range dec {
+			if math.Float64bits(dec[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("int8 n=%d: element %d decoded to %v, want %v", len(v), i, dec[i], ref[i])
+			}
+		}
+	}
+}
+
+// TestQuantKernelsMatchReference pins the integer codecs to the scalar
+// oracle above on every corner the vector kernels have, and the int8
+// decoder on all 256 levels at scales from 0 through subnormal to huge,
+// over lengths that leave every tail.
+func TestQuantKernelsMatchReference(t *testing.T) {
+	for _, v := range quantPinInputs() {
+		checkQuantMatchesRef(t, v)
+	}
+	levels := make([]byte, 256+35)
+	for i := range levels {
+		levels[i] = byte(i * 7)
+	}
+	for _, scale := range []float64{0, math.SmallestNonzeroFloat64, 1e-300, 0.3, 1, 1e300 / 127} {
+		for _, n := range []int{0, 1, 15, 16, 17, 35, 256, 256 + 35} {
+			dec, ref := make([]float64, n), make([]float64, n)
+			if err := dequantizeChunk(dec, wireCodecInt8, levels[:n], scale); err != nil {
+				t.Fatal(err)
+			}
+			refDequantizeInt8(ref, levels[:n], scale)
+			for i := range dec {
+				if math.Float64bits(dec[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("scale %v n=%d: level %d decoded to %v, want %v", scale, n, i, dec[i], ref[i])
+				}
+			}
+		}
+	}
+}
+
+// FuzzQuantizeInt8 is the differential form of the pin: the fuzz bytes,
+// read as little-endian float64s, are encoded and decoded by production
+// and oracle, which must agree bit for bit.
+func FuzzQuantizeInt8(f *testing.F) {
+	for _, v := range quantPinInputs() {
+		if len(v) <= 64 {
+			f.Add(le.AppendF64s(nil, v))
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		v := make([]float64, len(raw)/8)
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		checkQuantMatchesRef(t, v)
+	})
 }
