@@ -3,9 +3,11 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/niid-bench/niidbench/internal/fl"
 	"github.com/niid-bench/niidbench/internal/le"
+	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
 // This file is the quantized half of the chunk codec: the per-frame
@@ -100,14 +102,10 @@ func quantizeChunk(dst []byte, codec byte, v []float64) ([]byte, float64, error)
 	case wireCodecF32:
 		return le.AppendF32s(dst, v), 0, nil
 	case wireCodecInt8, wireCodecInt4:
-		maxAbs := 0.0
-		for _, f := range v {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, 0, fmt.Errorf("simnet: non-finite value %v in %s chunk", f, codecName(codec))
-			}
-			if a := math.Abs(f); a > maxAbs {
-				maxAbs = a
-			}
+		maxAbs, finite := tensor.MaxAbs(v)
+		if !finite {
+			i := slices.IndexFunc(v, func(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) })
+			return nil, 0, fmt.Errorf("simnet: non-finite value %v in %s chunk", v[i], codecName(codec))
 		}
 		levels := 127.0
 		if codec == wireCodecInt4 {
@@ -131,9 +129,9 @@ func quantizeChunk(dst []byte, codec byte, v []float64) ([]byte, float64, error)
 			return q
 		}
 		if codec == wireCodecInt8 {
-			for _, f := range v {
-				dst = append(dst, byte(int8(quant(f))))
-			}
+			n := len(dst)
+			dst = slices.Grow(dst, len(v))[:n+len(v)]
+			tensor.QuantizeInt8(dst[n:], v, scale)
 			return dst, scale, nil
 		}
 		for i := 0; i < len(v); i += 2 {
@@ -176,9 +174,7 @@ func dequantizeChunk(dst []float64, codec byte, payload []byte, scale float64) e
 	case wireCodecF32:
 		le.NewReader(payload).F32sInto(dst)
 	case wireCodecInt8:
-		for i := range dst {
-			dst[i] = scale * float64(int8(payload[i]))
-		}
+		tensor.DequantizeInt8(dst, payload, scale)
 	case wireCodecInt4:
 		for i := range dst {
 			nib := payload[i/2]

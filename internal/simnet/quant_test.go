@@ -11,6 +11,7 @@ import (
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
 	"github.com/niid-bench/niidbench/internal/le"
+	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
 // quantTestVector builds a deterministic chunk with mixed signs and
@@ -492,20 +493,20 @@ func quantPinInputs() [][]float64 {
 // production encoder and the oracle, after a one-byte prefix so append
 // semantics are covered, and compares payload bytes, scale bits and error
 // text; an int8 payload is then decoded both ways and compared bit for bit.
-func checkQuantMatchesRef(t testing.TB, v []float64) {
+func checkQuantMatchesRef(t testing.TB, path string, v []float64) {
 	t.Helper()
 	for _, codec := range []byte{wireCodecInt8, wireCodecInt4} {
 		got, gotScale, gotErr := quantizeChunk([]byte{0xA5}, codec, v)
 		want, wantScale, wantErr := refQuantize([]byte{0xA5}, codec, v)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("%s n=%d: error %v, want %v", codecName(codec), len(v), gotErr, wantErr)
+			t.Fatalf("%s %s n=%d: error %v, want %v", path, codecName(codec), len(v), gotErr, wantErr)
 		}
 		if gotErr != nil {
 			continue
 		}
 		if math.Float64bits(gotScale) != math.Float64bits(wantScale) || !bytes.Equal(got, want) {
-			t.Fatalf("%s n=%d: scale %v payload %x, want scale %v payload %x",
-				codecName(codec), len(v), gotScale, got, wantScale, want)
+			t.Fatalf("%s %s n=%d: scale %v payload %x, want scale %v payload %x",
+				path, codecName(codec), len(v), gotScale, got, wantScale, want)
 		}
 		if codec != wireCodecInt8 {
 			continue
@@ -517,19 +518,35 @@ func checkQuantMatchesRef(t testing.TB, v []float64) {
 		refDequantizeInt8(ref, got[1:], gotScale)
 		for i := range dec {
 			if math.Float64bits(dec[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("int8 n=%d: element %d decoded to %v, want %v", len(v), i, dec[i], ref[i])
+				t.Fatalf("%s int8 n=%d: element %d decoded to %v, want %v", path, len(v), i, dec[i], ref[i])
 			}
 		}
+	}
+}
+
+// kernelPaths runs f under tensor's portable kernels and, where the CPU
+// has them, under the assembly ones, then restores the gate.
+func kernelPaths(f func(path string)) {
+	vector := tensor.SetVectorKernels(false)
+	defer tensor.SetVectorKernels(vector)
+	f("generic")
+	if vector {
+		tensor.SetVectorKernels(true)
+		f("avx2")
 	}
 }
 
 // TestQuantKernelsMatchReference pins the integer codecs to the scalar
 // oracle above on every corner the vector kernels have, and the int8
 // decoder on all 256 levels at scales from 0 through subnormal to huge,
-// over lengths that leave every tail.
+// over lengths that leave every tail, under both kernel paths.
 func TestQuantKernelsMatchReference(t *testing.T) {
+	kernelPaths(func(path string) { t.Run(path, testQuantKernelsMatchReference) })
+}
+
+func testQuantKernelsMatchReference(t *testing.T) {
 	for _, v := range quantPinInputs() {
-		checkQuantMatchesRef(t, v)
+		checkQuantMatchesRef(t, t.Name(), v)
 	}
 	levels := make([]byte, 256+35)
 	for i := range levels {
@@ -553,7 +570,7 @@ func TestQuantKernelsMatchReference(t *testing.T) {
 
 // FuzzQuantizeInt8 is the differential form of the pin: the fuzz bytes,
 // read as little-endian float64s, are encoded and decoded by production
-// and oracle, which must agree bit for bit.
+// and oracle, which must agree bit for bit under both kernel paths.
 func FuzzQuantizeInt8(f *testing.F) {
 	for _, v := range quantPinInputs() {
 		if len(v) <= 64 {
@@ -565,6 +582,6 @@ func FuzzQuantizeInt8(f *testing.F) {
 		for i := range v {
 			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		checkQuantMatchesRef(t, v)
+		kernelPaths(func(path string) { checkQuantMatchesRef(t, path, v) })
 	})
 }

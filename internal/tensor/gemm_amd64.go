@@ -26,9 +26,26 @@ func dgemm4x8st(a0, a1, a2, a3 *float64, sa uintptr, b *float64, kb uintptr, d *
 //go:noescape
 func dgemm4x4s(a0, a1, a2, a3 *float64, sa uintptr, b *float64, kb uintptr, d *float64, ldd uintptr)
 
-// useFMA gates the assembly microkernels of both dtypes. Tests flip it to
-// exercise both kernel paths on the same machine.
-var useFMA = x86HasAVX2FMA()
+// The int8 codec kernels in quant_amd64.s; each covers len/16 whole
+// blocks and leaves the tail to its Go twin in quant.go.
+
+//go:noescape
+func maxAbsAVX2(v []float64) (m float64, finite bool)
+
+//go:noescape
+func quantizeInt8AVX2(dst []byte, v []float64, scale float64)
+
+//go:noescape
+func dequantizeInt8AVX2(dst []float64, src []byte, scale float64)
+
+// hasAVX2FMA is the one CPU probe; SetVectorKernels never sets useFMA
+// past it.
+var hasAVX2FMA = x86HasAVX2FMA()
+
+// useFMA gates the assembly kernels: the GEMM microkernels of both dtypes
+// and the int8 codec's. Tests flip it to exercise both kernel paths on the
+// same machine.
+var useFMA = hasAVX2FMA
 
 var (
 	asmKernels32 = [3]asmTile[float32]{tileFull: sgemm4x16s, tileStore: sgemm4x16st, tileNarrow: sgemm4x8s}
