@@ -115,6 +115,12 @@ func quantizeChunk(dst []byte, codec byte, v []float64) ([]byte, float64, error)
 		if maxAbs > 0 {
 			scale = maxAbs / levels
 		}
+		if codec == wireCodecInt8 {
+			n := len(dst)
+			dst = slices.Grow(dst, len(v))[:n+len(v)]
+			tensor.QuantizeInt8(dst[n:], v, scale)
+			return dst, scale, nil
+		}
 		quant := func(f float64) int {
 			if scale == 0 {
 				return 0
@@ -127,12 +133,6 @@ func quantizeChunk(dst []byte, codec byte, v []float64) ([]byte, float64, error)
 				q = -int(levels)
 			}
 			return q
-		}
-		if codec == wireCodecInt8 {
-			n := len(dst)
-			dst = slices.Grow(dst, len(v))[:n+len(v)]
-			tensor.QuantizeInt8(dst[n:], v, scale)
-			return dst, scale, nil
 		}
 		for i := 0; i < len(v); i += 2 {
 			lo := byte(quant(v[i])+8) & 0x0F

@@ -29,7 +29,8 @@
 // parallelThreshold. The dtype only selects a microkernel set — 4x16 and
 // 4x8 tiles for float32, 4x8 and 4x4 for float64 — implemented once in
 // AVX2+FMA assembly (gemm_kernels_amd64.h, instantiated per dtype by
-// gemm_amd64.s, CPUID-gated by useFMA) with one portable Go twin.
+// gemm_amd64.s, CPUID-gated by useFMA) with one portable Go twin. The
+// int8 wire codec's kernels (quant.go) sit behind the same gate.
 // Im2Col/Col2Im parallelize over the batch dimension. Everything has an
 // Into variant writing into caller-provided storage. The goroutine fan-out
 // of every kernel is bounded by an explicit Compute budget — call kernels
