@@ -69,10 +69,9 @@ type AsyncCoordinator struct {
 	// population could never fill.
 	buffer int
 
-	// Flush-buffer accumulators, reset every AsyncBuffer folds.
+	// Flush-buffer books, reset every AsyncBuffer folds (the weight sums
+	// live in the Server's accumulator).
 	buffered int
-	sumW     float64 // sum of discounted fold weights
-	tauNum   float64 // FedNova: sum of weight*tau over the buffer
 	loss     float64
 	ids      []int
 	lastAt   time.Time
@@ -234,23 +233,10 @@ func (c *AsyncCoordinator) Fold(id int, u Update, trainedGen int) (flushed, done
 	tau := c.gen - trainedGen
 	disc := c.staleness(tau)
 
-	// The weight is the synchronous rule's base weight, discounted; the
-	// normalizer is the flush buffer's discounted weight sum instead of a
-	// round's sample, so the update magnitude stays scale-stable under any
-	// mix of stalenesses. FedNova folds w/tau_i and scales by the buffer's
-	// effective step count at the flush.
-	w := s.baseWeight(u.N) * disc
-	fold := w
-	if c.e.cfg.Algorithm == FedNova {
-		if u.Tau == 0 {
-			fold = 0
-		} else {
-			fold = w / float64(u.Tau)
-		}
-		c.tauNum += w * float64(u.Tau)
-	}
-	s.accumulate(fold, disc, u.Delta, u.DeltaC)
-	c.sumW += w
+	// The weight is the synchronous rule's base weight, discounted, so the
+	// flush divides by the buffer's discounted weight sum and the update
+	// magnitude stays scale-stable under any mix of stalenesses.
+	s.accumulate(s.baseWeight(u.N)*disc, disc, u.Tau, u.Delta, u.DeltaC)
 	c.buffered++
 	c.loss += u.TrainLoss
 	c.ids = append(c.ids, id)
@@ -273,20 +259,8 @@ func (c *AsyncCoordinator) Fold(id int, u Update, trainedGen int) (flushed, done
 // discounted weight sum, and closes the generation in the ledger. Called
 // with mu held.
 func (c *AsyncCoordinator) flush() error {
-	s := c.e.server
-	if c.sumW > 0 {
-		scale := 1 / c.sumW
-		if c.e.cfg.Algorithm == FedNova {
-			// agg holds sum(w_i/tau_i * delta_i); the effective step count
-			// over the buffer is tauNum/sumW, and each weight normalizes by
-			// sumW, so the net scalar is tauNum/sumW^2.
-			scale = c.tauNum / (c.sumW * c.sumW)
-		}
-		if scale != 0 {
-			s.apply(scale)
-		}
-	}
-	s.resetAccumulator()
+	c.e.server.apply()
+	c.e.server.resetAccumulator()
 
 	g := c.gen
 	c.gen++
@@ -304,8 +278,6 @@ func (c *AsyncCoordinator) flush() error {
 		m.CommBytes = c.meter.RoundBytes()
 	}
 	c.buffered = 0
-	c.sumW = 0
-	c.tauNum = 0
 	c.loss = 0
 	c.ids = c.ids[:0]
 	return c.led.close(g, m)

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -66,60 +67,124 @@ func (l *lockstepAsync) RunAsync(c *AsyncCoordinator) error {
 }
 
 // TestAsyncLockstepMatchesSyncAllAlgorithms pins the buffered-async
-// aggregation semantics against the synchronous reference: when the async
+// aggregation against the synchronous round bit for bit: when the async
 // schedule degenerates to lockstep — buffer equal to the party count, so
 // every generation folds exactly one zero-staleness update per party in
-// party order — the math is the synchronous round's for all six
-// algorithms (the discount is identically 1, and the flush normalizer
-// equals the round's weight sum). The floating-point grouping differs
-// (the sync fold pre-normalizes each weight, the async flush divides
-// once), so the comparison is near-equality, not bitwise.
+// party order — both schedulers run the Server's one rule on the same
+// operands. The discount is exactly 1, so each fold adds the same base
+// weight, and the flush divides by the same sum the round would. Every
+// algorithm, both weightings and every server optimizer.
 func TestAsyncLockstepMatchesSyncAllAlgorithms(t *testing.T) {
 	locals, test := asyncFixture(t)
 	for _, alg := range ExtendedAlgorithms() {
 		t.Run(string(alg), func(t *testing.T) {
-			cfg := Config{Algorithm: alg, Rounds: 2, LocalEpochs: 1, BatchSize: 32,
-				LR: 0.05, Mu: 0.01, Seed: 5}
-			sync, err := NewSimulation(cfg, adultSpec(), locals, test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := sync.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			for _, unweighted := range []bool{false, true} {
+				for _, opt := range []ServerOpt{ServerSGD, ServerMomentum, ServerAdam} {
+					t.Run(fmt.Sprintf("unweighted=%v/%s", unweighted, opt), func(t *testing.T) {
+						cfg := Config{Algorithm: alg, Unweighted: unweighted, ServerOptimizer: opt,
+							Rounds: 2, LocalEpochs: 1, BatchSize: 32, LR: 0.05, Mu: 0.01, Seed: 5}
+						sync, err := NewSimulation(cfg, adultSpec(), locals, test)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := sync.Run()
+						if err != nil {
+							t.Fatal(err)
+						}
 
-			acfg := cfg
-			acfg.AsyncBuffer = len(locals)
-			asim, err := NewSimulation(acfg, adultSpec(), locals, test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := asim.engine.RunAsync(&lockstepAsync{sim: asim})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Async == nil {
-				t.Fatal("async run reported no AsyncStats")
-			}
-			if wantFolds := cfg.Rounds * len(locals); got.Async.Folds != wantFolds {
-				t.Fatalf("folds %d, want %d", got.Async.Folds, wantFolds)
-			}
-			if got.Async.MaxStaleness != 0 || got.Async.MeanStaleness != 0 {
-				t.Fatalf("lockstep schedule reported staleness (mean %v, max %d)",
-					got.Async.MeanStaleness, got.Async.MaxStaleness)
-			}
-			if len(got.FinalState) != len(want.FinalState) {
-				t.Fatalf("state length %d, want %d", len(got.FinalState), len(want.FinalState))
-			}
-			for i := range want.FinalState {
-				a, b := got.FinalState[i], want.FinalState[i]
-				scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-				if math.Abs(a-b) > 1e-6*scale {
-					t.Fatalf("state[%d]: async %v vs sync %v", i, a, b)
+						acfg := cfg
+						acfg.AsyncBuffer = len(locals)
+						asim, err := NewSimulation(acfg, adultSpec(), locals, test)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := asim.engine.RunAsync(&lockstepAsync{sim: asim})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Async == nil {
+							t.Fatal("async run reported no AsyncStats")
+						}
+						if wantFolds := cfg.Rounds * len(locals); got.Async.Folds != wantFolds {
+							t.Fatalf("folds %d, want %d", got.Async.Folds, wantFolds)
+						}
+						if got.Async.MaxStaleness != 0 || got.Async.MeanStaleness != 0 {
+							t.Fatalf("lockstep schedule reported staleness (mean %v, max %d)",
+								got.Async.MeanStaleness, got.Async.MaxStaleness)
+						}
+						requireSameBits(t, "async vs sync state", got.FinalState, want.FinalState)
+					})
 				}
 			}
 		})
+	}
+}
+
+// TestZeroWeightFlushStepsServerOptimizer is the regression test for the
+// zero-weight buffer. A round or generation whose every folded update came
+// from an empty party (N = 0, tau = 0) has a zero weight sum under the
+// weighted rule and a zero tau sum under FedNova, yet the server optimizer
+// must still step, the same under both schedulers: momentum keeps moving
+// the state by its velocity and Adam advances its step count. The async
+// flush used to skip the apply there and freeze both.
+func TestZeroWeightFlushStepsServerOptimizer(t *testing.T) {
+	locals, test := asyncFixture(t)
+	k := len(locals)
+	// Unweighted FedAvg is absent: every party weighs 1 there, so the sum
+	// is never zero.
+	zeroSum := []Config{
+		{Algorithm: FedAvg},
+		{Algorithm: FedNova},
+		{Algorithm: FedNova, Unweighted: true},
+	}
+	for _, cfg := range zeroSum {
+		for _, opt := range []ServerOpt{ServerMomentum, ServerAdam} {
+			cfg.ServerOptimizer = opt
+			cfg.Rounds, cfg.LocalEpochs, cfg.BatchSize, cfg.LR, cfg.Seed, cfg.AsyncBuffer = 3, 1, 32, 0.05, 5, k
+			t.Run(fmt.Sprintf("%s/unweighted=%v/%s", cfg.Algorithm, cfg.Unweighted, opt), func(t *testing.T) {
+				sim, err := NewSimulation(cfg, adultSpec(), locals, test)
+				if err != nil {
+					t.Fatal(err)
+				}
+				async := sim.server
+				c := newAsyncCoordinator(sim.engine, nil)
+				sync := NewServer(async.cfg, async.State(), async.paramLen, async.numParties)
+
+				stateLen := len(async.State())
+				real := synthUpdates(rng.New(3), k, stateLen, async.paramLen, false)
+				empty := make([]Update, k)
+				for j := range empty {
+					empty[j] = Update{Delta: make([]float64, stateLen)}
+				}
+				var afterReal []float64
+				for gen, ups := range [][]Update{real, empty} {
+					if err := aggregate(sync, ups); err != nil {
+						t.Fatalf("sync round %d: %v", gen, err)
+					}
+					for id, u := range ups {
+						if _, _, err := c.Fold(id, u, gen); err != nil {
+							t.Fatalf("async generation %d fold %d: %v", gen, id, err)
+						}
+					}
+					if gen == 0 {
+						afterReal = append([]float64(nil), async.State()...)
+					}
+				}
+				if g := c.Generation(); g != 2 {
+					t.Fatalf("generation %d after two full buffers, want 2", g)
+				}
+				if n, _ := bitDiff(async.State(), afterReal); n == 0 {
+					t.Fatal("the all-empty generation did not step the server optimizer")
+				}
+				requireSameBits(t, "state", async.State(), sync.State())
+				requireSameBits(t, "velocity", async.velocity, sync.velocity)
+				requireSameBits(t, "adam m", async.adamM, sync.adamM)
+				requireSameBits(t, "adam v", async.adamV, sync.adamV)
+				if async.adamT != sync.adamT {
+					t.Fatalf("adamT: async %d vs sync %d", async.adamT, sync.adamT)
+				}
+			})
+		}
 	}
 }
 

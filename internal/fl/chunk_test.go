@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -66,9 +67,11 @@ func TestChunkStateMachine(t *testing.T) {
 
 // TestDropReweightsSurvivors drops one mid-round update (after part of
 // its chunk stream was staged) and checks the finished state against a
-// fresh batched aggregation over the survivors only, for every algorithm
-// and both weighting modes. The drop path renormalizes with one scalar,
-// so equality is to rounding (1e-12 relative), not bitwise.
+// fresh batched aggregation over the survivors only, bit for bit, for
+// every algorithm, both weighting modes and every server optimizer. A
+// dropped party's weight is never folded, so the round divides by the
+// survivors' weight sum and performs exactly the survivors-only
+// arithmetic.
 func TestDropReweightsSurvivors(t *testing.T) {
 	const paramLen, stateLen, parties = 11, 14, 4
 	initial := make([]float64, stateLen)
@@ -78,62 +81,51 @@ func TestDropReweightsSurvivors(t *testing.T) {
 	}
 	for _, alg := range ExtendedAlgorithms() {
 		for _, unweighted := range []bool{false, true} {
-			cfg, err := Config{Algorithm: alg, Unweighted: unweighted}.Normalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			dropping := NewServer(cfg, initial, paramLen, parties)
-			reference := NewServer(cfg, initial, paramLen, parties)
-			r := rng.New(23)
-			ups := synthUpdates(r, parties, stateLen, paramLen, alg == Scaffold)
+			for _, opt := range []ServerOpt{ServerSGD, ServerMomentum, ServerAdam} {
+				cfg, err := Config{Algorithm: alg, Unweighted: unweighted, ServerOptimizer: opt}.Normalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s unweighted=%v %s", alg, unweighted, opt)
+				dropping := NewServer(cfg, initial, paramLen, parties)
+				reference := NewServer(cfg, initial, paramLen, parties)
+				r := rng.New(23)
+				ups := synthUpdates(r, parties, stateLen, paramLen, alg == Scaffold)
 
-			metas := make([]UpdateMeta, len(ups))
-			for j, u := range ups {
-				metas[j] = UpdateMeta{N: u.N, Tau: u.Tau}
-			}
-			if err := dropping.BeginRound(metas); err != nil {
-				t.Fatal(err)
-			}
-			const victim = 1
-			for j, u := range ups {
-				if j == victim {
-					// Stage part of the stream, then abandon it — nothing
-					// of it may reach the accumulator.
-					if err := dropping.AddUpdateChunk(j, 0, u.Delta[:5]); err != nil {
-						t.Fatal(err)
-					}
-					if err := dropping.DropUpdate(); err != nil {
-						t.Fatal(err)
-					}
-					continue
+				metas := make([]UpdateMeta, len(ups))
+				for j, u := range ups {
+					metas[j] = UpdateMeta{N: u.N, Tau: u.Tau}
 				}
-				if err := feedChunked(dropping, j, u, dropping.StreamLen()); err != nil {
-					t.Fatalf("%s: %v", alg, err)
+				if err := dropping.BeginRound(metas); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if err := dropping.FinishRound(); err != nil {
-				t.Fatalf("%s: %v", alg, err)
-			}
+				const victim = 1
+				for j, u := range ups {
+					if j == victim {
+						// Stage part of the stream, then abandon it — nothing
+						// of it may reach the accumulator.
+						if err := dropping.AddUpdateChunk(j, 0, u.Delta[:5]); err != nil {
+							t.Fatal(err)
+						}
+						if err := dropping.DropUpdate(); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
+					if err := feedChunked(dropping, j, u, dropping.StreamLen()); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+				if err := dropping.FinishRound(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
 
-			survivors := append(append([]Update{}, ups[:victim]...), ups[victim+1:]...)
-			if err := reference.aggregateBatched(survivors); err != nil {
-				t.Fatalf("%s: %v", alg, err)
-			}
-			for i := range dropping.State() {
-				got, want := dropping.State()[i], reference.State()[i]
-				if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
-					t.Fatalf("%s unweighted=%v: state[%d] dropped-round %v vs survivors-only %v",
-						alg, unweighted, i, got, want)
+				survivors := append(append([]Update{}, ups[:victim]...), ups[victim+1:]...)
+				if err := reference.aggregateBatched(survivors); err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-			}
-			if alg == Scaffold {
-				// The control fold is weight-independent, so survivors
-				// match bitwise.
-				for i := range dropping.Control() {
-					if dropping.Control()[i] != reference.Control()[i] {
-						t.Fatalf("scaffold: control[%d] %v vs %v", i, dropping.Control()[i], reference.Control()[i])
-					}
-				}
+				requireSameBits(t, name+": dropped-round vs survivors-only state", dropping.State(), reference.State())
+				requireSameBits(t, name+": control", dropping.Control(), reference.Control())
 			}
 		}
 	}

@@ -18,10 +18,12 @@
 // the body's backward pass; FedNova trains like FedAvg. KeepBNStatsLocal
 // applies to every algorithm, MOON included.
 //
-// The server aggregates with one fold kernel and one apply step, shared
-// by both schedulers, each with its own ingest. A synchronous round is
-// Server.BeginRound, then per update AddUpdateChunk frames closed by
-// FinishUpdate (or abandoned by DropUpdate), then FinishRound. The
+// The server aggregates with one rule for both schedulers: one fold
+// kernel that adds each update's un-normalized weight, one normalizer
+// (the folded weights' sum, divided once) and one apply step. Only the
+// ingest differs. A synchronous round is Server.BeginRound, then per
+// update AddUpdateChunk frames closed by FinishUpdate (or abandoned by
+// DropUpdate, whose weight is then never added), then FinishRound. The
 // buffered-async scheduler folds each whole update through
 // AsyncCoordinator.Fold and applies every AsyncBuffer folds. A run
 // persists in one format, the FederationSnapshot; a model file is a

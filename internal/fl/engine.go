@@ -111,8 +111,8 @@ func (k *RoundSink) FinishUpdate(idx int, u Update) error {
 	return nil
 }
 
-// Drop removes update idx — and its party — from the round; the
-// surviving updates are renormalized at FinishRound. cause is the
+// Drop removes update idx — and its party — from the round; its weight is
+// never folded, so FinishRound averages over the survivors. cause is the
 // transport's reason: only the party ID reaches RoundMetrics.Dropped, so
 // transports that care about the why (operator logs) must surface cause
 // themselves.

@@ -1,6 +1,41 @@
 package fl
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// bitDiff counts the elements whose bits differ between a and b (a length
+// mismatch counts every element) and returns the first such index.
+func bitDiff(a, b []float64) (n, first int) {
+	if len(a) != len(b) {
+		return max(len(a), len(b)), 0
+	}
+	first = -1
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			if first < 0 {
+				first = i
+			}
+			n++
+		}
+	}
+	return n, first
+}
+
+// requireSameBits fails t unless got and want are bitwise equal.
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	n, i := bitDiff(got, want)
+	switch {
+	case n == 0:
+	case len(got) != len(want):
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	default:
+		t.Fatalf("%s: %d of %d elements differ; first [%d]: %v vs %v", what, n, len(want), i, got[i], want[i])
+	}
+}
 
 // feedChunked pushes u into s through the one ingest — AddUpdateChunk
 // frames of the given size closed by FinishUpdate: the delta followed by
@@ -37,59 +72,48 @@ func aggregate(s *Server, updates []Update) error {
 	return s.FinishRound()
 }
 
-// aggregateBatched is the original non-streaming aggregation, retained
-// verbatim as the test oracle for the streaming-equivalence tests: it
-// buffers the whole round and folds it in one pass, and shares only the
-// server-optimizer step (applyUpdate) with the code under test.
+// aggregateBatched is the non-streaming aggregation, the test oracle for
+// the streaming-equivalence tests: it buffers the whole round, sums its
+// base weights (n_i, or 1 unweighted and under FedDyn) up front, folds the
+// deltas by them in one pass and divides by the sum once — FedNova folding
+// w_i/tau_i and scaling by tau_eff/sum = sum(w_i tau_i)/sum^2. It shares
+// only the server-optimizer step (applyUpdate) with the code under test.
 func (s *Server) aggregateBatched(updates []Update) error {
 	if len(updates) == 0 {
 		return fmt.Errorf("fl: no updates to aggregate")
 	}
-	totalN := 0
-	for _, u := range updates {
+	weights := make([]float64, len(updates))
+	var sum, tauSum float64
+	for j, u := range updates {
 		if len(u.Delta) != len(s.state) {
 			return fmt.Errorf("fl: update length %d, state %d", len(u.Delta), len(s.state))
 		}
 		if u.Tau <= 0 {
 			return fmt.Errorf("fl: update with non-positive tau %d", u.Tau)
 		}
-		totalN += u.N
-	}
-	weight := func(u Update) float64 {
-		if s.cfg.Unweighted {
-			return 1 / float64(len(updates))
+		weights[j] = float64(u.N)
+		if s.cfg.Unweighted || s.cfg.Algorithm == FedDyn {
+			weights[j] = 1
 		}
-		return float64(u.N) / float64(totalN)
+		sum += weights[j]
+		tauSum += weights[j] * float64(u.Tau)
+	}
+	scale := 1 / sum
+	if s.cfg.Algorithm == FedNova {
+		scale = tauSum / (sum * sum)
+		for j, u := range updates {
+			weights[j] /= float64(u.Tau)
+		}
 	}
 
 	agg := make([]float64, len(s.state))
-	switch s.cfg.Algorithm {
-	case FedNova:
-		var tauEff float64
-		for _, u := range updates {
-			tauEff += weight(u) * float64(u.Tau)
+	for j, u := range updates {
+		for i, d := range u.Delta {
+			agg[i] += weights[j] * d
 		}
-		for _, u := range updates {
-			w := weight(u) * tauEff / float64(u.Tau)
-			for i, d := range u.Delta {
-				agg[i] += w * d
-			}
-		}
-	case FedDyn:
-		// FedDyn averages participating models unweighted (Acar et al.).
-		for _, u := range updates {
-			w := 1 / float64(len(updates))
-			for i, d := range u.Delta {
-				agg[i] += w * d
-			}
-		}
-	default:
-		for _, u := range updates {
-			w := weight(u)
-			for i, d := range u.Delta {
-				agg[i] += w * d
-			}
-		}
+	}
+	for i := range agg {
+		agg[i] *= scale
 	}
 	s.applyUpdate(agg)
 

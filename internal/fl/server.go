@@ -16,9 +16,9 @@ var ErrAllDropped = errors.New("fl: every update in the round was dropped")
 // UpdateMeta is what the server knows about an expected update before it
 // arrives: the party's local dataset size (the aggregation weight) and its
 // deterministic local step count. Both are fixed by the party's data and
-// the run config, so the server can finalize the round's weighting — and
-// FedNova's effective step count — at BeginRound and fold each update the
-// moment it lands, holding O(state) memory instead of O(sampled x state).
+// the run config, so BeginRound validates them up front and each arriving
+// trailer is checked against its meta. Each update folds the moment it
+// lands, holding O(state) memory instead of O(sampled x state).
 type UpdateMeta struct {
 	// N is the party's local dataset size.
 	N int
@@ -50,12 +50,14 @@ func PredictTau(cfg Config, n int) int {
 // AddUpdateChunk and folds in at FinishUpdate — DropUpdate removing a
 // party whose stream went bad — and FinishRound applies the accumulated
 // pseudo-gradient. The buffered-async coordinator folds through the same
-// accumulate/apply pair, so the rule is written once for both schedulers.
-// With n the round's total sample count and N the federation size:
+// accumulate/apply pair, so the rule is written once for both schedulers:
+// each fold adds its un-normalized weight w_i (baseWeight, times the
+// staleness discount under async) and apply divides once by the folded
+// weights' sum W. With N the federation size:
 //
-//	FedAvg/FedProx/SCAFFOLD: w <- w - serverLR * sum_i (n_i/n) Delta_i
-//	FedNova:                 w <- w - serverLR * tau_eff * sum_i (n_i/n) Delta_i / tau_i
-//	                          with tau_eff = sum_i (n_i/n) tau_i
+//	FedAvg/FedProx/SCAFFOLD: w <- w - serverLR * sum_i (w_i/W) Delta_i
+//	FedNova:                 w <- w - serverLR * tau_eff * sum_i (w_i/W) Delta_i / tau_i
+//	                          with tau_eff = sum_i (w_i/W) tau_i
 //	SCAFFOLD additionally:   c <- c + (1/N) sum_i DeltaC_i
 type Server struct {
 	cfg      Config
@@ -73,14 +75,18 @@ type Server struct {
 	adamM, adamV []float64
 	adamT        int
 
-	// Streaming-round state. agg is the round's pseudo-gradient
-	// accumulator, reused across rounds so steady state allocates nothing
-	// per round beyond the metas slice.
-	agg     []float64
+	// Accumulator state, reset by resetAccumulator. agg is the
+	// pseudo-gradient accumulator, reused so steady state allocates
+	// nothing per round beyond the metas slice; sumW is the folded
+	// weights' sum and tauNum, under FedNova, the sum of weight x tau.
+	agg    []float64
+	sumW   float64
+	tauNum float64
+
+	// Synchronous-round state.
 	metas   []UpdateMeta
-	norm    float64 // sum of the metas' base weights, fixed at BeginRound
-	tauEff  float64 // FedNova's effective step count, fixed at BeginRound
 	added   int
+	dropped int
 	inRound bool
 
 	// Chunked-delivery state. cur stages the in-progress update's chunk
@@ -89,12 +95,9 @@ type Server struct {
 	// offset. Staging exactly one update keeps peak memory at
 	// O(state) regardless of how many clients are in flight, and lets a
 	// malformed stream be abandoned with DropUpdate before anything
-	// touches the accumulator. dropMask marks metas dropped mid-round so
-	// FinishRound can renormalize the surviving weights.
-	cur      []float64
-	curOff   int
-	dropMask []bool
-	dropped  int
+	// touches the accumulator.
+	cur    []float64
+	curOff int
 }
 
 // NewServer creates a server with the given initial global state.
@@ -139,41 +142,14 @@ func (s *Server) cursor() int { return s.added + s.dropped }
 // baseWeight is an update's un-normalized aggregation weight: the party's
 // sample count under the paper's weighted rule (n_i/n), 1 under the
 // unweighted ablation and under FedDyn, which averages participating
-// models unweighted (Acar et al.). Both schedulers weight by it — the
-// synchronous round divides by the sample's sum up front (weightFor), the
-// async buffer by its discounted sum at the flush.
+// models unweighted (Acar et al.). Both schedulers fold it — the async
+// coordinator discounted by staleness — and apply divides by the folded
+// sum, so neither normalizes ahead of time.
 func (s *Server) baseWeight(n int) float64 {
 	if s.cfg.Unweighted || s.cfg.Algorithm == FedDyn {
 		return 1
 	}
 	return float64(n)
-}
-
-// weightFor returns the round-normalized weight of an update with local
-// size n, with the exact arithmetic of the batched reference, so streaming
-// and batched aggregation are bit-identical. A round whose every sampled
-// party reported an empty dataset falls back to the unweighted rule: 0/0
-// would otherwise poison the accumulator with NaN (all such deltas are
-// zero, so the value only needs to be finite).
-func (s *Server) weightFor(n int) float64 {
-	if s.norm == 0 {
-		return 1 / float64(len(s.metas))
-	}
-	return s.baseWeight(n) / s.norm
-}
-
-// updateWeight returns the fold weight of the update matching meta m under
-// the configured algorithm. An empty party (zero samples, zero steps) gets
-// weight zero under FedNova: its delta is identically zero, and the tau
-// division would otherwise produce 0*tauEff/0 = NaN.
-func (s *Server) updateWeight(m UpdateMeta) float64 {
-	if s.cfg.Algorithm != FedNova {
-		return s.weightFor(m.N)
-	}
-	if m.Tau == 0 {
-		return 0
-	}
-	return s.weightFor(m.N) * s.tauEff / float64(m.Tau)
 }
 
 // BeginRound opens a streaming aggregation round. metas lists the sampled
@@ -187,37 +163,22 @@ func (s *Server) BeginRound(metas []UpdateMeta) error {
 	if len(metas) == 0 {
 		return fmt.Errorf("fl: no updates to aggregate")
 	}
-	s.norm = 0
 	for _, m := range metas {
 		if !validTau(m.N, m.Tau) {
 			return fmt.Errorf("fl: update with non-positive tau %d", m.Tau)
 		}
-		s.norm += s.baseWeight(m.N)
 	}
 	s.metas = append(s.metas[:0], metas...)
 	s.added = 0
-	s.tauEff = 0
 	s.curOff = 0
 	s.dropped = 0
-	if cap(s.dropMask) < len(metas) {
-		s.dropMask = make([]bool, len(metas))
-	}
-	s.dropMask = s.dropMask[:len(metas)]
-	for i := range s.dropMask {
-		s.dropMask[i] = false
-	}
 	s.resetAccumulator()
-	if s.cfg.Algorithm == FedNova {
-		for _, m := range metas {
-			s.tauEff += s.weightFor(m.N) * float64(m.Tau)
-		}
-	}
 	s.inRound = true
 	return nil
 }
 
-// resetAccumulator zeroes the pseudo-gradient accumulator, allocating it
-// on first use.
+// resetAccumulator zeroes the pseudo-gradient accumulator and both weight
+// sums, allocating the accumulator on first use.
 func (s *Server) resetAccumulator() {
 	if s.agg == nil {
 		s.agg = make([]float64, len(s.state))
@@ -225,32 +186,48 @@ func (s *Server) resetAccumulator() {
 	for i := range s.agg {
 		s.agg[i] = 0
 	}
+	s.sumW = 0
+	s.tauNum = 0
 }
 
 // validateTrailer checks an update's aggregation metadata against the next
-// unconsumed meta: the round's weights were fixed from the metas at
-// BeginRound, so a mismatch would silently skew the aggregation.
-func (s *Server) validateTrailer(u Update) (UpdateMeta, error) {
+// unconsumed meta. The metas come from outside the update stream (the
+// transport's hello or the party table), so a trailer that disagrees with
+// its meta is refused rather than folded with a weight the round did not
+// expect.
+func (s *Server) validateTrailer(u Update) error {
 	if !validTau(u.N, u.Tau) {
-		return UpdateMeta{}, fmt.Errorf("fl: update with non-positive tau %d", u.Tau)
+		return fmt.Errorf("fl: update with non-positive tau %d", u.Tau)
 	}
 	meta := s.metas[s.cursor()]
 	if u.N != meta.N || u.Tau != meta.Tau {
-		return UpdateMeta{}, fmt.Errorf("fl: update (n=%d tau=%d) does not match expected meta (n=%d tau=%d)",
+		return fmt.Errorf("fl: update (n=%d tau=%d) does not match expected meta (n=%d tau=%d)",
 			u.N, u.Tau, meta.N, meta.Tau)
 	}
-	return meta, nil
+	return nil
 }
 
 // accumulate is the one fold kernel, shared by the synchronous round
-// (FinishUpdate) and the buffered-async coordinator: it adds w x delta to
-// the pseudo-gradient accumulator and advances FedDyn's h and SCAFFOLD's
-// c, both of which normalize by the federation size N rather than by the
-// round. disc is the staleness discount on those two — exactly 1 on the
-// synchronous path, where multiplying by it changes no bit. Chunking only
-// decides where delta was staged, never the order or the operands of
-// these accumulations, which is what keeps every frame size bit-identical.
-func (s *Server) accumulate(w, disc float64, delta, deltaC []float64) {
+// (FinishUpdate) and the buffered-async coordinator: it adds the
+// un-normalized weight w to sumW and w x delta to the pseudo-gradient
+// accumulator — under FedNova w x tau to tauNum and (w/tau) x delta, an
+// empty party (tau 0) folding nothing — and advances FedDyn's h and
+// SCAFFOLD's c, both of which normalize by the federation size N rather
+// than by the round. disc is the staleness discount on those two — exactly
+// 1 on the synchronous path, where multiplying by it changes no bit.
+// Chunking only decides where delta was staged, never the order or the
+// operands of these accumulations, which is what keeps every frame size
+// bit-identical.
+func (s *Server) accumulate(w, disc float64, tau int, delta, deltaC []float64) {
+	s.sumW += w
+	if s.cfg.Algorithm == FedNova {
+		s.tauNum += w * float64(tau)
+		if tau == 0 {
+			w = 0
+		} else {
+			w /= float64(tau)
+		}
+	}
 	for i, d := range delta {
 		s.agg[i] += w * d
 	}
@@ -322,8 +299,7 @@ func (s *Server) FinishUpdate(u Update) error {
 	if total := s.StreamLen(); s.curOff != total {
 		return fmt.Errorf("fl: chunk stream incomplete: %d of %d elements staged", s.curOff, total)
 	}
-	meta, err := s.validateTrailer(u)
-	if err != nil {
+	if err := s.validateTrailer(u); err != nil {
 		return err
 	}
 	delta := s.cur[:len(s.state)]
@@ -332,34 +308,33 @@ func (s *Server) FinishUpdate(u Update) error {
 		deltaC = s.cur[len(s.state):s.StreamLen()]
 	}
 	s.curOff = 0
-	s.accumulate(s.updateWeight(meta), 1, delta, deltaC)
+	s.accumulate(s.baseWeight(u.N), 1, u.Tau, delta, deltaC)
 	s.added++
 	return nil
 }
 
 // DropUpdate abandons the current (in-progress or next expected) update
-// and removes its party from the round: any staged chunks are discarded,
-// and FinishRound renormalizes the surviving parties' weights. Use it when
-// a client's stream arrives malformed or its transport dies mid-round —
-// the round completes from the survivors instead of aborting.
+// and removes its party from the round: any staged chunks are discarded
+// and its weight is never folded, so the round is exactly the one the
+// survivors alone would have made. Use it when a client's stream arrives
+// malformed or its transport dies mid-round — the round completes from
+// the survivors instead of aborting.
 func (s *Server) DropUpdate() error {
 	if !s.inRound {
 		return fmt.Errorf("fl: DropUpdate outside a round")
 	}
-	cur := s.cursor()
-	if cur >= len(s.metas) {
+	if s.cursor() >= len(s.metas) {
 		return fmt.Errorf("fl: no update left to drop")
 	}
 	s.curOff = 0
-	s.dropMask[cur] = true
 	s.dropped++
 	return nil
 }
 
-// FinishRound closes the round and applies the accumulated pseudo-gradient
-// to the global state through the configured server optimizer. If any
-// updates were dropped mid-round, the accumulator is first renormalized to
-// the surviving parties' weights.
+// FinishRound closes the round and applies the accumulated pseudo-gradient,
+// divided once by the folded weights' sum, to the global state through the
+// configured server optimizer. Dropped updates never added a weight, so
+// that sum is the survivors'.
 func (s *Server) FinishRound() error {
 	if !s.inRound {
 		return fmt.Errorf("fl: FinishRound outside a round")
@@ -375,22 +350,27 @@ func (s *Server) FinishRound() error {
 		return ErrAllDropped
 	}
 	s.inRound = false
-	scale := 1.0
-	if s.dropped > 0 {
-		scale = s.dropScale()
-	}
-	s.apply(scale)
+	s.apply()
 	return nil
 }
 
 // apply is the one apply step, shared by FinishRound and the async flush:
-// it scales the accumulator (a no-op at exactly 1), moves the global state
-// by it through the server optimizer and applies FedDyn's correction.
-func (s *Server) apply(scale float64) {
-	if scale != 1 {
-		for i := range s.agg {
-			s.agg[i] *= scale
+// it scales the accumulator by 1/sumW — under FedNova by tauNum/sumW^2,
+// the effective step count tauNum/sumW over one more sumW — moves the
+// global state by it through the server optimizer and applies FedDyn's
+// correction. A zero weight sum (only empty parties folded, whose deltas
+// are zero) scales by 0 instead; the optimizer still steps, so momentum
+// and Adam advance the same way under either scheduler.
+func (s *Server) apply() {
+	scale := 0.0
+	if s.sumW > 0 {
+		scale = 1 / s.sumW
+		if s.cfg.Algorithm == FedNova {
+			scale = s.tauNum / (s.sumW * s.sumW)
 		}
+	}
+	for i := range s.agg {
+		s.agg[i] *= scale
 	}
 	s.applyUpdate(s.agg)
 	if s.cfg.Algorithm == FedDyn {
@@ -399,54 +379,6 @@ func (s *Server) apply(scale float64) {
 			s.state[i] -= s.dynH[i] / s.cfg.Alpha
 		}
 	}
-}
-
-// dropScale returns the scalar that renormalizes the round accumulator
-// after mid-round drops. Every folded update used the weights fixed at
-// BeginRound, which still counted the dropped parties; for all six
-// algorithms the exact correction is one uniform scalar, because the
-// per-update weights all share the same normalizer (the base-weight sum,
-// times FedNova's effective step count):
-//
-//	weighted:   n_j/totalN      -> n_j/survN       ratio totalN/survN
-//	unweighted: 1/K             -> 1/K'            ratio K/K'
-//	FedNova:    w_j*tauEff/tau_j -> w'_j*tauEff'/tau_j
-//	            ratio (totalN/survN) * (tauEff'/tauEff)
-//
-// SCAFFOLD's control variate and FedDyn's h normalize by the federation
-// size N (not the round), so drops leave them untouched.
-func (s *Server) dropScale() float64 {
-	survNorm, survK := 0.0, 0
-	for j, m := range s.metas {
-		if !s.dropMask[j] {
-			survNorm += s.baseWeight(m.N)
-			survK++
-		}
-	}
-	// An all-empty sample or survivor set weighs its parties uniformly
-	// (see weightFor).
-	uniform := s.norm == 0 || survNorm == 0
-	r := s.norm / survNorm
-	if uniform {
-		r = float64(len(s.metas)) / float64(survK)
-	}
-	if s.cfg.Algorithm == FedNova {
-		var tauEffNew float64
-		for j, m := range s.metas {
-			if s.dropMask[j] {
-				continue
-			}
-			w := s.baseWeight(m.N) / survNorm
-			if uniform {
-				w = 1 / float64(survK)
-			}
-			tauEffNew += w * float64(m.Tau)
-		}
-		if s.tauEff != 0 {
-			r *= tauEffNew / s.tauEff
-		}
-	}
-	return r
 }
 
 // AbortRound abandons an open round (e.g. a transport failure mid-round).

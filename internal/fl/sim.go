@@ -20,8 +20,9 @@ type RoundMetrics struct {
 	Duration     time.Duration
 	Sampled      []int // IDs of the sampled parties
 	// Dropped lists sampled parties whose update was abandoned mid-round
-	// (malformed chunk stream or transport failure); the aggregation was
-	// renormalized to the survivors. Nil on clean rounds.
+	// (malformed chunk stream or transport failure); their weights were
+	// never folded, so the round is the survivors' average. Nil on clean
+	// rounds.
 	Dropped []int
 	// Quorum records that this round was skipped and retried because the
 	// live party set had shrunk below Config.MinParties; Attempts counts
