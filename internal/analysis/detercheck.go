@@ -9,9 +9,9 @@ import (
 // federation core: map iteration order is randomized per run, so a
 // `range` over a map anywhere in internal/fl or internal/simnet
 // non-test code is a latent break of the bitwise pin the moment its
-// fold order (or encode order) reaches FinishUpdate/FinishRound/snapshot
-// encoding. The core keeps its hot state in party-ID-indexed slices for
-// exactly this reason.
+// fold order (or encode order) reaches the Server's fold, FinishRound or
+// snapshot encoding. The core keeps its hot state in party-ID-indexed
+// slices for exactly this reason.
 //
 // Every map range in those packages must therefore either be rewritten
 // over sorted keys / an index slice, or carry an explicit

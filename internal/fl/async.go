@@ -200,7 +200,8 @@ func countID(ids []int, id int) int {
 // completed all configured generations — folds after that are ignored.
 // A non-nil error means the update was rejected (malformed, or from a
 // future generation) and the transport should evict its party; the run
-// itself is not poisoned.
+// itself is not poisoned. The update goes through the Server's one fold,
+// which reads its vectors during the call only.
 func (c *AsyncCoordinator) Fold(id int, u Update, trainedGen int) (flushed, done bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -209,14 +210,6 @@ func (c *AsyncCoordinator) Fold(id int, u Update, trainedGen int) (flushed, done
 	}
 	if c.failed != nil {
 		return false, true, c.failed
-	}
-	s := c.e.server
-	if len(u.Delta) != len(s.State()) || len(u.Delta)+len(u.DeltaC) != s.StreamLen() {
-		return false, false, fmt.Errorf("fl: async update lengths %d+%d, want state %d of a %d-element stream",
-			len(u.Delta), len(u.DeltaC), len(s.State()), s.StreamLen())
-	}
-	if !validTau(u.N, u.Tau) {
-		return false, false, fmt.Errorf("fl: async update with non-positive tau %d", u.Tau)
 	}
 	if trainedGen < 0 || trainedGen > c.gen {
 		return false, false, fmt.Errorf("fl: async update trained against generation %d, current is %d", trainedGen, c.gen)
@@ -236,7 +229,10 @@ func (c *AsyncCoordinator) Fold(id int, u Update, trainedGen int) (flushed, done
 	// The weight is the synchronous rule's base weight, discounted, so the
 	// flush divides by the buffer's discounted weight sum and the update
 	// magnitude stays scale-stable under any mix of stalenesses.
-	s.accumulate(s.baseWeight(u.N)*disc, disc, u.Tau, u.Delta, u.DeltaC)
+	s := c.e.server
+	if err := s.fold(s.baseWeight(u.N)*disc, disc, u); err != nil {
+		return false, false, err
+	}
 	c.buffered++
 	c.loss += u.TrainLoss
 	c.ids = append(c.ids, id)

@@ -65,13 +65,34 @@ func TestChunkStateMachine(t *testing.T) {
 	}
 }
 
-// TestDropReweightsSurvivors drops one mid-round update (after part of
-// its chunk stream was staged) and checks the finished state against a
-// fresh batched aggregation over the survivors only, bit for bit, for
-// every algorithm, both weighting modes and every server optimizer. A
-// dropped party's weight is never folded, so the round divides by the
-// survivors' weight sum and performs exactly the survivors-only
-// arithmetic.
+// sinkFor opens a synchronous round over s for the given updates and
+// returns the round's sink, the one a transport folds whole updates into.
+func sinkFor(t *testing.T, s *Server, ups []Update) *RoundSink {
+	t.Helper()
+	e, err := NewEngine(s.cfg, s, nil, s.numParties, rng.New(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := make([]UpdateMeta, len(ups))
+	sampled := make([]int, len(ups))
+	for j, u := range ups {
+		metas[j], sampled[j] = UpdateMeta{N: u.N, Tau: u.Tau}, j
+	}
+	if err := s.BeginRound(metas); err != nil {
+		t.Fatal(err)
+	}
+	return &RoundSink{e: e, sampled: sampled}
+}
+
+// TestDropReweightsSurvivors drops one update mid-round and checks the
+// finished state against a fresh batched aggregation over the survivors
+// only, bit for bit, for every algorithm, both weighting modes and every
+// server optimizer. Two kinds of victim: a chunk stream abandoned part-way
+// through the stager, and a whole update RoundSink.Fold refuses (a short
+// Delta, then an N and a Tau that disagree with its meta) before the
+// transport drops it. A dropped party's weight is never folded, so the
+// round divides by the survivors' weight sum and performs exactly the
+// survivors-only arithmetic.
 func TestDropReweightsSurvivors(t *testing.T) {
 	const paramLen, stateLen, parties = 11, 14, 4
 	initial := make([]float64, stateLen)
@@ -82,51 +103,151 @@ func TestDropReweightsSurvivors(t *testing.T) {
 	for _, alg := range ExtendedAlgorithms() {
 		for _, unweighted := range []bool{false, true} {
 			for _, opt := range []ServerOpt{ServerSGD, ServerMomentum, ServerAdam} {
-				cfg, err := Config{Algorithm: alg, Unweighted: unweighted, ServerOptimizer: opt}.Normalize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("%s unweighted=%v %s", alg, unweighted, opt)
-				dropping := NewServer(cfg, initial, paramLen, parties)
-				reference := NewServer(cfg, initial, paramLen, parties)
-				r := rng.New(23)
-				ups := synthUpdates(r, parties, stateLen, paramLen, alg == Scaffold)
-
-				metas := make([]UpdateMeta, len(ups))
-				for j, u := range ups {
-					metas[j] = UpdateMeta{N: u.N, Tau: u.Tau}
-				}
-				if err := dropping.BeginRound(metas); err != nil {
-					t.Fatal(err)
-				}
-				const victim = 1
-				for j, u := range ups {
-					if j == victim {
-						// Stage part of the stream, then abandon it — nothing
-						// of it may reach the accumulator.
-						if err := dropping.AddUpdateChunk(j, 0, u.Delta[:5]); err != nil {
-							t.Fatal(err)
-						}
-						if err := dropping.DropUpdate(); err != nil {
-							t.Fatal(err)
-						}
-						continue
+				for _, refused := range []bool{false, true} {
+					cfg, err := Config{Algorithm: alg, Unweighted: unweighted, ServerOptimizer: opt}.Normalize()
+					if err != nil {
+						t.Fatal(err)
 					}
-					if err := feedChunked(dropping, j, u, dropping.StreamLen()); err != nil {
+					name := fmt.Sprintf("%s unweighted=%v %s refused=%v", alg, unweighted, opt, refused)
+					dropping := NewServer(cfg, initial, paramLen, parties)
+					reference := NewServer(cfg, initial, paramLen, parties)
+					r := rng.New(23)
+					ups := synthUpdates(r, parties, stateLen, paramLen, alg == Scaffold)
+					sink := sinkFor(t, dropping, ups)
+					const victim = 1
+					for j, u := range ups {
+						switch {
+						case j == victim && refused:
+							// Nothing of a refused update may reach the accumulator.
+							bad := []Update{u, u, u}
+							bad[0].Delta = u.Delta[:stateLen-1]
+							bad[1].N++
+							bad[2].Tau++
+							for _, b := range bad {
+								if err := sink.Fold(j, b); err == nil {
+									t.Fatalf("%s: Fold accepted n=%d tau=%d with a %d-element delta",
+										name, b.N, b.Tau, len(b.Delta))
+								}
+							}
+							if err := sink.Drop(j, nil); err != nil {
+								t.Fatal(err)
+							}
+						case j == victim:
+							// Stage part of the stream, then abandon it.
+							if err := dropping.AddUpdateChunk(j, 0, u.Delta[:5]); err != nil {
+								t.Fatal(err)
+							}
+							if err := sink.Drop(j, nil); err != nil {
+								t.Fatal(err)
+							}
+						case refused:
+							if err := sink.Fold(j, u); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+						default:
+							if err := feedChunked(dropping, j, u, dropping.streamLen()); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+						}
+					}
+					if err := dropping.FinishRound(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if len(sink.dropped) != 1 || sink.dropped[0] != victim {
+						t.Fatalf("%s: dropped %v, want [%d]", name, sink.dropped, victim)
+					}
+
+					survivors := append(append([]Update{}, ups[:victim]...), ups[victim+1:]...)
+					if err := reference.aggregateBatched(survivors); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					requireSameBits(t, name+": dropped-round vs survivors-only state", dropping.State(), reference.State())
+					requireSameBits(t, name+": control", dropping.Control(), reference.Control())
+				}
+			}
+		}
+	}
+}
+
+// TestFoldRetainsNoUpdate pins that both schedulers' fold reads an
+// update's vectors during the call only: the transports hand in views of
+// pooled buffers they recycle the moment Fold returns. Every update is
+// NaN-filled right after its Fold, and the finished round — or flushed
+// generation — must equal the unscribbled run bit for bit.
+func TestFoldRetainsNoUpdate(t *testing.T) {
+	const paramLen, stateLen, parties = 11, 14, 3
+	initial := make([]float64, stateLen)
+	ir := rng.New(8)
+	for i := range initial {
+		initial[i] = 2*ir.Float64() - 1
+	}
+	clone := func(ups []Update) []Update {
+		out := make([]Update, len(ups))
+		for j, u := range ups {
+			out[j] = u
+			out[j].Delta = append([]float64(nil), u.Delta...)
+			if u.DeltaC != nil {
+				out[j].DeltaC = append([]float64(nil), u.DeltaC...)
+			}
+		}
+		return out
+	}
+	scribble := func(u Update) {
+		for _, v := range [][]float64{u.Delta, u.DeltaC} {
+			for i := range v {
+				v[i] = math.NaN()
+			}
+		}
+	}
+	for _, alg := range ExtendedAlgorithms() {
+		for _, async := range []bool{false, true} {
+			name := fmt.Sprintf("%s async=%v", alg, async)
+			cfg, err := Config{Algorithm: alg, ServerOptimizer: ServerMomentum, Rounds: 2}.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ups := synthUpdates(rng.New(29), parties, stateLen, paramLen, alg == Scaffold)
+			var states, controls [2][]float64
+			for run, scribbled := range []bool{false, true} {
+				s := NewServer(cfg, initial, paramLen, parties)
+				round := clone(ups)
+				if async {
+					acfg := cfg
+					acfg.AsyncBuffer = parties
+					e, err := NewEngine(acfg, s, nil, parties, rng.New(1), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := newAsyncCoordinator(e, nil)
+					for j, u := range round {
+						if _, _, err := c.Fold(j, u, 0); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if scribbled {
+							scribble(u)
+						}
+					}
+					if c.Generation() != 1 {
+						t.Fatalf("%s: %d generations after a full buffer, want 1", name, c.Generation())
+					}
+				} else {
+					sink := sinkFor(t, s, round)
+					for j, u := range round {
+						if err := sink.Fold(j, u); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if scribbled {
+							scribble(u)
+						}
+					}
+					if err := s.FinishRound(); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 				}
-				if err := dropping.FinishRound(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-
-				survivors := append(append([]Update{}, ups[:victim]...), ups[victim+1:]...)
-				if err := reference.aggregateBatched(survivors); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				requireSameBits(t, name+": dropped-round vs survivors-only state", dropping.State(), reference.State())
-				requireSameBits(t, name+": control", dropping.Control(), reference.Control())
+				states[run], controls[run] = s.State(), s.Control()
 			}
+			requireSameBits(t, name+": scribbled vs untouched state", states[1], states[0])
+			requireSameBits(t, name+": control", controls[1], controls[0])
 		}
 	}
 }
@@ -204,40 +325,6 @@ func TestEmptyPartyWeightingNoNaN(t *testing.T) {
 					// h-correction also stays zero but check only NaN there).
 					t.Fatalf("%s: all-zero round moved state[%d] from %v to %v", alg, i, initial[i], v)
 				}
-			}
-		}
-	}
-}
-
-// TestSimulationChunkedBitIdentical runs the same federation with
-// whole-update and chunked in-process delivery and demands bitwise equal
-// results: chunking must change memory behaviour only, never arithmetic.
-func TestSimulationChunkedBitIdentical(t *testing.T) {
-	for _, alg := range []Algorithm{FedAvg, FedNova, Scaffold} {
-		cfg := quickCfg(alg)
-		cfg.Rounds = 2
-		whole, err := buildSim(t, cfg).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfgChunked := cfg
-		cfgChunked.ChunkSize = 97 // deliberately misaligned with the state length
-		chunked, err := buildSim(t, cfgChunked).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(whole.FinalState) != len(chunked.FinalState) {
-			t.Fatalf("%s: state length %d vs %d", alg, len(whole.FinalState), len(chunked.FinalState))
-		}
-		for i := range whole.FinalState {
-			if whole.FinalState[i] != chunked.FinalState[i] {
-				t.Fatalf("%s: state[%d] whole %v vs chunked %v", alg, i, whole.FinalState[i], chunked.FinalState[i])
-			}
-		}
-		for r := range whole.Curve {
-			if whole.Curve[r].TrainLoss != chunked.Curve[r].TrainLoss ||
-				whole.Curve[r].TestAccuracy != chunked.Curve[r].TestAccuracy {
-				t.Fatalf("%s round %d: metrics diverged", alg, r)
 			}
 		}
 	}

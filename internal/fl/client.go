@@ -150,10 +150,9 @@ func (c *Client) indices(n int) []int {
 }
 
 // PendingUpdate is a trained-but-undelivered update whose delta vectors
-// live in the owning client's pooled round workspace: transports stream
-// it chunk-at-a-time (Chunks) and finish with its Trailer, then give the
-// memory back with Release. A client must not train again until its
-// pending update is released.
+// live in the owning client's pooled round workspace: transports fold or
+// serialize it (Update), then give the memory back with Release. A client
+// must not train again until its pending update is released.
 type PendingUpdate struct {
 	u  Update
 	ws *tensor.Workspace
@@ -162,14 +161,6 @@ type PendingUpdate struct {
 // Update returns the whole update. Its Delta/DeltaC slices alias pooled
 // workspace memory and are valid only until Release.
 func (p *PendingUpdate) Update() Update { return p.u }
-
-// Trailer returns the update's aggregation metadata with the delta
-// vectors stripped — what the chunked fold needs after the last chunk.
-func (p *PendingUpdate) Trailer() Update {
-	t := p.u
-	t.Delta, t.DeltaC = nil, nil
-	return t
-}
 
 // Chunks emits the update's flattened stream — delta first, then
 // SCAFFOLD's control delta — as consecutive views of at most size
@@ -185,10 +176,9 @@ func (p *PendingUpdate) Chunks(size int, emit func(offset int, chunk []float64) 
 // as consecutive views of at most size elements, with offsets indexing
 // the combined stream. Chunks never cross the a/b seam; a non-positive
 // size emits each vector as a single chunk. It is the one definition of
-// the protocol's chunk framing, shared by the uplink
-// (PendingUpdate.Chunks: delta then control delta) and the simnet
-// downlink broadcast (state then server control), so the two directions'
-// framing can never silently diverge.
+// the protocol's chunk framing, shared by the simnet uplink (delta then
+// control delta) and downlink broadcast (state then server control), so
+// the two directions' framing can never silently diverge.
 func ChunkStream(a, b []float64, size int, emit func(offset int, chunk []float64) error) error {
 	off := 0
 	for _, vec := range [2][]float64{a, b} {

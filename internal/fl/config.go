@@ -18,15 +18,16 @@
 // the body's backward pass; FedNova trains like FedAvg. KeepBNStatsLocal
 // applies to every algorithm, MOON included.
 //
-// The server aggregates with one rule for both schedulers: one fold
-// kernel that adds each update's un-normalized weight, one normalizer
-// (the folded weights' sum, divided once) and one apply step. Only the
-// ingest differs. A synchronous round is Server.BeginRound, then per
-// update AddUpdateChunk frames closed by FinishUpdate (or abandoned by
-// DropUpdate, whose weight is then never added), then FinishRound. The
-// buffered-async scheduler folds each whole update through
-// AsyncCoordinator.Fold and applies every AsyncBuffer folds. A run
-// persists in one format, the FederationSnapshot; a model file is a
+// The server aggregates with one rule and one ingest for both schedulers:
+// every update arrives whole at the Server's fold, which checks its shape
+// and adds its un-normalized weight; one normalizer (the folded weights'
+// sum, divided once) and one apply step close the buffer. Only who
+// decides when to apply differs. A synchronous round is a generation
+// whose buffer is the sample: Server.BeginRound, then each update in
+// sampled order through RoundSink.Fold (or RoundSink.Drop, whose weight
+// is then never added), then FinishRound. The buffered-async scheduler
+// folds through AsyncCoordinator.Fold and applies every AsyncBuffer folds.
+// A run persists in one format, the FederationSnapshot; a model file is a
 // snapshot carrying only its State.
 package fl
 
@@ -181,18 +182,17 @@ type Config struct {
 	// magnitude parameter-delta entries per upload (top-k gradient
 	// compression). 0 disables compression.
 	CompressTopK float64
-	// ChunkSize is the frame size: model state moves in frames of at most
-	// this many float64 elements — in both directions over the simnet
-	// transports (client updates up, the server's round broadcast down)
-	// and from client to accumulator in the in-process simulation. 0
-	// means one frame per vector. It picks a size, never a code path: the
-	// arithmetic is bit-identical at every value, and over simnet every
-	// value gets the same eviction, rejoin and drop-and-renormalise
-	// handling. What a smaller frame buys is memory and pacing: a frame
-	// is the unit a sender serializes, a receiver bounds (SetRecvLimit)
-	// and a quantized codec scales. Over the simnet transports the
-	// server's value is authoritative — it rides each round's broadcast,
-	// so parties follow the server's setting.
+	// ChunkSize is the wire's frame size: over the simnet transports model
+	// state moves in frames of at most this many float64 elements, in both
+	// directions (client updates up, the server's round broadcast down).
+	// The in-process simulation has no wire and ignores it. 0 means one
+	// frame per vector. It picks a size, never a code path: the
+	// arithmetic is bit-identical at every value, and every value gets the
+	// same eviction, rejoin and drop-and-renormalise handling. What a
+	// smaller frame buys is memory and pacing: a frame is the unit a
+	// sender serializes, a receiver bounds (SetRecvLimit) and a quantized
+	// codec scales. The server's value is authoritative — it rides each
+	// round's broadcast, so parties follow the server's setting.
 	ChunkSize int
 	// AsyncBuffer, when positive, switches the simnet transports from
 	// lockstep rounds to buffered-asynchronous aggregation: the server

@@ -54,9 +54,8 @@ type Transport interface {
 	PartyMeta(id int) UpdateMeta
 	// TrainRound trains the sampled parties from the given global state
 	// (and SCAFFOLD control variate; nil otherwise) and delivers each
-	// update through the sink in sampled order, chunk-at-a-time via
-	// AddChunk then FinishUpdate, with Drop removing a party whose stream
-	// went bad. Parties may train — and their updates
+	// update whole through the sink in sampled order — Fold, or Drop for a
+	// party whose update went bad. Parties may train — and their updates
 	// may arrive — in any order; the transport reorders so the fold is
 	// deterministic for a given sample. The sink does not retain any
 	// delivered slices, and the transport must not retain global or
@@ -64,50 +63,40 @@ type Transport interface {
 	TrainRound(round int, sampled []int, global, control []float64, sink *RoundSink) error
 }
 
-// RoundSink is the engine's receiving end of one round: the transport
-// pushes each update's chunk stream into it and the sink folds it into the
-// server's streaming accumulator while keeping the round's loss/byte
-// accounting.
+// RoundSink is the engine's receiving end of one synchronous round, a
+// generation whose buffer is the sample: the transport hands it each
+// update in sampled order and the sink folds it through the server's one
+// ingest (the same fold the async coordinator uses), keeping the round's
+// loss/byte accounting. Where the round stands — which update is next —
+// is the server's cursor.
 // It is not safe for concurrent use — the transport must serialize calls,
 // because the delivery order defines the aggregation's floating-point
 // fold order.
 type RoundSink struct {
-	e         *Engine
-	sampled   []int
-	metas     []UpdateMeta
-	loss      float64
-	bytes     int64
-	delivered int
-	dropped   []int // party IDs dropped from the round
+	e       *Engine
+	sampled []int
+	loss    float64
+	bytes   int64
+	dropped []int // party IDs dropped from the round
 }
 
 // Meta returns the expected aggregation meta of update idx, so transports
-// can reject a mismatched stream on its first frame instead of staging a
-// whole doomed update.
-func (k *RoundSink) Meta(idx int) UpdateMeta { return k.metas[idx] }
+// can reject a mismatched stream on its first frame instead of receiving
+// a whole doomed update.
+func (k *RoundSink) Meta(idx int) UpdateMeta { return k.e.server.metas[idx] }
 
-// next returns the index of the update the sink expects to progress next.
-func (k *RoundSink) next() int { return k.delivered + len(k.dropped) }
-
-// AddChunk stages one chunk of update idx's flattened stream (see
-// Server.AddUpdateChunk). The chunk is copied; the caller may recycle its
-// buffer immediately.
-func (k *RoundSink) AddChunk(idx, offset int, chunk []float64) error {
-	return k.e.server.AddUpdateChunk(idx, offset, chunk)
-}
-
-// FinishUpdate completes update idx from its staged chunks; u carries the
-// trailer metadata only (Delta/DeltaC nil).
-func (k *RoundSink) FinishUpdate(idx int, u Update) error {
-	if idx != k.next() {
-		return fmt.Errorf("fl: finish for update %d, expected %d", idx, k.next())
-	}
-	if err := k.e.server.FinishUpdate(u); err != nil {
+// Fold folds update idx, which must be the next in sampled order, whole:
+// its vectors must have the state's (and SCAFFOLD's control's) length and
+// its N/Tau must match Meta(idx). A refused update leaves the round
+// untouched; the transport then drops it. The sink reads u's vectors only
+// during the call, so they may be views of a buffer the transport recycles
+// as soon as Fold returns.
+func (k *RoundSink) Fold(idx int, u Update) error {
+	if err := k.e.server.foldNext(idx, u); err != nil {
 		return err
 	}
 	k.loss += u.TrainLoss
 	k.bytes += k.e.commBytesForUpdate(u)
-	k.delivered++
 	return nil
 }
 
@@ -117,8 +106,8 @@ func (k *RoundSink) FinishUpdate(idx int, u Update) error {
 // transports that care about the why (operator logs) must surface cause
 // themselves.
 func (k *RoundSink) Drop(idx int, cause error) error {
-	if idx != k.next() {
-		return fmt.Errorf("fl: drop for update %d, expected %d", idx, k.next())
+	if err := k.e.server.next(idx); err != nil {
+		return err
 	}
 	if err := k.e.server.DropUpdate(); err != nil {
 		return err
@@ -126,11 +115,6 @@ func (k *RoundSink) Drop(idx int, cause error) error {
 	k.dropped = append(k.dropped, k.sampled[idx])
 	return nil
 }
-
-// StreamLen reports the expected chunk-stream length per update (delta
-// plus SCAFFOLD's control delta), for transports that validate frame
-// totals before staging.
-func (k *RoundSink) StreamLen() int { return k.e.server.StreamLen() }
 
 // byteMeter is implemented by transports that measure real communication
 // bytes (simnet's counting conns); the engine then reports measured rather
@@ -283,7 +267,7 @@ func (e *Engine) RunRound(tr Transport, round int) (RoundMetrics, error) {
 	if err := e.server.BeginRound(metas); err != nil {
 		return RoundMetrics{}, err
 	}
-	sink := &RoundSink{e: e, sampled: sampled, metas: metas}
+	sink := &RoundSink{e: e, sampled: sampled}
 	if err := tr.TrainRound(round, sampled, global, serverC, sink); err != nil {
 		e.server.AbortRound()
 		return RoundMetrics{}, err
@@ -310,7 +294,7 @@ func (e *Engine) RunRound(tr Transport, round int) (RoundMetrics, error) {
 	return RoundMetrics{
 		Round:        round,
 		TestAccuracy: -1,
-		TrainLoss:    sink.loss / float64(sink.delivered),
+		TrainLoss:    sink.loss / float64(e.server.added),
 		CommBytes:    bytes,
 		Duration:     time.Since(start),
 		Sampled:      sampled,

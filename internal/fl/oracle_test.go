@@ -64,7 +64,7 @@ func aggregate(s *Server, updates []Update) error {
 		return err
 	}
 	for j, u := range updates {
-		if err := feedChunked(s, j, u, s.StreamLen()); err != nil {
+		if err := feedChunked(s, j, u, s.streamLen()); err != nil {
 			s.AbortRound()
 			return err
 		}

@@ -45,10 +45,8 @@ func (f *flakyTransport) PartyMeta(id int) UpdateMeta {
 func (f *flakyTransport) TrainRound(round int, sampled []int, global, control []float64, sink *RoundSink) error {
 	f.rounds++
 	for j := range sampled {
-		if err := sink.AddChunk(j, 0, make([]float64, f.stateLen)); err != nil {
-			return err
-		}
-		if err := sink.FinishUpdate(j, Update{N: 10, Tau: PredictTau(f.cfg, 10), TrainLoss: 0.5}); err != nil {
+		u := Update{Delta: make([]float64, f.stateLen), N: 10, Tau: PredictTau(f.cfg, 10), TrainLoss: 0.5}
+		if err := sink.Fold(j, u); err != nil {
 			return err
 		}
 	}

@@ -7,17 +7,17 @@ import (
 )
 
 // ErrAllDropped reports a round in which every sampled update was dropped
-// mid-stream. Nothing was folded — the drops happened before any
-// FinishUpdate — so the global state, SCAFFOLD control and FedDyn h are
-// exactly as they were at BeginRound and the round is safely retryable;
-// the engine treats it like a below-quorum attempt instead of aborting.
+// mid-stream. Nothing was folded, so the global state, SCAFFOLD control
+// and FedDyn h are exactly as they were at BeginRound and the round is
+// safely retryable; the engine treats it like a below-quorum attempt
+// instead of aborting.
 var ErrAllDropped = errors.New("fl: every update in the round was dropped")
 
 // UpdateMeta is what the server knows about an expected update before it
 // arrives: the party's local dataset size (the aggregation weight) and its
 // deterministic local step count. Both are fixed by the party's data and
 // the run config, so BeginRound validates them up front and each arriving
-// trailer is checked against its meta. Each update folds the moment it
+// update is checked against its meta. Each update folds the moment it
 // lands, holding O(state) memory instead of O(sampled x state).
 type UpdateMeta struct {
 	// N is the party's local dataset size.
@@ -45,15 +45,14 @@ func PredictTau(cfg Config, n int) int {
 
 // Server holds the global model state and implements the aggregation rules
 // of the four algorithms (Algorithm 1 lines 9-10, Algorithm 2 lines 9-10)
-// plus the FedDyn/MOON extensions, as a streaming accumulator: the round
-// opens with BeginRound, each update arrives chunk-at-a-time through
-// AddUpdateChunk and folds in at FinishUpdate — DropUpdate removing a
-// party whose stream went bad — and FinishRound applies the accumulated
-// pseudo-gradient. The buffered-async coordinator folds through the same
-// accumulate/apply pair, so the rule is written once for both schedulers:
-// each fold adds its un-normalized weight w_i (baseWeight, times the
-// staleness discount under async) and apply divides once by the folded
-// weights' sum W. With N the federation size:
+// plus the FedDyn/MOON extensions, as a streaming accumulator. Every
+// update, under both schedulers, arrives whole through fold, which checks
+// its shape and adds its un-normalized weight w_i (baseWeight, times the
+// staleness discount under async) to the accumulator; apply divides once
+// by the folded weights' sum W. A synchronous round is a generation whose
+// buffer is the sample: BeginRound opens it, each update folds in sampled
+// order (or is dropped, DropUpdate, its weight never added) and
+// FinishRound applies. With N the federation size:
 //
 //	FedAvg/FedProx/SCAFFOLD: w <- w - serverLR * sum_i (w_i/W) Delta_i
 //	FedNova:                 w <- w - serverLR * tau_eff * sum_i (w_i/W) Delta_i / tau_i
@@ -89,13 +88,11 @@ type Server struct {
 	dropped int
 	inRound bool
 
-	// Chunked-delivery state. cur stages the in-progress update's chunk
-	// stream (the state-length delta followed, for SCAFFOLD, by the
-	// parameter-length control delta); curOff is the next expected stream
-	// offset. Staging exactly one update keeps peak memory at
-	// O(state) regardless of how many clients are in flight, and lets a
-	// malformed stream be abandoned with DropUpdate before anything
-	// touches the accumulator.
+	// Chunk-stager state (AddUpdateChunk/FinishUpdate), allocated on first
+	// use: cur stages one update's chunk stream — the state-length delta
+	// followed, for SCAFFOLD, by the parameter-length control delta — and
+	// curOff is the next expected stream offset. The transports fold whole
+	// updates and never touch it.
 	cur    []float64
 	curOff int
 }
@@ -124,10 +121,10 @@ func (s *Server) State() []float64 { return s.state }
 // Control returns SCAFFOLD's server control variate (nil otherwise).
 func (s *Server) Control() []float64 { return s.control }
 
-// StreamLen returns the element count of one update's chunk stream: the
-// full state-length delta plus, for SCAFFOLD, the parameter-length control
-// delta. Chunk offsets passed to AddUpdateChunk index into this stream.
-func (s *Server) StreamLen() int {
+// streamLen returns the element count of one update's flattened stream:
+// the full state-length delta plus, for SCAFFOLD, the parameter-length
+// control delta.
+func (s *Server) streamLen() int {
 	n := len(s.state)
 	if s.cfg.Algorithm == Scaffold {
 		n += s.paramLen
@@ -154,8 +151,8 @@ func (s *Server) baseWeight(n int) float64 {
 
 // BeginRound opens a streaming aggregation round. metas lists the sampled
 // parties' dataset sizes and step counts in dispatch order; each must then
-// be finished (FinishUpdate) or dropped (DropUpdate) in the same order, so
-// the floating-point fold order is deterministic for a given sample.
+// be folded or dropped (DropUpdate) in the same order, so the
+// floating-point fold order is deterministic for a given sample.
 func (s *Server) BeginRound(metas []UpdateMeta) error {
 	if s.inRound {
 		return fmt.Errorf("fl: BeginRound during an open round")
@@ -190,32 +187,14 @@ func (s *Server) resetAccumulator() {
 	s.tauNum = 0
 }
 
-// validateTrailer checks an update's aggregation metadata against the next
-// unconsumed meta. The metas come from outside the update stream (the
-// transport's hello or the party table), so a trailer that disagrees with
-// its meta is refused rather than folded with a weight the round did not
-// expect.
-func (s *Server) validateTrailer(u Update) error {
-	if !validTau(u.N, u.Tau) {
-		return fmt.Errorf("fl: update with non-positive tau %d", u.Tau)
-	}
-	meta := s.metas[s.cursor()]
-	if u.N != meta.N || u.Tau != meta.Tau {
-		return fmt.Errorf("fl: update (n=%d tau=%d) does not match expected meta (n=%d tau=%d)",
-			u.N, u.Tau, meta.N, meta.Tau)
-	}
-	return nil
-}
-
-// accumulate is the one fold kernel, shared by the synchronous round
-// (FinishUpdate) and the buffered-async coordinator: it adds the
+// accumulate is the one fold kernel, reached only through fold: it adds the
 // un-normalized weight w to sumW and w x delta to the pseudo-gradient
 // accumulator — under FedNova w x tau to tauNum and (w/tau) x delta, an
 // empty party (tau 0) folding nothing — and advances FedDyn's h and
 // SCAFFOLD's c, both of which normalize by the federation size N rather
 // than by the round. disc is the staleness discount on those two — exactly
 // 1 on the synchronous path, where multiplying by it changes no bit.
-// Chunking only decides where delta was staged, never the order or the
+// Framing only decides where delta was assembled, never the order or the
 // operands of these accumulations, which is what keeps every frame size
 // bit-identical.
 func (s *Server) accumulate(w, disc float64, tau int, delta, deltaC []float64) {
@@ -244,25 +223,69 @@ func (s *Server) accumulate(w, disc float64, tau int, delta, deltaC []float64) {
 	}
 }
 
-// AddUpdateChunk stages one chunk of the current update's flattened
-// stream — the state-length delta followed, for SCAFFOLD, by the
-// parameter-length control delta (see StreamLen). idx is the update's
-// index in the round's dispatch order and must be the next unconsumed
-// one; offsets must arrive in order, without gaps or overlaps. The chunk
-// is copied into the server's staging buffer and may be recycled as soon
-// as the call returns. Nothing reaches the round accumulator until
-// FinishUpdate, so a malformed stream can be abandoned with DropUpdate
-// without corrupting the round.
-func (s *Server) AddUpdateChunk(idx, offset int, chunk []float64) error {
+// fold is the one ingest, shared by the synchronous round (foldNext) and
+// the buffered-async coordinator: it checks a whole update's shape — a
+// state-length delta and, for SCAFFOLD, a parameter-length control delta —
+// and its step count, then accumulates it with weight w and discount disc.
+// The vectors are read during the call only, so a transport may hand in
+// views of its pooled receive buffers and recycle them when fold returns.
+func (s *Server) fold(w, disc float64, u Update) error {
+	if len(u.Delta) != len(s.state) || len(u.Delta)+len(u.DeltaC) != s.streamLen() {
+		return fmt.Errorf("fl: update lengths %d+%d, want state %d of a %d-element stream",
+			len(u.Delta), len(u.DeltaC), len(s.state), s.streamLen())
+	}
+	if !validTau(u.N, u.Tau) {
+		return fmt.Errorf("fl: update with non-positive tau %d", u.Tau)
+	}
+	s.accumulate(w, disc, u.Tau, u.Delta, u.DeltaC)
+	return nil
+}
+
+// next checks that a round is open and idx is its next unconsumed update:
+// every earlier one was folded or dropped.
+func (s *Server) next(idx int) error {
 	if !s.inRound {
-		return fmt.Errorf("fl: AddUpdateChunk outside a round")
+		return fmt.Errorf("fl: update outside a round")
 	}
-	cur := s.cursor()
-	if cur >= len(s.metas) {
+	if cur := s.cursor(); cur >= len(s.metas) {
 		return fmt.Errorf("fl: more updates than sampled parties (%d)", len(s.metas))
+	} else if idx != cur {
+		return fmt.Errorf("fl: update %d, expected %d", idx, cur)
 	}
-	if idx != cur {
-		return fmt.Errorf("fl: chunk for update %d, expected %d", idx, cur)
+	return nil
+}
+
+// foldNext folds the round's update idx, which must be the next in
+// dispatch order. Its N and Tau must match that update's meta: the metas
+// come from outside the update (the transport's hello or the party
+// table), so an update that disagrees is refused rather than folded with
+// a weight the round did not expect. A refused update leaves the round
+// untouched; the caller drops it.
+func (s *Server) foldNext(idx int, u Update) error {
+	if err := s.next(idx); err != nil {
+		return err
+	}
+	if meta := s.metas[idx]; u.N != meta.N || u.Tau != meta.Tau {
+		return fmt.Errorf("fl: update (n=%d tau=%d) does not match expected meta (n=%d tau=%d)",
+			u.N, u.Tau, meta.N, meta.Tau)
+	}
+	if err := s.fold(s.baseWeight(u.N), 1, u); err != nil {
+		return err
+	}
+	s.added++
+	return nil
+}
+
+// AddUpdateChunk stages one chunk of the next update's flattened stream
+// (the delta, then SCAFFOLD's control delta) for FinishUpdate, which folds
+// the staged stream as one whole update. The pair is a chunk-at-a-time
+// stager over the round's one fold, kept for callers that hold an update
+// only in pieces; the transports fold whole updates. idx is the update's
+// index in dispatch order and must be the next unconsumed one; offsets
+// must arrive in order, without gaps or overlaps. The chunk is copied.
+func (s *Server) AddUpdateChunk(idx, offset int, chunk []float64) error {
+	if err := s.next(idx); err != nil {
+		return err
 	}
 	if len(chunk) == 0 {
 		return fmt.Errorf("fl: empty update chunk")
@@ -270,7 +293,7 @@ func (s *Server) AddUpdateChunk(idx, offset int, chunk []float64) error {
 	if offset != s.curOff {
 		return fmt.Errorf("fl: chunk at offset %d, expected %d (out-of-order, overlapping or gapped frame)", offset, s.curOff)
 	}
-	total := s.StreamLen()
+	total := s.streamLen()
 	if offset+len(chunk) > total {
 		return fmt.Errorf("fl: chunk [%d,%d) exceeds stream length %d", offset, offset+len(chunk), total)
 	}
@@ -282,49 +305,33 @@ func (s *Server) AddUpdateChunk(idx, offset int, chunk []float64) error {
 	return nil
 }
 
-// FinishUpdate completes the current update: u carries only the trailer
-// metadata (N, Tau, TrainLoss — Delta and DeltaC must be nil; the vectors
-// are the staged chunk stream), which must match the next unconsumed meta,
-// and the staged delta folds into the round.
+// FinishUpdate folds the staged chunk stream as the next update: u carries
+// only the trailer metadata (N, Tau, TrainLoss — Delta and DeltaC must be
+// nil). A refused trailer keeps the staged stream, so a corrected one may
+// still finish it.
 func (s *Server) FinishUpdate(u Update) error {
-	if !s.inRound {
-		return fmt.Errorf("fl: FinishUpdate outside a round")
-	}
-	if s.cursor() >= len(s.metas) {
-		return fmt.Errorf("fl: more updates than sampled parties (%d)", len(s.metas))
-	}
 	if u.Delta != nil || u.DeltaC != nil {
 		return fmt.Errorf("fl: FinishUpdate trailer must not carry delta vectors")
 	}
-	if total := s.StreamLen(); s.curOff != total {
+	if total := s.streamLen(); s.curOff != total {
 		return fmt.Errorf("fl: chunk stream incomplete: %d of %d elements staged", s.curOff, total)
 	}
-	if err := s.validateTrailer(u); err != nil {
+	u.Delta, u.DeltaC = s.cur[:len(s.state)], s.cur[len(s.state):]
+	if err := s.foldNext(s.cursor(), u); err != nil {
 		return err
 	}
-	delta := s.cur[:len(s.state)]
-	var deltaC []float64
-	if s.cfg.Algorithm == Scaffold {
-		deltaC = s.cur[len(s.state):s.StreamLen()]
-	}
 	s.curOff = 0
-	s.accumulate(s.baseWeight(u.N), 1, u.Tau, delta, deltaC)
-	s.added++
 	return nil
 }
 
-// DropUpdate abandons the current (in-progress or next expected) update
-// and removes its party from the round: any staged chunks are discarded
-// and its weight is never folded, so the round is exactly the one the
+// DropUpdate abandons the next expected update and removes its party from
+// the round: any staged chunks are discarded and its weight is never folded, so the round is exactly the one the
 // survivors alone would have made. Use it when a client's stream arrives
 // malformed or its transport dies mid-round — the round completes from
 // the survivors instead of aborting.
 func (s *Server) DropUpdate() error {
-	if !s.inRound {
-		return fmt.Errorf("fl: DropUpdate outside a round")
-	}
-	if s.cursor() >= len(s.metas) {
-		return fmt.Errorf("fl: no update left to drop")
+	if err := s.next(s.cursor()); err != nil {
+		return err
 	}
 	s.curOff = 0
 	s.dropped++

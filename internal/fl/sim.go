@@ -123,11 +123,10 @@ func (s *Simulation) PartyMeta(id int) UpdateMeta {
 
 // TrainRound implements Transport: it fans the sampled parties out across
 // up to Cfg.Parallelism goroutines and folds their updates in sampled
-// order, each as soon as its slot is the next in line. Every party
-// delivers its delta as a stream of views into its pooled workspace —
-// frames of Cfg.ChunkSize elements, one per vector at 0 — so no
-// per-update delta allocation escapes the round, and the arithmetic is
-// bit-identical at every frame size.
+// order, each as soon as its slot is the next in line. The sink folds
+// each update straight from the party's pooled workspace, which is
+// released right after, so no per-update delta allocation escapes the
+// round.
 //
 // Each sampled client's kernels run under a budget of Parallelism/conc
 // workers, so clients x kernel goroutines never exceeds this run's core
@@ -159,12 +158,7 @@ func (s *Simulation) TrainRound(round int, sampled []int, global, control []floa
 	}
 	for j := range slots {
 		p := <-slots[j]
-		err := p.Chunks(s.Cfg.ChunkSize, func(offset int, chunk []float64) error {
-			return sink.AddChunk(j, offset, chunk)
-		})
-		if err == nil {
-			err = sink.FinishUpdate(j, p.Trailer())
-		}
+		err := sink.Fold(j, p.Update())
 		p.Release()
 		if err != nil {
 			// Release stragglers so their pooled deltas are not stranded;

@@ -39,7 +39,7 @@ func synthUpdates(r *rng.RNG, k, stateLen, paramLen int, scaffold bool) []Update
 
 // TestStreamingMatchesBatchedAggregation drives many rounds of synthetic
 // updates through two servers built from the same initial state — one
-// folding chunk-at-a-time through the ingest (AddUpdateChunk/FinishUpdate)
+// folding chunk-at-a-time through the stager (AddUpdateChunk/FinishUpdate)
 // with frame sizes from one element to the whole stream, and one using the
 // batched oracle — and demands bit-identical state trajectories ("curves")
 // for every algorithm, both weighting modes and every server optimizer.

@@ -151,12 +151,7 @@ func (f *Federation) asyncRecv(p member, hub *asyncHub, coord *fl.AsyncCoordinat
 			f.release(st)
 			continue
 		}
-		data := st.buf.Data()[:total]
-		u := st.trailer
-		u.Delta = data[:stateLen]
-		if stateLen < total {
-			u.DeltaC = data[stateLen:]
-		}
+		u := st.update(stateLen)
 		flushed, done, ferr := coord.Fold(id, u, st.round)
 		if ferr == nil {
 			// Keep the tracked SCAFFOLD c_i mirroring the party's own

@@ -110,11 +110,11 @@ func poolDropsPuts() bool {
 //	party   params 1, grads 1, momentum 1, first layer's dW scratch 1,
 //	        downlink assembly <= 2 sync / maxDownlinkBufs async, and from
 //	        the pool (<= 1.125 x) the delta 1 and the batch 0.37
-//	server  state 1, accumulator 1, round snapshot 1 and update staging 1
-//	        (sync only), eval replicas 2 x 1, pooled reply streams
-//	        foldAhead x 1.125 sync / K x 1.125 async, per generation in
-//	        flight 2 (async: its snapshot and its frames), K receive
-//	        buffers of one frame, and the hook's own checkpoint copy 1
+//	server  state 1, accumulator 1, round snapshot 1 (sync only), eval
+//	        replicas 2 x 1, pooled reply streams foldAhead x 1.125 sync /
+//	        K x 1.125 async, per generation in flight 2 (async: its
+//	        snapshot and its frames), K receive buffers of one frame, and
+//	        the hook's own checkpoint copy 1
 //
 // The server's share is what a run against model-less fake parties holds;
 // a party's is the rest of the real run, split K ways.
@@ -130,7 +130,7 @@ func TestStateCopyBudget(t *testing.T) {
 		async                int
 		party, server, round float64 // budgets, in S
 	}{
-		{name: "sync", party: 7.6, server: 13, round: 2},
+		{name: "sync", party: 7.6, server: 12, round: 2},
 		{name: "async", async: 2, party: 7.6 + maxDownlinkBufs - 2, server: 19, round: 4},
 	} {
 		c := cfg

@@ -197,11 +197,11 @@ func (r *downlinkReader) loop() {
 // before the assembly buffer is sized from it, so a hostile header cannot
 // demand an arbitrary allocation, and a server of another model or
 // algorithm is refused instead of crashing the trainer. Frames on one
-// conn must arrive in order without gaps or overlaps, with a constant
-// header and codec and a correct last marker. Each frame decodes straight
-// into the buffer at its offset; a stream that fails part-way puts the
-// buffer back on the free list, so the trainer never sees it. Returns
-// false when the reader must exit (terminal pushed or stopped).
+// conn must keep a constant header and codec and meet the contract both
+// directions share (checkFrame). Each frame decodes straight into the
+// buffer at its offset; a stream that fails part-way puts the buffer back
+// on the free list, so the trainer never sees it. Returns false when the
+// reader must exit (terminal pushed or stopped).
 func (r *downlinkReader) recvBroadcast(raw []byte) bool {
 	first, p, err := parseGlobalChunk(raw)
 	if err != nil {
@@ -237,20 +237,12 @@ func (r *downlinkReader) recvBroadcast(raw []byte) bool {
 		return false
 	}
 	for m, done := first, 0; ; {
-		switch {
-		case m.Round != first.Round || m.Total != total || m.CtrlLen != ctrl ||
-			m.Budget != first.Budget || m.Chunk != first.Chunk || m.Codec != first.Codec:
+		if m.Round != first.Round || m.Total != total || m.CtrlLen != ctrl ||
+			m.Budget != first.Budget || m.Chunk != first.Chunk || m.Codec != first.Codec {
 			return fail(fmt.Errorf("downlink frame header changed mid-stream"))
-		case m.Offset != done || done+p.count > total:
-			return fail(fmt.Errorf("downlink frame [%d,%d) of %d, expected offset %d",
-				m.Offset, m.Offset+p.count, total, done))
-		case m.Last != (done+p.count == total):
-			return fail(fmt.Errorf("downlink frame [%d,%d) of %d has inconsistent last marker",
-				m.Offset, m.Offset+p.count, total))
-		case p.count == 0 && !m.Last:
-			// ChunkStream never emits an empty non-final frame; accepting
-			// one would let a peer spin this loop forever without progress.
-			return fail(fmt.Errorf("empty non-final downlink frame at offset %d", done))
+		}
+		if err := checkFrame(m.Offset, p.count, done, total, m.Last); err != nil {
+			return fail(fmt.Errorf("downlink %w", err))
 		}
 		if err := p.decodeInto(g.buf[done : done+p.count]); err != nil {
 			return fail(err)

@@ -139,12 +139,13 @@ func (f *Federation) TrainRound(round int, sampled []int, global, control []floa
 	// Bound the replies to the largest legitimate frame, so a hostile
 	// length prefix is refused before the frame is read into memory — the
 	// memory contract holds even against admitted-but-malicious parties.
-	limit := recvLimitFor(frameCap(f.Cfg.ChunkSize, sink.StreamLen()))
+	total := len(global) + len(control)
+	limit := recvLimitFor(frameCap(f.Cfg.ChunkSize, total))
 	failed := f.broadcast(bf, sampled, limit)
 	if len(failed) > 0 && f.RejoinGrace > 0 {
 		f.healBroadcast(bf, failed, limit)
 	}
-	if err := f.recvRound(round, sampled, len(global), sink); err != nil {
+	if err := f.recvRound(round, sampled, len(global), total, sink); err != nil {
 		return err
 	}
 	f.table.setRound(round + 1)

@@ -518,6 +518,79 @@ func TestDownlinkEmptyFrameRejected(t *testing.T) {
 	}
 }
 
+// TestDownlinkViolationsUnpublished is the party side's framing table,
+// the downlink twin of TestStreamViolationsEvictOffender: each case
+// rewrites one frame of an otherwise valid three-frame broadcast (state 5,
+// control 1, frames of 2). Every violation must be refused with an error,
+// publish nothing, and return the assembly buffer the first frame took to
+// the free list.
+func TestDownlinkViolationsUnpublished(t *testing.T) {
+	frames := func() []GlobalChunkMsg {
+		fr := make([]GlobalChunkMsg, 3)
+		for i := range fr {
+			fr[i] = GlobalChunkMsg{Round: 3, Offset: 2 * i, Total: 6, CtrlLen: 1, Budget: 1, Chunk: 2,
+				Last: i == 2, Payload: []float64{float64(2 * i), float64(2*i + 1)}}
+		}
+		return fr
+	}
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(fr []GlobalChunkMsg) []GlobalChunkMsg
+	}{
+		{"offset gap", "expected offset 2", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+			fr[1].Offset++
+			return fr
+		}},
+		{"offset overlap", "expected offset 2", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+			fr[1].Offset--
+			return fr
+		}},
+		{"stream overflow", "overflows stream length 6", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+			fr[2].Payload = append(fr[2].Payload, 6)
+			return fr
+		}},
+		{"early last marker", "inconsistent last marker", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+			fr[1].Last = true
+			return fr
+		}},
+		{"missing last marker", "inconsistent last marker", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+			fr[2].Last = false
+			return fr
+		}},
+		{"empty non-final frame", "empty non-final", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+			fr[1].Payload = nil
+			return fr
+		}},
+		{"round changes mid-stream", "header changed", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+			fr[1].Round++
+			return fr
+		}},
+		{"budget changes mid-stream", "header changed", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+			fr[2].Budget++
+			return fr
+		}},
+		{"codec switch mid-stream", "header changed", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+			fr[1].Codec = wireCodecInt8
+			return fr
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			it, free := downlinkFrom(t, 5, 1, tc.mutate(frames())...)
+			if it.err == nil || !strings.Contains(it.err.Error(), tc.want) || it.g != nil {
+				t.Fatalf("got %+v, want an error containing %q and no broadcast", it, tc.want)
+			}
+			if len(free) != 1 {
+				t.Fatalf("%d assembly buffers on the free list after the refusal, want 1", len(free))
+			}
+		})
+	}
+	// The unmutated stream publishes.
+	it, _ := downlinkFrom(t, 5, 1, frames()...)
+	if it.err != nil || it.g == nil || it.g.Control[0] != 5 {
+		t.Fatalf("valid stream: %+v", it)
+	}
+}
+
 // TestDownlinkCutStreamUnpublished pins that a broadcast is published
 // only whole: the server sends the first of two frames and hangs up.
 // Nothing reaches the slot while the reader waits for the second frame,

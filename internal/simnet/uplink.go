@@ -37,9 +37,32 @@ func recvLimitFor(elems int) uint32 {
 	return maxMsg
 }
 
+// checkFrame is the frame contract both stream directions share, for a
+// frame of count elements at offset in a stream of total elements of
+// which done have arrived: frames come in order without gaps or overlaps,
+// stay inside the stream, carry the last marker exactly when they end it,
+// and are empty only as the last frame — an honest sender never frames
+// zero elements mid-stream, and accepting one would let a peer spin its
+// reader without progress. Checks that belong to one direction stay in
+// that direction's reader.
+func checkFrame(offset, count, done, total int, last bool) error {
+	end := offset + count
+	switch {
+	case offset != done:
+		return fmt.Errorf("frame at offset %d, expected offset %d", offset, done)
+	case end > total:
+		return fmt.Errorf("frame [%d,%d) overflows stream length %d", offset, end, total)
+	case last != (end == total):
+		return fmt.Errorf("frame [%d,%d) of %d has inconsistent last marker", offset, end, total)
+	case count == 0 && !last:
+		return fmt.Errorf("empty non-final frame at offset %d", offset)
+	}
+	return nil
+}
+
 // stagedUpdate is what an updateReader makes of one party's stream: the
 // complete, validated update, or the classified failure. On success buf
-// is a pooled tensor holding the stream values [0, total); whoever
+// is a pooled tensor holding exactly the stream's values; whoever
 // consumes the update returns it to the shared pool (Federation.release).
 type stagedUpdate struct {
 	// round is the round (sync) or generation (async) every frame of the
@@ -53,6 +76,20 @@ type stagedUpdate struct {
 	// or a RoundTimeout expiry — the party may rejoin).
 	err   error
 	fatal bool
+}
+
+// update views the staged stream as the whole update it carries: the
+// trailer's metadata over the state-length delta and, past it, SCAFFOLD's
+// control delta. The views alias the pooled buffer, so the update is
+// valid until release.
+func (st stagedUpdate) update(stateLen int) fl.Update {
+	data := st.buf.Data()
+	u := st.trailer
+	u.Delta = data[:stateLen]
+	if stateLen < len(data) {
+		u.DeltaC = data[stateLen:]
+	}
+	return u
 }
 
 // updateReader reads one party's update streams off its conn. Every
@@ -95,7 +132,7 @@ func (f *Federation) release(st stagedUpdate) {
 func (r *updateReader) read(round int) stagedUpdate {
 	buf := tensor.Shared.GetRaw(tensor.Float64, r.total)
 	r.f.streamsOut.Add(1)
-	data := buf.Data()[:r.total]
+	data := buf.Data()
 	fail := func(fatal bool, err error) stagedUpdate {
 		tensor.Shared.Put(buf)
 		r.f.streamsOut.Add(-1)
@@ -145,23 +182,14 @@ func (r *updateReader) read(round int) stagedUpdate {
 			// The negotiated frame size is the flow-control contract: the
 			// receive limit and the sender's pacing both assume it.
 			err = fmt.Errorf("sent a %d-element frame, frame size is %d", p.count, r.maxFrame)
-		case m.Offset != done:
-			err = fmt.Errorf("sent frame offset %d, expected %d", m.Offset, done)
-		case end > r.total:
-			err = fmt.Errorf("frame [%d,%d) overflows stream length %d", m.Offset, end, r.total)
-		case m.Last != (end == r.total):
-			err = fmt.Errorf("frame [%d,%d) of %d has inconsistent last marker", m.Offset, end, r.total)
-		case p.count == 0 && !m.Last:
-			// An honest stream never frames zero elements mid-stream;
-			// accepting one would let a party occupy its slot forever
-			// without progressing its offset.
-			err = fmt.Errorf("sent an empty non-final frame at offset %d", m.Offset)
+		default:
+			err = checkFrame(m.Offset, p.count, done, r.total, m.Last)
 		}
 		if err == nil {
 			err = p.decodeInto(data[done:end])
 		}
 		if err != nil {
-			return fail(true, fmt.Errorf("simnet: party %d %w", r.id, err))
+			return fail(true, fmt.Errorf("simnet: party %d: %w", r.id, err))
 		}
 		if done = end; m.Last {
 			return stagedUpdate{
@@ -229,17 +257,18 @@ var errRoundAborted = fmt.Errorf("simnet: round aborted")
 // recvRound is the synchronous scheduler: it receives the sampled
 // parties' update streams concurrently — each on its own updateReader,
 // admitted by the fold gate — and folds the complete streams in sampled
-// order. Every party's stream is validated and assembled the moment its
-// frames arrive (subject to the fold-ahead window), so one slow party
-// delays the fold by only its own stream; the fold itself stays in
-// sampled order over whole streams, so the aggregation's floating-point
-// sequence is deterministic for a given sample whatever the wire order
-// was. A party whose stream arrives malformed (or whose conn dies
-// mid-stream) is evicted and dropped from the round, not fatal to it.
-func (f *Federation) recvRound(round int, sampled []int, stateLen int, sink *fl.RoundSink) error {
+// order, each straight from its reader's pooled buffer. Every party's
+// stream is validated and assembled the moment its frames arrive (subject
+// to the fold-ahead window), so one slow party delays the fold by only
+// its own stream; the fold itself stays in sampled order over whole
+// streams, so the aggregation's floating-point sequence is deterministic
+// for a given sample whatever the wire order was. A party whose stream
+// arrives malformed (or whose conn dies mid-stream) is evicted and
+// dropped from the round, not fatal to it. total is the stream length:
+// stateLen, plus SCAFFOLD's control suffix.
+func (f *Federation) recvRound(round int, sampled []int, stateLen, total int, sink *fl.RoundSink) error {
 	staged := make([]chan stagedUpdate, len(sampled))
 	gate := newFoldGate()
-	total := sink.StreamLen()
 	for j, id := range sampled {
 		m := f.table.get(id)
 		if !m.alive() {
@@ -282,15 +311,12 @@ func (f *Federation) recvRound(round int, sampled []int, stateLen int, sink *fl.
 			// loop goroutine.
 			f.evict(id, nil, st.fatal, st.err)
 		} else {
-			data := st.buf.Data()[:total]
-			err := sink.AddChunk(j, 0, data)
+			u := st.update(stateLen)
+			err := sink.Fold(j, u)
 			if err == nil {
-				err = sink.FinishUpdate(j, st.trailer)
-			}
-			if err == nil {
-				// Only after FinishUpdate accepted the stream, so the tracked
-				// c_i follows exactly the uploads the aggregation counted.
-				f.table.addControl(id, data[stateLen:])
+				// Only after the fold accepted the update, so the tracked c_i
+				// follows exactly the uploads the aggregation counted.
+				f.table.addControl(id, u.DeltaC)
 			}
 			f.release(st)
 			if st.err = err; err != nil {
