@@ -448,20 +448,33 @@ func (m *meterConn) Send(b []byte) error {
 	return err
 }
 
-// flapConn kills its own conn the moment it has sent an update's last
-// frame: the party completes every round and loses its conn after each.
-type flapConn struct{ Conn }
+// flapConn is the server's end of a flapping party's pipe: once it has
+// delivered an update's last frame, the next broadcast frame the server
+// sends fails and kills the pipe. The party completes every round and
+// loses its conn at the start of the next, always at the broadcast, so
+// the heal window — not a race between the party's close and the server's
+// send — decides the round.
+type flapConn struct {
+	Conn
+	replied atomic.Bool
+}
 
-func (f *flapConn) Send(b []byte) error {
-	if err := f.Conn.Send(b); err != nil {
-		return err
-	}
-	if b[0] == msgUpdateChunk {
-		if m, err := Unmarshal(b); err == nil && m.(UpdateChunkMsg).Last {
-			_ = f.Conn.Close()
+func (f *flapConn) Recv() ([]byte, error) {
+	b, err := f.Conn.Recv()
+	if err == nil && b[0] == msgUpdateChunk {
+		if m, derr := Unmarshal(b); derr == nil && m.(UpdateChunkMsg).Last {
+			f.replied.Store(true)
 		}
 	}
-	return nil
+	return b, err
+}
+
+func (f *flapConn) Send(b []byte) error {
+	if f.replied.Load() && b[0] == msgGlobalChunk {
+		_ = f.Conn.Close()
+		return errors.New("flapped")
+	}
+	return f.Conn.Send(b)
 }
 
 // TestFlappingPartyHoldsOneConn is the regression test for the conn leak:
@@ -480,15 +493,19 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 	fed := pipeFed(t, cfg, spec, test, len(locals), ServerOptions{RejoinGrace: 2 * time.Second})
 	cfg = fed.Cfg
 
+	const flapper = 2
 	var counted atomic.Int64
-	pipe := func() (*CountingConn, Conn) {
+	pipe := func(flap bool) (*CountingConn, Conn) {
 		s, p := Pipe()
+		if flap {
+			s = &flapConn{Conn: s}
+		}
 		return NewCountingConn(&meterConn{Conn: s, total: &counted}), p
 	}
 	conns := make([]*CountingConn, len(locals))
 	partySide := make([]Conn, len(locals))
 	for i := range locals {
-		conns[i], partySide[i] = pipe()
+		conns[i], partySide[i] = pipe(i == flapper)
 	}
 	// redial puts a flapped party's fresh conn to the admission rule the
 	// way an accept-loop handler would — until the run is over, after
@@ -510,7 +527,6 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 		}
 		rejoins++
 	}
-	const flapper = 2
 	res, partyErrs, err := runInProcess(len(locals),
 		func() (*fl.Result, error) {
 			// AcceptAndRun's order: admission stops, then the teardown.
@@ -538,7 +554,7 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 			}
 			conn := partySide[i]
 			for rejoining := false; ; rejoining = true {
-				err := s.run(&flapConn{conn}, "", rejoining, 0)
+				err := s.run(conn, "", rejoining, 0)
 				_ = conn.Close()
 				mu.Lock()
 				done := over
@@ -547,7 +563,7 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 					return nil
 				}
 				var serverEnd *CountingConn
-				serverEnd, conn = pipe()
+				serverEnd, conn = pipe(true)
 				go redial(serverEnd)
 			}
 		})
