@@ -62,14 +62,23 @@ func Pipe() (Conn, Conn) {
 }
 
 func (c *chanConn) Send(b []byte) error {
+	// Closed wins: with buffer room and a closed pipe both ready, the
+	// select below would pick at random and let some sends through.
+	select {
+	case <-c.closed:
+		return errSendClosed
+	default:
+	}
 	msg := append([]byte{}, b...)
 	select {
 	case c.send <- msg:
 		return nil
 	case <-c.closed:
-		return fmt.Errorf("simnet: send on closed conn")
+		return errSendClosed
 	}
 }
+
+var errSendClosed = fmt.Errorf("simnet: send on closed conn")
 
 func (c *chanConn) Recv() ([]byte, error) {
 	// Drain pending messages before honoring close, so anything sent

@@ -110,6 +110,24 @@ func TestPipeCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
+// TestPipeSendAfterCloseFails pins that a closed pipe refuses every send,
+// from either end, even while its buffer has room: a send that slipped
+// through would look delivered to a sender whose peer is gone.
+func TestPipeSendAfterCloseFails(t *testing.T) {
+	for _, closer := range []int{0, 1} {
+		for _, sender := range []int{0, 1} {
+			for i := 0; i < 1000; i++ {
+				a, b := Pipe()
+				ends := [2]Conn{a, b}
+				ends[closer].Close()
+				if err := ends[sender].Send([]byte("x")); err == nil {
+					t.Fatalf("end %d closed: send %d from end %d succeeded", closer, i, sender)
+				}
+			}
+		}
+	}
+}
+
 func TestCountingConn(t *testing.T) {
 	a, b := Pipe()
 	ca := NewCountingConn(a)
