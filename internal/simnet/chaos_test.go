@@ -536,11 +536,10 @@ func TestChaosSoakDropRejoin(t *testing.T) {
 }
 
 // TestEvictionLeavesNoGoroutines runs a chaotic federation with drops and
-// rejoins, then verifies every receiver, sender, handler and party
-// goroutine has terminated — an evicted party's receiver must die with
-// its conn, not linger blocked on a read.
+// rejoins under both schedulers, then verifies every receiver, sender,
+// handler and party goroutine has terminated — an evicted party's
+// receiver must die with its conn, not linger blocked on a read.
 func TestEvictionLeavesNoGoroutines(t *testing.T) {
-	before := settleGoroutines(0) // current count once the rest of the suite quiesces
 	train, test, err := data.Load("adult", data.Config{TrainN: 120, TestN: 60, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
@@ -549,32 +548,42 @@ func TestEvictionLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fl.Config{
-		Algorithm: fl.FedAvg, Rounds: 3, LocalEpochs: 1, BatchSize: 16,
-		LR: 0.05, Seed: 9, ChunkSize: 256,
-		MinParties: 3, QuorumRetries: 100, QuorumRetryWait: 10 * time.Millisecond,
-	}
 	spec, _ := data.Model("adult")
-	plan := FaultPlan{Seed: 5, DropProb: 0.05, Grace: 1}
-	opts := ServerOptions{RoundTimeout: 10 * time.Second, RejoinGrace: 200 * time.Millisecond}
-	_, _, serveErr := RunLoopback(cfg, spec, locals, test, opts, func(int) PartyOptions {
-		return PartyOptions{
-			Rejoin:           true,
-			RejoinBackoff:    5 * time.Millisecond,
-			RejoinBackoffMax: 50 * time.Millisecond,
-			RejoinAttempts:   20,
-			Faults:           &plan,
-		}
-	})
-	var qe *fl.QuorumError
-	if serveErr != nil && !errors.As(serveErr, &qe) {
-		t.Fatal(serveErr)
-	}
-	// Everything launched for the run must be gone; allow a little slack
-	// for runtime housekeeping goroutines.
-	if after := settleGoroutines(before + 2); after > before+2 {
-		buf := make([]byte, 1<<20)
-		n := runtime.Stack(buf, true)
-		t.Fatalf("goroutine leak: %d before, %d after\n%s", before, after, buf[:n])
+	for _, sched := range []struct {
+		name  string
+		async int
+	}{{"sync", 0}, {"async", 3}} {
+		t.Run(sched.name, func(t *testing.T) {
+			// simnet runs no parallel tests, so the count at test start is
+			// the baseline.
+			before := runtime.NumGoroutine()
+			cfg := fl.Config{
+				Algorithm: fl.FedAvg, Rounds: 3, LocalEpochs: 1, BatchSize: 16,
+				LR: 0.05, Seed: 9, ChunkSize: 256, AsyncBuffer: sched.async,
+				MinParties: 3, QuorumRetries: 100, QuorumRetryWait: 10 * time.Millisecond,
+			}
+			plan := FaultPlan{Seed: 5, DropProb: 0.05, Grace: 1}
+			opts := ServerOptions{RoundTimeout: 10 * time.Second, RejoinGrace: 200 * time.Millisecond}
+			_, _, serveErr := RunLoopback(cfg, spec, locals, test, opts, func(int) PartyOptions {
+				return PartyOptions{
+					Rejoin:           true,
+					RejoinBackoff:    5 * time.Millisecond,
+					RejoinBackoffMax: 50 * time.Millisecond,
+					RejoinAttempts:   20,
+					Faults:           &plan,
+				}
+			})
+			var qe *fl.QuorumError
+			if serveErr != nil && !errors.As(serveErr, &qe) {
+				t.Fatal(serveErr)
+			}
+			// Everything launched for the run must be gone; allow a little
+			// slack for runtime housekeeping goroutines.
+			if after := settleGoroutines(before + 2); after > before+2 {
+				buf := make([]byte, 1<<20)
+				n := runtime.Stack(buf, true)
+				t.Fatalf("goroutine leak: %d before, %d after\n%s", before, after, buf[:n])
+			}
+		})
 	}
 }
