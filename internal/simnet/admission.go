@@ -35,23 +35,29 @@ type ServerOptions struct {
 	// timeouts — one, for any realistic k.
 	HelloTimeout time.Duration
 	// RoundTimeout, when positive, bounds how long the server waits for
-	// each reply frame within a round (the clock restarts on every
+	// each reply frame within a round: the conn's receiver starts the
+	// clock once the party's broadcast went out, and restarts it on every
 	// received frame, so the first gap must cover the party's local
-	// training). A party that stalls past it is treated like a dead conn:
-	// suspected and dropped from the round, at every chunk size. Zero
-	// waits forever — the right default when honest parties may train for
-	// arbitrarily long. Only effective on conns with deadline support
-	// (TCP); in-memory pipes are trusted in-process peers.
+	// training (under async, where a party idles between generations, only
+	// the gaps inside a stream are bounded). A party that stalls past it is
+	// treated like a dead conn: suspected and dropped from the round, at
+	// every chunk size. Zero waits forever — the right default when honest
+	// parties may train for arbitrarily long. Only effective on conns with
+	// deadline support (TCP); in-memory pipes are trusted in-process peers.
 	RoundTimeout time.Duration
 	// RejoinGrace, when positive, is the broadcast heal window: a round
-	// whose broadcast fails toward some party waits up to this long
-	// for that party's rejoin before proceeding without it. A death
+	// whose broadcast fails toward some party waits — up to this long
+	// after the broadcast began — for that party's rejoin before
+	// proceeding without it, woken by the rejoin itself, which is
+	// installed the moment it is queued. A death
 	// discovered at the broadcast — before the party trained or any update
 	// was folded — is the one failure that can be repaired mid-round
-	// without touching the math: the rejoined conn just gets the same
-	// broadcast again. Healing here is what makes a between-rounds conn
-	// loss bitwise-invisible to the aggregation; zero (the default) skips
-	// the wait and lets the round drop the party as usual.
+	// without touching the math: the rejoined conn's fresh sender just
+	// delivers the same broadcast. Healing here is what makes a
+	// between-rounds conn loss bitwise-invisible to the aggregation; zero
+	// (the default) skips the wait and lets the round drop the party as
+	// usual. Under async it is how long a federation that lost every party
+	// waits for a rejoin before failing.
 	RejoinGrace time.Duration
 	// OnReject, when set, is called with the reason each invalid
 	// connection (bad hello, wrong protocol version or magic, out-of-range
@@ -66,9 +72,9 @@ type ServerOptions struct {
 	OnReject func(error)
 	// OnEvict, when set, is called with every party departure — suspect
 	// (transport loss, may rejoin) or evicted (protocol violation,
-	// permanent) — from the round loop goroutine, before the next round
-	// samples; in async mode from the sender or receiver goroutine that
-	// noticed.
+	// permanent) — from the sender or receiver goroutine that noticed,
+	// under both schedulers (from the round loop when the aggregation
+	// refuses an update), before the next round samples.
 	OnEvict func(*EvictionError)
 	// Resume, when non-nil, is the durable snapshot this federation
 	// continues from instead of starting at round 0: the engine restores
@@ -238,7 +244,7 @@ func (s *ServerListener) acceptHellos(fed *Federation) (stop func(), acceptErr <
 					// may start using this conn — including setting
 					// RoundTimeout deadlines from its receiver goroutine —
 					// and a late clear from here would erase them. A
-					// parked rejoin's conn belongs to the round loop the
+					// parked rejoin's conn belongs to the scheduler the
 					// same way.
 					_ = c.SetReadDeadline(time.Time{})
 					err = fed.admit(cc, h)
@@ -336,7 +342,11 @@ func (f *Federation) admit(c *CountingConn, h HelloMsg) error {
 		m.codec = wireCodecF64
 	}
 	if rejoin {
-		return f.table.queueRejoin(m)
+		err := f.table.queueRejoin(m)
+		// The scheduler installs it at the next round boundary — or at
+		// once, when it heals a failed broadcast.
+		f.changed()
+		return err
 	}
 	return f.seat(m, h.Rejoin, true)
 }

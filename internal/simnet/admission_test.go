@@ -194,7 +194,7 @@ func TestAdmissionTable(t *testing.T) {
 			}},
 		{name: "rejoin of suspect party", hellos: []hello{seat(0), {h: rejoin(0), before: evict(0, false), settled: queued(1)}},
 			after: func(t *testing.T, f *Federation, ends []Conn) {
-				if got := f.installQueuedRejoins(); len(got) != 1 || got[0].id != 0 {
+				if got := f.installQueuedRejoins(nil); len(got) != 1 || got[0].id != 0 {
 					t.Fatalf("boundary install restored %v", got)
 				}
 				if !f.table.get(0).alive() {
@@ -222,7 +222,7 @@ func TestAdmissionTable(t *testing.T) {
 				if _, err := recvWithin(t, ends[1]); err == nil {
 					t.Fatal("superseded rejoin conn still open")
 				}
-				if got := f.installQueuedRejoins(); len(got) != 1 || !queued(0)(f) {
+				if got := f.installQueuedRejoins(nil); len(got) != 1 || !queued(0)(f) {
 					t.Fatalf("installed %v", got)
 				}
 				if _, err := recvWithin(t, ends[2]); err != nil {

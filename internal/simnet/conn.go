@@ -62,23 +62,19 @@ func Pipe() (Conn, Conn) {
 }
 
 func (c *chanConn) Send(b []byte) error {
-	// Closed wins: with buffer room and a closed pipe both ready, the
-	// select below would pick at random and let some sends through.
+	// Closed wins: with buffer room and a closed pipe both ready, a single
+	// select would pick at random and let some sends through.
 	select {
 	case <-c.closed:
-		return errSendClosed
 	default:
+		select {
+		case c.send <- append([]byte{}, b...):
+			return nil
+		case <-c.closed:
+		}
 	}
-	msg := append([]byte{}, b...)
-	select {
-	case c.send <- msg:
-		return nil
-	case <-c.closed:
-		return errSendClosed
-	}
+	return fmt.Errorf("simnet: send on closed conn")
 }
-
-var errSendClosed = fmt.Errorf("simnet: send on closed conn")
 
 func (c *chanConn) Recv() ([]byte, error) {
 	// Drain pending messages before honoring close, so anything sent
@@ -121,8 +117,8 @@ func (c *chanConn) Close() error {
 // tcpConn frames messages over a TCP stream with a 4-byte length prefix.
 type tcpConn struct {
 	c net.Conn
-	// max bounds accepted frame sizes (see SetRecvLimit); atomic so the
-	// round loop can tighten it while a receiver goroutine reads.
+	// max bounds accepted frame sizes (see SetRecvLimit); atomic because
+	// the goroutine that sets it is not the one that reads the conn.
 	max atomic.Uint32
 	// rbuf is the buffer Recv lends out (see Conn.Recv); it grows to the
 	// largest frame seen, up to recvKeep.

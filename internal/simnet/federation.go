@@ -18,9 +18,28 @@ import (
 // dataset and model, and all model movement happens through serialized
 // messages on Conns. The round machinery — sampling, streaming
 // aggregation, metrics, evaluation cadence — is the shared fl.Engine; this
-// type is its message-passing Transport. Who is in the federation, on
-// which conn, is the table's business (table.go); how a hello gets a party
-// in there is admission's (admission.go).
+// type is its message-passing Transport under both schedulers. Who is in
+// the federation, on which conn, is the table's business (table.go); how a
+// hello gets a party in there is admission's (admission.go).
+//
+// Every seated conn is served by one connection loop, whichever scheduler
+// runs: one long-lived sender (send) and one long-lived receiver
+// (receive), started when the run boots or a rejoin is installed and
+// ending when the conn is replaced, evicted or shut down. The Federation
+// is the hub they share:
+//
+//   - it publishes each generation's encode-once globalFrames with the
+//     parties it is addressed to — the round's sample under sync, every
+//     party under async — and a sender ships the newest generation that
+//     addresses its party (newest-wins: a slow party skips intermediate
+//     async generations instead of queueing them);
+//   - a receiver asks the run's foldPolicy for its turn, reads one stream
+//     and hands it to the policy: the sync fold gate (uplink.go) or
+//     arrival order into the async coordinator (async.go);
+//   - the scheduler goroutine — the sync round loop or the async
+//     membership loop — has one wait (see wait), woken by the events it
+//     cares about: a queued rejoin, an eviction, a delivered or lost
+//     broadcast, a staged or folded update.
 type Federation struct {
 	Cfg  fl.Config
 	Spec nn.ModelSpec
@@ -35,9 +54,31 @@ type Federation struct {
 
 	prevBytes int64 // byte watermark for per-round accounting
 	// streamsOut counts pooled update-stream buffers currently held by
-	// readers, staged for the fold or folding — at most foldAhead in a
-	// synchronous round, and zero whenever no round or receiver runs.
+	// receivers, staged for the fold or folding — at most foldAhead in a
+	// synchronous round, and zero between rounds.
 	streamsOut atomic.Int64
+
+	// The connection loop. mu guards the fields below it; cond wakes the
+	// senders and receivers waiting on them; wake holds the scheduler's
+	// pending wake-up. Lock order: mu before the table's lock.
+	mu   sync.Mutex
+	cond *sync.Cond
+	wake chan struct{}
+	// Fixed when the run boots: the policy (nil before) and the update
+	// stream shape.
+	policy          foldPolicy
+	stateLen, total int
+	// The published generation: seq counts publications, so a sender
+	// knows what it has shipped; gen is its number — the round, under
+	// sync — and orders async generations; bf is nil when none is live
+	// (between sync rounds). round, under sync, holds the slots of the
+	// sample bf addresses.
+	seq, gen int
+	bf       *globalFrames
+	round    *syncRound
+	done     bool
+
+	senders, receivers sync.WaitGroup
 }
 
 // newFederation builds the server side of a federation of numParties: the
@@ -57,38 +98,44 @@ func newFederation(cfg fl.Config, spec nn.ModelSpec, test *data.Dataset, numPart
 	if opts.Resume != nil && opts.Resume.NumParties != numParties {
 		return nil, fmt.Errorf("simnet: snapshot is for %d parties, AcceptAndRun called with %d", opts.Resume.NumParties, numParties)
 	}
-	return &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, ServerOptions: opts,
-		table: newPartyTable(numParties, opts.Resume)}, nil
+	f := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, ServerOptions: opts,
+		table: newPartyTable(numParties, opts.Resume), wake: make(chan struct{}, 1)}
+	f.cond = sync.NewCond(&f.mu)
+	return f, nil
 }
 
 // evict removes a party from the federation: its conn is closed (ending
 // any lingering party-side send) and later rounds drop it without
 // contact. permanent=true marks a protocol violation — the party lands in
 // partyEvicted and a rejoin is refused; permanent=false marks transport
-// loss — partySuspect, restored by a rejoin hello. The synchronous round
-// loop passes a nil c; the async sender and receiver goroutines pass the
-// conn they were serving, so the first of a conn's two goroutines to
-// notice wins, the second is a duplicate, and news about an
-// already-replaced conn is stale. It reports whether the party moved (and
-// OnEvict fired).
+// loss — partySuspect, restored by a rejoin hello. A conn's sender and
+// receiver pass the conn they serve, so the first of the two to notice
+// wins, the second is a duplicate, and news about an already-replaced
+// conn is stale; a nil c means whatever conn the party is on. It reports
+// whether the party moved (and OnEvict fired). Once the run is over
+// nothing moves: conns may already be torn down, and late failures are
+// not news.
 func (f *Federation) evict(id int, c *CountingConn, permanent bool, cause error) bool {
-	if !f.table.evict(id, c, permanent) {
+	f.mu.Lock()
+	over := f.done
+	f.mu.Unlock()
+	if over || !f.table.evict(id, c, permanent) {
 		return false
 	}
 	if f.OnEvict != nil {
 		f.OnEvict(&EvictionError{Party: id, Permanent: permanent, Cause: cause})
 	}
+	f.changed()
 	return true
 }
 
 // SyncMembership implements fl.Membership: called at the top of every
 // round attempt, from the round loop, it installs the queued rejoins and
-// returns the live mask the sampler draws from. Rejoins land here and in
-// the broadcast heal window (see healBroadcast), never while a round's
-// receivers run, so a round's receiver set is immutable while the round
-// runs.
+// returns the live mask the sampler draws from. Mid-round, the round loop
+// installs only the rejoins that heal a failed broadcast (see awaitSlot);
+// every other rejoin waits for this boundary.
 func (f *Federation) SyncMembership(round int) []bool {
-	f.installQueuedRejoins()
+	f.installQueuedRejoins(nil)
 	live := make([]bool, len(f.table.members))
 	for _, m := range f.table.alive() {
 		live[m.id] = true
@@ -96,18 +143,20 @@ func (f *Federation) SyncMembership(round int) []bool {
 	return live
 }
 
-// installQueuedRejoins drains the rejoin queue into the federation (see
-// seat) and returns the members restored. A fresh conn that died before
-// its handshake completed is dropped; the party stays suspect and may dial
-// again. Round loop goroutine only.
-func (f *Federation) installQueuedRejoins() (restored []member) {
-	for _, m := range f.table.drainRejoins() {
+// installQueuedRejoins drains the queued rejoins that keep accepts (nil:
+// all of them) into the federation (see seat), serves each restored conn
+// and returns the members restored. A fresh conn that died before its
+// handshake completed is dropped; the party stays suspect and may dial
+// again. Scheduler goroutine only.
+func (f *Federation) installQueuedRejoins(keep func(id int) bool) (restored []member) {
+	for _, m := range f.table.drainRejoins(keep) {
 		if err := f.seat(m, true, false); err != nil {
 			_ = m.conn.Close()
 			continue
 		}
 		restored = append(restored, m)
 	}
+	f.serve(restored...)
 	return restored
 }
 
@@ -127,100 +176,226 @@ func (f *Federation) budget(k int) int {
 // PartyMeta implements fl.Transport.
 func (f *Federation) PartyMeta(id int) fl.UpdateMeta { return f.table.get(id).meta }
 
-// TrainRound implements fl.Transport: it broadcasts the round's global
-// state to the sampled parties as GlobalChunkMsg frames, then receives
-// their reply streams concurrently — tolerating arrival in any order — and
-// folds each into the aggregation the moment the next-in-sample-order
-// stream is complete, so the server never buffers the whole round.
-// Cfg.ChunkSize only sets the frame size (0 is one frame per vector):
-// eviction, rejoin and drop-and-renormalise apply at every size.
+// TrainRound implements fl.Transport: it publishes the round's global
+// state as a generation addressed to the sampled parties — each conn's
+// sender ships it as GlobalChunkMsg frames — and folds the sampled
+// parties' update streams in sampled order as their receivers stage them,
+// so the server never buffers the whole round. Cfg.ChunkSize only sets
+// the frame size (0 is one frame per vector): eviction, rejoin and
+// drop-and-renormalise apply at every size.
 func (f *Federation) TrainRound(round int, sampled []int, global, control []float64, sink *fl.RoundSink) error {
-	bf := newGlobalFrames(round, global, control, f.budget(len(sampled)), f.Cfg.ChunkSize)
-	// Bound the replies to the largest legitimate frame, so a hostile
-	// length prefix is refused before the frame is read into memory — the
-	// memory contract holds even against admitted-but-malicious parties.
-	total := len(global) + len(control)
-	limit := recvLimitFor(frameCap(f.Cfg.ChunkSize, total))
-	failed := f.broadcast(bf, sampled, limit)
-	if len(failed) > 0 && f.RejoinGrace > 0 {
-		f.healBroadcast(bf, failed, limit)
-	}
-	if err := f.recvRound(round, sampled, len(global), total, sink); err != nil {
-		return err
+	r := f.beginRound(round, sampled, newGlobalFrames(round, global, control, f.budget(len(sampled)), f.Cfg.ChunkSize))
+	defer f.endRound(r)
+	for j, id := range sampled {
+		st := f.awaitSlot(r, j)
+		if st.err == nil {
+			u := st.update(f.stateLen)
+			if st.err = sink.Fold(j, u); st.err == nil {
+				// Only after the fold accepted the update, so the tracked c_i
+				// follows exactly the uploads the aggregation counted.
+				f.table.addControl(id, u.DeltaC)
+			} else {
+				// The aggregation refused a well-framed update: the party's
+				// fault, permanently.
+				f.evict(id, nil, true, st.err)
+			}
+			f.release(st)
+		}
+		if st.err != nil {
+			if err := sink.Drop(j, st.err); err != nil {
+				return err
+			}
+		}
+		// Every slot counts — folded or dropped — and opens the staging
+		// window one slot further.
+		f.update(func() { r.cursor++ })
 	}
 	f.table.setRound(round + 1)
 	return nil
 }
 
-// broadcast streams the round's global vectors to every live sampled
-// party concurrently — one sender goroutine per connection, so a slow
-// consumer delays only its own stream, never the whole broadcast. A party
-// whose stream cannot be delivered is suspected (its slot is dropped by
-// the fold). Evictions are applied only after every sender has finished,
-// so the fold's upfront dead-party reads never race a sender. The IDs
-// whose broadcast failed are returned for the heal window.
-func (f *Federation) broadcast(bf *globalFrames, sampled []int, limit uint32) map[int]bool {
-	var wg sync.WaitGroup
-	errs := make([]error, len(sampled))
-	for j, id := range sampled {
-		m := f.table.get(id)
-		if !m.alive() {
-			continue
-		}
-		m.conn.SetRecvLimit(limit)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[j] = bf.send(m.conn, m.codec)
-		}()
-	}
-	wg.Wait()
-	failed := map[int]bool{}
-	for j, id := range sampled {
-		// A failed send is transport loss: the party may rejoin.
-		if errs[j] != nil && f.evict(id, nil, false, errs[j]) {
-			failed[id] = true
-		}
-	}
-	return failed
+// foldPolicy is what a receiver serves: turn blocks until the conn of m
+// may read its next stream and returns the round every frame must carry
+// (negative: adopt the first frame's), or false when the receiver is to
+// exit; take consumes the stream read — or the failure, after the
+// receiver evicted the party — and reports whether to read on.
+type foldPolicy interface {
+	turn(m member) (round int, ok bool)
+	take(m member, st stagedUpdate) bool
 }
 
-// healBroadcast is the RejoinGrace window: the round's broadcast failed
-// toward the given parties (now suspect, conns closed), so poll the
-// rejoin queue for up to the grace period, install any rejoins that land
-// and resend the broadcast on the fresh conns. A healed party rejoins
-// the round as if nothing happened — it never saw a complete broadcast,
-// so it trains exactly once, and the fold proceeds with the full sample:
-// the aggregation is bitwise what it would have been without the fault.
-// Parties that do not come back in time stay suspect and are dropped by
-// the fold as usual. Round loop goroutine only.
-func (f *Federation) healBroadcast(bf *globalFrames, want map[int]bool, limit uint32) {
-	deadline := time.Now().Add(f.RejoinGrace)
-	poll := f.RejoinGrace / 50
-	if poll < time.Millisecond {
-		poll = time.Millisecond
+// update runs fn under mu, then wakes every waiter: the senders and
+// receivers on cond, the scheduler on wake. Callers must not hold mu or
+// the table's lock.
+func (f *Federation) update(fn func()) {
+	f.mu.Lock()
+	fn()
+	f.cond.Broadcast()
+	f.mu.Unlock()
+	select {
+	case f.wake <- struct{}{}:
+	default:
 	}
-	for len(want) > 0 && time.Now().Before(deadline) {
-		time.Sleep(poll)
-		for _, m := range f.installQueuedRejoins() {
-			if !want[m.id] {
-				continue // a different party's rejoin: installed, waits for the next round
+}
+
+// changed wakes every waiter after shared state outside the loop moved:
+// membership, a queued rejoin, a fold.
+func (f *Federation) changed() { f.update(func() {}) }
+
+// wait is the scheduler's one wait: it returns when the loop is woken or,
+// for a non-zero deadline, once the deadline passes.
+func (f *Federation) wait(deadline time.Time) {
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case <-f.wake:
+	case <-expired:
+	}
+}
+
+// serving reports whether m's conn is still the party's, in the
+// federation, and the run is not over. Called with mu held.
+func (f *Federation) serving(m member) bool {
+	cur := f.table.get(m.id)
+	return !f.done && cur.conn == m.conn && cur.alive()
+}
+
+// serve starts each member's sender and receiver — once the run has
+// booted under its policy, when every seated conn is served; later conns
+// join as their rejoins are installed — and wakes the loops of the conns
+// they replaced. The conn's replies are bounded to the largest legitimate
+// frame, so a hostile length prefix is refused before the frame is read
+// into memory: the memory contract holds even against
+// admitted-but-malicious parties.
+func (f *Federation) serve(ms ...member) {
+	for _, m := range ms {
+		if f.policy == nil {
+			break
+		}
+		m.conn.SetRecvLimit(recvLimitFor(frameCap(f.Cfg.ChunkSize, f.total)))
+		f.senders.Add(1)
+		f.receivers.Add(1)
+		go f.send(m)
+		go f.receive(m)
+	}
+	if len(ms) > 0 {
+		f.changed()
+	}
+}
+
+// stop is the run's one teardown. Senders go first — a conn must never
+// see two concurrent writers — then a goodbye on every live conn, then
+// the receivers are joined. They are not closed out from under their
+// parties: a receiver still reading drains its conn until the party,
+// having read the ShutdownMsg past any reply it was still uploading,
+// closes its end. The caller's partyTable.shutdown closes what is left.
+func (f *Federation) stop() {
+	f.update(func() { f.done = true })
+	f.senders.Wait()
+	goodbye, _ := Marshal(ShutdownMsg{})
+	for _, m := range f.table.alive() {
+		_ = m.conn.Send(goodbye)
+	}
+	f.receivers.Wait()
+}
+
+// publish installs bf as the newest generation unless a newer one is
+// already live (two async receivers may flush back-to-back and race here
+// — generation order wins, not arrival order). r is the sync round bf
+// belongs to, nil under async.
+func (f *Federation) publish(gen int, bf *globalFrames, r *syncRound) {
+	f.update(func() {
+		if f.bf == nil || gen > f.gen {
+			f.seq++
+			f.gen, f.bf, f.round = gen, bf, r
+		}
+	})
+}
+
+// claim blocks until a generation newer than sent addresses m's party
+// and returns it; false means the sender is to exit.
+func (f *Federation) claim(m member, sent int) (int, *globalFrames, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for f.serving(m) {
+		if _, s := f.round.slotOf(m.id); f.bf != nil && f.seq > sent && (f.round == nil || s != nil && s.conn == nil) {
+			return f.seq, f.bf, true
+		}
+		f.cond.Wait()
+	}
+	return 0, nil, false
+}
+
+// send is a conn's one sender: it ships every generation addressed to
+// its party, as the shared frames for the party's negotiated wire codec
+// (fixed for the conn's lifetime; a rejoin renegotiates on a fresh conn
+// with a fresh sender), until the conn is replaced, evicted or shut down.
+// A failure is transport loss toward that party — or an encode failure (a
+// non-finite value the quantizer refused) poisoning this codec's frame
+// set for the generation; either way the party is cut loose and may
+// rejoin. Under sync the outcome lands in the party's slot, after the
+// eviction: delivery opens the receiver's turn, a loss before any
+// delivery opens the heal window.
+func (f *Federation) send(m member) {
+	defer f.senders.Done()
+	for sent := 0; ; {
+		seq, bf, ok := f.claim(m, sent)
+		if !ok {
+			return
+		}
+		frames, err := bf.frames(m.codec)
+		for i := 0; err == nil && i < len(frames); i++ {
+			err = m.conn.Send(frames[i])
+		}
+		if err != nil {
+			f.evict(m.id, m.conn, false, fmt.Errorf("simnet: send to party %d: %w", m.id, err))
+		}
+		f.update(func() {
+			if _, s := f.round.slotOf(m.id); s != nil && err == nil {
+				s.conn, s.stage = m.conn, slotOpen
+			} else if s != nil {
+				s.stage = slotLost
 			}
-			m.conn.SetRecvLimit(limit)
-			if err := bf.send(m.conn, m.codec); err != nil {
-				f.evict(m.id, nil, false, err)
-				continue
-			}
-			delete(want, m.id)
+		})
+		if err != nil {
+			return
+		}
+		sent = seq
+	}
+}
+
+// receive is a conn's one receiver: it reads one update stream per turn
+// its policy grants and hands it over, until the policy ends it. A failed
+// stream evicts the party from here, the goroutine that noticed, and
+// closing the conn also frees its sender if that is still blocked toward
+// a peer that stopped reading.
+func (f *Federation) receive(m member) {
+	defer f.receivers.Done()
+	for {
+		round, ok := f.policy.turn(m)
+		if !ok {
+			return
+		}
+		st := f.read(m, round)
+		if st.err != nil {
+			_ = m.conn.Close()
+			f.evict(m.id, m.conn, st.fatal, st.err)
+		}
+		if !f.policy.take(m, st) {
+			return
 		}
 	}
 }
 
 // globalFrames is a round broadcast's encode-once frame cache: the first
 // sender for each negotiated wire codec marshals that codec's frame set
-// exactly once, and all later senders of the same codec (the per-party
-// broadcast goroutines, the heal window's resends, the async hub's
-// per-party senders) ship the same immutable byte slices. Server encode
+// exactly once, and every later sender of the same codec — each conn's
+// long-lived sender, a healed party's fresh one included — ships the
+// same immutable byte slices. Server encode
 // CPU stays flat in K — a round broadcast costs one encode pass per
 // distinct codec in the federation, no matter how many parties, over
 // pipes or TCP, receive it. Safe for concurrent use; the slices must
@@ -290,21 +465,6 @@ func (b *globalFrames) frames(codec byte) ([][]byte, error) {
 	return s.fr, s.err
 }
 
-// send ships the broadcast to one party as the shared frame set for its
-// negotiated codec.
-func (b *globalFrames) send(c *CountingConn, codec byte) error {
-	frames, err := b.frames(codec)
-	if err != nil {
-		return err
-	}
-	for _, fr := range frames {
-		if err := c.Send(fr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RoundBytes reports the bytes moved since the previous call, so the
 // engine's CommBytes is measured from the actual serialized traffic
 // (implements the engine's byteMeter).
@@ -316,8 +476,9 @@ func (f *Federation) RoundBytes() int64 {
 }
 
 // run executes the protocol over the seated parties: the shared round
-// engine to completion, synchronous or buffered-async. The caller owns
-// the teardown (partyTable.shutdown).
+// engine to completion, synchronous or buffered-async, with every conn
+// served by the connection loop, which run stops on the way out. The
+// caller owns the rest of the teardown (partyTable.shutdown).
 func (f *Federation) run() (*fl.Result, error) {
 	// The hello handshake is setup traffic, not round traffic: reset the
 	// byte watermark so round 0's measured CommBytes covers only the
@@ -355,8 +516,13 @@ func (f *Federation) run() (*fl.Result, error) {
 			return f.Checkpoint(snap)
 		}
 	}
+	f.stateLen = len(server.State())
+	f.total = f.stateLen + len(server.Control())
+	defer f.stop()
 	if cfg.AsyncBuffer > 0 {
-		return engine.RunAsync(f)
+		return engine.RunAsync(f) // boots the loop under its own policy
 	}
+	f.policy = syncFold{f}
+	f.serve(f.table.alive()...)
 	return engine.Run(f)
 }

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/niid-bench/niidbench/internal/fl"
@@ -73,10 +74,11 @@ func (m member) alive() bool { return m.conn != nil && m.state == partyAlive }
 
 // partyTable is the federation's membership: one member per party ID, the
 // rejoins waiting for a round boundary, and the byte totals of conns a
-// rejoin replaced. It is shared by the round loop, the async
-// sender/receiver goroutines and the accept loop's hello handlers; its
-// methods are the only code that takes mu, and none of them waits on a
-// conn while holding it.
+// rejoin replaced. It is shared by the scheduler goroutine, every conn's
+// sender and receiver and the accept loop's hello handlers; its methods
+// are the only code that takes mu, none of them waits on a conn while
+// holding it, and none calls out while holding it (the federation's
+// connection loop takes its own lock first).
 type partyTable struct {
 	mu      sync.Mutex
 	members []member
@@ -85,7 +87,7 @@ type partyTable struct {
 	// signal, and a happens-before edge from every admission to the run.
 	full chan struct{}
 	// rejoins are validated rejoin hellos — each the member its party
-	// becomes — parked until the round boundary.
+	// becomes — parked until the scheduler installs them.
 	rejoins []member
 	// retired is the traffic of replaced conns, so the table holds one conn
 	// per party however often a party flaps and totalBytes stays exact.
@@ -188,9 +190,10 @@ func (t *partyTable) evict(id int, c *CountingConn, permanent bool) bool {
 	return true
 }
 
-// queueRejoin parks m, the member a rejoin hello describes, until the next
-// round boundary. The federation may be mid-round, which is exactly why
-// nothing is installed here. A queued rejoin for the same party is
+// queueRejoin parks m, the member a rejoin hello describes, until the
+// scheduler installs it: at the next round boundary, or at once when it
+// heals the party's failed broadcast. The federation may be mid-round,
+// which is exactly why nothing is installed here. A queued rejoin for the same party is
 // superseded (the party redialed again — perhaps its ResyncMsg wait timed
 // out), and a rejoin while the party still looks alive is accepted too:
 // the party knows its conn died before the server's next send would
@@ -216,20 +219,19 @@ func (t *partyTable) queueRejoin(m member) error {
 	return nil
 }
 
-// drainRejoins hands the parked rejoins to the round loop.
-func (t *partyTable) drainRejoins() []member {
+// drainRejoins hands the parked rejoins keep accepts (nil: all of them)
+// to the scheduler and leaves the rest parked.
+func (t *partyTable) drainRejoins(keep func(id int) bool) (taken []member) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	queued := t.rejoins
-	t.rejoins = nil
-	return queued
-}
-
-// rejoinQueued reports whether any rejoin is waiting for a round boundary.
-func (t *partyTable) rejoinQueued() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.rejoins) > 0
+	t.rejoins = slices.DeleteFunc(t.rejoins, func(m member) bool {
+		if keep == nil || keep(m.id) {
+			taken = append(taken, m)
+			return true
+		}
+		return false
+	})
+	return taken
 }
 
 // setRound moves the ResyncMsg round stamp.
@@ -319,7 +321,7 @@ func (t *partyTable) shutdown() {
 			_ = m.conn.Close()
 		}
 	}
-	for _, m := range t.drainRejoins() {
+	for _, m := range t.drainRejoins(nil) {
 		_ = m.conn.Close()
 	}
 }

@@ -2,18 +2,19 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"github.com/niid-bench/niidbench/internal/fl"
 	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
-// This file is the server's receive side: one updateReader per party conn
-// turns chunk frames into complete, validated update streams, and the
-// synchronous scheduler (recvRound) folds them in sampled order. The
-// asynchronous scheduler in async.go consumes the same reader in arrival
-// order.
+// This file is the server's receive side: one reader (Federation.read),
+// driven by each conn's long-lived receiver (Federation.receive), turns
+// chunk frames into complete, validated update streams, and the
+// synchronous fold policy (syncFold) stages them for the round loop to
+// fold in sampled order. The asynchronous policy in async.go consumes the
+// same reader in arrival order.
 
 // frameCap resolves the configured chunk size against a stream of total
 // elements: the largest payload, in elements, one legitimate frame may
@@ -92,68 +93,53 @@ func (st stagedUpdate) update(stateLen int) fl.Update {
 	return u
 }
 
-// updateReader reads one party's update streams off its conn. Every
-// frame is decoded in place into one pooled stream-length buffer — no
-// per-frame buffer, no copy — after its header passed the stream
-// contract, so server-side transient memory is one stream per reader that
-// is actually reading.
-type updateReader struct {
-	f        *Federation
-	id       int
-	conn     *CountingConn
-	meta     fl.UpdateMeta // the N/Tau every frame must repeat
-	total    int           // stream length in elements
-	maxFrame int           // largest legitimate frame payload in elements
-	// idleStart lifts RoundTimeout from a stream's first frame: an async
-	// party legitimately idles between generations for as long as the
-	// flush schedule takes, so only the gaps inside a stream are bounded.
-	// A synchronous round bounds the first gap too (it must cover the
-	// party's local training).
-	idleStart bool
-}
-
-func (f *Federation) newUpdateReader(id int, conn *CountingConn, meta fl.UpdateMeta, total int) *updateReader {
-	return &updateReader{
-		f: f, id: id, conn: conn, meta: meta, total: total,
-		maxFrame: frameCap(f.Cfg.ChunkSize, total),
-	}
-}
-
 // release returns a consumed update's stream buffer to the shared pool.
 func (f *Federation) release(st stagedUpdate) {
 	tensor.Shared.Put(st.buf)
 	f.streamsOut.Add(-1)
 }
 
-// read receives one complete stream. round pins the round every frame
+// read receives one complete stream from src's conn — each frame decoded
+// in place into one pooled stream-length buffer after its header passed
+// the stream contract: no per-frame buffer, no copy, and server-side
+// transient memory is one stream per receiver actually reading. round
+// pins the round every frame
 // must carry; a negative round adopts the first frame's (the async
-// generation tag). On success the caller owns the update's pooled buffer
-// and must release it; on failure (err set) it is already recycled.
-func (r *updateReader) read(round int) stagedUpdate {
-	buf := tensor.Shared.GetRaw(tensor.Float64, r.total)
-	r.f.streamsOut.Add(1)
+// generation tag) and lifts RoundTimeout from the stream's first frame:
+// an async party legitimately idles between generations for as long as
+// the flush schedule takes, so only the gaps inside its stream are
+// bounded, while a synchronous round bounds the first gap too (it covers
+// the party's local training). On success the caller owns the update's
+// pooled buffer and must release it; on failure (err set) it is already
+// recycled.
+func (f *Federation) read(src member, round int) stagedUpdate {
+	total := f.total
+	maxFrame := frameCap(f.Cfg.ChunkSize, total)
+	buf := tensor.Shared.GetRaw(tensor.Float64, total)
+	f.streamsOut.Add(1)
 	data := buf.Data()
 	fail := func(fatal bool, err error) stagedUpdate {
 		tensor.Shared.Put(buf)
-		r.f.streamsOut.Add(-1)
+		f.streamsOut.Add(-1)
 		return stagedUpdate{err: err, fatal: fatal}
 	}
 	var codec byte
+	idle := round < 0
 	for done := 0; ; {
-		if timeout := r.f.RoundTimeout; timeout > 0 {
+		if timeout := f.RoundTimeout; timeout > 0 {
 			var deadline time.Time
-			if done > 0 || !r.idleStart {
+			if done > 0 || !idle {
 				deadline = time.Now().Add(timeout)
 			}
-			_ = r.conn.SetReadDeadline(deadline)
+			_ = src.conn.SetReadDeadline(deadline)
 		}
-		raw, err := r.conn.Recv()
+		raw, err := src.conn.Recv()
 		if err != nil {
-			return fail(false, fmt.Errorf("simnet: recv from party %d: %w", r.id, err))
+			return fail(false, fmt.Errorf("simnet: recv from party %d: %w", src.id, err))
 		}
 		m, p, err := parseUpdateChunk(raw)
 		if err != nil {
-			return fail(true, fmt.Errorf("simnet: bad frame from party %d: %w", r.id, err))
+			return fail(true, fmt.Errorf("simnet: bad frame from party %d: %w", src.id, err))
 		}
 		if done == 0 {
 			codec = m.Codec
@@ -170,26 +156,26 @@ func (r *updateReader) read(round int) stagedUpdate {
 			err = fmt.Errorf("switched wire codec %s -> %s mid-stream", codecName(codec), codecName(m.Codec))
 		case m.Round != round:
 			err = fmt.Errorf("sent a frame for round %d in a stream for round %d", m.Round, round)
-		case m.Total != r.total:
-			err = fmt.Errorf("declared stream length %d, expected %d", m.Total, r.total)
-		case m.N != r.meta.N || m.Tau != r.meta.Tau:
+		case m.Total != total:
+			err = fmt.Errorf("declared stream length %d, expected %d", m.Total, total)
+		case m.N != src.meta.N || m.Tau != src.meta.Tau:
 			// Checked on every frame — this is why the trailer metadata
 			// repeats — so a mismatched update is refused on its first
 			// frame, not after its whole stream was staged.
 			err = fmt.Errorf("frame meta (n=%d tau=%d) does not match expected (n=%d tau=%d)",
-				m.N, m.Tau, r.meta.N, r.meta.Tau)
-		case p.count > r.maxFrame:
+				m.N, m.Tau, src.meta.N, src.meta.Tau)
+		case p.count > maxFrame:
 			// The negotiated frame size is the flow-control contract: the
 			// receive limit and the sender's pacing both assume it.
-			err = fmt.Errorf("sent a %d-element frame, frame size is %d", p.count, r.maxFrame)
+			err = fmt.Errorf("sent a %d-element frame, frame size is %d", p.count, maxFrame)
 		default:
-			err = checkFrame(m.Offset, p.count, done, r.total, m.Last)
+			err = checkFrame(m.Offset, p.count, done, total, m.Last)
 		}
 		if err == nil {
 			err = p.decodeInto(data[done:end])
 		}
 		if err != nil {
-			return fail(true, fmt.Errorf("simnet: party %d: %w", r.id, err))
+			return fail(true, fmt.Errorf("simnet: party %d: %w", src.id, err))
 		}
 		if done = end; m.Last {
 			return stagedUpdate{
@@ -208,129 +194,164 @@ func (r *updateReader) read(round int) stagedUpdate {
 // whole of the server's transient receive memory.
 const foldAhead = 4
 
-// foldGate bounds how far past the fold cursor the synchronous readers
-// may run: reader j may receive its stream only once j < cursor +
-// foldAhead, no matter how out-of-order the arrivals are. advance moves
-// the cursor one slot (folded, dropped, or dead — every slot counts);
-// abort releases every waiter when the round dies.
-type foldGate struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	cursor  int
-	aborted bool
+// syncRound is one synchronous round as the connection loop sees it: the
+// sample, one slot per sampled party, and the fold cursor. Guarded by the
+// federation's mu.
+type syncRound struct {
+	index  map[int]int // party ID → slot
+	slots  []slot
+	cursor int // the next slot the round loop folds or drops
+	// healBy closes the heal window: RejoinGrace after the broadcast was
+	// published.
+	healBy time.Time
 }
 
-func newFoldGate() *foldGate {
-	g := &foldGate{}
-	g.cond = sync.NewCond(&g.mu)
-	return g
+// slot is one sampled party's progress through a round.
+type slot struct {
+	id    int
+	conn  *CountingConn // the conn the broadcast was delivered on, nil until then
+	stage slotStage
+	st    stagedUpdate // the complete stream, while slotStaged
 }
 
-// waitTurn blocks until slot j is within the staging window (always
-// immediate for the cursor slot itself) and reports false when the round
-// aborted instead.
-func (g *foldGate) waitTurn(j int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for j >= g.cursor+foldAhead && !g.aborted {
-		g.cond.Wait()
+// slotStage is where a slot's reply stands.
+type slotStage uint8
+
+const (
+	slotOpen    slotStage = iota // waiting for the broadcast or the stream
+	slotReading                  // a receiver holds the turn
+	slotStaged                   // st waits for the fold
+	slotTaken                    // the round loop took st
+	slotLost                     // the conn serving the slot died (and the party was evicted)
+)
+
+// slotOf returns party id's slot and its index, a nil slot when r is nil
+// or id not sampled.
+func (r *syncRound) slotOf(id int) (int, *slot) {
+	if r != nil {
+		if j, ok := r.index[id]; ok {
+			return j, &r.slots[j]
+		}
 	}
-	return !g.aborted
+	return -1, nil
 }
 
-func (g *foldGate) advance() {
-	g.mu.Lock()
-	g.cursor++
-	g.mu.Unlock()
-	g.cond.Broadcast()
+// healUntil returns the end of s's heal window while it is open — its
+// broadcast failed before it was ever delivered, and RejoinGrace has not
+// run out — and zero otherwise.
+func (r *syncRound) healUntil(s slot) time.Time {
+	if s.stage == slotLost && s.conn == nil && time.Now().Before(r.healBy) {
+		return r.healBy
+	}
+	return time.Time{}
 }
 
-func (g *foldGate) abort() {
-	g.mu.Lock()
-	g.aborted = true
-	g.mu.Unlock()
-	g.cond.Broadcast()
+// syncFold is the synchronous fold policy — the fold gate: a receiver's
+// turn comes when the round samples its party, the broadcast went out on
+// its conn, and the party's slot j is within the staging window (j <
+// cursor + foldAhead), no matter how out-of-order the arrivals are.
+type syncFold struct{ f *Federation }
+
+func (p syncFold) turn(m member) (int, bool) {
+	f := p.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for f.serving(m) {
+		j, s := f.round.slotOf(m.id)
+		if s != nil && s.conn == m.conn && s.stage == slotOpen && j < f.round.cursor+foldAhead {
+			s.stage = slotReading
+			return f.gen, true
+		}
+		f.cond.Wait()
+	}
+	return 0, false
 }
 
-var errRoundAborted = fmt.Errorf("simnet: round aborted")
+// take stages a complete stream in the party's slot, or marks the slot
+// lost — the receiver already evicted the party. A stream whose round is
+// over (aborted) is recycled.
+func (p syncFold) take(m member, st stagedUpdate) bool {
+	p.f.update(func() {
+		if _, s := p.f.round.slotOf(m.id); s != nil && s.stage == slotReading && s.conn == m.conn {
+			s.stage, s.st = slotLost, st
+			if st.err == nil {
+				s.stage = slotStaged
+			}
+		} else if st.err == nil {
+			p.f.release(st)
+		}
+	})
+	return st.err == nil
+}
 
-// recvRound is the synchronous scheduler: it receives the sampled
-// parties' update streams concurrently — each on its own updateReader,
-// admitted by the fold gate — and folds the complete streams in sampled
-// order, each straight from its reader's pooled buffer. Every party's
-// stream is validated and assembled the moment its frames arrive (subject
-// to the fold-ahead window), so one slow party delays the fold by only
-// its own stream; the fold itself stays in sampled order over whole
-// streams, so the aggregation's floating-point sequence is deterministic
-// for a given sample whatever the wire order was. A party whose stream
-// arrives malformed (or whose conn dies mid-stream) is evicted and
-// dropped from the round, not fatal to it. total is the stream length:
-// stateLen, plus SCAFFOLD's control suffix.
-func (f *Federation) recvRound(round int, sampled []int, stateLen, total int, sink *fl.RoundSink) error {
-	staged := make([]chan stagedUpdate, len(sampled))
-	gate := newFoldGate()
+// beginRound publishes round num's broadcast, addressed to the sample,
+// and opens its slots.
+func (f *Federation) beginRound(num int, sampled []int, bf *globalFrames) *syncRound {
+	r := &syncRound{index: make(map[int]int, len(sampled)), slots: make([]slot, len(sampled)),
+		healBy: time.Now().Add(f.RejoinGrace)}
 	for j, id := range sampled {
-		m := f.table.get(id)
-		if !m.alive() {
-			continue // no reader; the fold drops this slot upfront
+		r.index[id], r.slots[j].id = j, id
+		if !f.table.get(id).alive() {
+			r.slots[j].stage = slotLost // no sender will report for it
 		}
-		staged[j] = make(chan stagedUpdate, 1)
-		r := f.newUpdateReader(id, m.conn, sink.Meta(j), total)
-		go func(j int) {
-			if !gate.waitTurn(j) {
-				staged[j] <- stagedUpdate{err: errRoundAborted}
-				return
-			}
-			staged[j] <- r.read(round)
-		}(j)
 	}
-	// fatal aborts the round: release every reader still waiting on the
-	// gate and recycle whatever the in-flight ones deliver, so no pooled
-	// buffer outlives the round. (A reader mid-Recv ends when serve's
-	// teardown closes its conn.)
-	fatal := func(from int, err error) error {
-		gate.abort()
-		for _, ch := range staged[from:] {
-			if ch == nil {
-				continue
+	f.publish(num, bf, r)
+	return r
+}
+
+// endRound retires round r. A round that ran to its end resolved every
+// slot through the goroutine that settled it — a sender's delivery or
+// loss, a receiver's stream or loss, each reported after its eviction —
+// so no sender still reads the engine's global and every eviction the
+// round caused has been reported before the next round samples. Only an
+// aborted round (a fold bookkeeping error, which ends the run) leaves
+// staged streams to recycle; its readers still mid-stream recycle theirs
+// in take.
+func (f *Federation) endRound(r *syncRound) {
+	f.update(func() {
+		for j := range r.slots {
+			if s := &r.slots[j]; s.stage == slotStaged {
+				f.release(s.st)
+				s.stage = slotTaken
 			}
-			go func() {
-				if st := <-ch; st.err == nil {
-					f.release(st)
-				}
-			}()
 		}
-		return err
+		f.bf, f.round = nil, nil
+	})
+}
+
+// awaitSlot blocks until slot j resolves for the round loop: the party's
+// complete stream, staged by its receiver, or a loss to drop. A slot whose
+// broadcast failed waits out the heal window: the party's rejoin is
+// installed the moment it is queued, the fresh conn's sender delivers the
+// round's broadcast because it is still owed to the party, and the fresh
+// receiver takes the slot. A healed party never saw a complete broadcast
+// before, so it trains exactly once, and the aggregation is bitwise what
+// it would have been without the fault. Only a failed broadcast is
+// healed; a party lost after it (mid-training or mid-reply) is dropped,
+// and its rejoin waits for the next round.
+func (f *Federation) awaitSlot(r *syncRound, j int) stagedUpdate {
+	for {
+		var heal []int
+		f.mu.Lock()
+		for _, s := range r.slots[j:] {
+			if !r.healUntil(s).IsZero() {
+				heal = append(heal, s.id)
+			}
+		}
+		s := &r.slots[j]
+		st, stage, until := s.st, s.stage, r.healUntil(*s)
+		if stage == slotStaged {
+			s.stage, s.st = slotTaken, stagedUpdate{}
+		}
+		f.mu.Unlock()
+		switch {
+		case stage == slotStaged:
+			return st
+		case stage == slotLost && until.IsZero():
+			return stagedUpdate{err: fmt.Errorf("simnet: party %d left the round", s.id)}
+		case len(heal) > 0:
+			f.installQueuedRejoins(func(id int) bool { return slices.Contains(heal, id) })
+		}
+		f.wait(until)
 	}
-	for j, id := range sampled {
-		var st stagedUpdate
-		if staged[j] == nil {
-			st.err = fmt.Errorf("simnet: party %d left the federation in an earlier round", id)
-		} else if st = <-staged[j]; st.err != nil {
-			// The reader classified the failure; eviction stays on the round
-			// loop goroutine.
-			f.evict(id, nil, st.fatal, st.err)
-		} else {
-			u := st.update(stateLen)
-			err := sink.Fold(j, u)
-			if err == nil {
-				// Only after the fold accepted the update, so the tracked c_i
-				// follows exactly the uploads the aggregation counted.
-				f.table.addControl(id, u.DeltaC)
-			}
-			f.release(st)
-			if st.err = err; err != nil {
-				// The aggregation refused a well-framed update: the party's
-				// fault, permanently.
-				f.evict(id, nil, true, err)
-			}
-		}
-		if st.err != nil {
-			if err := sink.Drop(j, st.err); err != nil {
-				return fatal(j+1, err)
-			}
-		}
-		gate.advance()
-	}
-	return nil
 }
