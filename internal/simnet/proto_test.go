@@ -245,10 +245,16 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 	badMagic[1] = 0x00
 	truncated := good[:2] // tag + magic, version byte missing
 
+	rawDone := make(chan struct{})
 	res, peerErrs, err := federateTCP(ln, len(locals), cfg, spec, test, len(locals)+1, func(i int) error {
 		if i == len(locals) {
+			defer close(rawDone)
 			return errors.Join(dialRaw(addr, stale), dialRaw(addr, badMagic), dialRaw(addr, truncated))
 		}
+		// The run starts once the honest parties are in, and a short run
+		// can end before a raw dial is read, expiring it unjudged. Each
+		// dialRaw returns only after the server judged and hung up on it.
+		<-rawDone
 		return DialPartyOpts(addr, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{})
 	})
 	if err != nil {
