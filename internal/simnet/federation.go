@@ -58,16 +58,16 @@ type Federation struct {
 	// synchronous round, and zero between rounds.
 	streamsOut atomic.Int64
 
-	// The connection loop. mu guards the fields below it; cond wakes the
-	// senders and receivers waiting on them; wake holds the scheduler's
-	// pending wake-up. Lock order: mu before the table's lock.
+	// The connection loop. The policy (nil until the run boots) and the
+	// update stream shape are set before the first loop starts.
+	policy          foldPolicy
+	stateLen, total int
+	// mu guards the fields below it; cond wakes the senders and receivers
+	// waiting on them; wake holds the scheduler's pending wake-up. Lock
+	// order: mu before the table's lock.
 	mu   sync.Mutex
 	cond *sync.Cond
 	wake chan struct{}
-	// Fixed when the run boots: the policy (nil before) and the update
-	// stream shape.
-	policy          foldPolicy
-	stateLen, total int
 	// The published generation: seq counts publications, so a sender
 	// knows what it has shipped; gen is its number — the round, under
 	// sync — and orders async generations; bf is nil when none is live
@@ -78,7 +78,8 @@ type Federation struct {
 	round    *syncRound
 	done     bool
 
-	senders, receivers sync.WaitGroup
+	// loops counts the running senders and receivers.
+	loops sync.WaitGroup
 }
 
 // newFederation builds the server side of a federation of numParties: the
@@ -277,8 +278,7 @@ func (f *Federation) serve(ms ...member) {
 			break
 		}
 		m.conn.SetRecvLimit(recvLimitFor(frameCap(f.Cfg.ChunkSize, f.total)))
-		f.senders.Add(1)
-		f.receivers.Add(1)
+		f.loops.Add(2)
 		go f.send(m)
 		go f.receive(m)
 	}
@@ -287,20 +287,15 @@ func (f *Federation) serve(ms ...member) {
 	}
 }
 
-// stop is the run's one teardown. Senders go first — a conn must never
-// see two concurrent writers — then a goodbye on every live conn, then
-// the receivers are joined. They are not closed out from under their
-// parties: a receiver still reading drains its conn until the party,
-// having read the ShutdownMsg past any reply it was still uploading,
-// closes its end. The caller's partyTable.shutdown closes what is left.
+// stop is the run's one teardown: it ends every conn's loop and waits for
+// them. Each live conn's sender, its one writer, says goodbye on its way
+// out. Receivers are not closed out from under their parties: one still
+// reading drains its conn until the party, having read the ShutdownMsg
+// past any reply it was still uploading, closes its end. The caller's
+// partyTable.shutdown closes what is left.
 func (f *Federation) stop() {
 	f.update(func() { f.done = true })
-	f.senders.Wait()
-	goodbye, _ := Marshal(ShutdownMsg{})
-	for _, m := range f.table.alive() {
-		_ = m.conn.Send(goodbye)
-	}
-	f.receivers.Wait()
+	f.loops.Wait()
 }
 
 // publish installs bf as the newest generation unless a newer one is
@@ -341,10 +336,14 @@ func (f *Federation) claim(m member, sent int) (int, *globalFrames, bool) {
 // eviction: delivery opens the receiver's turn, a loss before any
 // delivery opens the heal window.
 func (f *Federation) send(m member) {
-	defer f.senders.Done()
+	defer f.loops.Done()
 	for sent := 0; ; {
 		seq, bf, ok := f.claim(m, sent)
 		if !ok {
+			// The run is over — or the conn is gone, already closed, and
+			// the goodbye just fails.
+			goodbye, _ := Marshal(ShutdownMsg{})
+			_ = m.conn.Send(goodbye)
 			return
 		}
 		frames, err := bf.frames(m.codec)
@@ -374,7 +373,7 @@ func (f *Federation) send(m member) {
 // closing the conn also frees its sender if that is still blocked toward
 // a peer that stopped reading.
 func (f *Federation) receive(m member) {
-	defer f.receivers.Done()
+	defer f.loops.Done()
 	for {
 		round, ok := f.policy.turn(m)
 		if !ok {
