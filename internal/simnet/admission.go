@@ -49,15 +49,15 @@ type ServerOptions struct {
 	// whose broadcast fails toward some party waits — up to this long
 	// after the broadcast began — for that party's rejoin before
 	// proceeding without it, woken by the rejoin itself, which is
-	// installed the moment it is queued. A death
-	// discovered at the broadcast — before the party trained or any update
-	// was folded — is the one failure that can be repaired mid-round
-	// without touching the math: the rejoined conn's fresh sender just
-	// delivers the same broadcast. Healing here is what makes a
-	// between-rounds conn loss bitwise-invisible to the aggregation; zero
-	// (the default) skips the wait and lets the round drop the party as
-	// usual. Under async it is how long a federation that lost every party
-	// waits for a rejoin before failing.
+	// installed the moment it is queued. A death discovered at the
+	// broadcast — before the party trained or any update was folded — is
+	// the one failure that can be repaired mid-round without touching the
+	// math: the rejoined conn's fresh sender just delivers the same
+	// broadcast. Healing here is what makes a between-rounds conn loss
+	// bitwise-invisible to the aggregation; zero (the default) skips the
+	// wait and lets the round drop the party as usual. Under async it is
+	// how long a federation that lost every party waits for a rejoin
+	// before failing.
 	RejoinGrace time.Duration
 	// OnReject, when set, is called with the reason each invalid
 	// connection (bad hello, wrong protocol version or magic, out-of-range

@@ -76,9 +76,9 @@ func (m member) alive() bool { return m.conn != nil && m.state == partyAlive }
 // rejoins waiting for a round boundary, and the byte totals of conns a
 // rejoin replaced. It is shared by the scheduler goroutine, every conn's
 // sender and receiver and the accept loop's hello handlers; its methods
-// are the only code that takes mu, none of them waits on a conn while
-// holding it, and none calls out while holding it (the federation's
-// connection loop takes its own lock first).
+// are the only code that takes mu, and none of them waits on a conn or
+// takes another lock while holding it (the federation's connection loop
+// takes its own lock first).
 type partyTable struct {
 	mu      sync.Mutex
 	members []member
