@@ -290,7 +290,10 @@ func TestAdmissionTable(t *testing.T) {
 						h.before(fed)
 					}
 					was := held()
-					settled := func() bool { return h.settled == nil || h.settled(fed) }
+					// A refused hello settles only as its rejection: the TCP
+					// driver must wait for OnReject, not take a quiet table for
+					// an answer.
+					settled := func() bool { return h.wantErr == "" && (h.settled == nil || h.settled(fed)) }
 					var end Conn
 					var err error
 					if h.direct {

@@ -102,9 +102,9 @@ func (f *Federation) release(st stagedUpdate) {
 // read receives one complete stream from src's conn — each frame decoded
 // in place into one pooled stream-length buffer after its header passed
 // the stream contract: no per-frame buffer, no copy, and server-side
-// transient memory is one stream per receiver actually reading. round
-// pins the round every frame
-// must carry; a negative round adopts the first frame's (the async
+// transient memory is one stream per receiver actually reading. Every
+// frame must repeat the N/Tau of src's hello. round pins the round every
+// frame must carry; a negative round adopts the first frame's (the async
 // generation tag) and lifts RoundTimeout from the stream's first frame:
 // an async party legitimately idles between generations for as long as
 // the flush schedule takes, so only the gaps inside its stream are
