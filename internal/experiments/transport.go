@@ -268,16 +268,16 @@ func runChaosCell(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test
 		OnEvict:      func(*simnet.EvictionError) { evictions.Add(1) },
 		RoundTimeout: 20 * time.Second,
 	}
-	// Without rejoin nobody is coming back: waiting out the default retry
+	// Without rejoin nobody is coming back: waiting out the default quorum
 	// budget would only stall the cell.
-	cfg.QuorumRetries, cfg.QuorumRetryWait = 4, 50*time.Millisecond
+	cfg.QuorumWait = 200 * time.Millisecond
 	if rejoin {
-		// Give departed parties a window to come back before the round is
-		// re-attempted, and require half the federation to proceed. The
-		// broadcast heal window lets a party whose conn died between rounds
-		// catch this round's broadcast on its fresh conn.
+		// Require half the federation to proceed, and give departed parties
+		// a window to come back. The broadcast heal window lets a party
+		// whose conn died between rounds catch this round's broadcast on
+		// its fresh conn.
 		opts.RejoinGrace = 2 * time.Second
-		cfg.MinParties, cfg.QuorumRetries = (len(locals)+1)/2, 100
+		cfg.MinParties, cfg.QuorumWait = (len(locals)+1)/2, 5*time.Second
 	}
 	// Party errors are dropped: no-rejoin parties die with their conns, and
 	// rejoining parties fail their final redials once the server is gone.

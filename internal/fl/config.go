@@ -213,20 +213,19 @@ type Config struct {
 	// the quantization granularity — and the codec is negotiated per party
 	// at the hello with raw float64 as the fallback. See the Codec type.
 	Codec Codec
-	// MinParties is the round quorum under elastic membership: a round
-	// attempt whose live party set (alive + rejoined, excluding suspects
-	// and evicted parties) is smaller than this is skipped and retried
-	// with a typed *QuorumError instead of running degenerate or aborting
-	// the federation. Default 1 — any live party keeps rounds closing.
-	// Only meaningful on transports with churn (the simnet federation);
-	// the in-process simulation's membership is fixed.
+	// MinParties is the round quorum under elastic membership: while the
+	// live party set (alive + rejoined, excluding suspects and evicted
+	// parties) is smaller than this, the transport waits for parties to
+	// rejoin instead of running degenerate or aborting the federation.
+	// Default 1 — any live party keeps rounds closing. Only meaningful on
+	// transports with churn (the simnet federation); the in-process
+	// simulation's membership is fixed.
 	MinParties int
-	// QuorumRetries bounds how many times one round may be skipped for
-	// lack of quorum before the federation gives up and returns the
-	// *QuorumError (default 120). QuorumRetryWait is the pause between
-	// attempts (default 250ms), giving dropped parties time to rejoin.
-	QuorumRetries   int
-	QuorumRetryWait time.Duration
+	// QuorumWait bounds that wait (default 30s): it runs from a round's
+	// first attempt that came up short — too few live parties, or every
+	// update lost — and once it is spent the run ends with a typed
+	// *QuorumError.
+	QuorumWait time.Duration
 	// DType selects the local-training compute backend: tensor.Float64
 	// (the default) or tensor.Float32, which halves kernel memory traffic
 	// and doubles SIMD width. Aggregation, the exchanged state vectors and
@@ -350,17 +349,11 @@ func (c Config) Normalize() (Config, error) {
 		return c, fmt.Errorf("fl: codec %q cannot be combined with CompressTopK %v: integer quantization's per-chunk scale destroys top-k's surviving small entries; use codec f32 with top-k, or %s alone",
 			c.Codec, c.CompressTopK, c.Codec)
 	}
-	if c.QuorumRetries < 0 {
-		return c, fmt.Errorf("fl: negative quorum retry budget %d", c.QuorumRetries)
+	if c.QuorumWait < 0 {
+		return c, fmt.Errorf("fl: negative quorum wait %v", c.QuorumWait)
 	}
-	if c.QuorumRetries == 0 {
-		c.QuorumRetries = 120
-	}
-	if c.QuorumRetryWait < 0 {
-		return c, fmt.Errorf("fl: negative quorum retry wait %v", c.QuorumRetryWait)
-	}
-	if c.QuorumRetryWait == 0 {
-		c.QuorumRetryWait = 250 * time.Millisecond
+	if c.QuorumWait == 0 {
+		c.QuorumWait = 30 * time.Second
 	}
 	switch c.DType {
 	case tensor.Float64, tensor.Float32:

@@ -21,7 +21,7 @@ func TestNormalize(t *testing.T) {
 		Algorithm: FedAvg, Rounds: 50, LocalEpochs: 10, BatchSize: 64, LR: 0.01, Momentum: 0.9,
 		SampleFraction: 1, Variant: ScaffoldReuse, ServerLR: 1, Seed: 1, Parallelism: runtime.GOMAXPROCS(0),
 		EvalEvery: 1, Alpha: 0.01, MoonMu: 1, ServerOptimizer: ServerSGD, Sampling: SampleRandom,
-		MinParties: 1, Codec: CodecF64, QuorumRetries: 120, QuorumRetryWait: 250 * time.Millisecond,
+		MinParties: 1, Codec: CodecF64, QuorumWait: 30 * time.Second,
 	}
 	with := func(mutate func(*Config)) *Config {
 		c := defaults
@@ -58,8 +58,7 @@ func TestNormalize(t *testing.T) {
 		{name: "negative quorum", in: Config{MinParties: -1}, err: "negative quorum"},
 		{name: "negative async buffer", in: Config{AsyncBuffer: -1}, err: "negative async buffer"},
 		{name: "unknown codec", in: Config{Codec: "f16"}, err: "unknown codec"},
-		{name: "negative quorum retries", in: Config{QuorumRetries: -1}, err: "negative quorum retry budget"},
-		{name: "negative quorum wait", in: Config{QuorumRetryWait: -1}, err: "negative quorum retry wait"},
+		{name: "negative quorum wait", in: Config{QuorumWait: -1}, err: "negative quorum wait"},
 		{name: "unknown dtype", in: Config{DType: tensor.DType(7)}, err: "unknown dtype"},
 
 		// Integer quantization's one-scale-per-frame zeroes top-k's small
@@ -130,7 +129,7 @@ func TestSimulationRefusesWireConfigs(t *testing.T) {
 // either hashed or consciously listed here.
 func TestFingerprintCoversEveryField(t *testing.T) {
 	transportOnly := map[string]bool{
-		"Parallelism": true, "MinParties": true, "QuorumRetries": true, "QuorumRetryWait": true,
+		"Parallelism": true, "MinParties": true, "QuorumWait": true,
 		"ChunkSize": true, // under a lossless codec; the lossy rows are TestConfigFingerprint's
 	}
 	base := quickCfg(FedAvg)

@@ -14,26 +14,35 @@ import (
 // drop, flap and rejoin). SyncMembership is called at the top of every
 // round attempt, from the round loop goroutine: the transport applies any
 // pending departures and rejoins there — never mid-round — and returns
-// the live mask, one entry per party. Parties whose entry is false are
-// excluded from sampling, so dead parties stop consuming round capacity.
-// A nil receiver behavior (transport does not implement Membership) means
-// every party is always live.
+// the live mask, one entry per party, once at least Config.MinParties
+// parties are live, waiting for departed parties to rejoin if need be.
+// Parties whose entry is false are excluded from sampling, so dead parties
+// stop consuming round capacity. short, when non-nil, records the round's
+// shortfall so far: the round had to wait for quorum, or an earlier
+// attempt of it lost every update (the engine then calls again for the
+// same round). The wait is the transport's: once the round has been short
+// for Config.QuorumWait, SyncMembership returns the *QuorumError as err
+// and the run ends. A transport that does not implement Membership has
+// every party live, always.
 type Membership interface {
-	SyncMembership(round int) (live []bool)
+	SyncMembership(round int) (live []bool, short *QuorumError, err error)
 }
 
-// QuorumError reports a round attempt that could not run because the live
-// party set had shrunk below Config.MinParties. The engine skips and
-// retries such a round (up to Config.QuorumRetries attempts, waiting
-// Config.QuorumRetryWait between them) instead of aborting the
-// federation; the error aborts the run — and is returned, errors.As-able
-// — only when the retry budget is exhausted.
+// QuorumError reports a round that could not run because the live party
+// set had shrunk below Config.MinParties, or because every attempt at it
+// lost every update. Returned — errors.As-able — it ends the run: the
+// transport waited Config.QuorumWait for parties to rejoin and none
+// brought the round to quorum. Recorded in RoundMetrics.Quorum, it is the
+// shortfall a completed round waited out.
 type QuorumError struct {
 	// Round is the round that could not start.
 	Round int
-	// Live and Min are the live party count and the configured quorum.
+	// Live and Min are the live party count at the last short attempt (0
+	// for an attempt that lost every update) and the configured quorum.
 	Live, Min int
-	// Attempts is how many times this round was skipped so far.
+	// Attempts counts how often the round fell short: once for each
+	// attempt that had to wait for quorum, and once for each that lost
+	// every update.
 	Attempts int
 }
 
@@ -233,18 +242,11 @@ func (e *Engine) commBytesForUpdate(u Update) int64 {
 func (e *Engine) RunRound(tr Transport, round int) (RoundMetrics, error) {
 	start := time.Now()
 	var live []bool
+	var short *QuorumError
 	if mb, ok := tr.(Membership); ok {
-		live = mb.SyncMembership(round)
-	}
-	if live != nil {
-		alive := 0
-		for _, ok := range live {
-			if ok {
-				alive++
-			}
-		}
-		if min := e.cfg.MinParties; alive < min {
-			return RoundMetrics{Round: round}, &QuorumError{Round: round, Live: alive, Min: min}
+		var err error
+		if live, short, err = mb.SyncMembership(round); err != nil {
+			return RoundMetrics{Round: round}, err
 		}
 	}
 	sampled := e.sampleParties(live)
@@ -274,17 +276,6 @@ func (e *Engine) RunRound(tr Transport, round int) (RoundMetrics, error) {
 	}
 	if err := e.server.FinishRound(); err != nil {
 		e.server.AbortRound()
-		if errors.Is(err, ErrAllDropped) {
-			// Total mid-round loss left no residue in the server (see
-			// ErrAllDropped): surface it as a below-quorum attempt so the
-			// Run loop's skip-and-retry gives departed parties a chance to
-			// rejoin instead of aborting the federation.
-			min := e.cfg.MinParties
-			if min < 1 {
-				min = 1
-			}
-			return RoundMetrics{Round: round}, &QuorumError{Round: round, Live: 0, Min: min}
-		}
 		return RoundMetrics{}, err
 	}
 	bytes := sink.bytes
@@ -299,6 +290,7 @@ func (e *Engine) RunRound(tr Transport, round int) (RoundMetrics, error) {
 		Duration:     time.Since(start),
 		Sampled:      sampled,
 		Dropped:      sink.dropped,
+		Quorum:       short,
 	}, nil
 }
 
@@ -420,34 +412,22 @@ func (l *ledger) result() *Result {
 // the snapshot's round with the snapshot's accumulated history.
 func (e *Engine) Run(tr Transport) (*Result, error) {
 	led := e.newLedger()
-	for t := e.startRound; t < e.cfg.Rounds; t++ {
+	_, elastic := tr.(Membership)
+	for t := e.startRound; t < e.cfg.Rounds; {
 		m, err := e.RunRound(tr, t)
-		// A round below quorum is skipped and retried — parties may be
-		// mid-rejoin — not fatal; only an exhausted retry budget aborts.
-		var quorum *QuorumError
-		for {
-			var qe *QuorumError
-			if !errors.As(err, &qe) {
-				break
-			}
-			if quorum != nil {
-				qe.Attempts = quorum.Attempts
-			}
-			qe.Attempts++
-			quorum = qe
-			if qe.Attempts > e.cfg.QuorumRetries {
-				return nil, qe
-			}
-			time.Sleep(e.cfg.QuorumRetryWait)
-			m, err = e.RunRound(tr, t)
+		if elastic && errors.Is(err, ErrAllDropped) {
+			// Every update was lost, and left no residue in the server (see
+			// ErrAllDropped): attempt the round again, since its parties may
+			// be mid-rejoin. The transport's quorum wait bounds how long.
+			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		m.Quorum = quorum
 		if err := led.close(t, m); err != nil {
 			return nil, err
 		}
+		t++
 	}
 	return led.result(), nil
 }

@@ -4,38 +4,44 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/rng"
 )
 
-// flakyTransport is a Membership-aware fake: every party reports live
-// except during the first `outage` SyncMembership calls, where only one
-// party is. Updates are zero deltas — the quorum machinery under test
-// lives entirely in the engine.
+// flakyTransport is a Membership-aware fake of a transport that owns the
+// quorum wait, as the simnet federation does. Every party is live, but
+// with outage set the first round attempt finds only one party live: the
+// transport waits, and SyncMembership reports the shortfall it waited out
+// — or, with exhaust also set, returns it as the run-ending error. The
+// first `lost` attempts that train drop every update, as a federation
+// whose sampled parties all died mid-round would. Updates are zero
+// deltas.
 type flakyTransport struct {
 	cfg      Config
 	n        int
 	stateLen int
-	outage   int // SyncMembership calls that report below-quorum
-	calls    int
-	rounds   int // TrainRound invocations actually run
+	outage   bool
+	exhaust  bool
+	lost     int
+	short    *QuorumError // the shortfall of the round in progress
+	calls    int          // SyncMembership calls
+	rounds   int          // TrainRound invocations actually run
 }
 
-func (f *flakyTransport) SyncMembership(round int) []bool {
-	f.calls++
+func (f *flakyTransport) SyncMembership(round int) ([]bool, *QuorumError, error) {
+	if f.calls++; f.calls == 1 && f.outage {
+		f.short = &QuorumError{Round: round, Live: 1, Min: f.cfg.MinParties, Attempts: 1}
+		if f.exhaust {
+			return nil, nil, f.short
+		}
+	}
 	live := make([]bool, f.n)
 	for i := range live {
 		live[i] = true
 	}
-	if f.calls <= f.outage {
-		for i := 1; i < f.n; i++ {
-			live[i] = false
-		}
-	}
-	return live
+	return live, f.short, nil
 }
 
 func (f *flakyTransport) PartyMeta(id int) UpdateMeta {
@@ -44,12 +50,27 @@ func (f *flakyTransport) PartyMeta(id int) UpdateMeta {
 
 func (f *flakyTransport) TrainRound(round int, sampled []int, global, control []float64, sink *RoundSink) error {
 	f.rounds++
+	if f.lost > 0 {
+		f.lost--
+		if f.short == nil {
+			f.short = &QuorumError{Round: round, Min: f.cfg.MinParties}
+		}
+		f.short.Live = 0
+		f.short.Attempts++
+		for j := range sampled {
+			if err := sink.Drop(j, errors.New("lost")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for j := range sampled {
 		u := Update{Delta: make([]float64, f.stateLen), N: 10, Tau: PredictTau(f.cfg, 10), TrainLoss: 0.5}
 		if err := sink.Fold(j, u); err != nil {
 			return err
 		}
 	}
+	f.short = nil // the round completes
 	return nil
 }
 
@@ -73,10 +94,11 @@ func quorumHarness(t *testing.T, cfg Config, tr *flakyTransport) (*Engine, error
 	return NewEngine(cfg, server, eval, tr.n, root.Split(), nil)
 }
 
-func TestQuorumSkipAndRetry(t *testing.T) {
-	tr := &flakyTransport{n: 4, outage: 3}
-	cfg := Config{Algorithm: FedAvg, Rounds: 3, Seed: 1,
-		MinParties: 4, QuorumRetries: 10, QuorumRetryWait: time.Millisecond}
+// TestQuorumWaitRecorded: a round that waited for quorum carries the
+// shortfall in its metrics, and no other round does.
+func TestQuorumWaitRecorded(t *testing.T) {
+	tr := &flakyTransport{n: 4, outage: true}
+	cfg := Config{Algorithm: FedAvg, Rounds: 3, Seed: 1, MinParties: 4}
 	engine, err := quorumHarness(t, cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -88,10 +110,8 @@ func TestQuorumSkipAndRetry(t *testing.T) {
 	if len(res.Curve) != 3 {
 		t.Fatalf("completed %d/3 rounds", len(res.Curve))
 	}
-	// Round 0 was skipped for the 3 below-quorum attempts, then ran; the
-	// skips must be visible in its metrics and nowhere else.
 	q := res.Curve[0].Quorum
-	if q == nil || q.Attempts != 3 || q.Round != 0 || q.Live != 1 || q.Min != 4 {
+	if q == nil || q.Attempts != 1 || q.Round != 0 || q.Live != 1 || q.Min != 4 {
 		t.Fatalf("round 0 quorum record: %+v", q)
 	}
 	for _, m := range res.Curve[1:] {
@@ -100,14 +120,46 @@ func TestQuorumSkipAndRetry(t *testing.T) {
 		}
 	}
 	if tr.rounds != 3 {
-		t.Fatalf("transport trained %d rounds, want 3 (skipped attempts must not train)", tr.rounds)
+		t.Fatalf("transport trained %d rounds, want 3 (a round waits before it trains)", tr.rounds)
 	}
 }
 
+// TestQuorumLostRoundReattempted: an attempt that lost every update is
+// attempted again at the same round — the lost attempts fold nothing —
+// and the round that finally ran records them.
+func TestQuorumLostRoundReattempted(t *testing.T) {
+	tr := &flakyTransport{n: 4, lost: 2}
+	cfg := Config{Algorithm: FedAvg, Rounds: 3, Seed: 1, MinParties: 2}
+	engine, err := quorumHarness(t, cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Curve) != 3 || tr.rounds != 5 || tr.calls != 5 {
+		t.Fatalf("completed %d/3 rounds in %d attempts (%d membership calls), want 5 attempts", len(res.Curve), tr.rounds, tr.calls)
+	}
+	q := res.Curve[0].Quorum
+	if q == nil || q.Attempts != 2 || q.Round != 0 || q.Live != 0 || q.Min != 2 {
+		t.Fatalf("round 0 quorum record: %+v", q)
+	}
+	for i, m := range res.Curve {
+		if i > 0 && m.Quorum != nil {
+			t.Fatalf("round %d has a quorum record: %+v", m.Round, m.Quorum)
+		}
+		if len(m.Dropped) != 0 {
+			t.Fatalf("round %d reports the lost attempts' drops: %v", m.Round, m.Dropped)
+		}
+	}
+}
+
+// TestQuorumExhaustedAborts: a wait whose budget ran out ends the run
+// with the transport's typed error, before anything trains.
 func TestQuorumExhaustedAborts(t *testing.T) {
-	tr := &flakyTransport{n: 4, outage: 1 << 30}
-	cfg := Config{Algorithm: FedAvg, Rounds: 2, Seed: 1,
-		MinParties: 2, QuorumRetries: 2, QuorumRetryWait: time.Millisecond}
+	tr := &flakyTransport{n: 4, outage: true, exhaust: true}
+	cfg := Config{Algorithm: FedAvg, Rounds: 2, Seed: 1, MinParties: 2}
 	engine, err := quorumHarness(t, cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +172,7 @@ func TestQuorumExhaustedAborts(t *testing.T) {
 	if !errors.As(fmt.Errorf("wrap: %w", err), &qe) {
 		t.Fatalf("error is not a *QuorumError: %v", err)
 	}
-	if qe.Round != 0 || qe.Live != 1 || qe.Min != 2 || qe.Attempts != 3 {
+	if qe.Round != 0 || qe.Live != 1 || qe.Min != 2 || qe.Attempts != 1 {
 		t.Fatalf("quorum abort: %+v", qe)
 	}
 	if tr.rounds != 0 {

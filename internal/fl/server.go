@@ -9,8 +9,8 @@ import (
 // ErrAllDropped reports a round in which every sampled update was dropped
 // mid-stream. Nothing was folded, so the global state, SCAFFOLD control
 // and FedDyn h are exactly as they were at BeginRound and the round is
-// safely retryable; the engine treats it like a below-quorum attempt
-// instead of aborting.
+// safely retryable: under elastic membership the engine attempts the
+// round again, within the transport's quorum wait, instead of aborting.
 var ErrAllDropped = errors.New("fl: every update in the round was dropped")
 
 // UpdateMeta is what the server knows about an expected update before it

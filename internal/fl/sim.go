@@ -24,10 +24,10 @@ type RoundMetrics struct {
 	// never folded, so the round is the survivors' average. Nil on clean
 	// rounds.
 	Dropped []int
-	// Quorum records that this round was skipped and retried because the
-	// live party set had shrunk below Config.MinParties; Attempts counts
-	// the skipped attempts before the round finally ran. Nil when the
-	// round ran at its first attempt.
+	// Quorum records the shortfall this round waited out before it ran:
+	// its live party set had shrunk below Config.MinParties, or an earlier
+	// attempt lost every update (see QuorumError). Nil when the round ran
+	// at its first attempt, at quorum.
 	Quorum *QuorumError
 }
 

@@ -249,7 +249,7 @@ func TestConfigFingerprint(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"chunk size":  func(c *Config) { c.ChunkSize = 4096 },
 		"parallelism": func(c *Config) { c.Parallelism = 4 },
-		"quorum":      func(c *Config) { c.MinParties = 2; c.QuorumRetries = 7; c.QuorumRetryWait = time.Millisecond },
+		"quorum":      func(c *Config) { c.MinParties = 2; c.QuorumWait = time.Millisecond },
 	} {
 		c := base
 		mutate(&c)

@@ -1,9 +1,6 @@
 package simnet
 
 import (
-	"fmt"
-	"time"
-
 	"github.com/niid-bench/niidbench/internal/fl"
 )
 
@@ -21,9 +18,9 @@ import (
 //     every complete update stream folds into the fl.AsyncCoordinator the
 //     moment it finishes, tagged with the generation it trained against
 //     for the staleness discount;
-//   - the membership loop (RunAsync) installs queued rejoins, keeps the
-//     resync round stamp current and watches liveness, on the loop's one
-//     wait.
+//   - the membership loop (RunAsync) keeps the resync round stamp
+//     current and applies the one quorum rule (Federation.quorum, which
+//     installs queued rejoins), on the loop's one wait.
 //
 // The wire protocol is the synchronous one: generations ride the Round
 // fields of GlobalChunkMsg/UpdateChunkMsg, each generation's broadcast is
@@ -89,7 +86,8 @@ func (a asyncFold) take(m member, st stagedUpdate) bool {
 
 // RunAsync implements fl.AsyncTransport: it drives the buffered-async
 // protocol over the federation's conns until the coordinator completes,
-// the run is poisoned, or every party is lost past the rejoin grace.
+// the run is poisoned, or the federation stays below quorum past its
+// budget (see quorum).
 func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 	if coord.Done() {
 		return nil
@@ -107,44 +105,21 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 	f.serve(f.table.alive()...)
 	f.publish(gen, bf, nil)
 
-	var allDeadSince, belowQuorumSince time.Time
-	quorumBudget := time.Duration(f.Cfg.QuorumRetries) * f.Cfg.QuorumRetryWait
 	for !coord.Done() && coord.Failed() == nil {
 		// Keep the resync stamp current so a rejoin handshake reports the
 		// generation the party is about to receive.
 		f.table.setRound(coord.Generation())
-		f.installQueuedRejoins(nil)
-		live := len(f.table.alive())
-		coord.SetLive(live)
-		var deadline time.Time
-		var lost error
-		now := time.Now()
-		switch {
-		case live > 0 && live >= f.Cfg.MinParties:
-			allDeadSince, belowQuorumSince = time.Time{}, time.Time{}
-		case live > 0:
-			// Degraded below quorum but not dead: the async mirror of the
-			// synchronous skip-and-retry. Give rejoins the same total budget
-			// (QuorumRetries x QuorumRetryWait) the sync engine allows, then
-			// fail loudly with the same typed error instead of limping along
-			// on fewer parties than the operator required.
-			if allDeadSince = (time.Time{}); belowQuorumSince.IsZero() {
-				belowQuorumSince = now
-			}
-			deadline = belowQuorumSince.Add(quorumBudget)
-			lost = &fl.QuorumError{Round: coord.Generation(), Live: live, Min: f.Cfg.MinParties, Attempts: f.Cfg.QuorumRetries}
-		default:
-			if allDeadSince.IsZero() {
-				allDeadSince = now
-			}
-			deadline = allDeadSince.Add(f.RejoinGrace)
-			lost = fmt.Errorf("simnet: async federation lost every party at generation %d", coord.Generation())
+		// Below quorum the live parties keep folding; the wait only bounds
+		// how long the federation may stay short.
+		live, until, err := f.quorum(coord.Generation(), false)
+		if err != nil {
+			return err
 		}
-		// Out of time: fail, unless a rejoin landed since the install above.
-		if lost != nil && !now.Before(deadline) && len(f.installQueuedRejoins(nil)) == 0 {
-			return lost
+		if until.IsZero() {
+			f.short = nil
 		}
-		f.wait(deadline)
+		coord.SetLive(len(live))
+		f.wait(until)
 	}
 	return nil
 }

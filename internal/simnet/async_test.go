@@ -343,83 +343,195 @@ func TestFoldAheadStragglerIndependence(t *testing.T) {
 	}
 }
 
-// TestAsyncQuorumErrorBelowMinParties is the async quorum regression
-// test: a federation that sinks below Config.MinParties while some
-// parties remain alive must abort with the same typed *fl.QuorumError
-// the synchronous engine raises — previously the async loop only watched
-// for the all-dead case and would sit in the watchdog forever on a
-// half-dead federation. Three scripted parties hello; one closes its
-// connection, the other two stay connected but idle, and the server must
-// fail loudly after the quorum retry budget.
-func TestAsyncQuorumErrorBelowMinParties(t *testing.T) {
+// deadOnArrival is the server end of a rejoin whose party is gone before
+// the server answers: the hello reads, but the ResyncMsg send fails, so the
+// scheduler that installs it leaves the party missing — and closes
+// installed when it tries.
+type deadOnArrival struct {
+	Conn
+	installed chan struct{}
+}
+
+func (d *deadOnArrival) Send([]byte) error {
+	close(d.installed)
+	return errors.New("party gone")
+}
+
+// TestQuorumBelowMinParties runs the one quorum rule under both
+// schedulers. Three scripted parties hello; party 2 reads one downlink
+// frame and vanishes, and the survivors answer their first broadcast.
+//
+//   - Without a rejoin the survivors then only drain, and a federation
+//     below Config.MinParties — but not dead — must end with the typed
+//     *fl.QuorumError once QuorumWait is spent: under sync at round 1,
+//     which cannot start, under async while no generation can complete.
+//   - With a rejoin, party 2 comes back while QuorumWait is minutes long
+//     and the survivors answer again once it is in. A rejoin that is
+//     installed dead comes first, so the real one arrives while the
+//     scheduler is already waiting: the run completes only because the
+//     rejoin wakes that wait.
+func TestQuorumBelowMinParties(t *testing.T) {
 	_, test, err := data.Load("adult", data.Config{TrainN: 60, TestN: 60, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fl.Config{
-		Algorithm: fl.FedAvg, Rounds: 5, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Seed: 5, ChunkSize: 64, AsyncBuffer: 2,
-		MinParties: 3, QuorumRetries: 5, QuorumRetryWait: 10 * time.Millisecond,
-	}
-	cfg, err = cfg.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec, _ := data.Model("adult")
-
-	const parties = 3
-	conns := make([]*CountingConn, parties)
-	var wg sync.WaitGroup
-	for i := 0; i < parties; i++ {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			hello, err := Marshal(HelloMsg{ID: i, N: 100, LabelDist: []float64{0.5, 0.5}})
+	for _, row := range []struct {
+		name   string
+		async  int
+		rejoin bool
+	}{{"sync", 0, false}, {"async", 2, false}, {"sync rejoin", 0, true}, {"async rejoin", 2, true}} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := fl.Config{
+				Algorithm: fl.FedAvg, Rounds: 5, LocalEpochs: 1, BatchSize: 32,
+				LR: 0.05, Seed: 5, ChunkSize: 64, AsyncBuffer: row.async,
+				MinParties: 3, QuorumWait: 50 * time.Millisecond,
+			}
+			if row.rejoin {
+				cfg.QuorumWait = 10 * time.Minute
+			}
+			cfg, err := cfg.Normalize()
 			if err != nil {
-				t.Errorf("party %d hello marshal: %v", i, err)
-				return
+				t.Fatal(err)
 			}
-			if err := conn.Send(hello); err != nil {
-				t.Errorf("party %d hello: %v", i, err)
-				return
+			const parties, deserter = 3, 2
+			hello := func(conn Conn, rejoin bool) error {
+				b, err := Marshal(HelloMsg{ID: deserter, N: 100, LabelDist: []float64{0.5, 0.5}, Rejoin: rejoin})
+				if err == nil {
+					err = conn.Send(b)
+				}
+				return err
 			}
-			if i == 2 {
-				// The deserter: read one downlink frame, then vanish.
-				_, _ = conn.Recv()
-				_ = conn.Close()
-				return
-			}
-			// The survivors drain but never reply, so the generation
-			// cannot advance and only the quorum check can end the run.
-			// Like a real party, each closes its end on the server's
-			// goodbye — the async teardown waits for exactly that.
-			for {
-				raw, err := conn.Recv()
-				if err != nil || (len(raw) > 0 && raw[0] == msgShutdown) {
-					_ = conn.Close()
-					return
+			// answer serves a scripted party from its first broadcast on:
+			// it replies to every broadcast while reply says so, drains the
+			// rest, and closes its end on the server's goodbye.
+			answer := func(conn Conn, reply func(n int) bool) {
+				defer conn.Close()
+				for n := 0; ; n++ {
+					g, ok := recvBroadcast(conn)
+					if !ok {
+						return
+					}
+					if reply(n) {
+						if err := sendFrames(conn, updateFrames(g, 100, fl.PredictTau(cfg, 100), 0)); err != nil {
+							return
+						}
+					}
 				}
 			}
-		}(i, partySide)
-	}
-
-	fed := pipeFed(t, cfg, spec, test, parties, ServerOptions{})
-	_, serveErr := fed.servePipes(conns)
-	wg.Wait()
-	if serveErr == nil {
-		t.Fatal("half-dead federation below MinParties completed without error")
-	}
-	var qe *fl.QuorumError
-	if !errors.As(serveErr, &qe) {
-		t.Fatalf("error %v (%T), want a *fl.QuorumError", serveErr, serveErr)
-	}
-	if qe.Live != 2 || qe.Min != 3 {
-		t.Fatalf("QuorumError live=%d min=%d, want 2/3", qe.Live, qe.Min)
-	}
-	if qe.Attempts != cfg.QuorumRetries {
-		t.Fatalf("QuorumError attempts=%d, want the full budget %d", qe.Attempts, cfg.QuorumRetries)
+			var (
+				evictOnce sync.Once
+				evicted   = make(chan struct{})
+				rejoined  = make(chan struct{})
+			)
+			fed := pipeFed(t, cfg, spec, test, parties, ServerOptions{OnEvict: func(e *EvictionError) {
+				if e.Party == deserter {
+					evictOnce.Do(func() { close(evicted) })
+				}
+			}})
+			conns := make([]*CountingConn, parties)
+			var wg sync.WaitGroup
+			for i := 0; i < parties; i++ {
+				serverSide, partySide := Pipe()
+				conns[i] = NewCountingConn(serverSide)
+				wg.Add(1)
+				go func(i int, conn Conn) {
+					defer wg.Done()
+					b, err := Marshal(HelloMsg{ID: i, N: 100, LabelDist: []float64{0.5, 0.5}})
+					if err == nil {
+						err = conn.Send(b)
+					}
+					if err != nil {
+						t.Errorf("party %d hello: %v", i, err)
+						return
+					}
+					if i != deserter {
+						answer(conn, func(n int) bool {
+							if n == 1 && row.rejoin {
+								<-rejoined
+							}
+							return n == 0 || row.rejoin
+						})
+						return
+					}
+					_, _ = conn.Recv()
+					_ = conn.Close()
+					if !row.rejoin {
+						return
+					}
+					<-evicted
+					s, p := Pipe()
+					dead := &deadOnArrival{Conn: s, installed: make(chan struct{})}
+					if err := hello(p, true); err != nil {
+						t.Errorf("dead rejoin hello: %v", err)
+						return
+					}
+					if err := fed.greet(NewCountingConn(dead)); err != nil {
+						t.Errorf("dead rejoin refused: %v", err)
+						return
+					}
+					<-dead.installed
+					s, p = Pipe()
+					if err := hello(p, true); err != nil {
+						t.Errorf("rejoin hello: %v", err)
+						return
+					}
+					if err := fed.greet(NewCountingConn(s)); err != nil {
+						t.Errorf("rejoin refused: %v", err)
+						return
+					}
+					if raw, err := p.Recv(); err != nil || raw[0] != msgResync {
+						t.Errorf("rejoin: want a ResyncMsg, got %v, %v", raw, err)
+						return
+					}
+					close(rejoined)
+					answer(p, func(int) bool { return true })
+				}(i, partySide)
+			}
+			start := time.Now()
+			res, serveErr := fed.servePipes(conns)
+			elapsed := time.Since(start)
+			wg.Wait()
+			if row.rejoin {
+				if serveErr != nil {
+					t.Fatal(serveErr)
+				}
+				if len(res.Curve) != cfg.Rounds {
+					t.Fatalf("completed %d/%d rounds", len(res.Curve), cfg.Rounds)
+				}
+				if row.async == 0 {
+					// Round 1 waited for the rejoin, and says so; every
+					// later round ran at full strength.
+					if q := res.Curve[1].Quorum; q == nil || *q != (fl.QuorumError{Round: 1, Live: 2, Min: 3, Attempts: 1}) {
+						t.Fatalf("round 1 quorum record %+v, want the wait for party %d", q, deserter)
+					}
+					for _, m := range res.Curve[2:] {
+						if m.Quorum != nil || len(m.Sampled) != parties || len(m.Dropped) != 0 {
+							t.Fatalf("round %d after the rejoin: sampled %v dropped %v quorum %+v", m.Round, m.Sampled, m.Dropped, m.Quorum)
+						}
+					}
+				}
+				return
+			}
+			if serveErr == nil {
+				t.Fatal("half-dead federation below MinParties completed without error")
+			}
+			var qe *fl.QuorumError
+			if !errors.As(serveErr, &qe) {
+				t.Fatalf("error %v (%T), want a *fl.QuorumError", serveErr, serveErr)
+			}
+			// One shortfall, waited out whole: it is one attempt long, and
+			// the run lasted at least its budget.
+			if qe.Live != 2 || qe.Min != 3 || qe.Attempts != 1 {
+				t.Fatalf("QuorumError %+v, want live 2, min 3, one attempt", qe)
+			}
+			if row.async == 0 && qe.Round != 1 {
+				t.Fatalf("sync QuorumError at round %d, want round 1", qe.Round)
+			}
+			if elapsed < cfg.QuorumWait {
+				t.Fatalf("run ended after %v, before its quorum wait %v was spent", elapsed, cfg.QuorumWait)
+			}
+		})
 	}
 }
 

@@ -33,7 +33,7 @@ func BenchmarkRoundChurn(b *testing.B) {
 			cfg := fl.Config{
 				Algorithm: fl.FedAvg, Rounds: rounds, LocalEpochs: 1, BatchSize: 16,
 				LR: 0.05, Seed: 7, ChunkSize: 512, Parallelism: 1,
-				MinParties: parties / 2, QuorumRetries: 500, QuorumRetryWait: 5 * time.Millisecond,
+				MinParties: parties / 2, QuorumWait: 2500 * time.Millisecond,
 			}
 			completed := 0
 			b.ResetTimer()

@@ -138,7 +138,7 @@ func TestRecvBorrowContract(t *testing.T) {
 		// real AcceptAndRun, whose listener the rejoin needs.
 		c := cfg
 		c.Algorithm = fl.Scaffold
-		c.MinParties, c.QuorumRetries, c.QuorumRetryWait = 3, 300, 10*time.Millisecond
+		c.MinParties, c.QuorumWait = 3, 3*time.Second
 		same(t, runRejoinTCP(t, c, locals, test, 1, scribbled), mustLoopback(t, c, spec, locals, test, ServerOptions{}, nil), false)
 	})
 }

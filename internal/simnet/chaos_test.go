@@ -330,7 +330,7 @@ func TestRejoinBitwiseAllAlgorithms(t *testing.T) {
 				// Quorum at full strength: if the heal window somehow
 				// misses, the round must wait for the rejoin rather than
 				// thin the aggregation.
-				MinParties: 3, QuorumRetries: 300, QuorumRetryWait: 10 * time.Millisecond,
+				MinParties: 3, QuorumWait: 3 * time.Second,
 			}
 			ref := runChunkedTCP(t, cfg, locals, test)
 			got := runRejoinTCP(t, cfg, locals, test, 1, nil)
@@ -447,7 +447,7 @@ func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
 	})
 	t.Run("rejoin heals bitwise", func(t *testing.T) {
 		c := cfg
-		c.MinParties, c.QuorumRetries, c.QuorumRetryWait = 3, 300, 10*time.Millisecond
+		c.MinParties, c.QuorumWait = 3, 3*time.Second
 		ref := runChunkedTCP(t, c, locals, test)
 		got := runRejoinTCP(t, c, locals, test, 1, nil)
 		for _, m := range got.Curve {
@@ -503,7 +503,7 @@ func TestChaosSoakDropRejoin(t *testing.T) {
 	cfg := fl.Config{
 		Algorithm: fl.Scaffold, Rounds: rounds, LocalEpochs: 1, BatchSize: 16,
 		LR: 0.05, Seed: 7, ChunkSize: 512,
-		MinParties: parties / 2, QuorumRetries: 400, QuorumRetryWait: 10 * time.Millisecond,
+		MinParties: parties / 2, QuorumWait: 4 * time.Second,
 	}
 	spec, _ := data.Model("adult")
 	var evictions int32
@@ -560,7 +560,7 @@ func TestEvictionLeavesNoGoroutines(t *testing.T) {
 			cfg := fl.Config{
 				Algorithm: fl.FedAvg, Rounds: 3, LocalEpochs: 1, BatchSize: 16,
 				LR: 0.05, Seed: 9, ChunkSize: 256, AsyncBuffer: sched.async,
-				MinParties: 3, QuorumRetries: 100, QuorumRetryWait: 10 * time.Millisecond,
+				MinParties: 3, QuorumWait: time.Second,
 			}
 			plan := FaultPlan{Seed: 5, DropProb: 0.05, Grace: 1}
 			opts := ServerOptions{RoundTimeout: 10 * time.Second, RejoinGrace: 200 * time.Millisecond}

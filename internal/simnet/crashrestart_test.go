@@ -37,7 +37,7 @@ func crashCfg(alg fl.Algorithm) fl.Config {
 	return fl.Config{
 		Algorithm: alg, Rounds: 4, LocalEpochs: 1, BatchSize: 32,
 		LR: 0.05, Mu: 0.01, Seed: 5, ChunkSize: 256,
-		MinParties: 3, QuorumRetries: 2000, QuorumRetryWait: 10 * time.Millisecond,
+		MinParties: 3, QuorumWait: 20 * time.Second,
 	}
 }
 

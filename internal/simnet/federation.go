@@ -39,7 +39,8 @@ import (
 //   - the scheduler goroutine — the sync round loop or the async
 //     membership loop — has one wait (see wait), woken by the events it
 //     cares about: a queued rejoin, an eviction, a delivered or lost
-//     broadcast, a staged or folded update.
+//     broadcast, a staged or folded update. Both schedulers wait for
+//     quorum on it under one rule (see quorum).
 type Federation struct {
 	Cfg  fl.Config
 	Spec nn.ModelSpec
@@ -80,6 +81,14 @@ type Federation struct {
 
 	// loops counts the running senders and receivers.
 	loops sync.WaitGroup
+
+	// short is the quorum shortfall the scheduler is waiting out, nil at
+	// quorum. It begins, at shortSince, with the first attempt that came
+	// up short — too few live parties, or a sync round that lost every
+	// update — and ends when a sync round completes or the async
+	// membership loop finds quorum. Scheduler goroutine only.
+	short      *fl.QuorumError
+	shortSince time.Time
 }
 
 // newFederation builds the server side of a federation of numParties: the
@@ -131,17 +140,61 @@ func (f *Federation) evict(id int, c *CountingConn, permanent bool, cause error)
 }
 
 // SyncMembership implements fl.Membership: called at the top of every
-// round attempt, from the round loop, it installs the queued rejoins and
-// returns the live mask the sampler draws from. Mid-round, the round loop
-// installs only the rejoins that heal a failed broadcast (see awaitSlot);
-// every other rejoin waits for this boundary.
-func (f *Federation) SyncMembership(round int) []bool {
-	f.installQueuedRejoins(nil)
+// round attempt, from the round loop, it waits for quorum (see quorum)
+// and returns the live mask the sampler draws from, with the round's
+// shortfall so far. Mid-round, the round loop installs only the rejoins
+// that heal a failed broadcast (see awaitSlot); every other rejoin waits
+// for this boundary.
+func (f *Federation) SyncMembership(round int) ([]bool, *fl.QuorumError, error) {
+	alive, until, err := f.quorum(round, true)
+	for ; err == nil && !until.IsZero(); alive, until, err = f.quorum(round, false) {
+		f.wait(until)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	live := make([]bool, len(f.table.members))
-	for _, m := range f.table.alive() {
+	for _, m := range alive {
 		live[m.id] = true
 	}
-	return live
+	return live, f.short, nil
+}
+
+// quorum is the one quorum rule, under both schedulers, run by the
+// scheduler goroutine at each sync round attempt and async wake-up: it
+// installs the queued rejoins and returns the live parties. At least
+// Cfg.MinParties of them (1 or more, see fl.Config) is quorum. Short of
+// it, quorum books the shortfall — attempt marks a new round attempt
+// rather than a wake-up within one — and returns until, the end of the
+// shortfall's budget, for the scheduler to wait for on f.wait, which a
+// queued rejoin wakes, before it asks again. Once the budget is spent it
+// returns the *fl.QuorumError instead.
+func (f *Federation) quorum(gen int, attempt bool) (live []member, until time.Time, err error) {
+	f.installQueuedRejoins(nil)
+	if live = f.table.alive(); len(live) >= f.Cfg.MinParties {
+		return live, time.Time{}, nil
+	}
+	until, err = f.shortfall(gen, len(live), attempt)
+	return live, until, err
+}
+
+// shortfall books that generation gen came up short with live parties:
+// the first booking starts the shortfall and its Cfg.QuorumWait budget,
+// and each attempt (the first included) counts one. It returns the end of
+// the budget, or the *fl.QuorumError once the budget is spent.
+func (f *Federation) shortfall(gen, live int, attempt bool) (time.Time, error) {
+	now := time.Now()
+	if f.short == nil {
+		f.short, f.shortSince, attempt = &fl.QuorumError{Round: gen, Min: f.Cfg.MinParties}, now, true
+	}
+	if attempt {
+		f.short.Attempts++
+	}
+	f.short.Live = live
+	if until := f.shortSince.Add(f.Cfg.QuorumWait); now.Before(until) {
+		return until, nil
+	}
+	return time.Time{}, f.short
 }
 
 // installQueuedRejoins drains the queued rejoins that keep accepts (nil:
@@ -187,6 +240,7 @@ func (f *Federation) PartyMeta(id int) fl.UpdateMeta { return f.table.get(id).me
 func (f *Federation) TrainRound(round int, sampled []int, global, control []float64, sink *fl.RoundSink) error {
 	r := f.beginRound(round, sampled, newGlobalFrames(round, global, control, f.budget(len(sampled)), f.Cfg.ChunkSize))
 	defer f.endRound(r)
+	folded := 0
 	for j, id := range sampled {
 		st := f.awaitSlot(r, j)
 		if st.err == nil {
@@ -195,6 +249,7 @@ func (f *Federation) TrainRound(round int, sampled []int, global, control []floa
 				// Only after the fold accepted the update, so the tracked c_i
 				// follows exactly the uploads the aggregation counted.
 				f.table.addControl(id, u.DeltaC)
+				folded++
 			} else {
 				// The aggregation refused a well-framed update: the party's
 				// fault, permanently.
@@ -212,6 +267,13 @@ func (f *Federation) TrainRound(round int, sampled []int, global, control []floa
 		f.update(func() { r.cursor++ })
 	}
 	f.table.setRound(round + 1)
+	if folded == 0 {
+		// Every update was lost: the engine attempts the round again, on
+		// the same quorum budget.
+		_, err := f.shortfall(round, 0, true)
+		return err
+	}
+	f.short = nil // the round completes
 	return nil
 }
 
