@@ -587,3 +587,54 @@ func TestEvictionLeavesNoGoroutines(t *testing.T) {
 		})
 	}
 }
+
+// TestRejoinGivesUp pins the end of a rejoin-capable party's redial
+// budget, the path a party that missed the goodbye takes against a server
+// that has gone: after RejoinAttempts consecutive failed reconnects it
+// returns "gave up after N failed reconnects", having failed N+1 sessions
+// (the first and N redials), whether the listener is closed or accepts
+// and hangs up.
+func TestRejoinGivesUp(t *testing.T) {
+	cfg, locals, _ := smallFederation(t)
+	spec, _ := data.Model("adult")
+	const attempts = 3
+	opts := PartyOptions{Rejoin: true, RejoinBackoff: time.Millisecond, RejoinBackoffMax: 2 * time.Millisecond, RejoinAttempts: attempts}
+	want := fmt.Sprintf("gave up after %d failed reconnects", attempts)
+	dial := func(t *testing.T, addr string) {
+		t.Helper()
+		if err := DialPartyOpts(addr, 0, locals[0], spec, cfg, PartySeed(cfg.Seed, 0), opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("party returned %v, want %q", err, want)
+		}
+	}
+	t.Run("closed listener", func(t *testing.T) {
+		ln := mustListen(t)
+		addr := ln.Addr()
+		ln.Close()
+		dial(t, addr)
+	})
+	t.Run("hang-up listener", func(t *testing.T) {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sessions atomic.Int32
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				sessions.Add(1)
+				c.Close()
+			}
+		}()
+		dial(t, l.Addr().String())
+		l.Close()
+		<-done
+		if n := sessions.Load(); n != attempts+1 {
+			t.Fatalf("party dialed %d sessions, want %d: the first and %d redials", n, attempts+1, attempts)
+		}
+	})
+}
