@@ -16,7 +16,7 @@ func TestPoolCheckFixture(t *testing.T) {
 }
 
 func TestDeterCheckFixture(t *testing.T) {
-	runFixture(t, DeterCheck, "detercheck", "fl")
+	runFixture(t, DeterCheck, "detercheck", "fl", "simnet")
 }
 
 func TestLeakCheckFixture(t *testing.T) {

@@ -20,14 +20,24 @@ import (
 //
 // so the order-independence argument is reviewed once and recorded next
 // to the loop, instead of re-derived in every PR that touches it.
+//
+// It also keeps internal/fl off the wall clock's waits: the round
+// machinery owns no timer — every wait (quorum, heal, rejoin backoff)
+// belongs to a transport — so non-test fl code may not call time.Sleep,
+// time.After, time.AfterFunc, time.NewTimer, time.NewTicker or time.Tick.
+// time.Now and time.Since, which only measure, stay allowed.
 var DeterCheck = &Analyzer{
 	Name: "detercheck",
-	Doc:  "no order-dependent map iteration in the deterministic federation core (fl, simnet)",
+	Doc:  "no order-dependent map iteration in the deterministic federation core (fl, simnet), and no timer in fl",
 	Run:  runDeterCheck,
 }
 
+// timers are the package time functions that wait or schedule.
+var timers = map[string]bool{"Sleep": true, "After": true, "AfterFunc": true, "NewTimer": true, "NewTicker": true, "Tick": true}
+
 func runDeterCheck(pass *Pass) error {
-	if !PkgIs(pass.Pkg, "fl") && !PkgIs(pass.Pkg, "simnet") {
+	fl := PkgIs(pass.Pkg, "fl")
+	if !fl && !PkgIs(pass.Pkg, "simnet") {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -35,18 +45,24 @@ func runDeterCheck(pass *Pass) error {
 			continue
 		}
 		walk(f, func(n ast.Node) {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				tv, ok := pass.TypesInfo.Types[n.X]
+				if !ok {
+					return
+				}
+				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+					return
+				}
+				pass.Reportf(n.Pos(), "range over a map iterates in randomized order, which breaks the bitwise pin if it reaches a fold or an encoder: iterate sorted keys or justify with //lint:allow detercheck <reason>")
+			case *ast.SelectorExpr:
+				fn, ok := pass.TypesInfo.Uses[n.Sel].(*types.Func)
+				if !fl || !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !timers[fn.Name()] ||
+					fn.Type().(*types.Signature).Recv() != nil {
+					return
+				}
+				pass.Reportf(n.Pos(), "time.%s waits on the wall clock, and fl owns no timer: a wait belongs to the transport (time.Now and time.Since, which only measure, are fine)", fn.Name())
 			}
-			tv, ok := pass.TypesInfo.Types[rs.X]
-			if !ok {
-				return
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return
-			}
-			pass.Reportf(rs.Pos(), "range over a map iterates in randomized order, which breaks the bitwise pin if it reaches a fold or an encoder: iterate sorted keys or justify with //lint:allow detercheck <reason>")
 		})
 	}
 	return nil

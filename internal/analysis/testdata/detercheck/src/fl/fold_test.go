@@ -1,6 +1,9 @@
 package fl
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // Test files are exempt: assertion order does not reach a fold.
 func TestMapRangeAllowedInTests(t *testing.T) {
@@ -10,4 +13,9 @@ func TestMapRangeAllowedInTests(t *testing.T) {
 			t.Fatal(k, v)
 		}
 	}
+}
+
+// Test files are exempt from the timer rule too: a test may wait.
+func TestSleepAllowedInTests(t *testing.T) {
+	time.Sleep(time.Millisecond)
 }
