@@ -55,9 +55,10 @@ type ServerOptions struct {
 	// math: the rejoined conn's fresh sender just delivers the same
 	// broadcast. Healing here is what makes a between-rounds conn loss
 	// bitwise-invisible to the aggregation; zero (the default) skips the
-	// wait and lets the round drop the party as usual. Under async it is
-	// how long a federation that lost every party waits for a rejoin
-	// before failing.
+	// wait and lets the round drop the party as usual. The heal is all it
+	// bounds: a federation short of parties — under either scheduler, all
+	// of them dead included — waits for rejoins under the quorum rule,
+	// for fl.Config.QuorumWait.
 	RejoinGrace time.Duration
 	// OnReject, when set, is called with the reason each invalid
 	// connection (bad hello, wrong protocol version or magic, out-of-range
