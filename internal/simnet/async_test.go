@@ -96,13 +96,9 @@ func runAsyncTCP(t *testing.T, cfg fl.Config, locals []*data.Dataset, test *data
 	spec, _ := data.Model("adult")
 	opts := ServerOptions{RoundTimeout: 20 * time.Second, RejoinGrace: 300 * time.Millisecond}
 	res, partyErrs, err := RunLoopback(cfg, spec, locals, test, opts, func(i int) PartyOptions {
-		return PartyOptions{
-			Rejoin:           true,
-			RejoinBackoff:    5 * time.Millisecond,
-			RejoinBackoffMax: 50 * time.Millisecond,
-			RejoinAttempts:   40,
-			Faults:           planFor(i),
-		}
+		po := soakRejoin
+		po.Faults = planFor(i)
+		return po
 	})
 	if err != nil {
 		t.Fatalf("async federation aborted: %v", err)

@@ -481,6 +481,19 @@ func TestEmptyFaultPlanBitwise(t *testing.T) {
 	}
 }
 
+// soakRejoin is the drop-chaos soaks' redial policy. A dropped party's
+// redial is admitted at once — eight -race runs of each soak on a 2-core
+// box saw no refused redial while the server ran — so five refused
+// redials (75 ms of backoff) is a wide margin. The budget is also the
+// whole tail of a party cut off as the run ends, which redials the gone
+// server until it runs out.
+var soakRejoin = PartyOptions{
+	Rejoin:           true,
+	RejoinBackoff:    5 * time.Millisecond,
+	RejoinBackoffMax: 20 * time.Millisecond,
+	RejoinAttempts:   5,
+}
+
 // TestChaosSoakDropRejoin is the -race soak: a 48-party federation (12 in
 // -short) over loopback TCP where every party dials through a fault plan
 // that kills connections mid-round, every party rejoins with fast
@@ -516,13 +529,9 @@ func TestChaosSoakDropRejoin(t *testing.T) {
 	// Party errors are part of the chaos (final redials against a
 	// finished server fail); the server-side result is the oracle.
 	res, _, err := RunLoopback(cfg, spec, locals, test, opts, func(int) PartyOptions {
-		return PartyOptions{
-			Rejoin:           true,
-			RejoinBackoff:    5 * time.Millisecond,
-			RejoinBackoffMax: 50 * time.Millisecond,
-			RejoinAttempts:   40,
-			Faults:           &plan,
-		}
+		po := soakRejoin
+		po.Faults = &plan
+		return po
 	})
 	if err != nil {
 		t.Fatalf("soak aborted (evictions %d): %v", atomic.LoadInt32(&evictions), err)
@@ -565,13 +574,9 @@ func TestEvictionLeavesNoGoroutines(t *testing.T) {
 			plan := FaultPlan{Seed: 5, DropProb: 0.05, Grace: 1}
 			opts := ServerOptions{RoundTimeout: 10 * time.Second, RejoinGrace: 200 * time.Millisecond}
 			_, _, serveErr := RunLoopback(cfg, spec, locals, test, opts, func(int) PartyOptions {
-				return PartyOptions{
-					Rejoin:           true,
-					RejoinBackoff:    5 * time.Millisecond,
-					RejoinBackoffMax: 50 * time.Millisecond,
-					RejoinAttempts:   20,
-					Faults:           &plan,
-				}
+				po := soakRejoin
+				po.Faults = &plan
+				return po
 			})
 			var qe *fl.QuorumError
 			if serveErr != nil && !errors.As(serveErr, &qe) {

@@ -41,6 +41,20 @@ func crashCfg(alg fl.Algorithm) fl.Config {
 	}
 }
 
+// crashRejoin is the crash tests' redial policy, sized to the longest gap
+// a party must ride out: the server's restart window, which took at most
+// 0.21 s (three refused redials) under -race on a 2-core box. 22 redials
+// at 10 ms doubling to a 100 ms cap wait about 2 s before a party gives
+// up — ten times that window — and that budget is also the tail of a
+// party drop chaos cut off as the restarted server finished, which
+// redials the gone server until it runs out.
+var crashRejoin = PartyOptions{
+	Rejoin:           true,
+	RejoinBackoff:    10 * time.Millisecond,
+	RejoinBackoffMax: 100 * time.Millisecond,
+	RejoinAttempts:   22,
+}
+
 // asyncCrashCfg is the crash shape for buffered-async mode: generations
 // replace rounds, and the longer schedule keeps the SIGKILL landing
 // mid-run even though generations mint faster than barriered rounds.
@@ -177,17 +191,9 @@ func crashRestartRun(t *testing.T, alg fl.Algorithm, faults *FaultPlan) []float6
 		wg.Add(1)
 		go func(i int, ds *data.Dataset) {
 			defer wg.Done()
-			partyErrs[i] = DialPartyOpts(addr, i, ds, spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{
-				Rejoin:           true,
-				RejoinBackoff:    10 * time.Millisecond,
-				RejoinBackoffMax: 200 * time.Millisecond,
-				// Enough consecutive failures to ride out the server's
-				// restart window, but finite, so a party cut loose by drop
-				// chaos right at the end doesn't redial a finished server
-				// forever.
-				RejoinAttempts: 100,
-				Faults:         faults,
-			})
+			opts := crashRejoin
+			opts.Faults = faults
+			partyErrs[i] = DialPartyOpts(addr, i, ds, spec, cfg, PartySeed(cfg.Seed, i), opts)
 		}(i, ds)
 	}
 
@@ -241,13 +247,9 @@ func referenceRun(t *testing.T, alg fl.Algorithm, faults *FaultPlan) *fl.Result 
 	locals, test, spec := crashData(t)
 	opts := ServerOptions{RoundTimeout: 20 * time.Second, RejoinGrace: 300 * time.Millisecond}
 	return mustLoopback(t, cfg, spec, locals, test, opts, func(int) PartyOptions {
-		return PartyOptions{
-			Rejoin:           true,
-			RejoinBackoff:    10 * time.Millisecond,
-			RejoinBackoffMax: 200 * time.Millisecond,
-			RejoinAttempts:   100,
-			Faults:           faults,
-		}
+		po := crashRejoin
+		po.Faults = faults
+		return po
 	})
 }
 
@@ -344,12 +346,7 @@ func TestAsyncCrashRestartCompletes(t *testing.T) {
 		wg.Add(1)
 		go func(i int, ds *data.Dataset) {
 			defer wg.Done()
-			partyErrs[i] = DialPartyOpts(addr, i, ds, spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{
-				Rejoin:           true,
-				RejoinBackoff:    10 * time.Millisecond,
-				RejoinBackoffMax: 200 * time.Millisecond,
-				RejoinAttempts:   100,
-			})
+			partyErrs[i] = DialPartyOpts(addr, i, ds, spec, cfg, PartySeed(cfg.Seed, i), crashRejoin)
 		}(i, ds)
 	}
 
