@@ -391,16 +391,17 @@ func TestQuorumBelowMinParties(t *testing.T) {
 				t.Fatal(err)
 			}
 			const parties, deserter = 3, 2
-			hello := func(conn Conn, rejoin bool) error {
-				b, err := Marshal(HelloMsg{ID: deserter, N: 100, LabelDist: []float64{0.5, 0.5}, Rejoin: rejoin})
+			hello := func(conn Conn, id int, rejoin bool) error {
+				b, err := Marshal(HelloMsg{ID: id, N: 100, LabelDist: []float64{0.5, 0.5}, Rejoin: rejoin})
 				if err == nil {
 					err = conn.Send(b)
 				}
 				return err
 			}
 			// answer serves a scripted party from its first broadcast on:
-			// it replies to every broadcast while reply says so, drains the
-			// rest, and closes its end on the server's goodbye.
+			// it answers broadcast n with a zero update when reply(n) says
+			// so, drains it otherwise, and closes its end on the server's
+			// goodbye.
 			answer := func(conn Conn, reply func(n int) bool) {
 				defer conn.Close()
 				for n := 0; ; n++ {
@@ -433,11 +434,7 @@ func TestQuorumBelowMinParties(t *testing.T) {
 				wg.Add(1)
 				go func(i int, conn Conn) {
 					defer wg.Done()
-					b, err := Marshal(HelloMsg{ID: i, N: 100, LabelDist: []float64{0.5, 0.5}})
-					if err == nil {
-						err = conn.Send(b)
-					}
-					if err != nil {
+					if err := hello(conn, i, false); err != nil {
 						t.Errorf("party %d hello: %v", i, err)
 						return
 					}
@@ -458,7 +455,7 @@ func TestQuorumBelowMinParties(t *testing.T) {
 					<-evicted
 					s, p := Pipe()
 					dead := &deadOnArrival{Conn: s, installed: make(chan struct{})}
-					if err := hello(p, true); err != nil {
+					if err := hello(p, deserter, true); err != nil {
 						t.Errorf("dead rejoin hello: %v", err)
 						return
 					}
@@ -468,7 +465,7 @@ func TestQuorumBelowMinParties(t *testing.T) {
 					}
 					<-dead.installed
 					s, p = Pipe()
-					if err := hello(p, true); err != nil {
+					if err := hello(p, deserter, true); err != nil {
 						t.Errorf("rejoin hello: %v", err)
 						return
 					}
