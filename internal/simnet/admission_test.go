@@ -416,6 +416,49 @@ func TestAcceptFailureHangsUpOnAdmitted(t *testing.T) {
 	}
 }
 
+// TestPartyLostBeforeHelloEndsRun is the regression test for the
+// in-process harness waiting forever on a federation that can no longer
+// fill: party 0 dies on its very first frame (its hello), with no rejoin,
+// so its seat stays empty. The run must end promptly with an error — the
+// parties already admitted hung up on — and report party 0's own error.
+func TestPartyLostBeforeHelloEndsRun(t *testing.T) {
+	cfg, locals, test := smallFederation(t)
+	spec, _ := data.Model("adult")
+	plan := &FaultPlan{Seed: 1, DropProb: 1}
+	party := func(i int) PartyOptions {
+		if i == 0 {
+			return PartyOptions{Faults: plan}
+		}
+		return PartyOptions{}
+	}
+	type outcome struct {
+		partyErrs []error
+		err       error
+	}
+	for name, run := range map[string]func() outcome{
+		"tcp": func() outcome {
+			_, partyErrs, err := RunLoopback(cfg, spec, locals, test, ServerOptions{}, party)
+			return outcome{partyErrs, err}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			done := make(chan outcome, 1)
+			go func() { done <- run() }()
+			select {
+			case o := <-done:
+				if o.err == nil {
+					t.Fatal("a federation missing party 0 ran without error")
+				}
+				if len(o.partyErrs) != len(locals) || !errors.Is(o.partyErrs[0], errInjectedDrop) {
+					t.Fatalf("party errors %v, want party 0's injected drop", o.partyErrs)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the run is still waiting for a party that is gone")
+			}
+		})
+	}
+}
+
 // meterConn sits under a server-side CountingConn and tallies, into a
 // counter shared by every conn of the run, the traffic the server's byte
 // accounting is meant to cover: everything but first-contact hellos
