@@ -14,9 +14,9 @@ import (
 )
 
 // This file is how a party gets into the federation: the server's options,
-// the TCP listener whose accept loop reads hellos, and the one admission
-// rule (Federation.admit) that the accept loop and the serial pipe
-// handshake (Federation.greet) both apply to every decoded hello.
+// the listener — TCP, or in memory for an in-process federation — whose
+// one accept loop reads hellos, and the one admission rule
+// (Federation.admit) it applies to every decoded hello.
 
 // ServerOptions configures the server side of a federation beyond the
 // training Config. The zero value is an open, patient, memoryless server:
@@ -42,8 +42,7 @@ type ServerOptions struct {
 	// the gaps inside a stream are bounded). A party that stalls past it is
 	// treated like a dead conn: suspected and dropped from the round, at
 	// every chunk size. Zero waits forever — the right default when honest
-	// parties may train for arbitrarily long. Only effective on conns with
-	// deadline support (TCP); in-memory pipes are trusted in-process peers.
+	// parties may train for arbitrarily long.
 	RoundTimeout time.Duration
 	// RejoinGrace, when positive, is the broadcast heal window: a round
 	// whose broadcast fails toward some party waits — up to this long
@@ -99,13 +98,63 @@ type ServerOptions struct {
 	InitialState []float64
 }
 
-// ServerListener is a bound TCP endpoint for a federation server. Create
-// it with Listen, set the embedded ServerOptions, hand Addr() to the
-// parties, then call AcceptAndRun.
+// ServerListener is a bound endpoint for a federation server. Create it
+// with Listen, set the embedded ServerOptions, hand Addr() to the parties,
+// then call AcceptAndRun.
 type ServerListener struct {
 	l net.Listener
 	ServerOptions
 }
+
+// listenMem returns a ServerListener on a fresh in-memory listener and the
+// dial that connects a party to it — the in-process federation's
+// transport, admitted by the same accept loop as TCP.
+func listenMem() (*ServerListener, func() (net.Conn, error)) {
+	l := &memListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	return &ServerListener{l: l}, l.dial
+}
+
+// memListener is an in-memory net.Listener: each dial hands Accept one end
+// of a fresh net.Pipe and returns the other.
+type memListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *memListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+// dial blocks until Accept takes the server's end, or the listener
+// closes.
+func (l *memListener) dial() (net.Conn, error) {
+	server, party := net.Pipe()
+	select {
+	case l.conns <- server:
+		return party, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *memListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *memListener) Addr() net.Addr { return pipeAddr{} }
+
+// pipeAddr is an in-memory listener's address.
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
 
 // Listen binds a TCP address for the federation server. Use "127.0.0.1:0"
 // for an ephemeral local port.
@@ -139,31 +188,58 @@ func (s *ServerListener) Close() error { return s.l.Close() }
 // hung up on and the accept error is returned. Parties connect with
 // DialPartyOpts.
 func (s *ServerListener) AcceptAndRun(numParties int, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset) (*fl.Result, error) {
-	fed, err := newFederation(cfg, spec, test, numParties, s.ServerOptions)
+	fed, err := s.federation(numParties, cfg, spec, test)
 	if err != nil {
 		return nil, err
 	}
-	stopAdmission, acceptErr := s.acceptHellos(fed)
+	return fed.acceptAndRun(s.accept)
+}
+
+// federation builds the server side of a federation of numParties under
+// s's options. Parties that dial an in-memory listener run in this
+// process, which is what makes the federation local (see Federation.local).
+func (s *ServerListener) federation(numParties int, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset) (*Federation, error) {
+	fed, err := newFederation(cfg, spec, test, numParties, s.ServerOptions)
+	if err == nil {
+		_, fed.local = s.l.(*memListener)
+	}
+	return fed, err
+}
+
+// accept waits for the next connection and frames it.
+func (s *ServerListener) accept() (Conn, error) {
+	c, err := s.l.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return newFrameConn(c), nil
+}
+
+// acceptAndRun is AcceptAndRun's body over the conns next accepts.
+func (f *Federation) acceptAndRun(next func() (Conn, error)) (*fl.Result, error) {
+	stopAdmission, acceptErr := f.acceptHellos(next)
 	// On every way out: first no handler is left that could seat or park a
 	// conn, only then is every conn the table holds hung up on — so none
-	// can be admitted that nobody will close.
+	// can be admitted that nobody will close. Once the run has booted, each
+	// seated conn's sender said goodbye on its way out; before that nobody
+	// did, and the teardown says it.
 	defer func() {
 		stopAdmission()
-		fed.table.shutdown()
+		f.table.shutdown(f.policy == nil)
 	}()
 	select {
-	case <-fed.table.full:
+	case <-f.table.full:
 		// Late hellos are rejected as "federation already has N parties"
 		// and never touch the table again. Acceptance continues — rejoin
 		// hellos land in the queue until the run finishes.
 	case err := <-acceptErr:
 		return nil, err
 	}
-	return fed.run()
+	return f.run()
 }
 
-// acceptHellos starts the accept loop: every accepted connection's hello
-// is read on its own goroutine and put to fed.admit. Filling the
+// acceptHellos starts the accept loop: the hello of every connection next
+// accepts is read on its own goroutine and put to f.admit. Filling the
 // federation does NOT stop acceptance — the listener keeps reading hellos
 // for the whole run, because a suspect party's rejoin arrives as a fresh
 // connection (Rejoin=true hello, queued for the next round boundary). A
@@ -173,8 +249,8 @@ func (s *ServerListener) AcceptAndRun(numParties int, cfg fl.Config, spec nn.Mod
 // run ended") are delivered before it returns, in microseconds — nothing
 // waits out a timeout — and conns accepted after it are closed without a
 // callback.
-func (s *ServerListener) acceptHellos(fed *Federation) (stop func(), acceptErr <-chan error) {
-	helloTimeout := s.HelloTimeout
+func (f *Federation) acceptHellos(next func() (Conn, error)) (stop func(), acceptErr <-chan error) {
+	helloTimeout := f.HelloTimeout
 	if helloTimeout <= 0 {
 		helloTimeout = 10 * time.Second
 	}
@@ -186,9 +262,9 @@ func (s *ServerListener) acceptHellos(fed *Federation) (stop func(), acceptErr <
 		// all three by opening sockets and trickling bytes — the serial
 		// loop's implicit one-at-a-time bound, kept, just widened. The
 		// slot is acquired BEFORE Accept: conns beyond the bound are
-		// never accepted and wait in the kernel's listen backlog (exactly
-		// where the serial loop left them), holding no fd, goroutine or
-		// buffer in this process. k bad conns now stall admission by
+		// never accepted and wait in the listener's backlog (the kernel's,
+		// or a blocked in-memory dial), holding no fd, goroutine or buffer
+		// in this process. k bad conns now stall admission by
 		// ceil(k/maxConcurrentHellos) timeouts instead of k, and a hello
 		// deadline starts only once its conn is accepted.
 		sem = make(chan struct{}, maxConcurrentHellos)
@@ -198,13 +274,13 @@ func (s *ServerListener) acceptHellos(fed *Federation) (stop func(), acceptErr <
 		// AcceptAndRun returns, and no hello goroutine outlives the call.
 		handlers sync.WaitGroup
 		pendMu   sync.Mutex
-		pending  = make(map[net.Conn]struct{})
+		pending  = make(map[Conn]struct{})
 		closed   bool // set by stop
 	)
 	go func() {
 		for {
 			sem <- struct{}{}
-			c, err := s.l.Accept()
+			c, err := next()
 			if err != nil {
 				failed <- err
 				return
@@ -222,11 +298,11 @@ func (s *ServerListener) acceptHellos(fed *Federation) (stop func(), acceptErr <
 			pending[c] = struct{}{}
 			handlers.Add(1)
 			pendMu.Unlock()
-			go func(c net.Conn) {
+			go func(c Conn) {
 				defer handlers.Done()
 				defer func() { <-sem }()
 				_ = c.SetReadDeadline(time.Now().Add(helloTimeout))
-				cc := NewCountingConn(NewTCPConn(c))
+				cc := NewCountingConn(c)
 				// Nothing about a hello justifies a big frame: reject
 				// hostile length prefixes before the token check can run.
 				cc.SetRecvLimit(helloFrameLimit)
@@ -248,12 +324,12 @@ func (s *ServerListener) acceptHellos(fed *Federation) (stop func(), acceptErr <
 					// parked rejoin's conn belongs to the scheduler the
 					// same way.
 					_ = c.SetReadDeadline(time.Time{})
-					err = fed.admit(cc, h)
+					err = f.admit(cc, h)
 				}
 				if err != nil {
 					_ = cc.Close()
-					if s.OnReject != nil {
-						s.OnReject(err)
+					if f.OnReject != nil {
+						f.OnReject(err)
 					}
 				}
 			}(c)
@@ -269,18 +345,6 @@ func (s *ServerListener) acceptHellos(fed *Federation) (stop func(), acceptErr <
 		pendMu.Unlock()
 		handlers.Wait()
 	}, failed
-}
-
-// greet reads c's hello and puts it to the admission rule: one step of the
-// rule's serial driver — the trusted-pipe path (RunLocal), where every conn
-// is a party this process launched, so any invalid hello is a programming
-// error that fails the federation.
-func (f *Federation) greet(c *CountingConn) error {
-	h, err := readHello(c)
-	if err != nil {
-		return err
-	}
-	return f.admit(c, h)
 }
 
 // readHello reads and decodes one hello frame from c. Version skew and a
@@ -385,7 +449,7 @@ const helloFrameLimit = 1 << 20
 // exist at once — and with them the in-flight hello reads — capping
 // pre-admission fds, goroutines and buffer memory (at most 64 x
 // helloFrameLimit = 64 MiB of the latter) no matter how many connections
-// arrive; the rest queue in the kernel's listen backlog.
+// arrive; the rest queue in the listener's backlog.
 const maxConcurrentHellos = 64
 
 // sanitizeDist clamps a wire-supplied label distribution to finite,

@@ -15,75 +15,45 @@ import (
 	"github.com/niid-bench/niidbench/internal/nn"
 )
 
-// admissionDriver puts hellos to one federation's admission rule the way
-// one transport does.
-type admissionDriver interface {
-	// hello delivers h on a fresh conn — one the server cannot send on,
-	// when dead — and returns the party end plus the rule's verdict.
-	// settled reports, for an accepted hello, that the table shows it (the
-	// TCP loop admits on a handler goroutine).
-	hello(h HelloMsg, dead bool, settled func() bool) (Conn, error)
-	close()
-}
-
-// pipeDriver is the serial pipe handshake.
-type pipeDriver struct {
-	t   *testing.T
-	fed *Federation
-}
-
-func (d *pipeDriver) hello(h HelloMsg, dead bool, _ func() bool) (Conn, error) {
-	serverSide, partySide := Pipe()
-	b, err := Marshal(h)
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	if err := partySide.Send(b); err != nil {
-		d.t.Fatal(err)
-	}
-	if dead {
-		serverSide = deafConn{serverSide}
-	}
-	return partySide, d.fed.greet(NewCountingConn(serverSide))
-}
-
-// deafConn is a conn whose peer is gone as far as sending goes.
-type deafConn struct{ Conn }
-
-func (deafConn) Send([]byte) error { return errors.New("deafConn: peer is gone") }
-
-func (d *pipeDriver) close() { d.fed.table.shutdown() }
-
-// tcpDriver is the TCP accept loop: a verdict is an OnReject callback, or
+// admissionDriver puts hellos to one federation's admission rule through
+// the accept loop, on one listener: a verdict is an OnReject callback, or
 // the table settling without one.
-type tcpDriver struct {
+type admissionDriver struct {
 	t        *testing.T
 	fed      *Federation
 	ln       *ServerListener
+	dial     func() (net.Conn, error)
 	stop     func()
 	rejected chan error
 }
 
-func newTCPDriver(t *testing.T, fed *Federation) *tcpDriver {
-	d := &tcpDriver{t: t, fed: fed, ln: mustListen(t), rejected: make(chan error, 16)}
-	d.ln.ServerOptions = fed.ServerOptions
-	d.ln.OnReject = func(err error) { d.rejected <- err }
-	d.stop, _ = d.ln.acceptHellos(fed)
+func newAdmissionDriver(t *testing.T, fed *Federation, ln *ServerListener, dial func() (net.Conn, error)) *admissionDriver {
+	d := &admissionDriver{t: t, fed: fed, ln: ln, dial: dial, rejected: make(chan error, 16)}
+	fed.OnReject = func(err error) { d.rejected <- err }
+	d.stop, _ = fed.acceptHellos(ln.accept)
 	return d
 }
 
-func (d *tcpDriver) hello(h HelloMsg, dead bool, settled func() bool) (Conn, error) {
-	c, err := net.Dial("tcp", d.ln.Addr())
+// hello delivers the hello frame b on a fresh conn and returns the party
+// end plus the rule's verdict. With dead the party hangs up once its hello
+// has been read, so the server's next send on the conn fails. settled
+// reports, for an accepted hello, that the table shows it (the accept loop
+// admits on a handler goroutine). An accepted conn's frames are read as
+// they arrive, as a socket's receive buffer would take them, so a server
+// send never waits for the test to ask.
+func (d *admissionDriver) hello(b []byte, dead bool, settled func() bool) (Conn, error) {
+	c, err := d.dial()
 	if err != nil {
 		d.t.Fatal(err)
 	}
-	conn := NewTCPConn(c)
-	b, err := Marshal(h)
-	if err != nil {
-		d.t.Fatal(err)
-	}
+	conn := newFrameConn(c)
 	if err := conn.Send(b); err != nil {
 		d.t.Fatal(err)
+	}
+	if dead {
+		_ = conn.Close()
+	} else {
+		conn = newMailbox(conn)
 	}
 	deadline := time.After(10 * time.Second)
 	for {
@@ -91,7 +61,7 @@ func (d *tcpDriver) hello(h HelloMsg, dead bool, settled func() bool) (Conn, err
 		case err := <-d.rejected:
 			return conn, err
 		case <-deadline:
-			d.t.Fatalf("hello %+v: neither rejected nor settled", h)
+			d.t.Fatalf("hello % x: neither rejected nor settled", b)
 		case <-time.After(time.Millisecond):
 			if settled() {
 				return conn, nil
@@ -100,17 +70,48 @@ func (d *tcpDriver) hello(h HelloMsg, dead bool, settled func() bool) (Conn, err
 	}
 }
 
-func (d *tcpDriver) close() {
+func (d *admissionDriver) close() {
 	_ = d.ln.Close()
 	d.stop()
-	d.fed.table.shutdown()
+	d.fed.table.shutdown(true)
+}
+
+// mailbox is a party end whose frames a goroutine reads as they arrive,
+// until the conn ends; Recv hands them over in order.
+type mailbox struct {
+	Conn
+	got chan received
+}
+
+type received struct {
+	b   []byte
+	err error
+}
+
+func newMailbox(c Conn) *mailbox {
+	m := &mailbox{Conn: c, got: make(chan received, 16)}
+	go func() {
+		for {
+			b, err := c.Recv()
+			m.got <- received{append([]byte(nil), b...), err}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return m
+}
+
+func (m *mailbox) Recv() ([]byte, error) {
+	r := <-m.got
+	return r.b, r.err
 }
 
 // TestAdmissionTable is the admission rule as a table — hello kind x what
 // the table holds for that party → outcome, error type and resulting table
-// state — run through both of the rule's drivers: the serial pipe
-// handshake and the TCP accept loop. Each row plays its hellos, in order,
-// against a fresh three-party federation with a token.
+// state — run through the one accept loop on both listeners: in-memory
+// pipes and TCP. Each row plays its hellos, in order, against a fresh
+// three-party federation with a token.
 func TestAdmissionTable(t *testing.T) {
 	const token = "s3cret"
 	type hello struct {
@@ -119,9 +120,9 @@ func TestAdmissionTable(t *testing.T) {
 		// party, say).
 		before func(f *Federation)
 		// dead makes the server's sends on the conn fail, as toward a peer
-		// that died right after its hello. Pipes only: the accept loop
-		// makes its own conns, and a TCP peer's death is not reliably
-		// observable on the first write.
+		// that died right after its hello. Pipes only: a pipe whose peer
+		// hung up refuses every send, while a TCP peer's death is not
+		// reliably observable on the first write.
 		dead bool
 		// direct hands the decoded hello to the rule without a wire: only a
 		// 32-bit host can decode a negative size.
@@ -260,11 +261,14 @@ func TestAdmissionTable(t *testing.T) {
 				}
 			}},
 	}
-	drivers := map[string]func(t *testing.T, f *Federation) admissionDriver{
-		"pipes": func(t *testing.T, f *Federation) admissionDriver { return &pipeDriver{t, f} },
-		"tcp":   func(t *testing.T, f *Federation) admissionDriver { return newTCPDriver(t, f) },
+	listeners := map[string]func(t *testing.T) (*ServerListener, func() (net.Conn, error)){
+		"pipes": func(*testing.T) (*ServerListener, func() (net.Conn, error)) { return listenMem() },
+		"tcp": func(t *testing.T) (*ServerListener, func() (net.Conn, error)) {
+			ln := mustListen(t)
+			return ln, func() (net.Conn, error) { return net.Dial("tcp", ln.Addr()) }
+		},
 	}
-	for dname, mk := range drivers {
+	for dname, listen := range listeners {
 		for _, row := range rows {
 			if row.pipeOnly && dname != "pipes" {
 				continue
@@ -276,7 +280,8 @@ func TestAdmissionTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d := mk(t, fed)
+				ln, dial := listen(t)
+				d := newAdmissionDriver(t, fed, ln, dial)
 				defer d.close()
 				// held is what a refused hello must leave exactly as it was.
 				held := func() [2]int {
@@ -290,9 +295,9 @@ func TestAdmissionTable(t *testing.T) {
 						h.before(fed)
 					}
 					was := held()
-					// A refused hello settles only as its rejection: the TCP
-					// driver must wait for OnReject, not take a quiet table for
-					// an answer.
+					// A refused hello settles only as its rejection: the driver
+					// must wait for OnReject, not take a quiet table for an
+					// answer.
 					settled := func() bool { return h.wantErr == "" && (h.settled == nil || h.settled(fed)) }
 					var end Conn
 					var err error
@@ -301,7 +306,11 @@ func TestAdmissionTable(t *testing.T) {
 						serverSide, end = Pipe()
 						err = fed.admit(NewCountingConn(serverSide), h.h)
 					} else {
-						end, err = d.hello(h.h, h.dead, settled)
+						b, merr := Marshal(h.h)
+						if merr != nil {
+							t.Fatal(merr)
+						}
+						end, err = d.hello(b, h.dead, settled)
 					}
 					ends = append(ends, end)
 					switch {
@@ -383,7 +392,7 @@ func TestAcceptFailureHangsUpOnAdmitted(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		conn := NewTCPConn(c)
+		conn := newFrameConn(c)
 		b, _ := Marshal(HelloMsg{ID: 0, N: 10, LabelDist: []float64{1}})
 		_ = conn.Send(b)
 		for {
@@ -440,6 +449,11 @@ func TestPartyLostBeforeHelloEndsRun(t *testing.T) {
 			_, partyErrs, err := RunLoopback(cfg, spec, locals, test, ServerOptions{}, party)
 			return outcome{partyErrs, err}
 		},
+		"pipes": func() outcome {
+			ln, dial := listenMem()
+			_, partyErrs, err := federate(ln, dial, cfg, spec, locals, test, party)
+			return outcome{partyErrs, err}
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			done := make(chan outcome, 1)
@@ -494,21 +508,32 @@ func (m *meterConn) Send(b []byte) error {
 	return err
 }
 
-// flapConn is the server's end of a flapping party's pipe: once it has
-// delivered an update's last frame, the next broadcast frame the server
-// sends fails and kills the pipe. The party completes every round and
-// loses its conn at the start of the next, always at the broadcast, so
-// the heal window — not a race between the party's close and the server's
-// send — decides the round.
+// flapConn is a server end that flaps if its hello came from party id:
+// once it has delivered an update's last frame, the next broadcast frame
+// the server sends fails and kills the pipe. The party completes every
+// round and loses its conn at the start of the next, always at the
+// broadcast, so the heal window — not a race between the party's close and
+// the server's send — decides the round.
 type flapConn struct {
 	Conn
+	id int
+	// armed is set by the hello read, before the conn is admitted and
+	// handed to its receiver.
+	armed   bool
 	replied atomic.Bool
 }
 
 func (f *flapConn) Recv() ([]byte, error) {
 	b, err := f.Conn.Recv()
-	if err == nil && b[0] == msgUpdateChunk {
-		if m, derr := Unmarshal(b); derr == nil && m.(UpdateChunkMsg).Last {
+	if err != nil {
+		return b, err
+	}
+	m, derr := Unmarshal(b)
+	switch m := m.(type) {
+	case HelloMsg:
+		f.armed = derr == nil && m.ID == f.id
+	case UpdateChunkMsg:
+		if f.armed && derr == nil && m.Last {
 			f.replied.Store(true)
 		}
 	}
@@ -541,84 +566,51 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 
 	const flapper = 2
 	var counted atomic.Int64
-	pipe := func(flap bool) (*CountingConn, Conn) {
-		s, p := Pipe()
-		if flap {
-			s = &flapConn{Conn: s}
+	// Every server end is metered; the flapper's ones flap.
+	accept := func() (Conn, error) {
+		c, err := fed.ln.accept()
+		if err != nil {
+			return nil, err
 		}
-		return NewCountingConn(&meterConn{Conn: s, total: &counted}), p
+		return &meterConn{Conn: &flapConn{Conn: c, id: flapper}, total: &counted}, nil
 	}
-	conns := make([]*CountingConn, len(locals))
-	partySide := make([]Conn, len(locals))
-	for i := range locals {
-		conns[i], partySide[i] = pipe(i == flapper)
-	}
-	// redial puts a flapped party's fresh conn to the admission rule the
-	// way an accept-loop handler would — until the run is over, after
-	// which, like a closed listener, it refuses.
-	var (
-		mu      sync.Mutex
-		over    bool
-		rejoins int
-	)
-	redial := func(serverEnd *CountingConn) {
-		mu.Lock()
-		defer mu.Unlock()
-		if over {
-			_ = serverEnd.Close()
-			return
-		}
-		if err := fed.greet(serverEnd); err != nil {
-			t.Errorf("rejoin refused: %v", err)
-		}
-		rejoins++
-	}
+	rejoins := 0
 	res, partyErrs, err := runInProcess(len(locals),
 		func() (*fl.Result, error) {
-			// AcceptAndRun's order: admission stops, then the teardown.
-			defer fed.table.shutdown()
-			defer func() {
-				mu.Lock()
-				over = true
-				mu.Unlock()
-			}()
-			for _, c := range conns {
-				if err := fed.greet(c); err != nil {
-					return nil, err
-				}
-			}
-			return fed.run()
+			defer fed.ln.Close()
+			return fed.acceptAndRun(accept)
 		},
 		func(i int) error {
+			conn, err := fed.connect()
+			if err != nil {
+				return err
+			}
 			if i != flapper {
-				defer partySide[i].Close()
-				return ServeParty(partySide[i], i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), "")
+				defer conn.Close()
+				return serveParty(conn, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
 			}
 			s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
 			if err != nil {
 				return err
 			}
-			conn := partySide[i]
 			for rejoining := false; ; rejoining = true {
 				err := s.run(conn, "", rejoining, 0)
 				_ = conn.Close()
-				mu.Lock()
-				done := over
-				mu.Unlock()
-				if err == nil || done {
+				if err == nil {
 					return nil
 				}
-				var serverEnd *CountingConn
-				serverEnd, conn = pipe(true)
-				go redial(serverEnd)
+				// A refused redial means the run is over and its listener
+				// closed.
+				if conn, err = fed.connect(); err != nil {
+					return nil
+				}
+				rejoins++
 			}
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reportErrs(t, partyErrs)
-	mu.Lock()
-	defer mu.Unlock()
 	if rejoins < 8 {
 		t.Fatalf("only %d rejoins", rejoins)
 	}

@@ -234,11 +234,10 @@ func TestPipelinedDownlinkBitwiseAllAlgorithms(t *testing.T) {
 // TestFoldAheadStragglerIndependence is the regression test for the
 // serial straggler drain: with fold-ahead staging, one slow party delays
 // the fold by only its own stream. Three scripted parties stream chunked
-// replies over pipes whose buffers hold far fewer frames than a stream;
-// the first sampled party withholds its entire reply while the other two
-// must be able to push their complete streams through — under a serial
-// drain their sends would block behind the straggler once the pipe
-// buffers filled.
+// replies over unbuffered pipes, where a frame is sent only once it is
+// read; the first sampled party withholds its entire reply while the other
+// two must be able to push their complete streams through — under a
+// serial drain their sends would block behind the straggler.
 func TestFoldAheadStragglerIndependence(t *testing.T) {
 	_, test, err := data.Load("adult", data.Config{TrainN: 60, TestN: 60, Seed: 21})
 	if err != nil {
@@ -257,16 +256,19 @@ func TestFoldAheadStragglerIndependence(t *testing.T) {
 	const parties = 3
 	const partyN = 100
 	tau := fl.PredictTau(cfg, partyN)
-	conns := make([]*CountingConn, parties)
+	fed := pipeFed(t, cfg, spec, test, parties, ServerOptions{})
 	release := make(chan struct{})
 	sent := make(chan int, parties)
 	var wg sync.WaitGroup
 	for i := 0; i < parties; i++ {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
 		wg.Add(1)
-		go func(i int, conn Conn) {
+		go func(i int) {
 			defer wg.Done()
+			conn, err := fed.connect()
+			if err != nil {
+				t.Errorf("party %d dial: %v", i, err)
+				return
+			}
 			hello, err := Marshal(HelloMsg{ID: i, N: partyN, LabelDist: []float64{0.5, 0.5}})
 			if err != nil {
 				t.Errorf("party %d hello marshal: %v", i, err)
@@ -296,17 +298,16 @@ func TestFoldAheadStragglerIndependence(t *testing.T) {
 					return
 				}
 			}
-		}(i, partySide)
+		}(i)
 	}
 
-	fed := pipeFed(t, cfg, spec, test, parties, ServerOptions{})
 	type serveResult struct {
 		res *fl.Result
 		err error
 	}
 	resCh := make(chan serveResult, 1)
 	go func() {
-		res, err := fed.servePipes(conns)
+		res, err := fed.serve()
 		resCh <- serveResult{res, err}
 	}()
 
@@ -339,18 +340,24 @@ func TestFoldAheadStragglerIndependence(t *testing.T) {
 	}
 }
 
-// deadOnArrival is the server end of a rejoin whose party is gone before
-// the server answers: the hello reads, but the ResyncMsg send fails, so the
-// scheduler that installs it leaves the party missing — and closes
-// installed when it tries.
+// deadOnArrival is a server end that reports, on installed, a ResyncMsg
+// it failed to deliver: the answer to a rejoin whose party hung up once its
+// hello was read, so the scheduler that installs it leaves the party
+// missing.
 type deadOnArrival struct {
 	Conn
-	installed chan struct{}
+	installed chan<- struct{}
 }
 
-func (d *deadOnArrival) Send([]byte) error {
-	close(d.installed)
-	return errors.New("party gone")
+func (d *deadOnArrival) Send(b []byte) error {
+	err := d.Conn.Send(b)
+	if err != nil && b[0] == msgResync {
+		select {
+		case d.installed <- struct{}{}:
+		default:
+		}
+	}
+	return err
 }
 
 // TestQuorumBelowMinParties runs the one quorum rule under both
@@ -420,20 +427,23 @@ func TestQuorumBelowMinParties(t *testing.T) {
 				evictOnce sync.Once
 				evicted   = make(chan struct{})
 				rejoined  = make(chan struct{})
+				installed = make(chan struct{}, 1)
 			)
 			fed := pipeFed(t, cfg, spec, test, parties, ServerOptions{OnEvict: func(e *EvictionError) {
 				if e.Party == deserter {
 					evictOnce.Do(func() { close(evicted) })
 				}
 			}})
-			conns := make([]*CountingConn, parties)
 			var wg sync.WaitGroup
 			for i := 0; i < parties; i++ {
-				serverSide, partySide := Pipe()
-				conns[i] = NewCountingConn(serverSide)
 				wg.Add(1)
-				go func(i int, conn Conn) {
+				go func(i int) {
 					defer wg.Done()
+					conn, err := fed.connect()
+					if err != nil {
+						t.Errorf("party %d dial: %v", i, err)
+						return
+					}
 					if err := hello(conn, i, false); err != nil {
 						t.Errorf("party %d hello: %v", i, err)
 						return
@@ -453,24 +463,22 @@ func TestQuorumBelowMinParties(t *testing.T) {
 						return
 					}
 					<-evicted
-					s, p := Pipe()
-					dead := &deadOnArrival{Conn: s, installed: make(chan struct{})}
-					if err := hello(p, deserter, true); err != nil {
+					dead, err := fed.connect()
+					if err == nil {
+						err = hello(dead, deserter, true)
+					}
+					if err != nil {
 						t.Errorf("dead rejoin hello: %v", err)
 						return
 					}
-					if err := fed.greet(NewCountingConn(dead)); err != nil {
-						t.Errorf("dead rejoin refused: %v", err)
-						return
+					_ = dead.Close()
+					<-installed
+					p, err := fed.connect()
+					if err == nil {
+						err = hello(p, deserter, true)
 					}
-					<-dead.installed
-					s, p = Pipe()
-					if err := hello(p, deserter, true); err != nil {
+					if err != nil {
 						t.Errorf("rejoin hello: %v", err)
-						return
-					}
-					if err := fed.greet(NewCountingConn(s)); err != nil {
-						t.Errorf("rejoin refused: %v", err)
 						return
 					}
 					if raw, err := p.Recv(); err != nil || raw[0] != msgResync {
@@ -479,10 +487,17 @@ func TestQuorumBelowMinParties(t *testing.T) {
 					}
 					close(rejoined)
 					answer(p, func(int) bool { return true })
-				}(i, partySide)
+				}(i)
 			}
 			start := time.Now()
-			res, serveErr := fed.servePipes(conns)
+			res, serveErr := fed.acceptAndRun(func() (Conn, error) {
+				c, err := fed.ln.accept()
+				if err != nil {
+					return nil, err
+				}
+				return &deadOnArrival{Conn: c, installed: installed}, nil
+			})
+			_ = fed.ln.Close()
 			elapsed := time.Since(start)
 			wg.Wait()
 			if row.rejoin {

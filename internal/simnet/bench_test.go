@@ -130,23 +130,19 @@ func BenchmarkRoundPeakMemory(b *testing.B) {
 				}()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					conns := make([]*CountingConn, parties)
-					var wg sync.WaitGroup
-					for p := 0; p < parties; p++ {
-						serverSide, partySide := Pipe()
-						conns[p] = NewCountingConn(serverSide)
-						wg.Add(1)
-						go func(p int, conn Conn) {
-							defer wg.Done()
-							if err := serveFakeParty(conn, p, 64, stateLen, cfg); err != nil {
-								b.Error(err)
-							}
-						}(p, partySide)
-					}
-					if _, err := pipeFed(b, cfg, spec, nil, parties, ServerOptions{}).servePipes(conns); err != nil {
+					fed := pipeFed(b, cfg, spec, nil, parties, ServerOptions{})
+					_, partyErrs, err := fed.federate(parties, func(p int) error {
+						conn, err := fed.connect()
+						if err != nil {
+							return err
+						}
+						defer conn.Close()
+						return serveFakeParty(conn, p, 64, stateLen, cfg)
+					})
+					if err != nil {
 						b.Fatal(err)
 					}
-					wg.Wait()
+					reportErrs(b, partyErrs)
 				}
 				b.StopTimer()
 				close(stop)

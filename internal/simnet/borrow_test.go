@@ -32,49 +32,29 @@ func (s *scribbleConn) Recv() ([]byte, error) {
 	return b, err
 }
 
-func (s *scribbleConn) SetReadDeadline(t time.Time) error {
-	if d, ok := s.Conn.(readDeadliner); ok {
-		return d.SetReadDeadline(t)
-	}
-	return nil
-}
-
-func (s *scribbleConn) SetRecvLimit(n uint32) {
-	if l, ok := s.Conn.(recvLimiter); ok {
-		l.SetRecvLimit(n)
-	}
-}
-
 // runScribbledTCP federates over loopback TCP with a scribbleConn around
-// both ends of every socket. AcceptAndRun has no seam for wrapping the
-// server's side, so the server here accepts its parties itself and runs
-// the serial handshake (greet) on the wrapped conns — the same readHello,
-// admission rule, schedulers and readers, without the rejoin listener.
+// both ends of every socket: the accept loop reads hellos off scribbled
+// conns, and admits them into the schedulers and readers unchanged.
 func runScribbledTCP(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset) *fl.Result {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	fed, err := newFederation(cfg, spec, test, len(locals), ServerOptions{})
+	ln := mustListen(t)
+	fed, err := ln.federation(len(locals), cfg, spec, test)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, partyErrs, err := runInProcess(len(locals),
 		func() (*fl.Result, error) {
-			conns := make([]*CountingConn, len(locals))
-			for i := range conns {
-				c, err := l.Accept()
+			defer ln.Close()
+			return fed.acceptAndRun(func() (Conn, error) {
+				c, err := ln.accept()
 				if err != nil {
 					return nil, err
 				}
-				conns[i] = NewCountingConn(scribbled(NewTCPConn(c)))
-			}
-			return fed.servePipes(conns)
+				return scribbled(c), nil
+			})
 		},
 		func(i int) error {
-			return servePartyTCP(l.Addr().String(), i, locals[i], spec, fed.Cfg, scribbled)
+			return servePartyTCP(ln.Addr(), i, locals[i], spec, fed.Cfg, scribbled)
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +67,7 @@ func runScribbledTCP(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*d
 // destroyed the moment its receiver asks for the next one. Nothing may
 // change: every Recv call site — the server's hello and update readers,
 // the party's downlink reader and resync read — decodes a frame before it
-// reads again, which is what lets tcpConn reuse one receive buffer.
+// reads again, which is what lets frameConn reuse one receive buffer.
 func TestRecvBorrowContract(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	spec, _ := data.Model("adult")
@@ -113,7 +93,7 @@ func TestRecvBorrowContract(t *testing.T) {
 	}
 	t.Run("sync/chunk=0", func(t *testing.T) {
 		// One frame per vector: the frames that outgrow the buffer a
-		// tcpConn keeps.
+		// frameConn keeps.
 		c := cfg
 		c.Algorithm, c.ChunkSize = fl.Scaffold, 0
 		same(t, runScribbledTCP(t, c, spec, locals, test), mustLoopback(t, c, spec, locals, test, ServerOptions{}, nil), true)
@@ -143,7 +123,7 @@ func TestRecvBorrowContract(t *testing.T) {
 	})
 }
 
-// TestTCPConnReceiveBuffer pins what tcpConn keeps: frames up to recvKeep
+// TestTCPConnReceiveBuffer pins what frameConn keeps: frames up to recvKeep
 // land in one buffer the conn owns (so steady-state receiving allocates
 // nothing), a larger frame — whole-vector framing — gets a one-off buffer
 // that is not retained, and in both cases the bytes are the sender's.
@@ -162,7 +142,7 @@ func TestTCPConnReceiveBuffer(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		conn := NewTCPConn(c)
+		conn := newFrameConn(c)
 		for i, n := range sizes {
 			b := make([]byte, n)
 			for j := range b {
@@ -180,7 +160,7 @@ func TestTCPConnReceiveBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	conn := NewTCPConn(c).(*tcpConn)
+	conn := newFrameConn(c).(*frameConn)
 	for i, n := range sizes {
 		b, err := conn.Recv()
 		if err != nil {

@@ -70,7 +70,7 @@ func footprint(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Da
 				return err
 			}
 			defer c.Close()
-			return serveFakeParty(NewTCPConn(c), i, locals[i].Len(), stateLen, norm)
+			return serveFakeParty(newFrameConn(c), i, locals[i].Len(), stateLen, norm)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -290,8 +290,6 @@ func TestSyncDownlinkHoldsTwo(t *testing.T) {
 	spec, _ := data.Model("adult")
 	cfg.ChunkSize, cfg.Rounds = 100, 12
 	fed := pipeFed(t, cfg, spec, test, len(locals), ServerOptions{})
-	conns := make([]*CountingConn, len(locals))
-	ends := make([]Conn, len(locals))
 	sessions := make([]*partySession, len(locals))
 	for i := range locals {
 		s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
@@ -299,12 +297,17 @@ func TestSyncDownlinkHoldsTwo(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.dlFree = make(chan []float64, 4*maxDownlinkBufs)
-		serverEnd, partyEnd := Pipe()
-		conns[i], ends[i], sessions[i] = NewCountingConn(serverEnd), partyEnd, s
+		sessions[i] = s
 	}
-	_, partyErrs, err := runInProcess(len(locals),
-		func() (*fl.Result, error) { return fed.servePipes(conns) },
-		func(i int) error { return sessions[i].run(ends[i], "", false, 0) })
+	// The party ends stay open after their sessions: the teardown must not
+	// wait on a peer that has stopped reading.
+	_, partyErrs, err := fed.federate(len(locals), func(i int) error {
+		conn, err := fed.connect()
+		if err != nil {
+			return err
+		}
+		return sessions[i].run(conn, "", false, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,9 @@ func (c *recordConn) Send(b []byte) error {
 func (c *recordConn) Recv() ([]byte, error) { return nil, fmt.Errorf("recordConn: no recv") }
 func (c *recordConn) Close() error          { return nil }
 
+func (c *recordConn) SetReadDeadline(time.Time) error { return nil }
+func (c *recordConn) SetRecvLimit(uint32)             {}
+
 // faultTrace pushes n frames through a fresh fault stream for one party
 // and records each send's fate: delivered bytes (nil when the send was
 // swallowed) and whether the injected kill fired.
@@ -240,7 +243,7 @@ func dropoutParty(t *testing.T, addr string, id int, ds *data.Dataset, spec nn.M
 		t.Errorf("dropout party %d dial: %v", id, err)
 		return
 	}
-	kc := &rstConn{Conn: wrap(NewTCPConn(c)), tcp: c.(*net.TCPConn)}
+	kc := &rstConn{Conn: wrap(newFrameConn(c)), tcp: c.(*net.TCPConn)}
 	if err := s.run(kc, "", false, 0); err == nil {
 		t.Errorf("dropout party %d finished cleanly before its kill fired", id)
 		return
@@ -251,7 +254,7 @@ func dropoutParty(t *testing.T, addr string, id int, ds *data.Dataset, spec nn.M
 		return
 	}
 	defer c2.Close()
-	if err := s.run(wrap(NewTCPConn(c2)), "", true, 0); err != nil {
+	if err := s.run(wrap(newFrameConn(c2)), "", true, 0); err != nil {
 		t.Errorf("rejoined party %d: %v", id, err)
 	}
 }
@@ -402,7 +405,7 @@ func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
 				return err
 			}
 			defer c.Close()
-			conn := NewTCPConn(c)
+			conn := newFrameConn(c)
 			rawParty(t, conn, HelloMsg{ID: 2, N: 80, LabelDist: []float64{0.5, 0.5}},
 				func(g GlobalMsg) error { return misbehave(conn, g) })
 			return nil
@@ -465,7 +468,7 @@ func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
 
 // TestEmptyFaultPlanBitwise pins the fault machinery's zero cost: dialing
 // through an explicitly empty FaultPlan (and the rejoin-capable dial
-// path) must produce bitwise the run a plain ServeParty produces.
+// path) must produce bitwise the run a plain party session produces.
 func TestEmptyFaultPlanBitwise(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	cfg.ChunkSize = 256

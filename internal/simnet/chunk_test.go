@@ -232,8 +232,8 @@ func TestRecvLimitRejectsBeforeRead(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	recv := NewTCPConn(a)
-	recv.(*tcpConn).SetRecvLimit(50)
+	recv := newFrameConn(a)
+	recv.(*frameConn).SetRecvLimit(50)
 	done := make(chan error, 1)
 	go func() {
 		_, err := recv.Recv()
@@ -256,9 +256,9 @@ func TestRecvLimitRejectsBeforeRead(t *testing.T) {
 		t.Fatal("Recv did not reject the oversized declaration from the header")
 	}
 	// Within the limit still works.
-	recv2 := NewTCPConn(b)
+	recv2 := newFrameConn(b)
 	go func() {
-		if err := NewTCPConn(a).(*tcpConn).Send([]byte("ok")); err != nil {
+		if err := newFrameConn(a).(*frameConn).Send([]byte("ok")); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -291,7 +291,7 @@ func TestRoundTimeoutEvictsSilentParty(t *testing.T) {
 			return err
 		}
 		defer c.Close()
-		conn := NewTCPConn(c)
+		conn := newFrameConn(c)
 		b, _ := Marshal(HelloMsg{ID: 3, N: 40, LabelDist: []float64{0.5, 0.5}})
 		if err := conn.Send(b); err != nil {
 			return err

@@ -99,9 +99,7 @@ func newDownlinkReader(conn Conn, stateLen, ctrlLen int, free chan []float64, cl
 // teardown is the hard guarantee.
 func (r *downlinkReader) stop() {
 	close(r.quit)
-	if dl, ok := r.conn.(readDeadliner); ok {
-		_ = dl.SetReadDeadline(time.Now())
-	}
+	_ = r.conn.SetReadDeadline(time.Now())
 }
 
 // push publishes an item unless the session is tearing down, and reports

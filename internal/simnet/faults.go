@@ -39,9 +39,8 @@ type FaultPlan struct {
 	// evict the sender; a corrupted frame must never corrupt the round.
 	CorruptProb float64
 	// TruncateProb is the per-sent-frame probability that only a prefix of
-	// the frame is sent (mid-frame cut): for length-prefixed TCP framing
-	// the peer sees a short read or a stalled frame; for in-memory pipes a
-	// syntactically truncated message.
+	// the frame is sent (mid-frame cut): the peer receives a syntactically
+	// truncated message, then the conn dies.
 	TruncateProb float64
 	// Grace exempts each connection's first Grace sent frames from every
 	// fault. Grace=1 shields the hello, so chaos stays aimed at round
@@ -88,50 +87,50 @@ func (f *PartyFaults) Wrap(conn Conn) Conn {
 	if f == nil || f.plan.Empty() {
 		return conn
 	}
-	return &faultConn{inner: conn, f: f}
+	return &faultConn{Conn: conn, f: f}
 }
 
 // errInjectedDrop marks a connection killed by fault injection, so chaos
 // harnesses can tell scheduled drops from real failures.
 var errInjectedDrop = fmt.Errorf("simnet: connection killed by fault injection")
 
-// faultConn injects a PartyFaults stream into a Conn's send path and
-// forwards everything else. Deadline and receive-limit support pass
-// through so the protocol's defensive seams stay active underneath the
+// faultConn injects a PartyFaults stream into a Conn's send path; the
+// rest of the Conn — receives, deadlines, receive limits — is the inner
+// conn's, so the protocol's defensive seams stay active underneath the
 // chaos.
 type faultConn struct {
-	inner Conn
-	f     *PartyFaults
-	sent  int
+	Conn
+	f    *PartyFaults
+	sent int
 }
 
 func (c *faultConn) Send(b []byte) error {
 	p, r := c.f.plan, c.f.r
 	if c.sent++; c.sent <= p.Grace {
-		return c.inner.Send(b)
+		return c.Conn.Send(b)
 	}
 	if d := p.Latency + time.Duration(float64(p.Jitter)*r.Float64()); d > 0 {
 		time.Sleep(d)
 	}
 	if p.DropProb > 0 && r.Float64() < p.DropProb {
-		_ = c.inner.Close()
+		_ = c.Conn.Close()
 		return errInjectedDrop
 	}
 	if p.TruncateProb > 0 && r.Float64() < p.TruncateProb && len(b) > 0 {
 		cut := r.Intn(len(b))
-		if err := c.inner.Send(b[:cut]); err != nil {
+		if err := c.Conn.Send(b[:cut]); err != nil {
 			return err
 		}
 		// A truncated frame is indistinguishable from a dying sender; kill
 		// the conn so both sides converge on "party lost" instead of the
 		// peer stalling on a frame that will never complete.
-		_ = c.inner.Close()
+		_ = c.Conn.Close()
 		return errInjectedDrop
 	}
 	if p.CorruptProb > 0 && r.Float64() < p.CorruptProb && len(b) > 0 {
 		b = corruptFrame(r, b)
 	}
-	return c.inner.Send(b)
+	return c.Conn.Send(b)
 }
 
 // corruptFrame returns a mutated copy of frame b — never b itself, so the
@@ -155,31 +154,4 @@ func corruptFrame(r *rng.RNG, b []byte) []byte {
 		}
 	}
 	return out
-}
-
-func (c *faultConn) Recv() ([]byte, error) {
-	b, err := c.inner.Recv()
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-func (c *faultConn) Close() error { return c.inner.Close() }
-
-// SetReadDeadline forwards to the inner conn when it supports deadlines
-// (implements readDeadliner).
-func (c *faultConn) SetReadDeadline(t time.Time) error {
-	if d, ok := c.inner.(readDeadliner); ok {
-		return d.SetReadDeadline(t)
-	}
-	return nil
-}
-
-// SetRecvLimit forwards to the inner conn when it supports receive-size
-// limits (implements recvLimiter).
-func (c *faultConn) SetRecvLimit(n uint32) {
-	if l, ok := c.inner.(recvLimiter); ok {
-		l.SetRecvLimit(n)
-	}
 }

@@ -47,10 +47,11 @@ type Federation struct {
 	Test *data.Dataset
 	ServerOptions
 	table *partyTable
-	// local marks in-process parties (RunLocal): the server then sends
-	// per-round kernel compute budgets so K concurrently-training parties
-	// split the machine instead of oversubscribing it. Over TCP parties
-	// are other processes and the budget stays 0 (uncapped).
+	// local marks in-process parties, the ones that dial an in-memory
+	// listener (RunLocal): the server then sends per-round kernel compute
+	// budgets so K concurrently-training parties split the machine instead
+	// of oversubscribing it. Over TCP parties are other processes and the
+	// budget stays 0 (uncapped).
 	local bool
 
 	prevBytes int64 // byte watermark for per-round accounting
@@ -460,8 +461,8 @@ func (f *Federation) receive(m member) {
 // CPU stays flat in K — a round broadcast costs one encode pass per
 // distinct codec in the federation, no matter how many parties, over
 // pipes or TCP, receive it. Safe for concurrent use; the slices must
-// never be mutated after publication (tcpConn writes them out, chanConn
-// copies them).
+// never be mutated after publication (every conn writes them out as
+// they are).
 type globalFrames struct {
 	gm   GlobalMsg
 	sets [4]codecFrames // indexed by wire codec

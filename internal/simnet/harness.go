@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"net"
 	"sync"
 
 	"github.com/niid-bench/niidbench/internal/data"
@@ -11,9 +12,11 @@ import (
 
 // This file stands a whole federation up in one process: the server on the
 // calling goroutine, one goroutine per party, over in-memory pipes
-// (RunLocal) or loopback TCP (RunLoopback). Party i trains on locals[i]
-// with PartySeed(cfg.Seed, i) on either transport, which is what lets a
-// synchronous run be compared bit for bit across them.
+// (RunLocal) or loopback TCP (RunLoopback). The two differ only in the
+// listener the server accepts on and the dial its parties use. Party i
+// trains on locals[i] with PartySeed(cfg.Seed, i) on either transport,
+// which is what lets a synchronous run be compared bit for bit across
+// them.
 
 // runInProcess runs serve on the calling goroutine beside one goroutine
 // per party and waits for every party. The server's error is err; the
@@ -33,32 +36,14 @@ func runInProcess(parties int, serve func() (*fl.Result, error), party func(i in
 	return res, partyErrs, err
 }
 
-// RunLocal runs a full federation over in-memory pipes: one goroutine per
-// party plus the server loop on the calling goroutine. It returns the same
+// RunLocal runs a full federation in this process: one goroutine per
+// party plus the server loop on the calling goroutine, the parties dialing
+// an in-memory listener of framed net.Pipe conns. It returns the same
 // Result type as fl.Simulation, with CommBytes measured from the actual
 // serialized traffic.
 func RunLocal(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset) (*fl.Result, error) {
-	fed, err := newFederation(cfg, spec, test, len(locals), ServerOptions{})
-	if err != nil {
-		return nil, err
-	}
-	fed.local = true
-	serverSide := make([]*CountingConn, len(locals))
-	partySide := make([]Conn, len(locals))
-	for i := range locals {
-		s, p := Pipe()
-		serverSide[i], partySide[i] = NewCountingConn(s), p
-	}
-	res, partyErrs, err := runInProcess(len(locals),
-		func() (*fl.Result, error) { return fed.servePipes(serverSide) },
-		func(i int) error {
-			// Close the party end when the session is over — the async
-			// server's receivers drain each conn until EOF, and the pipe
-			// only delivers one once an end closes (the TCP party's dial
-			// loop closes its socket the same way).
-			defer partySide[i].Close()
-			return ServeParty(partySide[i], i, locals[i], spec, fed.Cfg, PartySeed(fed.Cfg.Seed, i), "")
-		})
+	ln, dial := listenMem()
+	res, partyErrs, err := federate(ln, dial, cfg, spec, locals, test, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -70,52 +55,51 @@ func RunLocal(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *da
 	return res, nil
 }
 
-// servePipes is the pipe transport's server side: the serial hello
-// handshake over conns — one per party, each a trusted in-process peer —
-// then the run, then the teardown. The conns a failed handshake never got
-// to are closed here; the admitted ones belong to the table.
-func (f *Federation) servePipes(conns []*CountingConn) (*fl.Result, error) {
-	defer f.table.shutdown()
-	for i, c := range conns {
-		if err := f.greet(c); err != nil {
-			for _, rest := range conns[i:] {
-				_ = rest.Close()
-			}
-			return nil, err
-		}
-	}
-	return f.run()
-}
-
 // RunLoopback is RunLocal's loopback-TCP twin: the same federation with
-// every party dialing the server over a real socket, so every model
-// exchange crosses the full serialization and framing path. opts
-// configures the server as it would a ServerListener; party, when non-nil,
-// returns party i's dial options (faults, rejoin policy). Party errors are
-// returned by index rather than folded into err, because under fault
-// injection a party failing is a result, not a failure.
+// every party dialing the server over a real socket. opts configures the
+// server as it would a ServerListener; party, when non-nil, returns party
+// i's dial options (faults, rejoin policy). Party errors are returned by
+// index rather than folded into err, because under fault injection a
+// party failing is a result, not a failure.
 func RunLoopback(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset, opts ServerOptions, party func(i int) PartyOptions) (*fl.Result, []error, error) {
-	cfg, err := cfg.Normalize()
-	if err != nil {
-		return nil, nil, err
-	}
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err
 	}
 	ln.ServerOptions = opts
+	return federate(ln, func() (net.Conn, error) { return net.Dial("tcp", ln.Addr()) }, cfg, spec, locals, test, party)
+}
+
+// federate is the one in-process harness: the server accepts on ln while
+// party i dials with dial, under party(i)'s options when party is non-nil.
+func federate(ln *ServerListener, dial func() (net.Conn, error), cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset, party func(i int) PartyOptions) (*fl.Result, []error, error) {
+	fed, err := ln.federation(len(locals), cfg, spec, test)
+	if err != nil {
+		_ = ln.Close()
+		return nil, nil, err
+	}
+	cfg = fed.Cfg
 	return runInProcess(len(locals),
 		func() (*fl.Result, error) {
-			// Closing the listener is what stops AcceptAndRun's accept loop
-			// and turns a rejoining party's next redial into a refusal.
+			// Closing the listener is what stops the accept loop and turns a
+			// rejoining party's next redial into a refusal.
 			defer ln.Close()
-			return ln.AcceptAndRun(len(locals), cfg, spec, test)
+			return fed.acceptAndRun(ln.accept)
 		},
 		func(i int) error {
 			var po PartyOptions
 			if party != nil {
 				po = party(i)
 			}
-			return DialPartyOpts(ln.Addr(), i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), po)
+			err := dialParty(dial, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), po)
+			select {
+			case <-fed.table.full:
+			default:
+				// The party may have left its seat empty for good — no
+				// other party can take it — so fail the accept loop, which
+				// hangs up on the parties already admitted.
+				_ = ln.Close()
+			}
+			return err
 		})
 }

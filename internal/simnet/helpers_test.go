@@ -116,8 +116,8 @@ func (h *heldConn) Send(b []byte) error {
 // scriptedID is the party ID serveWithScripted gives its scripted peer.
 const scriptedID = 2
 
-// serveWithScripted runs a three-party pipe federation: parties 0 and 1
-// are honest ServeParty sessions on locals[0] and locals[1], party 2 is a
+// serveWithScripted runs a three-party in-memory federation: parties 0
+// and 1 are honest party sessions on locals[0] and locals[1], party 2 is a
 // rawParty reporting n samples and answering each broadcast with reply.
 // With holdHonest the honest parties' uploads wait for the run's first
 // eviction — under the async scheduler nothing else orders the scripted
@@ -127,36 +127,10 @@ const scriptedID = 2
 func serveWithScripted(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset,
 	n int, holdHonest bool, reply func(conn Conn, g GlobalMsg) error) (*fl.Result, *Federation, []*EvictionError, error) {
 	t.Helper()
-	conns := make([]*CountingConn, scriptedID+1)
 	firstEviction := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < scriptedID; i++ {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
-		if holdHonest {
-			partySide = &heldConn{Conn: partySide, release: firstEviction}
-		}
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			if err := ServeParty(conn, i, locals[i], spec, cfg, cfg.Seed+uint64(i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
-			}
-			_ = conn.Close() // the async receivers drain each conn until EOF
-		}(i, partySide)
-	}
-	serverSide, scripted := Pipe()
-	conns[scriptedID] = NewCountingConn(serverSide)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rawParty(t, scripted, HelloMsg{ID: scriptedID, N: n, LabelDist: []float64{0.5, 0.5}},
-			func(g GlobalMsg) error { return reply(scripted, g) })
-		_ = scripted.Close()
-	}()
 	var mu sync.Mutex
 	var evictions []*EvictionError
-	fed := pipeFed(t, cfg, spec, test, len(conns), ServerOptions{
+	fed := pipeFed(t, cfg, spec, test, scriptedID+1, ServerOptions{
 		OnEvict: func(e *EvictionError) {
 			mu.Lock()
 			if evictions = append(evictions, e); len(evictions) == 1 {
@@ -164,21 +138,78 @@ func serveWithScripted(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []
 			}
 			mu.Unlock()
 		}})
-	res, err := fed.servePipes(conns)
-	wg.Wait()
-	return res, fed, evictions, err
+	res, partyErrs, err := fed.federate(scriptedID+1, func(i int) error {
+		conn, err := fed.connect()
+		if err != nil {
+			return err
+		}
+		defer conn.Close() // the async receivers drain each conn until EOF
+		if i == scriptedID {
+			rawParty(t, conn, HelloMsg{ID: scriptedID, N: n, LabelDist: []float64{0.5, 0.5}},
+				func(g GlobalMsg) error { return reply(conn, g) })
+			return nil
+		}
+		if holdHonest {
+			conn = &heldConn{Conn: conn, release: firstEviction}
+		}
+		return serveParty(conn, i, locals[i], spec, cfg, cfg.Seed+uint64(i))
+	})
+	reportErrs(t, partyErrs)
+	return res, fed.Federation, evictions, err
 }
 
-// pipeFed is the server side of a pipe federation whose peers the test
-// scripts itself; fed.servePipes(conns) runs it.
-func pipeFed(t testing.TB, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset, parties int, opts ServerOptions) *Federation {
+// memFed is an in-memory federation whose peers the test scripts itself:
+// the server side, admitted by the accept loop on an in-memory listener,
+// and the dial that connects one more peer to it.
+type memFed struct {
+	*Federation
+	ln   *ServerListener
+	dial func() (net.Conn, error)
+}
+
+// pipeFed builds the server side of a federation of parties under opts;
+// peers connect with connect, and federate (or serve) runs it.
+func pipeFed(t testing.TB, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset, parties int, opts ServerOptions) *memFed {
 	t.Helper()
-	fed, err := newFederation(cfg, spec, test, parties, opts)
+	ln, dial := listenMem()
+	ln.ServerOptions = opts
+	fed, err := ln.federation(parties, cfg, spec, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed.local = true
-	return fed
+	return &memFed{Federation: fed, ln: ln, dial: dial}
+}
+
+// connect dials the federation and returns the peer's end: a fresh framed
+// pipe, taken by the accept loop. It fails once the listener closed.
+func (m *memFed) connect() (Conn, error) {
+	c, err := m.dial()
+	if err != nil {
+		return nil, err
+	}
+	return newFrameConn(c), nil
+}
+
+// serve runs the federation to completion on the calling goroutine,
+// admitting whoever connects, and closes the listener as it returns.
+func (m *memFed) serve() (*fl.Result, error) {
+	defer m.ln.Close()
+	return m.acceptAndRun(m.ln.accept)
+}
+
+// federate serves the federation beside `peers` goroutines — whatever the
+// test scripts against it — and waits for every peer.
+func (m *memFed) federate(peers int, peer func(i int) error) (*fl.Result, []error, error) {
+	return runInProcess(peers, m.serve, peer)
+}
+
+// serveParty runs one plain party session on conn until shutdown.
+func serveParty(conn Conn, i int, ds *data.Dataset, spec nn.ModelSpec, cfg fl.Config, seed uint64) error {
+	s, err := newPartySession(i, ds, spec, cfg, seed)
+	if err != nil {
+		return err
+	}
+	return s.run(conn, "", false, 0)
 }
 
 // mustLoopback is RunLoopback for tests in which nothing may fail: the
@@ -229,18 +260,18 @@ func reportErrs(t testing.TB, errs []error) {
 }
 
 // servePartyTCP is a plain party on a dialed socket the test may wrap
-// (jitter, kills, holds): ServeParty with the federation's party seed.
+// (jitter, kills, holds): serveParty with the federation's party seed.
 func servePartyTCP(addr string, i int, ds *data.Dataset, spec nn.ModelSpec, cfg fl.Config, wrap func(Conn) Conn) error {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	conn := NewTCPConn(c)
+	conn := newFrameConn(c)
 	if wrap != nil {
 		conn = wrap(conn)
 	}
-	return ServeParty(conn, i, ds, spec, cfg, PartySeed(cfg.Seed, i), "")
+	return serveParty(conn, i, ds, spec, cfg, PartySeed(cfg.Seed, i))
 }
 
 // dialRaw sends one raw frame to a listener as a fresh connection and
@@ -251,7 +282,7 @@ func dialRaw(addr string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	conn := NewTCPConn(c)
+	conn := newFrameConn(c)
 	_ = conn.Send(payload)
 	_, _ = conn.Recv()
 	return conn.Close()

@@ -22,23 +22,6 @@ import (
 // per-party streams.
 func PartySeed(seed uint64, i int) uint64 { return seed + uint64(i)*7919 + 13 }
 
-// ServeParty runs one party's message loop on conn until shutdown. It is
-// exported so parties can be run in separate processes over TCP. The party
-// introduces itself with a HelloMsg (identity, optional shared-secret
-// token, dataset size, label distribution) so the server can authenticate
-// it, weight its updates and sample stratified without ever seeing the raw
-// data. Round replies are UpdateChunkMsg streams framed at the size the
-// server's broadcast asked for. For rejoin-capable parties over TCP, see
-// DialPartyOpts, which keeps the session's model and buffers across
-// reconnects.
-func ServeParty(conn Conn, id int, local *data.Dataset, spec nn.ModelSpec, cfg fl.Config, seed uint64, token string) error {
-	s, err := newPartySession(id, local, spec, cfg, seed)
-	if err != nil {
-		return err
-	}
-	return s.run(conn, token, false, 0)
-}
-
 // partySession is one party's durable half of the protocol: the client
 // (model, optimizer state, SCAFFOLD control, MOON history) and the reused
 // wire buffers. It outlives any single connection, so a party that loses
@@ -114,7 +97,7 @@ func newPartySession(id int, local *data.Dataset, spec nn.ModelSpec, cfg fl.Conf
 // bounds how long the server may take to produce its first frame after
 // the hello — the party-side mirror of ServerOptions.HelloTimeout, so a
 // party dialing a hung server fails (and can redial) instead of blocking
-// forever. Effective only on conns with deadline support.
+// forever.
 func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout time.Duration) error {
 	h := s.hello
 	h.Token, h.Rejoin = token, rejoin
@@ -134,12 +117,9 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 	if s.cfg.Algorithm == fl.Scaffold {
 		ctrlLen = s.client.ParamCount()
 	}
-	if rl, ok := conn.(recvLimiter); ok {
-		rl.SetRecvLimit(recvLimitFor(stateLen + ctrlLen))
-	}
-	dl, hasDeadline := conn.(readDeadliner)
-	if helloTimeout > 0 && hasDeadline {
-		_ = dl.SetReadDeadline(time.Now().Add(helloTimeout))
+	conn.SetRecvLimit(recvLimitFor(stateLen + ctrlLen))
+	if helloTimeout > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	}
 	if rejoin {
 		// The server's first frame on a rejoined conn is the ResyncMsg
@@ -175,11 +155,11 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 	// replays — stay on this goroutine: a conn has exactly one sender and
 	// one receiver at all times.
 	var clear func()
-	if helloTimeout > 0 && hasDeadline {
+	if helloTimeout > 0 {
 		clear = func() {
 			// The server answered; round gaps are its RoundTimeout's
 			// business, not the hello deadline's.
-			_ = dl.SetReadDeadline(time.Time{})
+			_ = conn.SetReadDeadline(time.Time{})
 		}
 	}
 	if s.dlFree == nil {
@@ -303,7 +283,18 @@ type PartyOptions struct {
 // DialPartyOpts connects a party to a TCP federation server and serves
 // until shutdown, with the session — model, optimizer state, SCAFFOLD
 // control, reused buffers — surviving reconnects when opts.Rejoin is set.
+// The party introduces itself with a HelloMsg (identity, optional
+// shared-secret token, dataset size, label distribution) so the server can
+// authenticate it, weight its updates and sample stratified without ever
+// seeing the raw data. Round replies are UpdateChunkMsg streams framed at
+// the size the server's broadcast asked for.
 func DialPartyOpts(addr string, id int, local *data.Dataset, spec nn.ModelSpec, cfg fl.Config, seed uint64, opts PartyOptions) error {
+	return dialParty(func() (net.Conn, error) { return net.Dial("tcp", addr) }, id, local, spec, cfg, seed, opts)
+}
+
+// dialParty is DialPartyOpts over any transport: dial opens each of the
+// party's connections — a TCP socket, or an in-memory listener's pipe.
+func dialParty(dial func() (net.Conn, error), id int, local *data.Dataset, spec nn.ModelSpec, cfg fl.Config, seed uint64, opts PartyOptions) error {
 	s, err := newPartySession(id, local, spec, cfg, seed)
 	if err != nil {
 		return err
@@ -336,11 +327,11 @@ func DialPartyOpts(addr string, id int, local *data.Dataset, spec nn.ModelSpec, 
 	rejoining := false
 	for {
 		var sessErr error
-		c, err := net.Dial("tcp", addr)
+		c, err := dial()
 		if err != nil {
 			sessErr = err
 		} else {
-			conn := Conn(NewTCPConn(c))
+			conn := newFrameConn(c)
 			if faults != nil {
 				conn = faults.Wrap(conn)
 			}

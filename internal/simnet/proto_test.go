@@ -73,14 +73,15 @@ func TestCodecVersionedHello(t *testing.T) {
 // lacks the int8 bit is admitted and served raw float64 frames while its
 // peer gets int8 ones.
 func TestVersionSkew(t *testing.T) {
-	admit := func(fed *Federation, hello []byte) error {
-		serverSide, partySide := Pipe()
-		if err := partySide.Send(hello); err != nil {
-			t.Fatal(err)
-		}
-		return fed.greet(NewCountingConn(serverSide))
-	}
 	fed := pipeFed(t, fl.Config{LocalEpochs: 1, BatchSize: 32, Codec: fl.CodecInt8}, nn.ModelSpec{}, nil, 4, ServerOptions{})
+	d := newAdmissionDriver(t, fed.Federation, fed.ln, fed.dial)
+	defer d.close()
+	// admit returns the verdict on a hello claiming seat id: its
+	// rejection, or the seat taken.
+	admit := func(hello []byte, id int) error {
+		_, err := d.hello(hello, false, func() bool { return fed.table.get(id).conn != nil })
+		return err
+	}
 	// tag, magic, version 4, min-version 2, codec mask, rejoin, ID, N,
 	// empty token, empty label distribution: the v4 layout.
 	v4 := []byte{msgHello, protoMagic, 4, 2, 0x0F, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
@@ -89,7 +90,7 @@ func TestVersionSkew(t *testing.T) {
 	v2 := []byte{msgHello, protoMagic, 2, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 	for want, hello := range map[byte][]byte{4: v4, 2: v2} {
 		var ve *VersionError
-		if err := admit(fed, hello); !errors.As(err, &ve) || ve.Got != want {
+		if err := admit(hello, 0); !errors.As(err, &ve) || ve.Got != want {
 			t.Fatalf("v%d hello at admission: %v, want a *VersionError for generation %d", want, err, want)
 		}
 	}
@@ -97,7 +98,7 @@ func TestVersionSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := admit(fed, future); err != nil {
+	if err := admit(future, 0); err != nil {
 		t.Fatalf("future peer still speaking %d rejected: %v", ProtoVersion, err)
 	}
 	if got := fed.table.get(0).codec; got != wireCodecInt8 {
@@ -108,7 +109,7 @@ func TestVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ve *VersionError
-	if err := admit(fed, disjoint); !errors.As(err, &ve) || ve.GotMin != ProtoVersion+1 {
+	if err := admit(disjoint, 1); !errors.As(err, &ve) || ve.GotMin != ProtoVersion+1 {
 		t.Fatalf("disjoint future range: %v", err)
 	}
 
@@ -126,30 +127,28 @@ func TestVersionSkew(t *testing.T) {
 	spec, _ := data.Model("adult")
 	const partyN = 100
 	tau := fl.PredictTau(cfg, partyN)
-	conns := make([]*CountingConn, 2)
 	saw := make([]byte, 2) // the codec each party's broadcast arrived in
-	var wg sync.WaitGroup
-	for i := range conns {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
+	mixed := pipeFed(t, cfg, spec, test, 2, ServerOptions{})
+	res, partyErrs, err := mixed.federate(2, func(i int) error {
+		conn, err := mixed.connect()
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
 		hello := HelloMsg{ID: i, N: partyN, LabelDist: []float64{0.5, 0.5}}
 		if i == 1 {
 			hello.Codecs = 1<<wireCodecF64 | 1<<wireCodecF32
 		}
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			rawParty(t, &codecSpy{Conn: conn, saw: &saw[i]}, hello, func(g GlobalMsg) error {
-				// The server accepts either encoding on the uplink.
-				return sendFrames(conn, updateFrames(g, partyN, tau, 0))
-			})
-		}(i, partySide)
-	}
-	res, err := pipeFed(t, cfg, spec, test, 2, ServerOptions{}).servePipes(conns)
-	wg.Wait()
+		rawParty(t, &codecSpy{Conn: conn, saw: &saw[i]}, hello, func(g GlobalMsg) error {
+			// The server accepts either encoding on the uplink.
+			return sendFrames(conn, updateFrames(g, partyN, tau, 0))
+		})
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reportErrs(t, partyErrs)
 	if len(res.Curve) != cfg.Rounds || len(res.Curve[0].Dropped) != 0 {
 		t.Fatalf("mixed-codec round: %+v", res.Curve)
 	}
@@ -458,7 +457,20 @@ func downlinkFrom(t *testing.T, stateLen, ctrlLen int, frames ...GlobalChunkMsg)
 		r.stop()
 		_ = serverSide.Close()
 	})
-	sendGlobal(t, serverSide, frames...)
+	// The server side sends from its own goroutine: a reader that refuses
+	// the stream stops reading, and the frames behind the refusal then fail
+	// when the cleanup hangs up.
+	go func() {
+		for _, f := range frames {
+			b, err := Marshal(f)
+			if err == nil {
+				err = serverSide.Send(b)
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
 	return r.next(), free
 }
 

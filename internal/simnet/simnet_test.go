@@ -78,9 +78,9 @@ func TestCodecErrors(t *testing.T) {
 
 func TestPipeDuplex(t *testing.T) {
 	a, b := Pipe()
-	if err := a.Send([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
+	// A send returns once its frame is read, so it runs beside the Recv.
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send([]byte("hello")) }()
 	got, err := b.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -88,12 +88,16 @@ func TestPipeDuplex(t *testing.T) {
 	if string(got) != "hello" {
 		t.Fatalf("got %q", got)
 	}
-	if err := b.Send([]byte("world")); err != nil {
+	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
+	go func() { sent <- b.Send([]byte("world")) }()
 	got, err = a.Recv()
 	if err != nil || string(got) != "world" {
 		t.Fatalf("reverse direction: %q %v", got, err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 }
 

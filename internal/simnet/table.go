@@ -310,16 +310,22 @@ func (t *partyTable) totalBytes() int64 {
 }
 
 // shutdown is the federation's one teardown, run on every way out of a
-// serve: a best-effort ShutdownMsg to every seated party, then every conn
-// the table holds — seated or parked as a rejoin — is closed, so no party
-// is left blocked on a server that is gone.
-func (t *partyTable) shutdown() {
-	goodbye, _ := Marshal(ShutdownMsg{})
+// serve: every conn the table holds — seated or parked as a rejoin — is
+// closed, so no party is left blocked on a server that is gone. goodbye
+// says no sender served the seated conns (the run never booted), so each
+// first gets its best-effort ShutdownMsg from here; a sender writes its
+// conn's one goodbye itself, and a second one would wait on a peer that
+// has stopped reading.
+func (t *partyTable) shutdown(goodbye bool) {
+	bye, _ := Marshal(ShutdownMsg{})
 	for _, m := range t.all() {
-		if m.conn != nil {
-			_ = m.conn.Send(goodbye)
-			_ = m.conn.Close()
+		if m.conn == nil {
+			continue
 		}
+		if goodbye {
+			_ = m.conn.Send(bye)
+		}
+		_ = m.conn.Close()
 	}
 	for _, m := range t.drainRejoins(nil) {
 		_ = m.conn.Close()

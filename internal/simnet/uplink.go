@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -135,7 +136,9 @@ func (f *Federation) read(src member, round int) stagedUpdate {
 		}
 		raw, err := src.conn.Recv()
 		if err != nil {
-			return fail(false, fmt.Errorf("simnet: recv from party %d: %w", src.id, err))
+			// A frame over the receive limit is the party's violation;
+			// anything else is transport loss.
+			return fail(errors.Is(err, errFrameLimit), fmt.Errorf("simnet: recv from party %d: %w", src.id, err))
 		}
 		m, p, err := parseUpdateChunk(raw)
 		if err != nil {
