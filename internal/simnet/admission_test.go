@@ -77,7 +77,9 @@ func (d *admissionDriver) close() {
 }
 
 // mailbox is a party end whose frames a goroutine reads as they arrive,
-// until the conn ends; Recv hands them over in order.
+// until the conn ends; Recv hands them over in order. An admission test
+// sends a party at most a ResyncMsg and a goodbye, so the reader never
+// waits on a full buffer.
 type mailbox struct {
 	Conn
 	got chan received

@@ -80,7 +80,7 @@ func serveFakeParty(conn Conn, id, n, stateLen int, cfg fl.Config) error {
 // reported as peak-live-B. The server holds the O(state) accumulator plus
 // at most foldAhead pooled stream buffers at every frame size; what the
 // frame size changes is the serialized frames in flight — one whole state
-// vector per party and direction at size 0, a few small frames per pipe
+// vector per party and direction at size 0, one small frame per pipe
 // otherwise.
 func BenchmarkRoundPeakMemory(b *testing.B) {
 	spec := nn.ModelSpec{Kind: nn.KindMLP, InputDim: 20000, Classes: 2}

@@ -225,9 +225,9 @@ func TestHandshakeHardening(t *testing.T) {
 	}
 }
 
-// TestRecvLimitRejectsBeforeRead pins the pre-read frame bound: a TCP
-// frame whose length prefix exceeds the configured limit must be refused
-// without reading (or allocating) its body.
+// TestRecvLimitRejectsBeforeRead pins the pre-read frame bound: a frame
+// whose length prefix exceeds the configured limit must be refused,
+// as errFrameLimit, without reading (or allocating) its body.
 func TestRecvLimitRejectsBeforeRead(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -251,6 +251,9 @@ func TestRecvLimitRejectsBeforeRead(t *testing.T) {
 	case err := <-done:
 		if err == nil {
 			t.Fatal("oversized frame declaration was accepted")
+		}
+		if !errors.Is(err, errFrameLimit) {
+			t.Fatalf("oversized frame refused as %v, want the receive limit's typed refusal", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not reject the oversized declaration from the header")

@@ -103,7 +103,7 @@ func (t *frameConn) Recv() ([]byte, error) {
 	}
 	n := le.NewReader(hdr[:]).U32()
 	if max := t.max.Load(); n > max {
-		return nil, fmt.Errorf("%w: message of %d bytes exceeds limit %d", errFrameLimit, n, max)
+		return nil, fmt.Errorf("%w: %d bytes, limit %d", errFrameLimit, n, max)
 	}
 	b := t.rbuf
 	if int(n) > cap(b) {
