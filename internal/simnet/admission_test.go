@@ -569,46 +569,35 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 	const flapper = 2
 	var counted atomic.Int64
 	// Every server end is metered; the flapper's ones flap.
-	accept := func() (Conn, error) {
-		c, err := fed.ln.accept()
-		if err != nil {
-			return nil, err
-		}
-		return &meterConn{Conn: &flapConn{Conn: c, id: flapper}, total: &counted}, nil
-	}
+	fed.wrap = func(c Conn) Conn { return &meterConn{Conn: &flapConn{Conn: c, id: flapper}, total: &counted} }
 	rejoins := 0
-	res, partyErrs, err := runInProcess(len(locals),
-		func() (*fl.Result, error) {
-			defer fed.ln.Close()
-			return fed.acceptAndRun(accept)
-		},
-		func(i int) error {
-			conn, err := fed.connect()
-			if err != nil {
-				return err
+	res, partyErrs, err := fed.federate(len(locals), func(i int) error {
+		conn, err := fed.connect()
+		if err != nil {
+			return err
+		}
+		if i != flapper {
+			defer conn.Close()
+			return serveParty(conn, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+		}
+		s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+		if err != nil {
+			return err
+		}
+		for rejoining := false; ; rejoining = true {
+			err := s.run(conn, "", rejoining, 0)
+			_ = conn.Close()
+			if err == nil {
+				return nil
 			}
-			if i != flapper {
-				defer conn.Close()
-				return serveParty(conn, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+			// A refused redial means the run is over and its listener
+			// closed.
+			if conn, err = fed.connect(); err != nil {
+				return nil
 			}
-			s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
-			if err != nil {
-				return err
-			}
-			for rejoining := false; ; rejoining = true {
-				err := s.run(conn, "", rejoining, 0)
-				_ = conn.Close()
-				if err == nil {
-					return nil
-				}
-				// A refused redial means the run is over and its listener
-				// closed.
-				if conn, err = fed.connect(); err != nil {
-					return nil
-				}
-				rejoins++
-			}
-		})
+			rejoins++
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

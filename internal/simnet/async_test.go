@@ -490,14 +490,8 @@ func TestQuorumBelowMinParties(t *testing.T) {
 				}(i)
 			}
 			start := time.Now()
-			res, serveErr := fed.acceptAndRun(func() (Conn, error) {
-				c, err := fed.ln.accept()
-				if err != nil {
-					return nil, err
-				}
-				return &deadOnArrival{Conn: c, installed: installed}, nil
-			})
-			_ = fed.ln.Close()
+			fed.wrap = func(c Conn) Conn { return &deadOnArrival{Conn: c, installed: installed} }
+			res, serveErr := fed.serve()
 			elapsed := time.Since(start)
 			wg.Wait()
 			if row.rejoin {

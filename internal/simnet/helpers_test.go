@@ -165,6 +165,8 @@ type memFed struct {
 	*Federation
 	ln   *ServerListener
 	dial func() (net.Conn, error)
+	// wrap, when set, goes around every server end the accept loop takes.
+	wrap func(Conn) Conn
 }
 
 // pipeFed builds the server side of a federation of parties under opts;
@@ -194,7 +196,13 @@ func (m *memFed) connect() (Conn, error) {
 // admitting whoever connects, and closes the listener as it returns.
 func (m *memFed) serve() (*fl.Result, error) {
 	defer m.ln.Close()
-	return m.acceptAndRun(m.ln.accept)
+	return m.acceptAndRun(func() (Conn, error) {
+		c, err := m.ln.accept()
+		if err != nil || m.wrap == nil {
+			return c, err
+		}
+		return m.wrap(c), nil
+	})
 }
 
 // federate serves the federation beside `peers` goroutines — whatever the
