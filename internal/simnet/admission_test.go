@@ -305,7 +305,7 @@ func TestAdmissionTable(t *testing.T) {
 					var err error
 					if h.direct {
 						var serverSide Conn
-						serverSide, end = Pipe()
+						serverSide, end = pipe()
 						err = fed.admit(NewCountingConn(serverSide), h.h)
 					} else {
 						b, merr := Marshal(h.h)
@@ -563,7 +563,18 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 	cfg.Rounds = 10
 	cfg.ChunkSize = 64
 	spec, _ := data.Model("adult")
-	fed := pipeFed(t, cfg, spec, test, len(locals), ServerOptions{RejoinGrace: 2 * time.Second})
+	var fed *memFed
+	fed = pipeFed(t, cfg, spec, test, len(locals), ServerOptions{RejoinGrace: 2 * time.Second,
+		// While the run is live every flapper rejoin must be admitted;
+		// only a redial the run's end cuts short is turned away.
+		OnReject: func(err error) {
+			fed.mu.Lock()
+			live := !fed.done
+			fed.mu.Unlock()
+			if live {
+				t.Errorf("rejoin refused: %v", err)
+			}
+		}})
 	cfg = fed.Cfg
 
 	const flapper = 2
@@ -585,8 +596,12 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 			return err
 		}
 		for rejoining := false; ; rejoining = true {
+			s.progressed = false
 			err := s.run(conn, "", rejoining, 0)
 			_ = conn.Close()
+			if rejoining && s.progressed {
+				rejoins++ // admitted and resynced
+			}
 			if err == nil {
 				return nil
 			}
@@ -595,7 +610,6 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 			if conn, err = fed.connect(); err != nil {
 				return nil
 			}
-			rejoins++
 		}
 	})
 	if err != nil {

@@ -428,12 +428,21 @@ func TestQuorumBelowMinParties(t *testing.T) {
 				evicted   = make(chan struct{})
 				rejoined  = make(chan struct{})
 				installed = make(chan struct{}, 1)
+				refused   = make(chan error, 1)
 			)
-			fed := pipeFed(t, cfg, spec, test, parties, ServerOptions{OnEvict: func(e *EvictionError) {
-				if e.Party == deserter {
-					evictOnce.Do(func() { close(evicted) })
-				}
-			}})
+			fed := pipeFed(t, cfg, spec, test, parties, ServerOptions{
+				OnEvict: func(e *EvictionError) {
+					if e.Party == deserter {
+						evictOnce.Do(func() { close(evicted) })
+					}
+				},
+				// Every hello here is admitted, the dead rejoin's too.
+				OnReject: func(err error) {
+					select {
+					case refused <- err:
+					default:
+					}
+				}})
 			var wg sync.WaitGroup
 			for i := 0; i < parties; i++ {
 				wg.Add(1)
@@ -491,7 +500,21 @@ func TestQuorumBelowMinParties(t *testing.T) {
 			}
 			start := time.Now()
 			fed.wrap = func(c Conn) Conn { return &deadOnArrival{Conn: c, installed: installed} }
-			res, serveErr := fed.serve()
+			var (
+				res      *fl.Result
+				serveErr error
+				served   = make(chan struct{})
+			)
+			go func() {
+				defer close(served)
+				res, serveErr = fed.serve()
+			}()
+			select {
+			case <-served:
+			case err := <-refused:
+				// Without the rejoin the run would wait out QuorumWait.
+				t.Fatalf("hello refused: %v", err)
+			}
 			elapsed := time.Since(start)
 			wg.Wait()
 			if row.rejoin {

@@ -203,7 +203,7 @@ func TestDownlinkBufferBound(t *testing.T) {
 	// Room to spare, so a buffer beyond the bound would be kept and counted
 	// rather than dropped by a full list.
 	s.dlFree = make(chan []float64, 4*maxDownlinkBufs)
-	server, partyEnd := Pipe()
+	server, partyEnd := pipe()
 	party := &gatedConn{Conn: partyEnd, recvs: make(chan struct{}, 1024), parked: make(chan int), release: make(chan struct{})}
 	state := make([]float64, s.client.StateCount())
 	done := make(chan error, 1)

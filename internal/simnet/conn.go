@@ -34,15 +34,6 @@ type Conn interface {
 	SetRecvLimit(n uint32)
 }
 
-// Pipe returns two connected in-memory Conns: the ends of a net.Pipe,
-// framed exactly as a socket is. A pipe federation therefore serializes,
-// counts, decodes and bounds the same bytes a socket one does. A Send
-// returns once the peer has read the frame.
-func Pipe() (Conn, Conn) {
-	a, b := net.Pipe()
-	return newFrameConn(a), newFrameConn(b)
-}
-
 // frameConn frames messages over a net.Conn stream with a 4-byte length
 // prefix.
 type frameConn struct {

@@ -192,6 +192,14 @@ func (m *memFed) connect() (Conn, error) {
 	return newFrameConn(c), nil
 }
 
+// pipe returns two connected in-memory Conns: the ends of a net.Pipe,
+// framed exactly as a socket is. A Send returns once the peer has read
+// the frame.
+func pipe() (Conn, Conn) {
+	a, b := net.Pipe()
+	return newFrameConn(a), newFrameConn(b)
+}
+
 // serve runs the federation to completion on the calling goroutine,
 // admitting whoever connects, and closes the listener as it returns.
 func (m *memFed) serve() (*fl.Result, error) {

@@ -449,7 +449,7 @@ func sendGlobal(t *testing.T, conn Conn, frames ...GlobalChunkMsg) {
 // what the party side made of a server's framing.
 func downlinkFrom(t *testing.T, stateLen, ctrlLen int, frames ...GlobalChunkMsg) (dlItem, chan []float64) {
 	t.Helper()
-	serverSide, partySide := Pipe()
+	serverSide, partySide := pipe()
 	free := make(chan []float64, 4)
 	r := newDownlinkReader(partySide, stateLen, ctrlLen, free, nil)
 	go r.loop()
@@ -615,7 +615,7 @@ func TestDownlinkViolationsUnpublished(t *testing.T) {
 // the hang-up yields one error item carrying no broadcast, and the partly
 // filled buffer is back on the free list.
 func TestDownlinkCutStreamUnpublished(t *testing.T) {
-	serverSide, partySide := Pipe()
+	serverSide, partySide := pipe()
 	party := &gatedConn{Conn: partySide, recvs: make(chan struct{}, 4)}
 	free := make(chan []float64, 4)
 	r := newDownlinkReader(party, 3, 0, free, nil)
@@ -706,7 +706,7 @@ func TestCutBroadcastRejoinBitwise(t *testing.T) {
 	// hello, then hangs up and returns the session's error.
 	serve := func(s *partySession, rejoin bool, script func(server Conn)) error {
 		t.Helper()
-		server, party := Pipe()
+		server, party := pipe()
 		done := make(chan error, 1)
 		go func() { done <- s.run(party, "", rejoin, 0) }()
 		if _, err := server.Recv(); err != nil {

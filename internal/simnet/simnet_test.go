@@ -77,7 +77,7 @@ func TestCodecErrors(t *testing.T) {
 }
 
 func TestPipeDuplex(t *testing.T) {
-	a, b := Pipe()
+	a, b := pipe()
 	// A send returns once its frame is read, so it runs beside the Recv.
 	sent := make(chan error, 1)
 	go func() { sent <- a.Send([]byte("hello")) }()
@@ -102,7 +102,7 @@ func TestPipeDuplex(t *testing.T) {
 }
 
 func TestPipeCloseUnblocksRecv(t *testing.T) {
-	a, b := Pipe()
+	a, b := pipe()
 	done := make(chan error, 1)
 	go func() {
 		_, err := b.Recv()
@@ -121,7 +121,7 @@ func TestPipeSendAfterCloseFails(t *testing.T) {
 	for _, closer := range []int{0, 1} {
 		for _, sender := range []int{0, 1} {
 			for i := 0; i < 1000; i++ {
-				a, b := Pipe()
+				a, b := pipe()
 				ends := [2]Conn{a, b}
 				ends[closer].Close()
 				if err := ends[sender].Send([]byte("x")); err == nil {
@@ -133,7 +133,7 @@ func TestPipeSendAfterCloseFails(t *testing.T) {
 }
 
 func TestCountingConn(t *testing.T) {
-	a, b := Pipe()
+	a, b := pipe()
 	ca := NewCountingConn(a)
 	var wg sync.WaitGroup
 	wg.Add(1)
