@@ -11,13 +11,16 @@ import (
 // every party trains continuously against whatever global generation last
 // reached it:
 //
-//   - each conn's sender pushes every newly minted generation, which
-//     addresses every party; the loop keeps only the newest, so a slow
-//     party skips intermediate generations instead of queueing them;
+//   - a party pulls its next generation: each conn's sender ships the
+//     newest generation once the party has answered every generation the
+//     conn was shipped (Federation.claim), so a party is never shipped a
+//     generation ahead of its answer, a slow one skips the generations
+//     minted while it trained, and a rejoined conn is shipped the newest
+//     generation at once;
 //   - each conn's receiver serves asyncFold: its turn comes at once, and
-//     every complete update stream folds into the fl.AsyncCoordinator the
-//     moment it finishes, tagged with the generation it trained against
-//     for the staleness discount;
+//     every complete update stream counts as the party's answer, then
+//     folds into the fl.AsyncCoordinator the moment it finishes, tagged
+//     with the generation it trained against for the staleness discount;
 //   - the membership loop (RunAsync) keeps the resync round stamp
 //     current and applies the one quorum rule (Federation.quorum, which
 //     installs queued rejoins), on the loop's one wait.
@@ -33,7 +36,8 @@ import (
 // in flight, and draining it (the fold is then a no-op) is what keeps the
 // party from blocking on a full pipe before it can read the ShutdownMsg.
 // The conn's EOF — every party closes its end when its session ends — is
-// the receiver's own termination.
+// the receiver's own termination, or, with RoundTimeout set, that long a
+// silence once the run is over (see Federation.idle).
 type asyncFold struct {
 	f     *Federation
 	coord *fl.AsyncCoordinator
@@ -43,14 +47,29 @@ type asyncFold struct {
 // is adopted from the stream, and the coordinator bounds it.
 func (asyncFold) turn(member) (int, bool) { return -1, true }
 
-// take folds one complete stream and, when the fold closed a buffer,
-// publishes the new generation. It ends the receiver on a failed stream or
-// a coordinator rejection.
+// take counts a complete stream as the party's answer the moment it
+// arrives, whatever the fold then makes of it — folded, fairness-dropped
+// or deduplicated — so the conn's sender may ship the party its next
+// generation while this one folds; then it folds the stream. It ends the
+// receiver, and the conn's count with it, on a failed stream or a
+// coordinator rejection.
 func (a asyncFold) take(m member, st stagedUpdate) bool {
 	f := a.f
-	if st.err != nil {
-		return false
+	if st.err == nil {
+		f.update(func() { f.answered[m.conn]++ })
+		if a.fold(m, st) {
+			return true
+		}
 	}
+	f.update(func() { delete(f.answered, m.conn) })
+	return false
+}
+
+// fold folds one complete stream and, when the fold closed a buffer,
+// publishes the new generation. It reports false on a coordinator
+// rejection.
+func (a asyncFold) fold(m member, st stagedUpdate) bool {
+	f := a.f
 	if !f.table.firstFold(m.id, st.round) {
 		// A rejoin replayed the contribution this server already folded
 		// (the party cannot know that); drop it silently.
@@ -72,7 +91,6 @@ func (a asyncFold) take(m member, st stagedUpdate) bool {
 		if !done {
 			f.evict(m.id, m.conn, true, err)
 		}
-		f.changed()
 		return false
 	}
 	if flushed && !done {
@@ -101,7 +119,7 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 	if _, err := bf.frames(wireCodec(f.Cfg.Codec)); err != nil {
 		return err
 	}
-	f.policy = asyncFold{f, coord}
+	f.policy, f.answered = asyncFold{f, coord}, make(map[*CountingConn]int)
 	f.serve(f.table.alive()...)
 	f.publish(gen, bf, nil)
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -603,4 +604,241 @@ func TestAsyncTCPFairnessFastParty(t *testing.T) {
 		}
 	}
 	t.Logf("fairness drops under a 10x-fast party: %d", res.Async.FairnessDropped)
+}
+
+// TestAsyncTeardownBoundsOpenConn runs async federations whose parties
+// keep their ends open after the goodbye. Once the run is over,
+// RoundTimeout bounds each receiver's wait for a stream that never comes,
+// so the teardown ends on its own instead of waiting for the parties to
+// hang up. The test bounds its own wait and closes the party ends only
+// after it, so a teardown that hangs fails here instead of stalling the
+// suite.
+func TestAsyncTeardownBoundsOpenConn(t *testing.T) {
+	cfg, locals, test := smallFederation(t)
+	spec, _ := data.Model("adult")
+	cfg.AsyncBuffer = 1
+	for _, tcp := range []bool{false, true} {
+		name, build := "pipe", pipeFed
+		if tcp {
+			name, build = "tcp", tcpFed
+		}
+		t.Run(name, func(t *testing.T) {
+			fed := build(t, cfg, spec, test, len(locals), ServerOptions{RoundTimeout: 200 * time.Millisecond})
+			var mu sync.Mutex
+			var ends []Conn
+			hangUp := func() {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, c := range ends {
+					_ = c.Close()
+				}
+			}
+			type outcome struct {
+				partyErrs []error
+				err       error
+			}
+			out := make(chan outcome, 1)
+			go func() {
+				_, partyErrs, err := fed.federate(len(locals), func(i int) error {
+					conn, err := fed.connect()
+					if err != nil {
+						return err
+					}
+					mu.Lock()
+					ends = append(ends, conn)
+					mu.Unlock()
+					return serveParty(conn, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+				})
+				out <- outcome{partyErrs, err}
+			}()
+			var o outcome
+			select {
+			case o = <-out:
+			case <-time.After(10 * time.Second):
+				t.Error("10 s on, the teardown still waits for parties that keep their ends open")
+				hangUp()
+				o = <-out
+			}
+			hangUp()
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			reportErrs(t, o.partyErrs)
+		})
+	}
+}
+
+// pullConn is a server end that checks the async addressee rule: it
+// counts the broadcasts it ships and the replies it reads, and records a
+// broadcast that starts while one it shipped earlier is unanswered. It
+// also keeps the stamp of the ResyncMsg it carried (-1: none) and the
+// generation of its first broadcast (-1: none).
+type pullConn struct {
+	Conn
+	shipped, answered, ahead atomic.Int64
+	resync, first            atomic.Int64
+	// shippedOne, when set, is called once the conn's first broadcast is
+	// out.
+	shippedOne func()
+	once       sync.Once
+}
+
+func newPullConn(c Conn) *pullConn {
+	p := &pullConn{Conn: c}
+	p.resync.Store(-1)
+	p.first.Store(-1)
+	return p
+}
+
+func (p *pullConn) Send(b []byte) error {
+	var g GlobalChunkMsg
+	switch msg, _ := Unmarshal(b); m := msg.(type) {
+	case GlobalChunkMsg:
+		g = m
+		if m.Offset == 0 && p.answered.Load() < p.shipped.Load() {
+			p.ahead.Add(1)
+		}
+		p.first.CompareAndSwap(-1, int64(m.Round))
+	case ResyncMsg:
+		p.resync.Store(int64(m.Round))
+	}
+	err := p.Conn.Send(b)
+	if err == nil && g.Last {
+		p.shipped.Add(1)
+		if p.shippedOne != nil {
+			p.once.Do(p.shippedOne)
+		}
+	}
+	return err
+}
+
+func (p *pullConn) Recv() ([]byte, error) {
+	b, err := p.Conn.Recv()
+	if err == nil && len(b) > 0 && b[0] == msgUpdateChunk {
+		if m, _, perr := parseUpdateChunk(b); perr == nil && m.Last {
+			p.answered.Add(1)
+		}
+	}
+	return b, err
+}
+
+// TestAsyncPartyPullsNextGeneration pins the async addressee rule on every
+// server end of an 8-party federation: a conn is never shipped a
+// generation while one it was shipped before is unanswered, at a buffer
+// of 1 (a generation per fold, the most run-ahead) and of K/4, over pipes
+// and TCP. In the rejoin row party 2's first conn dies at the first
+// generation it is shipped after answering, and the other parties' replies
+// wait until its fresh conn is shipped a generation: counted per conn, the
+// fresh conn owes nothing and is shipped the newest generation — the one
+// its ResyncMsg announced — at once.
+func TestAsyncPartyPullsNextGeneration(t *testing.T) {
+	const parties, flapper = 8, 2
+	train, test, err := data.Load("adult", data.Config{TrainN: 800, TestN: 100, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, locals, err := partition.Strategy{Kind: partition.Homogeneous}.Split(train, parties, rng.New(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := data.Model("adult")
+	for _, row := range []struct {
+		name   string
+		tcp    bool
+		buffer int
+		rejoin bool
+	}{
+		{name: "pipe/buffer-1", buffer: 1},
+		{name: "pipe/buffer-K/4", buffer: parties / 4},
+		{name: "tcp/buffer-1", tcp: true, buffer: 1},
+		{name: "tcp/buffer-K/4", tcp: true, buffer: parties / 4},
+		{name: "pipe/rejoin", buffer: 1, rejoin: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := fl.Config{Algorithm: fl.FedAvg, Rounds: 16, LocalEpochs: 1, BatchSize: 32,
+				LR: 0.05, Seed: 5, ChunkSize: 256, AsyncBuffer: row.buffer}
+			build := pipeFed
+			if row.tcp {
+				build = tcpFed
+			}
+			fed := build(t, cfg, spec, test, parties, ServerOptions{})
+			var mu sync.Mutex
+			var ends []*pullConn
+			fresh, release := make(chan struct{}), make(chan struct{})
+			fed.wrap = func(c Conn) Conn {
+				mu.Lock()
+				defer mu.Unlock()
+				if row.rejoin && len(ends) < parties {
+					// The first conns: the flapper's flaps once it answered.
+					c = &flapConn{Conn: c, id: flapper}
+				}
+				p := newPullConn(c)
+				if row.rejoin && len(ends) == parties {
+					p.shippedOne = func() { close(fresh) } // the flapper's fresh conn
+				}
+				ends = append(ends, p)
+				return p
+			}
+			if row.rejoin {
+				go func() {
+					select {
+					case <-fresh:
+					case <-time.After(10 * time.Second):
+						t.Error("10 s on, the rejoined conn has not been shipped a generation")
+					}
+					close(release)
+				}()
+			} else {
+				close(release)
+			}
+			_, partyErrs, err := fed.federate(parties, func(i int) error {
+				conn, err := fed.connect()
+				if err != nil {
+					return err
+				}
+				if i != flapper || !row.rejoin {
+					defer conn.Close()
+					if row.rejoin {
+						conn = &heldConn{Conn: conn, release: release}
+					}
+					return serveParty(conn, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+				}
+				s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+				if err != nil {
+					return err
+				}
+				for rejoining := false; ; rejoining = true {
+					err := s.run(conn, "", rejoining, 0)
+					_ = conn.Close()
+					if err == nil {
+						return nil
+					}
+					if conn, err = fed.connect(); err != nil {
+						return err
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reportErrs(t, partyErrs)
+			for i, p := range ends {
+				if n := p.ahead.Load(); n > 0 {
+					t.Errorf("conn %d was shipped %d generations while an earlier one was unanswered (%d shipped, %d answered)",
+						i, n, p.shipped.Load(), p.answered.Load())
+				}
+			}
+			if !row.rejoin {
+				return
+			}
+			if len(ends) != parties+1 {
+				t.Fatalf("%d conns for %d parties and one rejoin", len(ends), parties)
+			}
+			p := ends[parties]
+			if p.resync.Load() < 0 || p.first.Load() != p.resync.Load() {
+				t.Errorf("the rejoined conn was resynced at generation %d and first shipped generation %d, want the newest at once",
+					p.resync.Load(), p.first.Load())
+			}
+		})
+	}
 }

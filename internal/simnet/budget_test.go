@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
@@ -108,7 +109,7 @@ func poolDropsPuts() bool {
 // state vector — and a synchronous round must allocate no more than 2 S.
 //
 //	party   params 1, grads 1, momentum 1, first layer's dW scratch 1,
-//	        downlink assembly <= 2 sync / maxDownlinkBufs async, and from
+//	        downlink assembly <= 2 (an async party pulls), and from
 //	        the pool (<= 1.125 x) the delta 1 and the batch 0.37
 //	server  state 1, accumulator 1, round snapshot 1 (sync only), eval
 //	        replicas 2 x 1, pooled reply streams foldAhead x 1.125 sync /
@@ -131,7 +132,7 @@ func TestStateCopyBudget(t *testing.T) {
 		party, server, round float64 // budgets, in S
 	}{
 		{name: "sync", party: 7.6, server: 12, round: 2},
-		{name: "async", async: 2, party: 7.6 + maxDownlinkBufs - 2, server: 19, round: 4},
+		{name: "async", async: 2, party: 7.6, server: 19, round: 4},
 	} {
 		c := cfg
 		c.AsyncBuffer = mode.async
@@ -280,41 +281,56 @@ func TestDownlinkBufferBound(t *testing.T) {
 	}
 }
 
-// TestSyncDownlinkHoldsTwo runs a synchronous pipe federation on sessions
-// whose free lists have room to spare: lockstep rounds never make a
-// session allocate a third assembly buffer (the next round's first frame
-// can overtake this round's release, nothing more), and all of them are
-// back in the list at shutdown.
-func TestSyncDownlinkHoldsTwo(t *testing.T) {
+// TestDownlinkHoldsTwo runs pipe federations on sessions whose free
+// lists have room to spare, under both schedulers: neither makes a session
+// allocate a third assembly buffer — under lockstep rounds the next
+// round's first frame can overtake this round's release, nothing more,
+// and an async party is never shipped a generation ahead of its answer —
+// and all of them are back in the list at shutdown.
+func TestDownlinkHoldsTwo(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	spec, _ := data.Model("adult")
 	cfg.ChunkSize, cfg.Rounds = 100, 12
-	fed := pipeFed(t, cfg, spec, test, len(locals), ServerOptions{})
-	sessions := make([]*partySession, len(locals))
-	for i := range locals {
-		s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.dlFree = make(chan []float64, 4*maxDownlinkBufs)
-		sessions[i] = s
-	}
-	// The party ends stay open after their sessions: the teardown must not
-	// wait on a peer that has stopped reading.
-	_, partyErrs, err := fed.federate(len(locals), func(i int) error {
-		conn, err := fed.connect()
-		if err != nil {
-			return err
-		}
-		return sessions[i].run(conn, "", false, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportErrs(t, partyErrs)
-	for i, s := range sessions {
-		if n := len(s.dlFree); n < 1 || n > 2 {
-			t.Errorf("party %d ended %d synchronous rounds with %d assembly buffers in its free list, want 1 or 2", i, cfg.Rounds, n)
-		}
+	for _, row := range []struct {
+		name  string
+		async int
+		opts  ServerOptions
+	}{
+		{name: "sync"},
+		{name: "async", async: 1, opts: ServerOptions{RoundTimeout: 200 * time.Millisecond}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := cfg
+			cfg.AsyncBuffer = row.async
+			fed := pipeFed(t, cfg, spec, test, len(locals), row.opts)
+			sessions := make([]*partySession, len(locals))
+			for i := range locals {
+				s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.dlFree = make(chan []float64, 4*maxDownlinkBufs)
+				sessions[i] = s
+			}
+			// The party ends stay open after their sessions: the teardown must
+			// not wait on a peer that has stopped reading (under async,
+			// RoundTimeout bounds the receivers' wait on it).
+			_, partyErrs, err := fed.federate(len(locals), func(i int) error {
+				conn, err := fed.connect()
+				if err != nil {
+					return err
+				}
+				return sessions[i].run(conn, "", false, 0)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reportErrs(t, partyErrs)
+			for i, s := range sessions {
+				if n := len(s.dlFree); n < 1 || n > 2 {
+					t.Errorf("party %d ended %d generations with %d assembly buffers in its free list, want 1 or 2", i, cfg.Rounds, n)
+				}
+			}
+		})
 	}
 }

@@ -12,13 +12,15 @@ import (
 // through a one-item, latest-wins slot, so the next round's broadcast is
 // received (and reassembled) while the current round still trains.
 //
-// In synchronous mode the server never sends round N+1 before round N's
-// reply, so the slot is never overwritten and the observable behavior —
-// computation, bytes, errors — is exactly the lockstep loop's. The slot
-// only pays off when the server runs ahead: buffered-async mode, where a
-// broadcast the trainer has not picked up yet is superseded by the next
-// one, so the party always trains on the newest complete generation that
-// reached it and the reader never stalls the socket.
+// The server never sends a party its next broadcast before the party's
+// reply to the last (under buffered-async mode too: a party pulls its
+// next generation), so against a conforming server the slot is never
+// overwritten and the observable behavior — computation, bytes, errors —
+// is exactly the lockstep loop's.
+// The slot only matters against a server that runs ahead: a broadcast the
+// trainer has not picked up yet is superseded by the next one, so the
+// party trains on the newest complete generation that reached it and the
+// reader never stalls the socket.
 //
 // A session therefore holds at most maxDownlinkBufs assembly buffers
 // however fast generations arrive: the one being trained on, the one

@@ -29,10 +29,11 @@ import (
 // is the hub they share:
 //
 //   - it publishes each generation's encode-once globalFrames with the
-//     parties it is addressed to — the round's sample under sync, every
-//     party under async — and a sender ships the newest generation that
-//     addresses its party (newest-wins: a slow party skips intermediate
-//     async generations instead of queueing them);
+//     parties it is addressed to — the round's sample under sync; under
+//     async, every party that has answered each generation its conn was
+//     shipped (a party pulls: a slow one skips the generations minted
+//     while it trained instead of queueing them) — and a sender ships the
+//     newest generation that addresses its party;
 //   - a receiver asks the run's foldPolicy for its turn, reads one stream
 //     and hands it to the policy: the sync fold gate (uplink.go) or
 //     arrival order into the async coordinator (async.go);
@@ -79,6 +80,11 @@ type Federation struct {
 	bf       *globalFrames
 	round    *syncRound
 	done     bool
+	// answered counts, per served conn under async, the complete streams
+	// its receiver handed the policy: folded, fairness-dropped or
+	// deduplicated alike. A conn's sender ships it a generation only while
+	// the count has caught up with what it shipped (see claim).
+	answered map[*CountingConn]int
 
 	// loops counts the running senders and receivers.
 	loops sync.WaitGroup
@@ -354,11 +360,37 @@ func (f *Federation) serve(ms ...member) {
 // them. Each live conn's sender, its one writer, says goodbye on its way
 // out. Receivers are not closed out from under their parties: one still
 // reading drains its conn until the party, having read the ShutdownMsg
-// past any reply it was still uploading, closes its end. The caller's
-// partyTable.shutdown closes what is left.
+// past any reply it was still uploading, closes its end — or, with
+// RoundTimeout set, until the conn has been silent that long, so a party
+// that keeps its end open after the goodbye cannot hold the teardown (see
+// idle). The caller's partyTable.shutdown closes what is left.
 func (f *Federation) stop() {
-	f.update(func() { f.done = true })
+	f.update(func() {
+		f.done = true
+		if f.RoundTimeout > 0 {
+			for _, m := range f.table.all() {
+				if m.conn != nil {
+					_ = m.conn.SetReadDeadline(time.Now().Add(f.RoundTimeout))
+				}
+			}
+		}
+	})
 	f.loops.Wait()
+}
+
+// idle sets c's read deadline for the first frame of an async stream:
+// none while the run lasts — a party idles between generations as long as
+// the flush schedule takes — and RoundTimeout once it is over. Deciding
+// under mu orders it with stop, which bounds every conn's read as it ends
+// the run, so a receiver cannot lift the bound stop just set.
+func (f *Federation) idle(c *CountingConn) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var deadline time.Time
+	if f.done {
+		deadline = time.Now().Add(f.RoundTimeout)
+	}
+	_ = c.SetReadDeadline(deadline)
 }
 
 // publish installs bf as the newest generation unless a newer one is
@@ -375,12 +407,21 @@ func (f *Federation) publish(gen int, bf *globalFrames, r *syncRound) {
 }
 
 // claim blocks until a generation newer than sent addresses m's party
-// and returns it; false means the sender is to exit.
-func (f *Federation) claim(m member, sent int) (int, *globalFrames, bool) {
+// and returns it; false means the sender is to exit. A sync round
+// addresses the sampled parties its broadcast has not reached yet; an
+// async generation addresses a party once it has answered every
+// generation its conn was shipped, so a rejoined conn, which starts with
+// nothing shipped, is shipped the newest generation at once.
+func (f *Federation) claim(m member, sent, shipped int) (int, *globalFrames, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for f.serving(m) {
-		if _, s := f.round.slotOf(m.id); f.bf != nil && f.seq > sent && (f.round == nil || s != nil && s.conn == nil) {
+		_, s := f.round.slotOf(m.id)
+		due := s != nil && s.conn == nil
+		if f.round == nil {
+			due = f.answered[m.conn] >= shipped
+		}
+		if f.bf != nil && f.seq > sent && due {
 			return f.seq, f.bf, true
 		}
 		f.cond.Wait()
@@ -389,19 +430,19 @@ func (f *Federation) claim(m member, sent int) (int, *globalFrames, bool) {
 }
 
 // send is a conn's one sender: it ships every generation addressed to
-// its party, as the shared frames for the party's negotiated wire codec
-// (fixed for the conn's lifetime; a rejoin renegotiates on a fresh conn
-// with a fresh sender), until the conn is replaced, evicted or shut down.
-// A failure is transport loss toward that party — or an encode failure (a
-// non-finite value the quantizer refused) poisoning this codec's frame
-// set for the generation; either way the party is cut loose and may
-// rejoin. Under sync the outcome lands in the party's slot, after the
-// eviction: delivery opens the receiver's turn, a loss before any
-// delivery opens the heal window.
+// its party (see claim), counting them, as the shared frames for the
+// party's negotiated wire codec (fixed for the conn's lifetime; a rejoin
+// renegotiates on a fresh conn with a fresh sender), until the conn is
+// replaced, evicted or shut down. A failure is transport loss toward that
+// party — or an encode failure (a non-finite value the quantizer refused)
+// poisoning this codec's frame set for the generation; either way the
+// party is cut loose and may rejoin. Under sync the outcome lands in the
+// party's slot, after the eviction: delivery opens the receiver's turn, a
+// loss before any delivery opens the heal window.
 func (f *Federation) send(m member) {
 	defer f.loops.Done()
-	for sent := 0; ; {
-		seq, bf, ok := f.claim(m, sent)
+	for sent, shipped := 0, 0; ; shipped++ {
+		seq, bf, ok := f.claim(m, sent, shipped)
 		if !ok {
 			// The run is over — or the conn is gone, already closed, and
 			// the goodbye just fails.

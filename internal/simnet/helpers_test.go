@@ -158,9 +158,10 @@ func serveWithScripted(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []
 	return res, fed.Federation, evictions, err
 }
 
-// memFed is an in-memory federation whose peers the test scripts itself:
-// the server side, admitted by the accept loop on an in-memory listener,
-// and the dial that connects one more peer to it.
+// memFed is a federation whose peers the test scripts itself: the server
+// side, admitted by the accept loop on an in-memory listener (pipeFed) or
+// a loopback TCP one (tcpFed), and the dial that connects one more peer
+// to it.
 type memFed struct {
 	*Federation
 	ln   *ServerListener
@@ -174,9 +175,24 @@ type memFed struct {
 func pipeFed(t testing.TB, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset, parties int, opts ServerOptions) *memFed {
 	t.Helper()
 	ln, dial := listenMem()
+	return fedOn(t, ln, dial, cfg, spec, test, parties, opts)
+}
+
+// tcpFed is pipeFed on a loopback socket: its peers dial TCP.
+func tcpFed(t testing.TB, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset, parties int, opts ServerOptions) *memFed {
+	t.Helper()
+	ln := mustListen(t)
+	addr := ln.Addr()
+	return fedOn(t, ln, func() (net.Conn, error) { return net.Dial("tcp", addr) }, cfg, spec, test, parties, opts)
+}
+
+// fedOn builds the server side of a federation on ln, which dial reaches.
+func fedOn(t testing.TB, ln *ServerListener, dial func() (net.Conn, error), cfg fl.Config, spec nn.ModelSpec, test *data.Dataset, parties int, opts ServerOptions) *memFed {
+	t.Helper()
 	ln.ServerOptions = opts
 	fed, err := ln.federation(parties, cfg, spec, test)
 	if err != nil {
+		_ = ln.Close()
 		t.Fatal(err)
 	}
 	return &memFed{Federation: fed, ln: ln, dial: dial}

@@ -34,10 +34,10 @@ type partySession struct {
 	frame  []byte // reused chunk-frame encode buffer
 	// dlFree recycles downlink assembly buffers across rounds and
 	// reconnects; the downlink reader draws from it and every broadcast's
-	// release returns to it. A synchronous session holds at most two
-	// state-length buffers (the reader can start assembling the next
-	// round before this round's is released), an async one at most
-	// maxDownlinkBufs.
+	// release returns to it. A session holds at most two state-length
+	// buffers (the reader can start assembling the next broadcast before
+	// this one's is released), and at most maxDownlinkBufs against a
+	// server that runs ahead.
 	dlFree chan []float64
 	hello  HelloMsg // identity fields; Rejoin varies per attempt
 	// progressed flips once a session receives its first round broadcast —

@@ -106,13 +106,13 @@ func (f *Federation) release(st stagedUpdate) {
 // transient memory is one stream per receiver actually reading. Every
 // frame must repeat the N/Tau of src's hello. round pins the round every
 // frame must carry; a negative round adopts the first frame's (the async
-// generation tag) and lifts RoundTimeout from the stream's first frame:
-// an async party legitimately idles between generations for as long as
-// the flush schedule takes, so only the gaps inside its stream are
-// bounded, while a synchronous round bounds the first gap too (it covers
-// the party's local training). On success the caller owns the update's
-// pooled buffer and must release it; on failure (err set) it is already
-// recycled.
+// generation tag) and, while the run lasts, lifts RoundTimeout from the
+// stream's first frame (see idle): an async party legitimately idles
+// between generations for as long as the flush schedule takes, so only
+// the gaps inside its stream are bounded, while a synchronous round
+// bounds the first gap too (it covers the party's local training). On
+// success the caller owns the update's pooled buffer and must release it;
+// on failure (err set) it is already recycled.
 func (f *Federation) read(src member, round int) stagedUpdate {
 	total := f.total
 	maxFrame := frameCap(f.Cfg.ChunkSize, total)
@@ -127,12 +127,12 @@ func (f *Federation) read(src member, round int) stagedUpdate {
 	var codec byte
 	idle := round < 0
 	for done := 0; ; {
-		if timeout := f.RoundTimeout; timeout > 0 {
-			var deadline time.Time
-			if done > 0 || !idle {
-				deadline = time.Now().Add(timeout)
+		if f.RoundTimeout > 0 {
+			if done == 0 && idle {
+				f.idle(src.conn)
+			} else {
+				_ = src.conn.SetReadDeadline(time.Now().Add(f.RoundTimeout))
 			}
-			_ = src.conn.SetReadDeadline(deadline)
 		}
 		raw, err := src.conn.Recv()
 		if err != nil {
