@@ -641,3 +641,121 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 		t.Fatalf("round bytes sum to %d, TotalCommBytes %d, the conns carried %d", sum, res.TotalCommBytes, counted.Load())
 	}
 }
+
+// slowHealConn is a server end for TestHealOutlastingGraceKeepsParty: on
+// party id's first conn the round-1 broadcast fails and kills the conn;
+// on the party's rejoined conn the first broadcast frame leaves only
+// after delay, so the heal outlives the window that started it.
+type slowHealConn struct {
+	Conn
+	id    int
+	delay time.Duration
+	// first and rejoined are set by the hello read, before the conn is
+	// admitted and handed to its sender.
+	first, rejoined bool
+	slowed          bool
+}
+
+func (c *slowHealConn) Recv() ([]byte, error) {
+	b, err := c.Conn.Recv()
+	if err == nil && len(b) > 0 && b[0] == msgHello {
+		if h, derr := Unmarshal(b); derr == nil && h.(HelloMsg).ID == c.id {
+			c.first, c.rejoined = !h.(HelloMsg).Rejoin, h.(HelloMsg).Rejoin
+		}
+	}
+	return b, err
+}
+
+func (c *slowHealConn) Send(b []byte) error {
+	if len(b) > 0 && b[0] == msgGlobalChunk {
+		m, _, err := parseGlobalChunk(b)
+		switch {
+		case err == nil && c.first && m.Round == 1:
+			_ = c.Conn.Close()
+			return errors.New("cut at the round-1 broadcast")
+		case c.rejoined && !c.slowed:
+			c.slowed = true
+			time.Sleep(c.delay)
+		}
+	}
+	return c.Conn.Send(b)
+}
+
+// TestHealOutlastingGraceKeepsParty is the regression test for a heal
+// that outlives RejoinGrace: party 2 loses its conn at the round-1
+// broadcast and rejoins at once, and its fresh conn takes four times the
+// grace to ship the healed broadcast. The fresh sender owns the slot it
+// claimed, so the round waits for its report instead of closing the heal
+// window under it; the report used to land in the next round's slot, and
+// the party's round-1 reply then read as a protocol violation that
+// evicted a conforming party for good.
+func TestHealOutlastingGraceKeepsParty(t *testing.T) {
+	cfg, locals, test := smallFederation(t)
+	spec, _ := data.Model("adult")
+	cfg.ChunkSize = 64
+	const (
+		healer = 2
+		grace  = 100 * time.Millisecond
+	)
+	for _, tcp := range []bool{false, true} {
+		name, build := "pipe", pipeFed
+		if tcp {
+			name, build = "tcp", tcpFed
+		}
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			var permanent []*EvictionError
+			fed := build(t, cfg, spec, test, len(locals), ServerOptions{RejoinGrace: grace,
+				OnEvict: func(e *EvictionError) {
+					if e.Permanent {
+						mu.Lock()
+						permanent = append(permanent, e)
+						mu.Unlock()
+					}
+				}})
+			fed.wrap = func(c Conn) Conn { return &slowHealConn{Conn: c, id: healer, delay: 4 * grace} }
+			cfg := fed.Cfg
+			res, partyErrs, err := fed.federate(len(locals), func(i int) error {
+				conn, err := fed.connect()
+				if err != nil {
+					return err
+				}
+				if i != healer {
+					defer conn.Close()
+					return serveParty(conn, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+				}
+				s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+				if err != nil {
+					return err
+				}
+				for rejoining := false; ; rejoining = true {
+					err := s.run(conn, "", rejoining, 0)
+					_ = conn.Close()
+					if err == nil {
+						return nil
+					}
+					// A refused redial means the run is over and its
+					// listener closed.
+					if conn, err = fed.connect(); err != nil {
+						return nil
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reportErrs(t, partyErrs)
+			for _, e := range permanent {
+				t.Errorf("party %d evicted for good: %v", e.Party, e.Cause)
+			}
+			if len(res.Curve) != cfg.Rounds {
+				t.Fatalf("%d rounds of %d", len(res.Curve), cfg.Rounds)
+			}
+			for _, m := range res.Curve[2:] {
+				if len(m.Dropped) != 0 {
+					t.Errorf("round %d dropped %v after the heal", m.Round, m.Dropped)
+				}
+			}
+		})
+	}
+}
