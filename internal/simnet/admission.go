@@ -52,12 +52,15 @@ type ServerOptions struct {
 	// broadcast — before the party trained or any update was folded — is
 	// the one failure that can be repaired mid-round without touching the
 	// math: the rejoined conn's fresh sender just delivers the same
-	// broadcast. Healing here is what makes a between-rounds conn loss
-	// bitwise-invisible to the aggregation; zero (the default) skips the
-	// wait and lets the round drop the party as usual. The heal is all it
-	// bounds: a federation short of parties — under either scheduler, all
-	// of them dead included — waits for rejoins under the quorum rule,
-	// for fl.Config.QuorumWait.
+	// broadcast. The window bounds only the wait for the rejoin: once the
+	// fresh sender has taken the broadcast up, the round waits for its
+	// delivery however long it takes, as for any other party. Healing
+	// here is what makes a between-rounds conn loss bitwise-invisible to
+	// the aggregation; zero (the default) skips the wait and lets the
+	// round drop the party as usual. The heal is all it bounds: a
+	// federation short of parties — under either scheduler, all of them
+	// dead included — waits for rejoins under the quorum rule, for
+	// fl.Config.QuorumWait.
 	RejoinGrace time.Duration
 	// OnReject, when set, is called with the reason each invalid
 	// connection (bad hello, wrong protocol version or magic, out-of-range

@@ -95,7 +95,7 @@ func (a asyncFold) fold(m member, st stagedUpdate) bool {
 	}
 	if flushed && !done {
 		gen, state, control := a.coord.GlobalSnapshot()
-		f.publish(gen, newGlobalFrames(gen, state, control, f.budget(len(f.table.members)), f.Cfg.ChunkSize), nil)
+		f.publish(gen, f.frameCache(gen, state, control, f.budget(len(f.table.members))), nil)
 	} else if done {
 		f.changed()
 	}
@@ -113,7 +113,7 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 	gen, state, control := coord.GlobalSnapshot()
 	// All parties train concurrently all the time, so a local federation
 	// splits its cores across every party, not just a round's sample.
-	bf := newGlobalFrames(gen, state, control, f.budget(len(f.table.members)), f.Cfg.ChunkSize)
+	bf := f.frameCache(gen, state, control, f.budget(len(f.table.members)))
 	// Encode the configured codec eagerly so an unencodable initial state
 	// fails the run up front instead of surfacing as per-party evictions.
 	if _, err := bf.frames(wireCodec(f.Cfg.Codec)); err != nil {

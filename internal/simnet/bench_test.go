@@ -58,11 +58,11 @@ func serveFakeParty(conn Conn, id, n, stateLen int, cfg fl.Config) error {
 		}
 		for off := 0; off < stateLen; off += chunk {
 			end := min(off+chunk, stateLen)
-			frame, err = AppendMarshal(frame[:0], UpdateChunkMsg{
+			frame, err = UpdateChunkMsg{
 				Round: m.Round, Offset: off, Total: stateLen,
 				N: n, Tau: tau, TrainLoss: 0.5,
 				Last: end == stateLen, Chunk: vals[:end-off],
-			})
+			}.appendTo(frame[:0])
 			if err != nil {
 				return err
 			}

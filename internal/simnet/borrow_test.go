@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"errors"
 	"net"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -223,13 +225,273 @@ func TestGlobalFramesExactlySized(t *testing.T) {
 					t.Fatalf("chunk %d %s: globalChunkLen(%d) = %d, %v; the frame is %d bytes", chunk, codecName(codec), p.count, n, err, len(fr))
 				}
 			}
-			// One arena and one slice of windows, however many frames; what
-			// is left per frame is AppendMarshal boxing its message.
+			// The cache, one arena and one slice of windows, however many
+			// frames: encoding a frame allocates nothing.
 			if allocs := testing.AllocsPerRun(1, func() {
 				_, _ = newGlobalFrames(3, state, control, 2, chunk).frames(codec)
-			}); allocs > float64(len(frames)+8) {
+			}); allocs > 3 {
 				t.Fatalf("chunk %d %s: encoding %d frames took %v allocations", chunk, codecName(codec), len(frames), allocs)
 			}
 		}
+	}
+}
+
+// TestSendPathAllocatesNothing pins the per-frame cost of shipping a
+// frame: encoding either chunk message, in every codec, into a buffer
+// with room, and frameConn.Send over a pipe and over TCP, allocate
+// nothing.
+func TestSendPathAllocatesNothing(t *testing.T) {
+	payload := make([]float64, 512)
+	for i := range payload {
+		payload[i] = float64(i%13) - 6
+	}
+	buf := make([]byte, 0, 8<<10)
+	for codec := byte(0); codec < 4; codec++ {
+		for _, enc := range []struct {
+			name     string
+			appendTo func([]byte) ([]byte, error)
+		}{
+			{"global", GlobalChunkMsg{Round: 3, Total: len(payload), Chunk: 512, Last: true, Codec: codec, Payload: payload}.appendTo},
+			{"update", UpdateChunkMsg{Round: 3, Total: len(payload), N: 9, Tau: 2, Last: true, Codec: codec, Chunk: payload}.appendTo},
+		} {
+			if allocs := testing.AllocsPerRun(100, func() {
+				var err error
+				if buf, err = enc.appendTo(buf[:0]); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("encoding a %s chunk in %s: %v allocations per frame", enc.name, codecName(codec), allocs)
+			}
+		}
+	}
+	frame, err := GlobalChunkMsg{Total: len(payload), Last: true, Payload: payload}.appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, transport := range []string{"pipe", "tcp"} {
+		var a, b Conn
+		if transport == "pipe" {
+			a, b = pipe()
+		} else {
+			c, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := l.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b = newFrameConn(c), newFrameConn(s)
+		}
+		drained := make(chan struct{})
+		go func() { // the peer reads every frame into its one receive buffer
+			defer close(drained)
+			for {
+				if _, err := b.Recv(); err != nil {
+					return
+				}
+			}
+		}()
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := a.Send(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		_ = a.Close()
+		<-drained
+		_ = b.Close()
+		if allocs != 0 {
+			t.Errorf("frameConn.Send over %s: %v allocations per frame", transport, allocs)
+		}
+	}
+}
+
+// parkConn is a server end for TestRecycledCacheNeverRewrittenUnderSender:
+// the parked party's first broadcast stops after its first frame until
+// release is closed (park is shared, so only one conn ever parks), and no
+// update reaches the server before it stopped, so the parked broadcast is
+// the run's first generation. Every hello read is announced on hellos.
+type parkConn struct {
+	Conn
+	park             *sync.Once
+	parked, id       int // the party to park; the one whose hello this conn carried
+	stopped, release chan struct{}
+	hellos           chan<- HelloMsg
+}
+
+func (p *parkConn) Recv() ([]byte, error) {
+	b, err := p.Conn.Recv()
+	if err == nil && len(b) > 0 {
+		switch b[0] {
+		case msgHello:
+			if h, derr := Unmarshal(b); derr == nil {
+				p.id = h.(HelloMsg).ID
+				p.hellos <- h.(HelloMsg)
+			}
+		case msgUpdateChunk:
+			<-p.stopped
+		}
+	}
+	return b, err
+}
+
+func (p *parkConn) Send(b []byte) error {
+	if m, _, err := parseGlobalChunk(b); err == nil && p.id == p.parked && m.Offset > 0 {
+		p.park.Do(func() {
+			close(p.stopped)
+			<-p.release
+		})
+	}
+	return p.Conn.Send(b)
+}
+
+// broadcastLog is a party end that keeps the bytes of every complete
+// broadcast it reads, by round, and tells progress each round it
+// completed.
+type broadcastLog struct {
+	Conn
+	mu       *sync.Mutex
+	got      map[int][]byte
+	cur      []byte
+	progress chan<- int
+}
+
+func (l *broadcastLog) Recv() ([]byte, error) {
+	b, err := l.Conn.Recv()
+	if m, _, perr := parseGlobalChunk(b); err == nil && perr == nil {
+		if m.Offset == 0 {
+			l.cur = nil
+		}
+		if l.cur = append(l.cur, b...); m.Last {
+			l.mu.Lock()
+			l.got[m.Round] = l.cur
+			l.mu.Unlock()
+			select {
+			case l.progress <- m.Round:
+			default:
+			}
+		}
+	}
+	return b, err
+}
+
+// TestRecycledCacheNeverRewrittenUnderSender parks one party's first
+// broadcast after its first frame: a recycled frame cache must never be
+// rewritten under a sender still shipping it. Under async (AsyncBuffer 1)
+// the other parties drive three more generations through the spare
+// before the broadcast resumes; under sync the party is evicted mid-send,
+// rejoins, and its fresh sender ships the round again from the cache the
+// parked sender still holds. Every broadcast a party reads in full must
+// be, byte for byte, what any other party read for that generation.
+func TestRecycledCacheNeverRewrittenUnderSender(t *testing.T) {
+	cfg, locals, test := smallFederation(t)
+	spec, _ := data.Model("adult")
+	cfg.ChunkSize, cfg.Rounds = 64, 8
+	const parked = 2
+	for _, async := range []bool{true, false} {
+		name := "sync"
+		if async {
+			name = "async"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := cfg
+			if async {
+				cfg.AsyncBuffer = 1
+			}
+			fed := pipeFed(t, cfg, spec, test, len(locals), ServerOptions{RejoinGrace: 10 * time.Second})
+			cfg = fed.Cfg
+			park, stopped, release := new(sync.Once), make(chan struct{}), make(chan struct{})
+			hellos := make(chan HelloMsg, 64)
+			fed.wrap = func(c Conn) Conn {
+				return &parkConn{Conn: c, park: park, parked: parked, id: -1, stopped: stopped, release: release, hellos: hellos}
+			}
+			var mu sync.Mutex
+			logs := make([]map[int][]byte, len(locals))
+			progress := make(chan int, 64)
+			go func() {
+				defer close(release)
+				timeout := time.After(10 * time.Second)
+				select {
+				case <-stopped:
+				case <-timeout:
+					t.Error("10 s on, the broadcast never parked")
+					return
+				}
+				if !async {
+					fed.evict(parked, nil, false, errors.New("evicted mid-send"))
+				}
+				for {
+					select {
+					case g := <-progress:
+						if async && g >= 3 {
+							return
+						}
+					case h := <-hellos:
+						if !async && h.Rejoin {
+							return
+						}
+					case <-timeout:
+						t.Error("10 s on, the parked broadcast still waits")
+						return
+					}
+				}
+			}()
+			_, partyErrs, err := fed.federate(len(locals), func(i int) error {
+				logs[i] = map[int][]byte{}
+				dial := func() (Conn, error) {
+					c, err := fed.connect()
+					if err != nil {
+						return nil, err
+					}
+					return &broadcastLog{Conn: c, mu: &mu, got: logs[i], progress: progress}, nil
+				}
+				conn, err := dial()
+				if err != nil {
+					return err
+				}
+				if i != parked {
+					defer conn.Close()
+					return serveParty(conn, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+				}
+				s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
+				if err != nil {
+					return err
+				}
+				for rejoining := false; ; rejoining = true {
+					err := s.run(conn, "", rejoining, 0)
+					_ = conn.Close()
+					if err == nil {
+						return nil
+					}
+					if conn, err = dial(); err != nil {
+						return nil // the run is over and its listener closed
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reportErrs(t, partyErrs)
+			if _, ok := logs[parked][0]; !ok {
+				t.Fatalf("party %d never read the parked broadcast in full", parked)
+			}
+			if _, ok := logs[0][0]; !ok {
+				t.Fatal("party 0 never read the first generation")
+			}
+			for i := range logs {
+				for j := range i {
+					for g, b := range logs[i] {
+						if other, ok := logs[j][g]; ok && !slices.Equal(b, other) {
+							t.Errorf("generation %d: party %d read other bytes than party %d", g, i, j)
+						}
+					}
+				}
+			}
+		})
 	}
 }

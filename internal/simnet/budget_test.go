@@ -43,7 +43,13 @@ func wideFederation() (fl.Config, nn.ModelSpec, []*data.Dataset, *data.Dataset) 
 // HeapAlloc inside the final checkpoint hook, minus what was live before
 // it started — the datasets) and everything it allocated. With fake
 // parties (serveFakeParty: no model, no buffers beyond a frame) what is
-// left is the server role.
+// left is the server role. The hook also collects at the boundary before
+// the last round. A collection drops whatever a sync.Pool's victim cache
+// still holds, so without that one, whether a pooled buffer counts would
+// depend on when the run last collected on its own; after it, the last
+// round takes the pooled buffers it uses back out and returns them to the
+// pool, where the final collection finds them (a round allocates far less
+// than the live heap, so the run does not collect in between).
 func footprint(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset, fake bool) (live, allocated uint64) {
 	t.Helper()
 	var before, at, after runtime.MemStats
@@ -52,7 +58,7 @@ func footprint(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Da
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	opts := ServerOptions{CheckpointEvery: cfg.Rounds, Checkpoint: func(*fl.FederationSnapshot) error {
+	opts := ServerOptions{CheckpointEvery: cfg.Rounds - 1, Checkpoint: func(*fl.FederationSnapshot) error {
 		runtime.GC()
 		runtime.ReadMemStats(&at)
 		return nil
@@ -106,7 +112,10 @@ func poolDropsPuts() bool {
 // TestStateCopyBudget is the memory ledger of README "Performance notes",
 // measured: a K = 8 loopback-TCP federation on a 2.1 MB MLP must hold, at
 // a round boundary, no more than its roles' budgets — in units of S, one
-// state vector — and a synchronous round must allocate no more than 2 S.
+// state vector — and a round must allocate no more than its budget: 0.25
+// S synchronous (measured at most 0.07: the frame cache is recycled), 1.25
+// S asynchronous (measured at most 1.16: GlobalSnapshot's copy per
+// generation, 1, and the rest).
 //
 //	party   params 1, grads 1, momentum 1, first layer's dW scratch 1,
 //	        downlink assembly <= 2 (an async party pulls), and from
@@ -114,11 +123,14 @@ func poolDropsPuts() bool {
 //	server  state 1, accumulator 1, round snapshot 1 (sync only), eval
 //	        replicas 2 x 1, pooled reply streams foldAhead x 1.125 sync /
 //	        K x 1.125 async, per generation in flight 2 (async: its
-//	        snapshot and its frames), K receive buffers of one frame, and
+//	        snapshot and its frames), the spare frame cache the next
+//	        generation encodes into 1, K receive buffers of one frame, and
 //	        the hook's own checkpoint copy 1
 //
 // The server's share is what a run against model-less fake parties holds;
-// a party's is the rest of the real run, split K ways.
+// a party's is the rest of the real run, split K ways. The sync server's
+// budget is 13 S: 12 before the spare cache was retained, plus that one
+// cache.
 func TestStateCopyBudget(t *testing.T) {
 	if poolDropsPuts() {
 		t.Skip("sync.Pool is dropping Puts (race detector): the pooled buffers this test accounts for are not retained")
@@ -131,8 +143,8 @@ func TestStateCopyBudget(t *testing.T) {
 		async                int
 		party, server, round float64 // budgets, in S
 	}{
-		{name: "sync", party: 7.6, server: 12, round: 2},
-		{name: "async", async: 2, party: 7.6, server: 19, round: 4},
+		{name: "sync", party: 7.6, server: 13, round: 0.25},
+		{name: "async", async: 2, party: 7.6, server: 19, round: 1.25},
 	} {
 		c := cfg
 		c.AsyncBuffer = mode.async
@@ -153,7 +165,7 @@ func TestStateCopyBudget(t *testing.T) {
 			t.Errorf("%s: a party holds %.2f S at a round boundary, budget %.2f S", mode.name, party, mode.party)
 		}
 		if round > mode.round {
-			t.Errorf("%s: a round allocates %.2f S, budget %.1f S", mode.name, round, mode.round)
+			t.Errorf("%s: a round allocates %.2f S, budget %.2f S", mode.name, round, mode.round)
 		}
 	}
 }

@@ -321,8 +321,9 @@ func Marshal(msg any) ([]byte, error) {
 }
 
 // AppendMarshal encodes msg appended to dst (which may be nil) and
-// returns the extended slice — the allocation-free path for per-chunk
-// framing, where the caller recycles one buffer across frames.
+// returns the extended slice. The per-frame paths, which recycle one
+// buffer across frames, call the chunk messages' typed appenders it
+// delegates to, so no frame is boxed in an interface.
 func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case HelloMsg:
@@ -351,18 +352,29 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 		b := appendU32s(append(dst, msgResync), m.Round, m.ExpectTau)
 		return appendFloats(b, m.Control), nil
 	case UpdateChunkMsg:
-		b := appendU32s(append(dst, msgUpdateChunk), m.Round, m.Offset, m.Total, m.N, m.Tau)
-		b = le.AppendF64(append(b, chunkFlags(m.Last, m.Codec)), m.TrainLoss)
-		return appendChunkPayload(b, m.Codec, m.Chunk)
+		return m.appendTo(dst)
 	case GlobalChunkMsg:
-		b := appendU32s(append(dst, msgGlobalChunk), m.Round, m.Offset, m.Total, m.CtrlLen, m.Budget, m.Chunk)
-		b = append(b, chunkFlags(m.Last, m.Codec))
-		return appendChunkPayload(b, m.Codec, m.Payload)
+		return m.appendTo(dst)
 	case ShutdownMsg:
 		return append(dst, msgShutdown), nil
 	default:
 		return nil, fmt.Errorf("simnet: cannot marshal %T", msg)
 	}
+}
+
+// appendTo is AppendMarshal for an UpdateChunkMsg without boxing it in an
+// interface: the per-frame path allocates nothing once dst has room.
+func (m UpdateChunkMsg) appendTo(dst []byte) ([]byte, error) {
+	b := appendU32s(append(dst, msgUpdateChunk), m.Round, m.Offset, m.Total, m.N, m.Tau)
+	b = le.AppendF64(append(b, chunkFlags(m.Last, m.Codec)), m.TrainLoss)
+	return appendChunkPayload(b, m.Codec, m.Chunk)
+}
+
+// appendTo is UpdateChunkMsg.appendTo's downlink twin.
+func (m GlobalChunkMsg) appendTo(dst []byte) ([]byte, error) {
+	b := appendU32s(append(dst, msgGlobalChunk), m.Round, m.Offset, m.Total, m.CtrlLen, m.Budget, m.Chunk)
+	b = append(b, chunkFlags(m.Last, m.Codec))
+	return appendChunkPayload(b, m.Codec, m.Payload)
 }
 
 // Unmarshal decodes a message produced by Marshal. Every frame but the

@@ -44,6 +44,12 @@ type frameConn struct {
 	// rbuf is the buffer Recv lends out (see Conn.Recv); it grows to the
 	// largest frame seen, up to recvKeep.
 	rbuf []byte
+	// The length prefixes and Send's write vector live here, reused frame
+	// after frame (a conn has one sender and one receiver at a time), so
+	// neither direction allocates per frame.
+	rhdr, whdr [4]byte
+	vec        [2][]byte
+	wv         net.Buffers
 }
 
 // recvKeep caps the receive buffer a frameConn retains: enough for a frame
@@ -79,20 +85,19 @@ func (t *frameConn) SetRecvLimit(n uint32) {
 }
 
 func (t *frameConn) Send(b []byte) error {
-	var hdr [4]byte
 	// One writev for prefix and body: with TCP_NODELAY two Writes are two
 	// syscalls and a 4-byte segment that wakes the peer for nothing.
-	v := net.Buffers{le.AppendU32(hdr[:0], uint32(len(b))), b}
-	_, err := v.WriteTo(t.c)
+	t.vec = [2][]byte{le.AppendU32(t.whdr[:0], uint32(len(b))), b}
+	t.wv = t.vec[:]
+	_, err := t.wv.WriteTo(t.c)
 	return err
 }
 
 func (t *frameConn) Recv() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(t.c, hdr[:]); err != nil {
+	if _, err := io.ReadFull(t.c, t.rhdr[:]); err != nil {
 		return nil, err
 	}
-	n := le.NewReader(hdr[:]).U32()
+	n := le.NewReader(t.rhdr[:]).U32()
 	if max := t.max.Load(); n > max {
 		return nil, fmt.Errorf("%w: %d bytes, limit %d", errFrameLimit, n, max)
 	}

@@ -34,6 +34,10 @@ import (
 //     shipped (a party pulls: a slow one skips the generations minted
 //     while it trained instead of queueing them) — and a sender ships the
 //     newest generation that addresses its party;
+//   - it recycles the frame caches: a cache is held while it is
+//     published and by each sender shipping it, and the last holder to
+//     let go makes it the spare the next generation encodes into (see
+//     frameCache), so a steady run allocates no broadcast buffers;
 //   - a receiver asks the run's foldPolicy for its turn, reads one stream
 //     and hands it to the policy: the sync fold gate (uplink.go) or
 //     arrival order into the async coordinator (async.go);
@@ -80,6 +84,10 @@ type Federation struct {
 	bf       *globalFrames
 	round    *syncRound
 	done     bool
+	// spare is the one retired frame cache — no longer published, shipped
+	// by no sender — whose buffers the next generation encodes into; nil
+	// when there is none.
+	spare *globalFrames
 	// answered counts, per served conn under async, the complete streams
 	// its receiver handed the policy: folded, fairness-dropped or
 	// deduplicated alike. A conn's sender ships it a generation only while
@@ -245,7 +253,7 @@ func (f *Federation) PartyMeta(id int) fl.UpdateMeta { return f.table.get(id).me
 // the frame size (0 is one frame per vector): eviction, rejoin and
 // drop-and-renormalise apply at every size.
 func (f *Federation) TrainRound(round int, sampled []int, global, control []float64, sink *fl.RoundSink) error {
-	r := f.beginRound(round, sampled, newGlobalFrames(round, global, control, f.budget(len(sampled)), f.Cfg.ChunkSize))
+	r := f.beginRound(round, sampled, f.frameCache(round, global, control, f.budget(len(sampled))))
 	defer f.endRound(r)
 	folded := 0
 	for j, id := range sampled {
@@ -395,33 +403,78 @@ func (f *Federation) idle(c *CountingConn) {
 
 // publish installs bf as the newest generation unless a newer one is
 // already live (two async receivers may flush back-to-back and race here
-// — generation order wins, not arrival order). r is the sync round bf
-// belongs to, nil under async.
+// — generation order wins, not arrival order), releasing the cache it
+// replaces or, when superseded, bf itself. r is the sync round bf belongs
+// to, nil under async.
 func (f *Federation) publish(gen int, bf *globalFrames, r *syncRound) {
 	f.update(func() {
-		if f.bf == nil || gen > f.gen {
-			f.seq++
-			f.gen, f.bf, f.round = gen, bf, r
+		bf.refs++ // the publication's
+		if f.bf != nil && gen <= f.gen {
+			f.drop(bf)
+			return
 		}
+		if f.bf != nil {
+			f.drop(f.bf)
+		}
+		f.seq++
+		f.gen, f.bf, f.round = gen, bf, r
 	})
 }
 
+// frameCache returns the frame cache for generation gen's broadcast. A
+// spare, when there is one, lends the new cache its per-codec arenas and
+// frame slices: the broadcast is encoded into them rather than into new
+// allocations.
+func (f *Federation) frameCache(gen int, state, control []float64, budget int) *globalFrames {
+	bf := newGlobalFrames(gen, state, control, budget, f.Cfg.ChunkSize)
+	f.mu.Lock()
+	spare := f.spare
+	f.spare = nil
+	f.mu.Unlock()
+	if spare != nil {
+		for i := range bf.sets {
+			bf.sets[i].arena, bf.sets[i].fr = spare.sets[i].arena[:0], spare.sets[i].fr[:0]
+		}
+	}
+	return bf
+}
+
+// drop releases one reference to bf; the last one makes it the spare,
+// which keeps its buffers but not the vectors it encoded (an async
+// generation's are a snapshot only the cache still holds). Called with
+// mu held.
+func (f *Federation) drop(bf *globalFrames) {
+	if bf.refs--; bf.refs == 0 {
+		bf.gm = GlobalMsg{}
+		f.spare = bf
+	}
+}
+
 // claim blocks until a generation newer than sent addresses m's party
-// and returns it; false means the sender is to exit. A sync round
-// addresses the sampled parties its broadcast has not reached yet; an
-// async generation addresses a party once it has answered every
-// generation its conn was shipped, so a rejoined conn, which starts with
-// nothing shipped, is shipped the newest generation at once.
+// and returns it, holding a reference to its cache for the sender (send
+// drops it once the ship is over); false means the sender is to exit. A
+// sync round addresses the sampled parties its broadcast has not reached
+// yet — a slot still open, or lost and in its heal window — and the
+// claim takes the slot out of the heal window, so only this sender's
+// report resolves it. An async generation addresses a party once it has
+// answered every generation its conn was shipped, so a rejoined conn,
+// which starts with nothing shipped, is shipped the newest generation at
+// once.
 func (f *Federation) claim(m member, sent, shipped int) (int, *globalFrames, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for f.serving(m) {
-		_, s := f.round.slotOf(m.id)
-		due := s != nil && s.conn == nil
-		if f.round == nil {
-			due = f.answered[m.conn] >= shipped
+		var s *slot
+		due := f.answered[m.conn] >= shipped
+		if f.round != nil {
+			_, s = f.round.slotOf(m.id)
+			due = s != nil && s.conn == nil && (s.stage == slotOpen || !f.round.healUntil(*s).IsZero())
 		}
 		if f.bf != nil && f.seq > sent && due {
+			if s != nil {
+				s.stage = slotOpen
+			}
+			f.bf.refs++
 			return f.seq, f.bf, true
 		}
 		f.cond.Wait()
@@ -438,7 +491,9 @@ func (f *Federation) claim(m member, sent, shipped int) (int, *globalFrames, boo
 // poisoning this codec's frame set for the generation; either way the
 // party is cut loose and may rejoin. Under sync the outcome lands in the
 // party's slot, after the eviction: delivery opens the receiver's turn, a
-// loss before any delivery opens the heal window.
+// loss before any delivery opens the heal window. The report goes only to
+// the generation that was shipped: once that is over it is dropped, and
+// with it the sender's reference to the cache.
 func (f *Federation) send(m member) {
 	defer f.loops.Done()
 	for sent, shipped := 0, 0; ; shipped++ {
@@ -458,10 +513,14 @@ func (f *Federation) send(m member) {
 			f.evict(m.id, m.conn, false, fmt.Errorf("simnet: send to party %d: %w", m.id, err))
 		}
 		f.update(func() {
-			if _, s := f.round.slotOf(m.id); s != nil && err == nil {
-				s.conn, s.stage = m.conn, slotOpen
-			} else if s != nil {
+			f.drop(bf)
+			switch _, s := f.round.slotOf(m.id); {
+			case s == nil || seq != f.seq:
+				// Async, or the shipped round is over: nothing to report.
+			case err != nil:
 				s.stage = slotLost
+			default:
+				s.conn, s.stage = m.conn, slotOpen
 			}
 		})
 		if err != nil {
@@ -501,28 +560,37 @@ func (f *Federation) receive(m member) {
 // same immutable byte slices. Server encode
 // CPU stays flat in K — a round broadcast costs one encode pass per
 // distinct codec in the federation, no matter how many parties, over
-// pipes or TCP, receive it. Safe for concurrent use; the slices must
-// never be mutated after publication (every conn writes them out as
-// they are).
+// pipes or TCP, receive it. Safe for concurrent use; the slices are
+// never mutated while anyone holds the cache (every conn writes them out
+// as they are): only once the federation's last reference is gone do
+// they pass, as the spare, to a later generation's cache (see
+// Federation.frameCache).
 type globalFrames struct {
 	gm   GlobalMsg
 	sets [4]codecFrames // indexed by wire codec
+	// refs counts the cache's holders, under Federation.mu: one while it
+	// is published, plus one per sender that claimed it and has not yet
+	// reported.
+	refs int
 }
 
 // newGlobalFrames wraps one round's (or async generation's) broadcast in
-// its frame cache. state and control must not be mutated while the cache
-// is in use — the frame sets encode lazily, per codec, on first use — so
-// async callers pass snapshots (fl.AsyncCoordinator.GlobalSnapshot copies).
+// a frame cache with no buffers of its own yet. state and control must
+// not be mutated while the cache is in use — the frame sets encode
+// lazily, per codec, on first use — so async generations are snapshots
+// (fl.AsyncCoordinator.GlobalSnapshot copies), and a sync round's
+// global outlives every sender of it (see endRound).
 func newGlobalFrames(round int, state, control []float64, budget, chunk int) *globalFrames {
 	return &globalFrames{gm: GlobalMsg{Round: round, State: state, Control: control, Budget: budget, Chunk: chunk}}
 }
 
 // codecFrames is one codec's lazily encoded frame set within a
-// globalFrames cache.
+// globalFrames cache: fr, windows of one arena.
 type codecFrames struct {
-	once sync.Once
-	fr   [][]byte
-	err  error
+	once  sync.Once
+	arena []byte
+	fr    [][]byte
+	err   error
 }
 
 // frames returns the shared serialized broadcast for one wire codec,
@@ -537,9 +605,10 @@ func (b *globalFrames) frames(codec byte) ([][]byte, error) {
 	s.once.Do(func() {
 		gm := b.gm
 		total := len(gm.State) + len(gm.Control)
-		// The whole set is encoded into one exactly sized allocation, the
-		// frames being consecutive windows of it: a codec's broadcast costs
-		// its wire bytes, not a grown-by-append buffer per frame.
+		// The whole set is encoded into one exactly sized arena, the frames
+		// being consecutive windows of it: a codec's broadcast costs its
+		// wire bytes, not a grown-by-append buffer per frame — and nothing
+		// at all when a spare's arena and frame slice fit.
 		size, count := 0, 0
 		s.err = fl.ChunkStream(gm.State, gm.Control, gm.Chunk, func(_ int, c []float64) error {
 			n, err := globalChunkLen(codec, len(c))
@@ -549,13 +618,19 @@ func (b *globalFrames) frames(codec byte) ([][]byte, error) {
 		if s.err != nil {
 			return
 		}
-		arena, fr := make([]byte, 0, size), make([][]byte, 0, count)
+		arena, fr := s.arena[:0], s.fr[:0]
+		if cap(arena) < size {
+			arena = make([]byte, 0, size)
+		}
+		if cap(fr) < count {
+			fr = make([][]byte, 0, count)
+		}
 		s.err = fl.ChunkStream(gm.State, gm.Control, gm.Chunk, func(off int, c []float64) error {
-			enc, err := AppendMarshal(arena, GlobalChunkMsg{
+			enc, err := GlobalChunkMsg{
 				Round: gm.Round, Offset: off, Total: total, CtrlLen: len(gm.Control),
 				Budget: gm.Budget, Chunk: gm.Chunk, Last: off+len(c) == total,
 				Codec: codec, Payload: c,
-			})
+			}.appendTo(arena)
 			if err != nil {
 				return err
 			}
@@ -563,7 +638,7 @@ func (b *globalFrames) frames(codec byte) ([][]byte, error) {
 			arena = enc
 			return nil
 		})
-		s.fr = fr
+		s.arena, s.fr = arena, fr
 	})
 	return s.fr, s.err
 }

@@ -232,12 +232,12 @@ func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
 func (s *partySession) sendUpdate(conn Conn, ig *incomingGlobal, u fl.Update) error {
 	total := len(u.Delta) + len(u.DeltaC)
 	return fl.ChunkStream(u.Delta, u.DeltaC, ig.Chunk, func(offset int, chunk []float64) error {
-		b, err := AppendMarshal(s.frame[:0], UpdateChunkMsg{
+		b, err := UpdateChunkMsg{
 			Round: ig.Round, Offset: offset, Total: total,
 			N: u.N, Tau: u.Tau, TrainLoss: u.TrainLoss,
 			Last:  offset+len(chunk) == total,
 			Codec: ig.codec, Chunk: chunk,
-		})
+		}.appendTo(s.frame[:0])
 		if err != nil {
 			return err
 		}

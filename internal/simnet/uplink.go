@@ -240,8 +240,8 @@ func (r *syncRound) slotOf(id int) (int, *slot) {
 }
 
 // healUntil returns the end of s's heal window while it is open — its
-// broadcast failed before it was ever delivered, and RejoinGrace has not
-// run out — and zero otherwise.
+// broadcast failed before it was ever delivered, no fresh sender has
+// claimed it since, and RejoinGrace has not run out — and zero otherwise.
 func (r *syncRound) healUntil(s slot) time.Time {
 	if s.stage == slotLost && s.conn == nil && time.Now().Before(r.healBy) {
 		return r.healBy
@@ -302,14 +302,17 @@ func (f *Federation) beginRound(num int, sampled []int, bf *globalFrames) *syncR
 	return r
 }
 
-// endRound retires round r. A round that ran to its end resolved every
-// slot through the goroutine that settled it — a sender's delivery or
-// loss, a receiver's stream or loss, each reported after its eviction —
-// so no sender still reads the engine's global and every eviction the
-// round caused has been reported before the next round samples. Only an
-// aborted round (a fold bookkeeping error, which ends the run) leaves
-// staged streams to recycle; its readers still mid-stream recycle theirs
-// in take.
+// endRound retires round r and unpublishes its broadcast, dropping the
+// publication's reference to the frame cache. A round that ran to its end
+// resolved every slot through the goroutine that settled it — a sender's
+// delivery or loss, a receiver's stream or loss, each reported after its
+// eviction, and a sender's report drops its own reference — so no sender
+// still reads the engine's global, the cache is the spare the next round
+// encodes into, and every eviction the round caused has been reported
+// before the next round samples. Only an aborted round (a fold
+// bookkeeping error, which ends the run) leaves staged streams to
+// recycle; its readers still mid-stream recycle theirs in take, and its
+// senders still mid-send hold the cache until they report.
 func (f *Federation) endRound(r *syncRound) {
 	f.update(func() {
 		for j := range r.slots {
@@ -318,6 +321,7 @@ func (f *Federation) endRound(r *syncRound) {
 				s.stage = slotTaken
 			}
 		}
+		f.drop(f.bf)
 		f.bf, f.round = nil, nil
 	})
 }
@@ -325,8 +329,10 @@ func (f *Federation) endRound(r *syncRound) {
 // awaitSlot blocks until slot j resolves for the round loop: the party's
 // complete stream, staged by its receiver, or a loss to drop. A slot whose
 // broadcast failed waits out the heal window: the party's rejoin is
-// installed the moment it is queued, the fresh conn's sender delivers the
-// round's broadcast because it is still owed to the party, and the fresh
+// installed the moment it is queued, the fresh conn's sender claims the
+// round's broadcast because it is still owed to the party — which takes
+// the slot out of the heal window, so the slot then waits for that
+// sender's report however long the delivery takes — and the fresh
 // receiver takes the slot. A healed party never saw a complete broadcast
 // before, so it trains exactly once, and the aggregation is bitwise what
 // it would have been without the fault. Only a failed broadcast is
