@@ -724,22 +724,7 @@ func TestHealOutlastingGraceKeepsParty(t *testing.T) {
 					defer conn.Close()
 					return serveParty(conn, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
 				}
-				s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
-				if err != nil {
-					return err
-				}
-				for rejoining := false; ; rejoining = true {
-					err := s.run(conn, "", rejoining, 0)
-					_ = conn.Close()
-					if err == nil {
-						return nil
-					}
-					// A refused redial means the run is over and its
-					// listener closed.
-					if conn, err = fed.connect(); err != nil {
-						return nil
-					}
-				}
+				return serveRejoining(conn, fed.connect, i, locals[i], spec, cfg)
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -458,20 +458,7 @@ func TestRecycledCacheNeverRewrittenUnderSender(t *testing.T) {
 					defer conn.Close()
 					return serveParty(conn, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
 				}
-				s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
-				if err != nil {
-					return err
-				}
-				for rejoining := false; ; rejoining = true {
-					err := s.run(conn, "", rejoining, 0)
-					_ = conn.Close()
-					if err == nil {
-						return nil
-					}
-					if conn, err = dial(); err != nil {
-						return nil // the run is over and its listener closed
-					}
-				}
+				return serveRejoining(conn, dial, i, locals[i], spec, cfg)
 			})
 			if err != nil {
 				t.Fatal(err)

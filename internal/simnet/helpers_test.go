@@ -244,6 +244,27 @@ func serveParty(conn Conn, i int, ds *data.Dataset, spec nn.ModelSpec, cfg fl.Co
 	return s.run(conn, "", false, 0)
 }
 
+// serveRejoining runs party i's session on conn and, each time the conn
+// is lost, on a fresh one from dial with a rejoin hello, until the session
+// ends cleanly or a redial is refused: the run is over and its listener
+// closed.
+func serveRejoining(conn Conn, dial func() (Conn, error), i int, ds *data.Dataset, spec nn.ModelSpec, cfg fl.Config) error {
+	s, err := newPartySession(i, ds, spec, cfg, PartySeed(cfg.Seed, i))
+	if err != nil {
+		return err
+	}
+	for rejoining := false; ; rejoining = true {
+		err := s.run(conn, "", rejoining, 0)
+		_ = conn.Close()
+		if err == nil {
+			return nil
+		}
+		if conn, err = dial(); err != nil {
+			return nil
+		}
+	}
+}
+
 // mustLoopback is RunLoopback for tests in which nothing may fail: the
 // server's error is fatal and every party error is reported.
 func mustLoopback(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset,
