@@ -25,8 +25,9 @@ import (
 // AsyncTransport is implemented by transports that can drive the
 // buffered-async mode: RunAsync pushes every arriving update into the
 // coordinator (from any number of receiver goroutines) and rebroadcasts
-// the global after each flush, returning once the coordinator reports the
-// run complete or the federation is lost.
+// the global after each flush but the final one (see CopyGlobal),
+// returning once the coordinator reports the run complete or the
+// federation is lost.
 type AsyncTransport interface {
 	// PartyMeta returns the aggregation metadata of party id.
 	PartyMeta(id int) UpdateMeta
@@ -124,17 +125,22 @@ func (c *AsyncCoordinator) Failed() error {
 	return c.failed
 }
 
-// GlobalSnapshot returns a copy of the current global state (and SCAFFOLD
-// control variate; nil otherwise) together with the generation it belongs
-// to, for broadcast to the parties.
-func (c *AsyncCoordinator) GlobalSnapshot() (gen int, state, control []float64) {
+// CopyGlobal copies the current global state (and SCAFFOLD control
+// variate; nil otherwise) into state and control, reusing their capacity,
+// for broadcast to the parties, and returns the copies with the generation
+// they belong to and whether it is the run's final one — which no party
+// needs to train against. Reporting done with the copy, under one lock,
+// lets a transport that snapshots after a flush tell whether another
+// flush completed the run in between. A transport that refills the same
+// buffers every generation allocates nothing here.
+func (c *AsyncCoordinator) CopyGlobal(state, control []float64) (gen int, st, ctl []float64, done bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	state = append([]float64{}, c.e.server.State()...)
+	st = append(state[:0], c.e.server.State()...)
 	if sc := c.e.server.Control(); sc != nil {
-		control = append([]float64{}, sc...)
+		ctl = append(control[:0], sc...)
 	}
-	return c.gen, state, control
+	return c.gen, st, ctl, c.done
 }
 
 // stalenessExponent is a in the staleness discount s(tau) = 1/(1+tau)^a:
@@ -196,7 +202,8 @@ func countID(ids []int, id int) int {
 // Fold folds one complete update that trained against generation
 // trainedGen into the open flush buffer. It returns flushed=true when this
 // fold closed a buffer and minted a new generation (the transport should
-// then rebroadcast GlobalSnapshot), and done=true once the run has
+// then rebroadcast the global, copied by CopyGlobal, unless that reports
+// the run done: another flush may land first), and done=true once the run has
 // completed all configured generations — folds after that are ignored.
 // A non-nil error means the update was rejected (malformed, or from a
 // future generation) and the transport should evict its party; the run

@@ -33,8 +33,9 @@ func asyncFixture(t *testing.T) ([]*data.Dataset, *data.Dataset) {
 }
 
 // lockstepAsync drives the coordinator like a synchronous federation:
-// every generation, every client trains against the current global and
-// folds immediately, in party order. With AsyncBuffer equal to the party
+// every generation, every client trains against the current global —
+// copied into one pair of buffers it reuses — and folds immediately,
+// in party order. With AsyncBuffer equal to the party
 // count every fold lands with zero staleness and the flush closes exactly
 // when the last client folds; with a smaller buffer the later clients of
 // an outer pass fold against an already-advanced generation, exercising
@@ -49,8 +50,13 @@ func (l *lockstepAsync) PartyMeta(id int) UpdateMeta {
 }
 
 func (l *lockstepAsync) RunAsync(c *AsyncCoordinator) error {
-	for !c.Done() {
-		gen, state, control := c.GlobalSnapshot()
+	var state, control []float64
+	for {
+		gen, st, ctl, done := c.CopyGlobal(state, control)
+		if done {
+			return nil
+		}
+		state, control = st, ctl
 		for id, cl := range l.sim.Clients {
 			p := cl.TrainStream(state, control, l.sim.Cfg)
 			_, done, err := c.Fold(id, p.Update(), gen)
@@ -63,7 +69,6 @@ func (l *lockstepAsync) RunAsync(c *AsyncCoordinator) error {
 			}
 		}
 	}
-	return nil
 }
 
 // TestAsyncLockstepMatchesSyncAllAlgorithms pins the buffered-async

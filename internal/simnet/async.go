@@ -66,8 +66,10 @@ func (a asyncFold) take(m member, st stagedUpdate) bool {
 }
 
 // fold folds one complete stream and, when the fold closed a buffer,
-// publishes the new generation. It reports false on a coordinator
-// rejection.
+// publishes the newest generation, snapshotted into a recycled frame
+// cache (see Federation.frameCache) — none once the run is done: the
+// final generation is broadcast to nobody. It reports false on a
+// coordinator rejection.
 func (a asyncFold) fold(m member, st stagedUpdate) bool {
 	f := a.f
 	if !f.table.firstFold(m.id, st.round) {
@@ -93,27 +95,33 @@ func (a asyncFold) fold(m member, st stagedUpdate) bool {
 		}
 		return false
 	}
-	if flushed && !done {
-		gen, state, control := a.coord.GlobalSnapshot()
-		f.publish(gen, f.frameCache(gen, state, control, f.budget(len(f.table.members))), nil)
-	} else if done {
+	switch {
+	case flushed && !done:
+		// Another receiver's flush may have landed since: publish the
+		// newest generation, unless that flush was the final one (the
+		// receiver that made it wakes the membership loop).
+		if bf := f.frameCache(f.budget(len(f.table.members)), a.coord.CopyGlobal); bf != nil {
+			f.publish(bf, nil)
+		}
+	case done:
 		f.changed()
 	}
 	return true
 }
 
 // RunAsync implements fl.AsyncTransport: it drives the buffered-async
-// protocol over the federation's conns until the coordinator completes,
-// the run is poisoned, or the federation stays below quorum past its
-// budget (see quorum).
+// protocol over the federation's conns — each generation's broadcast
+// built in a frame cache that owns its snapshot of the global and is
+// recycled with it (see fold) — until the coordinator completes, the run
+// is poisoned, or the federation stays below quorum past its budget (see
+// quorum).
 func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
-	if coord.Done() {
-		return nil
-	}
-	gen, state, control := coord.GlobalSnapshot()
 	// All parties train concurrently all the time, so a local federation
 	// splits its cores across every party, not just a round's sample.
-	bf := f.frameCache(gen, state, control, f.budget(len(f.table.members)))
+	bf := f.frameCache(f.budget(len(f.table.members)), coord.CopyGlobal)
+	if bf == nil {
+		return nil // resumed from the final generation
+	}
 	// Encode the configured codec eagerly so an unencodable initial state
 	// fails the run up front instead of surfacing as per-party evictions.
 	if _, err := bf.frames(wireCodec(f.Cfg.Codec)); err != nil {
@@ -121,7 +129,7 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 	}
 	f.policy, f.answered = asyncFold{f, coord}, make(map[*CountingConn]int)
 	f.serve(f.table.alive()...)
-	f.publish(gen, bf, nil)
+	f.publish(bf, nil)
 
 	for !coord.Done() && coord.Failed() == nil {
 		// Keep the resync stamp current so a rejoin handshake reports the

@@ -1,8 +1,11 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +13,10 @@ import (
 
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
+	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/rng"
+	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
 // assertAsyncInvariants checks what every clean buffered-async run must
@@ -841,4 +846,155 @@ func TestAsyncPartyPullsNextGeneration(t *testing.T) {
 			}
 		})
 	}
+}
+
+// flushHook is an fl.AsyncTransport whose RunAsync the test scripts; the
+// coordinator reads its byte meter at every flush, inside Fold, and calls
+// onFlush there when it is set.
+type flushHook struct {
+	run     func(*fl.AsyncCoordinator) error
+	onFlush func()
+}
+
+func (h flushHook) PartyMeta(int) fl.UpdateMeta           { return fl.UpdateMeta{N: 10} }
+func (h flushHook) RunAsync(c *fl.AsyncCoordinator) error { return h.run(c) }
+func (h flushHook) RoundBytes() int64 {
+	if h.onFlush != nil {
+		h.onFlush()
+	}
+	return 0
+}
+
+// scriptAsync runs f's server side under a script in place of the conn
+// loop: the engine's buffered-async run hands the script the coordinator,
+// and the script plays the receivers and senders itself.
+func scriptAsync(t *testing.T, f *Federation, h flushHook) {
+	t.Helper()
+	n := len(f.table.members)
+	model := nn.Build(f.Spec, rng.New(1))
+	server := fl.NewServer(f.Cfg, model.State(), model.ParamCount(), n)
+	engine, err := fl.NewEngine(f.Cfg, server, fl.NewEvaluator(f.Spec, f.Test), n, rng.New(2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.stateLen, f.total = len(server.State()), len(server.State())+len(server.Control())
+	if _, err := engine.RunAsync(h); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scriptedUpdate is a complete update stream, every element v, trained
+// against gen, as a receiver hands it to the fold: in a buffer from the
+// shared pool, which the fold returns with Put (Federation.release).
+func scriptedUpdate(f *Federation, gen int, v float64) stagedUpdate {
+	buf := tensor.Shared.GetRaw(tensor.Float64, f.total)
+	for i := range buf.Data() {
+		buf.Data()[i] = v
+	}
+	f.streamsOut.Add(1)
+	return stagedUpdate{round: gen, buf: buf, trailer: fl.Update{N: 10, Tau: 1}}
+}
+
+// TestNoGenerationPastTheLast lands the final flush between another
+// receiver's flush and that receiver's publication of the generation it
+// minted: the receiver must publish nothing, since the newest generation
+// is now the final one, which no party needs to train against. The
+// schedule is fixed, not raced: receiver A's first flush takes the party
+// table's lock, so after its fold A stops at SCAFFOLD's control
+// bookkeeping, before it snapshots; the test then folds the final update
+// straight into the coordinator — the other receiver's fold — and lets A
+// go.
+func TestNoGenerationPastTheLast(t *testing.T) {
+	cfg, locals, test := smallFederation(t)
+	spec, _ := data.Model("adult")
+	cfg.Algorithm, cfg.AsyncBuffer, cfg.Rounds = fl.Scaffold, 1, 2
+	fed := pipeFed(t, cfg, spec, test, len(locals), ServerOptions{})
+	defer fed.ln.Close()
+	f := fed.Federation
+	var once sync.Once
+	parked := make(chan struct{})
+	scriptAsync(t, f, flushHook{
+		onFlush: func() {
+			once.Do(func() {
+				f.table.mu.Lock() // A's, released by the test
+				close(parked)
+			})
+		},
+		run: func(coord *fl.AsyncCoordinator) error {
+			folded := make(chan bool)
+			go func() { folded <- asyncFold{f, coord}.fold(member{id: 0}, scriptedUpdate(f, 0, 0)) }()
+			select {
+			case <-parked:
+			case ok := <-folded:
+				return fmt.Errorf("receiver A's fold (ok %v) did not flush", ok)
+			}
+			final := fl.Update{N: 10, Tau: 1, Delta: make([]float64, f.stateLen), DeltaC: make([]float64, f.total-f.stateLen)}
+			_, done, err := coord.Fold(1, final, 0)
+			f.table.mu.Unlock()
+			if ok := <-folded; !ok || err != nil || !done {
+				return fmt.Errorf("receiver A's fold ok %v; the final fold: done %v, err %v", ok, done, err)
+			}
+			return nil
+		},
+	})
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.bf != nil {
+		t.Fatalf("generation %d of %d published after the run completed", f.gen, f.Cfg.Rounds)
+	}
+}
+
+// TestClaimedSnapshotOutlivesRecycling holds a sender's claim on an async
+// generation, as a sender parked mid-ship does, while three more
+// generations recycle frame caches through the free list, and only then
+// encodes the generation's f64 frames: lazily, from the snapshot its
+// cache owns. They must still carry the claimed generation, re-encoding
+// to exactly the int8 frames encoded when it was claimed. In a run every
+// sender encodes the moment it claims, so a snapshot refilled while its
+// cache is still referenced shows there only when the two race; here the
+// late encode is fixed, and such a cache fails every time.
+func TestClaimedSnapshotOutlivesRecycling(t *testing.T) {
+	cfg, locals, test := smallFederation(t)
+	spec, _ := data.Model("adult")
+	cfg.AsyncBuffer, cfg.Codec, cfg.ChunkSize, cfg.Rounds = 1, fl.CodecInt8, 64, 8
+	fed := pipeFed(t, cfg, spec, test, len(locals), ServerOptions{})
+	defer fed.ln.Close()
+	f := fed.Federation
+	f.table.members[0].conn, f.table.members[0].state = NewCountingConn(nil), partyAlive
+	scriptAsync(t, f, flushHook{run: func(coord *fl.AsyncCoordinator) error {
+		k := 0
+		fold := func() {
+			gen := coord.Generation()
+			if k++; !(asyncFold{f, coord}).fold(member{id: k % len(locals)}, scriptedUpdate(f, gen, float64(k))) {
+				t.Fatalf("fold %d refused", k)
+			}
+		}
+		fold()
+		_, held, ok := f.claim(f.table.get(0), 0, 0)
+		if !ok {
+			t.Fatal("no generation to claim")
+		}
+		atClaim, err := held.frames(wireCodecInt8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 3 {
+			fold()
+		}
+		late, err := held.frames(wireCodecF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.update(func() { f.drop(held) })
+		if m, _, _ := parseGlobalChunk(late[0]); m.Round != 1 {
+			t.Errorf("the claimed cache encoded generation %d, want 1", m.Round)
+		}
+		if !slices.EqualFunc(reencode(t, late, wireCodecInt8), atClaim, bytes.Equal) {
+			t.Error("generation 1's f64 frames, encoded after three more generations, are not the snapshot it was claimed with")
+		}
+		for !coord.Done() {
+			fold()
+		}
+		return nil
+	}})
 }

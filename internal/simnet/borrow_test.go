@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"slices"
@@ -350,14 +351,14 @@ func (p *parkConn) Send(b []byte) error {
 	return p.Conn.Send(b)
 }
 
-// broadcastLog is a party end that keeps the bytes of every complete
+// broadcastLog is a party end that keeps the frames of every complete
 // broadcast it reads, by round, and tells progress each round it
 // completed.
 type broadcastLog struct {
 	Conn
 	mu       *sync.Mutex
-	got      map[int][]byte
-	cur      []byte
+	got      map[int][][]byte
+	cur      [][]byte
 	progress chan<- int
 }
 
@@ -367,7 +368,7 @@ func (l *broadcastLog) Recv() ([]byte, error) {
 		if m.Offset == 0 {
 			l.cur = nil
 		}
-		if l.cur = append(l.cur, b...); m.Last {
+		if l.cur = append(l.cur, slices.Clone(b)); m.Last {
 			l.mu.Lock()
 			l.got[m.Round] = l.cur
 			l.mu.Unlock()
@@ -380,28 +381,96 @@ func (l *broadcastLog) Recv() ([]byte, error) {
 	return b, err
 }
 
+// f64Hello is a party end whose hellos advertise the f64 wire codec only,
+// so an int8 server falls back to raw frames for it.
+type f64Hello struct{ Conn }
+
+func (c f64Hello) Send(b []byte) error {
+	if len(b) > 0 && b[0] == msgHello {
+		h, err := Unmarshal(b)
+		if err != nil {
+			return err
+		}
+		hello := h.(HelloMsg)
+		hello.Codecs = 1 << wireCodecF64
+		if b, err = Marshal(hello); err != nil {
+			return err
+		}
+	}
+	return c.Conn.Send(b)
+}
+
+// broadcastCodec is the wire codec a logged broadcast arrived in.
+func broadcastCodec(frames [][]byte) byte {
+	m, _, _ := parseGlobalChunk(frames[0])
+	return m.Codec
+}
+
+// reencode decodes a logged broadcast and encodes it afresh, as the
+// server's frame cache would, in codec.
+func reencode(t *testing.T, frames [][]byte, codec byte) [][]byte {
+	t.Helper()
+	var v []float64
+	var m GlobalChunkMsg
+	for _, b := range frames {
+		hdr, p, err := parseGlobalChunk(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = hdr
+		c, err := p.decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v = append(v, c...)
+	}
+	state, control := v[:m.Total-m.CtrlLen], v[m.Total-m.CtrlLen:]
+	if m.CtrlLen == 0 {
+		control = nil
+	}
+	fresh, err := newGlobalFrames(m.Round, state, control, m.Budget, m.Chunk).frames(codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
 // TestRecycledCacheNeverRewrittenUnderSender parks one party's first
-// broadcast after its first frame: a recycled frame cache must never be
-// rewritten under a sender still shipping it. Under async (AsyncBuffer 1)
-// the other parties drive three more generations through the spare
-// before the broadcast resumes; under sync the party is evicted mid-send,
-// rejoins, and its fresh sender ships the round again from the cache the
-// parked sender still holds. Every broadcast a party reads in full must
-// be, byte for byte, what any other party read for that generation.
+// broadcast after its first frame: a recycled frame cache — its arenas
+// and, under async, its snapshot — must never be rewritten under a sender
+// still shipping it. Under async (AsyncBuffer 1) the other parties drive
+// three more generations through the free list before the broadcast
+// resumes; under sync the party is evicted mid-send, rejoins, and its
+// fresh sender ships the round again from the cache the parked sender
+// still holds. Every broadcast a party reads in full must be, byte for
+// byte, what any other party read for that generation in the same codec.
+// The mixed row runs int8 with the parked party advertising f64 only: its
+// sender alone encodes f64, lazily from each generation's snapshot, while
+// the int8 parties' generations recycle caches, so each f64 read must
+// re-encode to exactly the int8 frames the others read. A sender encodes
+// the moment it claims, so a run shows a snapshot refilled too early only
+// when the two race; TestClaimedSnapshotOutlivesRecycling fixes the late
+// encode.
 func TestRecycledCacheNeverRewrittenUnderSender(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	spec, _ := data.Model("adult")
 	cfg.ChunkSize, cfg.Rounds = 64, 8
 	const parked = 2
-	for _, async := range []bool{true, false} {
-		name := "sync"
-		if async {
-			name = "async"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, row := range []struct {
+		name         string
+		async, mixed bool
+	}{
+		{name: "async", async: true},
+		{name: "sync"},
+		{name: "async-mixed-codec", async: true, mixed: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
 			cfg := cfg
-			if async {
+			if row.async {
 				cfg.AsyncBuffer = 1
+			}
+			if row.mixed {
+				cfg.Codec = fl.CodecInt8
 			}
 			fed := pipeFed(t, cfg, spec, test, len(locals), ServerOptions{RejoinGrace: 10 * time.Second})
 			cfg = fed.Cfg
@@ -411,7 +480,7 @@ func TestRecycledCacheNeverRewrittenUnderSender(t *testing.T) {
 				return &parkConn{Conn: c, park: park, parked: parked, id: -1, stopped: stopped, release: release, hellos: hellos}
 			}
 			var mu sync.Mutex
-			logs := make([]map[int][]byte, len(locals))
+			logs := make([]map[int][][]byte, len(locals))
 			progress := make(chan int, 64)
 			go func() {
 				defer close(release)
@@ -422,17 +491,17 @@ func TestRecycledCacheNeverRewrittenUnderSender(t *testing.T) {
 					t.Error("10 s on, the broadcast never parked")
 					return
 				}
-				if !async {
+				if !row.async {
 					fed.evict(parked, nil, false, errors.New("evicted mid-send"))
 				}
 				for {
 					select {
 					case g := <-progress:
-						if async && g >= 3 {
+						if row.async && g >= 3 {
 							return
 						}
 					case h := <-hellos:
-						if !async && h.Rejoin {
+						if !row.async && h.Rejoin {
 							return
 						}
 					case <-timeout:
@@ -442,11 +511,14 @@ func TestRecycledCacheNeverRewrittenUnderSender(t *testing.T) {
 				}
 			}()
 			_, partyErrs, err := fed.federate(len(locals), func(i int) error {
-				logs[i] = map[int][]byte{}
+				logs[i] = map[int][][]byte{}
 				dial := func() (Conn, error) {
 					c, err := fed.connect()
 					if err != nil {
 						return nil, err
+					}
+					if row.mixed && i == parked {
+						c = f64Hello{c}
 					}
 					return &broadcastLog{Conn: c, mu: &mu, got: logs[i], progress: progress}, nil
 				}
@@ -470,14 +542,32 @@ func TestRecycledCacheNeverRewrittenUnderSender(t *testing.T) {
 			if _, ok := logs[0][0]; !ok {
 				t.Fatal("party 0 never read the first generation")
 			}
+			crossed := 0
 			for i := range logs {
 				for j := range i {
 					for g, b := range logs[i] {
-						if other, ok := logs[j][g]; ok && !slices.Equal(b, other) {
-							t.Errorf("generation %d: party %d read other bytes than party %d", g, i, j)
+						other, ok := logs[j][g]
+						if !ok {
+							continue
+						}
+						switch ci, cj := broadcastCodec(b), broadcastCodec(other); {
+						case ci == cj:
+							if !slices.EqualFunc(b, other, bytes.Equal) {
+								t.Errorf("generation %d: party %d read other %s bytes than party %d", g, i, codecName(ci), j)
+							}
+						case ci == wireCodecF64 && cj == wireCodecInt8:
+							crossed++
+							if !slices.EqualFunc(reencode(t, b, cj), other, bytes.Equal) {
+								t.Errorf("generation %d: party %d's f64 read does not encode to the int8 frames party %d read", g, i, j)
+							}
+						default:
+							t.Errorf("generation %d: parties %d and %d read codecs %s and %s", g, i, j, codecName(ci), codecName(cj))
 						}
 					}
 				}
+			}
+			if row.mixed && crossed == 0 {
+				t.Error("no generation was read in both f64 and int8")
 			}
 		})
 	}

@@ -36,8 +36,10 @@ import (
 //     newest generation that addresses its party;
 //   - it recycles the frame caches: a cache is held while it is
 //     published and by each sender shipping it, and the last holder to
-//     let go makes it the spare the next generation encodes into (see
-//     frameCache), so a steady run allocates no broadcast buffers;
+//     let go retires it to the free list, whose caches the next
+//     generations are encoded into — an async generation's snapshot too
+//     (see frameCache) — so a steady run, under either scheduler,
+//     allocates no broadcast buffers;
 //   - a receiver asks the run's foldPolicy for its turn, reads one stream
 //     and hands it to the policy: the sync fold gate (uplink.go) or
 //     arrival order into the async coordinator (async.go);
@@ -84,10 +86,11 @@ type Federation struct {
 	bf       *globalFrames
 	round    *syncRound
 	done     bool
-	// spare is the one retired frame cache — no longer published, shipped
-	// by no sender — whose buffers the next generation encodes into; nil
-	// when there is none.
-	spare *globalFrames
+	// free lists the retired frame caches — no longer published, shipped
+	// by no sender — whose buffers the next generations are built in. It
+	// holds at most as many caches as were ever in flight at once: the
+	// published one plus one per served conn's sender.
+	free []*globalFrames
 	// answered counts, per served conn under async, the complete streams
 	// its receiver handed the policy: folded, fairness-dropped or
 	// deduplicated alike. A conn's sender ships it a generation only while
@@ -253,7 +256,10 @@ func (f *Federation) PartyMeta(id int) fl.UpdateMeta { return f.table.get(id).me
 // the frame size (0 is one frame per vector): eviction, rejoin and
 // drop-and-renormalise apply at every size.
 func (f *Federation) TrainRound(round int, sampled []int, global, control []float64, sink *fl.RoundSink) error {
-	r := f.beginRound(round, sampled, f.frameCache(round, global, control, f.budget(len(sampled))))
+	bf := f.frameCache(f.budget(len(sampled)), func(_, _ []float64) (int, []float64, []float64, bool) {
+		return round, global, control, false
+	})
+	r := f.beginRound(sampled, bf)
 	defer f.endRound(r)
 	folded := 0
 	for j, id := range sampled {
@@ -401,12 +407,13 @@ func (f *Federation) idle(c *CountingConn) {
 	_ = c.SetReadDeadline(deadline)
 }
 
-// publish installs bf as the newest generation unless a newer one is
-// already live (two async receivers may flush back-to-back and race here
-// — generation order wins, not arrival order), releasing the cache it
-// replaces or, when superseded, bf itself. r is the sync round bf belongs
-// to, nil under async.
-func (f *Federation) publish(gen int, bf *globalFrames, r *syncRound) {
+// publish installs bf as the newest generation, the one its broadcast
+// names, unless a newer one is already live (two async receivers may
+// flush back-to-back and race here — generation order wins, not arrival
+// order), releasing the cache it replaces or, when superseded, bf
+// itself. r is the sync round bf belongs to, nil under async.
+func (f *Federation) publish(bf *globalFrames, r *syncRound) {
+	gen := bf.gm.Round
 	f.update(func() {
 		bf.refs++ // the publication's
 		if f.bf != nil && gen <= f.gen {
@@ -421,32 +428,42 @@ func (f *Federation) publish(gen int, bf *globalFrames, r *syncRound) {
 	})
 }
 
-// frameCache returns the frame cache for generation gen's broadcast. A
-// spare, when there is one, lends the new cache its per-codec arenas and
-// frame slices: the broadcast is encoded into them rather than into new
-// allocations.
-func (f *Federation) frameCache(gen int, state, control []float64, budget int) *globalFrames {
-	bf := newGlobalFrames(gen, state, control, budget, f.Cfg.ChunkSize)
+// frameCache returns the frame cache for the next generation's
+// broadcast, built in a retired cache's buffers when the free list has
+// one: the broadcast is encoded into its per-codec arenas and frame
+// slices, and fill copies the generation's vectors into its state and
+// control (nil off a new cache) — an async snapshot, refilled in place
+// (fl.AsyncCoordinator.CopyGlobal) — or returns vectors of its own, as a
+// sync round lends the engine's global. fill also names the generation;
+// when it reports the run done there is none to broadcast, and
+// frameCache retires the cache again and returns nil.
+func (f *Federation) frameCache(budget int, fill func(state, control []float64) (gen int, st, ctl []float64, done bool)) *globalFrames {
+	old := &globalFrames{}
 	f.mu.Lock()
-	spare := f.spare
-	f.spare = nil
+	if n := len(f.free); n > 0 {
+		old, f.free = f.free[n-1], f.free[:n-1]
+	}
 	f.mu.Unlock()
-	if spare != nil {
-		for i := range bf.sets {
-			bf.sets[i].arena, bf.sets[i].fr = spare.sets[i].arena[:0], spare.sets[i].fr[:0]
-		}
+	gen, state, control, done := fill(old.gm.State, old.gm.Control)
+	bf := newGlobalFrames(gen, state, control, budget, f.Cfg.ChunkSize)
+	for i := range bf.sets {
+		bf.sets[i].arena, bf.sets[i].fr = old.sets[i].arena[:0], old.sets[i].fr[:0]
+	}
+	if done {
+		f.mu.Lock()
+		f.free = append(f.free, bf)
+		f.mu.Unlock()
+		return nil
 	}
 	return bf
 }
 
-// drop releases one reference to bf; the last one makes it the spare,
-// which keeps its buffers but not the vectors it encoded (an async
-// generation's are a snapshot only the cache still holds). Called with
-// mu held.
+// drop releases one reference to bf; the last one retires it to the free
+// list with its buffers — under async, the snapshot it broadcast among
+// them, which only the cache still holds. Called with mu held.
 func (f *Federation) drop(bf *globalFrames) {
 	if bf.refs--; bf.refs == 0 {
-		bf.gm = GlobalMsg{}
-		f.spare = bf
+		f.free = append(f.free, bf)
 	}
 }
 
@@ -563,8 +580,8 @@ func (f *Federation) receive(m member) {
 // pipes or TCP, receive it. Safe for concurrent use; the slices are
 // never mutated while anyone holds the cache (every conn writes them out
 // as they are): only once the federation's last reference is gone do
-// they pass, as the spare, to a later generation's cache (see
-// Federation.frameCache).
+// they pass, with an async generation's snapshot, through the free list
+// to a later generation's cache (see Federation.frameCache).
 type globalFrames struct {
 	gm   GlobalMsg
 	sets [4]codecFrames // indexed by wire codec
@@ -577,9 +594,10 @@ type globalFrames struct {
 // newGlobalFrames wraps one round's (or async generation's) broadcast in
 // a frame cache with no buffers of its own yet. state and control must
 // not be mutated while the cache is in use — the frame sets encode
-// lazily, per codec, on first use — so async generations are snapshots
-// (fl.AsyncCoordinator.GlobalSnapshot copies), and a sync round's
-// global outlives every sender of it (see endRound).
+// lazily, per codec, on first use — so an async generation's are a
+// snapshot the cache owns, refilled only once it is retired (see
+// Federation.frameCache), and a sync round's global outlives every sender
+// of it (see endRound).
 func newGlobalFrames(round int, state, control []float64, budget, chunk int) *globalFrames {
 	return &globalFrames{gm: GlobalMsg{Round: round, State: state, Control: control, Budget: budget, Chunk: chunk}}
 }
@@ -608,7 +626,7 @@ func (b *globalFrames) frames(codec byte) ([][]byte, error) {
 		// The whole set is encoded into one exactly sized arena, the frames
 		// being consecutive windows of it: a codec's broadcast costs its
 		// wire bytes, not a grown-by-append buffer per frame — and nothing
-		// at all when a spare's arena and frame slice fit.
+		// at all when a retired cache's arena and frame slice fit.
 		size, count := 0, 0
 		s.err = fl.ChunkStream(gm.State, gm.Control, gm.Chunk, func(_ int, c []float64) error {
 			n, err := globalChunkLen(codec, len(c))

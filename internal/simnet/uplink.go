@@ -287,9 +287,9 @@ func (p syncFold) take(m member, st stagedUpdate) bool {
 	return st.err == nil
 }
 
-// beginRound publishes round num's broadcast, addressed to the sample,
-// and opens its slots.
-func (f *Federation) beginRound(num int, sampled []int, bf *globalFrames) *syncRound {
+// beginRound publishes the round's broadcast bf, addressed to the
+// sample, and opens its slots.
+func (f *Federation) beginRound(sampled []int, bf *globalFrames) *syncRound {
 	r := &syncRound{index: make(map[int]int, len(sampled)), slots: make([]slot, len(sampled)),
 		healBy: time.Now().Add(f.RejoinGrace)}
 	for j, id := range sampled {
@@ -298,7 +298,7 @@ func (f *Federation) beginRound(num int, sampled []int, bf *globalFrames) *syncR
 			r.slots[j].stage = slotLost // no sender will report for it
 		}
 	}
-	f.publish(num, bf, r)
+	f.publish(bf, r)
 	return r
 }
 
@@ -307,8 +307,8 @@ func (f *Federation) beginRound(num int, sampled []int, bf *globalFrames) *syncR
 // resolved every slot through the goroutine that settled it — a sender's
 // delivery or loss, a receiver's stream or loss, each reported after its
 // eviction, and a sender's report drops its own reference — so no sender
-// still reads the engine's global, the cache is the spare the next round
-// encodes into, and every eviction the round caused has been reported
+// still reads the engine's global, the cache is retired to the free list
+// the next round is built from, and every eviction the round caused has been reported
 // before the next round samples. Only an aborted round (a fold
 // bookkeeping error, which ends the run) leaves staged streams to
 // recycle; its readers still mid-stream recycle theirs in take, and its
