@@ -188,14 +188,12 @@ func TestAsyncSoakDropRejoin(t *testing.T) {
 	}
 }
 
-// TestPipelinedDownlinkBitwiseAllAlgorithms pins the party-side pipeline
-// — double-buffered downlink reception, the reader assembling the next
-// broadcast while the trainer works on the last complete one — bitwise
-// against the in-process reference for every algorithm:
-// the same federation over real TCP, every frame in both directions
-// delayed by a per-party latency/jitter fault stream, must produce the
-// identical final state and per-round losses. Timing faults reorder
-// arrivals across parties but never the math.
+// TestPipelinedDownlinkBitwiseAllAlgorithms pins that jittered TCP equals
+// pipes bitwise for all six algorithms: the same federation over real TCP,
+// every frame in both directions delayed by a per-party latency/jitter
+// fault stream, must produce the in-process reference's final state and
+// per-round losses exactly. Timing faults reorder arrivals across parties
+// but never the math.
 func TestPipelinedDownlinkBitwiseAllAlgorithms(t *testing.T) {
 	train, test, err := data.Load("adult", data.Config{TrainN: 300, TestN: 120, Seed: 21})
 	if err != nil {

@@ -69,9 +69,9 @@ func BenchmarkBroadcastEncode(b *testing.B) {
 }
 
 // BenchmarkChunkDecode is BenchmarkBroadcastEncode's receive-side twin:
-// the downlink reader's per-frame work — parseGlobalChunk, then decodeInto
-// at the frame's offset — over the same 256k-element state, framed once
-// per codec outside the timer.
+// the party's per-frame downlink work (recvGlobal) — parseGlobalChunk,
+// then decodeInto at the frame's offset — over the same 256k-element
+// state, framed once per codec outside the timer.
 func BenchmarkChunkDecode(b *testing.B) {
 	state := quantTestVector(1 << 18)
 	dst := make([]float64, len(state))

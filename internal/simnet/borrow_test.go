@@ -69,7 +69,7 @@ func runScribbledTCP(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*d
 // TestRecvBorrowContract runs whole federations with every received frame
 // destroyed the moment its receiver asks for the next one. Nothing may
 // change: every Recv call site — the server's hello and update readers,
-// the party's downlink reader and resync read — decodes a frame before it
+// the party's broadcast and resync reads — decodes a frame before it
 // reads again, which is what lets frameConn reuse one receive buffer.
 func TestRecvBorrowContract(t *testing.T) {
 	cfg, locals, test := smallFederation(t)

@@ -120,7 +120,7 @@ func poolDropsPuts() bool {
 // 24 rounds measured, ≈ 0.08 S).
 //
 //	party   params 1, grads 1, momentum 1, first layer's dW scratch 1,
-//	        downlink assembly <= 2 (an async party pulls), and from
+//	        downlink assembly 1 (the party reads in line), and from
 //	        the pool (<= 1.125 x) the delta 1 and the batch 0.37
 //	server  state 1, accumulator 1, round snapshot 1 (sync only), eval
 //	        replicas 2 x 1, pooled reply streams foldAhead x 1.125 sync /
@@ -150,8 +150,8 @@ func TestStateCopyBudget(t *testing.T) {
 		async                int
 		party, server, round float64 // budgets, in S
 	}{
-		{name: "sync", party: 7.6, server: 13, round: 0.25},
-		{name: "async", async: 2, party: 7.6, server: 24, round: 0.5},
+		{name: "sync", party: 6.6, server: 13, round: 0.25},
+		{name: "async", async: 2, party: 6.6, server: 24, round: 0.5},
 	} {
 		c := cfg
 		c.AsyncBuffer = mode.async
@@ -177,41 +177,42 @@ func TestStateCopyBudget(t *testing.T) {
 	}
 }
 
-// gatedConn scripts a party's end of a pipe for TestDownlinkBufferBound
-// (TestDownlinkCutStreamUnpublished uses only its Recv announcements):
-// every Recv call is announced (the reader asks for frame n+1 only after
-// frame n is decoded and, if it was a broadcast's last, the broadcast
-// published, so the n+1-th call means n frames are fully consumed), and
-// the first frame of every reply is parked until the test lets it go,
-// which holds the trainer on its current generation.
-type gatedConn struct {
+// probeConn wraps a party's end of a pipe for the downlink tests. When
+// recvs is non-nil every Recv call is announced on it (the party asks for
+// frame n+1 only after frame n is decoded, so the n+1-th call means n
+// frames are consumed). When s is non-nil every Send records, on the
+// session's own goroutine, the assembly buffer s holds, so a test can
+// count the buffers a session ever answered from.
+type probeConn struct {
 	Conn
-	recvs   chan struct{}
-	parked  chan int // the generation a parked reply trained on
-	release chan struct{}
+	recvs chan struct{}
+	s     *partySession
+	bufs  map[*float64]bool
 }
 
-func (g *gatedConn) Recv() ([]byte, error) {
-	g.recvs <- struct{}{}
-	return g.Conn.Recv()
-}
-
-func (g *gatedConn) Send(b []byte) error {
-	if m, _, err := parseUpdateChunk(b); err == nil && m.Offset == 0 {
-		g.parked <- m.Round
-		<-g.release
+func (c *probeConn) Recv() ([]byte, error) {
+	if c.recvs != nil {
+		c.recvs <- struct{}{}
 	}
-	return g.Conn.Send(b)
+	return c.Conn.Recv()
+}
+
+func (c *probeConn) Send(b []byte) error {
+	if c.s != nil && len(c.s.dl) > 0 {
+		c.bufs[&c.s.dl[0]] = true
+	}
+	return c.Conn.Send(b)
 }
 
 // TestDownlinkBufferBound drives one party session from a server that
-// mints ten generations for every one the party trains. Counted, not
-// timed: whatever the generation rate the session allocates exactly
-// maxDownlinkBufs assembly buffers (one under the trainer, one complete
-// and waiting, one filling that supersedes it once complete), every reply
-// trains on the newest complete generation that had arrived when the
-// trainer came back for more, and a clean shutdown leaves every buffer in
-// the session's free list.
+// runs ahead: it sends generation after generation without waiting for a
+// reply, ten generations ahead of the party's first answer and more. The
+// party reads in line, so the server is backpressured by the pipe and the
+// session answers every generation, oldest unanswered first, in the order
+// they were sent, asking for no frame of the next generation before its
+// reply to the last is out. It answers all of them from one assembly
+// buffer, and while it waits for a broadcast it runs on its caller's
+// goroutine alone: a session starts no goroutine of its own.
 func TestDownlinkBufferBound(t *testing.T) {
 	cfg, locals, _ := smallFederation(t)
 	spec, _ := data.Model("adult")
@@ -220,70 +221,83 @@ func TestDownlinkBufferBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room to spare, so a buffer beyond the bound would be kept and counted
-	// rather than dropped by a full list.
-	s.dlFree = make(chan []float64, 4*maxDownlinkBufs)
+	if s.client.StateCount() <= cfg.ChunkSize {
+		t.Fatal("a reply must span several frames for the in-line count to be exact")
+	}
 	server, partyEnd := pipe()
-	party := &gatedConn{Conn: partyEnd, recvs: make(chan struct{}, 1024), parked: make(chan int), release: make(chan struct{})}
+	party := &probeConn{Conn: partyEnd, recvs: make(chan struct{}, 1024), s: s, bufs: map[*float64]bool{}}
 	state := make([]float64, s.client.StateCount())
+	frames, err := newGlobalFrames(0, state, nil, 0, cfg.ChunkSize).frames(wireCodecF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perGen := len(frames)
+	// simnet runs no parallel tests, so the count here is the caller's.
+	base := runtime.NumGoroutine()
 	done := make(chan error, 1)
 	go func() { done <- s.run(party, "", false, 0) }()
 	if _, err := server.Recv(); err != nil { // the hello
 		t.Fatal(err)
 	}
-	sent := 0
-	mint := func(gen int) {
-		t.Helper()
-		frames, err := newGlobalFrames(gen, state, nil, 0, s.cfg.ChunkSize).frames(wireCodecF64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fr := range frames {
-			if err := server.Send(fr); err != nil {
-				t.Fatal(err)
+	<-party.recvs // the session waits for its first broadcast
+	if n := runtime.NumGoroutine(); n > base+1 {
+		t.Fatalf("%d goroutines while the session waits for a broadcast, want at most %d: the session started one of its own", n, base+1)
+	}
+	recvCalls := 1
+	const gens = 21
+	sent := make(chan error, 1)
+	go func() {
+		for gen := 0; gen < gens; gen++ {
+			frames, err := newGlobalFrames(gen, state, nil, 0, cfg.ChunkSize).frames(wireCodecF64)
+			for _, fr := range frames {
+				if err == nil {
+					err = server.Send(fr)
+				}
 			}
-			sent++
+			if err != nil {
+				sent <- err
+				return
+			}
 		}
-	}
-	recvCalls := 0
-	consumed := func() { // blocks until the reader has taken in everything sent
-		t.Helper()
-		for ; recvCalls <= sent; recvCalls++ {
-			<-party.recvs
-		}
-	}
-	drainReply := func() {
-		t.Helper()
-		for {
+		sent <- nil
+	}()
+	for want := 0; want < gens; want++ {
+		for first := true; ; first = false {
 			raw, err := server.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m, _, err := parseUpdateChunk(raw); err != nil {
+			m, _, err := parseUpdateChunk(raw)
+			if err != nil {
 				t.Fatal(err)
-			} else if m.Last {
-				return
+			}
+			if m.Round != want {
+				t.Fatalf("a reply frame answers generation %d, want %d: the oldest unanswered", m.Round, want)
+			}
+			if first {
+				// The session is parked in this reply's send: it has asked
+				// for exactly the frames of generations 0..want.
+				for len(party.recvs) > 0 {
+					<-party.recvs
+					recvCalls++
+				}
+				if recvCalls != (want+1)*perGen {
+					t.Fatalf("answering generation %d the party had asked for %d frames, want %d: it read ahead of its reply",
+						want, recvCalls, (want+1)*perGen)
+				}
+			}
+			if m.Last {
+				break
 			}
 		}
 	}
-	mint(0)
-	newest := 0
-	for burst := 0; burst < 5; burst++ {
-		if got := <-party.parked; got != newest {
-			t.Fatalf("burst %d: the party trained on generation %d, the newest to reach it was %d", burst, got, newest)
-		}
-		// The trainer is parked holding its generation: run ahead of it.
-		for i := 0; i < 10; i++ {
-			newest++
-			mint(newest)
-		}
-		consumed()
-		party.release <- struct{}{}
-		drainReply()
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
-	<-party.parked // the reply to the last burst
-	party.release <- struct{}{}
-	drainReply()
+	<-party.recvs // the session waits for the next broadcast
+	if n := settleGoroutines(base + 1); n > base+1 {
+		t.Fatalf("%d goroutines while the session waits for a broadcast, want at most %d: the session started one of its own", n, base+1)
+	}
 	bye, err := Marshal(ShutdownMsg{})
 	if err != nil {
 		t.Fatal(err)
@@ -294,19 +308,17 @@ func TestDownlinkBufferBound(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if n := len(s.dlFree); n != maxDownlinkBufs {
-		t.Fatalf("after shutdown the free list holds %d assembly buffers: the session allocated %d or leaked %d, want exactly %d held and all returned",
-			n, n, maxDownlinkBufs-n, maxDownlinkBufs)
+	if n := len(party.bufs); n != 1 || cap(s.dl) != len(state) {
+		t.Fatalf("the session answered %d generations from %d assembly buffers (cap %d), want one of %d elements",
+			gens, n, cap(s.dl), len(state))
 	}
 }
 
-// TestDownlinkHoldsTwo runs pipe federations on sessions whose free
-// lists have room to spare, under both schedulers: neither makes a session
-// allocate a third assembly buffer — under lockstep rounds the next
-// round's first frame can overtake this round's release, nothing more,
-// and an async party is never shipped a generation ahead of its answer —
-// and all of them are back in the list at shutdown.
-func TestDownlinkHoldsTwo(t *testing.T) {
+// TestDownlinkHoldsOne runs pipe federations under both schedulers and
+// pins that every session answers all its generations from one assembly
+// buffer: under lockstep rounds and under async, where a party pulls its
+// next generation, a party reads a broadcast only after answering the last.
+func TestDownlinkHoldsOne(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	spec, _ := data.Model("adult")
 	cfg.ChunkSize, cfg.Rounds = 100, 12
@@ -322,14 +334,13 @@ func TestDownlinkHoldsTwo(t *testing.T) {
 			cfg := cfg
 			cfg.AsyncBuffer = row.async
 			fed := pipeFed(t, cfg, spec, test, len(locals), row.opts)
-			sessions := make([]*partySession, len(locals))
+			probes := make([]*probeConn, len(locals))
 			for i := range locals {
 				s, err := newPartySession(i, locals[i], spec, cfg, PartySeed(cfg.Seed, i))
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.dlFree = make(chan []float64, 4*maxDownlinkBufs)
-				sessions[i] = s
+				probes[i] = &probeConn{s: s, bufs: map[*float64]bool{}}
 			}
 			// The party ends stay open after their sessions: the teardown must
 			// not wait on a peer that has stopped reading (under async,
@@ -339,15 +350,17 @@ func TestDownlinkHoldsTwo(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				return sessions[i].run(conn, "", false, 0)
+				p := probes[i]
+				p.Conn = conn
+				return p.s.run(p, "", false, 0)
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			reportErrs(t, partyErrs)
-			for i, s := range sessions {
-				if n := len(s.dlFree); n < 1 || n > 2 {
-					t.Errorf("party %d ended %d generations with %d assembly buffers in its free list, want 1 or 2", i, cfg.Rounds, n)
+			for i, p := range probes {
+				if n := len(p.bufs); n != 1 {
+					t.Errorf("party %d answered its generations from %d assembly buffers, want 1", i, n)
 				}
 			}
 		})

@@ -59,6 +59,21 @@ func updateFrames(g GlobalMsg, n, tau int, val float64) []UpdateChunkMsg {
 	return frames
 }
 
+// drainReply reads one update stream off a scripted server's conn, up to
+// its last frame.
+func drainReply(conn Conn) error {
+	for {
+		raw, err := conn.Recv()
+		if err != nil {
+			return err
+		}
+		m, _, err := parseUpdateChunk(raw)
+		if err != nil || m.Last {
+			return err
+		}
+	}
+}
+
 // sendFrames marshals and sends frames in order, stopping at the first
 // send the server refuses (it closes a violator's conn mid-script).
 func sendFrames(conn Conn, frames []UpdateChunkMsg) error {

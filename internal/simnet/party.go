@@ -32,15 +32,12 @@ type partySession struct {
 	cfg    fl.Config
 	client *fl.Client
 	frame  []byte // reused chunk-frame encode buffer
-	// dlFree recycles downlink assembly buffers across rounds and
-	// reconnects; the downlink reader draws from it and every broadcast's
-	// release returns to it. A session holds at most two state-length
-	// buffers (the reader can start assembling the next broadcast before
-	// this one's is released), and at most maxDownlinkBufs against a
-	// server that runs ahead.
-	dlFree chan []float64
-	hello  HelloMsg // identity fields; Rejoin varies per attempt
-	// progressed flips once a session receives its first round broadcast —
+	// dl is the session's one downlink assembly buffer, reused across
+	// rounds and reconnects: each broadcast is read into it whole, trained
+	// on and answered before the next is read.
+	dl    []float64
+	hello HelloMsg // identity fields; Rejoin varies per attempt
+	// progressed flips once a session receives its first server frame —
 	// proof the server admitted this party, which is what makes a later
 	// redial a rejoin rather than a first contact.
 	progressed bool
@@ -149,50 +146,38 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 		}
 		s.progressed = true // the server honored the rejoin
 	}
-	// The downlink reader owns Recv for the rest of this connection's
-	// life: broadcasts assemble, the newest one waiting, while the loop
-	// below trains, so downlink latency hides behind compute. Sends — replies and
-	// replays — stay on this goroutine: a conn has exactly one sender and
-	// one receiver at all times.
-	var clear func()
-	if helloTimeout > 0 {
-		clear = func() {
-			// The server answered; round gaps are its RoundTimeout's
-			// business, not the hello deadline's.
-			_ = conn.SetReadDeadline(time.Time{})
-		}
-	}
-	if s.dlFree == nil {
-		s.dlFree = make(chan []float64, maxDownlinkBufs)
-	}
-	r := newDownlinkReader(conn, stateLen, ctrlLen, s.dlFree, clear)
-	go r.loop()
-	defer r.stop()
+	// The round loop reads in line: one whole broadcast, its reply, the
+	// next. A conn has exactly one sender and one receiver at all times,
+	// and both are this goroutine.
 	for {
-		it := r.next()
-		if it.shutdown {
-			s.progressed = true
+		raw, err := conn.Recv()
+		if err != nil {
+			return fmt.Errorf("simnet: party %d recv: %w", s.id, err)
+		}
+		// Any server frame proves admission, and the first one lifts the
+		// hello deadline: round gaps are the server's RoundTimeout's
+		// business, not the hello deadline's.
+		s.progressed = true
+		if helloTimeout > 0 {
+			_ = conn.SetReadDeadline(time.Time{})
+			helloTimeout = 0
+		}
+		g, shutdown, err := recvGlobal(conn, raw, stateLen, ctrlLen, &s.dl)
+		if err != nil {
+			return fmt.Errorf("simnet: party %d recv: %w", s.id, err)
+		}
+		if shutdown {
 			return nil
 		}
-		if it.err != nil {
-			if it.got {
-				s.progressed = true
-			}
-			return fmt.Errorf("simnet: party %d recv: %w", s.id, it.err)
-		}
-		s.progressed = true
-		if err := s.handleGlobal(conn, it.g); err != nil {
+		if err := s.handleGlobal(conn, &g); err != nil {
 			return err
 		}
 	}
 }
 
 // handleGlobal answers one complete round broadcast: a replay of the
-// cached reply, or a fresh training pass. The broadcast is always
-// released — returning its assembly buffer to the session's free list —
-// whatever the outcome.
+// cached reply, or a fresh training pass.
 func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
-	defer ig.release(s.dlFree)
 	s.client.SetComputeBudget(tensor.Compute{Workers: ig.Budget})
 	if s.cacheOn && s.cache.valid && ig.Round == s.cache.round {
 		// The server re-asked for a round this session already trained

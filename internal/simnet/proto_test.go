@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -443,21 +444,28 @@ func sendGlobal(t *testing.T, conn Conn, frames ...GlobalChunkMsg) {
 	}
 }
 
-// downlinkFrom feeds frames to a fresh downlinkReader, for a party whose
-// model takes stateLen state and ctrlLen control elements, over a pipe and
-// returns the reader's first event plus its free list, so tests can see
-// what the party side made of a server's framing.
-func downlinkFrom(t *testing.T, stateLen, ctrlLen int, frames ...GlobalChunkMsg) (dlItem, chan []float64) {
+// readGlobal is the party's read of one server message: its first frame,
+// then recvGlobal for the rest, into the assembly buffer *buf.
+func readGlobal(conn Conn, stateLen, ctrlLen int, buf *[]float64) (incomingGlobal, bool, error) {
+	raw, err := conn.Recv()
+	if err != nil {
+		return incomingGlobal{}, false, err
+	}
+	return recvGlobal(conn, raw, stateLen, ctrlLen, buf)
+}
+
+// downlinkFrom sends frames over a pipe to a party whose model takes
+// stateLen state and ctrlLen control elements, and returns what the party
+// made of the server's framing: the broadcast or the error, and the
+// assembly buffer it read into.
+func downlinkFrom(t *testing.T, stateLen, ctrlLen int, frames ...GlobalChunkMsg) (incomingGlobal, []float64, error) {
 	t.Helper()
 	serverSide, partySide := pipe()
-	free := make(chan []float64, 4)
-	r := newDownlinkReader(partySide, stateLen, ctrlLen, free, nil)
-	go r.loop()
 	t.Cleanup(func() {
-		r.stop()
 		_ = serverSide.Close()
+		_ = partySide.Close()
 	})
-	// The server side sends from its own goroutine: a reader that refuses
+	// The server side sends from its own goroutine: a party that refuses
 	// the stream stops reading, and the frames behind the refusal then fail
 	// when the cleanup hangs up.
 	go func() {
@@ -471,7 +479,12 @@ func downlinkFrom(t *testing.T, stateLen, ctrlLen int, frames ...GlobalChunkMsg)
 			}
 		}
 	}()
-	return r.next(), free
+	var buf []float64
+	g, shutdown, err := readGlobal(partySide, stateLen, ctrlLen, &buf)
+	if shutdown {
+		t.Fatal("a broadcast stream read as a shutdown")
+	}
+	return g, buf, err
 }
 
 // TestDownlinkTotalBounded pins the party side of the memory contract and
@@ -495,34 +508,31 @@ func TestDownlinkTotalBounded(t *testing.T) {
 		{"control unexpected", 2, 0, GlobalChunkMsg{Total: 3, CtrlLen: 1, Chunk: 8}, "control suffix of 1 elements, this party takes 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			it, free := downlinkFrom(t, tc.stateLen, tc.ctrlLen, tc.frame)
-			if it.err == nil || !strings.Contains(it.err.Error(), tc.want) {
-				t.Fatalf("got %+v, want an error containing %q", it, tc.want)
+			g, buf, err := downlinkFrom(t, tc.stateLen, tc.ctrlLen, tc.frame)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
 			}
-			if it.g != nil {
+			if g.State != nil {
 				t.Fatal("a broadcast was published for a rejected declaration")
 			}
-			// A stream that fails after its buffer was taken returns it
-			// before reporting, so an empty list means none was allocated.
-			if len(free) != 0 {
-				t.Fatalf("the reader allocated %d assembly buffers for a rejected declaration", len(free))
+			if buf != nil {
+				t.Fatalf("the party allocated an assembly buffer of %d elements for a rejected declaration", cap(buf))
 			}
 		})
 	}
 	// The party's exact shape assembles normally, in order, across the
-	// state/control seam, into a buffer the free list gets back.
-	it, free := downlinkFrom(t, 2, 1,
+	// state/control seam, into the assembly buffer.
+	g, buf, err := downlinkFrom(t, 2, 1,
 		GlobalChunkMsg{Round: 4, Total: 3, CtrlLen: 1, Chunk: 2, Payload: []float64{1, 2}},
 		GlobalChunkMsg{Round: 4, Offset: 2, Total: 3, CtrlLen: 1, Chunk: 2, Last: true, Payload: []float64{3}})
-	if it.err != nil || it.g == nil {
-		t.Fatalf("in-shape stream: %+v", it)
+	if err != nil {
+		t.Fatalf("in-shape stream: %v", err)
 	}
-	if g := it.g; g.Round != 4 || len(g.State) != 2 || g.State[1] != 2 || len(g.Control) != 1 || g.Control[0] != 3 {
+	if g.Round != 4 || len(g.State) != 2 || g.State[1] != 2 || len(g.Control) != 1 || g.Control[0] != 3 {
 		t.Fatalf("reassembled round %d state %v control %v", g.Round, g.State, g.Control)
 	}
-	it.g.release(free)
-	if len(free) != 1 {
-		t.Fatalf("released broadcast returned %d buffers to the free list, want 1", len(free))
+	if len(buf) != 3 || &g.State[0] != &buf[0] || &g.Control[0] != &buf[2] {
+		t.Fatal("the broadcast does not view the assembly buffer")
 	}
 }
 
@@ -530,18 +540,17 @@ func TestDownlinkTotalBounded(t *testing.T) {
 // side: an empty frame that is not the stream's last makes no progress
 // and must be rejected, not looped on.
 func TestDownlinkEmptyFrameRejected(t *testing.T) {
-	it, _ := downlinkFrom(t, 4, 0, GlobalChunkMsg{Total: 4, Chunk: 2})
-	if it.err == nil || !strings.Contains(it.err.Error(), "empty non-final") {
-		t.Fatalf("empty non-final downlink frame: %+v", it)
+	_, _, err := downlinkFrom(t, 4, 0, GlobalChunkMsg{Total: 4, Chunk: 2})
+	if err == nil || !strings.Contains(err.Error(), "empty non-final") {
+		t.Fatalf("empty non-final downlink frame: %v", err)
 	}
 }
 
 // TestDownlinkViolationsUnpublished is the party side's framing table,
 // the downlink twin of TestStreamViolationsEvictOffender: each case
 // rewrites one frame of an otherwise valid three-frame broadcast (state 5,
-// control 1, frames of 2). Every violation must be refused with an error,
-// publish nothing, and return the assembly buffer the first frame took to
-// the free list.
+// control 1, frames of 2). Every violation must be refused with an error
+// and publish nothing.
 func TestDownlinkViolationsUnpublished(t *testing.T) {
 	frames := func() []GlobalChunkMsg {
 		fr := make([]GlobalChunkMsg, 3)
@@ -593,53 +602,148 @@ func TestDownlinkViolationsUnpublished(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			it, free := downlinkFrom(t, 5, 1, tc.mutate(frames())...)
-			if it.err == nil || !strings.Contains(it.err.Error(), tc.want) || it.g != nil {
-				t.Fatalf("got %+v, want an error containing %q and no broadcast", it, tc.want)
-			}
-			if len(free) != 1 {
-				t.Fatalf("%d assembly buffers on the free list after the refusal, want 1", len(free))
+			g, _, err := downlinkFrom(t, 5, 1, tc.mutate(frames())...)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || g.State != nil {
+				t.Fatalf("got %+v, %v; want an error containing %q and no broadcast", g, err, tc.want)
 			}
 		})
 	}
 	// The unmutated stream publishes.
-	it, _ := downlinkFrom(t, 5, 1, frames()...)
-	if it.err != nil || it.g == nil || it.g.Control[0] != 5 {
-		t.Fatalf("valid stream: %+v", it)
+	g, _, err := downlinkFrom(t, 5, 1, frames()...)
+	if err != nil || g.State == nil || g.Control[0] != 5 {
+		t.Fatalf("valid stream: %+v, %v", g, err)
 	}
 }
 
 // TestDownlinkCutStreamUnpublished pins that a broadcast is published
-// only whole: the server sends the first of two frames and hangs up.
-// Nothing reaches the slot while the reader waits for the second frame,
-// the hang-up yields one error item carrying no broadcast, and the partly
-// filled buffer is back on the free list.
+// only whole: the server sends the first of two frames and hangs up. The
+// party's read does not return while it waits for the second frame, and
+// the hang-up yields an error and no broadcast.
 func TestDownlinkCutStreamUnpublished(t *testing.T) {
 	serverSide, partySide := pipe()
-	party := &gatedConn{Conn: partySide, recvs: make(chan struct{}, 4)}
-	free := make(chan []float64, 4)
-	r := newDownlinkReader(party, 3, 0, free, nil)
-	go r.loop()
-	defer r.stop()
+	defer partySide.Close()
+	party := &probeConn{Conn: partySide, recvs: make(chan struct{}, 4)}
+	type read struct {
+		g        incomingGlobal
+		shutdown bool
+		err      error
+	}
+	got := make(chan read, 1)
+	go func() {
+		var buf []float64
+		g, shutdown, err := readGlobal(party, 3, 0, &buf)
+		got <- read{g, shutdown, err}
+	}()
 	sendGlobal(t, serverSide, GlobalChunkMsg{Round: 1, Total: 3, Chunk: 2, Payload: []float64{1, 2}})
 	<-party.recvs
-	<-party.recvs // the reader asks for frame two: frame one is decoded
-	r.mu.Lock()
-	published := r.full
-	r.mu.Unlock()
-	if published {
-		t.Fatal("the reader published a broadcast before its last frame")
+	<-party.recvs // the party asks for frame two: frame one is decoded
+	select {
+	case r := <-got:
+		t.Fatalf("the party's read returned %+v before the broadcast's last frame", r)
+	default:
 	}
 	_ = serverSide.Close()
-	it := r.next()
-	if it.err == nil || it.g != nil || it.shutdown {
-		t.Fatalf("cut stream: %+v, want one error item without a broadcast", it)
+	if r := <-got; r.err == nil || r.g.State != nil || r.shutdown {
+		t.Fatalf("cut stream: %+v, want an error without a broadcast", r)
 	}
-	if len(free) != 1 {
-		t.Fatalf("the free list holds %d buffers after a cut stream, want the partly filled one back", len(free))
+}
+
+// TestPartyHelloDeadline pins the party side of the hello deadline
+// (PartyOptions.HelloTimeout): it bounds how long the server may take to
+// produce its first frame, and that frame lifts it — a server that answers
+// is then free to take its time, mid-broadcast and between rounds alike.
+func TestPartyHelloDeadline(t *testing.T) {
+	cfg, locals, _ := smallFederation(t)
+	spec, _ := data.Model("adult")
+	cfg.ChunkSize = 100 // several frames per broadcast and per reply
+	const hello = 100 * time.Millisecond
+	send := func(server Conn, frames ...[]byte) error {
+		for _, b := range frames {
+			if err := server.Send(b); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if b := <-free; cap(b) < 3 || b[0] != 1 || b[1] != 2 {
-		t.Fatalf("the free list got back %v (cap %d), not the partly filled assembly buffer", b, cap(b))
+	for _, row := range []struct {
+		name string
+		// serve scripts the server after it has read the hello.
+		serve   func(server Conn, frames func(gen int) [][]byte) error
+		wantErr bool
+	}{
+		{name: "server never answers", wantErr: true, serve: func(Conn, func(int) [][]byte) error { return nil }},
+		{name: "slow after first frame", serve: func(server Conn, frames func(int) [][]byte) error {
+			bye, err := Marshal(ShutdownMsg{})
+			if err != nil {
+				return err
+			}
+			fr := frames(0)
+			for _, step := range []func() error{
+				func() error { return send(server, fr[0]) },
+				func() error { time.Sleep(2 * hello); return send(server, fr[1:]...) },
+				func() error { return drainReply(server) },
+				func() error { time.Sleep(2 * hello); return send(server, frames(1)...) },
+				func() error { return drainReply(server) },
+				func() error { return send(server, bye) },
+			} {
+				if err := step(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s, err := newPartySession(0, locals[0], spec, cfg, PartySeed(cfg.Seed, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			state := make([]float64, s.client.StateCount())
+			frames := func(gen int) [][]byte {
+				fr, err := newGlobalFrames(gen, state, nil, 0, cfg.ChunkSize).frames(wireCodecF64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fr
+			}
+			if len(frames(0)) < 2 {
+				t.Fatal("the broadcast must span several frames")
+			}
+			server, party := pipe()
+			defer server.Close()
+			start := time.Now()
+			done := make(chan error, 1)
+			go func() {
+				err := s.run(party, "", false, hello)
+				_ = party.Close() // a party that gave up fails the script, not hangs it
+				done <- err
+			}()
+			if _, err := server.Recv(); err != nil {
+				t.Fatal(err)
+			}
+			scriptErr := row.serve(server, frames)
+			select {
+			case err := <-done:
+				took := time.Since(start)
+				if !row.wantErr {
+					if err != nil {
+						t.Fatalf("a server that answered in time failed the party after %v: %v", took, err)
+					}
+					if scriptErr != nil {
+						t.Fatal(scriptErr)
+					}
+					return
+				}
+				if !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("got %v, want the hello deadline's timeout", err)
+				}
+				if took < hello {
+					t.Fatalf("the party gave up after %v, before its %v hello deadline", took, hello)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the party is still waiting 10s later")
+			}
+		})
 	}
 }
 
