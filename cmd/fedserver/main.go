@@ -62,8 +62,13 @@ func serve(shared *fedcli.Shared, srv *fedcli.Server, models *fedcli.ModelFiles,
 		return err
 	}
 	opts.Token = shared.Token
-	opts.OnReject = func(err error) { log.Printf("fedserver: rejected connection: %v", err) }
-	opts.OnEvict = func(ev *simnet.EvictionError) { log.Printf("fedserver: %v", ev) }
+	opts.Events = func(e simnet.Event) {
+		// Membership is the operator's business; per-generation traffic
+		// would be a line per party per round.
+		if e.Kind != simnet.Shipped && e.Kind != simnet.Answered {
+			log.Printf("fedserver: %v", e)
+		}
+	}
 	if snapPath := srv.SnapshotPath(); snapPath != "" {
 		if err := os.MkdirAll(srv.CheckpointDir, 0o755); err != nil {
 			return err

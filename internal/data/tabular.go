@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 
 	"github.com/niid-bench/niidbench/internal/rng"
 )
@@ -133,11 +134,11 @@ func (f tabularFamily) sampleRow(row []float64, r *rng.RNG) {
 	}
 }
 
-// quantile returns the q-quantile (0..1) of values, modifying a copy.
+// quantile returns the q-quantile (0..1) of values: the order statistic at
+// index floor(q*(n-1)) of a sorted copy.
 func quantile(values []float64, q float64) float64 {
-	v := append([]float64{}, values...)
-	// insertion-free selection via simple sort (n is small here)
-	sortFloats(v)
+	v := slices.Clone(values)
+	slices.Sort(v)
 	idx := int(q * float64(len(v)-1))
 	if idx < 0 {
 		idx = 0
@@ -146,37 +147,6 @@ func quantile(values []float64, q float64) float64 {
 		idx = len(v) - 1
 	}
 	return v[idx]
-}
-
-func sortFloats(v []float64) {
-	// Heapsort: avoids importing sort for a single call site and is
-	// deterministic.
-	n := len(v)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(v, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		v[0], v[i] = v[i], v[0]
-		siftDown(v, 0, i)
-	}
-}
-
-func siftDown(v []float64, lo, hi int) {
-	root := lo
-	for {
-		child := 2*root + 1
-		if child >= hi {
-			return
-		}
-		if child+1 < hi && v[child] < v[child+1] {
-			child++
-		}
-		if v[root] >= v[child] {
-			return
-		}
-		v[root], v[child] = v[child], v[root]
-		root = child
-	}
 }
 
 // FCUBE is generated exactly as the paper describes: points uniform in the
@@ -224,6 +194,6 @@ func FCubeOctant(row []float64) int {
 	return o
 }
 
-// logistic is kept for teachers that need a probabilistic label flip in
-// future extensions.
+// logistic is the sigmoid; the Criteo generator draws its click labels
+// through it.
 func logistic(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

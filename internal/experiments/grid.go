@@ -226,14 +226,7 @@ func (h *harness) execute(s setting) (*fl.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.NeedsWire() {
-		return simnet.RunLocal(cfg, spec, locals, test)
-	}
-	sim, err := fl.NewSimulation(cfg, spec, locals, test)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run()
+	return simnet.Run(cfg, spec, locals, test)
 }
 
 // panels prints a curve grid's panels as headed curve blocks and the

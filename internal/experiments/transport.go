@@ -265,7 +265,11 @@ type chaosCell struct {
 func runChaosCell(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset, plan simnet.FaultPlan, rejoin bool) (chaosCell, error) {
 	var evictions atomic.Int32
 	opts := simnet.ServerOptions{
-		OnEvict:      func(*simnet.EvictionError) { evictions.Add(1) },
+		Events: func(e simnet.Event) {
+			if e.Kind == simnet.Suspected || e.Kind == simnet.Evicted {
+				evictions.Add(1)
+			}
+		},
 		RoundTimeout: 20 * time.Second,
 	}
 	// Without rejoin nobody is coming back: waiting out the default quorum

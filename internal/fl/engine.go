@@ -89,17 +89,12 @@ type RoundSink struct {
 	dropped []int // party IDs dropped from the round
 }
 
-// Meta returns the expected aggregation meta of update idx, so transports
-// can reject a mismatched stream on its first frame instead of receiving
-// a whole doomed update.
-func (k *RoundSink) Meta(idx int) UpdateMeta { return k.e.server.metas[idx] }
-
 // Fold folds update idx, which must be the next in sampled order, whole:
 // its vectors must have the state's (and SCAFFOLD's control's) length and
-// its N/Tau must match Meta(idx). A refused update leaves the round
-// untouched; the transport then drops it. The sink reads u's vectors only
-// during the call, so they may be views of a buffer the transport recycles
-// as soon as Fold returns.
+// its N/Tau must match the sampled party's PartyMeta. A refused update
+// leaves the round untouched; the transport then drops it. The sink reads
+// u's vectors only during the call, so they may be views of a buffer the
+// transport recycles as soon as Fold returns.
 func (k *RoundSink) Fold(idx int, u Update) error {
 	if err := k.e.server.foldNext(idx, u); err != nil {
 		return err

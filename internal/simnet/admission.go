@@ -21,7 +21,7 @@ import (
 // ServerOptions configures the server side of a federation beyond the
 // training Config. The zero value is an open, patient, memoryless server:
 // no token, the default hello timeout, no round timeout, no heal window,
-// no callbacks, no snapshot to resume from or to write.
+// no event sink, no snapshot to resume from or to write.
 type ServerOptions struct {
 	// Token, when non-empty, is the shared secret every hello must
 	// present; a mismatch costs the offending connection only.
@@ -62,23 +62,17 @@ type ServerOptions struct {
 	// dead included — waits for rejoins under the quorum rule, for
 	// fl.Config.QuorumWait.
 	RejoinGrace time.Duration
-	// OnReject, when set, is called with the reason each invalid
-	// connection (bad hello, wrong protocol version or magic, out-of-range
-	// or duplicate ID, token mismatch) was turned away. Rejections never
-	// tear down the federation — the server keeps waiting for the
-	// legitimate parties. Hellos are read concurrently, so OnReject may be
-	// called from multiple goroutines at once, but never after
-	// AcceptAndRun returns (conns still mid-hello when admission completes
-	// are expired and their rejections delivered first; conns accepted
-	// after that are closed silently). Version skew surfaces as a wrapped
-	// *VersionError.
-	OnReject func(error)
-	// OnEvict, when set, is called with every party departure — suspect
-	// (transport loss, may rejoin) or evicted (protocol violation,
-	// permanent) — from the sender or receiver goroutine that noticed,
-	// under both schedulers (from the round loop when the aggregation
-	// refuses an update), before the next round samples.
-	OnEvict func(*EvictionError)
+	// Events, when set, is called with every membership and traffic
+	// transition of the federation, one Event each (see EventKind). It may
+	// be called from any federation goroutine, concurrently; never with the
+	// federation's locks held, so it may call back into the federation;
+	// and never after AcceptAndRun returns (hellos still being read when
+	// the run ends are expired and their refusals delivered first; conns
+	// accepted after that are closed without an event). A round's
+	// Suspected and Evicted events are delivered before the next round
+	// samples. A refusal never tears down the federation — the server
+	// keeps waiting for the legitimate parties.
+	Events func(Event)
 	// Resume, when non-nil, is the durable snapshot this federation
 	// continues from instead of starting at round 0: the engine restores
 	// the server and sampler state, and admission treats rejoin hellos
@@ -99,6 +93,82 @@ type ServerOptions struct {
 	// Simulation.SetInitialState). Ignored when Resume is set — a full
 	// snapshot already carries the state.
 	InitialState []float64
+}
+
+// Event is one transition of a federation, as ServerOptions.Events sees
+// it.
+type Event struct {
+	Kind EventKind
+	// Party is the party ID the transition concerns: the ID a hello
+	// claimed, even out of range, and -1 for a hello that never decoded.
+	Party int
+	// Conn is the party's conn ordinal: 1 for its first conn, plus one for
+	// each conn a rejoin installed; 0 for a conn never seated (Refused,
+	// RejoinQueued).
+	Conn int
+	// Gen is the round (sync) or generation (async) of Resynced (the
+	// ResyncMsg stamp), Shipped and Answered; zero for the other kinds.
+	Gen int
+	// Err is the cause of Refused, Suspected and Evicted; nil otherwise.
+	// Version skew surfaces as a wrapped *VersionError.
+	Err error
+}
+
+// EventKind is what happened to a party or its conn.
+type EventKind uint8
+
+const (
+	// Refused: a hello was turned away — malformed, silent past
+	// HelloTimeout, the wrong protocol version or magic, an out-of-range
+	// or duplicate ID, a token mismatch, the rejoin of an evicted party —
+	// and its conn closed.
+	Refused EventKind = iota
+	// Admitted: a first contact was seated.
+	Admitted
+	// RejoinQueued: a rejoin hello was parked for the round boundary.
+	RejoinQueued
+	// Resynced: a conn was seated after its ResyncMsg — an installed
+	// rejoin, or a restored server's first contact.
+	Resynced
+	// Suspected: transport loss; the party's conn is closed, later rounds
+	// skip it, and a rejoin restores it.
+	Suspected
+	// Evicted: a protocol violation; the party is out for good.
+	Evicted
+	// Shipped: a conn's sender took a generation up, before its first
+	// frame.
+	Shipped
+	// Answered: a conn's receiver read one complete update stream, before
+	// it counts toward the conn's next generation.
+	Answered
+)
+
+var eventKindNames = [...]string{"refused", "admitted", "rejoin queued", "resynced", "suspected", "evicted", "shipped", "answered"}
+
+func (k EventKind) String() string { return eventKindNames[k] }
+
+// String renders e as one log line.
+func (e Event) String() string {
+	s := fmt.Sprintf("party %d %s", e.Party, e.Kind)
+	if e.Conn > 0 {
+		s += fmt.Sprintf(" on conn %d", e.Conn)
+	}
+	switch e.Kind {
+	case Resynced, Shipped, Answered:
+		s += fmt.Sprintf(" at generation %d", e.Gen)
+	}
+	if e.Err != nil {
+		s += ": " + e.Err.Error()
+	}
+	return s
+}
+
+// emit hands the Events sink one transition; the Event is built only when
+// a sink is set. The caller holds neither mu nor the table's lock.
+func (f *Federation) emit(kind EventKind, party, conn, gen int, err error) {
+	if f.Events != nil {
+		f.Events(Event{Kind: kind, Party: party, Conn: conn, Gen: gen, Err: err})
+	}
 }
 
 // ServerListener is a bound endpoint for a federation server. Create it
@@ -183,10 +253,10 @@ func (s *ServerListener) Close() error { return s.l.Close() }
 // each, while pre-admission buffer memory stays capped. A connection
 // whose hello is malformed, speaks the wrong protocol version, is out of
 // range, a duplicate, or carries the wrong token is closed on its own —
-// surfaced through OnReject, always before this function returns —
+// reported as a Refused event, always before this function returns —
 // without disturbing the parties already admitted. The accept loop stops
 // when the caller closes the listener (connections arriving after the
-// federation fills are closed without a callback until then); if that
+// federation fills are closed without an event until then); if that
 // happens before the federation fills, the parties already admitted are
 // hung up on and the accept error is returned. Parties connect with
 // DialPartyOpts.
@@ -248,10 +318,10 @@ func (f *Federation) acceptAndRun(next func() (Conn, error)) (*fl.Result, error)
 // connection (Rejoin=true hello, queued for the next round boundary). A
 // failed Accept (the caller closed the listener) ends the loop and is
 // reported on acceptErr. stop expires every still-reading hello and joins
-// the handler goroutines: all rejections (including "still silent when the
-// run ended") are delivered before it returns, in microseconds — nothing
-// waits out a timeout — and conns accepted after it are closed without a
-// callback.
+// the handler goroutines: every verdict (a refusal "still silent when the
+// run ended" included) is delivered before it returns, in microseconds —
+// nothing waits out a timeout — and conns accepted after it are closed
+// without an event.
 func (f *Federation) acceptHellos(next func() (Conn, error)) (stop func(), acceptErr <-chan error) {
 	helloTimeout := f.HelloTimeout
 	if helloTimeout <= 0 {
@@ -273,7 +343,7 @@ func (f *Federation) acceptHellos(next func() (Conn, error)) (stop func(), accep
 		sem = make(chan struct{}, maxConcurrentHellos)
 		// pending tracks conns whose hello is still being read, so the
 		// moment the run completes the remaining readers can be cut loose
-		// (deadline-now) and joined — OnReject never fires after
+		// (deadline-now) and joined — no verdict is delivered after
 		// AcceptAndRun returns, and no hello goroutine outlives the call.
 		handlers sync.WaitGroup
 		pendMu   sync.Mutex
@@ -290,9 +360,8 @@ func (f *Federation) acceptHellos(next func() (Conn, error)) (stop func(), accep
 			}
 			pendMu.Lock()
 			if closed {
-				// The run is over: close stray conns without a callback
-				// (OnReject's contract is that it never fires after
-				// AcceptAndRun returns).
+				// The run is over: close stray conns without an event
+				// (the Events contract: none after AcceptAndRun returns).
 				pendMu.Unlock()
 				_ = c.Close()
 				<-sem
@@ -312,6 +381,10 @@ func (f *Federation) acceptHellos(next func() (Conn, error)) (stop func(), accep
 				// The read happens outside any lock: a silent conn burns
 				// its own timeout without queueing anyone behind it.
 				h, err := readHello(cc)
+				party := h.ID
+				if err != nil {
+					party = -1
+				}
 				// No longer reading: leave pending before admission, so
 				// the end-of-run sweep can never touch an admitted party's
 				// deadline.
@@ -331,9 +404,7 @@ func (f *Federation) acceptHellos(next func() (Conn, error)) (stop func(), accep
 				}
 				if err != nil {
 					_ = cc.Close()
-					if f.OnReject != nil {
-						f.OnReject(err)
-					}
+					f.emit(Refused, party, 0, 0, err)
 				}
 			}(c)
 		}
@@ -371,7 +442,8 @@ func readHello(c *CountingConn) (HelloMsg, error) {
 
 // admit is the admission rule: it judges one decoded hello, arriving on c,
 // against the table, and either seats the party, parks the conn as a
-// rejoin, or returns why the hello is refused (the caller closes c).
+// rejoin, or returns why the hello is refused (the caller closes c and
+// reports the refusal). A seated or parked hello is reported here.
 //
 //	hello    party ID's seat                  outcome
 //	fresh    empty                            seated
@@ -379,7 +451,7 @@ func readHello(c *CountingConn) (HelloMsg, error) {
 //	fresh    taken, as are all the others     refused: already has N parties
 //	rejoin   taken, alive or suspect          parked for the round boundary
 //	                                          (replacing an older parked rejoin)
-//	rejoin   taken, evicted                   refused: *EvictionError
+//	rejoin   taken, evicted                   refused: evicted
 //	rejoin   empty, server has a Resume       resynced, then seated
 //	rejoin   empty, no Resume                 refused: no session to rejoin
 //
@@ -410,13 +482,16 @@ func (f *Federation) admit(c *CountingConn, h HelloMsg) error {
 		m.codec = wireCodecF64
 	}
 	if rejoin {
-		err := f.table.queueRejoin(m)
+		if err := f.table.queueRejoin(m); err != nil {
+			return err
+		}
+		f.emit(RejoinQueued, m.id, 0, 0, nil)
 		// The scheduler installs it at the next round boundary — or at
 		// once, when it heals a failed broadcast.
 		f.changed()
-		return err
+		return nil
 	}
-	return f.seat(m, h.Rejoin, true)
+	return f.seat(&m, h.Rejoin, true)
 }
 
 // seat puts m's party on m.conn. After a rejoin hello (resync) the
@@ -426,8 +501,11 @@ func (f *Federation) admit(c *CountingConn, h HelloMsg) error {
 // handle, and only then does the table point at the conn. A failed send
 // therefore leaves the table as it was: the party stays suspect (or
 // unseated) and may dial again. claim marks a first contact, which must
-// find its seat empty.
-func (f *Federation) seat(m member, resync, claim bool) error {
+// find its seat empty. The seated conn is reported — Admitted, or Resynced
+// at the ResyncMsg's stamp — before the last seat taken lets the run
+// start, so every admission is reported before the first generation ships.
+func (f *Federation) seat(m *member, resync, claim bool) error {
+	kind, gen := Admitted, 0
 	if resync {
 		rm := ResyncMsg{ExpectTau: m.meta.Tau}
 		rm.Round, rm.Control = f.table.resync(m.id)
@@ -436,12 +514,21 @@ func (f *Federation) seat(m member, resync, claim bool) error {
 			err = m.conn.Send(enc)
 		}
 		if err != nil {
-			// Surfaced (through OnReject) only on a restored server's first
-			// contacts; a failed boundary install just leaves the party out.
+			// Refused only on a restored server's first contacts; a failed
+			// boundary install just leaves the party out.
 			return fmt.Errorf("simnet: restored-server resync to party %d: %w", m.id, err)
 		}
+		kind, gen = Resynced, rm.Round
 	}
-	return f.table.install(m, claim)
+	filled, err := f.table.install(m, claim)
+	if err != nil {
+		return err
+	}
+	f.emit(kind, m.id, m.ord, gen, nil)
+	if filled {
+		close(f.table.full)
+	}
+	return nil
 }
 
 // helloFrameLimit bounds a hello frame: ID + size + a maxTokenLen token +

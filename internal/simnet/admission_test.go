@@ -16,32 +16,38 @@ import (
 )
 
 // admissionDriver puts hellos to one federation's admission rule through
-// the accept loop, on one listener: a verdict is an OnReject callback, or
-// the table settling without one.
+// the accept loop, on one listener: a hello's verdict is the one Refused,
+// Admitted, RejoinQueued or Resynced event the loop reports for it.
 type admissionDriver struct {
 	t        *testing.T
 	fed      *Federation
 	ln       *ServerListener
 	dial     func() (net.Conn, error)
 	stop     func()
-	rejected chan error
+	verdicts chan Event
 }
 
 func newAdmissionDriver(t *testing.T, fed *Federation, ln *ServerListener, dial func() (net.Conn, error)) *admissionDriver {
-	d := &admissionDriver{t: t, fed: fed, ln: ln, dial: dial, rejected: make(chan error, 16)}
-	fed.OnReject = func(err error) { d.rejected <- err }
+	// verdicts has room for the Resynced events of a row's boundary
+	// installs, which no hello waits for.
+	d := &admissionDriver{t: t, fed: fed, ln: ln, dial: dial, verdicts: make(chan Event, 16)}
+	fed.Events = func(e Event) {
+		switch e.Kind {
+		case Refused, Admitted, RejoinQueued, Resynced:
+			d.verdicts <- e
+		}
+	}
 	d.stop, _ = fed.acceptHellos(ln.accept)
 	return d
 }
 
 // hello delivers the hello frame b on a fresh conn and returns the party
-// end plus the rule's verdict. With dead the party hangs up once its hello
-// has been read, so the server's next send on the conn fails. settled
-// reports, for an accepted hello, that the table shows it (the accept loop
-// admits on a handler goroutine). An accepted conn's frames are read as
-// they arrive, as a socket's receive buffer would take them, so a server
-// send never waits for the test to ask.
-func (d *admissionDriver) hello(b []byte, dead bool, settled func() bool) (Conn, error) {
+// end plus the rule's verdict: why it was refused, nil when it was seated
+// or parked. With dead the party hangs up once its hello has been read, so
+// the server's next send on the conn fails. An accepted conn's frames are
+// read as they arrive, as a socket's receive buffer would take them, so a
+// server send never waits for the test to ask.
+func (d *admissionDriver) hello(b []byte, dead bool) (Conn, error) {
 	c, err := d.dial()
 	if err != nil {
 		d.t.Fatal(err)
@@ -55,18 +61,12 @@ func (d *admissionDriver) hello(b []byte, dead bool, settled func() bool) (Conn,
 	} else {
 		conn = newMailbox(conn)
 	}
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case err := <-d.rejected:
-			return conn, err
-		case <-deadline:
-			d.t.Fatalf("hello % x: neither rejected nor settled", b)
-		case <-time.After(time.Millisecond):
-			if settled() {
-				return conn, nil
-			}
-		}
+	select {
+	case e := <-d.verdicts:
+		return conn, e.Err
+	case <-time.After(10 * time.Second):
+		d.t.Fatalf("hello % x: no verdict", b)
+		return nil, nil
 	}
 }
 
@@ -129,10 +129,8 @@ func TestAdmissionTable(t *testing.T) {
 		// direct hands the decoded hello to the rule without a wire: only a
 		// 32-bit host can decode a negative size.
 		direct bool
-		// wantErr is a substring of the refusal ("" = accepted); check
-		// inspects the error's type.
+		// wantErr is a substring of the refusal ("" = accepted).
 		wantErr string
-		check   func(t *testing.T, err error)
 		// settled is the table state an accepted hello must produce.
 		settled func(f *Federation) bool
 	}
@@ -151,12 +149,6 @@ func TestAdmissionTable(t *testing.T) {
 	seat := func(id int) hello { return hello{h: fresh(id), settled: seated(id)} }
 	evict := func(id int, permanent bool) func(*Federation) {
 		return func(f *Federation) { f.evict(id, nil, permanent, errors.New("test")) }
-	}
-	isEviction := func(t *testing.T, err error) {
-		var ev *EvictionError
-		if !errors.As(err, &ev) || !ev.Permanent || ev.Party != 0 {
-			t.Fatalf("want a permanent *EvictionError for party 0, got %v", err)
-		}
 	}
 	snapshot := &fl.FederationSnapshot{NumParties: 3, Round: 7, PartyControl: [][]float64{{1, 2}, nil, nil}}
 
@@ -213,7 +205,7 @@ func TestAdmissionTable(t *testing.T) {
 				}
 			}},
 		{name: "rejoin of evicted party",
-			hellos: []hello{seat(0), {h: rejoin(0), before: evict(0, true), wantErr: "rejoin refused", check: isEviction}}},
+			hellos: []hello{seat(0), {h: rejoin(0), before: evict(0, true), wantErr: "party 0 was evicted: rejoin refused"}}},
 		{name: "rejoin of never-seen party", hellos: []hello{{h: rejoin(0), wantErr: "party 0 has no session to rejoin"}}},
 		{name: "rejoin with a bad token", hellos: []hello{seat(0), {h: HelloMsg{ID: 0, N: 10, Rejoin: true}, wantErr: "rejoining party 0 presented a bad token"}}},
 		{name: "rejoin superseding a queued rejoin",
@@ -297,10 +289,6 @@ func TestAdmissionTable(t *testing.T) {
 						h.before(fed)
 					}
 					was := held()
-					// A refused hello settles only as its rejection: the driver
-					// must wait for OnReject, not take a quiet table for an
-					// answer.
-					settled := func() bool { return h.wantErr == "" && (h.settled == nil || h.settled(fed)) }
 					var end Conn
 					var err error
 					if h.direct {
@@ -312,21 +300,18 @@ func TestAdmissionTable(t *testing.T) {
 						if merr != nil {
 							t.Fatal(merr)
 						}
-						end, err = d.hello(b, h.dead, settled)
+						end, err = d.hello(b, h.dead)
 					}
 					ends = append(ends, end)
 					switch {
 					case h.wantErr == "" && err != nil:
 						t.Fatalf("hello %d refused: %v", i, err)
-					case h.wantErr == "" && !settled():
+					case h.wantErr == "" && h.settled != nil && !h.settled(fed):
 						t.Fatalf("hello %d accepted but the table does not show it", i)
 					case h.wantErr != "" && (err == nil || !strings.Contains(err.Error(), h.wantErr)):
 						t.Fatalf("hello %d: got %v, want an error containing %q", i, err, h.wantErr)
 					case h.wantErr != "" && held() != was:
 						t.Fatalf("refused hello %d changed the table: seats/parked %v -> %v", i, was, held())
-					}
-					if h.check != nil {
-						h.check(t, err)
 					}
 				}
 				if row.after != nil {
@@ -372,8 +357,8 @@ func TestAcceptFailureHangsUpOnAdmitted(t *testing.T) {
 	ln := mustListen(t)
 	seatTaken := make(chan struct{})
 	var once sync.Once
-	ln.OnReject = func(err error) {
-		if strings.Contains(err.Error(), "duplicate hello") {
+	ln.Events = func(e Event) {
+		if e.Kind == Refused && strings.Contains(e.Err.Error(), "duplicate hello") {
 			once.Do(func() { close(seatTaken) })
 		}
 	}
@@ -567,12 +552,15 @@ func TestFlappingPartyHoldsOneConn(t *testing.T) {
 	fed = pipeFed(t, cfg, spec, test, len(locals), ServerOptions{RejoinGrace: 2 * time.Second,
 		// While the run is live every flapper rejoin must be admitted;
 		// only a redial the run's end cuts short is turned away.
-		OnReject: func(err error) {
+		Events: func(e Event) {
+			if e.Kind != Refused {
+				return
+			}
 			fed.mu.Lock()
 			live := !fed.done
 			fed.mu.Unlock()
 			if live {
-				t.Errorf("rejoin refused: %v", err)
+				t.Errorf("rejoin refused: %v", e.Err)
 			}
 		}})
 	cfg = fed.Cfg
@@ -703,16 +691,8 @@ func TestHealOutlastingGraceKeepsParty(t *testing.T) {
 			name, build = "tcp", tcpFed
 		}
 		t.Run(name, func(t *testing.T) {
-			var mu sync.Mutex
-			var permanent []*EvictionError
-			fed := build(t, cfg, spec, test, len(locals), ServerOptions{RejoinGrace: grace,
-				OnEvict: func(e *EvictionError) {
-					if e.Permanent {
-						mu.Lock()
-						permanent = append(permanent, e)
-						mu.Unlock()
-					}
-				}})
+			var events eventLog
+			fed := build(t, cfg, spec, test, len(locals), ServerOptions{RejoinGrace: grace, Events: events.add})
 			fed.wrap = func(c Conn) Conn { return &slowHealConn{Conn: c, id: healer, delay: 4 * grace} }
 			cfg := fed.Cfg
 			res, partyErrs, err := fed.federate(len(locals), func(i int) error {
@@ -730,8 +710,8 @@ func TestHealOutlastingGraceKeepsParty(t *testing.T) {
 				t.Fatal(err)
 			}
 			reportErrs(t, partyErrs)
-			for _, e := range permanent {
-				t.Errorf("party %d evicted for good: %v", e.Party, e.Cause)
+			for _, e := range events.of(Evicted) {
+				t.Errorf("party %d evicted for good: %v", e.Party, e.Err)
 			}
 			if len(res.Curve) != cfg.Rounds {
 				t.Fatalf("%d rounds of %d", len(res.Curve), cfg.Rounds)

@@ -104,7 +104,9 @@ func (a asyncFold) fold(m member, st stagedUpdate) bool {
 			f.publish(bf, nil)
 		}
 	case done:
-		f.changed()
+		// The run is over from here: no conn is shipped another
+		// generation, which nobody would fold (see claim).
+		f.update(func() { f.done = true })
 	}
 	return true
 }

@@ -435,16 +435,16 @@ func TestQuorumBelowMinParties(t *testing.T) {
 				refused   = make(chan error, 1)
 			)
 			fed := pipeFed(t, cfg, spec, test, parties, ServerOptions{
-				OnEvict: func(e *EvictionError) {
-					if e.Party == deserter {
+				Events: func(e Event) {
+					switch {
+					case (e.Kind == Suspected || e.Kind == Evicted) && e.Party == deserter:
 						evictOnce.Do(func() { close(evicted) })
-					}
-				},
-				// Every hello here is admitted, the dead rejoin's too.
-				OnReject: func(err error) {
-					select {
-					case refused <- err:
-					default:
+					case e.Kind == Refused:
+						// Every hello here is admitted, the dead rejoin's too.
+						select {
+						case refused <- e.Err:
+						default:
+						}
 					}
 				}})
 			var wg sync.WaitGroup
@@ -671,69 +671,16 @@ func TestAsyncTeardownBoundsOpenConn(t *testing.T) {
 	}
 }
 
-// pullConn is a server end that checks the async addressee rule: it
-// counts the broadcasts it ships and the replies it reads, and records a
-// broadcast that starts while one it shipped earlier is unanswered. It
-// also keeps the stamp of the ResyncMsg it carried (-1: none) and the
-// generation of its first broadcast (-1: none).
-type pullConn struct {
-	Conn
-	shipped, answered, ahead atomic.Int64
-	resync, first            atomic.Int64
-	// shippedOne, when set, is called once the conn's first broadcast is
-	// out.
-	shippedOne func()
-	once       sync.Once
-}
-
-func newPullConn(c Conn) *pullConn {
-	p := &pullConn{Conn: c}
-	p.resync.Store(-1)
-	p.first.Store(-1)
-	return p
-}
-
-func (p *pullConn) Send(b []byte) error {
-	var g GlobalChunkMsg
-	switch msg, _ := Unmarshal(b); m := msg.(type) {
-	case GlobalChunkMsg:
-		g = m
-		if m.Offset == 0 && p.answered.Load() < p.shipped.Load() {
-			p.ahead.Add(1)
-		}
-		p.first.CompareAndSwap(-1, int64(m.Round))
-	case ResyncMsg:
-		p.resync.Store(int64(m.Round))
-	}
-	err := p.Conn.Send(b)
-	if err == nil && g.Last {
-		p.shipped.Add(1)
-		if p.shippedOne != nil {
-			p.once.Do(p.shippedOne)
-		}
-	}
-	return err
-}
-
-func (p *pullConn) Recv() ([]byte, error) {
-	b, err := p.Conn.Recv()
-	if err == nil && len(b) > 0 && b[0] == msgUpdateChunk {
-		if m, _, perr := parseUpdateChunk(b); perr == nil && m.Last {
-			p.answered.Add(1)
-		}
-	}
-	return b, err
-}
-
-// TestAsyncPartyPullsNextGeneration pins the async addressee rule on every
-// server end of an 8-party federation: a conn is never shipped a
-// generation while one it was shipped before is unanswered, at a buffer
-// of 1 (a generation per fold, the most run-ahead) and of K/4, over pipes
-// and TCP. In the rejoin row party 2's first conn dies at the first
-// generation it is shipped after answering, and the other parties' replies
-// wait until its fresh conn is shipped a generation: counted per conn, the
-// fresh conn owes nothing and is shipped the newest generation — the one
-// its ResyncMsg announced — at once.
+// TestAsyncPartyPullsNextGeneration pins the async addressee rule on the
+// events of an 8-party federation, per conn: at each Shipped, the conn has
+// Answered at least as many generations as it was Shipped before — a conn
+// is never shipped a generation while one it was shipped before is
+// unanswered — at a buffer of 1 (a generation per fold, the most
+// run-ahead) and of K/4, over pipes and TCP. In the rejoin row party 2's
+// first conn dies at the first generation it is shipped after answering,
+// and the other parties' replies wait until its fresh conn is shipped a
+// generation: counted per conn, the fresh conn owes nothing and is shipped
+// the newest generation — the one it was Resynced at — at once.
 func TestAsyncPartyPullsNextGeneration(t *testing.T) {
 	const parties, flapper = 8, 2
 	train, test, err := data.Load("adult", data.Config{TrainN: 800, TestN: 100, Seed: 21})
@@ -764,23 +711,41 @@ func TestAsyncPartyPullsNextGeneration(t *testing.T) {
 			if row.tcp {
 				build = tcpFed
 			}
-			fed := build(t, cfg, spec, test, parties, ServerOptions{})
-			var mu sync.Mutex
-			var ends []*pullConn
-			fresh, release := make(chan struct{}), make(chan struct{})
-			fed.wrap = func(c Conn) Conn {
+			type connID struct{ party, ord int }
+			var (
+				mu                     sync.Mutex
+				shipped, answered      = map[connID]int{}, map[connID]int{}
+				rejoins                int
+				resynced, firstShipped = -1, -1 // the flapper's fresh conn
+				fresh, release         = make(chan struct{}), make(chan struct{})
+			)
+			fed := build(t, cfg, spec, test, parties, ServerOptions{Events: func(e Event) {
 				mu.Lock()
 				defer mu.Unlock()
-				if row.rejoin && len(ends) < parties {
+				c := connID{e.Party, e.Conn}
+				switch e.Kind {
+				case Resynced:
+					rejoins, resynced = rejoins+1, e.Gen
+				case Answered:
+					answered[c]++
+				case Shipped:
+					if answered[c] < shipped[c] {
+						t.Errorf("party %d conn %d shipped generation %d while %d of its %d were unanswered",
+							e.Party, e.Conn, e.Gen, shipped[c]-answered[c], shipped[c])
+					}
+					if shipped[c]++; c == (connID{flapper, 2}) && shipped[c] == 1 {
+						firstShipped = e.Gen
+						close(fresh)
+					}
+				}
+			}})
+			var accepted atomic.Int32
+			fed.wrap = func(c Conn) Conn {
+				if row.rejoin && accepted.Add(1) <= parties {
 					// The first conns: the flapper's flaps once it answered.
 					c = &flapConn{Conn: c, id: flapper}
 				}
-				p := newPullConn(c)
-				if row.rejoin && len(ends) == parties {
-					p.shippedOne = func() { close(fresh) } // the flapper's fresh conn
-				}
-				ends = append(ends, p)
-				return p
+				return c
 			}
 			if row.rejoin {
 				go func() {
@@ -825,22 +790,17 @@ func TestAsyncPartyPullsNextGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 			reportErrs(t, partyErrs)
-			for i, p := range ends {
-				if n := p.ahead.Load(); n > 0 {
-					t.Errorf("conn %d was shipped %d generations while an earlier one was unanswered (%d shipped, %d answered)",
-						i, n, p.shipped.Load(), p.answered.Load())
-				}
-			}
 			if !row.rejoin {
 				return
 			}
-			if len(ends) != parties+1 {
-				t.Fatalf("%d conns for %d parties and one rejoin", len(ends), parties)
+			mu.Lock()
+			defer mu.Unlock()
+			if rejoins != 1 {
+				t.Fatalf("%d rejoins, want party %d's one", rejoins, flapper)
 			}
-			p := ends[parties]
-			if p.resync.Load() < 0 || p.first.Load() != p.resync.Load() {
+			if resynced < 0 || firstShipped != resynced {
 				t.Errorf("the rejoined conn was resynced at generation %d and first shipped generation %d, want the newest at once",
-					p.resync.Load(), p.first.Load())
+					resynced, firstShipped)
 			}
 		})
 	}

@@ -107,25 +107,6 @@ func TestFaultPlanGraceAndEmpty(t *testing.T) {
 	}
 }
 
-func TestEvictionErrorAsIs(t *testing.T) {
-	cause := errors.New("wire torn")
-	wrapped := fmt.Errorf("round 3: %w", &EvictionError{Party: 5, Permanent: false, Cause: cause})
-	var ev *EvictionError
-	if !errors.As(wrapped, &ev) || ev.Party != 5 {
-		t.Fatalf("errors.As failed on %v", wrapped)
-	}
-	if !errors.Is(wrapped, cause) {
-		t.Fatal("EvictionError does not unwrap to its cause")
-	}
-	if !strings.Contains(ev.Error(), "may rejoin") {
-		t.Fatalf("suspect error text: %q", ev.Error())
-	}
-	perm := &EvictionError{Party: 1, Permanent: true, Cause: cause}
-	if !strings.Contains(perm.Error(), "protocol violation") {
-		t.Fatalf("permanent error text: %q", perm.Error())
-	}
-}
-
 func TestCodecRoundTripResync(t *testing.T) {
 	in := ResyncMsg{Round: 11, ExpectTau: 6, Control: []float64{0.5, -2.25, 0}}
 	b, err := Marshal(in)
@@ -387,15 +368,10 @@ func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
 
 	// runWithOffender serves two honest TCP parties and one scripted peer
 	// (ID 2) that answers its first broadcast with misbehave.
-	runWithOffender := func(t *testing.T, misbehave func(conn Conn, g GlobalMsg) error) (*fl.Result, []*EvictionError) {
+	runWithOffender := func(t *testing.T, misbehave func(conn Conn, g GlobalMsg) error) (*fl.Result, []Event) {
 		ln := mustListen(t)
-		var mu sync.Mutex
-		var evictions []*EvictionError
-		ln.OnEvict = func(e *EvictionError) {
-			mu.Lock()
-			evictions = append(evictions, e)
-			mu.Unlock()
-		}
+		var events eventLog
+		ln.Events = events.add
 		res, partyErrs, serveErr := federateTCP(ln, 3, cfg, spec, test, 3, func(i int) error {
 			if i < 2 {
 				return DialPartyOpts(ln.Addr(), i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), PartyOptions{})
@@ -418,7 +394,7 @@ func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
 			t.Fatalf("completed %d/%d rounds", len(res.Curve), cfg.Rounds)
 		}
 		assertEvictedAt(t, res.Curve, 2, 0)
-		return res, evictions
+		return res, events.of(Suspected, Evicted)
 	}
 
 	t.Run("conn dies mid-stream", func(t *testing.T) {
@@ -436,7 +412,7 @@ func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
 			}
 			return conn.Close()
 		})
-		if len(evictions) != 1 || evictions[0].Party != 2 || evictions[0].Permanent {
+		if len(evictions) != 1 || evictions[0].Party != 2 || evictions[0].Kind != Suspected {
 			t.Fatalf("want one suspect (rejoinable) departure of party 2, got %v", evictions)
 		}
 	})
@@ -444,7 +420,7 @@ func TestChunkZeroTCPDropAndRejoin(t *testing.T) {
 		_, evictions := runWithOffender(t, func(conn Conn, g GlobalMsg) error {
 			return conn.Send([]byte{0xde, 0xad, 0xbe, 0xef})
 		})
-		if len(evictions) != 1 || evictions[0].Party != 2 || !evictions[0].Permanent {
+		if len(evictions) != 1 || evictions[0].Party != 2 || evictions[0].Kind != Evicted {
 			t.Fatalf("want one permanent eviction of party 2, got %v", evictions)
 		}
 	})
@@ -522,11 +498,11 @@ func TestChaosSoakDropRejoin(t *testing.T) {
 		MinParties: parties / 2, QuorumWait: 4 * time.Second,
 	}
 	spec, _ := data.Model("adult")
-	var evictions int32
+	var events eventLog
 	opts := ServerOptions{
 		RoundTimeout: 20 * time.Second,
 		RejoinGrace:  300 * time.Millisecond,
-		OnEvict:      func(*EvictionError) { atomic.AddInt32(&evictions, 1) },
+		Events:       events.add,
 	}
 	plan := FaultPlan{Seed: 99, DropProb: 0.01, Grace: 1}
 	// Party errors are part of the chaos (final redials against a
@@ -537,12 +513,12 @@ func TestChaosSoakDropRejoin(t *testing.T) {
 		return po
 	})
 	if err != nil {
-		t.Fatalf("soak aborted (evictions %d): %v", atomic.LoadInt32(&evictions), err)
+		t.Fatalf("soak aborted (evictions %d): %v", len(events.of(Suspected, Evicted)), err)
 	}
 	if len(res.Curve) != rounds {
 		t.Fatalf("completed %d/%d rounds", len(res.Curve), rounds)
 	}
-	if atomic.LoadInt32(&evictions) == 0 {
+	if len(events.of(Suspected, Evicted)) == 0 {
 		t.Fatal("soak injected no faults — chaos did not happen")
 	}
 }

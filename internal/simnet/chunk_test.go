@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -193,13 +192,8 @@ func TestHandshakeHardening(t *testing.T) {
 
 	ln := mustListen(t)
 	ln.Token = token
-	var mu sync.Mutex
-	var rejections []error
-	ln.OnReject = func(err error) {
-		mu.Lock()
-		rejections = append(rejections, err)
-		mu.Unlock()
-	}
+	var events eventLog
+	ln.Events = events.add
 	addr := ln.Addr()
 	garbage := []byte{0xde, 0xad, 0xbe, 0xef}
 	outOfRange, _ := Marshal(HelloMsg{ID: 99, N: 10, Token: token, LabelDist: []float64{1}})
@@ -218,9 +212,7 @@ func TestHandshakeHardening(t *testing.T) {
 	if res.FinalAccuracy < 0.55 {
 		t.Fatalf("federation accuracy %v", res.FinalAccuracy)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(rejections) < 3 {
+	if rejections := events.of(Refused); len(rejections) < 3 {
 		t.Fatalf("expected at least 3 rejections (garbage, range, token), got %v", rejections)
 	}
 }
@@ -357,7 +349,7 @@ func TestDeadPartyEvictedNotFatal(t *testing.T) {
 				t.Fatalf("round 0 dropped %v; the mortal party was still alive", res.Curve[0].Dropped)
 			}
 			assertEvictedAt(t, res.Curve, scriptedID, 1)
-			if len(evictions) != 1 || evictions[0].Party != scriptedID || evictions[0].Permanent {
+			if len(evictions) != 1 || evictions[0].Party != scriptedID || evictions[0].Kind != Suspected {
 				t.Fatalf("want one suspect (rejoinable) departure of party %d, got %v", scriptedID, evictions)
 			}
 		})
@@ -373,13 +365,8 @@ func TestSilentHelloTimesOut(t *testing.T) {
 	spec, _ := data.Model("adult")
 	ln := mustListen(t)
 	ln.HelloTimeout = 150 * time.Millisecond
-	var mu sync.Mutex
-	var rejections []error
-	ln.OnReject = func(err error) {
-		mu.Lock()
-		rejections = append(rejections, err)
-		mu.Unlock()
-	}
+	var events eventLog
+	ln.Events = events.add
 	addr := ln.Addr()
 	// The silent conn is dialed first, so the accept loop picks it up
 	// before any party (loopback accepts are FIFO).
@@ -402,9 +389,7 @@ func TestSilentHelloTimesOut(t *testing.T) {
 	// silent conn's timeout — that head-of-line freedom is the point. The
 	// rejection is still delivered before AcceptAndRun returns: the
 	// mid-hello conn is expired the moment the federation fills.
-	mu.Lock()
-	defer mu.Unlock()
-	if len(rejections) == 0 {
+	if len(events.of(Refused)) == 0 {
 		t.Fatal("the silent connection was never rejected")
 	}
 }

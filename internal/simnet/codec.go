@@ -47,11 +47,11 @@ const (
 )
 
 // VersionError reports a hello whose supported protocol range has no
-// overlap with this build's. Admission surfaces it through
-// ServerListener.OnReject so the operator sees exactly which side is
-// stale. For a peer older than MinProtoVersion GotMin equals Got: the
-// hello is refused on its version byte alone, without parsing a layout
-// this build no longer knows.
+// overlap with this build's. Admission reports it, wrapped, as the Err of
+// a Refused event (ServerOptions.Events) so the operator sees exactly
+// which side is stale. For a peer older than MinProtoVersion GotMin
+// equals Got: the hello is refused on its version byte alone, without
+// parsing a layout this build no longer knows.
 type VersionError struct {
 	Got    byte // the peer's newest supported version
 	GotMin byte // the peer's oldest supported version

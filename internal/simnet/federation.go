@@ -81,7 +81,8 @@ type Federation struct {
 	// knows what it has shipped; gen is its number — the round, under
 	// sync — and orders async generations; bf is nil when none is live
 	// (between sync rounds). round, under sync, holds the slots of the
-	// sample bf addresses.
+	// sample bf addresses. done marks the run over: set by stop, or
+	// earlier by the async fold that completes the run.
 	seq, gen int
 	bf       *globalFrames
 	round    *syncRound
@@ -139,22 +140,27 @@ func newFederation(cfg fl.Config, spec nn.ModelSpec, test *data.Dataset, numPart
 // loss — partySuspect, restored by a rejoin hello. A conn's sender and
 // receiver pass the conn they serve, so the first of the two to notice
 // wins, the second is a duplicate, and news about an already-replaced
-// conn is stale; a nil c means whatever conn the party is on. It reports
-// whether the party moved (and OnEvict fired). Once the run is over
-// nothing moves: conns may already be torn down, and late failures are
-// not news.
-func (f *Federation) evict(id int, c *CountingConn, permanent bool, cause error) bool {
+// conn is stale; a nil c means whatever conn the party is on. A move is
+// reported — Evicted or Suspected, with cause — before the waiters wake.
+// Once the run is over nothing moves: conns may already be torn down, and
+// late failures are not news.
+func (f *Federation) evict(id int, c *CountingConn, permanent bool, cause error) {
 	f.mu.Lock()
 	over := f.done
 	f.mu.Unlock()
-	if over || !f.table.evict(id, c, permanent) {
-		return false
+	if over {
+		return
 	}
-	if f.OnEvict != nil {
-		f.OnEvict(&EvictionError{Party: id, Permanent: permanent, Cause: cause})
+	ord := f.table.evict(id, c, permanent)
+	if ord == 0 {
+		return
 	}
+	kind := Suspected
+	if permanent {
+		kind = Evicted
+	}
+	f.emit(kind, id, ord, 0, cause)
 	f.changed()
-	return true
 }
 
 // SyncMembership implements fl.Membership: called at the top of every
@@ -222,7 +228,7 @@ func (f *Federation) shortfall(gen, live int, attempt bool) (time.Time, error) {
 // again. Scheduler goroutine only.
 func (f *Federation) installQueuedRejoins(keep func(id int) bool) (restored []member) {
 	for _, m := range f.table.drainRejoins(keep) {
-		if err := f.seat(m, true, false); err != nil {
+		if err := f.seat(&m, true, false); err != nil {
 			_ = m.conn.Close()
 			continue
 		}
@@ -522,6 +528,7 @@ func (f *Federation) send(m member) {
 			_ = m.conn.Send(goodbye)
 			return
 		}
+		f.emit(Shipped, m.id, m.ord, bf.gm.Round, nil)
 		frames, err := bf.frames(m.codec)
 		for i := 0; err == nil && i < len(frames); i++ {
 			err = m.conn.Send(frames[i])
@@ -563,6 +570,8 @@ func (f *Federation) receive(m member) {
 		if st.err != nil {
 			_ = m.conn.Close()
 			f.evict(m.id, m.conn, st.fatal, st.err)
+		} else {
+			f.emit(Answered, m.id, m.ord, st.round, nil)
 		}
 		if !f.policy.take(m, st) {
 			return

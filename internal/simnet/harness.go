@@ -36,6 +36,21 @@ func runInProcess(parties int, serve func() (*fl.Result, error), party func(i in
 	return res, partyErrs, err
 }
 
+// Run is the in-process runner rule: a config that needs a wire
+// (fl.Config.NeedsWire) federates over in-memory pipes (RunLocal), where
+// frames are really encoded and counted; every other one runs as the
+// lockstep fl.Simulation.
+func Run(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset) (*fl.Result, error) {
+	if cfg.NeedsWire() {
+		return RunLocal(cfg, spec, locals, test)
+	}
+	sim, err := fl.NewSimulation(cfg, spec, locals, test)
+	if err != nil {
+		return nil, err
+	}
+	return sim.Run()
+}
+
 // RunLocal runs a full federation in this process: one goroutine per
 // party plus the server loop on the calling goroutine, the parties dialing
 // an in-memory listener of framed net.Pipe conns. It returns the same

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 
@@ -138,20 +139,19 @@ const scriptedID = 2
 // eviction — under the async scheduler nothing else orders the scripted
 // party's stream before the honest folds that could complete the run.
 // It returns the server's result together with the federation (for its
-// gauges) and every eviction the run reported.
+// gauges) and every Suspected or Evicted event the run reported.
 func serveWithScripted(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset,
-	n int, holdHonest bool, reply func(conn Conn, g GlobalMsg) error) (*fl.Result, *Federation, []*EvictionError, error) {
+	n int, holdHonest bool, reply func(conn Conn, g GlobalMsg) error) (*fl.Result, *Federation, []Event, error) {
 	t.Helper()
 	firstEviction := make(chan struct{})
-	var mu sync.Mutex
-	var evictions []*EvictionError
+	var once sync.Once
+	var events eventLog
 	fed := pipeFed(t, cfg, spec, test, scriptedID+1, ServerOptions{
-		OnEvict: func(e *EvictionError) {
-			mu.Lock()
-			if evictions = append(evictions, e); len(evictions) == 1 {
-				close(firstEviction)
+		Events: func(e Event) {
+			if e.Kind == Suspected || e.Kind == Evicted {
+				events.add(e)
+				once.Do(func() { close(firstEviction) })
 			}
-			mu.Unlock()
 		}})
 	res, partyErrs, err := fed.federate(scriptedID+1, func(i int) error {
 		conn, err := fed.connect()
@@ -170,7 +170,34 @@ func serveWithScripted(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []
 		return serveParty(conn, i, locals[i], spec, cfg, cfg.Seed+uint64(i))
 	})
 	reportErrs(t, partyErrs)
-	return res, fed.Federation, evictions, err
+	return res, fed.Federation, events.of(Suspected, Evicted), err
+}
+
+// eventLog records a federation's events in delivery order; add is an
+// Events sink.
+type eventLog struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+func (l *eventLog) add(e Event) {
+	l.mu.Lock()
+	l.evs = append(l.evs, e)
+	l.mu.Unlock()
+}
+
+// of returns the recorded events of the given kinds — every event when
+// none is given — in delivery order.
+func (l *eventLog) of(kinds ...EventKind) []Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []Event
+	for _, e := range l.evs {
+		if len(kinds) == 0 || slices.Contains(kinds, e.Kind) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // memFed is a federation whose peers the test scripts itself: the server

@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -77,10 +76,10 @@ func TestVersionSkew(t *testing.T) {
 	fed := pipeFed(t, fl.Config{LocalEpochs: 1, BatchSize: 32, Codec: fl.CodecInt8}, nn.ModelSpec{}, nil, 4, ServerOptions{})
 	d := newAdmissionDriver(t, fed.Federation, fed.ln, fed.dial)
 	defer d.close()
-	// admit returns the verdict on a hello claiming seat id: its
-	// rejection, or the seat taken.
-	admit := func(hello []byte, id int) error {
-		_, err := d.hello(hello, false, func() bool { return fed.table.get(id).conn != nil })
+	// admit returns the verdict on a hello: its rejection, or nil for the
+	// seat taken.
+	admit := func(hello []byte) error {
+		_, err := d.hello(hello, false)
 		return err
 	}
 	// tag, magic, version 4, min-version 2, codec mask, rejoin, ID, N,
@@ -91,7 +90,7 @@ func TestVersionSkew(t *testing.T) {
 	v2 := []byte{msgHello, protoMagic, 2, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 	for want, hello := range map[byte][]byte{4: v4, 2: v2} {
 		var ve *VersionError
-		if err := admit(hello, 0); !errors.As(err, &ve) || ve.Got != want {
+		if err := admit(hello); !errors.As(err, &ve) || ve.Got != want {
 			t.Fatalf("v%d hello at admission: %v, want a *VersionError for generation %d", want, err, want)
 		}
 	}
@@ -99,7 +98,7 @@ func TestVersionSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := admit(future, 0); err != nil {
+	if err := admit(future); err != nil {
 		t.Fatalf("future peer still speaking %d rejected: %v", ProtoVersion, err)
 	}
 	if got := fed.table.get(0).codec; got != wireCodecInt8 {
@@ -110,7 +109,7 @@ func TestVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ve *VersionError
-	if err := admit(disjoint, 1); !errors.As(err, &ve) || ve.GotMin != ProtoVersion+1 {
+	if err := admit(disjoint); !errors.As(err, &ve) || ve.GotMin != ProtoVersion+1 {
 		t.Fatalf("disjoint future range: %v", err)
 	}
 
@@ -217,7 +216,7 @@ func TestCodecRoundTripGlobalChunk(t *testing.T) {
 // TestVersionSkewRejectedAtAdmission connects peers speaking a stale
 // protocol version, the wrong magic, and a hello truncated inside the
 // version preamble. Each must be turned away with a clean, descriptive
-// OnReject reason — never a misaligned decode or a hang — while the
+// Refused event — never a misaligned decode or a hang — while the
 // federation keeps waiting and completes once the real parties arrive.
 func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
@@ -225,13 +224,8 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 	spec, _ := data.Model("adult")
 
 	ln := mustListen(t)
-	var mu sync.Mutex
-	var rejections []error
-	ln.OnReject = func(err error) {
-		mu.Lock()
-		rejections = append(rejections, err)
-		mu.Unlock()
-	}
+	var events eventLog
+	ln.Events = events.add
 	addr := ln.Addr()
 	stale, err := Marshal(HelloMsg{ID: 0, N: 10, LabelDist: []float64{1}, Version: ProtoVersion + 41, MinVersion: ProtoVersion + 41})
 	if err != nil {
@@ -264,24 +258,26 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 	if res.FinalAccuracy < 0.55 {
 		t.Fatalf("federation accuracy %v", res.FinalAccuracy)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	rejections := events.of(Refused)
 	if len(rejections) < 3 {
 		t.Fatalf("expected 3 rejections (stale, magic, truncated), got %v", rejections)
 	}
 	var sawVersion, sawMagic, sawTruncated bool
 	for _, rej := range rejections {
+		if rej.Party != -1 {
+			t.Fatalf("a hello that never decoded was refused as party %d: %v", rej.Party, rej)
+		}
 		var ve *VersionError
-		if errors.As(rej, &ve) {
+		if errors.As(rej.Err, &ve) {
 			if ve.Got != ProtoVersion+41 {
 				t.Fatalf("version rejection carries peer version %d, want %d", ve.Got, ProtoVersion+41)
 			}
 			sawVersion = true
 		}
-		if strings.Contains(rej.Error(), "magic") {
+		if strings.Contains(rej.Err.Error(), "magic") {
 			sawMagic = true
 		}
-		if strings.Contains(rej.Error(), "preamble") {
+		if strings.Contains(rej.Err.Error(), "preamble") {
 			sawTruncated = true
 		}
 	}
@@ -314,13 +310,8 @@ func TestConcurrentAdmissionBoundedStall(t *testing.T) {
 	const silent = 4
 	ln := mustListen(t)
 	ln.HelloTimeout = helloTimeout
-	var mu sync.Mutex
-	rejected := 0
-	ln.OnReject = func(error) {
-		mu.Lock()
-		rejected++
-		mu.Unlock()
-	}
+	var events eventLog
+	ln.Events = events.add
 	addr := ln.Addr()
 
 	// The lurkers connect first — before the accept loop even runs, so the
@@ -360,9 +351,7 @@ func TestConcurrentAdmissionBoundedStall(t *testing.T) {
 	// legitimate parties (loopback accepts are FIFO), so each is either
 	// already rejected or expired-and-rejected when admission completes —
 	// all delivered before AcceptAndRun returned.
-	mu.Lock()
-	defer mu.Unlock()
-	if rejected < silent+2 {
+	if rejected := len(events.of(Refused)); rejected < silent+2 {
 		t.Fatalf("only %d of %d bad conns rejected", rejected, silent+2)
 	}
 }

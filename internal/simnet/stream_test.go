@@ -131,7 +131,7 @@ func TestStreamViolationsEvictOffender(t *testing.T) {
 				if err != nil {
 					t.Fatalf("federation should survive the violation: %v", err)
 				}
-				if len(evictions) != 1 || evictions[0].Party != scriptedID || !evictions[0].Permanent {
+				if len(evictions) != 1 || evictions[0].Party != scriptedID || evictions[0].Kind != Evicted {
 					t.Fatalf("want exactly one permanent eviction of party %d, got %v", scriptedID, evictions)
 				}
 				if len(res.Curve) != cfg.Rounds {

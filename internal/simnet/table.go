@@ -22,27 +22,6 @@ const (
 	partyEvicted            // protocol violation; rejoin refused
 )
 
-// EvictionError reports a party's removal from the federation and why.
-// Permanent distinguishes protocol violations (evicted — the party may
-// not rejoin) from transport loss (suspect — a rejoin hello under the
-// old ID will be honored). Unwrap exposes the cause, so errors.As/Is see
-// through it.
-type EvictionError struct {
-	Party     int
-	Permanent bool
-	Cause     error
-}
-
-func (e *EvictionError) Error() string {
-	kind := "suspect (transport loss, may rejoin)"
-	if e.Permanent {
-		kind = "evicted (protocol violation)"
-	}
-	return fmt.Sprintf("simnet: party %d %s: %v", e.Party, kind, e.Cause)
-}
-
-func (e *EvictionError) Unwrap() error { return e.Cause }
-
 // member is everything the server keeps about one party ID: what its
 // latest hello said, the conn it is seated on, and where it stands.
 type member struct {
@@ -67,6 +46,9 @@ type member struct {
 	// folded is 1 + the last async generation an update of this party was
 	// accepted against (0: none yet); see firstFold.
 	folded int
+	// ord is the conn's ordinal: 1 for the party's first conn, plus one
+	// for each conn a rejoin installed; 0 until installed.
+	ord int
 }
 
 // alive reports whether the party is seated and in the federation.
@@ -83,8 +65,9 @@ type partyTable struct {
 	mu      sync.Mutex
 	members []member
 	seats   int // members with a conn
-	// full is closed when the last seat is taken: the accept loop's start
-	// signal, and a happens-before edge from every admission to the run.
+	// full is closed when the last seat is taken (see Federation.seat):
+	// the accept loop's start signal, and a happens-before edge from every
+	// admission to the run.
 	full chan struct{}
 	// rejoins are validated rejoin hellos — each the member its party
 	// becomes — parked until the scheduler installs them.
@@ -143,39 +126,40 @@ func (t *partyTable) alive() (live []member) {
 	return live
 }
 
-// install seats m's party on m.conn, alive, keeping what the server tracks
-// about the party across conns. With claim the seat must be empty (a first
-// contact: refused when another conn took it first, or all of them are
-// taken); without, m replaces whatever conn the party had, which is closed
-// and its traffic retired.
-func (t *partyTable) install(m member, claim bool) error {
+// install seats m's party on m.conn, alive, carrying forward into m what
+// the server tracks about the party across conns, and numbering the conn.
+// With claim the seat must be empty (a first contact: refused when another
+// conn took it first, or all of them are taken); without, m replaces
+// whatever conn the party had, which is closed and its traffic retired.
+// filled reports that m took the last empty seat.
+func (t *partyTable) install(m *member, claim bool) (filled bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := &t.members[m.id]
 	if old := cur.conn; old == nil {
-		if t.seats++; t.seats == len(t.members) {
-			close(t.full)
-		}
+		t.seats++
+		filled = t.seats == len(t.members)
 	} else if !claim {
 		_ = old.Close()
 		t.retired += old.Sent() + old.Received()
 	} else if t.seats == len(t.members) {
-		return fmt.Errorf("simnet: federation already has %d parties", t.seats)
+		return false, fmt.Errorf("simnet: federation already has %d parties", t.seats)
 	} else {
-		return fmt.Errorf("simnet: duplicate hello from party %d", m.id)
+		return false, fmt.Errorf("simnet: duplicate hello from party %d", m.id)
 	}
-	m.control, m.folded = cur.control, cur.folded
-	*cur = m
-	return nil
+	m.control, m.folded, m.ord = cur.control, cur.folded, cur.ord+1
+	*cur = *m
+	return filled, nil
 }
 
 // evict moves party id out of the federation and closes its conn: to
 // suspect, or to evicted when permanent — a party only ever moves further
 // out (alive < suspect < evicted); a rejoin is what brings one back. A
 // non-nil c must still be the party's installed conn — a goroutine of an
-// already-replaced conn reports stale news. False means nothing changed
-// (stale conn, or the party was already out that far).
-func (t *partyTable) evict(id int, c *CountingConn, permanent bool) bool {
+// already-replaced conn reports stale news. It returns the ordinal of the
+// conn it closed, 0 when nothing changed (stale conn, or the party was
+// already out that far).
+func (t *partyTable) evict(id int, c *CountingConn, permanent bool) (ord int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	m, out := &t.members[id], partySuspect
@@ -183,11 +167,11 @@ func (t *partyTable) evict(id int, c *CountingConn, permanent bool) bool {
 		out = partyEvicted
 	}
 	if m.conn == nil || (c != nil && m.conn != c) || m.state >= out {
-		return false
+		return 0
 	}
 	m.state = out
 	_ = m.conn.Close()
-	return true
+	return m.ord
 }
 
 // queueRejoin parks m, the member a rejoin hello describes, until the
@@ -205,8 +189,7 @@ func (t *partyTable) queueRejoin(m member) error {
 	case cur.conn == nil:
 		return fmt.Errorf("simnet: party %d has no session to rejoin", m.id)
 	case cur.state == partyEvicted:
-		return &EvictionError{Party: m.id, Permanent: true,
-			Cause: fmt.Errorf("simnet: rejoin refused")}
+		return fmt.Errorf("simnet: party %d was evicted: rejoin refused", m.id)
 	}
 	for i, r := range t.rejoins {
 		if r.id == m.id {

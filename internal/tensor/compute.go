@@ -55,38 +55,6 @@ func (c Compute) Split(n int) Compute {
 	return Compute{Workers: per}
 }
 
-// parallelRows splits [0,m) into contiguous chunks and runs body on each
-// chunk concurrently across at most `workers` goroutines. Chunk boundaries
-// are rounded to multiples of 4 so the register tiles never straddle
-// workers. With a single worker the body runs inline, avoiding goroutine
-// overhead. The chunk decomposition depends only on (workers, m), and each
-// output row is produced by exactly one worker with the same sequential
-// arithmetic, so results are bitwise independent of scheduling.
-func parallelRows(workers, m int, body func(r0, r1 int)) {
-	if workers > (m+3)/4 {
-		workers = (m + 3) / 4
-	}
-	if workers <= 1 {
-		body(0, m)
-		return
-	}
-	chunk := (m + workers - 1) / workers
-	chunk = (chunk + 3) &^ 3
-	var wg sync.WaitGroup
-	for r0 := 0; r0 < m; r0 += chunk {
-		r1 := r0 + chunk
-		if r1 > m {
-			r1 = m
-		}
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			body(r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
-}
-
 // parallelChunks splits [0,n) into one contiguous chunk per worker and
 // runs body on each concurrently. With one worker the body runs inline.
 func parallelChunks(workers, n int, body func(c0, c1 int)) {

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ConvOutSize returns the spatial output size of a valid convolution with
 // the given input size, kernel size, stride and padding.
@@ -11,34 +8,12 @@ func ConvOutSize(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
-// parallelBatch runs body over [0,b) batch indices across at most
-// `workers` goroutines. Each batch index touches a disjoint slice of both
-// the image and the column matrix, so the split is race-free for im2col
-// and col2im alike. Callers only invoke it when fanning out is worthwhile;
-// the serial path calls the range worker directly (no closure, no
-// goroutines).
-func parallelBatch(workers, b int, body func(b0, b1 int)) {
-	if workers > b {
-		workers = b
-	}
-	chunk := (b + workers - 1) / workers
-	var wg sync.WaitGroup
-	for b0 := 0; b0 < b; b0 += chunk {
-		b1 := b0 + chunk
-		if b1 > b {
-			b1 = b
-		}
-		wg.Add(1)
-		go func(b0, b1 int) {
-			defer wg.Done()
-			body(b0, b1)
-		}(b0, b1)
-	}
-	wg.Wait()
-}
-
 // batchParallelism reports whether a batch-dimension transform of the
-// given total size should fan out across the given worker budget.
+// given total size should fan out across the given worker budget. A
+// fanned-out transform splits [0,b) with parallelChunks: each batch index
+// touches a disjoint slice of both the image and the column matrix, so
+// the split is race-free for im2col and col2im alike. The serial path
+// calls the range worker directly (no closure, no goroutines).
 func batchParallelism(workers, b, totalElems int) bool {
 	return b > 1 && totalElems >= parallelThreshold && workers > 1
 }
@@ -131,7 +106,7 @@ func (c Compute) Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) *Tensor {
 
 func im2colDispatch[T Elem](workers int, xd, cd []T, b, c, h, w, outH, outW, kh, kw, stride, pad, rowLen int) {
 	if batchParallelism(workers, b, b*outH*outW*rowLen) {
-		parallelBatch(workers, b, func(b0, b1 int) {
+		parallelChunks(workers, b, func(b0, b1 int) {
 			im2colRange(xd, cd, b0, b1, c, h, w, outH, outW, kh, kw, stride, pad, rowLen)
 		})
 	} else {
@@ -229,7 +204,7 @@ func (c Compute) Col2ImInto(img, cols *Tensor, kh, kw, stride, pad int) *Tensor 
 
 func col2imDispatch[T Elem](workers int, xd, cd []T, b, c, h, w, outH, outW, kh, kw, stride, pad, rowLen int) {
 	if batchParallelism(workers, b, b*outH*outW*rowLen) {
-		parallelBatch(workers, b, func(b0, b1 int) {
+		parallelChunks(workers, b, func(b0, b1 int) {
 			col2imRange(xd, cd, b0, b1, c, h, w, outH, outW, kh, kw, stride, pad, rowLen)
 		})
 	} else {

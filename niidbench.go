@@ -189,14 +189,7 @@ func RunFederated(cfg RunConfig, dataset string, strat Strategy, parties int, tr
 // global model every AsyncBuffer folds; the Result then carries one Curve
 // entry per model generation plus AsyncStats.
 func RunFederatedWithSpec(cfg RunConfig, spec ModelSpec, locals []*Dataset, test *Dataset) (*Result, error) {
-	if cfg.NeedsWire() {
-		return simnet.RunLocal(cfg, spec, locals, test)
-	}
-	sim, err := fl.NewSimulation(cfg, spec, locals, test)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run()
+	return simnet.Run(cfg, spec, locals, test)
 }
 
 // ExperimentOptions configures a paper-artifact reproduction run.
