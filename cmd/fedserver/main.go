@@ -43,7 +43,7 @@ func command() (*flag.FlagSet, func()) {
 		models fedcli.ModelFiles
 		opts   simnet.ServerOptions
 	)
-	shared.Register(fs)
+	shared.Register(fs, fedcli.Data, fedcli.Training, fedcli.Deployment)
 	srv.RegisterServer(fs)
 	models.Register(fs)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")

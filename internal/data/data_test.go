@@ -212,7 +212,7 @@ func TestBatchGather(t *testing.T) {
 		t.Fatal("batch labels wrong")
 	}
 	for j := 0; j < train.FeatLen; j++ {
-		if x.At(1, j) != train.Sample(4)[j] {
+		if x.Data()[train.FeatLen+j] != train.Sample(4)[j] {
 			t.Fatal("batch features wrong")
 		}
 	}
@@ -304,7 +304,7 @@ func TestDifficultyOrdering(t *testing.T) {
 				x, y := train.Batch(idx[b : b+32])
 				m.ZeroGrads()
 				logits := m.Forward(x, true)
-				_, g := nn.SoftmaxCrossEntropy{}.Loss(logits, y)
+				_, g := nn.SoftmaxCrossEntropy{}.LossInto(nil, logits, y)
 				m.Backward(g)
 				for _, p := range m.Params() {
 					p.Data.AddScaled(-0.05, p.Grad)
@@ -312,7 +312,7 @@ func TestDifficultyOrdering(t *testing.T) {
 			}
 		}
 		x, y := test.Batch(identity(test.Len()))
-		pred := nn.Predict(m.Forward(x, false))
+		pred := nn.PredictInto(nil, m.Forward(x, false))
 		correct := 0
 		for i := range pred {
 			if pred[i] == y[i] {

@@ -37,10 +37,13 @@ const (
 	// Training is what to run on the shards: -test -algo -rounds -epochs
 	// -batch -lr -mu -chunk -async-buffer -codec.
 	Training
-	// Deployment is what separate processes must agree on or a party
-	// needs to dial: -token -min-parties -rejoin -hello-timeout
-	// -fault-seed -drop-prob -latency -jitter.
+	// Deployment is what separate processes must agree on: -token
+	// -min-parties.
 	Deployment
+	// Party is how a party dials and what faults its side injects:
+	// -rejoin -hello-timeout -fault-seed -drop-prob -latency -jitter.
+	// Only fedparty reads these.
+	Party
 )
 
 // Shared is a federated job described by flags. A command that wants
@@ -90,7 +93,7 @@ func (s *Shared) Register(fs *flag.FlagSet, groups ...Group) {
 		want |= g
 	}
 	if want == 0 {
-		want = Data | Training | Deployment
+		want = Data | Training | Deployment | Party
 	}
 	c := &s.Config
 	if want&Data != 0 {
@@ -118,6 +121,8 @@ func (s *Shared) Register(fs *flag.FlagSet, groups ...Group) {
 	if want&Deployment != 0 {
 		fs.StringVar(&s.Token, "token", s.Token, "shared handshake secret; when the server sets one, parties must present it")
 		fs.IntVar(&c.MinParties, "min-parties", c.MinParties, "server round quorum: rounds with fewer live parties are skipped and retried (0 = any)")
+	}
+	if want&Party != 0 {
 		fs.BoolVar(&s.Rejoin, "rejoin", s.Rejoin, "party: redial with backoff after transport loss and rejoin under the old ID")
 		fs.DurationVar(&s.HelloTimeout, "hello-timeout", s.HelloTimeout, "party: max wait for the server's first frame after the hello (0 = forever)")
 		fs.Uint64Var(&s.FaultSeed, "fault-seed", s.FaultSeed, "party: seed for the deterministic fault plan (with -drop-prob/-latency)")

@@ -175,8 +175,8 @@ func TestRegisterGroupsAndDefaults(t *testing.T) {
 		fs.VisitAll(func(*flag.Flag) { n++ })
 		return n
 	}
-	if d, tr, dep, all := count(Data), count(Training), count(Deployment), count(); d != 8 || tr != 10 || dep != 8 || all != 26 || count(Data, Training, Deployment) != all {
-		t.Fatalf("flags per group: data %d, training %d, deployment %d, all %d", d, tr, dep, all)
+	if d, tr, dep, p, all := count(Data), count(Training), count(Deployment), count(Party), count(); d != 8 || tr != 10 || dep != 2 || p != 6 || all != 26 || count(Data, Training, Deployment, Party) != all {
+		t.Fatalf("flags per group: data %d, training %d, deployment %d, party %d, all %d", d, tr, dep, p, all)
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	s := Shared{Dataset: "cifar10", Parties: 10}
@@ -204,6 +204,7 @@ func TestReadmeFlagReference(t *testing.T) {
 		{Data, "`fedserver` `fedparty` `run` `partition-stats`"},
 		{Training, "`fedserver` `fedparty` `run`"},
 		{Deployment, "`fedserver` `fedparty`"},
+		{Party, "`fedparty`"},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		new(Shared).Register(fs, g.group)

@@ -156,8 +156,9 @@ type Config struct {
 	// from aggregation (the FedBN-style fix discussed in Section VI-B);
 	// the default is the paper's plain averaging of the full state.
 	KeepBNStatsLocal bool
-	// WeightedAggregation controls whether deltas are weighted by local
-	// dataset size (the paper's setting). Disabling it is an ablation.
+	// Unweighted averages the deltas with equal weights instead of
+	// weighting them by local dataset size (the paper's setting); it is an
+	// ablation.
 	Unweighted bool
 	// Alpha is FedDyn's regularization weight; ignored by other
 	// algorithms.

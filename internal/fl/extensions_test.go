@@ -120,7 +120,7 @@ func TestCosineWithGrad(t *testing.T) {
 
 func TestContrastiveGradNumerical(t *testing.T) {
 	b, d := 3, 4
-	mk := func(vals ...float64) *tensor.Tensor { return tensor.FromSlice(vals, b, d) }
+	mk := func(vals ...float64) *tensor.Tensor { return tensor.ViewInto(nil, vals, b, d) }
 	z := mk(0.5, -0.2, 0.8, 0.1, 1.0, 0.3, -0.4, 0.2, -0.6, 0.9, 0.05, -0.3)
 	zg := mk(0.4, -0.1, 0.9, 0.2, 0.8, 0.5, -0.2, 0.1, -0.5, 1.0, 0.1, -0.2)
 	zp := mk(-0.3, 0.7, 0.2, -0.8, 0.1, -0.9, 0.6, 0.4, 0.3, -0.2, 0.8, 0.5)
@@ -145,8 +145,8 @@ func TestContrastiveGradNumerical(t *testing.T) {
 
 func TestContrastiveColdStartZeroGrad(t *testing.T) {
 	// When z_glob == z_prev the two similarity gradients cancel.
-	z := tensor.FromSlice([]float64{0.5, -0.2, 0.8}, 1, 3)
-	same := tensor.FromSlice([]float64{0.4, 0.1, 0.9}, 1, 3)
+	z := tensor.ViewInto(nil, []float64{0.5, -0.2, 0.8}, 1, 3)
+	same := tensor.ViewInto(nil, []float64{0.4, 0.1, 0.9}, 1, 3)
 	_, dz := contrastiveGrad(z, same, same, 0.5)
 	for _, v := range dz.Data() {
 		if math.Abs(v) > 1e-12 {

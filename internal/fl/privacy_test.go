@@ -8,6 +8,7 @@ import (
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/rng"
+	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
 func gradNorm(m *nn.Sequential) float64 {
@@ -22,7 +23,7 @@ func gradNorm(m *nn.Sequential) float64 {
 
 func TestDPSanitizeClips(t *testing.T) {
 	r := rng.New(1)
-	m := nn.NewSequential(nn.NewDense(4, 3, r))
+	m := nn.NewSequential(nn.NewDenseOf(tensor.Float64, 4, 3, r))
 	for _, p := range m.Params() {
 		p.Grad.Fill(10)
 	}
@@ -39,7 +40,7 @@ func TestDPSanitizeClips(t *testing.T) {
 
 func TestDPSanitizeNoClipBelowBound(t *testing.T) {
 	r := rng.New(3)
-	m := nn.NewSequential(nn.NewDense(2, 2, r))
+	m := nn.NewSequential(nn.NewDenseOf(tensor.Float64, 2, 2, r))
 	for _, p := range m.Params() {
 		p.Grad.Fill(0.01)
 	}
@@ -52,7 +53,7 @@ func TestDPSanitizeNoClipBelowBound(t *testing.T) {
 
 func TestDPSanitizeNoiseMagnitude(t *testing.T) {
 	r := rng.New(5)
-	m := nn.NewSequential(nn.NewDense(100, 100, r)) // 10100 coords
+	m := nn.NewSequential(nn.NewDenseOf(tensor.Float64, 100, 100, r)) // 10100 coords
 	m.ZeroGrads()
 	clip, mult, batch := 2.0, 4.0, 8
 	dpSanitize(m, clip, mult, batch, rng.New(6))
@@ -73,7 +74,7 @@ func TestDPSanitizeNoiseMagnitude(t *testing.T) {
 
 func TestDPSanitizeDisabled(t *testing.T) {
 	r := rng.New(7)
-	m := nn.NewSequential(nn.NewDense(2, 2, r))
+	m := nn.NewSequential(nn.NewDenseOf(tensor.Float64, 2, 2, r))
 	for _, p := range m.Params() {
 		p.Grad.Fill(3)
 	}

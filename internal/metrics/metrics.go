@@ -1,64 +1,11 @@
-// Package metrics provides the evaluation statistics NIID-Bench reports:
-// top-1 accuracy, per-class accuracy, confusion matrices, and mean ±
-// standard deviation across repeated trials (the format of the paper's
-// Table III).
+// Package metrics summarizes repeated trials the way NIID-Bench reports
+// them: mean ± standard deviation (the format of the paper's Table III).
 package metrics
 
 import (
 	"fmt"
 	"math"
 )
-
-// Accuracy returns the fraction of predictions matching the labels.
-func Accuracy(pred, labels []int) float64 {
-	if len(pred) != len(labels) {
-		panic(fmt.Sprintf("metrics: %d predictions for %d labels", len(pred), len(labels)))
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range pred {
-		if pred[i] == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pred))
-}
-
-// ConfusionMatrix returns an actual-by-predicted count matrix.
-func ConfusionMatrix(pred, labels []int, classes int) [][]int {
-	if len(pred) != len(labels) {
-		panic(fmt.Sprintf("metrics: %d predictions for %d labels", len(pred), len(labels)))
-	}
-	m := make([][]int, classes)
-	for i := range m {
-		m[i] = make([]int, classes)
-	}
-	for i := range pred {
-		m[labels[i]][pred[i]]++
-	}
-	return m
-}
-
-// PerClassAccuracy returns recall per class; classes absent from the
-// labels report NaN.
-func PerClassAccuracy(pred, labels []int, classes int) []float64 {
-	cm := ConfusionMatrix(pred, labels, classes)
-	out := make([]float64, classes)
-	for c := 0; c < classes; c++ {
-		total := 0
-		for _, n := range cm[c] {
-			total += n
-		}
-		if total == 0 {
-			out[c] = math.NaN()
-			continue
-		}
-		out[c] = float64(cm[c][c]) / float64(total)
-	}
-	return out
-}
 
 // Summary holds the mean and sample standard deviation of repeated trials.
 type Summary struct {

@@ -6,69 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestAccuracy(t *testing.T) {
-	if a := Accuracy([]int{1, 2, 3}, []int{1, 0, 3}); math.Abs(a-2.0/3) > 1e-12 {
-		t.Fatalf("accuracy %v", a)
-	}
-	if Accuracy(nil, nil) != 0 {
-		t.Fatal("empty accuracy should be 0")
-	}
-}
-
-func TestAccuracyPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Accuracy([]int{1}, []int{1, 2})
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	cm := ConfusionMatrix([]int{0, 1, 1, 0}, []int{0, 1, 0, 0}, 2)
-	if cm[0][0] != 2 || cm[0][1] != 1 || cm[1][1] != 1 || cm[1][0] != 0 {
-		t.Fatalf("confusion: %v", cm)
-	}
-}
-
-func TestConfusionMatrixTotalsProperty(t *testing.T) {
-	err := quick.Check(func(raw []uint8) bool {
-		classes := 4
-		pred := make([]int, len(raw))
-		labels := make([]int, len(raw))
-		for i, v := range raw {
-			pred[i] = int(v) % classes
-			labels[i] = int(v>>4) % classes
-		}
-		cm := ConfusionMatrix(pred, labels, classes)
-		total := 0
-		for _, row := range cm {
-			for _, n := range row {
-				total += n
-			}
-		}
-		return total == len(raw)
-	}, &quick.Config{MaxCount: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPerClassAccuracy(t *testing.T) {
-	pred := []int{0, 0, 1, 1}
-	labels := []int{0, 1, 1, 1}
-	pc := PerClassAccuracy(pred, labels, 3)
-	if pc[0] != 1 {
-		t.Fatalf("class 0: %v", pc[0])
-	}
-	if math.Abs(pc[1]-2.0/3) > 1e-12 {
-		t.Fatalf("class 1: %v", pc[1])
-	}
-	if !math.IsNaN(pc[2]) {
-		t.Fatalf("absent class should be NaN: %v", pc[2])
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{0.5, 0.7, 0.6})
 	if math.Abs(s.Mean-0.6) > 1e-12 {

@@ -22,10 +22,11 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 				spec := ModelSpec{Kind: kind, Channels: 3, Height: 16, Width: 16, InputDim: 40, Classes: 10, DType: dt}
 				full, params := Build(spec, rng.New(11)), Build(spec, rng.New(11))
 				x := tensor.NewOf(dt, batch, spec.InputLen())
-				r := rng.New(5)
-				for i := 0; i < x.Len(); i++ {
-					x.Set(r.Normal(), i/spec.InputLen(), i%spec.InputLen())
+				r, vals := rng.New(5), make([]float64, x.Len())
+				for i := range vals {
+					vals[i] = r.Normal()
 				}
+				x.CopyFromF64(vals)
 				labels := make([]int, batch)
 				for i := range labels {
 					labels[i] = i % spec.Classes
@@ -35,7 +36,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 					for _, m := range []*Sequential{full, params} {
 						m.ZeroGrads()
 						logits := m.Forward(spec.ShapeBatch(x), true)
-						_, g := loss.Loss(logits, labels)
+						_, g := loss.LossInto(nil, logits, labels)
 						if m == full {
 							m.Backward(g)
 						} else {

@@ -33,20 +33,10 @@ type BatchNorm struct {
 	dx      *tensor.Tensor // backward scratch
 }
 
-// NewBatchNorm creates a float64 batch-norm layer for the given
-// feature/channel count with gamma=1, beta=0, running mean 0 and running
-// variance 1.
-func NewBatchNorm(features int) *BatchNorm {
-	return NewBatchNormOf(tensor.Float64, features)
-}
-
-// NewBatchNormOf is NewBatchNorm with an explicit compute dtype.
-func NewBatchNormOf(dt tensor.DType, features int) *BatchNorm {
-	return newBatchNorm(dt, features, true)
-}
-
-// newBatchNorm is NewBatchNormOf with the gradient accumulators optional
-// (see newParam).
+// newBatchNorm creates a batch-norm layer of the given compute dtype for
+// the given feature/channel count with gamma=1, beta=0, running mean 0 and
+// running variance 1; grad is false only on an inference replica (see
+// newParam).
 func newBatchNorm(dt tensor.DType, features int, grad bool) *BatchNorm {
 	bn := &BatchNorm{
 		Features: features,

@@ -13,7 +13,7 @@ import (
 // runs this parties*epochs*batches times per experiment.
 func BenchmarkConvForwardBackward(b *testing.B) {
 	r := rng.New(1)
-	conv := NewConv2D(3, 16, 5, 5, 1, 2, r)
+	conv := NewConv2DOf(tensor.Float64, 3, 16, 5, 5, 1, 2, r)
 	x := randInput(r, 16, 3, 16, 16)
 	out := conv.Forward(x, true)
 	g := randInput(r, out.Shape()...)
@@ -46,7 +46,7 @@ func benchActivation(dt tensor.DType) *tensor.Tensor {
 func benchLayerPasses(b *testing.B, newLayer func() Layer) {
 	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
 		x, l := benchActivation(dt), newLayer()
-		g := l.Forward(x, true).Clone()
+		g := clone(l.Forward(x, true))
 		l.Backward(g) // grow the backward scratch outside the timed loops
 		b.Run(dt.String()+"/forward", func(b *testing.B) {
 			b.ReportAllocs()
@@ -84,7 +84,7 @@ func BenchmarkCNNForwardBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.ZeroGrads()
 		logits := m.Forward(x, true)
-		_, g := loss.Loss(logits, labels)
+		_, g := loss.LossInto(nil, logits, labels)
 		m.Backward(g)
 	}
 }

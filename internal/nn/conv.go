@@ -35,13 +35,8 @@ type Conv2D struct {
 	dx    *tensor.Tensor // backward: input gradient (NCHW)
 }
 
-// NewConv2D creates a float64 convolution layer with He-uniform
-// initialization.
-func NewConv2D(inC, outC, kh, kw, stride, pad int, r *rng.RNG) *Conv2D {
-	return NewConv2DOf(tensor.Float64, inC, outC, kh, kw, stride, pad, r)
-}
-
-// NewConv2DOf is NewConv2D with an explicit compute dtype.
+// NewConv2DOf creates a convolution layer of the given compute dtype with
+// He-uniform initialization.
 func NewConv2DOf(dt tensor.DType, inC, outC, kh, kw, stride, pad int, r *rng.RNG) *Conv2D {
 	c := &Conv2D{
 		InC: inC, OutC: outC, KH: kh, KW: kw, Stride: stride, Pad: pad,

@@ -30,7 +30,7 @@ func TestFloat32ModelParity(t *testing.T) {
 	}
 
 	const batch = 8
-	x64 := tensor.New(batch, 3, 16, 16)
+	x64 := tensor.NewOf(tensor.Float64, batch, 3, 16, 16)
 	x32 := tensor.NewOf(tensor.Float32, batch, 3, 16, 16)
 	r := rng.New(5)
 	xd := x64.Data()
@@ -47,9 +47,9 @@ func TestFloat32ModelParity(t *testing.T) {
 
 	loss := SoftmaxCrossEntropy{}
 	logits64 := m64.Forward(x64, true)
-	l64, g64 := loss.Loss(logits64, labels)
+	l64, g64 := loss.LossInto(nil, logits64, labels)
 	logits32 := m32.Forward(x32, true)
-	l32, g32 := loss.Loss(logits32, labels)
+	l32, g32 := loss.LossInto(nil, logits32, labels)
 
 	if logits32.DType() != tensor.Float32 || g32.DType() != tensor.Float32 {
 		t.Fatalf("float32 model produced %v logits / %v grad", logits32.DType(), g32.DType())
@@ -68,8 +68,8 @@ func TestFloat32ModelParity(t *testing.T) {
 	m32.ZeroGrads()
 	m64.Forward(x64, true)
 	m32.Forward(x32, true)
-	_, g64 = loss.Loss(logits64, labels)
-	_, g32 = loss.Loss(logits32, labels)
+	_, g64 = loss.LossInto(nil, logits64, labels)
+	_, g32 = loss.LossInto(nil, logits32, labels)
 	m64.Backward(g64)
 	m32.Backward(g32)
 	grads64 := make([]float64, m64.ParamCount())

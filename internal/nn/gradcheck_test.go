@@ -12,7 +12,7 @@ import (
 // parameter values. Used to compute numerical gradients.
 func lossOf(m *Sequential, x *tensor.Tensor, labels []int) float64 {
 	logits := m.Forward(x, true)
-	loss, _ := SoftmaxCrossEntropy{}.Loss(logits, labels)
+	loss, _ := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 	return loss
 }
 
@@ -24,7 +24,7 @@ func checkGradients(t *testing.T, m *Sequential, x *tensor.Tensor, labels []int,
 	t.Helper()
 	m.ZeroGrads()
 	logits := m.Forward(x, true)
-	_, g := SoftmaxCrossEntropy{}.Loss(logits, labels)
+	_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 	m.Backward(g)
 
 	const eps = 1e-5
@@ -56,7 +56,7 @@ func freezeBN(m *Sequential) {
 }
 
 func randInput(r *rng.RNG, shape ...int) *tensor.Tensor {
-	x := tensor.New(shape...)
+	x := tensor.NewOf(tensor.Float64, shape...)
 	d := x.Data()
 	for i := range d {
 		d[i] = r.Normal()
@@ -66,7 +66,7 @@ func randInput(r *rng.RNG, shape ...int) *tensor.Tensor {
 
 func TestGradCheckDense(t *testing.T) {
 	r := rng.New(1)
-	m := NewSequential(NewDense(6, 5, r), NewReLU(), NewDense(5, 3, r))
+	m := NewSequential(NewDenseOf(tensor.Float64, 6, 5, r), NewReLU(), NewDenseOf(tensor.Float64, 5, 3, r))
 	x := randInput(r, 4, 6)
 	checkGradients(t, m, x, []int{0, 1, 2, 1}, 1e-4)
 }
@@ -74,11 +74,11 @@ func TestGradCheckDense(t *testing.T) {
 func TestGradCheckConv(t *testing.T) {
 	r := rng.New(2)
 	m := NewSequential(
-		NewConv2D(2, 3, 3, 3, 1, 1, r),
+		NewConv2DOf(tensor.Float64, 2, 3, 3, 3, 1, 1, r),
 		NewReLU(),
 		NewMaxPool2D(2, 2),
 		NewFlatten(),
-		NewDense(3*3*3, 4, r),
+		NewDenseOf(tensor.Float64, 3*3*3, 4, r),
 	)
 	x := randInput(r, 2, 2, 6, 6)
 	checkGradients(t, m, x, []int{1, 3}, 1e-4)
@@ -87,9 +87,9 @@ func TestGradCheckConv(t *testing.T) {
 func TestGradCheckConvStride(t *testing.T) {
 	r := rng.New(3)
 	m := NewSequential(
-		NewConv2D(1, 2, 3, 3, 2, 0, r),
+		NewConv2DOf(tensor.Float64, 1, 2, 3, 3, 2, 0, r),
 		NewFlatten(),
-		NewDense(2*3*3, 3, r),
+		NewDenseOf(tensor.Float64, 2*3*3, 3, r),
 	)
 	x := randInput(r, 2, 1, 7, 7)
 	checkGradients(t, m, x, []int{0, 2}, 1e-4)
@@ -97,7 +97,7 @@ func TestGradCheckConvStride(t *testing.T) {
 
 func TestGradCheckBatchNorm2D(t *testing.T) {
 	r := rng.New(4)
-	m := NewSequential(NewDense(5, 6, r), NewBatchNorm(6), NewReLU(), NewDense(6, 3, r))
+	m := NewSequential(NewDenseOf(tensor.Float64, 5, 6, r), newBatchNorm(tensor.Float64, 6, true), NewReLU(), NewDenseOf(tensor.Float64, 6, 3, r))
 	freezeBN(m)
 	x := randInput(r, 8, 5)
 	checkGradients(t, m, x, []int{0, 1, 2, 0, 1, 2, 0, 1}, 1e-3)
@@ -106,11 +106,11 @@ func TestGradCheckBatchNorm2D(t *testing.T) {
 func TestGradCheckBatchNorm4D(t *testing.T) {
 	r := rng.New(5)
 	m := NewSequential(
-		NewConv2D(1, 3, 3, 3, 1, 1, r),
-		NewBatchNorm(3),
+		NewConv2DOf(tensor.Float64, 1, 3, 3, 3, 1, 1, r),
+		newBatchNorm(tensor.Float64, 3, true),
 		NewReLU(),
 		NewFlatten(),
-		NewDense(3*5*5, 2, r),
+		NewDenseOf(tensor.Float64, 3*5*5, 2, r),
 	)
 	freezeBN(m)
 	x := randInput(r, 4, 1, 5, 5)
@@ -120,9 +120,9 @@ func TestGradCheckBatchNorm4D(t *testing.T) {
 func TestGradCheckResidual(t *testing.T) {
 	r := rng.New(6)
 	m := NewSequential(
-		NewResidual(2, 4, r),
+		NewResidualOf(tensor.Float64, 2, 4, r),
 		NewFlatten(),
-		NewDense(4*4*4, 3, r),
+		NewDenseOf(tensor.Float64, 4*4*4, 3, r),
 	)
 	// Freeze BN momentum inside the residual block.
 	for _, l := range m.Layers {

@@ -42,13 +42,8 @@ type Dense struct {
 // SetCompute installs the kernel compute budget for the layer's matmuls.
 func (d *Dense) SetCompute(c tensor.Compute) { d.cmp = c }
 
-// NewDense creates a float64 dense layer with He-uniform initialized
-// weights, the standard choice for ReLU networks.
-func NewDense(in, out int, r *rng.RNG) *Dense {
-	return NewDenseOf(tensor.Float64, in, out, r)
-}
-
-// NewDenseOf is NewDense with an explicit compute dtype for the
+// NewDenseOf creates a dense layer with He-uniform initialized weights,
+// the standard choice for ReLU networks; dt is the compute dtype of the
 // parameters, gradients and layer scratch.
 func NewDenseOf(dt tensor.DType, in, out int, r *rng.RNG) *Dense {
 	d := &Dense{W: newParam(dt, r != nil, "dense.W", in, out), B: newParam(dt, r != nil, "dense.b", out), dt: dt}
@@ -208,78 +203,3 @@ func (l *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil: Flatten has no parameters.
 func (l *Flatten) Params() []*Param { return nil }
-
-// Dropout randomly zeroes a fraction of activations during training and
-// rescales the survivors (inverted dropout). At evaluation it is identity.
-// Like ReLU it is dtype-agnostic.
-type Dropout struct {
-	Rate float64
-	r    *rng.RNG
-	mask []float64
-	out  *tensor.Tensor // forward scratch
-	dx   *tensor.Tensor // backward scratch
-}
-
-// NewDropout creates a dropout layer with the given drop probability.
-func NewDropout(rate float64, r *rng.RNG) *Dropout {
-	return &Dropout{Rate: rate, r: r}
-}
-
-func dropoutForward[T tensor.Elem](xd, od []T, mask []float64, rate, scale float64, r *rng.RNG) {
-	od = od[:len(xd)]
-	mask = mask[:len(xd)]
-	for i, v := range xd {
-		if r.Float64() < rate {
-			mask[i] = 0
-			od[i] = 0
-		} else {
-			mask[i] = scale
-			od[i] = T(float64(v) * scale)
-		}
-	}
-}
-
-func dropoutBackward[T tensor.Elem](gd, od []T, mask []float64) {
-	od = od[:len(gd)]
-	mask = mask[:len(gd)]
-	for i, g := range gd {
-		od[i] = T(float64(g) * mask[i])
-	}
-}
-
-// Forward applies the dropout mask in training mode.
-func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || l.Rate <= 0 {
-		l.mask = nil
-		return x
-	}
-	l.out = tensor.EnsureOf(x.DType(), l.out, x.Shape()...)
-	if cap(l.mask) < x.Len() {
-		l.mask = make([]float64, x.Len())
-	}
-	l.mask = l.mask[:x.Len()]
-	scale := 1 / (1 - l.Rate)
-	if x.DType() == tensor.Float32 {
-		dropoutForward(x.Data32(), l.out.Data32(), l.mask, l.Rate, scale, l.r)
-	} else {
-		dropoutForward(x.Data(), l.out.Data(), l.mask, l.Rate, scale, l.r)
-	}
-	return l.out
-}
-
-// Backward applies the same mask to the gradient.
-func (l *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.mask == nil {
-		return grad
-	}
-	l.dx = tensor.EnsureOf(grad.DType(), l.dx, grad.Shape()...)
-	if grad.DType() == tensor.Float32 {
-		dropoutBackward(grad.Data32(), l.dx.Data32(), l.mask)
-	} else {
-		dropoutBackward(grad.Data(), l.dx.Data(), l.mask)
-	}
-	return l.dx
-}
-
-// Params returns nil: Dropout has no parameters.
-func (l *Dropout) Params() []*Param { return nil }

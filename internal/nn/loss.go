@@ -8,19 +8,12 @@ import (
 )
 
 // SoftmaxCrossEntropy couples a softmax with the negative log-likelihood
-// loss. Loss returns the mean loss over the batch and the gradient of that
-// mean loss with respect to the logits, which is (softmax - onehot)/batch.
-// The gradient tensor matches the logits' dtype; the loss itself is
-// always computed in float64 (exp/log on a handful of classes is not a
-// hot path).
+// loss. LossInto returns the mean loss over the batch and the gradient of
+// that mean loss with respect to the logits, which is (softmax -
+// onehot)/batch. The gradient tensor matches the logits' dtype; the loss
+// itself is always computed in float64 (exp/log on a handful of classes is
+// not a hot path).
 type SoftmaxCrossEntropy struct{}
-
-// Loss computes the mean cross-entropy of logits (batch, classes) against
-// integer labels, plus the logits gradient. It allocates a fresh gradient;
-// steady-state training loops should use LossInto with a reused buffer.
-func (l SoftmaxCrossEntropy) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	return l.LossInto(nil, logits, labels)
-}
 
 // lossRows is the dtype-generic loss body: a numerically stable softmax
 // per row, accumulating the total loss and writing the gradient.
@@ -55,10 +48,12 @@ func lossRows[T tensor.Elem](ld, gd []T, labels []int, b, k int) float64 {
 	return total * invB
 }
 
-// LossInto is Loss with a caller-held scratch gradient: grad is grown via
-// tensor.EnsureOf to the logits' dtype (nil allocates) and fully
-// overwritten. It returns the mean loss and the (possibly re-allocated)
-// gradient tensor, which the caller should keep for the next call.
+// LossInto computes the mean cross-entropy of logits (batch, classes)
+// against integer labels, plus the logits gradient. grad is caller-held
+// scratch grown via tensor.EnsureOf to the logits' dtype (nil allocates)
+// and fully overwritten. It returns the mean loss and the (possibly
+// re-allocated) gradient tensor, which the caller should keep for the next
+// call.
 func (SoftmaxCrossEntropy) LossInto(grad *tensor.Tensor, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	if logits.Rank() != 2 {
 		panic(fmt.Sprintf("nn: cross-entropy logits shape %v, want 2-D", logits.Shape()))
@@ -90,13 +85,9 @@ func predictRows[T tensor.Elem](ld []T, out []int, b, k int) {
 	}
 }
 
-// Predict returns the argmax class per row of logits.
-func Predict(logits *tensor.Tensor) []int {
-	return PredictInto(nil, logits)
-}
-
-// PredictInto is Predict with caller-held scratch: out is re-sliced when
-// capacity allows, so evaluation loops predict without allocating.
+// PredictInto returns the argmax class per row of logits. out is
+// caller-held scratch, re-sliced when capacity allows (nil allocates), so
+// evaluation loops predict without allocating.
 func PredictInto(out []int, logits *tensor.Tensor) []int {
 	b, k := logits.Dim(0), logits.Dim(1)
 	if cap(out) < b {

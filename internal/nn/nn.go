@@ -17,9 +17,9 @@
 //   - Layers own their outputs: Forward and Backward return per-layer
 //     scratch tensors (grown with tensor.Ensure, reused across batches),
 //     valid only until the layer's next Forward/Backward call. Steady-state
-//     training therefore allocates nothing — the "no tensor.New in the hot
-//     path" rule from the tensor package. Callers that need a tensor to
-//     outlive the next batch must Clone it.
+//     training therefore allocates nothing — the "no tensor.NewOf in the
+//     hot path" rule from the tensor package. Callers that need a tensor
+//     to outlive the next batch must copy it.
 //   - Models have a compute dtype, chosen via ModelSpec.DType: parameters,
 //     gradients, buffers and all layer scratch share it, so a Float32
 //     model runs entirely on the float32 kernel set. The flat model-state
@@ -122,7 +122,7 @@ func (m *Sequential) buildCaches() {
 }
 
 // Forward runs the layers in order. train selects training-mode behaviour
-// (batch statistics in batch norm, active dropout).
+// (batch statistics in batch norm).
 func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range m.Layers {
 		x = l.Forward(x, train)

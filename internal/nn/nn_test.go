@@ -12,10 +12,10 @@ import (
 
 func TestDenseForwardKnown(t *testing.T) {
 	r := rng.New(1)
-	d := NewDense(2, 2, r)
+	d := NewDenseOf(tensor.Float64, 2, 2, r)
 	copy(d.W.Data.Data(), []float64{1, 2, 3, 4})
 	copy(d.B.Data.Data(), []float64{10, 20})
-	x := tensor.FromSlice([]float64{1, 1, 2, 0}, 2, 2)
+	x := tensor.ViewInto(nil, []float64{1, 1, 2, 0}, 2, 2)
 	y := d.Forward(x, true)
 	want := []float64{14, 26, 12, 24}
 	for i, w := range want {
@@ -27,12 +27,12 @@ func TestDenseForwardKnown(t *testing.T) {
 
 func TestReLUForwardBackward(t *testing.T) {
 	l := NewReLU()
-	x := tensor.FromSlice([]float64{-1, 2, 0, 3}, 1, 4)
+	x := tensor.ViewInto(nil, []float64{-1, 2, 0, 3}, 1, 4)
 	y := l.Forward(x, true)
 	if y.Data()[0] != 0 || y.Data()[1] != 2 || y.Data()[2] != 0 || y.Data()[3] != 3 {
 		t.Fatalf("relu forward: %v", y.Data())
 	}
-	g := l.Backward(tensor.FromSlice([]float64{5, 5, 5, 5}, 1, 4))
+	g := l.Backward(tensor.ViewInto(nil, []float64{5, 5, 5, 5}, 1, 4))
 	if g.Data()[0] != 0 || g.Data()[1] != 5 || g.Data()[2] != 0 || g.Data()[3] != 5 {
 		t.Fatalf("relu backward: %v", g.Data())
 	}
@@ -40,12 +40,12 @@ func TestReLUForwardBackward(t *testing.T) {
 
 func TestFlattenRoundTrip(t *testing.T) {
 	l := NewFlatten()
-	x := tensor.New(2, 3, 4, 4)
+	x := tensor.NewOf(tensor.Float64, 2, 3, 4, 4)
 	y := l.Forward(x, true)
 	if y.Dim(0) != 2 || y.Dim(1) != 48 {
 		t.Fatalf("flatten shape %v", y.Shape())
 	}
-	g := l.Backward(tensor.New(2, 48))
+	g := l.Backward(tensor.NewOf(tensor.Float64, 2, 48))
 	if g.Rank() != 4 || g.Dim(1) != 3 {
 		t.Fatalf("unflatten shape %v", g.Shape())
 	}
@@ -53,7 +53,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 
 func TestMaxPoolKnown(t *testing.T) {
 	p := NewMaxPool2D(2, 2)
-	x := tensor.FromSlice([]float64{
+	x := tensor.ViewInto(nil, []float64{
 		1, 2, 5, 6,
 		3, 4, 7, 8,
 		9, 1, 2, 3,
@@ -66,13 +66,13 @@ func TestMaxPoolKnown(t *testing.T) {
 			t.Fatalf("maxpool: got %v want %v", y.Data(), want)
 		}
 	}
-	g := p.Backward(tensor.FromSlice([]float64{10, 20, 30, 40}, 1, 1, 2, 2))
+	g := p.Backward(tensor.ViewInto(nil, []float64{10, 20, 30, 40}, 1, 1, 2, 2))
 	// Gradient should land exactly on the argmax positions.
-	if g.At(0, 0, 1, 1) != 10 || g.At(0, 0, 1, 3) != 20 || g.At(0, 0, 2, 0) != 30 || g.At(0, 0, 3, 2) != 40 {
-		t.Fatalf("maxpool backward: %v", g.Data())
+	if gd := g.Data(); gd[1*4+1] != 10 || gd[1*4+3] != 20 || gd[2*4+0] != 30 || gd[3*4+2] != 40 {
+		t.Fatalf("maxpool backward: %v", gd)
 	}
-	if g.Sum() != 100 {
-		t.Fatalf("maxpool backward should conserve gradient mass, sum=%v", g.Sum())
+	if s := elemSum(g); s != 100 {
+		t.Fatalf("maxpool backward should conserve gradient mass, sum=%v", s)
 	}
 }
 
@@ -88,38 +88,15 @@ func TestMaxPoolRejectsOversizedWindow(t *testing.T) {
 					t.Fatalf("%dx%d input: recovered %v, want panic %q", hw[0], hw[1], got, want)
 				}
 			}()
-			NewMaxPool2D(2, 2).Forward(tensor.New(1, 1, hw[0], hw[1]), true)
+			NewMaxPool2D(2, 2).Forward(tensor.NewOf(tensor.Float64, 1, 1, hw[0], hw[1]), true)
 		}()
 	}
 }
 
-func TestDropoutEvalIdentity(t *testing.T) {
-	l := NewDropout(0.5, rng.New(1))
-	x := tensor.FromSlice([]float64{1, 2, 3}, 1, 3)
-	y := l.Forward(x, false)
-	for i := range x.Data() {
-		if y.Data()[i] != x.Data()[i] {
-			t.Fatal("dropout must be identity in eval mode")
-		}
-	}
-}
-
-func TestDropoutTrainMeanPreserving(t *testing.T) {
-	l := NewDropout(0.3, rng.New(2))
-	n := 20000
-	x := tensor.New(1, n)
-	x.Fill(1)
-	y := l.Forward(x, true)
-	mean := y.Mean()
-	if math.Abs(mean-1) > 0.05 {
-		t.Fatalf("inverted dropout should preserve the mean, got %v", mean)
-	}
-}
-
 func TestBatchNormNormalizesTraining(t *testing.T) {
-	bn := NewBatchNorm(2)
+	bn := newBatchNorm(tensor.Float64, 2, true)
 	r := rng.New(3)
-	x := tensor.New(64, 2)
+	x := tensor.NewOf(tensor.Float64, 64, 2)
 	for i := range x.Data() {
 		x.Data()[i] = r.Gaussian(5, 3)
 	}
@@ -128,7 +105,7 @@ func TestBatchNormNormalizesTraining(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		var sum, sq float64
 		for b := 0; b < 64; b++ {
-			v := y.At(b, c)
+			v := y.Data()[b*2+c]
 			sum += v
 			sq += v * v
 		}
@@ -141,10 +118,10 @@ func TestBatchNormNormalizesTraining(t *testing.T) {
 }
 
 func TestBatchNormRunningStatsConverge(t *testing.T) {
-	bn := NewBatchNorm(1)
+	bn := newBatchNorm(tensor.Float64, 1, true)
 	r := rng.New(4)
 	for step := 0; step < 300; step++ {
-		x := tensor.New(32, 1)
+		x := tensor.NewOf(tensor.Float64, 32, 1)
 		for i := range x.Data() {
 			x.Data()[i] = r.Gaussian(7, 2)
 		}
@@ -159,10 +136,10 @@ func TestBatchNormRunningStatsConverge(t *testing.T) {
 }
 
 func TestBatchNormEvalUsesRunningStats(t *testing.T) {
-	bn := NewBatchNorm(1)
+	bn := newBatchNorm(tensor.Float64, 1, true)
 	bn.RunMean.Data.Data()[0] = 10
 	bn.RunVar.Data.Data()[0] = 4
-	x := tensor.FromSlice([]float64{12}, 1, 1)
+	x := tensor.ViewInto(nil, []float64{12}, 1, 1)
 	y := bn.Forward(x, false)
 	// (12-10)/2 = 1 with gamma=1, beta=0.
 	if math.Abs(y.Data()[0]-1) > 1e-3 {
@@ -171,8 +148,8 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {
-	logits := tensor.FromSlice([]float64{0, 0, 0}, 1, 3)
-	loss, grad := SoftmaxCrossEntropy{}.Loss(logits, []int{1})
+	logits := tensor.ViewInto(nil, []float64{0, 0, 0}, 1, 3)
+	loss, grad := SoftmaxCrossEntropy{}.LossInto(nil, logits, []int{1})
 	if math.Abs(loss-math.Log(3)) > 1e-9 {
 		t.Fatalf("uniform logits loss: got %v want ln3", loss)
 	}
@@ -185,8 +162,8 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropyStability(t *testing.T) {
-	logits := tensor.FromSlice([]float64{1000, 0}, 1, 2)
-	loss, grad := SoftmaxCrossEntropy{}.Loss(logits, []int{0})
+	logits := tensor.ViewInto(nil, []float64{1000, 0}, 1, 2)
+	loss, grad := SoftmaxCrossEntropy{}.LossInto(nil, logits, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss overflowed: %v", loss)
 	}
@@ -201,10 +178,61 @@ func TestSoftmaxCrossEntropyStability(t *testing.T) {
 }
 
 func TestPredictArgmax(t *testing.T) {
-	logits := tensor.FromSlice([]float64{1, 3, 2, 9, 0, 1}, 2, 3)
-	p := Predict(logits)
+	logits := tensor.ViewInto(nil, []float64{1, 3, 2, 9, 0, 1}, 2, 3)
+	p := PredictInto(nil, logits)
 	if p[0] != 1 || p[1] != 0 {
 		t.Fatalf("predict: %v", p)
+	}
+}
+
+func TestPredictIntoReusesOut(t *testing.T) {
+	logits := tensor.NewOf(tensor.Float32, 2, 3)
+	copy(logits.Data32(), []float32{1, 3, 2, 9, 0, 1})
+	buf := make([]int, 5)
+	p := PredictInto(buf, logits)
+	if len(p) != 2 || &p[0] != &buf[0] || p[0] != 1 || p[1] != 0 {
+		t.Fatalf("float32 predict into a 5-cap buffer: %v", p)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { PredictInto(buf, logits) }); allocs != 0 {
+		t.Fatalf("PredictInto with enough capacity allocated %v times", allocs)
+	}
+}
+
+func TestLossIntoReusesGrad(t *testing.T) {
+	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+		logits := tensor.NewOf(dt, 2, 3) // uniform logits: loss ln 3
+		labels := []int{0, 2}
+		loss, grad := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
+		if math.Abs(loss-math.Log(3)) > 1e-6 || grad.DType() != dt {
+			t.Fatalf("%v: loss %v grad dtype %v", dt, loss, grad.DType())
+		}
+		// Stale values in the held gradient are overwritten, not added to.
+		grad.Fill(7)
+		_, again := SoftmaxCrossEntropy{}.LossInto(grad, logits, labels)
+		if again != grad {
+			t.Fatalf("%v: LossInto re-allocated a gradient of the right shape", dt)
+		}
+		g := make([]float64, grad.Len())
+		grad.CopyToF64(g)
+		if math.Abs(g[0]-(1.0/3-1)/2) > 1e-6 || math.Abs(g[1]-1.0/6) > 1e-6 {
+			t.Fatalf("%v: gradient %v", dt, g)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { SoftmaxCrossEntropy{}.LossInto(grad, logits, labels) }); allocs != 0 {
+			t.Fatalf("%v: LossInto with a held gradient allocated %v times", dt, allocs)
+		}
+	}
+}
+
+func TestLossIntoRejectsBadLabels(t *testing.T) {
+	for name, labels := range map[string][]int{"out of range": {0, 3}, "negative": {-1, 0}, "short": {0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s labels: expected panic", name)
+				}
+			}()
+			SoftmaxCrossEntropy{}.LossInto(nil, tensor.NewOf(tensor.Float64, 2, 3), labels)
+		}()
 	}
 }
 
@@ -233,7 +261,7 @@ func TestStateRoundTrip(t *testing.T) {
 
 func TestStateIncludesBuffers(t *testing.T) {
 	r := rng.New(6)
-	m := NewSequential(NewDense(2, 2, r), NewBatchNorm(2))
+	m := NewSequential(NewDenseOf(tensor.Float64, 2, 2, r), newBatchNorm(tensor.Float64, 2, true))
 	if m.StateCount() != m.ParamCount()+4 {
 		t.Fatalf("state %d params %d: BN buffers missing", m.StateCount(), m.ParamCount())
 	}
@@ -241,10 +269,10 @@ func TestStateIncludesBuffers(t *testing.T) {
 
 func TestZeroGrads(t *testing.T) {
 	r := rng.New(7)
-	m := NewSequential(NewDense(3, 2, r))
+	m := NewSequential(NewDenseOf(tensor.Float64, 3, 2, r))
 	x := randInput(r, 2, 3)
 	logits := m.Forward(x, true)
-	_, g := SoftmaxCrossEntropy{}.Loss(logits, []int{0, 1})
+	_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, []int{0, 1})
 	m.Backward(g)
 	nonzero := false
 	for _, p := range m.Params() {
@@ -269,11 +297,11 @@ func TestZeroGrads(t *testing.T) {
 
 func TestGradsAccumulate(t *testing.T) {
 	r := rng.New(8)
-	m := NewSequential(NewDense(3, 2, r))
+	m := NewSequential(NewDenseOf(tensor.Float64, 3, 2, r))
 	x := randInput(r, 2, 3)
 	run := func() {
 		logits := m.Forward(x, true)
-		_, g := SoftmaxCrossEntropy{}.Loss(logits, []int{0, 1})
+		_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, []int{0, 1})
 		m.Backward(g)
 	}
 	run()
@@ -307,7 +335,7 @@ func TestBuildAllKinds(t *testing.T) {
 			t.Fatalf("%s logits shape %v", s.Kind, logits.Shape())
 		}
 		labels := make([]int, batch)
-		_, g := SoftmaxCrossEntropy{}.Loss(logits, labels)
+		_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 		m.Backward(g)
 	}
 }
@@ -325,7 +353,7 @@ func TestModelsCanOverfitTinyDataset(t *testing.T) {
 		}
 		m := Build(spec, r)
 		n := 16
-		x := tensor.New(n, spec.InputLen())
+		x := tensor.NewOf(tensor.Float64, n, spec.InputLen())
 		labels := make([]int, n)
 		for i := 0; i < n; i++ {
 			labels[i] = i % 2
@@ -341,7 +369,7 @@ func TestModelsCanOverfitTinyDataset(t *testing.T) {
 		for step := 0; step < 60; step++ {
 			m.ZeroGrads()
 			logits := m.Forward(spec.ShapeBatch(x), true)
-			loss, g := SoftmaxCrossEntropy{}.Loss(logits, labels)
+			loss, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 			m.Backward(g)
 			for _, p := range m.Params() {
 				p.Data.AddScaled(-0.1, p.Grad)
@@ -368,7 +396,7 @@ func BenchmarkPaperCNNForwardBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.ZeroGrads()
 		logits := m.Forward(spec.ShapeBatch(x), true)
-		_, g := SoftmaxCrossEntropy{}.Loss(logits, labels)
+		_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 		m.Backward(g)
 	}
 }
@@ -384,7 +412,7 @@ func BenchmarkPaperMLPForwardBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.ZeroGrads()
 		logits := m.Forward(x, true)
-		_, g := SoftmaxCrossEntropy{}.Loss(logits, labels)
+		_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 		m.Backward(g)
 	}
 }
@@ -392,14 +420,14 @@ func BenchmarkPaperMLPForwardBackward(b *testing.B) {
 func TestDenseLinearityProperty(t *testing.T) {
 	// With zero bias a dense layer is linear: f(a*x) == a*f(x).
 	r := rng.New(20)
-	d := NewDense(5, 3, r)
+	d := NewDenseOf(tensor.Float64, 5, 3, r)
 	d.B.Data.Zero()
 	err := quick.Check(func(scaleRaw int8) bool {
 		a := float64(scaleRaw) / 16
 		x := randInput(rng.New(21), 2, 5)
-		fx := d.Forward(x, false).Clone()
-		xs := x.Clone()
-		xs.Scale(a)
+		fx := clone(d.Forward(x, false))
+		xs := tensor.NewOf(tensor.Float64, x.Shape()...)
+		xs.AddScaled(a, x)
 		fax := d.Forward(xs, false)
 		for i := range fx.Data() {
 			if math.Abs(fax.Data()[i]-a*fx.Data()[i]) > 1e-9 {
@@ -420,7 +448,7 @@ func TestSoftmaxGradSumsToZeroProperty(t *testing.T) {
 		k := int(classesRaw%6) + 2
 		y := int(label) % k
 		logits := randInput(r, 1, k)
-		_, g := SoftmaxCrossEntropy{}.Loss(logits, []int{y})
+		_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, []int{y})
 		var sum float64
 		for _, v := range g.Data() {
 			sum += v
@@ -442,9 +470,30 @@ func TestMaxPoolGradientMassProperty(t *testing.T) {
 		out := p.Forward(x, true)
 		g := randInput(r, out.Shape()...)
 		back := p.Backward(g)
-		return math.Abs(back.Sum()-g.Sum()) < 1e-9
+		return math.Abs(elemSum(back)-elemSum(g)) < 1e-9
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// elemSum adds up a float64 tensor's elements.
+func elemSum(x *tensor.Tensor) float64 {
+	var s float64
+	for _, v := range x.Data() {
+		s += v
+	}
+	return s
+}
+
+// clone copies a layer's output, which is scratch the layer's next pass
+// overwrites.
+func clone(x *tensor.Tensor) *tensor.Tensor {
+	c := tensor.NewOf(x.DType(), x.Shape()...)
+	if x.DType() == tensor.Float32 {
+		copy(c.Data32(), x.Data32())
+	} else {
+		copy(c.Data(), x.Data())
+	}
+	return c
 }

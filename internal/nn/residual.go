@@ -24,14 +24,9 @@ type Residual struct {
 	gsum    *tensor.Tensor // backward scratch: main grad + skip grad
 }
 
-// NewResidual creates a float64 residual block mapping inC channels to
-// outC channels at the same spatial resolution.
-func NewResidual(inC, outC int, r *rng.RNG) *Residual {
-	return NewResidualOf(tensor.Float64, inC, outC, r)
-}
-
-// NewResidualOf is NewResidual with an explicit compute dtype for every
-// layer in the block.
+// NewResidualOf creates a residual block mapping inC channels to outC
+// channels at the same spatial resolution, with dt the compute dtype of
+// every layer in the block.
 func NewResidualOf(dt tensor.DType, inC, outC int, r *rng.RNG) *Residual {
 	blk := &Residual{
 		conv1:   NewConv2DOf(dt, inC, outC, 3, 3, 1, 1, r),

@@ -13,7 +13,7 @@ import (
 // gradients we can set directly.
 func oneParamModel(w []float64) *nn.Sequential {
 	r := rng.New(1)
-	d := nn.NewDense(len(w), 1, r)
+	d := nn.NewDenseOf(tensor.Float64, len(w), 1, r)
 	copy(d.W.Data.Data(), w)
 	d.B.Data.Zero()
 	return nn.NewSequential(d)
@@ -143,7 +143,7 @@ func TestScaffoldNoopWhenEqual(t *testing.T) {
 func TestCorrectorOffsets(t *testing.T) {
 	// Two-layer model: corrector offsets must advance across parameters.
 	r := rng.New(2)
-	m := nn.NewSequential(nn.NewDense(2, 2, r), nn.NewDense(2, 1, r))
+	m := nn.NewSequential(nn.NewDenseOf(tensor.Float64, 2, 2, r), nn.NewDenseOf(tensor.Float64, 2, 1, r))
 	total := m.ParamCount()
 	seen := make([]bool, total)
 	o := NewSGD(1, 0)
@@ -176,15 +176,15 @@ func TestSGDTrainsQuadratic(t *testing.T) {
 	// Minimize ||xW - y||-ish via the model's own loss machinery: check the
 	// optimizer actually descends on a real model.
 	r := rng.New(3)
-	m := nn.NewSequential(nn.NewDense(4, 2, r))
+	m := nn.NewSequential(nn.NewDenseOf(tensor.Float64, 4, 2, r))
 	o := NewSGD(0.1, 0.9)
-	x := tensor.New(8, 4)
+	x := tensor.NewOf(tensor.Float64, 8, 4)
 	for i := range x.Data() {
 		x.Data()[i] = r.Normal()
 	}
 	labels := make([]int, 8)
 	for i := range labels {
-		if x.At(i, 0) > 0 {
+		if x.Data()[i*4] > 0 {
 			labels[i] = 1
 		}
 	}
@@ -192,7 +192,7 @@ func TestSGDTrainsQuadratic(t *testing.T) {
 	for step := 0; step < 50; step++ {
 		m.ZeroGrads()
 		logits := m.Forward(x, true)
-		loss, g := nn.SoftmaxCrossEntropy{}.Loss(logits, labels)
+		loss, g := nn.SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 		m.Backward(g)
 		o.Step(m)
 		if step == 0 {

@@ -1,6 +1,6 @@
 // Package report renders benchmark output: aligned text tables in the
-// layout of the paper's tables, CSV for downstream plotting, and text
-// sparklines for training curves (the paper's figures).
+// layout of the paper's tables, and text sparklines for training curves
+// (the paper's figures).
 package report
 
 import (
@@ -62,33 +62,6 @@ func (t *Table) Render(w io.Writer) {
 	for _, row := range t.Rows {
 		line(row)
 	}
-}
-
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Render(&b)
-	return b.String()
-}
-
-// CSV writes the table as comma-separated values (quotes cells containing
-// commas or quotes).
-func (t *Table) CSV(w io.Writer) {
-	writeCSVRow(w, t.Headers)
-	for _, row := range t.Rows {
-		writeCSVRow(w, row)
-	}
-}
-
-func writeCSVRow(w io.Writer, cells []string) {
-	parts := make([]string, len(cells))
-	for i, c := range cells {
-		if strings.ContainsAny(c, ",\"\n") {
-			c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-		}
-		parts[i] = c
-	}
-	fmt.Fprintln(w, strings.Join(parts, ","))
 }
 
 func pad(s string, w int) string {

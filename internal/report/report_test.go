@@ -9,7 +9,9 @@ func TestTableRender(t *testing.T) {
 	tb := NewTable("Demo", "name", "value")
 	tb.AddRow("alpha", "1")
 	tb.AddRow("b", "22222")
-	out := tb.String()
+	var b strings.Builder
+	tb.Render(&b)
+	out := b.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 {
 		t.Fatalf("expected 5 lines, got %d:\n%s", len(lines), out)
@@ -37,20 +39,6 @@ func TestAddRowPanicsOnArity(t *testing.T) {
 		}
 	}()
 	tb.AddRow("only-one")
-}
-
-func TestCSVEscaping(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow("x,y", `with "quote"`)
-	var b strings.Builder
-	tb.CSV(&b)
-	out := b.String()
-	if !strings.Contains(out, `"x,y"`) {
-		t.Fatalf("comma not quoted: %s", out)
-	}
-	if !strings.Contains(out, `"with ""quote"""`) {
-		t.Fatalf("quote not escaped: %s", out)
-	}
 }
 
 func TestSparkline(t *testing.T) {

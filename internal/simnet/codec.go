@@ -1,6 +1,7 @@
 // Package simnet runs a federation over an explicit message-passing
-// transport — in-memory channel pairs or real TCP sockets — with binary
-// serialization of every model exchange. Where package fl simulates the
+// transport — framed in-memory net.Pipe conns or real TCP sockets, both
+// admitted by the one accept loop — with binary serialization of every
+// model exchange. Where package fl simulates the
 // algorithm with function calls and analytic byte accounting, simnet moves
 // actual bytes, so the communication costs reported for Table IV are
 // measured rather than computed, and the server/party protocol is

@@ -1,9 +1,9 @@
 package tensor
 
 // Generic element-wise kernels shared by the float64 and float32 backends.
-// Each is instantiated twice by the dispatching Tensor methods; reductions
-// accumulate in float64 regardless of the element type so metrics and
-// norms keep full precision even on the float32 backend.
+// Each is instantiated twice by the dispatching Tensor methods; dotSlices
+// accumulates in float64 regardless of the element type so norms keep
+// full precision even on the float32 backend.
 
 func fillSlice[T Elem](d []T, v T) {
 	for i := range d {
@@ -19,28 +19,6 @@ func addSlices[T Elem](dst, a, b []T) {
 	}
 }
 
-func subSlices[T Elem](dst, a, b []T) {
-	b = b[:len(a)]
-	dst = dst[:len(a)]
-	for i := range a {
-		dst[i] = a[i] - b[i]
-	}
-}
-
-func mulSlices[T Elem](dst, a, b []T) {
-	b = b[:len(a)]
-	dst = dst[:len(a)]
-	for i := range a {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-func scaleSlice[T Elem](d []T, s T) {
-	for i := range d {
-		d[i] *= s
-	}
-}
-
 // axpySlice computes t += s*o (the BLAS axpy).
 func axpySlice[T Elem](t, o []T, s T) {
 	o = o[:len(t)]
@@ -49,38 +27,11 @@ func axpySlice[T Elem](t, o []T, s T) {
 	}
 }
 
-func sumSlice[T Elem](d []T) float64 {
-	var s float64
-	for _, v := range d {
-		s += float64(v)
-	}
-	return s
-}
-
-func maxSlice[T Elem](d []T) float64 {
-	m := float64(d[0])
-	for _, v := range d[1:] {
-		if float64(v) > m {
-			m = float64(v)
-		}
-	}
-	return m
-}
-
 func dotSlices[T Elem](a, b []T) float64 {
 	b = b[:len(a)]
 	var s float64
 	for i := range a {
 		s += float64(a[i]) * float64(b[i])
-	}
-	return s
-}
-
-func sumSquares[T Elem](d []T) float64 {
-	var s float64
-	for _, v := range d {
-		f := float64(v)
-		s += f * f
 	}
 	return s
 }
@@ -99,15 +50,6 @@ func colSums[T Elem](dst, d []T, rows, cols int) {
 		row := d[r*cols : (r+1)*cols]
 		for c := range row {
 			dst[c] += row[c]
-		}
-	}
-}
-
-func transposeSlice[T Elem](dst, a []T, m, n int) {
-	for i := 0; i < m; i++ {
-		row := a[i*n : (i+1)*n]
-		for j, v := range row {
-			dst[j*m+i] = v
 		}
 	}
 }

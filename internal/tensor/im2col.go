@@ -114,25 +114,6 @@ func im2colDispatch[T Elem](workers int, xd, cd []T, b, c, h, w, outH, outW, kh,
 	}
 }
 
-// Im2Col expands image patches into matrix rows so a convolution becomes a
-// matrix product. x has shape (batch, channels, height, width); the result
-// has shape (batch*outH*outW, channels*kh*kw) and x's dtype. Each row is
-// the flattened receptive field for one output location. The result's
-// backing array comes from the shared pool — callers that drop it on the
-// floor lose nothing, and hot loops may hand it back with Shared.Put to
-// run allocation-free.
-func (c Compute) Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Im2Col requires a 4-D tensor, got shape %v", x.shape))
-	}
-	b, ch := x.shape[0], x.shape[1]
-	outH := ConvOutSize(x.shape[2], kh, stride, pad)
-	outW := ConvOutSize(x.shape[3], kw, stride, pad)
-	// Every element is written, so the un-zeroed pool path is safe.
-	dst := Shared.getNoZero(x.dt, b*outH*outW, ch*kh*kw)
-	return c.Im2ColInto(dst, x, kh, kw, stride, pad)
-}
-
 // col2imRange scatters the column gradients of batch images [b0, b1).
 // Mirrors im2colRange's loop order: the row-validity check is hoisted to
 // once per kernel row and interior kx runs accumulate with no per-element
@@ -210,12 +191,4 @@ func col2imDispatch[T Elem](workers int, xd, cd []T, b, c, h, w, outH, outW, kh,
 	} else {
 		col2imRange(xd, cd, 0, b, c, h, w, outH, outW, kh, kw, stride, pad, rowLen)
 	}
-}
-
-// Col2Im scatters column gradients back into a fresh image-shaped gradient
-// of shape (batch, channels, height, width), cols' dtype. Like Im2Col, the
-// result is pool-backed.
-func (c Compute) Col2Im(cols *Tensor, b, ch, h, w, kh, kw, stride, pad int) *Tensor {
-	// Col2ImInto zeroes img before scattering, so skip the pool's clear.
-	return c.Col2ImInto(Shared.getNoZero(cols.dt, b, ch, h, w), cols, kh, kw, stride, pad)
 }

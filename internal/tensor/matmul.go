@@ -61,31 +61,3 @@ func (c Compute) MatMulTransBInto(dst, a, b *Tensor) {
 	m, n, k := gemmDims("MatMulTransB", dst, a, b, false, true)
 	c.matmul(dst, a, b, m, n, k, k, 1, 1, k)
 }
-
-// TransposeInto writes the transpose of the 2-D tensor a into dst, which
-// must be (n,m) for a (m,n) and must not alias a.
-func TransposeInto(dst, a *Tensor) {
-	if a.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: Transpose requires 2-D tensors")
-	}
-	m, n := a.shape[0], a.shape[1]
-	if dst.shape[0] != n || dst.shape[1] != m {
-		panic(fmt.Sprintf("tensor: Transpose dst shape %v, want [%d %d]", dst.shape, n, m))
-	}
-	assertSameDType("transpose", a, dst)
-	if a.dt == Float32 {
-		transposeSlice(dst.data32, a.data32, m, n)
-		return
-	}
-	transposeSlice(dst.data, a.data, m, n)
-}
-
-// Transpose returns the transpose of a 2-D tensor (same dtype).
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: Transpose requires a 2-D tensor")
-	}
-	out := NewOf(a.dt, a.shape[1], a.shape[0])
-	TransposeInto(out, a)
-	return out
-}

@@ -107,13 +107,13 @@ func TestGEMMParity(t *testing.T) {
 				fillDetOf(at, 7*m+k)
 				got.Fill(7)
 				Compute{}.MatMulTransAInto(got, at, b)
-				checkGEMMParity(t, fmt.Sprintf("%v TransA %dx%dx%d", dt, m, k, n), got, Transpose(at), b, k)
+				checkGEMMParity(t, fmt.Sprintf("%v TransA %dx%dx%d", dt, m, k, n), got, transpose(at), b, k)
 
 				bt := NewOf(dt, n, k) // bᵀ operand
 				fillDetOf(bt, 11*n+k)
 				got.Fill(7)
 				Compute{}.MatMulTransBInto(got, a, bt)
-				checkGEMMParity(t, fmt.Sprintf("%v TransB %dx%dx%d", dt, m, k, n), got, a, Transpose(bt), k)
+				checkGEMMParity(t, fmt.Sprintf("%v TransB %dx%dx%d", dt, m, k, n), got, a, transpose(bt), k)
 			}
 		}
 	})
@@ -134,6 +134,24 @@ func TestGEMMZeroK(t *testing.T) {
 	}
 }
 
+// transpose returns aᵀ for a 2-D tensor of either dtype: the oracle
+// operand for TestGEMMParity's TransA and TransB rows.
+func transpose(a *Tensor) *Tensor {
+	m, n := a.Dim(0), a.Dim(1)
+	out := NewOf(a.dt, n, m)
+	transposeSlice(out.data, a.data, m, n)
+	transposeSlice(out.data32, a.data32, m, n)
+	return out
+}
+
+// transposeSlice writes the (n,m) transpose of the row-major (m,n) a into
+// dst; an inactive dtype's empty slices make it a no-op.
+func transposeSlice[T Elem](dst, a []T, m, n int) {
+	for i, v := range a {
+		dst[(i%n)*m+i/n] = v
+	}
+}
+
 func checkTensorParity(t *testing.T, name string, got, want *Tensor) {
 	t.Helper()
 	gd, wd := got.Data(), want.Data()
@@ -144,12 +162,13 @@ func checkTensorParity(t *testing.T, name string, got, want *Tensor) {
 	}
 }
 
-// naiveIm2Col builds the column matrix with straightforward At indexing.
+// naiveIm2Col builds the column matrix with straightforward indexing.
 func naiveIm2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
-	out := New(b*outH*outW, c*kh*kw)
+	out := NewOf(Float64, b*outH*outW, c*kh*kw)
+	xd, od := x.Data(), out.Data()
 	for bi := 0; bi < b; bi++ {
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
@@ -160,9 +179,9 @@ func naiveIm2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 							iy, ix := oy*stride+ky-pad, ox*stride+kx-pad
 							var v float64
 							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								v = x.At(bi, ci, iy, ix)
+								v = xd[((bi*c+ci)*h+iy)*w+ix]
 							}
-							out.Set(v, r, (ci*kh+ky)*kw+kx)
+							od[r*c*kh*kw+(ci*kh+ky)*kw+kx] = v
 						}
 					}
 				}
@@ -176,7 +195,8 @@ func naiveIm2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 func naiveCol2Im(cols *Tensor, b, c, h, w, kh, kw, stride, pad int) *Tensor {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
-	out := New(b, c, h, w)
+	out := NewOf(Float64, b, c, h, w)
+	od, cd := out.Data(), cols.Data()
 	for bi := 0; bi < b; bi++ {
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
@@ -188,7 +208,7 @@ func naiveCol2Im(cols *Tensor, b, c, h, w, kh, kw, stride, pad int) *Tensor {
 							if iy < 0 || iy >= h || ix < 0 || ix >= w {
 								continue
 							}
-							out.Set(out.At(bi, ci, iy, ix)+cols.At(r, (ci*kh+ky)*kw+kx), bi, ci, iy, ix)
+							od[((bi*c+ci)*h+iy)*w+ix] += cd[r*c*kh*kw+(ci*kh+ky)*kw+kx]
 						}
 					}
 				}
@@ -221,34 +241,20 @@ func TestIm2ColCol2ImParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("b%d_c%d_%dx%d_k%dx%d_s%d_p%d", tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
-		x := New(tc.b, tc.c, tc.h, tc.w)
+		x := NewOf(Float64, tc.b, tc.c, tc.h, tc.w)
 		fillDet(x, tc.b+tc.c+tc.h)
 		outH := ConvOutSize(tc.h, tc.kh, tc.stride, tc.pad)
 		outW := ConvOutSize(tc.w, tc.kw, tc.stride, tc.pad)
 
-		cols := New(tc.b*outH*outW, tc.c*tc.kh*tc.kw)
+		cols := NewOf(Float64, tc.b*outH*outW, tc.c*tc.kh*tc.kw)
 		Compute{}.Im2ColInto(cols, x, tc.kh, tc.kw, tc.stride, tc.pad)
 		checkTensorParity(t, "Im2ColInto "+name, cols, naiveIm2Col(x, tc.kh, tc.kw, tc.stride, tc.pad))
 
-		g := New(cols.Dim(0), cols.Dim(1))
+		g := NewOf(Float64, cols.Dim(0), cols.Dim(1))
 		fillDet(g, 3*tc.kh+tc.kw)
-		img := New(tc.b, tc.c, tc.h, tc.w)
+		img := NewOf(Float64, tc.b, tc.c, tc.h, tc.w)
 		Compute{}.Col2ImInto(img, g, tc.kh, tc.kw, tc.stride, tc.pad)
 		checkTensorParity(t, "Col2ImInto "+name, img, naiveCol2Im(g, tc.b, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad))
-	}
-}
-
-func TestTransposeInto(t *testing.T) {
-	a := New(3, 5)
-	fillDet(a, 1)
-	dst := New(5, 3)
-	TransposeInto(dst, a)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 5; j++ {
-			if dst.At(j, i) != a.At(i, j) {
-				t.Fatalf("TransposeInto wrong at (%d,%d)", i, j)
-			}
-		}
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // and float32 backing arrays, and Ensure preserves the dtype of the tensor
 // it grows.
 //
-// The steady-state training rule: no tensor.New inside Forward/Backward or
-// the per-batch training loop. New is for construction time (weights,
+// The steady-state training rule: no tensor.NewOf inside Forward/Backward
+// or the per-batch training loop. NewOf is for construction time (weights,
 // datasets) and for results that escape (per-round deltas).
 
 // panicDim reports a bad dimension without referencing the shape slice:
@@ -186,7 +186,7 @@ func (p *Pool) getNoZero(dt DType, shape ...int) *Tensor {
 }
 
 // Put returns t's backing array to the pool. t must not be used afterwards.
-// Tensors whose capacity is not exactly a size class's (e.g. created by New
+// Tensors whose capacity is not exactly a size class's (e.g. created by NewOf
 // rather than Get) are silently dropped.
 func (p *Pool) Put(t *Tensor) {
 	if t == nil {

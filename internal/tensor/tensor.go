@@ -1,7 +1,8 @@
-// Package tensor implements dense row-major tensors and the linear
-// algebra NIID-Bench's neural-network stack needs: matrix multiplication,
-// element-wise arithmetic, reductions, and the im2col/col2im transforms
-// that turn convolutions into matrix products.
+// Package tensor implements dense row-major tensors and the kernels
+// NIID-Bench's neural-network stack needs: matrix multiplication,
+// element-wise kernels (AddInto, AddScaled, AddRowVector, ColSumsInto),
+// Dot, and the im2col/col2im transforms that turn convolutions into matrix
+// products.
 //
 // Tensors are deliberately simple: a shape and a flat backing slice. The
 // federated-learning layer moves models around as flat []float64 vectors,
@@ -9,14 +10,13 @@
 //
 // # Dtypes
 //
-// Every tensor carries a DType: Float64 (the default — all existing
-// constructors produce it) or Float32, the low-precision training backend.
-// A float32 tensor stores its elements in a []float32 reachable via
-// Data32; Data/Data32 panic when called for the wrong dtype so layout bugs
-// surface immediately. Binary operations require matching dtypes;
-// CopyToF64/CopyFromF64 convert at the model-state boundary, which is how
-// the federated layer aggregates float32 models in float64. Choose the
-// dtype at construction (NewOf, EnsureOf, Pool.GetOf) — the nn layer
+// Every tensor carries a DType: Float64 or Float32, the low-precision
+// training backend. A float32 tensor stores its elements in a []float32
+// reachable via Data32; Data/Data32 panic when called for the wrong dtype
+// so layout bugs surface immediately. Binary operations require matching
+// dtypes; CopyToF64/CopyFromF64 convert at the model-state boundary, which
+// is how the federated layer aggregates float32 models in float64. Choose
+// the dtype at construction (NewOf, EnsureOf, Pool.GetOf) — the nn layer
 // plumbs nn.ModelSpec.DType down to every kernel.
 //
 // # Performance
@@ -31,28 +31,25 @@
 // AVX2+FMA assembly (gemm_kernels_amd64.h, instantiated per dtype by
 // gemm_amd64.s, CPUID-gated by useFMA) with one portable Go twin. The
 // int8 wire codec's kernels (quant.go) sit behind the same gate.
-// Im2Col/Col2Im parallelize over the batch dimension. Everything has an
-// Into variant writing into caller-provided storage. The goroutine fan-out
-// of every kernel is bounded by an explicit Compute budget — call kernels
-// as methods on a Compute value (Compute{Workers: n}.MatMulInto(...)) —
-// so independent consumers in one process (per-client model replicas,
+// Im2ColInto/Col2ImInto parallelize over the batch dimension. Every kernel
+// writes into caller-provided storage. The goroutine fan-out of every
+// kernel is bounded by an explicit Compute budget — call kernels as
+// methods on a Compute value (Compute{Workers: n}.MatMulInto(...)) — so
+// independent consumers in one process (per-client model replicas,
 // concurrent simulations) each cap their own fan-out without any shared
 // global knob.
 //
 // # Workspaces and the no-alloc rule
 //
-// Steady-state training must not call New: per-layer scratch is grown in
+// Steady-state training must not call NewOf: per-layer scratch is grown in
 // place with Ensure/EnsureOf, and round-scoped scratch comes from a
-// Pool/Workspace (see pool.go). New is for construction time and for
+// Pool/Workspace (see pool.go). NewOf is for construction time and for
 // results that escape their scope. Benchmarks enforce this:
 // BenchmarkConvForwardBackward and BenchmarkLocalTrainStep report ~0
 // allocs/op.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense row-major array of float64 or float32 values; exactly
 // one of the backing slices is active, selected by dt.
@@ -63,45 +60,14 @@ type Tensor struct {
 	dt     DType
 }
 
-// New creates a zero Float64 tensor with the given shape. All dimensions
-// must be positive.
-func New(shape ...int) *Tensor {
-	return NewOf(Float64, shape...)
-}
+// NewOf creates a zero tensor of the given dtype and shape. All
+// dimensions must be positive.
+func NewOf(dt DType, shape ...int) *Tensor { return EnsureOf(dt, nil, shape...) }
 
-// NewOf creates a zero tensor of the given dtype and shape.
-func NewOf(dt DType, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	t := &Tensor{shape: s, dt: dt}
-	if dt == Float32 {
-		t.data32 = make([]float32, n)
-	} else {
-		t.data = make([]float64, n)
-	}
-	return t
-}
-
-// FromSlice wraps data in a Float64 tensor with the given shape. The slice
-// is used directly (not copied); its length must equal the shape's element
-// count.
-func FromSlice(data []float64, shape ...int) *Tensor {
-	checkSliceShape(len(data), shape)
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data: data}
-}
-
-// ViewInto is FromSlice for callers that walk a large array window by
-// window: it re-points t (allocated when nil) at data with the given
-// shape, without copying and — once t exists — without allocating.
+// ViewInto makes t (allocated when nil) a Float64 view of data with the
+// given shape: the slice is used directly, not copied, and its length must
+// equal the shape's element count. Callers that walk a large array window
+// by window re-point one tensor, which allocates nothing once t exists.
 func ViewInto(t *Tensor, data []float64, shape ...int) *Tensor {
 	if n := shapeLen(shape); n != len(data) {
 		panicReshapeLen(n, len(data))
@@ -112,19 +78,6 @@ func ViewInto(t *Tensor, data []float64, shape ...int) *Tensor {
 	t.shape = append(t.shape[:0], shape...)
 	t.data, t.data32, t.dt = data, nil, Float64
 	return t
-}
-
-func checkSliceShape(have int, shape []int) {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
-	if have != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elems)", have, shape, n))
-	}
 }
 
 // DType returns the tensor's element type.
@@ -166,36 +119,9 @@ func (t *Tensor) Dim(i int) int { return t.shape[i] }
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.shape) }
 
-// Clone returns a deep copy (same dtype).
-func (t *Tensor) Clone() *Tensor {
-	c := NewOf(t.dt, t.shape...)
-	if t.dt == Float32 {
-		copy(c.data32, t.data32)
-	} else {
-		copy(c.data, t.data)
-	}
-	return c
-}
-
-// Reshape returns a tensor sharing t's data with a new shape. The element
-// counts must match.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != t.Len() {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, t.Len(), shape, n))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data: t.data, data32: t.data32, dt: t.dt}
-}
-
 // ReshapeInPlace changes t's shape in place, sharing the data; the element
-// count must match. Returns t. Used on hot-path scratch tensors where
-// Reshape's fresh view would allocate every batch; callers own the tensor
-// and re-shape it on every use.
+// count must match. Returns t. Used on hot-path scratch tensors, which
+// callers own and re-shape on every use without allocating.
 func (t *Tensor) ReshapeInPlace(shape ...int) *Tensor {
 	n := shapeLen(shape)
 	if n != t.Len() {
@@ -208,41 +134,6 @@ func (t *Tensor) ReshapeInPlace(shape ...int) *Tensor {
 //go:noinline
 func panicReshapeLen(n, have int) {
 	panic(fmt.Sprintf("tensor: cannot reshape %d elems to a %d-elem shape in place", have, n))
-}
-
-// At returns the element at the given multi-dimensional index as a
-// float64, whatever the dtype. It is for tests and construction-time code,
-// not hot loops.
-func (t *Tensor) At(idx ...int) float64 {
-	off := t.offset(idx)
-	if t.dt == Float32 {
-		return float64(t.data32[off])
-	}
-	return t.data[off]
-}
-
-// Set writes v (narrowed for Float32 tensors) at the given index.
-func (t *Tensor) Set(v float64, idx ...int) {
-	off := t.offset(idx)
-	if t.dt == Float32 {
-		t.data32[off] = float32(v)
-		return
-	}
-	t.data[off] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match rank %d", idx, len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
 }
 
 // Fill sets every element to v.
@@ -324,63 +215,6 @@ func AddInto(dst, a, b *Tensor) {
 	addSlices(dst.data, a.data, b.data)
 }
 
-// Add returns a + b element-wise.
-func Add(a, b *Tensor) *Tensor {
-	out := NewOf(a.dt, a.shape...)
-	AddInto(out, a, b)
-	return out
-}
-
-// SubInto computes dst = a - b element-wise.
-func SubInto(dst, a, b *Tensor) {
-	assertSameShape("sub", a, b)
-	assertSameShape("sub", a, dst)
-	assertSameDType("sub", a, b)
-	assertSameDType("sub", a, dst)
-	if dst.dt == Float32 {
-		subSlices(dst.data32, a.data32, b.data32)
-		return
-	}
-	subSlices(dst.data, a.data, b.data)
-}
-
-// Sub returns a - b element-wise.
-func Sub(a, b *Tensor) *Tensor {
-	out := NewOf(a.dt, a.shape...)
-	SubInto(out, a, b)
-	return out
-}
-
-// MulInto computes dst = a * b element-wise (Hadamard product).
-func MulInto(dst, a, b *Tensor) {
-	assertSameShape("mul", a, b)
-	assertSameShape("mul", a, dst)
-	assertSameDType("mul", a, b)
-	assertSameDType("mul", a, dst)
-	if dst.dt == Float32 {
-		mulSlices(dst.data32, a.data32, b.data32)
-		return
-	}
-	mulSlices(dst.data, a.data, b.data)
-}
-
-// Mul returns the element-wise product of a and b.
-func Mul(a, b *Tensor) *Tensor {
-	out := NewOf(a.dt, a.shape...)
-	MulInto(out, a, b)
-	return out
-}
-
-// Scale multiplies every element by s in place and returns t.
-func (t *Tensor) Scale(s float64) *Tensor {
-	if t.dt == Float32 {
-		scaleSlice(t.data32, float32(s))
-		return t
-	}
-	scaleSlice(t.data, s)
-	return t
-}
-
 // AddScaled adds s*o to t in place (axpy). Shapes and dtypes must match.
 func (t *Tensor) AddScaled(s float64, o *Tensor) {
 	assertSameShape("addscaled", t, o)
@@ -392,30 +226,6 @@ func (t *Tensor) AddScaled(s float64, o *Tensor) {
 	axpySlice(t.data, o.data, s)
 }
 
-// Sum returns the sum of all elements (accumulated in float64).
-func (t *Tensor) Sum() float64 {
-	if t.dt == Float32 {
-		return sumSlice(t.data32)
-	}
-	return sumSlice(t.data)
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	return t.Sum() / float64(t.Len())
-}
-
-// Max returns the maximum element.
-func (t *Tensor) Max() float64 {
-	if t.Len() == 0 {
-		return math.Inf(-1)
-	}
-	if t.dt == Float32 {
-		return maxSlice(t.data32)
-	}
-	return maxSlice(t.data)
-}
-
 // Dot returns the inner product of the flattened tensors (accumulated in
 // float64).
 func Dot(a, b *Tensor) float64 {
@@ -425,17 +235,6 @@ func Dot(a, b *Tensor) float64 {
 		return dotSlices(a.data32, b.data32)
 	}
 	return dotSlices(a.data, b.data)
-}
-
-// Norm2 returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) Norm2() float64 {
-	var s float64
-	if t.dt == Float32 {
-		s = sumSquares(t.data32)
-	} else {
-		s = sumSquares(t.data)
-	}
-	return math.Sqrt(s)
 }
 
 // AddRowVector adds vector v (length = columns) to every row of the 2-D

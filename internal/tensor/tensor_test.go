@@ -10,13 +10,13 @@ import (
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestNewZeroed(t *testing.T) {
-	x := New(2, 3)
+	x := NewOf(Float64, 2, 3)
 	if x.Len() != 6 || x.Rank() != 2 || x.Dim(0) != 2 || x.Dim(1) != 3 {
 		t.Fatalf("unexpected metadata: len=%d rank=%d", x.Len(), x.Rank())
 	}
 	for _, v := range x.Data() {
 		if v != 0 {
-			t.Fatal("New tensor not zeroed")
+			t.Fatal("NewOf tensor not zeroed")
 		}
 	}
 }
@@ -27,73 +27,15 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 			t.Fatal("expected panic for zero dimension")
 		}
 	}()
-	New(2, 0)
+	NewOf(Float64, 2, 0)
 }
 
-func TestFromSliceAndAt(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	if x.At(0, 0) != 1 || x.At(0, 2) != 3 || x.At(1, 0) != 4 || x.At(1, 2) != 6 {
-		t.Fatal("row-major indexing broken")
-	}
-	x.Set(9, 1, 1)
-	if x.At(1, 1) != 9 {
-		t.Fatal("Set failed")
-	}
-}
-
-func TestFromSliceLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for length mismatch")
-		}
-	}()
-	FromSlice([]float64{1, 2, 3}, 2, 2)
-}
-
-func TestAtOutOfBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-bounds index")
-		}
-	}()
-	New(2, 2).At(2, 0)
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	x := FromSlice([]float64{1, 2}, 2)
-	c := x.Clone()
-	c.Data()[0] = 99
-	if x.Data()[0] != 1 {
-		t.Fatal("Clone shares data")
-	}
-}
-
-func TestReshapeSharesData(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	y := x.Reshape(4)
-	y.Data()[0] = 7
-	if x.At(0, 0) != 7 {
-		t.Fatal("Reshape should share data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad reshape")
-		}
-	}()
-	x.Reshape(3)
-}
-
-func TestElementwiseOps(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3}, 3)
-	b := FromSlice([]float64{10, 20, 30}, 3)
-	if got := Add(a, b).Data(); got[0] != 11 || got[2] != 33 {
-		t.Fatalf("Add: %v", got)
-	}
-	if got := Sub(b, a).Data(); got[0] != 9 || got[2] != 27 {
-		t.Fatalf("Sub: %v", got)
-	}
-	if got := Mul(a, b).Data(); got[0] != 10 || got[2] != 90 {
-		t.Fatalf("Mul: %v", got)
+func TestAddInto(t *testing.T) {
+	a := ViewInto(nil, []float64{1, 2, 3}, 3)
+	b := ViewInto(nil, []float64{10, 20, 30}, 3)
+	AddInto(a, a, b) // dst may alias an operand
+	if got := a.Data(); got[0] != 11 || got[2] != 33 {
+		t.Fatalf("AddInto: %v", got)
 	}
 }
 
@@ -103,49 +45,29 @@ func TestShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic for shape mismatch")
 		}
 	}()
-	Add(New(2), New(3))
+	AddInto(NewOf(Float64, 2), NewOf(Float64, 2), NewOf(Float64, 3))
 }
 
-func TestScaleAddScaled(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	a.Scale(3)
-	if a.Data()[1] != 6 {
-		t.Fatal("Scale failed")
-	}
-	b := FromSlice([]float64{10, 10}, 2)
+func TestAddScaled(t *testing.T) {
+	a := ViewInto(nil, []float64{3, 6}, 2)
+	b := ViewInto(nil, []float64{10, 10}, 2)
 	a.AddScaled(0.5, b)
 	if a.Data()[0] != 8 || a.Data()[1] != 11 {
 		t.Fatalf("AddScaled: %v", a.Data())
 	}
 }
 
-func TestReductions(t *testing.T) {
-	x := FromSlice([]float64{1, -2, 3, 4}, 4)
-	if !almostEq(x.Sum(), 6) {
-		t.Fatalf("Sum: %v", x.Sum())
-	}
-	if !almostEq(x.Mean(), 1.5) {
-		t.Fatalf("Mean: %v", x.Mean())
-	}
-	if x.Max() != 4 {
-		t.Fatalf("Max: %v", x.Max())
-	}
-	if !almostEq(x.Norm2(), math.Sqrt(1+4+9+16)) {
-		t.Fatalf("Norm2: %v", x.Norm2())
-	}
-}
-
 func TestDot(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3}, 3)
-	b := FromSlice([]float64{4, 5, 6}, 3)
+	a := ViewInto(nil, []float64{1, 2, 3}, 3)
+	b := ViewInto(nil, []float64{4, 5, 6}, 3)
 	if !almostEq(Dot(a, b), 32) {
 		t.Fatalf("Dot: %v", Dot(a, b))
 	}
 }
 
 func TestAddRowVectorAndColSums(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	v := FromSlice([]float64{10, 20, 30}, 3)
+	x := ViewInto(nil, []float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	v := ViewInto(nil, []float64{10, 20, 30}, 3)
 	x.AddRowVector(v)
 	want := []float64{11, 22, 33, 14, 25, 36}
 	for i, w := range want {
@@ -153,7 +75,7 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 			t.Fatalf("AddRowVector: %v", x.Data())
 		}
 	}
-	sums := New(3)
+	sums := NewOf(Float64, 3)
 	x.ColSumsInto(sums)
 	if sums.Data()[0] != 25 || sums.Data()[1] != 47 || sums.Data()[2] != 69 {
 		t.Fatalf("ColSums: %v", sums.Data())
@@ -161,8 +83,8 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 }
 
 func TestMatMulKnown(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
+	a := ViewInto(nil, []float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := ViewInto(nil, []float64{7, 8, 9, 10, 11, 12}, 3, 2)
 	c := matMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
@@ -174,11 +96,11 @@ func TestMatMulKnown(t *testing.T) {
 
 func TestMatMulIdentity(t *testing.T) {
 	n := 5
-	id := New(n, n)
+	id := NewOf(Float64, n, n)
 	for i := 0; i < n; i++ {
-		id.Set(1, i, i)
+		id.Data()[i*n+i] = 1
 	}
-	a := New(n, n)
+	a := NewOf(Float64, n, n)
 	for i := range a.Data() {
 		a.Data()[i] = float64(i)
 	}
@@ -196,10 +118,9 @@ func TestMatMulDimMismatch(t *testing.T) {
 			t.Fatal("expected panic for inner dim mismatch")
 		}
 	}()
-	matMul(New(2, 3), New(4, 2))
+	matMul(NewOf(Float64, 2, 3), NewOf(Float64, 4, 2))
 }
 
-// naiveMatMul is an obviously-correct reference implementation.
 // matMul returns a @ b under the default compute budget.
 func matMul(a, b *Tensor) *Tensor {
 	out := NewOf(a.dt, a.shape[0], b.shape[1])
@@ -207,10 +128,11 @@ func matMul(a, b *Tensor) *Tensor {
 	return out
 }
 
+// naiveMatMul is an obviously-correct reference implementation.
 func naiveMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
-	out := New(m, n)
-	ad, bd := a.Data(), b.Data() // flat row-major; At's index checks dominate the parity grid
+	out := NewOf(Float64, m, n)
+	ad, bd := a.Data(), b.Data()
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var s float64
@@ -231,7 +153,7 @@ func TestMatMulAgainstNaiveProperty(t *testing.T) {
 	}
 	err := quick.Check(func(mr, kr, nr uint8) bool {
 		m, k, n := int(mr%7)+1, int(kr%7)+1, int(nr%7)+1
-		a, b := New(m, k), New(k, n)
+		a, b := NewOf(Float64, m, k), NewOf(Float64, k, n)
 		for i := range a.Data() {
 			a.Data()[i] = next()
 		}
@@ -256,35 +178,35 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	// cores to fan out across even on a one-CPU box.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	m, k, n := 300, 64, 400
-	a, b := New(m, k), New(k, n)
+	a, b := NewOf(Float64, m, k), NewOf(Float64, k, n)
 	for i := range a.Data() {
 		a.Data()[i] = float64(i%13) - 6
 	}
 	for i := range b.Data() {
 		b.Data()[i] = float64(i%7) - 3
 	}
-	got := New(m, n)
+	got := NewOf(Float64, m, n)
 	Compute{Workers: 4}.MatMulInto(got, a, b)
 	// Serial reference on a few spot rows to keep the test fast.
 	for _, i := range []int{0, m / 2, m - 1} {
 		for _, j := range []int{0, n / 2, n - 1} {
 			var s float64
 			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s += a.Data()[i*k+p] * b.Data()[p*n+j]
 			}
-			if !almostEq(got.At(i, j), s) {
-				t.Fatalf("parallel matmul wrong at (%d,%d): got %v want %v", i, j, got.At(i, j), s)
+			if g := got.Data()[i*n+j]; !almostEq(g, s) {
+				t.Fatalf("parallel matmul wrong at (%d,%d): got %v want %v", i, j, g, s)
 			}
 		}
 	}
 }
 
 func TestMatMulTransA(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2) // aT is 2x3
-	b := FromSlice([]float64{1, 0, 0, 1, 1, 1}, 3, 2)
-	got := New(2, 2)
+	a := ViewInto(nil, []float64{1, 2, 3, 4, 5, 6}, 3, 2) // aT is 2x3
+	b := ViewInto(nil, []float64{1, 0, 0, 1, 1, 1}, 3, 2)
+	got := NewOf(Float64, 2, 2)
 	Compute{}.MatMulTransAInto(got, a, b)
-	want := matMul(Transpose(a), b)
+	want := matMul(transpose(a), b)
 	for i := range got.Data() {
 		if !almostEq(got.Data()[i], want.Data()[i]) {
 			t.Fatalf("MatMulTransA: got %v want %v", got.Data(), want.Data())
@@ -293,26 +215,15 @@ func TestMatMulTransA(t *testing.T) {
 }
 
 func TestMatMulTransB(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{1, 1, 0, 0, 2, 1, 3, 0, 1, 1, 1, 1}, 4, 3) // bT is 3x4
-	got := New(2, 4)
+	a := ViewInto(nil, []float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := ViewInto(nil, []float64{1, 1, 0, 0, 2, 1, 3, 0, 1, 1, 1, 1}, 4, 3) // bT is 3x4
+	got := NewOf(Float64, 2, 4)
 	Compute{}.MatMulTransBInto(got, a, b)
-	want := matMul(a, Transpose(b))
+	want := matMul(a, transpose(b))
 	for i := range got.Data() {
 		if !almostEq(got.Data()[i], want.Data()[i]) {
 			t.Fatalf("MatMulTransB: got %v want %v", got.Data(), want.Data())
 		}
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := Transpose(a)
-	if at.Dim(0) != 3 || at.Dim(1) != 2 {
-		t.Fatalf("transpose shape: %v", at.Shape())
-	}
-	if at.At(0, 1) != 4 || at.At(2, 0) != 3 {
-		t.Fatal("transpose values wrong")
 	}
 }
 
@@ -330,73 +241,73 @@ func TestConvOutSize(t *testing.T) {
 
 func TestIm2ColSingle(t *testing.T) {
 	// 1 image, 1 channel, 3x3, kernel 2x2 stride 1 -> 4 patches of 4.
-	x := FromSlice([]float64{
+	x := ViewInto(nil, []float64{
 		1, 2, 3,
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 1, 3, 3)
-	cols := Compute{}.Im2Col(x, 2, 2, 1, 0)
+	cols := Compute{}.Im2ColInto(NewOf(Float64, 4, 4), x, 2, 2, 1, 0)
 	if cols.Dim(0) != 4 || cols.Dim(1) != 4 {
 		t.Fatalf("cols shape %v", cols.Shape())
 	}
 	wantRow0 := []float64{1, 2, 4, 5}
 	wantRow3 := []float64{5, 6, 8, 9}
 	for i, w := range wantRow0 {
-		if cols.At(0, i) != w {
+		if cols.Data()[i] != w {
 			t.Fatalf("row0: %v", cols.Data()[:4])
 		}
 	}
 	for i, w := range wantRow3 {
-		if cols.At(3, i) != w {
+		if cols.Data()[12+i] != w {
 			t.Fatalf("row3: %v", cols.Data()[12:16])
 		}
 	}
 }
 
 func TestIm2ColPadding(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	cols := Compute{}.Im2Col(x, 3, 3, 1, 1) // same-pad: 4 output positions
+	x := ViewInto(nil, []float64{1, 2, 3, 4}, 1, 1, 2, 2)
+	cols := Compute{}.Im2ColInto(NewOf(Float64, 4, 9), x, 3, 3, 1, 1) // same-pad: 4 output positions
 	if cols.Dim(0) != 4 || cols.Dim(1) != 9 {
 		t.Fatalf("cols shape %v", cols.Shape())
 	}
 	// Top-left patch: padding everywhere except bottom-right 2x2 block.
 	want := []float64{0, 0, 0, 0, 1, 2, 0, 3, 4}
 	for i, w := range want {
-		if cols.At(0, i) != w {
+		if cols.Data()[i] != w {
 			t.Fatalf("padded patch: got %v want %v", cols.Data()[:9], want)
 		}
 	}
 }
 
 func TestIm2ColMultiChannelBatch(t *testing.T) {
-	x := New(2, 3, 4, 4)
+	x := NewOf(Float64, 2, 3, 4, 4)
 	for i := range x.Data() {
 		x.Data()[i] = float64(i)
 	}
-	cols := Compute{}.Im2Col(x, 2, 2, 2, 0)
+	cols := Compute{}.Im2ColInto(NewOf(Float64, 2*2*2, 3*2*2), x, 2, 2, 2, 0)
 	if cols.Dim(0) != 2*2*2 || cols.Dim(1) != 3*2*2 {
 		t.Fatalf("cols shape %v", cols.Shape())
 	}
 	// First patch of second image, first channel starts at offset 48.
-	if cols.At(4, 0) != 48 {
-		t.Fatalf("batch offset wrong: %v", cols.At(4, 0))
+	if got := cols.Data()[4*12]; got != 48 {
+		t.Fatalf("batch offset wrong: %v", got)
 	}
 }
 
 func TestCol2ImAdjoint(t *testing.T) {
-	// <Compute{}.Im2Col(x), y> == <x, Compute{}.Col2Im(y)> must hold for the adjoint pair.
+	// <Im2Col(x), y> == <x, Col2Im(y)> must hold for the adjoint pair.
 	b, c, h, w, kh, kw, stride, pad := 2, 2, 5, 5, 3, 3, 1, 1
-	x := New(b, c, h, w)
+	x := NewOf(Float64, b, c, h, w)
 	for i := range x.Data() {
 		x.Data()[i] = float64((i*7)%11) - 5
 	}
-	cols := Compute{}.Im2Col(x, kh, kw, stride, pad)
-	y := New(cols.Dim(0), cols.Dim(1))
+	cols := Compute{}.Im2ColInto(NewOf(Float64, b*h*w, c*kh*kw), x, kh, kw, stride, pad)
+	y := NewOf(Float64, cols.Dim(0), cols.Dim(1))
 	for i := range y.Data() {
 		y.Data()[i] = float64((i*3)%5) - 2
 	}
 	lhs := Dot(cols, y)
-	back := Compute{}.Col2Im(y, b, c, h, w, kh, kw, stride, pad)
+	back := Compute{}.Col2ImInto(NewOf(Float64, b, c, h, w), y, kh, kw, stride, pad)
 	rhs := Dot(x, back)
 	if math.Abs(lhs-rhs) > 1e-6 {
 		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
@@ -409,13 +320,241 @@ func TestCol2ImShapePanic(t *testing.T) {
 			t.Fatal("expected panic for wrong cols shape")
 		}
 	}()
-	Compute{}.Col2Im(New(3, 3), 1, 1, 4, 4, 2, 2, 1, 0)
+	Compute{}.Col2ImInto(NewOf(Float64, 1, 1, 4, 4), NewOf(Float64, 3, 3), 2, 2, 1, 0)
+}
+
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: expected panic", what)
+		}
+	}()
+	f()
+}
+
+func TestViewIntoWrapsData(t *testing.T) {
+	d := []float64{1, 2, 3, 4, 5, 6}
+	x := ViewInto(nil, d, 2, 3)
+	if x.DType() != Float64 || x.Rank() != 2 || x.Dim(0) != 2 || x.Dim(1) != 3 {
+		t.Fatalf("view metadata: dtype %v shape %v", x.DType(), x.Shape())
+	}
+	d[4] = 50 // row 1, column 1
+	if x.Data()[1*3+1] != 50 {
+		t.Fatal("ViewInto copied the slice instead of wrapping it")
+	}
+	// Re-pointing an existing header, even a Float32 one, makes it a
+	// Float64 view of the new slice without allocating.
+	y := NewOf(Float32, 4)
+	e := []float64{7, 8, 9}
+	if allocs := testing.AllocsPerRun(10, func() { ViewInto(y, e, 3) }); allocs != 0 {
+		t.Fatalf("ViewInto on an existing header allocated %v times", allocs)
+	}
+	if y.DType() != Float64 || y.Len() != 3 || &y.Data()[0] != &e[0] {
+		t.Fatalf("re-pointed view: dtype %v len %d", y.DType(), y.Len())
+	}
+}
+
+func TestViewIntoLengthMismatch(t *testing.T) {
+	mustPanic(t, "ViewInto 3 elems as 2x2", func() { ViewInto(nil, []float64{1, 2, 3}, 2, 2) })
+}
+
+func TestReshapeSharesData(t *testing.T) {
+	x := ViewInto(nil, []float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	d := x.Data()
+	if r := x.ReshapeInPlace(3, 2); r != x || x.Dim(0) != 3 || x.Dim(1) != 2 {
+		t.Fatalf("ReshapeInPlace shape %v", x.Shape())
+	}
+	x.Data()[5] = 60
+	if &x.Data()[0] != &d[0] || d[5] != 60 {
+		t.Fatal("ReshapeInPlace must share the backing data")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { x.ReshapeInPlace(6).ReshapeInPlace(2, 3) }); allocs != 0 {
+		t.Fatalf("ReshapeInPlace allocated %v times", allocs)
+	}
+}
+
+func TestReshapeInPlaceLengthMismatch(t *testing.T) {
+	mustPanic(t, "6 elems reshaped to 4", func() { NewOf(Float64, 2, 3).ReshapeInPlace(2, 2) })
+}
+
+func TestDataAccessorDTypePanics(t *testing.T) {
+	mustPanic(t, "Data() on float32", func() { NewOf(Float32, 2).Data() })
+	mustPanic(t, "Data32() on float64", func() { NewOf(Float64, 2).Data32() })
+}
+
+func TestMixedDTypePanics(t *testing.T) {
+	a, b := NewOf(Float64, 3), NewOf(Float32, 3)
+	mustPanic(t, "AddInto", func() { AddInto(a, a, b) })
+	mustPanic(t, "AddScaled", func() { a.AddScaled(1, b) })
+	mustPanic(t, "Dot", func() { Dot(a, b) })
+}
+
+func TestRowVectorShapePanics(t *testing.T) {
+	x := NewOf(Float64, 2, 3)
+	mustPanic(t, "AddRowVector length", func() { x.AddRowVector(NewOf(Float64, 2)) })
+	mustPanic(t, "AddRowVector rank", func() { NewOf(Float64, 6).AddRowVector(NewOf(Float64, 6)) })
+	mustPanic(t, "ColSumsInto length", func() { x.ColSumsInto(NewOf(Float64, 2)) })
+}
+
+func TestFillAndZero(t *testing.T) {
+	for _, dt := range []DType{Float64, Float32} {
+		x := NewOf(dt, 5)
+		x.Fill(2.5)
+		got := make([]float64, x.Len())
+		x.CopyToF64(got)
+		for _, v := range got {
+			if v != 2.5 {
+				t.Fatalf("%v Fill: %v", dt, got)
+			}
+		}
+		x.Zero()
+		x.CopyToF64(got)
+		for _, v := range got {
+			if v != 0 {
+				t.Fatalf("%v Zero: %v", dt, got)
+			}
+		}
+	}
+}
+
+func TestCopyF64RoundTrip(t *testing.T) {
+	src := []float64{1, 0.1, -3, 1e-3}
+	for _, dt := range []DType{Float64, Float32} {
+		x := NewOf(dt, 2, 2)
+		x.CopyFromF64(src)
+		got := make([]float64, x.Len())
+		x.CopyToF64(got)
+		for i, v := range src {
+			want := v
+			if dt == Float32 {
+				want = float64(float32(v)) // narrowed on the way in
+			}
+			if got[i] != want {
+				t.Fatalf("%v round trip: got %v want %v", dt, got, src)
+			}
+		}
+		// Both directions copy: neither slice aliases the tensor.
+		got[0], src[0] = 100, 200
+		x.CopyToF64(got)
+		if got[0] != 1 {
+			t.Fatalf("%v tensor changed through a copied slice: %v", dt, got[0])
+		}
+		src[0] = 1
+	}
+}
+
+func TestSameShape(t *testing.T) {
+	a := NewOf(Float64, 2, 3)
+	for _, c := range []struct {
+		b    *Tensor
+		want bool
+	}{
+		{NewOf(Float32, 2, 3), true}, // dtype is not part of the shape
+		{NewOf(Float64, 3, 2), false},
+		{NewOf(Float64, 6), false},
+		{NewOf(Float64, 2, 3, 1), false},
+	} {
+		if got := a.SameShape(c.b); got != c.want {
+			t.Fatalf("SameShape(%v, %v) = %v, want %v", a.Shape(), c.b.Shape(), got, c.want)
+		}
+	}
+}
+
+func TestParseDType(t *testing.T) {
+	for s, want := range map[string]DType{
+		"": Float64, "float64": Float64, "f64": Float64, "fp64": Float64,
+		"float32": Float32, "f32": Float32, "fp32": Float32,
+	} {
+		if got, ok := ParseDType(s); !ok || got != want {
+			t.Fatalf("ParseDType(%q) = %v, %v; want %v", s, got, ok, want)
+		}
+	}
+	for _, dt := range []DType{Float64, Float32} {
+		if got, ok := ParseDType(dt.String()); !ok || got != dt {
+			t.Fatalf("ParseDType(%v.String()) = %v, %v", dt, got, ok)
+		}
+	}
+	if _, ok := ParseDType("float16"); ok {
+		t.Fatal("ParseDType accepted float16")
+	}
+}
+
+func TestComputeSplit(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	if got := (Compute{}).Resolve(); got != procs {
+		t.Fatalf("zero budget resolves to %d, want GOMAXPROCS %d", got, procs)
+	}
+	if got := (Compute{Workers: procs + 5}).Resolve(); got != procs {
+		t.Fatalf("budget above GOMAXPROCS resolves to %d, want %d", got, procs)
+	}
+	for _, c := range []struct{ workers, n, want int }{
+		{8, 2, min(8, procs) / 2},
+		{1, 4, 1}, // never below one worker
+		{2, 0, min(2, procs)},
+	} {
+		if got := (Compute{Workers: c.workers}).Split(c.n).Workers; got != max(c.want, 1) {
+			t.Fatalf("Compute{%d}.Split(%d) = %d workers, want %d", c.workers, c.n, got, max(c.want, 1))
+		}
+	}
+}
+
+func TestParallelChunksCoverRange(t *testing.T) {
+	for _, c := range []struct{ workers, n int }{{1, 10}, {3, 10}, {4, 4}, {8, 3}, {2, 1}} {
+		hits := make([]int, c.n)
+		parallelChunks(c.workers, c.n, func(c0, c1 int) {
+			for i := c0; i < c1; i++ {
+				hits[i]++ // chunks are disjoint, so no two bodies write one index
+			}
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d n=%d: index %d covered %d times", c.workers, c.n, i, h)
+			}
+		}
+	}
+}
+
+func TestMaxAbs(t *testing.T) {
+	vector := SetVectorKernels(false)
+	defer SetVectorKernels(vector)
+	paths := []bool{false}
+	if vector {
+		paths = append(paths, true)
+	}
+	for _, on := range paths {
+		SetVectorKernels(on)
+		if m, ok := MaxAbs(nil); m != 0 || !ok {
+			t.Fatalf("vector=%v empty: %v, %v", on, m, ok)
+		}
+		// Lengths below, at and past one vector block put the extreme in
+		// the vector part and in the tail.
+		for _, n := range []int{1, quantBlock - 1, quantBlock, 2*quantBlock + 3} {
+			for _, at := range []int{0, n - 1} {
+				v := make([]float64, n)
+				for i := range v {
+					v[i] = float64(i%5) - 2
+				}
+				v[at] = -9
+				if m, ok := MaxAbs(v); m != 9 || !ok {
+					t.Fatalf("vector=%v n=%d at=%d: MaxAbs %v, %v; want 9, true", on, n, at, m, ok)
+				}
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					v[at] = bad
+					if _, ok := MaxAbs(v); ok {
+						t.Fatalf("vector=%v n=%d at=%d: %v reported finite", on, n, at, bad)
+					}
+				}
+			}
+		}
+	}
 }
 
 func BenchmarkMatMul64(b *testing.B) {
-	a := New(64, 64)
-	c := New(64, 64)
-	out := New(64, 64)
+	a := NewOf(Float64, 64, 64)
+	c := NewOf(Float64, 64, 64)
+	out := NewOf(Float64, 64, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Compute{}.MatMulInto(out, a, c)
@@ -423,9 +562,9 @@ func BenchmarkMatMul64(b *testing.B) {
 }
 
 func BenchmarkMatMul256(b *testing.B) {
-	a := New(256, 256)
-	c := New(256, 256)
-	out := New(256, 256)
+	a := NewOf(Float64, 256, 256)
+	c := NewOf(Float64, 256, 256)
+	out := NewOf(Float64, 256, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Compute{}.MatMulInto(out, a, c)
