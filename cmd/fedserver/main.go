@@ -7,6 +7,10 @@
 // synthetic data and partition deterministically — the stand-in for silos
 // that own their local data.
 //
+// The server refuses a conn whose hello has not arrived within 10 s; a
+// party refused for a slow hello redials. fedparty -hello-timeout is the
+// party's own wait for the server's first frame, not that bound.
+//
 //	fedserver -addr 127.0.0.1:7070 -dataset adult -parties 4 -algo fedprox &
 //	for i in 0 1 2 3; do
 //	  fedparty -addr 127.0.0.1:7070 -index $i -dataset adult -parties 4 -algo fedprox &

@@ -27,8 +27,11 @@ func TestLoadAllFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spec.InputLen() != train.FeatLen {
-			t.Fatalf("%s: model input %d, dataset features %d", name, spec.InputLen(), train.FeatLen)
+		// The model takes the dataset's batches: a flat batch reshapes to
+		// the model's input and forwards to one logit row per sample.
+		x, _ := train.BatchInto(nil, nil, []int{0, 1})
+		if logits := nn.Build(spec, rng.New(1)).Forward(spec.ShapeBatch(x), false); logits.Dim(0) != 2 || logits.Dim(1) != spec.Classes {
+			t.Fatalf("%s: %d features forward to logits %v", name, train.FeatLen, logits.Shape())
 		}
 	}
 }
@@ -204,7 +207,7 @@ func TestBatchGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, labels := train.Batch([]int{2, 4})
+	x, labels := train.BatchInto(nil, nil, []int{2, 4})
 	if x.Dim(0) != 2 || x.Dim(1) != train.FeatLen {
 		t.Fatalf("batch shape %v", x.Shape())
 	}
@@ -301,7 +304,7 @@ func TestDifficultyOrdering(t *testing.T) {
 		for epoch := 0; epoch < 15; epoch++ {
 			rng.New(uint64(epoch)).Shuffle(idx)
 			for b := 0; b+32 <= len(idx); b += 32 {
-				x, y := train.Batch(idx[b : b+32])
+				x, y := train.BatchInto(nil, nil, idx[b:b+32])
 				m.ZeroGrads()
 				logits := m.Forward(x, true)
 				_, g := nn.SoftmaxCrossEntropy{}.LossInto(nil, logits, y)
@@ -311,7 +314,7 @@ func TestDifficultyOrdering(t *testing.T) {
 				}
 			}
 		}
-		x, y := test.Batch(identity(test.Len()))
+		x, y := test.BatchInto(nil, nil, identity(test.Len()))
 		pred := nn.PredictInto(nil, m.Forward(x, false))
 		correct := 0
 		for i := range pred {

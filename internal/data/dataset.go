@@ -92,16 +92,11 @@ func (d *Dataset) Subset(indices []int) *Dataset {
 	return out
 }
 
-// Batch gathers the samples at the given indices into a (len(indices),
-// FeatLen) tensor plus the matching labels.
-func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
-	return d.BatchInto(nil, nil, indices)
-}
-
-// BatchInto is Batch with caller-held scratch: x is grown in place via
-// tensor.Ensure and labels is re-sliced when capacity allows, so a
-// training loop that keeps the returned values across iterations batches
-// without allocating. Both may be nil (nil x yields float64). A non-nil x
+// BatchInto gathers the samples at the given indices into a
+// (len(indices), FeatLen) tensor plus the matching labels, in caller-held
+// scratch: x is grown in place via tensor.Ensure and labels is re-sliced
+// when capacity allows, so a training loop that keeps the returned values
+// across iterations batches without allocating. Both may be nil (nil x yields float64). A non-nil x
 // keeps its dtype: a float32 scratch tensor receives the features
 // narrowed, which is how float32 models draw batches from the float64
 // dataset without a second copy.

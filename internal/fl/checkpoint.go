@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
-	"math"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"time"
@@ -158,71 +158,55 @@ func ConfigFingerprint(cfg Config) uint64 {
 	if n, err := cfg.Normalize(); err == nil {
 		cfg = n
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mixStr := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		h ^= 0xff // terminator so "ab","c" != "a","bc"
-		h *= prime64
-	}
-	mixF := func(f float64) { mix(math.Float64bits(f)) }
-	mixB := func(b bool) {
-		if b {
-			mix(1)
-		} else {
-			mix(0)
-		}
-	}
-	mixStr(string(cfg.Algorithm))
-	mix(uint64(cfg.Rounds))
-	mix(uint64(cfg.LocalEpochs))
-	mix(uint64(cfg.BatchSize))
-	mixF(cfg.LR)
-	mixF(cfg.Momentum)
-	mixF(cfg.Mu)
-	mixF(cfg.SampleFraction)
-	mix(uint64(cfg.Variant))
-	mixF(cfg.ServerLR)
-	mix(cfg.Seed)
-	mix(uint64(cfg.EvalEvery))
-	mixB(cfg.KeepBNStatsLocal)
-	mixB(cfg.Unweighted)
-	mixF(cfg.Alpha)
-	mixF(cfg.MoonMu)
-	mixF(moonTemp)
-	mixStr(string(cfg.ServerOptimizer))
-	mixF(serverMomentumBeta)
-	mixStr(string(cfg.Sampling))
-	mixF(cfg.DPClip)
-	mixF(cfg.DPNoise)
-	mixF(cfg.CompressTopK)
-	mix(uint64(cfg.DType))
-	mix(uint64(cfg.AsyncBuffer))
-	mixF(stalenessExponent)
+	// Each value is 8 little-endian bytes; each string ends in 0xff, so
+	// "ab","c" and "a","bc" hash apart.
+	b := append([]byte(cfg.Algorithm), 0xff)
+	b = le.AppendU64(b, uint64(cfg.Rounds))
+	b = le.AppendU64(b, uint64(cfg.LocalEpochs))
+	b = le.AppendU64(b, uint64(cfg.BatchSize))
+	b = le.AppendF64(b, cfg.LR)
+	b = le.AppendF64(b, cfg.Momentum)
+	b = le.AppendF64(b, cfg.Mu)
+	b = le.AppendF64(b, cfg.SampleFraction)
+	b = le.AppendU64(b, uint64(cfg.Variant))
+	b = le.AppendF64(b, cfg.ServerLR)
+	b = le.AppendU64(b, cfg.Seed)
+	b = le.AppendU64(b, uint64(cfg.EvalEvery))
+	b = le.AppendU64(b, bit(cfg.KeepBNStatsLocal))
+	b = le.AppendU64(b, bit(cfg.Unweighted))
+	b = le.AppendF64(b, cfg.Alpha)
+	b = le.AppendF64(b, cfg.MoonMu)
+	b = le.AppendF64(b, moonTemp)
+	b = append(append(b, cfg.ServerOptimizer...), 0xff)
+	b = le.AppendF64(b, serverMomentumBeta)
+	b = append(append(b, cfg.Sampling...), 0xff)
+	b = le.AppendF64(b, cfg.DPClip)
+	b = le.AppendF64(b, cfg.DPNoise)
+	b = le.AppendF64(b, cfg.CompressTopK)
+	b = le.AppendU64(b, uint64(cfg.DType))
+	b = le.AppendU64(b, uint64(cfg.AsyncBuffer))
+	b = le.AppendF64(b, stalenessExponent)
 	// The wire codec is math-relevant — quantization is lossy, so a run
 	// resumed under a different codec would diverge — and the async fair
 	// share changes which folds count.
-	mixStr(string(cfg.Codec))
-	mix(asyncFairShare)
+	b = append(append(b, cfg.Codec...), 0xff)
+	b = le.AppendU64(b, asyncFairShare)
 	if cfg.Codec == CodecInt8 || cfg.Codec == CodecInt4 {
 		// One scale per frame: under an integer codec the frame size is
 		// the quantization granularity, so it changes the arithmetic.
-		mix(uint64(cfg.ChunkSize))
+		b = le.AppendU64(b, uint64(cfg.ChunkSize))
 	}
-	return h
+	h := fnv.New64a()
+	_, _ = h.Write(b)
+	return h.Sum64()
+}
+
+// bit is a flag as the fingerprint hashes it.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // --- snapshot encoding ---

@@ -21,7 +21,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", kind, dt), func(t *testing.T) {
 				spec := ModelSpec{Kind: kind, Channels: 3, Height: 16, Width: 16, InputDim: 40, Classes: 10, DType: dt}
 				full, params := Build(spec, rng.New(11)), Build(spec, rng.New(11))
-				x := tensor.NewOf(dt, batch, spec.InputLen())
+				x := tensor.NewOf(dt, batch, inputLen(spec))
 				r, vals := rng.New(5), make([]float64, x.Len())
 				for i := range vals {
 					vals[i] = r.Normal()

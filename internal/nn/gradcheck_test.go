@@ -55,6 +55,14 @@ func freezeBN(m *Sequential) {
 	}
 }
 
+// inputLen is the number of scalars in one input sample of s.
+func inputLen(s ModelSpec) int {
+	if s.Kind == KindMLP {
+		return s.InputDim
+	}
+	return s.Channels * s.Height * s.Width
+}
+
 func randInput(r *rng.RNG, shape ...int) *tensor.Tensor {
 	x := tensor.NewOf(tensor.Float64, shape...)
 	d := x.Data()

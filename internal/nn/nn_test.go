@@ -329,7 +329,7 @@ func TestBuildAllKinds(t *testing.T) {
 	for _, s := range specs {
 		m := Build(s, r)
 		batch := 3
-		x := randInput(r, batch, s.InputLen())
+		x := randInput(r, batch, inputLen(s))
 		logits := m.Forward(s.ShapeBatch(x), true)
 		if logits.Dim(0) != batch || logits.Dim(1) != s.Classes {
 			t.Fatalf("%s logits shape %v", s.Kind, logits.Shape())
@@ -352,17 +352,17 @@ func TestModelsCanOverfitTinyDataset(t *testing.T) {
 			spec = ModelSpec{Kind: KindCNN, Channels: 1, Height: 16, Width: 16, Classes: 2}
 		}
 		m := Build(spec, r)
-		n := 16
-		x := tensor.NewOf(tensor.Float64, n, spec.InputLen())
+		n, in := 16, inputLen(spec)
+		x := tensor.NewOf(tensor.Float64, n, in)
 		labels := make([]int, n)
 		for i := 0; i < n; i++ {
 			labels[i] = i % 2
-			for j := 0; j < spec.InputLen(); j++ {
+			for j := 0; j < in; j++ {
 				v := r.Normal() * 0.1
 				if labels[i] == 1 {
 					v += 1
 				}
-				x.Data()[i*spec.InputLen()+j] = v
+				x.Data()[i*in+j] = v
 			}
 		}
 		var first, last float64
@@ -389,7 +389,7 @@ func BenchmarkPaperCNNForwardBackward(b *testing.B) {
 	r := rng.New(1)
 	spec := ModelSpec{Kind: KindCNN, Channels: 1, Height: 16, Width: 16, Classes: 10}
 	m := Build(spec, r)
-	x := randInput(r, 32, spec.InputLen())
+	x := randInput(r, 32, inputLen(spec))
 	labels := make([]int, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -405,7 +405,7 @@ func BenchmarkPaperMLPForwardBackward(b *testing.B) {
 	r := rng.New(1)
 	spec := ModelSpec{Kind: KindMLP, InputDim: 123, Classes: 2}
 	m := Build(spec, r)
-	x := randInput(r, 64, spec.InputLen())
+	x := randInput(r, 64, inputLen(spec))
 	labels := make([]int, 64)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -43,14 +43,6 @@ type ModelSpec struct {
 	DType tensor.DType
 }
 
-// InputLen returns the number of scalars in one input sample.
-func (s ModelSpec) InputLen() int {
-	if s.Kind == KindMLP {
-		return s.InputDim
-	}
-	return s.Channels * s.Height * s.Width
-}
-
 // ShapeBatch reshapes a flat (batch, features) tensor into the layout the
 // model expects. The reshape happens in place (x is training scratch), so
 // the returned tensor is x itself.

@@ -30,39 +30,6 @@ import (
 // Partition maps each party to the indices of its local samples.
 type Partition [][]int
 
-// NumParties returns the number of parties.
-func (p Partition) NumParties() int { return len(p) }
-
-// TotalSamples returns the number of assigned samples.
-func (p Partition) TotalSamples() int {
-	n := 0
-	for _, idx := range p {
-		n += len(idx)
-	}
-	return n
-}
-
-// Validate checks that the partition covers indices in [0, n) at most once
-// and that every party is non-empty if requireNonEmpty is set.
-func (p Partition) Validate(n int, requireNonEmpty bool) error {
-	seen := make([]bool, n)
-	for pi, idx := range p {
-		if requireNonEmpty && len(idx) == 0 {
-			return fmt.Errorf("partition: party %d is empty", pi)
-		}
-		for _, i := range idx {
-			if i < 0 || i >= n {
-				return fmt.Errorf("partition: party %d has out-of-range index %d", pi, i)
-			}
-			if seen[i] {
-				return fmt.Errorf("partition: index %d assigned twice", i)
-			}
-			seen[i] = true
-		}
-	}
-	return nil
-}
-
 // IID splits n samples uniformly at random into parties of (nearly) equal
 // size — the paper's homogeneous baseline.
 func IID(n, parties int, r *rng.RNG) Partition {

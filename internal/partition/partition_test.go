@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,36 @@ import (
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/rng"
 )
+
+// validate checks that p covers indices in [0, n) at most once
+// and that every party is non-empty if requireNonEmpty is set.
+func validate(p Partition, n int, requireNonEmpty bool) error {
+	seen := make([]bool, n)
+	for pi, idx := range p {
+		if requireNonEmpty && len(idx) == 0 {
+			return fmt.Errorf("partition: party %d is empty", pi)
+		}
+		for _, i := range idx {
+			if i < 0 || i >= n {
+				return fmt.Errorf("partition: party %d has out-of-range index %d", pi, i)
+			}
+			if seen[i] {
+				return fmt.Errorf("partition: index %d assigned twice", i)
+			}
+			seen[i] = true
+		}
+	}
+	return nil
+}
+
+// total is the number of samples p assigns.
+func total(p Partition) int {
+	n := 0
+	for _, idx := range p {
+		n += len(idx)
+	}
+	return n
+}
 
 // balancedLabels returns n labels cycling through the classes.
 func balancedLabels(n, classes int) []int {
@@ -21,11 +52,11 @@ func balancedLabels(n, classes int) []int {
 func TestIIDCoversAll(t *testing.T) {
 	r := rng.New(1)
 	p := IID(103, 10, r)
-	if err := p.Validate(103, true); err != nil {
+	if err := validate(p, 103, true); err != nil {
 		t.Fatal(err)
 	}
-	if p.TotalSamples() != 103 {
-		t.Fatalf("assigned %d of 103 samples", p.TotalSamples())
+	if total(p) != 103 {
+		t.Fatalf("assigned %d of 103 samples", total(p))
 	}
 	for _, idx := range p {
 		if len(idx) < 10 || len(idx) > 11 {
@@ -61,7 +92,7 @@ func TestQuantityLabelExactClassesPerParty(t *testing.T) {
 	labels := balancedLabels(2000, 10)
 	for _, k := range []int{1, 2, 3, 10} {
 		p := QuantityLabel(labels, 10, 10, k, r)
-		if err := p.Validate(2000, false); err != nil {
+		if err := validate(p, 2000, false); err != nil {
 			t.Fatal(err)
 		}
 		st := ComputeStats(p, labels, 10)
@@ -89,8 +120,8 @@ func TestQuantityLabelCoversAllSamplesWhenPossible(t *testing.T) {
 	labels := balancedLabels(500, 10)
 	for trial := 0; trial < 20; trial++ {
 		p := QuantityLabel(labels, 10, 10, 1, r)
-		if p.TotalSamples() != 500 {
-			t.Fatalf("trial %d: only %d/500 samples assigned", trial, p.TotalSamples())
+		if total(p) != 500 {
+			t.Fatalf("trial %d: only %d/500 samples assigned", trial, total(p))
 		}
 	}
 }
@@ -99,7 +130,7 @@ func TestQuantityLabelNoOverlap(t *testing.T) {
 	r := rng.New(5)
 	labels := balancedLabels(300, 10)
 	p := QuantityLabel(labels, 10, 5, 2, r)
-	if err := p.Validate(300, false); err != nil {
+	if err := validate(p, 300, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -140,11 +171,11 @@ func TestDirichletLabelValidAndNonEmpty(t *testing.T) {
 	r := rng.New(7)
 	for trial := 0; trial < 10; trial++ {
 		p := DirichletLabel(labels, 10, 10, 0.5, r)
-		if err := p.Validate(1000, true); err != nil {
+		if err := validate(p, 1000, true); err != nil {
 			t.Fatal(err)
 		}
-		if p.TotalSamples() != 1000 {
-			t.Fatalf("assigned %d of 1000", p.TotalSamples())
+		if total(p) != 1000 {
+			t.Fatalf("assigned %d of 1000", total(p))
 		}
 	}
 }
@@ -152,11 +183,11 @@ func TestDirichletLabelValidAndNonEmpty(t *testing.T) {
 func TestQuantitySkewSizes(t *testing.T) {
 	r := rng.New(8)
 	p := QuantitySkew(2000, 10, 0.5, r)
-	if err := p.Validate(2000, true); err != nil {
+	if err := validate(p, 2000, true); err != nil {
 		t.Fatal(err)
 	}
-	if p.TotalSamples() != 2000 {
-		t.Fatalf("assigned %d of 2000", p.TotalSamples())
+	if total(p) != 2000 {
+		t.Fatalf("assigned %d of 2000", total(p))
 	}
 	st := ComputeStats(p, balancedLabels(2000, 10), 10)
 	if st.QuantityImbalance < 0.3 {
@@ -192,11 +223,11 @@ func TestByWriterKeepsWritersIntact(t *testing.T) {
 		writers[i] = i % 30
 	}
 	p := ByWriter(writers, 6, r)
-	if err := p.Validate(n, true); err != nil {
+	if err := validate(p, n, true); err != nil {
 		t.Fatal(err)
 	}
-	if p.TotalSamples() != n {
-		t.Fatalf("assigned %d of %d", p.TotalSamples(), n)
+	if total(p) != n {
+		t.Fatalf("assigned %d of %d", total(p), n)
 	}
 	// A writer's samples must all land at one party.
 	writerParty := map[int]int{}
@@ -226,11 +257,11 @@ func TestFCubePairing(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := FCube(train, 4)
-	if err := p.Validate(train.Len(), true); err != nil {
+	if err := validate(p, train.Len(), true); err != nil {
 		t.Fatal(err)
 	}
-	if p.TotalSamples() != train.Len() {
-		t.Fatalf("assigned %d of %d", p.TotalSamples(), train.Len())
+	if total(p) != train.Len() {
+		t.Fatalf("assigned %d of %d", total(p), train.Len())
 	}
 	// Each party holds exactly two octants, and they are complements.
 	for pi, idx := range p {
@@ -373,15 +404,15 @@ func TestStrategyAssignErrors(t *testing.T) {
 
 func TestValidateDetectsDuplicates(t *testing.T) {
 	p := Partition{{0, 1}, {1, 2}}
-	if err := p.Validate(3, false); err == nil {
+	if err := validate(p, 3, false); err == nil {
 		t.Fatal("expected duplicate error")
 	}
 	p2 := Partition{{0}, {5}}
-	if err := p2.Validate(3, false); err == nil {
+	if err := validate(p2, 3, false); err == nil {
 		t.Fatal("expected range error")
 	}
 	p3 := Partition{{0}, {}}
-	if err := p3.Validate(3, true); err == nil {
+	if err := validate(p3, 3, true); err == nil {
 		t.Fatal("expected empty-party error")
 	}
 }
@@ -460,7 +491,7 @@ func TestAllStrategiesProduceValidPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.s, err)
 		}
-		if err := part.Validate(tc.ds.Len(), false); err != nil {
+		if err := validate(part, tc.ds.Len(), false); err != nil {
 			t.Fatalf("%s: %v", tc.s, err)
 		}
 		for pi, ds := range local {

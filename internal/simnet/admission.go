@@ -106,8 +106,8 @@ type Event struct {
 	// each conn a rejoin installed; 0 for a conn never seated (Refused,
 	// RejoinQueued).
 	Conn int
-	// Gen is the round (sync) or generation (async) of Resynced (the
-	// ResyncMsg stamp), Shipped and Answered; zero for the other kinds.
+	// Gen is the round (sync) or generation (async) of Resynced (the round
+	// the party resumes at), Shipped and Answered; zero for the other kinds.
 	Gen int
 	// Err is the cause of Refused, Suspected and Evicted; nil otherwise.
 	// Version skew surfaces as a wrapped *VersionError.
@@ -261,22 +261,11 @@ func (s *ServerListener) Close() error { return s.l.Close() }
 // hung up on and the accept error is returned. Parties connect with
 // DialPartyOpts.
 func (s *ServerListener) AcceptAndRun(numParties int, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset) (*fl.Result, error) {
-	fed, err := s.federation(numParties, cfg, spec, test)
+	fed, err := newFederation(cfg, spec, test, numParties, s.ServerOptions)
 	if err != nil {
 		return nil, err
 	}
 	return fed.acceptAndRun(s.accept)
-}
-
-// federation builds the server side of a federation of numParties under
-// s's options. Parties that dial an in-memory listener run in this
-// process, which is what makes the federation local (see Federation.local).
-func (s *ServerListener) federation(numParties int, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset) (*Federation, error) {
-	fed, err := newFederation(cfg, spec, test, numParties, s.ServerOptions)
-	if err == nil {
-		_, fed.local = s.l.(*memListener)
-	}
-	return fed, err
 }
 
 // accept waits for the next connection and frames it.
@@ -495,20 +484,19 @@ func (f *Federation) admit(c *CountingConn, h HelloMsg) error {
 }
 
 // seat puts m's party on m.conn. After a rejoin hello (resync) the
-// ResyncMsg the party is waiting for goes out first — round stamp, and the
-// party's tracked SCAFFOLD c_i (see the ResyncMsg contract) — so the
-// party's next frame is the round broadcast it now has the state to
-// handle, and only then does the table point at the conn. A failed send
-// therefore leaves the table as it was: the party stays suspect (or
-// unseated) and may dial again. claim marks a first contact, which must
-// find its seat empty. The seated conn is reported — Admitted, or Resynced
-// at the ResyncMsg's stamp — before the last seat taken lets the run
+// ResyncMsg the party is waiting for goes out first — the party's tracked
+// SCAFFOLD c_i (see the ResyncMsg contract) — so the party's next frame is
+// the round broadcast it now has the state to handle, and only then does
+// the table point at the conn. A failed send therefore leaves the table
+// as it was: the party stays suspect (or unseated) and may dial again.
+// claim marks a first contact, which must find its seat empty. The seated conn is reported — Admitted, or Resynced
+// at the table's round stamp — before the last seat taken lets the run
 // start, so every admission is reported before the first generation ships.
 func (f *Federation) seat(m *member, resync, claim bool) error {
 	kind, gen := Admitted, 0
 	if resync {
-		rm := ResyncMsg{ExpectTau: m.meta.Tau}
-		rm.Round, rm.Control = f.table.resync(m.id)
+		var rm ResyncMsg
+		gen, rm.Control = f.table.resync(m.id)
 		enc, err := Marshal(rm)
 		if err == nil {
 			err = m.conn.Send(enc)
@@ -518,7 +506,7 @@ func (f *Federation) seat(m *member, resync, claim bool) error {
 			// boundary install just leaves the party out.
 			return fmt.Errorf("simnet: restored-server resync to party %d: %w", m.id, err)
 		}
-		kind, gen = Resynced, rm.Round
+		kind = Resynced
 	}
 	filled, err := f.table.install(m, claim)
 	if err != nil {

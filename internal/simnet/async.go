@@ -21,7 +21,7 @@ import (
 //     every complete update stream counts as the party's answer, then
 //     folds into the fl.AsyncCoordinator the moment it finishes, tagged
 //     with the generation it trained against for the staleness discount;
-//   - the membership loop (RunAsync) keeps the resync round stamp
+//   - the membership loop (RunAsync) keeps the Resynced round stamp
 //     current and applies the one quorum rule (Federation.quorum, which
 //     installs queued rejoins), on the loop's one wait.
 //
@@ -100,7 +100,7 @@ func (a asyncFold) fold(m member, st stagedUpdate) bool {
 		// Another receiver's flush may have landed since: publish the
 		// newest generation, unless that flush was the final one (the
 		// receiver that made it wakes the membership loop).
-		if bf := f.frameCache(f.budget(len(f.table.members)), a.coord.CopyGlobal); bf != nil {
+		if bf := f.frameCache(a.coord.CopyGlobal); bf != nil {
 			f.publish(bf, nil)
 		}
 	case done:
@@ -118,9 +118,7 @@ func (a asyncFold) fold(m member, st stagedUpdate) bool {
 // is poisoned, or the federation stays below quorum past its budget (see
 // quorum).
 func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
-	// All parties train concurrently all the time, so a local federation
-	// splits its cores across every party, not just a round's sample.
-	bf := f.frameCache(f.budget(len(f.table.members)), coord.CopyGlobal)
+	bf := f.frameCache(coord.CopyGlobal)
 	if bf == nil {
 		return nil // resumed from the final generation
 	}
@@ -134,7 +132,7 @@ func (f *Federation) RunAsync(coord *fl.AsyncCoordinator) error {
 	f.publish(bf, nil)
 
 	for !coord.Done() && coord.Failed() == nil {
-		// Keep the resync stamp current so a rejoin handshake reports the
+		// Keep the Resynced stamp current so a rejoin reports the
 		// generation the party is about to receive.
 		f.table.setRound(coord.Generation())
 		// Below quorum the live parties keep folding; the wait only bounds

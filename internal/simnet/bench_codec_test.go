@@ -59,7 +59,7 @@ func BenchmarkBroadcastEncode(b *testing.B) {
 		b.Run("codec="+codecName(codec), func(b *testing.B) {
 			b.SetBytes(int64(len(state) * 8))
 			for i := 0; i < b.N; i++ {
-				bf := newGlobalFrames(1, state, nil, 1, 65536)
+				bf := newGlobalFrames(1, state, nil, 65536)
 				if _, err := bf.frames(codec); err != nil {
 					b.Fatal(err)
 				}
@@ -76,7 +76,7 @@ func BenchmarkChunkDecode(b *testing.B) {
 	state := quantTestVector(1 << 18)
 	dst := make([]float64, len(state))
 	for _, codec := range []byte{wireCodecF64, wireCodecF32, wireCodecInt8} {
-		frames, err := newGlobalFrames(1, state, nil, 1, 65536).frames(codec)
+		frames, err := newGlobalFrames(1, state, nil, 65536).frames(codec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func (s *scribbleConn) Recv() ([]byte, error) {
 func runScribbledTCP(t *testing.T, cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset) *fl.Result {
 	t.Helper()
 	ln := mustListen(t)
-	fed, err := ln.federation(len(locals), cfg, spec, test)
+	fed, err := newFederation(cfg, spec, test, len(locals), ln.ServerOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestGlobalFramesExactlySized(t *testing.T) {
 	control := state[:333]
 	for _, chunk := range []int{0, 1, 7, 250, 5000} {
 		for codec := byte(0); codec < 4; codec++ {
-			frames, err := newGlobalFrames(3, state, control, 2, chunk).frames(codec)
+			frames, err := newGlobalFrames(3, state, control, chunk).frames(codec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +215,7 @@ func TestGlobalFramesExactlySized(t *testing.T) {
 					t.Fatal(err)
 				}
 				want, err := Marshal(GlobalChunkMsg{Round: 3, Offset: m.Offset, Total: len(state) + len(control), CtrlLen: len(control),
-					Budget: 2, Chunk: chunk, Last: m.Last, Codec: codec, Payload: append(state[:len(state):len(state)], control...)[m.Offset : m.Offset+p.count]})
+					Chunk: chunk, Last: m.Last, Codec: codec, Payload: append(state[:len(state):len(state)], control...)[m.Offset : m.Offset+p.count]})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -229,7 +229,7 @@ func TestGlobalFramesExactlySized(t *testing.T) {
 			// The cache, one arena and one slice of windows, however many
 			// frames: encoding a frame allocates nothing.
 			if allocs := testing.AllocsPerRun(1, func() {
-				_, _ = newGlobalFrames(3, state, control, 2, chunk).frames(codec)
+				_, _ = newGlobalFrames(3, state, control, chunk).frames(codec)
 			}); allocs > 3 {
 				t.Fatalf("chunk %d %s: encoding %d frames took %v allocations", chunk, codecName(codec), len(frames), allocs)
 			}
@@ -428,7 +428,7 @@ func reencode(t *testing.T, frames [][]byte, codec byte) [][]byte {
 	if m.CtrlLen == 0 {
 		control = nil
 	}
-	fresh, err := newGlobalFrames(m.Round, state, control, m.Budget, m.Chunk).frames(codec)
+	fresh, err := newGlobalFrames(m.Round, state, control, m.Chunk).frames(codec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ func TestDownlinkBufferBound(t *testing.T) {
 	server, partyEnd := pipe()
 	party := &probeConn{Conn: partyEnd, recvs: make(chan struct{}, 1024), s: s, bufs: map[*float64]bool{}}
 	state := make([]float64, s.client.StateCount())
-	frames, err := newGlobalFrames(0, state, nil, 0, cfg.ChunkSize).frames(wireCodecF64)
+	frames, err := newGlobalFrames(0, state, nil, cfg.ChunkSize).frames(wireCodecF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestDownlinkBufferBound(t *testing.T) {
 	sent := make(chan error, 1)
 	go func() {
 		for gen := 0; gen < gens; gen++ {
-			frames, err := newGlobalFrames(gen, state, nil, 0, cfg.ChunkSize).frames(wireCodecF64)
+			frames, err := newGlobalFrames(gen, state, nil, cfg.ChunkSize).frames(wireCodecF64)
 			for _, fr := range frames {
 				if err == nil {
 					err = server.Send(fr)

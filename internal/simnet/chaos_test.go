@@ -108,7 +108,7 @@ func TestFaultPlanGraceAndEmpty(t *testing.T) {
 }
 
 func TestCodecRoundTripResync(t *testing.T) {
-	in := ResyncMsg{Round: 11, ExpectTau: 6, Control: []float64{0.5, -2.25, 0}}
+	in := ResyncMsg{Control: []float64{0.5, -2.25, 0}}
 	b, err := Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -121,11 +121,11 @@ func TestCodecRoundTripResync(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded %T", out)
 	}
-	if got.Round != 11 || got.ExpectTau != 6 || len(got.Control) != 3 || got.Control[1] != -2.25 {
+	if len(got.Control) != 3 || got.Control[1] != -2.25 {
 		t.Fatalf("round trip: %+v", got)
 	}
 	// A resync for a non-SCAFFOLD party carries no control vector.
-	b2, err := Marshal(ResyncMsg{Round: 2, ExpectTau: 4})
+	b2, err := Marshal(ResyncMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCodecRoundTripResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := got2.(ResyncMsg); m.Round != 2 || len(m.Control) != 0 {
+	if m := got2.(ResyncMsg); len(m.Control) != 0 {
 		t.Fatalf("empty-control round trip: %+v", m)
 	}
 	// Every truncation must error — never decode, never panic.

@@ -35,16 +35,18 @@ const (
 const (
 	protoMagic byte = 0xF7
 	// ProtoVersion is the newest wire protocol generation this build
-	// speaks. Version 5 is the one-frame wire: a single chunk frame per
+	// speaks. Version 6 is the one-frame wire — a single chunk frame per
 	// direction whose flags byte carries the payload codec, with
-	// whole-message mode being one frame per vector.
-	ProtoVersion byte = 5
+	// whole-message mode being one frame per vector — carrying only what
+	// its reader uses: the downlink header has five uint32 fields and a
+	// resync only the party's tracked control variate.
+	ProtoVersion byte = 6
 	// MinProtoVersion is the oldest generation this build still admits.
 	// A hello carries the peer's own [min,max] range and the server admits
-	// when the ranges overlap, so a future generation that still speaks 5
-	// federates with this build; generations 1-4 framed whole messages and
-	// quantized chunks differently and are turned away.
-	MinProtoVersion byte = 5
+	// when the ranges overlap, so a future generation that still speaks 6
+	// federates with this build; generations 1-5 laid out the downlink and
+	// resync frames differently and are turned away.
+	MinProtoVersion byte = 6
 )
 
 // VersionError reports a hello whose supported protocol range has no
@@ -75,11 +77,6 @@ type GlobalMsg struct {
 	Round   int
 	State   []float64
 	Control []float64 // nil unless SCAFFOLD
-	// Budget is the kernel compute budget (max goroutines per kernel) the
-	// party should train under this round; 0 means uncapped. The server
-	// sets it when parties share its process, so K concurrently-training
-	// parties split the machine instead of oversubscribing it.
-	Budget int
 	// Chunk is the frame size in float64 elements the server wants replies
 	// framed with; 0 asks for one frame per vector. The server's value is
 	// authoritative — parties follow it, so both sides of a deployment
@@ -96,7 +93,7 @@ type GlobalMsg struct {
 // callers never set them (tests craft skewed hellos by setting them
 // explicitly). The hello is the one frame read before the peers agree on a
 // version, so it is the one frame whose decoder ignores trailing bytes: a
-// newer generation that still speaks 5 can extend it only at the tail.
+// newer generation that still speaks 6 can extend it only at the tail.
 type HelloMsg struct {
 	ID         int
 	N          int
@@ -117,11 +114,9 @@ type HelloMsg struct {
 }
 
 // ResyncMsg is the server-to-party reply to a rejoin hello: everything a
-// reconnecting party needs to continue as if it never left. Round is the
-// last completed round; ExpectTau is the per-round local step count the
-// server will validate the party's updates against (FedNova bookkeeping);
-// Control is the party's own SCAFFOLD control variate c_i as tracked by
-// the server from the party's past control-delta uploads (nil for other
+// reconnecting party needs to continue as if it never left. Control is
+// the party's own SCAFFOLD control variate c_i as tracked by the server
+// from the party's past control-delta uploads (nil for other
 // algorithms), so even a party that lost its local state — a restarted
 // process — resumes with the exact c_i it had. MOON's previous-round
 // local model is deliberately NOT replayed: the server never stores
@@ -129,9 +124,7 @@ type HelloMsg struct {
 // rejoined party that lost it cold-starts from the next global model,
 // which is MOON's documented first-round behavior.
 type ResyncMsg struct {
-	Round     int
-	ExpectTau int
-	Control   []float64
+	Control []float64
 }
 
 // UpdateChunkMsg carries one frame of a party's round reply: a
@@ -169,16 +162,14 @@ type UpdateChunkMsg struct {
 // the uplink's UpdateChunkMsg — including the Codec in the flags byte.
 // Offset indexes the combined stream, Total is its full length and
 // CtrlLen the control suffix, so the party can split the reassembled
-// buffer without a separate header frame. Budget and Chunk repeat the
-// GlobalMsg round metadata on every frame (8 bytes — negligible against
-// the payload) so the party validates the stream's shape on its first
-// frame.
+// buffer without a separate header frame. Chunk repeats the GlobalMsg
+// round metadata on every frame (4 bytes — negligible against the
+// payload) so the party validates the stream's shape on its first frame.
 type GlobalChunkMsg struct {
 	Round   int
 	Offset  int
 	Total   int
 	CtrlLen int
-	Budget  int
 	Chunk   int
 	Last    bool
 	Codec   byte
@@ -249,7 +240,7 @@ func appendChunkPayload(b []byte, codec byte, v []float64) ([]byte, error) {
 // elements in the given codec, so a frame set can be sized before it is
 // encoded.
 func globalChunkLen(codec byte, n int) (int, error) {
-	const header = 1 + 6*4 + 1 + 4 // tag, six uint32 fields, flags, count
+	const header = 1 + 5*4 + 1 + 4 // tag, five uint32 fields, flags, count
 	q, err := payloadLen(codec, uint64(n))
 	if codec != wireCodecF64 {
 		q += 8 // scale
@@ -350,8 +341,7 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 		b = append(b, m.Token...)
 		return appendFloats(b, m.LabelDist), nil
 	case ResyncMsg:
-		b := appendU32s(append(dst, msgResync), m.Round, m.ExpectTau)
-		return appendFloats(b, m.Control), nil
+		return appendFloats(append(dst, msgResync), m.Control), nil
 	case UpdateChunkMsg:
 		return m.appendTo(dst)
 	case GlobalChunkMsg:
@@ -373,7 +363,7 @@ func (m UpdateChunkMsg) appendTo(dst []byte) ([]byte, error) {
 
 // appendTo is UpdateChunkMsg.appendTo's downlink twin.
 func (m GlobalChunkMsg) appendTo(dst []byte) ([]byte, error) {
-	b := appendU32s(append(dst, msgGlobalChunk), m.Round, m.Offset, m.Total, m.CtrlLen, m.Budget, m.Chunk)
+	b := appendU32s(append(dst, msgGlobalChunk), m.Round, m.Offset, m.Total, m.CtrlLen, m.Chunk)
 	b = append(b, chunkFlags(m.Last, m.Codec))
 	return appendChunkPayload(b, m.Codec, m.Payload)
 }
@@ -408,7 +398,6 @@ func Unmarshal(b []byte) (any, error) {
 	case msgResync:
 		var m ResyncMsg
 		r := le.NewReader(b[1:])
-		readU32s(r, &m.Round, &m.ExpectTau)
 		m.Control = readFloats(r)
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("simnet: malformed resync: %w", err)
@@ -500,7 +489,7 @@ func parseGlobalChunk(b []byte) (GlobalChunkMsg, chunkPayload, error) {
 		return m, chunkPayload{}, fmt.Errorf("simnet: expected global chunk, got %s", describeTag(b))
 	}
 	r := le.NewReader(b[1:])
-	readU32s(r, &m.Round, &m.Offset, &m.Total, &m.CtrlLen, &m.Budget, &m.Chunk)
+	readU32s(r, &m.Round, &m.Offset, &m.Total, &m.CtrlLen, &m.Chunk)
 	last, p, err := readChunkPayload(r.U8(), r)
 	if err != nil {
 		return m, chunkPayload{}, err

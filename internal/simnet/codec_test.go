@@ -17,17 +17,17 @@ func allMsgFixtures() []any {
 		HelloMsg{ID: 4, N: 321, Token: "secret", LabelDist: []float64{0.5, 0.25, 0.25},
 			Version: ProtoVersion, MinVersion: MinProtoVersion, Rejoin: true,
 			Codecs: codecSupportMask},
-		ResyncMsg{Round: 9, ExpectTau: 5, Control: []float64{-0.5, 2}},
+		ResyncMsg{Control: []float64{-0.5, 2}},
 		UpdateChunkMsg{Round: 3, Offset: 37, Total: 74, N: 10, Tau: 4, Last: true,
 			TrainLoss: 0.125, Chunk: []float64{9, 8, 7}},
-		GlobalChunkMsg{Round: 5, Offset: 11, Total: 42, CtrlLen: 6, Budget: 2,
+		GlobalChunkMsg{Round: 5, Offset: 11, Total: 42, CtrlLen: 6,
 			Chunk: 16, Last: false, Payload: []float64{-1, 1}},
 		// Quantized frames round-trip exactly when every value is a whole
 		// number of quantization steps: scale 63.5/127 = 0.5 and 1.75/7 =
 		// 0.25 here.
 		UpdateChunkMsg{Round: 3, Offset: 37, Total: 74, N: 10, Tau: 4, Last: true,
 			TrainLoss: 0.125, Codec: wireCodecInt8, Chunk: []float64{0.5, -0.5, 63.5}},
-		GlobalChunkMsg{Round: 5, Offset: 11, Total: 42, CtrlLen: 6, Budget: 2,
+		GlobalChunkMsg{Round: 5, Offset: 11, Total: 42, CtrlLen: 6,
 			Chunk: 16, Last: false, Codec: wireCodecInt4, Payload: []float64{-0.25, 0.5, 1.75}},
 		ShutdownMsg{},
 	}
@@ -78,7 +78,7 @@ func TestCodecTruncationSweepAllMessages(t *testing.T) {
 // hold on every word size (CI runs this test under GOARCH=386 too).
 func TestDecodeRefusesHostileVectorCount(t *testing.T) {
 	hostile := append(le.AppendU32(nil, 0x20000001), make([]byte, 8)...)
-	for _, msg := range []any{ResyncMsg{Round: 1, ExpectTau: 2}, HelloMsg{ID: 1, N: 2, Token: "t"}} {
+	for _, msg := range []any{ResyncMsg{}, HelloMsg{ID: 1, N: 2, Token: "t"}} {
 		b, err := Marshal(msg)
 		if err != nil {
 			t.Fatal(err)

@@ -62,7 +62,7 @@ func recvGlobal(conn Conn, raw []byte, stateLen, ctrlLen int, buf *[]float64) (g
 	b := (*buf)[:total]
 	for m, done := first, 0; ; {
 		if m.Round != first.Round || m.Total != total || m.CtrlLen != ctrl ||
-			m.Budget != first.Budget || m.Chunk != first.Chunk || m.Codec != first.Codec {
+			m.Chunk != first.Chunk || m.Codec != first.Codec {
 			return g, false, fmt.Errorf("downlink frame header changed mid-stream")
 		}
 		if err := checkFrame(m.Offset, p.count, done, total, m.Last); err != nil {
@@ -84,7 +84,7 @@ func recvGlobal(conn Conn, raw []byte, stateLen, ctrlLen int, buf *[]float64) (g
 		}
 	}
 	g = incomingGlobal{
-		GlobalMsg: GlobalMsg{Round: first.Round, Budget: first.Budget, Chunk: first.Chunk, State: b[:stateLen]},
+		GlobalMsg: GlobalMsg{Round: first.Round, Chunk: first.Chunk, State: b[:stateLen]},
 		codec:     first.Codec,
 	}
 	if ctrl > 0 {

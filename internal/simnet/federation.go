@@ -10,7 +10,6 @@ import (
 	"github.com/niid-bench/niidbench/internal/fl"
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/rng"
-	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
 // Federation runs the federated protocol over explicit connections: the
@@ -54,12 +53,6 @@ type Federation struct {
 	Test *data.Dataset
 	ServerOptions
 	table *partyTable
-	// local marks in-process parties, the ones that dial an in-memory
-	// listener (RunLocal): the server then sends per-round kernel compute
-	// budgets so K concurrently-training parties split the machine instead
-	// of oversubscribing it. Over TCP parties are other processes and the
-	// budget stays 0 (uncapped).
-	local bool
 
 	prevBytes int64 // byte watermark for per-round accounting
 	// streamsOut counts pooled update-stream buffers currently held by
@@ -238,19 +231,6 @@ func (f *Federation) installQueuedRejoins(keep func(id int) bool) (restored []me
 	return restored
 }
 
-// budget is the per-party kernel compute budget when k parties train at
-// once. In-process parties all train concurrently once the global model
-// lands: split this run's core share (Cfg.Parallelism, GOMAXPROCS by
-// default) across them — the same oversubscription guard as
-// fl.Simulation, but carried per-party in the message instead of any
-// process-global knob. Parties in other processes are uncapped (0).
-func (f *Federation) budget(k int) int {
-	if !f.local || k == 0 {
-		return 0
-	}
-	return tensor.Compute{Workers: f.Cfg.Parallelism}.Split(k).Workers
-}
-
 // PartyMeta implements fl.Transport.
 func (f *Federation) PartyMeta(id int) fl.UpdateMeta { return f.table.get(id).meta }
 
@@ -262,7 +242,7 @@ func (f *Federation) PartyMeta(id int) fl.UpdateMeta { return f.table.get(id).me
 // the frame size (0 is one frame per vector): eviction, rejoin and
 // drop-and-renormalise apply at every size.
 func (f *Federation) TrainRound(round int, sampled []int, global, control []float64, sink *fl.RoundSink) error {
-	bf := f.frameCache(f.budget(len(sampled)), func(_, _ []float64) (int, []float64, []float64, bool) {
+	bf := f.frameCache(func(_, _ []float64) (int, []float64, []float64, bool) {
 		return round, global, control, false
 	})
 	r := f.beginRound(sampled, bf)
@@ -443,7 +423,7 @@ func (f *Federation) publish(bf *globalFrames, r *syncRound) {
 // sync round lends the engine's global. fill also names the generation;
 // when it reports the run done there is none to broadcast, and
 // frameCache retires the cache again and returns nil.
-func (f *Federation) frameCache(budget int, fill func(state, control []float64) (gen int, st, ctl []float64, done bool)) *globalFrames {
+func (f *Federation) frameCache(fill func(state, control []float64) (gen int, st, ctl []float64, done bool)) *globalFrames {
 	old := &globalFrames{}
 	f.mu.Lock()
 	if n := len(f.free); n > 0 {
@@ -451,7 +431,7 @@ func (f *Federation) frameCache(budget int, fill func(state, control []float64) 
 	}
 	f.mu.Unlock()
 	gen, state, control, done := fill(old.gm.State, old.gm.Control)
-	bf := newGlobalFrames(gen, state, control, budget, f.Cfg.ChunkSize)
+	bf := newGlobalFrames(gen, state, control, f.Cfg.ChunkSize)
 	for i := range bf.sets {
 		bf.sets[i].arena, bf.sets[i].fr = old.sets[i].arena[:0], old.sets[i].fr[:0]
 	}
@@ -607,8 +587,8 @@ type globalFrames struct {
 // snapshot the cache owns, refilled only once it is retired (see
 // Federation.frameCache), and a sync round's global outlives every sender
 // of it (see endRound).
-func newGlobalFrames(round int, state, control []float64, budget, chunk int) *globalFrames {
-	return &globalFrames{gm: GlobalMsg{Round: round, State: state, Control: control, Budget: budget, Chunk: chunk}}
+func newGlobalFrames(round int, state, control []float64, chunk int) *globalFrames {
+	return &globalFrames{gm: GlobalMsg{Round: round, State: state, Control: control, Chunk: chunk}}
 }
 
 // codecFrames is one codec's lazily encoded frame set within a
@@ -655,7 +635,7 @@ func (b *globalFrames) frames(codec byte) ([][]byte, error) {
 		s.err = fl.ChunkStream(gm.State, gm.Control, gm.Chunk, func(off int, c []float64) error {
 			enc, err := GlobalChunkMsg{
 				Round: gm.Round, Offset: off, Total: total, CtrlLen: len(gm.Control),
-				Budget: gm.Budget, Chunk: gm.Chunk, Last: off+len(c) == total,
+				Chunk: gm.Chunk, Last: off+len(c) == total,
 				Codec: codec, Payload: c,
 			}.appendTo(arena)
 			if err != nil {

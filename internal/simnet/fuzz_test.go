@@ -20,7 +20,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	seed(HelloMsg{ID: 1, N: 100, Token: "tok", LabelDist: []float64{0.5, 0.5}})
 	seed(UpdateChunkMsg{Round: 2, Offset: 37, Total: 74, N: 10, Tau: 3, Last: true,
 		TrainLoss: 0.5, Chunk: []float64{1, 2, 3}})
-	seed(GlobalChunkMsg{Round: 2, Offset: 5, Total: 12, CtrlLen: 4, Budget: 1,
+	seed(GlobalChunkMsg{Round: 2, Offset: 5, Total: 12, CtrlLen: 4,
 		Chunk: 5, Last: true, Payload: []float64{1, -2}})
 	seed(ShutdownMsg{})
 	// Quantized chunk frames, one per codec across the two directions.
@@ -28,13 +28,13 @@ func FuzzDecodeMsg(f *testing.F) {
 		TrainLoss: 0.5, Codec: wireCodecInt8, Chunk: []float64{0.5, -0.5, 63.5}})
 	seed(UpdateChunkMsg{Round: 1, Offset: 0, Total: 4, N: 5, Tau: 2, Last: true,
 		TrainLoss: 0.25, Codec: wireCodecInt4, Chunk: []float64{0.25, -0.5, 1.75, 0}})
-	seed(GlobalChunkMsg{Round: 2, Offset: 5, Total: 12, CtrlLen: 4, Budget: 1,
+	seed(GlobalChunkMsg{Round: 2, Offset: 5, Total: 12, CtrlLen: 4,
 		Chunk: 5, Last: true, Codec: wireCodecF32, Payload: []float64{1, -2}})
 	// Elastic-membership frames: a rejoin hello and both resync shapes
 	// (with and without a SCAFFOLD control vector).
 	seed(HelloMsg{ID: 2, N: 50, Token: "t", Rejoin: true, LabelDist: []float64{0.25, 0.75}})
-	seed(ResyncMsg{Round: 4, ExpectTau: 7, Control: []float64{0.5, -1}})
-	seed(ResyncMsg{Round: 1, ExpectTau: 3})
+	seed(ResyncMsg{Control: []float64{0.5, -1}})
+	seed(ResyncMsg{})
 	f.Add([]byte{msgResync})
 	f.Add([]byte{msgResync, 0xFF, 0xFF, 0xFF, 0xFF})
 	// Hello version-preamble soup: a future version still offering an
@@ -75,17 +75,17 @@ func FuzzDecodeMsg(f *testing.F) {
 			}
 		}
 	}
-	seedTruncations(GlobalChunkMsg{Round: 1, Offset: 0, Total: 3, CtrlLen: 1, Budget: 1, Chunk: 2, Payload: []float64{5}})
+	seedTruncations(GlobalChunkMsg{Round: 1, Offset: 0, Total: 3, CtrlLen: 1, Chunk: 2, Payload: []float64{5}})
 	seedTruncations(UpdateChunkMsg{Round: 1, Offset: 0, Total: 3, N: 5, Tau: 2, Last: true,
 		TrainLoss: 0.5, Codec: wireCodecInt8, Chunk: []float64{1, 2, 3}})
-	seedTruncations(GlobalChunkMsg{Round: 1, Offset: 0, Total: 3, CtrlLen: 1, Budget: 1,
+	seedTruncations(GlobalChunkMsg{Round: 1, Offset: 0, Total: 3, CtrlLen: 1,
 		Chunk: 2, Last: true, Codec: wireCodecInt4, Payload: []float64{1, 2, 3}})
 	// A hostile length prefix: a raw chunk frame whose count word claims
 	// ~1G elements with no payload behind it must be refused before
 	// anything is allocated.
-	f.Add(append(append([]byte{msgGlobalChunk}, make([]byte, 6*4)...), 1, 0xFF, 0xFF, 0xFF, 0x3F))
+	f.Add(append(append([]byte{msgGlobalChunk}, make([]byte, 5*4)...), 1, 0xFF, 0xFF, 0xFF, 0x3F))
 	// Trailing garbage after a complete frame must not decode silently.
-	for _, msg := range []any{ShutdownMsg{}, ResyncMsg{Round: 1, ExpectTau: 3}} {
+	for _, msg := range []any{ShutdownMsg{}, ResyncMsg{}} {
 		if b, err := Marshal(msg); err == nil {
 			f.Add(append(b, 0xDE, 0xAD))
 		}

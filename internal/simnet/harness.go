@@ -8,6 +8,7 @@ import (
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
 	"github.com/niid-bench/niidbench/internal/nn"
+	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
 // This file stands a whole federation up in one process: the server on the
@@ -87,13 +88,17 @@ func RunLoopback(cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test 
 
 // federate is the one in-process harness: the server accepts on ln while
 // party i dials with dial, under party(i)'s options when party is non-nil.
+// Every party trains concurrently in this process, so each gets its share
+// of the run's cores (Cfg.Parallelism, GOMAXPROCS by default) — the same
+// oversubscription guard as fl.Simulation.
 func federate(ln *ServerListener, dial func() (net.Conn, error), cfg fl.Config, spec nn.ModelSpec, locals []*data.Dataset, test *data.Dataset, party func(i int) PartyOptions) (*fl.Result, []error, error) {
-	fed, err := ln.federation(len(locals), cfg, spec, test)
+	fed, err := newFederation(cfg, spec, test, len(locals), ln.ServerOptions)
 	if err != nil {
 		_ = ln.Close()
 		return nil, nil, err
 	}
 	cfg = fed.Cfg
+	share := tensor.Compute{Workers: cfg.Parallelism}.Split(len(locals))
 	return runInProcess(len(locals),
 		func() (*fl.Result, error) {
 			// Closing the listener is what stops the accept loop and turns a
@@ -106,7 +111,7 @@ func federate(ln *ServerListener, dial func() (net.Conn, error), cfg fl.Config, 
 			if party != nil {
 				po = party(i)
 			}
-			err := dialParty(dial, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), po)
+			err := dialParty(dial, i, locals[i], spec, cfg, PartySeed(cfg.Seed, i), share, po)
 			select {
 			case <-fed.table.full:
 			default:

@@ -31,7 +31,7 @@ func recvBroadcast(conn Conn) (g GlobalMsg, ok bool) {
 		}
 		buf = append(buf, m.Payload...)
 		if m.Last {
-			g = GlobalMsg{Round: m.Round, Budget: m.Budget, Chunk: m.Chunk, State: buf[:m.Total-m.CtrlLen]}
+			g = GlobalMsg{Round: m.Round, Chunk: m.Chunk, State: buf[:m.Total-m.CtrlLen]}
 			if m.CtrlLen > 0 {
 				g.Control = buf[m.Total-m.CtrlLen:]
 			}
@@ -232,7 +232,7 @@ func tcpFed(t testing.TB, cfg fl.Config, spec nn.ModelSpec, test *data.Dataset, 
 func fedOn(t testing.TB, ln *ServerListener, dial func() (net.Conn, error), cfg fl.Config, spec nn.ModelSpec, test *data.Dataset, parties int, opts ServerOptions) *memFed {
 	t.Helper()
 	ln.ServerOptions = opts
-	fed, err := ln.federation(parties, cfg, spec, test)
+	fed, err := newFederation(cfg, spec, test, parties, ln.ServerOptions)
 	if err != nil {
 		_ = ln.Close()
 		t.Fatal(err)

@@ -178,7 +178,6 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 // handleGlobal answers one complete round broadcast: a replay of the
 // cached reply, or a fresh training pass.
 func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
-	s.client.SetComputeBudget(tensor.Compute{Workers: ig.Budget})
 	if s.cacheOn && s.cache.valid && ig.Round == s.cache.round {
 		// The server re-asked for a round this session already trained
 		// — it restored from a checkpoint taken before our reply
@@ -272,18 +271,24 @@ type PartyOptions struct {
 // shared-secret token, dataset size, label distribution) so the server can
 // authenticate it, weight its updates and sample stratified without ever
 // seeing the raw data. Round replies are UpdateChunkMsg streams framed at
-// the size the server's broadcast asked for.
+// the size the server's broadcast asked for. The party trains uncapped, as
+// a party in a process of its own should; splitting cores among parties
+// that share a process is the in-process harness's job (RunLocal,
+// RunLoopback).
 func DialPartyOpts(addr string, id int, local *data.Dataset, spec nn.ModelSpec, cfg fl.Config, seed uint64, opts PartyOptions) error {
-	return dialParty(func() (net.Conn, error) { return net.Dial("tcp", addr) }, id, local, spec, cfg, seed, opts)
+	return dialParty(func() (net.Conn, error) { return net.Dial("tcp", addr) }, id, local, spec, cfg, seed, tensor.Compute{}, opts)
 }
 
 // dialParty is DialPartyOpts over any transport: dial opens each of the
-// party's connections — a TCP socket, or an in-memory listener's pipe.
-func dialParty(dial func() (net.Conn, error), id int, local *data.Dataset, spec nn.ModelSpec, cfg fl.Config, seed uint64, opts PartyOptions) error {
+// party's connections — a TCP socket, or an in-memory listener's pipe —
+// and cmp is the kernel compute budget the session trains under for its
+// whole life (the zero Compute is uncapped).
+func dialParty(dial func() (net.Conn, error), id int, local *data.Dataset, spec nn.ModelSpec, cfg fl.Config, seed uint64, cmp tensor.Compute, opts PartyOptions) error {
 	s, err := newPartySession(id, local, spec, cfg, seed)
 	if err != nil {
 		return err
 	}
+	s.client.SetComputeBudget(cmp)
 	// A rejoin-capable party keeps its last trained reply so a restored
 	// server re-asking for that round gets the identical bytes back
 	// instead of a second (RNG-advancing) training pass.

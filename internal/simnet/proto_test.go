@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/niid-bench/niidbench/internal/data"
 	"github.com/niid-bench/niidbench/internal/fl"
+	"github.com/niid-bench/niidbench/internal/le"
 	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/rng"
@@ -64,10 +66,10 @@ func TestCodecVersionedHello(t *testing.T) {
 	}
 }
 
-// TestVersionSkew is the one skew test of the v5 wire. Range negotiation
-// survives: a future peer whose range still reaches 5 is admitted. The
-// historical layouts do not: hand-built hellos exactly as a v4 and a v2
-// build emit them are turned away at admission with a typed *VersionError
+// TestVersionSkew is the one skew test of the v6 wire. Range negotiation
+// survives: a future peer whose range still reaches 6 is admitted. The
+// historical layouts do not: hellos exactly as a v5, a v4 and a v2 build
+// emit them are turned away at admission with a typed *VersionError
 // naming the peer's generation — never a misaligned decode. And codec
 // negotiation falls back: on an int8 server, a party whose support mask
 // lacks the int8 bit is admitted and served raw float64 frames while its
@@ -88,9 +90,14 @@ func TestVersionSkew(t *testing.T) {
 	// tag, magic, version 2, rejoin, ID, N, token, distribution: the
 	// pre-range v2 layout.
 	v2 := []byte{msgHello, protoMagic, 2, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-	for want, hello := range map[byte][]byte{4: v4, 2: v2} {
+	// v5 kept the v6 hello layout; only its range [5,5] differs.
+	v5, err := Marshal(HelloMsg{ID: 0, N: 10, Version: 5, MinVersion: 5, LabelDist: []float64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want, hello := range map[byte][]byte{5: v5, 4: v4, 2: v2} {
 		var ve *VersionError
-		if err := admit(hello); !errors.As(err, &ve) || ve.Got != want {
+		if err := admit(hello); !errors.As(err, &ve) || *ve != (VersionError{Got: want, GotMin: want}) {
 			t.Fatalf("v%d hello at admission: %v, want a *VersionError for generation %d", want, err, want)
 		}
 	}
@@ -176,7 +183,7 @@ func (c *codecSpy) Recv() ([]byte, error) {
 
 func TestCodecRoundTripGlobalChunk(t *testing.T) {
 	in := GlobalChunkMsg{Round: 5, Offset: 37, Total: 100, CtrlLen: 20,
-		Budget: 3, Chunk: 37, Last: true, Payload: []float64{1.5, -2, 3}}
+		Chunk: 37, Last: true, Payload: []float64{1.5, -2, 3}}
 	b, err := Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +194,7 @@ func TestCodecRoundTripGlobalChunk(t *testing.T) {
 	}
 	got := out.(GlobalChunkMsg)
 	if got.Round != 5 || got.Offset != 37 || got.Total != 100 || got.CtrlLen != 20 ||
-		got.Budget != 3 || got.Chunk != 37 || !got.Last ||
+		got.Chunk != 37 || !got.Last ||
 		len(got.Payload) != 3 || got.Payload[1] != -2 {
 		t.Fatalf("round trip: %+v", got)
 	}
@@ -213,11 +220,12 @@ func TestCodecRoundTripGlobalChunk(t *testing.T) {
 	}
 }
 
-// TestVersionSkewRejectedAtAdmission connects peers speaking a stale
-// protocol version, the wrong magic, and a hello truncated inside the
-// version preamble. Each must be turned away with a clean, descriptive
-// Refused event — never a misaligned decode or a hang — while the
-// federation keeps waiting and completes once the real parties arrive.
+// TestVersionSkewRejectedAtAdmission connects peers speaking a future-only
+// and the previous (v5) protocol version, the wrong magic, and a hello
+// truncated inside the version preamble. Each must be turned away with a
+// clean, descriptive Refused event — never a misaligned decode or a hang —
+// while the federation keeps waiting and completes once the real parties
+// arrive.
 func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	cfg.Rounds = 2
@@ -228,6 +236,10 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 	ln.Events = events.add
 	addr := ln.Addr()
 	stale, err := Marshal(HelloMsg{ID: 0, N: 10, LabelDist: []float64{1}, Version: ProtoVersion + 41, MinVersion: ProtoVersion + 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v5, err := Marshal(HelloMsg{ID: 0, N: 10, LabelDist: []float64{1}, Version: 5, MinVersion: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +255,7 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 	res, peerErrs, err := federateTCP(ln, len(locals), cfg, spec, test, len(locals)+1, func(i int) error {
 		if i == len(locals) {
 			defer close(rawDone)
-			return errors.Join(dialRaw(addr, stale), dialRaw(addr, badMagic), dialRaw(addr, truncated))
+			return errors.Join(dialRaw(addr, stale), dialRaw(addr, v5), dialRaw(addr, badMagic), dialRaw(addr, truncated))
 		}
 		// The run starts once the honest parties are in, and a short run
 		// can end before a raw dial is read, expiring it unjudged. Each
@@ -259,20 +271,24 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 		t.Fatalf("federation accuracy %v", res.FinalAccuracy)
 	}
 	rejections := events.of(Refused)
-	if len(rejections) < 3 {
-		t.Fatalf("expected 3 rejections (stale, magic, truncated), got %v", rejections)
+	if len(rejections) < 4 {
+		t.Fatalf("expected 4 rejections (stale, v5, magic, truncated), got %v", rejections)
 	}
-	var sawVersion, sawMagic, sawTruncated bool
+	var sawVersion, sawV5, sawMagic, sawTruncated bool
 	for _, rej := range rejections {
 		if rej.Party != -1 {
 			t.Fatalf("a hello that never decoded was refused as party %d: %v", rej.Party, rej)
 		}
 		var ve *VersionError
 		if errors.As(rej.Err, &ve) {
-			if ve.Got != ProtoVersion+41 {
-				t.Fatalf("version rejection carries peer version %d, want %d", ve.Got, ProtoVersion+41)
+			switch *ve {
+			case VersionError{Got: ProtoVersion + 41, GotMin: ProtoVersion + 41}:
+				sawVersion = true
+			case VersionError{Got: 5, GotMin: 5}:
+				sawV5 = true
+			default:
+				t.Fatalf("version rejection carries peer range %+v, want [%d,%d] or [5,5]", *ve, ProtoVersion+41, ProtoVersion+41)
 			}
-			sawVersion = true
 		}
 		if strings.Contains(rej.Err.Error(), "magic") {
 			sawMagic = true
@@ -281,9 +297,9 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 			sawTruncated = true
 		}
 	}
-	if !sawVersion || !sawMagic || !sawTruncated {
-		t.Fatalf("rejection reasons not descriptive (version=%v magic=%v truncated=%v): %v",
-			sawVersion, sawMagic, sawTruncated, rejections)
+	if !sawVersion || !sawV5 || !sawMagic || !sawTruncated {
+		t.Fatalf("rejection reasons not descriptive (version=%v v5=%v magic=%v truncated=%v): %v",
+			sawVersion, sawV5, sawMagic, sawTruncated, rejections)
 	}
 }
 
@@ -449,6 +465,26 @@ func readGlobal(conn Conn, stateLen, ctrlLen int, buf *[]float64) (incomingGloba
 // assembly buffer it read into.
 func downlinkFrom(t *testing.T, stateLen, ctrlLen int, frames ...GlobalChunkMsg) (incomingGlobal, []float64, error) {
 	t.Helper()
+	return downlinkRaw(t, stateLen, ctrlLen, marshalFrames(t, frames)...)
+}
+
+// marshalFrames encodes frames as the server would put them on the wire.
+func marshalFrames(t *testing.T, frames []GlobalChunkMsg) [][]byte {
+	t.Helper()
+	raw := make([][]byte, len(frames))
+	for i, f := range frames {
+		b, err := Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[i] = b
+	}
+	return raw
+}
+
+// downlinkRaw is downlinkFrom over frames already encoded.
+func downlinkRaw(t *testing.T, stateLen, ctrlLen int, frames ...[]byte) (incomingGlobal, []float64, error) {
+	t.Helper()
 	serverSide, partySide := pipe()
 	t.Cleanup(func() {
 		_ = serverSide.Close()
@@ -458,12 +494,8 @@ func downlinkFrom(t *testing.T, stateLen, ctrlLen int, frames ...GlobalChunkMsg)
 	// the stream stops reading, and the frames behind the refusal then fail
 	// when the cleanup hangs up.
 	go func() {
-		for _, f := range frames {
-			b, err := Marshal(f)
-			if err == nil {
-				err = serverSide.Send(b)
-			}
-			if err != nil {
+		for _, b := range frames {
+			if serverSide.Send(b) != nil {
 				return
 			}
 		}
@@ -544,7 +576,7 @@ func TestDownlinkViolationsUnpublished(t *testing.T) {
 	frames := func() []GlobalChunkMsg {
 		fr := make([]GlobalChunkMsg, 3)
 		for i := range fr {
-			fr[i] = GlobalChunkMsg{Round: 3, Offset: 2 * i, Total: 6, CtrlLen: 1, Budget: 1, Chunk: 2,
+			fr[i] = GlobalChunkMsg{Round: 3, Offset: 2 * i, Total: 6, CtrlLen: 1, Chunk: 2,
 				Last: i == 2, Payload: []float64{float64(2 * i), float64(2*i + 1)}}
 		}
 		return fr
@@ -552,48 +584,63 @@ func TestDownlinkViolationsUnpublished(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
 		mutate     func(fr []GlobalChunkMsg) []GlobalChunkMsg
+		wire       func(raw [][]byte)
 	}{
-		{"offset gap", "expected offset 2", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+		{name: "offset gap", want: "expected offset 2", mutate: func(fr []GlobalChunkMsg) []GlobalChunkMsg {
 			fr[1].Offset++
 			return fr
 		}},
-		{"offset overlap", "expected offset 2", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+		{name: "offset overlap", want: "expected offset 2", mutate: func(fr []GlobalChunkMsg) []GlobalChunkMsg {
 			fr[1].Offset--
 			return fr
 		}},
-		{"stream overflow", "overflows stream length 6", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+		{name: "stream overflow", want: "overflows stream length 6", mutate: func(fr []GlobalChunkMsg) []GlobalChunkMsg {
 			fr[2].Payload = append(fr[2].Payload, 6)
 			return fr
 		}},
-		{"early last marker", "inconsistent last marker", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+		{name: "early last marker", want: "inconsistent last marker", mutate: func(fr []GlobalChunkMsg) []GlobalChunkMsg {
 			fr[1].Last = true
 			return fr
 		}},
-		{"missing last marker", "inconsistent last marker", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+		{name: "missing last marker", want: "inconsistent last marker", mutate: func(fr []GlobalChunkMsg) []GlobalChunkMsg {
 			fr[2].Last = false
 			return fr
 		}},
-		{"empty non-final frame", "empty non-final", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+		{name: "empty non-final frame", want: "empty non-final", mutate: func(fr []GlobalChunkMsg) []GlobalChunkMsg {
 			fr[1].Payload = nil
 			return fr
 		}},
-		{"round changes mid-stream", "header changed", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+		{name: "round changes mid-stream", want: "header changed", mutate: func(fr []GlobalChunkMsg) []GlobalChunkMsg {
 			fr[1].Round++
 			return fr
 		}},
-		{"budget changes mid-stream", "header changed", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
-			fr[2].Budget++
-			return fr
-		}},
-		{"codec switch mid-stream", "header changed", func(fr []GlobalChunkMsg) []GlobalChunkMsg {
+		{name: "codec switch mid-stream", want: "header changed", mutate: func(fr []GlobalChunkMsg) []GlobalChunkMsg {
 			fr[1].Codec = wireCodecInt8
 			return fr
 		}},
+		{name: "retired sixth header field", want: "payload of 12 bytes for 0 elements", wire: func(raw [][]byte) {
+			// A v5 first frame: the kernel budget u32 sat between CtrlLen
+			// and Chunk. Read as v6 it misaligns the flags and count, so
+			// the payload length check refuses it before the assembly
+			// buffer is sized.
+			raw[0] = slices.Insert(raw[0], 1+4*4, le.AppendU32(nil, 1)...)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g, _, err := downlinkFrom(t, 5, 1, tc.mutate(frames())...)
+			fr := frames()
+			if tc.mutate != nil {
+				fr = tc.mutate(fr)
+			}
+			raw := marshalFrames(t, fr)
+			if tc.wire != nil {
+				tc.wire(raw)
+			}
+			g, buf, err := downlinkRaw(t, 5, 1, raw...)
 			if err == nil || !strings.Contains(err.Error(), tc.want) || g.State != nil {
 				t.Fatalf("got %+v, %v; want an error containing %q and no broadcast", g, err, tc.want)
+			}
+			if tc.wire != nil && buf != nil {
+				t.Fatal("a malformed first frame sized the assembly buffer")
 			}
 		})
 	}
@@ -689,7 +736,7 @@ func TestPartyHelloDeadline(t *testing.T) {
 			}
 			state := make([]float64, s.client.StateCount())
 			frames := func(gen int) [][]byte {
-				fr, err := newGlobalFrames(gen, state, nil, 0, cfg.ChunkSize).frames(wireCodecF64)
+				fr, err := newGlobalFrames(gen, state, nil, cfg.ChunkSize).frames(wireCodecF64)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -758,7 +805,7 @@ func TestCutBroadcastRejoinBitwise(t *testing.T) {
 		state[i] = float64(i%7-3) * 0.01
 	}
 	frames := func(round int) [][]byte {
-		fr, err := newGlobalFrames(round, state, nil, 0, cfg.ChunkSize).frames(wireCodecF64)
+		fr, err := newGlobalFrames(round, state, nil, cfg.ChunkSize).frames(wireCodecF64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -831,7 +878,7 @@ func TestCutBroadcastRejoinBitwise(t *testing.T) {
 	}); err == nil {
 		t.Fatal("the session ended cleanly on a cut broadcast")
 	}
-	resync, err := Marshal(ResyncMsg{Round: 1})
+	resync, err := Marshal(ResyncMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}

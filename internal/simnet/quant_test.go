@@ -184,7 +184,7 @@ func TestQuantizedFrameRoundTripAllCodecs(t *testing.T) {
 		// Downlink: the encode-once cache serializes the generation into
 		// frames for this codec; a scripted receiver reassembles.
 		state, control := v[:n-10], v[n-10:]
-		bf := newGlobalFrames(4, state, control, 1, 16)
+		bf := newGlobalFrames(4, state, control, 16)
 		frames, err := bf.frames(codec)
 		if err != nil {
 			t.Fatalf("%s: encode downlink: %v", codecName(codec), err)
@@ -271,15 +271,15 @@ func TestRawWireBitwisePin(t *testing.T) {
 		{UpdateChunkMsg{Round: 3, Offset: 2, Total: 5, N: 10, Tau: 4, Last: true,
 			TrainLoss: 0.125, Chunk: []float64{1.5, -2, 0.25}},
 			"050300000002000000050000000a0000000400000001000000000000c03f03000000000000000000f83f00000000000000c0000000000000d03f"},
-		{GlobalChunkMsg{Round: 7, Offset: 0, Total: 3, CtrlLen: 1, Budget: 2,
+		{GlobalChunkMsg{Round: 7, Offset: 0, Total: 3, CtrlLen: 1,
 			Chunk: 4, Last: true, Payload: []float64{0.5, -1, 8}},
-			"060700000000000000030000000100000002000000040000000103000000000000000000e03f000000000000f0bf0000000000002040"},
+			"0607000000000000000300000001000000040000000103000000000000000000e03f000000000000f0bf0000000000002040"},
 		{UpdateChunkMsg{Round: 3, Offset: 2, Total: 5, N: 10, Tau: 4, Last: true,
 			TrainLoss: 0.125, Codec: wireCodecInt8, Chunk: []float64{0.5, -63.5, 0.25}},
 			"050300000002000000050000000a0000000400000005000000000000c03f03000000000000000000e03f018101"},
-		{GlobalChunkMsg{Round: 7, Offset: 0, Total: 3, CtrlLen: 1, Budget: 2,
+		{GlobalChunkMsg{Round: 7, Offset: 0, Total: 3, CtrlLen: 1,
 			Chunk: 4, Codec: wireCodecInt8, Payload: []float64{127, -1, 8}},
-			"060700000000000000030000000100000002000000040000000403000000000000000000f03f7fff08"},
+			"0607000000000000000300000001000000040000000403000000000000000000f03f7fff08"},
 	}
 	for _, tc := range cases {
 		b, err := Marshal(tc.msg)
@@ -298,7 +298,7 @@ func TestRawWireBitwisePin(t *testing.T) {
 // like any other int8 run.
 func TestQuantizedWholeVectorFrames(t *testing.T) {
 	v := quantTestVector(50)
-	frames, err := newGlobalFrames(1, v[:40], v[40:], 0, 0).frames(wireCodecInt8)
+	frames, err := newGlobalFrames(1, v[:40], v[40:], 0).frames(wireCodecInt8)
 	if err != nil {
 		t.Fatal(err)
 	}

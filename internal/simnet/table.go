@@ -75,8 +75,8 @@ type partyTable struct {
 	// retired is the traffic of replaced conns, so the table holds one conn
 	// per party however often a party flaps and totalBytes stays exact.
 	retired int64
-	// round stamps ResyncMsg: completed rounds (sync) or the current
-	// generation (async).
+	// round stamps the Resynced event: completed rounds (sync) or the
+	// current generation (async).
 	round int
 }
 
@@ -217,15 +217,15 @@ func (t *partyTable) drainRejoins(keep func(id int) bool) (taken []member) {
 	return taken
 }
 
-// setRound moves the ResyncMsg round stamp.
+// setRound moves the Resynced round stamp.
 func (t *partyTable) setRound(round int) {
 	t.mu.Lock()
 	t.round = round
 	t.mu.Unlock()
 }
 
-// resync returns what a ResyncMsg to party id carries besides its tau: the
-// round stamp and a copy of the party's tracked control variate.
+// resync returns the round stamp of party id's Resynced event and what
+// its ResyncMsg carries: a copy of the party's tracked control variate.
 func (t *partyTable) resync(id int) (round int, control []float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
