@@ -104,19 +104,13 @@ func TestEvaluatorParallelMatchesSerial(t *testing.T) {
 	ref := NewEvaluator(spec, test)
 	want := float64(ref.shard(0).accuracyRange(spec, test, state, 0, test.Len())) / float64(test.Len())
 
-	// Forced multi-shard: split by hand exactly as Accuracy does and sum.
+	// Forced multi-shard: split with Accuracy's own shardRange and sum.
 	e := NewEvaluator(spec, test)
 	n := test.Len()
 	shards := 3
-	per := (n + shards - 1) / shards
-	per = (per + evalBatch - 1) / evalBatch * evalBatch
 	correct := 0
 	for i := 0; i < shards; i++ {
-		lo := i * per
-		if lo >= n {
-			break
-		}
-		hi := min(lo+per, n)
+		lo, hi := shardRange(n, shards, i)
 		correct += e.shard(i).accuracyRange(spec, test, state, lo, hi)
 	}
 	got := float64(correct) / float64(n)
@@ -126,6 +120,30 @@ func TestEvaluatorParallelMatchesSerial(t *testing.T) {
 	// And the public entry point agrees (GOMAXPROCS decides the fan-out).
 	if acc := e.Accuracy(state); acc != want {
 		t.Fatalf("Accuracy() %v != serial %v", acc, want)
+	}
+}
+
+// TestShardRangeSplitsEvenly checks that evaluator shards tile the test
+// rows contiguously with shares at most one row apart, bar the last: 600
+// cifar10 rows on two shards split 300 / 300, not 512 / 88.
+func TestShardRangeSplitsEvenly(t *testing.T) {
+	if lo, hi := shardRange(600, 2, 1); lo != 300 || hi != 600 {
+		t.Fatalf("600 rows, shard 1 of 2: [%d, %d), want [300, 600)", lo, hi)
+	}
+	for _, n := range []int{1, 255, 256, 257, 500, 600, 1000} {
+		for shards := 1; shards <= (n+evalBatch-1)/evalBatch+1; shards++ {
+			next, per := 0, (n+shards-1)/shards
+			for i := 0; i < shards; i++ {
+				lo, hi := shardRange(n, shards, i)
+				if lo != min(next, n) || hi-lo > per {
+					t.Fatalf("n=%d shards=%d: shard %d is [%d, %d), want it to start at %d and hold <= %d rows", n, shards, i, lo, hi, next, per)
+				}
+				next = hi
+			}
+			if next != n {
+				t.Fatalf("n=%d shards=%d: shards end at %d", n, shards, next)
+			}
+		}
 	}
 }
 

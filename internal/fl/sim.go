@@ -279,6 +279,15 @@ func (e *Evaluator) shard(i int) *evalShard {
 	return e.shards[i]
 }
 
+// shardRange is shard i's contiguous share of n test rows split over
+// shards as evenly as whole rows allow: ⌈n/shards⌉ each, the last shard
+// short. (Rounding shares up to whole mini-batches instead split 600 rows
+// 512 / 88, and one core idled through most of every evaluation.)
+func shardRange(n, shards, i int) (lo, hi int) {
+	per := (n + shards - 1) / shards
+	return min(i*per, n), min((i+1)*per, n)
+}
+
 // Accuracy computes top-1 accuracy of the given state on the test set.
 func (e *Evaluator) Accuracy(state []float64) float64 {
 	if e.test == nil || e.test.Len() == 0 {
@@ -296,18 +305,13 @@ func (e *Evaluator) Accuracy(state []float64) float64 {
 	// gets its own kernel budget so shards x kernel goroutines stays
 	// within the evaluator's budget.
 	budget := e.cmp.Split(shards)
-	// Contiguous per-shard ranges rounded up to whole batches so every
-	// shard but the last runs full mini-batches.
-	per := (n + shards - 1) / shards
-	per = (per + evalBatch - 1) / evalBatch * evalBatch
 	counts := make([]int, shards)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
-		lo := i * per
-		if lo >= n {
+		lo, hi := shardRange(n, shards, i)
+		if lo >= hi {
 			break
 		}
-		hi := min(lo+per, n)
 		sh := e.shard(i)
 		sh.model.SetCompute(budget)
 		wg.Add(1)

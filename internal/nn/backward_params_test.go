@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/niid-bench/niidbench/internal/rng"
@@ -54,7 +55,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 				}
 				switch l := params.Layers[0].(type) {
 				case *Conv2D:
-					if l.dcols != nil || l.dx != nil {
+					if l.dx != nil {
 						t.Fatal("first Conv2D allocated input-gradient scratch under BackwardParams")
 					}
 				case *Dense:
@@ -65,6 +66,47 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 					t.Fatalf("first layer %T cannot split its Backward", l)
 				}
 			})
+		}
+	}
+}
+
+// TestConvHoldsNoPatchMatrix guards the memory the conv entries save: after
+// a CNN Forward plus BackwardParams at batch 256, no Conv2D holds a tensor
+// as large as its patch matrix (B·oh·ow × C·kh·kw).
+// Every *tensor.Tensor field is checked, so a new one cannot slip past.
+func TestConvHoldsNoPatchMatrix(t *testing.T) {
+	const batch = 256
+	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+		spec := ModelSpec{Kind: KindCNN, Channels: 3, Height: 16, Width: 16, Classes: 10, DType: dt}
+		m := Build(spec, rng.New(3))
+		x := tensor.NewOf(dt, batch, inputLen(spec))
+		x.Fill(0.5)
+		labels := make([]int, batch)
+		_, g := SoftmaxCrossEntropy{}.LossInto(nil, m.Forward(spec.ShapeBatch(x), true), labels)
+		m.BackwardParams(g)
+		convs := 0
+		for _, l := range m.Layers {
+			c, ok := l.(*Conv2D)
+			if !ok {
+				continue
+			}
+			convs++
+			out := c.out.Shape()
+			patch := out[0] * out[2] * out[3] * c.InC * c.KH * c.KW
+			v := reflect.ValueOf(c).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Field(i)
+				if f.Type() != reflect.TypeOf((*tensor.Tensor)(nil)) || f.IsNil() {
+					continue
+				}
+				e := f.Elem()
+				if n := max(e.FieldByName("data").Cap(), e.FieldByName("data32").Cap()); n >= patch {
+					t.Errorf("%v conv %d: field %s holds %d elements, its patch matrix has %d", dt, convs, v.Type().Field(i).Name, n, patch)
+				}
+			}
+		}
+		if convs != 2 {
+			t.Fatalf("%v: CNN has %d Conv2D layers, want 2", dt, convs)
 		}
 	}
 }

@@ -8,31 +8,27 @@ import (
 	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW inputs, implemented as im2col
-// followed by a matrix product. The weight is stored as
-// (inC*kh*kw, outC) so the forward pass is a single matmul on the patch
-// matrix. All intermediates live in per-layer scratch buffers that are
-// reused across Forward/Backward calls, so steady-state training does not
-// allocate. The layer's dtype (chosen at construction) selects the kernel
-// set: the packed-panel GEMM driver's float32 or float64 microkernels and
-// the matching im2col/col2im.
+// Conv2D is a 2-D convolution over NCHW inputs. The weight is stored as
+// (inC*kh*kw, outC), one row per patch element (ci, ky, kx), and every
+// pass runs on the GEMM driver's convolution entries (tensor.ConvInto and
+// its two gradients), which re-derive the patches from the image block by
+// block: no pass materializes a patch matrix. The forward output, the weight
+// gradient and the input gradient live in per-layer scratch buffers that
+// are reused across Forward/Backward calls, so steady-state training does
+// not allocate. The layer's dtype (chosen at construction) selects the
+// float32 or float64 kernel set.
 type Conv2D struct {
-	InC, OutC     int
-	KH, KW        int
-	Stride, Pad   int
-	W, B          *Param
-	dt            tensor.DType
-	cmp           tensor.Compute // kernel fan-out budget (zero = all cores)
-	cols          *tensor.Tensor // cached im2col of the input
-	inB, inH, inW int            // cached input geometry
-	outH, outW    int
+	InC, OutC   int
+	KH, KW      int
+	Stride, Pad int
+	W, B        *Param
+	dt          tensor.DType
+	cmp         tensor.Compute // kernel fan-out budget (zero = all cores)
+	in          *tensor.Tensor // cached input for the backward pass
 	// scratch buffers, grown on demand and reused across batches
-	prod  *tensor.Tensor // forward matmul result (rows layout)
-	out   *tensor.Tensor // forward output (NCHW)
-	gcols *tensor.Tensor // backward: gradient in rows layout
-	dw    *tensor.Tensor // backward: weight-gradient accumulator
-	dcols *tensor.Tensor // backward: column gradient
-	dx    *tensor.Tensor // backward: input gradient (NCHW)
+	out *tensor.Tensor // forward output (NCHW)
+	dw  *tensor.Tensor // backward: weight-gradient accumulator
+	dx  *tensor.Tensor // backward: input gradient (NCHW)
 }
 
 // NewConv2DOf creates a convolution layer of the given compute dtype with
@@ -48,106 +44,65 @@ func NewConv2DOf(dt tensor.DType, inC, outC, kh, kw, stride, pad int, r *rng.RNG
 	return c
 }
 
-// SetCompute installs the kernel compute budget for the layer's im2col,
-// col2im and matmul kernels.
+// SetCompute installs the kernel compute budget for the layer's
+// convolution kernels: each fans out over output pixels or images, and
+// its result does not depend on the budget.
 func (c *Conv2D) SetCompute(cmp tensor.Compute) { c.cmp = cmp }
 
 // Forward computes the convolution of x (batch, inC, H, W). The returned
-// tensor is layer-owned scratch, valid until the next Forward call.
+// tensor is layer-owned scratch, valid until the next Forward call; x
+// must stay unchanged until Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D input shape %v, want [N %d H W]", x.Shape(), c.InC))
 	}
-	c.inB, c.inH, c.inW = x.Dim(0), x.Dim(2), x.Dim(3)
-	c.outH = tensor.ConvOutSize(c.inH, c.KH, c.Stride, c.Pad)
-	c.outW = tensor.ConvOutSize(c.inW, c.KW, c.Stride, c.Pad)
-	rows := c.inB * c.outH * c.outW
-	c.cols = tensor.EnsureOf(c.dt, c.cols, rows, c.InC*c.KH*c.KW)
-	c.cmp.Im2ColInto(c.cols, x, c.KH, c.KW, c.Stride, c.Pad)
-	// (B*oh*ow, inC*kh*kw) @ (inC*kh*kw, outC) -> (B*oh*ow, outC)
-	c.prod = tensor.EnsureOf(c.dt, c.prod, rows, c.OutC)
-	c.cmp.MatMulInto(c.prod, c.cols, c.W.Data)
-	c.prod.AddRowVector(c.B.Data)
-	c.out = tensor.EnsureOf(c.dt, c.out, c.inB, c.OutC, c.outH, c.outW)
-	rowsToNCHWInto(c.out, c.prod)
-	return c.out
+	c.in = x
+	outH := tensor.ConvOutSize(x.Dim(2), c.KH, c.Stride, c.Pad)
+	outW := tensor.ConvOutSize(x.Dim(3), c.KW, c.Stride, c.Pad)
+	c.out = tensor.EnsureOf(c.dt, c.out, x.Dim(0), c.OutC, outH, outW)
+	return c.cmp.ConvInto(c.out, x, c.W.Data, c.B.Data, c.KH, c.KW, c.Stride, c.Pad)
 }
 
 // Backward accumulates weight/bias gradients and returns the input
 // gradient (layer-owned scratch, valid until the next Backward call).
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(grad)
-	// dcols = gcols @ Wᵀ, then scatter back to image shape.
-	c.dcols = tensor.EnsureOf(c.dt, c.dcols, c.gcols.Dim(0), c.W.Data.Dim(0))
-	c.cmp.MatMulTransBInto(c.dcols, c.gcols, c.W.Data)
-	c.dx = tensor.EnsureOf(c.dt, c.dx, c.inB, c.InC, c.inH, c.inW)
-	return c.cmp.Col2ImInto(c.dx, c.dcols, c.KH, c.KW, c.Stride, c.Pad)
+	c.dx = tensor.EnsureOf(c.dt, c.dx, c.in.Dim(0), c.InC, c.in.Dim(2), c.in.Dim(3))
+	return c.cmp.ConvInputGradInto(c.dx, grad, c.W.Data, c.KH, c.KW, c.Stride, c.Pad)
 }
 
-// backwardParams is the parameter half of Backward: dW and db only. It
-// leaves the output gradient in rows layout in c.gcols for the input half.
+// backwardParams is the parameter half of Backward: dW and db only, read
+// from the cached input and the NCHW output gradient.
 func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
-	rows := c.inB * c.outH * c.outW
-	c.gcols = tensor.EnsureOf(c.dt, c.gcols, rows, c.OutC) // (B*oh*ow, outC)
-	nchwToRowsInto(c.gcols, grad)
-	// dW += colsᵀ @ gcols
 	c.dw = tensor.EnsureOf(c.dt, c.dw, c.W.Data.Dim(0), c.W.Data.Dim(1))
-	c.cmp.MatMulTransAInto(c.dw, c.cols, c.gcols)
+	c.cmp.ConvWeightGradInto(c.dw, c.in, grad, c.KH, c.KW, c.Stride, c.Pad)
 	tensor.AddInto(c.W.Grad, c.W.Grad, c.dw)
-	// db += column sums
-	c.gcols.ColSumsInto(c.B.Grad)
+	b, hw := grad.Dim(0), grad.Dim(2)*grad.Dim(3)
+	if c.dt == tensor.Float32 {
+		channelSums(c.B.Grad.Data32(), grad.Data32(), b, hw)
+	} else {
+		channelSums(c.B.Grad.Data(), grad.Data(), b, hw)
+	}
+}
+
+// channelSums adds each channel's sum over the NCHW tensor gd (b images
+// of hw-element planes) into db, pixel by pixel in (image, pixel) order —
+// the order a column sum of the (pixels, channels) matrix adds them in.
+func channelSums[T tensor.Elem](db, gd []T, b, hw int) {
+	oc := len(db)
+	for o := range db {
+		s := db[o]
+		for bi := 0; bi < b; bi++ {
+			for _, v := range gd[(bi*oc+o)*hw:][:hw] {
+				s += v
+			}
+		}
+		db[o] = s
+	}
 }
 
 // Params returns the kernel and bias.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
-
-func rowsToNCHW[T tensor.Elem](od, rd []T, b, c, h, w int) {
-	for bi := 0; bi < b; bi++ {
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				row := ((bi*h+y)*w + x) * c
-				for ci := 0; ci < c; ci++ {
-					od[((bi*c+ci)*h+y)*w+x] = rd[row+ci]
-				}
-			}
-		}
-	}
-}
-
-// rowsToNCHWInto rearranges a (B*H*W, C) row matrix into the NCHW tensor
-// out; every element of out is written.
-func rowsToNCHWInto(out, rows *tensor.Tensor) {
-	b, c, h, w := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3)
-	if out.DType() == tensor.Float32 {
-		rowsToNCHW(out.Data32(), rows.Data32(), b, c, h, w)
-		return
-	}
-	rowsToNCHW(out.Data(), rows.Data(), b, c, h, w)
-}
-
-func nchwToRows[T tensor.Elem](od, xd []T, b, c, h, w int) {
-	for bi := 0; bi < b; bi++ {
-		for y := 0; y < h; y++ {
-			for xx := 0; xx < w; xx++ {
-				row := ((bi*h+y)*w + xx) * c
-				for ci := 0; ci < c; ci++ {
-					od[row+ci] = xd[((bi*c+ci)*h+y)*w+xx]
-				}
-			}
-		}
-	}
-}
-
-// nchwToRowsInto is the inverse of rowsToNCHWInto: it writes the (B*H*W, C)
-// row layout of the NCHW tensor x into out.
-func nchwToRowsInto(out, x *tensor.Tensor) {
-	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	if x.DType() == tensor.Float32 {
-		nchwToRows(out.Data32(), x.Data32(), b, c, h, w)
-		return
-	}
-	nchwToRows(out.Data(), x.Data(), b, c, h, w)
-}
 
 // MaxPool2D is a max pooling layer over NCHW inputs. Dtype-agnostic: the
 // scratch follows the input.

@@ -149,9 +149,9 @@ type paramBackwarder interface {
 // BackwardParams is Backward for callers that discard the returned input
 // gradient — every training loop, since nothing sits below the first
 // layer. It accumulates exactly the parameter gradients Backward would,
-// but never forms the first layer's input gradient (a GEMM against Wᵀ
-// plus, for a convolution, a col2im) nor allocates its scratch. A first
-// layer that cannot split falls back to Backward.
+// but never forms the first layer's input gradient (a GEMM against Wᵀ;
+// for a convolution, tensor.ConvInputGradInto) nor allocates its
+// scratch. A first layer that cannot split falls back to Backward.
 func (m *Sequential) BackwardParams(grad *tensor.Tensor) {
 	if len(m.Layers) == 0 {
 		return

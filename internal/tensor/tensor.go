@@ -1,8 +1,9 @@
 // Package tensor implements dense row-major tensors and the kernels
 // NIID-Bench's neural-network stack needs: matrix multiplication,
 // element-wise kernels (AddInto, AddScaled, AddRowVector, ColSumsInto),
-// Dot, and the im2col/col2im transforms that turn convolutions into matrix
-// products.
+// Dot, and convolutions (ConvInto and its two gradients) run as matrix
+// products on the same driver, with the im2col/col2im transforms as their
+// materialized twins.
 //
 // Tensors are deliberately simple: a shape and a flat backing slice. The
 // federated-learning layer moves models around as flat []float64 vectors,
@@ -31,9 +32,18 @@
 // AVX2+FMA assembly (gemm_kernels_amd64.h, instantiated per dtype by
 // gemm_amd64.s, CPUID-gated by useFMA) with one portable Go twin. The
 // int8 wire codec's kernels (quant.go) sit behind the same gate.
-// Im2ColInto/Col2ImInto parallelize over the batch dimension. Every kernel
-// writes into caller-provided storage. The goroutine fan-out of every
-// kernel is bounded by an explicit Compute budget — call kernels as
+//
+// The convolution entries (conv.go) are that driver reading images: the
+// forward and the weight gradient re-derive, block by block, the
+// transposed patch rows a product step needs into pooled L2-sized
+// scratch that the microkernels' A stream reads in place, so no call
+// holds a whole patch matrix, and each product keeps the operands, kc
+// blocking and microkernels of its materialized twin (Im2ColInto or
+// Col2ImInto plus a MatMul entry), so its results are bitwise the twin's.
+// They fan out over pixel blocks, kernel rows or images;
+// Im2ColInto/Col2ImInto parallelize over the batch dimension. Every
+// kernel writes into caller-provided storage. The goroutine fan-out of
+// every kernel is bounded by an explicit Compute budget — call kernels as
 // methods on a Compute value (Compute{Workers: n}.MatMulInto(...)) — so
 // independent consumers in one process (per-client model replicas,
 // concurrent simulations) each cap their own fan-out without any shared
