@@ -305,7 +305,6 @@ func TestDifficultyOrdering(t *testing.T) {
 			rng.New(uint64(epoch)).Shuffle(idx)
 			for b := 0; b+32 <= len(idx); b += 32 {
 				x, y := train.BatchInto(nil, nil, idx[b:b+32])
-				m.ZeroGrads()
 				logits := m.Forward(x, true)
 				_, g := nn.SoftmaxCrossEntropy{}.LossInto(nil, logits, y)
 				m.Backward(g)

@@ -111,8 +111,8 @@ func BenchmarkRoundParties(b *testing.B) {
 
 // BenchmarkRoundCheckpoint measures the cost a durable federation pays at
 // every round boundary with -checkpoint-every 1: capturing the engine
-// snapshot (deep copies of model + optimizer state), encoding it with the
-// CRC trailer, and writing it crash-safely (temp file, fsync, atomic
+// snapshot (which borrows the model + optimizer state), encoding it with
+// the CRC trailer, and writing it crash-safely (temp file, fsync, atomic
 // rename). The state sizes bracket the models in this repo — the MLP is
 // tens of KB, the CNN hundreds — so the fsync floor and the O(state)
 // encode cost are both visible.

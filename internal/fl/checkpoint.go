@@ -429,19 +429,19 @@ func cloneVec(v []float64) []float64 {
 	return append([]float64(nil), v...)
 }
 
-// snapshotInto fills the model/optimizer portion of snap from the
-// server's current state (deep copies, so the snapshot is stable while
-// the next round runs).
+// snapshotInto points the model/optimizer portion of snap at the
+// server's own vectors: no copy, so the snapshot is valid only until the
+// server next changes (see Engine.Snapshot).
 func (s *Server) snapshotInto(snap *FederationSnapshot) {
 	snap.NumParties = s.numParties
 	snap.ParamLen = s.paramLen
 	snap.AdamT = s.adamT
-	snap.State = cloneVec(s.state)
-	snap.Control = cloneVec(s.control)
-	snap.DynH = cloneVec(s.dynH)
-	snap.Velocity = cloneVec(s.velocity)
-	snap.AdamM = cloneVec(s.adamM)
-	snap.AdamV = cloneVec(s.adamV)
+	snap.State = s.state
+	snap.Control = s.control
+	snap.DynH = s.dynH
+	snap.Velocity = s.velocity
+	snap.AdamM = s.adamM
+	snap.AdamV = s.adamV
 }
 
 // restoreSnapshot overwrites the server's model and algorithm state from

@@ -294,7 +294,7 @@ func (c *Client) batches(idx []int, bs int, x *tensor.Tensor) iter.Seq2[*tensor.
 	}
 }
 
-// gradient leaves the batch's loss gradient in the model's parameter
+// gradient writes the batch's loss gradient into the model's parameter
 // gradients and returns the loss. Every algorithm takes the same path:
 // forward through the body (every layer but the last) to the
 // representation z, then the head; cross-entropy; back through the head;
@@ -303,7 +303,6 @@ func (c *Client) batches(idx []int, bs int, x *tensor.Tensor) iter.Seq2[*tensor.
 // and the body is read from the model's layers on every call.
 func (c *Client) gradient(x *tensor.Tensor, y []int, cfg Config) float64 {
 	body, head := split(c.model)
-	c.model.ZeroGrads()
 	z := body.Forward(x, true)
 	var l float64
 	l, c.lossGrad = nn.SoftmaxCrossEntropy{}.LossInto(c.lossGrad, head.Forward(z, true), y)

@@ -139,11 +139,12 @@ type Engine struct {
 
 	// Checkpoint, when set, is called at round boundaries with a complete
 	// snapshot of the run (every CheckpointEvery rounds and after the last
-	// round; CheckpointEvery <= 0 means every round). A returned error
-	// aborts the run: a federation asked to be durable must not silently
-	// continue undurable. Transports that track per-party resync state
-	// fill FederationSnapshot.PartyControl inside the hook before
-	// persisting.
+	// round; CheckpointEvery <= 0 means every round). The snapshot is
+	// borrowed (see Snapshot): valid only until the hook returns. A
+	// returned error aborts the run: a federation asked to be durable
+	// must not silently continue undurable. Transports that track
+	// per-party resync state fill FederationSnapshot.PartyControl inside
+	// the hook before persisting.
 	Checkpoint      func(*FederationSnapshot) error
 	CheckpointEvery int
 
@@ -303,14 +304,17 @@ func (e *Engine) SetInitialState(state []float64) error {
 
 // Snapshot captures the engine's complete resumable state after `round`
 // completed rounds: server model + algorithm + optimizer state, sampler
-// RNG position, and the run-level accumulators. The returned snapshot
-// owns its memory (deep copies).
+// RNG position, and the run-level accumulators. The snapshot borrows the
+// server's vectors and curve rather than copying them, so it is valid
+// only until the next round starts: encode it (WriteSnapshotFile,
+// EncodeSnapshot) or Restore from it before then. A checkpoint therefore
+// allocates no state-length vector.
 func (e *Engine) Snapshot(round int, curve []RoundMetrics, bestAcc float64, commBytes int64, compute time.Duration) *FederationSnapshot {
 	snap := &FederationSnapshot{
 		ConfigFingerprint: ConfigFingerprint(e.cfg),
 		Round:             round,
 		Sampler:           e.r.State(),
-		Curve:             append([]RoundMetrics(nil), curve...),
+		Curve:             curve,
 		BestAccuracy:      bestAcc,
 		TotalCommBytes:    commBytes,
 		ComputeTime:       compute,

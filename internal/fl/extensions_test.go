@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/niid-bench/niidbench/internal/nn"
 	"github.com/niid-bench/niidbench/internal/partition"
 	"github.com/niid-bench/niidbench/internal/tensor"
 )
@@ -58,6 +59,14 @@ func TestMoonRunsAndLearns(t *testing.T) {
 	for _, cl := range sim.Clients {
 		if cl.prevState == nil {
 			t.Fatal("moon client never recorded its previous model")
+		}
+		// The frozen replicas only run Forward: they hold no gradients.
+		for _, aux := range []*nn.Sequential{cl.auxGlobal, cl.auxPrev} {
+			for _, p := range aux.Params() {
+				if p.Grad != nil {
+					t.Fatalf("moon aux replica parameter %s carries a gradient", p.Name)
+				}
+			}
 		}
 	}
 }

@@ -35,10 +35,16 @@ type moonScratch struct {
 // global one and the party's previous local one.
 func (c *Client) readyMoon(global []float64) {
 	if c.auxGlobal == nil {
-		// Frozen replicas for representation extraction. Their weights are
-		// overwritten every round, so the init RNG does not matter.
-		c.auxGlobal = nn.Build(c.Spec, c.r.Split())
-		c.auxPrev = nn.Build(c.Spec, c.r.Split())
+		// Frozen replicas for representation extraction: they only run
+		// Forward in eval mode, so they carry no gradients, and SetState
+		// fills their weights every round. The party's stream still
+		// advances by two Splits here: batch order and every later draw,
+		// and so TestLocalUpdatePin's MOON rows and the artifact goldens,
+		// depend on where it stands.
+		c.r.Split()
+		c.r.Split()
+		c.auxGlobal = nn.BuildInference(c.Spec)
+		c.auxPrev = nn.BuildInference(c.Spec)
 		c.auxGlobal.SetCompute(c.cmp)
 		c.auxPrev.SetCompute(c.cmp)
 	}

@@ -54,7 +54,6 @@ func TestDPSanitizeNoClipBelowBound(t *testing.T) {
 func TestDPSanitizeNoiseMagnitude(t *testing.T) {
 	r := rng.New(5)
 	m := nn.NewSequential(nn.NewDenseOf(tensor.Float64, 100, 100, r)) // 10100 coords
-	m.ZeroGrads()
 	clip, mult, batch := 2.0, 4.0, 8
 	dpSanitize(m, clip, mult, batch, rng.New(6))
 	// All gradient mass is now noise with std mult*clip/batch = 1.

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -22,20 +23,10 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", kind, dt), func(t *testing.T) {
 				spec := ModelSpec{Kind: kind, Channels: 3, Height: 16, Width: 16, InputDim: 40, Classes: 10, DType: dt}
 				full, params := Build(spec, rng.New(11)), Build(spec, rng.New(11))
-				x := tensor.NewOf(dt, batch, inputLen(spec))
-				r, vals := rng.New(5), make([]float64, x.Len())
-				for i := range vals {
-					vals[i] = r.Normal()
-				}
-				x.CopyFromF64(vals)
-				labels := make([]int, batch)
-				for i := range labels {
-					labels[i] = i % spec.Classes
-				}
+				x, labels := zooBatch(spec, batch)
 				loss := SoftmaxCrossEntropy{}
 				for step := 0; step < 2; step++ { // the second step reuses warm scratch
 					for _, m := range []*Sequential{full, params} {
-						m.ZeroGrads()
 						logits := m.Forward(spec.ShapeBatch(x), true)
 						_, g := loss.LossInto(nil, logits, labels)
 						if m == full {
@@ -64,6 +55,70 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 					}
 				default:
 					t.Fatalf("first layer %T cannot split its Backward", l)
+				}
+			})
+		}
+	}
+}
+
+// zooBatch is a batch of standard-normal inputs for spec, labelled
+// round-robin.
+func zooBatch(spec ModelSpec, batch int) (*tensor.Tensor, []int) {
+	x := tensor.NewOf(spec.DType, batch, inputLen(spec))
+	r, vals := rng.New(5), make([]float64, x.Len())
+	for i := range vals {
+		vals[i] = r.Normal()
+	}
+	x.CopyFromF64(vals)
+	labels := make([]int, batch)
+	for i := range labels {
+		labels[i] = i % spec.Classes
+	}
+	return x, labels
+}
+
+// TestBackwardWritesEveryGrad pins that a backward pass writes every
+// parameter gradient rather than adding to it: for every zoo model (the
+// VGG and ResNet put BatchNorm and a residual block inside) in both
+// dtypes, a replica whose gradients are all NaN runs Forward and then
+// Backward or BackwardParams, twice; each time every gradient must be
+// bitwise that of a fresh replica after one Forward and Backward on the
+// same batch. A gradient that was added to stays NaN.
+func TestBackwardWritesEveryGrad(t *testing.T) {
+	const batch = 6
+	for _, kind := range []ModelKind{KindMLP, KindCNN, KindVGG, KindResNet} {
+		for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+			t.Run(fmt.Sprintf("%s/%v", kind, dt), func(t *testing.T) {
+				spec := ModelSpec{Kind: kind, Channels: 3, Height: 16, Width: 16, InputDim: 40, Classes: 10, DType: dt}
+				x, labels := zooBatch(spec, batch)
+				loss := SoftmaxCrossEntropy{}
+				grads := func(m *Sequential) []float64 {
+					g := make([]float64, m.ParamCount())
+					m.GetGrads(g)
+					return g
+				}
+				fresh := Build(spec, rng.New(11))
+				_, g := loss.LossInto(nil, fresh.Forward(spec.ShapeBatch(x), true), labels)
+				fresh.Backward(g)
+				want := grads(fresh)
+				for _, split := range []bool{false, true} {
+					m := Build(spec, rng.New(11))
+					for step := 0; step < 2; step++ { // the second step reuses warm scratch
+						for _, p := range m.Params() {
+							p.Grad.Fill(math.NaN())
+						}
+						_, g := loss.LossInto(nil, m.Forward(spec.ShapeBatch(x), true), labels)
+						if split {
+							m.BackwardParams(g)
+						} else {
+							m.Backward(g)
+						}
+						for i, v := range grads(m) {
+							if math.Float64bits(v) != math.Float64bits(want[i]) {
+								t.Fatalf("BackwardParams=%v step %d grad %d: %v, a fresh replica's %v", split, step, i, v, want[i])
+							}
+						}
+					}
 				}
 			})
 		}

@@ -163,8 +163,8 @@ func bnBackward[T tensor.Elem](gd, od, hd, gamma, dGamma, dBeta []T,
 				sumGH += float64(gd[i]) * float64(hd[i])
 			}
 		}
-		dGamma[c] += T(sumGH)
-		dBeta[c] += T(sumG)
+		dGamma[c] = T(sumGH)
+		dBeta[c] = T(sumG)
 		inv := invStd[c]
 		g := float64(gamma[c])
 		if !train {

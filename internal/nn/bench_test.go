@@ -82,7 +82,6 @@ func BenchmarkCNNForwardBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ZeroGrads()
 		logits := m.Forward(x, true)
 		_, g := loss.LossInto(nil, logits, labels)
 		m.Backward(g)

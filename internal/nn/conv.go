@@ -12,11 +12,11 @@ import (
 // (inC*kh*kw, outC), one row per patch element (ci, ky, kx), and every
 // pass runs on the GEMM driver's convolution entries (tensor.ConvInto and
 // its two gradients), which re-derive the patches from the image block by
-// block: no pass materializes a patch matrix. The forward output, the weight
-// gradient and the input gradient live in per-layer scratch buffers that
-// are reused across Forward/Backward calls, so steady-state training does
-// not allocate. The layer's dtype (chosen at construction) selects the
-// float32 or float64 kernel set.
+// block: no pass materializes a patch matrix. The forward output and the
+// input gradient live in per-layer scratch buffers that are reused across
+// Forward/Backward calls, and the weight gradient is written straight into
+// W.Grad, so steady-state training does not allocate. The layer's dtype
+// (chosen at construction) selects the float32 or float64 kernel set.
 type Conv2D struct {
 	InC, OutC   int
 	KH, KW      int
@@ -27,7 +27,6 @@ type Conv2D struct {
 	in          *tensor.Tensor // cached input for the backward pass
 	// scratch buffers, grown on demand and reused across batches
 	out *tensor.Tensor // forward output (NCHW)
-	dw  *tensor.Tensor // backward: weight-gradient accumulator
 	dx  *tensor.Tensor // backward: input gradient (NCHW)
 }
 
@@ -63,7 +62,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.cmp.ConvInto(c.out, x, c.W.Data, c.B.Data, c.KH, c.KW, c.Stride, c.Pad)
 }
 
-// Backward accumulates weight/bias gradients and returns the input
+// Backward writes the weight/bias gradients and returns the input
 // gradient (layer-owned scratch, valid until the next Backward call).
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(grad)
@@ -74,9 +73,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // backwardParams is the parameter half of Backward: dW and db only, read
 // from the cached input and the NCHW output gradient.
 func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
-	c.dw = tensor.EnsureOf(c.dt, c.dw, c.W.Data.Dim(0), c.W.Data.Dim(1))
-	c.cmp.ConvWeightGradInto(c.dw, c.in, grad, c.KH, c.KW, c.Stride, c.Pad)
-	tensor.AddInto(c.W.Grad, c.W.Grad, c.dw)
+	c.cmp.ConvWeightGradInto(c.W.Grad, c.in, grad, c.KH, c.KW, c.Stride, c.Pad)
 	b, hw := grad.Dim(0), grad.Dim(2)*grad.Dim(3)
 	if c.dt == tensor.Float32 {
 		channelSums(c.B.Grad.Data32(), grad.Data32(), b, hw)
@@ -85,13 +82,14 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	}
 }
 
-// channelSums adds each channel's sum over the NCHW tensor gd (b images
-// of hw-element planes) into db, pixel by pixel in (image, pixel) order —
-// the order a column sum of the (pixels, channels) matrix adds them in.
+// channelSums writes each channel's sum over the NCHW tensor gd (b images
+// of hw-element planes) into db, adding pixel by pixel in (image, pixel)
+// order — the order a column sum of the (pixels, channels) matrix adds
+// them in.
 func channelSums[T tensor.Elem](db, gd []T, b, hw int) {
 	oc := len(db)
 	for o := range db {
-		s := db[o]
+		var s T
 		for bi := 0; bi < b; bi++ {
 			for _, v := range gd[(bi*oc+o)*hw:][:hw] {
 				s += v

@@ -64,8 +64,6 @@ func TestFloat32ModelParity(t *testing.T) {
 		t.Fatalf("loss: f64 %v vs f32 %v", l64, l32)
 	}
 
-	m64.ZeroGrads()
-	m32.ZeroGrads()
 	m64.Forward(x64, true)
 	m32.Forward(x32, true)
 	_, g64 = loss.LossInto(nil, logits64, labels)

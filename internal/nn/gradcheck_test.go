@@ -22,7 +22,6 @@ func lossOf(m *Sequential, x *tensor.Tensor, labels []int) float64 {
 // freeze momentum first.
 func checkGradients(t *testing.T, m *Sequential, x *tensor.Tensor, labels []int, tol float64) {
 	t.Helper()
-	m.ZeroGrads()
 	logits := m.Forward(x, true)
 	_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 	m.Backward(g)

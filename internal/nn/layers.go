@@ -35,7 +35,6 @@ type Dense struct {
 	cmp  tensor.Compute // kernel fan-out budget (zero = all cores)
 	in   *tensor.Tensor // cached input for the backward pass
 	out  *tensor.Tensor // forward scratch
-	dw   *tensor.Tensor // backward scratch: weight gradient
 	dx   *tensor.Tensor // backward scratch: input gradient
 }
 
@@ -61,7 +60,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return d.out
 }
 
-// Backward accumulates dW, db and returns dx.
+// Backward writes dW, db and returns dx.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d.backwardParams(grad)
 	// dx = g Wᵀ
@@ -72,11 +71,9 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // backwardParams is the parameter half of Backward: dW and db only.
 func (d *Dense) backwardParams(grad *tensor.Tensor) {
-	// dW += xᵀ g
-	d.dw = tensor.EnsureOf(d.dt, d.dw, d.W.Data.Dim(0), d.W.Data.Dim(1))
-	d.cmp.MatMulTransAInto(d.dw, d.in, grad)
-	tensor.AddInto(d.W.Grad, d.W.Grad, d.dw)
-	// db += column sums of g
+	// dW = xᵀ g
+	d.cmp.MatMulTransAInto(d.W.Grad, d.in, grad)
+	// db = column sums of g
 	grad.ColSumsInto(d.B.Grad)
 }
 

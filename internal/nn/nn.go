@@ -13,7 +13,9 @@
 //     paper reports (Finding 11) — but optimizers touch parameters only.
 //   - Layers are stateful across a Forward/Backward pair: Forward caches
 //     whatever Backward needs. A model instance must therefore not be
-//     shared between goroutines; clone per party instead.
+//     shared between goroutines; clone per party instead. Backward writes
+//     each parameter gradient rather than adding to it, so a training
+//     step needs no zeroing pass.
 //   - Layers own their outputs: Forward and Backward return per-layer
 //     scratch tensors (grown with tensor.Ensure, reused across batches),
 //     valid only until the layer's next Forward/Backward call. Steady-state
@@ -34,7 +36,8 @@ import (
 	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
-// Param is a learnable tensor together with its gradient accumulator.
+// Param is a learnable tensor together with its gradient, which each
+// Backward overwrites.
 type Param struct {
 	Name string
 	Data *tensor.Tensor
@@ -43,7 +46,7 @@ type Param struct {
 
 // newParam allocates a parameter; grad is false only on an inference
 // replica (BuildInference, which hands the constructors a nil RNG): it
-// never runs backward and so carries no gradient accumulator.
+// never runs backward and so carries no gradient.
 func newParam(dt tensor.DType, grad bool, name string, shape ...int) *Param {
 	p := &Param{Name: name, Data: tensor.NewOf(dt, shape...)}
 	if grad {
@@ -62,7 +65,8 @@ type Buffer struct {
 // Layer is one differentiable stage of a network. Forward must be called
 // before Backward; Backward receives the gradient of the loss with respect
 // to the layer output and returns the gradient with respect to its input,
-// accumulating parameter gradients along the way.
+// writing its parameters' gradients along the way: they hold the last
+// batch's gradient alone, so nothing needs zeroing between steps.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -131,7 +135,7 @@ func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward propagates the output gradient through the layers in reverse,
-// accumulating parameter gradients.
+// writing every parameter gradient.
 func (m *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		grad = m.Layers[i].Backward(grad)
@@ -140,7 +144,7 @@ func (m *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // paramBackwarder is implemented by layers (Dense, Conv2D) whose Backward
-// splits into "accumulate dW, db" and "form dx": backwardParams is the
+// splits into "write dW, db" and "form dx": backwardParams is the
 // first half alone, with parameter gradients bitwise those of Backward.
 type paramBackwarder interface {
 	backwardParams(grad *tensor.Tensor)
@@ -148,7 +152,7 @@ type paramBackwarder interface {
 
 // BackwardParams is Backward for callers that discard the returned input
 // gradient — every training loop, since nothing sits below the first
-// layer. It accumulates exactly the parameter gradients Backward would,
+// layer. It writes exactly the parameter gradients Backward would,
 // but never forms the first layer's input gradient (a GEMM against Wᵀ;
 // for a convolution, tensor.ConvInputGradInto) nor allocates its
 // scratch. A first layer that cannot split falls back to Backward.
@@ -182,13 +186,6 @@ func (m *Sequential) Buffers() []*Buffer {
 		m.buildCaches()
 	}
 	return m.buffers
-}
-
-// ZeroGrads clears all parameter gradients.
-func (m *Sequential) ZeroGrads() {
-	for _, p := range m.Params() {
-		p.Grad.Zero()
-	}
 }
 
 // ParamCount returns the number of learnable scalar parameters.

@@ -267,56 +267,6 @@ func TestStateIncludesBuffers(t *testing.T) {
 	}
 }
 
-func TestZeroGrads(t *testing.T) {
-	r := rng.New(7)
-	m := NewSequential(NewDenseOf(tensor.Float64, 3, 2, r))
-	x := randInput(r, 2, 3)
-	logits := m.Forward(x, true)
-	_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, []int{0, 1})
-	m.Backward(g)
-	nonzero := false
-	for _, p := range m.Params() {
-		for _, v := range p.Grad.Data() {
-			if v != 0 {
-				nonzero = true
-			}
-		}
-	}
-	if !nonzero {
-		t.Fatal("backward produced no gradient")
-	}
-	m.ZeroGrads()
-	for _, p := range m.Params() {
-		for _, v := range p.Grad.Data() {
-			if v != 0 {
-				t.Fatal("ZeroGrads left residue")
-			}
-		}
-	}
-}
-
-func TestGradsAccumulate(t *testing.T) {
-	r := rng.New(8)
-	m := NewSequential(NewDenseOf(tensor.Float64, 3, 2, r))
-	x := randInput(r, 2, 3)
-	run := func() {
-		logits := m.Forward(x, true)
-		_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, []int{0, 1})
-		m.Backward(g)
-	}
-	run()
-	g1 := make([]float64, m.ParamCount())
-	m.GetGrads(g1)
-	run()
-	g2 := make([]float64, m.ParamCount())
-	m.GetGrads(g2)
-	for i := range g1 {
-		if math.Abs(g2[i]-2*g1[i]) > 1e-9 {
-			t.Fatalf("gradients should accumulate: %v vs %v", g2[i], g1[i])
-		}
-	}
-}
-
 func TestBuildAllKinds(t *testing.T) {
 	r := rng.New(9)
 	specs := []ModelSpec{
@@ -367,7 +317,6 @@ func TestModelsCanOverfitTinyDataset(t *testing.T) {
 		}
 		var first, last float64
 		for step := 0; step < 60; step++ {
-			m.ZeroGrads()
 			logits := m.Forward(spec.ShapeBatch(x), true)
 			loss, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 			m.Backward(g)
@@ -394,7 +343,6 @@ func BenchmarkPaperCNNForwardBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ZeroGrads()
 		logits := m.Forward(spec.ShapeBatch(x), true)
 		_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 		m.Backward(g)
@@ -410,7 +358,6 @@ func BenchmarkPaperMLPForwardBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ZeroGrads()
 		logits := m.Forward(x, true)
 		_, g := SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 		m.Backward(g)

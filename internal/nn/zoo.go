@@ -55,8 +55,8 @@ func (s ModelSpec) ShapeBatch(x *tensor.Tensor) *tensor.Tensor {
 
 // BuildInference constructs the model for evaluation only: weights start
 // at zero for the caller's SetState to fill, and no parameter carries a
-// gradient tensor, so a replica costs one state vector. Backward and
-// ZeroGrads must not be called on it.
+// gradient tensor, so a replica costs one state vector. Backward must not
+// be called on it.
 func BuildInference(s ModelSpec) *Sequential { return Build(s, nil) }
 
 // Build constructs the model described by the spec, drawing initial

@@ -68,7 +68,7 @@ func (o *SGD) ClearCorrectors() {
 }
 
 // Step applies one SGD update to every parameter of the model using the
-// gradients currently accumulated on it.
+// gradients its last backward pass wrote.
 func (o *SGD) Step(m *nn.Sequential) {
 	params := m.Params()
 	if o.velocity == nil && o.velocity32 == nil {

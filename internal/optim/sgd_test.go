@@ -52,7 +52,6 @@ func TestMomentumAccumulates(t *testing.T) {
 			t.Fatalf("momentum step: got %v want %v (prev %v)", step, want, prev)
 		}
 		prev = step
-		m.ZeroGrads()
 	}
 }
 
@@ -62,7 +61,6 @@ func TestResetClearsMomentum(t *testing.T) {
 	setGrads(m, 1)
 	o.Step(m)
 	o.Reset()
-	m.ZeroGrads()
 	setGrads(m, 1)
 	before := m.Params()[0].Data.Data()[0]
 	o.Step(m)
@@ -155,7 +153,6 @@ func TestCorrectorOffsets(t *testing.T) {
 			seen[off+j] = true
 		}
 	}))
-	m.ZeroGrads()
 	o.Step(m)
 	for i, s := range seen {
 		if !s {
@@ -190,7 +187,6 @@ func TestSGDTrainsQuadratic(t *testing.T) {
 	}
 	var first, last float64
 	for step := 0; step < 50; step++ {
-		m.ZeroGrads()
 		logits := m.Forward(x, true)
 		loss, g := nn.SoftmaxCrossEntropy{}.LossInto(nil, logits, labels)
 		m.Backward(g)

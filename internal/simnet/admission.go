@@ -84,8 +84,9 @@ type ServerOptions struct {
 	// Checkpoint, when set, is invoked at round boundaries (every
 	// CheckpointEvery rounds; <=0 means every round) with a complete
 	// snapshot — server state, sampler position, metrics history and the
-	// per-party resync controls — for durable storage. An error aborts
-	// the run.
+	// per-party resync controls — for durable storage. The snapshot is
+	// borrowed from the server (fl.Engine.Snapshot): it is valid only
+	// until the hook returns. An error aborts the run.
 	Checkpoint      func(*fl.FederationSnapshot) error
 	CheckpointEvery int
 	// InitialState, when non-nil, seeds the global model from a model

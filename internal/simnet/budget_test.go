@@ -119,17 +119,17 @@ func poolDropsPuts() bool {
 // generations are in flight at once than before, costs its 2 S over the
 // 24 rounds measured, ≈ 0.08 S).
 //
-//	party   params 1, grads 1, momentum 1, first layer's dW scratch 1,
-//	        downlink assembly 1 (the party reads in line), and from
-//	        the pool (<= 1.125 x) the delta 1 and the batch 0.37
+//	party   params 1, grads 1, momentum 1, downlink assembly 1 (the
+//	        party reads in line), and from the pool (<= 1.125 x) the
+//	        delta 1 and the batch 0.37
 //	server  state 1, accumulator 1, round snapshot 1 (sync only), eval
 //	        replicas 2 x 1, pooled reply streams foldAhead x 1.125 sync /
 //	        K x 1.125 async, per generation in flight 2 (async: its
 //	        snapshot and its frames), the free list's retired frame
 //	        caches the next generations are built in — as many as were
 //	        ever in flight at once, each its frames 1 and, under async,
-//	        its snapshot 1 —, K receive buffers of one frame, and the
-//	        hook's own checkpoint copy 1
+//	        its snapshot 1 —, and K receive buffers of one frame; the
+//	        checkpoint hook borrows the server's state, copying nothing
 //
 // The server's share is what a run against model-less fake parties holds;
 // a party's is the rest of the real run, split K ways. The sync server's
@@ -150,8 +150,8 @@ func TestStateCopyBudget(t *testing.T) {
 		async                int
 		party, server, round float64 // budgets, in S
 	}{
-		{name: "sync", party: 6.6, server: 13, round: 0.25},
-		{name: "async", async: 2, party: 6.6, server: 24, round: 0.5},
+		{name: "sync", party: 5.6, server: 13, round: 0.25},
+		{name: "async", async: 2, party: 5.6, server: 24, round: 0.5},
 	} {
 		c := cfg
 		c.AsyncBuffer = mode.async

@@ -46,6 +46,7 @@ func addRowVec[T Elem](d, v []T, rows, cols int) {
 }
 
 func colSums[T Elem](dst, d []T, rows, cols int) {
+	clear(dst)
 	for r := 0; r < rows; r++ {
 		row := d[r*cols : (r+1)*cols]
 		for c := range row {

@@ -262,8 +262,8 @@ func (t *Tensor) AddRowVector(v *Tensor) {
 	addRowVec(t.data, v.data, rows, cols)
 }
 
-// ColSumsInto accumulates the column sums of the 2-D tensor t into dst
-// (length = columns). Used for bias gradients.
+// ColSumsInto overwrites dst (length = columns) with the column sums of
+// the 2-D tensor t. Used for bias gradients.
 func (t *Tensor) ColSumsInto(dst *Tensor) {
 	if t.Rank() != 2 || dst.Len() != t.shape[1] {
 		panic(fmt.Sprintf("tensor: ColSumsInto shape mismatch %v vs %v", t.shape, dst.shape))

@@ -75,7 +75,7 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 			t.Fatalf("AddRowVector: %v", x.Data())
 		}
 	}
-	sums := NewOf(Float64, 3)
+	sums := ViewInto(nil, []float64{-7, math.NaN(), 1e300}, 3) // overwritten, not added to
 	x.ColSumsInto(sums)
 	if sums.Data()[0] != 25 || sums.Data()[1] != 47 || sums.Data()[2] != 69 {
 		t.Fatalf("ColSums: %v", sums.Data())
