@@ -9,16 +9,20 @@ import (
 	"testing"
 )
 
-// testOnlyExportsAllowed names the exported functions and methods under
-// internal/ that may have no non-test caller, each with its reason; a
-// package path ending in "/" allows the whole package.
+// testOnlyExportsAllowed names the exported functions, methods and struct
+// fields under internal/ that may have no non-test caller (for a field,
+// no non-test setter), each with its reason; a package path ending in "/"
+// allows the whole package.
 var testOnlyExportsAllowed = map[string]string{
-	"internal/tensor.SetVectorKernels":     "test hook other packages' tests flip to cover both kernel paths",
-	"internal/analysis.SharedLoader":       "the one loader the analyzer tests share, so the standard library is checked once per test binary",
-	"internal/fedcli/flagtest/":            "helpers for the cmd/ flag-golden tests; a package tests import by design",
-	"internal/fl.Simulation.RunRound":      "the root bench_test.go drives rounds through it",
-	"internal/fl.Simulation.GlobalState":   "the root bench_test.go drives rounds through it",
-	"internal/analysis.Loader.LoadFixture": "loads an analyzer's testdata tree, the analysistest layout the fixture tests are built on",
+	"internal/tensor.SetVectorKernels":           "test hook other packages' tests flip to cover both kernel paths",
+	"internal/analysis.SharedLoader":             "the one loader the analyzer tests share, so the standard library is checked once per test binary",
+	"internal/fedcli/flagtest/":                  "helpers for the cmd/ flag-golden tests; a package tests import by design",
+	"internal/fl.Simulation.RunRound":            "the root bench_test.go drives rounds through it",
+	"internal/fl.Simulation.GlobalState":         "the root bench_test.go drives rounds through it",
+	"internal/analysis.Loader.LoadFixture":       "loads an analyzer's testdata tree, the analysistest layout the fixture tests are built on",
+	"internal/simnet.FaultPlan.CorruptProb":      "the live-adversary fault plan chaos_test.go drives: corrupted frames must be rejected without corrupting a round",
+	"internal/simnet.FaultPlan.TruncateProb":     "the live-adversary fault plan chaos_test.go drives: truncated frames must be rejected without corrupting a round",
+	"internal/simnet.ServerOptions.HelloTimeout": "tests shorten the server's hello deadline to see a stalled hello rejected in milliseconds; the program runs the 10 s default",
 }
 
 // TestNoTestOnlyExports fails on an exported top-level function or method
@@ -29,7 +33,11 @@ var testOnlyExportsAllowed = map[string]string{
 // leaves no reference to the method it reaches, so a method whose name is
 // a method of any interface type the loaded packages declare or use
 // (error's Error, fmt.Stringer's String, the package's own Conn) counts
-// as used. The root package, the public API, is out of scope.
+// as used. An exported field of an exported struct type is flagged the
+// same way when no non-test file sets it — by assignment, increment,
+// composite-literal element or &field — since a knob only tests turn is
+// a second program that only tests run. The root package, the public
+// API, is out of scope.
 func TestNoTestOnlyExports(t *testing.T) {
 	const module = "github.com/niid-bench/niidbench/"
 	root, err := SharedLoader().LoadPackages(module + "...")
@@ -60,6 +68,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 	used := make(map[string]bool)
 	// declared maps each candidate to its method name, "" for a function.
 	declared := make(map[string]string)
+	// A field is keyed by its declaration's position, which each loader's
+	// separate import view of the same file shares; fields maps the
+	// candidates' positions to their "path.Type.Field" names.
+	fields := make(map[string]string)
+	set := make(map[string]bool)
 	ifaceMethods := map[string]bool{"Error": true}
 	addIface := func(typ types.Type) {
 		if it, ok := typ.Underlying().(*types.Interface); ok {
@@ -95,28 +108,95 @@ func TestNoTestOnlyExports(t *testing.T) {
 				used[key(fn.Origin())] = true
 			}
 		}
+		pos := func(obj types.Object) string { return pkg.Fset.Position(obj.Pos()).String() }
+		markSet := func(obj types.Object) {
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				set[pos(v)] = true
+			}
+		}
+		markSelector := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				markSet(pkg.Info.Uses[sel.Sel])
+			}
+		}
+		for _, f := range pkg.Syntax {
+			if inTest(f.Pos()) {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						markSelector(lhs)
+					}
+				case *ast.IncDecStmt:
+					markSelector(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						markSelector(n.X)
+					}
+				case *ast.CompositeLit:
+					st, ok := pkg.Info.TypeOf(n).Underlying().(*types.Struct)
+					for i, elt := range n.Elts {
+						if kv, isKV := elt.(*ast.KeyValueExpr); isKV {
+							if id, isID := kv.Key.(*ast.Ident); isID {
+								markSet(pkg.Info.Uses[id])
+							}
+						} else if ok {
+							markSet(st.Field(i))
+						}
+					}
+				}
+				return true
+			})
+		}
 		path := strings.TrimPrefix(pkg.Path, module)
 		if !strings.HasPrefix(path, "internal/") {
 			continue
 		}
 		for _, f := range pkg.Syntax {
+			if inTest(f.Pos()) {
+				continue
+			}
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() || inTest(fd.Pos()) {
-					continue
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if !d.Name.IsExported() {
+						continue
+					}
+					method := ""
+					if d.Recv != nil {
+						method = d.Name.Name
+					}
+					declared[key(pkg.Info.Defs[d.Name].(*types.Func))] = method
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok || !ts.Name.IsExported() {
+							continue
+						}
+						st, ok := ts.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						for _, fld := range st.Fields.List {
+							for _, name := range fld.Names {
+								if name.IsExported() {
+									fields[pos(pkg.Info.Defs[name])] = path + "." + ts.Name.Name + "." + name.Name
+								}
+							}
+						}
+					}
 				}
-				method := ""
-				if fd.Recv != nil {
-					method = fd.Name.Name
-				}
-				declared[key(pkg.Info.Defs[fd.Name].(*types.Func))] = method
 			}
 		}
 	}
 	var unused []string
+	allowed := func(name string) bool {
+		return testOnlyExportsAllowed[name] != "" || testOnlyExportsAllowed[name[:strings.Index(name, ".")]+"/"] != ""
+	}
 	for name, method := range declared {
-		pkgPath := name[:strings.Index(name, ".")]
-		if used[name] || ifaceMethods[method] || testOnlyExportsAllowed[name] != "" || testOnlyExportsAllowed[pkgPath+"/"] != "" {
+		if used[name] || ifaceMethods[method] || allowed(name) {
 			continue
 		}
 		unused = append(unused, name)
@@ -124,6 +204,17 @@ func TestNoTestOnlyExports(t *testing.T) {
 	sort.Strings(unused)
 	for _, name := range unused {
 		t.Errorf("%s is exported but only tests call it: delete it, or move its tests to the call the program runs", name)
+	}
+	var unset []string
+	for p, name := range fields {
+		declared[name] = "" // for the stale-allowlist check below
+		if !set[p] && !allowed(name) {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		t.Errorf("field %s is exported but only tests set it: delete it, or set it where the program runs", name)
 	}
 	for name := range testOnlyExportsAllowed {
 		if _, ok := declared[name]; !ok && !strings.HasSuffix(name, "/") {

@@ -7,17 +7,17 @@ import (
 )
 
 // PoolCheck mechanizes the tensor.Pool buffer discipline: a tensor
-// obtained with Pool.Get/GetOf/GetRaw must either be returned to a pool
+// obtained with Pool.GetRaw, the pool's one getter, must either be returned to a pool
 // with Put inside the same function (directly, deferred, or from a
 // closure such as an error-path `fail` helper), or be handed off through
 // a *documented* ownership transfer — returned, sent on a channel, or
 // stored into a struct — from a function whose doc comment acknowledges
-// the pool contract (mentions "pool" or "Put"). A Get with neither is
+// the pool contract (mentions "pool" or "Put"). A GetRaw with neither is
 // the unpaired-buffer leak PRs 4–8 kept re-finding by hand; an
 // undocumented escape is the same leak deferred to whoever holds the
 // struct.
 //
-// Workspace.Get is exempt (Workspace.Release returns everything in
+// Workspace.GetRaw is exempt (Workspace.Release returns everything in
 // bulk), as is package tensor itself (the pool implementation).
 var PoolCheck = &Analyzer{
 	Name: "poolcheck",
@@ -43,18 +43,9 @@ func runPoolCheck(pass *Pass) error {
 
 // isPoolMethod reports whether call invokes the named method on a
 // tensor.Pool receiver.
-func isPoolMethod(pass *Pass, call *ast.CallExpr, names ...string) bool {
+func isPoolMethod(pass *Pass, call *ast.CallExpr, name string) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	match := false
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			match = true
-		}
-	}
-	if !match {
+	if !ok || sel.Sel.Name != name {
 		return false
 	}
 	tv, ok := pass.TypesInfo.Types[sel.X]
@@ -66,11 +57,10 @@ func isPoolMethod(pass *Pass, call *ast.CallExpr, names ...string) bool {
 }
 
 func checkPoolUsage(pass *Pass, fd *ast.FuncDecl) {
-	// Phase 1: find Get-family results bound to identifiers.
+	// Phase 1: find GetRaw results bound to identifiers.
 	type acquisition struct {
 		obj  types.Object
 		call *ast.CallExpr
-		name string
 	}
 	var acqs []acquisition
 	walk(fd.Body, func(n ast.Node) {
@@ -79,7 +69,7 @@ func checkPoolUsage(pass *Pass, fd *ast.FuncDecl) {
 			return
 		}
 		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok || !isPoolMethod(pass, call, "Get", "GetOf", "GetRaw") {
+		if !ok || !isPoolMethod(pass, call, "GetRaw") {
 			return
 		}
 		id, ok := as.Lhs[0].(*ast.Ident)
@@ -90,8 +80,7 @@ func checkPoolUsage(pass *Pass, fd *ast.FuncDecl) {
 		if obj == nil {
 			return
 		}
-		sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		acqs = append(acqs, acquisition{obj: obj, call: call, name: sel.Sel.Name})
+		acqs = append(acqs, acquisition{obj: obj, call: call})
 	})
 	if len(acqs) == 0 {
 		return
@@ -146,10 +135,10 @@ func checkPoolUsage(pass *Pass, fd *ast.FuncDecl) {
 			// the pairing exists at all.
 		case transferred:
 			if !docMentionsPoolContract(fd) {
-				pass.Reportf(acq.call.Pos(), "pooled tensor from %s escapes %s without a documented ownership transfer: mention the pool contract (who calls Put) in the function's doc comment", acq.name, fd.Name.Name)
+				pass.Reportf(acq.call.Pos(), "pooled tensor from GetRaw escapes %s without a documented ownership transfer: mention the pool contract (who calls Put) in the function's doc comment", fd.Name.Name)
 			}
 		default:
-			pass.Reportf(acq.call.Pos(), "pooled tensor from %s is never returned with Put and never handed off: unpaired pool buffer", acq.name)
+			pass.Reportf(acq.call.Pos(), "pooled tensor from GetRaw is never returned with Put and never handed off: unpaired pool buffer")
 		}
 	}
 }

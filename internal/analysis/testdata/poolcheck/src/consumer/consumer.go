@@ -6,7 +6,7 @@ type holder struct{ buf *tensor.Tensor }
 
 // paired acquires and recycles in the same function: clean.
 func paired(p *tensor.Pool) float64 {
-	t := p.Get(8)
+	t := p.GetRaw(8)
 	defer p.Put(t)
 	return t.Data[0]
 }
@@ -24,7 +24,7 @@ func pairedInClosure(p *tensor.Pool) error {
 
 // leaks never recycles and never hands off.
 func leaks(p *tensor.Pool) float64 {
-	t := p.Get(8) // want `pooled tensor from Get is never returned with Put and never handed off`
+	t := p.GetRaw(8) // want `pooled tensor from GetRaw is never returned with Put and never handed off`
 	return t.Data[0]
 }
 
@@ -45,19 +45,19 @@ func escapesDocumented(p *tensor.Pool) *tensor.Tensor {
 // sendsDocumented transfers a pooled tensor on ch; the receiver calls
 // Put.
 func sendsDocumented(p *tensor.Pool, ch chan *tensor.Tensor) {
-	t := p.Get(8)
+	t := p.GetRaw(8)
 	ch <- t
 }
 
 // storesUndocumented parks the buffer in a struct with no contract.
 func storesUndocumented(p *tensor.Pool, h *holder) {
-	t := p.Get(8) // want `escapes storesUndocumented without a documented ownership transfer`
+	t := p.GetRaw(8) // want `escapes storesUndocumented without a documented ownership transfer`
 	h.buf = t
 }
 
 // allowed documents an intentional exception inline.
 func allowed(p *tensor.Pool) float64 {
 	//lint:allow poolcheck scratch lives for the process lifetime by design
-	t := p.Get(8)
+	t := p.GetRaw(8)
 	return t.Data[0]
 }

@@ -11,10 +11,7 @@ type Pool struct{}
 
 func NewPool() *Pool { return &Pool{} }
 
-// Get returns a pooled tensor of n elements; pair with Put.
-func (p *Pool) Get(n int) *Tensor { return &Tensor{Data: make([]float64, n)} }
-
-// GetRaw returns a pooled tensor without zeroing; pair with Put.
+// GetRaw returns a pooled tensor of n elements; pair with Put.
 func (p *Pool) GetRaw(n int) *Tensor { return &Tensor{Data: make([]float64, n)} }
 
 // Put returns t to the pool.

@@ -124,7 +124,7 @@ func (c *Client) workspace() *tensor.Workspace {
 
 // optimizer returns the client's persistent SGD optimizer, reconfigured
 // for a fresh round: momentum buffers zeroed (parties restart from the
-// round's global model) and last round's correctors dropped.
+// round's global model) and last round's corrector dropped.
 func (c *Client) optimizer(cfg Config) *optim.SGD {
 	if c.opt == nil {
 		c.opt = optim.NewSGD(cfg.LR, cfg.Momentum)
@@ -132,7 +132,7 @@ func (c *Client) optimizer(cfg Config) *optim.SGD {
 	}
 	c.opt.LR, c.opt.Momentum = cfg.LR, cfg.Momentum
 	c.opt.Reset()
-	c.opt.ClearCorrectors()
+	c.opt.Corrector = nil
 	return c.opt
 }
 
@@ -216,12 +216,14 @@ func (c *Client) TrainStream(global []float64, serverC []float64, cfg Config) *P
 		// all-zero delta. Guarded here because the batching loop — and
 		// SCAFFOLD's 1/(tau*eta) control update — divide by the step
 		// count; the server weights such parties at zero.
-		u := Update{Delta: ws.Get(c.model.StateCount()).Data(), Kept: paramLen}
+		u := Update{Delta: ws.GetRaw(tensor.Float64, c.model.StateCount()).Data(), Kept: paramLen}
+		clear(u.Delta)
 		if cfg.CompressTopK > 0 {
 			u.Kept = 0
 		}
 		if cfg.Algorithm == Scaffold {
-			u.DeltaC = ws.Get(paramLen).Data()
+			u.DeltaC = ws.GetRaw(tensor.Float64, paramLen).Data()
+			clear(u.DeltaC)
 		}
 		return &PendingUpdate{u: u, ws: ws}
 	}
@@ -240,18 +242,18 @@ func (c *Client) TrainStream(global []float64, serverC []float64, cfg Config) *P
 	switch cfg.Algorithm {
 	case FedProx:
 		if cfg.Mu > 0 {
-			opt.AddCorrector(&optim.Proximal{Mu: cfg.Mu, Global: global[:paramLen]})
+			opt.Corrector = &optim.Proximal{Mu: cfg.Mu, Global: global[:paramLen]}
 		}
 	case Scaffold:
 		if c.scaffoldC == nil {
 			c.scaffoldC = make([]float64, paramLen)
 		}
-		opt.AddCorrector(&optim.Scaffold{Local: c.scaffoldC, Server: serverC})
+		opt.Corrector = &optim.Scaffold{Local: c.scaffoldC, Server: serverC}
 	case FedDyn:
 		if c.dynH == nil {
 			c.dynH = make([]float64, paramLen)
 		}
-		opt.AddCorrector(&optim.Dyn{Alpha: cfg.Alpha, Global: global[:paramLen], H: c.dynH})
+		opt.Corrector = &optim.Dyn{Alpha: cfg.Alpha, Global: global[:paramLen], H: c.dynH}
 	case Moon:
 		c.readyMoon(global)
 	}

@@ -13,10 +13,10 @@
 // six algorithms: E epochs over one batch iterator, each step forward,
 // cross-entropy, BackwardParams, DP sanitization and the optimizer step,
 // then one finish that forms the in-place delta and the per-algorithm
-// state. FedProx, SCAFFOLD and FedDyn plug in as optim correctors on the
-// step; MOON adds its contrastive gradient at the representation before
-// the body's backward pass; FedNova trains like FedAvg. KeepBNStatsLocal
-// applies to every algorithm, MOON included.
+// state. FedProx, SCAFFOLD and FedDyn each set the optimizer's one
+// Corrector for the round; MOON adds its contrastive gradient at the
+// representation before the body's backward pass; FedNova trains like
+// FedAvg. KeepBNStatsLocal applies to every algorithm, MOON included.
 //
 // The server aggregates with one rule and one ingest for both schedulers:
 // every update arrives whole at the Server's fold, which checks its shape

@@ -37,22 +37,21 @@ func dpSanitize(m *nn.Sequential, clip, noiseMultiplier float64, batch int, r *r
 	}
 	for _, p := range m.Params() {
 		if p.Grad.DType() == tensor.Float32 {
-			g := p.Grad.Data32()
-			s := float32(scale)
-			for i := range g {
-				g[i] *= s
-				if noiseStd > 0 {
-					g[i] += float32(r.Gaussian(0, noiseStd))
-				}
-			}
-			continue
+			sanitize(p.Grad.Data32(), scale, noiseStd, r)
+		} else {
+			sanitize(p.Grad.Data(), scale, noiseStd, r)
 		}
-		g := p.Grad.Data()
-		for i := range g {
-			g[i] *= scale
-			if noiseStd > 0 {
-				g[i] += r.Gaussian(0, noiseStd)
-			}
+	}
+}
+
+// sanitize scales one gradient by scale and, when noiseStd > 0, adds one
+// Gaussian draw per element in order.
+func sanitize[T tensor.Elem](g []T, scale, noiseStd float64, r *rng.RNG) {
+	s := T(scale)
+	for i := range g {
+		g[i] *= s
+		if noiseStd > 0 {
+			g[i] += T(r.Gaussian(0, noiseStd))
 		}
 	}
 }

@@ -16,15 +16,15 @@ func initHeUniform(t *tensor.Tensor, fanIn int, r *rng.RNG) {
 	}
 	bound := math.Sqrt(6.0 / float64(fanIn))
 	if t.DType() == tensor.Float32 {
-		w := t.Data32()
-		for i := range w {
-			w[i] = float32((2*r.Float64() - 1) * bound)
-		}
-		return
+		heUniform(t.Data32(), bound, r)
+	} else {
+		heUniform(t.Data(), bound, r)
 	}
-	w := t.Data()
+}
+
+func heUniform[T tensor.Elem](w []T, bound float64, r *rng.RNG) {
 	for i := range w {
-		w[i] = (2*r.Float64() - 1) * bound
+		w[i] = T((2*r.Float64() - 1) * bound)
 	}
 }
 

@@ -1,13 +1,13 @@
-// Package optim implements the optimizers used by NIID-Bench. The paper
-// trains every algorithm with SGD plus momentum; FedProx and SCAFFOLD
-// modify the per-step gradient, which this package expresses as gradient
-// correctors applied before the momentum update.
+// Package optim implements the optimizer used by NIID-Bench. The paper
+// trains every algorithm with SGD plus momentum; FedProx, SCAFFOLD and
+// FedDyn modify the per-step gradient, which this package expresses as at
+// most one gradient corrector applied before the momentum update.
 //
-// The optimizer follows the model's compute dtype: float32 parameters get
-// float32 velocity buffers and a float32 update loop, while the
-// correctors' own state (control variates, the global model) stays
-// []float64 — it comes from the server-side aggregation, which is always
-// full precision.
+// One generic body serves both compute dtypes: float32 parameters get
+// float32 velocity and a float32 update loop, while the corrector's own
+// state (control variates, the global model) stays []float64 — it comes
+// from the server-side aggregation, which is always full precision — and
+// is narrowed per element.
 package optim
 
 import (
@@ -18,15 +18,13 @@ import (
 )
 
 // Corrector adjusts the raw mini-batch gradient of each parameter before
-// the SGD update. offset is the position of this parameter's first scalar
-// in the flat parameter vector, so correctors holding flat state (control
-// variates, the global model) can index it. Correct32 is the float32-model
-// counterpart; implementations keep their internal state in float64 and
-// narrow per element.
-type Corrector interface {
-	Correct(grad []float64, param []float64, offset int)
-	Correct32(grad []float32, param []float32, offset int)
-}
+// the SGD update. It is one of *Proximal, *Scaffold or *Dyn; their flat
+// state is indexed by the parameter's offset in the flat parameter vector.
+type Corrector interface{ corrector() }
+
+func (*Proximal) corrector() {}
+func (*Scaffold) corrector() {}
+func (*Dyn) corrector()      {}
 
 // SGD is stochastic gradient descent with classical momentum:
 //
@@ -37,11 +35,10 @@ type Corrector interface {
 type SGD struct {
 	LR       float64
 	Momentum float64
-	// WeightDecay adds decay*w to the gradient (L2 regularization).
-	WeightDecay float64
-	velocity    [][]float64
-	velocity32  [][]float32
-	correctors  []Corrector
+	// Corrector, when non-nil, modifies each gradient before the update
+	// (FedProx, SCAFFOLD, FedDyn); nil for plain SGD.
+	Corrector Corrector
+	velocity  []*tensor.Tensor
 }
 
 // NewSGD creates an optimizer with the given learning rate and momentum.
@@ -52,34 +49,14 @@ func NewSGD(lr, momentum float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum}
 }
 
-// AddCorrector registers a gradient corrector (FedProx proximal term,
-// SCAFFOLD control variates). Correctors run in registration order.
-func (o *SGD) AddCorrector(c Corrector) { o.correctors = append(o.correctors, c) }
-
-// ClearCorrectors removes all registered correctors. Together with Reset
-// it lets a persistent optimizer be reused across federated rounds (each
-// round re-registers correctors bound to that round's global model)
-// instead of being reallocated.
-func (o *SGD) ClearCorrectors() {
-	for i := range o.correctors {
-		o.correctors[i] = nil
-	}
-	o.correctors = o.correctors[:0]
-}
-
 // Step applies one SGD update to every parameter of the model using the
 // gradients its last backward pass wrote.
 func (o *SGD) Step(m *nn.Sequential) {
 	params := m.Params()
-	if o.velocity == nil && o.velocity32 == nil {
-		o.velocity = make([][]float64, len(params))
-		o.velocity32 = make([][]float32, len(params))
+	if o.velocity == nil {
+		o.velocity = make([]*tensor.Tensor, len(params))
 		for i, p := range params {
-			if p.Data.DType() == tensor.Float32 {
-				o.velocity32[i] = make([]float32, p.Data.Len())
-			} else {
-				o.velocity[i] = make([]float64, p.Data.Len())
-			}
+			o.velocity[i] = tensor.NewOf(p.Data.DType(), p.Data.Len())
 		}
 	}
 	if len(o.velocity) != len(params) {
@@ -88,57 +65,52 @@ func (o *SGD) Step(m *nn.Sequential) {
 	offset := 0
 	for i, p := range params {
 		if p.Data.DType() == tensor.Float32 {
-			o.step32(p, o.velocity32[i], offset)
+			step(o, p.Data.Data32(), p.Grad.Data32(), o.velocity[i].Data32(), offset)
 		} else {
-			o.step64(p, o.velocity[i], offset)
+			step(o, p.Data.Data(), p.Grad.Data(), o.velocity[i].Data(), offset)
 		}
 		offset += p.Data.Len()
 	}
 }
 
-func (o *SGD) step64(p *nn.Param, v []float64, offset int) {
-	w, g := p.Data.Data(), p.Grad.Data()
-	if o.WeightDecay != 0 {
-		for j := range g {
-			g[j] += o.WeightDecay * w[j]
-		}
-	}
-	for _, c := range o.correctors {
-		c.Correct(g, w, offset)
-	}
+func step[T tensor.Elem](o *SGD, w, g, v []T, offset int) {
+	correct(o.Corrector, g, w, offset)
+	lr := T(o.LR)
 	if o.Momentum != 0 {
-		for j := range w {
-			v[j] = o.Momentum*v[j] + g[j]
-			w[j] -= o.LR * v[j]
-		}
-	} else {
-		for j := range w {
-			w[j] -= o.LR * g[j]
-		}
-	}
-}
-
-func (o *SGD) step32(p *nn.Param, v []float32, offset int) {
-	w, g := p.Data.Data32(), p.Grad.Data32()
-	if o.WeightDecay != 0 {
-		wd := float32(o.WeightDecay)
-		for j := range g {
-			g[j] += wd * w[j]
-		}
-	}
-	for _, c := range o.correctors {
-		c.Correct32(g, w, offset)
-	}
-	if o.Momentum != 0 {
-		mom, lr := float32(o.Momentum), float32(o.LR)
+		mom := T(o.Momentum)
 		for j := range w {
 			v[j] = mom*v[j] + g[j]
 			w[j] -= lr * v[j]
 		}
 	} else {
-		lr := float32(o.LR)
 		for j := range w {
 			w[j] -= lr * g[j]
+		}
+	}
+}
+
+// correct applies c to one parameter's gradient; the corrector's float64
+// state is narrowed per element for float32 models.
+func correct[T tensor.Elem](c Corrector, grad, param []T, offset int) {
+	switch c := c.(type) {
+	case *Proximal:
+		g := c.Global[offset : offset+len(param)]
+		mu := T(c.Mu)
+		for j := range grad {
+			grad[j] += mu * (param[j] - T(g[j]))
+		}
+	case *Scaffold:
+		cl := c.Local[offset : offset+len(grad)]
+		cs := c.Server[offset : offset+len(grad)]
+		for j := range grad {
+			grad[j] += T(cs[j] - cl[j])
+		}
+	case *Dyn:
+		g := c.Global[offset : offset+len(param)]
+		h := c.H[offset : offset+len(param)]
+		alpha := T(c.Alpha)
+		for j := range grad {
+			grad[j] += alpha*(param[j]-T(g[j])) - T(h[j])
 		}
 	}
 }
@@ -147,14 +119,7 @@ func (o *SGD) step32(p *nn.Param, v []float32, offset int) {
 // federated round when a party receives a fresh global model.
 func (o *SGD) Reset() {
 	for _, v := range o.velocity {
-		for j := range v {
-			v[j] = 0
-		}
-	}
-	for _, v := range o.velocity32 {
-		for j := range v {
-			v[j] = 0
-		}
+		v.Zero()
 	}
 }
 
@@ -166,46 +131,11 @@ type Proximal struct {
 	Global []float64
 }
 
-// Correct adds mu*(w - w_global) to the gradient.
-func (p *Proximal) Correct(grad []float64, param []float64, offset int) {
-	g := p.Global[offset : offset+len(param)]
-	for j := range grad {
-		grad[j] += p.Mu * (param[j] - g[j])
-	}
-}
-
-// Correct32 is Correct for float32 models; the global model stays float64.
-func (p *Proximal) Correct32(grad []float32, param []float32, offset int) {
-	g := p.Global[offset : offset+len(param)]
-	mu := float32(p.Mu)
-	for j := range grad {
-		grad[j] += mu * (param[j] - float32(g[j]))
-	}
-}
-
 // Scaffold implements SCAFFOLD's gradient correction: g <- g - c_i + c,
 // where c_i is the party's control variate and c the server's.
 type Scaffold struct {
 	// Local and Server are flat parameter-length control variates.
 	Local, Server []float64
-}
-
-// Correct applies the control-variate drift correction.
-func (s *Scaffold) Correct(grad []float64, param []float64, offset int) {
-	cl := s.Local[offset : offset+len(grad)]
-	cs := s.Server[offset : offset+len(grad)]
-	for j := range grad {
-		grad[j] += cs[j] - cl[j]
-	}
-}
-
-// Correct32 applies the drift correction to a float32 gradient.
-func (s *Scaffold) Correct32(grad []float32, param []float32, offset int) {
-	cl := s.Local[offset : offset+len(grad)]
-	cs := s.Server[offset : offset+len(grad)]
-	for j := range grad {
-		grad[j] += float32(cs[j] - cl[j])
-	}
 }
 
 // Dyn implements FedDyn's dynamic regularizer (Acar et al., ICLR 2021,
@@ -217,23 +147,4 @@ type Dyn struct {
 	Alpha  float64
 	Global []float64
 	H      []float64
-}
-
-// Correct applies FedDyn's gradient modification.
-func (d *Dyn) Correct(grad []float64, param []float64, offset int) {
-	g := d.Global[offset : offset+len(param)]
-	h := d.H[offset : offset+len(param)]
-	for j := range grad {
-		grad[j] += d.Alpha*(param[j]-g[j]) - h[j]
-	}
-}
-
-// Correct32 applies FedDyn's modification to a float32 gradient.
-func (d *Dyn) Correct32(grad []float32, param []float32, offset int) {
-	g := d.Global[offset : offset+len(param)]
-	h := d.H[offset : offset+len(param)]
-	alpha := float32(d.Alpha)
-	for j := range grad {
-		grad[j] += alpha*(param[j]-float32(g[j])) - float32(h[j])
-	}
 }

@@ -1,6 +1,7 @@
 package optim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,14 +10,22 @@ import (
 	"github.com/niid-bench/niidbench/internal/tensor"
 )
 
-// oneParamModel builds a model with a single dense layer whose weights and
-// gradients we can set directly.
-func oneParamModel(w []float64) *nn.Sequential {
+// oneParamModel builds a model of the given dtype with a single dense
+// layer whose weights and gradients we can set directly.
+func oneParamModel(dt tensor.DType, w []float64) *nn.Sequential {
 	r := rng.New(1)
-	d := nn.NewDenseOf(tensor.Float64, len(w), 1, r)
-	copy(d.W.Data.Data(), w)
+	d := nn.NewDenseOf(dt, len(w), 1, r)
+	d.W.Data.CopyFromF64(w)
 	d.B.Data.Zero()
 	return nn.NewSequential(d)
+}
+
+// weights returns the model's first parameter widened to float64.
+func weights(m *nn.Sequential) []float64 {
+	p := m.Params()[0].Data
+	w := make([]float64, p.Len())
+	p.CopyToF64(w)
+	return w
 }
 
 func setGrads(m *nn.Sequential, g float64) {
@@ -25,148 +34,147 @@ func setGrads(m *nn.Sequential, g float64) {
 	}
 }
 
-func TestVanillaSGDStep(t *testing.T) {
-	m := oneParamModel([]float64{1, 2})
-	o := NewSGD(0.5, 0)
-	setGrads(m, 1)
-	o.Step(m)
-	w := m.Params()[0].Data.Data()
-	if w[0] != 0.5 || w[1] != 1.5 {
-		t.Fatalf("sgd step: %v", w)
+// forEachDType runs f as a subtest per compute dtype with the tolerance
+// that dtype's arithmetic meets.
+func forEachDType(t *testing.T, f func(t *testing.T, dt tensor.DType, tol float64)) {
+	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+		tol := 1e-9
+		if dt == tensor.Float32 {
+			tol = 1e-6
+		}
+		t.Run(fmt.Sprint(dt), func(t *testing.T) { f(t, dt, tol) })
 	}
+}
+
+func TestVanillaSGDStep(t *testing.T) {
+	forEachDType(t, func(t *testing.T, dt tensor.DType, _ float64) {
+		m := oneParamModel(dt, []float64{1, 2})
+		o := NewSGD(0.5, 0)
+		setGrads(m, 1)
+		o.Step(m)
+		if w := weights(m); w[0] != 0.5 || w[1] != 1.5 {
+			t.Fatalf("sgd step: %v", w)
+		}
+	})
 }
 
 func TestMomentumAccumulates(t *testing.T) {
-	m := oneParamModel([]float64{0})
-	o := NewSGD(1, 0.9)
-	// Constant gradient 1: updates should be 1, 1.9, 2.71, ...
-	wantSteps := []float64{1, 1.9, 2.71}
-	prev := 0.0
-	for _, want := range wantSteps {
-		before := m.Params()[0].Data.Data()[0]
-		setGrads(m, 1)
-		o.Step(m)
-		after := m.Params()[0].Data.Data()[0]
-		step := before - after
-		if math.Abs(step-want) > 1e-9 {
-			t.Fatalf("momentum step: got %v want %v (prev %v)", step, want, prev)
+	forEachDType(t, func(t *testing.T, dt tensor.DType, tol float64) {
+		m := oneParamModel(dt, []float64{0})
+		o := NewSGD(1, 0.9)
+		// Constant gradient 1: updates should be 1, 1.9, 2.71, ...
+		for _, want := range []float64{1, 1.9, 2.71} {
+			before := weights(m)[0]
+			setGrads(m, 1)
+			o.Step(m)
+			if step := before - weights(m)[0]; math.Abs(step-want) > tol {
+				t.Fatalf("momentum step: got %v want %v", step, want)
+			}
 		}
-		prev = step
-	}
+	})
 }
 
 func TestResetClearsMomentum(t *testing.T) {
-	m := oneParamModel([]float64{0})
-	o := NewSGD(1, 0.9)
-	setGrads(m, 1)
-	o.Step(m)
-	o.Reset()
-	setGrads(m, 1)
-	before := m.Params()[0].Data.Data()[0]
-	o.Step(m)
-	after := m.Params()[0].Data.Data()[0]
-	if math.Abs((before-after)-1) > 1e-9 {
-		t.Fatalf("after Reset first step should be lr*g=1, got %v", before-after)
-	}
-}
-
-func TestWeightDecay(t *testing.T) {
-	m := oneParamModel([]float64{2})
-	o := NewSGD(1, 0)
-	o.WeightDecay = 0.5
-	setGrads(m, 0)
-	o.Step(m)
-	// g = 0 + 0.5*2 = 1, w = 2 - 1 = 1.
-	if got := m.Params()[0].Data.Data()[0]; math.Abs(got-1) > 1e-9 {
-		t.Fatalf("weight decay: got %v want 1", got)
-	}
+	forEachDType(t, func(t *testing.T, dt tensor.DType, tol float64) {
+		m := oneParamModel(dt, []float64{0})
+		o := NewSGD(1, 0.9)
+		setGrads(m, 1)
+		o.Step(m)
+		o.Reset()
+		setGrads(m, 1)
+		before := weights(m)[0]
+		o.Step(m)
+		if step := before - weights(m)[0]; math.Abs(step-1) > tol {
+			t.Fatalf("after Reset first step should be lr*g=1, got %v", step)
+		}
+	})
 }
 
 func TestProximalCorrector(t *testing.T) {
-	m := oneParamModel([]float64{3, 3})
-	global := []float64{1, 5, 0} // includes bias slot (last)
-	o := NewSGD(1, 0)
-	o.AddCorrector(&Proximal{Mu: 2, Global: global})
-	setGrads(m, 0)
-	o.Step(m)
-	w := m.Params()[0].Data.Data()
-	// g0 = 2*(3-1)=4 -> w0 = -1 ; g1 = 2*(3-5)=-4 -> w1 = 7
-	if math.Abs(w[0]+1) > 1e-9 || math.Abs(w[1]-7) > 1e-9 {
-		t.Fatalf("proximal: %v", w)
-	}
+	forEachDType(t, func(t *testing.T, dt tensor.DType, tol float64) {
+		m := oneParamModel(dt, []float64{3, 3})
+		global := []float64{1, 5, 0} // includes bias slot (last)
+		o := NewSGD(1, 0)
+		o.Corrector = &Proximal{Mu: 2, Global: global}
+		setGrads(m, 0)
+		o.Step(m)
+		// g0 = 2*(3-1)=4 -> w0 = -1 ; g1 = 2*(3-5)=-4 -> w1 = 7
+		if w := weights(m); math.Abs(w[0]+1) > tol || math.Abs(w[1]-7) > tol {
+			t.Fatalf("proximal: %v", w)
+		}
+	})
 }
 
 func TestProximalZeroAtGlobal(t *testing.T) {
-	// At w == w_global the proximal term must vanish.
-	m := oneParamModel([]float64{1, 2})
-	global := append([]float64{}, m.Params()[0].Data.Data()...)
-	global = append(global, m.Params()[1].Data.Data()...)
-	o := NewSGD(1, 0)
-	o.AddCorrector(&Proximal{Mu: 10, Global: global})
-	setGrads(m, 0)
-	o.Step(m)
-	if w := m.Params()[0].Data.Data(); w[0] != 1 || w[1] != 2 {
-		t.Fatalf("proximal moved weights at the global point: %v", w)
-	}
+	forEachDType(t, func(t *testing.T, dt tensor.DType, _ float64) {
+		// At w == w_global the proximal term must vanish.
+		m := oneParamModel(dt, []float64{1, 2})
+		global := m.State()
+		o := NewSGD(1, 0)
+		o.Corrector = &Proximal{Mu: 10, Global: global}
+		setGrads(m, 0)
+		o.Step(m)
+		if w := weights(m); w[0] != 1 || w[1] != 2 {
+			t.Fatalf("proximal moved weights at the global point: %v", w)
+		}
+	})
 }
 
 func TestScaffoldCorrector(t *testing.T) {
-	m := oneParamModel([]float64{0, 0})
-	n := 3 // two weights + bias
-	local := []float64{1, 2, 0}
-	server := []float64{4, 1, 0}
-	o := NewSGD(1, 0)
-	o.AddCorrector(&Scaffold{Local: local, Server: server})
-	setGrads(m, 0)
-	o.Step(m)
-	w := m.Params()[0].Data.Data()
-	// g = 0 - c_i + c -> w = -(c - c_i) = c_i - c
-	if math.Abs(w[0]-(-3)) > 1e-9 || math.Abs(w[1]-1) > 1e-9 {
-		t.Fatalf("scaffold: %v (n=%d)", w, n)
-	}
+	forEachDType(t, func(t *testing.T, dt tensor.DType, tol float64) {
+		m := oneParamModel(dt, []float64{0, 0})
+		local := []float64{1, 2, 0} // two weights + bias
+		server := []float64{4, 1, 0}
+		o := NewSGD(1, 0)
+		o.Corrector = &Scaffold{Local: local, Server: server}
+		setGrads(m, 0)
+		o.Step(m)
+		// g = 0 - c_i + c -> w = -(c - c_i) = c_i - c
+		if w := weights(m); math.Abs(w[0]-(-3)) > tol || math.Abs(w[1]-1) > tol {
+			t.Fatalf("scaffold: %v", w)
+		}
+	})
 }
 
 func TestScaffoldNoopWhenEqual(t *testing.T) {
-	m := oneParamModel([]float64{5})
-	cv := []float64{2, 2}
-	o := NewSGD(1, 0)
-	o.AddCorrector(&Scaffold{Local: cv, Server: cv})
-	setGrads(m, 0)
-	o.Step(m)
-	if w := m.Params()[0].Data.Data()[0]; w != 5 {
-		t.Fatalf("equal control variates must not move weights: %v", w)
-	}
+	forEachDType(t, func(t *testing.T, dt tensor.DType, _ float64) {
+		m := oneParamModel(dt, []float64{5})
+		cv := []float64{2, 2}
+		o := NewSGD(1, 0)
+		o.Corrector = &Scaffold{Local: cv, Server: cv}
+		setGrads(m, 0)
+		o.Step(m)
+		if w := weights(m)[0]; w != 5 {
+			t.Fatalf("equal control variates must not move weights: %v", w)
+		}
+	})
 }
 
 func TestCorrectorOffsets(t *testing.T) {
-	// Two-layer model: corrector offsets must advance across parameters.
-	r := rng.New(2)
-	m := nn.NewSequential(nn.NewDenseOf(tensor.Float64, 2, 2, r), nn.NewDenseOf(tensor.Float64, 2, 1, r))
-	total := m.ParamCount()
-	seen := make([]bool, total)
-	o := NewSGD(1, 0)
-	o.AddCorrector(correctorFunc(func(g, w []float64, off int) {
-		for j := range g {
-			if seen[off+j] {
-				panic("offset visited twice")
+	forEachDType(t, func(t *testing.T, dt tensor.DType, _ float64) {
+		// Two-layer model: corrector offsets must advance across
+		// parameters. From w = 0 with zero gradients, lr = mu = 1 lands
+		// every scalar on its own Global entry, which is distinct per
+		// scalar, so a misplaced offset shows as a wrong value.
+		r := rng.New(2)
+		m := nn.NewSequential(nn.NewDenseOf(dt, 2, 2, r), nn.NewDenseOf(dt, 2, 1, r))
+		total := m.ParamCount()
+		m.SetState(make([]float64, total))
+		global := make([]float64, total)
+		for i := range global {
+			global[i] = float64(i + 1)
+		}
+		o := NewSGD(1, 0)
+		o.Corrector = &Proximal{Mu: 1, Global: global}
+		setGrads(m, 0)
+		o.Step(m)
+		got := m.State()
+		for i, g := range global {
+			if got[i] != g {
+				t.Fatalf("scalar %d = %v, want its own Global entry %v (state %v)", i, got[i], g, got)
 			}
-			seen[off+j] = true
 		}
-	}))
-	o.Step(m)
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("offset %d never visited", i)
-		}
-	}
-}
-
-type correctorFunc func(g, w []float64, off int)
-
-func (f correctorFunc) Correct(g, w []float64, off int) { f(g, w, off) }
-
-func (f correctorFunc) Correct32(g, w []float32, off int) {
-	panic("correctorFunc: unexpected float32 path in a float64 test")
+	})
 }
 
 func TestSGDTrainsQuadratic(t *testing.T) {

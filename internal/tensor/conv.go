@@ -178,7 +178,7 @@ func convForwardBlocks[T Elem](ks *kernelSet[T], od, xd, wd, bd []T, g convGeom,
 	// edge tile.
 	nPanels, kBlocks := (oc+nr-1)/nr, (k+kc-1)/kc
 	wStride := nPanels*min(kc, k)*nr + mr*nr
-	buf := Shared.getNoZero(ks.dt, kBlocks*wStride+k*mc+mc*oc)
+	buf := Shared.GetRaw(ks.dt, kBlocks*wStride+k*mc+mc*oc)
 	scratch := ks.data(buf)
 	wp, pt, prod := scratch[:kBlocks*wStride], scratch[kBlocks*wStride:][:k*mc], scratch[kBlocks*wStride+k*mc:]
 	for p0 := 0; p0 < k; p0 += kc {
@@ -230,7 +230,7 @@ func convWeightGradRows[T Elem](ks *kernelSet[T], dwd, xd, gd []T, g convGeom, k
 	m, n := (kr1-kr0)*g.kw, g.b*g.hw()
 	nPanels, nBlocks := (oc+nr-1)/nr, (m+mc-1)/mc
 	kcb := min(kc, n)
-	buf := Shared.getNoZero(ks.dt, m*kcb+nPanels*kcb*nr+nBlocks*mr*nr)
+	buf := Shared.GetRaw(ks.dt, m*kcb+nPanels*kcb*nr+nBlocks*mr*nr)
 	scratch := ks.data(buf)
 	pt, bp := scratch[:m*kcb], scratch[m*kcb:]
 	for p0 := 0; p0 < n; p0 += kc {
@@ -289,7 +289,7 @@ func convInputGradGroups[T Elem](ks *kernelSet[T], dxd, gd, wd []T, g convGeom, 
 	nr, k, hw, oc := ks.nr, g.k(), g.hw(), g.oc
 	nPanels, nBlocks := (k+nr-1)/nr, (hw+mc-1)/mc
 	kcb := min(kc, oc)
-	buf := Shared.getNoZero(ks.dt, per*hw*k+nPanels*kcb*nr+nBlocks*mr*nr)
+	buf := Shared.GetRaw(ks.dt, per*hw*k+nPanels*kcb*nr+nBlocks*mr*nr)
 	scratch := ks.data(buf)
 	cols, bp := scratch[:per*hw*k], scratch[per*hw*k:]
 	img := g.c * g.h * g.w

@@ -127,7 +127,7 @@ func gemm[T Elem](ks *kernelSet[T], workers int, dd, ad, bd []T, m, n, k, ars, a
 		// One pooled buffer holds the packed B panels and, behind them, an
 		// edge-tile scratch per dst-row block (a stack tile would escape
 		// through the indirect microkernel call).
-		bpt := Shared.getNoZero(ks.dt, nPanels*kb*nr+nBlocks*mr*nr)
+		bpt := Shared.GetRaw(ks.dt, nPanels*kb*nr+nBlocks*mr*nr)
 		bp := ks.data(bpt)
 		packB(bp, bd, nr, p0, kb, n, brs, bcs)
 		if nBlocks > 1 && m*n >= parallelThreshold && workers > 1 {

@@ -139,9 +139,9 @@ func TestPool32ConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			ws := NewWorkspace(pool)
 			for round := 0; round < 50; round++ {
-				a := ws.GetOf(Float32, 64, 3+g)
-				b := ws.GetOf(Float32, 128)
-				c := ws.Get(32) // interleave f64 to cover both bucket sets
+				a := ws.GetRaw(Float32, 64, 3+g)
+				b := ws.GetRaw(Float32, 128)
+				c := ws.GetRaw(Float64, 32) // interleave f64 to cover both bucket sets
 				mark := float64(g*1000 + round)
 				a.Fill(mark)
 				b.Fill(-mark)

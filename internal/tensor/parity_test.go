@@ -277,22 +277,6 @@ func TestEnsureReuseAndGrowth(t *testing.T) {
 	}
 }
 
-func TestPoolGetZeroedAndBucketed(t *testing.T) {
-	p := &Pool{}
-	a := p.Get(3, 5)
-	a.Fill(42)
-	p.Put(a)
-	b := p.Get(15)
-	for _, v := range b.Data() {
-		if v != 0 {
-			t.Fatal("Pool.Get returned dirty memory")
-		}
-	}
-	if b.Len() != 15 {
-		t.Fatalf("Pool.Get len %d", b.Len())
-	}
-}
-
 // TestPoolSizeClasses pins the pool's footprint contract for both dtypes:
 // a pooled array never exceeds its request by more than a quarter once
 // past the fine-class threshold (an eighth, with the classes as built),
@@ -354,16 +338,24 @@ func TestPoolSizeClasses(t *testing.T) {
 	}
 }
 
+// TestWorkspaceRelease pins that Release hands every tensor back to the
+// pool: a later GetRaw of the same size gets the released array.
 func TestWorkspaceRelease(t *testing.T) {
-	ws := NewWorkspace(nil)
-	x := ws.Get(64)
-	x.Fill(1)
-	ws.Release()
-	y := ws.Get(64)
-	for _, v := range y.Data() {
-		if v != 0 {
-			t.Fatal("Workspace.Get after Release returned dirty memory")
+	ws := NewWorkspace(&Pool{})
+	x := ws.GetRaw(Float64, 64)
+	// sync.Pool may drop an item, so reuse is demanded of some attempt.
+	reused := false
+	for try := 0; try < 64 && !reused; try++ {
+		ws.Release()
+		if len(ws.taken) != 0 {
+			t.Fatalf("Release kept %d tensors", len(ws.taken))
 		}
+		y := ws.GetRaw(Float64, 64)
+		reused = y == x
+		x = y
+	}
+	if !reused {
+		t.Fatal("Release never returned the tensor to the pool")
 	}
 	ws.Release()
 }
@@ -382,8 +374,8 @@ func TestPoolConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			ws := NewWorkspace(pool)
 			for round := 0; round < 50; round++ {
-				a := ws.Get(64, 3+g)
-				b := ws.Get(128)
+				a := ws.GetRaw(Float64, 64, 3+g)
+				b := ws.GetRaw(Float64, 128)
 				mark := float64(g*1000 + round)
 				a.Fill(mark)
 				b.Fill(-mark)

@@ -98,8 +98,8 @@ const (
 )
 
 // Pool recycles tensors through size-classed sync.Pools, one class set
-// per dtype. Get and Put are goroutine-safe; the same Pool may serve many
-// concurrently-training clients. Tensors returned by Get/GetOf are zeroed.
+// per dtype. GetRaw and Put are goroutine-safe; the same Pool may serve
+// many concurrently-training clients.
 type Pool struct {
 	buckets   [poolClasses]sync.Pool // float64 backing arrays
 	buckets32 [poolClasses]sync.Pool // float32 backing arrays
@@ -131,29 +131,11 @@ func classFor(n int) (idx, size int) {
 	return poolFineLog + (k-poolFineLog)<<poolSubBits + sub, 1<<k + sub<<shift
 }
 
-// Get returns a zeroed Float64 tensor with the given shape, reusing a
-// pooled backing array when one is available.
-func (p *Pool) Get(shape ...int) *Tensor {
-	return p.GetOf(Float64, shape...)
-}
-
-// GetOf is Get with an explicit dtype.
-func (p *Pool) GetOf(dt DType, shape ...int) *Tensor {
-	t := p.getNoZero(dt, shape...)
-	t.Zero()
-	return t
-}
-
-// GetRaw is GetOf without the zeroing pass, for buffers the caller fully
-// overwrites before reading — e.g. simnet's pooled chunk-frame decode
-// buffers. The contents are unspecified.
+// GetRaw returns a tensor of the given dtype and shape, reusing a pooled
+// backing array when one is available. The contents are unspecified:
+// callers fully overwrite it (simnet's chunk-frame decode buffers, the
+// GEMM and conv scratch) or clear it first.
 func (p *Pool) GetRaw(dt DType, shape ...int) *Tensor {
-	return p.getNoZero(dt, shape...)
-}
-
-// getNoZero is GetOf without the clearing pass, for internal callers that
-// fully overwrite the tensor. The contents are unspecified.
-func (p *Pool) getNoZero(dt DType, shape ...int) *Tensor {
 	n := shapeLen(shape)
 	b, size := classFor(n)
 	set := &p.buckets
@@ -187,7 +169,7 @@ func (p *Pool) getNoZero(dt DType, shape ...int) *Tensor {
 
 // Put returns t's backing array to the pool. t must not be used afterwards.
 // Tensors whose capacity is not exactly a size class's (e.g. created by NewOf
-// rather than Get) are silently dropped.
+// rather than GetRaw) are silently dropped.
 func (p *Pool) Put(t *Tensor) {
 	if t == nil {
 		return
@@ -214,7 +196,7 @@ func (p *Pool) Put(t *Tensor) {
 // out so a whole scope's scratch can be released at once:
 //
 //	ws := tensor.NewWorkspace(nil)
-//	buf := ws.Get(m, n)
+//	buf := ws.GetRaw(tensor.Float64, m, n)
 //	... use buf ...
 //	ws.Release() // everything goes back to the pool
 //
@@ -234,21 +216,8 @@ func NewWorkspace(p *Pool) *Workspace {
 	return &Workspace{pool: p}
 }
 
-// Get returns a zeroed Float64 tensor from the underlying pool, tracked
-// for the next Release.
-func (w *Workspace) Get(shape ...int) *Tensor {
-	return w.GetOf(Float64, shape...)
-}
-
-// GetOf is Get with an explicit dtype.
-func (w *Workspace) GetOf(dt DType, shape ...int) *Tensor {
-	t := w.pool.GetOf(dt, shape...)
-	w.taken = append(w.taken, t)
-	return t
-}
-
-// GetRaw is GetOf without the zeroing pass, for scratch the caller fully
-// overwrites before reading. The contents are unspecified.
+// GetRaw returns a tensor from the underlying pool, tracked for the next
+// Release. The contents are unspecified, as with Pool.GetRaw.
 func (w *Workspace) GetRaw(dt DType, shape ...int) *Tensor {
 	t := w.pool.GetRaw(dt, shape...)
 	w.taken = append(w.taken, t)
@@ -256,7 +225,7 @@ func (w *Workspace) GetRaw(dt DType, shape ...int) *Tensor {
 }
 
 // Release returns every tensor obtained since the last Release to the
-// pool. Tensors handed out by Get must not be used afterwards.
+// pool. Tensors handed out by GetRaw must not be used afterwards.
 func (w *Workspace) Release() {
 	for i, t := range w.taken {
 		w.pool.Put(t)

@@ -17,7 +17,7 @@
 // so layout bugs surface immediately. Binary operations require matching
 // dtypes; CopyToF64/CopyFromF64 convert at the model-state boundary, which
 // is how the federated layer aggregates float32 models in float64. Choose
-// the dtype at construction (NewOf, EnsureOf, Pool.GetOf) — the nn layer
+// the dtype at construction (NewOf, EnsureOf, Pool.GetRaw) — the nn layer
 // plumbs nn.ModelSpec.DType down to every kernel.
 //
 // # Performance
