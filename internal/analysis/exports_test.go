@@ -14,15 +14,14 @@ import (
 // no non-test setter), each with its reason; a package path ending in "/"
 // allows the whole package.
 var testOnlyExportsAllowed = map[string]string{
-	"internal/tensor.SetVectorKernels":           "test hook other packages' tests flip to cover both kernel paths",
-	"internal/analysis.SharedLoader":             "the one loader the analyzer tests share, so the standard library is checked once per test binary",
-	"internal/fedcli/flagtest/":                  "helpers for the cmd/ flag-golden tests; a package tests import by design",
-	"internal/fl.Simulation.RunRound":            "the root bench_test.go drives rounds through it",
-	"internal/fl.Simulation.GlobalState":         "the root bench_test.go drives rounds through it",
-	"internal/analysis.Loader.LoadFixture":       "loads an analyzer's testdata tree, the analysistest layout the fixture tests are built on",
-	"internal/simnet.FaultPlan.CorruptProb":      "the live-adversary fault plan chaos_test.go drives: corrupted frames must be rejected without corrupting a round",
-	"internal/simnet.FaultPlan.TruncateProb":     "the live-adversary fault plan chaos_test.go drives: truncated frames must be rejected without corrupting a round",
-	"internal/simnet.ServerOptions.HelloTimeout": "tests shorten the server's hello deadline to see a stalled hello rejected in milliseconds; the program runs the 10 s default",
+	"internal/tensor.SetVectorKernels":       "test hook other packages' tests flip to cover both kernel paths",
+	"internal/analysis.SharedLoader":         "the one loader the analyzer tests share, so the standard library is checked once per test binary",
+	"internal/fedcli/flagtest/":              "helpers for the cmd/ flag-golden tests; a package tests import by design",
+	"internal/fl.Simulation.RunRound":        "the root bench_test.go drives rounds through it",
+	"internal/fl.Simulation.GlobalState":     "the root bench_test.go drives rounds through it",
+	"internal/analysis.Loader.LoadFixture":   "loads an analyzer's testdata tree, the analysistest layout the fixture tests are built on",
+	"internal/simnet.FaultPlan.CorruptProb":  "the live-adversary fault plan chaos_test.go drives: corrupted frames must be rejected without corrupting a round",
+	"internal/simnet.FaultPlan.TruncateProb": "the live-adversary fault plan chaos_test.go drives: truncated frames must be rejected without corrupting a round",
 }
 
 // TestNoTestOnlyExports fails on an exported top-level function or method

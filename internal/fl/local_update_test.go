@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -174,17 +176,31 @@ func poolDropsPuts() bool {
 
 // TestTrainStreamAllocs bounds the heap allocations of a steady-state
 // FedAvg round on the paper's CNN — TrainStream then Release, the client
-// warmed up — in both dtypes. Layer scratch grows in place and round
-// vectors come back from the pool, so a round allocates one object, the
-// PendingUpdate it returns. AllocsPerRun runs at GOMAXPROCS=1, where the
-// kernels fan out to no worker goroutines; BenchmarkLocalTrainStep{,32}
-// on two cores also counts those spawns (25–26 allocs/op). A per-batch
-// allocation in the training loop shows up here as four per round.
+// warmed up — in both dtypes, on one kernel worker and on two.
+//
+// One worker: layer scratch grows in place and round vectors come back
+// from the pool, so a round allocates one object, the PendingUpdate it
+// returns. AllocsPerRun runs at GOMAXPROCS=1, where the kernels fan out to
+// no worker goroutines; a per-batch allocation in the training loop shows
+// up here as four per round.
+//
+// Two workers (GOMAXPROCS 2, Compute{Workers: 2}): every kernel call big
+// enough to fan out allocates its body closure, its WaitGroup and one
+// goroutine closure per worker: a step (one batch) measures 12.25
+// mallocs in steady state (49 per round), and up to 13.5 when the runtime
+// makes a new goroutine rather than reuse one. maxParallelAllocsPerStep
+// sits above that tail; an offset table or padded image the pools do not
+// recycle costs at least one malloc per conv call, and a step makes
+// several, so it fails.
 func TestTrainStreamAllocs(t *testing.T) {
 	if poolDropsPuts() {
 		t.Skip("sync.Pool is dropping Puts (race detector): pooled round buffers are re-allocated")
 	}
-	const maxAllocs = 1
+	const (
+		maxAllocs                = 1
+		maxParallelAllocsPerStep = 15
+		rounds, stepsPerRound    = 10, 4 // 128 samples in batches of 32
+	)
 	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
 		ds := benchDataset(128)
 		spec := nn.ModelSpec{Kind: nn.KindCNN, Channels: 3, Height: 16, Width: 16, Classes: 10, DType: dt}
@@ -201,6 +217,29 @@ func TestTrainStreamAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(20, round); got > maxAllocs {
 			t.Errorf("%v: a steady-state TrainStream+Release allocates %v times, want <= %v", dt, got, maxAllocs)
+		}
+
+		// AllocsPerRun would pin GOMAXPROCS to 1; count the process's
+		// mallocs around the parallel rounds instead, with the collector
+		// off so that no collection empties the pools mid-count.
+		prev := runtime.GOMAXPROCS(2)
+		c.SetComputeBudget(tensor.Compute{Workers: 2})
+		for i := 0; i < 3; i++ {
+			round()
+		}
+		gc := debug.SetGCPercent(-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(prev)
+		perStep := float64(after.Mallocs-before.Mallocs) / (rounds * stepsPerRound)
+		t.Logf("%v: %.2f mallocs per step on two workers", dt, perStep)
+		if perStep > maxParallelAllocsPerStep {
+			t.Errorf("%v: a steady-state step on two workers allocates %.2f times, want <= %d", dt, perStep, maxParallelAllocsPerStep)
 		}
 	}
 }

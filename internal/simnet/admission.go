@@ -26,14 +26,14 @@ type ServerOptions struct {
 	// Token, when non-empty, is the shared secret every hello must
 	// present; a mismatch costs the offending connection only.
 	Token string
-	// HelloTimeout bounds how long an accepted connection may take to
+	// helloTimeout bounds how long an accepted connection may take to
 	// present its complete hello; a connection that stalls past it is
-	// rejected like any other bad hello. Zero means the 10s default. A
-	// timed-out legitimate party can simply redial. Hellos are read
-	// concurrently in bounded batches of maxConcurrentHellos, so k silent
-	// or byte-trickling connections delay admission by at most ceil(k/64)
-	// timeouts — one, for any realistic k.
-	HelloTimeout time.Duration
+	// rejected like any other bad hello. Zero means the 10s default, which
+	// every program runs; tests shorten it. A timed-out legitimate party
+	// can simply redial. Hellos are read concurrently in bounded batches of
+	// maxConcurrentHellos, so k silent or byte-trickling connections delay
+	// admission by at most ceil(k/64) timeouts — one, for any realistic k.
+	helloTimeout time.Duration
 	// RoundTimeout, when positive, bounds how long the server waits for
 	// each reply frame within a round: the conn's receiver starts the
 	// clock once the party's broadcast went out, and restarts it on every
@@ -120,7 +120,7 @@ type EventKind uint8
 
 const (
 	// Refused: a hello was turned away — malformed, silent past
-	// HelloTimeout, the wrong protocol version or magic, an out-of-range
+	// the hello timeout, the wrong protocol version or magic, an out-of-range
 	// or duplicate ID, a token mismatch, the rejoin of an evicted party —
 	// and its conn closed.
 	Refused EventKind = iota
@@ -250,7 +250,7 @@ func (s *ServerListener) Close() error { return s.l.Close() }
 // presented a valid hello, then executes the federated protocol to
 // completion. Hellos are read concurrently — in bounded batches of
 // maxConcurrentHellos — so a batch of silent connections stalls
-// admission by at most one HelloTimeout in aggregate instead of one
+// admission by at most one hello timeout in aggregate instead of one
 // each, while pre-admission buffer memory stays capped. A connection
 // whose hello is malformed, speaks the wrong protocol version, is out of
 // range, a duplicate, or carries the wrong token is closed on its own —
@@ -313,7 +313,7 @@ func (f *Federation) acceptAndRun(next func() (Conn, error)) (*fl.Result, error)
 // nothing waits out a timeout — and conns accepted after it are closed
 // without an event.
 func (f *Federation) acceptHellos(next func() (Conn, error)) (stop func(), acceptErr <-chan error) {
-	helloTimeout := f.HelloTimeout
+	helloTimeout := f.helloTimeout
 	if helloTimeout <= 0 {
 		helloTimeout = 10 * time.Second
 	}

@@ -357,14 +357,14 @@ func TestDeadPartyEvictedNotFatal(t *testing.T) {
 }
 
 // TestSilentHelloTimesOut connects a client that never sends its hello:
-// admission must reject it after HelloTimeout instead of hanging the
+// admission must reject it after the hello timeout instead of hanging the
 // accept loop, and the federation completes once real parties connect.
 func TestSilentHelloTimesOut(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	cfg.Rounds = 2
 	spec, _ := data.Model("adult")
 	ln := mustListen(t)
-	ln.HelloTimeout = 150 * time.Millisecond
+	ln.helloTimeout = 150 * time.Millisecond
 	var events eventLog
 	ln.Events = events.add
 	addr := ln.Addr()

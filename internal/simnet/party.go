@@ -92,7 +92,7 @@ func newPartySession(id int, local *data.Dataset, spec nn.ModelSpec, cfg fl.Conf
 // run serves one connection's lifetime: hello (optionally a rejoin), then
 // the round loop until shutdown or conn loss. helloTimeout, when positive,
 // bounds how long the server may take to produce its first frame after
-// the hello — the party-side mirror of ServerOptions.HelloTimeout, so a
+// the hello — the party-side mirror of the server's hello timeout, so a
 // party dialing a hung server fails (and can redial) instead of blocking
 // forever.
 func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout time.Duration) error {
@@ -239,7 +239,7 @@ type PartyOptions struct {
 	Token string
 	// HelloTimeout bounds how long the server may take to produce its
 	// first frame after this party's hello — the party-side mirror of
-	// ServerOptions.HelloTimeout. Zero waits forever.
+	// the server's hello timeout. Zero waits forever.
 	HelloTimeout time.Duration
 	// Rejoin makes the party survive transport loss: instead of returning
 	// the error, it redials with capped jittered exponential backoff and

@@ -307,7 +307,7 @@ func TestVersionSkewRejectedAtAdmission(t *testing.T) {
 // head-of-line admission fix: k silent connections (plus a couple sending
 // garbage) arrive ahead of the legitimate parties, and the federation
 // must still admit and complete within a small multiple of ONE
-// HelloTimeout. The pre-fix serial hello reads cost k timeouts before the
+// hello timeout. The pre-fix serial hello reads cost k timeouts before the
 // first legitimate hello was even read.
 func TestConcurrentAdmissionBoundedStall(t *testing.T) {
 	train, test, err := data.Load("adult", data.Config{TrainN: 400, TestN: 150, Seed: 21})
@@ -325,7 +325,7 @@ func TestConcurrentAdmissionBoundedStall(t *testing.T) {
 	const helloTimeout = 750 * time.Millisecond
 	const silent = 4
 	ln := mustListen(t)
-	ln.HelloTimeout = helloTimeout
+	ln.helloTimeout = helloTimeout
 	var events eventLog
 	ln.Events = events.add
 	addr := ln.Addr()

@@ -4,23 +4,27 @@ package tensor
 // convolution is three products against the patch matrix P of its input
 // (one row per output pixel, flattened over (b, oy, ox), one column per
 // patch element (ci, ky, kx); Im2ColInto materializes it), and none of
-// them holds P: each re-derives the block of P a product step needs,
-// transposed — one row per patch element, so that for stride 1 an output
-// row's pixels are one contiguous run of the image — into pooled,
-// L2-sized scratch that the A stream reads in place.
+// them derives any of P. Element (r, p) of P sits in the image at
+// origin(r) + patch(p), where origin(r) = bi*c*h*w + oy*stride*w +
+// ox*stride is where pixel r's window starts and patch(p) = ci*h*w +
+// ky*w + kx is where element p sits in any window, so the microkernels
+// read P straight from the image through those two offset tables (the
+// indirect convolution algorithm). A convolution with padding first
+// copies its input into a zero-bordered pooled image, whose zeros then
+// enter the sums as fma(0, w, acc) just as materialized padding does.
 //
-//   - ConvInto, out = P W + bias: per block of mc pixels, A is the block
-//     (sa = block width), B is W packed once per call, and the block's
-//     (pixels, oc) product is scattered into the NCHW planes of out with
-//     the bias added.
+//   - ConvInto, out = P W + bias: per block of mc pixels, A's rows are
+//     the block's origins and its steps the patch offsets, B is W packed
+//     once per call, and the block's (pixels, oc) product is scattered
+//     into the NCHW planes of out with the bias added.
 //   - ConvWeightGradInto, dW = Pᵀ G, with G the output gradient read as
-//     its (pixels, oc) matrix: k runs over the pixels in kc blocks, A is
-//     the block (sa = 1) and B is the block's rows of G, packed straight
-//     from the NCHW gradient.
-//   - ConvInputGradInto, dx = col2im(G Wᵀ): A is G, streamed in place
-//     from the NCHW gradient one image at a time (sa = oh*ow), and the
-//     column gradient of about kc pixels' worth of whole images lands in
-//     pooled scratch and is scattered into dx at once.
+//     its (pixels, oc) matrix: the two tables swap, so A's rows are patch
+//     offsets and its steps the origins of one kc block of pixels, and B
+//     is the block's rows of G, packed straight from the NCHW gradient.
+//   - ConvInputGradInto, dx = col2im(G Wᵀ): A is G, read in place from
+//     the NCHW gradient one image at a time, and the column gradient of
+//     about kc pixels' worth of whole images lands in pooled scratch and
+//     is scattered into dx at once.
 //
 // Each product runs gemmBlocks with the operands, blocking and kernels of
 // its materialized twin (Im2ColInto or Col2ImInto with the MatMul
@@ -77,94 +81,62 @@ func (c Compute) ConvInputGradInto(dx, grad, w *Tensor, kh, kw, stride, pad int)
 	return dx
 }
 
-// patchBlock writes kernel rows [kr0, kr1) of the transposed patch
-// matrix for pixels [r0, r1): dst[q*(r1-r0) + r-r0] is element
-// kr0*kw + q of pixel r's patch. It walks the block one output row at a
-// time, so the row-validity check runs once per kernel row, and each
-// (ky, kx) copies the row's pixels as one run — for stride 1 a contiguous
-// run of the image, inside the image (the padding-free interior) with no
-// per-element bounds logic.
-func patchBlock[T Elem](xd, dst []T, r0, r1, kr0, kr1 int, g convGeom) {
-	ld, hw, kw := r1-r0, g.hw(), g.kw
-	for r := r0; r < r1; {
-		bi, pix := r/hw, r%hw
-		oy, ox := pix/g.ow, pix%g.ow
-		l := min(g.ow-ox, r1-r)
-		col, ix0 := r-r0, ox*g.stride-g.pad
-		last := ix0 + (l-1)*g.stride
-		ci, ky := kr0/g.kh, kr0%g.kh
-		for q := 0; q < (kr1-kr0)*kw; q += kw {
-			iy, plane := oy*g.stride-g.pad+ky, bi*g.c+ci
-			if ky++; ky == g.kh {
-				ky, ci = 0, ci+1
-			}
-			if iy < 0 || iy >= g.h {
-				for kx := 0; kx < kw; kx++ {
-					clear(dst[(q+kx)*ld+col:][:l])
-				}
-				continue
-			}
-			src := (plane*g.h+iy)*g.w + ix0
-			if kw == 5 && g.stride == 1 && ix0 >= 0 && last+5 <= g.w {
-				// The CNN's interior: slide a 5-wide window along the row
-				// in registers, one load and five stores per pixel.
-				d0, d1, d2, d3, d4 := dst[q*ld+col:][:l], dst[(q+1)*ld+col:][:l], dst[(q+2)*ld+col:][:l], dst[(q+3)*ld+col:][:l], dst[(q+4)*ld+col:][:l]
-				in := xd[src:][:l+4]
-				a, b, c, d := in[0], in[1], in[2], in[3]
-				for t, e := range in[4:] {
-					d0[t], d1[t], d2[t], d3[t], d4[t] = a, b, c, d, e
-					a, b, c, d = b, c, d, e
-				}
-				continue
-			}
-			for kx := 0; kx < kw; kx++ {
-				// Pixel t of the run reads column lo + t*stride; those in
-				// [t0, t1) are inside the image, the rest are padding.
-				run, lo := dst[(q+kx)*ld+col:][:l], ix0+kx
-				t0, t1 := 0, l
-				if lo < 0 {
-					t0 = min(l, (g.stride-1-lo)/g.stride)
-				}
-				if last+kx >= g.w {
-					t1 = 0
-					if lo < g.w {
-						t1 = (g.w-1-lo)/g.stride + 1
-					}
-					t1 = max(t0, t1)
-				}
-				if t0 > 0 {
-					clear(run[:t0])
-				}
-				if t1 < l {
-					clear(run[t1:])
-				}
-				switch at := src + kx + t0*g.stride; {
-				case t0 == t1:
-				case g.stride == 1:
-					for t, v := range xd[at : at+t1-t0] {
-						run[t0+t] = v
-					}
-				default:
-					for t := t0; t < t1; t++ {
-						run[t] = xd[at+(t-t0)*g.stride]
-					}
-				}
-			}
+// padImages returns the images of xd copied into a zero border g.pad
+// elements wide, the padding-free geometry that reads them, and the pooled
+// buffer that holds them, for Put. Without padding it returns xd and g
+// themselves and a nil buffer.
+func padImages[T Elem](ks *kernelSet[T], xd []T, g convGeom) ([]T, convGeom, *Tensor) {
+	if g.pad == 0 {
+		return xd, g, nil
+	}
+	p := g
+	p.h, p.w, p.pad = g.h+2*g.pad, g.w+2*g.pad, 0
+	buf := Shared.GetRaw(ks.dt, p.b*p.c*p.h*p.w)
+	pd := ks.data(buf)
+	clear(pd)
+	for plane := 0; plane < g.b*g.c; plane++ {
+		for y := 0; y < g.h; y++ {
+			copy(pd[(plane*p.h+y+g.pad)*p.w+g.pad:][:g.w], xd[(plane*g.h+y)*g.w:][:g.w])
 		}
-		r += l
+	}
+	return pd, p, buf
+}
+
+// pixelOrigins writes the image offset at which the window of each pixel
+// in [r0, r0+len(dst)) starts, for a padding-free g. It divides once per
+// output row, not per pixel.
+func pixelOrigins(dst []int, r0 int, g convGeom) {
+	for i := 0; i < len(dst); {
+		row, ox := (r0+i)/g.ow, (r0+i)%g.ow // row = bi*oh + oy
+		at := row/g.oh*g.c*g.h*g.w + row%g.oh*g.stride*g.w
+		for ; ox < g.ow && i < len(dst); ox, i = ox+1, i+1 {
+			dst[i] = at + ox*g.stride
+		}
+	}
+}
+
+// patchOffsets writes the offset from a window's origin of each patch
+// element of kernel rows kr0, kr0+1, … (len(dst)/kw of them), for a
+// padding-free g.
+func patchOffsets(dst []int, kr0 int, g convGeom) {
+	for q := range dst {
+		kr := kr0 + q/g.kw // kr = ci*kh + ky
+		dst[q] = kr/g.kh*g.h*g.w + kr%g.kh*g.w + q%g.kw
 	}
 }
 
 func convForward[T Elem](ks *kernelSet[T], workers int, od, xd, wd, bd []T, g convGeom) {
+	xd, g, padded := padImages(ks, xd, g)
 	n := g.b * g.hw()
 	blocks := (n + mc - 1) / mc
 	if blocks > 1 && workers > 1 && n*g.k() >= parallelThreshold {
 		parallelChunks(workers, blocks, func(c0, c1 int) {
 			convForwardBlocks(ks, od, xd, wd, bd, g, c0, c1)
 		})
-		return
+	} else {
+		convForwardBlocks(ks, od, xd, wd, bd, g, 0, blocks)
 	}
-	convForwardBlocks(ks, od, xd, wd, bd, g, 0, blocks)
+	Shared.Put(padded)
 }
 
 // convForwardBlocks computes the output pixels of blocks [c0, c1) of mc
@@ -178,19 +150,21 @@ func convForwardBlocks[T Elem](ks *kernelSet[T], od, xd, wd, bd []T, g convGeom,
 	// edge tile.
 	nPanels, kBlocks := (oc+nr-1)/nr, (k+kc-1)/kc
 	wStride := nPanels*min(kc, k)*nr + mr*nr
-	buf := Shared.GetRaw(ks.dt, kBlocks*wStride+k*mc+mc*oc)
+	buf := Shared.GetRaw(ks.dt, kBlocks*wStride+mc*oc)
 	scratch := ks.data(buf)
-	wp, pt, prod := scratch[:kBlocks*wStride], scratch[kBlocks*wStride:][:k*mc], scratch[kBlocks*wStride+k*mc:]
+	wp, prod := scratch[:kBlocks*wStride], scratch[kBlocks*wStride:]
 	for p0 := 0; p0 < k; p0 += kc {
 		packB(wp[p0/kc*wStride:], wd, nr, p0, min(kc, k-p0), oc, oc, 1)
 	}
+	tab := getOffsets(k + mc)
+	steps, rows := (*tab)[:k], (*tab)[k:]
+	patchOffsets(steps, 0, g)
 	for blk := c0; blk < c1; blk++ {
 		r0 := blk * mc
 		r1 := min(r0+mc, n)
-		bw := r1 - r0
-		patchBlock(xd, pt, r0, r1, 0, g.c*g.kh, g)
+		pixelOrigins(rows[:r1-r0], r0, g)
 		for p0 := 0; p0 < k; p0 += kc {
-			gemmBlocks(ks, prod, pt, wp[p0/kc*wStride:], 0, 1, bw, oc, min(kc, k-p0), p0, 1, bw, p0 == 0)
+			gemmBlocks(ks, prod, xd, rows[:r1-r0], steps[p0:], wp[p0/kc*wStride:], 0, 1, oc, min(kc, k-p0), p0 == 0)
 		}
 		// Scatter prod + bias into the planes, one image's run at a time.
 		for r := r0; r < r1; {
@@ -206,20 +180,22 @@ func convForwardBlocks[T Elem](ks *kernelSet[T], od, xd, wd, bd []T, g convGeom,
 			r += l
 		}
 	}
+	offsetTables.Put(tab)
 	Shared.Put(buf)
 }
 
 func convWeightGrad[T Elem](ks *kernelSet[T], workers int, dwd, xd, gd []T, g convGeom) {
-	// Workers split dW's rows at kernel-row boundaries: each derives only
-	// its own rows of the transposed patch blocks.
+	// Workers split dW's rows at kernel-row boundaries.
+	xd, g, padded := padImages(ks, xd, g)
 	rows := g.c * g.kh
 	if rows > 1 && workers > 1 && g.b*g.hw()*g.k() >= parallelThreshold {
 		parallelChunks(workers, rows, func(kr0, kr1 int) {
 			convWeightGradRows(ks, dwd, xd, gd, g, kr0, kr1)
 		})
-		return
+	} else {
+		convWeightGradRows(ks, dwd, xd, gd, g, 0, rows)
 	}
-	convWeightGradRows(ks, dwd, xd, gd, g, 0, rows)
+	Shared.Put(padded)
 }
 
 // convWeightGradRows computes the dW rows of kernel rows [kr0, kr1).
@@ -230,15 +206,18 @@ func convWeightGradRows[T Elem](ks *kernelSet[T], dwd, xd, gd []T, g convGeom, k
 	m, n := (kr1-kr0)*g.kw, g.b*g.hw()
 	nPanels, nBlocks := (oc+nr-1)/nr, (m+mc-1)/mc
 	kcb := min(kc, n)
-	buf := Shared.GetRaw(ks.dt, m*kcb+nPanels*kcb*nr+nBlocks*mr*nr)
-	scratch := ks.data(buf)
-	pt, bp := scratch[:m*kcb], scratch[m*kcb:]
+	buf := Shared.GetRaw(ks.dt, nPanels*kcb*nr+nBlocks*mr*nr)
+	bp := ks.data(buf)
+	tab := getOffsets(m + kcb)
+	rows, steps := (*tab)[:m], (*tab)[m:]
+	patchOffsets(rows, kr0, g)
 	for p0 := 0; p0 < n; p0 += kc {
 		kb := min(kc, n-p0)
-		patchBlock(xd, pt, p0, p0+kb, kr0, kr1, g)
+		pixelOrigins(steps[:kb], p0, g)
 		packGrad(bp, gd, p0, kb, nr, g)
-		gemmBlocks(ks, dwd[kr0*g.kw*oc:], pt, bp, 0, nBlocks, m, oc, kb, 0, kb, 1, p0 == 0)
+		gemmBlocks(ks, dwd[kr0*g.kw*oc:], xd, rows, steps, bp, 0, nBlocks, oc, kb, p0 == 0)
 	}
+	offsetTables.Put(tab)
 	Shared.Put(buf)
 }
 
@@ -285,13 +264,16 @@ func convInputGrad[T Elem](ks *kernelSet[T], workers int, dxd, gd, wd []T, g con
 // [c0, c1) of per images each.
 func convInputGradGroups[T Elem](ks *kernelSet[T], dxd, gd, wd []T, g convGeom, per, c0, c1 int) {
 	// Per image, cols (hw, k) = G_b Wᵀ: m = hw, n = k, and the product's k
-	// is oc. A row of G_b is one pixel across the channel planes.
+	// is oc.
 	nr, k, hw, oc := ks.nr, g.k(), g.hw(), g.oc
 	nPanels, nBlocks := (k+nr-1)/nr, (hw+mc-1)/mc
 	kcb := min(kc, oc)
 	buf := Shared.GetRaw(ks.dt, per*hw*k+nPanels*kcb*nr+nBlocks*mr*nr)
 	scratch := ks.data(buf)
 	cols, bp := scratch[:per*hw*k], scratch[per*hw*k:]
+	// A row of G_b is one pixel across the planes: A(i, p) = G_b[i + p*hw].
+	tab := getOffsets(hw + oc)
+	rows, steps := strided((*tab)[:hw], (*tab)[hw:], 1, hw)
 	img := g.c * g.h * g.w
 	for grp := c0; grp < c1; grp++ {
 		b0 := grp * per
@@ -300,11 +282,12 @@ func convInputGradGroups[T Elem](ks *kernelSet[T], dxd, gd, wd []T, g convGeom, 
 			kb := min(kc, oc-p0)
 			packB(bp, wd, nr, p0, kb, k, 1, oc)
 			for bi := b0; bi < b1; bi++ {
-				gemmBlocks(ks, cols[(bi-b0)*hw*k:], gd[bi*oc*hw:], bp, 0, nBlocks, hw, k, kb, p0, 1, hw, p0 == 0)
+				gemmBlocks(ks, cols[(bi-b0)*hw*k:], gd[bi*oc*hw:], rows, steps[p0:], bp, 0, nBlocks, k, kb, p0 == 0)
 			}
 		}
 		clear(dxd[b0*img : b1*img])
 		col2imRange(dxd, cols, b0, b1, g)
 	}
+	offsetTables.Put(tab)
 	Shared.Put(buf)
 }

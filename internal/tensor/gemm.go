@@ -9,10 +9,12 @@ package tensor
 //     p of the microkernel reads nr consecutive elements, zero-padded past
 //     the matrix edge. A packed panel of Bᵀ *is* the transpose, so no
 //     variant ever materializes one.
-//   - A is never packed: it streams in place through four row pointers
-//     advancing sa elements per step — sa=1 for contiguous rows (plain A,
-//     and the a operand of the Bᵀ variant), the column stride for the Aᵀ
-//     variant. No product any model runs has enough column panels to repay
+//   - A is never packed: it is read in place through two offset tables,
+//     A(i, p) = a[rows[i] + steps[p]]. The plain and Bᵀ products pass
+//     rows[i] = i*k and steps[p] = p, the Aᵀ product rows[i] = i and
+//     steps[p] = p*m, and a convolution its pixels' origins and its patch
+//     offsets in the image (conv.go), so one addressing mode serves every
+//     product. No product any model runs has enough column panels to repay
 //     a packed A block.
 //   - k is blocked by kc and dst rows by mc. The first k-block runs the
 //     microkernels in store mode, so dst is never pre-zeroed. Partial
@@ -44,10 +46,10 @@ const (
 )
 
 // asmTile is the signature of the assembly microkernels:
-// d[r*ldd+c] (+)= sum_p a_r[p*sa]*b[p*nr+c] over kb >= 1 packed steps of b,
-// for r < mr and c < nr (nr/2 for the narrow tile); see
+// d[r*ldd+c] (+)= sum_p a_r[off[p]]*b[p*nr+c] over kb >= 1 packed steps of
+// b, for r < mr and c < nr (nr/2 for the narrow tile); see
 // gemm_kernels_amd64.h.
-type asmTile[T Elem] func(a0, a1, a2, a3 *T, sa uintptr, b *T, kb uintptr, d *T, ldd uintptr)
+type asmTile[T Elem] func(a0, a1, a2, a3 *T, off *int, b *T, kb uintptr, d *T, ldd uintptr)
 
 // Indices into kernelSet.asm.
 const (
@@ -73,17 +75,16 @@ var (
 
 // tileGo is the portable twin of the assembly microkernels: over kb steps
 // of an nr-wide packed panel b it accumulates the mr x w tile
-// sum_p a_r[p*sa]*b[p*nr+c] — w is nr, or nr/2 for tileNarrow — then adds
-// it into d[r*ldd+c] (tileStore overwrites d instead).
-func tileGo[T Elem](kind int, a0, a1, a2, a3 []T, sa int, b []T, nr, kb int, d []T, ldd int) {
+// sum_p a_r[off[p]]*b[p*nr+c] — w is nr, or nr/2 for tileNarrow — then
+// adds it into d[r*ldd+c] (tileStore overwrites d instead).
+func tileGo[T Elem](kind int, a0, a1, a2, a3 []T, off []int, b []T, nr, kb int, d []T, ldd int) {
 	w := nr
 	if kind == tileNarrow {
 		w /= 2
 	}
 	var acc [mr * maxNR]T
-	for p := 0; p < kb; p++ {
+	for p, s := range off[:kb] {
 		brow := b[p*nr : p*nr+w]
-		s := p * sa
 		for r, av := range [mr]T{a0[s], a1[s], a2[s], a3[s]} {
 			accRow := acc[r*w : r*w+w]
 			accRow = accRow[:len(brow)]
@@ -121,6 +122,8 @@ func gemm[T Elem](ks *kernelSet[T], workers int, dd, ad, bd []T, m, n, k, ars, a
 	nr := ks.nr
 	nPanels := (n + nr - 1) / nr
 	nBlocks := (m + mc - 1) / mc
+	tab := getOffsets(m + k)
+	rows, steps := strided((*tab)[:m], (*tab)[m:], ars, acs)
 	for p0 := 0; p0 < k; p0 += kc {
 		kb := min(kc, k-p0)
 		store := p0 == 0 // first k-block overwrites dst, the rest accumulate
@@ -132,21 +135,35 @@ func gemm[T Elem](ks *kernelSet[T], workers int, dd, ad, bd []T, m, n, k, ars, a
 		packB(bp, bd, nr, p0, kb, n, brs, bcs)
 		if nBlocks > 1 && m*n >= parallelThreshold && workers > 1 {
 			parallelChunks(workers, nBlocks, func(c0, c1 int) {
-				gemmBlocks(ks, dd, ad, bp, c0, c1, m, n, kb, p0, ars, acs, store)
+				gemmBlocks(ks, dd, ad, rows, steps[p0:], bp, c0, c1, n, kb, store)
 			})
 		} else {
-			gemmBlocks(ks, dd, ad, bp, 0, nBlocks, m, n, kb, p0, ars, acs, store)
+			gemmBlocks(ks, dd, ad, rows, steps[p0:], bp, 0, nBlocks, n, kb, store)
 		}
 		Shared.Put(bpt)
 	}
+	offsetTables.Put(tab)
+}
+
+// strided fills rows[i] = i*ars and steps[p] = p*acs, the offset tables
+// of A(i, p) = a[i*ars + p*acs], and returns them.
+func strided(rows, steps []int, ars, acs int) ([]int, []int) {
+	for i := range rows {
+		rows[i] = i * ars
+	}
+	for p := range steps {
+		steps[p] = p * acs
+	}
+	return rows, steps
 }
 
 // gemmBlocks multiplies dst-row blocks [c0, c1) of mc rows each against
-// the packed B panels of one k-block. Each block has its own edge scratch,
-// so concurrent blocks never share any. store selects the
-// non-accumulating epilogue (dst is overwritten rather than added to).
-func gemmBlocks[T Elem](ks *kernelSet[T], dd, ad, bp []T, c0, c1, m, n, kb, p0, ars, acs int, store bool) {
-	nr := ks.nr
+// the packed B panels of one k-block: A(i, p) is ad[rows[i] + steps[p]]
+// for the len(rows) dst rows and the block's kb steps. Each block has its
+// own edge scratch, so concurrent blocks never share any. store selects
+// the non-accumulating epilogue (dst is overwritten rather than added to).
+func gemmBlocks[T Elem](ks *kernelSet[T], dd, ad []T, rows, steps []int, bp []T, c0, c1, n, kb int, store bool) {
+	nr, m := ks.nr, len(rows)
 	fullKind := tileFull
 	if store {
 		fullKind = tileStore
@@ -166,18 +183,12 @@ func gemmBlocks[T Elem](ks *kernelSet[T], dd, ad, bp []T, c0, c1, m, n, kb, p0, 
 			for pi := 0; pi < mPanels; pi++ {
 				i := i0 + pi*mr
 				hi := min(mr, mb-pi*mr)
-				// Offsets of the four A rows; rows past the edge alias row
-				// i, their results land in scratch rows that are discarded.
-				o0 := i*ars + p0*acs
-				o1, o2, o3 := o0, o0, o0
-				if hi > 1 {
-					o1 = o0 + ars
-				}
-				if hi > 2 {
-					o2 = o0 + 2*ars
-				}
-				if hi > 3 {
-					o3 = o0 + 3*ars
+				// Origins of the four A rows; rows past the edge alias the
+				// last one, their results land in scratch rows that are
+				// discarded.
+				var o [mr]int
+				for r := range o {
+					o[r] = rows[i+min(r, hi-1)]
 				}
 				d, ldd, kind := dd[i*n+j0:], n, fullKind
 				edge := hi < mr || wj < nr
@@ -189,9 +200,9 @@ func gemmBlocks[T Elem](ks *kernelSet[T], dd, ad, bp []T, c0, c1, m, n, kb, p0, 
 					}
 				}
 				if useFMA {
-					ks.asm[kind](&ad[o0], &ad[o1], &ad[o2], &ad[o3], uintptr(acs), &bpanel[0], uintptr(kb), &d[0], uintptr(ldd))
+					ks.asm[kind](&ad[o[0]], &ad[o[1]], &ad[o[2]], &ad[o[3]], &steps[0], &bpanel[0], uintptr(kb), &d[0], uintptr(ldd))
 				} else {
-					tileGo(kind, ad[o0:], ad[o1:], ad[o2:], ad[o3:], acs, bpanel, nr, kb, d, ldd)
+					tileGo(kind, ad[o[0]:], ad[o[1]:], ad[o[2]:], ad[o[3]:], steps, bpanel, nr, kb, d, ldd)
 				}
 				if !edge {
 					continue

@@ -6,25 +6,26 @@ func x86HasAVX2FMA() bool
 
 // The microkernels, instantiated in gemm_amd64.s from the one body in
 // gemm_kernels_amd64.h: full tile (accumulate), full tile (store) and
-// narrow tile for each dtype. kb must be >= 1; sa and ldd are in elements.
+// narrow tile for each dtype. kb must be >= 1; off holds kb step offsets
+// and ldd is in elements.
 
 //go:noescape
-func sgemm4x16s(a0, a1, a2, a3 *float32, sa uintptr, b *float32, kb uintptr, d *float32, ldd uintptr)
+func sgemm4x16s(a0, a1, a2, a3 *float32, off *int, b *float32, kb uintptr, d *float32, ldd uintptr)
 
 //go:noescape
-func sgemm4x16st(a0, a1, a2, a3 *float32, sa uintptr, b *float32, kb uintptr, d *float32, ldd uintptr)
+func sgemm4x16st(a0, a1, a2, a3 *float32, off *int, b *float32, kb uintptr, d *float32, ldd uintptr)
 
 //go:noescape
-func sgemm4x8s(a0, a1, a2, a3 *float32, sa uintptr, b *float32, kb uintptr, d *float32, ldd uintptr)
+func sgemm4x8s(a0, a1, a2, a3 *float32, off *int, b *float32, kb uintptr, d *float32, ldd uintptr)
 
 //go:noescape
-func dgemm4x8s(a0, a1, a2, a3 *float64, sa uintptr, b *float64, kb uintptr, d *float64, ldd uintptr)
+func dgemm4x8s(a0, a1, a2, a3 *float64, off *int, b *float64, kb uintptr, d *float64, ldd uintptr)
 
 //go:noescape
-func dgemm4x8st(a0, a1, a2, a3 *float64, sa uintptr, b *float64, kb uintptr, d *float64, ldd uintptr)
+func dgemm4x8st(a0, a1, a2, a3 *float64, off *int, b *float64, kb uintptr, d *float64, ldd uintptr)
 
 //go:noescape
-func dgemm4x4s(a0, a1, a2, a3 *float64, sa uintptr, b *float64, kb uintptr, d *float64, ldd uintptr)
+func dgemm4x4s(a0, a1, a2, a3 *float64, off *int, b *float64, kb uintptr, d *float64, ldd uintptr)
 
 // The int8 codec kernels in quant_amd64.s; each covers len/16 whole
 // blocks and leaves the tail to its Go twin in quant.go.

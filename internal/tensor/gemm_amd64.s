@@ -48,6 +48,7 @@ no:
 
 // float32: 8 lanes per ymm, so the full tile is 4x16 and the narrow 4x8.
 #define ESHIFT  2
+#define ESIZE   4
 #define VMOVU   VMOVUPS
 #define VBCAST  VBROADCASTSS
 #define VFMA    VFMADD231PS
@@ -59,6 +60,7 @@ no:
 #include "gemm_kernels_amd64.h"
 
 #undef ESHIFT
+#undef ESIZE
 #undef VMOVU
 #undef VBCAST
 #undef VFMA
@@ -70,6 +72,7 @@ no:
 
 // float64: 4 lanes per ymm, so the full tile is 4x8 and the narrow 4x4.
 #define ESHIFT  3
+#define ESIZE   8
 #define VMOVU   VMOVUPD
 #define VBCAST  VBROADCASTSD
 #define VFMA    VFMADD231PD

@@ -69,3 +69,32 @@ func BenchmarkMatMulTransA32(b *testing.B) {
 func BenchmarkMatMulTransB32(b *testing.B) {
 	benchGEMM(b, Float32, false, true, Compute{}.MatMulTransBInto)
 }
+
+// benchConv times one conv entry at the CNN's conv-1 shape — a batch of
+// 32 3x16x16 images, a 5x5 kernel and 6 output channels — in both dtypes,
+// on one worker.
+func benchConv(b *testing.B, run func(cmp Compute, x, w, bias, out *Tensor)) {
+	for _, dt := range []DType{Float64, Float32} {
+		b.Run(dt.String(), func(b *testing.B) {
+			x, w, bias, out := NewOf(dt, 32, 3, 16, 16), NewOf(dt, 75, 6), NewOf(dt, 6), NewOf(dt, 32, 6, 12, 12)
+			for i, t := range []*Tensor{x, w, bias, out} {
+				benchFill(t, i+1)
+			}
+			cmp := Compute{Workers: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(cmp, x, w, bias, out)
+			}
+		})
+	}
+}
+
+func BenchmarkConvForward(b *testing.B) {
+	benchConv(b, func(cmp Compute, x, w, bias, out *Tensor) { cmp.ConvInto(out, x, w, bias, 5, 5, 1, 0) })
+}
+
+// BenchmarkConvWeightGrad reads out as the output gradient and writes w.
+func BenchmarkConvWeightGrad(b *testing.B) {
+	benchConv(b, func(cmp Compute, x, w, _, out *Tensor) { cmp.ConvWeightGradInto(w, x, out, 5, 5, 1, 0) })
+}

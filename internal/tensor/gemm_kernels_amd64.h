@@ -2,39 +2,40 @@
 // written once over element-type macros. gemm_amd64.s includes this file
 // twice, once per dtype, with these macros defined:
 //
-//	ESHIFT                        log2 of the element size in bytes
+//	ESIZE ESHIFT                  the element size in bytes, and its log2
 //	VMOVU VBCAST VFMA VADD VXOR   the PS/SS or PD/SD spelling of each op
 //	KFULL KSTORE KNARROW          the three symbol names to emit
 //
 // Every kernel has the Go signature
 //
-//	func(a0, a1, a2, a3 *T, sa uintptr, b *T, kb uintptr, d *T, ldd uintptr)
+//	func(a0, a1, a2, a3 *T, off *int, b *T, kb uintptr, d *T, ldd uintptr)
 //
 // The B operand always arrives packed tile-major: one k step is 64 bytes
-// (16 float32 or 8 float64, two ymm registers), unit-stride. The four A
-// streams are pointers advancing sa elements per step: sa=4 walks a
-// tile-major packed A panel, sa=1 walks four raw contiguous rows, sa=m
-// walks four columns of a row-major matrix — the same kernel serves packed
-// and unpacked A. kb must be >= 1; ldd is in elements.
+// (16 float32 or 8 float64, two ymm registers), unit-stride. A is never
+// packed: a0..a3 point at the origins of the tile's four A rows, and off
+// at kb step offsets in elements, so step p reads a_r[off[p]]. A plain
+// row-major A passes off[p] = p, a transposed one p times its row
+// length, and a convolution's patch matrix the offset of patch element p
+// from a pixel's origin in the image, so the kernels read every product's
+// A in place. kb must be >= 1; ldd is in elements.
 
 // The helper macros are defined on the first inclusion only; they expand
 // the element-type macros at their point of use.
 #ifndef PROLOGUE
 
-// PROLOGUE loads the arguments, converts the two strides to bytes and
-// zeroes the eight accumulators.
+// PROLOGUE loads the arguments, converts ldd to bytes and zeroes the
+// eight accumulators.
 #define PROLOGUE \
-	MOVQ a0+0(FP), R8;   \
-	MOVQ a1+8(FP), R9;   \
-	MOVQ a2+16(FP), R10; \
-	MOVQ a3+24(FP), R11; \
-	MOVQ sa+32(FP), R13; \
-	MOVQ b+40(FP), BX;   \
-	MOVQ kb+48(FP), CX;  \
-	MOVQ d+56(FP), DI;   \
-	MOVQ ldd+64(FP), DX; \
-	SHLQ $ESHIFT, R13;   \
-	SHLQ $ESHIFT, DX;    \
+	MOVQ a0+0(FP), R8;    \
+	MOVQ a1+8(FP), R9;    \
+	MOVQ a2+16(FP), R10;  \
+	MOVQ a3+24(FP), R11;  \
+	MOVQ off+32(FP), R13; \
+	MOVQ b+40(FP), BX;    \
+	MOVQ kb+48(FP), CX;   \
+	MOVQ d+56(FP), DI;    \
+	MOVQ ldd+64(FP), DX;  \
+	SHLQ $ESHIFT, DX;     \
 	VXOR Y0, Y0, Y0;     \
 	VXOR Y1, Y1, Y1;     \
 	VXOR Y2, Y2, Y2;     \
@@ -76,13 +77,15 @@
 	VBCAST A3, Y10;      \
 	VFMA   Y8, Y10, C3
 
-// ADVANCE2 steps every stream past two k steps.
+// OFF2 loads the offsets of the next two k steps into AX and R12.
+#define OFF2 \
+	MOVQ (R13), AX; \
+	MOVQ 8(R13), R12
+
+// ADVANCE2 steps the offset table and B past two k steps.
 #define ADVANCE2 \
-	LEAQ (R8)(R13*2), R8;   \
-	LEAQ (R9)(R13*2), R9;   \
-	LEAQ (R10)(R13*2), R10; \
-	LEAQ (R11)(R13*2), R11; \
-	ADDQ $128, BX;          \
+	ADDQ $16, R13;  \
+	ADDQ $128, BX;  \
 	SUBQ $2, CX
 
 // ADDROW2 adds accumulators (C0, C1) into the 64-byte dst row at DI.
@@ -104,18 +107,19 @@
 
 // KFULL accumulates a full-width tile (4x16 float32, 4x8 float64):
 //
-//	d[r*ldd + c] += sum over p of a_r[p*sa] * b[p*nr + c]
+//	d[r*ldd + c] += sum over p of a_r[off[p]] * b[p*nr + c]
 //
-// The k loop is unrolled by two (the second step reads A at offset sa via
-// indexed addressing) to halve the pointer-update/branch overhead.
+// The k loop is unrolled by two, loading both steps' offsets up front, to
+// halve the pointer-update/branch overhead.
 TEXT KFULL(SB), NOSPLIT, $0-72
 	PROLOGUE
 	CMPQ CX, $2
 	JLT  tail
 
 pair:
-	STEP2((BX), 32(BX), (R8), (R9), (R10), (R11))
-	STEP2(64(BX), 96(BX), (R8)(R13*1), (R9)(R13*1), (R10)(R13*1), (R11)(R13*1))
+	OFF2
+	STEP2((BX), 32(BX), (R8)(AX*ESIZE), (R9)(AX*ESIZE), (R10)(AX*ESIZE), (R11)(AX*ESIZE))
+	STEP2(64(BX), 96(BX), (R8)(R12*ESIZE), (R9)(R12*ESIZE), (R10)(R12*ESIZE), (R11)(R12*ESIZE))
 	ADVANCE2
 	CMPQ CX, $2
 	JGE  pair
@@ -123,7 +127,8 @@ pair:
 tail:
 	TESTQ CX, CX
 	JZ    done
-	STEP2((BX), 32(BX), (R8), (R9), (R10), (R11))
+	MOVQ  (R13), AX
+	STEP2((BX), 32(BX), (R8)(AX*ESIZE), (R9)(AX*ESIZE), (R10)(AX*ESIZE), (R11)(AX*ESIZE))
 
 done:
 	ADDROW2(Y0, Y1)
@@ -145,8 +150,9 @@ TEXT KSTORE(SB), NOSPLIT, $0-72
 	JLT  tailst
 
 pairst:
-	STEP2((BX), 32(BX), (R8), (R9), (R10), (R11))
-	STEP2(64(BX), 96(BX), (R8)(R13*1), (R9)(R13*1), (R10)(R13*1), (R11)(R13*1))
+	OFF2
+	STEP2((BX), 32(BX), (R8)(AX*ESIZE), (R9)(AX*ESIZE), (R10)(AX*ESIZE), (R11)(AX*ESIZE))
+	STEP2(64(BX), 96(BX), (R8)(R12*ESIZE), (R9)(R12*ESIZE), (R10)(R12*ESIZE), (R11)(R12*ESIZE))
 	ADVANCE2
 	CMPQ CX, $2
 	JGE  pairst
@@ -154,7 +160,8 @@ pairst:
 tailst:
 	TESTQ CX, CX
 	JZ    donest
-	STEP2((BX), 32(BX), (R8), (R9), (R10), (R11))
+	MOVQ  (R13), AX
+	STEP2((BX), 32(BX), (R8)(AX*ESIZE), (R9)(AX*ESIZE), (R10)(AX*ESIZE), (R11)(AX*ESIZE))
 
 donest:
 	VMOVU Y0, (DI)
@@ -174,7 +181,7 @@ donest:
 // KNARROW is the one-ymm-wide variant (4x8 float32, 4x4 float64) for
 // column remainders of half a panel or less:
 //
-//	d[r*ldd + c] += sum over p of a_r[p*sa] * b[p*nr + c], c < nr/2
+//	d[r*ldd + c] += sum over p of a_r[off[p]] * b[p*nr + c], c < nr/2
 //
 // B still advances 64 bytes per step because the panels are packed
 // full-width; the upper half is never loaded. Even and odd k steps
@@ -185,8 +192,9 @@ TEXT KNARROW(SB), NOSPLIT, $0-72
 	JLT  tailnw
 
 pairnw:
-	STEP1((BX), (R8), (R9), (R10), (R11), Y0, Y1, Y2, Y3)
-	STEP1(64(BX), (R8)(R13*1), (R9)(R13*1), (R10)(R13*1), (R11)(R13*1), Y4, Y5, Y6, Y7)
+	OFF2
+	STEP1((BX), (R8)(AX*ESIZE), (R9)(AX*ESIZE), (R10)(AX*ESIZE), (R11)(AX*ESIZE), Y0, Y1, Y2, Y3)
+	STEP1(64(BX), (R8)(R12*ESIZE), (R9)(R12*ESIZE), (R10)(R12*ESIZE), (R11)(R12*ESIZE), Y4, Y5, Y6, Y7)
 	ADVANCE2
 	CMPQ CX, $2
 	JGE  pairnw
@@ -194,7 +202,8 @@ pairnw:
 tailnw:
 	TESTQ CX, CX
 	JZ    donenw
-	STEP1((BX), (R8), (R9), (R10), (R11), Y0, Y1, Y2, Y3)
+	MOVQ  (R13), AX
+	STEP1((BX), (R8)(AX*ESIZE), (R9)(AX*ESIZE), (R10)(AX*ESIZE), (R11)(AX*ESIZE), Y0, Y1, Y2, Y3)
 
 donenw:
 	// fold odd into even and accumulate into dst

@@ -233,3 +233,21 @@ func (w *Workspace) Release() {
 	}
 	w.taken = w.taken[:0]
 }
+
+// offsetTables recycles the GEMM driver's A offset tables (gemm.go,
+// conv.go) as *[]int. getOffsets drops a pooled table too short for its
+// request for one that fits, so the pooled tables grow to the longest
+// request in use and, from then on, none is allocated.
+var offsetTables sync.Pool
+
+// getOffsets returns a table of n ints, contents unspecified; the caller
+// puts it back in offsetTables.
+func getOffsets(n int) *[]int {
+	t, _ := offsetTables.Get().(*[]int)
+	if t == nil || cap(*t) < n {
+		s := make([]int, n)
+		t = &s
+	}
+	*t = (*t)[:n]
+	return t
+}

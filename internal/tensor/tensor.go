@@ -34,12 +34,13 @@
 // int8 wire codec's kernels (quant.go) sit behind the same gate.
 //
 // The convolution entries (conv.go) are that driver reading images: the
-// forward and the weight gradient re-derive, block by block, the
-// transposed patch rows a product step needs into pooled L2-sized
-// scratch that the microkernels' A stream reads in place, so no call
-// holds a whole patch matrix, and each product keeps the operands, kc
-// blocking and microkernels of its materialized twin (Im2ColInto or
-// Col2ImInto plus a MatMul entry), so its results are bitwise the twin's.
+// microkernels read every A operand through a row table and a step table
+// of offsets, and the forward and the weight gradient pass the pixels'
+// window origins and the patch elements' offsets, so they read the
+// patch matrix straight from the (zero-bordered, when padded) image and
+// no call derives any of it. Each product keeps the operands, kc blocking
+// and microkernels of its materialized twin (Im2ColInto or Col2ImInto
+// plus a MatMul entry), so its results are bitwise the twin's.
 // They fan out over pixel blocks, kernel rows or images;
 // Im2ColInto/Col2ImInto parallelize over the batch dimension. Every
 // kernel writes into caller-provided storage. The goroutine fan-out of
